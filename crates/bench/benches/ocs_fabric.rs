@@ -3,13 +3,23 @@
 //! The control plane must plan and validate fabric-wide transactions fast
 //! (milliseconds of software against milliseconds of mirror settle); these
 //! benches keep the delta planner, the full-pod composition, and the
-//! optical-core census honest.
+//! optical-core census honest — and time the three layers the slice-request
+//! path spends its switch time in (one switch's `apply_delta`, one
+//! dimension's `commit_delta`, one circuit's camera alignment), so that a
+//! regression there shows without a full `lwbench` run.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use lightwave_core::fabric::{FabricController, FabricDelta, OcsFleet};
+use lightwave_core::ocs::camera::AlignmentLoop;
 use lightwave_core::ocs::loss::OpticalCore;
 use lightwave_core::ocs::{Crossbar, PalomarOcs, PortMapping};
+use lightwave_core::superpod::geometry::{Dim, LINKS_PER_FACE};
 use lightwave_core::superpod::slice::{Slice, SliceShape};
+use lightwave_core::superpod::wiring::ocs_for;
 use lightwave_core::superpod::Superpod;
+use lightwave_core::units::Nanos;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 
 fn crossbar_delta(c: &mut Criterion) {
@@ -45,6 +55,64 @@ fn ocs_apply_mapping(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         )
+    });
+}
+
+/// The circuits a small slice pins on one switch, and where they move to.
+const FOUR: [(u16, u16); 4] = [(100, 101), (102, 103), (104, 105), (106, 107)];
+const MOVED: [(u16, u16); 4] = [(100, 103), (102, 105), (104, 107), (106, 101)];
+
+/// One switch visit of a commit on a half-full switch: 4 circuits torn
+/// down, 4 established, the tick that completes their alignment.
+fn ocs_apply_delta(c: &mut Criterion) {
+    let mut ocs = PalomarOcs::new(0, 42);
+    let half: Vec<(u16, u16)> = (0..64u16).map(|i| (i, (i * 7 + 3) % 64)).collect();
+    ocs.apply_delta(&half, &[]).expect("valid");
+    ocs.apply_delta(&FOUR, &[]).expect("valid");
+    let norths = FOUR.map(|(n, _)| n);
+    let mut moves = [MOVED, FOUR].into_iter().cycle();
+    c.bench_function("ocs_apply_delta_4_adds_4_removes_half_full", |b| {
+        b.iter(|| {
+            let add = moves.next().expect("cycles");
+            ocs.validate_delta(&add, &norths).expect("valid");
+            black_box(ocs.apply_delta(&add, &norths).expect("valid"));
+            ocs.advance(Nanos::from_millis(40));
+        })
+    });
+}
+
+/// One dimension's transaction as a slice compose or release commits it:
+/// the same 4 pairs on each of the dimension's 16 switches, added by one
+/// commit and removed by the next.
+fn fabric_commit_delta(c: &mut Criterion) {
+    let mut fabric = FabricController::new(OcsFleet::build(48, 17));
+    let (mut compose, mut release) = (FabricDelta::new(), FabricDelta::new());
+    for k in 0..LINKS_PER_FACE {
+        compose.entry(ocs_for(Dim::Y, k)).add.extend(FOUR);
+        let torn_down = FOUR.iter().map(|&(n, _)| n);
+        release.entry(ocs_for(Dim::Y, k)).remove.extend(torn_down);
+    }
+    let mut deltas = [&compose, &release].into_iter().cycle();
+    c.bench_function("fabric_commit_delta_one_dimension_16_switches", |b| {
+        b.iter(|| {
+            let delta = deltas.next().expect("cycles");
+            black_box(fabric.commit_delta(delta).expect("valid"));
+            fabric.advance(Nanos::from_millis(40));
+        })
+    });
+}
+
+/// One circuit's camera alignment: the exact servo loop against the
+/// frames-only kernel the switch runs, on the same stream.
+fn camera_alignment(c: &mut Criterion) {
+    let servo = AlignmentLoop::default();
+    let mut rng = StdRng::seed_from_u64(9);
+    c.bench_function("alignment_converge_exact", |b| {
+        b.iter(|| black_box(servo.converge(0.01, &mut rng)))
+    });
+    let mut rng = StdRng::seed_from_u64(9);
+    c.bench_function("alignment_converge_frames", |b| {
+        b.iter(|| black_box(servo.converge_frames(0.01, &mut rng)))
     });
 }
 
@@ -98,6 +166,9 @@ criterion_group!(
     benches,
     crossbar_delta,
     ocs_apply_mapping,
+    ocs_apply_delta,
+    fabric_commit_delta,
+    camera_alignment,
     optical_census,
     pod_compose_full,
     pod_incremental_slice

@@ -185,42 +185,13 @@ impl FabricController {
         self.now
     }
 
-    /// Validates `target` against every named switch without applying.
+    /// Validates `target` against every named switch without applying:
+    /// a dry run of the checks each switch will make.
     pub fn validate(&self, target: &FabricTarget) -> Result<(), CommitError> {
-        for id in target.switches() {
+        for (&id, mapping) in &target.targets {
             let ocs = self.fleet.get(id).ok_or(CommitError::UnknownSwitch(id))?;
-            if !ocs.is_up() {
-                return Err(CommitError::Invalid {
-                    ocs: id,
-                    error: OcsError::ChassisDown,
-                });
-            }
-            let mapping = target.get(id).expect("iterating declared switches");
-            // Dry-run the per-port checks the switch will make — but only
-            // for circuits the delta will actually (re)establish. A port
-            // that degraded *under* a running circuit must not veto
-            // transactions that leave that circuit alone: tearing it down
-            // would turn a degradation into an outage, and rejecting the
-            // transaction would wedge the whole switch.
-            let current: BTreeMap<PortId, PortId> = ocs.mapping().pairs().collect();
-            let degraded = ocs.health().degraded_ports;
-            for (n, s) in mapping.pairs() {
-                if current.get(&n) == Some(&s) {
-                    continue; // untouched circuit: never re-checked
-                }
-                if degraded.contains(&n) {
-                    return Err(CommitError::Invalid {
-                        ocs: id,
-                        error: OcsError::PortDegraded(n),
-                    });
-                }
-                if degraded.contains(&s) {
-                    return Err(CommitError::Invalid {
-                        ocs: id,
-                        error: OcsError::PortDegraded(s),
-                    });
-                }
-            }
+            ocs.validate_mapping(mapping)
+                .map_err(|error| CommitError::Invalid { ocs: id, error })?;
         }
         Ok(())
     }
@@ -230,21 +201,24 @@ impl FabricController {
     pub fn commit(&mut self, target: &FabricTarget) -> Result<CommitReport, CommitError> {
         self.validate(target)?;
         let mut per_switch = BTreeMap::new();
-        let mut untouched = 0;
-        let mut added = 0;
-        let mut removed = 0;
-        let mut latest = self.now;
-        for id in target.switches() {
-            let mapping = target.get(id).expect("declared");
+        for (&id, mapping) in &target.targets {
             let ocs = self.fleet.get_mut(id).expect("validated");
             let report = ocs
                 .apply_mapping(mapping)
                 .map_err(|error| CommitError::Invalid { ocs: id, error })?;
-            untouched += report.untouched;
-            added += report.added.len();
-            removed += report.removed.len();
-            latest = latest.max(report.ready_at);
             per_switch.insert(id, report);
+        }
+        Ok(self.report(per_switch))
+    }
+
+    /// Totals a transaction's per-switch reports.
+    fn report(&self, per_switch: BTreeMap<OcsId, ReconfigReport>) -> CommitReport {
+        let (mut untouched, mut added, mut removed, mut latest) = (0, 0, 0, self.now);
+        for r in per_switch.values() {
+            untouched += r.untouched;
+            added += r.added.len();
+            removed += r.removed.len();
+            latest = latest.max(r.ready_at);
         }
         // Moved circuits need transceiver re-acquisition after the mirrors
         // settle; only transactions that added circuits pay bring-up.
@@ -253,13 +227,13 @@ impl FabricController {
         } else {
             latest
         };
-        Ok(CommitReport {
+        CommitReport {
             per_switch,
             untouched,
             added,
             removed,
             traffic_ready_at,
-        })
+        }
     }
 
     /// Validates an incremental transaction against every named switch
@@ -281,37 +255,20 @@ impl FabricController {
     /// Validates then applies an incremental transaction. On error nothing
     /// has been applied. The O(delta) counterpart of
     /// [`FabricController::commit`]: no switch's full mapping is collected,
-    /// rebuilt, or diffed anywhere on this path.
+    /// rebuilt, or diffed anywhere on this path, and each switch checks its
+    /// delta once — in the validation pass; the apply pass finds it
+    /// remembered (see [`PalomarOcs::apply_delta`](lightwave_ocs::PalomarOcs::apply_delta)).
     pub fn commit_delta(&mut self, delta: &FabricDelta) -> Result<CommitReport, CommitError> {
         self.validate_delta(delta)?;
         let mut per_switch = BTreeMap::new();
-        let mut untouched = 0;
-        let mut added = 0;
-        let mut removed = 0;
-        let mut latest = self.now;
         for (id, d) in delta.iter() {
             let ocs = self.fleet.get_mut(id).expect("validated");
             let report = ocs
                 .apply_delta(&d.add, &d.remove)
                 .map_err(|error| CommitError::Invalid { ocs: id, error })?;
-            untouched += report.untouched;
-            added += report.added.len();
-            removed += report.removed.len();
-            latest = latest.max(report.ready_at);
             per_switch.insert(id, report);
         }
-        let traffic_ready_at = if added > 0 {
-            latest + LinkBringup::nominal_duration()
-        } else {
-            latest
-        };
-        Ok(CommitReport {
-            per_switch,
-            untouched,
-            added,
-            removed,
-            traffic_ready_at,
-        })
+        Ok(self.report(per_switch))
     }
 
     /// Advances fabric time.
@@ -378,6 +335,20 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
+        assert_eq!(c.fleet.health().circuits, 0, "atomic: nothing applied");
+    }
+
+    #[test]
+    fn out_of_range_target_rejects_before_any_switch_applies() {
+        let mut c = controller(2);
+        let mut t = FabricTarget::new();
+        t.set(0, PortMapping::from_pairs([(0, 1)]).unwrap());
+        t.set(1, PortMapping::from_pairs([(2, 9999)]).unwrap());
+        let error = OcsError::Crossbar(lightwave_ocs::CrossbarError::PortOutOfRange(9999));
+        assert_eq!(
+            c.commit(&t).unwrap_err(),
+            CommitError::Invalid { ocs: 1, error }
+        );
         assert_eq!(c.fleet.health().circuits, 0, "atomic: nothing applied");
     }
 

@@ -25,10 +25,11 @@ pub struct FleetHealth {
     pub per_switch: BTreeMap<OcsId, OcsHealth>,
 }
 
-/// A fleet of Palomar OCSes.
+/// A fleet of Palomar OCSes, kept in id order.
 #[derive(Debug, Default)]
 pub struct OcsFleet {
-    switches: BTreeMap<OcsId, PalomarOcs>,
+    /// Each switch under its id, ascending.
+    switches: Vec<(OcsId, PalomarOcs)>,
 }
 
 impl OcsFleet {
@@ -39,7 +40,9 @@ impl OcsFleet {
 
     /// Builds a fleet of `n` switches with deterministic per-switch seeds.
     pub fn build(n: usize, seed: u64) -> OcsFleet {
-        let mut fleet = OcsFleet::new();
+        let mut fleet = OcsFleet {
+            switches: Vec::with_capacity(n),
+        };
         for i in 0..n {
             fleet.add(PalomarOcs::new(
                 i as OcsId,
@@ -55,8 +58,19 @@ impl OcsFleet {
     /// Panics if the id is already present.
     pub fn add(&mut self, ocs: PalomarOcs) {
         let id = ocs.id();
-        let prev = self.switches.insert(id, ocs);
-        assert!(prev.is_none(), "duplicate OCS id {id}");
+        let Err(slot) = self.switches.binary_search_by_key(&id, |&(i, _)| i) else {
+            panic!("duplicate OCS id {id}");
+        };
+        self.switches.insert(slot, (id, ocs));
+    }
+
+    /// Where switch `id` sits: its own id when the fleet is numbered
+    /// `0..n` (as [`OcsFleet::build`] numbers it), else by search.
+    fn slot(&self, id: OcsId) -> Option<usize> {
+        if matches!(self.switches.get(id as usize), Some(&(i, _)) if i == id) {
+            return Some(id as usize);
+        }
+        self.switches.binary_search_by_key(&id, |&(i, _)| i).ok()
     }
 
     /// Number of switches.
@@ -71,22 +85,22 @@ impl OcsFleet {
 
     /// Immutable access to a switch.
     pub fn get(&self, id: OcsId) -> Option<&PalomarOcs> {
-        self.switches.get(&id)
+        self.slot(id).map(|slot| &self.switches[slot].1)
     }
 
     /// Mutable access to a switch.
     pub fn get_mut(&mut self, id: OcsId) -> Option<&mut PalomarOcs> {
-        self.switches.get_mut(&id)
+        self.slot(id).map(|slot| &mut self.switches[slot].1)
     }
 
     /// Iterates switches in id order.
     pub fn iter(&self) -> impl Iterator<Item = (&OcsId, &PalomarOcs)> {
-        self.switches.iter()
+        self.switches.iter().map(|(id, ocs)| (id, ocs))
     }
 
     /// Advances every switch's clock.
     pub fn advance(&mut self, dt: Nanos) {
-        for ocs in self.switches.values_mut() {
+        for (_, ocs) in &mut self.switches {
             ocs.advance(dt);
         }
     }
@@ -99,7 +113,7 @@ impl OcsFleet {
         severity: lightwave_ocs::telemetry::Severity,
     ) -> Vec<(OcsId, lightwave_ocs::telemetry::Alarm)> {
         let mut out = Vec::new();
-        for (&id, ocs) in &self.switches {
+        for (&id, ocs) in self.iter() {
             for alarm in ocs.telemetry().alarms_at_least(severity) {
                 out.push((id, alarm.clone()));
             }
@@ -109,11 +123,8 @@ impl OcsFleet {
 
     /// Fleet health roll-up.
     pub fn health(&self) -> FleetHealth {
-        let per_switch: BTreeMap<OcsId, OcsHealth> = self
-            .switches
-            .iter()
-            .map(|(&id, ocs)| (id, ocs.health()))
-            .collect();
+        let per_switch: BTreeMap<OcsId, OcsHealth> =
+            self.iter().map(|(&id, ocs)| (id, ocs.health())).collect();
         FleetHealth {
             switches: per_switch.len(),
             operational: per_switch.values().filter(|h| h.operational).count(),
@@ -145,6 +156,21 @@ mod tests {
         let mut fleet = OcsFleet::new();
         fleet.add(PalomarOcs::new(0, 1));
         fleet.add(PalomarOcs::new(0, 2));
+    }
+
+    #[test]
+    fn arbitrary_ids_are_kept_in_order_and_found() {
+        let mut fleet = OcsFleet::new();
+        for id in [40, 3, 0, 17] {
+            fleet.add(PalomarOcs::new(id, id as u64));
+        }
+        let ids: Vec<OcsId> = fleet.iter().map(|(&id, _)| id).collect();
+        assert_eq!(ids, [0, 3, 17, 40]);
+        for id in ids {
+            assert_eq!(fleet.get(id).unwrap().id(), id);
+            assert_eq!(fleet.get_mut(id).unwrap().id(), id);
+        }
+        assert!(fleet.get(1).is_none() && fleet.get(41).is_none());
     }
 
     #[test]

@@ -16,8 +16,10 @@
 
 use lightwave_units::Nanos;
 use rand::rngs::StdRng;
+use rand::RngCore;
 use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Parameters of the camera servo loop.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -62,10 +64,31 @@ pub struct Convergence {
     pub converged: bool,
 }
 
+/// Relative slack added to the error interval of
+/// [`AlignmentLoop::converge_frames`] every frame. The float expressions
+/// of the exact loop and of the interval arithmetic each round by a few
+/// ulps (≈1e-15 of the operands); a thousand times that is still far
+/// below anything that decides a frame.
+const INTERVAL_EPS: f64 = 1e-12;
+
+/// Upper bound on a Box–Muller normal's magnitude given the top 8 bits of
+/// its first raw draw: `|z| ≤ √(−2·ln u1)` with `u1 = 1 − unit(b1)` no
+/// smaller than the bin's lower edge (2⁻⁵³ in the last bin, the least `u1`
+/// the mapping produces), widened by 1e-9 against rounding.
+fn radius_envelope() -> &'static [f64; 256] {
+    static ENVELOPE: OnceLock<[f64; 256]> = OnceLock::new();
+    ENVELOPE.get_or_init(|| {
+        std::array::from_fn(|bin| {
+            let u1_min = (1.0 - (bin as f64 + 1.0) / 256.0).max(1.0 / (1u64 << 53) as f64);
+            (-2.0 * u1_min.ln()).sqrt() * (1.0 + 1e-9)
+        })
+    })
+}
+
 impl AlignmentLoop {
-    /// Runs the servo from a post-actuation pointing error of 1.0
-    /// (normalized) down to `tolerance`.
-    pub fn converge(&self, tolerance: f64, rng: &mut StdRng) -> Convergence {
+    /// The measurement-noise sampler, after the checks every convergence
+    /// run makes on its parameters.
+    fn checked_noise(&self, tolerance: f64) -> Normal<f64> {
         assert!(
             tolerance > 0.0 && tolerance < 1.0,
             "tolerance must be in (0,1), got {tolerance}"
@@ -74,7 +97,18 @@ impl AlignmentLoop {
             self.gain > 0.0 && self.gain < 1.0,
             "loop gain must be in (0,1)"
         );
-        let noise = Normal::new(0.0, self.noise_floor).expect("valid sigma");
+        Normal::new(0.0, self.noise_floor).expect("valid sigma")
+    }
+
+    /// Time from actuation command to "aligned" for a run of `frames`.
+    pub fn switching_time(&self, frames: u32) -> Nanos {
+        self.actuation_settle + self.frame_time * frames as u64
+    }
+
+    /// Runs the servo from a post-actuation pointing error of 1.0
+    /// (normalized) down to `tolerance`.
+    pub fn converge(&self, tolerance: f64, rng: &mut StdRng) -> Convergence {
+        let noise = self.checked_noise(tolerance);
         let mut err: f64 = 1.0;
         let mut frames = 0u32;
         while err.abs() > tolerance && frames < self.max_frames {
@@ -86,8 +120,51 @@ impl AlignmentLoop {
         Convergence {
             frames,
             residual_error: err.abs(),
-            switching_time: self.actuation_settle + self.frame_time * frames as u64,
+            switching_time: self.switching_time(frames),
             converged: err.abs() <= tolerance,
+        }
+    }
+
+    /// The `(frames, converged)` that [`AlignmentLoop::converge`] would
+    /// return, leaving `rng` exactly where it would — without a single
+    /// Box–Muller evaluation on most calls.
+    ///
+    /// Each frame still draws its two raw `u64`s, but instead of the
+    /// normal they map to it takes the envelope `|z| ≤ R[b1 >> 56]` and
+    /// carries an interval `[lo, hi]` that provably contains the exact
+    /// loop's `err`. While the interval lies wholly outside ±`tolerance`
+    /// the loop provably continues; once it lies wholly inside, the loop
+    /// provably stopped there. A frame whose interval straddles the
+    /// tolerance decides nothing: the generator is put back where the call
+    /// found it and the exact loop runs instead.
+    pub fn converge_frames(&self, tolerance: f64, rng: &mut StdRng) -> (u32, bool) {
+        let sigma = self.checked_noise(tolerance).std_dev();
+        let envelope = radius_envelope();
+        let start = rng.clone();
+        let keep = 1.0 - self.gain;
+        let (mut lo, mut hi) = (1.0f64, 1.0f64);
+        let mut frames = 0u32;
+        loop {
+            // Written so that a NaN bound decides nothing.
+            let outside = lo > tolerance || hi < -tolerance;
+            let inside = lo >= -tolerance && hi <= tolerance;
+            if inside || (outside && frames >= self.max_frames) {
+                return (frames, inside);
+            }
+            if !outside {
+                *rng = start;
+                let exact = self.converge(tolerance, rng);
+                return (exact.frames, exact.converged);
+            }
+            let b1 = rng.next_u64();
+            rng.next_u64();
+            // err' = err·(1 − gain) − gain·σ·z, |z| ≤ radius.
+            let radius = envelope[(b1 >> 56) as usize];
+            let kick = self.gain * sigma * radius;
+            let slack = INTERVAL_EPS * (lo.abs().max(hi.abs()) + sigma * radius);
+            lo = lo * keep - kick - slack;
+            hi = hi * keep + kick + slack;
+            frames += 1;
         }
     }
 

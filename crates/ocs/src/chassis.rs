@@ -70,6 +70,10 @@ pub const PORTS_PER_HV_DRIVER: usize = 34; // 136 / 4 boards per die side
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Chassis {
     slots: Vec<FruSlot>,
+    /// [`Chassis::is_operational`], kept current by every slot change.
+    operational: bool,
+    /// Bit `g` set: an HV driver of port group `g` has failed.
+    degraded_groups: u8,
 }
 
 /// What a FRU swap did to the switch.
@@ -118,7 +122,11 @@ impl Chassis {
             kind: FruKind::Fpga,
             health: FruHealth::Healthy,
         });
-        Chassis { slots }
+        Chassis {
+            slots,
+            operational: true,
+            degraded_groups: 0,
+        }
     }
 
     /// All slots.
@@ -130,34 +138,41 @@ impl Chassis {
     /// least 3 healthy fans, CPU and FPGA healthy. (Individual HV-driver
     /// failures degrade only their port group.)
     pub fn is_operational(&self) -> bool {
+        self.operational
+    }
+
+    /// Whether port `p` is degraded by a failed HV driver.
+    pub fn port_degraded(&self, p: u16) -> bool {
+        let group = p as usize / PORTS_PER_HV_DRIVER;
+        group < 4 && (self.degraded_groups >> group) & 1 == 1
+    }
+
+    /// Ports currently degraded by failed HV drivers.
+    pub fn degraded_ports(&self) -> Vec<u16> {
+        (0..4 * PORTS_PER_HV_DRIVER as u16)
+            .filter(|&p| self.port_degraded(p))
+            .collect()
+    }
+
+    /// Recomputes the cached answers after a slot changed health.
+    fn refresh(&mut self) {
         let healthy = |k: FruKind| {
             self.slots
                 .iter()
                 .filter(|s| s.kind == k && s.health == FruHealth::Healthy)
                 .count()
         };
-        healthy(FruKind::PowerSupply) >= 1
+        self.operational = healthy(FruKind::PowerSupply) >= 1
             && healthy(FruKind::Fan) >= 3
             && healthy(FruKind::Cpu) >= 1
-            && healthy(FruKind::Fpga) >= 1
-    }
-
-    /// Ports currently degraded by failed HV drivers.
-    pub fn degraded_ports(&self) -> Vec<u16> {
-        let mut out = Vec::new();
-        let mut hv_index = 0usize;
-        for s in &self.slots {
-            if s.kind == FruKind::HvDriver {
-                if s.health == FruHealth::Failed {
-                    let base = (hv_index % 4) * PORTS_PER_HV_DRIVER;
-                    out.extend((base..base + PORTS_PER_HV_DRIVER).map(|p| p as u16));
-                }
-                hv_index += 1;
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+            && healthy(FruKind::Fpga) >= 1;
+        self.degraded_groups = self
+            .slots
+            .iter()
+            .filter(|s| s.kind == FruKind::HvDriver)
+            .enumerate()
+            .filter(|(_, s)| s.health == FruHealth::Failed)
+            .fold(0, |groups, (hv_index, _)| groups | 1 << (hv_index % 4));
     }
 
     /// Fails the `idx`-th slot.
@@ -166,6 +181,7 @@ impl Chassis {
     /// Panics on an out-of-range slot index.
     pub fn fail_slot(&mut self, idx: usize) {
         self.slots[idx].health = FruHealth::Failed;
+        self.refresh();
     }
 
     /// Replaces the FRU in `idx` (field service), returning what the swap
@@ -173,6 +189,7 @@ impl Chassis {
     pub fn replace_slot(&mut self, idx: usize) -> SwapEffect {
         let kind = self.slots[idx].kind;
         self.slots[idx].health = FruHealth::Healthy;
+        self.refresh();
         let disturbed_ports = if kind.swap_drops_mirror_state() {
             match kind {
                 FruKind::Fpga => (0..136u16).collect(),
@@ -275,6 +292,25 @@ mod tests {
         assert_eq!(effect.disturbed_ports[0], PORTS_PER_HV_DRIVER as u16);
         assert!(!effect.full_outage);
         assert!(c.degraded_ports().is_empty(), "repair clears degradation");
+    }
+
+    #[test]
+    fn cached_answers_follow_every_slot_change() {
+        let mut c = Chassis::new();
+        // Slots 7 and 11 are the two dies' drivers of ports 34..68.
+        c.fail_slot(7);
+        c.fail_slot(11);
+        assert!(c.port_degraded(34) && c.port_degraded(67));
+        assert!(!c.port_degraded(33) && !c.port_degraded(68));
+        assert!(!c.port_degraded(136) && !c.port_degraded(u16::MAX));
+        c.replace_slot(7);
+        assert!(c.port_degraded(34), "the other die's driver is still out");
+        c.replace_slot(11);
+        assert!(c.degraded_ports().is_empty());
+        c.fail_slot(14); // CPU
+        assert!(!c.is_operational());
+        c.replace_slot(14);
+        assert!(c.is_operational());
     }
 
     #[test]

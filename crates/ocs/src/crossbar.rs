@@ -135,39 +135,51 @@ pub struct MappingDelta {
     pub unchanged: Vec<(PortId, PortId)>,
 }
 
-/// The live crossbar state.
+/// "No circuit" in the port tables. Never a valid port: [`Crossbar::new`]
+/// caps the port count at this value, so ids stop one short of it.
+const FREE: PortId = PortId::MAX;
+
+/// The live crossbar state, as flat per-port tables.
+///
+/// Invariants: `north_of` is the exact inverse of `south_of` (each holds
+/// the "no circuit" value where the other has no entry), `count` is the
+/// number of live `south_of` entries, and an `aligned` bit is set only
+/// under a live one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Crossbar {
-    ports: usize,
-    /// north → (south, state)
-    connections: BTreeMap<PortId, (PortId, ConnectionState)>,
+    /// north → south.
+    south_of: Vec<PortId>,
     /// south → north reverse index.
-    south_owner: BTreeMap<PortId, PortId>,
+    north_of: Vec<PortId>,
+    /// Bit `n` set: north `n`'s circuit is [`ConnectionState::Connected`].
+    aligned: Vec<u64>,
+    count: usize,
 }
 
 impl Crossbar {
     /// A crossbar with `ports` ports per side.
     pub fn new(ports: usize) -> Crossbar {
-        assert!(ports > 0 && ports <= u16::MAX as usize, "port count sane");
+        assert!(ports > 0 && ports <= FREE as usize, "port count sane");
         Crossbar {
-            ports,
-            connections: BTreeMap::new(),
-            south_owner: BTreeMap::new(),
+            south_of: vec![FREE; ports],
+            north_of: vec![FREE; ports],
+            aligned: vec![0; ports.div_ceil(64)],
+            count: 0,
         }
     }
 
     /// Ports per side.
     pub fn ports(&self) -> usize {
-        self.ports
+        self.south_of.len()
     }
 
     /// Number of live circuits.
     pub fn circuit_count(&self) -> usize {
-        self.connections.len()
+        self.count
     }
 
     fn check_port(&self, p: PortId) -> Result<(), CrossbarError> {
-        if (p as usize) < self.ports {
+        if (p as usize) < self.ports() {
             Ok(())
         } else {
             Err(CrossbarError::PortOutOfRange(p))
@@ -178,35 +190,44 @@ impl Crossbar {
     pub fn connect(&mut self, north: PortId, south: PortId) -> Result<(), CrossbarError> {
         self.check_port(north)?;
         self.check_port(south)?;
-        if self.connections.contains_key(&north) {
+        if self.south_of[north as usize] != FREE {
             return Err(CrossbarError::NorthBusy(north));
         }
-        if self.south_owner.contains_key(&south) {
+        if self.north_of[south as usize] != FREE {
             return Err(CrossbarError::SouthBusy(south));
         }
-        self.connections
-            .insert(north, (south, ConnectionState::Connecting));
-        self.south_owner.insert(south, north);
+        self.south_of[north as usize] = south;
+        self.north_of[south as usize] = north;
+        self.count += 1;
         Ok(())
     }
 
     /// Tears down the circuit on a North port.
     pub fn disconnect(&mut self, north: PortId) -> Result<PortId, CrossbarError> {
+        self.take(north).map(|(south, _)| south)
+    }
+
+    /// [`Crossbar::disconnect`], also returning the state the circuit was in.
+    pub(crate) fn take(
+        &mut self,
+        north: PortId,
+    ) -> Result<(PortId, ConnectionState), CrossbarError> {
         self.check_port(north)?;
-        match self.connections.remove(&north) {
-            Some((south, _)) => {
-                self.south_owner.remove(&south);
-                Ok(south)
-            }
-            None => Err(CrossbarError::NotConnected(north)),
-        }
+        let (south, state) = self
+            .circuit(north)
+            .ok_or(CrossbarError::NotConnected(north))?;
+        self.south_of[north as usize] = FREE;
+        self.north_of[south as usize] = FREE;
+        self.aligned[north as usize / 64] &= !(1 << (north % 64));
+        self.count -= 1;
+        Ok((south, state))
     }
 
     /// Marks a connecting circuit as aligned and carrying light.
     pub fn mark_connected(&mut self, north: PortId) -> Result<(), CrossbarError> {
-        match self.connections.get_mut(&north) {
-            Some((_, state)) => {
-                *state = ConnectionState::Connected;
+        match self.circuit(north) {
+            Some(_) => {
+                self.aligned[north as usize / 64] |= 1 << (north % 64);
                 Ok(())
             }
             None => Err(CrossbarError::NotConnected(north)),
@@ -215,22 +236,36 @@ impl Crossbar {
 
     /// Looks up the circuit on a North port.
     pub fn circuit(&self, north: PortId) -> Option<(PortId, ConnectionState)> {
-        self.connections.get(&north).copied()
+        let south = *self.south_of.get(north as usize)?;
+        let aligned = (self.aligned[north as usize / 64] >> (north % 64)) & 1 == 1;
+        match (south, aligned) {
+            (FREE, _) => None,
+            (_, true) => Some((south, ConnectionState::Connected)),
+            (_, false) => Some((south, ConnectionState::Connecting)),
+        }
     }
 
     /// The North port holding a South port, if any.
     pub fn south_owner(&self, south: PortId) -> Option<PortId> {
-        self.south_owner.get(&south).copied()
+        self.north_of
+            .get(south as usize)
+            .copied()
+            .filter(|&north| north != FREE)
+    }
+
+    /// Live `(north, south)` pairs in ascending north order.
+    fn circuits(&self) -> impl Iterator<Item = (PortId, PortId)> + '_ {
+        self.south_of
+            .iter()
+            .enumerate()
+            .filter(|&(_, &south)| south != FREE)
+            .map(|(north, &south)| (north as PortId, south))
     }
 
     /// The current configuration as a [`PortMapping`].
     pub fn mapping(&self) -> PortMapping {
         PortMapping {
-            map: self
-                .connections
-                .iter()
-                .map(|(&n, &(s, _))| (n, s))
-                .collect(),
+            map: self.circuits().collect(),
         }
     }
 
@@ -241,15 +276,15 @@ impl Crossbar {
     /// applied. Everything else is torn down and re-established.
     pub fn delta_to(&self, target: &PortMapping) -> MappingDelta {
         let mut delta = MappingDelta::default();
-        for (&n, &(s, _)) in &self.connections {
+        for (n, s) in self.circuits() {
             match target.get(n) {
                 Some(ts) if ts == s => delta.unchanged.push((n, s)),
                 _ => delta.remove.push(n),
             }
         }
         for (n, s) in target.pairs() {
-            match self.connections.get(&n) {
-                Some(&(cur, _)) if cur == s => {}
+            match self.circuit(n) {
+                Some((cur, _)) if cur == s => {}
                 _ => delta.add.push((n, s)),
             }
         }
@@ -354,5 +389,43 @@ mod tests {
         let m = PortMapping::from_pairs([(5, 1), (0, 3), (2, 2)]).unwrap();
         let pairs: Vec<_> = m.pairs().collect();
         assert_eq!(pairs, vec![(0, 3), (2, 2), (5, 1)]);
+    }
+
+    #[test]
+    fn out_of_range_ports_are_errors_not_panics() {
+        // Palomar and the §6 300-port part; 65535 is the tables' "free".
+        for ports in [136u16, 300] {
+            let mut xb = Crossbar::new(ports as usize);
+            xb.connect(0, ports - 1).unwrap();
+            for p in [ports, 9999, u16::MAX] {
+                assert_eq!(xb.circuit(p), None);
+                assert_eq!(xb.south_owner(p), None);
+                assert_eq!(xb.disconnect(p), Err(CrossbarError::PortOutOfRange(p)));
+                assert_eq!(xb.mark_connected(p), Err(CrossbarError::NotConnected(p)));
+                assert_eq!(xb.connect(p, 1), Err(CrossbarError::PortOutOfRange(p)));
+                assert_eq!(xb.connect(1, p), Err(CrossbarError::PortOutOfRange(p)));
+            }
+            assert_eq!(xb.circuit_count(), 1);
+            assert_eq!(xb.south_owner(ports - 1), Some(0));
+            assert_eq!(xb.mapping().pairs().collect::<Vec<_>>(), [(0, ports - 1)]);
+        }
+    }
+
+    #[test]
+    fn the_largest_crossbar_keeps_the_sentinel_out_of_its_ports() {
+        let mut xb = Crossbar::new(u16::MAX as usize);
+        xb.connect(65534, 65534).unwrap();
+        assert_eq!(xb.south_owner(65534), Some(65534));
+        assert_eq!(xb.circuit(u16::MAX), None);
+        assert_eq!(
+            xb.connect(0, u16::MAX),
+            Err(CrossbarError::PortOutOfRange(u16::MAX))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "port count sane")]
+    fn a_port_count_past_the_sentinel_is_refused() {
+        let _ = Crossbar::new(u16::MAX as usize + 1);
     }
 }

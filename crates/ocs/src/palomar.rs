@@ -10,7 +10,7 @@ use lightwave_units::{Db, Nanos};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Errors from OCS operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,13 +95,31 @@ pub struct DriftChange {
     pub drift_db: f64,
 }
 
-/// Reusable scratch space for delta validation, kept on the switch so the
-/// steady-state incremental path ([`PalomarOcs::apply_delta`]) allocates
-/// nothing once the buffers have grown to the working delta size.
+/// The delta [`PalomarOcs::validate_delta`] last accepted, and the
+/// mutation epoch it was accepted at. While the switch has not changed
+/// since, [`PalomarOcs::apply_delta`] of exactly that delta skips its own
+/// validation: a transaction validates every switch, then applies to
+/// every switch, and each switch checks its part once.
 #[derive(Debug, Default)]
-struct DeltaScratch {
-    norths: Vec<PortId>,
-    souths: Vec<PortId>,
+struct ValidatedDelta {
+    epoch: Option<u64>,
+    add: Vec<(PortId, PortId)>,
+    remove: Vec<PortId>,
+}
+
+/// Per-port flags of one delta validation: which of the delta's three
+/// lists name the port, so membership and duplicates are one test each.
+const REMOVED: u8 = 1;
+const ADDED_NORTH: u8 = 2;
+const ADDED_SOUTH: u8 = 4;
+
+/// Flags in-range port `p`; if it carried the flag already, lowers
+/// `twice` to it — the smallest port the list names twice.
+fn mark(marks: &mut [u8], flag: u8, p: PortId, twice: &mut Option<PortId>) {
+    if marks[p as usize] & flag != 0 {
+        *twice = Some(twice.map_or(p, |t| t.min(p)));
+    }
+    marks[p as usize] |= flag;
 }
 
 /// A simulated Palomar optical circuit switch.
@@ -115,14 +133,21 @@ pub struct PalomarOcs {
     telemetry: Telemetry,
     align: AlignmentLoop,
     rng: StdRng,
-    /// north port → time its circuit finishes aligning.
-    pending: BTreeMap<PortId, Nanos>,
+    /// `(north port, time its circuit finishes aligning)`, one entry per
+    /// circuit in [`ConnectionState::Connecting`], in no particular order.
+    pending: Vec<(PortId, Nanos)>,
+    /// No pending entry is due before this (a lower bound, never late).
+    next_due: Nanos,
+    /// Bumped by every change to circuits, chassis or port health:
+    /// anything a delta's validity depends on.
+    epoch: u64,
+    validated: ValidatedDelta,
     /// Ports unusable due to exhausted spares.
     dead_ports: BTreeSet<PortId>,
     /// Append-only record of per-port drift changes (see [`DriftChange`]).
     drift_log: Vec<DriftChange>,
-    /// Scratch buffers for [`PalomarOcs::apply_delta`] validation.
-    scratch: DeltaScratch,
+    /// Scratch for delta validation (see [`REMOVED`]).
+    marks: Vec<u8>,
 }
 
 impl PalomarOcs {
@@ -145,10 +170,13 @@ impl PalomarOcs {
             telemetry: Telemetry::new(),
             align: AlignmentLoop::default(),
             rng: StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_0F0F_F0F0),
-            pending: BTreeMap::new(),
+            pending: Vec::new(),
+            next_due: Nanos(u64::MAX),
+            epoch: 0,
+            validated: ValidatedDelta::default(),
             dead_ports: BTreeSet::new(),
             drift_log: Vec::new(),
-            scratch: DeltaScratch::default(),
+            marks: vec![0; ports],
         }
     }
 
@@ -188,10 +216,7 @@ impl PalomarOcs {
     }
 
     fn check_usable(&self, p: PortId) -> Result<(), OcsError> {
-        if self.dead_ports.contains(&p) {
-            return Err(OcsError::PortDegraded(p));
-        }
-        if self.chassis.degraded_ports().contains(&p) {
+        if self.dead_ports.contains(&p) || self.chassis.port_degraded(p) {
             return Err(OcsError::PortDegraded(p));
         }
         Ok(())
@@ -205,23 +230,29 @@ impl PalomarOcs {
         }
         self.check_usable(n)?;
         self.check_usable(s)?;
-        self.crossbar.connect(n, s)?;
-        let ready = self.run_alignment(n);
-        self.telemetry.counters.connects += 1;
-        Ok(ready)
+        Ok(self.establish(n, s)?)
     }
 
-    /// Runs the camera loop for the circuit on north port `n`, registering
-    /// it as pending; returns the ready time.
+    /// Connects `n` → `s` on the crossbar and starts its alignment.
+    fn establish(&mut self, n: PortId, s: PortId) -> Result<Nanos, CrossbarError> {
+        self.crossbar.connect(n, s)?;
+        self.epoch += 1;
+        self.telemetry.counters.connects += 1;
+        Ok(self.run_alignment(n))
+    }
+
+    /// Runs the camera loop for the circuit on north port `n`, which must
+    /// not be pending already, and registers it as pending; returns the
+    /// ready time.
     fn run_alignment(&mut self, n: PortId) -> Nanos {
         self.telemetry.counters.alignments += 1;
         let mut attempts = 0;
         let mut elapsed = Nanos(0);
         loop {
-            let conv = self.align.converge(0.01, &mut self.rng);
-            elapsed += conv.switching_time;
+            let (frames, converged) = self.align.converge_frames(0.01, &mut self.rng);
+            elapsed += self.align.switching_time(frames);
             attempts += 1;
-            if conv.converged {
+            if converged {
                 break;
             }
             self.telemetry.counters.alignment_failures += 1;
@@ -235,46 +266,65 @@ impl PalomarOcs {
             }
         }
         let ready = self.now + elapsed;
-        self.pending.insert(n, ready);
+        self.pending.push((n, ready));
+        self.next_due = self.next_due.min(ready);
         ready
+    }
+
+    /// Re-runs the camera loop for the live circuit `n` → `s` from
+    /// scratch: it drops back to connecting, and a ready time it may
+    /// still have been waiting for is replaced, not added to.
+    fn realign(&mut self, n: PortId, s: PortId) {
+        self.pending.retain(|&(p, _)| p != n);
+        self.crossbar.disconnect(n).expect("circuit exists");
+        self.crossbar.connect(n, s).expect("ports were just freed");
+        self.epoch += 1;
+        self.run_alignment(n);
     }
 
     /// Tears down the circuit on North port `n`.
     pub fn disconnect(&mut self, n: PortId) -> Result<(), OcsError> {
-        self.crossbar.disconnect(n)?;
-        self.pending.remove(&n);
+        let (_, state) = self.crossbar.take(n)?;
+        if state == ConnectionState::Connecting {
+            self.pending.retain(|&(p, _)| p != n);
+        }
+        self.epoch += 1;
         self.telemetry.counters.disconnects += 1;
+        Ok(())
+    }
+
+    /// Vets a full target the way [`PalomarOcs::apply_mapping`] will,
+    /// without applying it. Port-usability applies to the delta, not the
+    /// whole target: circuits already carrying on a since-degraded port
+    /// stay as they are (tearing them down would turn the degradation
+    /// into an outage, and rejecting the target would wedge the switch) —
+    /// only circuits the target must (re)establish need healthy drive on
+    /// both ports.
+    pub fn validate_mapping(&self, target: &PortMapping) -> Result<(), OcsError> {
+        if !self.chassis.is_operational() {
+            return Err(OcsError::ChassisDown);
+        }
+        self.crossbar.validate(target)?;
+        for (n, s) in target.pairs() {
+            if !matches!(self.crossbar.circuit(n), Some((cur, _)) if cur == s) {
+                self.check_usable(n)?;
+                self.check_usable(s)?;
+            }
+        }
         Ok(())
     }
 
     /// Applies a target mapping as a minimal delta: circuits present in
     /// both old and new configurations are never touched.
     pub fn apply_mapping(&mut self, target: &PortMapping) -> Result<ReconfigReport, OcsError> {
-        if !self.chassis.is_operational() {
-            return Err(OcsError::ChassisDown);
-        }
-        self.crossbar.validate(target)?;
-        // Port-usability applies to the delta, not the whole target:
-        // circuits already carrying on a since-degraded port stay as they
-        // are (tearing them down would turn the degradation into an
-        // outage) — only circuits the delta must (re)establish need
-        // healthy drive on both ports.
+        self.validate_mapping(target)?;
         let delta = self.crossbar.delta_to(target);
-        for &(n, s) in &delta.add {
-            self.check_usable(n)?;
-            self.check_usable(s)?;
-        }
         for &n in &delta.remove {
-            self.crossbar.disconnect(n)?;
-            self.pending.remove(&n);
-            self.telemetry.counters.disconnects += 1;
+            self.disconnect(n)?;
         }
         let mut ready_at = self.now;
         for &(n, s) in &delta.add {
-            self.crossbar.connect(n, s)?;
-            let ready = self.run_alignment(n);
-            self.telemetry.counters.connects += 1;
-            ready_at = ready_at.max(ready);
+            ready_at = ready_at.max(self.establish(n, s)?);
         }
         self.telemetry.counters.reconfigs += 1;
         self.telemetry.counters.circuits_preserved += delta.unchanged.len() as u64;
@@ -292,21 +342,38 @@ impl PalomarOcs {
     /// for. Port-usability covers exactly the delta — untouched circuits
     /// are never re-vetted (the same contract as [`PalomarOcs::apply_mapping`]).
     ///
-    /// Takes `&mut self` only to reuse the internal scratch buffers; no
+    /// Takes `&mut self` only for scratch space and to remember the delta
+    /// it accepted (so that applying it next need not validate again); no
     /// observable state changes.
     pub fn validate_delta(
         &mut self,
         add: &[(PortId, PortId)],
         remove: &[PortId],
     ) -> Result<(), OcsError> {
+        self.validated.epoch = None;
+        self.check_delta(add, remove)?;
+        self.validated.add.clear();
+        self.validated.add.extend_from_slice(add);
+        self.validated.remove.clear();
+        self.validated.remove.extend_from_slice(remove);
+        self.validated.epoch = Some(self.epoch);
+        Ok(())
+    }
+
+    fn check_delta(&mut self, add: &[(PortId, PortId)], remove: &[PortId]) -> Result<(), OcsError> {
         if !self.chassis.is_operational() {
             return Err(OcsError::ChassisDown);
         }
         let ports = self.crossbar.ports();
+        self.marks.fill(0);
+        // Intra-delta duplicates are structural errors too, but reported
+        // only once every port has passed the checks above them.
+        let (mut twice_removed, mut twice_north, mut twice_south) = (None, None, None);
         for &n in remove {
             if self.crossbar.circuit(n).is_none() {
                 return Err(CrossbarError::NotConnected(n).into());
             }
+            mark(&mut self.marks, REMOVED, n, &mut twice_removed);
         }
         for &(n, s) in add {
             if n as usize >= ports {
@@ -317,34 +384,25 @@ impl PalomarOcs {
             }
             self.check_usable(n)?;
             self.check_usable(s)?;
-            if self.crossbar.circuit(n).is_some() && !remove.contains(&n) {
+            if self.crossbar.circuit(n).is_some() && self.marks[n as usize] & REMOVED == 0 {
                 return Err(CrossbarError::NorthBusy(n).into());
             }
             if let Some(owner) = self.crossbar.south_owner(s) {
-                if !remove.contains(&owner) {
+                if self.marks[owner as usize] & REMOVED == 0 {
                     return Err(CrossbarError::SouthBusy(s).into());
                 }
             }
+            mark(&mut self.marks, ADDED_NORTH, n, &mut twice_north);
+            mark(&mut self.marks, ADDED_SOUTH, s, &mut twice_south);
         }
-        // Intra-delta duplicates, caught via the reusable sorted scratch
-        // (clear keeps capacity: zero allocation at steady state).
-        self.scratch.norths.clear();
-        self.scratch.norths.extend(remove.iter().copied());
-        self.scratch.norths.sort_unstable();
-        if let Some(w) = self.scratch.norths.windows(2).find(|w| w[0] == w[1]) {
-            return Err(CrossbarError::NotConnected(w[0]).into());
+        if let Some(n) = twice_removed {
+            return Err(CrossbarError::NotConnected(n).into());
         }
-        self.scratch.norths.clear();
-        self.scratch.norths.extend(add.iter().map(|&(n, _)| n));
-        self.scratch.norths.sort_unstable();
-        if let Some(w) = self.scratch.norths.windows(2).find(|w| w[0] == w[1]) {
-            return Err(CrossbarError::NorthBusy(w[0]).into());
+        if let Some(n) = twice_north {
+            return Err(CrossbarError::NorthBusy(n).into());
         }
-        self.scratch.souths.clear();
-        self.scratch.souths.extend(add.iter().map(|&(_, s)| s));
-        self.scratch.souths.sort_unstable();
-        if let Some(w) = self.scratch.souths.windows(2).find(|w| w[0] == w[1]) {
-            return Err(CrossbarError::NotBijective { south: w[0] }.into());
+        if let Some(south) = twice_south {
+            return Err(CrossbarError::NotBijective { south }.into());
         }
         Ok(())
     }
@@ -352,26 +410,25 @@ impl PalomarOcs {
     /// Applies an incremental reconfiguration: tears down the `remove`
     /// circuits, establishes the `add` pairs, touches nothing else. The
     /// O(delta) counterpart of [`PalomarOcs::apply_mapping`] — no full
-    /// mapping is collected or diffed, and validation runs on reusable
-    /// scratch buffers. On error nothing has been applied.
+    /// mapping is collected or diffed. The delta is validated first, unless
+    /// it is the one [`PalomarOcs::validate_delta`] just accepted and the
+    /// switch has not changed since. On error nothing has been applied.
     pub fn apply_delta(
         &mut self,
         add: &[(PortId, PortId)],
         remove: &[PortId],
     ) -> Result<ReconfigReport, OcsError> {
-        self.validate_delta(add, remove)?;
+        let vetted = &self.validated;
+        if vetted.epoch != Some(self.epoch) || vetted.add != add || vetted.remove != remove {
+            self.check_delta(add, remove)?;
+        }
         let untouched = self.crossbar.circuit_count() - remove.len();
         for &n in remove {
-            self.crossbar.disconnect(n).expect("delta validated");
-            self.pending.remove(&n);
-            self.telemetry.counters.disconnects += 1;
+            self.disconnect(n).expect("delta validated");
         }
         let mut ready_at = self.now;
         for &(n, s) in add {
-            self.crossbar.connect(n, s).expect("delta validated");
-            let ready = self.run_alignment(n);
-            self.telemetry.counters.connects += 1;
-            ready_at = ready_at.max(ready);
+            ready_at = ready_at.max(self.establish(n, s).expect("delta validated"));
         }
         self.telemetry.counters.reconfigs += 1;
         self.telemetry.counters.circuits_preserved += untouched as u64;
@@ -386,22 +443,19 @@ impl PalomarOcs {
     /// Advances simulation time, completing any alignments that finish.
     pub fn advance(&mut self, dt: Nanos) {
         self.now += dt;
-        let now = self.now;
-        let finished: Vec<PortId> = self
-            .pending
-            .iter()
-            .filter(|&(_, &t)| t <= now)
-            .map(|(&n, _)| n)
-            .collect();
-        for n in finished {
-            self.pending.remove(&n);
-            // The circuit may have been torn down while aligning.
-            if self.crossbar.circuit(n).is_some() {
-                self.crossbar
-                    .mark_connected(n)
-                    .expect("pending circuit exists");
-            }
+        if self.now < self.next_due {
+            return;
         }
+        let (now, crossbar) = (self.now, &mut self.crossbar);
+        self.next_due = Nanos(u64::MAX);
+        self.pending.retain(|&(n, ready)| {
+            if ready <= now {
+                crossbar.mark_connected(n).expect("pending circuit exists");
+            } else {
+                self.next_due = self.next_due.min(ready);
+            }
+            ready > now
+        });
     }
 
     /// Whether the circuit on north port `n` is aligned and carrying light.
@@ -441,6 +495,7 @@ impl PalomarOcs {
             self.log_drift(north_die, port);
         } else {
             self.dead_ports.insert(port);
+            self.epoch += 1;
         }
         self.telemetry.raise(
             self.now,
@@ -463,11 +518,8 @@ impl PalomarOcs {
                 self.crossbar.south_owner(port)
             };
             if let Some(n) = affected {
-                // Demote to Connecting and re-run the camera loop.
                 let (s, _) = self.crossbar.circuit(n).expect("affected circuit exists");
-                self.crossbar.disconnect(n).expect("exists");
-                self.crossbar.connect(n, s).expect("ports were just freed");
-                self.run_alignment(n);
+                self.realign(n, s);
                 // Anomaly detection: a drifted path eats link budget even
                 // though the circuit "works" — surface it before the
                 // transceiver margin does (§3.2.2).
@@ -539,6 +591,7 @@ impl PalomarOcs {
     /// Fails a chassis FRU slot.
     pub fn fail_fru(&mut self, slot: usize) {
         self.chassis.fail_slot(slot);
+        self.epoch += 1;
         self.telemetry
             .raise(self.now, Severity::Warning, AlarmCode::FruFailed { slot });
         if !self.chassis.is_operational() {
@@ -551,12 +604,10 @@ impl PalomarOcs {
     /// by the swap re-align automatically.
     pub fn replace_fru(&mut self, slot: usize) {
         let effect = self.chassis.replace_slot(slot);
+        self.epoch += 1;
         for port in effect.disturbed_ports {
-            if self.crossbar.circuit(port).is_some() {
-                let (s, _) = self.crossbar.circuit(port).expect("checked");
-                self.crossbar.disconnect(port).expect("exists");
-                self.crossbar.connect(port, s).expect("just freed");
-                self.run_alignment(port);
+            if let Some((s, _)) = self.crossbar.circuit(port) {
+                self.realign(port, s);
             }
         }
     }
@@ -863,5 +914,57 @@ mod tests {
         ocs.disconnect(4).unwrap(); // still aligning
         settled(&mut ocs); // must not panic on vanished pending circuit
         assert!(ocs.mapping().is_empty());
+    }
+
+    #[test]
+    fn out_of_range_ports_are_errors_not_panics() {
+        for ports in [136u16, 300] {
+            let mut ocs = PalomarOcs::with_ports(0, 24, ports as usize);
+            ocs.connect(0, ports - 1).unwrap();
+            for p in [ports, 9999, u16::MAX] {
+                let not_connected = Err(CrossbarError::NotConnected(p).into());
+                let out_of_range = Err(CrossbarError::PortOutOfRange(p).into());
+                assert_eq!(ocs.validate_delta(&[], &[p]), not_connected);
+                assert_eq!(ocs.apply_delta(&[], &[p]).map(drop), not_connected);
+                assert_eq!(ocs.validate_delta(&[(p, 1)], &[]), out_of_range);
+                assert_eq!(ocs.apply_delta(&[(1, p)], &[]).map(drop), out_of_range);
+                assert_eq!(ocs.connect(p, 1).map(drop), out_of_range);
+                assert_eq!(ocs.disconnect(p), out_of_range);
+                assert!(!ocs.circuit_ready(p));
+                assert_eq!(ocs.insertion_loss(p), None);
+                let target = PortMapping::from_pairs([(1, p)]).unwrap();
+                assert_eq!(ocs.apply_mapping(&target).map(drop), out_of_range);
+            }
+            assert_eq!(ocs.mapping().pairs().collect::<Vec<_>>(), [(0, ports - 1)]);
+            assert_eq!(ocs.health().pending, 1);
+        }
+    }
+
+    #[test]
+    fn realigning_a_pending_circuit_replaces_its_ready_time() {
+        // A mirror swap (north or south die) and an HV-driver swap, each
+        // hitting a circuit that is still aligning.
+        let faults: [fn(&mut PalomarOcs); 3] = [
+            |ocs| ocs.fail_mirror(true, 2),
+            |ocs| ocs.fail_mirror(false, 40),
+            |ocs| ocs.replace_fru(6),
+        ];
+        for ports in [136, 300] {
+            for fault in faults {
+                let mut ocs = PalomarOcs::with_ports(0, 25, ports);
+                let first = ocs.connect(2, 40).unwrap();
+                ocs.advance(Nanos::from_millis(10));
+                fault(&mut ocs);
+                assert_eq!(ocs.health().pending, 1, "replaced, not counted twice");
+                assert_eq!(ocs.telemetry().counters.alignments, 2);
+                // The first ready time passes: it no longer counts.
+                ocs.advance(first.saturating_sub(ocs.now()));
+                assert!(!ocs.circuit_ready(2));
+                assert_eq!(ocs.health().pending, 1);
+                ocs.advance(Nanos::from_millis(20));
+                assert!(ocs.circuit_ready(2));
+                assert_eq!(ocs.health().pending, 0);
+            }
+        }
     }
 }
