@@ -298,8 +298,7 @@ impl World {
 
     fn compose(&mut self, cubes: u8) {
         let shape = Self::shape_for(cubes);
-        let idle: BTreeSet<_> = self.pod.idle_cubes().into_iter().collect();
-        let picked = match Pooled.allocate(shape, &idle) {
+        let picked = match Pooled.allocate(shape, self.pod.idle_set()) {
             Some(p) => p,
             None => {
                 self.rejected += 1;

@@ -139,7 +139,7 @@ impl MlPod {
             .optimizer
             .optimize(model, chips)
             .ok_or(PlacementError::NoFeasibleShape)?;
-        let idle = self.pod.idle_cubes();
+        let idle = self.pod.idle_set();
         let need = plan.shape.cube_count();
         if idle.len() < need {
             return Err(PlacementError::InsufficientCubes {
@@ -147,7 +147,7 @@ impl MlPod {
                 idle: idle.len(),
             });
         }
-        let slice = Slice::new(plan.shape, idle.into_iter().take(need).collect())
+        let slice = Slice::new(plan.shape, idle.iter().take(need).collect())
             .expect("idle cubes are distinct and in range");
         let (handle, report) = self.pod.compose(slice)?;
         Ok(ModelPlacement {
@@ -173,7 +173,7 @@ impl MlPod {
             .optimizer
             .optimize(model, chips)
             .ok_or(PlacementError::NoFeasibleShape)?;
-        let idle = self.pod.idle_cubes();
+        let idle = self.pod.idle_set();
         let need = plan.shape.cube_count();
         if idle.len() < need {
             return Err(PlacementError::InsufficientCubes {
@@ -181,7 +181,7 @@ impl MlPod {
                 idle: idle.len(),
             });
         }
-        let slice = Slice::new(plan.shape, idle.into_iter().take(need).collect())
+        let slice = Slice::new(plan.shape, idle.iter().take(need).collect())
             .expect("idle cubes are distinct and in range");
         let at = self.now();
         let (handle, report) = self.pod.compose(slice)?;

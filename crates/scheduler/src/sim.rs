@@ -7,13 +7,13 @@
 //! idle — impossible under pooling, routine under contiguity).
 
 use crate::alloc::Allocator;
-use lightwave_superpod::geometry::CubeId;
+use lightwave_superpod::geometry::{CubeId, CubeSet};
 use lightwave_superpod::slice::SliceShape;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rand_distr::{Distribution, Exp};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// A job template for the workload generator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -117,7 +117,7 @@ impl ClusterSim {
         let arrival = Exp::new(1.0 / self.mean_interarrival_hours).expect("positive rate");
         let total_weight: f64 = self.mix.iter().map(|s| s.weight).sum();
 
-        let mut idle: BTreeSet<CubeId> = (0..64).collect();
+        let mut idle = CubeSet::ALL;
         // (completion time, cubes to release) for every running job.
         let mut releases: Vec<(f64, Vec<CubeId>)> = Vec::new();
         let mut queue: VecDeque<PendingJob> = VecDeque::new();
@@ -189,10 +189,10 @@ impl ClusterSim {
             let mut i = 0;
             while i < queue.len() {
                 let job_shape = queue[i].shape;
-                match alloc.allocate(job_shape, &idle) {
+                match alloc.allocate(job_shape, idle) {
                     Some(cubes) => {
                         let job = queue.remove(i).expect("index in range");
-                        for c in &cubes {
+                        for &c in &cubes {
                             idle.remove(c);
                         }
                         busy_cubes += cubes.len();
@@ -243,7 +243,7 @@ impl ClusterSim {
         let arrival = Exp::new(1.0 / self.mean_interarrival_hours).expect("positive rate");
         let total_weight: f64 = self.mix.iter().map(|s| s.weight).sum();
 
-        let mut idle: BTreeSet<CubeId> = (0..64).collect();
+        let mut idle = CubeSet::ALL;
         // Running jobs: (completion time, cubes, shape).
         let mut running: Vec<(f64, Vec<CubeId>, SliceShape)> = Vec::new();
         let mut queue: VecDeque<PendingJob> = VecDeque::new();
@@ -310,15 +310,15 @@ impl ClusterSim {
             let mut i = 0;
             while i < queue.len() {
                 let job_shape = queue[i].shape;
-                let placed = match alloc.allocate(job_shape, &idle) {
+                let placed = match alloc.allocate(job_shape, idle) {
                     Some(cubes) => Some(cubes),
                     None if idle.len() >= job_shape.cube_count() => {
                         frag_stalls += 1;
                         // Defragment: repack all running jobs FFD.
                         if let Some((new_assignments, moved)) = repack(&running, job_shape) {
-                            idle = (0..64).collect();
+                            idle = CubeSet::ALL;
                             for (slot, cubes) in new_assignments.iter().enumerate() {
-                                for c in cubes {
+                                for &c in cubes {
                                     idle.remove(c);
                                 }
                                 let was_moved = moved.contains(&slot);
@@ -330,7 +330,7 @@ impl ClusterSim {
                                     migrations += 1;
                                 }
                             }
-                            alloc.allocate(job_shape, &idle)
+                            alloc.allocate(job_shape, idle)
                         } else {
                             None
                         }
@@ -340,7 +340,7 @@ impl ClusterSim {
                 match placed {
                     Some(cubes) => {
                         let job = queue.remove(i).expect("index in range");
-                        for c in &cubes {
+                        for &c in &cubes {
                             idle.remove(c);
                         }
                         busy_cubes += cubes.len();
@@ -379,17 +379,17 @@ fn repack(
     use crate::alloc::{Allocator, Contiguous};
     let mut order: Vec<usize> = (0..running.len()).collect();
     order.sort_by(|&a, &b| running[b].1.len().cmp(&running[a].1.len()));
-    let mut idle: BTreeSet<CubeId> = (0..64).collect();
+    let mut idle = CubeSet::ALL;
     let mut new_assignments = vec![Vec::new(); running.len()];
     for &slot in &order {
-        let cubes = Contiguous.allocate(running[slot].2, &idle)?;
-        for c in &cubes {
+        let cubes = Contiguous.allocate(running[slot].2, idle)?;
+        for &c in &cubes {
             idle.remove(c);
         }
         new_assignments[slot] = cubes;
     }
     // The repack must actually make room for the stalled job.
-    Contiguous.allocate(incoming, &idle)?;
+    Contiguous.allocate(incoming, idle)?;
     let moved = (0..running.len())
         .filter(|&s| new_assignments[s] != running[s].1)
         .collect();

@@ -24,6 +24,19 @@
 //!   remain. Victims re-queue under their original index (they regain
 //!   FIFO position in their class) and restart their full hold when
 //!   re-admitted.
+//!
+//! ## Representation
+//!
+//! The queue is one `VecDeque` per class, each ascending by request
+//! index, so the FIFO head of a class is its front. The admission order
+//! above is a strict total order on classes (weighted share, then
+//! priority) composed with index order inside a class, so its minimum
+//! does not depend on the order candidates are scanned in: comparing the
+//! (at most three) class heads picks exactly the request a scan of every
+//! queued entry would. That needs live request indices to be unique —
+//! see [`ServiceCore::submit`]. The idle set is the pod's
+//! [`CubeSet`](lightwave_superpod::CubeSet), so a pass that cannot admit
+//! costs a head comparison and a population count.
 
 use crate::intent::{Priority, SliceIntent};
 use crate::metrics::ServiceReport;
@@ -31,7 +44,7 @@ use lightwave_fabric::CommitReport;
 use lightwave_scheduler::{Allocator, Pooled};
 use lightwave_superpod::{Slice, SliceHandle, SliceShape, Superpod};
 use lightwave_units::Nanos;
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 
 /// Admission-policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,7 +155,7 @@ pub enum ServiceEvent {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Queued {
     index: u64,
     class: Priority,
@@ -168,7 +181,12 @@ struct Running {
 pub struct ServiceCore {
     cfg: PolicyConfig,
     now: Nanos,
-    queue: Vec<Queued>,
+    /// Waiting requests by class rank, each ascending by request index.
+    queue: [VecDeque<Queued>; 3],
+    /// Total entries across the three class queues.
+    depth: usize,
+    /// Serving requests, descending by `(ends_at, index)`: the next
+    /// completion is the last entry.
     running: Vec<Running>,
     /// WFQ virtual service per class: cube-nanos charged at admission.
     served_cube_nanos: [u128; 3],
@@ -185,7 +203,8 @@ impl ServiceCore {
         ServiceCore {
             cfg,
             now: Nanos(0),
-            queue: Vec::new(),
+            queue: Default::default(),
+            depth: 0,
             running: Vec::new(),
             served_cube_nanos: [0; 3],
             report,
@@ -199,12 +218,12 @@ impl ServiceCore {
 
     /// Requests waiting for admission.
     pub fn queue_depth(&self) -> usize {
-        self.queue.len()
+        self.depth
     }
 
-    /// Requests currently serving: `(request, handle, cubes)`, in
-    /// admission order. Invariant checkers compare this against the
-    /// pod's live slices.
+    /// Requests currently serving: `(request, handle, cubes)`, latest
+    /// completion first. Invariant checkers compare this, as a set,
+    /// against the pod's live slices.
     pub fn running(&self) -> impl Iterator<Item = (u64, SliceHandle, u32)> + '_ {
         self.running.iter().map(|r| (r.index, r.handle, r.cubes))
     }
@@ -220,13 +239,13 @@ impl ServiceCore {
     pub fn conservation(&self) -> Result<(), String> {
         let r = &self.report;
         let terminal = r.invalid + r.compose_failed + r.blocked() + r.completed();
-        let live = self.queue.len() as u64 + self.running.len() as u64;
+        let live = self.depth as u64 + self.running.len() as u64;
         if r.submitted != terminal + live {
             return Err(format!(
                 "submitted {} != terminal {} + queued {} + running {}",
                 r.submitted,
                 terminal,
-                self.queue.len(),
+                self.depth,
                 self.running.len()
             ));
         }
@@ -238,37 +257,11 @@ impl ServiceCore {
     /// admission after each release — so admission waits are exact, not
     /// quantized to arrival times. The pod's own clock advances in step.
     pub fn advance_to(&mut self, pod: &mut Superpod, now: Nanos, out: &mut Vec<ServiceEvent>) {
-        loop {
-            let due = self
-                .running
-                .iter()
-                .filter(|r| r.ends_at <= now)
-                .map(|r| (r.ends_at, r.index))
-                .min();
-            let Some((at, index)) = due else { break };
+        while let Some(done) = self.running.pop_if(|r| r.ends_at <= now) {
+            let at = done.ends_at;
             pod.advance(at.saturating_sub(self.now));
             self.now = at;
-            let pos = self
-                .running
-                .iter()
-                .position(|r| r.index == index)
-                .expect("due entry present");
-            let done = self.running.remove(pos);
-            let report = match pod.release(done.handle) {
-                Ok(rep) => rep,
-                Err(_) => {
-                    // Under injected faults a release commit can be
-                    // refused; the request still completed its hold.
-                    self.report.release_failed += 1;
-                    CommitReport {
-                        per_switch: Default::default(),
-                        untouched: 0,
-                        added: 0,
-                        removed: 0,
-                        traffic_ready_at: at,
-                    }
-                }
-            };
+            let report = self.release(pod, done.handle, at);
             let served = done.ends_at.saturating_sub(done.serving_from);
             let work = done.cubes as u128 * served.0 as u128;
             self.report.busy_cube_nanos += work;
@@ -292,6 +285,12 @@ impl ServiceCore {
     /// Submits one intent at the current sim time (`advance_to` first):
     /// validate → enqueue → admission pass → block if the queue is still
     /// over its bound.
+    ///
+    /// `intent.request` must differ from the index of every request still
+    /// queued or running: the index is the FIFO key and the identity the
+    /// queue-bound check and preemption re-queue find a request by. The
+    /// arrival stream's indices and chaos `Arrival { nth }` events are
+    /// unique by construction.
     pub fn submit(
         &mut self,
         pod: &mut Superpod,
@@ -312,8 +311,13 @@ impl ServiceCore {
                 return;
             }
         };
+        debug_assert!(
+            !self.is_live(intent.request),
+            "request index {} is already queued or running",
+            intent.request
+        );
         self.report.classes[intent.class.rank()].offered += 1;
-        self.queue.push(Queued {
+        self.enqueue(Queued {
             index: intent.request,
             class: intent.class,
             shape,
@@ -328,9 +332,11 @@ impl ServiceCore {
         self.pump(pod, out);
         // The bound applies to the newcomer only: preemption re-queues
         // may transiently exceed it without re-blocking old requests.
-        if self.queue.len() > self.cfg.queue_limit {
-            if let Some(pos) = self.queue.iter().position(|q| q.index == intent.request) {
-                self.queue.remove(pos);
+        if self.depth > self.cfg.queue_limit {
+            let class = &mut self.queue[intent.class.rank()];
+            if let Ok(pos) = class.binary_search_by_key(&intent.request, |q| q.index) {
+                class.remove(pos);
+                self.depth -= 1;
                 self.report.classes[intent.class.rank()].blocked += 1;
                 out.push(ServiceEvent::Rejected {
                     request: intent.request,
@@ -349,82 +355,99 @@ impl ServiceCore {
     pub fn drain(&mut self, pod: &mut Superpod, out: &mut Vec<ServiceEvent>) -> Nanos {
         loop {
             self.pump(pod, out);
-            let Some(next) = self.running.iter().map(|r| r.ends_at).min() else {
+            let Some(next) = self.running.last() else {
                 break;
             };
-            self.advance_to(pod, next, out);
+            self.advance_to(pod, next.ends_at, out);
         }
         self.now
     }
 
+    /// Whether `index` names a request still queued or running.
+    fn is_live(&self, index: u64) -> bool {
+        let queued = |class: &VecDeque<Queued>| class.iter().any(|q| q.index == index);
+        self.queue.iter().any(queued) || self.running.iter().any(|r| r.index == index)
+    }
+
+    /// Queues `q` at its index position within its class: the back for an
+    /// arrival, its old FIFO slot for a re-queued preemption victim.
+    fn enqueue(&mut self, q: Queued) {
+        let class = &mut self.queue[q.class.rank()];
+        match class.back() {
+            Some(last) if last.index > q.index => {
+                let pos = class.partition_point(|other| other.index < q.index);
+                class.insert(pos, q);
+            }
+            _ => class.push_back(q),
+        }
+        self.depth += 1;
+    }
+
+    /// Releases `handle` on the pod. Under injected faults a release
+    /// commit can be refused; the request still leaves the core, so the
+    /// refusal is counted and an empty transaction stamped `at` stands in.
+    fn release(&mut self, pod: &mut Superpod, handle: SliceHandle, at: Nanos) -> CommitReport {
+        pod.release(handle).unwrap_or_else(|_| {
+            self.report.release_failed += 1;
+            CommitReport {
+                per_switch: Default::default(),
+                untouched: 0,
+                added: 0,
+                removed: 0,
+                traffic_ready_at: at,
+            }
+        })
+    }
+
     /// The WFQ pick: among classes with queued work, least
     /// `served_cube_nanos / weight` first (cross-multiplied), ties to
-    /// the higher priority. Within a class, FIFO by request index.
-    fn pick(&self) -> Option<usize> {
-        let mut best: Option<(Priority, u64, usize)> = None;
-        for (pos, q) in self.queue.iter().enumerate() {
-            let better = match best {
-                None => true,
-                Some((class, index, _)) if class == q.class => q.index < index,
-                Some((class, _, _)) => {
-                    let mine = self.served_cube_nanos[q.class.rank()] * class.weight() as u128;
-                    let theirs = self.served_cube_nanos[class.rank()] * q.class.weight() as u128;
-                    mine < theirs || (mine == theirs && q.class.rank() < class.rank())
-                }
-            };
+    /// the higher priority. Within a class, FIFO by request index — the
+    /// class queue's front. Returns the chosen head.
+    fn pick(&self) -> Option<Queued> {
+        let mut best: Option<Priority> = None;
+        for class in Priority::ALL {
+            if self.queue[class.rank()].is_empty() {
+                continue;
+            }
+            // Ranks ascend, so on a tie the earlier (higher) class stays.
+            let better = best.is_none_or(|held| {
+                self.served_cube_nanos[class.rank()] * (held.weight() as u128)
+                    < self.served_cube_nanos[held.rank()] * class.weight() as u128
+            });
             if better {
-                best = Some((q.class, q.index, pos));
+                best = Some(class);
             }
         }
-        best.map(|(_, _, pos)| pos)
+        best.and_then(|class| self.queue[class.rank()].front().copied())
     }
 
     /// Admission pass: place the fairness-chosen head, preempting lower
     /// priorities when allowed, until the head cannot be placed.
     fn pump(&mut self, pod: &mut Superpod, out: &mut Vec<ServiceEvent>) {
-        loop {
-            let Some(pos) = self.pick() else { return };
-            let cand = self.queue[pos].clone();
-            let mut idle: BTreeSet<_> = pod.idle_cubes().into_iter().collect();
+        while let Some(cand) = self.pick() {
+            let rank = cand.class.rank();
             let need = cand.shape.cube_count();
-            if idle.len() < need && self.cfg.preemption {
-                // Evict strictly-lower-priority victims, youngest first.
-                let mut victims: Vec<(Nanos, u64)> = self
-                    .running
-                    .iter()
-                    .filter(|r| r.class.rank() > cand.class.rank())
-                    .map(|r| (r.serving_from, r.index))
-                    .collect();
-                victims.sort_by(|a, b| b.cmp(a));
-                for (_, victim_index) in victims {
-                    if idle.len() >= need {
-                        break;
-                    }
-                    let vpos = self
+            let mut idle = pod.idle_set();
+            if self.cfg.preemption {
+                // Evict strictly-lower-priority victims, youngest first
+                // (larger request index breaking ties), until the head
+                // fits or none remain.
+                while idle.len() < need {
+                    let victim = self
                         .running
                         .iter()
-                        .position(|r| r.index == victim_index)
-                        .expect("victim present");
+                        .enumerate()
+                        .filter(|(_, r)| r.class.rank() > rank)
+                        .max_by_key(|(_, r)| (r.serving_from, r.index));
+                    let Some((vpos, _)) = victim else { break };
                     let victim = self.running.remove(vpos);
-                    let report = match pod.release(victim.handle) {
-                        Ok(rep) => rep,
-                        Err(_) => {
-                            self.report.release_failed += 1;
-                            CommitReport {
-                                per_switch: Default::default(),
-                                untouched: 0,
-                                added: 0,
-                                removed: 0,
-                                traffic_ready_at: self.now,
-                            }
-                        }
-                    };
+                    let report = self.release(pod, victim.handle, self.now);
                     let wasted = self.now.saturating_sub(victim.serving_from);
                     self.report.busy_cube_nanos += victim.cubes as u128 * wasted.0 as u128;
                     self.report.classes[victim.class.rank()].preempted += 1;
                     // The victim regains its FIFO slot (original index)
                     // and will restart its full hold.
-                    self.queue.push(Queued {
+                    self.enqueue(Queued {
                         index: victim.index,
                         class: victim.class,
                         shape: victim.shape,
@@ -439,63 +462,58 @@ impl ServiceCore {
                         handle: victim.handle,
                         report,
                     });
-                    idle = pod.idle_cubes().into_iter().collect();
+                    idle = pod.idle_set();
                 }
             }
-            let Some(cubes) = Pooled.allocate(cand.shape, &idle) else {
+            let Some(cubes) = Pooled.allocate(cand.shape, idle) else {
                 return; // head-of-line blocks: no bypass (see module docs)
             };
-            let slice = Slice::new(cand.shape, cubes.clone()).expect("allocator picks valid cubes");
-            let geometry = slice.clone();
-            match pod.compose(slice) {
+            let cube_count = cubes.len() as u32;
+            let slice = Slice::new(cand.shape, cubes).expect("allocator picks valid cubes");
+            // Admitted or refused, the head — `cand` — leaves the queue.
+            self.queue[rank].pop_front();
+            self.depth -= 1;
+            match pod.compose(slice.clone()) {
                 Ok((handle, report)) => {
-                    let qpos = self
-                        .queue
-                        .iter()
-                        .position(|q| q.index == cand.index)
-                        .expect("candidate still queued");
-                    self.queue.remove(qpos);
                     let waited = self.now.saturating_sub(cand.enqueued_at);
                     let serving_from = report.traffic_ready_at.max(self.now);
-                    let stats = &mut self.report.classes[cand.class.rank()];
+                    let stats = &mut self.report.classes[rank];
                     stats.admitted += 1;
                     if waited.0 == 0 {
                         stats.immediate += 1;
                     } else {
                         stats.wait_micros.record(waited.0 as f64 / 1_000.0);
                     }
-                    self.served_cube_nanos[cand.class.rank()] +=
-                        cubes.len() as u128 * cand.hold.0 as u128;
-                    self.running.push(Running {
+                    self.served_cube_nanos[rank] += cube_count as u128 * cand.hold.0 as u128;
+                    let ends_at = serving_from + cand.hold;
+                    let pos = self
+                        .running
+                        .partition_point(|r| (r.ends_at, r.index) > (ends_at, cand.index));
+                    let serving = Running {
                         index: cand.index,
                         class: cand.class,
                         shape: cand.shape,
                         handle,
-                        cubes: cubes.len() as u32,
+                        cubes: cube_count,
                         serving_from,
-                        ends_at: serving_from + cand.hold,
+                        ends_at,
                         hold: cand.hold,
-                    });
+                    };
+                    self.running.insert(pos, serving);
                     out.push(ServiceEvent::Admitted {
                         request: cand.index,
                         class: cand.class,
                         at: self.now,
-                        cubes: cubes.len() as u32,
+                        cubes: cube_count,
                         waited,
                         handle,
-                        slice: geometry,
+                        slice,
                         report,
                     });
                 }
                 Err(_) => {
                     // Fault injection can fail a compose (e.g. a cube
                     // died between allocation and commit). Terminal.
-                    let qpos = self
-                        .queue
-                        .iter()
-                        .position(|q| q.index == cand.index)
-                        .expect("candidate still queued");
-                    self.queue.remove(qpos);
                     self.report.compose_failed += 1;
                     out.push(ServiceEvent::Rejected {
                         request: cand.index,

@@ -1,6 +1,7 @@
 //! Cubes, dimensions, and pod constants.
 
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 
 /// Chips along one edge of an elemental cube.
 pub const CUBE_EDGE: usize = 4;
@@ -15,6 +16,112 @@ pub const LINKS_PER_FACE: usize = CUBE_EDGE * CUBE_EDGE;
 
 /// An elemental cube (= one rack) within the pod, 0..63.
 pub type CubeId = u8;
+
+const _: () = assert!(
+    POD_CUBES == 64,
+    "CubeSet is a u64 bitset of the pod's cubes"
+);
+
+/// A set of the pod's cubes: bit `c` set means cube `c` is a member.
+///
+/// The one representation of "some of the pod's 64 cubes" shared by the
+/// pod's bookkeeping, the allocators and the admission path. Every `u64`
+/// is a valid set; ids outside the pod are never members (`contains`
+/// answers `false`, `insert`/`remove` leave the set alone).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CubeSet(pub(crate) u64);
+
+impl CubeSet {
+    /// No cubes.
+    pub const EMPTY: CubeSet = CubeSet(0);
+    /// Every cube of the pod.
+    pub const ALL: CubeSet = CubeSet(u64::MAX);
+
+    /// The single-cube mask, or 0 for an id outside the pod.
+    fn bit(cube: CubeId) -> u64 {
+        1u64.checked_shl(cube as u32).unwrap_or(0)
+    }
+
+    /// Number of member cubes.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Whether the set has no members.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Whether `cube` is a member.
+    pub fn contains(self, cube: CubeId) -> bool {
+        self.0 & Self::bit(cube) != 0
+    }
+
+    /// Adds `cube`; `true` when it was not a member before.
+    pub fn insert(&mut self, cube: CubeId) -> bool {
+        let fresh = Self::bit(cube) & !self.0;
+        self.0 |= fresh;
+        fresh != 0
+    }
+
+    /// Removes `cube`; `true` when it was a member.
+    pub fn remove(&mut self, cube: CubeId) -> bool {
+        let hit = Self::bit(cube) & self.0;
+        self.0 &= !hit;
+        hit != 0
+    }
+
+    /// Members in ascending order.
+    pub fn iter(self) -> CubeIter {
+        CubeIter(self.0)
+    }
+}
+
+/// Ascending iterator over a [`CubeSet`].
+#[derive(Debug, Clone)]
+pub struct CubeIter(u64);
+
+impl Iterator for CubeIter {
+    type Item = CubeId;
+
+    fn next(&mut self) -> Option<CubeId> {
+        if self.0 == 0 {
+            return None;
+        }
+        let c = self.0.trailing_zeros() as CubeId;
+        self.0 &= self.0 - 1;
+        Some(c)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.0.count_ones() as usize;
+        (n, Some(n))
+    }
+}
+
+impl Extend<CubeId> for CubeSet {
+    fn extend<I: IntoIterator<Item = CubeId>>(&mut self, cubes: I) {
+        for c in cubes {
+            self.insert(c);
+        }
+    }
+}
+
+impl FromIterator<CubeId> for CubeSet {
+    fn from_iter<I: IntoIterator<Item = CubeId>>(cubes: I) -> CubeSet {
+        let mut set = CubeSet::EMPTY;
+        set.extend(cubes);
+        set
+    }
+}
+
+/// The bridge from the ordered-set view (`idle_cubes()` collected by a
+/// caller) to the bitset the pod and the allocators run on.
+impl From<&BTreeSet<CubeId>> for CubeSet {
+    fn from(cubes: &BTreeSet<CubeId>) -> CubeSet {
+        cubes.iter().copied().collect()
+    }
+}
 
 /// A torus dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -124,6 +231,31 @@ mod tests {
         let a = ChipInCube { x: 0, y: 2, z: 1 };
         let b = ChipInCube { x: 3, y: 2, z: 1 };
         assert_eq!(a.face_link_index(Dim::X), b.face_link_index(Dim::X));
+    }
+
+    #[test]
+    fn cube_set_ignores_ids_outside_the_pod() {
+        let mut set = CubeSet::EMPTY;
+        assert!(set.insert(63) && !set.insert(63));
+        assert!(set.contains(63));
+        for bad in [64, 255] {
+            assert!(!set.insert(bad), "cube {bad} is not in the pod");
+            assert!(!set.contains(bad));
+            assert!(!set.remove(bad));
+            assert!(!CubeSet::ALL.contains(bad));
+        }
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![63]);
+        assert!(set.remove(63) && set.is_empty());
+        assert_eq!(CubeSet::ALL.len(), POD_CUBES);
+    }
+
+    #[test]
+    fn cube_set_iterates_ascending_and_bridges_btreeset() {
+        let model: BTreeSet<CubeId> = [40, 3, 63, 0, 17].into_iter().collect();
+        let set = CubeSet::from(&model);
+        assert_eq!(set.len(), 5);
+        assert!(set.iter().eq(model.iter().copied()));
+        assert_eq!(set.iter().size_hint(), (5, Some(5)));
     }
 
     #[test]

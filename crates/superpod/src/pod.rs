@@ -11,7 +11,7 @@
 //! models running on a different slice"), and compose/release cost is
 //! O(slice), not O(pod).
 
-use crate::geometry::{CubeId, Dim, LINKS_PER_FACE, POD_CUBES};
+use crate::geometry::{CubeId, CubeSet, Dim, LINKS_PER_FACE, POD_CUBES};
 use crate::slice::Slice;
 use crate::wiring::{ocs_for, ocs_role, SUPERPOD_OCS_COUNT};
 use lightwave_fabric::{
@@ -63,22 +63,32 @@ impl std::error::Error for PodError {}
 /// pair list per dimension fully describes a slice's optical footprint.
 type DimPairs = [Vec<(PortId, PortId)>; 3];
 
+/// An active slice with its circuit pairs per dimension, computed once at
+/// compose from `required_hops()` and reused for release.
+#[derive(Debug)]
+struct LiveSlice {
+    slice: Slice,
+    pairs: DimPairs,
+}
+
 /// A TPU v4 superpod: 64 cubes + 48 OCSes.
 #[derive(Debug)]
 pub struct Superpod {
     fabric: FabricController,
-    slices: BTreeMap<SliceHandle, Slice>,
-    /// Each slice's circuit pairs per dimension, computed once at compose
-    /// from `required_hops()` and reused for release and shadow checks.
-    slice_pairs: BTreeMap<SliceHandle, DimPairs>,
+    slices: BTreeMap<SliceHandle, LiveSlice>,
     /// The aggregate desired mapping per dimension (all 16 switches of a
     /// dimension carry the same mapping), maintained by delta — the
     /// persistent state that makes compose/release O(slice) and resync a
     /// cheap lookup.
     desired: [BTreeMap<PortId, PortId>; 3],
-    /// Which slice owns each busy cube (O(log) busy checks and lookups).
-    cube_owner: BTreeMap<CubeId, SliceHandle>,
-    failed_cubes: BTreeSet<CubeId>,
+    /// Cubes inside an active slice. With `failed` this is the whole cube
+    /// inventory: the idle set is always exactly `!(busy | failed)`.
+    busy: CubeSet,
+    /// Cubes marked failed (busy or not).
+    failed: CubeSet,
+    /// The slice owning each cube; meaningful only where `busy` has the
+    /// cube's bit.
+    cube_owner: [SliceHandle; POD_CUBES],
     /// Switches that missed a committed transaction (down at the time)
     /// and still carry a stale mapping. Excluded from new transactions
     /// until [`Superpod::resync`] reconciles them — a down switch must
@@ -97,10 +107,10 @@ impl Superpod {
         Superpod {
             fabric: FabricController::new(OcsFleet::build(SUPERPOD_OCS_COUNT, seed)),
             slices: BTreeMap::new(),
-            slice_pairs: BTreeMap::new(),
             desired: Default::default(),
-            cube_owner: BTreeMap::new(),
-            failed_cubes: BTreeSet::new(),
+            busy: CubeSet::EMPTY,
+            failed: CubeSet::EMPTY,
+            cube_owner: [SliceHandle(0); POD_CUBES],
             desynced: BTreeSet::new(),
             next_handle: 1,
             shadow_check: false,
@@ -133,50 +143,60 @@ impl Superpod {
         &mut self.fabric
     }
 
-    /// Cubes not in any slice and not failed.
+    /// Cubes not in any slice and not failed — O(1).
+    pub fn idle_set(&self) -> CubeSet {
+        CubeSet(!(self.busy.0 | self.failed.0))
+    }
+
+    /// [`Superpod::idle_set`] as an ascending list.
     pub fn idle_cubes(&self) -> Vec<CubeId> {
-        (0..POD_CUBES as CubeId)
-            .filter(|c| !self.cube_owner.contains_key(c) && !self.failed_cubes.contains(c))
-            .collect()
+        self.idle_set().iter().collect()
     }
 
     /// Active slices.
     pub fn slices(&self) -> impl Iterator<Item = (SliceHandle, &Slice)> {
-        self.slices.iter().map(|(&h, s)| (h, s))
+        self.slices.iter().map(|(&h, live)| (h, &live.slice))
     }
 
     /// Looks up a slice.
     pub fn slice(&self, h: SliceHandle) -> Option<&Slice> {
-        self.slices.get(&h)
+        self.slices.get(&h).map(|live| &live.slice)
     }
 
     /// Marks a cube failed (host/server failure). Idle cubes simply leave
     /// the pool; cubes inside slices degrade their slice (the caller —
     /// scheduler or availability model — decides what to do about it).
+    /// An id outside the pod names no cube and is ignored.
     pub fn mark_cube_failed(&mut self, cube: CubeId) {
-        self.failed_cubes.insert(cube);
+        self.failed.insert(cube);
     }
 
-    /// Returns a repaired cube to service.
+    /// Returns a repaired cube to service (ids outside the pod ignored).
     pub fn mark_cube_repaired(&mut self, cube: CubeId) {
-        self.failed_cubes.remove(&cube);
+        self.failed.remove(cube);
     }
 
-    /// Whether a cube is failed.
+    /// Whether a cube is failed (`false` for an id outside the pod).
     pub fn is_cube_failed(&self, cube: CubeId) -> bool {
-        self.failed_cubes.contains(&cube)
+        self.failed.contains(cube)
     }
 
-    /// The slice (if any) containing a cube.
+    /// The slice (if any) containing a cube (`None` outside the pod).
     pub fn slice_of_cube(&self, cube: CubeId) -> Option<SliceHandle> {
-        self.cube_owner.get(&cube).copied()
+        self.busy
+            .contains(cube)
+            .then(|| self.cube_owner[cube as usize])
     }
 
     /// The circuit pairs a slice pins per dimension, sorted by north port
     /// for deterministic delta ordering. Single-cube dimensions contribute
-    /// nothing (their rings are electrical).
+    /// nothing (their rings are electrical), so a single-cube slice has no
+    /// optical hop at all and skips the hop list.
     fn pairs_for(slice: &Slice) -> DimPairs {
         let mut pairs: DimPairs = Default::default();
+        if slice.cubes.len() == 1 {
+            return pairs;
+        }
         for hop in slice.required_hops() {
             if let Some(p) = hop.pair() {
                 pairs[hop.dim.index()].push(p);
@@ -237,8 +257,8 @@ impl Superpod {
             return;
         }
         let mut reference: [BTreeMap<PortId, PortId>; 3] = Default::default();
-        for slice in self.slices.values() {
-            for hop in slice.required_hops() {
+        for live in self.slices.values() {
+            for hop in live.slice.required_hops() {
                 if let Some((n, s)) = hop.pair() {
                     let prev = reference[hop.dim.index()].insert(n, s);
                     assert!(prev.is_none(), "disjoint slices produce disjoint ports");
@@ -338,10 +358,10 @@ impl Superpod {
     /// nothing has been applied anywhere.
     pub fn compose(&mut self, slice: Slice) -> Result<(SliceHandle, CommitReport), PodError> {
         for &c in &slice.cubes {
-            if self.cube_owner.contains_key(&c) {
+            if self.busy.contains(c) {
                 return Err(PodError::CubeBusy(c));
             }
-            if self.failed_cubes.contains(&c) {
+            if self.failed.contains(c) {
                 return Err(PodError::CubeFailed(c));
             }
         }
@@ -352,7 +372,8 @@ impl Superpod {
         let handle = SliceHandle(self.next_handle);
         self.next_handle += 1;
         for &c in &slice.cubes {
-            self.cube_owner.insert(c, handle);
+            self.busy.insert(c);
+            self.cube_owner[c as usize] = handle;
         }
         for (dim, list) in self.desired.iter_mut().zip(&pairs) {
             for &(n, s) in list {
@@ -360,8 +381,7 @@ impl Superpod {
                 debug_assert!(prev.is_none(), "disjoint slices produce disjoint ports");
             }
         }
-        self.slices.insert(handle, slice);
-        self.slice_pairs.insert(handle, pairs);
+        self.slices.insert(handle, LiveSlice { slice, pairs });
         self.desynced.extend(skipped);
         self.shadow_verify();
         Ok((handle, report))
@@ -371,18 +391,16 @@ impl Superpod {
     /// an incremental transaction carrying only this slice's pairs as
     /// removals. On error nothing has been applied.
     pub fn release(&mut self, h: SliceHandle) -> Result<CommitReport, PodError> {
-        if !self.slices.contains_key(&h) {
+        let Some(live) = self.slices.get(&h) else {
             return Err(PodError::UnknownSlice(h));
-        }
-        let pairs = self.slice_pairs.get(&h).expect("every slice has pairs");
-        let (delta, skipped) = self.delta_for(pairs, false);
+        };
+        let (delta, skipped) = self.delta_for(&live.pairs, false);
         let report = self.fabric.commit_delta(&delta)?;
-        let slice = self.slices.remove(&h).expect("checked");
-        let pairs = self.slice_pairs.remove(&h).expect("checked");
-        for &c in &slice.cubes {
-            self.cube_owner.remove(&c);
+        let live = self.slices.remove(&h).expect("checked");
+        for &c in &live.slice.cubes {
+            self.busy.remove(c);
         }
-        for (dim, list) in self.desired.iter_mut().zip(&pairs) {
+        for (dim, list) in self.desired.iter_mut().zip(&live.pairs) {
             for &(n, _) in list {
                 dim.remove(&n);
             }
@@ -422,8 +440,8 @@ impl Superpod {
             .collect();
         self.slices
             .iter()
-            .map(|(&handle, slice)| {
-                let [p, q, r] = slice.shape.cube_grid();
+            .map(|(&handle, live)| {
+                let [p, q, r] = live.slice.shape.cube_grid();
                 let grid = [p, q, r];
                 // Fraction of each dimension's inter-cube circuits lost.
                 let mut lost_per_dim = [0.0f64; 3];
@@ -557,6 +575,27 @@ mod tests {
         pod.advance(Nanos::from_millis(300));
         assert!(pod.settled());
         assert_eq!(pod.slice(h2).unwrap().chip_count(), 256);
+    }
+
+    #[test]
+    fn cube_ids_outside_the_pod_are_ignored() {
+        // An id past 63 names no cube: nothing is recorded for it.
+        let mut pod = Superpod::new(13);
+        for bad in [64, 200, 255] {
+            pod.mark_cube_failed(bad);
+            assert!(!pod.is_cube_failed(bad), "cube {bad} names nothing");
+            assert_eq!(pod.slice_of_cube(bad), None);
+            pod.mark_cube_repaired(bad);
+        }
+        assert_eq!(pod.idle_set().len(), POD_CUBES);
+        // The last real cube still behaves.
+        pod.mark_cube_failed(63);
+        assert!(pod.is_cube_failed(63));
+        assert_eq!(pod.idle_cubes(), (0..63).collect::<Vec<CubeId>>());
+        pod.mark_cube_repaired(63);
+        let (h, _) = pod.compose(slice_of(vec![63], 4, 4, 4)).unwrap();
+        assert_eq!(pod.slice_of_cube(63), Some(h));
+        assert!(!pod.idle_set().contains(63));
     }
 
     #[test]

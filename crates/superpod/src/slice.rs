@@ -9,10 +9,9 @@
 //! Cubes need **not** be physically contiguous (§4.2.4): the OCS wiring
 //! lets any set of idle cubes take any logical position in the slice grid.
 
-use crate::geometry::{CubeId, Dim, CUBE_EDGE, POD_CUBES};
+use crate::geometry::{CubeId, CubeSet, Dim, CUBE_EDGE, POD_CUBES};
 use crate::wiring::CubeHop;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// A slice shape in chips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -177,7 +176,7 @@ impl Slice {
                 need: shape.cube_count(),
             });
         }
-        let mut seen = BTreeSet::new();
+        let mut seen = CubeSet::EMPTY;
         for &c in &cubes {
             if c as usize >= POD_CUBES {
                 return Err(SliceError::BadCube(c));

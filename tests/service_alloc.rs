@@ -1,0 +1,159 @@
+//! Deterministic perf guard for the admission path: allocation counts, not
+//! wall clock, so the numbers repeat exactly on any machine (ROADMAP item
+//! 2's in-run gate).
+//!
+//! - A `submit` that ends head-of-line blocked behind a queue at its bound
+//!   of 256 allocates **nothing**, idle cubes or not: the per-class queue
+//!   and the caller's event `Vec` are warm, the idle set is a `CubeSet`
+//!   word, and `Pooled` says no before building anything.
+//! - A single-cube admission plus the completion that frees it allocates
+//!   [`ADMIT_COMPLETE_ALLOCS`] blocks.
+//!
+//! One `#[test]` only, and a per-thread counter: nothing else in the
+//! process can add to the count.
+
+use lightwave::service::{PolicyConfig, Priority, ServiceCore, ServiceEvent, SliceIntent};
+use lightwave::superpod::Superpod;
+use lightwave::units::Nanos;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Blocks allocated by one single-cube admit + completion, measured when
+/// the per-class-queue core merged (PR 13): the allocator's cube list and
+/// the copy of the slice geometry the `Admitted` event carries. The pod's
+/// slice map and the core's `running` list reuse their storage.
+const ADMIT_COMPLETE_ALLOCS: u64 = 2;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn count() {
+    // `try_with`: a thread tearing down may allocate after its TLS is gone.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// the caller's `GlobalAlloc` obligations are exactly the ones `System`
+// needs; the counter is a const-initialized thread-local `Cell` and never
+// allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same layout, same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same layout, same contract as the caller's.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, which only ever hands
+        // out `System` blocks, with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` is a live `System` block of `layout`; `new_size`
+        // obeys the caller's contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// Allocations `f` performs on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+fn single_cube(request: u64, hold: Nanos) -> SliceIntent {
+    SliceIntent {
+        request,
+        class: Priority::Inference,
+        chips: [4, 4, 4],
+        hold,
+    }
+}
+
+#[test]
+fn admission_path_allocation_counts() {
+    const STEPS: u64 = 100;
+    let forever = Nanos::from_millis(1_000_000_000);
+    let mut out = Vec::new();
+
+    // Blocked at depth 256: 63 slices run, the head of the queue wants two
+    // cubes and one is idle, 255 more requests wait behind it. Every
+    // further arrival is enqueued, finds the head blocked, and leaves.
+    let mut pod = Superpod::new(7);
+    let mut core = ServiceCore::new(PolicyConfig::default());
+    let mut next = 0u64;
+    for _ in 0..63 + 256 + 8 {
+        out.clear();
+        let mut intent = single_cube(next, forever);
+        if next == 63 {
+            intent.chips = [8, 4, 4];
+        }
+        core.submit(&mut pod, &intent, &mut out);
+        next += 1;
+    }
+    assert_eq!((core.running().count(), core.queue_depth()), (63, 256));
+    assert_eq!(pod.idle_set().len(), 1);
+    let blocked = allocations(|| {
+        for _ in 0..STEPS {
+            out.clear();
+            core.submit(&mut pod, &single_cube(next, forever), &mut out);
+            next += 1;
+        }
+    });
+    assert!(
+        matches!(
+            out[..],
+            [ServiceEvent::Enqueued { .. }, ServiceEvent::Rejected { .. }]
+        ),
+        "{out:?}"
+    );
+    assert_eq!(core.queue_depth(), 256);
+    assert_eq!(blocked, 0, "a blocked submit allocates nothing");
+
+    // Admit + complete on the empty-queue path, eight long slices in the
+    // background so the pod's slice map is not at the empty/non-empty edge.
+    let mut pod = Superpod::new(7);
+    let mut core = ServiceCore::new(PolicyConfig {
+        queue_limit: 0,
+        preemption: false,
+    });
+    let hold = Nanos::from_millis(1);
+    let mut step = |core: &mut ServiceCore, pod: &mut Superpod, hold: Nanos| {
+        out.clear();
+        let now = core.now() + Nanos::from_millis(2);
+        core.advance_to(pod, now, &mut out);
+        core.submit(pod, &single_cube(next, hold), &mut out);
+        next += 1;
+    };
+    for warm in 0..16 {
+        step(&mut core, &mut pod, if warm < 8 { forever } else { hold });
+    }
+    assert_eq!(core.running().count(), 9);
+    let admitted = allocations(|| {
+        for _ in 0..STEPS {
+            step(&mut core, &mut pod, hold);
+        }
+    });
+    assert_eq!(core.report().completed(), 7 + STEPS);
+    assert_eq!(core.report().blocked(), 0);
+    assert!(
+        admitted <= ADMIT_COMPLETE_ALLOCS * STEPS,
+        "{admitted} allocations over {STEPS} admit+complete steps; \
+         {ADMIT_COMPLETE_ALLOCS} per step at merge"
+    );
+}
