@@ -42,7 +42,7 @@ pub mod prelude {
     pub use lightwave_dcn::{Mesh, TrafficMatrix};
     pub use lightwave_mlperf::{ChipParams, LlmConfig, SliceOptimizer};
     pub use lightwave_par::{par_map_reduce, par_trials, Pool};
-    pub use lightwave_service::{ServiceConfig, ServiceEngine, SliceIntent};
+    pub use lightwave_service::{ServiceConfig, SliceIntent};
     pub use lightwave_superpod::{Slice, SliceShape, Superpod};
     pub use lightwave_telemetry::{FleetTelemetry, Severity};
     pub use lightwave_trace::{to_chrome_trace, FlightRecorder, Tracer};

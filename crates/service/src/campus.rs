@@ -4,24 +4,20 @@
 //! [`CampusHealthDoc`].
 //!
 //! The cell model maps onto the campus hierarchy directly: each shard
-//! is one *pod* (its own fresh [`Superpod`]), each pod's OCS switches
-//! are the switch level, and admission outcomes drive the pod's
-//! error-budget ledger the same way [`crate::engine::ServiceEngine`]
-//! drives the flat [`SloTracker`](lightwave_telemetry::SloTracker).
-//! Everything folded here is integer-exact ([`Aggregate`] merges /
-//! nanosecond ledgers), so `campus_health.json` from
-//! [`run_sharded_campus`] is byte-identical at any `LIGHTWAVE_THREADS`
+//! is one *pod* (its own fresh `Superpod`; as an [`Observer`] the pod id
+//! is the step's cell index), each pod's OCS switches are the switch
+//! level, and admission outcomes drive the pod's error-budget ledger the
+//! same way [`Lifecycle`](crate::Lifecycle) drives the flat
+//! [`SloTracker`](lightwave_telemetry::SloTracker). Everything folded
+//! here is integer-exact (`Aggregate` merges / nanosecond ledgers), so
+//! `campus_health.json` from a [`run_sharded`](crate::run_sharded) under
+//! this observer is byte-identical at any `LIGHTWAVE_THREADS`
 //! (DESIGN §6.9).
 
-use crate::arrivals::arrival;
-use crate::engine::{run_cell, ServiceConfig, CELL_STREAM};
-use crate::metrics::ServiceReport;
-use crate::queue::{RejectReason, ServiceCore, ServiceEvent};
-use lightwave_par::{splitmix, Pool, RunStats, Shard};
-use lightwave_superpod::Superpod;
+use crate::engine::{Observer, ShardObserver, Step};
+use crate::queue::{RejectReason, ServiceEvent};
 use lightwave_telemetry::rollup::{CampusHealthDoc, PortPath, RollupMetric, RollupTree};
 use lightwave_telemetry::slo::BurnRateLedger;
-use lightwave_telemetry::timeseries::Aggregate;
 use lightwave_units::Nanos;
 
 /// Pseudo-switch id for pod-scoped (not per-OCS) service metrics —
@@ -131,12 +127,6 @@ impl CampusObserver {
         self.end = self.end.max(other.end);
     }
 
-    /// Campus-level aggregate of the compose-moves metric (scrape
-    /// first) — the bench's quick identity probe.
-    pub fn compose_agg(&self) -> Aggregate {
-        self.rollup.campus_agg(self.m_compose)
-    }
-
     /// Scrapes pending deltas and builds the versioned
     /// `campus_health.json` snapshot as of the latest observed time.
     pub fn health_doc(&mut self) -> CampusHealthDoc {
@@ -146,107 +136,20 @@ impl CampusObserver {
     }
 }
 
-/// [`run_cell`] with campus observability: the observer folds each
-/// event batch before it is cleared. The service report is identical
-/// to [`run_cell`]'s — observation never perturbs policy.
-pub fn run_cell_campus(cfg: &ServiceConfig, shard: Shard) -> (ServiceReport, CampusObserver) {
-    let mut pod = Superpod::new(splitmix(cfg.seed ^ CELL_STREAM, shard.index));
-    pod.set_shadow_check(cfg.shadow);
-    let mut core = ServiceCore::new(cfg.policy);
-    let mut obs = CampusObserver::new();
-    let pod_id = shard.index as u32;
-    let mut events = Vec::new();
-    let mut now = Nanos(0);
-    for i in shard.start..shard.start + shard.len {
-        let a = arrival(cfg.seed, i, cfg.mix);
-        now += cfg.scaled_gap(a.gap_unit_micros);
-        core.advance_to(&mut pod, now, &mut events);
-        core.submit(&mut pod, &a.intent, &mut events);
-        obs.observe(pod_id, &events);
-        events.clear();
+impl Observer for CampusObserver {
+    type Output = CampusObserver;
+
+    fn batch(&mut self, step: &Step<'_>, events: &[ServiceEvent]) {
+        self.observe(step.cell as u32, events);
     }
-    core.drain(&mut pod, &mut events);
-    obs.observe(pod_id, &events);
-    (core.report().clone(), obs)
+
+    fn finish(self, _end: Nanos) -> CampusObserver {
+        self
+    }
 }
 
-/// [`run_sharded`](crate::engine::run_sharded) with campus
-/// observability: cells run [`run_cell_campus`] and both results merge
-/// in shard order, so the report **and** the snapshot built by
-/// [`CampusObserver::health_doc`] are byte-identical at any thread
-/// count.
-pub fn run_sharded_campus(
-    pool: &Pool,
-    cfg: &ServiceConfig,
-) -> (ServiceReport, CampusObserver, RunStats) {
-    let ((report, obs), stats) = pool.run_shards(
-        cfg.seed,
-        cfg.requests,
-        cfg.shard_size,
-        |_rng, shard| run_cell_campus(cfg, shard),
-        |(mut a, mut oa), (b, ob)| {
-            a.merge(&b);
-            oa.merge(ob);
-            (a, oa)
-        },
-    );
-    (report, obs, stats)
-}
-
-/// Convenience: the bare (observability-off) cell — re-exported here so
-/// `bench_pr10` pairs the two modes side by side.
-pub fn run_cell_plain(cfg: &ServiceConfig, shard: Shard) -> ServiceReport {
-    run_cell(cfg, shard)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn cfg() -> ServiceConfig {
-        ServiceConfig {
-            requests: 800,
-            shard_size: 200,
-            ..ServiceConfig::default()
-        }
-    }
-
-    #[test]
-    fn campus_run_does_not_perturb_policy() {
-        let cfg = cfg();
-        let (plain, _) = crate::engine::run_sharded(&Pool::new(2), &cfg);
-        let (campus, obs, _) = run_sharded_campus(&Pool::new(2), &cfg);
-        assert_eq!(plain, campus);
-        assert!(obs.rollup.ingested() > 0, "events were folded");
-    }
-
-    #[test]
-    fn campus_snapshot_is_thread_count_invariant() {
-        let cfg = cfg();
-        let (r1, mut o1, _) = run_sharded_campus(&Pool::new(1), &cfg);
-        let (r4, mut o4, _) = run_sharded_campus(&Pool::new(4), &cfg);
-        assert_eq!(r1, r4);
-        let d1 = o1.health_doc().to_json();
-        let d4 = o4.health_doc().to_json();
-        assert_eq!(d1, d4, "campus_health.json byte-identical");
-        o1.rollup.check_consistency().expect("rollup consistent");
-    }
-
-    #[test]
-    fn pods_map_to_shards_and_doc_drills_down() {
-        let cfg = cfg();
-        let (_, mut obs, _) = run_sharded_campus(&Pool::new(2), &cfg);
-        let doc = obs.health_doc();
-        assert_eq!(doc.pods.len(), 4, "800/200 = 4 cells = 4 pods");
-        let pod0 = doc.pod(0).expect("pod 0 present");
-        assert!(
-            pod0.node.metric("svc_compose_moves").is_some(),
-            "compose activity rolled up"
-        );
-        assert!(
-            doc.switch(0, POD_SCOPE_SWITCH).is_some(),
-            "pod-scoped pseudo-switch present"
-        );
-        assert!(!doc.top_burners(2).is_empty());
+impl ShardObserver for CampusObserver {
+    fn merge(into: &mut CampusObserver, later: CampusObserver) {
+        into.merge(later);
     }
 }

@@ -24,21 +24,26 @@
 //!   histograms (mergeable log2 buckets), utilization and goodput;
 //!   integer-exact merges so sharded runs are byte-identical at any
 //!   `LIGHTWAVE_THREADS`.
-//! - [`run_sharded`] / [`ServiceEngine`] — the at-scale mode (a year of
-//!   arrivals across the pool as independent cells) and the observed
-//!   mode (counters, [`RateWindow`](lightwave_telemetry::RateWindow)
-//!   rates, queue-depth counter track, SLO hooks, lifecycle spans).
+//! - [`run_cell_with`] / [`run_sharded`] — the one arrival loop and its
+//!   sharded form (a year of arrivals across the pool as independent
+//!   cells), watched through the [`Observer`] seam: `()`,
+//!   [`ScopeCollector`], [`CampusObserver`], the single-cell
+//!   [`Lifecycle`] (counters, [`RateWindow`](lightwave_telemetry::RateWindow)
+//!   rates, queue-depth counter track, SLO hooks, lifecycle spans), or
+//!   any pair of them. Observation never changes the report.
 //!
 //! ```
 //! use lightwave_par::Pool;
-//! use lightwave_service::{run_sharded, ServiceConfig};
+//! use lightwave_service::{run_sharded, CampusObserver, ServiceConfig};
 //!
 //! let cfg = ServiceConfig { requests: 2_000, ..ServiceConfig::default() };
-//! let (report, _stats) = run_sharded(&Pool::new(2), &cfg);
+//! let (report, (), _stats) = run_sharded(&Pool::new(2), &cfg, |_| ());
 //! assert_eq!(report.submitted, 2_000);
 //! assert!(report.utilization() > 0.0);
-//! // Same report, bit for bit, at any thread count:
-//! assert_eq!(report, run_sharded(&Pool::new(1), &cfg).0);
+//! // Same report, bit for bit, at any thread count and under any observer:
+//! let (watched, mut campus, _) = run_sharded(&Pool::new(1), &cfg, |_| CampusObserver::new());
+//! assert_eq!(report, watched);
+//! assert_eq!(campus.health_doc().pods.len(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,20 +53,21 @@ pub mod arrivals;
 pub mod campus;
 pub mod engine;
 pub mod intent;
+pub mod lifecycle;
 pub mod metrics;
 pub mod queue;
 pub mod scope;
 
 pub use arrivals::{arrival, chips_for_cubes, Arrival, Mix, SERVICE_STREAM};
-pub use campus::{run_cell_campus, run_sharded_campus, CampusObserver, POD_SCOPE_SWITCH};
+pub use campus::{CampusObserver, POD_SCOPE_SWITCH};
 pub use engine::{
-    run_cell, run_cell_scoped, run_sharded, run_sharded_scoped, ServiceConfig, ServiceEngine,
-    ADMISSION_SLO_OBJECT, CELL_STREAM,
+    run_cell, run_cell_with, run_sharded, Observer, ServiceConfig, ShardObserver, Step, CELL_STREAM,
 };
 pub use intent::{IntentError, Priority, SliceIntent};
+pub use lifecycle::{Lifecycle, ADMISSION_SLO_OBJECT};
 pub use metrics::{erlang_b, ClassSnapshot, ClassStats, ServiceReport, ServiceSnapshot};
 pub use queue::{PolicyConfig, RejectReason, ServiceCore, ServiceEvent};
 pub use scope::{
     scope_sampled, scope_span_id, ClassScope, CriticalPath, ScopeCollector, ScopeDist, ScopePhase,
-    ScopeProfiler, ScopeReport, ScopeSnapshot, ScopeTimeline, SCOPE_STREAM,
+    ScopeReport, ScopeSnapshot, ScopeTimeline, SCOPE_STREAM,
 };

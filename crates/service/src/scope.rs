@@ -31,9 +31,11 @@
 //! Everything here obeys the DESIGN §6.7 determinism contract: event-time
 //! stamping, integer arithmetic, lattice-join exemplars, shard-order
 //! merges — `scope_report.json` is byte-identical at any
-//! `LIGHTWAVE_THREADS`. The only wall-clock type, [`ScopeProfiler`],
-//! never feeds an artifact: it is the overhead self-accounting harness.
+//! `LIGHTWAVE_THREADS`. As an [`Observer`] the collector rides
+//! [`run_sharded`](crate::run_sharded) and finishes into a
+//! [`ScopeReport`].
 
+use crate::engine::{Observer, ShardObserver, Step};
 use crate::intent::Priority;
 use crate::queue::ServiceEvent;
 use lightwave_par::splitmix;
@@ -776,15 +778,6 @@ impl ScopeCollector {
         }
     }
 
-    /// The report so far, without consuming the collector (sampled
-    /// requests still in flight count as `inflight`).
-    pub fn report_now(&self) -> ScopeReport {
-        let mut r = self.report.clone();
-        r.inflight += self.live.len() as u64;
-        r.gc();
-        r
-    }
-
     /// Finishes the cell: in-flight sampled requests become `inflight`,
     /// displaced timelines are dropped, and the report is returned.
     pub fn finish(mut self) -> ScopeReport {
@@ -794,57 +787,21 @@ impl ScopeCollector {
     }
 }
 
-/// Scoped wall-clock self-accounting for the profiler's own overhead.
-///
-/// This is the *only* wall-clock type in the scope layer, and its output
-/// never enters a deterministic artifact — `bench_pr8` prints it and
-/// gates on throughput ratios instead.
-#[derive(Debug, Clone, Default)]
-pub struct ScopeProfiler {
-    sections: BTreeMap<&'static str, (u64, std::time::Duration)>,
+impl Observer for ScopeCollector {
+    type Output = ScopeReport;
+
+    fn batch(&mut self, _step: &Step<'_>, events: &[ServiceEvent]) {
+        self.observe(events);
+    }
+
+    fn finish(self, _end: Nanos) -> ScopeReport {
+        ScopeCollector::finish(self)
+    }
 }
 
-impl ScopeProfiler {
-    /// An empty profiler.
-    pub fn new() -> ScopeProfiler {
-        ScopeProfiler::default()
-    }
-
-    /// Runs `f`, charging its wall time to `section`.
-    pub fn time<T>(&mut self, section: &'static str, f: impl FnOnce() -> T) -> T {
-        let start = std::time::Instant::now();
-        let out = f();
-        let slot = self.sections.entry(section).or_default();
-        slot.0 += 1;
-        slot.1 += start.elapsed();
-        out
-    }
-
-    /// Total wall time charged across sections.
-    pub fn total(&self) -> std::time::Duration {
-        self.sections.values().map(|&(_, d)| d).sum()
-    }
-
-    /// A human-readable table: section, calls, total ms, share.
-    pub fn render(&self) -> String {
-        let total = self.total().as_secs_f64().max(1e-12);
-        let mut rows: Vec<(&'static str, u64, std::time::Duration)> = self
-            .sections
-            .iter()
-            .map(|(&name, &(calls, dur))| (name, calls, dur))
-            .collect();
-        rows.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(b.0)));
-        let mut out = String::from("profiler (wall clock, non-deterministic):\n");
-        for (name, calls, dur) in rows {
-            out.push_str(&format!(
-                "  {:<24} {:>8} call(s) {:>10.3} ms {:>5.1}%\n",
-                name,
-                calls,
-                dur.as_secs_f64() * 1e3,
-                dur.as_secs_f64() / total * 100.0,
-            ));
-        }
-        out
+impl ShardObserver for ScopeCollector {
+    fn merge(into: &mut ScopeReport, later: ScopeReport) {
+        into.merge(&later);
     }
 }
 
@@ -1031,20 +988,5 @@ mod tests {
         assert_eq!(back.classes[1].phases.len(), 6);
         assert!(!back.critical_paths.is_empty());
         assert!(!back.timelines.is_empty());
-    }
-
-    #[test]
-    fn profiler_accounts_sections() {
-        let mut prof = ScopeProfiler::new();
-        let v = prof.time("work", || 21 * 2);
-        assert_eq!(v, 42);
-        prof.time("work", || ());
-        prof.time("other", || ());
-        assert!(prof.total() >= std::time::Duration::ZERO);
-        let text = prof.render();
-        assert!(
-            text.contains("work") && text.contains("2 call(s)"),
-            "{text}"
-        );
     }
 }

@@ -17,16 +17,18 @@
 //!   merges into the leaf total and then into exactly one switch, one
 //!   pod, and the campus node. Untouched ports cost nothing.
 //! - **Merge** is exact: [`Aggregate::merge`] is associative and
-//!   commutative by construction, so per-cell trees from
-//!   `service::engine::run_sharded`-style runs combine in shard order
-//!   and the exported snapshot is byte-identical at any
-//!   `LIGHTWAVE_THREADS` (DESIGN.md §6.9).
+//!   commutative by construction, so the per-cell trees of a sharded
+//!   service run (one `CampusObserver` per cell under
+//!   `lightwave_service::run_sharded`) combine in shard order and the
+//!   exported snapshot is byte-identical at any `LIGHTWAVE_THREADS`
+//!   (DESIGN.md §6.9).
 //!
 //! The flat re-aggregation (`fold every leaf from EMPTY`) is kept as
 //! [`RollupTree::flat_campus`]: it is the ground truth the chaos
 //! invariant compares incremental node totals against after every
 //! injected event, the reference the proptests fold in arbitrary
-//! partition orders, and the baseline `bench_pr10` gates ≥10x against.
+//! partition orders, and the baseline an incremental scrape is priced
+//! against (lwbench `telemetry.*`).
 //!
 //! [`CampusHealthDoc`] is the versioned queryable snapshot
 //! (`lightwave/campus-health/v1`): per-level rollups with a
@@ -344,7 +346,7 @@ impl RollupTree {
     /// The flat ground truth: campus totals re-folded from every leaf
     /// (scraped total ⊕ pending delta), one [`Aggregate`] per interned
     /// metric. O(ports) — the cost the incremental scrape avoids, kept
-    /// as the reference for invariants, proptests, and `bench_pr10`.
+    /// as the reference for invariants and proptests.
     pub fn flat_campus(&self) -> Vec<Aggregate> {
         let mut out = vec![Aggregate::EMPTY; self.metrics.len()];
         for leaf in &self.leaves {

@@ -8,11 +8,12 @@
 //!
 //! Three acts:
 //!
-//! 1. **The campus snapshot** — [`run_sharded_campus`] drives the
-//!    open-loop service engine; every cell is one *pod* feeding the
-//!    port → switch → pod → campus [`RollupTree`] and its error-budget
-//!    ledger. The cluster-to-cluster TE layer ([`CampusSim`]) folds its
-//!    per-epoch outcomes into the *same* tree, and the merged result is
+//! 1. **The campus snapshot** — [`run_sharded`] drives the open-loop
+//!    service engine under one [`CampusObserver`] per cell; every cell is
+//!    one *pod* feeding the port → switch → pod → campus [`RollupTree`]
+//!    and its error-budget ledger. The cluster-to-cluster TE layer
+//!    ([`CampusSim`]) folds its per-epoch outcomes into the *same* tree,
+//!    and the merged result is
 //!    queried top-down — drill into a pod, a switch, the dominant
 //!    metric per level — then written as `campus_health.json`. CI runs
 //!    this example at `LIGHTWAVE_THREADS=1` and `=4` and `cmp`s the
@@ -28,7 +29,7 @@
 
 use lightwave::dcn::campus::CampusSim;
 use lightwave::par::Pool;
-use lightwave::service::{run_sharded_campus, ServiceConfig};
+use lightwave::service::{run_sharded, CampusObserver, ServiceConfig};
 use lightwave::telemetry::timeseries::{dequantize, SeriesConfig, SeriesStore};
 use lightwave::telemetry::{BurnRateLedger, CampusHealthDoc, FleetTelemetry};
 use lightwave::trace::validate::validate_chrome_trace;
@@ -74,7 +75,7 @@ fn main() {
         (requests / cfg.shard_size).max(1),
         pool.threads()
     );
-    let (report, mut obs, _) = run_sharded_campus(&pool, &cfg);
+    let (report, mut obs, _) = run_sharded(&pool, &cfg, |_| CampusObserver::new());
     let admitted: u64 = report.classes.iter().map(|c| c.admitted).sum();
     let blocked: u64 = report.classes.iter().map(|c| c.blocked).sum();
     println!(
@@ -126,8 +127,8 @@ fn main() {
         shard_size: 512,
         ..ServiceConfig::default()
     };
-    let (r1, mut o1, _) = run_sharded_campus(&Pool::new(1), &small);
-    let (r4, mut o4, _) = run_sharded_campus(&Pool::new(4), &small);
+    let (r1, mut o1, _) = run_sharded(&Pool::new(1), &small, |_| CampusObserver::new());
+    let (r4, mut o4, _) = run_sharded(&Pool::new(4), &small, |_| CampusObserver::new());
     assert_eq!(r1, r4, "thread count must not change the service report");
     let d1 = o1.health_doc().to_json();
     let d4 = o4.health_doc().to_json();

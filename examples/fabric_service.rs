@@ -10,15 +10,16 @@
 //! Four acts:
 //!
 //! 1. **The open-loop run** — the configured arrival stream through
-//!    [`run_sharded`] on [`Pool::from_env`], so `LIGHTWAVE_THREADS`
-//!    controls the worker count. Writes `service_report.json`; CI runs
-//!    this example at `LIGHTWAVE_THREADS=1` and `=4` and `cmp`s the two
-//!    artifacts byte for byte (a smaller in-process 1-vs-2-thread check
-//!    runs here too, so the example self-verifies on one machine).
-//! 2. **The observed cell** — a small traced [`ServiceEngine`] run;
-//!    lifecycle spans plus the queue-depth counter track export to
-//!    `service_trace.json`, which the in-repo Chrome-trace validator
-//!    must accept.
+//!    [`run_sharded`] (watching nothing) on [`Pool::from_env`], so
+//!    `LIGHTWAVE_THREADS` controls the worker count. Writes
+//!    `service_report.json`; CI runs this example at
+//!    `LIGHTWAVE_THREADS=1` and `=4` and `cmp`s the two artifacts byte
+//!    for byte (a smaller in-process 1-vs-2-thread check runs here too,
+//!    so the example self-verifies on one machine).
+//! 2. **The observed cell** — one small cell under the [`Lifecycle`]
+//!    observer; lifecycle spans plus the queue-depth counter track
+//!    export to `service_trace.json`, which the in-repo Chrome-trace
+//!    validator must accept.
 //! 3. **Erlang B** — the single-cube loss configuration swept across
 //!    offered loads; measured blocking vs the closed form.
 //! 4. **Chaos** — a service hunt: arrival schedules interleaved with
@@ -26,8 +27,10 @@
 //!    at any thread count.
 
 use lightwave::chaos::{hunt_service, ChaosConfig, HuntConfig};
-use lightwave::par::Pool;
-use lightwave::service::{erlang_b, run_sharded, Mix, PolicyConfig, ServiceConfig, ServiceEngine};
+use lightwave::par::{Pool, Shard};
+use lightwave::service::{
+    erlang_b, run_cell_with, run_sharded, Lifecycle, Mix, PolicyConfig, ServiceConfig,
+};
 use lightwave::trace::to_chrome_trace_with_counters;
 use lightwave::trace::validate::validate_chrome_trace;
 use lightwave::units::Nanos;
@@ -65,7 +68,7 @@ fn main() {
         pool.threads()
     );
     let t0 = std::time::Instant::now();
-    let (report, stats) = run_sharded(&pool, &cfg);
+    let (report, (), stats) = run_sharded(&pool, &cfg, |_| ());
     let secs = t0.elapsed().as_secs_f64();
     assert_eq!(report.submitted, requests);
     println!(
@@ -97,8 +100,8 @@ fn main() {
         requests: if smoke { 1_500 } else { 4_000 },
         ..ServiceConfig::default()
     };
-    let (one, _) = run_sharded(&Pool::new(1), &small);
-    let (two, _) = run_sharded(&Pool::new(2), &small);
+    let (one, ..) = run_sharded(&Pool::new(1), &small, |_| ());
+    let (two, ..) = run_sharded(&Pool::new(2), &small, |_| ());
     assert_eq!(one, two, "thread count must not change the report");
     println!("  replay check: 1-thread and 2-thread reports identical");
 
@@ -108,12 +111,15 @@ fn main() {
     // prefix, not the full cell.
     let traced = ServiceConfig {
         requests: 240,
-        trace_requests: 48,
         ..ServiceConfig::default()
     };
-    let mut engine = ServiceEngine::new(traced);
-    let cell = engine.run();
-    let trace = to_chrome_trace_with_counters(&engine.tracer, &engine.series.tracks());
+    let whole = Shard {
+        index: 0,
+        start: 0,
+        len: traced.requests,
+    };
+    let (cell, watched) = run_cell_with(&traced, whole, Lifecycle::new(traced.seed, 48, 0));
+    let trace = to_chrome_trace_with_counters(&watched.tracer, &watched.series.tracks());
     let tstats = validate_chrome_trace(&trace).expect("exported trace validates");
     println!(
         "act 2: traced cell served {} requests; trace has {} spans, {} flows, {} counter samples — validator accepts",
@@ -144,7 +150,7 @@ fn main() {
             shard_size: n, // one cell: blocking is a pod-level statistic
             ..ServiceConfig::default()
         };
-        let (r, _) = run_sharded(&pool, &loss);
+        let (r, ..) = run_sharded(&pool, &loss, |_| ());
         let erlangs = 100.0 / gap_ms as f64;
         println!(
             "  E = {erlangs:>5.1} erlangs on 64 cubes: {:>6.2}% | {:>6.2}%",

@@ -6,29 +6,27 @@
 //! cargo run --release --example request_scope -- --smoke # CI-sized
 //! ```
 //!
-//! Four acts:
+//! Three acts:
 //!
-//! 1. **The attributed fleet run** — [`run_sharded_scoped`] over the
-//!    production mix with 1-in-64 sampling. The scope report folds each
-//!    sampled request's lifecycle into per-class × per-phase exemplar
-//!    histograms and names the dominant phase at p50/p99/p99.9. Writes
+//! 1. **The attributed fleet run** — [`run_sharded`] under one
+//!    [`ScopeCollector`] per cell, over the production mix with 1-in-64
+//!    sampling. The scope report folds each sampled request's lifecycle
+//!    into per-class × per-phase exemplar histograms and names the
+//!    dominant phase at p50/p99/p99.9. Writes
 //!    `scope_report.json`; CI runs this example at `LIGHTWAVE_THREADS=1`
 //!    and `=4` and `cmp`s the artifacts byte for byte.
 //! 2. **The determinism check** — an in-process 1-vs-2-thread replay:
 //!    snapshot JSON must be byte-identical (sampling and span ids are
 //!    pure in `(seed, request)`; merges are lattice joins).
-//! 3. **The exemplar-linked trace** — a fully sampled observed
-//!    [`ServiceEngine`] cell. Every tail bucket's exemplar carries the
-//!    span id of that request's root lifecycle span; the annotated
-//!    Perfetto export flags those spans, so the p99 row in
-//!    `scope_report.json` links straight to the slow request's span tree
-//!    in `request_scope_trace.json`.
-//! 4. **The profiler** — the scope layer accounts for its own wall
-//!    clock with [`ScopeProfiler`] (the overhead gate itself lives in
-//!    `bench_pr8`).
+//! 3. **The exemplar-linked trace** — one fully sampled cell under a
+//!    ([`ScopeCollector`], [`Lifecycle`]) pair. Every tail bucket's
+//!    exemplar carries the span id of that request's root lifecycle
+//!    span; the annotated Perfetto export flags those spans, so the p99
+//!    row in `scope_report.json` links straight to the slow request's
+//!    span tree in `request_scope_trace.json`.
 
-use lightwave::par::Pool;
-use lightwave::service::{run_sharded_scoped, ScopeProfiler, ServiceConfig, ServiceEngine};
+use lightwave::par::{Pool, Shard};
+use lightwave::service::{run_cell_with, run_sharded, Lifecycle, ScopeCollector, ServiceConfig};
 use lightwave::trace::validate::validate_chrome_trace;
 use lightwave::trace::{to_chrome_trace_annotated, RequestStage, SpanKind};
 use std::collections::BTreeSet;
@@ -53,22 +51,20 @@ fn out_dir() -> PathBuf {
 fn main() {
     let smoke = flag("--smoke");
     let dir = out_dir();
-    let mut prof = ScopeProfiler::new();
     let requests: u64 = if smoke { 12_000 } else { 200_000 };
     let pool = Pool::from_env();
 
     // ── Act 1: the attributed fleet run ──────────────────────────────
     let cfg = ServiceConfig {
         requests,
-        scope_every: 64,
         ..ServiceConfig::default()
     };
+    let every = 64;
     println!(
-        "act 1: {requests} arrivals, 1-in-{} sampling, {} worker thread(s)",
-        cfg.scope_every,
+        "act 1: {requests} arrivals, 1-in-{every} sampling, {} worker thread(s)",
         pool.threads()
     );
-    let (report, scope, _) = prof.time("run_sharded_scoped", || run_sharded_scoped(&pool, &cfg));
+    let (report, scope, _) = run_sharded(&pool, &cfg, |_| ScopeCollector::new(cfg.seed, every));
     assert_eq!(report.submitted, requests);
     println!(
         "  {} sampled ({} rejected, {} in flight at drain), {} commits observed",
@@ -89,11 +85,11 @@ fn main() {
     let small = ServiceConfig {
         requests: if smoke { 2_000 } else { 6_000 },
         shard_size: 512,
-        scope_every: 8,
         ..ServiceConfig::default()
     };
-    let (r1, s1, _) = run_sharded_scoped(&Pool::new(1), &small);
-    let (r2, s2, _) = run_sharded_scoped(&Pool::new(2), &small);
+    let one_in_8 = |_| ScopeCollector::new(small.seed, 8);
+    let (r1, s1, _) = run_sharded(&Pool::new(1), &small, one_in_8);
+    let (r2, s2, _) = run_sharded(&Pool::new(2), &small, one_in_8);
     assert_eq!(r1, r2, "thread count must not change the service report");
     assert_eq!(
         serde_json::to_string(&s1.snapshot()).expect("json"),
@@ -108,15 +104,20 @@ fn main() {
     // root span id of the request that set it.
     let traced = ServiceConfig {
         requests: 240,
-        trace_requests: 48,
-        scope_every: 1,
         ..ServiceConfig::default()
     };
-    let mut engine = ServiceEngine::new(traced);
-    let cell = engine.run();
-    let cell_scope = engine.scope_report();
+    let whole = Shard {
+        index: 0,
+        start: 0,
+        len: traced.requests,
+    };
+    let watchers = (
+        ScopeCollector::new(traced.seed, 1),
+        Lifecycle::new(traced.seed, 48, 1),
+    );
+    let (cell, (cell_scope, watched)) = run_cell_with(&traced, whole, watchers);
     let exemplars = cell_scope.exemplar_spans();
-    let root_ids: BTreeSet<u64> = engine
+    let root_ids: BTreeSet<u64> = watched
         .tracer
         .spans()
         .iter()
@@ -137,7 +138,7 @@ fn main() {
             "exemplar span {span:016x} must resolve to a lifecycle root"
         );
     }
-    let trace = to_chrome_trace_annotated(&engine.tracer, &engine.series.tracks(), &exemplars);
+    let trace = to_chrome_trace_annotated(&watched.tracer, &watched.series.tracks(), &exemplars);
     let tstats = validate_chrome_trace(&trace).expect("exported trace validates");
     println!(
         "act 3: fully sampled cell served {} requests; {} exemplar spans all \
@@ -160,8 +161,5 @@ fn main() {
     let trace_path = dir.join("request_scope_trace.json");
     std::fs::write(&trace_path, trace).expect("write request_scope_trace.json");
     println!("  wrote {} (open at ui.perfetto.dev)", trace_path.display());
-
-    // ── Act 4: the profiler ──────────────────────────────────────────
-    print!("act 4: {}", prof.render());
     println!("done: all acts passed");
 }

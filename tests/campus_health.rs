@@ -5,7 +5,7 @@
 //! and the burn counter tracks pass the in-repo trace validator.
 
 use lightwave::par::Pool;
-use lightwave::service::{run_sharded_campus, ServiceConfig, POD_SCOPE_SWITCH};
+use lightwave::service::{run_sharded, CampusObserver, ServiceConfig, POD_SCOPE_SWITCH};
 use lightwave::telemetry::rollup::{CampusHealthDoc, PortPath, RollupTree};
 use lightwave::telemetry::timeseries::{Aggregate, SeriesConfig, SeriesStore};
 use lightwave::telemetry::{
@@ -94,8 +94,8 @@ fn campus_health_json_is_thread_count_invariant() {
         shard_size: 1_024,
         ..ServiceConfig::default()
     };
-    let (r1, mut o1, _) = run_sharded_campus(&Pool::new(1), &cfg);
-    let (r4, mut o4, _) = run_sharded_campus(&Pool::new(4), &cfg);
+    let (r1, mut o1, _) = run_sharded(&Pool::new(1), &cfg, |_| CampusObserver::new());
+    let (r4, mut o4, _) = run_sharded(&Pool::new(4), &cfg, |_| CampusObserver::new());
     assert_eq!(r1, r4, "policy outcome is thread-count invariant");
     let d1 = o1.health_doc().to_json();
     let d4 = o4.health_doc().to_json();

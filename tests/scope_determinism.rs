@@ -13,15 +13,16 @@
 //! 2. **Merge-order invariance** — exemplar histograms are lattice
 //!    joins: merging in any order yields identical state, and the
 //!    exemplar tie-break (larger value, then smaller request) is total.
-//! 3. **Thread-count invariance** — `run_sharded_scoped` snapshot JSON
-//!    is byte-identical at 1 vs 4 threads.
+//! 3. **Thread-count invariance** — `run_sharded` under one
+//!    `ScopeCollector` per cell: snapshot JSON is byte-identical at 1 vs
+//!    4 threads.
 //! 4. **Self-consistency** — critical paths exist for every class that
 //!    completed work, their exemplar requests all have retained
 //!    timelines, and phase nanos sum to the timeline total.
 
 use lightwave::par::Pool;
 use lightwave::service::{
-    run_sharded_scoped, scope_sampled, scope_span_id, ScopePhase, ServiceConfig,
+    run_sharded, scope_sampled, scope_span_id, ScopeCollector, ScopePhase, ServiceConfig,
 };
 use lightwave::telemetry::ExemplarHistogram;
 use proptest::prelude::*;
@@ -111,11 +112,11 @@ fn scope_report_is_thread_invariant_and_self_consistent() {
     let cfg = ServiceConfig {
         requests: 2_000,
         shard_size: 256,
-        scope_every: 8,
         ..ServiceConfig::default()
     };
-    let (r1, s1, _) = run_sharded_scoped(&Pool::new(1), &cfg);
-    let (r4, s4, _) = run_sharded_scoped(&Pool::new(4), &cfg);
+    let one_in_8 = |_| ScopeCollector::new(cfg.seed, 8);
+    let (r1, s1, _) = run_sharded(&Pool::new(1), &cfg, one_in_8);
+    let (r4, s4, _) = run_sharded(&Pool::new(4), &cfg, one_in_8);
     assert_eq!(r1, r4, "service report is thread-invariant");
     let j1 = serde_json::to_string_pretty(&s1.snapshot()).expect("json");
     let j4 = serde_json::to_string_pretty(&s4.snapshot()).expect("json");

@@ -60,8 +60,8 @@ fn sharded_year_run_is_byte_identical_across_thread_counts() {
         shard_size: 256,
         ..ServiceConfig::default()
     };
-    let (one, _) = run_sharded(&Pool::new(1), &cfg);
-    let (four, _) = run_sharded(&Pool::new(4), &cfg);
+    let (one, ..) = run_sharded(&Pool::new(1), &cfg, |_| ());
+    let (four, ..) = run_sharded(&Pool::new(4), &cfg, |_| ());
     assert_eq!(one, four);
     // And the serialized artifact — what the example's `cmp` gate and a
     // golden file actually store.
@@ -91,7 +91,7 @@ fn blocking_tracks_erlang_b_in_loss_mode() {
             shard_size: 2_000, // one cell: blocking is a pod-level stat
             ..ServiceConfig::default()
         };
-        let (report, _) = run_sharded(&Pool::new(2), &cfg);
+        let (report, ..) = run_sharded(&Pool::new(2), &cfg, |_| ());
         let measured = report.blocking_probability();
         let predicted = erlang_b(servers_load, 64);
         assert!(
@@ -116,7 +116,7 @@ fn low_load_never_blocks() {
         shard_size: 1_000,
         ..ServiceConfig::default()
     };
-    let (report, _) = run_sharded(&Pool::new(2), &cfg);
+    let (report, ..) = run_sharded(&Pool::new(2), &cfg, |_| ());
     assert_eq!(report.blocked(), 0, "2 erlangs on 64 servers never blocks");
     assert!(erlang_b(2.0, 64) < 1e-12);
 }
