@@ -8,7 +8,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use lightwave_core::fec::hamming::ExtHamming;
-use lightwave_core::fec::{ReedSolomon, RsScratch};
+use lightwave_core::fec::{ConcatenatedCode, ReedSolomon, RsScratch};
+use lightwave_core::units::Ber;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
@@ -72,6 +73,12 @@ fn hamming_decoding(c: &mut Criterion) {
     rel[90] = 0.12;
     rel[7] = 0.3;
     let mut g = c.benchmark_group("hamming128");
+    g.bench_function("encode", |b| {
+        b.iter(|| black_box(code.encode(black_box(0xDEAD_BEEF_0123_4567u128))))
+    });
+    g.bench_function("extract_data", |b| {
+        b.iter(|| black_box(code.extract_data(black_box(cw))))
+    });
     g.bench_function("hard_decode", |b| {
         b.iter(|| black_box(code.hard_decode(black_box(cw ^ (1u128 << 40)))))
     });
@@ -81,5 +88,22 @@ fn hamming_decoding(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, kp4_encode, kp4_decode, hamming_decoding);
+/// One probe of fig12's threshold bisection at quick depth: encode, AWGN
+/// channel and Chase decode of 1 500 blocks.
+fn inner_waterfall(c: &mut Criterion) {
+    let code = ConcatenatedCode::default();
+    let mut g = c.benchmark_group("concat");
+    g.bench_function("inner_waterfall_point_1500_blocks_chase6", |b| {
+        b.iter(|| black_box(code.inner_waterfall_point(black_box(Ber::new(5e-3)), 1500, 5)))
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    kp4_encode,
+    kp4_decode,
+    hamming_decoding,
+    inner_waterfall
+);
 criterion_main!(benches);

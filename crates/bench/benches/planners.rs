@@ -7,6 +7,8 @@ use lightwave_core::dcn::campus::CampusSim;
 use lightwave_core::dcn::{flowsim, te, TrafficMatrix};
 use lightwave_core::mlperf::{LlmConfig, SliceOptimizer};
 use lightwave_core::optics::ber::{mpi_db, Pam4Receiver};
+use lightwave_core::scheduler::sim::default_mix;
+use lightwave_core::scheduler::{ClusterSim, Contiguous, Pooled};
 use lightwave_core::superpod::collective_sim::{simulate_torus_all_reduce, Uniform};
 use lightwave_core::superpod::slice::SliceShape;
 use lightwave_core::transceiver::fleet::fleet_census;
@@ -79,6 +81,23 @@ fn fleet_ber_census(c: &mut Criterion) {
     });
 }
 
+/// sched1's three runs at quick depth: the overloaded default mix, where
+/// the backfill pass walks a queue of hundreds of jobs per event.
+fn cluster_sim(c: &mut Criterion) {
+    let sim = ClusterSim::new(default_mix(), 0.25);
+    let mut g = c.benchmark_group("cluster_sim");
+    g.bench_function("pooled_800h", |b| {
+        b.iter(|| black_box(sim.run(&Pooled, 800.0, 42)))
+    });
+    g.bench_function("contiguous_800h", |b| {
+        b.iter(|| black_box(sim.run(&Contiguous, 800.0, 42)))
+    });
+    g.bench_function("defrag_600h", |b| {
+        b.iter(|| black_box(sim.run_contiguous_with_defrag(600.0, 0.05, 42)))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     shape_search,
@@ -88,6 +107,7 @@ criterion_group!(
     goodput_analytics,
     campus_epochs,
     collective_step_sim,
-    fleet_ber_census
+    fleet_ber_census,
+    cluster_sim
 );
 criterion_main!(benches);

@@ -5,7 +5,6 @@
 //! binomial symbol-error tail: RS(544,514) fails only when more than t = 15
 //! of its 544 symbols are hit.
 
-use crate::concat::ConcatenatedCode;
 use crate::rs::ReedSolomon;
 use lightwave_optics::ber::Pam4Receiver;
 use lightwave_units::{math, Ber, Db, Dbm};
@@ -52,19 +51,19 @@ pub struct ConcatGain {
     pub gain: Db,
 }
 
-/// Measures the concatenation gain through an optical receiver model at a
-/// given MPI operating point (the two curves of Fig. 12 use −38 and
-/// −32 dB MPI).
+/// The concatenation gain through an optical receiver model at a given
+/// MPI operating point (the two curves of Fig. 12 use −38 and −32 dB MPI).
 ///
-/// `blocks` controls the Monte-Carlo effort of the inner-threshold search.
+/// `inner_threshold` is the measured raw-BER threshold of the inner code
+/// ([`ConcatenatedCode::inner_threshold`] at the KP4 target); it does not
+/// depend on the MPI point, so one search serves every curve.
+///
+/// [`ConcatenatedCode::inner_threshold`]: crate::concat::ConcatenatedCode::inner_threshold
 pub fn concatenation_gain(
-    code: &ConcatenatedCode,
     rx: &Pam4Receiver,
     mpi_ratio: f64,
-    blocks: u64,
-    seed: u64,
+    inner_threshold: Ber,
 ) -> Option<ConcatGain> {
-    let inner_threshold = code.inner_threshold(Ber::KP4_THRESHOLD, blocks, seed);
     let plain = rx.sensitivity(Ber::KP4_THRESHOLD, mpi_ratio, None)?;
     let concat = rx.sensitivity(inner_threshold, mpi_ratio, None)?;
     Some(ConcatGain {
@@ -116,7 +115,7 @@ pub fn hamming_hard_output_ber(input_ber: Ber) -> Ber {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::concat::InnerDecoding;
+    use crate::concat::{ConcatenatedCode, InnerDecoding};
     use lightwave_optics::ber::mpi_db;
 
     #[test]
@@ -174,10 +173,9 @@ mod tests {
     fn measured_concat_gain_is_material() {
         // Our open inner code should buy at least 1 dB of the paper's
         // 1.6 dB at the −32 dB MPI operating point of Fig. 12.
-        let code = ConcatenatedCode::default();
+        let threshold = ConcatenatedCode::default().inner_threshold(Ber::KP4_THRESHOLD, 1500, 5);
         let rx = Pam4Receiver::cwdm4_50g();
-        let gain =
-            concatenation_gain(&code, &rx, mpi_db(-32.0), 1500, 5).expect("sensitivities exist");
+        let gain = concatenation_gain(&rx, mpi_db(-32.0), threshold).expect("sensitivities exist");
         assert!(
             gain.gain.db() > 0.8,
             "concatenation gain {} too small",

@@ -36,6 +36,57 @@ pub enum HardDecode {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExtHamming;
 
+/// `PARITY_MASK[j]`: every position 1..=127 whose index has bit `j` set —
+/// the positions Hamming parity `j` (stored at position 2^j) covers.
+const PARITY_MASK: [u128; 7] = {
+    let mut masks = [0u128; 7];
+    let mut pos = 1;
+    while pos < 128 {
+        let mut j = 0;
+        while j < 7 {
+            if pos & (1 << j) != 0 {
+                masks[j] |= 1u128 << pos;
+            }
+            j += 1;
+        }
+        pos += 1;
+    }
+    masks
+};
+
+/// `DATA_RUN[k]`: the data bits stored in the `k`-th run of non-parity
+/// positions, 2^(k+1)+1 ..= 2^(k+2)−1 (1, 3, 7, 15, 31 and 63 bits long).
+/// Data bit `i` of run `k` sits at codeword position `i + k + 3`.
+const DATA_RUN: [u128; 6] = {
+    let mut masks = [0u128; 6];
+    let mut k = 0;
+    while k < 6 {
+        let len = (2 << k) - 1;
+        let first = (2 << k) - k - 2;
+        masks[k] = ((1u128 << len) - 1) << first;
+        k += 1;
+    }
+    masks
+};
+
+/// 1 if `word` has odd weight.
+fn parity(word: u128) -> u128 {
+    (word.count_ones() & 1) as u128
+}
+
+/// The SEC-DED decision for a word with this syndrome and overall parity:
+/// the bits to flip, or `None` for a detected double error.
+fn correction(syndrome: usize, odd: bool) -> Option<u128> {
+    match (syndrome, odd) {
+        (0, false) => Some(0),
+        // Overall-parity bit itself is in error.
+        (0, true) => Some(1),
+        // Single error at position `syndrome`.
+        (s, true) => Some(1u128 << s),
+        (_, false) => None,
+    }
+}
+
 impl ExtHamming {
     /// Block length in bits.
     pub const N: usize = 128;
@@ -44,11 +95,6 @@ impl ExtHamming {
     /// Minimum distance (SEC-DED).
     pub const D_MIN: usize = 4;
 
-    /// The 120 non-parity positions, in increasing order.
-    fn data_positions() -> impl Iterator<Item = usize> {
-        (1..128usize).filter(|&i| !i.is_power_of_two())
-    }
-
     /// Encodes 120 data bits (low bits of `data`) into a 128-bit codeword.
     ///
     /// # Panics
@@ -56,83 +102,50 @@ impl ExtHamming {
     pub fn encode(self, data: u128) -> u128 {
         assert!(data >> Self::K == 0, "data must fit in 120 bits");
         let mut cw: u128 = 0;
-        for (bit_idx, pos) in Self::data_positions().enumerate() {
-            if (data >> bit_idx) & 1 == 1 {
-                cw |= 1u128 << pos;
-            }
+        for (run, &mask) in DATA_RUN.iter().enumerate() {
+            cw |= (data & mask) << (run + 3);
         }
         // Hamming parities: parity bit at position 2^j makes the XOR of all
-        // positions with bit j set equal zero.
-        for j in 0..7 {
-            let p = 1usize << j;
-            let mut parity = 0u32;
-            for i in 1..128usize {
-                if i & p != 0 && (cw >> i) & 1 == 1 {
-                    parity ^= 1;
-                }
-            }
-            if parity == 1 {
-                cw |= 1u128 << p;
-            }
-        }
+        // positions with bit j set equal zero. No parity position lies in
+        // another's mask, so all seven read the data-only word.
+        cw |= PARITY_MASK
+            .iter()
+            .enumerate()
+            .fold(0, |p, (j, &mask)| p | (parity(cw & mask) << (1 << j)));
         // Overall parity at position 0 makes total weight even.
-        if cw.count_ones() % 2 == 1 {
-            cw |= 1;
-        }
-        cw
+        cw | parity(cw)
     }
 
     /// Extracts the 120 data bits from a codeword.
     pub fn extract_data(self, cw: u128) -> u128 {
-        let mut data: u128 = 0;
-        for (bit_idx, pos) in Self::data_positions().enumerate() {
-            if (cw >> pos) & 1 == 1 {
-                data |= 1u128 << bit_idx;
-            }
-        }
-        data
+        DATA_RUN
+            .iter()
+            .enumerate()
+            .fold(0, |data, (run, &mask)| data | ((cw >> (run + 3)) & mask))
     }
 
     /// Hamming syndrome: XOR of the indices of set bits (positions 1..127).
+    /// Bit `j` of it is the parity of the positions with index bit `j` set.
     fn syndrome(self, word: u128) -> usize {
-        let mut s = 0usize;
-        let mut w = word >> 1; // position 0 does not contribute
-        let mut i = 1usize;
-        while w != 0 {
-            if w & 1 == 1 {
-                s ^= i;
-            }
-            w >>= 1;
-            i += 1;
-        }
-        s
+        PARITY_MASK
+            .iter()
+            .enumerate()
+            .fold(0, |s, (j, &mask)| s | ((parity(word & mask) as usize) << j))
     }
 
     /// True if `word` is a valid codeword.
     pub fn is_codeword(self, word: u128) -> bool {
-        self.syndrome(word) == 0 && word.count_ones().is_multiple_of(2)
+        self.syndrome(word) == 0 && parity(word) == 0
     }
 
     /// Hard-decision SEC-DED decoding.
     pub fn hard_decode(self, word: u128) -> HardDecode {
-        let s = self.syndrome(word);
-        let parity_ok = word.count_ones().is_multiple_of(2);
-        match (s, parity_ok) {
-            (0, true) => HardDecode::Corrected {
-                codeword: word,
-                flipped: 0,
+        match correction(self.syndrome(word), parity(word) == 1) {
+            Some(flip) => HardDecode::Corrected {
+                codeword: word ^ flip,
+                flipped: (flip != 0) as u32,
             },
-            (0, false) => HardDecode::Corrected {
-                // Overall-parity bit itself is in error.
-                codeword: word ^ 1,
-                flipped: 1,
-            },
-            (_, false) => HardDecode::Corrected {
-                // Single error at position s.
-                codeword: word ^ (1u128 << s),
-                flipped: 1,
-            },
-            (_, true) => HardDecode::Detected,
+            None => HardDecode::Detected,
         }
     }
 
@@ -147,47 +160,73 @@ impl ExtHamming {
     /// the received word when no pattern decodes.
     ///
     /// # Panics
-    /// Panics unless `reliability.len() == 128` and `test_bits ≤ 8`.
+    /// Panics unless `reliability.len() == 128`, `test_bits ≤ 8` and no
+    /// reliability is NaN.
     pub fn chase_decode(self, hard: u128, reliability: &[f64], test_bits: usize) -> u128 {
         assert_eq!(reliability.len(), Self::N, "need one reliability per bit");
         assert!(
             test_bits <= 8,
             "Chase pattern count is 2^test_bits; cap at 256"
         );
-        // Indices of the least-reliable positions.
-        let mut idx: Vec<usize> = (0..Self::N).collect();
-        idx.sort_by(|&a, &b| {
-            reliability[a]
-                .partial_cmp(&reliability[b])
-                .expect("reliabilities must not be NaN")
-        });
-        let weak = &idx[..test_bits];
+        // The `test_bits` least-reliable positions in stable order: by
+        // reliability, ties keeping the lower index. An insertion-select —
+        // past the first few positions nearly every bit fails the one
+        // comparison against the current worst and is skipped.
+        let mut weak = [(0.0f64, 0usize); 8];
+        let mut held = 0;
+        for (pos, &r) in reliability.iter().enumerate() {
+            assert!(!r.is_nan(), "reliabilities must not be NaN");
+            if held == test_bits {
+                if held == 0 || r >= weak[held - 1].0 {
+                    continue;
+                }
+                held -= 1; // the worst falls out
+            }
+            let mut slot = held;
+            while slot > 0 && r < weak[slot - 1].0 {
+                weak[slot] = weak[slot - 1];
+                slot -= 1;
+            }
+            weak[slot] = (r, pos);
+            held += 1;
+        }
+        // Patterns are visited in counting order, pattern p flipping weak
+        // bit j iff bit j of p is set. Counting from p − 1 to p toggles
+        // bits 0..=t, t = trailing_zeros(p): `step[t]` is the flip mask of
+        // weak bits 0..=t and the XOR of their positions, which is what
+        // the syndrome moves by.
+        let mut step = [(0u128, 0usize); 8];
+        let mut acc = (0u128, 0usize);
+        for (s, &(_, pos)) in step.iter_mut().zip(&weak[..test_bits]) {
+            acc = (acc.0 ^ (1u128 << pos), acc.1 ^ pos);
+            *s = acc;
+        }
 
+        // Pattern 0 is the received word itself.
+        let (mut flips, mut syndrome) = (0u128, self.syndrome(hard));
+        let mut odd = parity(hard) == 1;
         let mut best: Option<(f64, u128)> = None;
         for pattern in 0..(1u32 << test_bits) {
-            let mut trial = hard;
-            for (j, &pos) in weak.iter().enumerate() {
-                if (pattern >> j) & 1 == 1 {
-                    trial ^= 1u128 << pos;
-                }
+            if pattern != 0 {
+                let t = pattern.trailing_zeros() as usize;
+                flips ^= step[t].0;
+                syndrome ^= step[t].1;
+                odd ^= t.is_multiple_of(2); // t + 1 bits toggled
             }
-            if let HardDecode::Corrected { codeword, .. } = self.hard_decode(trial) {
+            if let Some(fix) = correction(syndrome, odd) {
                 // Soft metric: total reliability of bits where the
-                // candidate disagrees with the received hard word.
-                let diff = codeword ^ hard;
+                // candidate disagrees with the received hard word, summed
+                // in ascending bit position.
+                let mut diff = flips ^ fix;
                 let mut metric = 0.0;
-                let mut d = diff;
-                let mut i = 0usize;
-                while d != 0 {
-                    if d & 1 == 1 {
-                        metric += reliability[i];
-                    }
-                    d >>= 1;
-                    i += 1;
+                while diff != 0 {
+                    metric += reliability[diff.trailing_zeros() as usize];
+                    diff &= diff - 1;
                 }
+                // An equal metric keeps the earlier pattern.
                 match best {
                     Some((m, _)) if m <= metric => {}
-                    _ => best = Some((metric, codeword)),
+                    _ => best = Some((metric, hard ^ flips ^ fix)),
                 }
             }
         }

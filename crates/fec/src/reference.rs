@@ -4,11 +4,10 @@
 //! This module is the pre-kernel encoder/decoder, kept verbatim: scalar
 //! Horner syndromes, allocating Berlekamp–Massey, full-scan Chien search,
 //! and a full syndrome recomputation for the post-correction check. It is
-//! deliberately boring and must stay that way: golden vectors, the
-//! differential proptests in `tests/fec_differential.rs`, and the shadow
-//! mode on [`ReedSolomon`](crate::rs::ReedSolomon) all treat it as ground
-//! truth. It is not exported for production use and nothing outside tests,
-//! benches and shadow checks should call it.
+//! deliberately boring and must stay that way: the golden vectors and the
+//! differential proptests in `tests/fec_differential.rs` treat it as
+//! ground truth. It is not exported for production use and nothing
+//! outside tests and benches should call it.
 
 use crate::gf::{self, Gf};
 use crate::rs::TooManyErrors;

@@ -11,12 +11,10 @@
 //! syndromes/Chien run on precomputed ×α^j stride tables, and decode works
 //! entirely out of a caller-owned [`RsScratch`] so the steady state
 //! allocates nothing. Every kernel is bit-identical to the frozen textbook
-//! implementation in [`crate::reference`] — enforced by golden vectors,
-//! differential proptests, and an opt-in shadow mode that cross-checks
-//! every call in-process.
+//! implementation in [`crate::reference`] — enforced by golden vectors
+//! and differential proptests.
 
 use crate::gf::{self, Gf, MulTable};
-use crate::reference::ReferenceRs;
 use crate::scratch::RsScratch;
 use serde::de::DeError;
 use serde::{Content, Deserialize, Serialize};
@@ -75,7 +73,6 @@ pub struct ReedSolomon {
     /// Generator polynomial, lowest-degree coefficient first; degree = n−k.
     generator: Vec<Gf>,
     kernel: Kernel,
-    shadow: bool,
 }
 
 impl std::fmt::Debug for ReedSolomon {
@@ -88,7 +85,7 @@ impl std::fmt::Debug for ReedSolomon {
     }
 }
 
-/// Identity is the code, not the derived tables or the shadow flag.
+/// Identity is the code, not the derived tables.
 impl PartialEq for ReedSolomon {
     fn eq(&self, other: &ReedSolomon) -> bool {
         self.n == other.n && self.k == other.k && self.generator == other.generator
@@ -163,7 +160,6 @@ impl ReedSolomon {
             k,
             generator,
             kernel,
-            shadow: false,
         }
     }
 
@@ -190,19 +186,6 @@ impl ReedSolomon {
     /// Code rate k/n.
     pub fn rate(&self) -> f64 {
         self.k as f64 / self.n as f64
-    }
-
-    /// Enables or disables shadow cross-checking (DESIGN §6.8): when on,
-    /// every `encode`/`decode` call also runs the frozen
-    /// [`crate::reference`] implementation and asserts the fast kernel
-    /// produced a bit-identical result. Debug/bring-up tool — the whole
-    /// point of the fast path is not to pay the reference cost.
-    pub fn set_shadow_check(&mut self, on: bool) {
-        self.shadow = on;
-    }
-
-    fn reference(&self) -> ReferenceRs {
-        ReferenceRs::from_parts(self.n, self.k, self.generator.clone())
     }
 
     /// Encodes `data` (length k) into a codeword `[data | parity]` of
@@ -241,10 +224,6 @@ impl ReedSolomon {
             for (r, &f) in rem.iter_mut().zip(row) {
                 *r ^= f;
             }
-        }
-        if self.shadow {
-            let want = self.reference().encode(data);
-            assert_eq!(cw.as_slice(), want.as_slice(), "shadow: encode mismatch");
         }
     }
 
@@ -285,25 +264,6 @@ impl ReedSolomon {
     /// [`decode`](Self::decode) using caller-owned scratch buffers, so a
     /// steady-state decode loop allocates nothing.
     pub fn decode_with(
-        &self,
-        received: &mut [Gf],
-        scratch: &mut RsScratch,
-    ) -> Result<usize, TooManyErrors> {
-        let shadow_input = if self.shadow {
-            Some(received.to_vec())
-        } else {
-            None
-        };
-        let got = self.decode_fast(received, scratch);
-        if let Some(mut input) = shadow_input {
-            let want = self.reference().decode(&mut input);
-            assert_eq!(got, want, "shadow: decode result mismatch");
-            assert_eq!(received, input.as_slice(), "shadow: decode buffer mismatch");
-        }
-        got
-    }
-
-    fn decode_fast(
         &self,
         received: &mut [Gf],
         scratch: &mut RsScratch,
@@ -748,23 +708,6 @@ mod tests {
             }
             assert_eq!(rs.decode_with(&mut rx, &mut scratch), Ok(12));
             assert_eq!(rx, cw);
-        }
-    }
-
-    #[test]
-    fn shadow_check_cross_validates_fast_kernels() {
-        let mut rs = ReedSolomon::new(31, 21);
-        rs.set_shadow_check(true);
-        let mut rng = StdRng::seed_from_u64(22);
-        for _ in 0..20 {
-            let data = random_data(&rs, &mut rng);
-            let cw = rs.encode(&data);
-            let mut rx = cw.clone();
-            let nerr = rng.random_range(0..=7usize); // includes beyond-t patterns
-            for i in 0..nerr {
-                rx[i * 4 + 1] ^= rng.random_range(1..1024u16);
-            }
-            let _ = rs.decode(&mut rx); // shadow asserts equivalence inside
         }
     }
 

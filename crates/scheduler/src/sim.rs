@@ -94,23 +94,94 @@ pub struct ClusterSim {
 
 #[derive(Debug, Clone)]
 struct PendingJob {
-    shape: SliceShape,
+    /// Position of the job's spec in the mix.
+    spec: usize,
+    /// Cubes the spec's shape needs, kept here because the backfill pass
+    /// reads it for every queued job on every event.
+    need: usize,
     duration: f64,
     arrived: f64,
 }
 
+/// The specs (by position in the mix) that a backfill pass has already
+/// failed to place. `allocate` and `repack` are pure functions of (shape,
+/// idle, running), so a failure stands for every later queue entry of
+/// that spec until a placement or a successful repack changes `idle` or
+/// `running` — where the pass clears the memo. The hundreds of queued
+/// jobs of an overloaded cluster then cost one attempt per spec, not one
+/// each. Only the attempt is skipped: every entry still takes its
+/// fragmentation-stall tally from the live `idle`.
+///
+/// One word of bits on the stack; specs past the 64th are never
+/// remembered and are simply tried every time.
+#[derive(Debug, Clone, Copy, Default)]
+struct FailedSpecs(u64);
+
+impl FailedSpecs {
+    fn contains(self, spec: usize) -> bool {
+        spec < 64 && (self.0 >> spec) & 1 == 1
+    }
+
+    fn insert(&mut self, spec: usize) {
+        if spec < 64 {
+            self.0 |= 1 << spec;
+        }
+    }
+}
+
 impl ClusterSim {
     /// A simulator over a workload mix.
+    ///
+    /// # Panics
+    /// Panics on an empty mix, a spec whose `weight` or `mean_hours` is
+    /// not finite and positive, or a non-positive inter-arrival time.
     pub fn new(mix: Vec<JobSpec>, mean_interarrival_hours: f64) -> ClusterSim {
         assert!(!mix.is_empty(), "need at least one job spec");
         assert!(mean_interarrival_hours > 0.0);
+        for (i, spec) in mix.iter().enumerate() {
+            assert!(
+                spec.weight.is_finite() && spec.weight > 0.0,
+                "job spec {i} ({:?}): weight must be finite and positive, got {}",
+                spec.shape,
+                spec.weight
+            );
+            assert!(
+                spec.mean_hours.is_finite() && spec.mean_hours > 0.0,
+                "job spec {i} ({:?}): mean_hours must be finite and positive, got {}",
+                spec.shape,
+                spec.mean_hours
+            );
+        }
         ClusterSim {
             mix,
             mean_interarrival_hours,
         }
     }
 
+    /// An arrival at `now`: draws a spec from the mix, then its duration.
+    fn draw_job(&self, rng: &mut StdRng, total_weight: f64, now: f64) -> PendingJob {
+        let mut pick = rng.random_range(0.0..total_weight);
+        let spec = self
+            .mix
+            .iter()
+            .position(|s| {
+                pick -= s.weight;
+                pick <= 0.0
+            })
+            .unwrap_or(self.mix.len() - 1);
+        let duration = Exp::new(1.0 / self.mix[spec].mean_hours)
+            .expect("positive rate")
+            .sample(rng);
+        PendingJob {
+            spec,
+            need: self.mix[spec].shape.cube_count(),
+            duration,
+            arrived: now,
+        }
+    }
+
     /// Runs `horizon_hours` of simulated time under `alloc`, FIFO queue.
+    /// `alloc.allocate` must be a pure function of its arguments.
     pub fn run<A: Allocator>(&self, alloc: &A, horizon_hours: f64, seed: u64) -> SimReport {
         assert!(horizon_hours > 0.0);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -118,7 +189,8 @@ impl ClusterSim {
         let total_weight: f64 = self.mix.iter().map(|s| s.weight).sum();
 
         let mut idle = CubeSet::ALL;
-        // (completion time, cubes to release) for every running job.
+        // (completion time, cubes to release) for every running job,
+        // latest first: the next release is the last entry.
         let mut releases: Vec<(f64, Vec<CubeId>)> = Vec::new();
         let mut queue: VecDeque<PendingJob> = VecDeque::new();
         let mut now = 0.0f64;
@@ -139,8 +211,7 @@ impl ClusterSim {
 
         while now < horizon_hours {
             // Next event: arrival or earliest release.
-            releases.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-            let next_release = releases.first().map(|r| r.0);
+            let next_release = releases.last().map(|r| r.0);
             let t_event = match next_release {
                 Some(r) if r <= next_arrival => r,
                 _ => next_arrival,
@@ -152,32 +223,16 @@ impl ClusterSim {
             advance_to(&mut now, t_event, busy_cubes, &mut busy_cube_hours);
 
             if Some(t_event) == next_release {
-                let (_, cubes) = releases.remove(0);
+                let (_, cubes) = releases.pop().expect("a release is due");
                 busy_cubes -= cubes.len();
                 idle.extend(cubes);
                 completed += 1;
             } else {
-                // Arrival: draw a spec from the mix.
-                let mut pick = rng.random_range(0.0..total_weight);
-                let spec = self
-                    .mix
-                    .iter()
-                    .find(|s| {
-                        pick -= s.weight;
-                        pick <= 0.0
-                    })
-                    .unwrap_or(self.mix.last().expect("non-empty"));
-                let dur = Exp::new(1.0 / spec.mean_hours)
-                    .expect("positive rate")
-                    .sample(&mut rng);
-                if !alloc.supports(spec.shape) {
+                let job = self.draw_job(&mut rng, total_weight, now);
+                if !alloc.supports(self.mix[job.spec].shape) {
                     unsupported += 1;
                 } else {
-                    queue.push_back(PendingJob {
-                        shape: spec.shape,
-                        duration: dur,
-                        arrived: now,
-                    });
+                    queue.push_back(job);
                 }
                 next_arrival = now + arrival.sample(&mut rng);
             }
@@ -186,22 +241,34 @@ impl ClusterSim {
             // that fit run even when an older, larger job is still
             // waiting — the standard discipline of production gang
             // schedulers (and necessary for the paper's >98% utilization).
+            let mut failed = FailedSpecs::default();
             let mut i = 0;
             while i < queue.len() {
-                let job_shape = queue[i].shape;
-                match alloc.allocate(job_shape, idle) {
+                let PendingJob { spec, need, .. } = queue[i];
+                let placed = if failed.contains(spec) {
+                    None
+                } else {
+                    alloc.allocate(self.mix[spec].shape, idle)
+                };
+                match placed {
                     Some(cubes) => {
                         let job = queue.remove(i).expect("index in range");
                         for &c in &cubes {
                             idle.remove(c);
                         }
+                        failed = FailedSpecs::default();
                         busy_cubes += cubes.len();
                         total_wait += now - job.arrived;
                         waits += 1;
-                        releases.push((now + job.duration, cubes));
+                        // Of equal completion times the earlier placement
+                        // is released first.
+                        let ends = now + job.duration;
+                        let at = releases.partition_point(|r| r.0 > ends);
+                        releases.insert(at, (ends, cubes));
                     }
                     None => {
-                        if idle.len() >= job_shape.cube_count() {
+                        failed.insert(spec);
+                        if idle.len() >= need {
                             frag_stalls += 1;
                         }
                         i += 1;
@@ -244,7 +311,10 @@ impl ClusterSim {
         let total_weight: f64 = self.mix.iter().map(|s| s.weight).sum();
 
         let mut idle = CubeSet::ALL;
-        // Running jobs: (completion time, cubes, shape).
+        // Running jobs: (completion time, cubes, shape). The order is part
+        // of the model — `repack` breaks first-fit-decreasing ties by it:
+        // sorted by completion time at the top of each event, this
+        // event's placements appended.
         let mut running: Vec<(f64, Vec<CubeId>, SliceShape)> = Vec::new();
         let mut queue: VecDeque<PendingJob> = VecDeque::new();
         let mut now = 0.0f64;
@@ -282,38 +352,30 @@ impl ClusterSim {
                 idle.extend(cubes);
                 completed += 1;
             } else {
-                let mut pick = rng.random_range(0.0..total_weight);
-                let spec = self
-                    .mix
-                    .iter()
-                    .find(|s| {
-                        pick -= s.weight;
-                        pick <= 0.0
-                    })
-                    .unwrap_or(self.mix.last().expect("non-empty"));
-                let dur = Exp::new(1.0 / spec.mean_hours)
-                    .expect("positive rate")
-                    .sample(&mut rng);
-                if !alloc.supports(spec.shape) {
+                let job = self.draw_job(&mut rng, total_weight, now);
+                if !alloc.supports(self.mix[job.spec].shape) {
                     unsupported += 1;
                 } else {
-                    queue.push_back(PendingJob {
-                        shape: spec.shape,
-                        duration: dur,
-                        arrived: now,
-                    });
+                    queue.push_back(job);
                 }
                 next_arrival = now + arrival.sample(&mut rng);
             }
 
             // Backfill, defragmenting on stalls.
+            let mut failed = FailedSpecs::default();
             let mut i = 0;
             while i < queue.len() {
-                let job_shape = queue[i].shape;
-                let placed = match alloc.allocate(job_shape, idle) {
-                    Some(cubes) => Some(cubes),
-                    None if idle.len() >= job_shape.cube_count() => {
-                        frag_stalls += 1;
+                let PendingJob { spec, need, .. } = queue[i];
+                let job_shape = self.mix[spec].shape;
+                let known = failed.contains(spec);
+                let mut placed = if known {
+                    None
+                } else {
+                    alloc.allocate(job_shape, idle)
+                };
+                if placed.is_none() && idle.len() >= need {
+                    frag_stalls += 1;
+                    if !known {
                         // Defragment: repack all running jobs FFD.
                         if let Some((new_assignments, moved)) = repack(&running, job_shape) {
                             idle = CubeSet::ALL;
@@ -330,25 +392,27 @@ impl ClusterSim {
                                     migrations += 1;
                                 }
                             }
-                            alloc.allocate(job_shape, idle)
-                        } else {
-                            None
+                            failed = FailedSpecs::default();
+                            placed = alloc.allocate(job_shape, idle);
                         }
                     }
-                    None => None,
-                };
+                }
                 match placed {
                     Some(cubes) => {
                         let job = queue.remove(i).expect("index in range");
                         for &c in &cubes {
                             idle.remove(c);
                         }
+                        failed = FailedSpecs::default();
                         busy_cubes += cubes.len();
                         total_wait += now - job.arrived;
                         waits += 1;
-                        running.push((now + job.duration, cubes, job.shape));
+                        running.push((now + job.duration, cubes, job_shape));
                     }
-                    None => i += 1,
+                    None => {
+                        failed.insert(spec);
+                        i += 1;
+                    }
                 }
             }
         }
@@ -521,5 +585,38 @@ mod tests {
         assert!(r.unsupported > 100, "every arrival is unplaceable");
         let r2 = sim.run(&Pooled, 200.0, 5);
         assert!(r2.completed > 0, "the OCS fabric runs them");
+    }
+
+    /// `default_mix()` with its first spec's weight and mean replaced.
+    fn mix_with(weight: f64, mean_hours: f64) -> Vec<JobSpec> {
+        let mut mix = default_mix();
+        (mix[0].weight, mix[0].mean_hours) = (weight, mean_hours);
+        mix
+    }
+
+    #[test]
+    #[should_panic(expected = "job spec 0 (SliceShape { chips: [4, 4, 4] }): weight must be")]
+    fn zero_weight_is_rejected_at_construction() {
+        // A mix of these alone sums to 0: "empty random_range" mid-run.
+        let _ = ClusterSim::new(mix_with(0.0, 2.0), 0.25);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight must be finite and positive, got NaN")]
+    fn nan_weight_is_rejected_at_construction() {
+        let _ = ClusterSim::new(mix_with(f64::NAN, 2.0), 0.25);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight must be finite and positive, got -0.4")]
+    fn negative_weight_is_rejected_at_construction() {
+        let _ = ClusterSim::new(mix_with(-0.4, 2.0), 0.25);
+    }
+
+    #[test]
+    #[should_panic(expected = "job spec 0 (SliceShape { chips: [4, 4, 4] }): mean_hours must be")]
+    fn zero_mean_duration_is_rejected_at_construction() {
+        // `Exp::new(1/0)` would panic at this spec's first arrival.
+        let _ = ClusterSim::new(mix_with(0.4, 0.0), 0.25);
     }
 }

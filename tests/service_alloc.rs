@@ -1,6 +1,6 @@
-//! Deterministic perf guard for the admission path: allocation counts, not
-//! wall clock, so the numbers repeat exactly on any machine (ROADMAP item
-//! 2's in-run gate).
+//! Deterministic perf guards: allocation counts, not wall clock, so the
+//! numbers repeat exactly on any machine (ROADMAP item 2's in-run gate).
+//! The admission path:
 //!
 //! - A `submit` that ends head-of-line blocked behind a queue at its bound
 //!   of 256 allocates **nothing**, idle cubes or not: the per-class queue
@@ -9,12 +9,16 @@
 //! - A single-cube admission plus the completion that frees it allocates
 //!   [`ADMIT_COMPLETE_ALLOCS`] blocks.
 //!
-//! One `#[test]` only, and a per-thread counter: nothing else in the
-//! process can add to the count.
+//! And the inner-code Monte-Carlo loop (`inner_waterfall_point`, Chase
+//! decoding included) allocates **nothing**, however many blocks it runs.
+//!
+//! The counter is per-thread: the two tests cannot add to each other's
+//! count.
 
+use lightwave::fec::ConcatenatedCode;
 use lightwave::service::{PolicyConfig, Priority, ServiceCore, ServiceEvent, SliceIntent};
 use lightwave::superpod::Superpod;
-use lightwave::units::Nanos;
+use lightwave::units::{Ber, Nanos};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -156,4 +160,15 @@ fn admission_path_allocation_counts() {
         "{admitted} allocations over {STEPS} admit+complete steps; \
          {ADMIT_COMPLETE_ALLOCS} per step at merge"
     );
+}
+
+#[test]
+fn inner_waterfall_point_allocates_nothing() {
+    let code = ConcatenatedCode::default();
+    let mut errors = 0;
+    let allocs = allocations(|| {
+        errors = code.inner_waterfall_point(Ber::new(5e-3), 200, 1).errors;
+    });
+    assert!(errors > 0, "5e-3 is dirty enough that Chase has work to do");
+    assert_eq!(allocs, 0, "200 blocks of encode, channel, Chase decode");
 }
