@@ -5,8 +5,10 @@
 //! benches keep the delta planner, the full-pod composition, and the
 //! optical-core census honest — and time the three layers the slice-request
 //! path spends its switch time in (one switch's `apply_delta`, one
-//! dimension's `commit_delta`, one circuit's camera alignment), so that a
-//! regression there shows without a full `lwbench` run.
+//! dimension's `commit_delta`, one circuit's camera alignment) and the
+//! pod's compose + release transaction pair above them (48 switches for
+//! an 8-cube slice, none for a single cube), so that a regression there
+//! shows without a full `lwbench` run.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lightwave_core::fabric::{FabricController, FabricDelta, OcsFleet};
@@ -138,19 +140,22 @@ fn pod_compose_full(c: &mut Criterion) {
     });
 }
 
+/// A pod half full: 32 cubes in four 8-cube slices, every switch
+/// carrying circuits (still aligning until the caller advances).
+fn loaded_pod() -> Superpod {
+    let mut pod = Superpod::new(2);
+    for k in 0..4u8 {
+        let cubes: Vec<u8> = (k * 8..k * 8 + 8).collect();
+        pod.compose(Slice::new(SliceShape::new(8, 8, 8).unwrap(), cubes).unwrap())
+            .expect("idle cubes");
+    }
+    pod
+}
+
 fn pod_incremental_slice(c: &mut Criterion) {
     c.bench_function("superpod_add_256_chip_slice", |b| {
         b.iter_batched(
-            || {
-                let mut pod = Superpod::new(2);
-                // Pre-existing load: 32 cubes in 4 slices.
-                for k in 0..4u8 {
-                    let cubes: Vec<u8> = (k * 8..k * 8 + 8).collect();
-                    pod.compose(Slice::new(SliceShape::new(8, 8, 8).unwrap(), cubes).unwrap())
-                        .unwrap();
-                }
-                pod
-            },
+            loaded_pod,
             |mut pod| {
                 let cubes: Vec<u8> = (40..44).collect();
                 pod.compose(Slice::new(SliceShape::new(16, 4, 4).unwrap(), cubes).unwrap())
@@ -162,6 +167,37 @@ fn pod_incremental_slice(c: &mut Criterion) {
     });
 }
 
+/// One request's two transactions on a loaded pod: compose the slice,
+/// the tick that completes its alignments, release it.
+fn pod_compose_release(c: &mut Criterion, name: &str, slice: Slice) {
+    let mut pod = loaded_pod();
+    pod.advance(Nanos::from_millis(300));
+    c.bench_function(name, |b| {
+        b.iter(|| {
+            let (handle, composed) = pod.compose(slice.clone()).expect("idle cubes");
+            black_box(composed);
+            pod.advance(Nanos::from_millis(40));
+            black_box(pod.release(handle).expect("live slice"));
+        })
+    });
+}
+
+/// The multi-cube transaction pair: 8 non-contiguous cubes, all three
+/// dimensions, 48 switches, 384 circuits up and down again.
+fn pod_compose_release_8_cubes(c: &mut Criterion) {
+    let cubes = vec![61, 34, 47, 40, 55, 38, 50, 43];
+    let slice = Slice::new(SliceShape::new(8, 8, 8).unwrap(), cubes).unwrap();
+    pod_compose_release(c, "superpod_compose_release_8_cubes_loaded_pod", slice);
+}
+
+/// The zero-switch twin: a single cube's rings are electrical, so both
+/// transactions must stay bookkeeping only however the multi-cube path is
+/// built.
+fn pod_compose_release_single_cube(c: &mut Criterion) {
+    let slice = Slice::new(SliceShape::new(4, 4, 4).unwrap(), vec![47]).unwrap();
+    pod_compose_release(c, "superpod_compose_release_single_cube_loaded_pod", slice);
+}
+
 criterion_group!(
     benches,
     crossbar_delta,
@@ -171,6 +207,8 @@ criterion_group!(
     camera_alignment,
     optical_census,
     pod_compose_full,
-    pod_incremental_slice
+    pod_incremental_slice,
+    pod_compose_release_8_cubes,
+    pod_compose_release_single_cube
 );
 criterion_main!(benches);

@@ -10,7 +10,7 @@
 //! isolation requirement, §2.3), and the report proves it.
 
 use crate::fleet::{OcsFleet, OcsId};
-use lightwave_ocs::{OcsError, PortId, PortMapping, ReconfigReport};
+use lightwave_ocs::{OcsError, PortId, PortMapping, ReconfigSummary};
 use lightwave_transceiver::bringup::LinkBringup;
 use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
@@ -70,6 +70,11 @@ impl SwitchDelta {
     }
 }
 
+/// One switch's share of an incremental transaction, borrowed from
+/// whoever owns the lists: the switch, the circuits to establish (north,
+/// south) and the circuits to tear down (north ports).
+pub type SwitchOps<'a> = (OcsId, &'a [(PortId, PortId)], &'a [PortId]);
+
 /// The incremental counterpart of [`FabricTarget`]: per-switch deltas.
 /// Switches not mentioned are guaranteed untouched, and mentioned
 /// switches keep every circuit the delta does not name.
@@ -102,6 +107,13 @@ impl FabricDelta {
     /// Per-switch deltas, in id order.
     pub fn iter(&self) -> impl Iterator<Item = (OcsId, &SwitchDelta)> {
         self.deltas.iter().map(|(&id, d)| (id, d))
+    }
+
+    /// The delta as [`FabricController::commit_view`] takes it.
+    pub fn view(&self) -> impl Iterator<Item = SwitchOps<'_>> + Clone {
+        self.deltas
+            .iter()
+            .map(|(&id, d)| (id, &d.add[..], &d.remove[..]))
     }
 
     /// True when no switch is touched.
@@ -145,11 +157,62 @@ impl std::fmt::Display for CommitError {
 
 impl std::error::Error for CommitError {}
 
+/// What a transaction did on each switch it touched: one row per switch,
+/// ascending by id, in a single exact-capacity allocation (none for a
+/// transaction that touched no switch). Read like the map it replaced.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SwitchReports(Vec<(OcsId, ReconfigSummary)>);
+
+impl SwitchReports {
+    /// Touched switches.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when the transaction touched no switch.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Touched switch ids, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = &OcsId> {
+        self.0.iter().map(|(id, _)| id)
+    }
+
+    /// Per-switch rows, ascending by id.
+    pub fn iter(&self) -> <&SwitchReports as IntoIterator>::IntoIter {
+        self.into_iter()
+    }
+
+    /// What the transaction did on switch `id`, if it touched it.
+    pub fn get(&self, id: &OcsId) -> Option<&ReconfigSummary> {
+        let row = self.0.binary_search_by_key(id, |&(i, _)| i).ok()?;
+        Some(&self.0[row].1)
+    }
+
+    /// Whether the transaction touched switch `id`.
+    pub fn contains_key(&self, id: &OcsId) -> bool {
+        self.get(id).is_some()
+    }
+}
+
+impl<'a> IntoIterator for &'a SwitchReports {
+    type Item = (&'a OcsId, &'a ReconfigSummary);
+    type IntoIter = std::iter::Map<
+        std::slice::Iter<'a, (OcsId, ReconfigSummary)>,
+        fn(&'a (OcsId, ReconfigSummary)) -> Self::Item,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter().map(|(id, r)| (id, r))
+    }
+}
+
 /// What a committed transaction did.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CommitReport {
-    /// Per-switch reconfiguration reports.
-    pub per_switch: BTreeMap<OcsId, ReconfigReport>,
+    /// What it did on each touched switch.
+    pub per_switch: SwitchReports,
     /// Circuits left untouched fabric-wide (the isolation audit).
     pub untouched: usize,
     /// Circuits added fabric-wide.
@@ -200,24 +263,24 @@ impl FabricController {
     /// been applied.
     pub fn commit(&mut self, target: &FabricTarget) -> Result<CommitReport, CommitError> {
         self.validate(target)?;
-        let mut per_switch = BTreeMap::new();
+        let mut per_switch = Vec::with_capacity(target.targets.len());
         for (&id, mapping) in &target.targets {
             let ocs = self.fleet.get_mut(id).expect("validated");
             let report = ocs
                 .apply_mapping(mapping)
                 .map_err(|error| CommitError::Invalid { ocs: id, error })?;
-            per_switch.insert(id, report);
+            per_switch.push((id, report.summary()));
         }
         Ok(self.report(per_switch))
     }
 
-    /// Totals a transaction's per-switch reports.
-    fn report(&self, per_switch: BTreeMap<OcsId, ReconfigReport>) -> CommitReport {
+    /// Totals a transaction's per-switch rows (ascending by id).
+    fn report(&self, per_switch: Vec<(OcsId, ReconfigSummary)>) -> CommitReport {
         let (mut untouched, mut added, mut removed, mut latest) = (0, 0, 0, self.now);
-        for r in per_switch.values() {
+        for (_, r) in &per_switch {
             untouched += r.untouched;
-            added += r.added.len();
-            removed += r.removed.len();
+            added += r.added;
+            removed += r.removed;
             latest = latest.max(r.ready_at);
         }
         // Moved circuits need transceiver re-acquisition after the mirrors
@@ -228,28 +291,12 @@ impl FabricController {
             latest
         };
         CommitReport {
-            per_switch,
+            per_switch: SwitchReports(per_switch),
             untouched,
             added,
             removed,
             traffic_ready_at,
         }
-    }
-
-    /// Validates an incremental transaction against every named switch
-    /// without applying. Only the delta-established circuits are vetted
-    /// against degraded ports — untouched circuits are never re-checked
-    /// (the same wedge-avoidance contract as [`FabricController::validate`]).
-    pub fn validate_delta(&mut self, delta: &FabricDelta) -> Result<(), CommitError> {
-        for (id, d) in delta.iter() {
-            let ocs = self
-                .fleet
-                .get_mut(id)
-                .ok_or(CommitError::UnknownSwitch(id))?;
-            ocs.validate_delta(&d.add, &d.remove)
-                .map_err(|error| CommitError::Invalid { ocs: id, error })?;
-        }
-        Ok(())
     }
 
     /// Validates then applies an incremental transaction. On error nothing
@@ -259,14 +306,44 @@ impl FabricController {
     /// delta once — in the validation pass; the apply pass finds it
     /// remembered (see [`PalomarOcs::apply_delta`](lightwave_ocs::PalomarOcs::apply_delta)).
     pub fn commit_delta(&mut self, delta: &FabricDelta) -> Result<CommitReport, CommitError> {
-        self.validate_delta(delta)?;
-        let mut per_switch = BTreeMap::new();
-        for (id, d) in delta.iter() {
-            let ocs = self.fleet.get_mut(id).expect("validated");
-            let report = ocs
-                .apply_delta(&d.add, &d.remove)
+        self.commit_view(delta.view())
+    }
+
+    /// [`FabricController::commit_delta`] for a caller that owns the
+    /// circuit lists already: `view` yields each touched switch once,
+    /// ascending by id, and is walked twice — every switch validates its
+    /// share, then every switch applies it. Nothing is copied out of the
+    /// lists; the report's table is the one allocation. Only the circuits
+    /// the view establishes are vetted against degraded ports — untouched
+    /// circuits are never re-checked (the same wedge-avoidance contract
+    /// as [`FabricController::validate`]).
+    ///
+    /// # Panics
+    /// Panics if the view's ids are not strictly ascending.
+    pub fn commit_view<'a>(
+        &mut self,
+        view: impl Iterator<Item = SwitchOps<'a>> + Clone,
+    ) -> Result<CommitReport, CommitError> {
+        let mut touched = 0;
+        let mut last = None;
+        for (id, add, remove) in view.clone() {
+            assert!(last < Some(id), "switch {id} out of order in the view");
+            last = Some(id);
+            let ocs = self
+                .fleet
+                .get_mut(id)
+                .ok_or(CommitError::UnknownSwitch(id))?;
+            ocs.validate_delta(add, remove)
                 .map_err(|error| CommitError::Invalid { ocs: id, error })?;
-            per_switch.insert(id, report);
+            touched += 1;
+        }
+        let mut per_switch = Vec::with_capacity(touched);
+        for (id, add, remove) in view {
+            let ocs = self.fleet.get_mut(id).expect("validated");
+            let done = ocs
+                .apply_delta_summary(add, remove)
+                .map_err(|error| CommitError::Invalid { ocs: id, error })?;
+            per_switch.push((id, done));
         }
         Ok(self.report(per_switch))
     }
@@ -279,7 +356,7 @@ impl FabricController {
 
     /// True when no switch has circuits still aligning.
     pub fn settled(&self) -> bool {
-        self.fleet.health().pending == 0
+        self.fleet.pending() == 0
     }
 }
 
@@ -467,6 +544,57 @@ mod tests {
             other => panic!("unexpected: {other:?}"),
         }
         assert_eq!(c.fleet.health().circuits, 0, "atomic: nothing applied");
+    }
+
+    #[test]
+    fn view_commit_borrows_one_list_for_many_switches() {
+        // The way a pod commits: the same two lists on every switch of a
+        // dimension, nothing owned by the transaction.
+        let mut c = controller(4);
+        let add = [(0, 1), (1, 0)];
+        let switches = [0, 2, 3];
+        let report = c
+            .commit_view(switches.iter().map(|&id| (id, &add[..], &[][..])))
+            .unwrap();
+        assert_eq!((report.added, report.removed, report.untouched), (6, 0, 0));
+        assert!(report.per_switch.keys().eq(&switches));
+        assert!(!report.per_switch.contains_key(&1));
+        let row = report.per_switch.get(&2).unwrap();
+        assert_eq!((row.added, row.removed, row.untouched), (2, 0, 0));
+        assert!(row.ready_at > c.now() && row.ready_at < report.traffic_ready_at);
+        // Tear down through the owned-delta entry point: the same routine.
+        let mut d = FabricDelta::new();
+        d.entry(2).remove.extend([0, 1]);
+        let report = c.commit_delta(&d).unwrap();
+        assert_eq!((report.added, report.removed, report.untouched), (0, 2, 0));
+        assert_eq!(c.fleet.health().circuits, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn view_commit_rejects_unordered_switches() {
+        let mut c = controller(3);
+        let add = [(0, 1)];
+        let _ = c.commit_view([2, 1].iter().map(|&id| (id, &add[..], &[][..])));
+    }
+
+    #[test]
+    fn settled_agrees_with_the_health_census() {
+        let mut c = controller(3);
+        let agree = |c: &FabricController| {
+            assert_eq!(c.settled(), c.fleet.health().pending == 0);
+            assert_eq!(c.fleet.pending(), c.fleet.health().pending);
+            c.settled()
+        };
+        assert!(agree(&c), "nothing aligning before");
+        let mut d = FabricDelta::new();
+        d.entry(0).add.push((0, 1));
+        d.entry(2).add.extend([(2, 3), (4, 5)]);
+        c.commit_delta(&d).unwrap();
+        assert!(!agree(&c), "three circuits aligning");
+        assert_eq!(c.fleet.pending(), 3);
+        c.advance(Nanos::from_millis(300));
+        assert!(agree(&c), "all aligned after");
     }
 
     #[test]

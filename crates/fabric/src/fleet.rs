@@ -105,6 +105,15 @@ impl OcsFleet {
         }
     }
 
+    /// Circuits still aligning fleet-wide — [`FleetHealth::pending`]
+    /// without the census around it.
+    pub fn pending(&self) -> usize {
+        self.switches
+            .iter()
+            .map(|(_, ocs)| ocs.pending_circuits())
+            .sum()
+    }
+
     /// Fleet-wide alarm roll-up: every alarm at or above `severity`,
     /// tagged with its switch — the page-generating view of §3.2.2's
     /// "telemetry and anomaly reporting".

@@ -204,7 +204,7 @@ impl FabricInstruments {
         let kept = tree.metric("fabric_commit_untouched");
         for (&id, r) in &report.per_switch {
             let path = PortPath::new(pod, id, 0);
-            let delta = (r.added.len() + r.removed.len()) as f64;
+            let delta = (r.added + r.removed) as f64;
             tree.ingest(moves, path, at, delta);
             tree.ingest(kept, path, at, r.untouched as f64);
         }

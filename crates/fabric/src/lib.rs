@@ -25,7 +25,8 @@ pub mod instrument;
 pub mod maintenance;
 
 pub use controller::{
-    CommitError, CommitReport, FabricController, FabricDelta, FabricTarget, SwitchDelta,
+    CommitError, CommitReport, FabricController, FabricDelta, FabricTarget, SwitchDelta, SwitchOps,
+    SwitchReports,
 };
 pub use fleet::{FleetHealth, OcsFleet, OcsId};
 pub use maintenance::{plan_replacement, MaintenancePlan};

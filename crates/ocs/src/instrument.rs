@@ -8,7 +8,7 @@
 //! scraper: registered once, then recorded through copy handles on the
 //! hot path.
 
-use crate::palomar::{OcsHealth, PalomarOcs, ReconfigReport};
+use crate::palomar::{OcsHealth, PalomarOcs, ReconfigSummary};
 use crate::telemetry::{Alarm, AlarmCode};
 use lightwave_telemetry::rollup::{PortPath, RollupTree};
 use lightwave_telemetry::{
@@ -82,13 +82,13 @@ impl OcsInstruments {
         &mut self,
         sink: &mut FleetTelemetry,
         started: Nanos,
-        report: &ReconfigReport,
+        report: &ReconfigSummary,
     ) {
         let duration = report.ready_at.saturating_sub(started);
         sink.metrics.inc(self.reconfigs, started, 1);
         sink.metrics
             .inc(self.circuits_preserved, started, report.untouched as u64);
-        if !report.added.is_empty() {
+        if report.added > 0 {
             sink.metrics
                 .observe(self.switch_duration_ms, started, duration.as_millis_f64());
         }
@@ -97,8 +97,8 @@ impl OcsInstruments {
             "ocs",
             EventKind::Reconfig {
                 switch: self.switch,
-                added: report.added.len() as u32,
-                removed: report.removed.len() as u32,
+                added: report.added as u32,
+                removed: report.removed as u32,
                 untouched: report.untouched as u32,
                 duration,
             },
@@ -117,7 +117,7 @@ impl OcsInstruments {
         tracer: &mut Tracer,
         parent: Option<SpanId>,
         started: Nanos,
-        report: &ReconfigReport,
+        report: &ReconfigSummary,
     ) -> SpanId {
         self.record_reconfig(sink, started, report);
         let span = tracer.span(
@@ -127,12 +127,12 @@ impl OcsInstruments {
             report.ready_at.max(started),
             SpanKind::ReconfigCommit {
                 switch: self.switch,
-                added: report.added.len() as u32,
-                removed: report.removed.len() as u32,
+                added: report.added as u32,
+                removed: report.removed as u32,
                 untouched: report.untouched as u32,
             },
         );
-        if !report.added.is_empty() {
+        if report.added > 0 {
             reconfig_phase_spans(tracer, span, self.switch, started, report.ready_at);
         }
         span
@@ -227,12 +227,12 @@ impl OcsInstruments {
         tree: &mut RollupTree,
         pod: u32,
         started: Nanos,
-        report: &ReconfigReport,
+        report: &ReconfigSummary,
     ) {
         let path = PortPath::new(pod, self.switch, 0);
-        let moves = (report.added.len() + report.removed.len()) as f64;
+        let moves = (report.added + report.removed) as f64;
         tree.record("ocs_reconfig_moves", path, started, moves);
-        if !report.added.is_empty() {
+        if report.added > 0 {
             let duration = report.ready_at.saturating_sub(started);
             tree.record(
                 "ocs_switch_duration_ms",
@@ -315,7 +315,7 @@ mod tests {
         let target = PortMapping::from_pairs([(0, 10), (1, 11)]).unwrap();
         let started = ocs.now();
         let report = ocs.apply_mapping(&target).unwrap();
-        inst.record_reconfig(&mut sink, started, &report);
+        inst.record_reconfig(&mut sink, started, &report.summary());
         assert_eq!(
             sink.metrics.counter_value(inst.reconfigs),
             1,

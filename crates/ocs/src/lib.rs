@@ -49,7 +49,7 @@ pub mod telemetry;
 mod palomar;
 
 pub use crossbar::{ConnectionState, Crossbar, CrossbarError, PortId, PortMapping};
-pub use palomar::{DriftChange, OcsError, OcsHealth, PalomarOcs, ReconfigReport};
+pub use palomar::{DriftChange, OcsError, OcsHealth, PalomarOcs, ReconfigReport, ReconfigSummary};
 
 /// Total duplex ports per Palomar OCS (including the 8 spares used for
 /// link testing and repairs — Appendix A).

@@ -54,6 +54,33 @@ pub struct ReconfigReport {
     pub ready_at: Nanos,
 }
 
+impl ReconfigReport {
+    /// The report with its two lists reduced to their lengths.
+    pub fn summary(&self) -> ReconfigSummary {
+        ReconfigSummary {
+            added: self.added.len(),
+            removed: self.removed.len(),
+            untouched: self.untouched,
+            ready_at: self.ready_at,
+        }
+    }
+}
+
+/// What a reconfiguration did, in counts: a [`ReconfigReport`] without
+/// the circuit lists its caller already holds. This is what a fabric
+/// transaction keeps per touched switch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ReconfigSummary {
+    /// Circuits newly established.
+    pub added: usize,
+    /// Circuits torn down.
+    pub removed: usize,
+    /// Circuits left untouched — their light never blinked.
+    pub untouched: usize,
+    /// Simulation time at which every new circuit is aligned and carrying.
+    pub ready_at: Nanos,
+}
+
 /// Snapshot of switch health.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OcsHealth {
@@ -413,11 +440,30 @@ impl PalomarOcs {
     /// mapping is collected or diffed. The delta is validated first, unless
     /// it is the one [`PalomarOcs::validate_delta`] just accepted and the
     /// switch has not changed since. On error nothing has been applied.
+    ///
+    /// The lists the report carries are copies of `add` and `remove`; a
+    /// caller that keeps its own takes [`PalomarOcs::apply_delta_summary`].
     pub fn apply_delta(
         &mut self,
         add: &[(PortId, PortId)],
         remove: &[PortId],
     ) -> Result<ReconfigReport, OcsError> {
+        let done = self.apply_delta_summary(add, remove)?;
+        Ok(ReconfigReport {
+            removed: remove.to_vec(),
+            added: add.to_vec(),
+            untouched: done.untouched,
+            ready_at: done.ready_at,
+        })
+    }
+
+    /// [`PalomarOcs::apply_delta`] reporting counts only: nothing is
+    /// copied and nothing is allocated for the report.
+    pub fn apply_delta_summary(
+        &mut self,
+        add: &[(PortId, PortId)],
+        remove: &[PortId],
+    ) -> Result<ReconfigSummary, OcsError> {
         let vetted = &self.validated;
         if vetted.epoch != Some(self.epoch) || vetted.add != add || vetted.remove != remove {
             self.check_delta(add, remove)?;
@@ -432,9 +478,9 @@ impl PalomarOcs {
         }
         self.telemetry.counters.reconfigs += 1;
         self.telemetry.counters.circuits_preserved += untouched as u64;
-        Ok(ReconfigReport {
-            removed: remove.to_vec(),
-            added: add.to_vec(),
+        Ok(ReconfigSummary {
+            added: add.len(),
+            removed: remove.len(),
             untouched,
             ready_at,
         })
@@ -612,6 +658,12 @@ impl PalomarOcs {
         }
     }
 
+    /// Circuits still aligning — [`OcsHealth::pending`] without the
+    /// snapshot around it.
+    pub fn pending_circuits(&self) -> usize {
+        self.pending.len()
+    }
+
     /// Health snapshot.
     pub fn health(&self) -> OcsHealth {
         let mut degraded: Vec<PortId> = self.dead_ports.iter().copied().collect();
@@ -621,7 +673,7 @@ impl PalomarOcs {
         OcsHealth {
             operational: self.chassis.is_operational(),
             circuits: self.crossbar.circuit_count(),
-            pending: self.pending.len(),
+            pending: self.pending_circuits(),
             degraded_ports: degraded,
             mirror_spares: (
                 self.core.die_north.spares_remaining(),
@@ -795,6 +847,31 @@ mod tests {
         let c = &ocs.telemetry().counters;
         assert_eq!(c.reconfigs, 2);
         assert_eq!(c.circuits_preserved, 1);
+    }
+
+    #[test]
+    fn apply_delta_is_its_summary_plus_the_callers_lists() {
+        let (mut listed, mut counted) = (PalomarOcs::new(0, 26), PalomarOcs::new(0, 26));
+        let adds: [&[(PortId, PortId)]; 3] = [
+            &[(0, 10), (1, 11), (2, 12)],
+            &[(1, 20)],
+            &[(5, 10)], // south 10 is busy: refused by both
+        ];
+        let removes: [&[PortId]; 3] = [&[], &[1, 2], &[]];
+        for (add, remove) in adds.into_iter().zip(removes) {
+            let report = listed.apply_delta(add, remove);
+            let summary = counted.apply_delta_summary(add, remove);
+            assert_eq!(
+                report.as_ref().map(|r| r.summary()),
+                summary.as_ref().copied()
+            );
+            if let Ok(report) = report {
+                assert_eq!((&report.added[..], &report.removed[..]), (add, remove));
+            }
+            assert_eq!(listed.mapping(), counted.mapping());
+            assert_eq!(listed.pending_circuits(), listed.health().pending);
+            assert_eq!(listed.health(), counted.health());
+        }
     }
 
     #[test]

@@ -100,7 +100,7 @@ impl CampusObserver {
                         waited.0 as i64,
                     );
                     for (&ocs, r) in &report.per_switch {
-                        let moves = (r.added.len() + r.removed.len()) as f64;
+                        let moves = (r.added + r.removed) as f64;
                         self.rollup
                             .ingest(self.m_compose, PortPath::new(pod, ocs, 0), *at, moves);
                     }
@@ -109,7 +109,7 @@ impl CampusObserver {
                 | ServiceEvent::Completed { at, report, .. } => {
                     self.end = self.end.max(*at);
                     for (&ocs, r) in &report.per_switch {
-                        let moves = (r.added.len() + r.removed.len()) as f64;
+                        let moves = (r.added + r.removed) as f64;
                         self.rollup
                             .ingest(self.m_release, PortPath::new(pod, ocs, 0), *at, moves);
                     }

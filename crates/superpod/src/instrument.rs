@@ -10,7 +10,7 @@
 
 use crate::collective_sim::SimOutcome;
 use lightwave_fabric::{CommitError, CommitReport, OcsId};
-use lightwave_ocs::ReconfigReport;
+use lightwave_ocs::ReconfigSummary;
 use lightwave_telemetry::rollup::{PortPath, RollupTree};
 use lightwave_telemetry::{
     AlarmCause, AlarmRecord, CounterId, EventKind, FleetTelemetry, HistogramId, Severity,
@@ -242,12 +242,12 @@ fn trace_topology_change(
             sw.ready_at.max(at),
             SpanKind::ReconfigCommit {
                 switch,
-                added: sw.added.len() as u32,
-                removed: sw.removed.len() as u32,
+                added: sw.added as u32,
+                removed: sw.removed as u32,
                 untouched: sw.untouched as u32,
             },
         );
-        if !sw.added.is_empty() {
+        if sw.added > 0 {
             reconfig_phase_spans(tracer, commit, switch, at, sw.ready_at);
         }
     }
@@ -267,7 +267,7 @@ fn trace_topology_change(
 pub fn roll_topology_change(tree: &mut RollupTree, pod: u32, at: Nanos, report: &CommitReport) {
     let moves = tree.metric("pod_slice_moves");
     for (&switch, sw) in &report.per_switch {
-        let delta = (sw.added.len() + sw.removed.len()) as f64;
+        let delta = (sw.added + sw.removed) as f64;
         tree.ingest(moves, PortPath::new(pod, switch, 0), at, delta);
     }
     if report.added > 0 {
@@ -292,7 +292,7 @@ pub fn record_resync(
     sink: &mut FleetTelemetry,
     pod: u32,
     at: Nanos,
-    results: &[(OcsId, Result<ReconfigReport, CommitError>)],
+    results: &[(OcsId, Result<ReconfigSummary, CommitError>)],
 ) -> usize {
     let id = pod.to_string();
     let labels: &[(&str, &str)] = &[("pod", &id)];
@@ -309,8 +309,8 @@ pub fn record_resync(
                     &format!("pod-{pod}"),
                     EventKind::Resync {
                         switch: *ocs,
-                        added: report.added.len() as u32,
-                        removed: report.removed.len() as u32,
+                        added: report.added as u32,
+                        removed: report.removed as u32,
                         untouched: report.untouched as u32,
                     },
                 );

@@ -6,6 +6,10 @@
 //! (computed once at compose) plus a per-dimension aggregate mapping
 //! maintained by delta — so a transaction touches only the switches whose
 //! mapping actually changes, and carries only the added/removed pairs.
+//! The transaction is a *view* of lists the pod already owns (the slice's
+//! pairs, a reused scratch of their north ports), walked switch by switch
+//! over a touched-switch mask: nothing is built per switch, and a
+//! single-cube slice, whose mask is empty, costs no switch work at all.
 //! Running slices never blink (§4.2.4: "slices for new model placements
 //! ... can be dynamically scheduled without interfering with existing
 //! models running on a different slice"), and compose/release cost is
@@ -15,9 +19,9 @@ use crate::geometry::{CubeId, CubeSet, Dim, LINKS_PER_FACE, POD_CUBES};
 use crate::slice::Slice;
 use crate::wiring::{ocs_for, ocs_role, SUPERPOD_OCS_COUNT};
 use lightwave_fabric::{
-    CommitError, CommitReport, FabricController, FabricDelta, FabricTarget, OcsFleet, OcsId,
+    CommitError, CommitReport, FabricController, FabricTarget, OcsFleet, OcsId, SwitchOps,
 };
-use lightwave_ocs::{PortId, PortMapping, ReconfigReport};
+use lightwave_ocs::{PortId, PortMapping, ReconfigSummary};
 use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -64,11 +68,51 @@ impl std::error::Error for PodError {}
 type DimPairs = [Vec<(PortId, PortId)>; 3];
 
 /// An active slice with its circuit pairs per dimension, computed once at
-/// compose from `required_hops()` and reused for release.
+/// compose and reused for release.
 #[derive(Debug)]
 struct LiveSlice {
     slice: Slice,
     pairs: DimPairs,
+}
+
+/// "No circuit" in a [`Superpod::desired`] table: ports are cube ids, all
+/// below [`POD_CUBES`].
+const FREE: PortId = PortId::MAX;
+
+const _: () = assert!(
+    SUPERPOD_OCS_COUNT <= u64::BITS as usize,
+    "a switch mask is a u64 with bit `ocs` for switch `ocs`"
+);
+
+/// Takes the lowest switch out of a switch mask.
+fn pop_switch(mask: &mut u64) -> Option<OcsId> {
+    if *mask == 0 {
+        return None;
+    }
+    let ocs = mask.trailing_zeros();
+    *mask &= *mask - 1;
+    Some(ocs)
+}
+
+/// One slice's transaction as the fabric commits it: every switch of
+/// `switches`, ascending, with its dimension's lists. All 16 switches of
+/// a dimension share the same two slices of memory.
+#[derive(Clone)]
+struct SliceView<'a> {
+    /// Switches not yet visited.
+    switches: u64,
+    add: [&'a [(PortId, PortId)]; 3],
+    remove: [&'a [PortId]; 3],
+}
+
+impl<'a> Iterator for SliceView<'a> {
+    type Item = SwitchOps<'a>;
+
+    fn next(&mut self) -> Option<SwitchOps<'a>> {
+        let ocs = pop_switch(&mut self.switches)?;
+        let dim = ocs as usize / LINKS_PER_FACE;
+        Some((ocs, self.add[dim], self.remove[dim]))
+    }
 }
 
 /// A TPU v4 superpod: 64 cubes + 48 OCSes.
@@ -79,8 +123,13 @@ pub struct Superpod {
     /// The aggregate desired mapping per dimension (all 16 switches of a
     /// dimension carry the same mapping), maintained by delta — the
     /// persistent state that makes compose/release O(slice) and resync a
-    /// cheap lookup.
-    desired: [BTreeMap<PortId, PortId>; 3],
+    /// cheap lookup. Indexed by north port; [`FREE`] where no slice pins
+    /// the port.
+    desired: [[PortId; POD_CUBES]; 3],
+    /// Scratch for [`Superpod::release`]: the north ports of the slice
+    /// being released, per dimension. Rewritten by every release before
+    /// it is read, so nothing of one transaction reaches the next.
+    norths: [Vec<PortId>; 3],
     /// Cubes inside an active slice. With `failed` this is the whole cube
     /// inventory: the idle set is always exactly `!(busy | failed)`.
     busy: CubeSet,
@@ -107,7 +156,8 @@ impl Superpod {
         Superpod {
             fabric: FabricController::new(OcsFleet::build(SUPERPOD_OCS_COUNT, seed)),
             slices: BTreeMap::new(),
-            desired: Default::default(),
+            desired: [[FREE; POD_CUBES]; 3],
+            norths: Default::default(),
             busy: CubeSet::EMPTY,
             failed: CubeSet::EMPTY,
             cube_owner: [SliceHandle(0); POD_CUBES],
@@ -189,59 +239,70 @@ impl Superpod {
     }
 
     /// The circuit pairs a slice pins per dimension, sorted by north port
-    /// for deterministic delta ordering. Single-cube dimensions contribute
-    /// nothing (their rings are electrical), so a single-cube slice has no
-    /// optical hop at all and skips the hop list.
+    /// for deterministic delta ordering: every cube of a ring longer than
+    /// one hops to the next cube of its ring, wrapping at the edge.
+    /// Single-cube dimensions contribute nothing (their rings are
+    /// electrical), so a single-cube slice has no optical hop at all.
     fn pairs_for(slice: &Slice) -> DimPairs {
+        let grid = slice.shape.cube_grid();
+        // Cubes are row-major, first dimension fastest.
+        let strides = [1, grid[0], grid[0] * grid[1]];
         let mut pairs: DimPairs = Default::default();
-        if slice.cubes.len() == 1 {
-            return pairs;
-        }
-        for hop in slice.required_hops() {
-            if let Some(p) = hop.pair() {
-                pairs[hop.dim.index()].push(p);
+        for ((list, len), stride) in pairs.iter_mut().zip(grid).zip(strides) {
+            if len == 1 {
+                continue;
             }
-        }
-        for list in &mut pairs {
+            list.reserve_exact(slice.cubes.len());
+            for (at, &from) in slice.cubes.iter().enumerate() {
+                let coord = at / stride % len;
+                let next = if coord + 1 == len {
+                    at - coord * stride
+                } else {
+                    at + stride
+                };
+                list.push((from as PortId, slice.cubes[next] as PortId));
+            }
             list.sort_unstable();
         }
         pairs
     }
 
-    /// The incremental transaction establishing (`add = true`) or tearing
-    /// down (`add = false`) one slice's pairs: only switches of dimensions
-    /// the slice actually spans are touched, and each carries only the
-    /// slice's own pairs. Down and desynced switches are skipped (returned
-    /// separately) so one failed chassis cannot veto pod-wide transactions.
-    fn delta_for(&self, pairs: &DimPairs, add: bool) -> (FabricDelta, BTreeSet<OcsId>) {
-        let mut delta = FabricDelta::new();
-        let mut skipped = BTreeSet::new();
+    /// The switches a transaction over `pairs` commits on, and the ones
+    /// it must leave out, as switch masks: only dimensions the slice
+    /// actually spans are touched, and down and desynced switches are
+    /// skipped so one failed chassis cannot veto pod-wide transactions.
+    fn switch_masks(&self, pairs: &DimPairs) -> (u64, u64) {
+        let (mut touched, mut skipped) = (0u64, 0u64);
         for dim in Dim::ALL {
-            let list = &pairs[dim.index()];
-            if list.is_empty() {
+            if pairs[dim.index()].is_empty() {
                 continue;
             }
             for k in 0..LINKS_PER_FACE {
                 let ocs = ocs_for(dim, k);
-                let up = self
-                    .fabric
-                    .fleet
-                    .get(ocs)
-                    .map(|s| s.is_up())
-                    .unwrap_or(false);
-                if !up || self.desynced.contains(&ocs) {
-                    skipped.insert(ocs);
-                    continue;
-                }
-                let d = delta.entry(ocs);
-                if add {
-                    d.add.extend_from_slice(list);
+                let up = self.fabric.fleet.get(ocs).is_some_and(|s| s.is_up());
+                if up && !self.desynced.contains(&ocs) {
+                    touched |= 1 << ocs;
                 } else {
-                    d.remove.extend(list.iter().map(|&(n, _)| n));
+                    skipped |= 1 << ocs;
                 }
             }
         }
-        (delta, skipped)
+        (touched, skipped)
+    }
+
+    /// Records the switches a committed transaction skipped.
+    fn mark_desynced(&mut self, mut skipped: u64) {
+        while let Some(ocs) = pop_switch(&mut skipped) {
+            self.desynced.insert(ocs);
+        }
+    }
+
+    /// One dimension's desired circuits, ascending by north port.
+    fn desired_pairs(table: &[PortId; POD_CUBES]) -> impl Iterator<Item = (PortId, PortId)> + '_ {
+        (0..)
+            .zip(table)
+            .filter(|&(_, &s)| s != FREE)
+            .map(|(n, &s)| (n, s))
     }
 
     /// Shadow cross-check (see [`Superpod::set_shadow_check`]): runs the
@@ -265,10 +326,15 @@ impl Superpod {
                 }
             }
         }
-        assert_eq!(
-            reference, self.desired,
-            "incremental desired state diverged from full rebuild"
-        );
+        for (rebuilt, table) in reference.iter().zip(&self.desired) {
+            assert!(
+                rebuilt
+                    .iter()
+                    .map(|(&n, &s)| (n, s))
+                    .eq(Self::desired_pairs(table)),
+                "incremental desired state diverged from full rebuild"
+            );
+        }
         // The old full-target path: one complete mapping per up, in-sync
         // switch (down/desynced switches were skipped there too).
         let mut target = FabricTarget::new();
@@ -307,7 +373,7 @@ impl Superpod {
     /// still-broken switch cannot hold the others hostage. Successfully
     /// reconciled switches rejoin future transactions; failures stay
     /// desynced and are reported.
-    pub fn resync(&mut self) -> Vec<(OcsId, Result<ReconfigReport, CommitError>)> {
+    pub fn resync(&mut self) -> Vec<(OcsId, Result<ReconfigSummary, CommitError>)> {
         let mut out = Vec::new();
         if self.desynced.is_empty() {
             return out;
@@ -329,19 +395,18 @@ impl Superpod {
             // The full desired mapping is a cheap lookup in the persistent
             // per-dimension aggregate — no rebuild from the slice set.
             let (dim, _) = ocs_role(ocs);
-            let mapping =
-                PortMapping::from_pairs(self.desired[dim.index()].iter().map(|(&n, &s)| (n, s)))
-                    .expect("desired state is bijective by construction");
+            let mapping = PortMapping::from_pairs(Self::desired_pairs(&self.desired[dim.index()]))
+                .expect("desired state is bijective by construction");
             let mut target = FabricTarget::new();
             target.set(ocs, mapping);
             match self.fabric.commit(&target) {
-                Ok(mut report) => {
+                Ok(report) => {
                     self.desynced.remove(&ocs);
                     let per = report
                         .per_switch
-                        .remove(&ocs)
+                        .get(&ocs)
                         .expect("single-switch commit reports its switch");
-                    out.push((ocs, Ok(per)));
+                    out.push((ocs, Ok(*per)));
                 }
                 Err(e) => out.push((ocs, Err(e))),
             }
@@ -353,9 +418,9 @@ impl Superpod {
     /// Composes a slice: validates cube availability, commits the
     /// incremental fabric transaction (only the switches whose mapping
     /// changes, only this slice's pairs), and returns the handle plus the
-    /// commit report. The fabric validates the whole delta before applying
-    /// and the pod mutates nothing until the commit succeeds, so on error
-    /// nothing has been applied anywhere.
+    /// commit report. The fabric validates the whole transaction before
+    /// applying and the pod mutates nothing until the commit succeeds, so
+    /// on error nothing has been applied anywhere.
     pub fn compose(&mut self, slice: Slice) -> Result<(SliceHandle, CommitReport), PodError> {
         for &c in &slice.cubes {
             if self.busy.contains(c) {
@@ -366,8 +431,12 @@ impl Superpod {
             }
         }
         let pairs = Self::pairs_for(&slice);
-        let (delta, skipped) = self.delta_for(&pairs, true);
-        let report = self.fabric.commit_delta(&delta)?;
+        let (switches, skipped) = self.switch_masks(&pairs);
+        let report = self.fabric.commit_view(SliceView {
+            switches,
+            add: [&pairs[0], &pairs[1], &pairs[2]],
+            remove: [&[]; 3],
+        })?;
         // Success: mutate the persistent state in place.
         let handle = SliceHandle(self.next_handle);
         self.next_handle += 1;
@@ -375,14 +444,14 @@ impl Superpod {
             self.busy.insert(c);
             self.cube_owner[c as usize] = handle;
         }
-        for (dim, list) in self.desired.iter_mut().zip(&pairs) {
+        for (table, list) in self.desired.iter_mut().zip(&pairs) {
             for &(n, s) in list {
-                let prev = dim.insert(n, s);
-                debug_assert!(prev.is_none(), "disjoint slices produce disjoint ports");
+                debug_assert_eq!(table[n as usize], FREE, "disjoint slices, disjoint ports");
+                table[n as usize] = s;
             }
         }
         self.slices.insert(handle, LiveSlice { slice, pairs });
-        self.desynced.extend(skipped);
+        self.mark_desynced(skipped);
         self.shadow_verify();
         Ok((handle, report))
     }
@@ -394,18 +463,26 @@ impl Superpod {
         let Some(live) = self.slices.get(&h) else {
             return Err(PodError::UnknownSlice(h));
         };
-        let (delta, skipped) = self.delta_for(&live.pairs, false);
-        let report = self.fabric.commit_delta(&delta)?;
+        for (norths, list) in self.norths.iter_mut().zip(&live.pairs) {
+            norths.clear();
+            norths.extend(list.iter().map(|&(n, _)| n));
+        }
+        let (switches, skipped) = self.switch_masks(&live.pairs);
+        let report = self.fabric.commit_view(SliceView {
+            switches,
+            add: [&[]; 3],
+            remove: [&self.norths[0], &self.norths[1], &self.norths[2]],
+        })?;
         let live = self.slices.remove(&h).expect("checked");
         for &c in &live.slice.cubes {
             self.busy.remove(c);
         }
-        for (dim, list) in self.desired.iter_mut().zip(&live.pairs) {
-            for &(n, _) in list {
-                dim.remove(&n);
+        for (table, norths) in self.desired.iter_mut().zip(&self.norths) {
+            for &n in norths {
+                table[n as usize] = FREE;
             }
         }
-        self.desynced.extend(skipped);
+        self.mark_desynced(skipped);
         self.shadow_verify();
         Ok(report)
     }

@@ -205,7 +205,7 @@ impl Slice {
     /// self-hop, closing the torus locally).
     pub fn required_hops(&self) -> Vec<CubeHop> {
         let [p, q, r] = self.shape.cube_grid();
-        let mut hops = Vec::new();
+        let mut hops = Vec::with_capacity(3 * self.cubes.len());
         for k in 0..r {
             for j in 0..q {
                 for i in 0..p {

@@ -8,6 +8,9 @@
 //!   word, and `Pooled` says no before building anything.
 //! - A single-cube admission plus the completion that frees it allocates
 //!   [`ADMIT_COMPLETE_ALLOCS`] blocks.
+//! - A multi-cube admission plus its completion — two fabric transactions
+//!   over 16, 32 or 48 switches — allocates [`MULTI_CUBE_ALLOCS`] blocks,
+//!   and `Superpod::settled()` none.
 //!
 //! And the inner-code Monte-Carlo loop (`inner_waterfall_point`, Chase
 //! decoding included) allocates **nothing**, however many blocks it runs.
@@ -27,6 +30,15 @@ use std::cell::Cell;
 /// the copy of the slice geometry the `Admitted` event carries. The pod's
 /// slice map and the core's `running` list reuse their storage.
 const ADMIT_COMPLETE_ALLOCS: u64 = 2;
+
+/// Blocks allocated by one admit + completion of an `[8,4,4]`, `[8,8,4]`
+/// and `[8,8,8]` request (2, 4 and 8 cubes; 1, 2 and 3 torus dimensions),
+/// measured when transactions became borrowed views (PR 16): the two of
+/// the single-cube path, one pair list per spanned dimension, and one
+/// per-switch table per commit report (compose, release). The owned
+/// `FabricDelta` / `BTreeMap`-report path before it averaged 82.5 / 154.3
+/// / 239.2 on this same test (81 / 157 / 242 as ISSUE 16 counted them).
+const MULTI_CUBE_ALLOCS: [([usize; 3], u64); 3] = [([8, 4, 4], 5), ([8, 8, 4], 6), ([8, 8, 8], 7)];
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -160,6 +172,69 @@ fn admission_path_allocation_counts() {
         "{admitted} allocations over {STEPS} admit+complete steps; \
          {ADMIT_COMPLETE_ALLOCS} per step at merge"
     );
+}
+
+#[test]
+fn multi_cube_admission_allocation_counts() {
+    const STEPS: u64 = 50;
+    let forever = Nanos::from_millis(1_000_000_000);
+    let hold = Nanos::from_millis(1);
+    let mut out = Vec::new();
+    let mut pod = Superpod::new(7);
+    let mut core = ServiceCore::new(PolicyConfig {
+        queue_limit: 0,
+        preemption: false,
+    });
+    let mut next = 0u64;
+    // 200 ms between requests: the previous one has completed and its
+    // circuits have aligned, so every step is one admission, one completion.
+    let mut step = |core: &mut ServiceCore, pod: &mut Superpod, chips, hold| {
+        out.clear();
+        let now = core.now() + Nanos::from_millis(200);
+        core.advance_to(pod, now, &mut out);
+        let intent = SliceIntent {
+            request: next,
+            class: Priority::Inference,
+            chips,
+            hold,
+        };
+        core.submit(pod, &intent, &mut out);
+        next += 1;
+    };
+    // Four long-lived slices in the background, then every shape a few
+    // times over so each switch's lists have their capacity.
+    for chips in [[8, 8, 8], [8, 8, 4], [8, 4, 4], [4, 4, 4]] {
+        step(&mut core, &mut pod, chips, forever);
+    }
+    for warm in 0..12 {
+        step(&mut core, &mut pod, MULTI_CUBE_ALLOCS[warm % 3].0, hold);
+    }
+    assert_eq!(core.running().count(), 5);
+    for (chips, at_merge) in MULTI_CUBE_ALLOCS {
+        let admitted = allocations(|| {
+            for _ in 0..STEPS {
+                step(&mut core, &mut pod, chips, hold);
+            }
+        });
+        assert!(
+            admitted <= at_merge * STEPS,
+            "{chips:?}: {admitted} allocations over {STEPS} admit+complete steps; \
+             {at_merge} per step at merge"
+        );
+    }
+    assert_eq!(core.report().completed(), 11 + 3 * STEPS);
+    assert_eq!(core.report().blocked(), 0);
+
+    // `settled()` reads one integer per switch: no census is built, while
+    // circuits align (the last admission's) or after.
+    let mut settled = [true; 2];
+    let allocs = allocations(|| {
+        settled[0] = pod.settled();
+        pod.advance(Nanos::from_millis(200));
+        settled[1] = pod.settled();
+    });
+    assert_eq!(settled, [false, true]);
+    assert_eq!(allocs, 0, "settled() allocates nothing");
 }
 
 #[test]
