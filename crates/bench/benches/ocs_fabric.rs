@@ -8,7 +8,10 @@
 //! dimension's `commit_delta`, one circuit's camera alignment) and the
 //! pod's compose + release transaction pair above them (48 switches for
 //! an 8-cube slice, none for a single cube), so that a regression there
-//! shows without a full `lwbench` run.
+//! shows without a full `lwbench` run. The `fleet_*` benches time fabric
+//! time itself: an idle advance must cost the same on 48 switches and on
+//! 512, and the advance that completes alignments must pay for the
+//! switches in motion only.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lightwave_core::fabric::{FabricController, FabricDelta, OcsFleet};
@@ -100,6 +103,65 @@ fn fabric_commit_delta(c: &mut Criterion) {
             let delta = deltas.next().expect("cycles");
             black_box(fabric.commit_delta(delta).expect("valid"));
             fabric.advance(Nanos::from_millis(40));
+        })
+    });
+}
+
+/// Every third switch: the 16 of a 48-switch fleet that carry circuits.
+fn carrying() -> impl Iterator<Item = u32> {
+    (0..16).map(|k| 3 * k)
+}
+
+/// `n` switches, [`FOUR`] up and aligned on each carrying one.
+fn settled_fleet(n: usize) -> OcsFleet {
+    let mut fleet = OcsFleet::build(n, 17);
+    for id in carrying() {
+        let ocs = fleet.get_mut(id).expect("in range");
+        ocs.apply_delta(&FOUR, &[]).expect("valid");
+    }
+    fleet.advance(Nanos::from_millis(40));
+    fleet
+}
+
+/// The tick of a fleet with nothing mid-alignment — every service step of
+/// a single-cube workload, twice. The campus-sized twin must read the same.
+fn fleet_advance_idle(c: &mut Criterion) {
+    for n in [48, 512] {
+        let mut fleet = settled_fleet(n);
+        c.bench_function(format!("fleet_advance_idle_{n}_switches"), |b| {
+            b.iter(|| fleet.advance(black_box(Nanos(1_000))))
+        });
+    }
+}
+
+/// The tick that does real work, on a warm fleet: 16 of 48 switches start
+/// one alignment each, the advance completes all 16, and the circuits come
+/// down again so that the next iteration finds the same state.
+fn fleet_advance_aligning(c: &mut Criterion) {
+    let mut fleet = settled_fleet(48);
+    c.bench_function("fleet_advance_16_of_48_aligning", |b| {
+        b.iter(|| {
+            for id in carrying() {
+                let ocs = fleet.get_mut(id).expect("in range");
+                black_box(ocs.connect(110, 111).expect("free"));
+            }
+            fleet.advance(Nanos::from_millis(40));
+            for id in carrying() {
+                let ocs = fleet.get_mut(id).expect("in range");
+                ocs.disconnect(110).expect("live");
+            }
+        })
+    });
+}
+
+/// The hand-out path: a switch is lent out mutably (nothing is started on
+/// it) and the next tick has to look at it again.
+fn fleet_get_mut_then_advance(c: &mut Criterion) {
+    let mut fleet = settled_fleet(48);
+    c.bench_function("fleet_get_mut_then_advance", |b| {
+        b.iter(|| {
+            black_box(fleet.get_mut(21).expect("in range").pending_circuits());
+            fleet.advance(black_box(Nanos(1_000)));
         })
     });
 }
@@ -204,6 +266,9 @@ criterion_group!(
     ocs_apply_mapping,
     ocs_apply_delta,
     fabric_commit_delta,
+    fleet_advance_idle,
+    fleet_advance_aligning,
+    fleet_get_mut_then_advance,
     camera_alignment,
     optical_census,
     pod_compose_full,

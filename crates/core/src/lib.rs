@@ -230,16 +230,9 @@ impl MlPod {
         ))
     }
 
-    /// The pod's current sim time (the fleet's furthest-advanced switch
-    /// clock).
+    /// The pod's current sim time: the fabric clock its fleet keeps.
     pub fn now(&self) -> Nanos {
-        self.pod
-            .fabric()
-            .fleet
-            .iter()
-            .map(|(_, ocs)| ocs.now())
-            .max()
-            .unwrap_or(Nanos(0))
+        self.pod.fabric().now()
     }
 
     /// Advances fabric time.

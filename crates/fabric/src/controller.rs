@@ -227,25 +227,19 @@ pub struct CommitReport {
 /// The fabric controller: owns the fleet and serializes reconfiguration.
 #[derive(Debug, Default)]
 pub struct FabricController {
-    /// The switch fleet.
+    /// The switch fleet, which also keeps fabric time.
     pub fleet: OcsFleet,
-    /// Controller clock, advanced in lockstep with the fleet so commits
-    /// that touch no switch still report the current time.
-    now: Nanos,
 }
 
 impl FabricController {
     /// Wraps a fleet.
     pub fn new(fleet: OcsFleet) -> FabricController {
-        FabricController {
-            fleet,
-            now: Nanos(0),
-        }
+        FabricController { fleet }
     }
 
-    /// Current controller time.
+    /// Current fabric time: [`OcsFleet::now`].
     pub fn now(&self) -> Nanos {
-        self.now
+        self.fleet.now()
     }
 
     /// Validates `target` against every named switch without applying:
@@ -276,7 +270,7 @@ impl FabricController {
 
     /// Totals a transaction's per-switch rows (ascending by id).
     fn report(&self, per_switch: Vec<(OcsId, ReconfigSummary)>) -> CommitReport {
-        let (mut untouched, mut added, mut removed, mut latest) = (0, 0, 0, self.now);
+        let (mut untouched, mut added, mut removed, mut latest) = (0, 0, 0, self.now());
         for (_, r) in &per_switch {
             untouched += r.untouched;
             added += r.added;
@@ -349,8 +343,8 @@ impl FabricController {
     }
 
     /// Advances fabric time.
+    #[inline]
     pub fn advance(&mut self, dt: Nanos) {
-        self.now += dt;
         self.fleet.advance(dt);
     }
 
@@ -490,7 +484,7 @@ mod tests {
         t.set(0, PortMapping::from_pairs([(0, 10)]).unwrap());
         c.commit(&t).unwrap();
         c.advance(Nanos::from_millis(300));
-        let before = c.fleet.get(0).unwrap().now();
+        let before = c.now();
         let report = c.commit(&t).unwrap();
         assert_eq!(report.added, 0);
         assert_eq!(report.untouched, 1);
@@ -604,6 +598,19 @@ mod tests {
         let report = c.commit_delta(&FabricDelta::new()).unwrap();
         assert_eq!(report.added + report.removed + report.untouched, 0);
         assert_eq!(report.traffic_ready_at, Nanos::from_millis(250));
+    }
+
+    #[test]
+    fn empty_commit_reports_fleet_time_however_the_fleet_was_advanced() {
+        // The controller used to keep a clock of its own, which advancing
+        // through the `pub` fleet left behind.
+        let mut c = controller(2);
+        c.advance(Nanos::from_millis(100));
+        c.fleet.advance(Nanos::from_millis(150));
+        let report = c.commit_delta(&FabricDelta::new()).unwrap();
+        assert_eq!(report.traffic_ready_at, c.now());
+        assert_eq!(c.now(), c.fleet.now());
+        assert_eq!(c.now(), Nanos::from_millis(250));
     }
 
     #[test]

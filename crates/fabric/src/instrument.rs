@@ -227,7 +227,7 @@ impl FabricInstruments {
         controller: &mut FabricController,
         target: &FabricTarget,
     ) -> Result<CommitReport, CommitError> {
-        let at = fleet_now(&controller.fleet);
+        let at = controller.now();
         let report = controller.commit(target)?;
         self.record_commit(sink, at, &report);
         Ok(report)
@@ -244,7 +244,7 @@ impl FabricInstruments {
         controller: &mut FabricController,
         target: &FabricTarget,
     ) -> Result<(CommitReport, SpanId), CommitError> {
-        let at = fleet_now(&controller.fleet);
+        let at = controller.now();
         let report = controller.commit(target)?;
         let span = self.record_commit_traced(sink, tracer, parent, at, &report);
         Ok((report, span))
@@ -253,7 +253,7 @@ impl FabricInstruments {
     /// Scrapes every switch in the fleet: health gauges, drift census,
     /// SLO observations, and alarm forwarding into the aggregator.
     pub fn scrape_fleet(&mut self, sink: &mut FleetTelemetry, fleet: &OcsFleet) {
-        let at = fleet_now(fleet);
+        let at = fleet.now();
         for (&id, ocs) in fleet.iter() {
             let inst = self
                 .per_switch
@@ -264,14 +264,6 @@ impl FabricInstruments {
         self.roll_commit_rate(sink, at);
         sink.advance(at);
     }
-}
-
-fn fleet_now(fleet: &OcsFleet) -> Nanos {
-    fleet
-        .iter()
-        .map(|(_, ocs)| ocs.now())
-        .max()
-        .unwrap_or(Nanos(0))
 }
 
 #[cfg(test)]

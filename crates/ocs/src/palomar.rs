@@ -212,7 +212,11 @@ impl PalomarOcs {
         self.id
     }
 
-    /// Current simulation time.
+    /// This switch's own clock. A standalone switch is ticked with
+    /// [`PalomarOcs::advance`] and its clock is simulation time. A member
+    /// of a fleet is brought to fleet time only when the fleet hands it
+    /// out mutably or one of its alignments falls due, so read through
+    /// `&self` its clock may lag the fleet's; nothing else about it does.
     pub fn now(&self) -> Nanos {
         self.now
     }
@@ -488,10 +492,23 @@ impl PalomarOcs {
 
     /// Advances simulation time, completing any alignments that finish.
     pub fn advance(&mut self, dt: Nanos) {
-        self.now += dt;
-        if self.now < self.next_due {
-            return;
+        self.advance_to(self.now + dt);
+    }
+
+    /// [`PalomarOcs::advance`] to an absolute time: how a fleet brings a
+    /// member to fleet time. The clock never runs backwards — a `now`
+    /// behind it changes nothing.
+    #[inline]
+    pub fn advance_to(&mut self, now: Nanos) {
+        self.now = self.now.max(now);
+        if self.now >= self.next_due {
+            self.complete_due();
         }
+    }
+
+    /// Marks every circuit whose alignment has finished as connected and
+    /// re-derives `next_due` from the rest.
+    fn complete_due(&mut self) {
         let (now, crossbar) = (self.now, &mut self.crossbar);
         self.next_due = Nanos(u64::MAX);
         self.pending.retain(|&(n, ready)| {
@@ -662,6 +679,14 @@ impl PalomarOcs {
     /// snapshot around it.
     pub fn pending_circuits(&self) -> usize {
         self.pending.len()
+    }
+
+    /// No circuit finishes aligning before this: a lower bound, never
+    /// late, though it may be early (the time of a circuit torn down
+    /// mid-alignment lingers until the clock passes it). Whoever ticks
+    /// many switches need not visit this one before then.
+    pub fn next_due(&self) -> Nanos {
+        self.next_due
     }
 
     /// Health snapshot.

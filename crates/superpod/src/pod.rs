@@ -488,6 +488,7 @@ impl Superpod {
     }
 
     /// Advances fabric time.
+    #[inline]
     pub fn advance(&mut self, dt: Nanos) {
         self.fabric.advance(dt);
     }

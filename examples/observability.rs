@@ -52,24 +52,20 @@ fn main() {
     // ── 2. Transceiver BER census + one marginal link ──────────────────
     let mut xcvr = XcvrInstruments::register(&mut sink, "cwdm4");
     let census = fleet_census(400, ModuleFamily::Cwdm4Bidi, 42);
-    xcvr.record_census(&mut sink, controller_now(&controller), &census);
+    xcvr.record_census(&mut sink, controller.now(), &census);
     // A legacy peer forces one link below its top lane rate (§3.3.1).
     let new = DspConfig::ml_production();
     let old = DspConfig::standards_based();
-    xcvr.record_negotiation(&mut sink, controller_now(&controller), 129, &new, &old);
+    xcvr.record_negotiation(&mut sink, controller.now(), 129, &new, &old);
 
     // ── 3. Scheduler utilization (§4.2.4) ──────────────────────────────
     let sim = ClusterSim::new(default_mix(), 0.25);
     let mut pooled = SchedulerInstruments::register(&mut sink, "pooled");
     let mut defrag = SchedulerInstruments::register(&mut sink, "contiguous+defrag");
-    pooled.record_run(
-        &mut sink,
-        controller_now(&controller),
-        &sim.run(&Pooled, 400.0, 42),
-    );
+    pooled.record_run(&mut sink, controller.now(), &sim.run(&Pooled, 400.0, 42));
     defrag.record_run(
         &mut sink,
-        controller_now(&controller),
+        controller.now(),
         &sim.run_contiguous_with_defrag(400.0, 0.05, 42),
     );
 
@@ -85,14 +81,8 @@ fn main() {
         derated: base / 4.0,
     };
     let observed = simulate_torus_all_reduce(shape, 256e6, &[0, 1, 2], &straggler, 300e-9);
-    pod.record_collective(&mut sink, controller_now(&controller), &observed);
-    let found = pod.detect_stragglers(
-        &mut sink,
-        controller_now(&controller),
-        &[0, 1, 2],
-        &healthy,
-        &observed,
-    );
+    pod.record_collective(&mut sink, controller.now(), &observed);
+    let found = pod.detect_stragglers(&mut sink, controller.now(), &[0, 1, 2], &healthy, &observed);
     for s in &found {
         println!(
             "straggler: torus dim {} running {}% slow",
@@ -128,7 +118,7 @@ fn main() {
     fabric.scrape_fleet(&mut sink, &controller.fleet);
 
     // ── 7. The fleet dashboard ─────────────────────────────────────────
-    let now = controller_now(&controller);
+    let now = controller.now();
     println!("\n{}", sink.dashboard(now));
     let jsonl = sink.to_jsonl(now);
     println!(
@@ -136,12 +126,4 @@ fn main() {
         jsonl.lines().count(),
         jsonl.lines().next().unwrap_or_default()
     );
-}
-
-fn controller_now(c: &FabricController) -> Nanos {
-    c.fleet
-        .iter()
-        .map(|(_, ocs)| ocs.now())
-        .max()
-        .unwrap_or(Nanos(0))
 }

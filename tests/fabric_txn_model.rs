@@ -359,9 +359,9 @@ fn refused_transactions_leave_the_scratch_unobservable() {
         .mapping()
         .pairs()
         .collect();
-    for fleet in [&mut pod.fabric_mut().fleet, &mut model.fleet] {
-        let ocs = fleet.get_mut(20).expect("48 switches");
-        ocs.apply_delta(&pairs, &[])
+    for ocs in [pod.fabric_mut().fleet.get_mut(20), model.fleet.get_mut(20)] {
+        ocs.expect("48 switches")
+            .apply_delta(&pairs, &[])
             .expect("switch 20 is empty and healthy");
     }
     run(&mut pod, &mut model, settle);

@@ -5,12 +5,18 @@
 //! `Vec`s) per touched switch and a `BTreeSet` of the skipped ones, and
 //! `commit_delta` collects a `BTreeMap<OcsId, ReconfigReport>` from the
 //! list-returning `apply_delta`. Only the type names changed, and the pod
-//! owns its fleet and clock directly, where the parent reached them
-//! through `FabricController`. It is deliberately the slow, obvious
+//! owns its fleet directly, where the parent reached it through
+//! `FabricController`; the fleet is the eager reference one, which ticks
+//! every switch on every advance and keeps the clock, so nothing here
+//! runs on the library's fleet. It is deliberately the slow, obvious
 //! version: `tests/fabric_txn_model.rs` holds the production pod to its
 //! results, reports and switch state under arbitrary interleavings.
 
-use lightwave::fabric::{CommitError, FabricDelta, FabricTarget, OcsFleet, OcsId};
+#[path = "eager_fleet.rs"]
+mod eager_fleet;
+
+use eager_fleet::EagerFleet;
+use lightwave::fabric::{CommitError, FabricDelta, FabricTarget, OcsId};
 use lightwave::ocs::{PortId, PortMapping, ReconfigReport};
 use lightwave::superpod::geometry::{Dim, LINKS_PER_FACE, POD_CUBES};
 use lightwave::superpod::wiring::{ocs_for, ocs_role, SUPERPOD_OCS_COUNT};
@@ -49,8 +55,7 @@ struct LiveSlice {
 pub struct OraclePod {
     /// The switch fleet (fault injection reaches in, as
     /// `pod.fabric_mut().fleet` does on the production pod).
-    pub fleet: OcsFleet,
-    now: Nanos,
+    pub fleet: EagerFleet,
     slices: BTreeMap<SliceHandle, LiveSlice>,
     desired: [BTreeMap<PortId, PortId>; 3],
     busy: CubeSet,
@@ -63,8 +68,7 @@ impl OraclePod {
     /// Builds a pod with a deterministic fabric seed.
     pub fn new(seed: u64) -> OraclePod {
         OraclePod {
-            fleet: OcsFleet::build(SUPERPOD_OCS_COUNT, seed),
-            now: Nanos(0),
+            fleet: EagerFleet::build(SUPERPOD_OCS_COUNT, seed),
             slices: BTreeMap::new(),
             desired: Default::default(),
             busy: CubeSet::EMPTY,
@@ -76,7 +80,7 @@ impl OraclePod {
 
     /// Controller time.
     pub fn now(&self) -> Nanos {
-        self.now
+        self.fleet.now()
     }
 
     /// Cubes not in any slice and not failed.
@@ -150,7 +154,7 @@ impl OraclePod {
 
     /// Totals a transaction's per-switch reports.
     fn report(&self, per_switch: BTreeMap<OcsId, ReconfigReport>) -> OracleReport {
-        let (mut untouched, mut added, mut removed, mut latest) = (0, 0, 0, self.now);
+        let (mut untouched, mut added, mut removed, mut latest) = (0, 0, 0, self.now());
         for r in per_switch.values() {
             untouched += r.untouched;
             added += r.added.len();
@@ -295,7 +299,6 @@ impl OraclePod {
 
     /// Advances fabric time.
     pub fn advance(&mut self, dt: Nanos) {
-        self.now += dt;
         self.fleet.advance(dt);
     }
 }

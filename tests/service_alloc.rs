@@ -11,16 +11,20 @@
 //! - A multi-cube admission plus its completion — two fabric transactions
 //!   over 16, 32 or 48 switches — allocates [`MULTI_CUBE_ALLOCS`] blocks,
 //!   and `Superpod::settled()` none.
+//! - `Superpod::advance` allocates **nothing**: not on an idle pod (one
+//!   compare), not with all 48 switches mid-alignment, not on the advance
+//!   that completes them (the fleet's list of switches in motion is built
+//!   with the pod).
 //!
 //! And the inner-code Monte-Carlo loop (`inner_waterfall_point`, Chase
 //! decoding included) allocates **nothing**, however many blocks it runs.
 //!
-//! The counter is per-thread: the two tests cannot add to each other's
+//! The counter is per-thread: the tests cannot add to each other's
 //! count.
 
 use lightwave::fec::ConcatenatedCode;
 use lightwave::service::{PolicyConfig, Priority, ServiceCore, ServiceEvent, SliceIntent};
-use lightwave::superpod::Superpod;
+use lightwave::superpod::{Slice, SliceShape, Superpod};
 use lightwave::units::{Ber, Nanos};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -235,6 +239,24 @@ fn multi_cube_admission_allocation_counts() {
     });
     assert_eq!(settled, [false, true]);
     assert_eq!(allocs, 0, "settled() allocates nothing");
+}
+
+#[test]
+fn pod_advance_allocates_nothing() {
+    let tick = Nanos::from_micros(100);
+    let ticks = |pod: &mut Superpod| allocations(|| (0..100).for_each(|_| pod.advance(tick)));
+    let mut pod = Superpod::new(7);
+    let idle = ticks(&mut pod);
+    // All 48 switches start aligning; 10 ms on, none has finished.
+    let shape = SliceShape::new(8, 8, 8).expect("legal shape");
+    pod.compose(Slice::new(shape, (0..8).collect()).expect("eight distinct cubes"))
+        .expect("an empty pod has room");
+    let in_flight = ticks(&mut pod);
+    assert!(!pod.settled());
+    assert_eq!(pod.fabric().fleet.health().pending, 8 * 48);
+    let completing = allocations(|| pod.advance(Nanos::from_millis(200)));
+    assert!(pod.settled());
+    assert_eq!([idle, in_flight, completing], [0, 0, 0]);
 }
 
 #[test]
