@@ -116,10 +116,10 @@ pub struct GoodputPoint {
 
 /// Generates the Fig. 15b sweep: slice sizes × server availabilities.
 ///
-/// Grid points evaluate on the ambient [`Pool`] (honouring
-/// `LIGHTWAVE_THREADS`); results are reduced strictly in grid order, so the
-/// output is identical at any thread count.
+/// Grid points evaluate on `pool`; results are reduced strictly in grid
+/// order, so the output is identical at any thread count.
 pub fn fig15b_sweep(
+    pool: &Pool,
     slice_chip_sizes: &[usize],
     server_avails: &[f64],
     target: f64,
@@ -131,7 +131,7 @@ pub fn fig15b_sweep(
             server_avails.iter().map(move |&sa| (chips, sa))
         })
         .collect();
-    lightwave_par::par_map_reduce(
+    pool.map_reduce(
         &grid,
         |&(chips, sa), _| {
             let ca = cube_availability(Availability::new(sa));
@@ -147,6 +147,7 @@ pub fn fig15b_sweep(
             a
         },
     )
+    .0
     .unwrap_or_default()
 }
 
@@ -156,24 +157,14 @@ pub fn fig15b_sweep(
 pub const POOL_SHARD_TRIALS: u64 = 4_096;
 
 /// Monte-Carlo estimate of P(working cubes ≥ need) — cross-check for the
-/// analytic binomial path — on the ambient [`Pool`] (honouring
-/// `LIGHTWAVE_THREADS`). Same seed, same estimate, any thread count.
-pub fn monte_carlo_pool_availability(
-    cube_avail: Availability,
-    need: usize,
-    trials: u64,
-    seed: u64,
-) -> f64 {
-    monte_carlo_pool_availability_with_pool(&Pool::from_env(), cube_avail, need, trials, seed)
-}
-
-/// [`monte_carlo_pool_availability`] on an explicit pool.
+/// analytic binomial path — on `pool`. Same seed, same estimate, any
+/// thread count.
 ///
 /// Trials split into [`POOL_SHARD_TRIALS`]-sized shards with the last shard
 /// carrying the remainder, so odd trial counts divide exactly: the estimate
 /// is `successes / trials` over *all* requested trials, never a truncated
 /// multiple of the shard size.
-pub fn monte_carlo_pool_availability_with_pool(
+pub fn monte_carlo_pool_availability(
     pool: &Pool,
     cube_avail: Availability,
     need: usize,
@@ -326,7 +317,7 @@ mod tests {
     fn monte_carlo_agrees_with_binomial() {
         let ca = cube_availability(nines(3.0));
         let analytic = at_least_k_of_n(64, 48, ca.prob());
-        let mc = monte_carlo_pool_availability(ca, 48, 20_000, 11);
+        let mc = monte_carlo_pool_availability(&Pool::new(2), ca, 48, 20_000, 11);
         assert!(
             (analytic - mc).abs() < 0.01,
             "analytic {analytic:.4} vs MC {mc:.4}"
@@ -336,9 +327,7 @@ mod tests {
     #[test]
     fn monte_carlo_thread_count_invariant() {
         let ca = cube_availability(Availability::new(0.99));
-        let run = |threads| {
-            monte_carlo_pool_availability_with_pool(&Pool::new(threads), ca, 56, 30_000, 7)
-        };
+        let run = |threads| monte_carlo_pool_availability(&Pool::new(threads), ca, 56, 30_000, 7);
         let one = run(1);
         assert_eq!(one.to_bits(), run(2).to_bits());
         assert_eq!(one.to_bits(), run(4).to_bits());
@@ -351,17 +340,22 @@ mod tests {
         // tail must not be dropped or double-counted.
         let certain = Availability::new(1.0);
         for trials in [1, POOL_SHARD_TRIALS - 1, POOL_SHARD_TRIALS + 1, 10_007] {
-            let est = monte_carlo_pool_availability(certain, 64, trials, 3);
+            let est = monte_carlo_pool_availability(&Pool::new(2), certain, 64, trials, 3);
             assert_eq!(est, 1.0, "trials={trials}");
         }
         let never = Availability::new(0.0);
-        let est = monte_carlo_pool_availability(never, 1, 10_007, 3);
+        let est = monte_carlo_pool_availability(&Pool::new(2), never, 1, 10_007, 3);
         assert_eq!(est, 0.0);
     }
 
     #[test]
     fn sweep_covers_grid() {
-        let pts = fig15b_sweep(&[64, 512, 1024, 2048], &[0.99, 0.995, 0.999], SYSTEM_TARGET);
+        let pts = fig15b_sweep(
+            &Pool::new(2),
+            &[64, 512, 1024, 2048],
+            &[0.99, 0.995, 0.999],
+            SYSTEM_TARGET,
+        );
         assert_eq!(pts.len(), 12);
         assert!(pts
             .iter()

@@ -8,9 +8,9 @@
 //! *results* are bit-identical at every row by the engine's contract.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use lightwave_core::availability::{cube_availability, monte_carlo_pool_availability_with_pool};
+use lightwave_core::availability::{cube_availability, monte_carlo_pool_availability};
 use lightwave_core::optics::ber::{mpi_db, Pam4Receiver};
-use lightwave_core::optics::montecarlo::{simulate_ber_seeded, simulate_ber_with_pool};
+use lightwave_core::optics::montecarlo::{simulate_ber_par, simulate_ber_seeded};
 use lightwave_core::units::{Availability, Dbm};
 use lightwave_par::Pool;
 
@@ -38,16 +38,7 @@ fn bench_mc_ber(c: &mut Criterion) {
         g.bench_function(format!("pool_{workers}t"), |b| {
             b.iter(|| {
                 black_box(
-                    simulate_ber_with_pool(
-                        &pool,
-                        &rx,
-                        Dbm(-12.5),
-                        mpi_db(-32.0),
-                        None,
-                        symbols,
-                        42,
-                    )
-                    .0,
+                    simulate_ber_par(&pool, &rx, Dbm(-12.5), mpi_db(-32.0), None, symbols, 42).0,
                 )
             })
         });
@@ -63,11 +54,7 @@ fn bench_pool_availability(c: &mut Criterion) {
     for workers in WORKERS {
         let pool = Pool::new(workers);
         g.bench_function(format!("pool_{workers}t"), |b| {
-            b.iter(|| {
-                black_box(monte_carlo_pool_availability_with_pool(
-                    &pool, ca, 48, trials, 11,
-                ))
-            })
+            b.iter(|| black_box(monte_carlo_pool_availability(&pool, ca, 48, trials, 11)))
         });
     }
     g.finish();

@@ -7,6 +7,7 @@ use lightwave_core::dcn::campus::CampusSim;
 use lightwave_core::dcn::{flowsim, te, TrafficMatrix};
 use lightwave_core::mlperf::{LlmConfig, SliceOptimizer};
 use lightwave_core::optics::ber::{mpi_db, Pam4Receiver};
+use lightwave_core::par::Pool;
 use lightwave_core::scheduler::sim::default_mix;
 use lightwave_core::scheduler::{ClusterSim, Contiguous, Pooled};
 use lightwave_core::superpod::collective_sim::{simulate_torus_all_reduce, Uniform};
@@ -76,8 +77,9 @@ fn collective_step_sim(c: &mut Criterion) {
 }
 
 fn fleet_ber_census(c: &mut Criterion) {
+    let pool = Pool::from_env();
     c.bench_function("fleet_census_500_ports", |b| {
-        b.iter(|| black_box(fleet_census(500, ModuleFamily::Cwdm4Bidi, 42)))
+        b.iter(|| black_box(fleet_census(&pool, 500, ModuleFamily::Cwdm4Bidi, 42)))
     });
 }
 

@@ -13,6 +13,7 @@ use lightwave_core::ocs::tech::{select, table_c1, Requirements};
 use lightwave_core::ocs::PalomarOcs;
 use lightwave_core::optics::ber::{mpi_db, OimConfig, Pam4Receiver};
 use lightwave_core::optics::montecarlo::simulate_ber_par;
+use lightwave_core::par::Pool;
 use lightwave_core::scheduler::deployment::DeploymentPlan;
 use lightwave_core::scheduler::sim::default_mix;
 use lightwave_core::scheduler::{ClusterSim, Contiguous, Pooled};
@@ -161,7 +162,9 @@ pub fn fig11(quick: bool) -> ExperimentResult {
     let symbols = if quick { 300_000 } else { 3_000_000 };
     let p_chk = Dbm(-12.5);
     let analytic = rx.ber(p_chk, mpi_db(-32.0), None).prob();
-    let mc = simulate_ber_par(&rx, p_chk, mpi_db(-32.0), None, symbols, 42)
+    let pool = Pool::from_env();
+    let mc = simulate_ber_par(&pool, &rx, p_chk, mpi_db(-32.0), None, symbols, 42)
+        .0
         .ber
         .prob();
     lines.push(format!(
@@ -254,7 +257,7 @@ pub fn fig12(quick: bool) -> ExperimentResult {
 /// Fig. 13 — fleet per-lane BER census.
 pub fn fig13(quick: bool) -> ExperimentResult {
     let ports = if quick { 600 } else { POD_RX_PORTS };
-    let census = fleet_census(ports, ModuleFamily::Cwdm4Bidi, 42);
+    let census = fleet_census(&Pool::from_env(), ports, ModuleFamily::Cwdm4Bidi, 42);
     let mut bers: Vec<f64> = census.samples.iter().map(|s| s.ber.prob()).collect();
     bers.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let pct = |q: f64| bers[((bers.len() - 1) as f64 * q) as usize];
@@ -406,7 +409,7 @@ pub fn fig15a() -> ExperimentResult {
 pub fn fig15b() -> ExperimentResult {
     let sizes = [64usize, 128, 256, 512, 1024, 2048];
     let servers = [0.99, 0.995, 0.999];
-    let pts = avail::fig15b_sweep(&sizes, &servers, avail::SYSTEM_TARGET);
+    let pts = avail::fig15b_sweep(&Pool::from_env(), &sizes, &servers, avail::SYSTEM_TARGET);
     let mut lines = vec!["slice | server avail | reconfigurable | static".into()];
     for p in &pts {
         lines.push(format!(

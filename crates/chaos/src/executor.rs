@@ -12,7 +12,7 @@ use crate::invariant::{check_all, Violation};
 use crate::schedule::{FaultKind, FaultSchedule};
 use lightwave_fabric::maintenance::{execute, plan_replacement};
 use lightwave_fabric::OcsId;
-use lightwave_ocs::instrument::OcsInstruments;
+use lightwave_ocs::instrument::{trace_reconfig, OcsInstruments};
 use lightwave_ocs::PortId;
 use lightwave_scheduler::alloc::{Allocator, Pooled};
 use lightwave_service::{arrival, Mix, PolicyConfig, ServiceCore, ServiceEvent};
@@ -234,14 +234,15 @@ impl World {
             insts.insert(id, OcsInstruments::register(&mut telemetry, id));
             models.insert(id, SwitchModel::new());
         }
-        // Shadow cross-checking makes every chaos schedule a
-        // behavioral-equivalence proof: each incremental commit is
-        // checked against a full desired-state rebuild, panicking (and
-        // thus failing the hunt) on any divergence.
-        let mut pod = Superpod::new(world_seed);
-        pod.set_shadow_check(true);
         World {
-            pod,
+            // Invariant (b) (`invariant::radix_and_mapping`) makes every
+            // schedule a behavioral-equivalence proof of the pod's
+            // incremental commits: after each event it rebuilds the
+            // union of every live slice's circuits from the harness's
+            // own slice model and requires every up, reconciled switch
+            // to carry exactly that — a shrinkable violation, not a
+            // panic.
+            pod: Superpod::new(world_seed),
             telemetry,
             tracer: Tracer::new(world_seed),
             recorder: FlightRecorder::new(256),
@@ -397,13 +398,8 @@ impl World {
         for (id, result) in reports {
             if let Ok(report) = result {
                 let inst = self.insts.get_mut(&id).expect("registered switch");
-                inst.record_reconfig_traced(
-                    &mut self.telemetry,
-                    &mut self.tracer,
-                    None,
-                    self.now,
-                    &report,
-                );
+                inst.record_reconfig(&mut self.telemetry, self.now, &report);
+                trace_reconfig(&mut self.tracer, None, id, self.now, &report);
             }
         }
     }

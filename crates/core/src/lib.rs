@@ -41,7 +41,7 @@ pub mod prelude {
     pub use crate::{DcnPlan, DcnPlanner, LinkDesigner, LinkReport, MlPod};
     pub use lightwave_dcn::{Mesh, TrafficMatrix};
     pub use lightwave_mlperf::{ChipParams, LlmConfig, SliceOptimizer};
-    pub use lightwave_par::{par_map_reduce, par_trials, Pool};
+    pub use lightwave_par::Pool;
     pub use lightwave_service::{ServiceConfig, SliceIntent};
     pub use lightwave_superpod::{Slice, SliceShape, Superpod};
     pub use lightwave_telemetry::{FleetTelemetry, Severity};
@@ -51,11 +51,12 @@ pub mod prelude {
 }
 
 use lightwave_dcn::{flowsim, te, Mesh, TrafficMatrix};
+use lightwave_fabric::CommitReport;
 use lightwave_mlperf::{LlmConfig, OptimalShape, SliceOptimizer};
 use lightwave_superpod::pod::{PodError, SliceHandle};
 use lightwave_superpod::slice::Slice;
 use lightwave_superpod::Superpod;
-use lightwave_trace::{SpanId, Tracer};
+use lightwave_trace::Tracer;
 use lightwave_transceiver::bidilink::{BidiLink, LaneReport};
 use lightwave_transceiver::dsp::DspConfig;
 use lightwave_transceiver::module::{ModuleFamily, Transceiver};
@@ -79,8 +80,9 @@ pub struct ModelPlacement {
     pub handle: SliceHandle,
     /// The optimizer's decision (shape, mapping, predicted speedup).
     pub plan: OptimalShape,
-    /// When the fabric finishes reconfiguring (absolute sim time).
-    pub traffic_ready_at: Nanos,
+    /// The fabric transaction that composed the slice: what moved on
+    /// which switch, and when traffic is ready (absolute sim time).
+    pub report: CommitReport,
 }
 
 /// Errors from model placement.
@@ -153,81 +155,13 @@ impl MlPod {
         Ok(ModelPlacement {
             handle,
             plan,
-            traffic_ready_at: report.traffic_ready_at,
+            report,
         })
     }
 
-    /// [`Self::place_model`] plus the causal span tree of the fabric
-    /// transaction ([`lightwave_superpod::instrument::trace_compose`]):
-    /// a `SliceCompose` span on the pod lane with every touched switch's
-    /// reconfiguration — and its drain → settle → verify → undrain phase
-    /// chain — as children. Returns the placement and the compose span.
-    pub fn place_model_traced(
-        &mut self,
-        tracer: &mut Tracer,
-        parent: Option<SpanId>,
-        model: &LlmConfig,
-        chips: usize,
-    ) -> Result<(ModelPlacement, SpanId), PlacementError> {
-        let plan = self
-            .optimizer
-            .optimize(model, chips)
-            .ok_or(PlacementError::NoFeasibleShape)?;
-        let idle = self.pod.idle_set();
-        let need = plan.shape.cube_count();
-        if idle.len() < need {
-            return Err(PlacementError::InsufficientCubes {
-                need,
-                idle: idle.len(),
-            });
-        }
-        let slice = Slice::new(plan.shape, idle.iter().take(need).collect())
-            .expect("idle cubes are distinct and in range");
-        let at = self.now();
-        let (handle, report) = self.pod.compose(slice)?;
-        let span = lightwave_superpod::instrument::trace_compose(
-            tracer,
-            parent,
-            0,
-            at,
-            need as u32,
-            &report,
-        );
-        Ok((
-            ModelPlacement {
-                handle,
-                plan,
-                traffic_ready_at: report.traffic_ready_at,
-            },
-            span,
-        ))
-    }
-
-    /// Releases a placed model.
-    pub fn release(&mut self, handle: SliceHandle) -> Result<(), PlacementError> {
-        self.pod.release(handle)?;
-        Ok(())
-    }
-
-    /// [`Self::release`] plus the span tree of the teardown transaction
-    /// (`SliceRelease` on the pod lane, per-switch children). Returns the
-    /// release span.
-    pub fn release_traced(
-        &mut self,
-        tracer: &mut Tracer,
-        parent: Option<SpanId>,
-        handle: SliceHandle,
-    ) -> Result<SpanId, PlacementError> {
-        let cubes = self
-            .pod
-            .slice(handle)
-            .map(|s| s.cubes.len() as u32)
-            .unwrap_or(0);
-        let at = self.now();
-        let report = self.pod.release(handle)?;
-        Ok(lightwave_superpod::instrument::trace_release(
-            tracer, parent, 0, at, cubes, &report,
-        ))
+    /// Releases a placed model, returning the teardown transaction.
+    pub fn release(&mut self, handle: SliceHandle) -> Result<CommitReport, PlacementError> {
+        Ok(self.pod.release(handle)?)
     }
 
     /// The pod's current sim time: the fabric clock its fleet keeps.
@@ -341,8 +275,8 @@ pub struct TracedRecovery {
 /// count** (the determinism round-trip test pins this).
 pub fn run_traced_fault_recovery(seed: u64, pool: &lightwave_par::Pool) -> TracedRecovery {
     use lightwave_fabric::instrument::FabricInstruments;
-    use lightwave_par::instrument::run_shards_traced;
-    use lightwave_superpod::instrument::trace_compose;
+    use lightwave_par::instrument::trace_shards;
+    use lightwave_superpod::instrument::{trace_compose, trace_release};
     use lightwave_telemetry::FleetTelemetry;
     use lightwave_trace::{FlightRecorder, Lane, SpanKind};
     use rand::RngExt;
@@ -354,20 +288,18 @@ pub fn run_traced_fault_recovery(seed: u64, pool: &lightwave_par::Pool) -> Trace
     let mut pod = MlPod::new(seed);
 
     // 1. Place a 1024-chip job (16 cubes) — traced fabric transaction.
-    let (placement, place_span) = pod
-        .place_model_traced(&mut tracer, None, &LlmConfig::llm1(), 1024)
+    let at = pod.now();
+    let placement = pod
+        .place_model(&LlmConfig::llm1(), 1024)
         .expect("empty pod fits the job");
+    let cubes = placement.plan.shape.cube_count() as u32;
+    let place_span = trace_compose(&mut tracer, None, 0, at, cubes, &placement.report);
     pod.advance(Nanos::from_millis(300));
     fabric_inst.scrape_fleet(&mut telemetry, &pod.pod.fabric().fleet);
 
     // 2. A training-step stand-in: sharded Monte-Carlo on the pool,
     //    rendered on the virtual worker lanes.
-    let (_acc, _stats) = run_shards_traced(
-        pool,
-        &mut tracer,
-        Some(place_span),
-        pod.now(),
-        Nanos(50),
+    let (_acc, _stats) = pool.run_shards(
         seed,
         4_096,
         256,
@@ -378,6 +310,8 @@ pub fn run_traced_fault_recovery(seed: u64, pool: &lightwave_par::Pool) -> Trace
         },
         |a, b| a + b,
     );
+    let plan = lightwave_par::plan_shards(4_096, 256);
+    trace_shards(&mut tracer, Some(place_span), pod.now(), Nanos(50), &plan);
 
     // 3. A cube fails mid-training; recovery = release + recompose onto a
     //    spare, all under one FaultRecovery span.
@@ -393,9 +327,9 @@ pub fn run_traced_fault_recovery(seed: u64, pool: &lightwave_par::Pool) -> Trace
     let old = pod.pod.slice(placement.handle).expect("live").clone();
     let victim = old.cubes[3];
     pod.pod.mark_cube_failed(victim);
-    let release_span = pod
-        .release_traced(&mut tracer, Some(recovery), placement.handle)
-        .expect("slice is live");
+    let at = pod.now();
+    let released = pod.release(placement.handle).expect("slice is live");
+    let release_span = trace_release(&mut tracer, Some(recovery), 0, at, cubes, &released);
     let spare = pod
         .pod
         .idle_cubes()

@@ -39,7 +39,6 @@ pub mod concat;
 pub mod gf;
 pub mod hamming;
 pub mod interleave;
-pub mod reference;
 pub mod rs;
 pub mod scratch;
 

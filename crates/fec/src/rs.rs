@@ -11,8 +11,8 @@
 //! syndromes/Chien run on precomputed ×α^j stride tables, and decode works
 //! entirely out of a caller-owned [`RsScratch`] so the steady state
 //! allocates nothing. Every kernel is bit-identical to the frozen textbook
-//! implementation in [`crate::reference`] — enforced by golden vectors
-//! and differential proptests.
+//! implementation in `tests/oracle/reed_solomon.rs` — enforced by golden
+//! vectors and differential proptests.
 
 use crate::gf::{self, Gf, MulTable};
 use crate::scratch::RsScratch;

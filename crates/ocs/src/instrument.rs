@@ -10,7 +10,6 @@
 
 use crate::palomar::{OcsHealth, PalomarOcs, ReconfigSummary};
 use crate::telemetry::{Alarm, AlarmCode};
-use lightwave_telemetry::rollup::{PortPath, RollupTree};
 use lightwave_telemetry::{
     AlarmCause, AlarmRecord, CounterId, EventKind, FleetHealth, FleetTelemetry, GaugeId,
     HistogramId, RateWindow,
@@ -105,39 +104,6 @@ impl OcsInstruments {
         );
     }
 
-    /// [`Self::record_reconfig`] plus a causal span on the switch's
-    /// timeline lane: one [`SpanKind::ReconfigCommit`] covering
-    /// `started..report.ready_at`, with the four reconfiguration phases
-    /// (drain → mirror-settle → camera-verify → undrain) as child spans
-    /// when the delta actually moved mirrors. Returns the commit span so
-    /// callers can hang further causality off it.
-    pub fn record_reconfig_traced(
-        &mut self,
-        sink: &mut FleetTelemetry,
-        tracer: &mut Tracer,
-        parent: Option<SpanId>,
-        started: Nanos,
-        report: &ReconfigSummary,
-    ) -> SpanId {
-        self.record_reconfig(sink, started, report);
-        let span = tracer.span(
-            Lane::Switch(self.switch),
-            parent,
-            started,
-            report.ready_at.max(started),
-            SpanKind::ReconfigCommit {
-                switch: self.switch,
-                added: report.added as u32,
-                removed: report.removed as u32,
-                untouched: report.untouched as u32,
-            },
-        );
-        if report.added > 0 {
-            reconfig_phase_spans(tracer, span, self.switch, started, report.ready_at);
-        }
-        span
-    }
-
     /// Records a health snapshot: circuit/spare/power gauges plus the
     /// up/down observation feeding the availability SLO for `ocs-<id>`.
     pub fn record_health(&mut self, sink: &mut FleetTelemetry, at: Nanos, health: &OcsHealth) {
@@ -219,41 +185,6 @@ impl OcsInstruments {
         n
     }
 
-    /// Folds a completed reconfiguration into the campus rollup tree:
-    /// circuits moved plus (when mirrors actually moved) the switch
-    /// duration in ms, attributed to this switch's leaf under `pod`.
-    pub fn roll_reconfig(
-        &self,
-        tree: &mut RollupTree,
-        pod: u32,
-        started: Nanos,
-        report: &ReconfigSummary,
-    ) {
-        let path = PortPath::new(pod, self.switch, 0);
-        let moves = (report.added + report.removed) as f64;
-        tree.record("ocs_reconfig_moves", path, started, moves);
-        if report.added > 0 {
-            let duration = report.ready_at.saturating_sub(started);
-            tree.record(
-                "ocs_switch_duration_ms",
-                path,
-                started,
-                duration.as_millis_f64(),
-            );
-        }
-    }
-
-    /// Folds the proactive-maintenance drift census into per-port
-    /// campus leaves: one sample per drifted port, north ports at their
-    /// id and south ports offset by `1 << 16` (port ids are `u16`).
-    pub fn roll_drift(&self, tree: &mut RollupTree, pod: u32, at: Nanos, ocs: &PalomarOcs) {
-        let m = tree.metric("ocs_loss_drift_db");
-        for (north, port, drift) in ocs.drift_report(Db(0.0)) {
-            let leaf = port as u32 | ((!north as u32) << 16);
-            tree.ingest(m, PortPath::new(pod, self.switch, leaf), at, drift.db());
-        }
-    }
-
     /// One full scrape: health gauges, drift census, relock/reconfig
     /// rates, alarm forwarding.
     pub fn scrape(&mut self, sink: &mut FleetTelemetry, at: Nanos, ocs: &PalomarOcs) {
@@ -263,6 +194,40 @@ impl OcsInstruments {
         self.record_rates(sink, at, ocs);
         self.forward_alarms(sink, ocs);
     }
+}
+
+/// Renders one switch's reconfiguration as a causal span on its timeline
+/// lane: one [`SpanKind::ReconfigCommit`] covering
+/// `started..report.ready_at`, with the four reconfiguration phases
+/// (drain → mirror-settle → camera-verify → undrain) as child spans when
+/// the delta actually moved mirrors. Returns the commit span so callers
+/// can hang further causality off it.
+///
+/// The metrics side of the same report is
+/// [`OcsInstruments::record_reconfig`]; callers that want both call both.
+pub fn trace_reconfig(
+    tracer: &mut Tracer,
+    parent: Option<SpanId>,
+    switch: u32,
+    started: Nanos,
+    report: &ReconfigSummary,
+) -> SpanId {
+    let span = tracer.span(
+        Lane::Switch(switch),
+        parent,
+        started,
+        report.ready_at.max(started),
+        SpanKind::ReconfigCommit {
+            switch,
+            added: report.added as u32,
+            removed: report.removed as u32,
+            untouched: report.untouched as u32,
+        },
+    );
+    if report.added > 0 {
+        reconfig_phase_spans(tracer, span, switch, started, report.ready_at);
+    }
+    span
 }
 
 /// Converts a per-switch [`Alarm`] into the fleet aggregator's record.

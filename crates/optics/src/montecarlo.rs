@@ -376,10 +376,10 @@ pub mod reference {
         errors
     }
 
-    /// [`simulate_ber_with_pool`](super::simulate_ber_with_pool) driven by
-    /// the reference loop — identical sharding, seeding and merge order,
-    /// so any fast-vs-reference divergence is the kernel's fault alone.
-    pub fn simulate_ber_with_pool(
+    /// [`simulate_ber_par`](super::simulate_ber_par) driven by the
+    /// reference loop — identical sharding, seeding and merge order, so
+    /// any fast-vs-reference divergence is the kernel's fault alone.
+    pub fn simulate_ber_par(
         pool: &Pool,
         rx: &Pam4Receiver,
         received: Dbm,
@@ -421,8 +421,9 @@ pub fn simulate_ber(
     McBerResult::from_counts(symbols, errors)
 }
 
-/// Runs the Monte-Carlo BER estimate on the `lightwave-par` engine with the
-/// ambient pool ([`Pool::from_env`], honouring `LIGHTWAVE_THREADS`).
+/// Runs the Monte-Carlo BER estimate on `pool`, also returning the
+/// engine's [`RunStats`] (shards completed, worker utilization) for
+/// telemetry.
 ///
 /// Symbols split into [`DEFAULT_SHARD_SYMBOLS`]-sized shards (the last
 /// carries the remainder); each shard is an independent symbol stream
@@ -430,28 +431,6 @@ pub fn simulate_ber(
 /// shard-index order — the same seed yields a bit-identical [`McBerResult`]
 /// at any thread count.
 pub fn simulate_ber_par(
-    rx: &Pam4Receiver,
-    received: Dbm,
-    mpi_ratio: f64,
-    oim: Option<OimConfig>,
-    symbols: u64,
-    seed: u64,
-) -> McBerResult {
-    simulate_ber_with_pool(
-        &Pool::from_env(),
-        rx,
-        received,
-        mpi_ratio,
-        oim,
-        symbols,
-        seed,
-    )
-    .0
-}
-
-/// [`simulate_ber_par`] on an explicit pool, also returning the engine's
-/// [`RunStats`] (shards completed, worker utilization) for telemetry.
-pub fn simulate_ber_with_pool(
     pool: &Pool,
     rx: &Pam4Receiver,
     received: Dbm,
@@ -656,7 +635,7 @@ mod tests {
     fn parallel_path_thread_count_invariant() {
         let rx = Pam4Receiver::cwdm4_50g();
         let run = |threads| {
-            simulate_ber_with_pool(
+            simulate_ber_par(
                 &Pool::new(threads),
                 &rx,
                 Dbm(-13.0),
@@ -677,7 +656,7 @@ mod tests {
         let rx = Pam4Receiver::cwdm4_50g();
         let p = Dbm(-13.0);
         let analytic = rx.ber(p, 0.0, None).prob();
-        let mc = simulate_ber_par(&rx, p, 0.0, None, 2_000_000, 42);
+        let (mc, _) = simulate_ber_par(&Pool::new(2), &rx, p, 0.0, None, 2_000_000, 42);
         let ratio = mc.ber.prob() / analytic;
         assert!(
             (0.8..1.25).contains(&ratio),
@@ -692,7 +671,7 @@ mod tests {
         // still cover every symbol (the last shard carries the remainder).
         let rx = Pam4Receiver::cwdm4_50g();
         let n = DEFAULT_SHARD_SYMBOLS * 3 + 41;
-        let r = simulate_ber_par(&rx, Dbm(-13.0), 0.0, None, n, 9);
+        let (r, _) = simulate_ber_par(&Pool::new(2), &rx, Dbm(-13.0), 0.0, None, n, 9);
         assert_eq!(r.bits, n * 2);
     }
 
@@ -821,7 +800,7 @@ mod tests {
         let rx = Pam4Receiver::cwdm4_50g();
         for threads in [1, 4] {
             let pool = Pool::new(threads);
-            let fast = simulate_ber_with_pool(
+            let fast = simulate_ber_par(
                 &pool,
                 &rx,
                 Dbm(-12.5),
@@ -831,7 +810,7 @@ mod tests {
                 42,
             )
             .0;
-            let slow = reference::simulate_ber_with_pool(
+            let slow = reference::simulate_ber_par(
                 &pool,
                 &rx,
                 Dbm(-12.5),

@@ -9,10 +9,9 @@
 //! `LIGHTWAVE_THREADS=1` and at `=4` therefore exports byte-identical
 //! timelines (DESIGN.md §6.2).
 
-use crate::{plan_shards, Pool, RunStats, Shard};
+use crate::Shard;
 use lightwave_trace::{Lane, SpanId, SpanKind, Tracer};
 use lightwave_units::Nanos;
-use rand::rngs::StdRng;
 
 /// Number of virtual worker lanes shards render across. Fixed — never the
 /// runtime thread count, which would break trace byte-identity.
@@ -62,38 +61,10 @@ pub fn trace_shards(
     ids
 }
 
-/// [`Pool::run_shards`] plus the virtual-lane rendering of
-/// [`trace_shards`]: the same computation, with one [`SpanKind::WorkerShard`]
-/// span per shard. The rendering depends only on `(n, shard_size, base,
-/// per_trial)` — never on the pool's thread count — so the trace is
-/// byte-identical at any parallelism.
-#[allow(clippy::too_many_arguments)]
-pub fn run_shards_traced<T, F, M>(
-    pool: &Pool,
-    tracer: &mut Tracer,
-    parent: Option<SpanId>,
-    base: Nanos,
-    per_trial: Nanos,
-    seed: u64,
-    n: u64,
-    shard_size: u64,
-    run_shard: F,
-    merge: M,
-) -> (T, RunStats)
-where
-    T: Send,
-    F: Fn(&mut StdRng, Shard) -> T + Sync,
-    M: FnMut(T, T) -> T,
-{
-    let out = pool.run_shards(seed, n, shard_size, run_shard, merge);
-    trace_shards(tracer, parent, base, per_trial, &plan_shards(n, shard_size));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::splitmix;
+    use crate::{plan_shards, splitmix, Pool};
     use lightwave_trace::derive_span_id;
 
     #[test]
@@ -114,21 +85,14 @@ mod tests {
 
     #[test]
     fn shards_render_on_virtual_lanes_independent_of_thread_count() {
+        // The run, then its rendering: the spans come from the shard plan
+        // alone, so the pool's width cannot reach them.
         let render = |threads: usize| {
             let mut tracer = Tracer::new(5);
-            let pool = Pool::new(threads);
-            let (sum, _) = run_shards_traced(
-                &pool,
-                &mut tracer,
-                None,
-                Nanos(1_000),
-                Nanos(10),
-                3,
-                1_000,
-                64,
-                |_rng, shard| shard.len,
-                |a, b| a + b,
-            );
+            let (sum, _) =
+                Pool::new(threads).run_shards(3, 1_000, 64, |_rng, shard| shard.len, |a, b| a + b);
+            let plan = plan_shards(1_000, 64);
+            trace_shards(&mut tracer, None, Nanos(1_000), Nanos(10), &plan);
             (sum, tracer.spans().to_vec())
         };
         let (sum1, spans1) = render(1);

@@ -39,7 +39,7 @@
 //! `LIGHTWAVE_THREADS=1` reproduces any parallel run exactly.
 //!
 //! ```
-//! use lightwave_par::{par_trials, Pool};
+//! use lightwave_par::Pool;
 //!
 //! // Estimate π: 4 · P(point in quarter circle). Same answer at any
 //! // thread count.
@@ -388,38 +388,6 @@ impl Default for Pool {
     }
 }
 
-/// Runs `n` Monte-Carlo trials on the [`Pool::from_env`] pool — the
-/// function named by the engine's contract:
-/// `par_trials(seed, n, shard_size, per_trial, merge)`.
-///
-/// Work splits into `shard_size` shards (last carries the remainder), each
-/// shard draws from `StdRng::seed_from_u64(splitmix(seed, shard_index))`,
-/// and results merge in shard-index order — same seed, same answer, any
-/// thread count.
-pub fn par_trials<T, F, M>(seed: u64, n: u64, shard_size: u64, per_trial: F, merge: M) -> T
-where
-    T: Send,
-    F: Fn(&mut StdRng, u64) -> T + Sync,
-    M: Fn(T, T) -> T + Sync,
-{
-    Pool::from_env()
-        .run_trials(seed, n, shard_size, per_trial, merge)
-        .0
-}
-
-/// Maps `items` on the [`Pool::from_env`] pool and reduces strictly in item
-/// order (`None` for empty input). RNG-free counterpart of [`par_trials`]
-/// for fleet censuses and parameter sweeps.
-pub fn par_map_reduce<I, T, F, M>(items: &[I], map: F, reduce: M) -> Option<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I, usize) -> T + Sync,
-    M: FnMut(T, T) -> T,
-{
-    Pool::from_env().map_reduce(items, map, reduce).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,7 +462,7 @@ mod tests {
     fn trial_counts_exact_for_odd_n() {
         // Regression for the remainder bias: every trial runs exactly once.
         for (n, size) in [(10_007u64, 1_000u64), (5, 8), (64, 64), (65, 64), (129, 64)] {
-            let ran = par_trials(1, n, size, |_rng, _i| 1u64, |a, b| a + b);
+            let (ran, _) = Pool::new(3).run_trials(1, n, size, |_rng, _i| 1u64, |a, b| a + b);
             assert_eq!(ran, n, "n={n} shard_size={size}");
         }
     }

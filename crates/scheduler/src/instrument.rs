@@ -9,14 +9,12 @@
 
 use crate::sim::SimReport;
 use lightwave_telemetry::{CounterId, FleetTelemetry, GaugeId, HistogramId};
-use lightwave_trace::{Lane, SpanId, SpanKind, Tracer};
 use lightwave_units::Nanos;
 
 /// Fleet-metric handles for one scheduling discipline, labeled
 /// `{discipline=<name>}`.
 #[derive(Debug, Clone)]
 pub struct SchedulerInstruments {
-    discipline: String,
     utilization: GaugeId,
     wait_hours: HistogramId,
     completed: CounterId,
@@ -33,7 +31,6 @@ impl SchedulerInstruments {
         let labels: &[(&str, &str)] = &[("discipline", discipline)];
         let m = &mut sink.metrics;
         SchedulerInstruments {
-            discipline: discipline.to_string(),
             utilization: m.gauge("sched_utilization", labels),
             wait_hours: m.histogram("sched_mean_wait_hours", labels),
             completed: m.counter("sched_jobs_completed_total", labels),
@@ -56,31 +53,6 @@ impl SchedulerInstruments {
         sink.metrics.inc(self.unsupported, at, report.unsupported);
         sink.metrics
             .inc(self.defrag_migrations, at, report.migrations);
-    }
-
-    /// [`Self::record_run`] plus a [`SpanKind::SchedulerRun`] span on the
-    /// scheduler lane covering `started..ended` (the run's slice-carving
-    /// window in sim time). Returns the run span.
-    pub fn record_run_traced(
-        &mut self,
-        sink: &mut FleetTelemetry,
-        tracer: &mut Tracer,
-        parent: Option<SpanId>,
-        started: Nanos,
-        ended: Nanos,
-        report: &SimReport,
-    ) -> SpanId {
-        self.record_run(sink, started, report);
-        tracer.span(
-            Lane::Scheduler,
-            parent,
-            started,
-            ended.max(started),
-            SpanKind::SchedulerRun {
-                discipline: self.discipline.clone(),
-                jobs: report.completed,
-            },
-        )
     }
 }
 

@@ -10,12 +10,13 @@
 
 use crate::collective_sim::SimOutcome;
 use lightwave_fabric::{CommitError, CommitReport, OcsId};
+use lightwave_ocs::instrument::trace_reconfig;
 use lightwave_ocs::ReconfigSummary;
 use lightwave_telemetry::rollup::{PortPath, RollupTree};
 use lightwave_telemetry::{
     AlarmCause, AlarmRecord, CounterId, EventKind, FleetTelemetry, HistogramId, Severity,
 };
-use lightwave_trace::{reconfig_phase_spans, Lane, SpanId, SpanKind, Tracer};
+use lightwave_trace::{Lane, SpanId, SpanKind, Tracer};
 use lightwave_units::Nanos;
 
 /// A phase-time slowdown past this ratio over baseline flags a straggler.
@@ -143,46 +144,6 @@ impl CollectiveInstruments {
         }
         found
     }
-
-    /// Folds one simulated collective into the campus rollup tree: the
-    /// total time (seconds) on this pod's pseudo-switch leaf
-    /// `u32::MAX`, and detected stragglers as `pod_stragglers` samples.
-    pub fn roll_collective(
-        &self,
-        tree: &mut RollupTree,
-        at: Nanos,
-        run: &SimOutcome,
-        stragglers: &[Straggler],
-    ) {
-        let path = PortPath::new(self.pod, u32::MAX, 0);
-        tree.record("pod_collective_s", path, at, run.total);
-        for s in stragglers {
-            tree.record("pod_stragglers", path, at, s.slowdown_pct as f64 / 100.0);
-        }
-    }
-
-    /// [`Self::detect_stragglers`] plus an instant mark per flagged
-    /// dimension on the pod's timeline lane, so the detection moment is
-    /// visible in the Perfetto timeline next to the recovery spans.
-    pub fn detect_stragglers_traced(
-        &mut self,
-        sink: &mut FleetTelemetry,
-        tracer: &mut Tracer,
-        at: Nanos,
-        dims: &[usize],
-        healthy: &SimOutcome,
-        observed: &SimOutcome,
-    ) -> Vec<Straggler> {
-        let found = self.detect_stragglers(sink, at, dims, healthy, observed);
-        for s in &found {
-            tracer.instant(
-                Lane::Pod(self.pod),
-                at,
-                &format!("straggler dim={} +{}%", s.dim, s.slowdown_pct),
-            );
-        }
-        found
-    }
 }
 
 /// Renders a slice composition as a span tree: a
@@ -235,21 +196,7 @@ fn trace_topology_change(
 ) -> SpanId {
     let span = tracer.begin(Lane::Pod(pod), parent, at, kind);
     for (&switch, sw) in &report.per_switch {
-        let commit = tracer.span(
-            Lane::Switch(switch),
-            Some(span),
-            at,
-            sw.ready_at.max(at),
-            SpanKind::ReconfigCommit {
-                switch,
-                added: sw.added as u32,
-                removed: sw.removed as u32,
-                untouched: sw.untouched as u32,
-            },
-        );
-        if sw.added > 0 {
-            reconfig_phase_spans(tracer, commit, switch, at, sw.ready_at);
-        }
+        trace_reconfig(tracer, Some(span), switch, at, sw);
     }
     tracer.end(span, report.traffic_ready_at.max(at));
     span
@@ -258,12 +205,8 @@ fn trace_topology_change(
 /// Folds a slice composition or release into the campus rollup tree:
 /// one `pod_slice_moves` sample per touched switch (at that switch's
 /// leaf under `pod`), plus a pod-scoped `pod_slice_settle_ms` sample on
-/// pseudo-switch `u32::MAX` when circuits were added. The superpod-side
-/// twin of [`FabricInstruments::roll_commit`] — same tree, same exact
-/// [`Aggregate`](lightwave_telemetry::Aggregate) folds.
-///
-/// [`FabricInstruments::roll_commit`]:
-///     lightwave_fabric::instrument::FabricInstruments::roll_commit
+/// pseudo-switch `u32::MAX` when circuits were added — the one renderer
+/// of a [`CommitReport`] into the rollup tree.
 pub fn roll_topology_change(tree: &mut RollupTree, pod: u32, at: Nanos, report: &CommitReport) {
     let moves = tree.metric("pod_slice_moves");
     for (&switch, sw) in &report.per_switch {

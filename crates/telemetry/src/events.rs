@@ -3,9 +3,7 @@
 //! Events are the narrative complement to metrics: a metric says "commit
 //! settle time p99 is 41 ms", an event says "commit #3 moved 12 circuits
 //! on switch 5 at t=1.2 s". The bus keeps a bounded ring of recent events
-//! (oldest dropped first, drops counted — never silent) and fans every
-//! published event out to typed subscriber hooks before retention, so a
-//! subscriber sees the full stream even when the ring is small.
+//! (oldest dropped first, drops counted — never silent).
 
 use crate::severity::Severity;
 use lightwave_units::Nanos;
@@ -115,31 +113,13 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// A typed hook invoked synchronously for every published event.
-pub trait EventSubscriber {
-    /// Called for each event, before ring retention.
-    fn on_event(&mut self, event: &Event);
-}
-
 /// Bounded-retention event bus.
+#[derive(Debug)]
 pub struct EventBus {
     retain: usize,
     ring: VecDeque<Event>,
-    subscribers: Vec<Box<dyn EventSubscriber>>,
     published: u64,
     dropped: u64,
-}
-
-impl std::fmt::Debug for EventBus {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventBus")
-            .field("retain", &self.retain)
-            .field("retained", &self.ring.len())
-            .field("published", &self.published)
-            .field("dropped", &self.dropped)
-            .field("subscribers", &self.subscribers.len())
-            .finish()
-    }
 }
 
 impl Default for EventBus {
@@ -155,22 +135,13 @@ impl EventBus {
         EventBus {
             retain,
             ring: VecDeque::with_capacity(retain.min(4096)),
-            subscribers: Vec::new(),
             published: 0,
             dropped: 0,
         }
     }
 
-    /// Registers a subscriber hook. Hooks run in registration order.
-    pub fn subscribe(&mut self, sub: Box<dyn EventSubscriber>) {
-        self.subscribers.push(sub);
-    }
-
-    /// Publishes an event: subscribers first, then ring retention.
+    /// Publishes an event into the ring, evicting the oldest when full.
     pub fn publish(&mut self, event: Event) {
-        for sub in &mut self.subscribers {
-            sub.on_event(&event);
-        }
         if self.ring.len() == self.retain {
             self.ring.pop_front();
             self.dropped += 1;
@@ -198,7 +169,7 @@ impl EventBus {
         self.published
     }
 
-    /// Events evicted from retention (still seen by subscribers).
+    /// Events evicted from retention.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -207,27 +178,6 @@ impl EventBus {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    use std::cell::Cell;
-    use std::rc::Rc;
-
-    struct CritCounter {
-        pages: Rc<Cell<u32>>,
-    }
-
-    impl EventSubscriber for CritCounter {
-        fn on_event(&mut self, event: &Event) {
-            if matches!(
-                event.kind,
-                EventKind::IncidentOpened {
-                    severity: Severity::Critical,
-                    ..
-                }
-            ) {
-                self.pages.set(self.pages.get() + 1);
-            }
-        }
-    }
 
     #[test]
     fn ring_bounds_retention_and_counts_drops() {
@@ -246,30 +196,5 @@ mod tests {
         assert_eq!(bus.dropped(), 2);
         let first = bus.recent().next().unwrap();
         assert_eq!(first.at, Nanos(2), "oldest events evicted first");
-    }
-
-    #[test]
-    fn subscribers_see_everything_despite_small_ring() {
-        // A paging hook must not miss incidents just because the ring is
-        // tiny: subscribers run before retention.
-        let pages = Rc::new(Cell::new(0));
-        let mut bus = EventBus::with_retention(1);
-        bus.subscribe(Box::new(CritCounter {
-            pages: Rc::clone(&pages),
-        }));
-        for i in 0..4u64 {
-            bus.emit(
-                Nanos(i),
-                "agg",
-                EventKind::IncidentOpened {
-                    incident: i,
-                    severity: Severity::Critical,
-                },
-            );
-        }
-        assert_eq!(bus.recent().count(), 1);
-        assert_eq!(bus.published(), 4);
-        assert_eq!(bus.dropped(), 3);
-        assert_eq!(pages.get(), 4, "hook saw every event, evicted or not");
     }
 }

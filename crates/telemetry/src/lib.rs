@@ -15,8 +15,7 @@
 //!   histograms, stamped with **simulation time** ([`Nanos`]) passed by
 //!   callers. No wall clock exists anywhere in this crate, so seeded runs
 //!   export byte-identical state (DESIGN.md §6 determinism rule).
-//! - [`EventBus`] — structured events with bounded ring retention and
-//!   typed subscriber hooks.
+//! - [`EventBus`] — structured events with bounded ring retention.
 //! - [`AlarmAggregator`] — fleet alarm ingestion with debounce,
 //!   hysteresis, severity escalation, and blast-radius correlation: one
 //!   FRU failure pages once, not 48 times.
@@ -94,7 +93,7 @@ pub use alarms::{
     IngestOutcome, TrendSignal,
 };
 pub use detect::{Cusum, CusumConfig, EwmaConfig, EwmaDrift, RateSpike, RateSpikeConfig};
-pub use events::{Event, EventBus, EventKind, EventSubscriber};
+pub use events::{Event, EventBus, EventKind};
 pub use exemplar::{Exemplar, ExemplarBucket, ExemplarHistogram, ExemplarSnapshot};
 pub use export::JsonlRecord;
 pub use fleet::FleetTelemetry;

@@ -321,11 +321,14 @@ pub struct RateWindow {
 
 impl RateWindow {
     /// Re-evaluates the rate at sim time `at`; publishes the companion
-    /// gauge when (and only when) the window has rolled over.
+    /// gauge when (and only when) the window has rolled over. A stamp
+    /// from an earlier window is a no-op, like a stamp from the current
+    /// one: whatever was counted meanwhile is published at the next
+    /// roll-over.
     pub fn observe(&mut self, metrics: &mut MetricsRegistry, at: Nanos) {
         let window = self.window.0.max(1);
         let bucket = at.0 / window;
-        if bucket == self.last_bucket {
+        if bucket <= self.last_bucket {
             return;
         }
         let count = metrics.counter_value(self.counter);
@@ -410,6 +413,15 @@ mod tests {
         reg.inc(c, Nanos::from_millis(2500), 6);
         rate.observe(&mut reg, Nanos::from_millis(3100));
         assert_eq!(reg.gauge_value(rate.gauge()), 3.0);
+        // A late stamp (window 1, after window 3 was published) is a
+        // no-op: it used to underflow in debug builds and publish a
+        // garbage rate in release ones. The two events counted meanwhile
+        // come out at the next roll-over, over the one window since.
+        reg.inc(c, Nanos::from_millis(3200), 2);
+        rate.observe(&mut reg, Nanos::from_millis(1500));
+        assert_eq!(reg.gauge_value(rate.gauge()), 3.0);
+        rate.observe(&mut reg, Nanos::from_millis(4100));
+        assert_eq!(reg.gauge_value(rate.gauge()), 2.0);
         // Determinism: an identical replay publishes identical rates.
         let replay = |stamps: &[(u64, u64, u64)]| {
             let mut reg = MetricsRegistry::new();

@@ -29,10 +29,12 @@
 //!   used by CI (no network, no external schema tooling).
 //!
 //! In the workspace DAG this crate sits directly above `lightwave-units`
-//! beside `lightwave-telemetry`; the operational crates (`ocs`,
-//! `fabric`, `scheduler`, `superpod`, `par`) gain `*_traced` variants in
-//! their `instrument` modules that record into a `&mut Tracer` next to
-//! the existing `&mut FleetTelemetry` sink.
+//! beside `lightwave-telemetry`; the operational crates' `instrument`
+//! modules render their reports into a `&mut Tracer` with `trace_*`
+//! functions (`ocs::instrument::trace_reconfig`,
+//! `superpod::instrument::{trace_compose, trace_release}`,
+//! `par::instrument::trace_shards`), separate from the `record_*`
+//! functions that feed `&mut FleetTelemetry` — callers compose the two.
 //!
 //! ```
 //! use lightwave_trace::{Lane, SpanKind, Tracer, to_chrome_trace};

@@ -94,8 +94,7 @@ fn census_port(
     violated
 }
 
-/// Runs the Fig. 13 census on the ambient [`Pool`] (honouring
-/// `LIGHTWAVE_THREADS`).
+/// Runs the Fig. 13 census on `pool`.
 ///
 /// * `ports` — number of receiving ports to sample (use [`POD_RX_PORTS`]
 ///   for the full pod; tests use fewer).
@@ -105,17 +104,7 @@ fn census_port(
 /// its transceivers and fiber plant from a `(seed, shard_index)`-derived
 /// stream; shard results concatenate in shard order, so the census —
 /// sample order included — is identical at any thread count.
-pub fn fleet_census(ports: usize, family: ModuleFamily, seed: u64) -> FleetCensus {
-    fleet_census_with_pool(&Pool::from_env(), ports, family, seed)
-}
-
-/// [`fleet_census`] on an explicit pool.
-pub fn fleet_census_with_pool(
-    pool: &Pool,
-    ports: usize,
-    family: ModuleFamily,
-    seed: u64,
-) -> FleetCensus {
+pub fn fleet_census(pool: &Pool, ports: usize, family: ModuleFamily, seed: u64) -> FleetCensus {
     assert!(ports > 0, "census needs at least one port");
     let dsp = DspConfig::ml_production();
 
@@ -164,7 +153,7 @@ mod tests {
     #[test]
     fn census_meets_kp4_with_two_orders_margin() {
         // The headline Fig. 13 claim, on a 500-port sample.
-        let census = fleet_census(500, ModuleFamily::Cwdm4Bidi, 42);
+        let census = fleet_census(&Pool::new(2), 500, ModuleFamily::Cwdm4Bidi, 42);
         assert_eq!(
             census.violations, 0,
             "all production lanes meet the KP4 spec"
@@ -179,7 +168,7 @@ mod tests {
     #[test]
     fn census_has_population_spread() {
         // Fig. 13 shows a band, not a line: per-unit floors differ.
-        let census = fleet_census(300, ModuleFamily::Cwdm4Bidi, 7);
+        let census = fleet_census(&Pool::new(2), 300, ModuleFamily::Cwdm4Bidi, 7);
         let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
         for s in &census.samples {
             lo = lo.min(s.ber.prob());
@@ -193,16 +182,16 @@ mod tests {
 
     #[test]
     fn sample_counts() {
-        let census = fleet_census(100, ModuleFamily::Cwdm4Bidi, 1);
+        let census = fleet_census(&Pool::new(2), 100, ModuleFamily::Cwdm4Bidi, 1);
         assert_eq!(census.samples.len(), 400, "4 lanes per CWDM4 engine");
-        let c8 = fleet_census(50, ModuleFamily::Cwdm8Bidi, 1);
+        let c8 = fleet_census(&Pool::new(2), 50, ModuleFamily::Cwdm8Bidi, 1);
         assert_eq!(c8.samples.len(), 400, "8 lanes per CWDM8 engine");
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let a = fleet_census(50, ModuleFamily::Cwdm4Bidi, 5);
-        let b = fleet_census(50, ModuleFamily::Cwdm4Bidi, 5);
+        let a = fleet_census(&Pool::new(2), 50, ModuleFamily::Cwdm4Bidi, 5);
+        let b = fleet_census(&Pool::new(2), 50, ModuleFamily::Cwdm4Bidi, 5);
         assert_eq!(a, b);
     }
 
@@ -210,8 +199,7 @@ mod tests {
     fn census_thread_count_invariant() {
         // 130 ports: not divisible by the shard size, so the remainder
         // shard is exercised too.
-        let run =
-            |threads| fleet_census_with_pool(&Pool::new(threads), 130, ModuleFamily::Cwdm4Bidi, 42);
+        let run = |threads| fleet_census(&Pool::new(threads), 130, ModuleFamily::Cwdm4Bidi, 42);
         let one = run(1);
         assert_eq!(one, run(2));
         assert_eq!(one, run(4));
@@ -220,7 +208,7 @@ mod tests {
 
     #[test]
     fn census_samples_stay_in_port_order() {
-        let census = fleet_census(80, ModuleFamily::Cwdm4Bidi, 3);
+        let census = fleet_census(&Pool::new(2), 80, ModuleFamily::Cwdm4Bidi, 3);
         let ports: Vec<u32> = census.samples.iter().map(|s| s.port).collect();
         let mut sorted = ports.clone();
         sorted.sort_unstable();

@@ -116,12 +116,13 @@ mod tests {
     use super::*;
     use crate::fleet::fleet_census;
     use crate::module::ModuleFamily;
+    use lightwave_par::Pool;
 
     #[test]
     fn census_populates_ber_distribution() {
         let mut sink = FleetTelemetry::new();
         let mut inst = XcvrInstruments::register(&mut sink, "cwdm4");
-        let census = fleet_census(50, ModuleFamily::Cwdm4Bidi, 42);
+        let census = fleet_census(&Pool::new(2), 50, ModuleFamily::Cwdm4Bidi, 42);
         inst.record_census(&mut sink, Nanos(0), &census);
         let h = sink.metrics.histogram_value(inst.lane_ber);
         assert_eq!(h.count(), 200, "4 lanes × 50 ports");

@@ -10,7 +10,7 @@
 //! OCS mirror fails mid-flight and is healed from on-die spares.
 
 use lightwave::prelude::*;
-use lightwave::superpod::instrument::trace_compose;
+use lightwave::superpod::instrument::{trace_compose, trace_release};
 use lightwave::superpod::Slice;
 use lightwave::trace::{to_chrome_trace, Lane, SpanKind};
 
@@ -20,11 +20,12 @@ fn main() {
     let mut tracer = Tracer::new(11);
 
     // A 1024-chip job on 16 cubes.
-    let (placement, place_span) = pod
-        .place_model_traced(&mut tracer, None, &LlmConfig::llm1(), 1024)
-        .expect("fits");
-    pod.advance(Nanos::from_millis(300));
+    let at = pod.now();
+    let placement = pod.place_model(&LlmConfig::llm1(), 1024).expect("fits");
     let shape = placement.plan.shape;
+    let cube_count = shape.cube_count() as u32;
+    let place_span = trace_compose(&mut tracer, None, 0, at, cube_count, &placement.report);
+    pod.advance(Nanos::from_millis(300));
     println!(
         "job running on {:?} ({} cubes), {} circuits live",
         shape.chips,
@@ -48,9 +49,9 @@ fn main() {
 
     // Recompose on a spare: same shape, same cubes except the victim.
     let old = pod.pod.slice(placement.handle).expect("live").clone();
-    let release_span = pod
-        .release_traced(&mut tracer, Some(recovery), placement.handle)
-        .expect("live");
+    let at = pod.now();
+    let released = pod.release(placement.handle).expect("live");
+    let release_span = trace_release(&mut tracer, Some(recovery), 0, at, cube_count, &released);
     let spare = pod
         .pod
         .idle_cubes()
@@ -67,14 +68,7 @@ fn main() {
         .pod
         .compose(Slice::new(old.shape, cubes).expect("valid"))
         .expect("spare composition");
-    let swap_span = trace_compose(
-        &mut tracer,
-        Some(recovery),
-        0,
-        at,
-        old.shape.cube_count() as u32,
-        &report,
-    );
+    let swap_span = trace_compose(&mut tracer, Some(recovery), 0, at, cube_count, &report);
     tracer.link_follows(swap_span, release_span);
     tracer.end(recovery, report.traffic_ready_at.max(at));
     println!(

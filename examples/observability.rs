@@ -16,6 +16,7 @@
 use lightwave::fabric::instrument::FabricInstruments;
 use lightwave::fabric::{FabricController, FabricTarget, OcsFleet};
 use lightwave::ocs::PortMapping;
+use lightwave::par::Pool;
 use lightwave::scheduler::instrument::SchedulerInstruments;
 use lightwave::scheduler::sim::{default_mix, ClusterSim};
 use lightwave::scheduler::Pooled;
@@ -39,9 +40,11 @@ fn main() {
         let pairs: Vec<(u16, u16)> = (0..32u16).map(|n| (n, n + 64)).collect();
         target.set(ocs, PortMapping::from_pairs(pairs).expect("valid mapping"));
     }
-    let report = fabric
-        .commit_observed(&mut sink, &mut controller, &target)
+    let at = controller.now();
+    let report = controller
+        .commit(&target)
         .expect("clean fleet accepts the initial target");
+    fabric.record_commit(&mut sink, at, &report);
     println!(
         "provisioned {} circuits across 4 switches, traffic-ready in {}",
         report.added, report.traffic_ready_at
@@ -51,7 +54,7 @@ fn main() {
 
     // ── 2. Transceiver BER census + one marginal link ──────────────────
     let mut xcvr = XcvrInstruments::register(&mut sink, "cwdm4");
-    let census = fleet_census(400, ModuleFamily::Cwdm4Bidi, 42);
+    let census = fleet_census(&Pool::from_env(), 400, ModuleFamily::Cwdm4Bidi, 42);
     xcvr.record_census(&mut sink, controller.now(), &census);
     // A legacy peer forces one link below its top lane rate (§3.3.1).
     let new = DspConfig::ml_production();

@@ -13,10 +13,10 @@
 //! sink the rest of the fleet reports into.
 
 use lightwave::availability::{
-    cube_availability, monte_carlo_pool_availability_with_pool, POOL_SHARD_TRIALS,
+    cube_availability, monte_carlo_pool_availability, POOL_SHARD_TRIALS,
 };
 use lightwave::optics::ber::{mpi_db, Pam4Receiver};
-use lightwave::optics::montecarlo::simulate_ber_with_pool;
+use lightwave::optics::montecarlo::simulate_ber_par;
 use lightwave::par::{Pool, THREADS_ENV};
 use lightwave::telemetry::FleetTelemetry;
 use lightwave::units::{Availability, Dbm, Nanos};
@@ -39,7 +39,7 @@ fn main() {
     println!("PAM4 BER vs power (MPI −30 dB, {symbols} symbols/point):");
     for tenth_dbm in (-150i32..=-120).step_by(10) {
         let p = Dbm(f64::from(tenth_dbm) / 10.0);
-        let (r, stats) = simulate_ber_with_pool(&pool, &rx, p, mpi_db(-30.0), None, symbols, 42);
+        let (r, stats) = simulate_ber_par(&pool, &rx, p, mpi_db(-30.0), None, symbols, 42);
         let at = Nanos::from_millis(tick_ms);
         let g = sink
             .metrics
@@ -59,7 +59,7 @@ fn main() {
     // ── Pool availability, Fig. 15 machinery ──────────────────────────
     let trials = POOL_SHARD_TRIALS * 16;
     let ca = cube_availability(Availability::new(0.999));
-    let est = monte_carlo_pool_availability_with_pool(&pool, ca, 48, trials, 7);
+    let est = monte_carlo_pool_availability(&pool, ca, 48, trials, 7);
     let g = sink
         .metrics
         .gauge("sweep_pool_availability", &[("need", "48")]);
@@ -68,10 +68,8 @@ fn main() {
 
     // ── The contract, demonstrated ────────────────────────────────────
     let one = Pool::new(1);
-    let (serial, _) =
-        simulate_ber_with_pool(&one, &rx, Dbm(-13.0), mpi_db(-30.0), None, symbols, 42);
-    let (pooled, _) =
-        simulate_ber_with_pool(&pool, &rx, Dbm(-13.0), mpi_db(-30.0), None, symbols, 42);
+    let (serial, _) = simulate_ber_par(&one, &rx, Dbm(-13.0), mpi_db(-30.0), None, symbols, 42);
+    let (pooled, _) = simulate_ber_par(&pool, &rx, Dbm(-13.0), mpi_db(-30.0), None, symbols, 42);
     assert_eq!(serial, pooled);
     assert_eq!(serial.ber.0.to_bits(), pooled.ber.0.to_bits());
     println!(

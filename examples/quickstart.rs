@@ -42,7 +42,7 @@ fn main() {
     // MEMS mirrors take milliseconds to settle; transceivers re-acquire.
     println!(
         "fabric reconfiguring... traffic ready at t = {}",
-        placement.traffic_ready_at
+        placement.report.traffic_ready_at
     );
     pod.advance(Nanos::from_millis(300));
     assert!(pod.pod.settled(), "all circuits aligned");

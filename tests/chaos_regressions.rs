@@ -7,20 +7,11 @@
 
 use lightwave::chaos::{run_schedule, run_schedule_world, ChaosConfig, FaultKind, FaultSchedule};
 
-/// Bug A: a down switch wedged every pod transaction.
-///
-/// `Superpod::target_for` declared a mapping for all 48 switches, so one
-/// chassis-down switch made `FabricController::validate` reject *every*
-/// compose and release fabric-wide (`ChassisDown` invalidates the whole
-/// transaction). The fix: transactions skip down (and not-yet-reconciled)
-/// switches, track them in a `desynced` set, and an anti-entropy
-/// `resync()` reconciles each one after it revives.
-#[test]
-fn down_switch_does_not_wedge_compose_or_release() {
-    // Two-cube slices: their X rings are optical, so every transaction
-    // genuinely touches the down switch's dimension (single-cube slices
-    // are all-electrical and would make this vacuous).
-    let s = FaultSchedule {
+/// Bug A's schedule. Two-cube slices: their X rings are optical, so every
+/// transaction genuinely touches the down switch's dimension (single-cube
+/// slices are all-electrical and would make this vacuous).
+fn down_switch_schedule() -> FaultSchedule {
+    FaultSchedule {
         seed: 7,
         index: 0,
         events: vec![
@@ -37,7 +28,20 @@ fn down_switch_does_not_wedge_compose_or_release() {
             FaultKind::ReplaceFru { ocs: 5, slot: 14 },
             FaultKind::Advance { millis: 60 },
         ],
-    };
+    }
+}
+
+/// Bug A: a down switch wedged every pod transaction.
+///
+/// `Superpod::target_for` declared a mapping for all 48 switches, so one
+/// chassis-down switch made `FabricController::validate` reject *every*
+/// compose and release fabric-wide (`ChassisDown` invalidates the whole
+/// transaction). The fix: transactions skip down (and not-yet-reconciled)
+/// switches, track them in a `desynced` set, and an anti-entropy
+/// `resync()` reconciles each one after it revives.
+#[test]
+fn down_switch_does_not_wedge_compose_or_release() {
+    let s = down_switch_schedule();
     let out = run_schedule(&s, &ChaosConfig::default());
     assert!(out.violation.is_none(), "violation: {:?}", out.violation);
     assert_eq!(out.events_applied as usize, s.events.len());
@@ -119,4 +123,134 @@ fn preemption_under_fault_stays_invariant_clean() {
     w.svc.conservation().expect("requests conserved at the end");
     // Replay is byte-identical (the repro contract for service hunts).
     assert_eq!(out, run_schedule(&s, &ChaosConfig::default()));
+}
+
+/// A chaos world runs no full-target commit: a single-cube compose is a
+/// zero-switch transaction, so no switch reconfigures at all. (The pod's
+/// shadow flag used to push a no-op 48-switch target through the fabric
+/// after every transaction, leaving one reconfiguration on each; the
+/// equivalence it checked is invariant (b)'s, from the harness's own
+/// slice model.)
+#[test]
+fn zero_switch_transaction_reconfigures_no_switch() {
+    let s = FaultSchedule {
+        seed: 7,
+        index: 2,
+        events: vec![FaultKind::Compose { cubes: 1 }],
+    };
+    let (out, w) = run_schedule_world(&s, &ChaosConfig::default());
+    assert!(out.violation.is_none(), "violation: {:?}", out.violation);
+    assert_eq!(out.composes, 1);
+    for (id, sw) in w.pod.fabric().fleet.iter() {
+        assert_eq!(sw.telemetry().counters.reconfigs, 0, "switch {id}");
+    }
+    assert_eq!(w.pod.fabric().fleet.iter().count(), 48);
+}
+
+/// FNV-1a, 64 bit: enough to pin an artifact without versioning its bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The traced resync, pinned at `5863c20` (before
+/// `record_reconfig_traced` became `record_reconfig` + `trace_reconfig`):
+/// a revived switch's reconciliation is the one parentless
+/// `ReconfigCommit` span a chaos world draws, with the four-phase chain
+/// under it only when circuits were added. Span ids depend on allocation
+/// order and the telemetry export on record order, so both exports are
+/// held by length and hash. Service schedule `(1, 19)` is the only one of
+/// the first 400 generated schedules that emits such a span (a
+/// removal-only resync); the hand-built schedule — bug A's — resyncs
+/// switch 5 onto the second slice's ring, which adds circuits.
+#[test]
+fn traced_resync_matches_the_parent_capture() {
+    use lightwave::trace::{to_chrome_trace, Lane, ReconfigPhase, SpanKind};
+    type Row = (u64, Lane, u64, u64, SpanKind);
+    let check =
+        |s: &FaultSchedule, want: &[Row], trace_pin: (usize, u64), jsonl_pin: (usize, u64)| {
+            let (out, w) = run_schedule_world(s, &ChaosConfig::default());
+            assert!(out.violation.is_none(), "violation: {:?}", out.violation);
+            let spans = w.tracer.spans();
+            let roots: Vec<_> = spans
+                .iter()
+                .filter(|s| s.parent.is_none() && matches!(s.kind, SpanKind::ReconfigCommit { .. }))
+                .collect();
+            assert_eq!(roots.len(), 1, "exactly one traced resync");
+            let got: Vec<Row> = spans
+                .iter()
+                .filter(|s| s.id == roots[0].id || s.parent == Some(roots[0].id))
+                .map(|s| (s.id.0, s.lane, s.start.0, s.end.0, s.kind.clone()))
+                .collect();
+            assert_eq!(got, want);
+            let trace = to_chrome_trace(&w.tracer);
+            assert_eq!((trace.len(), fnv1a(trace.as_bytes())), trace_pin);
+            let jsonl = w.telemetry.to_jsonl(w.now());
+            assert_eq!((jsonl.len(), fnv1a(jsonl.as_bytes())), jsonl_pin);
+        };
+
+    let removal_only = SpanKind::ReconfigCommit {
+        switch: 37,
+        added: 0,
+        removed: 8,
+        untouched: 8,
+    };
+    check(
+        &FaultSchedule::generate_service(1, 19),
+        &[(
+            16783349912654472242,
+            Lane::Switch(37),
+            662_000_000,
+            662_000_000,
+            removal_only,
+        )],
+        (572_581, 0xc340_10b6_d962_0849),
+        (86_462, 0x85b3_009d_cf4e_2f68),
+    );
+
+    let phase = |phase| SpanKind::Phase { switch: 5, phase };
+    let commit = SpanKind::ReconfigCommit {
+        switch: 5,
+        added: 2,
+        removed: 2,
+        untouched: 0,
+    };
+    let sw = Lane::Switch(5);
+    check(
+        &down_switch_schedule(),
+        &[
+            (4397963149417185371, sw, 150_000_000, 165_000_000, commit),
+            (
+                17378308304626249398,
+                sw,
+                150_000_000,
+                152_250_000,
+                phase(ReconfigPhase::Drain),
+            ),
+            (
+                11896298646795932948,
+                sw,
+                152_250_000,
+                159_750_000,
+                phase(ReconfigPhase::MirrorSettle),
+            ),
+            (
+                10797147373169344125,
+                sw,
+                159_750_000,
+                163_500_000,
+                phase(ReconfigPhase::CameraVerify),
+            ),
+            (
+                14981023839456451274,
+                sw,
+                163_500_000,
+                165_000_000,
+                phase(ReconfigPhase::Undrain),
+            ),
+        ],
+        (59_779, 0x45dc_65b4_bec6_2d9f),
+        (77_216, 0xbfb0_6b0c_112c_8ea9),
+    );
 }

@@ -286,10 +286,6 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..80),
     ) {
         let (mut pod, mut model) = (Superpod::new(seed), OraclePod::new(seed));
-        // The shadow check is itself a detector of switches changed behind
-        // the pod's back, so it rides along only where none is wiped.
-        let wiped = ops.iter().any(|op| matches!(op, Op::WipeSwitch { .. }));
-        pod.set_shadow_check(!wiped);
         for &op in &ops {
             step(&mut pod, &mut model, op)?;
         }

@@ -1,7 +1,7 @@
 //! Differential proptests: the fast FEC/PAM4 kernels versus their frozen
 //! references (DESIGN §6.8).
 //!
-//! The reference implementations (`lightwave::fec::reference`,
+//! The reference implementations (`tests/oracle/reed_solomon.rs`,
 //! `lightwave::optics::montecarlo::reference`) are the behavioral
 //! oracles; these properties drive both sides with the same arbitrary
 //! inputs and demand *exact* agreement — return values, output buffers
@@ -10,15 +10,20 @@
 //! known answers; this file covers the input space around them.
 
 use lightwave::fec::gf::Gf;
-use lightwave::fec::reference::ReferenceRs;
 use lightwave::fec::{Interleaver, ReedSolomon, RsScratch};
 use lightwave::optics::ber::{mpi_db, Pam4Receiver};
 use lightwave::optics::montecarlo::{self as mc, McChannel};
 use lightwave::par::Pool;
 use lightwave::units::Dbm;
+use oracle::ReferenceRs;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
+
+// `from_parts` is the golden-vector suite's; nothing here calls it.
+#[allow(dead_code)]
+#[path = "oracle/reed_solomon.rs"]
+mod oracle;
 
 /// Builds matched fast/reference codecs for one of two shapes: the
 /// production KP4 code and a small code whose short length shakes out
@@ -186,17 +191,17 @@ proptest! {
         let rx = Pam4Receiver::cwdm4_50g();
         let reference = {
             let pool = Pool::new(1);
-            mc::reference::simulate_ber_with_pool(
+            mc::reference::simulate_ber_par(
                 &pool, &rx, Dbm(-12.5), mpi_db(-32.0), None, symbols, seed,
             ).0
         };
         for threads in [1usize, 2, 4] {
             let pool = Pool::new(threads);
-            let fast = mc::simulate_ber_with_pool(
+            let fast = mc::simulate_ber_par(
                 &pool, &rx, Dbm(-12.5), mpi_db(-32.0), None, symbols, seed,
             ).0;
             prop_assert_eq!(fast, reference);
-            let ref_pooled = mc::reference::simulate_ber_with_pool(
+            let ref_pooled = mc::reference::simulate_ber_par(
                 &pool, &rx, Dbm(-12.5), mpi_db(-32.0), None, symbols, seed,
             ).0;
             prop_assert_eq!(ref_pooled, reference);

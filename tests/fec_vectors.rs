@@ -1,7 +1,7 @@
 //! Golden-vector regression suite for the RS(544,514) "KP4" codec.
 //!
 //! `tests/vectors/rs_kp4.json` was generated once from the frozen
-//! reference implementation ([`lightwave::fec::reference`]) and committed;
+//! reference implementation (`tests/oracle/reed_solomon.rs`) and committed;
 //! every case was verified at generation time (decodes recover the
 //! codeword, the t+1 case is a detected failure). These tests pin both
 //! the fast kernels and the reference against that file, so neither can
@@ -10,9 +10,12 @@
 //! is the property-based half.
 
 use lightwave::fec::gf::Gf;
-use lightwave::fec::reference::ReferenceRs;
 use lightwave::fec::{ReedSolomon, RsScratch};
+use oracle::ReferenceRs;
 use serde::Deserialize;
+
+#[path = "oracle/reed_solomon.rs"]
+mod oracle;
 
 #[derive(Deserialize)]
 struct Code {

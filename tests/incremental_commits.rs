@@ -165,19 +165,4 @@ proptest! {
         prop_assert!(pod.desynced().is_empty(), "full repair reconciles all");
         check_equivalence(&pod)?;
     }
-
-    /// The shadow cross-check (the in-tree equivalence oracle) agrees
-    /// with this test's independent reference: the same interleavings
-    /// run shadow-on without panicking.
-    #[test]
-    fn shadow_check_accepts_arbitrary_interleavings(
-        seed in 0u64..256,
-        ops in proptest::collection::vec(op_strategy(), 1..24),
-    ) {
-        let mut pod = Superpod::new(seed);
-        pod.set_shadow_check(true);
-        for &op in &ops {
-            apply(&mut pod, op);
-        }
-    }
 }

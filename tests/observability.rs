@@ -7,6 +7,7 @@ use lightwave::fabric::instrument::FabricInstruments;
 use lightwave::fabric::{FabricController, FabricTarget, OcsFleet};
 use lightwave::ocs::instrument::OcsInstruments;
 use lightwave::ocs::PortMapping;
+use lightwave::par::Pool;
 use lightwave::scheduler::instrument::SchedulerInstruments;
 use lightwave::scheduler::sim::{default_mix, ClusterSim};
 use lightwave::scheduler::Pooled;
@@ -31,9 +32,9 @@ fn full_stack_scenario(seed: u64) -> FleetTelemetry {
         let pairs: Vec<(u16, u16)> = (0..16u16).map(|n| (n, n + 64)).collect();
         target.set(ocs, PortMapping::from_pairs(pairs).unwrap());
     }
-    fabric
-        .commit_observed(&mut sink, &mut controller, &target)
-        .unwrap();
+    let at = controller.now();
+    let report = controller.commit(&target).unwrap();
+    fabric.record_commit(&mut sink, at, &report);
     controller.advance(Nanos::from_millis(300));
     controller.fleet.get_mut(1).unwrap().fail_fru(6);
     controller.advance(Nanos::from_millis(50));
@@ -45,7 +46,7 @@ fn full_stack_scenario(seed: u64) -> FleetTelemetry {
 
     // transceiver: census + a rate fallback.
     let mut xcvr = XcvrInstruments::register(&mut sink, "cwdm4");
-    let census = fleet_census(60, ModuleFamily::Cwdm4Bidi, seed);
+    let census = fleet_census(&Pool::new(2), 60, ModuleFamily::Cwdm4Bidi, seed);
     xcvr.record_census(&mut sink, now, &census);
     xcvr.record_negotiation(
         &mut sink,

@@ -1,16 +1,16 @@
 //! Frozen textbook RS implementation — the behavioral oracle for the fast
-//! kernels in [`crate::rs`] (DESIGN §6.8).
+//! kernels in `lightwave::fec::rs` (DESIGN §6.8).
 //!
-//! This module is the pre-kernel encoder/decoder, kept verbatim: scalar
-//! Horner syndromes, allocating Berlekamp–Massey, full-scan Chien search,
-//! and a full syndrome recomputation for the post-correction check. It is
-//! deliberately boring and must stay that way: the golden vectors and the
-//! differential proptests in `tests/fec_differential.rs` treat it as
-//! ground truth. It is not exported for production use and nothing
-//! outside tests and benches should call it.
+//! This module is the pre-kernel encoder/decoder, kept verbatim (it was
+//! `lightwave::fec::reference` until it moved here beside the other
+//! oracles): scalar Horner syndromes, allocating Berlekamp–Massey,
+//! full-scan Chien search, and a full syndrome recomputation for the
+//! post-correction check. It is deliberately boring and must stay that
+//! way: the golden vectors in `tests/fec_vectors.rs` and the differential
+//! proptests in `tests/fec_differential.rs` treat it as ground truth.
 
-use crate::gf::{self, Gf};
-use crate::rs::TooManyErrors;
+use lightwave::fec::gf::{self, Gf};
+use lightwave::fec::rs::TooManyErrors;
 
 /// The textbook systematic RS(n, k) codec over GF(2¹⁰).
 #[derive(Debug, Clone, PartialEq)]
@@ -23,7 +23,7 @@ pub struct ReferenceRs {
 
 impl ReferenceRs {
     /// Constructs the reference RS(n, k) with the same generator
-    /// construction as [`ReedSolomon::new`](crate::rs::ReedSolomon::new).
+    /// construction as `ReedSolomon::new`.
     ///
     /// # Panics
     /// Panics unless `k < n ≤ 1023` and `n − k` is even.

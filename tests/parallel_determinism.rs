@@ -10,13 +10,13 @@
 //! runner; one dedicated test covers the env-var path.
 
 use lightwave::availability::{
-    cube_availability, monte_carlo_pool_availability_with_pool, POOL_SHARD_TRIALS,
+    cube_availability, monte_carlo_pool_availability, POOL_SHARD_TRIALS,
 };
 use lightwave::optics::ber::{mpi_db, Pam4Receiver};
-use lightwave::optics::montecarlo::{simulate_ber_with_pool, McBerResult, DEFAULT_SHARD_SYMBOLS};
+use lightwave::optics::montecarlo::{simulate_ber_par, McBerResult, DEFAULT_SHARD_SYMBOLS};
 use lightwave::par::{plan_shards, Pool};
 use lightwave::telemetry::FleetTelemetry;
-use lightwave::transceiver::fleet::fleet_census_with_pool;
+use lightwave::transceiver::fleet::fleet_census;
 use lightwave::transceiver::ModuleFamily;
 use lightwave::units::{Availability, Dbm, Nanos};
 use proptest::prelude::*;
@@ -28,13 +28,13 @@ fn mc_ber_at(threads: usize) -> McBerResult {
     let rx = Pam4Receiver::cwdm4_50g();
     // Span several shards plus a remainder so the odd tail is exercised.
     let symbols = DEFAULT_SHARD_SYMBOLS * 2 + 977;
-    simulate_ber_with_pool(&pool, &rx, Dbm(-13.0), mpi_db(-30.0), None, symbols, SEED).0
+    simulate_ber_par(&pool, &rx, Dbm(-13.0), mpi_db(-30.0), None, symbols, SEED).0
 }
 
 fn availability_at(threads: usize) -> f64 {
     let pool = Pool::new(threads);
     let ca = cube_availability(Availability::new(0.999));
-    monte_carlo_pool_availability_with_pool(&pool, ca, 48, POOL_SHARD_TRIALS * 3 + 1, SEED)
+    monte_carlo_pool_availability(&pool, ca, 48, POOL_SHARD_TRIALS * 3 + 1, SEED)
 }
 
 #[test]
@@ -58,8 +58,8 @@ fn pool_availability_estimate_is_byte_identical_across_thread_counts() {
 #[test]
 fn fleet_census_is_identical_across_thread_counts() {
     let family = ModuleFamily::Cwdm4Bidi;
-    let one = fleet_census_with_pool(&Pool::new(1), 130, family, SEED);
-    let four = fleet_census_with_pool(&Pool::new(4), 130, family, SEED);
+    let one = fleet_census(&Pool::new(1), 130, family, SEED);
+    let four = fleet_census(&Pool::new(4), 130, family, SEED);
     assert_eq!(one.samples, four.samples);
     assert_eq!(one.violations, four.violations);
 }
@@ -106,7 +106,7 @@ fn odd_remainder_noise_blocks_are_byte_identical_across_thread_counts() {
     let symbols = DEFAULT_SHARD_SYMBOLS * 2 + NOISE_BLOCK_SYMBOLS + 1313;
     let run = |threads: usize| {
         let pool = Pool::new(threads);
-        simulate_ber_with_pool(&pool, &rx, Dbm(-12.5), mpi_db(-32.0), None, symbols, SEED).0
+        simulate_ber_par(&pool, &rx, Dbm(-12.5), mpi_db(-32.0), None, symbols, SEED).0
     };
     let one = run(1);
     let four = run(4);
@@ -117,7 +117,7 @@ fn odd_remainder_noise_blocks_are_byte_identical_across_thread_counts() {
     );
     // And both equal the frozen scalar loop, shard for shard.
     let ref_pool = Pool::new(4);
-    let reference = reference::simulate_ber_with_pool(
+    let reference = reference::simulate_ber_par(
         &ref_pool,
         &rx,
         Dbm(-12.5),

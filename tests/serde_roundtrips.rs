@@ -71,7 +71,8 @@ fn planning_artifacts_roundtrip() {
 
 #[test]
 fn telemetry_and_reports_roundtrip() {
-    let census = lightwave::transceiver::fleet::fleet_census(20, ModuleFamily::Cwdm4Bidi, 7);
+    let census =
+        lightwave::transceiver::fleet::fleet_census(&Pool::new(2), 20, ModuleFamily::Cwdm4Bidi, 7);
     roundtrip(&census);
     let mut pod = MlPod::new(1);
     pod.place_model(&LlmConfig::llm0(), 512).unwrap();
