@@ -15,7 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lightwave_core::fabric::{FabricController, FabricDelta, OcsFleet};
-use lightwave_core::ocs::camera::AlignmentLoop;
+use lightwave_core::ocs::camera::{AlignmentLoop, ALIGNMENT_TOLERANCE};
 use lightwave_core::ocs::loss::OpticalCore;
 use lightwave_core::ocs::{Crossbar, PalomarOcs, PortMapping};
 use lightwave_core::superpod::geometry::{Dim, LINKS_PER_FACE};
@@ -24,7 +24,7 @@ use lightwave_core::superpod::wiring::ocs_for;
 use lightwave_core::superpod::Superpod;
 use lightwave_core::units::Nanos;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::hint::black_box;
 
 fn crossbar_delta(c: &mut Criterion) {
@@ -166,17 +166,23 @@ fn fleet_get_mut_then_advance(c: &mut Criterion) {
     });
 }
 
-/// One circuit's camera alignment: the exact servo loop against the
-/// frames-only kernel the switch runs, on the same stream.
+/// One circuit's camera alignment on the same stream: the exact servo
+/// loop, the prepared kernel the switch runs, and the ten raw draws the
+/// RNG contract makes the floor of any kernel.
 fn camera_alignment(c: &mut Criterion) {
     let servo = AlignmentLoop::default();
     let mut rng = StdRng::seed_from_u64(9);
     c.bench_function("alignment_converge_exact", |b| {
-        b.iter(|| black_box(servo.converge(0.01, &mut rng)))
+        b.iter(|| black_box(servo.converge(ALIGNMENT_TOLERANCE, &mut rng)))
+    });
+    let kernel = servo.prepare(ALIGNMENT_TOLERANCE);
+    let mut rng = StdRng::seed_from_u64(9);
+    c.bench_function("alignment_kernel", |b| {
+        b.iter(|| black_box(kernel.run(&mut rng)))
     });
     let mut rng = StdRng::seed_from_u64(9);
-    c.bench_function("alignment_converge_frames", |b| {
-        b.iter(|| black_box(servo.converge_frames(0.01, &mut rng)))
+    c.bench_function("alignment_raw_draws_floor", |b| {
+        b.iter(|| black_box((0..10).fold(0, |x, _| x ^ rng.next_u64())))
     });
 }
 

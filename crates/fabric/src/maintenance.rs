@@ -9,6 +9,7 @@
 //! verify everything re-aligns afterwards.
 
 use crate::fleet::{OcsFleet, OcsId};
+use lightwave_ocs::camera::{AlignmentLoop, ALIGNMENT_TOLERANCE};
 use lightwave_ocs::chassis::FruKind;
 use lightwave_ocs::PortId;
 use lightwave_transceiver::bringup::LinkBringup;
@@ -80,7 +81,7 @@ pub fn plan_replacement(
     let expected_outage = if disturbed_circuits.is_empty() {
         Nanos(0)
     } else {
-        lightwave_ocs::camera::AlignmentLoop::default().nominal_switching_time(0.01)
+        AlignmentLoop::default().nominal_switching_time(ALIGNMENT_TOLERANCE)
             + LinkBringup::nominal_duration()
     };
     Ok(MaintenancePlan {

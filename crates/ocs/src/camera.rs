@@ -17,9 +17,12 @@
 use lightwave_units::Nanos;
 use rand::rngs::StdRng;
 use rand::RngCore;
-use rand_distr::{Distribution, Normal};
+use rand_distr::{Distribution, Normal, NormalEnvelope};
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
+
+/// The pointing error (normalized units) at which every switch declares a
+/// circuit aligned.
+pub const ALIGNMENT_TOLERANCE: f64 = 0.01;
 
 /// Parameters of the camera servo loop.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,25 +67,68 @@ pub struct Convergence {
     pub converged: bool,
 }
 
-/// Relative slack added to the error interval of
-/// [`AlignmentLoop::converge_frames`] every frame. The float expressions
-/// of the exact loop and of the interval arithmetic each round by a few
-/// ulps (≈1e-15 of the operands); a thousand times that is still far
-/// below anything that decides a frame.
-const INTERVAL_EPS: f64 = 1e-12;
+/// An [`AlignmentLoop`] prepared for one tolerance — what a switch runs per
+/// circuit: the `(frames, converged)` of [`AlignmentLoop::converge`], the
+/// generator left exactly where it would leave it, and no normal evaluated
+/// on the modal outcome (DESIGN §6.8).
+///
+/// With `keep = 1 − gain`, `c_k = keep^k` and `B_j ≥ |z_j|` the
+/// [`NormalEnvelope`] bound of frame `j`'s two raw draws, the exact loop's
+/// error after `k` frames obeys `|err_k − c_k| ≤ gain·σ·S_k + margin`,
+/// `S_k = keep·S_{k−1} + B_k`. The loop cannot stop inside the tolerance
+/// before frame `stop = lead + tests`. It provably runs through the first
+/// `lead` frames whatever they draw, through each later one while `S_k`
+/// is below that frame's threshold, and provably stops at `stop`,
+/// converged, if `S_stop` is below the last.
+#[derive(Debug, Clone, Copy)]
+pub struct AlignmentKernel {
+    servo: AlignmentLoop,
+    tolerance: f64,
+    envelope: &'static NormalEnvelope,
+    keep: f64,
+    lead: u32,
+    /// 0: a loop the preparation cannot serve; every call is exact.
+    tests: u32,
+    thresholds: [f64; 3],
+}
 
-/// Upper bound on a Box–Muller normal's magnitude given the top 8 bits of
-/// its first raw draw: `|z| ≤ √(−2·ln u1)` with `u1 = 1 − unit(b1)` no
-/// smaller than the bin's lower edge (2⁻⁵³ in the last bin, the least `u1`
-/// the mapping produces), widened by 1e-9 against rounding.
-fn radius_envelope() -> &'static [f64; 256] {
-    static ENVELOPE: OnceLock<[f64; 256]> = OnceLock::new();
-    ENVELOPE.get_or_init(|| {
-        std::array::from_fn(|bin| {
-            let u1_min = (1.0 - (bin as f64 + 1.0) / 256.0).max(1.0 / (1u64 << 53) as f64);
-            (-2.0 * u1_min.ln()).sqrt() * (1.0 + 1e-9)
+impl AlignmentKernel {
+    /// The loop this kernel was prepared from.
+    pub fn servo(&self) -> &AlignmentLoop {
+        &self.servo
+    }
+
+    /// The fast path alone. `None`: undecided (some `S_k` is not below its
+    /// threshold), `rng` untouched.
+    pub fn decide(&self, rng: &mut StdRng) -> Option<(u32, bool)> {
+        let mut ahead = rng.clone();
+        let mut s = 0.0;
+        let mut frame = || {
+            s = s * self.keep + self.envelope.bound(ahead.next_u64(), ahead.next_u64());
+            s
+        };
+        for _ in 0..self.lead {
+            frame();
+        }
+        // Written so that a NaN sum decides nothing.
+        let mut decided = self.tests > 0;
+        for t in &self.thresholds[..self.tests as usize] {
+            decided &= frame() < *t;
+        }
+        decided.then(|| {
+            *rng = ahead;
+            (self.lead + self.tests, true)
         })
-    })
+    }
+
+    /// `(frames, converged)` of one alignment: decided from the envelope
+    /// sums where they suffice, by the exact loop otherwise.
+    pub fn run(&self, rng: &mut StdRng) -> (u32, bool) {
+        self.decide(rng).unwrap_or_else(|| {
+            let exact = self.servo.converge(self.tolerance, rng);
+            (exact.frames, exact.converged)
+        })
+    }
 }
 
 impl AlignmentLoop {
@@ -125,47 +171,51 @@ impl AlignmentLoop {
         }
     }
 
-    /// The `(frames, converged)` that [`AlignmentLoop::converge`] would
-    /// return, leaving `rng` exactly where it would — without a single
-    /// Box–Muller evaluation on most calls.
-    ///
-    /// Each frame still draws its two raw `u64`s, but instead of the
-    /// normal they map to it takes the envelope `|z| ≤ R[b1 >> 56]` and
-    /// carries an interval `[lo, hi]` that provably contains the exact
-    /// loop's `err`. While the interval lies wholly outside ±`tolerance`
-    /// the loop provably continues; once it lies wholly inside, the loop
-    /// provably stopped there. A frame whose interval straddles the
-    /// tolerance decides nothing: the generator is put back where the call
-    /// found it and the exact loop runs instead.
-    pub fn converge_frames(&self, tolerance: f64, rng: &mut StdRng) -> (u32, bool) {
+    /// Prepares the per-circuit kernel for `tolerance`; panics on the
+    /// parameters `converge` rejects. Every threshold is shrunk by `margin`
+    /// (1e-9 of the largest error a frame can see) and by 1e-9 relative: a
+    /// million times the rounding of either side of the inequality.
+    pub fn prepare(&self, tolerance: f64) -> AlignmentKernel {
         let sigma = self.checked_noise(tolerance).std_dev();
-        let envelope = radius_envelope();
-        let start = rng.clone();
+        let envelope = NormalEnvelope::get();
         let keep = 1.0 - self.gain;
-        let (mut lo, mut hi) = (1.0f64, 1.0f64);
-        let mut frames = 0u32;
-        loop {
-            // Written so that a NaN bound decides nothing.
-            let outside = lo > tolerance || hi < -tolerance;
-            let inside = lo >= -tolerance && hi <= tolerance;
-            if inside || (outside && frames >= self.max_frames) {
-                return (frames, inside);
+        let mut kernel = AlignmentKernel {
+            servo: *self,
+            tolerance,
+            envelope,
+            keep,
+            lead: 0,
+            tests: 0,
+            thresholds: [0.0; 3],
+        };
+        let a = self.gain * sigma;
+        let margin = 1e-9 * (1.0 + sigma * envelope.max_bound());
+        let (mut c, mut s_max, mut tests) = (1.0f64, 0.0f64, 0);
+        // Bounded: preparation stays cheap, and the rounding the exact loop
+        // accumulates (a few ulps a frame) stays a thousandth of `margin`.
+        for k in 1..=self.max_frames.min(1024) {
+            c *= keep;
+            s_max = s_max * keep + envelope.max_bound();
+            let stops = c + margin < tolerance;
+            let gap = if stops { tolerance - c } else { c - tolerance };
+            let t = (gap - margin) / a * (1.0 - 1e-9);
+            if !stops && tests == 0 && s_max < t {
+                kernel.lead = k; // outside even with every draw on the envelope
+                continue;
             }
-            if !outside {
-                *rng = start;
-                let exact = self.converge(tolerance, rng);
-                return (exact.frames, exact.converged);
+            // No noise, a frame within `margin` of the tolerance, or more
+            // frames to test than there are slots: never fast.
+            if !(a > 0.0 && t > 0.0 && tests < kernel.thresholds.len()) {
+                break;
             }
-            let b1 = rng.next_u64();
-            rng.next_u64();
-            // err' = err·(1 − gain) − gain·σ·z, |z| ≤ radius.
-            let radius = envelope[(b1 >> 56) as usize];
-            let kick = self.gain * sigma * radius;
-            let slack = INTERVAL_EPS * (lo.abs().max(hi.abs()) + sigma * radius);
-            lo = lo * keep - kick - slack;
-            hi = hi * keep + kick + slack;
-            frames += 1;
+            kernel.thresholds[tests] = t;
+            tests += 1;
+            if stops {
+                kernel.tests = tests as u32;
+                break;
+            }
         }
+        kernel
     }
 
     /// Expected switching time for a typical convergence (deterministic
@@ -261,5 +311,36 @@ mod tests {
     fn rejects_silly_tolerance() {
         let mut rng = StdRng::seed_from_u64(6);
         let _ = AlignmentLoop::default().converge(0.0, &mut rng);
+    }
+
+    #[test]
+    fn the_default_loop_prepares_as_designed() {
+        // DESIGN §6.8: frames 1–3 need no test, S_4 < 3.851 runs on to
+        // frame 5 and S_5 < 3.652 stops there.
+        let k = AlignmentLoop::default().prepare(ALIGNMENT_TOLERANCE);
+        assert_eq!((k.lead, k.tests), (3, 2));
+        assert!((k.thresholds[0] - 3.851).abs() < 1e-3, "{k:?}");
+        assert!((k.thresholds[1] - 3.652).abs() < 1e-3, "{k:?}");
+        assert!(std::mem::size_of::<AlignmentKernel>() <= 128);
+    }
+
+    #[test]
+    fn a_frame_within_the_margin_of_the_tolerance_is_never_fast() {
+        // Frame 4 decays to 0.35⁴: a tolerance a hair either side of it
+        // leaves that frame to the noise, whatever the envelope says.
+        for hair in [-9e-10, 9e-10] {
+            let k = AlignmentLoop::default().prepare(0.35f64.powi(4) + hair);
+            assert_eq!(k.tests, 0, "{k:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "loop gain must be in (0,1)")]
+    fn preparation_rejects_what_converge_rejects() {
+        let _ = AlignmentLoop {
+            gain: 1.0,
+            ..AlignmentLoop::default()
+        }
+        .prepare(ALIGNMENT_TOLERANCE);
     }
 }

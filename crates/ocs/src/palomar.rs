@@ -1,7 +1,7 @@
 //! The Palomar OCS facade: optical core + crossbar + chassis + telemetry
 //! under one simulation clock.
 
-use crate::camera::AlignmentLoop;
+use crate::camera::{AlignmentKernel, AlignmentLoop, ALIGNMENT_TOLERANCE};
 use crate::chassis::Chassis;
 use crate::crossbar::{ConnectionState, Crossbar, CrossbarError, PortId, PortMapping};
 use crate::loss::OpticalCore;
@@ -158,7 +158,7 @@ pub struct PalomarOcs {
     crossbar: Crossbar,
     chassis: Chassis,
     telemetry: Telemetry,
-    align: AlignmentLoop,
+    align: AlignmentKernel,
     rng: StdRng,
     /// `(north port, time its circuit finishes aligning)`, one entry per
     /// circuit in [`ConnectionState::Connecting`], in no particular order.
@@ -195,7 +195,7 @@ impl PalomarOcs {
             crossbar: Crossbar::new(ports),
             chassis: Chassis::new(),
             telemetry: Telemetry::new(),
-            align: AlignmentLoop::default(),
+            align: AlignmentLoop::default().prepare(ALIGNMENT_TOLERANCE),
             rng: StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_0F0F_F0F0),
             pending: Vec::new(),
             next_due: Nanos(u64::MAX),
@@ -280,8 +280,8 @@ impl PalomarOcs {
         let mut attempts = 0;
         let mut elapsed = Nanos(0);
         loop {
-            let (frames, converged) = self.align.converge_frames(0.01, &mut self.rng);
-            elapsed += self.align.switching_time(frames);
+            let (frames, converged) = self.align.run(&mut self.rng);
+            elapsed += self.align.servo().switching_time(frames);
             attempts += 1;
             if converged {
                 break;
@@ -293,7 +293,11 @@ impl PalomarOcs {
                 AlarmCode::AlignmentTimeout { north: n },
             );
             if attempts >= 3 {
-                break; // leave pending; health shows it stuck
+                // Given up on, not stuck: the circuit is registered pending
+                // for the three attempts' summed time like any other and
+                // carries once that has passed; only the counter and the
+                // alarms above tell.
+                break;
             }
         }
         let ready = self.now + elapsed;

@@ -19,7 +19,7 @@ use lightwave_par::{Pool, RunStats};
 use lightwave_units::{Ber, Dbm};
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
-use rand_distr::{standard_normal_from_bits, Distribution, Normal};
+use rand_distr::{standard_normal_from_bits, Distribution, Normal, NormalEnvelope};
 use serde::{Deserialize, Serialize};
 
 /// Result of a Monte-Carlo BER run.
@@ -102,12 +102,9 @@ pub struct McChannel {
     /// MPI-path skip gate: same idea with the worst-case beat amplitude
     /// already subtracted from the threshold distance (|cos φ| ≤ 1).
     qeff_mpi: [f64; 4],
-    /// Upper bound on the Box–Muller radius √(−2·ln u1) given the top 8
-    /// bits of the first raw draw (bin 255 is unbounded).
-    rmax: [f64; 256],
-    /// Upper bound on |cos(TAU·u2)| given the top 8 bits of the second raw
-    /// draw.
-    cosmax: [f64; 256],
+    /// The |z| bound the gates test: Box–Muller's radius and cosine
+    /// envelopes, from the top 8 bits of a normal's two raw draws.
+    envelope: &'static NormalEnvelope,
 }
 
 impl McChannel {
@@ -179,7 +176,7 @@ impl McChannel {
         ];
         // Conservative skip thresholds in σ units: a symbol is provably
         // error-free when the |z| bound falls below q_eff. The 1e-9
-        // relative margins (here and in the LUTs) dwarf any few-ulp
+        // relative margins (here and in the envelope) dwarf any few-ulp
         // rounding in the exact-path float expressions, so the gate can
         // never skip a symbol the exact path would have sliced wrong.
         let mut qeff = [0.0; 4];
@@ -197,33 +194,6 @@ impl McChannel {
                 -1.0
             };
         }
-        // Box–Muller radius bound per top-8-bit bin of the first draw:
-        // u1 = 1 − unit(b1) strictly exceeds 1 − (bin+1)/256 (exact
-        // dyadics), so r = √(−2·ln u1) stays below the bin's bound.
-        let mut rmax = [0.0; 256];
-        for (bin, r) in rmax.iter_mut().enumerate() {
-            let u1_min = 1.0 - (bin as f64 + 1.0) / 256.0;
-            *r = if u1_min > 0.0 {
-                (-2.0 * u1_min.ln()).sqrt() * (1.0 + 1e-9)
-            } else {
-                f64::INFINITY
-            };
-        }
-        // |cos(TAU·u2)| bound per top-8-bit bin of the second draw: the
-        // extremum is at an endpoint unless a multiple of π lies inside.
-        let mut cosmax = [0.0; 256];
-        for (bin, c) in cosmax.iter_mut().enumerate() {
-            let lo = std::f64::consts::TAU * (bin as f64 / 256.0);
-            let hi = std::f64::consts::TAU * ((bin as f64 + 1.0) / 256.0);
-            let crosses_pi = (hi / std::f64::consts::PI).floor()
-                > (lo / std::f64::consts::PI).floor()
-                || bin == 0;
-            *c = if crosses_pi {
-                1.0
-            } else {
-                (lo.cos().abs().max(hi.cos().abs()) * (1.0 + 1e-9)).min(1.0)
-            };
-        }
         McChannel {
             currents,
             noise,
@@ -234,8 +204,7 @@ impl McChannel {
             sigma,
             qeff,
             qeff_mpi,
-            rmax,
-            cosmax,
+            envelope: NormalEnvelope::get(),
         }
     }
 
@@ -262,9 +231,9 @@ impl McChannel {
 
     /// Clean-channel batched loop: 4 raw u64s per symbol (two for the
     /// level, two for the noise), one multiply + compare for the gate.
-    // The gate compares as `!(bound < q)` on purpose: a NaN bound (e.g.
-    // INFINITY·0.0 from the LUT corners) must fall through to the exact
-    // path, which `bound >= q` would not guarantee.
+    // The gate compares as `!(bound < q)` on purpose: a NaN bound must
+    // fall through to the exact path, which `bound >= q` would not
+    // guarantee.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     fn run_clean(&self, symbols: u64, rng: &mut StdRng) -> u64 {
         let [t0, t1, t2] = self.thresholds;
@@ -279,7 +248,7 @@ impl McChannel {
                 let level = rng.random_range(0usize..4);
                 let b1 = rng.next_u64();
                 let b2 = rng.next_u64();
-                let bound = self.rmax[(b1 >> 56) as usize] * self.cosmax[(b2 >> 56) as usize];
+                let bound = self.envelope.bound(b1, b2);
                 // `!(bound < q)` keeps NaN bounds on the exact path.
                 if !(bound < self.qeff[level]) {
                     pending.push((level, b1, b2));
@@ -324,7 +293,7 @@ impl McChannel {
                 phase += self.phase_step.mean()
                     + self.phase_step.std_dev()
                         * standard_normal_from_bits(rng.next_u64(), rng.next_u64());
-                let bound = self.rmax[(b1 >> 56) as usize] * self.cosmax[(b2 >> 56) as usize];
+                let bound = self.envelope.bound(b1, b2);
                 if !(bound < self.qeff_mpi[level]) {
                     pending.push((level, b1, b2, phase));
                 }
