@@ -51,12 +51,7 @@ impl FabricInstruments {
             touched_switches: m.histogram("fabric_commit_touched_switches", &[]),
             pairs_added: m.histogram("fabric_commit_pairs_added", &[]),
             pairs_removed: m.histogram("fabric_commit_pairs_removed", &[]),
-            commit_rate: m.rate_window(
-                commits,
-                "fabric_commits_per_sec",
-                &[],
-                Nanos::from_secs_f64(1.0),
-            ),
+            commit_rate: m.rate_window(commits, "fabric_commits_per_sec", &[]),
             per_switch: BTreeMap::new(),
         }
     }

@@ -50,7 +50,6 @@ impl OcsInstruments {
         let m = &mut sink.metrics;
         let reconfigs = m.counter("ocs_reconfigs_total", labels);
         let relocks = m.counter("ocs_relocks_total", labels);
-        let rate_window = Nanos::from_secs_f64(1.0);
         OcsInstruments {
             switch,
             reconfigs,
@@ -63,8 +62,8 @@ impl OcsInstruments {
             spares_north: m.gauge("ocs_mirror_spares_north", labels),
             spares_south: m.gauge("ocs_mirror_spares_south", labels),
             power_w: m.gauge("ocs_power_w", labels),
-            reconfig_rate: m.rate_window(reconfigs, "ocs_reconfigs_per_sec", labels, rate_window),
-            relock_rate: m.rate_window(relocks, "ocs_relocks_per_sec", labels, rate_window),
+            reconfig_rate: m.rate_window(reconfigs, "ocs_reconfigs_per_sec", labels),
+            relock_rate: m.rate_window(relocks, "ocs_relocks_per_sec", labels),
             cursor: 0,
             relocks_seen: 0,
             drift_cursor: 0,

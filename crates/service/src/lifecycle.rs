@@ -72,7 +72,6 @@ impl Lifecycle {
     pub fn new(seed: u64, trace_requests: u64, scope_every: u64) -> Lifecycle {
         let mut telemetry = FleetTelemetry::new();
         let mut series = SeriesStore::default();
-        let window = Nanos::from_secs_f64(1.0);
         let instruments = Priority::ALL
             .iter()
             .map(|&p| {
@@ -88,14 +87,9 @@ impl Lifecycle {
                     preempted,
                     completed: m.counter("svc_completed_total", labels),
                     wait: m.histogram("svc_wait_micros", labels),
-                    admit_rate: m.rate_window(admitted, "svc_admit_rate_per_sec", labels, window),
-                    reject_rate: m.rate_window(rejected, "svc_reject_rate_per_sec", labels, window),
-                    preempt_rate: m.rate_window(
-                        preempted,
-                        "svc_preempt_rate_per_sec",
-                        labels,
-                        window,
-                    ),
+                    admit_rate: m.rate_window(admitted, "svc_admit_rate_per_sec", labels),
+                    reject_rate: m.rate_window(rejected, "svc_reject_rate_per_sec", labels),
+                    preempt_rate: m.rate_window(preempted, "svc_preempt_rate_per_sec", labels),
                 }
             })
             .collect();

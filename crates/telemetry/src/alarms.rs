@@ -135,12 +135,6 @@ impl AlarmCause {
         }
     }
 
-    /// Whether this cause is a root cause whose blast radius absorbs
-    /// port-scoped symptoms on the same switch.
-    pub fn is_root_cause(&self) -> bool {
-        matches!(self.class(), CauseClass::Chassis | CauseClass::Fru)
-    }
-
     /// Whether this cause is a port-scoped symptom that a root-cause
     /// incident on the same switch can absorb.
     pub fn is_correlatable_symptom(&self) -> bool {
@@ -165,31 +159,16 @@ pub struct AlarmRecord {
     pub cause: AlarmCause,
 }
 
-/// Aggregation policy knobs (all in simulation time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AggregatorConfig {
-    /// Reopening a cleared incident within this window of its clearing
-    /// revives it instead of paging again (flap suppression).
-    pub debounce: Nanos,
-    /// An incident clears after this long without new occurrences.
-    pub clear_after: Nanos,
-    /// Occurrence count at which an open incident escalates to Critical.
-    pub escalate_after: u64,
-    /// Symptoms within this window of a root incident's last activity are
-    /// absorbed into it.
-    pub correlation_window: Nanos,
-}
-
-impl Default for AggregatorConfig {
-    fn default() -> AggregatorConfig {
-        AggregatorConfig {
-            debounce: Nanos::from_millis(500),
-            clear_after: Nanos::from_secs_f64(5.0),
-            escalate_after: 10,
-            correlation_window: Nanos::from_secs_f64(2.0),
-        }
-    }
-}
+/// Reopening a cleared incident within this window (500 ms) of its
+/// clearing revives it instead of paging again (flap suppression).
+pub const DEBOUNCE: Nanos = Nanos(500_000_000);
+/// An incident clears after this long (5 s) without new occurrences.
+pub const CLEAR_AFTER: Nanos = Nanos(5_000_000_000);
+/// Occurrence count at which an open incident escalates to Critical.
+pub const ESCALATE_AFTER: u64 = 10;
+/// Symptoms within this window (2 s) of a root incident's last activity
+/// are absorbed into it.
+pub const CORRELATION_WINDOW: Nanos = Nanos(2_000_000_000);
 
 /// A correlated, debounced alarm group — the unit that pages.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -263,7 +242,6 @@ impl IngestOutcome {
 /// The fleet alarm aggregator.
 #[derive(Debug, Default)]
 pub struct AlarmAggregator {
-    config: AggregatorConfig,
     /// Every incident ever opened, in id order (`incidents[id]`).
     incidents: Vec<Incident>,
     /// Open (or recently cleared, for debounce) incident per key.
@@ -274,22 +252,9 @@ pub struct AlarmAggregator {
 }
 
 impl AlarmAggregator {
-    /// An aggregator with default policy.
+    /// An empty aggregator.
     pub fn new() -> AlarmAggregator {
         AlarmAggregator::default()
-    }
-
-    /// An aggregator with explicit policy.
-    pub fn with_config(config: AggregatorConfig) -> AlarmAggregator {
-        AlarmAggregator {
-            config,
-            ..AlarmAggregator::default()
-        }
-    }
-
-    /// The active policy.
-    pub fn config(&self) -> &AggregatorConfig {
-        &self.config
     }
 
     /// Ingests one alarm record. Records must arrive in non-decreasing
@@ -306,8 +271,8 @@ impl AlarmAggregator {
             // their last activity; cleared ones revive within the
             // debounce window of their *clearing* (flap suppression).
             let (anchor, quiet_limit) = match self.incidents[idx].cleared_at {
-                None => (self.incidents[idx].last_at, self.config.clear_after),
-                Some(cleared) => (cleared, self.config.debounce),
+                None => (self.incidents[idx].last_at, CLEAR_AFTER),
+                Some(cleared) => (cleared, DEBOUNCE),
             };
             let since = rec.at.saturating_sub(anchor);
             if since <= quiet_limit {
@@ -334,7 +299,7 @@ impl AlarmAggregator {
                 // but never storms its way to Critical — only a raised
                 // severity on the record itself can lift it (above).
                 if class != CauseClass::Trend
-                    && inc.occurrences >= self.config.escalate_after
+                    && inc.occurrences >= ESCALATE_AFTER
                     && inc.severity.is_worse_than(Severity::Info)
                     && inc.severity != Severity::Critical
                 {
@@ -352,7 +317,7 @@ impl AlarmAggregator {
                 if let Some(&idx) = self.latest.get(&(rec.switch, root_class)) {
                     let inc = &mut self.incidents[idx];
                     let since = rec.at.saturating_sub(inc.last_at);
-                    if inc.cleared_at.is_none() && since <= self.config.correlation_window {
+                    if inc.cleared_at.is_none() && since <= CORRELATION_WINDOW {
                         inc.correlated += 1;
                         inc.last_at = inc.last_at.max(rec.at);
                         let before = inc.severity;
@@ -390,11 +355,11 @@ impl AlarmAggregator {
     }
 
     /// Advances aggregator time, clearing incidents quiet for longer than
-    /// the policy's `clear_after`. Returns ids of incidents cleared now.
+    /// [`CLEAR_AFTER`]. Returns ids of incidents cleared now.
     pub fn advance(&mut self, now: Nanos) -> Vec<u64> {
         let mut cleared = Vec::new();
         for inc in &mut self.incidents {
-            if inc.is_open() && now.saturating_sub(inc.last_at) > self.config.clear_after {
+            if inc.is_open() && now.saturating_sub(inc.last_at) > CLEAR_AFTER {
                 inc.cleared_at = Some(now);
                 cleared.push(inc.id);
             }
@@ -633,61 +598,44 @@ mod tests {
 
     #[test]
     fn quiet_incidents_clear_and_flaps_revive_without_paging() {
-        let cfg = AggregatorConfig {
-            debounce: Nanos::from_millis(500),
-            clear_after: Nanos::from_millis(100),
-            ..AggregatorConfig::default()
+        let high_loss = |at_ms: u64, loss_mdb: i32| {
+            rec(
+                at_ms,
+                Severity::Warning,
+                1,
+                AlarmCause::HighLoss {
+                    north: 1,
+                    south: 2,
+                    loss_mdb,
+                },
+            )
         };
-        let mut agg = AlarmAggregator::with_config(cfg);
-        agg.ingest(rec(
-            0,
-            Severity::Warning,
-            1,
-            AlarmCause::HighLoss {
-                north: 1,
-                south: 2,
-                loss_mdb: 2600,
-            },
-        ));
-        let cleared = agg.advance(Nanos::from_millis(300));
+        let mut agg = AlarmAggregator::new();
+        agg.ingest(high_loss(0, 2600));
+        assert!(
+            agg.advance(Nanos::from_millis(5_000)).is_empty(),
+            "5 s is not yet quiet"
+        );
+        let cleared = agg.advance(Nanos::from_millis(5_100));
         assert_eq!(cleared, vec![0]);
         assert!(!agg.incidents()[0].is_open());
-        // Reopen within the debounce window of the clear: revive, no page.
-        let out = agg.ingest(rec(
-            600,
-            Severity::Warning,
-            1,
-            AlarmCause::HighLoss {
-                north: 1,
-                south: 2,
-                loss_mdb: 2700,
-            },
-        ));
+        // Reopen within the 500 ms debounce of the clear: revive, no page.
+        let out = agg.ingest(high_loss(5_400, 2700));
         assert!(matches!(out, IngestOutcome::Coalesced { .. }));
         assert!(agg.incidents()[0].is_open(), "flap revived the incident");
         assert_eq!(agg.pages(), 1);
         // Far outside the window: a genuinely new incident.
-        agg.advance(Nanos::from_millis(800));
-        let out = agg.ingest(rec(
-            5000,
-            Severity::Warning,
-            1,
-            AlarmCause::HighLoss {
-                north: 1,
-                south: 2,
-                loss_mdb: 2500,
-            },
-        ));
+        agg.advance(Nanos::from_millis(11_000));
+        let out = agg.ingest(high_loss(20_000, 2500));
         assert!(matches!(out, IngestOutcome::Paged { .. }));
         assert_eq!(agg.pages(), 2);
     }
 
     #[test]
     fn correlation_window_expires() {
-        let cfg = AggregatorConfig::default();
-        let window_ms = cfg.correlation_window.0 / 1_000_000;
-        let clear_ms = cfg.clear_after.0 / 1_000_000;
-        let mut agg = AlarmAggregator::with_config(cfg);
+        let window_ms = CORRELATION_WINDOW.0 / 1_000_000;
+        let clear_ms = CLEAR_AFTER.0 / 1_000_000;
+        let mut agg = AlarmAggregator::new();
         agg.ingest(rec(
             0,
             Severity::Warning,

@@ -60,13 +60,6 @@ pub enum EventKind {
         /// Alarms absorbed by blast-radius correlation.
         correlated: u64,
     },
-    /// An SLO object burned through its error budget.
-    SloViolated {
-        /// The tracked object (e.g. `ocs-3`).
-        object: String,
-        /// Availability so far, in parts per million.
-        availability_ppm: u64,
-    },
     /// A collective ran materially slower than its healthy baseline.
     StragglerDetected {
         /// Torus dimension whose phase slowed.
@@ -95,11 +88,6 @@ pub enum EventKind {
         /// Circuits already correct.
         untouched: u32,
     },
-    /// Free-form operator note (maintenance windows etc.).
-    Note {
-        /// The note text.
-        text: String,
-    },
 }
 
 /// A timestamped, attributed event.
@@ -113,10 +101,13 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Bounded-retention event bus.
+/// Events the bus retains: the most recent 1024 (the dashboard shows the
+/// last 12; a JSONL export carries the whole ring).
+pub const EVENT_RETENTION: usize = 1024;
+
+/// Bounded-retention event bus ([`EVENT_RETENTION`] events).
 #[derive(Debug)]
 pub struct EventBus {
-    retain: usize,
     ring: VecDeque<Event>,
     published: u64,
     dropped: u64,
@@ -124,25 +115,18 @@ pub struct EventBus {
 
 impl Default for EventBus {
     fn default() -> EventBus {
-        EventBus::with_retention(1024)
-    }
-}
-
-impl EventBus {
-    /// A bus retaining the most recent `retain` events (≥ 1).
-    pub fn with_retention(retain: usize) -> EventBus {
-        assert!(retain > 0, "retention must be positive");
         EventBus {
-            retain,
-            ring: VecDeque::with_capacity(retain.min(4096)),
+            ring: VecDeque::with_capacity(EVENT_RETENTION),
             published: 0,
             dropped: 0,
         }
     }
+}
 
+impl EventBus {
     /// Publishes an event into the ring, evicting the oldest when full.
     pub fn publish(&mut self, event: Event) {
-        if self.ring.len() == self.retain {
+        if self.ring.len() == EVENT_RETENTION {
             self.ring.pop_front();
             self.dropped += 1;
         }
@@ -181,20 +165,24 @@ mod tests {
 
     #[test]
     fn ring_bounds_retention_and_counts_drops() {
-        let mut bus = EventBus::with_retention(3);
-        for i in 0..5u64 {
+        let mut bus = EventBus::default();
+        let n = EVENT_RETENTION as u64 + 3;
+        for i in 0..n {
             bus.emit(
                 Nanos(i),
                 "test",
-                EventKind::Note {
-                    text: i.to_string(),
+                EventKind::Resync {
+                    switch: 0,
+                    added: i as u32,
+                    removed: 0,
+                    untouched: 0,
                 },
             );
         }
-        assert_eq!(bus.recent().count(), 3);
-        assert_eq!(bus.published(), 5);
-        assert_eq!(bus.dropped(), 2);
+        assert_eq!(bus.recent().count(), EVENT_RETENTION);
+        assert_eq!(bus.published(), n);
+        assert_eq!(bus.dropped(), 3);
         let first = bus.recent().next().unwrap();
-        assert_eq!(first.at, Nanos(2), "oldest events evicted first");
+        assert_eq!(first.at, Nanos(3), "oldest events evicted first");
     }
 }

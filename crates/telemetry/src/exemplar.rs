@@ -219,10 +219,16 @@ pub struct ExemplarSnapshot {
 }
 
 impl ExemplarSnapshot {
-    /// Rebuilds the dense histogram (for merge-after-load).
-    pub fn restore(&self) -> ExemplarHistogram {
-        ExemplarHistogram {
-            hist: self.counts.restore(),
+    /// Rebuilds the dense histogram (for merge-after-load). `None` when
+    /// [`HistogramSnapshot::restore`] refuses the counts or the exemplars
+    /// do not key exactly the buckets the counts list.
+    pub fn restore(&self) -> Option<ExemplarHistogram> {
+        let keys = self.counts.buckets.iter().map(|&(exp, _)| exp);
+        if !self.exemplars.iter().map(|b| b.exp).eq(keys) {
+            return None;
+        }
+        Some(ExemplarHistogram {
+            hist: self.counts.restore()?,
             exemplars: self
                 .exemplars
                 .iter()
@@ -236,7 +242,7 @@ impl ExemplarSnapshot {
                     )
                 })
                 .collect(),
-        }
+        })
     }
 }
 
@@ -341,7 +347,7 @@ mod tests {
         let json = serde_json::to_string(&snap).expect("serializes");
         let back: ExemplarSnapshot = serde_json::from_str(&json).expect("parses");
         assert_eq!(back, snap);
-        assert_eq!(back.restore(), h);
+        assert_eq!(back.restore(), Some(h));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   [`RateSpike`] detectors run on ingest in O(1) per sample;
 //! - a detector trip raises a `Warning` [`AlarmCause::TrendAnomaly`]
 //!   through the ordinary alarm path (debounce, paging, events);
-//! - [`HealthScorer`] rolls detector state into a
+//! - [`FleetHealth::report`] rolls detector state into a
 //!   [`FleetHealthReport`] whose [`MaintenanceAction`]s propose
 //!   drain-and-repair to the scheduler before hard failure.
 //!
@@ -23,41 +23,24 @@
 //! `LIGHTWAVE_THREADS` (pinned by `tests/fleet_health.rs`).
 
 use crate::alarms::{AlarmCause, AlarmRecord, TrendSignal};
-use crate::detect::{Cusum, CusumConfig, EwmaConfig, EwmaDrift, RateSpike, RateSpikeConfig};
+use crate::detect::{Cusum, EwmaDrift, RateSpike};
 use crate::fleet::FleetTelemetry;
 use crate::severity::Severity;
-use crate::timeseries::{dequantize, quantize, CounterTrack, SeriesConfig, SeriesId, SeriesStore};
+use crate::timeseries::{dequantize, quantize, CounterTrack, SeriesId, SeriesStore};
 use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Policy for the whole analytics layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthConfig {
-    /// CUSUM change-point policy (per-port drift).
-    pub cusum: CusumConfig,
-    /// EWMA drift policy (per-port drift).
-    pub ewma: EwmaConfig,
-    /// Rate-spike policy (per-switch relocks).
-    pub rate: RateSpikeConfig,
-    /// Retention shape for every health series.
-    pub series: SeriesConfig,
-    /// Drift (micro-dB) treated as the repair budget: at or above half
-    /// of this a port is *watched* even without a detector trip.
-    pub repair_budget_micros: i64,
-}
-
-impl Default for HealthConfig {
-    fn default() -> HealthConfig {
-        HealthConfig {
-            cusum: CusumConfig::default(),
-            ewma: EwmaConfig::default(),
-            rate: RateSpikeConfig::default(),
-            series: SeriesConfig::default(),
-            repair_budget_micros: 250_000, // 0.25 dB of creep headroom
-        }
-    }
-}
+/// Drift (micro-dB) treated as the repair budget — 0.25 dB of creep
+/// headroom: at or above half of this a port is *watched* even without a
+/// detector trip.
+pub const REPAIR_BUDGET_MICROS: i64 = 250_000;
+/// Score penalty per port with a tripped drift detector (capped at 2×).
+pub const DRIFT_TRIP_PENALTY: u32 = 30;
+/// Score penalty when the relock rate detector tripped.
+pub const RELOCK_TRIP_PENALTY: u32 = 25;
+/// Score penalty when drift is past half the repair budget with no trip.
+pub const WATCH_PENALTY: u32 = 10;
 
 /// One detector trip, recorded in ingest order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -92,38 +75,15 @@ struct SwitchRelock {
 }
 
 /// The fleet health analytics layer. See the module docs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FleetHealth {
-    cfg: HealthConfig,
     store: SeriesStore,
     ports: BTreeMap<(u32, bool, u16), PortState>,
     relocks: BTreeMap<u32, SwitchRelock>,
     trips: Vec<TrendTrip>,
 }
 
-impl Default for FleetHealth {
-    fn default() -> FleetHealth {
-        FleetHealth::new(HealthConfig::default())
-    }
-}
-
 impl FleetHealth {
-    /// A fresh analytics layer with the given policy.
-    pub fn new(cfg: HealthConfig) -> FleetHealth {
-        FleetHealth {
-            cfg,
-            store: SeriesStore::new(cfg.series),
-            ports: BTreeMap::new(),
-            relocks: BTreeMap::new(),
-            trips: Vec::new(),
-        }
-    }
-
-    /// The active policy.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
-    }
-
     /// Ingests one per-port drift observation (dB above as-built).
     ///
     /// Retains the sample, runs the port's CUSUM + EWMA detectors, and
@@ -153,8 +113,8 @@ impl FleetHealth {
             self.ports.insert(
                 key,
                 PortState {
-                    cusum: Cusum::new(self.cfg.cusum),
-                    ewma: EwmaDrift::new(self.cfg.ewma),
+                    cusum: Cusum::default(),
+                    ewma: EwmaDrift::default(),
                     series,
                     last_micros: 0,
                 },
@@ -198,7 +158,7 @@ impl FleetHealth {
             self.relocks.insert(
                 switch,
                 SwitchRelock {
-                    spike: RateSpike::new(self.cfg.rate),
+                    spike: RateSpike::default(),
                     series,
                     total: 0,
                 },
@@ -257,9 +217,98 @@ impl FleetHealth {
         self.store.tracks()
     }
 
-    /// Rolls detector state into a report with the default scorer.
+    /// Rolls detector state into scores and maintenance proposals.
+    ///
+    /// All weights are integer constants; the score of a switch is a pure
+    /// function of its detector bank, so reports are exactly reproducible.
     pub fn report(&self, now: Nanos) -> FleetHealthReport {
-        HealthScorer::default().score(self, now)
+        #[derive(Default)]
+        struct Acc {
+            drift_tripped: u32,
+            tripped_ports: Vec<u16>,
+            worst_micros: i64,
+            watched: u32,
+        }
+        let mut acc: BTreeMap<u32, Acc> = BTreeMap::new();
+        for (&(switch, _north, port), state) in &self.ports {
+            let a = acc.entry(switch).or_default();
+            a.watched += 1;
+            a.worst_micros = a.worst_micros.max(state.last_micros);
+            if state.cusum.tripped() || state.ewma.tripped() {
+                a.drift_tripped += 1;
+                a.tripped_ports.push(port);
+            }
+        }
+        let watch_floor = REPAIR_BUDGET_MICROS / 2;
+        let mut switches = Vec::new();
+        let mut actions = Vec::new();
+        let all: std::collections::BTreeSet<u32> = acc
+            .keys()
+            .copied()
+            .chain(self.relocks.keys().copied())
+            .collect();
+        for switch in all {
+            let a = acc.remove(&switch).unwrap_or_default();
+            let relock = self.relocks.get(&switch);
+            let relock_tripped = relock.is_some_and(|r| r.spike.tripped());
+            let relocks = relock.map_or(0, |r| r.total);
+            let mut penalty = DRIFT_TRIP_PENALTY * a.drift_tripped.min(2);
+            if relock_tripped {
+                penalty += RELOCK_TRIP_PENALTY;
+            }
+            let watching = a.drift_tripped == 0 && a.worst_micros >= watch_floor;
+            if watching {
+                penalty += WATCH_PENALTY;
+            }
+            let score = 100u32.saturating_sub(penalty);
+            if a.drift_tripped > 0 {
+                actions.push(MaintenanceAction {
+                    switch,
+                    action: MaintenanceKind::DrainAndRepair,
+                    reason: format!(
+                        "loss drift tripped on port(s) {:?}, worst {:.3} dB — replace optics before the link budget is gone",
+                        a.tripped_ports,
+                        dequantize(a.worst_micros)
+                    ),
+                    proposed_at: now,
+                });
+            } else if relock_tripped {
+                actions.push(MaintenanceAction {
+                    switch,
+                    action: MaintenanceKind::DrainAndRepair,
+                    reason: format!(
+                        "sustained relock spike ({relocks} relocks) — drain and inspect transceivers"
+                    ),
+                    proposed_at: now,
+                });
+            } else if watching {
+                actions.push(MaintenanceAction {
+                    switch,
+                    action: MaintenanceKind::Watch,
+                    reason: format!(
+                        "worst drift {:.3} dB past half the repair budget",
+                        dequantize(a.worst_micros)
+                    ),
+                    proposed_at: now,
+                });
+            }
+            switches.push(SwitchHealth {
+                switch,
+                score,
+                drift_tripped_ports: a.drift_tripped,
+                relock_tripped,
+                worst_drift_micros: a.worst_micros,
+                watched_ports: a.watched,
+                relocks,
+            });
+        }
+        let fleet_score = switches.iter().map(|s| s.score).min().unwrap_or(100);
+        FleetHealthReport {
+            generated_at: now,
+            fleet_score,
+            switches,
+            actions,
+        }
     }
 
     /// Renders the text dashboard as of `now`.
@@ -425,123 +474,6 @@ pub struct FleetHealthReport {
     pub actions: Vec<MaintenanceAction>,
 }
 
-/// Rolls detector state into scores and maintenance proposals.
-///
-/// All weights are integers; the score of a switch is a pure function of
-/// its detector bank, so reports are exactly reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthScorer {
-    /// Penalty per port with a tripped drift detector (capped at 2×).
-    pub drift_trip_penalty: u32,
-    /// Penalty when the relock rate detector tripped.
-    pub relock_trip_penalty: u32,
-    /// Penalty when drift is past half the repair budget with no trip.
-    pub watch_penalty: u32,
-}
-
-impl Default for HealthScorer {
-    fn default() -> HealthScorer {
-        HealthScorer {
-            drift_trip_penalty: 30,
-            relock_trip_penalty: 25,
-            watch_penalty: 10,
-        }
-    }
-}
-
-impl HealthScorer {
-    /// Builds the report for the current detector state.
-    pub fn score(&self, health: &FleetHealth, now: Nanos) -> FleetHealthReport {
-        #[derive(Default)]
-        struct Acc {
-            drift_tripped: u32,
-            tripped_ports: Vec<u16>,
-            worst_micros: i64,
-            watched: u32,
-        }
-        let mut acc: BTreeMap<u32, Acc> = BTreeMap::new();
-        for (&(switch, _north, port), state) in &health.ports {
-            let a = acc.entry(switch).or_default();
-            a.watched += 1;
-            a.worst_micros = a.worst_micros.max(state.last_micros);
-            if state.cusum.tripped() || state.ewma.tripped() {
-                a.drift_tripped += 1;
-                a.tripped_ports.push(port);
-            }
-        }
-        let watch_floor = health.cfg.repair_budget_micros / 2;
-        let mut switches = Vec::new();
-        let mut actions = Vec::new();
-        let all: std::collections::BTreeSet<u32> = acc
-            .keys()
-            .copied()
-            .chain(health.relocks.keys().copied())
-            .collect();
-        for switch in all {
-            let a = acc.remove(&switch).unwrap_or_default();
-            let relock = health.relocks.get(&switch);
-            let relock_tripped = relock.is_some_and(|r| r.spike.tripped());
-            let relocks = relock.map_or(0, |r| r.total);
-            let mut penalty = self.drift_trip_penalty * a.drift_tripped.min(2);
-            if relock_tripped {
-                penalty += self.relock_trip_penalty;
-            }
-            let watching = a.drift_tripped == 0 && a.worst_micros >= watch_floor;
-            if watching {
-                penalty += self.watch_penalty;
-            }
-            let score = 100u32.saturating_sub(penalty);
-            if a.drift_tripped > 0 {
-                actions.push(MaintenanceAction {
-                    switch,
-                    action: MaintenanceKind::DrainAndRepair,
-                    reason: format!(
-                        "loss drift tripped on port(s) {:?}, worst {:.3} dB — replace optics before the link budget is gone",
-                        a.tripped_ports,
-                        dequantize(a.worst_micros)
-                    ),
-                    proposed_at: now,
-                });
-            } else if relock_tripped {
-                actions.push(MaintenanceAction {
-                    switch,
-                    action: MaintenanceKind::DrainAndRepair,
-                    reason: format!(
-                        "sustained relock spike ({relocks} relocks) — drain and inspect transceivers"
-                    ),
-                    proposed_at: now,
-                });
-            } else if watching {
-                actions.push(MaintenanceAction {
-                    switch,
-                    action: MaintenanceKind::Watch,
-                    reason: format!(
-                        "worst drift {:.3} dB past half the repair budget",
-                        dequantize(a.worst_micros)
-                    ),
-                    proposed_at: now,
-                });
-            }
-            switches.push(SwitchHealth {
-                switch,
-                score,
-                drift_tripped_ports: a.drift_tripped,
-                relock_tripped,
-                worst_drift_micros: a.worst_micros,
-                watched_ports: a.watched,
-                relocks,
-            });
-        }
-        let fleet_score = switches.iter().map(|s| s.score).min().unwrap_or(100);
-        FleetHealthReport {
-            generated_at: now,
-            fleet_score,
-            switches,
-            actions,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,7 +527,7 @@ mod tests {
 
     #[test]
     fn relock_spike_trips_and_single_storm_does_not() {
-        let w = Nanos::from_millis(250).0;
+        let w = crate::detect::RATE_SPIKE_WINDOW.0;
         let mut h = FleetHealth::default();
         let mut sink = FleetTelemetry::new();
         for round in 0..3u64 {

@@ -144,33 +144,17 @@ impl LogHistogram {
     /// containing the quantile (exact min/max are used for q at the
     /// extremes). `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
         if q <= 0.0 {
             return self.min;
         }
         if q >= 1.0 {
             return self.max;
         }
-        // Rank of the target sample, 1-based.
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                let exp = MIN_EXP + i as i32;
-                // Geometric midpoint of [2^exp, 2^(exp+1)): 2^(exp+0.5),
-                // clamped into the observed range so estimates never
-                // leave [min, max].
-                let mid = (exp as f64 + 0.5).exp2();
-                let lo = self.min.expect("count > 0");
-                let hi = self.max.expect("count > 0");
-                return Some(mid.clamp(lo, hi));
-            }
-        }
-        self.max
+        let exp = self.quantile_bucket(q)?;
+        // Geometric midpoint of [2^exp, 2^(exp+1)): 2^(exp+0.5), clamped
+        // into the observed range so estimates never leave [min, max].
+        let mid = (exp as f64 + 0.5).exp2();
+        Some(mid.clamp(self.min.expect("count > 0"), self.max.expect("count > 0")))
     }
 
     /// The lower-bound binary exponent of the bucket containing quantile
@@ -253,17 +237,48 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Rebuilds a dense histogram from the snapshot (for merge-after-load).
-    pub fn restore(&self) -> LogHistogram {
+    ///
+    /// A snapshot is a document from outside the program, so it is checked
+    /// rather than trusted: `None` for an exponent outside `−128..=127`,
+    /// exponents not strictly ascending (so none repeats), a listed bucket
+    /// that is empty, bucket counts that do not sum to `count`, or a
+    /// `min`/`max` pair that is not a positive finite ordered range whose
+    /// ends lie in the first and last listed buckets (both absent exactly
+    /// when no bucket is listed).
+    pub fn restore(&self) -> Option<LogHistogram> {
+        if !self.buckets.windows(2).all(|w| w[0].0 < w[1].0) {
+            return None;
+        }
         let mut h = LogHistogram::new();
+        let mut sum = 0u64;
         for &(exp, c) in &self.buckets {
-            let i = (exp as i32 - MIN_EXP) as usize;
-            h.buckets[i] = c;
+            let i = usize::try_from(exp as i32 - MIN_EXP).ok()?;
+            *h.buckets.get_mut(i)? = c;
+            sum = sum.checked_add(c)?;
+            if c == 0 {
+                return None;
+            }
+        }
+        let ends = self.buckets.first().zip(self.buckets.last());
+        let range_ok = match (self.min, self.max, ends) {
+            (None, None, None) => true,
+            (Some(lo), Some(hi), Some((&(first, _), &(last, _)))) => {
+                0.0 < lo
+                    && lo <= hi
+                    && hi.is_finite()
+                    && bucket_exponent(lo) == first
+                    && bucket_exponent(hi) == last
+            }
+            _ => false,
+        };
+        if sum != self.count || !range_ok {
+            return None;
         }
         h.count = self.count;
         h.nonfinite = self.nonfinite;
         h.min = self.min;
         h.max = self.max;
-        h
+        Some(h)
     }
 }
 
@@ -350,7 +365,7 @@ mod tests {
         for v in [1e-6, 3e-6, 0.5, 0.0, 42.0] {
             h.record(v);
         }
-        assert_eq!(h.snapshot().restore(), h);
+        assert_eq!(h.snapshot().restore(), Some(h));
     }
 
     #[test]

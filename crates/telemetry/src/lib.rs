@@ -22,17 +22,22 @@
 //! - [`SloTracker`] — per-object availability and error budget against
 //!   the paper's 99.98% OCS target.
 //! - [`export`] — a text dashboard and a JSON-lines serializer.
-//! - [`timeseries`] — bounded multi-resolution metric history whose
-//!   downsample aggregates merge *exactly* in any order.
+//! - [`timeseries`] — bounded metric history: one raw ring of
+//!   integer-quantized samples per series.
 //! - [`rollup`] — the campus observability plane: a dirty-set
-//!   incremental port → switch → pod → campus aggregation tree and the
-//!   versioned queryable `campus_health.json` snapshot.
+//!   incremental port → switch → pod → campus aggregation tree over
+//!   [`Aggregate`]s that merge *exactly* in any order, and the versioned
+//!   queryable `campus_health.json` snapshot.
 //! - [`detect`] — O(1)-per-sample streaming detectors (EWMA drift,
 //!   CUSUM change-point, windowed rate-spike), pure integer state.
 //! - [`health`] — the analytics tier: detector banks over port drift
-//!   and relock rates, a [`HealthScorer`] rollup, and the
+//!   and relock rates, a per-switch score rollup, and the
 //!   preemptive-maintenance advisor (the §3.2.2 "repair before it
 //!   fails" loop as a library).
+//!
+//! Nothing here takes a policy value: every threshold, window and
+//! capacity the workspace has only ever run one value of is a documented
+//! `const` next to the code that reads it (DESIGN.md §6.4 lists them).
 //!
 //! [`FleetTelemetry`] bundles the four stores for the common case. The
 //! [`Severity`] scale defined here is re-exported by `lightwave-ocs` as
@@ -89,34 +94,31 @@ pub mod slo;
 pub mod timeseries;
 
 pub use alarms::{
-    AggregatorConfig, AlarmAggregator, AlarmCause, AlarmRecord, CauseClass, Incident,
-    IngestOutcome, TrendSignal,
+    AlarmAggregator, AlarmCause, AlarmRecord, CauseClass, Incident, IngestOutcome, TrendSignal,
 };
-pub use detect::{Cusum, CusumConfig, EwmaConfig, EwmaDrift, RateSpike, RateSpikeConfig};
+pub use detect::{Cusum, EwmaDrift, RateSpike};
 pub use events::{Event, EventBus, EventKind};
 pub use exemplar::{Exemplar, ExemplarBucket, ExemplarHistogram, ExemplarSnapshot};
 pub use export::JsonlRecord;
 pub use fleet::FleetTelemetry;
 pub use health::{
-    FleetHealth, FleetHealthReport, HealthConfig, HealthScorer, MaintenanceAction, MaintenanceKind,
-    SwitchHealth, TrendTrip, HEALTH_FORMAT,
+    FleetHealth, FleetHealthReport, MaintenanceAction, MaintenanceKind, SwitchHealth, TrendTrip,
+    HEALTH_FORMAT,
 };
 pub use histogram::{HistogramSnapshot, LogHistogram};
 pub use metrics::{
     CounterId, GaugeId, HistogramId, MetricKey, MetricSample, MetricsRegistry, RateWindow,
 };
 pub use rollup::{
-    CampusHealthDoc, MetricCell, NodeHealth, PodRow, PortPath, RollupMetric, RollupTree, SwitchRow,
-    CAMPUS_HEALTH_FORMAT,
+    Aggregate, CampusHealthDoc, MetricCell, NodeHealth, PodRow, PortPath, RollupMetric, RollupTree,
+    SwitchRow, CAMPUS_HEALTH_FORMAT,
 };
 pub use severity::Severity;
 pub use slo::{
-    BurnConfig, BurnRateLedger, BurnReport, BurnStatus, ObjectSlo, SloReport, SloTracker,
-    CAMPUS_ALARM_SWITCH, OCS_AVAILABILITY_TARGET, OCS_ERROR_BUDGET_PPM,
+    BurnRateLedger, BurnReport, BurnStatus, ObjectSlo, SloReport, SloTracker, CAMPUS_ALARM_SWITCH,
+    OCS_AVAILABILITY_TARGET, OCS_ERROR_BUDGET_PPM,
 };
-pub use timeseries::{
-    Aggregate, CounterSample, CounterTrack, Sample, SeriesConfig, SeriesId, SeriesStore, TimeSeries,
-};
+pub use timeseries::{CounterSample, CounterTrack, Sample, SeriesId, SeriesStore, TimeSeries};
 
 // Re-exported for the doc example above.
 #[doc(hidden)]

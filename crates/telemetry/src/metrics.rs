@@ -262,7 +262,7 @@ impl MetricsRegistry {
     }
 
     /// Registers a rate helper: a gauge named `rate_name` that tracks
-    /// `counter`'s per-second rate over fixed windows of `window`.
+    /// `counter`'s per-second rate over fixed windows of [`RATE_WINDOW`].
     ///
     /// Call [`RateWindow::observe`] from any periodic path (a scrape, a
     /// health poll); when the window rolls over, the helper publishes
@@ -278,12 +278,10 @@ impl MetricsRegistry {
         counter: CounterId,
         rate_name: &str,
         labels: &[(&str, &str)],
-        window: Nanos,
     ) -> RateWindow {
         RateWindow {
             counter,
             gauge: self.gauge(rate_name, labels),
-            window,
             last_bucket: 0,
             last_count: 0,
         }
@@ -304,6 +302,10 @@ impl MetricsRegistry {
     }
 }
 
+/// Width of a [`RateWindow`]'s fixed sim-time windows: one second, so
+/// a `*_per_sec` gauge is the count of one window.
+pub const RATE_WINDOW: Nanos = Nanos(1_000_000_000);
+
 /// Derives a per-second rate gauge from a counter over fixed sim-time
 /// windows (see [`MetricsRegistry::rate_window`]).
 ///
@@ -314,7 +316,6 @@ impl MetricsRegistry {
 pub struct RateWindow {
     counter: CounterId,
     gauge: GaugeId,
-    window: Nanos,
     last_bucket: u64,
     last_count: u64,
 }
@@ -326,14 +327,13 @@ impl RateWindow {
     /// one: whatever was counted meanwhile is published at the next
     /// roll-over.
     pub fn observe(&mut self, metrics: &mut MetricsRegistry, at: Nanos) {
-        let window = self.window.0.max(1);
-        let bucket = at.0 / window;
+        let bucket = at.0 / RATE_WINDOW.0;
         if bucket <= self.last_bucket {
             return;
         }
         let count = metrics.counter_value(self.counter);
         let delta = count - self.last_count;
-        let elapsed_secs = ((bucket - self.last_bucket) * window) as f64 / 1e9;
+        let elapsed_secs = ((bucket - self.last_bucket) * RATE_WINDOW.0) as f64 / 1e9;
         metrics.set(self.gauge, at, delta as f64 / elapsed_secs);
         self.last_bucket = bucket;
         self.last_count = count;
@@ -397,12 +397,7 @@ mod tests {
     fn rate_window_publishes_exact_per_window_rates() {
         let mut reg = MetricsRegistry::new();
         let c = reg.counter("ocs_relocks_total", &[("switch", "3")]);
-        let mut rate = reg.rate_window(
-            c,
-            "ocs_relock_rate_per_sec",
-            &[("switch", "3")],
-            Nanos::from_secs_f64(1.0),
-        );
+        let mut rate = reg.rate_window(c, "ocs_relock_rate_per_sec", &[("switch", "3")]);
         // 4 relocks in window 0; observed after the roll to window 1.
         reg.inc(c, Nanos::from_millis(100), 4);
         rate.observe(&mut reg, Nanos::from_millis(500)); // same window: no-op
@@ -426,7 +421,7 @@ mod tests {
         let replay = |stamps: &[(u64, u64, u64)]| {
             let mut reg = MetricsRegistry::new();
             let c = reg.counter("x", &[]);
-            let mut r = reg.rate_window(c, "x_rate", &[], Nanos::from_secs_f64(1.0));
+            let mut r = reg.rate_window(c, "x_rate", &[]);
             for &(inc_at, n, obs_at) in stamps {
                 reg.inc(c, Nanos::from_millis(inc_at), n);
                 r.observe(&mut reg, Nanos::from_millis(obs_at));

@@ -9,7 +9,8 @@
 //!
 //! [`RollupTree`] maintains a four-level aggregation hierarchy —
 //! **port → switch → pod → campus** — over the exact integer
-//! [`Aggregate`] lattice from [`crate::timeseries`]:
+//! [`Aggregate`] lattice (integer sums plus min/max joins of samples
+//! quantized by [`crate::timeseries::quantize`]):
 //!
 //! - **Ingest** is O(1): the sample folds into its port leaf's *pending
 //!   delta* and the leaf joins a dirty set.
@@ -23,12 +24,15 @@
 //!   exported snapshot is byte-identical at any `LIGHTWAVE_THREADS`
 //!   (DESIGN.md §6.9).
 //!
-//! The flat re-aggregation (`fold every leaf from EMPTY`) is kept as
-//! [`RollupTree::flat_campus`]: it is the ground truth the chaos
-//! invariant compares incremental node totals against after every
-//! injected event, the reference the proptests fold in arbitrary
-//! partition orders, and the baseline an incremental scrape is priced
-//! against (lwbench `telemetry.*`).
+//! The flat re-aggregation (`fold every leaf from EMPTY`) is kept in two
+//! forms. [`RollupTree::check_consistency`] re-folds the scraped leaf
+//! totals into every switch, pod and campus node: it is the ground truth
+//! the chaos invariant compares the incremental totals against after
+//! every injected event, and what `tests/campus_health.rs` and the
+//! `campus_health` example assert. [`RollupTree::flat_campus`] re-folds
+//! the campus row with pending deltas included: it is the reference this
+//! module's merge test and proptest compare against. lwbench reads
+//! neither (its `telemetry.*` metrics time the observer and the document).
 //!
 //! [`CampusHealthDoc`] is the versioned queryable snapshot
 //! (`lightwave/campus-health/v1`): per-level rollups with a
@@ -36,13 +40,81 @@
 //! burn-rate / error-budget section from [`crate::slo::BurnRateLedger`].
 
 use crate::slo::{BurnReport, BurnStatus};
-use crate::timeseries::{quantize, Aggregate, Sample};
+use crate::timeseries::{quantize, Sample};
 use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Format tag of the exported campus snapshot.
 pub const CAMPUS_HEALTH_FORMAT: &str = "lightwave/campus-health/v1";
+
+/// An exact aggregate of quantized samples: integer sums and lattice
+/// joins only.
+///
+/// `merge` is associative and commutative by construction — the same
+/// guarantee the log histogram gives bucket counts — so a node built
+/// from samples in any order (or from merged sub-nodes) is
+/// byte-identical.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Aggregate {
+    /// Samples folded in.
+    pub count: u64,
+    /// Exact integer sum of quantized values.
+    pub sum_micros: i64,
+    /// Smallest quantized value.
+    pub min_micros: i64,
+    /// Largest quantized value.
+    pub max_micros: i64,
+    /// Earliest sample stamp folded in.
+    pub first_at: Nanos,
+    /// Latest sample stamp folded in.
+    pub last_at: Nanos,
+}
+
+impl Aggregate {
+    /// The identity element for [`Aggregate::merge`].
+    pub const EMPTY: Aggregate = Aggregate {
+        count: 0,
+        sum_micros: 0,
+        min_micros: i64::MAX,
+        max_micros: i64::MIN,
+        first_at: Nanos(u64::MAX),
+        last_at: Nanos(0),
+    };
+
+    /// An aggregate of exactly one sample.
+    pub fn from_sample(s: Sample) -> Aggregate {
+        Aggregate {
+            count: 1,
+            sum_micros: s.value_micros,
+            min_micros: s.value_micros,
+            max_micros: s.value_micros,
+            first_at: s.at,
+            last_at: s.at,
+        }
+    }
+
+    /// Exact merge: integer sums plus min/max/first/last lattice joins.
+    pub fn merge(self, other: Aggregate) -> Aggregate {
+        Aggregate {
+            count: self.count + other.count,
+            sum_micros: self.sum_micros + other.sum_micros,
+            min_micros: self.min_micros.min(other.min_micros),
+            max_micros: self.max_micros.max(other.max_micros),
+            first_at: self.first_at.min(other.first_at),
+            last_at: self.last_at.max(other.last_at),
+        }
+    }
+
+    /// Integer mean in micro-units (truncating; `None` when empty).
+    pub fn mean_micros(&self) -> Option<i64> {
+        if self.count == 0 {
+            None
+        } else {
+            Some(self.sum_micros / self.count as i64)
+        }
+    }
+}
 
 /// Leaf coordinates in the campus hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -128,8 +200,6 @@ pub struct RollupTree {
     /// leaf's `dirty` flag dedups).
     dirty: Vec<u32>,
     ingested: u64,
-    scrapes: u64,
-    propagated: u64,
 }
 
 impl RollupTree {
@@ -246,8 +316,6 @@ impl RollupTree {
                 self.campus.fold(metric, delta);
             }
         }
-        self.scrapes += 1;
-        self.propagated += n as u64;
         n
     }
 
@@ -282,7 +350,6 @@ impl RollupTree {
             fold_remapped(&mut self.campus, &src);
         }
         self.ingested += other.ingested;
-        self.propagated += other.propagated;
     }
 
     /// The campus-level aggregate of `m` (scraped state only).
@@ -684,7 +751,45 @@ mod tests {
         assert_eq!(parsed, doc);
     }
 
+    fn agg_of(samples: &[Sample]) -> Aggregate {
+        samples
+            .iter()
+            .fold(Aggregate::EMPTY, |a, &s| a.merge(Aggregate::from_sample(s)))
+    }
+
     proptest! {
+        /// The lattice contract: aggregates merge *exactly* in any
+        /// order — fold left, fold right, shuffled, or tree-merged from
+        /// arbitrary splits, the result is identical.
+        #[test]
+        fn aggregate_merge_is_exact_in_any_order(
+            values in proptest::collection::vec((0u64..1_000_000, -500_000i64..500_000), 1..64),
+            split in 0usize..64,
+            shuffle_seed in 0u64..u64::MAX,
+        ) {
+            let samples: Vec<Sample> = values
+                .iter()
+                .map(|&(t, v)| Sample { at: Nanos(t), value_micros: v })
+                .collect();
+            let reference = agg_of(&samples);
+
+            // Arbitrary split point, merged as two sub-aggregates.
+            let cut = split % samples.len();
+            let (lo, hi) = samples.split_at(cut);
+            prop_assert_eq!(agg_of(lo).merge(agg_of(hi)), reference);
+            prop_assert_eq!(agg_of(hi).merge(agg_of(lo)), reference);
+
+            // Deterministic shuffle (splitmix-style LCG walk).
+            let mut shuffled = samples.clone();
+            let mut state = shuffle_seed;
+            for i in (1..shuffled.len()).rev() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let j = (state >> 33) as usize % (i + 1);
+                shuffled.swap(i, j);
+            }
+            prop_assert_eq!(agg_of(&shuffled), reference);
+        }
+
         /// Hierarchical totals equal the flat fold whatever the ingest
         /// order, and scraping at arbitrary points never changes them.
         #[test]

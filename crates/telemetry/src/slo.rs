@@ -23,16 +23,97 @@ pub const OCS_AVAILABILITY_TARGET: f64 = 0.9998;
 /// the integer form every burn-rate quantity is derived from.
 pub const OCS_ERROR_BUDGET_PPM: u64 = 200;
 
-/// Pseudo-switch id burn-rate alarms use for the campus-wide object
-/// (per-pod alarms use the pod id).
+/// Fast burn-rate alert window (300 s): makes the page responsive.
+pub const BURN_FAST_WINDOW: Nanos = Nanos(300_000_000_000);
+
+/// Slow burn-rate alert window (3 600 s): keeps one transient blip from
+/// paging.
+pub const BURN_SLOW_WINDOW: Nanos = Nanos(3_600_000_000_000);
+
+/// Paging threshold: burn rate ×1000 that **both** windows must reach
+/// (10× the budget's pace) — the Google-SRE multi-window shape.
+pub const PAGE_BURN_MILLI: u64 = 10_000;
+
+const _: () = assert!(
+    OCS_ERROR_BUDGET_PPM > 0,
+    "zero error budget never pages sanely"
+);
+const _: () = assert!(BURN_FAST_WINDOW.0 > 0 && BURN_SLOW_WINDOW.0 >= BURN_FAST_WINDOW.0);
+
+/// Switch id burn-rate alarms carry for the campus-wide object (per-pod
+/// alarms carry the pod id).
 pub const CAMPUS_ALARM_SWITCH: u32 = u32::MAX;
 
+/// One object's up/down history, as far as downtime needs it — the state
+/// machine under both [`SloTracker`] and [`BurnRateLedger`].
 #[derive(Debug, Clone)]
-struct ObjectState {
+struct Downtime {
     first_seen: Nanos,
     up: bool,
     since: Nanos,
-    downtime: Nanos,
+    /// Total downtime over closed intervals.
+    accrued: Nanos,
+}
+
+impl Downtime {
+    /// The first observation of an object starts its observation window
+    /// (it is not assumed to have existed since t=0).
+    fn open(at: Nanos, up: bool) -> Downtime {
+        Downtime {
+            first_seen: at,
+            up,
+            since: at,
+            accrued: Nanos(0),
+        }
+    }
+
+    /// Records the state as of `at`. A repeated observation of the same
+    /// state is idempotent and returns `None`; a change returns `Some` of
+    /// the down interval `(start, end)` it closed, if it closed one (a
+    /// down interval accrues when it closes).
+    #[inline]
+    fn observe(&mut self, at: Nanos, up: bool) -> Option<Option<(Nanos, Nanos)>> {
+        if self.up == up {
+            return None;
+        }
+        let closed = self.down_since().map(|since| {
+            self.accrued += at.saturating_sub(since);
+            (since, at)
+        });
+        self.up = up;
+        self.since = at;
+        Some(closed)
+    }
+
+    /// Start of the open down interval, if the object is down.
+    fn down_since(&self) -> Option<Nanos> {
+        (!self.up).then_some(self.since)
+    }
+
+    /// Accrued downtime as of `now`: an open down interval counts up to it.
+    fn downtime_at(&self, now: Nanos) -> Nanos {
+        self.accrued
+            + self
+                .down_since()
+                .map_or(Nanos(0), |since| now.saturating_sub(since))
+    }
+
+    /// Folds in another history of the same object: windows union,
+    /// closed downtime adds, and the later state wins — exact for
+    /// sequential episodes.
+    fn merge(&mut self, other: Downtime) {
+        self.first_seen = self.first_seen.min(other.first_seen);
+        self.accrued += other.accrued;
+        if other.since > self.since {
+            self.up = other.up;
+            self.since = other.since;
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+struct ObjectState {
+    history: Downtime,
     transitions: u64,
 }
 
@@ -58,7 +139,7 @@ pub struct ObjectSlo {
 /// Fleet SLO assessment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SloReport {
-    /// The availability target, e.g. `0.9998`.
+    /// The availability target ([`OCS_AVAILABILITY_TARGET`]).
     pub target: f64,
     /// Per-object assessments, object-name-sorted.
     pub objects: Vec<ObjectSlo>,
@@ -68,42 +149,14 @@ pub struct SloReport {
     pub violating: usize,
 }
 
-/// Tracks availability against a target for a set of named objects.
-#[derive(Debug, Clone)]
+/// Tracks availability of a set of named objects against the paper's
+/// 99.98% OCS target ([`OCS_AVAILABILITY_TARGET`]).
+#[derive(Debug, Clone, Default)]
 pub struct SloTracker {
-    target: f64,
     objects: BTreeMap<String, ObjectState>,
 }
 
-impl Default for SloTracker {
-    fn default() -> SloTracker {
-        SloTracker::ocs_target()
-    }
-}
-
 impl SloTracker {
-    /// A tracker with an explicit availability target in `(0, 1)`.
-    pub fn new(target: f64) -> SloTracker {
-        assert!(
-            target > 0.0 && target < 1.0,
-            "availability target must be in (0, 1), got {target}"
-        );
-        SloTracker {
-            target,
-            objects: BTreeMap::new(),
-        }
-    }
-
-    /// A tracker against the paper's 99.98% OCS target (§4.1.1).
-    pub fn ocs_target() -> SloTracker {
-        SloTracker::new(OCS_AVAILABILITY_TARGET)
-    }
-
-    /// The availability target.
-    pub fn target(&self) -> f64 {
-        self.target
-    }
-
     /// Records that `object` is `up`/down as of simulation time `at`.
     ///
     /// The first observation of an object starts its observation window
@@ -115,24 +168,13 @@ impl SloTracker {
                 self.objects.insert(
                     object.to_string(),
                     ObjectState {
-                        first_seen: at,
-                        up,
-                        since: at,
-                        downtime: Nanos(0),
+                        history: Downtime::open(at, up),
                         transitions: 0,
                     },
                 );
             }
             Some(state) => {
-                if state.up == up {
-                    return;
-                }
-                if !state.up {
-                    state.downtime += at.saturating_sub(state.since);
-                }
-                state.up = up;
-                state.since = at;
-                state.transitions += 1;
+                state.transitions += u64::from(state.history.observe(at, up).is_some());
             }
         }
     }
@@ -153,17 +195,14 @@ impl SloTracker {
         let mut observed_total = 0u128;
         let mut up_total = 0u128;
         for (name, state) in &self.objects {
-            let observed = now.saturating_sub(state.first_seen);
-            let mut downtime = state.downtime;
-            if !state.up {
-                downtime += now.saturating_sub(state.since);
-            }
+            let observed = now.saturating_sub(state.history.first_seen);
+            let downtime = state.history.downtime_at(now);
             let availability = if observed.0 == 0 {
                 1.0
             } else {
                 1.0 - downtime.0 as f64 / observed.0 as f64
             };
-            let error_budget = Nanos((observed.0 as f64 * (1.0 - self.target)) as u64);
+            let error_budget = Nanos((observed.0 as f64 * (1.0 - OCS_AVAILABILITY_TARGET)) as u64);
             let budget_remaining = if error_budget.0 == 0 {
                 if downtime.0 == 0 {
                     1.0
@@ -182,7 +221,7 @@ impl SloTracker {
                 downtime,
                 error_budget,
                 budget_remaining,
-                in_violation: availability < self.target,
+                in_violation: availability < OCS_AVAILABILITY_TARGET,
                 transitions: state.transitions,
             });
         }
@@ -192,7 +231,7 @@ impl SloTracker {
             up_total as f64 / observed_total as f64
         };
         SloReport {
-            target: self.target,
+            target: OCS_AVAILABILITY_TARGET,
             violating: objects.iter().filter(|o| o.in_violation).count(),
             objects,
             fleet_availability,
@@ -200,44 +239,11 @@ impl SloTracker {
     }
 }
 
-/// Multi-window burn-rate policy (all quantities integer, sim-time).
-///
-/// The Google-SRE shape: an alert fires only when **both** a fast and a
-/// slow window burn the error budget faster than `page_burn_milli`
-/// (burn rate ×1000) — the fast window makes the alert responsive, the
-/// slow window keeps one transient blip from paging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BurnConfig {
-    /// Error budget as parts-per-million of time (200 = 99.98%).
-    pub budget_ppm: u64,
-    /// Fast alert window.
-    pub fast_window: Nanos,
-    /// Slow alert window.
-    pub slow_window: Nanos,
-    /// Paging threshold: burn rate ×1000 that both windows must exceed.
-    pub page_burn_milli: u64,
-}
-
-impl Default for BurnConfig {
-    fn default() -> BurnConfig {
-        BurnConfig {
-            budget_ppm: OCS_ERROR_BUDGET_PPM,
-            fast_window: Nanos::from_secs_f64(300.0),
-            slow_window: Nanos::from_secs_f64(3_600.0),
-            page_burn_milli: 10_000, // 10x budget burn
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct BurnState {
-    first_seen: Nanos,
-    up: bool,
-    since: Nanos,
-    /// Total downtime over closed intervals.
-    spent: Nanos,
+    history: Downtime,
     /// Closed down intervals `(start, end)`, oldest first, trimmed to
-    /// the slow window at assess time (bounded memory).
+    /// the slow window at poll time (bounded memory).
     intervals: VecDeque<(Nanos, Nanos)>,
     /// Sticky page latch: set while the multi-window condition holds,
     /// so one breach episode pages exactly once.
@@ -268,13 +274,13 @@ pub struct BurnStatus {
 /// The campus burn-rate / error-budget assessment.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BurnReport {
-    /// Error budget in ppm of time.
+    /// Error budget in ppm of time ([`OCS_ERROR_BUDGET_PPM`]).
     pub budget_ppm: u64,
-    /// Fast alert window.
+    /// Fast alert window ([`BURN_FAST_WINDOW`]).
     pub fast_window: Nanos,
-    /// Slow alert window.
+    /// Slow alert window ([`BURN_SLOW_WINDOW`]).
     pub slow_window: Nanos,
-    /// Paging threshold (burn ×1000).
+    /// Paging threshold, burn ×1000 ([`PAGE_BURN_MILLI`]).
     pub page_burn_milli: u64,
     /// Per-pod rows, pod-sorted.
     pub pods: Vec<BurnStatus>,
@@ -284,67 +290,25 @@ pub struct BurnReport {
     pub alerting: usize,
 }
 
-impl BurnReport {
-    /// An empty report under `cfg` (no pods observed yet).
-    pub fn empty(cfg: &BurnConfig) -> BurnReport {
-        BurnReport {
-            budget_ppm: cfg.budget_ppm,
-            fast_window: cfg.fast_window,
-            slow_window: cfg.slow_window,
-            page_burn_milli: cfg.page_burn_milli,
-            pods: Vec::new(),
-            campus: BurnStatus {
-                object: "campus".to_string(),
-                pod: None,
-                fast_burn_milli: 0,
-                slow_burn_milli: 0,
-                budget_nanos: 0,
-                spent_nanos: 0,
-                remaining_milli: 1000,
-                alerting: false,
-            },
-            alerting: 0,
-        }
-    }
-}
-
 /// Multi-window burn-rate tracking with an error-budget ledger per pod
 /// and campus-wide.
 ///
 /// Feeds on the same up/down transitions as [`SloTracker`], but keeps
 /// enough (bounded) interval history to answer *windowed* downtime —
-/// the quantity burn rates are defined over. Every derived number is
+/// the quantity burn rates are defined over. A page fires only when
+/// **both** [`BURN_FAST_WINDOW`] and [`BURN_SLOW_WINDOW`] burn the error
+/// budget at [`PAGE_BURN_MILLI`] or faster. Every derived number is
 /// integer arithmetic on [`Nanos`], so reports and the alarms raised
 /// through [`BurnRateLedger::poll`] are byte-identical at any worker
 /// count, and ledgers for disjoint pod sets merge exactly.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BurnRateLedger {
-    cfg: BurnConfig,
     pods: BTreeMap<u32, BurnState>,
-}
-
-impl Default for BurnRateLedger {
-    fn default() -> BurnRateLedger {
-        BurnRateLedger::new(BurnConfig::default())
-    }
+    /// The campus object's page latch (same rising-edge rule as a pod's).
+    campus_alerting: bool,
 }
 
 impl BurnRateLedger {
-    /// A ledger under an explicit policy.
-    pub fn new(cfg: BurnConfig) -> BurnRateLedger {
-        assert!(cfg.budget_ppm > 0, "zero error budget never pages sanely");
-        assert!(cfg.fast_window.0 > 0 && cfg.slow_window.0 >= cfg.fast_window.0);
-        BurnRateLedger {
-            cfg,
-            pods: BTreeMap::new(),
-        }
-    }
-
-    /// The active policy.
-    pub fn config(&self) -> &BurnConfig {
-        &self.cfg
-    }
-
     /// Records that `pod` is `up`/down as of sim time `at`. First
     /// observation opens the pod's window; same-state repeats are
     /// idempotent (the [`SloTracker::observe`] contract).
@@ -354,40 +318,28 @@ impl BurnRateLedger {
                 self.pods.insert(
                     pod,
                     BurnState {
-                        first_seen: at,
-                        up,
-                        since: at,
-                        spent: Nanos(0),
+                        history: Downtime::open(at, up),
                         intervals: VecDeque::new(),
                         alerting: false,
                     },
                 );
             }
             Some(s) => {
-                if s.up == up {
-                    return;
+                if let Some(Some(closed)) = s.history.observe(at, up) {
+                    s.intervals.push_back(closed);
                 }
-                if !s.up {
-                    s.spent += at.saturating_sub(s.since);
-                    s.intervals.push_back((s.since, at));
-                }
-                s.up = up;
-                s.since = at;
             }
         }
     }
 
-    /// Pods tracked (the reserved campus-latch slot excluded).
+    /// Pods tracked.
     pub fn len(&self) -> usize {
-        self.pods
-            .keys()
-            .filter(|&&p| p != CAMPUS_ALARM_SWITCH)
-            .count()
+        self.pods.len()
     }
 
     /// True when nothing is tracked yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.pods.is_empty()
     }
 
     /// Downtime of `s` inside `[now - window, now]`.
@@ -399,85 +351,80 @@ impl BurnRateLedger {
             let b = end.min(now);
             down += b.saturating_sub(a).0;
         }
-        if !s.up {
-            let a = s.since.max(lo);
+        if let Some(since) = s.history.down_since() {
+            let a = since.max(lo);
             down += now.saturating_sub(a).0;
         }
         Nanos(down)
     }
 
-    /// Burn rate ×1000: windowed downtime against the budget's pace.
-    fn burn_milli(cfg: BurnConfig, down: Nanos, window: Nanos) -> u64 {
+    /// One row of the report: burn rates of `fast`/`slow` windowed
+    /// downtime for an object `n` pods wide, and its budget ledger.
+    fn status(
+        pod: Option<u32>,
+        n: u64,
+        fast: Nanos,
+        slow: Nanos,
+        budget: u64,
+        spent: u64,
+    ) -> BurnStatus {
         // burn = (down / window) / (budget_ppm / 1e6); ×1000 for milli.
-        let num = down.0 as u128 * 1_000_000_000u128;
-        let den = window.0 as u128 * cfg.budget_ppm as u128;
-        (num / den.max(1)) as u64
-    }
-
-    fn status(&self, pod: u32, s: &BurnState, now: Nanos) -> BurnStatus {
-        let fast = Self::windowed_downtime(s, now, self.cfg.fast_window);
-        let slow = Self::windowed_downtime(s, now, self.cfg.slow_window);
-        let observed = now.saturating_sub(s.first_seen);
-        let spent = s.spent.0
-            + if s.up {
-                0
-            } else {
-                now.saturating_sub(s.since).0
-            };
-        let budget = (observed.0 as u128 * self.cfg.budget_ppm as u128 / 1_000_000) as u64;
+        let burn_milli = |down: Nanos, window: Nanos| {
+            let num = down.0 as u128 * 1_000_000_000u128;
+            let den = (window.0 * n) as u128 * OCS_ERROR_BUDGET_PPM as u128;
+            (num / den.max(1)) as u64
+        };
+        let (fast_burn_milli, slow_burn_milli) = (
+            burn_milli(fast, BURN_FAST_WINDOW),
+            burn_milli(slow, BURN_SLOW_WINDOW),
+        );
         BurnStatus {
-            object: format!("pod-{pod}"),
-            pod: Some(pod),
-            fast_burn_milli: Self::burn_milli(self.cfg, fast, self.cfg.fast_window),
-            slow_burn_milli: Self::burn_milli(self.cfg, slow, self.cfg.slow_window),
+            object: pod.map_or_else(|| "campus".to_string(), |p| format!("pod-{p}")),
+            pod,
+            fast_burn_milli,
+            slow_burn_milli,
             budget_nanos: budget,
             spent_nanos: spent,
             remaining_milli: remaining_milli(budget, spent),
-            alerting: s.alerting,
+            alerting: fast_burn_milli.min(slow_burn_milli) >= PAGE_BURN_MILLI,
         }
     }
 
-    /// Assesses every pod and the campus sum as of sim time `now`.
+    /// Assesses every pod and the campus sum as of sim time `now`. A
+    /// pod row's `alerting` is its page latch as of the last
+    /// [`BurnRateLedger::poll`]; the campus row's is the condition itself.
     pub fn assess(&self, now: Nanos) -> BurnReport {
-        let mut report = BurnReport::empty(&self.cfg);
-        let mut fast_down = Nanos(0);
-        let mut slow_down = Nanos(0);
+        let mut pods = Vec::with_capacity(self.pods.len());
+        let (mut fast_down, mut slow_down) = (Nanos(0), Nanos(0));
+        let (mut campus_budget, mut campus_spent) = (0u64, 0u64);
         for (&pod, s) in &self.pods {
-            if pod == CAMPUS_ALARM_SWITCH {
-                continue; // the reserved campus-latch slot, not a pod
-            }
-            fast_down += Self::windowed_downtime(s, now, self.cfg.fast_window);
-            slow_down += Self::windowed_downtime(s, now, self.cfg.slow_window);
-            report.pods.push(self.status(pod, s, now));
+            let fast = Self::windowed_downtime(s, now, BURN_FAST_WINDOW);
+            let slow = Self::windowed_downtime(s, now, BURN_SLOW_WINDOW);
+            let observed = now.saturating_sub(s.history.first_seen);
+            let budget = (observed.0 as u128 * OCS_ERROR_BUDGET_PPM as u128 / 1_000_000) as u64;
+            let spent = s.history.downtime_at(now).0;
+            fast_down += fast;
+            slow_down += slow;
+            campus_budget += budget;
+            campus_spent += spent;
+            pods.push(BurnStatus {
+                alerting: s.alerting,
+                ..Self::status(Some(pod), 1, fast, slow, budget, spent)
+            });
         }
-        let n = report.pods.len().max(1) as u64;
-        let campus_budget: u64 = report.pods.iter().map(|p| p.budget_nanos).sum();
-        let campus_spent: u64 = report.pods.iter().map(|p| p.spent_nanos).sum();
         // Campus burn is pod-count-normalized: the campus window is
         // n pods × the wall window, so one pod down at exactly budget
         // pace reads the same burn at both levels divided by fleet size.
-        report.campus = BurnStatus {
-            object: "campus".to_string(),
-            pod: None,
-            fast_burn_milli: Self::burn_milli(
-                self.cfg,
-                fast_down,
-                Nanos(self.cfg.fast_window.0 * n),
-            ),
-            slow_burn_milli: Self::burn_milli(
-                self.cfg,
-                slow_down,
-                Nanos(self.cfg.slow_window.0 * n),
-            ),
-            budget_nanos: campus_budget,
-            spent_nanos: campus_spent,
-            remaining_milli: remaining_milli(campus_budget, campus_spent),
-            alerting: report.campus.alerting,
-        };
-        report.campus.alerting = report.campus.fast_burn_milli >= self.cfg.page_burn_milli
-            && report.campus.slow_burn_milli >= self.cfg.page_burn_milli;
-        report.alerting = report.pods.iter().filter(|p| p.alerting).count();
-        report
+        let n = pods.len().max(1) as u64;
+        BurnReport {
+            budget_ppm: OCS_ERROR_BUDGET_PPM,
+            fast_window: BURN_FAST_WINDOW,
+            slow_window: BURN_SLOW_WINDOW,
+            page_burn_milli: PAGE_BURN_MILLI,
+            campus: Self::status(None, n, fast_down, slow_down, campus_budget, campus_spent),
+            alerting: pods.iter().filter(|p| p.alerting).count(),
+            pods,
+        }
     }
 
     /// Evaluates the paired-window page condition for every pod and the
@@ -489,87 +436,37 @@ impl BurnRateLedger {
     /// pods that newly entered the paging condition
     /// ([`CAMPUS_ALARM_SWITCH`] stands for the campus object).
     pub fn poll(&mut self, sink: &mut FleetTelemetry, now: Nanos) -> Vec<u32> {
-        let lo = now.saturating_sub(self.cfg.slow_window);
-        let mut fired = Vec::new();
-        let mut campus_fast = Nanos(0);
-        let mut campus_slow = Nanos(0);
-        let mut observed_pods = 0u64;
-        for (&pod, s) in &mut self.pods {
-            if pod == CAMPUS_ALARM_SWITCH {
-                continue; // the reserved campus-latch slot, not a pod
-            }
-            observed_pods += 1;
+        let lo = now.saturating_sub(BURN_SLOW_WINDOW);
+        for s in self.pods.values_mut() {
             while s.intervals.front().is_some_and(|&(_, end)| end < lo) {
                 s.intervals.pop_front();
             }
-            let fast = Self::windowed_downtime(s, now, self.cfg.fast_window);
-            let slow = Self::windowed_downtime(s, now, self.cfg.slow_window);
-            campus_fast += fast;
-            campus_slow += slow;
-            let firing =
-                self.cfg.page_burn_milli
-                    <= Self::burn_milli(self.cfg, fast, self.cfg.fast_window)
-                        .min(Self::burn_milli(self.cfg, slow, self.cfg.slow_window));
+        }
+        let report = self.assess(now);
+        let mut fired = Vec::new();
+        for ((&pod, s), row) in self.pods.iter_mut().zip(&report.pods) {
+            let firing = row.fast_burn_milli.min(row.slow_burn_milli) >= PAGE_BURN_MILLI;
             if firing && !s.alerting {
                 fired.push(pod);
-                sink.ingest_alarm(AlarmRecord {
-                    at: now,
-                    severity: Severity::Warning,
-                    switch: pod,
-                    cause: AlarmCause::TrendAnomaly {
-                        signal: TrendSignal::ErrorBudgetBurn,
-                        port: 0,
-                    },
-                });
             }
             s.alerting = firing;
         }
-        let n = observed_pods.max(1);
-        let campus_firing = self.cfg.page_burn_milli
-            <= Self::burn_milli(self.cfg, campus_fast, Nanos(self.cfg.fast_window.0 * n)).min(
-                Self::burn_milli(self.cfg, campus_slow, Nanos(self.cfg.slow_window.0 * n)),
-            );
-        if campus_firing && !self.campus_latch() {
+        if report.campus.alerting && !self.campus_alerting {
             fired.push(CAMPUS_ALARM_SWITCH);
+        }
+        self.campus_alerting = report.campus.alerting;
+        for &switch in &fired {
             sink.ingest_alarm(AlarmRecord {
                 at: now,
                 severity: Severity::Warning,
-                switch: CAMPUS_ALARM_SWITCH,
+                switch,
                 cause: AlarmCause::TrendAnomaly {
                     signal: TrendSignal::ErrorBudgetBurn,
                     port: 0,
                 },
             });
         }
-        self.set_campus_latch(campus_firing);
         fired
-    }
-
-    // The campus latch rides on a reserved pod slot so merge stays a
-    // plain map union; it is never reported as a pod.
-    fn campus_latch(&self) -> bool {
-        self.pods
-            .get(&CAMPUS_ALARM_SWITCH)
-            .map(|s| s.alerting)
-            .unwrap_or(false)
-    }
-
-    fn set_campus_latch(&mut self, firing: bool) {
-        if let Some(s) = self.pods.get_mut(&CAMPUS_ALARM_SWITCH) {
-            s.alerting = firing;
-        } else if firing {
-            self.pods.insert(
-                CAMPUS_ALARM_SWITCH,
-                BurnState {
-                    first_seen: Nanos(0),
-                    up: true,
-                    since: Nanos(0),
-                    spent: Nanos(0),
-                    intervals: VecDeque::new(),
-                    alerting: true,
-                },
-            );
-        }
     }
 
     /// Pushes burn-rate and budget-remaining samples for the campus and
@@ -597,6 +494,7 @@ impl BurnRateLedger {
     /// are disjoint — the sharded-cell case, where each cell owns its
     /// pod ids; on overlap the interval histories concatenate and
     /// spent/first-seen fold, which is exact for sequential episodes.
+    /// Page latches (per pod and campus) OR.
     pub fn merge(&mut self, other: BurnRateLedger) {
         for (pod, s) in other.pods {
             match self.pods.get_mut(&pod) {
@@ -604,17 +502,13 @@ impl BurnRateLedger {
                     self.pods.insert(pod, s);
                 }
                 Some(mine) => {
-                    mine.first_seen = mine.first_seen.min(s.first_seen);
-                    mine.spent += s.spent;
+                    mine.history.merge(s.history);
                     mine.intervals.extend(s.intervals);
-                    if s.since > mine.since {
-                        mine.up = s.up;
-                        mine.since = s.since;
-                    }
                     mine.alerting |= s.alerting;
                 }
             }
         }
+        self.campus_alerting |= other.campus_alerting;
     }
 }
 
@@ -636,21 +530,23 @@ mod tests {
 
     #[test]
     fn downtime_accrues_only_while_down() {
-        let mut t = SloTracker::new(0.99);
+        let mut t = SloTracker::default();
         t.observe(s(0.0), "ocs-0", true);
         t.observe(s(100.0), "ocs-0", false);
         t.observe(s(101.0), "ocs-0", true);
-        let r = t.report(s(200.0));
+        // 1 s down in 10 000 s is 99.99%: inside the 99.98% target.
+        let r = t.report(s(10_000.0));
         let o = &r.objects[0];
         assert_eq!(o.downtime, s(1.0));
-        assert!((o.availability - 0.995).abs() < 1e-9);
+        assert!((o.availability - 0.9999).abs() < 1e-9);
         assert!(!o.in_violation);
         assert_eq!(o.transitions, 2);
+        assert_eq!(r.target, OCS_AVAILABILITY_TARGET);
     }
 
     #[test]
     fn ongoing_outage_counts_up_to_now() {
-        let mut t = SloTracker::ocs_target();
+        let mut t = SloTracker::default();
         t.observe(s(0.0), "ocs-1", true);
         t.observe(s(10.0), "ocs-1", false);
         let r = t.report(s(20.0));
@@ -663,7 +559,7 @@ mod tests {
     #[test]
     fn error_budget_against_paper_target() {
         // 99.98% over a simulated day allows 0.0002 × 86400 s ≈ 17.3 s.
-        let mut t = SloTracker::ocs_target();
+        let mut t = SloTracker::default();
         t.observe(s(0.0), "ocs-2", true);
         t.observe(s(1000.0), "ocs-2", false);
         t.observe(s(1008.0), "ocs-2", true); // 8 s outage
@@ -677,19 +573,24 @@ mod tests {
 
     #[test]
     fn late_joining_objects_observe_from_first_seen() {
-        let mut t = SloTracker::new(0.999);
+        let mut t = SloTracker::default();
         t.observe(s(0.0), "a", true);
         t.observe(s(500.0), "b", true); // turned up mid-simulation
         let r = t.report(s(1000.0));
         assert_eq!(r.objects.len(), 2);
         assert!((r.fleet_availability - 1.0).abs() < 1e-12);
+        // 500 s observed, not 1000: a 0.02% budget of ≈ 0.1 s.
         let b = r.objects.iter().find(|o| o.object == "b").unwrap();
-        assert_eq!(b.error_budget, Nanos((500e9 * 0.001) as u64));
+        assert_eq!(
+            b.error_budget,
+            Nanos((500e9 * (1.0 - OCS_AVAILABILITY_TARGET)) as u64)
+        );
+        assert!((b.error_budget.as_secs_f64() - 0.1).abs() < 1e-6);
     }
 
     #[test]
     fn idempotent_same_state_observations() {
-        let mut t = SloTracker::new(0.99);
+        let mut t = SloTracker::default();
         t.observe(s(0.0), "a", false);
         t.observe(s(5.0), "a", false);
         t.observe(s(10.0), "a", true);
@@ -723,54 +624,46 @@ mod tests {
     #[test]
     fn paired_windows_gate_the_page_and_latch_fires_once() {
         let mut sink = crate::fleet::FleetTelemetry::new();
-        // Tight windows so a test-sized outage trips both.
-        let mut l = BurnRateLedger::new(BurnConfig {
-            budget_ppm: 200,
-            fast_window: s(10.0),
-            slow_window: s(100.0),
-            page_burn_milli: 10_000,
-        });
+        let mut l = BurnRateLedger::default();
         l.observe(s(0.0), 3, true);
         assert!(l.poll(&mut sink, s(5.0)).is_empty(), "clean pod: no page");
-        // 1 s outage: fast burn 1/10/200ppm = 500x, slow burn 50x — both
-        // over the 10x threshold.
-        l.observe(s(50.0), 3, false);
-        l.observe(s(51.0), 3, true);
-        let fired = l.poll(&mut sink, s(52.0));
+        // 30 s outage: fast burn 30/300/200ppm = 500x, slow burn
+        // 30/3600/200ppm ≈ 41.7x — both over the 10x threshold.
+        l.observe(s(1_000.0), 3, false);
+        l.observe(s(1_030.0), 3, true);
+        let fired = l.poll(&mut sink, s(1_031.0));
         assert!(fired.contains(&3), "pod 3 pages");
         assert!(
             fired.contains(&CAMPUS_ALARM_SWITCH),
             "single-pod campus follows"
         );
+        assert_eq!(l.len(), 1, "the campus latch is not a pod");
         let pages = sink.alarms.pages();
         // Condition still holds: the latch suppresses a second page.
-        assert!(l.poll(&mut sink, s(53.0)).is_empty());
+        assert!(l.poll(&mut sink, s(1_032.0)).is_empty());
         assert_eq!(sink.alarms.pages(), pages);
         // Condition lapses (fast window slides clear), then a new
         // breach pages again.
-        assert!(l.poll(&mut sink, s(70.0)).is_empty());
-        assert!(!l.assess(s(70.0)).pods[0].alerting);
-        l.observe(s(80.0), 3, false);
-        l.observe(s(81.0), 3, true);
-        assert!(l.poll(&mut sink, s(82.0)).contains(&3));
+        assert!(l.poll(&mut sink, s(1_400.0)).is_empty());
+        assert!(!l.assess(s(1_400.0)).pods[0].alerting);
+        l.observe(s(1_500.0), 3, false);
+        l.observe(s(1_530.0), 3, true);
+        assert!(l.poll(&mut sink, s(1_531.0)).contains(&3));
     }
 
     #[test]
     fn slow_window_vetoes_a_transient_blip() {
         let mut sink = crate::fleet::FleetTelemetry::new();
-        let mut l = BurnRateLedger::new(BurnConfig {
-            budget_ppm: 200,
-            fast_window: s(10.0),
-            slow_window: s(10_000.0),
-            page_burn_milli: 10_000,
-        });
+        let mut l = BurnRateLedger::default();
         l.observe(s(0.0), 0, true);
-        // 0.5 s blip: fast burn 250x (pages on its own), slow burn
-        // 0.5/10000/200ppm = 0.25x — under threshold, so no page.
+        // 3 s blip: fast burn 50x (pages on its own), slow burn
+        // 3/3600/200ppm ≈ 4.17x — under threshold, so no page.
         l.observe(s(5_000.0), 0, false);
-        l.observe(s(5_000.5), 0, true);
-        assert!(l.poll(&mut sink, s(5_001.0)).is_empty());
+        l.observe(s(5_003.0), 0, true);
+        assert!(l.poll(&mut sink, s(5_004.0)).is_empty());
         assert_eq!(sink.alarms.pages(), 0);
+        let p = &l.assess(s(5_004.0)).pods[0];
+        assert!(p.fast_burn_milli >= PAGE_BURN_MILLI && p.slow_burn_milli < PAGE_BURN_MILLI);
     }
 
     #[test]
@@ -790,6 +683,25 @@ mod tests {
         a.merge(b);
         assert_eq!(whole.assess(s(400.0)), a.assess(s(400.0)));
         assert_eq!(a.len(), 2);
+
+        // One side has already paged the campus (a 30 s outage, as
+        // above): the latch survives the merge from either side, so the
+        // merged ledger does not page the same breach a second time.
+        let mut sink = crate::fleet::FleetTelemetry::new();
+        let mut paged = BurnRateLedger::default();
+        outage(&mut paged, 0, 1_000.0, 1_030.0);
+        assert!(paged
+            .poll(&mut sink, s(1_031.0))
+            .contains(&CAMPUS_ALARM_SWITCH));
+        let mut quiet = BurnRateLedger::default();
+        quiet.observe(s(0.0), 1, true);
+        for (mut into, from) in [(paged.clone(), quiet.clone()), (quiet, paged)] {
+            into.merge(from);
+            assert_eq!(into.len(), 2);
+            // Two pods wide the campus still burns 250x / 20.8x.
+            assert!(into.assess(s(1_031.0)).campus.alerting);
+            assert!(into.poll(&mut sink, s(1_031.0)).is_empty());
+        }
     }
 
     #[test]

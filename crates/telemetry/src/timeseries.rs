@@ -1,23 +1,16 @@
-//! Deterministic fixed-capacity multi-resolution time-series retention.
+//! Deterministic fixed-capacity time-series retention.
 //!
 //! The metrics registry ([`crate::metrics`]) keeps only *current* values;
-//! this module retains bounded **history** so detectors and dashboards can
-//! see trends. The design follows the log-histogram discipline of
-//! DESIGN.md §6: samples are quantized to integer micro-units exactly
-//! once at ingest, and every derived aggregate is built from integer
-//! sums and min/max lattice joins — so merging downsample buckets is
-//! *exactly* associative and commutative, and no float ever depends on
-//! arrival order or worker count.
+//! this module retains bounded **history** so dashboards, Perfetto counter
+//! tracks and flight-recorder postmortems can see trends. The design
+//! follows the log-histogram discipline of DESIGN.md §6: samples are
+//! quantized to integer micro-units exactly once at ingest, so no
+//! retained value ever depends on arrival order or worker count.
 //!
-//! Retention is two-layered:
-//!
-//! - a **raw ring** of the last `raw_capacity` samples, and
-//! - **power-of-two downsample tiers**: tier `k` buckets samples into
-//!   windows of `base_window << k` nanoseconds, each bucket an exact
-//!   [`Aggregate`], each tier a fixed ring of `tier_capacity` buckets.
-//!
-//! Ingest is O(raw ring + tiers) per sample with no allocation on the
-//! steady state (rings are at capacity).
+//! Retention is one **raw ring** of the last [`RAW_CAPACITY`] samples per
+//! series — what every reader ([`SeriesStore::recent_for_switch`],
+//! [`SeriesStore::tracks`]) consumes. Ingest is a ring push, with no
+//! allocation on the steady state (the ring is at capacity).
 
 use crate::metrics::MetricKey;
 use lightwave_units::Nanos;
@@ -49,157 +42,35 @@ pub struct Sample {
     pub value_micros: i64,
 }
 
-/// An exact downsample aggregate: integer sums and lattice joins only.
-///
-/// `merge` is associative and commutative by construction — the same
-/// guarantee the log histogram gives bucket counts — so a bucket built
-/// from samples in any order (or from merged sub-buckets) is
-/// byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Aggregate {
-    /// Samples folded in.
-    pub count: u64,
-    /// Exact integer sum of quantized values.
-    pub sum_micros: i64,
-    /// Smallest quantized value.
-    pub min_micros: i64,
-    /// Largest quantized value.
-    pub max_micros: i64,
-    /// Earliest sample stamp folded in.
-    pub first_at: Nanos,
-    /// Latest sample stamp folded in.
-    pub last_at: Nanos,
-}
+/// Raw samples retained per series (ring, oldest evicted first). One
+/// 4 KiB ring of 16-byte samples: a flight-recorder postmortem embeds
+/// the last few of them per series, a Perfetto counter track all of them.
+pub const RAW_CAPACITY: usize = 256;
 
-impl Aggregate {
-    /// The identity element for [`Aggregate::merge`].
-    pub const EMPTY: Aggregate = Aggregate {
-        count: 0,
-        sum_micros: 0,
-        min_micros: i64::MAX,
-        max_micros: i64::MIN,
-        first_at: Nanos(u64::MAX),
-        last_at: Nanos(0),
-    };
-
-    /// An aggregate of exactly one sample.
-    pub fn from_sample(s: Sample) -> Aggregate {
-        Aggregate {
-            count: 1,
-            sum_micros: s.value_micros,
-            min_micros: s.value_micros,
-            max_micros: s.value_micros,
-            first_at: s.at,
-            last_at: s.at,
-        }
-    }
-
-    /// Exact merge: integer sums plus min/max/first/last lattice joins.
-    pub fn merge(self, other: Aggregate) -> Aggregate {
-        Aggregate {
-            count: self.count + other.count,
-            sum_micros: self.sum_micros + other.sum_micros,
-            min_micros: self.min_micros.min(other.min_micros),
-            max_micros: self.max_micros.max(other.max_micros),
-            first_at: self.first_at.min(other.first_at),
-            last_at: self.last_at.max(other.last_at),
-        }
-    }
-
-    /// Integer mean in micro-units (truncating; `None` when empty).
-    pub fn mean_micros(&self) -> Option<i64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum_micros / self.count as i64)
-        }
-    }
-}
-
-/// One downsample bucket: the window start and its exact aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Bucket {
-    /// Window start (`at` floored to the tier window).
-    pub start: Nanos,
-    /// Exact aggregate of every sample in the window.
-    pub agg: Aggregate,
-}
-
-/// Retention shape shared by every series in a store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeriesConfig {
-    /// Raw samples retained (ring, oldest evicted first).
-    pub raw_capacity: usize,
-    /// Tier-0 bucket window; tier `k` covers `base_window << k`.
-    pub base_window: Nanos,
-    /// Number of downsample tiers.
-    pub tiers: u32,
-    /// Buckets retained per tier (ring, oldest evicted first).
-    pub tier_capacity: usize,
-}
-
-impl Default for SeriesConfig {
-    fn default() -> SeriesConfig {
-        SeriesConfig {
-            raw_capacity: 256,
-            base_window: Nanos::from_millis(250),
-            tiers: 4,
-            tier_capacity: 64,
-        }
-    }
-}
-
-/// A single bounded multi-resolution series.
+/// A single bounded series: the raw ring plus a lifetime count.
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
-    cfg: SeriesConfig,
     raw: VecDeque<Sample>,
-    tiers: Vec<VecDeque<Bucket>>,
     total: u64,
 }
 
-impl TimeSeries {
-    /// An empty series with the given retention shape.
-    pub fn new(cfg: SeriesConfig) -> TimeSeries {
+impl Default for TimeSeries {
+    fn default() -> TimeSeries {
         TimeSeries {
-            cfg,
-            raw: VecDeque::with_capacity(cfg.raw_capacity),
-            tiers: (0..cfg.tiers).map(|_| VecDeque::new()).collect(),
+            raw: VecDeque::with_capacity(RAW_CAPACITY),
             total: 0,
         }
     }
+}
 
+impl TimeSeries {
     /// Ingests one pre-quantized sample.
     pub fn push_micros(&mut self, at: Nanos, value_micros: i64) {
-        let s = Sample { at, value_micros };
-        if self.raw.len() == self.cfg.raw_capacity {
+        if self.raw.len() == RAW_CAPACITY {
             self.raw.pop_front();
         }
-        self.raw.push_back(s);
+        self.raw.push_back(Sample { at, value_micros });
         self.total += 1;
-        for (k, tier) in self.tiers.iter_mut().enumerate() {
-            let window = self.cfg.base_window.0.max(1) << k;
-            let start = Nanos(at.0 / window * window);
-            match tier.back_mut() {
-                Some(b) if b.start == start => b.agg = b.agg.merge(Aggregate::from_sample(s)),
-                Some(b) if start < b.start => {
-                    // Out-of-order stamp: fold into the matching retained
-                    // bucket (merge is order-exact), drop if evicted.
-                    if let Some(b) = tier.iter_mut().find(|b| b.start == start) {
-                        b.agg = b.agg.merge(Aggregate::from_sample(s));
-                    }
-                }
-                _ => {
-                    if tier.len() == self.cfg.tier_capacity {
-                        tier.pop_front();
-                    }
-                    tier.push_back(Bucket {
-                        start,
-                        agg: Aggregate::from_sample(s),
-                    });
-                }
-            }
-        }
     }
 
     /// Ingests one native-unit sample (quantized here, exactly once).
@@ -210,11 +81,6 @@ impl TimeSeries {
     /// The raw retained samples, oldest first.
     pub fn raw(&self) -> impl Iterator<Item = &Sample> {
         self.raw.iter()
-    }
-
-    /// Retained buckets of tier `k`, oldest first.
-    pub fn tier(&self, k: u32) -> impl Iterator<Item = &Bucket> {
-        self.tiers[k as usize].iter()
     }
 
     /// Most recent sample, if any.
@@ -252,14 +118,13 @@ pub struct CounterTrack {
     pub points: Vec<Sample>,
 }
 
-/// A keyed collection of series sharing one retention shape.
+/// A keyed collection of series.
 ///
 /// Mirrors the [`crate::metrics::MetricsRegistry`] access pattern:
 /// get-or-create by name + labels (allocates), then record through the
 /// copy handle [`SeriesId`] (a `Vec` index).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SeriesStore {
-    cfg: SeriesConfig,
     series: Vec<TimeSeries>,
     index: BTreeMap<MetricKey, usize>,
     /// `switch` label value → the series carrying it, keyed by full
@@ -271,23 +136,7 @@ pub struct SeriesStore {
     switch_index: BTreeMap<String, BTreeMap<MetricKey, usize>>,
 }
 
-impl Default for SeriesStore {
-    fn default() -> SeriesStore {
-        SeriesStore::new(SeriesConfig::default())
-    }
-}
-
 impl SeriesStore {
-    /// An empty store whose series all use `cfg`.
-    pub fn new(cfg: SeriesConfig) -> SeriesStore {
-        SeriesStore {
-            cfg,
-            series: Vec::new(),
-            index: BTreeMap::new(),
-            switch_index: BTreeMap::new(),
-        }
-    }
-
     /// Registers (or finds) a series by name + labels.
     pub fn series(&mut self, name: &str, labels: &[(&str, &str)]) -> SeriesId {
         let key = MetricKey::new(name, labels);
@@ -295,7 +144,7 @@ impl SeriesStore {
             return SeriesId(i);
         }
         let i = self.series.len();
-        self.series.push(TimeSeries::new(self.cfg));
+        self.series.push(TimeSeries::default());
         if let Some((_, sw)) = key.labels.iter().find(|(k, _)| k == "switch") {
             self.switch_index
                 .entry(sw.clone())
@@ -376,7 +225,6 @@ impl SeriesStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn quantization_round_trips_at_micro_resolution() {
@@ -387,41 +235,16 @@ mod tests {
 
     #[test]
     fn raw_ring_evicts_oldest() {
-        let mut ts = TimeSeries::new(SeriesConfig {
-            raw_capacity: 3,
-            ..SeriesConfig::default()
-        });
-        for i in 0..5u64 {
+        let mut ts = TimeSeries::default();
+        let n = RAW_CAPACITY as u64 + 2;
+        for i in 0..n {
             ts.push(Nanos(i * 10), i as f64);
         }
         let vals: Vec<i64> = ts.raw().map(|s| s.value_micros).collect();
-        assert_eq!(vals, vec![quantize(2.0), quantize(3.0), quantize(4.0)]);
-        assert_eq!(ts.total(), 5);
-    }
-
-    #[test]
-    fn tiers_bucket_by_power_of_two_windows() {
-        let cfg = SeriesConfig {
-            raw_capacity: 16,
-            base_window: Nanos(100),
-            tiers: 2,
-            tier_capacity: 8,
-        };
-        let mut ts = TimeSeries::new(cfg);
-        // Four samples across two tier-0 windows = one tier-1 window.
-        for (t, v) in [(0u64, 1.0), (50, 2.0), (100, 3.0), (150, 4.0)] {
-            ts.push(Nanos(t), v);
-        }
-        let t0: Vec<&Bucket> = ts.tier(0).collect();
-        assert_eq!(t0.len(), 2);
-        assert_eq!(t0[0].agg.count, 2);
-        assert_eq!(t0[1].agg.count, 2);
-        let t1: Vec<&Bucket> = ts.tier(1).collect();
-        assert_eq!(t1.len(), 1);
-        assert_eq!(t1[0].agg.count, 4);
-        assert_eq!(t1[0].agg.sum_micros, quantize(10.0));
-        assert_eq!(t1[0].agg.min_micros, quantize(1.0));
-        assert_eq!(t1[0].agg.max_micros, quantize(4.0));
+        assert_eq!(vals.len(), RAW_CAPACITY);
+        assert_eq!(vals[0], quantize(2.0), "the two oldest were evicted");
+        assert_eq!(vals[RAW_CAPACITY - 1], quantize((n - 1) as f64));
+        assert_eq!(ts.total(), n);
     }
 
     #[test]
@@ -502,70 +325,5 @@ mod tests {
             }
         }
         assert!(store.recent_for_switch(9, 8).is_empty());
-    }
-
-    fn agg_of(samples: &[Sample]) -> Aggregate {
-        samples
-            .iter()
-            .fold(Aggregate::EMPTY, |a, &s| a.merge(Aggregate::from_sample(s)))
-    }
-
-    proptest! {
-        /// The tentpole contract: bucket aggregates merge *exactly* in
-        /// any order — fold left, fold right, shuffled, or tree-merged
-        /// from arbitrary splits, the result is identical.
-        #[test]
-        fn aggregate_merge_is_exact_in_any_order(
-            values in proptest::collection::vec((0u64..1_000_000, -500_000i64..500_000), 1..64),
-            split in 0usize..64,
-            shuffle_seed in 0u64..u64::MAX,
-        ) {
-            let samples: Vec<Sample> = values
-                .iter()
-                .map(|&(t, v)| Sample { at: Nanos(t), value_micros: v })
-                .collect();
-            let reference = agg_of(&samples);
-
-            // Arbitrary split point, merged as two sub-aggregates.
-            let cut = split % samples.len();
-            let (lo, hi) = samples.split_at(cut);
-            prop_assert_eq!(agg_of(lo).merge(agg_of(hi)), reference);
-            prop_assert_eq!(agg_of(hi).merge(agg_of(lo)), reference);
-
-            // Deterministic shuffle (splitmix-style LCG walk).
-            let mut shuffled = samples.clone();
-            let mut state = shuffle_seed;
-            for i in (1..shuffled.len()).rev() {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let j = (state >> 33) as usize % (i + 1);
-                shuffled.swap(i, j);
-            }
-            prop_assert_eq!(agg_of(&shuffled), reference);
-        }
-
-        /// Tier buckets are themselves exact: the tier-1 bucket equals
-        /// the merge of its two tier-0 children, whatever the input.
-        #[test]
-        fn downsample_tiers_merge_exactly(
-            values in proptest::collection::vec(-1000.0f64..1000.0, 1..40),
-        ) {
-            let cfg = SeriesConfig {
-                raw_capacity: 64,
-                base_window: Nanos(100),
-                tiers: 2,
-                tier_capacity: 64,
-            };
-            let mut ts = TimeSeries::new(cfg);
-            for (i, &v) in values.iter().enumerate() {
-                ts.push(Nanos(i as u64 * 37), v);
-            }
-            for b1 in ts.tier(1) {
-                let children = ts
-                    .tier(0)
-                    .filter(|b0| b0.start.0 / 200 * 200 == b1.start.0)
-                    .fold(Aggregate::EMPTY, |a, b| a.merge(b.agg));
-                prop_assert_eq!(children, b1.agg);
-            }
-        }
     }
 }

@@ -42,11 +42,11 @@
 //!
 //! let mut tracer = Tracer::new(42);
 //! let commit = tracer.span(
-//!     Lane::Control,
+//!     Lane::Switch(0),
 //!     None,
 //!     Nanos::from_millis(1),
 //!     Nanos::from_millis(25),
-//!     SpanKind::FabricCommit { switches: 3, added: 12, removed: 4, untouched: 368 },
+//!     SpanKind::ReconfigCommit { switch: 0, added: 12, removed: 4, untouched: 368 },
 //! );
 //! lightwave_trace::reconfig_phase_spans(
 //!     &mut tracer, commit, 0, Nanos::from_millis(1), Nanos::from_millis(25));

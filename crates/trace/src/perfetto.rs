@@ -231,8 +231,8 @@ mod tests {
             None,
             Nanos(0),
             Nanos(5_000),
-            SpanKind::FabricCommit {
-                switches: 1,
+            SpanKind::ReconfigCommit {
+                switch: 4,
                 added: 2,
                 removed: 0,
                 untouched: 3,

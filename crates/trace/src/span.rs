@@ -108,17 +108,6 @@ impl RequestStage {
 /// Typed span payload: which domain operation the span covers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SpanKind {
-    /// A fabric-controller transaction across switches.
-    FabricCommit {
-        /// Switches touched.
-        switches: u32,
-        /// Circuits added fabric-wide.
-        added: u32,
-        /// Circuits removed fabric-wide.
-        removed: u32,
-        /// Circuits left carrying light throughout.
-        untouched: u32,
-    },
     /// One switch applying its reconfiguration delta.
     ReconfigCommit {
         /// Switch id.
@@ -137,13 +126,6 @@ pub enum SpanKind {
         switch: u32,
         /// Which phase.
         phase: ReconfigPhase,
-    },
-    /// A cluster-scheduler simulation run carving slices.
-    SchedulerRun {
-        /// Scheduling discipline label (`pooled`, `contiguous`, …).
-        discipline: String,
-        /// Jobs completed in the run.
-        jobs: u64,
     },
     /// Superpod topology reconfiguration: a slice composed onto cubes.
     SliceCompose {
@@ -191,10 +173,8 @@ impl SpanKind {
     /// The span's display name in the timeline.
     pub fn name(&self) -> String {
         match self {
-            SpanKind::FabricCommit { .. } => "fabric.commit".to_string(),
             SpanKind::ReconfigCommit { switch, .. } => format!("ocs{switch}.reconfig"),
             SpanKind::Phase { phase, .. } => phase.name().to_string(),
-            SpanKind::SchedulerRun { discipline, .. } => format!("sched.run[{discipline}]"),
             SpanKind::SliceCompose { .. } => "pod.compose".to_string(),
             SpanKind::SliceRelease { .. } => "pod.release".to_string(),
             SpanKind::FaultRecovery { what } => format!("recovery.{what}"),
@@ -207,9 +187,7 @@ impl SpanKind {
     /// The span's category, for Perfetto filtering.
     pub fn category(&self) -> &'static str {
         match self {
-            SpanKind::FabricCommit { .. } => "fabric",
             SpanKind::ReconfigCommit { .. } | SpanKind::Phase { .. } => "ocs",
-            SpanKind::SchedulerRun { .. } => "scheduler",
             SpanKind::SliceCompose { .. } | SpanKind::SliceRelease { .. } => "superpod",
             SpanKind::FaultRecovery { .. } => "recovery",
             SpanKind::WorkerShard { .. } => "par",

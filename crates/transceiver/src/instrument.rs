@@ -42,12 +42,7 @@ impl XcvrInstruments {
             kp4_violations: m.counter("xcvr_kp4_violations_total", labels),
             median_margin_orders: m.gauge("xcvr_median_margin_orders", labels),
             rate_fallbacks,
-            fallback_rate: m.rate_window(
-                rate_fallbacks,
-                "xcvr_rate_fallbacks_per_sec",
-                labels,
-                Nanos::from_secs_f64(1.0),
-            ),
+            fallback_rate: m.rate_window(rate_fallbacks, "xcvr_rate_fallbacks_per_sec", labels),
         }
     }
 

@@ -30,7 +30,7 @@
 use lightwave::dcn::campus::CampusSim;
 use lightwave::par::Pool;
 use lightwave::service::{run_sharded, CampusObserver, ServiceConfig};
-use lightwave::telemetry::timeseries::{dequantize, SeriesConfig, SeriesStore};
+use lightwave::telemetry::timeseries::{dequantize, SeriesStore};
 use lightwave::telemetry::{BurnRateLedger, CampusHealthDoc, FleetTelemetry};
 use lightwave::trace::validate::validate_chrome_trace;
 use lightwave::trace::{to_chrome_trace_with_counters, Tracer};
@@ -143,7 +143,7 @@ fn main() {
     // window, so the multi-window condition pages — exactly once.
     let mut sink = FleetTelemetry::new();
     let mut ledger = BurnRateLedger::default();
-    let mut store = SeriesStore::new(SeriesConfig::default());
+    let mut store = SeriesStore::default();
     for pod in 0..4u32 {
         ledger.observe(Nanos(0), pod, true);
     }

@@ -6,8 +6,8 @@
 
 use lightwave::par::Pool;
 use lightwave::service::{run_sharded, CampusObserver, ServiceConfig, POD_SCOPE_SWITCH};
-use lightwave::telemetry::rollup::{CampusHealthDoc, PortPath, RollupTree};
-use lightwave::telemetry::timeseries::{Aggregate, SeriesConfig, SeriesStore};
+use lightwave::telemetry::rollup::{Aggregate, CampusHealthDoc, PortPath, RollupTree};
+use lightwave::telemetry::timeseries::SeriesStore;
 use lightwave::telemetry::{
     AlarmCause, BurnRateLedger, FleetTelemetry, IngestOutcome, Severity, TrendSignal,
 };
@@ -190,7 +190,7 @@ fn direct_trend_repeats_coalesce() {
 
 #[test]
 fn burn_counter_tracks_pass_the_trace_validator() {
-    let mut store = SeriesStore::new(SeriesConfig::default());
+    let mut store = SeriesStore::default();
     let mut ledger = BurnRateLedger::default();
     ledger.observe(Nanos(0), 0, true);
     ledger.observe(Nanos(0), 1, true);

@@ -270,6 +270,38 @@ proptest! {
             prop_assert_eq!(&left, &right);
         }
         // Snapshot/restore is lossless.
-        prop_assert_eq!(&seq.snapshot().restore(), &seq);
+        prop_assert_eq!(seq.snapshot().restore(), Some(seq));
+    }
+
+    /// The two SLO views agree: the same `(at, up)` sequence for one
+    /// object gives `SloTracker`'s downtime and `BurnRateLedger`'s spend
+    /// the same value at any `now`, mid-sequence or after it. (Chaos
+    /// invariant (d) holds only the tracker to the fault timeline.)
+    #[test]
+    fn slo_tracker_downtime_equals_burn_ledger_spend(
+        steps in proptest::collection::vec((0u64..5_000_000_000, any::<bool>()), 1..40),
+        probe in 0usize..40,
+        after in 0u64..5_000_000_000,
+    ) {
+        use lightwave::telemetry::{BurnRateLedger, SloTracker};
+        use lightwave::units::Nanos;
+        let mut tracker = SloTracker::default();
+        let mut ledger = BurnRateLedger::default();
+        let agree = |tracker: &SloTracker, ledger: &BurnRateLedger, now: Nanos| {
+            let downtime = tracker.report(now).objects[0].downtime;
+            let spent = ledger.assess(now).pods[0].spent_nanos;
+            prop_assert_eq!(downtime.0, spent, "at {:?}", now);
+            Ok(())
+        };
+        let mut at = Nanos(0);
+        for (i, &(dt, up)) in steps.iter().enumerate() {
+            at += Nanos(dt);
+            tracker.observe(at, "pod-0", up);
+            ledger.observe(at, 0, up);
+            if i == probe % steps.len() {
+                agree(&tracker, &ledger, at + Nanos(after / 2))?;
+            }
+        }
+        agree(&tracker, &ledger, at + Nanos(after))?;
     }
 }

@@ -90,8 +90,8 @@ fn telemetry_and_reports_roundtrip() {
 #[test]
 fn fleet_telemetry_types_roundtrip() {
     use lightwave::telemetry::{
-        AggregatorConfig, AlarmCause, AlarmRecord, Event, EventKind, HistogramSnapshot, Incident,
-        LogHistogram, MetricKey, MetricSample, Severity,
+        AlarmCause, AlarmRecord, Event, EventKind, HistogramSnapshot, Incident, LogHistogram,
+        MetricKey, MetricSample, Severity,
     };
 
     for sev in [Severity::Info, Severity::Warning, Severity::Critical] {
@@ -124,7 +124,6 @@ fn fleet_telemetry_types_roundtrip() {
         correlated: 48,
         cleared_at: None,
     });
-    roundtrip(&AggregatorConfig::default());
     roundtrip(&Event {
         at: Nanos::from_millis(7),
         source: "ocs-3".into(),
@@ -147,13 +146,17 @@ fn fleet_telemetry_types_roundtrip() {
     }
     let snap: HistogramSnapshot = h.snapshot();
     roundtrip(&snap);
-    assert_eq!(snap.restore(), h, "snapshot restores the exact histogram");
+    assert_eq!(
+        snap.restore(),
+        Some(h),
+        "snapshot restores the exact histogram"
+    );
 }
 
 #[test]
 fn slo_and_jsonl_records_roundtrip() {
     use lightwave::telemetry::{JsonlRecord, SloTracker};
-    let mut slo = SloTracker::ocs_target();
+    let mut slo = SloTracker::default();
     slo.observe(Nanos(0), "ocs-0", true);
     slo.observe(Nanos::from_millis(400), "ocs-0", false);
     slo.observe(Nanos::from_millis(900), "ocs-0", true);
