@@ -11,7 +11,11 @@
 //! shows without a full `lwbench` run. The `fleet_*` benches time fabric
 //! time itself: an idle advance must cost the same on 48 switches and on
 //! 512, and the advance that completes alignments must pay for the
-//! switches in motion only.
+//! switches in motion only. Construction has its own four: building a pod
+//! (`superpod_new`) must stay far below 48 × `optical_core_fabricate_136`,
+//! because a switch fabricates its core on first read and knows its spares
+//! from `spares_as_built_136` alone — which is all `fleet_health_48_untouched`
+//! may cost per switch.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lightwave_core::fabric::{FabricController, FabricDelta, OcsFleet};
@@ -186,6 +190,25 @@ fn camera_alignment(c: &mut Criterion) {
     });
 }
 
+/// What a pod costs to build, what one core costs whoever reads it first,
+/// what a switch pays at construction instead, and the health scrape of a
+/// fleet nobody has asked about its optics (no core is built by it).
+fn construction(c: &mut Criterion) {
+    c.bench_function("superpod_new", |b| {
+        b.iter(|| black_box(Superpod::new(black_box(7))))
+    });
+    c.bench_function("optical_core_fabricate_136", |b| {
+        b.iter(|| black_box(OpticalCore::fabricate(136, black_box(7))))
+    });
+    c.bench_function("spares_as_built_136", |b| {
+        b.iter(|| black_box(OpticalCore::spares_as_built(136, black_box(7))))
+    });
+    let fleet = settled_fleet(48);
+    c.bench_function("fleet_health_48_untouched", |b| {
+        b.iter(|| black_box(fleet.health()))
+    });
+}
+
 fn optical_census(c: &mut Criterion) {
     let core = OpticalCore::fabricate(136, 7);
     c.bench_function("insertion_loss_census_136x136", |b| {
@@ -276,6 +299,7 @@ criterion_group!(
     fleet_advance_aligning,
     fleet_get_mut_then_advance,
     camera_alignment,
+    construction,
     optical_census,
     pod_compose_full,
     pod_incremental_slice,

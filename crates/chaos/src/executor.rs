@@ -134,6 +134,12 @@ pub struct FaultRecovery {
     pub first_admit_nanos: Option<u64>,
 }
 
+/// No schedule runs a world's clock past this (≈ 292 years): every
+/// `now + dt` the control plane computes stays far from the end of `u64`
+/// nanoseconds, however many maximal [`FaultKind::Advance`]s a document
+/// strings together.
+const HORIZON: Nanos = Nanos(u64::MAX / 2);
+
 /// The full system under test plus the harness's independent models.
 #[derive(Debug)]
 pub struct World {
@@ -178,6 +184,8 @@ pub struct World {
     event_cursor: u32,
     world_seed: u64,
     svc_release_failed_seen: u64,
+    /// The `nth` of every [`FaultKind::Arrival`] submitted so far.
+    arrived: BTreeSet<u16>,
     composes: u32,
     releases: u32,
     rejected: u32,
@@ -194,7 +202,9 @@ pub struct ScheduleOutcome {
     pub composes: u32,
     /// Successful releases (including preemptions).
     pub releases: u32,
-    /// Operations legitimately rejected (no idle cubes, degraded ports).
+    /// Operations legitimately rejected (no idle cubes, degraded ports,
+    /// a fault on hardware the world does not have, a repeated arrival,
+    /// an advance past the end of time).
     pub rejected: u32,
     /// Raw alarms ingested by the fleet aggregator.
     pub alarms: u64,
@@ -266,6 +276,7 @@ impl World {
             event_cursor: 0,
             world_seed,
             svc_release_failed_seen: 0,
+            arrived: BTreeSet::new(),
             composes: 0,
             releases: 0,
             rejected: 0,
@@ -363,7 +374,7 @@ impl World {
                 .fabric_mut()
                 .fleet
                 .get_mut(ocs)
-                .expect("generator stays in range");
+                .expect("the world has this switch");
             if heal {
                 sw.replace_fru(slot);
             } else {
@@ -502,9 +513,41 @@ impl World {
             .ingest_relock(&mut self.telemetry, self.now, ocs, port as u16);
     }
 
+    /// Whether `ev` names only what this world has: for a FRU or mirror
+    /// fault the switch in the fleet (the chassis shadows are keyed by its
+    /// ids), the slot within the chassis, the port within the switch's
+    /// radix; for an arrival, a request index the service core has not
+    /// been given before (`ServiceCore::submit` requires it of its
+    /// caller); for an advance, a time on this side of [`HORIZON`]. A
+    /// generated schedule always does; a repro document is input from
+    /// outside the program and may name anything its integer types hold.
+    fn has_what_it_names(&self, ev: FaultKind) -> bool {
+        match ev {
+            FaultKind::FailFru { ocs, slot } | FaultKind::ReplaceFru { ocs, slot } => self
+                .models
+                .get(&(ocs as OcsId))
+                .is_some_and(|chassis| (slot as usize) < chassis.slots.len()),
+            FaultKind::FailMirror { ocs, port, .. }
+            | FaultKind::DegradeMirror { ocs, port, .. } => self
+                .pod
+                .fabric()
+                .fleet
+                .get(ocs as OcsId)
+                .is_some_and(|sw| (port as usize) < sw.ports()),
+            FaultKind::Arrival { nth } => !self.arrived.contains(&nth),
+            FaultKind::Advance { millis } => {
+                Nanos::from_millis(millis as u64) <= HORIZON.saturating_sub(self.now)
+            }
+            _ => true,
+        }
+    }
+
     fn apply(&mut self, ev: FaultKind) {
         self.action_violation = None;
         match ev {
+            // Rejected like a compose with no idle cubes: counted, and
+            // nothing changes.
+            _ if !self.has_what_it_names(ev) => self.rejected += 1,
             FaultKind::Compose { cubes } => self.compose(cubes),
             FaultKind::Release { nth } => {
                 if !self.slices.is_empty() {
@@ -546,6 +589,7 @@ impl World {
             FaultKind::Arrival { nth } => {
                 // Arrival content is pure in (world_seed, nth): dropping
                 // other events never changes what this one submits.
+                self.arrived.insert(nth);
                 let a = arrival(self.world_seed, nth as u64, Mix::Production);
                 let mut evs = Vec::new();
                 self.svc.submit(&mut self.pod, &a.intent, &mut evs);

@@ -80,7 +80,9 @@ pub fn parse_repro(text: &str) -> Result<Repro, String> {
             header.format
         ));
     }
-    let mut events: Vec<FaultKind> = Vec::with_capacity(header.events);
+    // Grown from the lines read: `header.events` is a number from the
+    // document and sizes nothing.
+    let mut events: Vec<FaultKind> = Vec::new();
     for (i, line) in lines.enumerate() {
         events.push(
             serde_json::from_str(line).map_err(|e| format!("bad event on line {}: {e}", i + 2))?,

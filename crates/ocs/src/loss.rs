@@ -12,7 +12,7 @@
 //! small pairwise residual (pointing-dependent coupling) and an occasional
 //! splice-variation outlier that produces the histogram's tail.
 
-use crate::mems::MemsDie;
+use crate::mems::{DieYieldError, MemsDie};
 use lightwave_units::Db;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -47,31 +47,48 @@ pub struct OpticalCore {
 /// Return-loss specification limit from the paper, dB.
 pub const RETURN_LOSS_SPEC_DB: f64 = -38.0;
 
+/// A core is manufactured from three generators of its own — one per die,
+/// one for the port optics — each seeded from the switch seed and none of
+/// them the switch's alignment stream: when a core is built cannot change
+/// what it is, nor any alignment.
+fn stream_seed(seed: u64, stream: u64) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9).wrapping_add(stream)
+}
+
+const NORTH_DIE: u64 = 1;
+const SOUTH_DIE: u64 = 2;
+const PORT_OPTICS: u64 = 3;
+
+/// One die of a `ports`-port core through `build` —
+/// [`MemsDie::fabricate_sized`] or [`MemsDie::spares_as_built`] — so that
+/// the die's seed, the 95% mirror yield and the production margin (176
+/// fabricated for 136 served ≈ 1.29×) are stated once for both.
+fn die<T>(
+    ports: usize,
+    seed: u64,
+    stream: u64,
+    build: fn(u64, f64, usize, usize) -> Result<T, DieYieldError>,
+) -> T {
+    build(
+        stream_seed(seed, stream),
+        0.95,
+        ports * 176 / 136 + 1,
+        ports,
+    )
+    .expect("95% mirror yield fabricates a die")
+}
+
 impl OpticalCore {
     /// Builds a core with `ports` ports per side (dies sized with the
-    /// production ~29% spare margin).
+    /// production ~29% spare margin). A pure function of its arguments.
     ///
     /// # Panics
     /// Panics if either die fails fabrication yield at the given seed
     /// (95% mirror yield, which fabricates reliably at this margin).
     pub fn fabricate(ports: usize, seed: u64) -> OpticalCore {
-        // Production margin: 176 fabricated for 136 served ≈ 1.29×.
-        let fabricated = ports * 176 / 136 + 1;
-        let die_north = MemsDie::fabricate_sized(
-            seed.wrapping_mul(0x9E37_79B9).wrapping_add(1),
-            0.95,
-            fabricated,
-            ports,
-        )
-        .expect("95% mirror yield fabricates a die");
-        let die_south = MemsDie::fabricate_sized(
-            seed.wrapping_mul(0x9E37_79B9).wrapping_add(2),
-            0.95,
-            fabricated,
-            ports,
-        )
-        .expect("95% mirror yield fabricates a die");
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(3));
+        let die_north = die(ports, seed, NORTH_DIE, MemsDie::fabricate_sized);
+        let die_south = die(ports, seed, SOUTH_DIE, MemsDie::fabricate_sized);
+        let mut rng = StdRng::seed_from_u64(stream_seed(seed, PORT_OPTICS));
         let coll = Normal::<f64>::new(0.5, 0.12).expect("valid sigma");
         let rl = Normal::<f64>::new(-46.0, 2.5).expect("valid sigma");
         let sample_ports = |rng: &mut StdRng| -> Vec<PortOptics> {
@@ -99,6 +116,21 @@ impl OpticalCore {
             as_built_north,
             as_built_south,
         }
+    }
+
+    /// Mirror spares `(north die, south die)` of the core
+    /// [`OpticalCore::fabricate`] builds from the same arguments, without
+    /// building it: what a switch that has not read its optics yet reports
+    /// as health.
+    ///
+    /// # Panics
+    /// Panics exactly where [`OpticalCore::fabricate`] does, with its
+    /// message.
+    pub fn spares_as_built(ports: usize, seed: u64) -> (usize, usize) {
+        (
+            die(ports, seed, NORTH_DIE, MemsDie::spares_as_built),
+            die(ports, seed, SOUTH_DIE, MemsDie::spares_as_built),
+        )
     }
 
     /// Loss drift of a port's serving mirror versus the as-built baseline
@@ -181,8 +213,61 @@ impl OpticalCore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::PalomarOcs;
+
+    /// The message `f` panics with.
+    pub(crate) fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("must panic");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload.downcast::<&str>().expect("a message").to_string(),
+        }
+    }
+
+    #[test]
+    fn a_die_that_fails_yield_refuses_the_switch_at_construction() {
+        // A small-radix part has few spares to absorb bad luck: about
+        // 0.3 % of 8-port seeds leave a die short. Counting refuses
+        // exactly the seeds fabricating refuses, and the switch refuses to
+        // exist there — not at some later read of its optics.
+        let fabricated = |seed| {
+            std::panic::catch_unwind(|| {
+                let core = OpticalCore::fabricate(8, seed);
+                (
+                    core.die_north.spares_remaining(),
+                    core.die_south.spares_remaining(),
+                )
+            })
+            .ok()
+        };
+        let counted =
+            |seed| std::panic::catch_unwind(|| OpticalCore::spares_as_built(8, seed)).ok();
+        let mut refused = Vec::new();
+        for seed in 0..2_000u64 {
+            let spares = fabricated(seed);
+            assert_eq!(counted(seed), spares, "seed {seed}");
+            if spares.is_none() {
+                refused.push(seed);
+            }
+        }
+        assert!(
+            !refused.is_empty(),
+            "no 8-port seed below 2 000 fails yield"
+        );
+        for seed in refused {
+            let at_fabrication = panic_message(move || drop(OpticalCore::fabricate(8, seed)));
+            assert!(
+                at_fabrication
+                    .starts_with("95% mirror yield fabricates a die: DieYieldError { qualified: ")
+                    && at_fabrication.ends_with(", needed: 8 }"),
+                "{at_fabrication}"
+            );
+            let at_construction = panic_message(move || drop(PalomarOcs::with_ports(0, seed, 8)));
+            assert_eq!(at_construction, at_fabrication, "seed {seed}");
+        }
+    }
 
     #[test]
     fn typical_loss_is_under_2db() {

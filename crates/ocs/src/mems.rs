@@ -7,14 +7,38 @@
 //! one axis of the path; a port is served by one mirror per die.
 
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use rand_distr::{Distribution, Normal};
+use rand::{RngCore, RngExt, SeedableRng};
+use rand_distr::standard_normal_from_bits;
 use serde::{Deserialize, Serialize};
 
 /// Mirrors fabricated per die.
 pub const FABRICATED_MIRRORS: usize = 176;
 /// Mirrors placed in service per die.
 pub const SERVICE_MIRRORS: usize = 136;
+
+/// Intrinsic mirror loss as fabricated: N(mean, sigma²) dB, floored.
+const LOSS_MEAN_DB: f64 = 0.25;
+const LOSS_SIGMA_DB: f64 = 0.08;
+const LOSS_FLOOR_DB: f64 = 0.05;
+
+/// The qualification stream of a die, stated once: per fabricated mirror
+/// one word decides whether it qualifies (`random_bool`) and the next two
+/// are its loss draw (one Box–Muller normal, which
+/// [`standard_normal_from_bits`] maps exactly as `Normal::sample` would).
+/// Whoever needs only the qualification bits skips the floats; the stream
+/// positions are the same either way.
+fn mirror_draws(
+    seed: u64,
+    yield_prob: f64,
+    fabricated: usize,
+) -> impl Iterator<Item = (bool, u64, u64)> {
+    assert!(
+        (0.0..=1.0).contains(&yield_prob),
+        "yield must be a probability"
+    );
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..fabricated).map(move |_| (rng.random_bool(yield_prob), rng.next_u64(), rng.next_u64()))
+}
 
 /// Operational state of one micro-mirror.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -67,26 +91,19 @@ impl MemsDie {
         service: usize,
     ) -> Result<MemsDie, DieYieldError> {
         assert!(
-            (0.0..=1.0).contains(&yield_prob),
-            "yield must be a probability"
-        );
-        assert!(
             service <= fabricated,
             "cannot field more mirrors than fabricated"
         );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let loss_dist = Normal::<f64>::new(0.25, 0.08).expect("valid sigma");
-        let mut mirrors: Vec<Mirror> = (0..fabricated)
-            .map(|_| {
-                let qualifies = rng.random_bool(yield_prob);
-                Mirror {
-                    intrinsic_loss_db: loss_dist.sample(&mut rng).max(0.05),
-                    state: if qualifies {
-                        MirrorState::Spare
-                    } else {
-                        MirrorState::RejectedAtFab
-                    },
-                }
+        let mut mirrors: Vec<Mirror> = mirror_draws(seed, yield_prob, fabricated)
+            .map(|(qualifies, b1, b2)| Mirror {
+                intrinsic_loss_db: (LOSS_MEAN_DB
+                    + LOSS_SIGMA_DB * standard_normal_from_bits(b1, b2))
+                .max(LOSS_FLOOR_DB),
+                state: if qualifies {
+                    MirrorState::Spare
+                } else {
+                    MirrorState::RejectedAtFab
+                },
             })
             .collect();
 
@@ -113,6 +130,27 @@ impl MemsDie {
         Ok(MemsDie {
             mirrors,
             port_to_mirror,
+        })
+    }
+
+    /// [`MemsDie::spares_remaining`] of the die [`MemsDie::fabricate_sized`]
+    /// would build from the same arguments, or its yield error, from the
+    /// qualification draws alone: spares as built are the mirrors that
+    /// qualified beyond the `service` best, so no loss is computed and
+    /// nothing is ranked or allocated. (`service > fabricated`, which
+    /// `fabricate_sized` refuses to attempt, is a yield error here.)
+    pub fn spares_as_built(
+        seed: u64,
+        yield_prob: f64,
+        fabricated: usize,
+        service: usize,
+    ) -> Result<usize, DieYieldError> {
+        let qualified = mirror_draws(seed, yield_prob, fabricated)
+            .filter(|&(qualifies, ..)| qualifies)
+            .count();
+        qualified.checked_sub(service).ok_or(DieYieldError {
+            qualified,
+            needed: service,
         })
     }
 
@@ -296,5 +334,27 @@ mod tests {
         let a = MemsDie::fabricate(9, 0.95).unwrap();
         let b = MemsDie::fabricate(9, 0.95).unwrap();
         assert_eq!(a, b);
+    }
+
+    proptest::proptest! {
+        /// The count read off the qualification words alone is the count
+        /// of the die those words build — or its yield error, payload and
+        /// all — at every die size in the tree and at yields low enough
+        /// that fabrication fails often.
+        #[test]
+        fn spares_as_built_is_the_fabricated_dies_spare_count(
+            seed in proptest::prelude::any::<u64>(),
+            size in proptest::sample::select(vec![
+                (6usize, 4usize), (11, 8), (21, 16), (177, 136), (389, 300),
+            ]),
+            yield_prob in proptest::sample::select(vec![0.95, 0.8, 0.5]),
+        ) {
+            let (fabricated, service) = size;
+            proptest::prop_assert_eq!(
+                MemsDie::spares_as_built(seed, yield_prob, fabricated, service),
+                MemsDie::fabricate_sized(seed, yield_prob, fabricated, service)
+                    .map(|die| die.spares_remaining())
+            );
+        }
     }
 }

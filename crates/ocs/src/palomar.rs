@@ -5,12 +5,14 @@ use crate::camera::{AlignmentKernel, AlignmentLoop, ALIGNMENT_TOLERANCE};
 use crate::chassis::Chassis;
 use crate::crossbar::{ConnectionState, Crossbar, CrossbarError, PortId, PortMapping};
 use crate::loss::OpticalCore;
+use crate::mems::MemsDie;
 use crate::telemetry::{AlarmCode, Severity, Telemetry};
 use lightwave_units::{Db, Nanos};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 /// Errors from OCS operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,12 +151,28 @@ fn mark(marks: &mut [u8], flag: u8, p: PortId, twice: &mut Option<PortId>) {
     marks[p as usize] |= flag;
 }
 
+/// `run_sharded` moves pods across threads and shares them by reference.
+const _: () = {
+    const fn send_and_sync<T: Send + Sync>() {}
+    send_and_sync::<PalomarOcs>();
+};
+
 /// A simulated Palomar optical circuit switch.
 #[derive(Debug)]
 pub struct PalomarOcs {
     id: u32,
     now: Nanos,
-    core: OpticalCore,
+    /// Manufacturing seed: with the radix, all the optical core is a
+    /// function of.
+    seed: u64,
+    /// The optical core, fabricated by whoever reads it first
+    /// ([`PalomarOcs::optical_core`]). A cell and not an `Option`: the
+    /// readers take `&self`, and pods cross threads in `run_sharded`.
+    core: OnceLock<OpticalCore>,
+    /// [`OpticalCore::spares_as_built`]: what [`PalomarOcs::health`]
+    /// reports while the core is unbuilt — no mirror of an unbuilt core
+    /// can have failed, so the as-built count is the count.
+    spares_as_built: (usize, usize),
     crossbar: Crossbar,
     chassis: Chassis,
     telemetry: Telemetry,
@@ -187,11 +205,18 @@ impl PalomarOcs {
     /// next-generation 300×300 part. The system-level architecture
     /// "abstracts the underlying physical mechanisms" (§7): everything
     /// above the optical core is radix-agnostic.
+    ///
+    /// # Panics
+    /// Panics if a die of the optical core fails fabrication yield at this
+    /// seed ([`OpticalCore::spares_as_built`]) — here, though the core
+    /// itself is not built until it is first read.
     pub fn with_ports(id: u32, seed: u64, ports: usize) -> PalomarOcs {
         PalomarOcs {
             id,
             now: Nanos(0),
-            core: OpticalCore::fabricate(ports, seed),
+            seed,
+            core: OnceLock::new(),
+            spares_as_built: OpticalCore::spares_as_built(ports, seed),
             crossbar: Crossbar::new(ports),
             chassis: Chassis::new(),
             telemetry: Telemetry::new(),
@@ -231,9 +256,34 @@ impl PalomarOcs {
         &self.telemetry
     }
 
-    /// The optical core (for loss census etc.).
+    /// The optical core (for loss census etc.), fabricated on first read.
+    /// It is a pure function of the switch's seed and radix, so when it is
+    /// built shows in nothing but time and memory.
     pub fn optical_core(&self) -> &OpticalCore {
-        &self.core
+        self.core
+            .get_or_init(|| OpticalCore::fabricate(self.ports(), self.seed))
+    }
+
+    /// The die serving `port` on the chosen side, for a mirror fault: the
+    /// one way to the core through `&mut self`, and it builds the core
+    /// first.
+    ///
+    /// # Panics
+    /// Panics if the switch has no such port, before building anything.
+    fn die_mut(&mut self, north_die: bool, port: PortId) -> &mut MemsDie {
+        assert!(
+            (port as usize) < self.ports(),
+            "OCS {}: mirror fault on port {port} of a {}-port switch",
+            self.id,
+            self.ports()
+        );
+        self.optical_core();
+        let core = self.core.get_mut().expect("just built");
+        if north_die {
+            &mut core.die_north
+        } else {
+            &mut core.die_south
+        }
     }
 
     /// Current port mapping.
@@ -536,7 +586,7 @@ impl PalomarOcs {
     /// Insertion loss of the live circuit on north port `n`.
     pub fn insertion_loss(&self, n: PortId) -> Option<Db> {
         let (s, _) = self.crossbar.circuit(n)?;
-        let mut il = self.core.insertion_loss(n as usize, s as usize);
+        let mut il = self.optical_core().insertion_loss(n as usize, s as usize);
         if let Some((_, ConnectionState::Connecting)) = self.crossbar.circuit(n) {
             // Unconverged pointing adds excess loss.
             il += Db(6.0);
@@ -546,14 +596,12 @@ impl PalomarOcs {
 
     /// Fails the mirror serving `port` on the chosen die, swapping in a
     /// spare if one remains. Live circuits on the port are re-aligned.
+    ///
+    /// # Panics
+    /// Panics if `port` is not a port of this switch.
     pub fn fail_mirror(&mut self, north_die: bool, port: PortId) {
+        let spare_used = self.die_mut(north_die, port).fail_and_swap(port as usize);
         self.telemetry.counters.mirror_failures += 1;
-        let die = if north_die {
-            &mut self.core.die_north
-        } else {
-            &mut self.core.die_south
-        };
-        let spare_used = die.fail_and_swap(port as usize);
         if spare_used {
             self.telemetry.counters.spares_consumed += 1;
             // A swapped-in spare sits at a different point of the loss
@@ -590,8 +638,9 @@ impl PalomarOcs {
                 // Anomaly detection: a drifted path eats link budget even
                 // though the circuit "works" — surface it before the
                 // transceiver margin does (§3.2.2).
-                if self.core.port_drift(north_die, port as usize).db() > DRIFT_ALARM_DB {
-                    let loss = self.core.insertion_loss(n as usize, s as usize);
+                let core = self.optical_core();
+                if core.port_drift(north_die, port as usize).db() > DRIFT_ALARM_DB {
+                    let loss = core.insertion_loss(n as usize, s as usize);
                     self.telemetry.raise(
                         self.now,
                         Severity::Warning,
@@ -614,18 +663,17 @@ impl PalomarOcs {
     /// effects are higher insertion loss on the served path and an entry
     /// in the [`PalomarOcs::drift_log`] for the fleet-health detectors to
     /// catch before the port fails hard.
+    ///
+    /// # Panics
+    /// Panics if `port` is not a port of this switch.
     pub fn degrade_mirror(&mut self, north_die: bool, port: PortId, loss_db: f64) {
-        let die = if north_die {
-            &mut self.core.die_north
-        } else {
-            &mut self.core.die_south
-        };
-        die.degrade(port as usize, loss_db);
+        self.die_mut(north_die, port)
+            .degrade(port as usize, loss_db);
         self.log_drift(north_die, port);
     }
 
     fn log_drift(&mut self, north: bool, port: PortId) {
-        let drift = self.core.port_drift(north, port as usize);
+        let drift = self.optical_core().port_drift(north, port as usize);
         self.drift_log.push(DriftChange {
             at: self.now,
             north,
@@ -643,10 +691,11 @@ impl PalomarOcs {
     /// Ports whose serving mirror has drifted more than `threshold` dB
     /// from the as-built baseline — the proactive-maintenance list.
     pub fn drift_report(&self, threshold: Db) -> Vec<(bool, PortId, Db)> {
+        let core = self.optical_core();
         let mut out = Vec::new();
         for port in 0..self.ports() {
             for north in [true, false] {
-                let d = self.core.port_drift(north, port);
+                let d = core.port_drift(north, port);
                 if d.db() > threshold.db() {
                     out.push((north, port as PortId, d));
                 }
@@ -704,10 +753,12 @@ impl PalomarOcs {
             circuits: self.crossbar.circuit_count(),
             pending: self.pending_circuits(),
             degraded_ports: degraded,
-            mirror_spares: (
-                self.core.die_north.spares_remaining(),
-                self.core.die_south.spares_remaining(),
-            ),
+            mirror_spares: self.core.get().map_or(self.spares_as_built, |core| {
+                (
+                    core.die_north.spares_remaining(),
+                    core.die_south.spares_remaining(),
+                )
+            }),
             power_w: self.chassis.power_draw_w(self.crossbar.circuit_count()),
         }
     }
@@ -716,6 +767,7 @@ impl PalomarOcs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::tests::panic_message;
 
     fn settled(ocs: &mut PalomarOcs) {
         ocs.advance(Nanos::from_millis(200));
@@ -1043,6 +1095,65 @@ mod tests {
             }
             assert_eq!(ocs.mapping().pairs().collect::<Vec<_>>(), [(0, ports - 1)]);
             assert_eq!(ocs.health().pending, 1);
+        }
+    }
+
+    #[test]
+    fn health_reports_as_built_spares_until_a_mirror_fails() {
+        for ports in [136, 300] {
+            let mut ocs = PalomarOcs::with_ports(0, 31, ports);
+            ocs.connect(5, 50).unwrap();
+            settled(&mut ocs);
+            let as_built = ocs.health().mirror_spares;
+            assert!(ocs.core.get().is_none(), "health() built the core");
+            let dies = |ocs: &PalomarOcs| {
+                let core = ocs.optical_core();
+                (
+                    core.die_north.spares_remaining(),
+                    core.die_south.spares_remaining(),
+                )
+            };
+            assert_eq!(as_built, dies(&ocs), "the field is the dies' count");
+            assert_eq!(ocs.health().mirror_spares, as_built);
+            // Once a mirror has failed the dies answer, not the field.
+            ocs.fail_mirror(false, 50);
+            assert_eq!(ocs.health().mirror_spares, (as_built.0, as_built.1 - 1));
+            assert_eq!(ocs.health().mirror_spares, dies(&ocs));
+        }
+    }
+
+    #[test]
+    fn mirror_faults_build_the_core_they_change() {
+        // The first thing to touch the core is a fault, through `&mut`.
+        let mut ocs = PalomarOcs::new(0, 32);
+        let as_built = ocs.health().mirror_spares;
+        ocs.fail_mirror(true, 9);
+        assert_eq!(ocs.health().mirror_spares, (as_built.0 - 1, as_built.1));
+        let mut ocs = PalomarOcs::new(0, 32);
+        ocs.degrade_mirror(false, 9, 0.04);
+        assert!(ocs.core.get().is_some(), "degrade_mirror built the core");
+        assert!((ocs.drift_log()[0].drift_db - 0.04).abs() < 1e-12);
+        assert_eq!(ocs.drift_report(Db(0.03)).len(), 1);
+    }
+
+    #[test]
+    fn a_mirror_fault_on_a_port_the_switch_lacks_says_so_and_builds_nothing() {
+        for (ports, port) in [(136usize, 136u16), (136, u16::MAX), (300, 300)] {
+            let faults: [fn(&mut PalomarOcs, PortId); 2] = [
+                |ocs, port| ocs.fail_mirror(true, port),
+                |ocs, port| ocs.degrade_mirror(false, port, 0.01),
+            ];
+            for fault in faults {
+                let mut ocs = PalomarOcs::with_ports(7, 33, ports);
+                let message = panic_message(std::panic::AssertUnwindSafe(|| fault(&mut ocs, port)));
+                assert_eq!(
+                    message,
+                    format!("OCS 7: mirror fault on port {port} of a {ports}-port switch")
+                );
+                assert!(ocs.core.get().is_none(), "fabricated a core for nothing");
+                assert_eq!(ocs.telemetry().counters.mirror_failures, 0);
+                assert!(ocs.drift_log().is_empty());
+            }
         }
     }
 

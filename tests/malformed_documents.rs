@@ -1,7 +1,7 @@
-//! Versioned documents are input from outside the program (ROADMAP 6b):
+//! Versioned documents are input from outside the program (ROADMAP 2b):
 //! a parser may refuse one, it may never panic on one.
 //!
-//! Two readers so far, each fed arbitrary strings and valid documents
+//! Three readers so far, each fed arbitrary strings and valid documents
 //! with one scalar replaced:
 //!
 //! - [`CampusHealthDoc::from_json`] (`lightwave/campus-health/v1`);
@@ -9,8 +9,16 @@
 //!   which rebuild the dense histogram a snapshot describes — `None` for
 //!   a bucket exponent outside `−128..=127`, a repeated exponent, counts
 //!   that do not sum, a `min`/`max` outside the listed buckets, or
-//!   exemplars without their bucket.
+//!   exemplars without their bucket;
+//! - [`parse_repro`] (`lightwave/chaos-repro/v1`) and [`Repro::replay`],
+//!   which runs what was parsed through the real control plane: a
+//!   document the parser accepts replays to an outcome whatever switch,
+//!   slot, port or count its events name — the executor rejects an event
+//!   on hardware its world does not have, and counts it.
 
+use lightwave::chaos::{
+    parse_repro, write_repro, ChaosConfig, FaultKind, FaultSchedule, Repro, ScheduleOutcome,
+};
 use lightwave::telemetry::rollup::{CampusHealthDoc, PortPath, RollupTree};
 use lightwave::telemetry::{
     BurnRateLedger, ExemplarHistogram, ExemplarSnapshot, HistogramSnapshot,
@@ -36,6 +44,56 @@ fn read_everything(text: &str) {
             let _ = (h.quantile(0.5), h.quantile_exemplar(0.99));
         }
     }
+    if let Ok(repro) = parse_repro(text) {
+        let outcome = repro.replay();
+        assert!(outcome.events_applied as usize <= repro.schedule.events.len());
+    }
+}
+
+/// A short schedule with every [`FaultKind`] in it, on a pod that has
+/// live slices when the faults land.
+fn repro_events() -> Vec<FaultKind> {
+    vec![
+        FaultKind::Compose { cubes: 2 },
+        FaultKind::Arrival { nth: 0 },
+        FaultKind::Advance { millis: 60 },
+        FaultKind::FailFru { ocs: 3, slot: 7 },
+        FaultKind::FailMirror {
+            ocs: 0,
+            north: true,
+            port: 0,
+        },
+        FaultKind::DegradeMirror {
+            ocs: 16,
+            north: false,
+            port: 9,
+            mdb: 30,
+        },
+        FaultKind::VerifyReject { ocs: 0 },
+        FaultKind::LinkFlap { ocs: 5, port: 2 },
+        FaultKind::RelockStorm { ocs: 5, ports: 3 },
+        FaultKind::Maintenance { ocs: 17, slot: 6 },
+        FaultKind::ReplaceFru { ocs: 3, slot: 7 },
+        FaultKind::Compose { cubes: 1 },
+        FaultKind::Release { nth: 0 },
+        FaultKind::Preempt,
+        FaultKind::Advance { millis: 400 },
+    ]
+}
+
+fn repro_text(events: Vec<FaultKind>) -> String {
+    let schedule = FaultSchedule {
+        seed: 21,
+        index: 4,
+        events,
+    };
+    write_repro(&schedule, &ChaosConfig::default(), None)
+}
+
+/// Through the document, the way a repro reaches the executor.
+fn replay(events: Vec<FaultKind>) -> ScheduleOutcome {
+    let repro: Repro = parse_repro(&repro_text(events)).expect("a written repro parses");
+    repro.replay()
 }
 
 fn campus_doc() -> String {
@@ -161,6 +219,7 @@ fn every_single_scalar_mutation_of_a_valid_document_returns() {
         campus_doc(),
         serde_json::to_string(&hist.hist().snapshot()).expect("serializes"),
         serde_json::to_string(&hist.snapshot()).expect("serializes"),
+        repro_text(repro_events()),
     ];
     let mut mutants = 0;
     for text in &documents {
@@ -174,9 +233,196 @@ fn every_single_scalar_mutation_of_a_valid_document_returns() {
         }
     }
     assert!(
-        mutants > 2_000,
+        mutants > 2_800,
         "only {mutants} mutants: the spans were lost"
     );
+}
+
+#[test]
+fn a_repro_cut_short_anywhere_is_refused() {
+    let text = repro_text(repro_events());
+    assert_eq!(replay(repro_events()).violation, None);
+    for cut in 0..text.len() - 1 {
+        assert!(parse_repro(&text[..cut]).is_err(), "cut at byte {cut}");
+    }
+}
+
+#[test]
+fn a_repro_header_that_lies_is_refused() {
+    let text = repro_text(repro_events());
+    let n = repro_events().len();
+    let with = |from: &str, to: &str| {
+        assert!(text.contains(from), "{from}");
+        parse_repro(&text.replacen(from, to, 1))
+    };
+    let count = format!("\"events\":{n}");
+    for lie in [
+        "0".to_string(),
+        (n - 1).to_string(),
+        (n + 1).to_string(),
+        u64::MAX.to_string(), // was `Vec::with_capacity`: capacity overflow
+        "18446744073709551616".to_string(),
+        (1u64 << 40).to_string(), // was an allocation abort no test can catch
+    ] {
+        let refused = with(&count, &format!("\"events\":{lie}")).unwrap_err();
+        assert!(
+            refused.contains("declares") || refused.contains("bad header"),
+            "{refused}"
+        );
+    }
+    assert!(with("chaos-repro/v1", "chaos-repro/v2")
+        .unwrap_err()
+        .contains("unsupported format"));
+    assert!(with(&count, &count).is_ok());
+}
+
+/// The six documents that panicked the parent's reader or its replay
+/// (ISSUE 21), each named by where it panicked there. On hardware the
+/// world does not have an event is rejected: counted, and otherwise the
+/// outcome is the outcome of the schedule without it.
+#[test]
+fn the_six_repro_documents_that_panicked_now_return() {
+    // `Vec::with_capacity(header.events)`, repro.rs: capacity overflow.
+    let lie = repro_text(vec![FaultKind::Preempt]).replacen(
+        "\"events\":1",
+        "\"events\":18446744073709551615",
+        1,
+    );
+    assert!(parse_repro(&lie).unwrap_err().contains("declares"));
+
+    let absent = [
+        // `Chassis::fail_slot`, chassis.rs: index out of bounds.
+        ("FailFru slot 16", FaultKind::FailFru { ocs: 3, slot: 16 }),
+        // `Chassis::replace_slot`, chassis.rs: index out of bounds.
+        (
+            "ReplaceFru slot 16",
+            FaultKind::ReplaceFru { ocs: 3, slot: 16 },
+        ),
+        // `expect("generator stays in range")`, executor.rs.
+        ("FailFru ocs 48", FaultKind::FailFru { ocs: 48, slot: 0 }),
+        // `MemsDie::fail_and_swap`, mems.rs: index out of bounds.
+        (
+            "FailMirror port 136",
+            FaultKind::FailMirror {
+                ocs: 0,
+                north: true,
+                port: 136,
+            },
+        ),
+        // `MemsDie::degrade`, mems.rs: index out of bounds.
+        (
+            "DegradeMirror port 136",
+            FaultKind::DegradeMirror {
+                ocs: 0,
+                north: false,
+                port: 136,
+                mdb: 30,
+            },
+        ),
+    ];
+    let without = replay(repro_events());
+    for (name, event) in absent {
+        let mut events = repro_events();
+        events.push(event);
+        let with = replay(events);
+        assert_eq!(
+            with,
+            ScheduleOutcome {
+                events_applied: without.events_applied + 1,
+                rejected: without.rejected + 1,
+                ..without.clone()
+            },
+            "{name}"
+        );
+    }
+}
+
+/// Two more the suite below found: a repeated `Arrival` index tripped
+/// `ServiceCore::submit`'s uniqueness assertion, and 4 296 maximal
+/// `Advance`s (584 years) overflowed the sim clock.
+#[test]
+fn a_repeated_arrival_and_an_advance_past_the_horizon_are_rejected() {
+    let without = replay(repro_events());
+    let mut events = repro_events();
+    events.push(FaultKind::Arrival { nth: 0 });
+    let with = replay(events);
+    assert_eq!(
+        (with.rejected, with.svc_admitted, with.violation),
+        (without.rejected + 1, without.svc_admitted, None)
+    );
+
+    let mut events = repro_events();
+    let max = FaultKind::Advance { millis: u32::MAX };
+    events.extend([max; 2_200]);
+    events.push(FaultKind::Compose { cubes: 2 });
+    let n = events.len() as u32;
+    let outcome = replay(events);
+    assert_eq!((outcome.events_applied, &outcome.violation), (n, &None));
+    assert!(outcome.rejected > without.rejected, "{outcome:?}");
+    assert_eq!(outcome.composes, without.composes + 1);
+}
+
+/// Every integer field of every event at 0, at the last value its
+/// generator draws, one past it, at the hardware's edge where that is
+/// further out, and at its type's maximum.
+#[test]
+fn every_fault_field_at_its_edges_replays_to_an_outcome() {
+    const U8: u64 = u8::MAX as u64;
+    const U16: u64 = u16::MAX as u64;
+    let ocs = [0, 47, 48, U8];
+    let slot = [0, 15, 16, U8];
+    let port = [0, 63, 64, 135, 136, U8];
+    let mut mutants: Vec<FaultKind> = Vec::new();
+    let mut each = |values: &[u64], make: &dyn Fn(u64) -> FaultKind| {
+        mutants.extend(values.iter().map(|&v| make(v)));
+    };
+    each(&[0, 8, 9, U8], &|v| FaultKind::Compose { cubes: v as u8 });
+    each(&[0, 7, 8, U8], &|v| FaultKind::Release { nth: v as u8 });
+    each(&[0, 400, 401, u32::MAX as u64], &|v| FaultKind::Advance {
+        millis: v as u32,
+    });
+    each(&[0, 43, 44, U16], &|v| FaultKind::Arrival { nth: v as u16 });
+    for v in ocs {
+        let ocs = v as u8;
+        each(&slot, &|v| FaultKind::FailFru { ocs, slot: v as u8 });
+        each(&slot, &|v| FaultKind::ReplaceFru { ocs, slot: v as u8 });
+        each(&slot, &|v| FaultKind::Maintenance { ocs, slot: v as u8 });
+        each(&port, &|v| FaultKind::FailMirror {
+            ocs,
+            north: v % 2 == 0,
+            port: v as u8,
+        });
+        each(&port, &|v| FaultKind::DegradeMirror {
+            ocs,
+            north: v % 2 == 1,
+            port: v as u8,
+            mdb: 30,
+        });
+        each(&port, &|v| FaultKind::LinkFlap { ocs, port: v as u8 });
+        each(&[0, 16, 17, U8], &|v| FaultKind::RelockStorm {
+            ocs,
+            ports: v as u8,
+        });
+        each(&[0], &|_| FaultKind::VerifyReject { ocs });
+    }
+    each(&[0, 40, 41, U16], &|v| FaultKind::DegradeMirror {
+        ocs: 16,
+        north: true,
+        port: 9,
+        mdb: v as u16,
+    });
+    assert!(mutants.len() > 150, "{} mutants", mutants.len());
+    // Several to a world, so that a world is asked more than one question
+    // and a mutant meets the damage its predecessors left.
+    for chunk in mutants.chunks(6) {
+        let mut events = repro_events();
+        for (i, &event) in chunk.iter().enumerate() {
+            events.insert(3 + 2 * i, event);
+        }
+        let n = events.len();
+        let outcome = replay(events);
+        assert!(outcome.events_applied as usize <= n, "{chunk:?}");
+    }
 }
 
 #[test]
@@ -199,6 +445,7 @@ proptest! {
                 "{", "}", "[", "]", ",", ":", "\"", "\\", "\"format\"", "\"buckets\"",
                 "\"count\"", "\"counts\"", "\"exemplars\"", "\"min\"", "null", "true",
                 "-", "0", "1", "200", "-300", "1e400", "1.5", " ", "\n", "\u{e9}",
+                "\"events\"", "\"FailFru\"", "\"slot\"", "\"Preempt\"",
             ]),
             0..60,
         ),
@@ -214,15 +461,16 @@ proptest! {
         at in any::<usize>(),
         byte in any::<u8>(),
     ) {
-        let text = campus_doc();
-        let mut cut = cut % (text.len() + 1);
-        while !text.is_char_boundary(cut) {
-            cut -= 1;
+        for text in [campus_doc(), repro_text(repro_events())] {
+            let mut cut = cut % (text.len() + 1);
+            while !text.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            read_everything(&text[..cut]);
+            let mut bytes = text.into_bytes();
+            let at = at % bytes.len();
+            bytes[at] = byte;
+            read_everything(&String::from_utf8_lossy(&bytes));
         }
-        read_everything(&text[..cut]);
-        let mut bytes = text.into_bytes();
-        let at = at % bytes.len();
-        bytes[at] = byte;
-        read_everything(&String::from_utf8_lossy(&bytes));
     }
 }

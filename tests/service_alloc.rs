@@ -16,6 +16,15 @@
 //!   that completes them (the fleet's list of switches in motion is built
 //!   with the pod).
 //!
+//! Construction (DESIGN §6.8, "Matter is lazy"):
+//!
+//! - `Superpod::new` allocates [`POD_NEW_ALLOCS`] blocks — fewer than the
+//!   48 optical cores alone would take, because it fabricates none.
+//! - Fleet health on a pod that has composed, released and advanced
+//!   allocates fewer blocks than one core's fabrication: it builds none.
+//! - The first `insertion_loss` on a switch allocates exactly one core's
+//!   blocks, the second nothing, and no other switch's core is built.
+//!
 //! And the inner-code Monte-Carlo loop (`inner_waterfall_point`, Chase
 //! decoding included) allocates **nothing**, however many blocks it runs.
 //!
@@ -23,6 +32,7 @@
 //! count.
 
 use lightwave::fec::ConcatenatedCode;
+use lightwave::ocs::loss::OpticalCore;
 use lightwave::service::{PolicyConfig, Priority, ServiceCore, ServiceEvent, SliceIntent};
 use lightwave::superpod::{Slice, SliceShape, Superpod};
 use lightwave::units::{Ber, Nanos};
@@ -43,6 +53,11 @@ const ADMIT_COMPLETE_ALLOCS: u64 = 2;
 /// `FabricDelta` / `BTreeMap`-report path before it averaged 82.5 / 154.3
 /// / 239.2 on this same test (81 / 157 / 242 as ISSUE 16 counted them).
 const MULTI_CUBE_ALLOCS: [([usize; 3], u64); 3] = [([8, 4, 4], 5), ([8, 8, 4], 6), ([8, 8, 8], 7)];
+
+/// Blocks allocated by `Superpod::new`, measured when the optical core
+/// became lazy (PR 21). Eagerly fabricated cores were 22 blocks a switch on
+/// top: 338 + 48 × 22 = 1 394.
+const POD_NEW_ALLOCS: u64 = 338;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -257,6 +272,50 @@ fn pod_advance_allocates_nothing() {
     let completing = allocations(|| pod.advance(Nanos::from_millis(200)));
     assert!(pod.settled());
     assert_eq!([idle, in_flight, completing], [0, 0, 0]);
+}
+
+#[test]
+fn construction_and_health_fabricate_no_core() {
+    let one_core = allocations(|| drop(OpticalCore::fabricate(136, 7)));
+    assert!(one_core >= 10, "two dies, four port tables: {one_core}");
+
+    let mut pod = None;
+    let new = allocations(|| pod = Some(Superpod::new(7)));
+    let mut pod = pod.expect("built");
+    assert!(
+        new <= POD_NEW_ALLOCS && new < 48 * one_core,
+        "Superpod::new allocated {new} blocks; {POD_NEW_ALLOCS} at merge, \
+         48 cores alone are {}",
+        48 * one_core
+    );
+
+    // Every switch carries circuits, drops some, and time passes.
+    let shape = SliceShape::new(8, 8, 8).expect("legal shape");
+    let (handle, _) = pod
+        .compose(Slice::new(shape, (0..8).collect()).expect("eight distinct cubes"))
+        .expect("an empty pod has room");
+    pod.compose(Slice::new(shape, (8..16).collect()).expect("eight distinct cubes"))
+        .expect("room for a second");
+    pod.advance(Nanos::from_millis(200));
+    pod.release(handle).expect("live slice");
+    pod.advance(Nanos::from_millis(200));
+    let mut circuits = 0;
+    let health = allocations(|| circuits = pod.fabric().fleet.health().circuits);
+    assert_eq!(circuits, 8 * 48);
+    assert!(
+        health < one_core,
+        "fleet health allocated {health} blocks, a core is {one_core}: it built one"
+    );
+
+    // The first reader of one switch's optics pays for that switch's core.
+    let fleet = &pod.fabric().fleet;
+    let ocs = fleet.get(20).expect("48 switches");
+    let (north, _) = ocs.mapping().pairs().next().expect("carries circuits");
+    let first = allocations(|| assert!(ocs.insertion_loss(north).is_some()));
+    let second = allocations(|| assert!(ocs.insertion_loss(north).is_some()));
+    assert_eq!([first, second], [one_core, 0]);
+    let after = allocations(|| drop(fleet.health()));
+    assert_eq!(after, health, "reading one core built no other");
 }
 
 #[test]
