@@ -7,9 +7,9 @@
 //! worth knowing.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use lightwave_core::fec::hamming::ExtHamming;
-use lightwave_core::fec::{ConcatenatedCode, ReedSolomon, RsScratch};
-use lightwave_core::units::Ber;
+use lightwave::fec::hamming::ExtHamming;
+use lightwave::fec::{ConcatenatedCode, ReedSolomon, RsScratch};
+use lightwave::units::Ber;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;

@@ -18,15 +18,15 @@
 //! may cost per switch.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use lightwave_core::fabric::{FabricController, FabricDelta, OcsFleet};
-use lightwave_core::ocs::camera::{AlignmentLoop, ALIGNMENT_TOLERANCE};
-use lightwave_core::ocs::loss::OpticalCore;
-use lightwave_core::ocs::{Crossbar, PalomarOcs, PortMapping};
-use lightwave_core::superpod::geometry::{Dim, LINKS_PER_FACE};
-use lightwave_core::superpod::slice::{Slice, SliceShape};
-use lightwave_core::superpod::wiring::ocs_for;
-use lightwave_core::superpod::Superpod;
-use lightwave_core::units::Nanos;
+use lightwave::fabric::{FabricController, FabricDelta, OcsFleet};
+use lightwave::ocs::camera::{AlignmentLoop, ALIGNMENT_TOLERANCE};
+use lightwave::ocs::loss::OpticalCore;
+use lightwave::ocs::{Crossbar, PalomarOcs, PortMapping};
+use lightwave::superpod::geometry::{Dim, LINKS_PER_FACE};
+use lightwave::superpod::slice::{Slice, SliceShape};
+use lightwave::superpod::wiring::ocs_for;
+use lightwave::superpod::Superpod;
+use lightwave::units::Nanos;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::hint::black_box;

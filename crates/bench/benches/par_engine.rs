@@ -8,10 +8,10 @@
 //! *results* are bit-identical at every row by the engine's contract.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use lightwave_core::availability::{cube_availability, monte_carlo_pool_availability};
-use lightwave_core::optics::ber::{mpi_db, Pam4Receiver};
-use lightwave_core::optics::montecarlo::{simulate_ber_par, simulate_ber_seeded};
-use lightwave_core::units::{Availability, Dbm};
+use lightwave::availability::{cube_availability, monte_carlo_pool_availability};
+use lightwave::optics::ber::{mpi_db, Pam4Receiver};
+use lightwave::optics::montecarlo::{simulate_ber_par, simulate_ber_seeded};
+use lightwave::units::{Availability, Dbm};
 use lightwave_par::Pool;
 
 const WORKERS: [usize; 3] = [1, 2, 4];

@@ -2,19 +2,19 @@
 //! in its decision loop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lightwave_core::availability::{cube_availability, reconfigurable_goodput};
-use lightwave_core::dcn::campus::CampusSim;
-use lightwave_core::dcn::{flowsim, te, TrafficMatrix};
-use lightwave_core::mlperf::{LlmConfig, SliceOptimizer};
-use lightwave_core::optics::ber::{mpi_db, Pam4Receiver};
-use lightwave_core::par::Pool;
-use lightwave_core::scheduler::sim::default_mix;
-use lightwave_core::scheduler::{ClusterSim, Contiguous, Pooled};
-use lightwave_core::superpod::collective_sim::{simulate_torus_all_reduce, Uniform};
-use lightwave_core::superpod::slice::SliceShape;
-use lightwave_core::transceiver::fleet::fleet_census;
-use lightwave_core::transceiver::ModuleFamily;
-use lightwave_core::units::{Availability, Ber, Dbm};
+use lightwave::availability::{cube_availability, reconfigurable_goodput};
+use lightwave::dcn::campus::CampusSim;
+use lightwave::dcn::{flowsim, te, TrafficMatrix};
+use lightwave::mlperf::{LlmConfig, SliceOptimizer};
+use lightwave::optics::ber::{mpi_db, Pam4Receiver};
+use lightwave::par::Pool;
+use lightwave::scheduler::sim::default_mix;
+use lightwave::scheduler::{ClusterSim, Contiguous, Pooled};
+use lightwave::superpod::collective_sim::{simulate_torus_all_reduce, Uniform};
+use lightwave::superpod::slice::SliceShape;
+use lightwave::transceiver::fleet::fleet_census;
+use lightwave::transceiver::ModuleFamily;
+use lightwave::units::{Availability, Ber, Dbm};
 use std::hint::black_box;
 
 fn shape_search(c: &mut Criterion) {

@@ -9,10 +9,10 @@
 //! without a full benchmark run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lightwave_core::scheduler::{Allocator, Pooled};
-use lightwave_core::service::{PolicyConfig, Priority, ServiceCore, SliceIntent};
-use lightwave_core::superpod::{CubeSet, Slice, SliceShape, Superpod};
-use lightwave_core::units::Nanos;
+use lightwave::scheduler::{Allocator, Pooled};
+use lightwave::service::{PolicyConfig, Priority, ServiceCore, SliceIntent};
+use lightwave::superpod::{CubeSet, Slice, SliceShape, Superpod};
+use lightwave::units::Nanos;
 use std::hint::black_box;
 
 fn single_cube(request: u64, hold: Nanos) -> SliceIntent {
@@ -62,7 +62,7 @@ fn submit_admit(c: &mut Criterion) {
     c.bench_function("submit_admit_single_cube_loss", |b| {
         b.iter(|| {
             out.clear();
-            let now = core.now() + hold + hold;
+            let now = pod.fabric().now() + hold + hold;
             core.advance_to(&mut pod, now, &mut out);
             core.submit(&mut pod, &single_cube(next, hold), &mut out);
             next += 1;

@@ -13,7 +13,7 @@
 //! worth of registered ports.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use lightwave_core::telemetry::{
+use lightwave::telemetry::{
     FleetHealth, FleetTelemetry, LogHistogram, MetricsRegistry, SeriesStore,
 };
 use lightwave_units::Nanos;

@@ -6,21 +6,21 @@
 //! and the hybrid ICI-DCN scale-out regime.
 
 use crate::{Check, ExperimentResult};
-use lightwave_core::availability::fabric_availability;
-use lightwave_core::availability::timeline::{simulate, TimelineParams};
-use lightwave_core::dcn::campus::CampusSim;
-use lightwave_core::dcn::refresh::rolling_upgrade;
-use lightwave_core::mlperf::{ChipParams, LlmConfig, SliceOptimizer};
-use lightwave_core::optics::modulation::LaneRate;
-use lightwave_core::superpod::collective::IciParams;
-use lightwave_core::superpod::hybrid::{
+use lightwave::availability::fabric_availability;
+use lightwave::availability::timeline::{simulate, TimelineParams};
+use lightwave::dcn::campus::CampusSim;
+use lightwave::dcn::refresh::rolling_upgrade;
+use lightwave::mlperf::{ChipParams, LlmConfig, SliceOptimizer};
+use lightwave::optics::modulation::LaneRate;
+use lightwave::superpod::collective::IciParams;
+use lightwave::superpod::hybrid::{
     bandwidth_asymmetry, hybrid_all_reduce, scaling_efficiency, DcnParams,
 };
-use lightwave_core::superpod::slice::{Slice, SliceShape};
-use lightwave_core::superpod::torus_nd::TorusNd;
-use lightwave_core::superpod::Superpod;
-use lightwave_core::transceiver::ModuleFamily;
-use lightwave_core::units::{Availability, Nanos};
+use lightwave::superpod::slice::{Slice, SliceShape};
+use lightwave::superpod::torus_nd::TorusNd;
+use lightwave::superpod::Superpod;
+use lightwave::transceiver::ModuleFamily;
+use lightwave::units::{Availability, Nanos};
 
 /// Ablation 1 — what bidirectional optics buy (§4.2.2, §4.2.3).
 pub fn ablate_bidi() -> ExperimentResult {

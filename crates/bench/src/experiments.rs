@@ -1,26 +1,26 @@
 //! Implementations of every reproduced table and figure.
 
 use crate::{Check, ExperimentResult};
-use lightwave_core::availability as avail;
-use lightwave_core::dcn::cost::{spine_free_savings, table1, CostBook, SuperpodFabric};
-use lightwave_core::dcn::TrafficMatrix;
-use lightwave_core::fec::analysis::{concatenation_gain, paper_equivalent_inner_threshold};
-use lightwave_core::fec::ConcatenatedCode;
-use lightwave_core::mlperf::{LlmConfig, SliceOptimizer};
-use lightwave_core::ocs::chassis::Chassis;
-use lightwave_core::ocs::loss::{OpticalCore, RETURN_LOSS_SPEC_DB};
-use lightwave_core::ocs::tech::{select, table_c1, Requirements};
-use lightwave_core::ocs::PalomarOcs;
-use lightwave_core::optics::ber::{mpi_db, OimConfig, Pam4Receiver};
-use lightwave_core::optics::montecarlo::simulate_ber_par;
-use lightwave_core::par::Pool;
-use lightwave_core::scheduler::deployment::DeploymentPlan;
-use lightwave_core::scheduler::sim::default_mix;
-use lightwave_core::scheduler::{ClusterSim, Contiguous, Pooled};
-use lightwave_core::transceiver::fleet::{fleet_census, POD_RX_PORTS};
-use lightwave_core::transceiver::ModuleFamily;
-use lightwave_core::units::{Availability, Ber, Dbm, Nanos};
-use lightwave_core::{DcnPlanner, LinkDesigner};
+use lightwave::availability as avail;
+use lightwave::dcn::cost::{spine_free_savings, table1, CostBook, SuperpodFabric};
+use lightwave::dcn::TrafficMatrix;
+use lightwave::fec::analysis::{concatenation_gain, paper_equivalent_inner_threshold};
+use lightwave::fec::ConcatenatedCode;
+use lightwave::mlperf::{LlmConfig, SliceOptimizer};
+use lightwave::ocs::chassis::Chassis;
+use lightwave::ocs::loss::{OpticalCore, RETURN_LOSS_SPEC_DB};
+use lightwave::ocs::tech::{select, table_c1, Requirements};
+use lightwave::ocs::PalomarOcs;
+use lightwave::optics::ber::{mpi_db, OimConfig, Pam4Receiver};
+use lightwave::optics::montecarlo::simulate_ber_par;
+use lightwave::par::Pool;
+use lightwave::scheduler::deployment::DeploymentPlan;
+use lightwave::scheduler::sim::default_mix;
+use lightwave::scheduler::{ClusterSim, Contiguous, Pooled};
+use lightwave::transceiver::fleet::{fleet_census, POD_RX_PORTS};
+use lightwave::transceiver::ModuleFamily;
+use lightwave::units::{Availability, Ber, Dbm};
+use lightwave::DcnPlanner;
 
 /// Fig. 10a — OCS insertion-loss histogram over all 136×136 paths.
 pub fn fig10a() -> ExperimentResult {
@@ -703,13 +703,3 @@ pub fn ocs1() -> ExperimentResult {
         ],
     }
 }
-
-/// Convenience: a healthy nominal link report (used by the quickstart-like
-/// smoke path of the repro binary).
-pub fn nominal_link_ok() -> bool {
-    LinkDesigner::ml_default().evaluate().healthy
-}
-
-/// Keep `Nanos` import alive for switching-time rendering.
-#[allow(dead_code)]
-fn _t(_: Nanos) {}

@@ -180,7 +180,6 @@ pub struct World {
     pub rollup: RollupTree,
     insts: BTreeMap<OcsId, OcsInstruments>,
     cfg: ChaosConfig,
-    now: Nanos,
     event_cursor: u32,
     world_seed: u64,
     svc_release_failed_seen: u64,
@@ -272,7 +271,6 @@ impl World {
             rollup: RollupTree::new(),
             insts,
             cfg: ChaosConfig::default(),
-            now: Nanos(0),
             event_cursor: 0,
             world_seed,
             svc_release_failed_seen: 0,
@@ -283,9 +281,10 @@ impl World {
         }
     }
 
-    /// Current simulation time (advanced only by [`FaultKind::Advance`]).
+    /// Current simulation time: the pod's fabric clock, the only one a
+    /// world keeps (advanced only by [`FaultKind::Advance`]).
     pub fn now(&self) -> Nanos {
-        self.now
+        self.pod.fabric().now()
     }
 
     fn shape_for(cubes: u8) -> SliceShape {
@@ -309,6 +308,7 @@ impl World {
     }
 
     fn compose(&mut self, cubes: u8) {
+        let now = self.now();
         let shape = Self::shape_for(cubes);
         let picked = match Pooled.allocate(shape, self.pod.idle_set()) {
             Some(p) => p,
@@ -321,8 +321,8 @@ impl World {
         let geometry = slice.clone();
         match self.pod.compose(slice) {
             Ok((handle, report)) => {
-                trace_compose(&mut self.tracer, None, 0, self.now, cubes as u32, &report);
-                roll_topology_change(&mut self.rollup, 0, self.now, &report);
+                trace_compose(&mut self.tracer, None, 0, now, cubes as u32, &report);
+                roll_topology_change(&mut self.rollup, 0, now, &report);
                 self.slices.push(LiveSlice {
                     handle,
                     slice: geometry,
@@ -330,19 +330,20 @@ impl World {
                     admitted: false,
                 });
                 self.composes += 1;
-                self.note_admission(self.now);
+                self.note_admission(now);
             }
             Err(_) => self.rejected += 1,
         }
     }
 
     fn release_at(&mut self, i: usize) {
+        let now = self.now();
         let ls = &self.slices[i];
         let cubes = ls.slice.cubes.len() as u32;
         match self.pod.release(ls.handle) {
             Ok(report) => {
-                trace_release(&mut self.tracer, None, 0, self.now, cubes, &report);
-                roll_topology_change(&mut self.rollup, 0, self.now, &report);
+                trace_release(&mut self.tracer, None, 0, now, cubes, &report);
+                roll_topology_change(&mut self.rollup, 0, now, &report);
                 self.slices.remove(i);
                 self.releases += 1;
             }
@@ -357,6 +358,7 @@ impl World {
     }
 
     fn fru_event(&mut self, ocs: OcsId, slot: usize, heal: bool, maintenance: bool) {
+        let now = self.now();
         if maintenance {
             let plan = match plan_replacement(&self.pod.fabric().fleet, ocs, slot) {
                 Ok(p) => p,
@@ -366,8 +368,8 @@ impl World {
             // Fail + replace at one timestamp: the shadow nets zero
             // downtime, exactly what the SLO must account.
             let model = self.models.get_mut(&ocs).expect("modeled switch");
-            model.apply(self.now, slot, false);
-            model.apply(self.now, slot, true);
+            model.apply(now, slot, false);
+            model.apply(now, slot, true);
         } else {
             let sw = self
                 .pod
@@ -383,34 +385,34 @@ impl World {
             self.models
                 .get_mut(&ocs)
                 .expect("modeled switch")
-                .apply(self.now, slot, heal);
+                .apply(now, slot, heal);
         }
         self.rollup.record(
             "chaos_fru_events",
             PortPath::new(0, ocs, slot as u32),
-            self.now,
+            now,
             1.0,
         );
         // Anti-entropy: a revived switch reconciles its stale mapping.
         let reports = self.pod.resync();
-        record_resync(&mut self.telemetry, 0, self.now, &reports);
+        record_resync(&mut self.telemetry, 0, now, &reports);
         let resync_nanos = reports
             .iter()
             .filter_map(|(_, r)| r.as_ref().ok())
-            .map(|r| r.ready_at.saturating_sub(self.now).0)
+            .map(|r| r.ready_at.saturating_sub(now).0)
             .max()
             .unwrap_or(0);
         self.recoveries.push(FaultRecovery {
             event: self.event_cursor,
-            at_nanos: self.now.0,
+            at_nanos: now.0,
             resync_nanos,
             first_admit_nanos: None,
         });
         for (id, result) in reports {
             if let Ok(report) = result {
                 let inst = self.insts.get_mut(&id).expect("registered switch");
-                inst.record_reconfig(&mut self.telemetry, self.now, &report);
-                trace_reconfig(&mut self.tracer, None, id, self.now, &report);
+                inst.record_reconfig(&mut self.telemetry, now, &report);
+                trace_reconfig(&mut self.tracer, None, id, now, &report);
             }
         }
     }
@@ -498,19 +500,20 @@ impl World {
     }
 
     fn link_alarm(&mut self, ocs: OcsId, port: u32) {
+        let now = self.now();
         self.telemetry.ingest_alarm(AlarmRecord {
-            at: self.now,
+            at: now,
             severity: Severity::Warning,
             switch: ocs,
             cause: AlarmCause::RateFallback { port },
         });
         self.rollup
-            .record("chaos_relocks", PortPath::new(0, ocs, port), self.now, 1.0);
+            .record("chaos_relocks", PortPath::new(0, ocs, port), now, 1.0);
         // Every relock also feeds the per-switch rate-spike detector; a
         // sustained elevated rate (not one storm instant) trips a trend
         // warning before occurrence-count escalation goes Critical.
         self.health
-            .ingest_relock(&mut self.telemetry, self.now, ocs, port as u16);
+            .ingest_relock(&mut self.telemetry, now, ocs, port as u16);
     }
 
     /// Whether `ev` names only what this world has: for a FRU or mirror
@@ -536,7 +539,7 @@ impl World {
                 .is_some_and(|sw| (port as usize) < sw.ports()),
             FaultKind::Arrival { nth } => !self.arrived.contains(&nth),
             FaultKind::Advance { millis } => {
-                Nanos::from_millis(millis as u64) <= HORIZON.saturating_sub(self.now)
+                Nanos::from_millis(millis as u64) <= HORIZON.saturating_sub(self.now())
             }
             _ => true,
         }
@@ -565,10 +568,9 @@ impl World {
                 // in step while completing every service hold that
                 // expires on the way (a no-op pass-through when no
                 // Arrival event ever ran).
-                let target = self.now + Nanos::from_millis(millis as u64);
+                let target = self.now() + Nanos::from_millis(millis as u64);
                 let mut evs = Vec::new();
                 self.svc.advance_to(&mut self.pod, target, &mut evs);
-                self.now = target;
                 self.absorb_service(evs);
             }
             FaultKind::FailFru { ocs, slot } => {
@@ -619,7 +621,7 @@ impl World {
     /// continuously: health/SLO scrape, alarm forwarding, incident
     /// aging, admission control, flight-recorder polling.
     fn observe(&mut self) {
-        let now = self.now;
+        let now = self.now();
         for (&id, sw) in self.pod.fabric().fleet.iter() {
             let inst = self.insts.get_mut(&id).expect("registered switch");
             inst.record_health(&mut self.telemetry, now, &sw.health());
@@ -652,6 +654,7 @@ impl World {
     }
 
     fn update_admission(&mut self) {
+        let now = self.now();
         let fleet = &self.pod.fabric().fleet;
         let synced_up = |id: OcsId| {
             fleet.get(id).map(|s| s.is_up()).unwrap_or(false) && !self.pod.desynced().contains(&id)
@@ -662,7 +665,7 @@ impl World {
                     !synced_up(c.ocs) || fleet.get(c.ocs).expect("present").circuit_ready(c.north)
                 })
             });
-            if verified && self.now >= ls.traffic_ready_at {
+            if verified && now >= ls.traffic_ready_at {
                 ls.admitted = true;
             } else if !verified && self.cfg.inject != Some(InjectedBug::SkipAdmissionRevoke) {
                 ls.admitted = false;

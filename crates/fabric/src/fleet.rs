@@ -185,6 +185,16 @@ impl OcsFleet {
         }
     }
 
+    /// [`OcsFleet::advance`] to an absolute time. The clock never runs
+    /// backwards — a `now` behind it changes nothing.
+    #[inline]
+    pub fn advance_to(&mut self, now: Nanos) {
+        self.now = self.now.max(now);
+        if self.now >= self.due {
+            self.settle();
+        }
+    }
+
     /// Brings every listed switch to fleet time, drops the ones with
     /// nothing left in motion and re-derives `due` from the rest.
     fn settle(&mut self) {
@@ -333,13 +343,13 @@ mod tests {
         fleet.add(joiner);
         assert_eq!(fleet.get(17).unwrap().now(), fleet.now());
         assert_eq!(fleet.pending(), 2);
-        fleet.advance(joiner_ready.saturating_sub(fleet.now()));
+        fleet.advance_to(joiner_ready);
         assert!(
             fleet.get(17).unwrap().circuit_ready(5),
             "due by its own time"
         );
         assert!(!fleet.get(40).unwrap().circuit_ready(1));
-        fleet.advance(ready.saturating_sub(fleet.now()));
+        fleet.advance_to(ready);
         assert!(fleet.get(40).unwrap().circuit_ready(1), "still tracked");
         assert_eq!(fleet.pending(), 0);
     }

@@ -8,7 +8,7 @@
 //! reliability challenges for the switch"). §4.1.1: maximum system power is
 //! 108 W; field availability typically exceeds 99.98%.
 
-use lightwave_units::{Availability, Nanos};
+use lightwave_units::Availability;
 use serde::{Deserialize, Serialize};
 
 /// Maximum chassis power draw, watts (§4.1.1).
@@ -238,11 +238,6 @@ impl Chassis {
         );
         // CPU, FPGA, and the optical core electronics in series.
         Availability::series([psu_pair, fans, unit, unit])
-    }
-
-    /// Approximate repair-visit duration for planning models.
-    pub fn nominal_mttr() -> Nanos {
-        Nanos::from_secs_f64(4.0 * 3600.0)
     }
 }
 

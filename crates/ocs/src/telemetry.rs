@@ -118,11 +118,6 @@ impl Telemetry {
     pub fn alarms_at_least(&self, severity: Severity) -> impl Iterator<Item = &Alarm> {
         self.alarms.iter().filter(move |a| a.severity >= severity)
     }
-
-    /// Clears acknowledged alarms below `severity` (an operator "ack").
-    pub fn acknowledge_below(&mut self, severity: Severity) {
-        self.alarms.retain(|a| a.severity >= severity);
-    }
 }
 
 #[cfg(test)]
@@ -142,16 +137,6 @@ mod tests {
         assert_eq!(t.alarms().len(), 3);
         assert_eq!(t.alarms_at_least(Severity::Warning).count(), 2);
         assert_eq!(t.alarms_at_least(Severity::Critical).count(), 1);
-    }
-
-    #[test]
-    fn acknowledge_clears_low_severity() {
-        let mut t = Telemetry::new();
-        t.raise(Nanos(1), Severity::Info, AlarmCode::ChassisDown);
-        t.raise(Nanos(2), Severity::Critical, AlarmCode::ChassisDown);
-        t.acknowledge_below(Severity::Critical);
-        assert_eq!(t.alarms().len(), 1);
-        assert_eq!(t.alarms()[0].severity, Severity::Critical);
     }
 
     #[test]

@@ -84,13 +84,6 @@ impl LaneRate {
         Gigahertz(0.65 * self.baud() / 1e9)
     }
 
-    /// True if a transceiver running at `self` can negotiate down to `other`
-    /// (rates are backward compatible: newer modules support all older
-    /// rates, older modules do not support newer ones).
-    pub fn interoperates_with(self, other: LaneRate) -> bool {
-        self.generation() >= other.generation() || other.generation() >= self.generation()
-    }
-
     /// Highest rate two modules can negotiate: the older module's rate.
     pub fn negotiate(self, other: LaneRate) -> LaneRate {
         if self.generation() <= other.generation() {

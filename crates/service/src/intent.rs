@@ -88,6 +88,9 @@ pub enum IntentError {
     Shape(ShapeError),
     /// A zero hold time serves nothing.
     ZeroHold,
+    /// A hold beyond [`SliceIntent::MAX_HOLD`] cannot end before the sim
+    /// clock does, so it serves nothing either.
+    HoldTooLong,
 }
 
 impl std::fmt::Display for IntentError {
@@ -95,6 +98,9 @@ impl std::fmt::Display for IntentError {
         match self {
             IntentError::Shape(e) => write!(f, "bad shape: {e:?}"),
             IntentError::ZeroHold => write!(f, "zero hold time"),
+            IntentError::HoldTooLong => {
+                write!(f, "hold time beyond {} ns", SliceIntent::MAX_HOLD.0)
+            }
         }
     }
 }
@@ -102,11 +108,20 @@ impl std::fmt::Display for IntentError {
 impl std::error::Error for IntentError {}
 
 impl SliceIntent {
+    /// The longest hold the service accepts: a quarter of the `u64`
+    /// nanosecond clock (≈ 146 years). With the clock itself under half
+    /// its range — where the chaos executor's `HORIZON` keeps it — the
+    /// `serving_from + hold` an admission computes cannot overflow.
+    pub const MAX_HOLD: Nanos = Nanos(u64::MAX / 4);
+
     /// Validates the intent into a composable shape — the first stage of
     /// the request lifecycle.
     pub fn validate(&self) -> Result<SliceShape, IntentError> {
         if self.hold == Nanos(0) {
             return Err(IntentError::ZeroHold);
+        }
+        if self.hold > SliceIntent::MAX_HOLD {
+            return Err(IntentError::HoldTooLong);
         }
         SliceShape::new(self.chips[0], self.chips[1], self.chips[2]).map_err(IntentError::Shape)
     }

@@ -180,7 +180,6 @@ struct Running {
 #[derive(Debug)]
 pub struct ServiceCore {
     cfg: PolicyConfig,
-    now: Nanos,
     /// Waiting requests by class rank, each ascending by request index.
     queue: [VecDeque<Queued>; 3],
     /// Total entries across the three class queues.
@@ -194,7 +193,9 @@ pub struct ServiceCore {
 }
 
 impl ServiceCore {
-    /// An empty core at sim time 0.
+    /// An empty core. It keeps no clock of its own: sim time is the pod's
+    /// fabric clock (`pod.fabric().now()`), read through the pod every
+    /// call takes.
     pub fn new(cfg: PolicyConfig) -> ServiceCore {
         let report = ServiceReport {
             cells: 1,
@@ -202,18 +203,12 @@ impl ServiceCore {
         };
         ServiceCore {
             cfg,
-            now: Nanos(0),
             queue: Default::default(),
             depth: 0,
             running: Vec::new(),
             served_cube_nanos: [0; 3],
             report,
         }
-    }
-
-    /// Current sim time (last `advance_to` / `submit` stamp).
-    pub fn now(&self) -> Nanos {
-        self.now
     }
 
     /// Requests waiting for admission.
@@ -252,15 +247,14 @@ impl ServiceCore {
         Ok(())
     }
 
-    /// Advances sim time to `now`, completing every slice whose hold
-    /// expires on the way (in `(ends_at, request)` order) and re-running
-    /// admission after each release — so admission waits are exact, not
-    /// quantized to arrival times. The pod's own clock advances in step.
+    /// Advances sim time — the pod's fabric clock — to `now`, completing
+    /// every slice whose hold expires on the way (in `(ends_at, request)`
+    /// order) and re-running admission after each release — so admission
+    /// waits are exact, not quantized to arrival times.
     pub fn advance_to(&mut self, pod: &mut Superpod, now: Nanos, out: &mut Vec<ServiceEvent>) {
         while let Some(done) = self.running.pop_if(|r| r.ends_at <= now) {
-            let at = done.ends_at;
-            pod.advance(at.saturating_sub(self.now));
-            self.now = at;
+            pod.advance_to(done.ends_at);
+            let at = pod.fabric().now();
             let report = self.release(pod, done.handle, at);
             let served = done.ends_at.saturating_sub(done.serving_from);
             let work = done.cubes as u128 * served.0 as u128;
@@ -270,16 +264,15 @@ impl ServiceCore {
             out.push(ServiceEvent::Completed {
                 request: done.index,
                 class: done.class,
-                at: self.now,
+                at,
                 handle: done.handle,
                 cubes: done.cubes,
                 report,
             });
             self.pump(pod, out);
         }
-        pod.advance(now.saturating_sub(self.now));
-        self.now = self.now.max(now);
-        self.report.horizon = self.report.horizon.max(self.now);
+        pod.advance_to(now);
+        self.report.horizon = self.report.horizon.max(pod.fabric().now());
     }
 
     /// Submits one intent at the current sim time (`advance_to` first):
@@ -298,6 +291,7 @@ impl ServiceCore {
         out: &mut Vec<ServiceEvent>,
     ) {
         self.report.submitted += 1;
+        let now = pod.fabric().now();
         let shape = match intent.validate() {
             Ok(shape) => shape,
             Err(_) => {
@@ -306,7 +300,7 @@ impl ServiceCore {
                     request: intent.request,
                     class: intent.class,
                     why: RejectReason::Invalid,
-                    at: self.now,
+                    at: now,
                 });
                 return;
             }
@@ -322,12 +316,12 @@ impl ServiceCore {
             class: intent.class,
             shape,
             hold: intent.hold,
-            enqueued_at: self.now,
+            enqueued_at: now,
         });
         out.push(ServiceEvent::Enqueued {
             request: intent.request,
             class: intent.class,
-            at: self.now,
+            at: now,
         });
         self.pump(pod, out);
         // The bound applies to the newcomer only: preemption re-queues
@@ -342,7 +336,7 @@ impl ServiceCore {
                     request: intent.request,
                     class: intent.class,
                     why: RejectReason::QueueFull,
-                    at: self.now,
+                    at: now,
                 });
             }
         }
@@ -360,7 +354,7 @@ impl ServiceCore {
             };
             self.advance_to(pod, next.ends_at, out);
         }
-        self.now
+        pod.fabric().now()
     }
 
     /// Whether `index` names a request still queued or running.
@@ -424,6 +418,7 @@ impl ServiceCore {
     /// Admission pass: place the fairness-chosen head, preempting lower
     /// priorities when allowed, until the head cannot be placed.
     fn pump(&mut self, pod: &mut Superpod, out: &mut Vec<ServiceEvent>) {
+        let now = pod.fabric().now();
         while let Some(cand) = self.pick() {
             let rank = cand.class.rank();
             let need = cand.shape.cube_count();
@@ -441,8 +436,8 @@ impl ServiceCore {
                         .max_by_key(|(_, r)| (r.serving_from, r.index));
                     let Some((vpos, _)) = victim else { break };
                     let victim = self.running.remove(vpos);
-                    let report = self.release(pod, victim.handle, self.now);
-                    let wasted = self.now.saturating_sub(victim.serving_from);
+                    let report = self.release(pod, victim.handle, now);
+                    let wasted = now.saturating_sub(victim.serving_from);
                     self.report.busy_cube_nanos += victim.cubes as u128 * wasted.0 as u128;
                     self.report.classes[victim.class.rank()].preempted += 1;
                     // The victim regains its FIFO slot (original index)
@@ -452,13 +447,13 @@ impl ServiceCore {
                         class: victim.class,
                         shape: victim.shape,
                         hold: victim.hold,
-                        enqueued_at: self.now,
+                        enqueued_at: now,
                     });
                     out.push(ServiceEvent::Preempted {
                         request: victim.index,
                         class: victim.class,
                         victim_of: cand.index,
-                        at: self.now,
+                        at: now,
                         handle: victim.handle,
                         report,
                     });
@@ -475,8 +470,8 @@ impl ServiceCore {
             self.depth -= 1;
             match pod.compose(slice.clone()) {
                 Ok((handle, report)) => {
-                    let waited = self.now.saturating_sub(cand.enqueued_at);
-                    let serving_from = report.traffic_ready_at.max(self.now);
+                    let waited = now.saturating_sub(cand.enqueued_at);
+                    let serving_from = report.traffic_ready_at.max(now);
                     let stats = &mut self.report.classes[rank];
                     stats.admitted += 1;
                     if waited.0 == 0 {
@@ -503,7 +498,7 @@ impl ServiceCore {
                     out.push(ServiceEvent::Admitted {
                         request: cand.index,
                         class: cand.class,
-                        at: self.now,
+                        at: now,
                         cubes: cube_count,
                         waited,
                         handle,
@@ -519,7 +514,7 @@ impl ServiceCore {
                         request: cand.index,
                         class: cand.class,
                         why: RejectReason::Fabric,
-                        at: self.now,
+                        at: now,
                     });
                 }
             }

@@ -17,9 +17,6 @@ pub struct IciParams {
     pub link_bandwidth: f64,
     /// Per-hop latency, seconds (switchless direct links are ~100s of ns).
     pub hop_latency: f64,
-    /// Whether the ring algorithm uses both ring directions at once
-    /// (doubling effective bandwidth).
-    pub bidirectional_rings: bool,
 }
 
 impl Default for IciParams {
@@ -35,17 +32,13 @@ impl IciParams {
         IciParams {
             link_bandwidth: 50.0e9,
             hop_latency: 300e-9,
-            bidirectional_rings: true,
         }
     }
 
-    /// Effective ring bandwidth.
+    /// Effective ring bandwidth: the ring algorithm drives both ring
+    /// directions at once, so twice the per-direction link bandwidth.
     pub fn ring_bandwidth(&self) -> f64 {
-        if self.bidirectional_rings {
-            2.0 * self.link_bandwidth
-        } else {
-            self.link_bandwidth
-        }
+        2.0 * self.link_bandwidth
     }
 }
 
@@ -175,16 +168,14 @@ mod tests {
     }
 
     #[test]
-    fn bidirectional_rings_double_bandwidth() {
-        let bid = IciParams::tpu_v4();
-        let uni = IciParams {
-            bidirectional_rings: false,
-            ..bid
-        };
+    fn rings_run_both_directions_at_once() {
+        // A large all-reduce is bandwidth-bound at twice the link rate:
+        // 2·(len−1)/len · bytes over both directions of the ring.
+        let p = IciParams::tpu_v4();
         let bytes = 512.0 * MB;
-        let t_bid = ring_all_reduce(bytes, 64, &bid);
-        let t_uni = ring_all_reduce(bytes, 64, &uni);
-        assert!((t_uni / t_bid - 2.0).abs() < 0.05);
+        let t = ring_all_reduce(bytes, 64, &p);
+        let bound = 2.0 * (63.0 / 64.0) * bytes / (2.0 * p.link_bandwidth);
+        assert!((t / bound - 1.0).abs() < 0.05, "{t} vs {bound}");
     }
 
     #[test]

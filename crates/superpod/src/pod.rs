@@ -438,6 +438,12 @@ impl Superpod {
         self.fabric.advance(dt);
     }
 
+    /// [`Superpod::advance`] to an absolute time; never backwards.
+    #[inline]
+    pub fn advance_to(&mut self, now: Nanos) {
+        self.fabric.fleet.advance_to(now);
+    }
+
     /// True when every circuit in the fabric is aligned and carrying.
     pub fn settled(&self) -> bool {
         self.fabric.settled()

@@ -27,7 +27,7 @@ pub enum ShapeError {
     BadDimension(usize),
     /// The shape needs more cubes than a pod holds.
     TooLarge {
-        /// Cubes required.
+        /// Cubes required (`usize::MAX` when the count does not fit).
         cubes: usize,
     },
 }
@@ -59,17 +59,14 @@ impl SliceShape {
             }
         }
         let shape = SliceShape { chips: [a, b, c] };
-        if shape.cube_count() > POD_CUBES {
-            return Err(ShapeError::TooLarge {
-                cubes: shape.cube_count(),
-            });
+        // Saturating: the dimensions may come from outside the program,
+        // and their product need not fit the type.
+        let [x, y, z] = shape.cube_grid();
+        let cubes = x.saturating_mul(y).saturating_mul(z);
+        if cubes > POD_CUBES {
+            return Err(ShapeError::TooLarge { cubes });
         }
         Ok(shape)
-    }
-
-    /// The full-pod symmetric shape, 16×16×16.
-    pub fn full_pod_symmetric() -> SliceShape {
-        SliceShape::new(16, 16, 16).expect("valid")
     }
 
     /// Total chips.

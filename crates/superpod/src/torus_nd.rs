@@ -50,11 +50,6 @@ impl TorusNd {
         &self.dims
     }
 
-    /// Dimensionality.
-    pub fn n_dims(&self) -> usize {
-        self.dims.len()
-    }
-
     /// Chip count.
     pub fn chips(&self) -> usize {
         self.dims.iter().product()
@@ -101,210 +96,6 @@ impl TorusNd {
     }
 }
 
-/// One directed inter-chip link of an N-dimensional torus: chip `chip`'s
-/// +direction ICI link in dimension `dim`. Every chip owns exactly one
-/// such link per dimension (its − link is the + link of the wraparound
-/// predecessor), so `n_dims · chips` links cover the whole fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct NdLink {
-    /// Dimension of travel.
-    pub dim: u16,
-    /// Row-major chip index of the link's source chip.
-    pub chip: u32,
-}
-
-/// A live link lease handed out by [`NdLinkAllocator::allocate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct NdLease(pub u64);
-
-/// Why an allocator operation was refused (nothing was changed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NdAllocError {
-    /// The request names a link outside the torus.
-    OutOfRange(NdLink),
-    /// The request names a link another lease already holds.
-    LinkBusy(NdLink),
-    /// The lease is not live (never issued, or already released).
-    UnknownLease(NdLease),
-}
-
-impl std::fmt::Display for NdAllocError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NdAllocError::OutOfRange(l) => {
-                write!(
-                    f,
-                    "link (dim {}, chip {}) is outside the torus",
-                    l.dim, l.chip
-                )
-            }
-            NdAllocError::LinkBusy(l) => {
-                write!(f, "link (dim {}, chip {}) is already leased", l.dim, l.chip)
-            }
-            NdAllocError::UnknownLease(h) => write!(f, "lease {} is not live", h.0),
-        }
-    }
-}
-
-impl std::error::Error for NdAllocError {}
-
-/// Transactional link allocator for slices of an N-dimensional torus —
-/// the resource-accounting half of the §6 use case. A slice's compose
-/// claims its chips' ICI links atomically (all or nothing, never a link
-/// two slices both hold); its release restores the free set exactly.
-#[derive(Debug, Clone)]
-pub struct NdLinkAllocator {
-    torus: TorusNd,
-    free: std::collections::BTreeSet<NdLink>,
-    leases: std::collections::BTreeMap<u64, std::collections::BTreeSet<NdLink>>,
-    next_lease: u64,
-}
-
-impl NdLinkAllocator {
-    /// An allocator with every link of `torus` free.
-    pub fn new(torus: TorusNd) -> NdLinkAllocator {
-        let mut free = std::collections::BTreeSet::new();
-        for dim in 0..torus.n_dims() {
-            for chip in 0..torus.chips() {
-                free.insert(NdLink {
-                    dim: dim as u16,
-                    chip: chip as u32,
-                });
-            }
-        }
-        NdLinkAllocator {
-            torus,
-            free,
-            leases: std::collections::BTreeMap::new(),
-            next_lease: 0,
-        }
-    }
-
-    /// The torus this allocator manages.
-    pub fn torus(&self) -> &TorusNd {
-        &self.torus
-    }
-
-    /// Total links in the fabric.
-    pub fn capacity(&self) -> usize {
-        self.torus.n_dims() * self.torus.chips()
-    }
-
-    /// Links currently free.
-    pub fn free_links(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Live leases.
-    pub fn live_leases(&self) -> usize {
-        self.leases.len()
-    }
-
-    /// A snapshot of the free-link set (exact-restore checks in tests).
-    pub fn free_set(&self) -> &std::collections::BTreeSet<NdLink> {
-        &self.free
-    }
-
-    /// The links a sub-block slice at `origin` with `extent` chips per
-    /// dimension needs: every chip in the block contributes its + link
-    /// in every dimension (coordinates wrap). Returns `None` if the
-    /// shapes don't match the torus or an extent is 0 or oversized.
-    pub fn block_request(
-        &self,
-        origin: &[usize],
-        extent: &[usize],
-    ) -> Option<std::collections::BTreeSet<NdLink>> {
-        let dims = self.torus.dims();
-        if origin.len() != dims.len() || extent.len() != dims.len() {
-            return None;
-        }
-        if extent.iter().zip(dims).any(|(&e, &d)| e == 0 || e > d) {
-            return None;
-        }
-        let mut links = std::collections::BTreeSet::new();
-        let block: usize = extent.iter().product();
-        for flat in 0..block {
-            // Decode `flat` into block coordinates, offset by the origin
-            // (mod the torus), re-encode row-major into a chip index.
-            let mut rem = flat;
-            let mut chip = 0usize;
-            for (d, (&e, &size)) in extent.iter().zip(dims).enumerate() {
-                let coord = (origin[d] + rem % e) % size;
-                rem /= e;
-                chip = chip * size + coord;
-            }
-            for dim in 0..dims.len() {
-                links.insert(NdLink {
-                    dim: dim as u16,
-                    chip: chip as u32,
-                });
-            }
-        }
-        Some(links)
-    }
-
-    /// Atomically claims every link in `request`. On any error nothing is
-    /// allocated: the first out-of-range or busy link (in link order) is
-    /// named and the free set is untouched.
-    pub fn allocate(
-        &mut self,
-        request: &std::collections::BTreeSet<NdLink>,
-    ) -> Result<NdLease, NdAllocError> {
-        for &l in request {
-            if l.dim as usize >= self.torus.n_dims() || l.chip as usize >= self.torus.chips() {
-                return Err(NdAllocError::OutOfRange(l));
-            }
-            if !self.free.contains(&l) {
-                return Err(NdAllocError::LinkBusy(l));
-            }
-        }
-        for l in request {
-            self.free.remove(l);
-        }
-        let id = self.next_lease;
-        self.next_lease += 1;
-        self.leases.insert(id, request.clone());
-        Ok(NdLease(id))
-    }
-
-    /// Releases a lease, restoring its links to the free set. Returns
-    /// how many links were freed.
-    pub fn release(&mut self, lease: NdLease) -> Result<usize, NdAllocError> {
-        let links = self
-            .leases
-            .remove(&lease.0)
-            .ok_or(NdAllocError::UnknownLease(lease))?;
-        let n = links.len();
-        for l in links {
-            let fresh = self.free.insert(l);
-            debug_assert!(fresh, "a leased link can never also be free");
-        }
-        Ok(n)
-    }
-}
-
-/// Compares two torus organizations of the same chip count — the §6
-/// trade-study row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TorusComparison {
-    /// The organizations compared.
-    pub tori: Vec<TorusNd>,
-}
-
-impl TorusComparison {
-    /// Balanced 3D/4D/6D organizations of `chips` chips (when they exist).
-    pub fn standard(chips: usize) -> TorusComparison {
-        let mut tori = Vec::new();
-        for n in [3usize, 4, 6] {
-            let edge = (chips as f64).powf(1.0 / n as f64).round() as usize;
-            if edge >= 2 && edge.pow(n as u32) == chips {
-                tori.push(TorusNd::new(vec![edge; n]));
-            }
-        }
-        TorusComparison { tori }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,11 +103,9 @@ mod tests {
     #[test]
     fn pod_organizations_of_4096_chips() {
         // 4096 = 16³ = 8⁴ = 4⁶: all three §6 organizations exist.
-        let cmp = TorusComparison::standard(4096);
-        assert_eq!(cmp.tori.len(), 3);
-        assert_eq!(cmp.tori[0].dims(), &[16, 16, 16]);
-        assert_eq!(cmp.tori[1].dims(), &[8, 8, 8, 8]);
-        assert_eq!(cmp.tori[2].dims(), &[4, 4, 4, 4, 4, 4]);
+        assert_eq!(TorusNd::balanced(4096, 3).dims(), &[16, 16, 16]);
+        assert_eq!(TorusNd::balanced(4096, 4).dims(), &[8, 8, 8, 8]);
+        assert_eq!(TorusNd::balanced(4096, 6).dims(), &[4, 4, 4, 4, 4, 4]);
     }
 
     #[test]
@@ -375,56 +164,5 @@ mod tests {
     #[should_panic(expected = "do not form a balanced")]
     fn unbalanced_chip_count_rejected() {
         let _ = TorusNd::balanced(4000, 3);
-    }
-
-    #[test]
-    fn allocator_claims_and_restores_a_block() {
-        let mut a = NdLinkAllocator::new(TorusNd::new(vec![4, 4, 4, 4]));
-        assert_eq!(a.capacity(), 4 * 256);
-        let before = a.free_set().clone();
-        let req = a.block_request(&[0, 0, 0, 0], &[2, 2, 2, 2]).unwrap();
-        assert_eq!(req.len(), 16 * 4, "16 chips × 4 dims");
-        let lease = a.allocate(&req).unwrap();
-        assert_eq!(a.free_links(), a.capacity() - req.len());
-        assert_eq!(a.release(lease).unwrap(), req.len());
-        assert_eq!(a.free_set(), &before, "free set restored exactly");
-        assert_eq!(
-            a.release(lease).unwrap_err(),
-            NdAllocError::UnknownLease(lease),
-            "double release is refused"
-        );
-    }
-
-    #[test]
-    fn overlapping_blocks_never_double_allocate() {
-        let mut a = NdLinkAllocator::new(TorusNd::new(vec![4, 4]));
-        let r1 = a.block_request(&[0, 0], &[2, 4]).unwrap();
-        let r2 = a.block_request(&[1, 0], &[2, 4]).unwrap(); // shares column 1
-        a.allocate(&r1).unwrap();
-        let busy = match a.allocate(&r2).unwrap_err() {
-            NdAllocError::LinkBusy(l) => l,
-            other => panic!("unexpected: {other:?}"),
-        };
-        assert!(r1.contains(&busy), "the named link is held by lease 1");
-        // Atomicity: the failed allocation claimed nothing.
-        assert_eq!(a.free_links(), a.capacity() - r1.len());
-        // The disjoint remainder still fits.
-        let r3 = a.block_request(&[2, 0], &[2, 4]).unwrap();
-        a.allocate(&r3).unwrap();
-        assert_eq!(a.free_links(), 0, "two half-pods fill a 4×4 torus");
-    }
-
-    #[test]
-    fn malformed_block_requests_are_refused() {
-        let a = NdLinkAllocator::new(TorusNd::new(vec![4, 4, 4]));
-        assert!(a.block_request(&[0, 0], &[2, 2, 2]).is_none(), "rank");
-        assert!(a.block_request(&[0, 0, 0], &[0, 2, 2]).is_none(), "empty");
-        assert!(a.block_request(&[0, 0, 0], &[5, 2, 2]).is_none(), "fat");
-        let oob = std::collections::BTreeSet::from([NdLink { dim: 3, chip: 0 }]);
-        let mut a = a;
-        assert_eq!(
-            a.allocate(&oob).unwrap_err(),
-            NdAllocError::OutOfRange(NdLink { dim: 3, chip: 0 })
-        );
     }
 }

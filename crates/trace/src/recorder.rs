@@ -6,17 +6,15 @@
 //! reconfiguration goes wrong, the page is only the start — the operator
 //! needs to *replay what the control plane did* around the failure. The
 //! recorder keeps the last N completed spans and telemetry events, and
-//! wires into [`AlarmAggregator`] incidents: every incident whose
-//! severity reaches [`Severity::Critical`] triggers exactly one dump,
+//! wires into [`lightwave_telemetry::AlarmAggregator`] incidents: every
+//! incident whose severity reaches [`Severity::Critical`] triggers exactly
+//! one dump,
 //! regardless of whether the aggregator paged, coalesced, escalated, or
 //! even already cleared it — a Critical is never dropped.
 
 use crate::span::SpanRecord;
 use crate::tracer::Tracer;
-use lightwave_telemetry::{
-    AlarmAggregator, CounterSample, Event, EventBus, FleetTelemetry, IngestOutcome, SeriesStore,
-    Severity,
-};
+use lightwave_telemetry::{CounterSample, Event, EventBus, FleetTelemetry, SeriesStore, Severity};
 use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
@@ -201,21 +199,6 @@ impl FlightRecorder {
         self.dumped.insert(incident);
     }
 
-    /// Wires one [`AlarmAggregator::ingest`] outcome into the recorder:
-    /// if the record landed in an incident whose severity is Critical —
-    /// whatever the outcome variant — and that incident has not dumped
-    /// yet, snapshot now. Sync the ring first so the dump carries the
-    /// latest spans. Returns the incident id if a dump was taken.
-    pub fn on_ingest(&mut self, alarms: &AlarmAggregator, outcome: IngestOutcome) -> Option<u64> {
-        let id = outcome.incident();
-        let inc = alarms.incident(id)?;
-        if inc.severity == Severity::Critical && !self.dumped.contains(&id) {
-            self.dump_incident(id, inc.severity, inc.last_at, Vec::new());
-            return Some(id);
-        }
-        None
-    }
-
     /// Syncs the ring from `tracer` + the telemetry event bus, then scans
     /// *every* incident the aggregator has ever opened and dumps each
     /// Critical one exactly once. Because incident severity never
@@ -342,38 +325,6 @@ mod tests {
             .any(|e| matches!(e, FlightEntry::Event(_))));
         // Exactly once: a later poll does not re-dump.
         assert!(rec.poll(&tracer, &telemetry).is_empty());
-    }
-
-    #[test]
-    fn on_ingest_dumps_immediately_for_critical_outcomes() {
-        let mut telemetry = FleetTelemetry::new();
-        let mut rec = FlightRecorder::new(8);
-        rec.record_span(SpanRecord {
-            id: crate::tracer::derive_span_id(0, 0),
-            parent: None,
-            follows: None,
-            lane: Lane::Switch(0),
-            start: Nanos(0),
-            end: Nanos(5),
-            kind: span_kind(),
-        });
-        let outcome = telemetry.ingest_alarm(AlarmRecord {
-            at: Nanos(1),
-            severity: Severity::Critical,
-            switch: 0,
-            cause: AlarmCause::ChassisDown,
-        });
-        let dumped = rec.on_ingest(&telemetry.alarms, outcome);
-        assert_eq!(dumped, Some(0));
-        assert_eq!(rec.dumps().len(), 1);
-        // The same incident never dumps twice.
-        let outcome = telemetry.ingest_alarm(AlarmRecord {
-            at: Nanos(2),
-            severity: Severity::Critical,
-            switch: 0,
-            cause: AlarmCause::ChassisDown,
-        });
-        assert_eq!(rec.on_ingest(&telemetry.alarms, outcome), None);
     }
 
     #[test]

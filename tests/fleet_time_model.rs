@@ -63,7 +63,9 @@ enum Op {
         spoil: bool,
     },
     Advance(Dt),
-    /// `c.fleet.advance(dt)`: past the controller, on its `pub` field.
+    /// `c.fleet.advance_to(now + dt)`: past the controller, on its `pub`
+    /// field, in the absolute form — then once more to time zero, which
+    /// is behind the clock and must change nothing.
     FleetAdvance(Dt),
     Connect(OcsId, PortId, PortId),
     Disconnect(OcsId, PortId),
@@ -279,7 +281,8 @@ impl Pair {
             }
             Op::FleetAdvance(dt) => {
                 let dt = self.nanos(dt);
-                self.fabric.fleet.advance(dt);
+                self.fabric.fleet.advance_to(self.fabric.now() + dt);
+                self.fabric.fleet.advance_to(Nanos(0));
                 self.model.advance(dt);
             }
             Op::Connect(id, n, s) => {

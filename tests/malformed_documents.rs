@@ -1,8 +1,8 @@
 //! Versioned documents are input from outside the program (ROADMAP 2b):
 //! a parser may refuse one, it may never panic on one.
 //!
-//! Three readers so far, each fed arbitrary strings and valid documents
-//! with one scalar replaced:
+//! Four readers so far, the first three fed arbitrary strings and valid
+//! documents with one scalar replaced:
 //!
 //! - [`CampusHealthDoc::from_json`] (`lightwave/campus-health/v1`);
 //! - [`HistogramSnapshot`] / [`ExemplarSnapshot`] and their `restore`,
@@ -14,11 +14,19 @@
 //!   which runs what was parsed through the real control plane: a
 //!   document the parser accepts replays to an outcome whatever switch,
 //!   slot, port or count its events name — the executor rejects an event
-//!   on hardware its world does not have, and counts it.
+//!   on hardware its world does not have, and counts it;
+//! - [`SliceIntent::validate`], the service's only ingress type, and
+//!   [`ServiceCore::submit`] behind it: every field at its edges is refused
+//!   or served on a live pod, in both build profiles alike.
 
 use lightwave::chaos::{
     parse_repro, write_repro, ChaosConfig, FaultKind, FaultSchedule, Repro, ScheduleOutcome,
 };
+use lightwave::service::{
+    IntentError, PolicyConfig, Priority, RejectReason, ServiceCore, ServiceEvent, SliceIntent,
+};
+use lightwave::superpod::slice::ShapeError;
+use lightwave::superpod::Superpod;
 use lightwave::telemetry::rollup::{CampusHealthDoc, PortPath, RollupTree};
 use lightwave::telemetry::{
     BurnRateLedger, ExemplarHistogram, ExemplarSnapshot, HistogramSnapshot,
@@ -423,6 +431,128 @@ fn every_fault_field_at_its_edges_replays_to_an_outcome() {
         let outcome = replay(events);
         assert!(outcome.events_applied as usize <= n, "{chunk:?}");
     }
+}
+
+/// A valid intent: one cube, one millisecond.
+fn intent() -> SliceIntent {
+    SliceIntent {
+        request: 0,
+        class: Priority::Training,
+        chips: [4, 4, 4],
+        hold: Nanos::from_millis(1),
+    }
+}
+
+/// Submits `intents` one after another to a core on a live pod whose clock
+/// is already running, draining after each, and returns how many were
+/// refused as invalid. Nothing may panic and no request may leak.
+fn submit_and_drain(intents: &[SliceIntent]) -> u64 {
+    let mut core = ServiceCore::new(PolicyConfig::default());
+    let mut pod = Superpod::new(0x5EED);
+    let mut events = Vec::new();
+    core.advance_to(&mut pod, Nanos::from_millis(5), &mut events);
+    for intent in intents {
+        events.clear();
+        core.submit(&mut pod, intent, &mut events);
+        let refused = matches!(
+            events[..],
+            [ServiceEvent::Rejected {
+                why: RejectReason::Invalid,
+                ..
+            }]
+        );
+        assert_eq!(refused, intent.validate().is_err(), "{intent:?}");
+        let end = core.drain(&mut pod, &mut events);
+        assert_eq!(end, pod.fabric().now());
+        assert_eq!(core.conservation(), Ok(()), "{intent:?}");
+        assert_eq!((core.queue_depth(), core.running().count()), (0, 0));
+    }
+    let report = core.report();
+    assert_eq!(report.submitted, intents.len() as u64);
+    assert_eq!(report.invalid + report.completed(), report.submitted);
+    report.invalid
+}
+
+/// `[1 << 34, 1 << 34, 4]`: the cube count overflowed `usize` — a panic in
+/// debug, and in release a product that wrapped to 0 cubes, passed the
+/// pod-size check and came back `Ok`.
+#[test]
+fn a_shape_whose_cube_count_overflows_is_too_large_not_a_panic() {
+    let huge = SliceIntent {
+        chips: [1 << 34, 1 << 34, 4],
+        ..intent()
+    };
+    assert_eq!(
+        huge.validate(),
+        Err(IntentError::Shape(ShapeError::TooLarge {
+            cubes: usize::MAX
+        }))
+    );
+    assert_eq!(submit_and_drain(&[huge]), 1);
+}
+
+/// `hold: u64::MAX` at any `now > 0`: `serving_from + hold` overflowed at
+/// admission — a panic in debug, an `ends_at` in the past in release.
+#[test]
+fn a_hold_that_outlasts_the_clock_is_refused_not_admitted() {
+    let forever = SliceIntent {
+        hold: Nanos(u64::MAX),
+        ..intent()
+    };
+    assert_eq!(forever.validate(), Err(IntentError::HoldTooLong));
+    assert_eq!(submit_and_drain(&[forever]), 1);
+}
+
+/// Every field of a valid intent at 0, 1, its legal maximum, one past it
+/// and its type's maximum — through `validate` and through `submit` +
+/// `drain`, one world for all of them so that an intent meets the clock
+/// its predecessors left.
+#[test]
+fn every_intent_field_at_its_edges_is_refused_or_served() {
+    let mut mutants: Vec<SliceIntent> = Vec::new();
+    for request in [0, 1, u64::MAX - 64, u64::MAX] {
+        mutants.push(SliceIntent {
+            request,
+            ..intent()
+        });
+    }
+    for class in Priority::ALL {
+        mutants.push(SliceIntent { class, ..intent() });
+    }
+    // 256 chips is the longest legal dimension (4×4×256 fills the pod),
+    // 260 the next multiple of the cube edge.
+    let long = [0, 1, 4, 256, 257, 260, 1 << 34, usize::MAX - 3, usize::MAX];
+    for dim in 0..3 {
+        for chips in long {
+            let mut intent = intent();
+            intent.chips[dim] = chips;
+            mutants.push(intent);
+        }
+    }
+    for chips in [
+        [16, 16, 16],
+        [16, 16, 20],
+        [256, 256, 256],
+        [usize::MAX - 3; 3],
+    ] {
+        mutants.push(SliceIntent { chips, ..intent() });
+    }
+    let max = SliceIntent::MAX_HOLD;
+    for hold in [Nanos(0), Nanos(1), max, Nanos(max.0 + 1), Nanos(u64::MAX)] {
+        mutants.push(SliceIntent { hold, ..intent() });
+    }
+    let legal = |intent: &SliceIntent| {
+        let chips = intent.chips;
+        let shape = chips.iter().all(|&d| d > 0 && d % 4 == 0 && d <= 256)
+            && chips.iter().map(|&d| d / 4).product::<usize>() <= 64;
+        shape && intent.hold > Nanos(0) && intent.hold <= max
+    };
+    let invalid = mutants.iter().filter(|intent| !legal(intent)).count() as u64;
+    assert!(invalid > 20 && mutants.len() as u64 - invalid > 15);
+    for intent in &mutants {
+        assert_eq!(intent.validate().is_ok(), legal(intent), "{intent:?}");
+    }
+    assert_eq!(submit_and_drain(&mutants), invalid);
 }
 
 #[test]

@@ -170,7 +170,7 @@ fn admission_path_allocation_counts() {
     let hold = Nanos::from_millis(1);
     let mut step = |core: &mut ServiceCore, pod: &mut Superpod, hold: Nanos| {
         out.clear();
-        let now = core.now() + Nanos::from_millis(2);
+        let now = pod.fabric().now() + Nanos::from_millis(2);
         core.advance_to(pod, now, &mut out);
         core.submit(pod, &single_cube(next, hold), &mut out);
         next += 1;
@@ -209,7 +209,7 @@ fn multi_cube_admission_allocation_counts() {
     // circuits have aligned, so every step is one admission, one completion.
     let mut step = |core: &mut ServiceCore, pod: &mut Superpod, chips, hold| {
         out.clear();
-        let now = core.now() + Nanos::from_millis(200);
+        let now = pod.fabric().now() + Nanos::from_millis(200);
         core.advance_to(pod, now, &mut out);
         let intent = SliceIntent {
             request: next,

@@ -168,7 +168,10 @@ fn check_twins(
     model_pod: &Superpod,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(core.report(), model.report());
-    prop_assert_eq!(core.now(), model.now());
+    // The core keeps no clock: the pod's fabric time is the only one, and
+    // it is where the reference's own stored clock says it should be.
+    prop_assert_eq!(pod.fabric().now(), model.now());
+    prop_assert_eq!(model_pod.fabric().now(), model.now());
     prop_assert_eq!(core.queue_depth(), model.queue_depth());
     prop_assert_eq!(
         core.running().collect::<RunningSet>(),
@@ -217,7 +220,7 @@ proptest! {
                     model.submit(&mut model_pod, &intent, &mut model_out);
                 }
                 Op::Advance { micros } => {
-                    let to = core.now() + Nanos::from_micros(micros);
+                    let to = pod.fabric().now() + Nanos::from_micros(micros);
                     core.advance_to(&mut pod, to, &mut out);
                     model.advance_to(&mut model_pod, to, &mut model_out);
                 }
@@ -403,4 +406,39 @@ fn preempted_victim_regains_its_fifo_slot_and_restarts_its_hold() {
     assert_eq!(core.report().completed(), 4);
     assert_eq!(core.conservation(), Ok(()));
     assert_eq!(pod.idle_set(), CubeSet::ALL);
+}
+
+/// The one-clock rule (DESIGN §6.5): the core stores no time, so a caller
+/// that ticks the pod between calls has moved the only clock there is —
+/// the next stamp reads it, and asking for an earlier time changes nothing.
+#[test]
+fn a_pod_ticked_behind_the_cores_back_still_has_one_clock() {
+    let ms = Nanos::from_millis;
+    let mut core = ServiceCore::new(PolicyConfig::default());
+    let mut pod = Superpod::new(0x5EED);
+    let mut events = Vec::new();
+    core.advance_to(&mut pod, ms(5), &mut events);
+    pod.advance(ms(7));
+    let intent = SliceIntent {
+        request: 0,
+        class: Priority::Training,
+        chips: [4, 4, 4],
+        hold: ms(1),
+    };
+    core.submit(&mut pod, &intent, &mut events);
+    core.advance_to(&mut pod, ms(6), &mut events);
+    assert_eq!(pod.fabric().now(), ms(12), "never backwards");
+    assert_eq!(core.drain(&mut pod, &mut events), pod.fabric().now());
+    let stamps: Vec<Nanos> = events
+        .iter()
+        .map(|e| match e {
+            ServiceEvent::Enqueued { at, .. }
+            | ServiceEvent::Admitted { at, .. }
+            | ServiceEvent::Completed { at, .. }
+            | ServiceEvent::Rejected { at, .. }
+            | ServiceEvent::Preempted { at, .. } => *at,
+        })
+        .collect();
+    assert_eq!(stamps, [ms(12), ms(12), ms(13)]);
+    assert_eq!(core.report().horizon, ms(13));
 }
