@@ -1,70 +1,33 @@
-//! Offline validator for exported trace artifacts.
+//! The reader of a run directory (`lightwave_bench::artifacts`).
 //!
 //! ```text
-//! cargo run -p lightwave-bench --release --bin validate_trace -- \
-//!     target/trace/trace.json target/trace/flight.jsonl
+//! cargo run -p lightwave-bench --release --bin validate_trace -- RUN_DIR
 //! ```
 //!
-//! Checks a Chrome trace-event file against the subset of the format the
-//! exporter emits (see `lightwave-trace::validate` — no network, no
-//! external schema) and smoke-checks a flight-recorder bundle as
-//! non-empty, parseable JSONL. Exits non-zero with a diagnostic on the
-//! first violation, so CI can gate on it.
+//! Reads every file `scripts/artifacts.sh` left in `RUN_DIR` from its
+//! bytes — the closed set of names, each `schema`, each join — and prints
+//! the run manifest: one row per file with its schema, length and
+//! FNV-1a-64. Exits non-zero naming the file and the id on the first
+//! refusal, so CI can gate on it.
 
-use lightwave_trace::validate::{validate_chrome_trace, validate_flight_jsonl};
+use lightwave_bench::artifacts::{read_run_dir, render_manifest};
+use std::path::Path;
 use std::process::ExitCode;
-
-fn usage() -> ExitCode {
-    eprintln!("usage: validate_trace <trace.json> [flight.jsonl]");
-    ExitCode::from(2)
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (trace_path, flight_path) = match args.as_slice() {
-        [t] => (t.clone(), None),
-        [t, f] => (t.clone(), Some(f.clone())),
-        _ => return usage(),
+    let [dir] = args.as_slice() else {
+        eprintln!("usage: validate_trace <run-dir>");
+        return ExitCode::from(2);
     };
-
-    let trace = match std::fs::read_to_string(&trace_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("validate_trace: cannot read {trace_path}: {e}");
-            return ExitCode::FAILURE;
+    match read_run_dir(Path::new(dir)) {
+        Ok(rows) => {
+            print!("{}", render_manifest(&rows));
+            ExitCode::SUCCESS
         }
-    };
-    match validate_chrome_trace(&trace) {
-        Ok(stats) => println!(
-            "{trace_path}: OK — {} events ({} spans, {} flows, {} instants, {} metadata)",
-            stats.total(),
-            stats.complete,
-            stats.flows,
-            stats.instants,
-            stats.metadata
-        ),
         Err(e) => {
-            eprintln!("{trace_path}: INVALID — {e}");
-            return ExitCode::FAILURE;
+            eprintln!("validate_trace: {dir}: {e}");
+            ExitCode::FAILURE
         }
     }
-
-    if let Some(flight_path) = flight_path {
-        let jsonl = match std::fs::read_to_string(&flight_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("validate_trace: cannot read {flight_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match validate_flight_jsonl(&jsonl) {
-            Ok(lines) => println!("{flight_path}: OK — {lines} JSONL lines"),
-            Err(e) => {
-                eprintln!("{flight_path}: INVALID — {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    ExitCode::SUCCESS
 }

@@ -7,11 +7,15 @@
 //!
 //! Run everything: `cargo run -p lightwave-bench --release --bin repro`.
 //! Run one: `cargo run -p lightwave-bench --release --bin repro fig11`.
+//!
+//! [`artifacts`] is the other reader here: what `scripts/artifacts.sh`
+//! writes, read back from bytes and joined (`validate_trace RUN_DIR`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;
+pub mod artifacts;
 pub mod experiments;
 
 use std::fmt::Write as _;

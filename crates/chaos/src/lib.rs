@@ -41,6 +41,6 @@ pub use executor::{
 };
 pub use hunt::{hunt, hunt_service, HuntConfig, HuntReport};
 pub use invariant::{check_all, InvariantKind, Violation};
-pub use repro::{parse_repro, write_repro, Repro, REPRO_FORMAT};
+pub use repro::{parse_repro, write_repro, Repro, REPRO_SCHEMA};
 pub use schedule::{FaultKind, FaultSchedule, GEN_OCS_COUNT};
 pub use shrink::{shrink, ShrinkResult};

@@ -1,6 +1,6 @@
 //! Runnable JSONL repro format for (shrunk) fault schedules.
 //!
-//! Line 1 is a header object pinning the format version, the stream
+//! Line 1 is a header object pinning the schema version, the stream
 //! coordinates `(seed, index)` that reconstruct the world, the planted
 //! bug (if any), and the invariant the repro demonstrates. Each
 //! following line is one [`FaultKind`] event. The format is
@@ -12,13 +12,13 @@ use crate::invariant::InvariantKind;
 use crate::schedule::{FaultKind, FaultSchedule};
 use serde::{Deserialize, Serialize};
 
-/// The format tag of header line 1.
-pub const REPRO_FORMAT: &str = "lightwave/chaos-repro/v1";
+/// The `schema` member of header line 1.
+pub const REPRO_SCHEMA: &str = "lightwave/chaos-repro/v2";
 
 /// Header line of a repro file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ReproHeader {
-    format: String,
+    schema: String,
     seed: u64,
     index: u64,
     events: usize,
@@ -52,7 +52,7 @@ pub fn write_repro(
     invariant: Option<InvariantKind>,
 ) -> String {
     let header = ReproHeader {
-        format: REPRO_FORMAT.to_string(),
+        schema: REPRO_SCHEMA.to_string(),
         seed: schedule.seed,
         index: schedule.index,
         events: schedule.events.len(),
@@ -74,10 +74,10 @@ pub fn parse_repro(text: &str) -> Result<Repro, String> {
     let header_line = lines.next().ok_or("empty repro")?;
     let header: ReproHeader =
         serde_json::from_str(header_line).map_err(|e| format!("bad header: {e}"))?;
-    if header.format != REPRO_FORMAT {
+    if header.schema != REPRO_SCHEMA {
         return Err(format!(
-            "unsupported format {:?}, want {REPRO_FORMAT:?}",
-            header.format
+            "unsupported schema {:?}, want {REPRO_SCHEMA:?}",
+            header.schema
         ));
     }
     // Grown from the lines read: `header.events` is a number from the
@@ -147,11 +147,11 @@ mod tests {
     fn malformed_inputs_are_rejected_with_context() {
         assert!(parse_repro("").is_err());
         assert!(parse_repro(
-            "{\"format\":\"other/v9\",\"seed\":0,\"index\":0,\"events\":0,\"inject\":null,\"invariant\":null}"
+            "{\"schema\":\"other/v9\",\"seed\":0,\"index\":0,\"events\":0,\"inject\":null,\"invariant\":null}"
         )
         .unwrap_err()
-        .contains("unsupported format"));
-        let truncated = "{\"format\":\"lightwave/chaos-repro/v1\",\"seed\":0,\"index\":0,\"events\":2,\"inject\":null,\"invariant\":null}\n\"Preempt\"\n";
+        .contains("unsupported schema"));
+        let truncated = "{\"schema\":\"lightwave/chaos-repro/v2\",\"seed\":0,\"index\":0,\"events\":2,\"inject\":null,\"invariant\":null}\n\"Preempt\"\n";
         assert!(parse_repro(truncated).unwrap_err().contains("declares 2"));
     }
 }

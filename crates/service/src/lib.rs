@@ -65,9 +65,11 @@ pub use engine::{
 };
 pub use intent::{IntentError, Priority, SliceIntent};
 pub use lifecycle::{Lifecycle, ADMISSION_SLO_OBJECT};
-pub use metrics::{erlang_b, ClassSnapshot, ClassStats, ServiceReport, ServiceSnapshot};
+pub use metrics::{
+    erlang_b, ClassSnapshot, ClassStats, ServiceReport, ServiceSnapshot, SERVICE_REPORT_SCHEMA,
+};
 pub use queue::{PolicyConfig, RejectReason, ServiceCore, ServiceEvent};
 pub use scope::{
     scope_sampled, scope_span_id, ClassScope, CriticalPath, ScopeCollector, ScopeDist, ScopePhase,
-    ScopeReport, ScopeSnapshot, ScopeTimeline, SCOPE_STREAM,
+    ScopeReport, ScopeSnapshot, ScopeTimeline, SCOPE_SCHEMA, SCOPE_STREAM,
 };

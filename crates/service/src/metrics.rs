@@ -158,7 +158,7 @@ impl ServiceReport {
     /// Serializable form for artifacts and byte-level comparison.
     pub fn snapshot(&self) -> ServiceSnapshot {
         ServiceSnapshot {
-            schema: "lightwave/service-report/v1".to_string(),
+            schema: SERVICE_REPORT_SCHEMA.to_string(),
             submitted: self.submitted,
             invalid: self.invalid,
             compose_failed: self.compose_failed,
@@ -223,10 +223,13 @@ impl ServiceReport {
     }
 }
 
+/// The `schema` member `service_report.json` opens with.
+pub const SERVICE_REPORT_SCHEMA: &str = "lightwave/service-report/v1";
+
 /// Serializable [`ServiceReport`] (histograms as sparse snapshots).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceSnapshot {
-    /// Schema tag: `lightwave/service-report/v1`.
+    /// [`SERVICE_REPORT_SCHEMA`].
     pub schema: String,
     /// See [`ServiceReport::submitted`].
     pub submitted: u64,

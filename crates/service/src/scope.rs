@@ -24,9 +24,16 @@
 //! [`Exemplar`](lightwave_telemetry::Exemplar)s, so every reported tail
 //! bucket names a concrete request *and* the trace span id of its root
 //! lifecycle span. Span ids are pre-derived — [`scope_span_id`] is pure
-//! in `(seed, request)` — so a sharded, tracer-less run's report links
-//! into a traced run's Perfetto export (see
+//! in `(seed, request)` — so a collector names, without a tracer, the
+//! span a [`Lifecycle`](crate::Lifecycle) of the same seed opens for
+//! that request (see
 //! [`Tracer::begin_with_id`](lightwave_trace::Tracer::begin_with_id)).
+//! A report resolves in a trace only where both watched the request:
+//! the `request_scope` example writes `scope_report.json` and
+//! `request_scope_trace.json` from one fully sampled cell under a
+//! `(ScopeCollector, Lifecycle)` pair, so every exemplar of that report
+//! is a flagged span of that trace — the artifact reader in
+//! `lightwave-bench` checks the pair both ways.
 //!
 //! Everything here obeys the DESIGN §6.7 determinism contract: event-time
 //! stamping, integer arithmetic, lattice-join exemplars, shard-order
@@ -398,12 +405,12 @@ impl ScopeReport {
         rows
     }
 
-    /// Serializable form (schema `lightwave/scope/v1`). Span ids render
+    /// Serializable form ([`SCOPE_SCHEMA`]). Span ids render
     /// as zero-padded hex strings — JSON numbers above 2^53 lose
     /// precision in browser tooling.
     pub fn snapshot(&self) -> ScopeSnapshot {
         ScopeSnapshot {
-            schema: "lightwave/scope/v1".to_string(),
+            schema: SCOPE_SCHEMA.to_string(),
             every: self.every,
             sampled: self.sampled,
             rejected: self.rejected,
@@ -515,10 +522,13 @@ fn format_permille(q: u32) -> String {
     }
 }
 
+/// The `schema` member `scope_report.json` opens with.
+pub const SCOPE_SCHEMA: &str = "lightwave/scope/v1";
+
 /// Serializable [`ScopeReport`] — the `scope_report.json` payload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScopeSnapshot {
-    /// Schema tag: `lightwave/scope/v1`.
+    /// [`SCOPE_SCHEMA`].
     pub schema: String,
     /// See [`ScopeReport::every`].
     pub every: u64,
@@ -980,7 +990,7 @@ mod tests {
             ..ScopeReport::default()
         };
         let snap = report.snapshot();
-        assert_eq!(snap.schema, "lightwave/scope/v1");
+        assert_eq!(snap.schema, SCOPE_SCHEMA);
         let json = serde_json::to_string(&snap).expect("serializes");
         let back: ScopeSnapshot = serde_json::from_str(&json).expect("parses");
         assert_eq!(back, snap);

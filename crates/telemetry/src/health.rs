@@ -371,7 +371,7 @@ impl FleetHealth {
             out.push('\n');
         };
         push(&HealthJsonl::Meta {
-            format: HEALTH_FORMAT.to_string(),
+            schema: HEALTH_SCHEMA.to_string(),
             generated_at: now,
             fleet_score: r.fleet_score,
             switches: r.switches.len() as u64,
@@ -391,16 +391,16 @@ impl FleetHealth {
     }
 }
 
-/// Format tag of the health JSONL export.
-pub const HEALTH_FORMAT: &str = "lightwave/fleet-health/v1";
+/// The `schema` member the health JSONL export's header line carries.
+pub const HEALTH_SCHEMA: &str = "lightwave/fleet-health/v2";
 
 /// One line of the health JSONL export.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum HealthJsonl {
     /// Header line.
     Meta {
-        /// Format tag ([`HEALTH_FORMAT`]).
-        format: String,
+        /// [`HEALTH_SCHEMA`].
+        schema: String,
         /// Export time.
         generated_at: Nanos,
         /// Fleet-wide score.

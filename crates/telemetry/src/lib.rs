@@ -103,7 +103,7 @@ pub use export::JsonlRecord;
 pub use fleet::FleetTelemetry;
 pub use health::{
     FleetHealth, FleetHealthReport, MaintenanceAction, MaintenanceKind, SwitchHealth, TrendTrip,
-    HEALTH_FORMAT,
+    HEALTH_SCHEMA,
 };
 pub use histogram::{HistogramSnapshot, LogHistogram};
 pub use metrics::{
@@ -111,7 +111,7 @@ pub use metrics::{
 };
 pub use rollup::{
     Aggregate, CampusHealthDoc, MetricCell, NodeHealth, PodRow, PortPath, RollupMetric, RollupTree,
-    SwitchRow, CAMPUS_HEALTH_FORMAT,
+    SwitchRow, CAMPUS_HEALTH_SCHEMA,
 };
 pub use severity::Severity;
 pub use slo::{

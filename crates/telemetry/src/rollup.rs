@@ -35,7 +35,7 @@
 //! neither (its `telemetry.*` metrics time the observer and the document).
 //!
 //! [`CampusHealthDoc`] is the versioned queryable snapshot
-//! (`lightwave/campus-health/v1`): per-level rollups with a
+//! ([`CAMPUS_HEALTH_SCHEMA`]): per-level rollups with a
 //! dominant-cause verdict at every node, plus the multi-window
 //! burn-rate / error-budget section from [`crate::slo::BurnRateLedger`].
 
@@ -45,8 +45,8 @@ use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Format tag of the exported campus snapshot.
-pub const CAMPUS_HEALTH_FORMAT: &str = "lightwave/campus-health/v1";
+/// The `schema` member the exported campus snapshot opens with.
+pub const CAMPUS_HEALTH_SCHEMA: &str = "lightwave/campus-health/v2";
 
 /// An exact aggregate of quantized samples: integer sums and lattice
 /// joins only.
@@ -559,15 +559,15 @@ pub struct PodRow {
     pub switches: Vec<SwitchRow>,
 }
 
-/// The versioned queryable campus snapshot (`lightwave/campus-health/v1`).
+/// The versioned queryable campus snapshot ([`CAMPUS_HEALTH_SCHEMA`]).
 ///
 /// Everything inside is integer-exact or deterministically ordered, so
 /// the serialized document is byte-identical for the same logical
 /// state at any worker count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampusHealthDoc {
-    /// [`CAMPUS_HEALTH_FORMAT`].
-    pub format: String,
+    /// [`CAMPUS_HEALTH_SCHEMA`].
+    pub schema: String,
     /// Sim time the snapshot was taken.
     pub generated_at: Nanos,
     /// Distinct port leaves rolled up.
@@ -605,7 +605,7 @@ impl CampusHealthDoc {
             })
             .collect();
         CampusHealthDoc {
-            format: CAMPUS_HEALTH_FORMAT.to_string(),
+            schema: CAMPUS_HEALTH_SCHEMA.to_string(),
             generated_at,
             ports: tree.ports() as u64,
             campus: NodeHealth::build(names, |m| tree.campus_agg(RollupMetric(m))),
@@ -651,14 +651,14 @@ impl CampusHealthDoc {
         s
     }
 
-    /// Parses a serialized document, checking the format tag.
+    /// Parses a serialized document, checking its `schema`.
     pub fn from_json(text: &str) -> Result<CampusHealthDoc, String> {
         let doc: CampusHealthDoc =
             serde_json::from_str(text).map_err(|e| format!("campus-health parse: {e}"))?;
-        if doc.format != CAMPUS_HEALTH_FORMAT {
+        if doc.schema != CAMPUS_HEALTH_SCHEMA {
             return Err(format!(
-                "campus-health format {:?}, want {CAMPUS_HEALTH_FORMAT:?}",
-                doc.format
+                "campus-health schema {:?}, want {CAMPUS_HEALTH_SCHEMA:?}",
+                doc.schema
             ));
         }
         Ok(doc)
@@ -737,7 +737,7 @@ mod tests {
         burn.observe(Nanos(0), 0, true);
         burn.observe(Nanos(0), 1, true);
         let doc = CampusHealthDoc::build(&t, burn.assess(Nanos(100)), Nanos(100));
-        assert_eq!(doc.format, CAMPUS_HEALTH_FORMAT);
+        assert_eq!(doc.schema, CAMPUS_HEALTH_SCHEMA);
         assert_eq!(doc.ports, 3);
         assert_eq!(doc.dominant_cause(), Some("relocks"));
         assert_eq!(

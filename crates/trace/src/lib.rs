@@ -63,7 +63,9 @@ pub mod span;
 pub mod tracer;
 pub mod validate;
 
-pub use perfetto::{to_chrome_trace, to_chrome_trace_annotated, to_chrome_trace_with_counters};
-pub use recorder::{FlightDump, FlightEntry, FlightRecorder};
+pub use perfetto::{
+    to_chrome_trace, to_chrome_trace_annotated, to_chrome_trace_with_counters, TRACE_SCHEMA,
+};
+pub use recorder::{FlightDump, FlightEntry, FlightRecorder, FLIGHT_SCHEMA};
 pub use span::{InstantRecord, Lane, ReconfigPhase, RequestStage, SpanId, SpanKind, SpanRecord};
 pub use tracer::{derive_span_id, reconfig_phase_spans, Tracer};

@@ -18,6 +18,9 @@ use serde::ser::{Serialize, Serializer};
 use serde::Content;
 use std::collections::BTreeSet;
 
+/// The `schema` member every exported trace document opens with.
+pub const TRACE_SCHEMA: &str = "lightwave/trace/v1";
+
 /// Timestamp conversion: sim-time nanoseconds → trace microseconds.
 fn micros(ns: u64) -> Content {
     Content::F64(ns as f64 / 1000.0)
@@ -182,10 +185,12 @@ pub fn to_chrome_trace_with_counters(tracer: &Tracer, counters: &[CounterTrack])
 
 /// [`to_chrome_trace_with_counters`] plus exemplar annotation: spans
 /// whose ids are in `exemplars` (the span ids a scope report's histogram
-/// buckets retained) gain an `"exemplar": true` arg, so a tail bucket in
-/// `scope_report.json` links to a span findable by searching `exemplar`
-/// in the Perfetto UI. With an empty set this is byte-identical to the
-/// plain export.
+/// buckets retained) gain an `"exemplar": true` arg. `request_scope`
+/// writes `scope_report.json` and `request_scope_trace.json` from one
+/// fully sampled cell, so every tail bucket of that report names a span
+/// of that trace, findable by searching `exemplar` in the Perfetto UI
+/// (the artifact reader in `lightwave-bench` checks the pair both ways).
+/// With an empty set this is byte-identical to the plain export.
 pub fn to_chrome_trace_annotated(
     tracer: &Tracer,
     counters: &[CounterTrack],
@@ -212,6 +217,7 @@ pub fn to_chrome_trace_annotated(
     }
     counter_events(counters, &mut events);
     let doc = obj(vec![
+        ("schema", str_c(TRACE_SCHEMA)),
         ("displayTimeUnit", str_c("ms")),
         ("traceEvents", Content::Seq(events)),
     ]);

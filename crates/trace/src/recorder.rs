@@ -14,7 +14,9 @@
 
 use crate::span::SpanRecord;
 use crate::tracer::Tracer;
-use lightwave_telemetry::{CounterSample, Event, EventBus, FleetTelemetry, SeriesStore, Severity};
+use lightwave_telemetry::{
+    CounterSample, Event, EventBus, FleetTelemetry, Incident, SeriesStore, Severity,
+};
 use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
@@ -28,11 +30,17 @@ pub enum FlightEntry {
     Event(Event),
 }
 
+/// The `schema` member a flight bundle's header line opens with.
+pub const FLIGHT_SCHEMA: &str = "lightwave/flight/v1";
+
 /// A snapshot taken when an incident went Critical.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FlightDump {
     /// The triggering incident's id.
     pub incident: u64,
+    /// The switch the incident is on: the id `fleet_health.jsonl` rows
+    /// and the trace's `ocs-N` lanes use.
+    pub switch: u32,
     /// The incident's severity at dump time (always Critical today).
     pub severity: Severity,
     /// Sim-time of the incident's last activity when the dump was taken.
@@ -54,7 +62,9 @@ impl FlightDump {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         let header = serde_json::to_string(&FlightHeader {
+            schema: FLIGHT_SCHEMA,
             incident: self.incident,
+            switch: self.switch,
             severity: self.severity,
             at: self.at,
             entries: self.entries.len() as u64,
@@ -77,7 +87,9 @@ impl FlightDump {
 
 #[derive(Serialize)]
 struct FlightHeader {
+    schema: &'static str,
     incident: u64,
+    switch: u32,
     severity: Severity,
     at: Nanos,
     entries: u64,
@@ -182,21 +194,16 @@ impl FlightRecorder {
         self.event_cursor = bus.published();
     }
 
-    fn dump_incident(
-        &mut self,
-        incident: u64,
-        severity: Severity,
-        at: Nanos,
-        counters: Vec<CounterSample>,
-    ) {
+    fn dump_incident(&mut self, incident: &Incident, counters: Vec<CounterSample>) {
         self.dumps.push(FlightDump {
-            incident,
-            severity,
-            at,
+            incident: incident.id,
+            switch: incident.switch,
+            severity: incident.severity,
+            at: incident.last_at,
             entries: self.ring.iter().cloned().collect(),
             counters,
         });
-        self.dumped.insert(incident);
+        self.dumped.insert(incident.id);
     }
 
     /// Syncs the ring from `tracer` + the telemetry event bus, then scans
@@ -237,7 +244,7 @@ impl FlightRecorder {
                 let counters = series
                     .map(|(store, n)| store.recent_for_switch(inc.switch, n))
                     .unwrap_or_default();
-                self.dump_incident(inc.id, inc.severity, inc.last_at, counters);
+                self.dump_incident(inc, counters);
                 dumped_now.push(inc.id);
             }
         }

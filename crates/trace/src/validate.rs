@@ -2,6 +2,7 @@
 //! network, no external schema tooling): the Chrome trace-event JSON
 //! document and the flight-recorder JSONL bundle.
 
+use crate::perfetto::TRACE_SCHEMA;
 use serde::de::{DeError, Deserialize};
 use serde::Content;
 
@@ -73,10 +74,18 @@ fn require_number(event: &Content, key: &str, i: usize) -> Result<f64, String> {
 /// shape, and per event the phase-appropriate required fields (`"X"`
 /// needs `ts`/`dur`, `"M"` needs a known metadata name and an
 /// `args.name`, flow events need an `id`, every event needs `pid`/`tid`).
-/// Returns per-phase counts on success.
+/// A `schema` member is optional (other producers of the format write
+/// none) but, when present, must be [`TRACE_SCHEMA`]. Returns per-phase
+/// counts on success.
 pub fn validate_chrome_trace(json: &str) -> Result<TraceStats, String> {
     let Json(doc) = serde_json::from_str::<Json>(json).map_err(|e| format!("not JSON: {e}"))?;
     doc.as_map("trace document").map_err(|e| e.to_string())?;
+    if let Some(schema) = doc.field("schema") {
+        let schema = schema.as_str("schema").map_err(|e| e.to_string())?;
+        if schema != TRACE_SCHEMA {
+            return Err(format!("unknown schema {schema:?}, want {TRACE_SCHEMA:?}"));
+        }
+    }
     let unit = doc
         .field("displayTimeUnit")
         .ok_or("missing \"displayTimeUnit\"")?
@@ -227,6 +236,20 @@ mod tests {
             }
         );
         assert_eq!(stats.total(), 6);
+    }
+
+    #[test]
+    fn a_schema_member_is_optional_but_not_arbitrary() {
+        let with = |schema: &str| {
+            validate_chrome_trace(&format!(
+                r#"{{{schema}"displayTimeUnit":"ms","traceEvents":[]}}"#
+            ))
+        };
+        assert!(with("").is_ok(), "lwbench's traces carry none");
+        assert!(with(r#""schema":"lightwave/trace/v1","#).is_ok());
+        for unknown in [r#""schema":"lightwave/trace/v2","#, r#""schema":1,"#] {
+            assert!(with(unknown).unwrap_err().contains("schema"), "{unknown}");
+        }
     }
 
     #[test]

@@ -24,16 +24,15 @@
 //! 3. **The burn-rate page** — a synthetic pod outage pushes both the
 //!    fast and the slow window past 10× budget burn: the ledger pages
 //!    *once* (pod + campus), repeats coalesce without escalation, and
-//!    the burn/budget series export as Perfetto `ph:"C"` counter tracks
-//!    in the validated `campus_burn_trace.json`.
+//!    the burn/budget series are recorded as counter tracks. (The real
+//!    run's burn and budget, pod by pod, are `campus_health.json`'s
+//!    `slo.pods`; this act's hand-built ledger writes no file.)
 
 use lightwave::dcn::campus::CampusSim;
 use lightwave::par::Pool;
 use lightwave::service::{run_sharded, CampusObserver, ServiceConfig};
 use lightwave::telemetry::timeseries::{dequantize, SeriesStore};
 use lightwave::telemetry::{BurnRateLedger, CampusHealthDoc, FleetTelemetry};
-use lightwave::trace::validate::validate_chrome_trace;
-use lightwave::trace::{to_chrome_trace_with_counters, Tracer};
 use lightwave::units::Nanos;
 use std::path::PathBuf;
 
@@ -176,15 +175,13 @@ fn main() {
     let cleared = ledger.assess(t_clear);
     assert!(!cleared.pods[3].alerting, "the alert clears after recovery");
 
-    // The burn/budget series ride the standard counter-track export.
-    let trace = to_chrome_trace_with_counters(&Tracer::new(7), &store.tracks());
-    let stats = validate_chrome_trace(&trace).expect("burn-counter trace validates");
-    let trace_path = dir.join("campus_burn_trace.json");
-    std::fs::write(&trace_path, &trace).expect("write campus_burn_trace.json");
+    // The burn/budget series are ordinary counter tracks, ready for
+    // `to_chrome_trace_with_counters` beside a tracer of the same run.
+    let tracks = store.tracks();
     println!(
-        "  {} counter samples exported; validator accepts — wrote {}",
-        stats.counters,
-        trace_path.display()
+        "  {} counter samples on {} burn/budget tracks",
+        tracks.iter().map(|t| t.points.len()).sum::<usize>(),
+        tracks.len()
     );
     println!("done: all acts passed");
 }

@@ -20,17 +20,13 @@
 //!    1-minimal repro.
 //! 3. **Repro artifacts** — the shrunk schedule lands in `--out-dir`
 //!    (default `target/chaos`) as `chaos_repro.jsonl` (runnable, see
-//!    README) plus `chaos_min_trace.json`, the Perfetto timeline of the
-//!    minimal run. The repro is re-parsed and replayed before the run
+//!    README). The repro is re-parsed and replayed before the run
 //!    reports success: same violation, from the bytes on disk.
 
 use lightwave::chaos::{
-    hunt, parse_repro, run_schedule_world, shrink, write_repro, ChaosConfig, FaultSchedule,
-    HuntConfig, InjectedBug,
+    hunt, parse_repro, shrink, write_repro, ChaosConfig, FaultSchedule, HuntConfig, InjectedBug,
 };
 use lightwave::par::Pool;
-use lightwave::trace::to_chrome_trace;
-use lightwave::trace::validate::validate_chrome_trace;
 use std::path::PathBuf;
 
 const SEED: u64 = 2024;
@@ -111,7 +107,7 @@ fn main() {
         "minimal repros of this defect are tiny"
     );
 
-    // Act 3: artifacts, then replay from the bytes on disk.
+    // Act 3: the artifact, then replay from the bytes on disk.
     let dir = out_dir();
     std::fs::create_dir_all(&dir).expect("create out dir");
     let repro_path = dir.join("chaos_repro.jsonl");
@@ -121,27 +117,17 @@ fn main() {
         Some(shrunk.violation.invariant),
     );
     std::fs::write(&repro_path, &repro).expect("write repro");
-    let (outcome, world) = run_schedule_world(&shrunk.schedule, &bad_chaos);
-    let trace = to_chrome_trace(&world.tracer);
-    let stats = validate_chrome_trace(&trace).expect("minimal-run trace validates");
-    let trace_path = dir.join("chaos_min_trace.json");
-    std::fs::write(&trace_path, &trace).expect("write trace");
-    println!(
-        "wrote {} and {} ({} spans)",
-        repro_path.display(),
-        trace_path.display(),
-        stats.complete
-    );
+    println!("wrote {}", repro_path.display());
 
     let parsed = parse_repro(&std::fs::read_to_string(&repro_path).expect("read repro"))
         .expect("repro parses");
     let replayed = parsed.replay();
+    let violation = replayed
+        .violation
+        .expect("the JSONL repro must replay to a violation");
     assert_eq!(
-        replayed.violation, outcome.violation,
+        violation, shrunk.violation,
         "the JSONL repro must replay to the same violation"
     );
-    println!(
-        "replayed from disk: {} ✓",
-        replayed.violation.expect("violates")
-    );
+    println!("replayed from disk: {violation} ✓");
 }

@@ -1,13 +1,12 @@
 //! Fabric-as-a-service, end to end: a year of slice requests served by
-//! real superpods, observed, traced, stress-tested, and checked against
-//! queueing theory.
+//! real superpods, stress-tested, and checked against queueing theory.
 //!
 //! ```text
 //! cargo run --release --example fabric_service            # 1M requests
 //! cargo run --release --example fabric_service -- --smoke # CI-sized
 //! ```
 //!
-//! Four acts:
+//! Three acts:
 //!
 //! 1. **The open-loop run** — the configured arrival stream through
 //!    [`run_sharded`] (watching nothing) on [`Pool::from_env`], so
@@ -16,23 +15,18 @@
 //!    `LIGHTWAVE_THREADS=1` and `=4` and `cmp`s the two artifacts byte
 //!    for byte (a smaller in-process 1-vs-2-thread check runs here too,
 //!    so the example self-verifies on one machine).
-//! 2. **The observed cell** — one small cell under the [`Lifecycle`]
-//!    observer; lifecycle spans plus the queue-depth counter track
-//!    export to `service_trace.json`, which the in-repo Chrome-trace
-//!    validator must accept.
-//! 3. **Erlang B** — the single-cube loss configuration swept across
+//! 2. **Erlang B** — the single-cube loss configuration swept across
 //!    offered loads; measured blocking vs the closed form.
-//! 4. **Chaos** — a service hunt: arrival schedules interleaved with
+//! 3. **Chaos** — a service hunt: arrival schedules interleaved with
 //!    hardware faults, every extended invariant checked, byte-identical
 //!    at any thread count.
+//!
+//! The traced cell lives in `request_scope`, which writes one cell's
+//! lifecycle trace beside the scope report of the same run.
 
 use lightwave::chaos::{hunt_service, ChaosConfig, HuntConfig};
-use lightwave::par::{Pool, Shard};
-use lightwave::service::{
-    erlang_b, run_cell_with, run_sharded, Lifecycle, Mix, PolicyConfig, ServiceConfig,
-};
-use lightwave::trace::to_chrome_trace_with_counters;
-use lightwave::trace::validate::validate_chrome_trace;
+use lightwave::par::Pool;
+use lightwave::service::{erlang_b, run_sharded, Mix, PolicyConfig, ServiceConfig};
 use lightwave::units::Nanos;
 use std::path::PathBuf;
 
@@ -105,38 +99,11 @@ fn main() {
     assert_eq!(one, two, "thread count must not change the report");
     println!("  replay check: 1-thread and 2-thread reports identical");
 
-    // ── Act 2: the observed cell ─────────────────────────────────────
-    // Tracing is per-request opt-in: each traced admission drags its
-    // whole reconfiguration span tree into the export, so trace a
-    // prefix, not the full cell.
-    let traced = ServiceConfig {
-        requests: 240,
-        ..ServiceConfig::default()
-    };
-    let whole = Shard {
-        index: 0,
-        start: 0,
-        len: traced.requests,
-    };
-    let (cell, watched) = run_cell_with(&traced, whole, Lifecycle::new(traced.seed, 48, 0));
-    let trace = to_chrome_trace_with_counters(&watched.tracer, &watched.series.tracks());
-    let tstats = validate_chrome_trace(&trace).expect("exported trace validates");
-    println!(
-        "act 2: traced cell served {} requests; trace has {} spans, {} flows, {} counter samples — validator accepts",
-        cell.completed(),
-        tstats.complete,
-        tstats.flows,
-        tstats.counters,
-    );
-    let trace_path = dir.join("service_trace.json");
-    std::fs::write(&trace_path, trace).expect("write service_trace.json");
-    println!("  wrote {} (open at ui.perfetto.dev)", trace_path.display());
-
-    // ── Act 3: Erlang B ──────────────────────────────────────────────
+    // ── Act 2: Erlang B ──────────────────────────────────────────────
     // Single-cube mix, no queue, no preemption: each cell is an
     // M/G/64/64 loss system. Mean hold is 100 ms, so offered load is
     // 100 ms / gap erlangs.
-    println!("act 3: blocking vs offered load (measured | Erlang B)");
+    println!("act 2: blocking vs offered load (measured | Erlang B)");
     let n = if smoke { 1_500 } else { 4_000 };
     for gap_ms in [10u64, 3, 1] {
         let loss = ServiceConfig {
@@ -159,7 +126,7 @@ fn main() {
         );
     }
 
-    // ── Act 4: chaos ─────────────────────────────────────────────────
+    // ── Act 3: chaos ─────────────────────────────────────────────────
     let hunt_cfg = HuntConfig {
         seed: 5,
         schedules: if smoke { 6 } else { 24 },
@@ -167,7 +134,7 @@ fn main() {
     };
     let hunt = hunt_service(&pool, &hunt_cfg);
     print!(
-        "act 4: service hunt under hardware faults\n{}",
+        "act 3: service hunt under hardware faults\n{}",
         hunt.table()
     );
     assert!(

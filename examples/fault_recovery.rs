@@ -8,23 +8,20 @@
 //! cube (host failures), the pod swaps in an idle spare cube and
 //! recomposes — something a static fabric physically cannot do. Then an
 //! OCS mirror fails mid-flight and is healed from on-die spares.
+//!
+//! The same cube swap, traced span by span and with a flight-recorder
+//! bundle beside it, is `trace_postmortem`.
 
 use lightwave::prelude::*;
-use lightwave::superpod::instrument::{trace_compose, trace_release};
 use lightwave::superpod::Slice;
-use lightwave::trace::{to_chrome_trace, Lane, SpanKind};
 
 fn main() {
     println!("=== fault recovery on a lightwave fabric ===\n");
     let mut pod = MlPod::new(11);
-    let mut tracer = Tracer::new(11);
 
     // A 1024-chip job on 16 cubes.
-    let at = pod.now();
     let placement = pod.place_model(&LlmConfig::llm1(), 1024).expect("fits");
     let shape = placement.plan.shape;
-    let cube_count = shape.cube_count() as u32;
-    let place_span = trace_compose(&mut tracer, None, 0, at, cube_count, &placement.report);
     pod.advance(Nanos::from_millis(300));
     println!(
         "job running on {:?} ({} cubes), {} circuits live",
@@ -37,21 +34,10 @@ fn main() {
     let victim = pod.pod.slice(placement.handle).expect("live").cubes[3];
     println!("\ncube {victim} loses a host — marking failed");
     pod.pod.mark_cube_failed(victim);
-    let recovery = tracer.begin(
-        Lane::Pod(0),
-        None,
-        pod.now(),
-        SpanKind::FaultRecovery {
-            what: "cube-swap".to_string(),
-        },
-    );
-    tracer.link_follows(recovery, place_span);
 
     // Recompose on a spare: same shape, same cubes except the victim.
     let old = pod.pod.slice(placement.handle).expect("live").clone();
-    let at = pod.now();
-    let released = pod.release(placement.handle).expect("live");
-    let release_span = trace_release(&mut tracer, Some(recovery), 0, at, cube_count, &released);
+    pod.release(placement.handle).expect("live");
     let spare = pod
         .pod
         .idle_cubes()
@@ -63,14 +49,10 @@ fn main() {
         .iter()
         .map(|&c| if c == victim { spare } else { c })
         .collect();
-    let at = pod.now();
-    let (h2, report) = pod
+    let (_handle, report) = pod
         .pod
         .compose(Slice::new(old.shape, cubes).expect("valid"))
         .expect("spare composition");
-    let swap_span = trace_compose(&mut tracer, Some(recovery), 0, at, cube_count, &report);
-    tracer.link_follows(swap_span, release_span);
-    tracer.end(recovery, report.traffic_ready_at.max(at));
     println!(
         "recomposed with spare cube {spare}: {} circuits re-wired, ready at {}",
         report.added, report.traffic_ready_at
@@ -101,17 +83,6 @@ fn main() {
     for alarm in ocs.telemetry().alarms() {
         println!("  telemetry alarm: {:?} [{:?}]", alarm.code, alarm.severity);
     }
-
-    let _ = h2;
-
-    // The whole recovery is on the trace timeline too.
-    let trace = to_chrome_trace(&tracer);
-    std::fs::create_dir_all("target/trace").expect("create output directory");
-    std::fs::write("target/trace/fault_recovery_trace.json", &trace).expect("write trace");
-    println!(
-        "\nwrote target/trace/fault_recovery_trace.json ({} spans — open at ui.perfetto.dev)",
-        tracer.spans().len()
-    );
 
     println!("\ndone: both failures healed without touching other slices");
 }

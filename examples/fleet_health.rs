@@ -21,12 +21,14 @@
 //!    are rendered on 1-thread and 4-thread pools in-process and must be
 //!    byte-identical (the artifacts written below are `cmp`'d across
 //!    `LIGHTWAVE_THREADS` values in CI).
-//! 4. **Artifacts** — schedule 0's dashboard (`fleet_health.txt`), JSONL
+//! 4. **Artifacts** — schedule 0's dashboard is printed; its JSONL
 //!    report (`fleet_health.jsonl`), Perfetto trace with counter tracks
 //!    (`fleet_health_trace.json`, openable at <https://ui.perfetto.dev>)
 //!    and the postmortem bundle with embedded counter history
 //!    (`fleet_postmortem.jsonl`) land in `--out-dir` (default
-//!    `target/fleet_health`), each re-validated from the bytes written.
+//!    `target/fleet_health`). All three come from one run and name the
+//!    degrading switch by one id: a `Switch` row, counter tracks labelled
+//!    `switch=N`, and the bundle header's `switch`.
 //! 5. **Preempt vs react** — the maintenance-advisor availability model:
 //!    a year of the production pod with 90% detector recall turning 30 s
 //!    emergency swaps into 5 s planned drains.
@@ -155,8 +157,7 @@ fn main() {
     let (_, world) = run_schedule_world(&FaultSchedule::generate_degradation(SEED, 0), &cfg);
     let now = world.now();
 
-    let dashboard = world.health.dashboard(now);
-    std::fs::write(dir.join("fleet_health.txt"), &dashboard).expect("write dashboard");
+    print!("{}", world.health.dashboard(now));
     let jsonl = world.health.to_jsonl(now);
     let lines = validate_flight_jsonl(&jsonl).expect("health JSONL validates");
     std::fs::write(dir.join("fleet_health.jsonl"), &jsonl).expect("write jsonl");

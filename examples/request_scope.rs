@@ -12,24 +12,23 @@
 //!    [`ScopeCollector`] per cell, over the production mix with 1-in-64
 //!    sampling. The scope report folds each sampled request's lifecycle
 //!    into per-class × per-phase exemplar histograms and names the
-//!    dominant phase at p50/p99/p99.9. Writes
-//!    `scope_report.json`; CI runs this example at `LIGHTWAVE_THREADS=1`
-//!    and `=4` and `cmp`s the artifacts byte for byte.
+//!    dominant phase at p50/p99/p99.9, printed as a table.
 //! 2. **The determinism check** — an in-process 1-vs-2-thread replay:
 //!    snapshot JSON must be byte-identical (sampling and span ids are
 //!    pure in `(seed, request)`; merges are lattice joins).
-//! 3. **The exemplar-linked trace** — one fully sampled cell under a
-//!    ([`ScopeCollector`], [`Lifecycle`]) pair. Every tail bucket's
-//!    exemplar carries the span id of that request's root lifecycle
-//!    span; the annotated Perfetto export flags those spans, so the p99
-//!    row in `scope_report.json` links straight to the slow request's
-//!    span tree in `request_scope_trace.json`.
+//! 3. **The report and the trace it points into** — one fully sampled
+//!    cell under a ([`ScopeCollector`], [`Lifecycle`]) pair, written as
+//!    `scope_report.json` and `request_scope_trace.json`. Every tail
+//!    bucket's exemplar carries the span id of that request's root
+//!    lifecycle span and the annotated Perfetto export flags exactly
+//!    those spans, so the p99 row of the report links straight to the
+//!    slow request's span tree in the trace beside it (`validate_trace`
+//!    checks the pair from the bytes, both ways).
 
 use lightwave::par::{Pool, Shard};
 use lightwave::service::{run_cell_with, run_sharded, Lifecycle, ScopeCollector, ServiceConfig};
+use lightwave::trace::to_chrome_trace_annotated;
 use lightwave::trace::validate::validate_chrome_trace;
-use lightwave::trace::{to_chrome_trace_annotated, RequestStage, SpanKind};
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 fn flag(name: &str) -> bool {
@@ -75,12 +74,6 @@ fn main() {
     );
     print!("{}", scope.render());
 
-    let snapshot =
-        serde_json::to_string_pretty(&scope.snapshot()).expect("scope snapshot serializes");
-    let report_path = dir.join("scope_report.json");
-    std::fs::write(&report_path, snapshot + "\n").expect("write scope_report.json");
-    println!("  wrote {}", report_path.display());
-
     // ── Act 2: the determinism check ─────────────────────────────────
     let small = ServiceConfig {
         requests: if smoke { 2_000 } else { 6_000 },
@@ -98,10 +91,12 @@ fn main() {
     );
     println!("act 2: 1-thread and 2-thread scope reports byte-identical");
 
-    // ── Act 3: the exemplar-linked trace ─────────────────────────────
+    // ── Act 3: the report and the trace it points into ───────────────
     // Full sampling on a small observed cell: every request gets a root
     // lifecycle span, and every histogram bucket's exemplar records the
-    // root span id of the request that set it.
+    // root span id of the request that set it. Tracing is a per-request
+    // prefix: each traced admission drags its whole reconfiguration span
+    // tree into the export.
     let traced = ServiceConfig {
         requests: 240,
         ..ServiceConfig::default()
@@ -116,33 +111,16 @@ fn main() {
         Lifecycle::new(traced.seed, 48, 1),
     );
     let (cell, (cell_scope, watched)) = run_cell_with(&traced, whole, watchers);
+    let snapshot =
+        serde_json::to_string_pretty(&cell_scope.snapshot()).expect("scope snapshot serializes");
+    let report_path = dir.join("scope_report.json");
+    std::fs::write(&report_path, snapshot + "\n").expect("write scope_report.json");
     let exemplars = cell_scope.exemplar_spans();
-    let root_ids: BTreeSet<u64> = watched
-        .tracer
-        .spans()
-        .iter()
-        .filter(|s| {
-            matches!(
-                s.kind,
-                SpanKind::ServiceRequest {
-                    stage: RequestStage::Lifecycle,
-                    ..
-                }
-            )
-        })
-        .map(|s| s.id.0)
-        .collect();
-    for span in &exemplars {
-        assert!(
-            root_ids.contains(span),
-            "exemplar span {span:016x} must resolve to a lifecycle root"
-        );
-    }
     let trace = to_chrome_trace_annotated(&watched.tracer, &watched.series.tracks(), &exemplars);
     let tstats = validate_chrome_trace(&trace).expect("exported trace validates");
     println!(
-        "act 3: fully sampled cell served {} requests; {} exemplar spans all \
-         resolve in a {}-span trace — validator accepts",
+        "act 3: fully sampled cell served {} requests; {} exemplar spans \
+         flagged in a {}-span trace",
         cell.completed(),
         exemplars.len(),
         tstats.complete,
@@ -160,6 +138,10 @@ fn main() {
     }
     let trace_path = dir.join("request_scope_trace.json");
     std::fs::write(&trace_path, trace).expect("write request_scope_trace.json");
-    println!("  wrote {} (open at ui.perfetto.dev)", trace_path.display());
+    println!(
+        "  wrote {} and {} (open at ui.perfetto.dev)",
+        report_path.display(),
+        trace_path.display()
+    );
     println!("done: all acts passed");
 }

@@ -3,11 +3,12 @@
 #
 #   scripts/artifacts.sh OUT [--against DIR]
 #
-# Writes OUT/t1 and OUT/t4 (fifteen artifact files and three captured
-# stdouts each), validates the postmortem pair, and fails unless the two
-# widths are byte-identical. With --against DIR (the OUT of a run of this
-# script on another checkout, e.g. the parent commit) it also fails unless
-# DIR/t1 equals OUT/t1. Run from the repository root.
+# Writes OUT/t1 and OUT/t4; `validate_trace` reads each back from its bytes
+# (the closed set of names, every `schema`, every join) and the rows it
+# prints (file, schema, length, hash) are stored as run_manifest.json. Fails
+# unless OUT/t1 equals OUT/t4 and, with --against DIR (the OUT of this script
+# on another checkout, e.g. the parent commit), DIR/t1: manifests first, so
+# the files that differ are named before `diff -r` shows how.
 set -eu
 
 [ $# -ge 1 ] || { echo "usage: $0 OUT [--against DIR]" >&2; exit 2; }
@@ -24,16 +25,15 @@ for t in 1 4; do
     mkdir -p "$d"
     export LIGHTWAVE_THREADS=$t
     target/release/examples/trace_postmortem --out-dir "$d" >/dev/null
-    target/release/validate_trace "$d/trace.json" "$d/flight.jsonl" >/dev/null
     for e in chaos_hunt fleet_health fabric_service request_scope campus_health; do
         target/release/examples/$e --smoke --out-dir "$d" >/dev/null
     done
     target/release/examples/observability >"$d/observability.stdout"
     target/release/examples/fault_recovery >"$d/fault_recovery.stdout"
-    cp target/trace/fault_recovery_trace.json "$d/"
     target/release/repro --quick >"$d/repro_quick.stdout"
+    target/release/validate_trace "$d" >"$d/run_manifest.json"
 done
-
-diff -r "$out/t1" "$out/t4"
-[ -z "$against" ] || diff -r "$against/t1" "$out/t1"
-echo "artifacts: $(ls "$out/t1" | wc -l) files identical at 1 and 4 threads${against:+ and to $against}"
+same() { diff "$1/run_manifest.json" "$2/run_manifest.json" || :; diff -r "$1" "$2"; }
+same "$out/t1" "$out/t4"
+[ -z "$against" ] || same "$against/t1" "$out/t1"
+echo "artifacts: $(grep -c '"name"' "$out/t1/run_manifest.json") manifest rows identical at 1 and 4 threads${against:+ and to $against}"

@@ -204,15 +204,22 @@ fn write_escaped(s: &str, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Arrays and objects may nest this deep, as in upstream `serde_json`;
+/// the parser recurses once per level, so text from outside the program
+/// must not choose the depth of the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 fn parse(s: &str) -> Result<Content> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -268,8 +275,8 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_keyword("true") => Ok(Content::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Content::Bool(false)),
             Some(b'"') => self.string().map(Content::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             other => Err(Error::new(format!(
                 "unexpected {:?} at offset {}",
@@ -277,6 +284,19 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Content>) -> Result<Content> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "recursion limit exceeded at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Content> {
@@ -425,6 +445,38 @@ impl<'a> Parser<'a> {
             text.parse::<u128>()
                 .map(Content::U128)
                 .map_err(|e| Error::new(format!("bad integer {text:?}: {e}")))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn nest(open: &[&str], close: &[&str], levels: usize) -> String {
+        let opens: String = (0..levels).map(|i| open[i % open.len()]).collect();
+        let closes: String = (0..levels).rev().map(|i| close[i % close.len()]).collect();
+        format!("{opens}1{closes}")
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_128_levels() {
+        let shapes: [(&[&str], &[&str]); 3] = [
+            (&["["], &["]"]),
+            (&["{\"a\":"], &["}"]),
+            (&["[", "{\"a\":"], &["]", "}"]),
+        ];
+        for (open, close) in shapes {
+            assert!(parse(&nest(open, close, MAX_DEPTH)).is_ok(), "{open:?}");
+            let refused = parse(&nest(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert!(
+                refused
+                    .to_string()
+                    .starts_with("recursion limit exceeded at offset"),
+                "{open:?}: {refused}"
+            );
+            // Unclosed, and far past any stack: refused at the same level.
+            assert_eq!(parse(&open.concat().repeat(100_000)).unwrap_err(), refused);
         }
     }
 }

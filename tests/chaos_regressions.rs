@@ -6,6 +6,7 @@
 //! release fails there is no path that returns those cubes to the pool.
 
 use lightwave::chaos::{run_schedule, run_schedule_world, ChaosConfig, FaultKind, FaultSchedule};
+use lightwave_bench::artifacts::fnv1a64;
 
 /// Bug A's schedule. Two-cube slices: their X rings are optical, so every
 /// transaction genuinely touches the down switch's dimension (single-cube
@@ -147,26 +148,20 @@ fn zero_switch_transaction_reconfigures_no_switch() {
     assert_eq!(w.pod.fabric().fleet.iter().count(), 48);
 }
 
-/// FNV-1a, 64 bit: enough to pin an artifact without versioning its bytes.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// The traced resync, pinned at `5863c20` (before
 /// `record_reconfig_traced` became `record_reconfig` + `trace_reconfig`):
 /// a revived switch's reconciliation is the one parentless
 /// `ReconfigCommit` span a chaos world draws, with the four-phase chain
 /// under it only when circuits were added. Span ids depend on allocation
 /// order and the telemetry export on record order, so both exports are
-/// held by length and hash. Service schedule `(1, 19)` is the only one of
+/// held by length and hash — the trace without the `schema` member it has
+/// opened with since PR 23, which is all that capture lacks. Service schedule `(1, 19)` is the only one of
 /// the first 400 generated schedules that emits such a span (a
 /// removal-only resync); the hand-built schedule — bug A's — resyncs
 /// switch 5 onto the second slice's ring, which adds circuits.
 #[test]
 fn traced_resync_matches_the_parent_capture() {
-    use lightwave::trace::{to_chrome_trace, Lane, ReconfigPhase, SpanKind};
+    use lightwave::trace::{to_chrome_trace, Lane, ReconfigPhase, SpanKind, TRACE_SCHEMA};
     type Row = (u64, Lane, u64, u64, SpanKind);
     let check =
         |s: &FaultSchedule, want: &[Row], trace_pin: (usize, u64), jsonl_pin: (usize, u64)| {
@@ -184,10 +179,11 @@ fn traced_resync_matches_the_parent_capture() {
                 .map(|s| (s.id.0, s.lane, s.start.0, s.end.0, s.kind.clone()))
                 .collect();
             assert_eq!(got, want);
-            let trace = to_chrome_trace(&w.tracer);
-            assert_eq!((trace.len(), fnv1a(trace.as_bytes())), trace_pin);
+            let schema = format!("\"schema\":\"{TRACE_SCHEMA}\",");
+            let trace = to_chrome_trace(&w.tracer).replacen(&schema, "", 1);
+            assert_eq!((trace.len(), fnv1a64(trace.as_bytes())), trace_pin);
             let jsonl = w.telemetry.to_jsonl(w.now());
-            assert_eq!((jsonl.len(), fnv1a(jsonl.as_bytes())), jsonl_pin);
+            assert_eq!((jsonl.len(), fnv1a64(jsonl.as_bytes())), jsonl_pin);
         };
 
     let removal_only = SpanKind::ReconfigCommit {

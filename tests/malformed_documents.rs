@@ -1,23 +1,30 @@
 //! Versioned documents are input from outside the program (ROADMAP 2b):
 //! a parser may refuse one, it may never panic on one.
 //!
-//! Four readers so far, the first three fed arbitrary strings and valid
-//! documents with one scalar replaced:
+//! Five readers so far (lwbench's golden and snapshot readers are the
+//! sixth, and sit on the same JSON parser), all but the intent fed
+//! arbitrary strings and valid documents with one scalar replaced:
 //!
-//! - [`CampusHealthDoc::from_json`] (`lightwave/campus-health/v1`);
+//! - [`CampusHealthDoc::from_json`] (`lightwave/campus-health/v2`);
 //! - [`HistogramSnapshot`] / [`ExemplarSnapshot`] and their `restore`,
 //!   which rebuild the dense histogram a snapshot describes — `None` for
 //!   a bucket exponent outside `−128..=127`, a repeated exponent, counts
 //!   that do not sum, a `min`/`max` outside the listed buckets, or
 //!   exemplars without their bucket;
-//! - [`parse_repro`] (`lightwave/chaos-repro/v1`) and [`Repro::replay`],
+//! - [`parse_repro`] (`lightwave/chaos-repro/v2`) and [`Repro::replay`],
 //!   which runs what was parsed through the real control plane: a
 //!   document the parser accepts replays to an outcome whatever switch,
 //!   slot, port or count its events name — the executor rejects an event
 //!   on hardware its world does not have, and counts it;
+//! - [`validate_chrome_trace`] and [`validate_flight_jsonl`], the two
+//!   validators under every trace and bundle the artifact reader opens;
 //! - [`SliceIntent::validate`], the service's only ingress type, and
 //!   [`ServiceCore::submit`] behind it: every field at its edges is refused
 //!   or served on a live pod, in both build profiles alike.
+//!
+//! Under all of them the JSON parser refuses nesting past 128 levels: a
+//! document of 100 000 open brackets used to overflow the stack and abort
+//! the process from any of these entry points.
 
 use lightwave::chaos::{
     parse_repro, write_repro, ChaosConfig, FaultKind, FaultSchedule, Repro, ScheduleOutcome,
@@ -29,8 +36,11 @@ use lightwave::superpod::slice::ShapeError;
 use lightwave::superpod::Superpod;
 use lightwave::telemetry::rollup::{CampusHealthDoc, PortPath, RollupTree};
 use lightwave::telemetry::{
-    BurnRateLedger, ExemplarHistogram, ExemplarSnapshot, HistogramSnapshot,
+    AlarmCause, AlarmRecord, BurnRateLedger, ExemplarHistogram, ExemplarSnapshot, FleetTelemetry,
+    HistogramSnapshot, SeriesStore, Severity,
 };
+use lightwave::trace::validate::{validate_chrome_trace, validate_flight_jsonl};
+use lightwave::trace::{to_chrome_trace_annotated, FlightRecorder, Lane, SpanKind, Tracer};
 use lightwave::units::Nanos;
 use proptest::prelude::*;
 
@@ -56,6 +66,54 @@ fn read_everything(text: &str) {
         let outcome = repro.replay();
         assert!(outcome.events_applied as usize <= repro.schedule.events.len());
     }
+    if let Ok(stats) = validate_chrome_trace(text) {
+        let _ = stats.total();
+    }
+    let _ = validate_flight_jsonl(text);
+}
+
+/// A trace export with every event phase in it (metadata, spans, a flow
+/// pair, an instant, counter samples, an exemplar flag) and the flight
+/// bundle of the Critical on its switch, counter history included.
+fn trace_and_flight() -> (String, String) {
+    let mut tracer = Tracer::new(11);
+    let custom = |name: &str| SpanKind::Custom {
+        name: name.to_string(),
+    };
+    let root = tracer.span(Lane::Control, None, Nanos(0), Nanos(5_000), custom("root"));
+    let a = tracer.span(
+        Lane::Switch(4),
+        Some(root),
+        Nanos(0),
+        Nanos(2_000),
+        custom("a"),
+    );
+    let b = tracer.span(
+        Lane::Switch(4),
+        Some(root),
+        Nanos(2_000),
+        Nanos(5_000),
+        custom("b"),
+    );
+    tracer.link_follows(b, a);
+    tracer.instant(Lane::Switch(4), Nanos(1_000), "alarm");
+    let mut store = SeriesStore::default();
+    let drift = store.series("health_port_drift_db", &[("port", "3"), ("switch", "4")]);
+    store.push_micros(drift, Nanos(1_000), 30_000);
+    store.push_micros(drift, Nanos(2_000), -60_000);
+    let mut telemetry = FleetTelemetry::new();
+    telemetry.ingest_alarm(AlarmRecord {
+        at: Nanos(2_500),
+        severity: Severity::Critical,
+        switch: 4,
+        cause: AlarmCause::ChassisDown,
+    });
+    let mut recorder = FlightRecorder::new(16);
+    recorder.poll_with_series(&tracer, &telemetry, &store, 4);
+    let flight = recorder.latest_dump().expect("dumped").to_jsonl();
+    let exemplars = [a.0].into_iter().collect();
+    let trace = to_chrome_trace_annotated(&tracer, &store.tracks(), &exemplars);
+    (trace, flight)
 }
 
 /// A short schedule with every [`FaultKind`] in it, on a pod that has
@@ -223,11 +281,17 @@ fn each_inconsistency_of_a_snapshot_is_refused() {
 #[test]
 fn every_single_scalar_mutation_of_a_valid_document_returns() {
     let hist = exemplar_histogram();
+    let (trace, flight) = trace_and_flight();
+    let stats = validate_chrome_trace(&trace).expect("the export validates");
+    assert_eq!((stats.complete, stats.flows, stats.counters), (3, 2, 2));
+    assert_eq!(validate_flight_jsonl(&flight), Ok(1 + 3 + 1 + 2));
     let documents = [
         campus_doc(),
         serde_json::to_string(&hist.hist().snapshot()).expect("serializes"),
         serde_json::to_string(&hist.snapshot()).expect("serializes"),
         repro_text(repro_events()),
+        trace,
+        flight,
     ];
     let mut mutants = 0;
     for text in &documents {
@@ -241,9 +305,50 @@ fn every_single_scalar_mutation_of_a_valid_document_returns() {
         }
     }
     assert!(
-        mutants > 2_800,
+        mutants > 8_000,
         "only {mutants} mutants: the spans were lost"
     );
+}
+
+/// A truncated JSON document is never a document; a truncated bundle is
+/// one only where the cut falls between lines.
+#[test]
+fn a_trace_or_a_bundle_cut_short_anywhere_is_refused() {
+    let (trace, flight) = trace_and_flight();
+    for cut in 0..trace.len() {
+        assert!(validate_chrome_trace(&trace[..cut]).is_err(), "byte {cut}");
+    }
+    for cut in 0..flight.len() {
+        let whole_lines = cut > 0 && flight.as_bytes()[cut - 1] == b'\n';
+        // A line cut just before its newline is still that line.
+        let whole_lines = whole_lines || flight.as_bytes()[cut] == b'\n';
+        let read = validate_flight_jsonl(&flight[..cut]);
+        assert_eq!(read.is_ok(), whole_lines, "byte {cut}: {read:?}");
+    }
+}
+
+/// `"[".repeat(100_000)` and its object twin aborted the process with a
+/// stack overflow from every reader in this file (and from lwbench's):
+/// the parser under all of them recursed once per level, without a bound.
+#[test]
+fn nesting_past_the_bound_is_refused_by_every_reader_not_a_stack_overflow() {
+    for deep in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+        let refused = validate_chrome_trace(&deep).unwrap_err();
+        assert!(refused.contains("recursion limit exceeded"), "{refused}");
+        let refused = validate_flight_jsonl(&deep).unwrap_err();
+        assert!(refused.contains("recursion limit exceeded"), "{refused}");
+        assert!(parse_repro(&deep).is_err());
+        assert!(CampusHealthDoc::from_json(&deep).is_err());
+        assert!(serde_json::from_str::<HistogramSnapshot>(&deep).is_err());
+        assert!(serde_json::from_str::<ExemplarSnapshot>(&deep).is_err());
+        // Inside an otherwise valid document too.
+        let nested = format!(r#"{{"displayTimeUnit":"ms","traceEvents":{deep}"#);
+        assert!(validate_chrome_trace(&nested).is_err());
+    }
+    // What the bound leaves alone: nothing this repository writes nests
+    // past ten levels.
+    let (trace, flight) = trace_and_flight();
+    assert!(validate_chrome_trace(&trace).is_ok() && validate_flight_jsonl(&flight).is_ok());
 }
 
 #[test]
@@ -278,9 +383,17 @@ fn a_repro_header_that_lies_is_refused() {
             "{refused}"
         );
     }
-    assert!(with("chaos-repro/v1", "chaos-repro/v2")
-        .unwrap_err()
-        .contains("unsupported format"));
+    for (from, to) in [
+        ("chaos-repro/v2", "chaos-repro/v1"),
+        ("chaos-repro/v2", "chaos-repro/v3"),
+        ("\"schema\"", "\"format\""),
+    ] {
+        let refused = with(from, to).unwrap_err();
+        assert!(
+            refused.contains("unsupported schema") || refused.contains("bad header"),
+            "{refused}"
+        );
+    }
     assert!(with(&count, &count).is_ok());
 }
 
@@ -557,8 +670,14 @@ fn every_intent_field_at_its_edges_is_refused_or_served() {
 
 #[test]
 fn a_wrong_format_tag_is_an_error() {
-    let text = campus_doc().replace("campus-health/v1", "campus-health/v0");
-    assert!(CampusHealthDoc::from_json(&text).is_err());
+    for (from, to) in [
+        ("campus-health/v2", "campus-health/v1"),
+        ("campus-health/v2", "campus-health/v3"),
+        ("\"schema\"", "\"format\""),
+    ] {
+        assert!(campus_doc().contains(from), "{from}");
+        assert!(CampusHealthDoc::from_json(&campus_doc().replace(from, to)).is_err());
+    }
     assert!(CampusHealthDoc::from_json(&campus_doc()).is_ok());
 }
 
@@ -572,10 +691,11 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..200),
         tokens in proptest::collection::vec(
             proptest::sample::select(vec![
-                "{", "}", "[", "]", ",", ":", "\"", "\\", "\"format\"", "\"buckets\"",
+                "{", "}", "[", "]", ",", ":", "\"", "\\", "\"schema\"", "\"buckets\"",
                 "\"count\"", "\"counts\"", "\"exemplars\"", "\"min\"", "null", "true",
                 "-", "0", "1", "200", "-300", "1e400", "1.5", " ", "\n", "\u{e9}",
                 "\"events\"", "\"FailFru\"", "\"slot\"", "\"Preempt\"",
+                "\"traceEvents\"", "\"displayTimeUnit\"", "\"ms\"", "\"ph\"", "\"X\"", "\"C\"",
             ]),
             0..60,
         ),
@@ -591,7 +711,8 @@ proptest! {
         at in any::<usize>(),
         byte in any::<u8>(),
     ) {
-        for text in [campus_doc(), repro_text(repro_events())] {
+        let (trace, flight) = trace_and_flight();
+        for text in [campus_doc(), repro_text(repro_events()), trace, flight] {
             let mut cut = cut % (text.len() + 1);
             while !text.is_char_boundary(cut) {
                 cut -= 1;
