@@ -57,26 +57,39 @@ pub fn at_least_k_of_n(n: u64, k: u64, p: f64) -> f64 {
     math::binomial_tail_gt(n, k - 1, p)
 }
 
+/// Goodput a pod can promise at `target`: the largest slice count m with
+/// P(units up ≥ m·per_slice) ≥ target, as a fraction of pod capacity. The
+/// independently failing unit (up with probability `p_unit`) is the rule
+/// the two fabrics differ in: `units` is told how many slices fit and
+/// answers how many units the pod has and how many one slice needs.
+fn promised_goodput(
+    slice_cubes: usize,
+    p_unit: f64,
+    target: f64,
+    units: impl Fn(usize) -> (usize, usize),
+) -> f64 {
+    assert!(
+        (1..=POD_CUBES).contains(&slice_cubes),
+        "slice must fit the pod"
+    );
+    let slices = POD_CUBES / slice_cubes;
+    let (n, per_slice) = units(slices);
+    let best = (1..=slices)
+        .take_while(|&m| at_least_k_of_n(n as u64, (m * per_slice) as u64, p_unit) >= target)
+        .count();
+    (best * slice_cubes) as f64 / POD_CUBES as f64
+}
+
 /// Goodput of a *reconfigurable* pod running same-size slices of
 /// `slice_cubes` cubes under `target` system availability: the largest
 /// number of slices m such that P(working cubes ≥ m·slice_cubes) ≥ target,
 /// as a fraction of pod capacity. Any working cube can substitute for any
 /// failed one (the OCS re-wires around it).
 pub fn reconfigurable_goodput(slice_cubes: usize, cube_avail: Availability, target: f64) -> f64 {
-    assert!(
-        (1..=POD_CUBES).contains(&slice_cubes),
-        "slice must fit the pod"
-    );
-    let mut best = 0usize;
-    for m in 1..=(POD_CUBES / slice_cubes) {
-        let need = (m * slice_cubes) as u64;
-        if at_least_k_of_n(POD_CUBES as u64, need, cube_avail.prob()) >= target {
-            best = m;
-        } else {
-            break;
-        }
-    }
-    (best * slice_cubes) as f64 / POD_CUBES as f64
+    // Any of the 64 cubes serves any slice.
+    promised_goodput(slice_cubes, cube_avail.prob(), target, |_| {
+        (POD_CUBES, slice_cubes)
+    })
 }
 
 /// Goodput of a *static* pod: the pod is hard-wired into `64/slice_cubes`
@@ -84,21 +97,8 @@ pub fn reconfigurable_goodput(slice_cubes: usize, cube_avail: Availability, targ
 /// is the largest guaranteed-up slice count g with
 /// P(at least g of the wired slices up) ≥ target.
 pub fn static_goodput(slice_cubes: usize, cube_avail: Availability, target: f64) -> f64 {
-    assert!(
-        (1..=POD_CUBES).contains(&slice_cubes),
-        "slice must fit the pod"
-    );
-    let wired = POD_CUBES / slice_cubes;
     let p_slice = cube_avail.prob().powi(slice_cubes as i32);
-    let mut best = 0usize;
-    for g in 1..=wired {
-        if at_least_k_of_n(wired as u64, g as u64, p_slice) >= target {
-            best = g;
-        } else {
-            break;
-        }
-    }
-    (best * slice_cubes) as f64 / POD_CUBES as f64
+    promised_goodput(slice_cubes, p_slice, target, |wired| (wired, 1))
 }
 
 /// One row of the Fig. 15b dataset.

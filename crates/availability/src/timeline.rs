@@ -80,25 +80,88 @@ pub struct TimelineReport {
     pub static_fabric: PolicyOutcome,
 }
 
-/// Simulates both policies against independent failure traces drawn from
-/// the same seed (per-policy traces are statistically identical).
-pub fn simulate(params: &TimelineParams, seed: u64) -> TimelineReport {
-    TimelineReport {
-        reconfigurable: run_policy(params, seed, true),
-        static_fabric: run_policy(params, seed, false),
+/// A parameter the timeline loop cannot run on: the field of
+/// [`TimelineParams`] or [`PreemptParams`] that is out of range, by name.
+///
+/// In range: `slices` and `slice_cubes` at least 1; `cube_mtbf_hours` and
+/// `horizon_hours` positive and finite (an infinite horizon never ends);
+/// `cube_mttr_hours` and the three `*_secs` finite and not negative;
+/// `detector_recall` a probability.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TimelineError {
+    /// The field that is out of range.
+    pub field: &'static str,
+    /// What it held (a count as `f64`).
+    pub value: f64,
+}
+
+impl std::fmt::Display for TimelineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let TimelineError { field, value } = self;
+        write!(f, "timeline parameter `{field}` is out of range: {value}")
     }
 }
 
-fn run_policy(params: &TimelineParams, seed: u64, reconfigurable: bool) -> PolicyOutcome {
-    assert!(params.slice_cubes >= 1 && params.slices >= 1);
-    assert!(params.horizon_hours > 0.0);
-    let mut rng = StdRng::seed_from_u64(seed ^ if reconfigurable { 0xAB } else { 0 });
-    let fail = Exp::<f64>::new(1.0 / params.cube_mtbf_hours).expect("positive rate");
-    let total_cubes = params.slices * params.slice_cubes + params.spare_cubes;
+impl std::error::Error for TimelineError {}
+
+/// What a field may hold.
+type Range = fn(f64) -> bool;
+const AT_LEAST_ONE: Range = |v| v >= 1.0;
+const POSITIVE: Range = |v| v.is_finite() && v > 0.0;
+/// An MTBF whose failure rate the exponential can be built on.
+const FINITE_RATE: Range = |v| POSITIVE(1.0 / v);
+/// A time the loop adds up: NaN or ∞ would poison every total.
+const DURATION: Range = |v| v.is_finite() && v >= 0.0;
+const PROBABILITY: Range = |v| (0.0..=1.0).contains(&v);
+
+/// The first of `(field, value, range)` out of its range, as the error.
+fn check(rows: &[(&'static str, f64, Range)]) -> Result<(), TimelineError> {
+    match rows.iter().find(|(_, value, range)| !range(*value)) {
+        Some(&(field, value, _)) => Err(TimelineError { field, value }),
+        None => Ok(()),
+    }
+}
+
+/// Simulates both policies against independent failure traces drawn from
+/// the same seed (per-policy traces are statistically identical).
+pub fn simulate(params: &TimelineParams, seed: u64) -> Result<TimelineReport, TimelineError> {
+    check(&[("reconfig_secs", params.reconfig_secs, DURATION)])?;
     let reconfig_hours = params.reconfig_secs / 3600.0;
+    let [reconfigurable] = run(params, seed ^ 0xAB, |_| Some([reconfig_hours]))?;
+    let [static_fabric] = run(params, seed, |_| None::<[f64; 1]>)?;
+    Ok(TimelineReport {
+        reconfigurable,
+        static_fabric,
+    })
+}
+
+/// The one event loop: cubes fail as Poisson processes on `stream` and
+/// repair in `cube_mttr_hours`; a failure that hits a running slice asks
+/// `swap_rule` what the fabric does about it. The rule may draw from the
+/// stream, and answers `None` — this fabric cannot swap, the slice waits
+/// out the repair — or the downtime a swap onto a spare costs under each
+/// of the `N` policies being compared on this one trace. A swap the rule
+/// allows still needs a spare that is not itself under repair; without one
+/// the slice waits out the repair under every policy.
+fn run<const N: usize>(
+    p: &TimelineParams,
+    stream: u64,
+    mut swap_rule: impl FnMut(&mut StdRng) -> Option<[f64; N]>,
+) -> Result<[PolicyOutcome; N], TimelineError> {
+    check(&[
+        ("slices", p.slices as f64, AT_LEAST_ONE),
+        ("slice_cubes", p.slice_cubes as f64, AT_LEAST_ONE),
+        ("cube_mtbf_hours", p.cube_mtbf_hours, FINITE_RATE),
+        ("cube_mttr_hours", p.cube_mttr_hours, DURATION),
+        ("horizon_hours", p.horizon_hours, POSITIVE),
+    ])?;
+
+    let mut rng = StdRng::seed_from_u64(stream);
+    let fail = Exp::<f64>::new(1.0 / p.cube_mtbf_hours).expect("checked: a positive finite rate");
+    let total_cubes = p.slices * p.slice_cubes + p.spare_cubes;
 
     // Event-driven over per-cube next-failure times and repair
-    // completions. State per slice: up since / down until.
+    // completions.
     #[derive(Clone, Copy)]
     struct CubeState {
         next_failure: f64,
@@ -111,68 +174,62 @@ fn run_policy(params: &TimelineParams, seed: u64, reconfigurable: bool) -> Polic
             repaired_at: 0.0,
         })
         .collect();
-    // Slice i currently uses cubes [assignment[i] .. ] — for the static
-    // fabric the assignment is fixed; for the reconfigurable one, a
-    // failed member is replaced by any repaired/spare cube.
-    let mut assignment: Vec<Vec<usize>> = (0..params.slices)
-        .map(|s| (s * params.slice_cubes..(s + 1) * params.slice_cubes).collect())
+    // Slice i currently uses cubes assignment[i]; a swap replaces the
+    // failed member by any spare that is not under repair.
+    let mut assignment: Vec<Vec<usize>> = (0..p.slices)
+        .map(|s| (s * p.slice_cubes..(s + 1) * p.slice_cubes).collect())
         .collect();
-    let mut spares: Vec<usize> = (params.slices * params.slice_cubes..total_cubes).collect();
+    let mut spares: Vec<usize> = (p.slices * p.slice_cubes..total_cubes).collect();
 
-    let mut down_hours = 0.0f64;
+    let mut down_hours = [0.0f64; N];
     let mut failures = 0u64;
     let mut now = 0.0f64;
-    while now < params.horizon_hours {
+    while now < p.horizon_hours {
         // Next failure of any cube that is currently in service.
         let (idx, t) = cubes
             .iter()
             .enumerate()
             .map(|(i, c)| (i, c.next_failure.max(c.repaired_at)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("event times are never NaN"))
             .expect("cubes exist");
         // (A failure scheduled during repair fires after the repair.)
         now = t;
-        if now >= params.horizon_hours {
+        if now >= p.horizon_hours {
             break;
         }
-        let repaired_at = now + params.cube_mttr_hours;
+        let repaired_at = now + p.cube_mttr_hours;
         cubes[idx].repaired_at = repaired_at;
         cubes[idx].next_failure = repaired_at + fail.sample(&mut rng);
 
         // Which slice (if any) lost a member?
         if let Some(slice) = assignment.iter().position(|a| a.contains(&idx)) {
             failures += 1;
-            if reconfigurable {
-                // Swap for a spare that is not itself under repair.
-                let spare_pos = spares.iter().position(|&s| cubes[s].repaired_at <= now);
-                match spare_pos {
-                    Some(pos) => {
-                        let spare = spares.remove(pos);
-                        let member = assignment[slice]
-                            .iter_mut()
-                            .find(|m| **m == idx)
-                            .expect("member present");
-                        *member = spare;
-                        spares.push(idx); // the broken cube repairs in the pool
-                        down_hours += reconfig_hours;
-                    }
-                    None => {
-                        // No spare: the slice waits for this cube's repair.
-                        down_hours += params.cube_mttr_hours;
-                    }
-                }
-            } else {
-                down_hours += params.cube_mttr_hours;
+            // The rule speaks (and draws) before the pool is looked at, so
+            // a stream never depends on whether a spare happened to be free.
+            let swapped = swap_rule(&mut rng).and_then(|cost| {
+                let pos = spares.iter().position(|&s| cubes[s].repaired_at <= now)?;
+                let spare = spares.remove(pos);
+                let member = assignment[slice]
+                    .iter_mut()
+                    .find(|m| **m == idx)
+                    .expect("member present");
+                *member = spare;
+                spares.push(idx); // the broken cube repairs in the pool
+                Some(cost)
+            });
+            let cost = swapped.unwrap_or([p.cube_mttr_hours; N]);
+            for (total, hours) in down_hours.iter_mut().zip(cost) {
+                *total += hours;
             }
         }
     }
 
-    let slice_hours = params.slices as f64 * params.horizon_hours;
-    PolicyOutcome {
+    let slice_hours = p.slices as f64 * p.horizon_hours;
+    Ok(down_hours.map(|down_hours| PolicyOutcome {
         delivered: 1.0 - (down_hours / slice_hours).min(1.0),
         failures,
         down_hours,
-    }
+    }))
 }
 
 /// Parameters of a preempt-vs-react comparison (the fleet-health
@@ -222,109 +279,40 @@ pub struct PreemptReport {
     pub preemptive: PolicyOutcome,
     /// Advisor off: every failure is an emergency swap.
     pub reactive: PolicyOutcome,
-    /// Failures the detectors caught ahead of time (same count in both
-    /// policies — the reactive run draws but ignores the catches).
+    /// Failures the detectors caught ahead of time (one draw per failure,
+    /// which the reactive policy ignores).
     pub caught: u64,
 }
 
 /// Simulates the advisor-on and advisor-off policies against the *same*
-/// failure trace and the *same* detector-catch draws (one seed, one
-/// stream), so the comparison is per-event paired, not just
-/// statistically matched.
-pub fn simulate_preempt(params: &PreemptParams, seed: u64) -> PreemptReport {
-    let (preemptive, caught) = run_preempt(params, seed, true);
-    let (reactive, _) = run_preempt(params, seed, false);
-    PreemptReport {
+/// failure trace and the *same* detector-catch draws: one pass over one
+/// stream with a downtime total per policy, so the comparison is paired
+/// per event by construction.
+pub fn simulate_preempt(params: &PreemptParams, seed: u64) -> Result<PreemptReport, TimelineError> {
+    use rand::Rng;
+    check(&[
+        ("detector_recall", params.detector_recall, PROBABILITY),
+        ("drain_secs", params.drain_secs, DURATION),
+        ("emergency_secs", params.emergency_secs, DURATION),
+    ])?;
+    let drain_hours = params.drain_secs / 3600.0;
+    let emergency_hours = params.emergency_secs / 3600.0;
+    let mut caught = 0u64;
+    let [preemptive, reactive] = run(&params.base, seed ^ 0x9E37, |rng| {
+        let detected = rng.random_bool(params.detector_recall);
+        caught += u64::from(detected);
+        let advised = if detected {
+            drain_hours
+        } else {
+            emergency_hours
+        };
+        Some([advised, emergency_hours])
+    })?;
+    Ok(PreemptReport {
         preemptive,
         reactive,
         caught,
-    }
-}
-
-fn run_preempt(params: &PreemptParams, seed: u64, advisor: bool) -> (PolicyOutcome, u64) {
-    use rand::Rng;
-    let p = &params.base;
-    assert!((0.0..=1.0).contains(&params.detector_recall));
-    assert!(p.slice_cubes >= 1 && p.slices >= 1 && p.horizon_hours > 0.0);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37);
-    let fail = Exp::<f64>::new(1.0 / p.cube_mtbf_hours).expect("positive rate");
-    let total_cubes = p.slices * p.slice_cubes + p.spare_cubes;
-    let drain_hours = params.drain_secs / 3600.0;
-    let emergency_hours = params.emergency_secs / 3600.0;
-
-    #[derive(Clone, Copy)]
-    struct CubeState {
-        next_failure: f64,
-        repaired_at: f64,
-    }
-    let mut cubes: Vec<CubeState> = (0..total_cubes)
-        .map(|_| CubeState {
-            next_failure: fail.sample(&mut rng),
-            repaired_at: 0.0,
-        })
-        .collect();
-    let mut assignment: Vec<Vec<usize>> = (0..p.slices)
-        .map(|s| (s * p.slice_cubes..(s + 1) * p.slice_cubes).collect())
-        .collect();
-    let mut spares: Vec<usize> = (p.slices * p.slice_cubes..total_cubes).collect();
-
-    let mut down_hours = 0.0f64;
-    let mut failures = 0u64;
-    let mut caught = 0u64;
-    let mut now = 0.0f64;
-    while now < p.horizon_hours {
-        let (idx, t) = cubes
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, c.next_failure.max(c.repaired_at)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-            .expect("cubes exist");
-        now = t;
-        if now >= p.horizon_hours {
-            break;
-        }
-        let repaired_at = now + p.cube_mttr_hours;
-        cubes[idx].repaired_at = repaired_at;
-        cubes[idx].next_failure = repaired_at + fail.sample(&mut rng);
-
-        if let Some(slice) = assignment.iter().position(|a| a.contains(&idx)) {
-            failures += 1;
-            // Draw the detector verdict unconditionally so the
-            // advisor-off run consumes the identical stream.
-            let detected = rng.random_bool(params.detector_recall);
-            if detected {
-                caught += 1;
-            }
-            let spare_pos = spares.iter().position(|&s| cubes[s].repaired_at <= now);
-            match spare_pos {
-                Some(pos) => {
-                    let spare = spares.remove(pos);
-                    let member = assignment[slice]
-                        .iter_mut()
-                        .find(|m| **m == idx)
-                        .expect("member present");
-                    *member = spare;
-                    spares.push(idx);
-                    down_hours += if advisor && detected {
-                        drain_hours
-                    } else {
-                        emergency_hours
-                    };
-                }
-                None => down_hours += p.cube_mttr_hours,
-            }
-        }
-    }
-
-    let slice_hours = p.slices as f64 * p.horizon_hours;
-    (
-        PolicyOutcome {
-            delivered: 1.0 - (down_hours / slice_hours).min(1.0),
-            failures,
-            down_hours,
-        },
-        caught,
-    )
+    })
 }
 
 #[cfg(test)]
@@ -335,7 +323,7 @@ mod tests {
     fn reconfiguration_speed_is_the_whole_game() {
         // Same failure statistics, four-orders-of-magnitude different
         // per-failure downtime.
-        let report = simulate(&TimelineParams::production_year(), 42);
+        let report = simulate(&TimelineParams::production_year(), 42).unwrap();
         let r = report.reconfigurable;
         let s = report.static_fabric;
         assert!(
@@ -356,7 +344,7 @@ mod tests {
         // Expected static slice unavailability ≈ k·MTTR/MTBF (small-rate
         // approximation of 1 − A_c^k).
         let p = TimelineParams::production_year();
-        let report = simulate(&p, 7);
+        let report = simulate(&p, 7).unwrap();
         let per_cube_unavail = p.cube_mttr_hours / (p.cube_mtbf_hours + p.cube_mttr_hours);
         let expected = 1.0 - (1.0 - per_cube_unavail).powi(p.slice_cubes as i32);
         let measured = 1.0 - report.static_fabric.delivered;
@@ -372,7 +360,7 @@ mod tests {
             cube_mtbf_hours: 1e12,
             ..TimelineParams::production_year()
         };
-        let report = simulate(&p, 3);
+        let report = simulate(&p, 3).unwrap();
         assert_eq!(report.reconfigurable.failures, 0);
         assert_eq!(report.reconfigurable.delivered, 1.0);
         assert_eq!(report.static_fabric.delivered, 1.0);
@@ -386,7 +374,7 @@ mod tests {
             spare_cubes: 0,
             ..TimelineParams::production_year()
         };
-        let report = simulate(&p, 11);
+        let report = simulate(&p, 11).unwrap();
         let gap = (report.reconfigurable.delivered - report.static_fabric.delivered).abs();
         assert!(
             gap < 0.01,
@@ -403,7 +391,7 @@ mod tests {
     #[test]
     fn preempt_beats_react_on_the_paired_trace() {
         let p = PreemptParams::production_year();
-        let report = simulate_preempt(&p, 42);
+        let report = simulate_preempt(&p, 42).unwrap();
         // Identical failure traces by construction.
         assert_eq!(report.preemptive.failures, report.reactive.failures);
         assert!(report.caught > 0 && report.caught <= report.preemptive.failures);
@@ -423,7 +411,7 @@ mod tests {
             detector_recall: 0.0,
             ..PreemptParams::production_year()
         };
-        let report = simulate_preempt(&p, 9);
+        let report = simulate_preempt(&p, 9).unwrap();
         assert_eq!(report.caught, 0);
         assert_eq!(report.preemptive, report.reactive);
     }

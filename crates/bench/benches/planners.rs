@@ -33,7 +33,7 @@ fn te_solver(c: &mut Criterion) {
 
 fn flow_allocation(c: &mut Criterion) {
     let tm = TrafficMatrix::hotspot(16, 40.0, 8, 30.0, 3);
-    let mesh = te::engineer(&tm, 30);
+    let mesh = te::engineer(&tm, 30).expect("the budget reaches every peer");
     c.bench_function("flowsim_allocate_16_abs", |b| {
         b.iter(|| black_box(flowsim::allocate(black_box(&mesh), &tm, 100.0)))
     });

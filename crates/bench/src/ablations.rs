@@ -236,7 +236,7 @@ pub fn hybrid1() -> ExperimentResult {
 /// versus hardware repair (the time-domain view of §4.2.2).
 pub fn timeline1() -> ExperimentResult {
     let params = TimelineParams::production_year();
-    let report = simulate(&params, 42);
+    let report = simulate(&params, 42).expect("the production year is a runnable timeline");
     let r = report.reconfigurable;
     let s = report.static_fabric;
     let lines = vec![
@@ -284,7 +284,9 @@ pub fn timeline1() -> ExperimentResult {
 
 /// Extension — the campus use case: TE tracking service lifecycles.
 pub fn campus1() -> ExperimentResult {
-    let report = CampusSim::default_campus().run(40, 42);
+    let report = CampusSim::default_campus()
+        .run(40, 42)
+        .expect("the budget reaches every peer");
     let gain = report.aggregate_gain();
     let preserved = report.mean_preserved_fraction();
     let mut lines = vec![format!(

@@ -505,7 +505,7 @@ pub fn dcn2() -> ExperimentResult {
         ("gravity", TrafficMatrix::gravity(16, 40.0, 7)),
         ("hotspot", TrafficMatrix::hotspot(16, 40.0, 8, 30.0, 3)),
     ] {
-        let plan = planner.plan(&tm);
+        let plan = planner.plan(&tm).expect("the budget reaches every peer");
         lines.push(format!(
             "{:<7} | {:>17.2}x | {:>14.1}%",
             name,

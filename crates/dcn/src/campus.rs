@@ -10,7 +10,7 @@
 
 use crate::flowsim;
 use crate::realize::MeshPlacement;
-use crate::te::engineer;
+use crate::te::{engineer, TeError};
 use crate::topology::Mesh;
 use crate::traffic::TrafficMatrix;
 use lightwave_telemetry::rollup::{PortPath, RollupTree};
@@ -176,8 +176,9 @@ impl CampusSim {
         TrafficMatrix::new(demand)
     }
 
-    /// Runs `epochs` epochs of the campus lifecycle.
-    pub fn run(&self, epochs: usize, seed: u64) -> CampusReport {
+    /// Runs `epochs` epochs of the campus lifecycle. Refused if
+    /// [`uplinks`](CampusSim::uplinks) cannot reach every other cluster.
+    pub fn run(&self, epochs: usize, seed: u64) -> Result<CampusReport, TeError> {
         assert!(epochs > 0, "need at least one epoch");
         let services = self.generate_services(epochs, seed);
         let static_mesh = Mesh::uniform(self.clusters, self.uplinks);
@@ -189,7 +190,7 @@ impl CampusSim {
                 .iter()
                 .filter(|s| s.start <= epoch && epoch < s.end)
                 .count();
-            let mesh = engineer(&tm, self.uplinks);
+            let mesh = engineer(&tm, self.uplinks)?;
             let placement =
                 MeshPlacement::place_with_hint(&mesh, self.uplinks, prev_placement.as_ref())
                     .expect("degree fits the uplink budget");
@@ -221,7 +222,7 @@ impl CampusSim {
             });
             prev_placement = Some(placement);
         }
-        CampusReport { epochs: rows }
+        Ok(CampusReport { epochs: rows })
     }
 }
 
@@ -231,7 +232,7 @@ mod tests {
 
     #[test]
     fn tracking_te_beats_static_in_aggregate() {
-        let report = CampusSim::default_campus().run(30, 42);
+        let report = CampusSim::default_campus().run(30, 42).unwrap();
         let gain = report.aggregate_gain();
         assert!(
             gain > 1.03,
@@ -251,7 +252,7 @@ mod tests {
 
     #[test]
     fn churn_is_incremental_not_forklift() {
-        let report = CampusSim::default_campus().run(30, 7);
+        let report = CampusSim::default_campus().run(30, 7).unwrap();
         let preserved = report.mean_preserved_fraction();
         assert!(
             preserved > 0.5,
@@ -283,14 +284,14 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = CampusSim::default_campus().run(10, 3);
-        let b = CampusSim::default_campus().run(10, 3);
+        let a = CampusSim::default_campus().run(10, 3).unwrap();
+        let b = CampusSim::default_campus().run(10, 3).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn report_folds_into_the_campus_rollup() {
-        let report = CampusSim::default_campus().run(10, 3);
+        let report = CampusSim::default_campus().run(10, 3).unwrap();
         let mut tree = RollupTree::new();
         report.fold_into_rollup(&mut tree, 2, Nanos::from_secs_f64(60.0));
         tree.scrape();

@@ -187,7 +187,7 @@ mod tests {
         let uplinks = 30;
         let tm = TrafficMatrix::hotspot(n, 40.0, 8, 30.0, 3);
         let uniform = allocate(&Mesh::uniform(n, uplinks), &tm, 100.0);
-        let engineered = allocate(&engineer(&tm, uplinks), &tm, 100.0);
+        let engineered = allocate(&engineer(&tm, uplinks).unwrap(), &tm, 100.0);
         let tput_gain = engineered.throughput / uniform.throughput;
         let fct_gain = (uniform.mean_fct - engineered.mean_fct) / uniform.mean_fct;
         assert!(
@@ -205,7 +205,7 @@ mod tests {
         let n = 12;
         let tm = TrafficMatrix::uniform(n, 12.0);
         let uniform = allocate(&Mesh::uniform(n, 22), &tm, 100.0);
-        let engineered = allocate(&engineer(&tm, 22), &tm, 100.0);
+        let engineered = allocate(&engineer(&tm, 22).unwrap(), &tm, 100.0);
         let ratio = engineered.throughput / uniform.throughput;
         assert!((0.95..1.05).contains(&ratio), "ratio {ratio}");
     }

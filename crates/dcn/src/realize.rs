@@ -350,7 +350,7 @@ mod tests {
     #[test]
     fn placement_is_port_disjoint_per_switch() {
         let tm = TrafficMatrix::hotspot(12, 10.0, 5, 20.0, 7);
-        let mesh = engineer(&tm, 22);
+        let mesh = engineer(&tm, 22).unwrap();
         let placement = MeshPlacement::place(&mesh, 24).unwrap();
         let mut seen = std::collections::BTreeSet::new();
         for (&(i, j), legs) in &placement.trunks {
@@ -393,7 +393,7 @@ mod tests {
         fabric.advance(Nanos::from_millis(400));
 
         let tm = TrafficMatrix::hotspot(16, 10.0, 6, 25.0, 3);
-        let engineered = engineer(&tm, 30);
+        let engineered = engineer(&tm, 30).unwrap();
         let report = fabric.install(&engineered).unwrap();
         assert!(
             report.untouched > 50,

@@ -14,17 +14,49 @@
 use crate::topology::Mesh;
 use crate::traffic::TrafficMatrix;
 
+/// Why no mesh can be engineered for a matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TeError {
+    /// The per-AB budget is below the connectivity floor of one trunk to
+    /// every peer, which transit routing relies on.
+    BudgetBelowConnectivityFloor {
+        /// The budget asked for.
+        uplinks_per_ab: usize,
+        /// The other ABs each AB must reach.
+        peers: usize,
+    },
+}
+
+impl std::fmt::Display for TeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TeError::BudgetBelowConnectivityFloor {
+                uplinks_per_ab,
+                peers,
+            } => write!(
+                f,
+                "{uplinks_per_ab} uplinks per AB cannot reach {peers} peers: \
+                 the connectivity floor is one trunk each"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TeError {}
+
 /// Builds a demand-proportional mesh.
 ///
-/// Every AB pair gets at least one trunk (connectivity floor, so long as
-/// the budget allows: `uplinks_per_ab ≥ n−1`), and each AB's remaining
-/// budget is split across peers by demand share.
-pub fn engineer(tm: &TrafficMatrix, uplinks_per_ab: usize) -> Mesh {
+/// Every AB pair gets at least one trunk (the connectivity floor), and
+/// each AB's remaining budget is split across peers by demand share. A
+/// budget below the floor (`uplinks_per_ab < n−1`) is refused.
+pub fn engineer(tm: &TrafficMatrix, uplinks_per_ab: usize) -> Result<Mesh, TeError> {
     let n = tm.n();
-    assert!(
-        uplinks_per_ab >= n - 1,
-        "need at least one uplink per peer for the connectivity floor"
-    );
+    if uplinks_per_ab < n - 1 {
+        return Err(TeError::BudgetBelowConnectivityFloor {
+            uplinks_per_ab,
+            peers: n - 1,
+        });
+    }
     let mut mesh = Mesh::empty(n, uplinks_per_ab);
 
     // Symmetric demand per unordered pair.
@@ -101,7 +133,7 @@ pub fn engineer(tm: &TrafficMatrix, uplinks_per_ab: usize) -> Mesh {
             None => break,
         }
     }
-    mesh
+    Ok(mesh)
 }
 
 #[cfg(test)]
@@ -111,7 +143,7 @@ mod tests {
     #[test]
     fn uniform_demand_yields_uniformish_mesh() {
         let tm = TrafficMatrix::uniform(8, 10.0);
-        let mesh = engineer(&tm, 21); // 3 per peer
+        let mesh = engineer(&tm, 21).unwrap(); // 3 per peer
         for i in 0..8 {
             for j in 0..8 {
                 if i != j {
@@ -130,7 +162,7 @@ mod tests {
     #[test]
     fn hot_pairs_get_more_trunks() {
         let tm = TrafficMatrix::hotspot(8, 2.0, 3, 20.0, 5);
-        let mesh = engineer(&tm, 28);
+        let mesh = engineer(&tm, 28).unwrap();
         // Find a hot pair and a cold pair.
         let mut hot_trunks = 0;
         let mut cold_trunks = usize::MAX;
@@ -164,7 +196,7 @@ mod tests {
             }
         }
         let tm = TrafficMatrix::new(demand);
-        let mesh = engineer(&tm, 10);
+        let mesh = engineer(&tm, 10).unwrap();
         assert!(mesh.connected());
         for i in 0..6 {
             for j in 0..6 {
@@ -183,16 +215,21 @@ mod tests {
     fn budgets_always_respected() {
         for seed in 0..5 {
             let tm = TrafficMatrix::gravity(12, 10.0, seed);
-            let mesh = engineer(&tm, 22);
+            let mesh = engineer(&tm, 22).unwrap();
             assert!(mesh.within_budget(), "seed {seed}");
             assert!(mesh.connected(), "seed {seed}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "connectivity floor")]
     fn insufficient_budget_rejected() {
         let tm = TrafficMatrix::uniform(10, 1.0);
-        let _ = engineer(&tm, 5);
+        let refused = TeError::BudgetBelowConnectivityFloor {
+            uplinks_per_ab: 8,
+            peers: 9,
+        };
+        assert_eq!(engineer(&tm, 8), Err(refused));
+        assert!(refused.to_string().contains("connectivity floor"));
+        assert!(engineer(&tm, 9).is_ok());
     }
 }

@@ -12,7 +12,7 @@ proptest! {
     fn engineered_meshes_place_cleanly(seed in 0u64..200, n in 4usize..16) {
         let uplinks = 2 * (n - 1);
         let tm = TrafficMatrix::gravity(n, 15.0, seed);
-        let mesh = engineer(&tm, uplinks);
+        let mesh = engineer(&tm, uplinks).unwrap();
         let placement = MeshPlacement::place(&mesh, uplinks).expect("degree ≤ switches");
         // Circuit count equals total trunks.
         let trunk_total: usize = (0..n)
@@ -35,7 +35,7 @@ proptest! {
         // Re-placing the SAME mesh with itself as hint keeps every trunk
         // on its switch.
         let tm = TrafficMatrix::gravity(10, 12.0, seed);
-        let mesh = engineer(&tm, 18);
+        let mesh = engineer(&tm, 18).unwrap();
         let first = MeshPlacement::place(&mesh, 18).expect("places");
         let second = MeshPlacement::place_with_hint(&mesh, 18, Some(&first)).expect("places");
         prop_assert_eq!(first, second);
@@ -58,7 +58,7 @@ proptest! {
         let tm = TrafficMatrix::gravity(10, 40.0, seed);
         let uplinks = 18;
         let uni = flowsim::allocate(&Mesh::uniform(10, uplinks), &tm, 100.0);
-        let eng = flowsim::allocate(&engineer(&tm, uplinks), &tm, 100.0);
+        let eng = flowsim::allocate(&engineer(&tm, uplinks).unwrap(), &tm, 100.0);
         prop_assert!(
             eng.throughput >= 0.9 * uni.throughput,
             "TE {} vs uniform {}",

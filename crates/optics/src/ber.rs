@@ -109,38 +109,60 @@ impl Pam4Receiver {
         self.rate.rx_bandwidth().ghz() * 1e9
     }
 
-    /// The M optical level powers (in watts) for a given received average
-    /// power, equally spaced between the extinction-ratio extremes.
-    pub fn level_powers_w(&self, received: Dbm) -> Vec<f64> {
+    /// The receiver at one operating point — the one place the level
+    /// powers (equally spaced between the extinction-ratio extremes around
+    /// the received average), the noise terms and the OIM factor are worked
+    /// out; `ber`, `thresholds` and the Monte-Carlo channel all read it.
+    pub(crate) fn level_plan(
+        &self,
+        received: Dbm,
+        mpi_ratio: f64,
+        oim: Option<OimConfig>,
+    ) -> LevelPlan {
         let effective = received - self.implementation_penalty;
-        let p_avg_w = effective.milliwatts().mw() * 1e-3;
+        let p_received_w = effective.milliwatts().mw() * 1e-3;
         let er = self.extinction_ratio;
-        let p_min = 2.0 * p_avg_w / (er + 1.0);
+        let p_min = 2.0 * p_received_w / (er + 1.0);
         let p_max = er * p_min;
-        let m = self.rate.line_code().levels();
-        (0..m)
-            .map(|i| p_min + (p_max - p_min) * i as f64 / (m - 1) as f64)
-            .collect()
-    }
-
-    /// Noise standard deviation (amps) at a given optical level power.
-    fn sigma_at_level(&self, p_level_w: f64, p_avg_w: f64, mpi_ratio: f64) -> f64 {
+        let levels = self.rate.line_code().levels();
+        let mut powers_w = [0.0; MAX_LEVELS];
+        for (i, p) in powers_w[..levels].iter_mut().enumerate() {
+            *p = p_min + (p_max - p_min) * i as f64 / (levels - 1) as f64;
+        }
+        let p_avg_w = powers_w[..levels].iter().sum::<f64>() / levels as f64;
+        let m_eff = match oim {
+            Some(cfg) => mpi_ratio * cfg.mpi_power_factor(),
+            None => mpi_ratio,
+        };
         let b = self.bandwidth_hz();
-        let i_level = self.responsivity * p_level_w;
         let thermal = self.thermal_noise_density * self.thermal_noise_density * b;
-        let shot = 2.0 * Q_ELECTRON * i_level * b;
-        let rin = self.rin * i_level * i_level * b;
+        let currents = powers_w.map(|p| self.responsivity * p);
+        let additive_var = currents.map(|i| {
+            let shot = 2.0 * Q_ELECTRON * i * b;
+            let rin = self.rin * i * i * b;
+            thermal + shot + rin
+        });
         // Carrier-carrier beat: i_beat = 2R√(P_level·P_mpi)·cos φ with
         // P_mpi = m·P_avg; mean-square over φ and polarization gives
         // σ² = 2·ξ·m·R²·P_level·P_avg.
-        let mpi = 2.0
-            * self.mpi_xi
-            * mpi_ratio
-            * self.responsivity
-            * self.responsivity
-            * p_level_w
-            * p_avg_w;
-        (thermal + shot + rin + mpi).sqrt()
+        let sigma = std::array::from_fn(|l| {
+            let mpi = 2.0
+                * self.mpi_xi
+                * m_eff
+                * self.responsivity
+                * self.responsivity
+                * powers_w[l]
+                * p_avg_w;
+            (additive_var[l] + mpi).sqrt()
+        });
+        LevelPlan {
+            levels,
+            powers_w,
+            currents,
+            additive_var,
+            sigma,
+            p_mpi_w: m_eff * p_avg_w,
+        }
     }
 
     /// Pre-FEC BER at a received average power, for a given linear MPI
@@ -150,21 +172,13 @@ impl Pam4Receiver {
             mpi_ratio >= 0.0 && mpi_ratio.is_finite(),
             "MPI ratio must be finite and >= 0, got {mpi_ratio}"
         );
-        let m_eff = match oim {
-            Some(cfg) => mpi_ratio * cfg.mpi_power_factor(),
-            None => mpi_ratio,
-        };
-        let levels = self.level_powers_w(received);
-        let m = levels.len();
-        let p_avg_w = levels.iter().sum::<f64>() / m as f64;
-        let delta_i = self.responsivity * (levels[m - 1] - levels[0]) / (m - 1) as f64;
-        let sigmas: Vec<f64> = levels
-            .iter()
-            .map(|&p| self.sigma_at_level(p, p_avg_w, m_eff))
-            .collect();
+        let plan = self.level_plan(received, mpi_ratio, oim);
+        let m = plan.levels;
+        let delta_i =
+            self.responsivity * (plan.powers_w[m - 1] - plan.powers_w[0]) / (m - 1) as f64;
         let mut sum_q = 0.0;
         for t in 0..(m - 1) {
-            let q_arg = delta_i / (sigmas[t] + sigmas[t + 1]);
+            let q_arg = delta_i / (plan.sigma[t] + plan.sigma[t + 1]);
             sum_q += math::q_function(q_arg);
         }
         let bits = self.rate.line_code().bits_per_symbol() as f64;
@@ -175,24 +189,8 @@ impl Pam4Receiver {
     /// noise-weighted midpoints between adjacent levels. Exposed so the
     /// Monte-Carlo simulator slices with the same thresholds.
     pub fn thresholds(&self, received: Dbm, mpi_ratio: f64, oim: Option<OimConfig>) -> Vec<f64> {
-        let m_eff = match oim {
-            Some(cfg) => mpi_ratio * cfg.mpi_power_factor(),
-            None => mpi_ratio,
-        };
-        let levels = self.level_powers_w(received);
-        let m = levels.len();
-        let p_avg_w = levels.iter().sum::<f64>() / m as f64;
-        let currents: Vec<f64> = levels.iter().map(|&p| self.responsivity * p).collect();
-        let sigmas: Vec<f64> = levels
-            .iter()
-            .map(|&p| self.sigma_at_level(p, p_avg_w, m_eff))
-            .collect();
-        (0..m - 1)
-            .map(|t| {
-                (currents[t] * sigmas[t + 1] + currents[t + 1] * sigmas[t])
-                    / (sigmas[t] + sigmas[t + 1])
-            })
-            .collect()
+        let plan = self.level_plan(received, mpi_ratio, oim);
+        (0..plan.levels - 1).map(|t| plan.threshold(t)).collect()
     }
 
     /// Receiver sensitivity: the lowest received power achieving
@@ -220,27 +218,34 @@ impl Pam4Receiver {
     }
 }
 
-/// Convenience: full BER model bundling a receiver with an MPI operating
-/// point, as used by the figure-reproduction harness.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BerModel {
-    /// The receiver.
-    pub receiver: Pam4Receiver,
-    /// Linear interferer-to-signal MPI ratio.
-    pub mpi_ratio: f64,
-    /// OIM configuration, if the DSP block is enabled.
-    pub oim: Option<OimConfig>,
+/// The most levels a line code has (PAM4).
+const MAX_LEVELS: usize = 4;
+
+/// A [`Pam4Receiver`] at one (power, MPI, OIM) operating point, held on
+/// the stack. Entries past `levels` describe a dark level (zero power,
+/// thermal noise only) and are never read; all four are always computed
+/// so the loops have a fixed length.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LevelPlan {
+    /// Amplitude levels in use: 2 for NRZ, 4 for PAM4.
+    pub levels: usize,
+    /// Optical power of each level, watts.
+    pub powers_w: [f64; MAX_LEVELS],
+    /// Photocurrent of each level, amps.
+    pub currents: [f64; MAX_LEVELS],
+    /// Thermal + shot + RIN noise variance at each level, amps².
+    pub additive_var: [f64; MAX_LEVELS],
+    /// Total noise σ at each level, MPI beat included, amps.
+    pub sigma: [f64; MAX_LEVELS],
+    /// Interferer power after OIM, watts.
+    pub p_mpi_w: f64,
 }
 
-impl BerModel {
-    /// BER at a received power.
-    pub fn ber(&self, received: Dbm) -> Ber {
-        self.receiver.ber(received, self.mpi_ratio, self.oim)
-    }
-
-    /// Sensitivity at a target BER.
-    pub fn sensitivity(&self, target: Ber) -> Option<Dbm> {
-        self.receiver.sensitivity(target, self.mpi_ratio, self.oim)
+impl LevelPlan {
+    /// The noise-weighted midpoint between levels `t` and `t + 1`, amps.
+    pub fn threshold(&self, t: usize) -> f64 {
+        let (i, s) = (&self.currents, &self.sigma);
+        (i[t] * s[t + 1] + i[t + 1] * s[t]) / (s[t] + s[t + 1])
     }
 }
 

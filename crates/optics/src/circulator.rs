@@ -35,13 +35,6 @@ impl PolMatrix {
         PolMatrix([[c, -s], [s, c]])
     }
 
-    /// Half-wave plate with fast axis at `theta` radians: reflects the
-    /// polarization about the axis (det = −1, reciprocal).
-    pub fn half_wave_plate(theta: f64) -> PolMatrix {
-        let (s2, c2) = (2.0 * theta).sin_cos();
-        PolMatrix([[c2, s2], [s2, -c2]])
-    }
-
     /// Matrix product `self · rhs` (apply `rhs` first).
     pub fn then(self, rhs: PolMatrix) -> PolMatrix {
         let a = self.0;
@@ -317,11 +310,6 @@ mod tests {
         let r90 = PolMatrix::rotation(std::f64::consts::FRAC_PI_2);
         let v = r90.apply([1.0, 0.0]);
         assert!(close(v[0], 0.0, 1e-12) && close(v[1], 1.0, 1e-12));
-        // HWP at 22.5° maps p → 45° linear.
-        let h = PolMatrix::half_wave_plate(22.5f64.to_radians());
-        let out = h.apply([0.0, 1.0]);
-        assert!(close(power(out), 1.0, 1e-12), "HWP is lossless");
-        assert!(close(out[0], out[1].abs(), 1e-9), "45° linear output");
         // Rotations compose.
         let a = PolMatrix::rotation(0.3).then(PolMatrix::rotation(0.4));
         let b = PolMatrix::rotation(0.7);

@@ -43,7 +43,7 @@ pub mod montecarlo;
 pub mod mpi;
 pub mod wdm;
 
-pub use ber::{BerModel, OimConfig, Pam4Receiver};
+pub use ber::{OimConfig, Pam4Receiver};
 pub use circulator::Circulator;
 pub use components::{Component, ComponentKind};
 pub use link::{LinkBudget, LinkBudgetError};

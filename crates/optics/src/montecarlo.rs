@@ -119,31 +119,17 @@ impl McChannel {
         mpi_ratio: f64,
         oim: Option<OimConfig>,
     ) -> McChannel {
-        let levels_w = rx.level_powers_w(received);
-        let m = levels_w.len();
-        assert_eq!(m, 4, "Monte-Carlo simulator is written for PAM4");
-        let p_avg_w = levels_w.iter().sum::<f64>() / m as f64;
-        let mut currents = [0.0; 4];
-        for (c, &p) in currents.iter_mut().zip(&levels_w) {
-            *c = rx.responsivity * p;
-        }
-        let thresholds: [f64; 3] = rx
-            .thresholds(received, mpi_ratio, oim)
-            .try_into()
-            .expect("PAM4 has three slicing thresholds");
+        let plan = rx.level_plan(received, mpi_ratio, oim);
+        assert_eq!(plan.levels, 4, "Monte-Carlo simulator is written for PAM4");
+        let currents = plan.currents;
+        let thresholds: [f64; 3] = std::array::from_fn(|t| plan.threshold(t));
 
         // Per-level *additive* (thermal+shot+RIN) noise — everything except
         // MPI — as ready-built samplers.
-        let mut noise = [Normal::new(0.0, 1e-18).expect("valid sigma"); 4];
-        for (d, &p) in noise.iter_mut().zip(&levels_w) {
-            let b = rx.bandwidth_hz();
-            let i = rx.responsivity * p;
-            let thermal = rx.thermal_noise_density * rx.thermal_noise_density * b;
-            let shot = 2.0 * 1.602_176_634e-19 * i * b;
-            let rin = rx.rin * i * i * b;
-            let sigma = (thermal + shot + rin).sqrt();
-            *d = Normal::new(0.0, sigma.max(1e-18)).expect("sigma positive");
-        }
+        let noise = plan
+            .additive_var
+            .map(|var| Normal::new(0.0, var.sqrt().max(1e-18)).expect("sigma positive"));
+        let sigma = noise.map(|d| d.std_dev());
 
         // MPI beat: i(t) = 2ξ'·R·√(P_sym·P_mpi)·cos φ(t). The phase wanders
         // slowly (interferer path length drifts), modeled as a random walk
@@ -151,20 +137,11 @@ impl McChannel {
         // amplitude by the sqrt of its power factor. Amplitude calibrated so
         // ⟨i²⟩ = 2·ξ·m·R²·P_sym·P_avg matches the analytic variance:
         // amp = 2√ξ·R√(P_sym·P_mpi) gives var 2ξR²PP_mpi.
-        let m_eff = match oim {
-            Some(cfg) => mpi_ratio * cfg.mpi_power_factor(),
-            None => mpi_ratio,
-        };
-        let p_mpi_w = m_eff * p_avg_w;
+        let p_mpi_w = plan.p_mpi_w;
         let xi_amp = 2.0 * rx.mpi_xi.sqrt();
-        let mut beat_scale = [0.0; 4];
-        for (s, &p) in beat_scale.iter_mut().zip(&levels_w) {
-            *s = xi_amp * rx.responsivity * (p * p_mpi_w).sqrt();
-        }
-        let mut sigma = [0.0; 4];
-        for (s, d) in sigma.iter_mut().zip(&noise) {
-            *s = d.std_dev();
-        }
+        let beat_scale = plan
+            .powers_w
+            .map(|p| xi_amp * rx.responsivity * (p * p_mpi_w).sqrt());
         // Distance from each level's nominal current to the nearest
         // threshold whose crossing would change the sliced decision.
         let [t0, t1, t2] = thresholds;
@@ -357,17 +334,30 @@ pub mod reference {
         symbols: u64,
         seed: u64,
     ) -> (McBerResult, RunStats) {
-        assert!(symbols > 0, "must simulate at least one symbol");
         let chan = McChannel::new(rx, received, mpi_ratio, oim);
-        let (errors, stats) = pool.run_shards(
-            seed,
-            symbols,
-            DEFAULT_SHARD_SYMBOLS,
-            |rng, shard| run(&chan, shard.len, rng),
-            |a, b| a + b,
-        );
-        (McBerResult::from_counts(symbols, errors), stats)
+        run_sharded(pool, symbols, seed, |n, rng| run(&chan, n, rng))
     }
+}
+
+/// The sharded driver under both pooled entry points: `symbols` split into
+/// [`DEFAULT_SHARD_SYMBOLS`]-sized shards (the last carries the remainder),
+/// each an independent stream seeded from `(seed, shard_index)` and handed
+/// to `kernel` with its length; integer error counts merge in shard order.
+fn run_sharded(
+    pool: &Pool,
+    symbols: u64,
+    seed: u64,
+    kernel: impl Fn(u64, &mut StdRng) -> u64 + Sync,
+) -> (McBerResult, RunStats) {
+    assert!(symbols > 0, "must simulate at least one symbol");
+    let (errors, stats) = pool.run_shards(
+        seed,
+        symbols,
+        DEFAULT_SHARD_SYMBOLS,
+        |rng, shard| kernel(shard.len, rng),
+        |a, b| a + b,
+    );
+    (McBerResult::from_counts(symbols, errors), stats)
 }
 
 /// Runs a Monte-Carlo BER estimate on a caller-supplied generator (one
@@ -408,16 +398,8 @@ pub fn simulate_ber_par(
     symbols: u64,
     seed: u64,
 ) -> (McBerResult, RunStats) {
-    assert!(symbols > 0, "must simulate at least one symbol");
     let chan = McChannel::new(rx, received, mpi_ratio, oim);
-    let (errors, stats) = pool.run_shards(
-        seed,
-        symbols,
-        DEFAULT_SHARD_SYMBOLS,
-        |rng, shard| chan.run(shard.len, rng),
-        |a, b| a + b,
-    );
-    (McBerResult::from_counts(symbols, errors), stats)
+    run_sharded(pool, symbols, seed, |n, rng| chan.run(n, rng))
 }
 
 /// Runs the Monte-Carlo with a **real digital OIM canceller** instead of
@@ -440,38 +422,16 @@ pub fn simulate_ber_digital_oim(
     rng: &mut StdRng,
 ) -> McBerResult {
     assert!(symbols > 0, "must simulate at least one symbol");
-    let levels_w = rx.level_powers_w(received);
-    let m = levels_w.len();
-    assert_eq!(m, 4, "Monte-Carlo simulator is written for PAM4");
-    let p_avg_w = levels_w.iter().sum::<f64>() / m as f64;
-    let currents: Vec<f64> = levels_w.iter().map(|&p| rx.responsivity * p).collect();
-
-    let sigmas_add: Vec<f64> = levels_w
-        .iter()
-        .map(|&p| {
-            let b = rx.bandwidth_hz();
-            let i = rx.responsivity * p;
-            let thermal = rx.thermal_noise_density * rx.thermal_noise_density * b;
-            let shot = 2.0 * 1.602_176_634e-19 * i * b;
-            let rin = rx.rin * i * i * b;
-            (thermal + shot + rin).sqrt()
-        })
-        .collect();
-    let noise_dists: Vec<Normal<f64>> = sigmas_add
-        .iter()
-        .map(|&s| Normal::new(0.0, s.max(1e-18)).expect("sigma positive"))
-        .collect();
-
-    // The physical beat (same process as `simulate_ber` without OIM).
-    let p_mpi_w = mpi_ratio * p_avg_w;
-    let xi_amp = 2.0 * rx.mpi_xi.sqrt();
+    // The physical channel, beat included, is `simulate_ber`'s without OIM.
+    let McChannel {
+        currents,
+        noise,
+        beat_scale,
+        phase_step,
+        has_mpi,
+        ..
+    } = McChannel::new(rx, received, mpi_ratio, None);
     let mut phase: f64 = rng.random_range(0.0..std::f64::consts::TAU);
-    let phase_step = Normal::new(0.0, 0.05).expect("valid sigma");
-    // Per-level beat scale √(P_l · P_mpi) · R · 2√ξ.
-    let beat_scale: Vec<f64> = levels_w
-        .iter()
-        .map(|&p| xi_amp * rx.responsivity * (p * p_mpi_w).sqrt())
-        .collect();
 
     // The canceller's state: estimate of cos φ(t) (unit-normalized beat).
     let mut c_hat = 0.0f64;
@@ -480,8 +440,8 @@ pub fn simulate_ber_digital_oim(
     let mut errors = 0u64;
     for _ in 0..symbols {
         let level = rng.random_range(0usize..4);
-        let mut y = currents[level] + noise_dists[level].sample(rng);
-        if p_mpi_w > 0.0 {
+        let mut y = currents[level] + noise[level].sample(rng);
+        if has_mpi {
             phase += phase_step.sample(rng);
             y += beat_scale[level] * phase.cos();
         }
@@ -498,7 +458,7 @@ pub fn simulate_ber_digital_oim(
             }
         }
         // Decision-directed update of the beat estimate.
-        if p_mpi_w > 0.0 && beat_scale[decided] > 0.0 {
+        if has_mpi && beat_scale[decided] > 0.0 {
             let residual = (y - currents[decided]) / beat_scale[decided];
             c_hat = (1.0 - mu) * c_hat + mu * residual.clamp(-1.5, 1.5);
         }

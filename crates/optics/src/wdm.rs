@@ -70,15 +70,6 @@ impl WdmGrid {
         (index < self.lane_count()).then(|| self.lanes()[index])
     }
 
-    /// Total spectral occupancy from the lowest channel edge to the highest.
-    ///
-    /// Both grids occupy the same 80 nm window — the CWDM8 design constraint
-    /// that drove the 10 nm spacing (§3.3.1).
-    pub fn spectral_width(self) -> Nanometers {
-        let n = self.lane_count() as f64;
-        Nanometers(n * self.spacing().nm())
-    }
-
     /// The wavelength range `[min_edge, max_edge]` covered by the grid,
     /// taking each channel as ±spacing/2 around its center.
     pub fn band(self) -> (Nanometers, Nanometers) {
@@ -124,8 +115,12 @@ mod tests {
 
     #[test]
     fn both_grids_occupy_same_80nm_window() {
-        assert_eq!(WdmGrid::Cwdm4.spectral_width().nm(), 80.0);
-        assert_eq!(WdmGrid::Cwdm8.spectral_width().nm(), 80.0);
+        // The CWDM8 design constraint that drove the 10 nm spacing
+        // (§3.3.1): twice the lanes in the window CWDM4 already used.
+        for grid in [WdmGrid::Cwdm4, WdmGrid::Cwdm8] {
+            let (lo, hi) = grid.band();
+            assert_eq!(hi.nm() - lo.nm(), 80.0, "{grid:?}");
+        }
     }
 
     #[test]

@@ -83,13 +83,6 @@ impl DeploymentPlan {
             cube_days_by_full: 0.0,
         }
     }
-
-    /// Capacity (working racks) at a given day, incremental mode.
-    pub fn incremental_capacity_at(&self, day: f64) -> usize {
-        (0..self.racks)
-            .filter(|&i| self.delivery_day(i) + self.rack_verify_days <= day)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -121,19 +114,6 @@ mod tests {
         // Monolithic full capacity is *later* (pod verification dominates
         // per-rack verification at the tail).
         assert!(mono.full_capacity_day > inc.full_capacity_day);
-        assert_eq!(plan.incremental_capacity_at(inc.full_capacity_day), 64);
-    }
-
-    #[test]
-    fn capacity_curve_is_monotone() {
-        let plan = DeploymentPlan::default();
-        let mut prev = 0;
-        for d in 0..80 {
-            let c = plan.incremental_capacity_at(d as f64);
-            assert!(c >= prev);
-            prev = c;
-        }
-        assert_eq!(prev, 64);
     }
 
     #[test]

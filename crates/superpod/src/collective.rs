@@ -85,28 +85,6 @@ pub fn torus_all_reduce(bytes: f64, ring_lens: &[usize], p: &IciParams) -> f64 {
     t
 }
 
-/// All-to-all over one torus dimension of length `len`: every chip sends a
-/// distinct `bytes/len` shard to every other member. On a ring, aggregate
-/// traffic crossing each link bounds time at `len²/4` shard-hops spread
-/// over the ring's links.
-pub fn ring_all_to_all(bytes: f64, len: usize, p: &IciParams) -> f64 {
-    assert!(len >= 1);
-    if len == 1 {
-        return 0.0;
-    }
-    let shard = bytes / len as f64;
-    // Mean distance len/4, len·(len−1) shards, 2·len directed links.
-    let shard_hops = (len * (len - 1)) as f64 * len as f64 / 4.0;
-    let per_link = shard_hops / (2 * len) as f64;
-    per_link * shard / p.link_bandwidth + (len as f64 / 2.0) * p.hop_latency
-}
-
-/// Effective all-reduce *algorithmic bandwidth* (bytes/s of input reduced)
-/// for a multi-dimensional all-reduce — handy for comparing shapes.
-pub fn all_reduce_bandwidth(bytes: f64, ring_lens: &[usize], p: &IciParams) -> f64 {
-    bytes / torus_all_reduce(bytes, ring_lens, p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,7 +95,6 @@ mod tests {
     fn single_member_rings_are_free() {
         let p = IciParams::tpu_v4();
         assert_eq!(ring_all_reduce(100.0 * MB, 1, &p), 0.0);
-        assert_eq!(ring_all_to_all(100.0 * MB, 1, &p), 0.0);
     }
 
     #[test]
@@ -179,16 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn all_to_all_grows_superlinearly_with_ring() {
-        let p = IciParams::tpu_v4();
-        let bytes = 64.0 * MB;
-        let t16 = ring_all_to_all(bytes, 16, &p);
-        let t64 = ring_all_to_all(bytes, 64, &p);
-        // Per the len²/4 link bound, 4× members ≈ 4× time at fixed bytes.
-        assert!(t64 / t16 > 3.0 && t64 / t16 < 5.0, "ratio {}", t64 / t16);
-    }
-
-    #[test]
     fn allreduce_bandwidth_is_nearly_member_count_independent() {
         // The deep property behind Table 2's trade-offs: ring all-reduce
         // costs ~2·bytes/bw almost regardless of how many members share
@@ -197,10 +164,10 @@ mod tests {
         // already-scattered (smaller) payloads.
         let p = IciParams::tpu_v4();
         let bytes = 256.0 * MB;
-        let bw3 = all_reduce_bandwidth(bytes, &[16, 16, 16], &p);
-        let bw1 = all_reduce_bandwidth(bytes, &[16], &p);
-        assert!(bw3 < bw1, "extra dimensions add (small) extra cost");
-        assert!(bw3 > 0.85 * bw1, "...but only ~1/16th per extra dimension");
+        let t3 = torus_all_reduce(bytes, &[16, 16, 16], &p);
+        let t1 = torus_all_reduce(bytes, &[16], &p);
+        assert!(t3 > t1, "extra dimensions add (small) extra cost");
+        assert!(0.85 * t3 < t1, "...but only ~1/16th per extra dimension");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! torus scheme ("the routing is deterministic and set by the slice
 //! configuration", §4.2.1).
 
-use crate::geometry::CUBE_EDGE;
 use crate::slice::SliceShape;
+use crate::torus_nd;
 use serde::{Deserialize, Serialize};
 
 /// A chip coordinate in the slice torus.
@@ -17,15 +17,6 @@ use serde::{Deserialize, Serialize};
 pub struct Chip {
     /// Coordinates, each within the shape's chips per dimension.
     pub coords: [usize; 3],
-}
-
-/// Classification of a torus link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum LinkKind {
-    /// Copper within a rack (intra-cube).
-    Electrical,
-    /// Through the lightwave fabric (inter-cube or wraparound).
-    Optical,
 }
 
 /// The torus of one slice.
@@ -69,26 +60,6 @@ impl Torus {
         out
     }
 
-    /// Whether the hop from `chip` forward along `dim` is electrical
-    /// (stays within a cube) or optical (crosses a cube face, including
-    /// the wraparound).
-    pub fn link_kind(&self, chip: Chip, dim: usize) -> LinkKind {
-        assert!(self.contains(chip), "chip outside torus");
-        let len = self.shape.chips[dim];
-        let next = (chip.coords[dim] + 1) % len;
-        if chip.coords[dim] / CUBE_EDGE == next / CUBE_EDGE && next != 0 {
-            LinkKind::Electrical
-        } else if len <= CUBE_EDGE {
-            // A 4-chip dimension lives inside one cube; its "wrap" hop
-            // still needs the optical loopback circuit... unless the ICI
-            // wiring closes it in copper. TPU v4 racks close 4-long rings
-            // electrically, so a single-cube dimension is all-electrical.
-            LinkKind::Electrical
-        } else {
-            LinkKind::Optical
-        }
-    }
-
     /// Torus (shortest-path) distance between two chips.
     pub fn distance(&self, a: Chip, b: Chip) -> usize {
         assert!(self.contains(a) && self.contains(b), "chips outside torus");
@@ -120,27 +91,15 @@ impl Torus {
         path
     }
 
-    /// Average hop distance over a deterministic sample of chip pairs —
-    /// the latency proxy used when comparing slice shapes.
+    /// Exact mean hop distance over all chip pairs — the latency proxy
+    /// used when comparing slice shapes.
     pub fn mean_distance(&self) -> f64 {
-        // Exact expected distance of a torus: per dimension, mean ring
-        // distance of a ring of length L is L/4 (even L).
-        self.shape
-            .chips
-            .iter()
-            .map(|&l| {
-                if l % 2 == 0 {
-                    l as f64 / 4.0
-                } else {
-                    (l * l - 1) as f64 / (4.0 * l as f64)
-                }
-            })
-            .sum()
+        torus_nd::mean_distance(&self.shape.chips)
     }
 
     /// The diameter (max shortest-path distance).
     pub fn diameter(&self) -> usize {
-        self.shape.chips.iter().map(|&l| l / 2).sum()
+        torus_nd::diameter(&self.shape.chips)
     }
 }
 
@@ -160,36 +119,6 @@ mod tests {
         assert_eq!(t.neighbor(chip, 0, false).coords, [6, 0, 0]);
         let origin = Chip { coords: [0, 0, 0] };
         assert_eq!(t.neighbor(origin, 1, false).coords, [0, 3, 0]);
-    }
-
-    #[test]
-    fn intra_cube_links_are_electrical() {
-        let t = torus(8, 8, 8);
-        // 0→1 within a cube: electrical. 3→4 crosses the cube boundary.
-        assert_eq!(
-            t.link_kind(Chip { coords: [0, 0, 0] }, 0),
-            LinkKind::Electrical
-        );
-        assert_eq!(
-            t.link_kind(Chip { coords: [3, 0, 0] }, 0),
-            LinkKind::Optical
-        );
-        // 7→0 is the wraparound: optical.
-        assert_eq!(
-            t.link_kind(Chip { coords: [7, 0, 0] }, 0),
-            LinkKind::Optical
-        );
-    }
-
-    #[test]
-    fn single_cube_dimension_is_all_electrical() {
-        let t = torus(4, 4, 16);
-        for x in 0..4 {
-            assert_eq!(
-                t.link_kind(Chip { coords: [x, 0, 0] }, 0),
-                LinkKind::Electrical
-            );
-        }
     }
 
     #[test]

@@ -69,21 +69,12 @@ impl TorusNd {
 
     /// Diameter: sum of half-ring lengths.
     pub fn diameter(&self) -> usize {
-        self.dims.iter().map(|&d| d / 2).sum()
+        diameter(&self.dims)
     }
 
     /// Exact mean shortest-path distance.
     pub fn mean_distance(&self) -> f64 {
-        self.dims
-            .iter()
-            .map(|&l| {
-                if l % 2 == 0 {
-                    l as f64 / 4.0
-                } else {
-                    (l * l - 1) as f64 / (4.0 * l as f64)
-                }
-            })
-            .sum()
+        mean_distance(&self.dims)
     }
 
     /// OCS groups a pod-scale fabric needs for this dimensionality with
@@ -94,6 +85,27 @@ impl TorusNd {
     pub fn ocs_groups(&self) -> usize {
         self.dims.iter().filter(|&&d| d > CUBE_EDGE).count() * LINKS_PER_FACE
     }
+}
+
+/// Diameter of a torus with these ring lengths: a ring of length L is
+/// L/2 hops across, and dimensions add.
+pub(crate) fn diameter(dims: &[usize]) -> usize {
+    dims.iter().map(|&l| l / 2).sum()
+}
+
+/// Exact mean shortest-path distance of a torus with these ring lengths,
+/// over all ordered chip pairs (a chip with itself included): per ring,
+/// L/4 for even L and (L² − 1)/4L for odd L, and dimensions add.
+pub(crate) fn mean_distance(dims: &[usize]) -> f64 {
+    dims.iter()
+        .map(|&l| {
+            if l % 2 == 0 {
+                l as f64 / 4.0
+            } else {
+                (l * l - 1) as f64 / (4.0 * l as f64)
+            }
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -151,13 +163,31 @@ mod tests {
     }
 
     #[test]
-    fn mean_distance_matches_3d_module() {
-        use crate::slice::SliceShape;
-        use crate::torus::Torus;
-        let nd = TorusNd::new(vec![16, 16, 16]);
-        let t3 = Torus::new(SliceShape::new(16, 16, 16).expect("valid"));
-        assert!((nd.mean_distance() - t3.mean_distance()).abs() < 1e-12);
-        assert_eq!(nd.diameter(), t3.diameter());
+    fn closed_forms_match_enumeration_on_odd_and_even_rings() {
+        // Both tori read these two functions; hold them to a walk over
+        // every ordered chip pair of a torus with odd and even rings.
+        let dims = [3usize, 4, 5, 2];
+        let ring = |l: usize, a: usize, b: usize| a.abs_diff(b).min(l - a.abs_diff(b));
+        let chips: usize = dims.iter().product();
+        let coords = |mut i: usize| {
+            dims.map(|l| {
+                let c = i % l;
+                i /= l;
+                c
+            })
+        };
+        let (mut total, mut longest) = (0usize, 0usize);
+        for a in 0..chips {
+            for b in 0..chips {
+                let (ca, cb) = (coords(a), coords(b));
+                let d: usize = (0..dims.len()).map(|k| ring(dims[k], ca[k], cb[k])).sum();
+                total += d;
+                longest = longest.max(d);
+            }
+        }
+        let mean = total as f64 / (chips * chips) as f64;
+        assert!((mean_distance(&dims) - mean).abs() < 1e-12, "{mean}");
+        assert_eq!(diameter(&dims), longest);
     }
 
     #[test]

@@ -77,33 +77,10 @@ impl BidiLink {
         rx
     }
 
-    /// Evaluates every wavelength lane of one engine.
+    /// Evaluates every wavelength lane of one engine, at the receiving
+    /// module family's lane rate (the rate its receiver preset carries).
     pub fn evaluate(&self) -> Vec<LaneReport> {
-        let rx = self.receiver();
-        let grid = self.rx_unit.family.grid();
-        let rate = self.rx_unit.family.lane_rate();
-        let fiber = FiberDispersion::default();
-        let mpi = self.mpi_ratio();
-        let threshold = self.dsp.fec.raw_ber_threshold();
-        grid.lanes()
-            .iter()
-            .map(|lane| {
-                let disp =
-                    dispersion_penalty(&fiber, lane, rate, self.fiber_km, self.dsp.equalizer);
-                let received = self.budget.received_power() - disp;
-                let gaussian = rx.ber(received, mpi, self.dsp.oim);
-                // The unit's residual floor adds on top of Gaussian noise.
-                let raw = Ber::new(gaussian.prob() + self.rx_unit.residual_floor);
-                LaneReport {
-                    lane: lane.index,
-                    received,
-                    dispersion_penalty: disp,
-                    raw_ber: raw,
-                    healthy: raw.meets(threshold),
-                    margin_orders: raw.margin_orders(threshold),
-                }
-            })
-            .collect()
+        self.evaluate_at_rate(self.rx_unit.family.lane_rate())
     }
 
     /// The worst lane of the link.
@@ -142,6 +119,7 @@ impl BidiLink {
                     dispersion_penalty(&fiber, lane, rate, self.fiber_km, self.dsp.equalizer);
                 let received = self.budget.received_power() - disp;
                 let gaussian = rx.ber(received, mpi, self.dsp.oim);
+                // The unit's residual floor adds on top of Gaussian noise.
                 let raw = Ber::new(gaussian.prob() + self.rx_unit.residual_floor);
                 LaneReport {
                     lane: lane.index,

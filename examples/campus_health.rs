@@ -82,7 +82,9 @@ fn main() {
         report.submitted, admitted, blocked
     );
     // The TE layer reports through the same plane (one pseudo-pod).
-    let te = CampusSim::default_campus().run(epochs, 42);
+    let te = CampusSim::default_campus()
+        .run(epochs, 42)
+        .expect("the budget reaches every peer");
     te.fold_into_rollup(&mut obs.rollup, DCN_POD, Nanos::from_secs_f64(60.0));
     println!(
         "  dcn: {epochs} TE epochs folded under pod {DCN_POD} (gain {:.2}x)",

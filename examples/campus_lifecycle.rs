@@ -19,7 +19,7 @@ fn main() {
         sim.clusters, sim.uplinks, sim.trunk_gbps, sim.background_gbps
     );
 
-    let report = sim.run(24, 42);
+    let report = sim.run(24, 42).expect("the budget reaches every peer");
     println!("epoch | services | TE Gb/s | static Gb/s | moved | kept");
     for e in &report.epochs {
         println!(

@@ -188,7 +188,8 @@ fn main() {
 
     // Act 5: what detection is worth — a year of the production pod.
     let params = PreemptParams::production_year();
-    let report = simulate_preempt(&params, SEED);
+    let report =
+        simulate_preempt(&params, SEED).expect("the production year is a runnable timeline");
     let saved_pct = 100.0 * (1.0 - report.preemptive.down_hours / report.reactive.down_hours);
     println!(
         "act 5: preempt vs react, production year (recall {:.0}%):",

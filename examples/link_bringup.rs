@@ -84,6 +84,12 @@ fn main() {
         kp4_only.is_healthy(),
         concat.is_healthy()
     );
+    // ... and what backward compatibility buys the link the DSP cannot
+    // save at full rate (§3.3.1): half the baud, half the noise bandwidth.
+    println!(
+        "rate fallback: the KP4-only link comes up at {:?}",
+        kp4_only.best_rate(&kp4_only.dsp, &kp4_only.dsp)
+    );
 
     // 5. Bring-up, including backward-compatible rate negotiation.
     let healthy = BidiLink::superpod(

@@ -29,7 +29,7 @@ fn main() {
             TrafficMatrix::hotspot(16, 40.0, 8, 30.0, 3),
         ),
     ] {
-        let plan = planner.plan(&tm);
+        let plan = planner.plan(&tm).expect("the budget reaches every peer");
         println!(
             "{label} (skew {:>5.1}x): TE carries {:>7.0} / {:>7.0} Gb/s offered \
              ({:+.1}% vs uniform mesh), FCT {:+.1}%",
@@ -44,7 +44,7 @@ fn main() {
     // Look inside the engineered mesh for the hotspot case: hot pairs get
     // many parallel trunks, cold pairs keep the connectivity floor.
     let tm = TrafficMatrix::hotspot(16, 40.0, 8, 30.0, 3);
-    let plan = planner.plan(&tm);
+    let plan = planner.plan(&tm).expect("the budget reaches every peer");
     println!("\nengineered trunk counts (hotspot matrix), first 8 ABs:");
     print!("     ");
     for j in 0..8 {

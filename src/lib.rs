@@ -488,16 +488,17 @@ impl DcnPlan {
 
 impl DcnPlanner {
     /// Engineers a mesh for `tm` and evaluates it against the baseline.
-    pub fn plan(&self, tm: &TrafficMatrix) -> DcnPlan {
-        let mesh = te::engineer(tm, self.uplinks_per_ab);
+    /// Refused if `uplinks_per_ab` cannot reach every other block.
+    pub fn plan(&self, tm: &TrafficMatrix) -> Result<DcnPlan, te::TeError> {
+        let mesh = te::engineer(tm, self.uplinks_per_ab)?;
         let engineered = flowsim::allocate(&mesh, tm, self.trunk_gbps);
         let uniform = Mesh::uniform(tm.n(), self.uplinks_per_ab);
         let uniform_baseline = flowsim::allocate(&uniform, tm, self.trunk_gbps);
-        DcnPlan {
+        Ok(DcnPlan {
             mesh,
             engineered,
             uniform_baseline,
-        }
+        })
     }
 }
 
@@ -590,7 +591,7 @@ mod tests {
             trunk_gbps: 100.0,
         };
         let tm = TrafficMatrix::hotspot(16, 40.0, 8, 30.0, 3);
-        let plan = planner.plan(&tm);
+        let plan = planner.plan(&tm).expect("the budget reaches every peer");
         assert!(plan.throughput_gain() > 1.05);
         assert!(plan.mesh.within_budget());
     }

@@ -123,7 +123,7 @@ proptest! {
     #[test]
     fn te_mesh_invariants(seed in 0u64..500, n in 4usize..14) {
         let tm = TrafficMatrix::gravity(n, 10.0, seed);
-        let mesh = te::engineer(&tm, 2 * (n - 1));
+        let mesh = te::engineer(&tm, 2 * (n - 1)).unwrap();
         prop_assert!(mesh.within_budget());
         prop_assert!(mesh.connected());
     }

@@ -64,7 +64,7 @@ fn planning_artifacts_roundtrip() {
     );
     let tm = TrafficMatrix::hotspot(8, 10.0, 3, 10.0, 1);
     roundtrip(&tm);
-    let mesh = engineer(&tm, 14);
+    let mesh = engineer(&tm, 14).unwrap();
     roundtrip(&mesh);
     roundtrip(&MeshPlacement::place(&mesh, 14).unwrap());
 }
@@ -83,8 +83,12 @@ fn telemetry_and_reports_roundtrip() {
         uplinks_per_ab: 16,
         trunk_gbps: 100.0,
     };
-    roundtrip(&planner.plan(&TrafficMatrix::uniform(8, 10.0)));
-    roundtrip(&lightwave::dcn::campus::CampusSim::default_campus().run(5, 3));
+    roundtrip(&planner.plan(&TrafficMatrix::uniform(8, 10.0)).unwrap());
+    roundtrip(
+        &lightwave::dcn::campus::CampusSim::default_campus()
+            .run(5, 3)
+            .unwrap(),
+    );
 }
 
 #[test]
