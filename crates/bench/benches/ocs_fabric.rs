@@ -289,6 +289,26 @@ fn pod_compose_release_single_cube(c: &mut Criterion) {
     pod_compose_release(c, "superpod_compose_release_single_cube_loaded_pod", slice);
 }
 
+/// The live-slice table at its longest: 63 single-cube slices live, and
+/// the 64th cube composed and released — the compose takes the last free
+/// slot, the release finds it behind 63 held ones.
+fn pod_compose_release_single_cube_63_live(c: &mut Criterion) {
+    let mut pod = Superpod::new(2);
+    let one = SliceShape::new(4, 4, 4).unwrap();
+    for cube in 0..63 {
+        pod.compose(Slice::new(one, vec![cube]).unwrap())
+            .expect("idle cube");
+    }
+    let slice = Slice::new(one, vec![63]).unwrap();
+    c.bench_function("superpod_compose_release_single_cube_63_live", |b| {
+        b.iter(|| {
+            let (handle, composed) = pod.compose(slice.clone()).expect("cube 63 is idle");
+            black_box(composed);
+            black_box(pod.release(handle).expect("live slice"));
+        })
+    });
+}
+
 criterion_group!(
     benches,
     crossbar_delta,
@@ -304,6 +324,7 @@ criterion_group!(
     pod_compose_full,
     pod_incremental_slice,
     pod_compose_release_8_cubes,
-    pod_compose_release_single_cube
+    pod_compose_release_single_cube,
+    pod_compose_release_single_cube_63_live
 );
 criterion_main!(benches);

@@ -4,9 +4,10 @@
 //! `lwbench`'s `single_backlog` / `single_loss` workloads measure these
 //! paths end to end; the benches here time each one alone — a `submit`
 //! that ends head-of-line blocked at the queue bound, a `submit` that
-//! admits on the empty-queue path, the pod's zero-switch compose/release
-//! bookkeeping, and one pooled allocation — so a regression in one shows
-//! without a full benchmark run.
+//! admits on the empty-queue path, the same with about 50 slices live
+//! (the core's and the pod's slot tables at `single_loss` occupancy), the
+//! pod's zero-switch compose/release bookkeeping, and one pooled
+//! allocation — so a regression in one shows without a full benchmark run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lightwave::scheduler::{Allocator, Pooled};
@@ -72,6 +73,36 @@ fn submit_admit(c: &mut Criterion) {
     assert_eq!(core.report().blocked(), 0);
 }
 
+/// Pure loss at about 50 erlangs, the `single_loss` regime: an arrival
+/// every 2 ms, holds spread over 1–200 ms, so about 50 slices are live and
+/// each step's completions come in no order their handles or indices
+/// predict.
+fn admit_complete_single_cube(c: &mut Criterion) {
+    let mut pod = Superpod::new(7);
+    let mut core = ServiceCore::new(PolicyConfig {
+        queue_limit: 0,
+        preemption: false,
+    });
+    let mut out = Vec::new();
+    let mut next = 0u64;
+    let mut step = move |core: &mut ServiceCore, pod: &mut Superpod| {
+        out.clear();
+        let now = pod.fabric().now() + Nanos::from_millis(2);
+        core.advance_to(pod, now, &mut out);
+        let hold = Nanos::from_millis(1 + next * 37 % 200);
+        core.submit(pod, &single_cube(next, hold), &mut out);
+        next += 1;
+        out.len()
+    };
+    for _ in 0..400 {
+        step(&mut core, &mut pod);
+    }
+    c.bench_function("service_core_admit_complete_single_cube", |b| {
+        b.iter(|| black_box(step(&mut core, &mut pod)))
+    });
+    assert!(core.running().count() > 40);
+}
+
 /// A single-cube slice pins no circuit: compose + release is the pod's
 /// own bookkeeping and an empty fabric transaction.
 fn pod_bookkeeping(c: &mut Criterion) {
@@ -101,6 +132,7 @@ criterion_group!(
     benches,
     submit_blocked,
     submit_admit,
+    admit_complete_single_cube,
     pod_bookkeeping,
     pooled_allocation
 );

@@ -37,6 +37,13 @@
 //! see [`ServiceCore::submit`]. The idle set is the pod's
 //! [`CubeSet`](lightwave_superpod::CubeSet), so a pass that cannot admit
 //! costs a head comparison and a population count.
+//!
+//! Every serving request holds a live pod slice, and a pod holds at most
+//! 64 (DESIGN §6.6, "Sized to the pod"), so the running set is a slot
+//! table whose slot numbers fit a `u64` mask. Completion order is a list
+//! of 24-byte `(ends_at, index, slot)` keys; the masks say which slots
+//! serve each class, so a head with no lower class serving finds no
+//! victim without looking at any request.
 
 use crate::intent::{Priority, SliceIntent};
 use crate::metrics::ServiceReport;
@@ -164,7 +171,7 @@ struct Queued {
     enqueued_at: Nanos,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Running {
     index: u64,
     class: Priority,
@@ -176,6 +183,28 @@ struct Running {
     hold: Nanos,
 }
 
+/// A serving request's place in completion order.
+type Due = (Nanos, u64, usize);
+
+impl Running {
+    /// Its completion key in slot `slot`: `(ends_at, index, slot)`. Live
+    /// request indices are unique, so the slot never decides a comparison.
+    fn due(&self, slot: usize) -> Due {
+        (self.ends_at, self.index, slot)
+    }
+}
+
+/// The slots set in a slot mask, ascending.
+fn slots_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let slot = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            slot
+        })
+    })
+}
+
 /// The fabric-as-a-service policy state machine (see module docs).
 #[derive(Debug)]
 pub struct ServiceCore {
@@ -184,9 +213,15 @@ pub struct ServiceCore {
     queue: [VecDeque<Queued>; 3],
     /// Total entries across the three class queues.
     depth: usize,
-    /// Serving requests, descending by `(ends_at, index)`: the next
-    /// completion is the last entry.
+    /// Serving requests by slot. Admission takes the lowest free slot and
+    /// the table grows only when every slot is taken; a free slot's entry
+    /// is stale and nothing reads it.
     running: Vec<Running>,
+    /// The slots serving each class rank, as bit masks.
+    class_slots: [u64; 3],
+    /// Every serving request's [`Running::due`] key, descending: the next
+    /// completion is the last entry.
+    due: Vec<Due>,
     /// WFQ virtual service per class: cube-nanos charged at admission.
     served_cube_nanos: [u128; 3],
     report: ServiceReport,
@@ -206,6 +241,8 @@ impl ServiceCore {
             queue: Default::default(),
             depth: 0,
             running: Vec::new(),
+            class_slots: [0; 3],
+            due: Vec::new(),
             served_cube_nanos: [0; 3],
             report,
         }
@@ -220,7 +257,10 @@ impl ServiceCore {
     /// completion first. Invariant checkers compare this, as a set,
     /// against the pod's live slices.
     pub fn running(&self) -> impl Iterator<Item = (u64, SliceHandle, u32)> + '_ {
-        self.running.iter().map(|r| (r.index, r.handle, r.cubes))
+        self.due.iter().map(|&(_, _, slot)| {
+            let r = &self.running[slot];
+            (r.index, r.handle, r.cubes)
+        })
     }
 
     /// The accumulated report.
@@ -234,14 +274,14 @@ impl ServiceCore {
     pub fn conservation(&self) -> Result<(), String> {
         let r = &self.report;
         let terminal = r.invalid + r.compose_failed + r.blocked() + r.completed();
-        let live = self.depth as u64 + self.running.len() as u64;
+        let live = self.depth as u64 + self.due.len() as u64;
         if r.submitted != terminal + live {
             return Err(format!(
                 "submitted {} != terminal {} + queued {} + running {}",
                 r.submitted,
                 terminal,
                 self.depth,
-                self.running.len()
+                self.due.len()
             ));
         }
         Ok(())
@@ -252,7 +292,8 @@ impl ServiceCore {
     /// order) and re-running admission after each release — so admission
     /// waits are exact, not quantized to arrival times.
     pub fn advance_to(&mut self, pod: &mut Superpod, now: Nanos, out: &mut Vec<ServiceEvent>) {
-        while let Some(done) = self.running.pop_if(|r| r.ends_at <= now) {
+        while let Some((_, _, slot)) = self.due.pop_if(|&mut (ends_at, _, _)| ends_at <= now) {
+            let done = self.vacate(slot);
             pod.advance_to(done.ends_at);
             let at = pod.fabric().now();
             let report = self.release(pod, done.handle, at);
@@ -349,10 +390,10 @@ impl ServiceCore {
     pub fn drain(&mut self, pod: &mut Superpod, out: &mut Vec<ServiceEvent>) -> Nanos {
         loop {
             self.pump(pod, out);
-            let Some(next) = self.running.last() else {
+            let Some(&(ends_at, _, _)) = self.due.last() else {
                 break;
             };
-            self.advance_to(pod, next.ends_at, out);
+            self.advance_to(pod, ends_at, out);
         }
         pod.fabric().now()
     }
@@ -360,7 +401,15 @@ impl ServiceCore {
     /// Whether `index` names a request still queued or running.
     fn is_live(&self, index: u64) -> bool {
         let queued = |class: &VecDeque<Queued>| class.iter().any(|q| q.index == index);
-        self.queue.iter().any(queued) || self.running.iter().any(|r| r.index == index)
+        self.queue.iter().any(queued) || self.due.iter().any(|&(_, i, _)| i == index)
+    }
+
+    /// Frees a serving request's slot (its [`Running::due`] key is the
+    /// caller's to drop) and returns what it held.
+    fn vacate(&mut self, slot: usize) -> Running {
+        let r = self.running[slot];
+        self.class_slots[r.class.rank()] &= !(1 << slot);
+        r
     }
 
     /// Queues `q` at its index position within its class: the back for an
@@ -426,16 +475,20 @@ impl ServiceCore {
             if self.cfg.preemption {
                 // Evict strictly-lower-priority victims, youngest first
                 // (larger request index breaking ties), until the head
-                // fits or none remain.
+                // fits or none remain. Only lower classes' slots are
+                // candidates: with none serving there is nothing to scan.
                 while idle.len() < need {
-                    let victim = self
-                        .running
+                    let lower = self.class_slots[rank + 1..]
                         .iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.class.rank() > rank)
-                        .max_by_key(|(_, r)| (r.serving_from, r.index));
-                    let Some((vpos, _)) = victim else { break };
-                    let victim = self.running.remove(vpos);
+                        .fold(0, |all, &m| all | m);
+                    let youngest = slots_of(lower).max_by_key(|&slot| {
+                        let r = &self.running[slot];
+                        (r.serving_from, r.index)
+                    });
+                    let Some(slot) = youngest else { break };
+                    let victim = self.vacate(slot);
+                    let key = victim.due(slot);
+                    self.due.remove(self.due.partition_point(|&d| d > key));
                     let report = self.release(pod, victim.handle, now);
                     let wasted = now.saturating_sub(victim.serving_from);
                     self.report.busy_cube_nanos += victim.cubes as u128 * wasted.0 as u128;
@@ -480,10 +533,6 @@ impl ServiceCore {
                         stats.wait_micros.record(waited.0 as f64 / 1_000.0);
                     }
                     self.served_cube_nanos[rank] += cube_count as u128 * cand.hold.0 as u128;
-                    let ends_at = serving_from + cand.hold;
-                    let pos = self
-                        .running
-                        .partition_point(|r| (r.ends_at, r.index) > (ends_at, cand.index));
                     let serving = Running {
                         index: cand.index,
                         class: cand.class,
@@ -491,10 +540,27 @@ impl ServiceCore {
                         handle,
                         cubes: cube_count,
                         serving_from,
-                        ends_at,
+                        ends_at: serving_from + cand.hold,
                         hold: cand.hold,
                     };
-                    self.running.insert(pos, serving);
+                    // The lowest free slot. Each serving request holds a
+                    // live pod slice and `handle` is one more, so fewer
+                    // than 64 slots are taken and the slot fits the masks.
+                    let taken = self.class_slots.iter().fold(0, |all, &m| all | m);
+                    let slot = (!taken).trailing_zeros() as usize;
+                    // Both tables grow one entry at a time, never doubled:
+                    // they are exactly as long as the most requests ever
+                    // served at once.
+                    if slot == self.running.len() {
+                        self.running.reserve_exact(1);
+                        self.running.push(serving);
+                    } else {
+                        self.running[slot] = serving;
+                    }
+                    self.class_slots[rank] |= 1 << slot;
+                    let key = serving.due(slot);
+                    self.due.reserve_exact(1);
+                    self.due.insert(self.due.partition_point(|&d| d > key), key);
                     out.push(ServiceEvent::Admitted {
                         request: cand.index,
                         class: cand.class,

@@ -10,13 +10,16 @@
 //! pairs, a reused scratch of their north ports), walked switch by switch
 //! over a touched-switch mask: nothing is built per switch, and a
 //! single-cube slice, whose mask is empty, costs no switch work at all.
+//! The live slices sit in a slot table sized by use: every live slice
+//! holds at least one cube and no two share one, so there are never more
+//! than [`POD_CUBES`] of them (DESIGN §6.6, "Sized to the pod").
 //! Running slices never blink (§4.2.4: "slices for new model placements
 //! ... can be dynamically scheduled without interfering with existing
 //! models running on a different slice"), and compose/release cost is
 //! O(slice), not O(pod).
 
 use crate::geometry::{CubeId, CubeSet, Dim, LINKS_PER_FACE, POD_CUBES};
-use crate::slice::Slice;
+use crate::slice::{Slice, SliceError};
 use crate::wiring::{ocs_for, ocs_role, SUPERPOD_OCS_COUNT};
 use lightwave_fabric::{
     CommitError, CommitReport, FabricController, FabricTarget, OcsFleet, OcsId, SwitchOps,
@@ -24,7 +27,7 @@ use lightwave_fabric::{
 use lightwave_ocs::{PortId, PortMapping, ReconfigSummary};
 use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Identifier of an active slice within the pod.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -39,6 +42,9 @@ pub enum PodError {
     CubeFailed(CubeId),
     /// No such slice.
     UnknownSlice(SliceHandle),
+    /// The slice is one [`Slice::new`] refuses (its fields are public and
+    /// it deserializes); the error names the first offender.
+    BadSlice(SliceError),
     /// The fabric rejected the transaction.
     Fabric(CommitError),
 }
@@ -55,6 +61,7 @@ impl std::fmt::Display for PodError {
             PodError::CubeBusy(c) => write!(f, "cube {c} already in a slice"),
             PodError::CubeFailed(c) => write!(f, "cube {c} is failed"),
             PodError::UnknownSlice(h) => write!(f, "unknown slice {h:?}"),
+            PodError::BadSlice(e) => write!(f, "malformed slice: {e}"),
             PodError::Fabric(e) => write!(f, "fabric: {e}"),
         }
     }
@@ -78,6 +85,11 @@ struct LiveSlice {
 /// "No circuit" in a [`Superpod::desired`] table: ports are cube ids, all
 /// below [`POD_CUBES`].
 const FREE: PortId = PortId::MAX;
+
+/// The handle a free slot of [`Superpod::held`] holds. Handles are issued
+/// from 1, and a lookup refuses this one before it searches, so a free
+/// slot never matches a handle.
+const FREE_SLOT: SliceHandle = SliceHandle(0);
 
 const _: () = assert!(
     SUPERPOD_OCS_COUNT <= u64::BITS as usize,
@@ -119,7 +131,13 @@ impl<'a> Iterator for SliceView<'a> {
 #[derive(Debug)]
 pub struct Superpod {
     fabric: FabricController,
-    slices: BTreeMap<SliceHandle, LiveSlice>,
+    /// The handle each slot of `live` holds, [`FREE_SLOT`] where none. A
+    /// compose takes the lowest free slot; the table grows only when every
+    /// slot is taken, so it is as long as the most slices ever live at
+    /// once — at most [`POD_CUBES`].
+    held: Vec<SliceHandle>,
+    /// The live slice in each slot; `None` exactly where `held` is free.
+    live: Vec<Option<LiveSlice>>,
     /// The aggregate desired mapping per dimension (all 16 switches of a
     /// dimension carry the same mapping), maintained by delta — the
     /// persistent state that makes compose/release O(slice) and resync a
@@ -151,7 +169,8 @@ impl Superpod {
     pub fn new(seed: u64) -> Superpod {
         Superpod {
             fabric: FabricController::new(OcsFleet::build(SUPERPOD_OCS_COUNT, seed)),
-            slices: BTreeMap::new(),
+            held: Vec::new(),
+            live: Vec::new(),
             desired: [[FREE; POD_CUBES]; 3],
             norths: Default::default(),
             busy: CubeSet::EMPTY,
@@ -182,14 +201,37 @@ impl Superpod {
         self.idle_set().iter().collect()
     }
 
-    /// Active slices.
+    /// The slot holding `h`, if it is live.
+    fn slot_of(&self, h: SliceHandle) -> Option<usize> {
+        if h == FREE_SLOT {
+            return None;
+        }
+        self.held.iter().position(|&held| held == h)
+    }
+
+    /// Live slices with their handles, in handle order.
+    fn by_handle(&self) -> Vec<(SliceHandle, &LiveSlice)> {
+        let mut live: Vec<_> = self
+            .held
+            .iter()
+            .zip(&self.live)
+            .filter_map(|(&h, live)| Some((h, live.as_ref()?)))
+            .collect();
+        live.sort_unstable_by_key(|&(h, _)| h);
+        live
+    }
+
+    /// Active slices, in handle order.
     pub fn slices(&self) -> impl Iterator<Item = (SliceHandle, &Slice)> {
-        self.slices.iter().map(|(&h, live)| (h, &live.slice))
+        self.by_handle()
+            .into_iter()
+            .map(|(h, live)| (h, &live.slice))
     }
 
     /// Looks up a slice.
     pub fn slice(&self, h: SliceHandle) -> Option<&Slice> {
-        self.slices.get(&h).map(|live| &live.slice)
+        let live = self.live[self.slot_of(h)?].as_ref();
+        live.map(|live| &live.slice)
     }
 
     /// Marks a cube failed (host/server failure). Idle cubes simply leave
@@ -290,8 +332,8 @@ impl Superpod {
     /// outside: `tests/incremental_commits.rs`, chaos invariant (b).)
     #[cfg(test)]
     fn assert_desired_matches_rebuild(&self) {
-        let mut rebuilt: [BTreeMap<PortId, PortId>; 3] = Default::default();
-        for live in self.slices.values() {
+        let mut rebuilt: [std::collections::BTreeMap<PortId, PortId>; 3] = Default::default();
+        for live in self.live.iter().flatten() {
             for hop in live.slice.required_hops() {
                 if let Some((n, s)) = hop.pair() {
                     let prev = rebuilt[hop.dim.index()].insert(n, s);
@@ -367,8 +409,12 @@ impl Superpod {
     /// changes, only this slice's pairs), and returns the handle plus the
     /// commit report. The fabric validates the whole transaction before
     /// applying and the pod mutates nothing until the commit succeeds, so
-    /// on error nothing has been applied anywhere.
+    /// on error nothing has been applied anywhere. A slice [`Slice::new`]
+    /// would refuse is refused first, before anything is read or touched:
+    /// a slice holds at least one cube of the pod, which is what bounds
+    /// the slot table.
     pub fn compose(&mut self, slice: Slice) -> Result<(SliceHandle, CommitReport), PodError> {
+        slice.check().map_err(PodError::BadSlice)?;
         for &c in &slice.cubes {
             if self.busy.contains(c) {
                 return Err(PodError::CubeBusy(c));
@@ -397,7 +443,21 @@ impl Superpod {
                 table[n as usize] = s;
             }
         }
-        self.slices.insert(handle, LiveSlice { slice, pairs });
+        let live = Some(LiveSlice { slice, pairs });
+        match self.held.iter().position(|&h| h == FREE_SLOT) {
+            Some(slot) => {
+                self.held[slot] = handle;
+                self.live[slot] = live;
+            }
+            None => {
+                // One slot more, never doubled: the table is exactly as
+                // long as the most slices ever live at once.
+                self.held.reserve_exact(1);
+                self.held.push(handle);
+                self.live.reserve_exact(1);
+                self.live.push(live);
+            }
+        }
         self.mark_desynced(skipped);
         Ok((handle, report))
     }
@@ -406,9 +466,8 @@ impl Superpod {
     /// an incremental transaction carrying only this slice's pairs as
     /// removals. On error nothing has been applied.
     pub fn release(&mut self, h: SliceHandle) -> Result<CommitReport, PodError> {
-        let Some(live) = self.slices.get(&h) else {
-            return Err(PodError::UnknownSlice(h));
-        };
+        let slot = self.slot_of(h).ok_or(PodError::UnknownSlice(h))?;
+        let live = self.live[slot].as_ref().expect("a held slot is live");
         for (norths, list) in self.norths.iter_mut().zip(&live.pairs) {
             norths.clear();
             norths.extend(list.iter().map(|&(n, _)| n));
@@ -419,7 +478,8 @@ impl Superpod {
             add: [&[]; 3],
             remove: [&self.norths[0], &self.norths[1], &self.norths[2]],
         })?;
-        let live = self.slices.remove(&h).expect("checked");
+        let live = self.live[slot].take().expect("a held slot is live");
+        self.held[slot] = FREE_SLOT;
         for &c in &live.slice.cubes {
             self.busy.remove(c);
         }
@@ -467,9 +527,9 @@ impl Superpod {
             .filter(|(_, ocs)| !ocs.is_up())
             .map(|(&id, _)| id)
             .collect();
-        self.slices
-            .iter()
-            .map(|(&handle, live)| {
+        self.by_handle()
+            .into_iter()
+            .map(|(handle, live)| {
                 let [p, q, r] = live.slice.shape.cube_grid();
                 let grid = [p, q, r];
                 // Fraction of each dimension's inter-cube circuits lost.

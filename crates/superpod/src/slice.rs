@@ -53,20 +53,27 @@ impl std::error::Error for ShapeError {}
 impl SliceShape {
     /// Validates and constructs a shape.
     pub fn new(a: usize, b: usize, c: usize) -> Result<SliceShape, ShapeError> {
-        for &d in &[a, b, c] {
+        let shape = SliceShape { chips: [a, b, c] };
+        shape.check()?;
+        Ok(shape)
+    }
+
+    /// The checks [`SliceShape::new`] makes, for a shape built any other
+    /// way: the field is public and the type deserializes.
+    pub(crate) fn check(&self) -> Result<(), ShapeError> {
+        for &d in &self.chips {
             if d == 0 || d % CUBE_EDGE != 0 {
                 return Err(ShapeError::BadDimension(d));
             }
         }
-        let shape = SliceShape { chips: [a, b, c] };
         // Saturating: the dimensions may come from outside the program,
         // and their product need not fit the type.
-        let [x, y, z] = shape.cube_grid();
+        let [x, y, z] = self.cube_grid();
         let cubes = x.saturating_mul(y).saturating_mul(z);
         if cubes > POD_CUBES {
             return Err(ShapeError::TooLarge { cubes });
         }
-        Ok(shape)
+        Ok(())
     }
 
     /// Total chips.
@@ -137,6 +144,8 @@ pub struct Slice {
 /// Slice construction failures.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SliceError {
+    /// The shape is one [`SliceShape::new`] refuses.
+    Shape(ShapeError),
     /// Wrong number of cubes for the shape.
     WrongCubeCount {
         /// Cubes provided.
@@ -153,6 +162,7 @@ pub enum SliceError {
 impl std::fmt::Display for SliceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            SliceError::Shape(e) => write!(f, "shape: {e}"),
             SliceError::WrongCubeCount { got, need } => {
                 write!(f, "shape needs {need} cubes, got {got}")
             }
@@ -167,14 +177,26 @@ impl std::error::Error for SliceError {}
 impl Slice {
     /// Builds a slice from a shape and cube assignment.
     pub fn new(shape: SliceShape, cubes: Vec<CubeId>) -> Result<Slice, SliceError> {
-        if cubes.len() != shape.cube_count() {
+        let slice = Slice { shape, cubes };
+        slice.check()?;
+        Ok(slice)
+    }
+
+    /// The checks [`Slice::new`] makes, for a slice built any other way
+    /// (the fields are public and the type deserializes): the shape's own,
+    /// then the count, then each cube in order — the first offender is
+    /// the error.
+    pub(crate) fn check(&self) -> Result<(), SliceError> {
+        self.shape.check().map_err(SliceError::Shape)?;
+        let need = self.shape.cube_count();
+        if self.cubes.len() != need {
             return Err(SliceError::WrongCubeCount {
-                got: cubes.len(),
-                need: shape.cube_count(),
+                got: self.cubes.len(),
+                need,
             });
         }
         let mut seen = CubeSet::EMPTY;
-        for &c in &cubes {
+        for &c in &self.cubes {
             if c as usize >= POD_CUBES {
                 return Err(SliceError::BadCube(c));
             }
@@ -182,7 +204,7 @@ impl Slice {
                 return Err(SliceError::DuplicateCube(c));
             }
         }
-        Ok(Slice { shape, cubes })
+        Ok(())
     }
 
     /// The cube at logical grid position `(i, j, k)`.

@@ -392,3 +392,60 @@ fn refused_transactions_leave_the_scratch_unobservable() {
     assert_eq!((got.added, got.per_switch.len()), (4 * 32, 32));
     same_state(&pod, &model).expect("both pods end equal");
 }
+
+/// The live-slice table at its edge (DESIGN §6.6, "Sized to the pod"): 64
+/// single-cube slices fill every slot; each is released in a permuted
+/// order and its cube composed again, so every slot is reused by a later
+/// handle while the slots around it are still held. After every step the
+/// pod lists the oracle's handles in handle order, and a released handle
+/// and handle 0 — a free slot's mark — are unknown to `release` and
+/// `slice`. Every transaction here names no switch: its report is stamped
+/// at fabric time, which is not zero.
+#[test]
+fn a_full_pod_of_single_cube_slices_reuses_every_slot_in_handle_order() {
+    let (mut pod, mut model) = (Superpod::new(27), OraclePod::new(27));
+    pod.advance(Nanos::from_millis(5));
+    model.advance(Nanos::from_millis(5));
+    let compose = |pod: &mut Superpod, model: &mut OraclePod, cube: CubeId| {
+        let (h, got) = pod.compose(slice_of(vec![cube], 0)).expect("idle cube");
+        let (w, want) = model.compose(slice_of(vec![cube], 0)).expect("idle cube");
+        assert_eq!(h, w, "handles are numbered 1, 2, 3, …");
+        same_report(&got, &want).expect("a zero-switch compose");
+        assert_eq!(got.traffic_ready_at, pod.fabric().now());
+        h
+    };
+    let gone = |pod: &mut Superpod, model: &mut OraclePod, h: SliceHandle| {
+        assert_eq!(pod.release(h).map(drop), Err(PodError::UnknownSlice(h)));
+        assert_eq!(model.release(h).map(drop), Err(PodError::UnknownSlice(h)));
+        assert_eq!(pod.slice(h), None);
+    };
+    let mut handles: Vec<SliceHandle> = (0..64).map(|c| compose(&mut pod, &mut model, c)).collect();
+    same_state(&pod, &model).expect("64 live");
+    assert!(pod.idle_set().is_empty());
+    for k in 0..64 {
+        // 23 is odd: `k * 23 + 5` walks every cube once.
+        let cube = (k * 23 + 5) % 64;
+        let h = handles[cube];
+        let got = pod.release(h).expect("live");
+        let want = model.release(h).expect("live");
+        same_report(&got, &want).expect("a zero-switch release");
+        assert_eq!(got.traffic_ready_at, pod.fabric().now());
+        gone(&mut pod, &mut model, h);
+        gone(&mut pod, &mut model, SliceHandle(0));
+        same_state(&pod, &model).expect("one slot free");
+        handles[cube] = compose(&mut pod, &mut model, cube as CubeId);
+        assert_eq!(handles[cube], SliceHandle(65 + k as u64));
+        same_state(&pod, &model).expect("the free slot reused");
+    }
+    for k in 0..64 {
+        let h = handles[(k * 41 + 9) % 64];
+        let got = pod.release(h).expect("live");
+        let want = model.release(h).expect("live");
+        same_report(&got, &want).expect("a zero-switch release");
+        gone(&mut pod, &mut model, h);
+        gone(&mut pod, &mut model, SliceHandle(0));
+        same_state(&pod, &model).expect("slots emptying");
+    }
+    assert_eq!(pod.slices().count(), 0);
+    assert_eq!(pod.idle_set().len(), 64);
+}

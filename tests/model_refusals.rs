@@ -4,12 +4,18 @@
 //! At the parent of PR 24 the first of these did not return and the others
 //! panicked, as the inner-code waterfall did on its three before it
 //! checked its inputs at entry.
+//!
+//! A `Slice` has public fields too. `Superpod::compose` refuses every
+//! slice `Slice::new` would, naming the first offender; before it did,
+//! two of the four below panicked and two were accepted.
 
 use lightwave::availability::timeline::{simulate, simulate_preempt, PreemptParams};
 use lightwave::dcn::campus::CampusSim;
 use lightwave::dcn::te::{engineer, TeError};
 use lightwave::dcn::TrafficMatrix;
 use lightwave::fec::{ConcatenatedCode, InnerDecoding};
+use lightwave::superpod::slice::{ShapeError, SliceError};
+use lightwave::superpod::{CubeId, CubeSet, PodError, Slice, SliceHandle, SliceShape, Superpod};
 use lightwave::units::Ber;
 use lightwave::DcnPlanner;
 
@@ -164,4 +170,65 @@ fn a_te_budget_below_the_connectivity_floor_is_refused_everywhere_it_enters() {
         ..CampusSim::default_campus()
     };
     assert_eq!(campus.run(3, 42).map(drop), Err(refused(11)));
+}
+
+/// A pod refuses `slice` with `expect` and touches nothing: no cube is
+/// busy, no slice is live, no handle is burned and no switch moved.
+fn assert_compose_refused(slice: Slice, expect: SliceError) {
+    let mut pod = Superpod::new(0x5EED);
+    let circuits = pod.fabric().fleet.health().circuits;
+    assert_eq!(
+        pod.compose(slice).map(drop),
+        Err(PodError::BadSlice(expect))
+    );
+    assert_eq!(pod.idle_set(), CubeSet::ALL);
+    assert_eq!(pod.slices().count(), 0);
+    assert_eq!(pod.fabric().fleet.health().circuits, circuits);
+    let shape = SliceShape::new(4, 4, 4).expect("one cube");
+    let (handle, _) = pod
+        .compose(Slice::new(shape, vec![0]).expect("one cube"))
+        .expect("an empty pod has room");
+    assert_eq!(handle, SliceHandle(1), "the refusal issued no handle");
+}
+
+/// A `Slice` built without `Slice::new`: its fields are public.
+fn unchecked(chips: [usize; 3], cubes: Vec<CubeId>) -> Slice {
+    Slice {
+        shape: SliceShape { chips },
+        cubes,
+    }
+}
+
+#[test]
+fn a_slice_naming_a_cube_past_the_pod_is_refused_by_compose() {
+    // Indexed the 64-entry owner table out of bounds.
+    assert_compose_refused(unchecked([4, 4, 4], vec![64]), SliceError::BadCube(64));
+}
+
+#[test]
+fn a_slice_short_of_its_shape_is_refused_by_compose() {
+    // Two cubes for a four-cube ring panicked in `pairs_for`.
+    assert_compose_refused(
+        unchecked([16, 4, 4], vec![3, 9]),
+        SliceError::WrongCubeCount { got: 2, need: 4 },
+    );
+}
+
+#[test]
+fn a_slice_with_more_cubes_than_its_shape_is_refused_by_compose() {
+    // Was accepted, and all three cubes were marked busy.
+    assert_compose_refused(
+        unchecked([4, 4, 4], vec![0, 1, 2]),
+        SliceError::WrongCubeCount { got: 3, need: 1 },
+    );
+}
+
+#[test]
+fn a_zero_cube_slice_is_refused_by_compose() {
+    // Was accepted as a live slice holding no cube: no bound on how many
+    // a pod could hold.
+    assert_compose_refused(
+        unchecked([0, 4, 4], vec![]),
+        SliceError::Shape(ShapeError::BadDimension(0)),
+    );
 }

@@ -3,7 +3,8 @@
 //! test oracle. One `Vec` queue scanned in full by `pick`, `running` in
 //! admission order with linear `min`/`position`/`remove`, the idle set
 //! rebuilt per admission pass as `idle_cubes()` → `BTreeSet`, `Pooled`
-//! over that `BTreeSet`. Only the type's name changed. It is deliberately
+//! over that `BTreeSet`. Only the type's name changed, and `running()`
+//! lists in the production core's order. It is deliberately
 //! the slow, obvious version: `tests/service_core_model.rs` holds the
 //! production core to its event stream, report and pod state under
 //! arbitrary interleavings.
@@ -77,11 +78,16 @@ impl OracleCore {
         self.queue.len()
     }
 
-    /// Requests currently serving: `(request, handle, cubes)`, in
-    /// admission order. Invariant checkers compare this against the
-    /// pod's live slices.
-    pub fn running(&self) -> impl Iterator<Item = (u64, SliceHandle, u32)> + '_ {
-        self.running.iter().map(|r| (r.index, r.handle, r.cubes))
+    /// Requests currently serving: `(request, handle, cubes)`, latest
+    /// completion first, the larger request index first on a tie — the
+    /// production core's order, sorted out of this one's admission order.
+    pub fn running(&self) -> Vec<(u64, SliceHandle, u32)> {
+        let mut running: Vec<&Running> = self.running.iter().collect();
+        running.sort_by_key(|r| std::cmp::Reverse((r.ends_at, r.index)));
+        running
+            .iter()
+            .map(|r| (r.index, r.handle, r.cubes))
+            .collect()
     }
 
     /// The accumulated report.

@@ -7,7 +7,8 @@
 //!   and the caller's event `Vec` are warm, the idle set is a `CubeSet`
 //!   word, and `Pooled` says no before building anything.
 //! - A single-cube admission plus the completion that frees it allocates
-//!   [`ADMIT_COMPLETE_ALLOCS`] blocks.
+//!   exactly [`ADMIT_COMPLETE_ALLOCS`] blocks of at most
+//!   [`ADMIT_COMPLETE_BYTES`] bytes between them.
 //! - A multi-cube admission plus its completion — two fabric transactions
 //!   over 16, 32 or 48 switches — allocates [`MULTI_CUBE_ALLOCS`] blocks,
 //!   and `Superpod::settled()` none.
@@ -42,8 +43,17 @@ use std::cell::Cell;
 /// Blocks allocated by one single-cube admit + completion, measured when
 /// the per-class-queue core merged (PR 13): the allocator's cube list and
 /// the copy of the slice geometry the `Admitted` event carries. The pod's
-/// slice map and the core's `running` list reuse their storage.
+/// live-slice table and the core's running table are slot tables that
+/// reuse their slots (DESIGN §6.6, "Sized to the pod").
 const ADMIT_COMPLETE_ALLOCS: u64 = 2;
+
+/// Bytes those blocks ask for, together: the allocator's cube list (a
+/// collected byte `Vec` starts at 8) and the event's one-byte copy.
+/// While the pod kept its live slices in a `BTreeMap`, slices completing
+/// out of handle order made its ≈ 1.4 KB nodes come and go: 216 blocks
+/// for the test's 100 steps instead of 200, and lwbench's `single_loss`
+/// read 210.7 bytes a request (9.0 since).
+const ADMIT_COMPLETE_BYTES: u64 = 9;
 
 /// Blocks allocated by one admit + completion of an `[8,4,4]`, `[8,8,4]`
 /// and `[8,8,8]` request (2, 4 and 8 cubes; 1, 2 and 3 torus dimensions),
@@ -56,11 +66,13 @@ const MULTI_CUBE_ALLOCS: [([usize; 3], u64); 3] = [([8, 4, 4], 5), ([8, 8, 4], 6
 
 /// Blocks allocated by `Superpod::new`, measured when the optical core
 /// became lazy (PR 21). Eagerly fabricated cores were 22 blocks a switch on
-/// top: 338 + 48 × 22 = 1 394.
+/// top: 338 + 48 × 22 = 1 394. All 338 are the fleet's: the live-slice
+/// table starts empty and grows at the first compose.
 const POD_NEW_ALLOCS: u64 = 338;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -68,9 +80,10 @@ struct Counting;
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-fn count() {
+fn count(bytes: usize) {
     // `try_with`: a thread tearing down may allocate after its TLS is gone.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
@@ -79,13 +92,13 @@ fn count() {
 // allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: same layout, same contract as the caller's.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: same layout, same contract as the caller's.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -97,7 +110,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: `ptr` is a live `System` block of `layout`; `new_size`
         // obeys the caller's contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -106,9 +119,17 @@ unsafe impl GlobalAlloc for Counting {
 
 /// Allocations `f` performs on this thread.
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
+    allocations_and_bytes(f).0
+}
+
+/// Allocations `f` performs on this thread, and the bytes they ask for.
+fn allocations_and_bytes(f: impl FnOnce()) -> (u64, u64) {
+    let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     f();
-    ALLOCS.with(Cell::get) - before
+    (
+        ALLOCS.with(Cell::get) - before.0,
+        BYTES.with(Cell::get) - before.1,
+    )
 }
 
 fn single_cube(request: u64, hold: Nanos) -> SliceIntent {
@@ -160,36 +181,43 @@ fn admission_path_allocation_counts() {
     assert_eq!(core.queue_depth(), 256);
     assert_eq!(blocked, 0, "a blocked submit allocates nothing");
 
-    // Admit + complete on the empty-queue path, eight long slices in the
-    // background so the pod's slice map is not at the empty/non-empty edge.
+    // Admit + complete on the empty-queue path: an arrival every 2 ms,
+    // holds spread over 1–80 ms, so about 20 slices are live and they
+    // complete in an order that has nothing to do with their handles.
     let mut pod = Superpod::new(7);
     let mut core = ServiceCore::new(PolicyConfig {
         queue_limit: 0,
         preemption: false,
     });
-    let hold = Nanos::from_millis(1);
-    let mut step = |core: &mut ServiceCore, pod: &mut Superpod, hold: Nanos| {
+    let mut step = |core: &mut ServiceCore, pod: &mut Superpod| {
         out.clear();
         let now = pod.fabric().now() + Nanos::from_millis(2);
         core.advance_to(pod, now, &mut out);
+        let hold = Nanos::from_millis(1 + next * 37 % 80);
         core.submit(pod, &single_cube(next, hold), &mut out);
         next += 1;
     };
-    for warm in 0..16 {
-        step(&mut core, &mut pod, if warm < 8 { forever } else { hold });
+    // Two periods of the hold pattern: the tables reach their length.
+    for _ in 0..160 {
+        step(&mut core, &mut pod);
     }
-    assert_eq!(core.running().count(), 9);
-    let admitted = allocations(|| {
+    let before = core.report().completed();
+    let (admitted, bytes) = allocations_and_bytes(|| {
         for _ in 0..STEPS {
-            step(&mut core, &mut pod, hold);
+            step(&mut core, &mut pod);
         }
     });
-    assert_eq!(core.report().completed(), 7 + STEPS);
+    assert!(core.report().completed() - before > STEPS / 2);
     assert_eq!(core.report().blocked(), 0);
+    assert_eq!(
+        admitted,
+        ADMIT_COMPLETE_ALLOCS * STEPS,
+        "allocations over {STEPS} admit+complete steps; {ADMIT_COMPLETE_ALLOCS} per step"
+    );
     assert!(
-        admitted <= ADMIT_COMPLETE_ALLOCS * STEPS,
-        "{admitted} allocations over {STEPS} admit+complete steps; \
-         {ADMIT_COMPLETE_ALLOCS} per step at merge"
+        bytes <= ADMIT_COMPLETE_BYTES * STEPS,
+        "{bytes} bytes over {STEPS} admit+complete steps; at most \
+         {ADMIT_COMPLETE_BYTES} per step"
     );
 }
 

@@ -7,7 +7,8 @@
 //! Driven through the same arbitrary interleaving of submits, clock
 //! advances, drains, cube failures and switch faults on twin same-seed
 //! pods, the two must emit the same events call by call, hold the same
-//! report and leave the pods in the same state.
+//! report, list the same running requests in the same order and leave the
+//! pods in the same state.
 //!
 //! The same file holds the `CubeSet`-vs-`BTreeSet` model checks the
 //! rewrite rests on: set operations, both allocators over either
@@ -24,7 +25,7 @@ use lightwave::service::{
 };
 use lightwave::superpod::slice::SliceError;
 use lightwave::superpod::wiring::SUPERPOD_OCS_COUNT;
-use lightwave::superpod::{CubeId, CubeSet, Slice, SliceHandle, SliceShape, Superpod};
+use lightwave::superpod::{CubeId, CubeSet, Slice, SliceShape, Superpod};
 use lightwave::units::Nanos;
 use oracle::OracleCore;
 use proptest::prelude::*;
@@ -158,8 +159,6 @@ fn fault(pod: &mut Superpod, op: Op) {
     }
 }
 
-type RunningSet = BTreeSet<(u64, SliceHandle, u32)>;
-
 /// Everything the two cores and their pods must agree on between calls.
 fn check_twins(
     core: &ServiceCore,
@@ -173,10 +172,8 @@ fn check_twins(
     prop_assert_eq!(pod.fabric().now(), model.now());
     prop_assert_eq!(model_pod.fabric().now(), model.now());
     prop_assert_eq!(core.queue_depth(), model.queue_depth());
-    prop_assert_eq!(
-        core.running().collect::<RunningSet>(),
-        model.running().collect::<RunningSet>()
-    );
+    // The same requests in the same order: latest completion first.
+    prop_assert_eq!(core.running().collect::<Vec<_>>(), model.running());
     prop_assert_eq!(core.conservation(), Ok(()));
     prop_assert_eq!(model.conservation(), Ok(()));
     prop_assert_eq!(pod.idle_cubes(), model_pod.idle_cubes());
@@ -441,4 +438,60 @@ fn a_pod_ticked_behind_the_cores_back_still_has_one_clock() {
         .collect();
     assert_eq!(stamps, [ms(12), ms(12), ms(13)]);
     assert_eq!(core.report().horizon, ms(13));
+}
+
+/// The victim rule's other edge: a head that cannot fit, with only its
+/// own class and a higher one serving, evicts nobody — preemption takes
+/// strictly lower classes only — and waits for a completion instead.
+/// (The head needs more than its own class holds, so a rule that took
+/// same-class victims evicts one and stops, rather than trading the cubes
+/// back and forth.)
+#[test]
+fn a_head_with_no_lower_class_serving_preempts_nobody() {
+    let ms = Nanos::from_millis;
+    let intent = |request, class, chips, hold| SliceIntent {
+        request,
+        class,
+        chips,
+        hold: ms(hold),
+    };
+    let mut core = ServiceCore::new(PolicyConfig::default());
+    let mut pod = Superpod::new(0x5EED);
+    let mut events = Vec::new();
+    let inference = intent(1, Priority::Inference, [16, 16, 12], 50); // 48 cubes
+    core.submit(&mut pod, &inference, &mut events);
+    let training = intent(2, Priority::Training, [8, 8, 8], 100); // 8 cubes
+    core.submit(&mut pod, &training, &mut events);
+    assert_eq!(pod.idle_set().len(), 8);
+
+    events.clear();
+    let head = intent(3, Priority::Training, [16, 16, 8], 10); // 32 cubes
+    core.submit(&mut pod, &head, &mut events);
+    assert!(
+        matches!(events[..], [ServiceEvent::Enqueued { request: 3, .. }]),
+        "{events:?}"
+    );
+    assert_eq!(
+        core.running()
+            .map(|(request, _, _)| request)
+            .collect::<Vec<_>>(),
+        [2, 1],
+        "latest completion first"
+    );
+    assert_eq!(core.queue_depth(), 1);
+
+    // The inference slice completes first and the head takes its cubes.
+    events.clear();
+    core.drain(&mut pod, &mut events);
+    let admitted: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            ServiceEvent::Admitted { request, .. } => Some(*request),
+            ServiceEvent::Preempted { request, .. } => panic!("{request} preempted"),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(admitted, [3]);
+    assert_eq!(core.report().completed(), 3);
+    assert_eq!(core.conservation(), Ok(()));
 }
