@@ -23,7 +23,7 @@ use lightwave::ocs::camera::{AlignmentLoop, ALIGNMENT_TOLERANCE};
 use lightwave::ocs::loss::OpticalCore;
 use lightwave::ocs::{Crossbar, PalomarOcs, PortMapping};
 use lightwave::superpod::geometry::{Dim, LINKS_PER_FACE};
-use lightwave::superpod::slice::{Slice, SliceShape};
+use lightwave::superpod::slice::{CubeList, Slice, SliceShape};
 use lightwave::superpod::wiring::ocs_for;
 use lightwave::superpod::Superpod;
 use lightwave::units::Nanos;
@@ -221,8 +221,11 @@ fn pod_compose_full(c: &mut Criterion) {
         b.iter_batched(
             || Superpod::new(1),
             |mut pod| {
-                let slice =
-                    Slice::new(SliceShape::new(16, 16, 16).unwrap(), (0..64).collect()).unwrap();
+                let slice = Slice::new(
+                    SliceShape::new(16, 16, 16).unwrap(),
+                    (0..64).collect::<CubeList>(),
+                )
+                .unwrap();
                 pod.compose(slice).expect("empty pod");
                 black_box(pod)
             },

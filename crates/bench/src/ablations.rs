@@ -65,7 +65,13 @@ pub fn ablate_bidi() -> ExperimentResult {
 
 /// Ablation 2 — minimal-delta reconfiguration vs full rewire (§2.3).
 pub fn ablate_reconfig() -> ExperimentResult {
-    let slice_a = || Slice::new(SliceShape::new(8, 8, 8).unwrap(), (0..8).collect()).unwrap();
+    let slice_a = || {
+        Slice::new(
+            SliceShape::new(8, 8, 8).unwrap(),
+            (0..8).collect::<Vec<u8>>(),
+        )
+        .unwrap()
+    };
     let slice_b = |cubes: Vec<u8>| Slice::new(SliceShape::new(8, 8, 8).unwrap(), cubes).unwrap();
 
     // Delta path: recompose only slice B; A is never mentioned.

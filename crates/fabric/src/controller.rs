@@ -305,10 +305,12 @@ impl FabricController {
 
     /// [`FabricController::commit_delta`] for a caller that owns the
     /// circuit lists already: `view` yields each touched switch once,
-    /// ascending by id, and is walked twice — every switch validates its
-    /// share, then every switch applies it. Nothing is copied out of the
-    /// lists; the report's table is the one allocation. Only the circuits
-    /// the view establishes are vetted against degraded ports — untouched
+    /// ascending by id, and the fleet walks it twice — every switch is
+    /// brought to fleet time and validates its share, then every switch
+    /// applies it, and only a switch left aligning is listed for the next
+    /// advance. Nothing is copied out of the lists; the report's table is
+    /// the one allocation. Only the circuits the view establishes are
+    /// vetted against degraded ports — untouched
     /// circuits are never re-checked (the same wedge-avoidance contract
     /// as [`FabricController::validate`]). A view that names no switch — a
     /// single-cube slice's — skips both passes and the totalling for the
@@ -330,27 +332,7 @@ impl FabricController {
                 traffic_ready_at: self.now(),
             });
         }
-        let mut touched = 0;
-        let mut last = None;
-        for (id, add, remove) in view.clone() {
-            assert!(last < Some(id), "switch {id} out of order in the view");
-            last = Some(id);
-            let ocs = self
-                .fleet
-                .get_mut(id)
-                .ok_or(CommitError::UnknownSwitch(id))?;
-            ocs.validate_delta(add, remove)
-                .map_err(|error| CommitError::Invalid { ocs: id, error })?;
-            touched += 1;
-        }
-        let mut per_switch = Vec::with_capacity(touched);
-        for (id, add, remove) in view {
-            let ocs = self.fleet.get_mut(id).expect("validated");
-            let done = ocs
-                .apply_delta_summary(add, remove)
-                .map_err(|error| CommitError::Invalid { ocs: id, error })?;
-            per_switch.push((id, done));
-        }
+        let per_switch = self.fleet.transact(view)?;
         Ok(self.report(per_switch))
     }
 

@@ -1,6 +1,7 @@
 //! The OCS fleet: a set of Palomar switches under one simulation clock.
 
-use lightwave_ocs::{OcsHealth, PalomarOcs};
+use crate::controller::{CommitError, SwitchOps};
+use lightwave_ocs::{OcsHealth, PalomarOcs, ReconfigSummary};
 use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -27,9 +28,9 @@ pub struct FleetHealth {
 
 /// A fleet of Palomar OCSes, kept in id order, and the one owner of fabric
 /// time: the fleet keeps the clock, and a member's own clock is brought up
-/// to it only when the member is handed out mutably or may have an
-/// alignment falling due. Advancing a fleet with nothing mid-alignment is
-/// one compare, whatever its size.
+/// to it only when the member is handed out mutably, a transaction touches
+/// it, or it may have an alignment falling due. Advancing a fleet with
+/// nothing mid-alignment is one compare, whatever its size.
 #[derive(Debug, Default)]
 pub struct OcsFleet {
     /// Each switch under its id, ascending.
@@ -37,13 +38,15 @@ pub struct OcsFleet {
     /// Fabric time.
     now: Nanos,
     /// No member's alignment is due before this: a lower bound, never
-    /// late. Every mutable hand-out pulls it down to `now`, and the next
-    /// [`OcsFleet::advance`] re-derives it from the listed switches' own
-    /// [`PalomarOcs::next_due`].
+    /// late. Every mutable hand-out pulls it down to `now`, a transaction
+    /// down to the [`PalomarOcs::next_due`] of each member it leaves
+    /// aligning, and the next [`OcsFleet::advance`] re-derives it from the
+    /// listed switches' own.
     due: Nanos,
     /// Slots of the members that may hold pending alignments: every member
-    /// handed out mutably since it was last seen with none. Allocated with
-    /// the fleet (one entry per member at most), never on the request path.
+    /// handed out mutably, or left aligning by a transaction, since it was
+    /// last seen with none. Allocated with the fleet (one entry per member
+    /// at most), never on the request path.
     moving: Vec<usize>,
 }
 
@@ -167,6 +170,54 @@ impl OcsFleet {
         self.due = self.now;
         member.ocs.advance_to(self.now);
         &mut member.ocs
+    }
+
+    /// Runs one incremental transaction — the fleet half of
+    /// [`FabricController::commit_view`](crate::FabricController::commit_view):
+    /// every switch `view` names is brought to fleet time and validates
+    /// its share, then every one applies it. Only a member the transaction
+    /// leaves with alignments in flight is listed, and `due` comes down to
+    /// its own next due time, not to `now`: a transaction that starts no
+    /// alignment — a release — leaves the next advance one compare. Returns
+    /// each switch's summary, ascending by id; on error nothing has been
+    /// applied.
+    ///
+    /// # Panics
+    /// Panics if the view's ids are not strictly ascending.
+    pub(crate) fn transact<'a>(
+        &mut self,
+        view: impl Iterator<Item = SwitchOps<'a>> + Clone,
+    ) -> Result<Vec<(OcsId, ReconfigSummary)>, CommitError> {
+        let mut touched = 0;
+        let mut last = None;
+        for (id, add, remove) in view.clone() {
+            assert!(last < Some(id), "switch {id} out of order in the view");
+            last = Some(id);
+            let slot = self.slot(id).ok_or(CommitError::UnknownSwitch(id))?;
+            let ocs = &mut self.switches[slot].ocs;
+            ocs.advance_to(self.now);
+            ocs.validate_delta(add, remove)
+                .map_err(|error| CommitError::Invalid { ocs: id, error })?;
+            touched += 1;
+        }
+        let mut per_switch = Vec::with_capacity(touched);
+        for (id, add, remove) in view {
+            let slot = self.slot(id).expect("validated");
+            let member = &mut self.switches[slot];
+            let done = member
+                .ocs
+                .apply_delta_summary(add, remove)
+                .map_err(|error| CommitError::Invalid { ocs: id, error })?;
+            if member.ocs.pending_circuits() > 0 {
+                if !member.listed {
+                    member.listed = true;
+                    self.moving.push(slot);
+                }
+                self.due = self.due.min(member.ocs.next_due());
+            }
+            per_switch.push((id, done));
+        }
+        Ok(per_switch)
     }
 
     /// Iterates switches in id order; each as [`OcsFleet::get`] shows it.
@@ -361,6 +412,34 @@ mod tests {
         let mut joiner = PalomarOcs::new(9, 9);
         joiner.advance(Nanos(1));
         fleet.add(joiner);
+    }
+
+    #[test]
+    fn a_release_lists_no_switch_and_the_next_advance_is_one_compare() {
+        let mut fleet = OcsFleet::build(3, 5);
+        let (add, remove) = ([(1, 2), (3, 4)], [1, 3]);
+        let ops = |add, remove| [0, 2].map(|id| (id, add, remove)).into_iter();
+        fleet.advance(Nanos(1));
+        assert_eq!(fleet.due, Nanos(u64::MAX), "nothing in motion");
+        fleet.transact(ops(&add[..], &[][..])).unwrap();
+        assert_eq!(fleet.moving, [0, 2], "both switches aligning");
+        assert!(
+            fleet.due > fleet.now,
+            "due at the first ready time, not now"
+        );
+        fleet.advance(Nanos::from_millis(300));
+        assert!(fleet.moving.is_empty(), "settled");
+        // The release starts no alignment: no switch is listed and `due`
+        // stays where it was, so the next advance visits no member.
+        fleet.transact(ops(&[][..], &remove[..])).unwrap();
+        assert!(fleet.moving.is_empty());
+        assert_eq!(fleet.due, Nanos(u64::MAX));
+        assert_eq!(fleet.pending(), 0);
+        assert_eq!(fleet.health().circuits, 0);
+        // A refused transaction lists nothing and applies nothing.
+        let spoiled = fleet.transact(ops(&add[..], &remove[..]));
+        assert!(matches!(spoiled, Err(CommitError::Invalid { ocs: 0, .. })));
+        assert!(fleet.moving.is_empty() && fleet.health().circuits == 0);
     }
 
     #[test]

@@ -8,14 +8,16 @@
 //! that fragments static clusters.
 
 use lightwave_superpod::geometry::{CubeId, CubeSet};
-use lightwave_superpod::slice::SliceShape;
+use lightwave_superpod::slice::{CubeList, SliceShape};
 use serde::{Deserialize, Serialize};
 
 /// The physical cube grid of a pod: 4×4×4 racks.
 pub const GRID: usize = 4;
 
-/// An allocation decision.
-pub type Allocation = Vec<CubeId>;
+/// An allocation decision: the cubes in the order they fill the slice
+/// grid, a value the pod's [`Slice`](lightwave_superpod::Slice) takes as
+/// it is.
+pub type Allocation = CubeList;
 
 /// An allocation discipline over a pod's 64 cubes.
 pub trait Allocator {
@@ -62,20 +64,21 @@ impl Allocator for Contiguous {
         if p > GRID || q > GRID || r > GRID {
             return None; // does not fit the physical arrangement at all
         }
-        // The box at an origin, x fastest — the order its cubes fill the
-        // slice grid.
-        let box_at = move |ox: usize, oy: usize, oz: usize| {
-            (0..r).flat_map(move |dz| {
-                (0..q).flat_map(move |dy| (0..p).map(move |dx| cube_at(ox + dx, oy + dy, oz + dz)))
-            })
-        };
-        // First-fit over box origins: a mask test per cube, nothing
-        // allocated until a box fits.
+        // The box at origin cube 0. A box at origin (x, y, z) is this one
+        // moved by `cube_at(x, y, z)` ids — a shift of the mask, since a
+        // box that fits the grid never wraps a row or a plane (DESIGN
+        // §6.8, "The shifted box is the box") — and its cubes in x-fastest
+        // order, the order they fill the slice grid, ascend by id.
+        let at_zero: CubeSet = (0..r)
+            .flat_map(|z| (0..q).flat_map(move |y| (0..p).map(move |x| cube_at(x, y, z))))
+            .collect();
+        // First fit over box origins: one mask test per origin.
         for oz in 0..=(GRID - r) {
             for oy in 0..=(GRID - q) {
                 for ox in 0..=(GRID - p) {
-                    if box_at(ox, oy, oz).all(|c| idle.contains(c)) {
-                        return Some(box_at(ox, oy, oz).collect());
+                    let at = CubeSet::from_bits(at_zero.bits() << cube_at(ox, oy, oz));
+                    if at.difference(idle).is_empty() {
+                        return Some(at.iter().collect());
                     }
                 }
             }

@@ -7,7 +7,7 @@
 //! idle — impossible under pooling, routine under contiguity).
 
 use crate::alloc::Allocator;
-use lightwave_superpod::geometry::{CubeId, CubeSet};
+use lightwave_superpod::geometry::CubeSet;
 use lightwave_superpod::slice::SliceShape;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -191,7 +191,7 @@ impl ClusterSim {
         let mut idle = CubeSet::ALL;
         // (completion time, cubes to release) for every running job,
         // latest first: the next release is the last entry.
-        let mut releases: Vec<(f64, Vec<CubeId>)> = Vec::new();
+        let mut releases: Vec<(f64, CubeSet)> = Vec::new();
         let mut queue: VecDeque<PendingJob> = VecDeque::new();
         let mut now = 0.0f64;
         let mut next_arrival = arrival.sample(&mut rng);
@@ -225,7 +225,7 @@ impl ClusterSim {
             if Some(t_event) == next_release {
                 let (_, cubes) = releases.pop().expect("a release is due");
                 busy_cubes -= cubes.len();
-                idle.extend(cubes);
+                idle = idle.union(cubes);
                 completed += 1;
             } else {
                 let job = self.draw_job(&mut rng, total_weight, now);
@@ -253,9 +253,8 @@ impl ClusterSim {
                 match placed {
                     Some(cubes) => {
                         let job = queue.remove(i).expect("index in range");
-                        for &c in &cubes {
-                            idle.remove(c);
-                        }
+                        let cubes: CubeSet = cubes.iter().copied().collect();
+                        idle = idle.difference(cubes);
                         failed = FailedSpecs::default();
                         busy_cubes += cubes.len();
                         total_wait += now - job.arrived;
@@ -315,7 +314,7 @@ impl ClusterSim {
         // of the model — `repack` breaks first-fit-decreasing ties by it:
         // sorted by completion time at the top of each event, this
         // event's placements appended.
-        let mut running: Vec<(f64, Vec<CubeId>, SliceShape)> = Vec::new();
+        let mut running: Vec<(f64, CubeSet, SliceShape)> = Vec::new();
         let mut queue: VecDeque<PendingJob> = VecDeque::new();
         let mut now = 0.0f64;
         let mut next_arrival = arrival.sample(&mut rng);
@@ -349,7 +348,7 @@ impl ClusterSim {
             if Some(t_event) == next_release {
                 let (_, cubes, _) = running.remove(0);
                 busy_cubes -= cubes.len();
-                idle.extend(cubes);
+                idle = idle.union(cubes);
                 completed += 1;
             } else {
                 let job = self.draw_job(&mut rng, total_weight, now);
@@ -368,24 +367,21 @@ impl ClusterSim {
                 let PendingJob { spec, need, .. } = queue[i];
                 let job_shape = self.mix[spec].shape;
                 let known = failed.contains(spec);
-                let mut placed = if known {
-                    None
-                } else {
-                    alloc.allocate(job_shape, idle)
+                let place = |idle| -> Option<CubeSet> {
+                    Some(alloc.allocate(job_shape, idle)?.iter().copied().collect())
                 };
+                let mut placed = if known { None } else { place(idle) };
                 if placed.is_none() && idle.len() >= need {
                     frag_stalls += 1;
                     if !known {
                         // Defragment: repack all running jobs FFD.
                         if let Some((new_assignments, moved)) = repack(&running, job_shape) {
                             idle = CubeSet::ALL;
-                            for (slot, cubes) in new_assignments.iter().enumerate() {
-                                for &c in cubes {
-                                    idle.remove(c);
-                                }
+                            for (slot, &cubes) in new_assignments.iter().enumerate() {
+                                idle = idle.difference(cubes);
                                 let was_moved = moved.contains(&slot);
                                 let entry = &mut running[slot];
-                                entry.1 = cubes.clone();
+                                entry.1 = cubes;
                                 if was_moved {
                                     entry.0 += migration_hours;
                                     migration_waste += cubes.len() as f64 * migration_hours;
@@ -393,16 +389,14 @@ impl ClusterSim {
                                 }
                             }
                             failed = FailedSpecs::default();
-                            placed = alloc.allocate(job_shape, idle);
+                            placed = place(idle);
                         }
                     }
                 }
                 match placed {
                     Some(cubes) => {
                         let job = queue.remove(i).expect("index in range");
-                        for &c in &cubes {
-                            idle.remove(c);
-                        }
+                        idle = idle.difference(cubes);
                         failed = FailedSpecs::default();
                         busy_cubes += cubes.len();
                         total_wait += now - job.arrived;
@@ -437,19 +431,21 @@ impl ClusterSim {
 /// jobs whose assignment changed, or `None` if even a full repack cannot
 /// fit everything.
 fn repack(
-    running: &[(f64, Vec<CubeId>, SliceShape)],
+    running: &[(f64, CubeSet, SliceShape)],
     incoming: SliceShape,
-) -> Option<(Vec<Vec<CubeId>>, Vec<usize>)> {
+) -> Option<(Vec<CubeSet>, Vec<usize>)> {
     use crate::alloc::{Allocator, Contiguous};
     let mut order: Vec<usize> = (0..running.len()).collect();
     order.sort_by(|&a, &b| running[b].1.len().cmp(&running[a].1.len()));
     let mut idle = CubeSet::ALL;
-    let mut new_assignments = vec![Vec::new(); running.len()];
+    let mut new_assignments = vec![CubeSet::EMPTY; running.len()];
     for &slot in &order {
-        let cubes = Contiguous.allocate(running[slot].2, idle)?;
-        for &c in &cubes {
-            idle.remove(c);
-        }
+        let cubes: CubeSet = Contiguous
+            .allocate(running[slot].2, idle)?
+            .iter()
+            .copied()
+            .collect();
+        idle = idle.difference(cubes);
         new_assignments[slot] = cubes;
     }
     // The repack must actually make room for the stalled job.

@@ -37,9 +37,29 @@ impl CubeSet {
     /// Every cube of the pod.
     pub const ALL: CubeSet = CubeSet(u64::MAX);
 
+    /// The set whose members are the set bits of `bits`.
+    pub const fn from_bits(bits: u64) -> CubeSet {
+        CubeSet(bits)
+    }
+
+    /// The set as a word: bit `c` set for each member `c`.
+    pub const fn bits(self) -> u64 {
+        self.0
+    }
+
     /// The single-cube mask, or 0 for an id outside the pod.
     fn bit(cube: CubeId) -> u64 {
         1u64.checked_shl(cube as u32).unwrap_or(0)
+    }
+
+    /// Members of either set.
+    pub fn union(self, other: CubeSet) -> CubeSet {
+        CubeSet(self.0 | other.0)
+    }
+
+    /// Members of `self` that are not members of `other`.
+    pub fn difference(self, other: CubeSet) -> CubeSet {
+        CubeSet(self.0 & !other.0)
     }
 
     /// Number of member cubes.

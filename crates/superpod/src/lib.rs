@@ -40,5 +40,5 @@ pub mod wiring;
 
 pub use geometry::{CubeId, CubeSet, Dim, CHIPS_PER_CUBE, CUBE_EDGE, POD_CHIPS, POD_CUBES};
 pub use pod::{PodError, SliceHandle, Superpod};
-pub use slice::{Slice, SliceShape};
+pub use slice::{CubeList, Slice, SliceShape};
 pub use torus::Torus;

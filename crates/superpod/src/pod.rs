@@ -2,17 +2,19 @@
 //!
 //! The pod owns the 48-OCS lightwave fabric and the cube inventory. Every
 //! slice composition is a fabric *transaction*, committed incrementally:
-//! the pod keeps a persistent desired state — each slice's circuit pairs
-//! (computed once at compose) plus a per-dimension aggregate mapping
-//! maintained by delta — so a transaction touches only the switches whose
-//! mapping actually changes, and carries only the added/removed pairs.
-//! The transaction is a *view* of lists the pod already owns (the slice's
-//! pairs, a reused scratch of their north ports), walked switch by switch
-//! over a touched-switch mask: nothing is built per switch, and a
-//! single-cube slice, whose mask is empty, costs no switch work at all.
-//! The live slices sit in a slot table sized by use: every live slice
-//! holds at least one cube and no two share one, so there are never more
-//! than [`POD_CUBES`] of them (DESIGN §6.6, "Sized to the pod").
+//! the pod keeps a persistent desired state — a per-dimension aggregate
+//! mapping maintained by delta — so a transaction touches only the
+//! switches whose mapping actually changes, and carries only the
+//! added/removed pairs. The transaction is a *view* of two per-dimension
+//! scratch lists the pod owns and reuses — a compose's ring pairs, a
+//! release's north ports, each rebuilt from the slice's cubes — walked
+//! switch by switch over a touched-switch mask: nothing is built per
+//! switch or kept per slice, and a single-cube slice, whose mask is empty,
+//! costs no switch work at all. The live slices sit in a slot table sized
+//! by use: every live slice holds at least one cube and no two share one,
+//! so there are never more than [`POD_CUBES`] of them (DESIGN §6.6, "Sized
+//! to the pod"), and a slot is the [`Slice`] itself, its cubes inline
+//! ("Cube lists are values").
 //! Running slices never blink (§4.2.4: "slices for new model placements
 //! ... can be dynamically scheduled without interfering with existing
 //! models running on a different slice"), and compose/release cost is
@@ -74,14 +76,6 @@ impl std::error::Error for PodError {}
 /// pair list per dimension fully describes a slice's optical footprint.
 type DimPairs = [Vec<(PortId, PortId)>; 3];
 
-/// An active slice with its circuit pairs per dimension, computed once at
-/// compose and reused for release.
-#[derive(Debug)]
-struct LiveSlice {
-    slice: Slice,
-    pairs: DimPairs,
-}
-
 /// "No circuit" in a [`Superpod::desired`] table: ports are cube ids, all
 /// below [`POD_CUBES`].
 const FREE: PortId = PortId::MAX;
@@ -137,16 +131,19 @@ pub struct Superpod {
     /// once — at most [`POD_CUBES`].
     held: Vec<SliceHandle>,
     /// The live slice in each slot; `None` exactly where `held` is free.
-    live: Vec<Option<LiveSlice>>,
+    live: Vec<Option<Slice>>,
     /// The aggregate desired mapping per dimension (all 16 switches of a
     /// dimension carry the same mapping), maintained by delta — the
     /// persistent state that makes compose/release O(slice) and resync a
     /// cheap lookup. Indexed by north port; [`FREE`] where no slice pins
     /// the port.
     desired: [[PortId; POD_CUBES]; 3],
+    /// Scratch for [`Superpod::compose`]: the ring pairs of the slice
+    /// being composed, per dimension. Rewritten by every compose before it
+    /// is read, so nothing of one transaction reaches the next.
+    pairs: DimPairs,
     /// Scratch for [`Superpod::release`]: the north ports of the slice
-    /// being released, per dimension. Rewritten by every release before
-    /// it is read, so nothing of one transaction reaches the next.
+    /// being released, per dimension, rewritten the same way.
     norths: [Vec<PortId>; 3],
     /// Cubes inside an active slice. With `failed` this is the whole cube
     /// inventory: the idle set is always exactly `!(busy | failed)`.
@@ -172,6 +169,7 @@ impl Superpod {
             held: Vec::new(),
             live: Vec::new(),
             desired: [[FREE; POD_CUBES]; 3],
+            pairs: Default::default(),
             norths: Default::default(),
             busy: CubeSet::EMPTY,
             failed: CubeSet::EMPTY,
@@ -210,7 +208,7 @@ impl Superpod {
     }
 
     /// Live slices with their handles, in handle order.
-    fn by_handle(&self) -> Vec<(SliceHandle, &LiveSlice)> {
+    fn by_handle(&self) -> Vec<(SliceHandle, &Slice)> {
         let mut live: Vec<_> = self
             .held
             .iter()
@@ -223,15 +221,12 @@ impl Superpod {
 
     /// Active slices, in handle order.
     pub fn slices(&self) -> impl Iterator<Item = (SliceHandle, &Slice)> {
-        self.by_handle()
-            .into_iter()
-            .map(|(h, live)| (h, &live.slice))
+        self.by_handle().into_iter()
     }
 
     /// Looks up a slice.
     pub fn slice(&self, h: SliceHandle) -> Option<&Slice> {
-        let live = self.live[self.slot_of(h)?].as_ref();
-        live.map(|live| &live.slice)
+        self.live[self.slot_of(h)?].as_ref()
     }
 
     /// Marks a cube failed (host/server failure). Idle cubes simply leave
@@ -259,21 +254,21 @@ impl Superpod {
             .then(|| self.cube_owner[cube as usize])
     }
 
-    /// The circuit pairs a slice pins per dimension, sorted by north port
-    /// for deterministic delta ordering: every cube of a ring longer than
-    /// one hops to the next cube of its ring, wrapping at the edge.
-    /// Single-cube dimensions contribute nothing (their rings are
-    /// electrical), so a single-cube slice has no optical hop at all.
-    fn pairs_for(slice: &Slice) -> DimPairs {
+    /// Writes the circuit pairs a slice pins per dimension into `pairs`,
+    /// sorted by north port for deterministic delta ordering: every cube
+    /// of a ring longer than one hops to the next cube of its ring,
+    /// wrapping at the edge. Single-cube dimensions contribute nothing
+    /// (their rings are electrical), so a single-cube slice has no optical
+    /// hop at all.
+    fn pairs_for(slice: &Slice, pairs: &mut DimPairs) {
         let grid = slice.shape.cube_grid();
         // Cubes are row-major, first dimension fastest.
         let strides = [1, grid[0], grid[0] * grid[1]];
-        let mut pairs: DimPairs = Default::default();
         for ((list, len), stride) in pairs.iter_mut().zip(grid).zip(strides) {
+            list.clear();
             if len == 1 {
                 continue;
             }
-            list.reserve_exact(slice.cubes.len());
             for (at, &from) in slice.cubes.iter().enumerate() {
                 let coord = at / stride % len;
                 let next = if coord + 1 == len {
@@ -285,17 +280,16 @@ impl Superpod {
             }
             list.sort_unstable();
         }
-        pairs
     }
 
-    /// The switches a transaction over `pairs` commits on, and the ones
-    /// it must leave out, as switch masks: only dimensions the slice
-    /// actually spans are touched, and down and desynced switches are
-    /// skipped so one failed chassis cannot veto pod-wide transactions.
-    fn switch_masks(&self, pairs: &DimPairs) -> (u64, u64) {
+    /// The switches a transaction commits on, and the ones it must leave
+    /// out, as switch masks: only the dimensions it `spans` are touched,
+    /// and down and desynced switches are skipped so one failed chassis
+    /// cannot veto pod-wide transactions.
+    fn switch_masks(&self, spans: [bool; 3]) -> (u64, u64) {
         let (mut touched, mut skipped) = (0u64, 0u64);
         for dim in Dim::ALL {
-            if pairs[dim.index()].is_empty() {
+            if !spans[dim.index()] {
                 continue;
             }
             for k in 0..LINKS_PER_FACE {
@@ -333,8 +327,8 @@ impl Superpod {
     #[cfg(test)]
     fn assert_desired_matches_rebuild(&self) {
         let mut rebuilt: [std::collections::BTreeMap<PortId, PortId>; 3] = Default::default();
-        for live in self.live.iter().flatten() {
-            for hop in live.slice.required_hops() {
+        for slice in self.live.iter().flatten() {
+            for hop in slice.required_hops() {
                 if let Some((n, s)) = hop.pair() {
                     let prev = rebuilt[hop.dim.index()].insert(n, s);
                     assert!(prev.is_none(), "disjoint slices produce disjoint ports");
@@ -423,8 +417,9 @@ impl Superpod {
                 return Err(PodError::CubeFailed(c));
             }
         }
-        let pairs = Self::pairs_for(&slice);
-        let (switches, skipped) = self.switch_masks(&pairs);
+        Self::pairs_for(&slice, &mut self.pairs);
+        let (switches, skipped) = self.switch_masks(self.pairs.each_ref().map(|l| !l.is_empty()));
+        let pairs = &self.pairs;
         let report = self.fabric.commit_view(SliceView {
             switches,
             add: [&pairs[0], &pairs[1], &pairs[2]],
@@ -437,13 +432,13 @@ impl Superpod {
             self.busy.insert(c);
             self.cube_owner[c as usize] = handle;
         }
-        for (table, list) in self.desired.iter_mut().zip(&pairs) {
+        for (table, list) in self.desired.iter_mut().zip(pairs) {
             for &(n, s) in list {
                 debug_assert_eq!(table[n as usize], FREE, "disjoint slices, disjoint ports");
                 table[n as usize] = s;
             }
         }
-        let live = Some(LiveSlice { slice, pairs });
+        let live = Some(slice);
         match self.held.iter().position(|&h| h == FREE_SLOT) {
             Some(slot) => {
                 self.held[slot] = handle;
@@ -464,25 +459,30 @@ impl Superpod {
 
     /// Releases a slice, freeing its cubes and tearing down its circuits —
     /// an incremental transaction carrying only this slice's pairs as
-    /// removals. On error nothing has been applied.
+    /// removals. On a dimension the slice spans, every one of its cubes
+    /// hops to the next cube of its ring, so the north ports to tear down
+    /// there are exactly its cubes, ascending. On error nothing has been
+    /// applied.
     pub fn release(&mut self, h: SliceHandle) -> Result<CommitReport, PodError> {
         let slot = self.slot_of(h).ok_or(PodError::UnknownSlice(h))?;
-        let live = self.live[slot].as_ref().expect("a held slot is live");
-        for (norths, list) in self.norths.iter_mut().zip(&live.pairs) {
+        let slice = self.live[slot].as_ref().expect("a held slot is live");
+        let cubes: CubeSet = slice.cubes.iter().copied().collect();
+        for (norths, len) in self.norths.iter_mut().zip(slice.shape.cube_grid()) {
             norths.clear();
-            norths.extend(list.iter().map(|&(n, _)| n));
+            if len > 1 {
+                norths.extend(cubes.iter().map(PortId::from));
+            }
         }
-        let (switches, skipped) = self.switch_masks(&live.pairs);
+        let (switches, skipped) = self.switch_masks(self.norths.each_ref().map(|l| !l.is_empty()));
+        let norths = &self.norths;
         let report = self.fabric.commit_view(SliceView {
             switches,
             add: [&[]; 3],
-            remove: [&self.norths[0], &self.norths[1], &self.norths[2]],
+            remove: [&norths[0], &norths[1], &norths[2]],
         })?;
-        let live = self.live[slot].take().expect("a held slot is live");
+        self.live[slot] = None;
         self.held[slot] = FREE_SLOT;
-        for &c in &live.slice.cubes {
-            self.busy.remove(c);
-        }
+        self.busy = self.busy.difference(cubes);
         for (table, norths) in self.desired.iter_mut().zip(&self.norths) {
             for &n in norths {
                 table[n as usize] = FREE;
@@ -529,8 +529,8 @@ impl Superpod {
             .collect();
         self.by_handle()
             .into_iter()
-            .map(|(handle, live)| {
-                let [p, q, r] = live.slice.shape.cube_grid();
+            .map(|(handle, slice)| {
+                let [p, q, r] = slice.shape.cube_grid();
                 let grid = [p, q, r];
                 // Fraction of each dimension's inter-cube circuits lost.
                 let mut lost_per_dim = [0.0f64; 3];
@@ -649,18 +649,15 @@ mod tests {
         pod.mark_cube_failed(2);
         let old = pod.slice(h).unwrap().clone();
         pod.release(h).unwrap();
-        let mut cubes = old.cubes.clone();
         let spare = pod
             .idle_cubes()
             .into_iter()
-            .find(|c| !cubes.contains(c))
+            .find(|c| !old.cubes.contains(c))
             .unwrap();
-        for c in &mut cubes {
-            if *c == 2 {
-                *c = spare;
-            }
-        }
-        let (h2, _) = pod.compose(Slice::new(old.shape, cubes).unwrap()).unwrap();
+        let cubes = old.cubes.iter().map(|&c| if c == 2 { spare } else { c });
+        let (h2, _) = pod
+            .compose(Slice::new(old.shape, cubes.collect::<Vec<_>>()).unwrap())
+            .unwrap();
         pod.advance(Nanos::from_millis(300));
         assert!(pod.settled());
         assert_eq!(pod.slice(h2).unwrap().chip_count(), 256);

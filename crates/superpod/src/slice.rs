@@ -11,7 +11,7 @@
 
 use crate::geometry::{CubeId, CubeSet, Dim, CUBE_EDGE, POD_CUBES};
 use crate::wiring::CubeHop;
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 
 /// A slice shape in chips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -131,6 +131,120 @@ impl SliceShape {
     }
 }
 
+/// Cube ids a [`CubeList`] holds without a heap block.
+pub const INLINE_CUBES: usize = 22;
+
+/// An ordered list of cubes — a slice's grid positions, an allocator's
+/// pick — held as a value: up to [`INLINE_CUBES`] ids sit inside the 24
+/// bytes a `Vec` header would take, and only a longer list boxes its ids
+/// (DESIGN §6.6, "Cube lists are values"). It reads as a `[CubeId]`,
+/// compares by its live ids, and serializes as the same JSON array.
+#[derive(Clone)]
+pub struct CubeList(Ids);
+
+#[derive(Clone)]
+enum Ids {
+    /// `ids[..len]` are the list; the rest of the array is padding.
+    Inline {
+        len: u8,
+        ids: [CubeId; INLINE_CUBES],
+    },
+    Boxed(Box<[CubeId]>),
+}
+
+const _: () = assert!(
+    std::mem::size_of::<CubeList>() == std::mem::size_of::<Vec<CubeId>>(),
+    "a cube list is exactly as large as the Vec it replaced"
+);
+
+impl From<&[CubeId]> for CubeList {
+    fn from(cubes: &[CubeId]) -> CubeList {
+        if cubes.len() > INLINE_CUBES {
+            return CubeList(Ids::Boxed(cubes.into()));
+        }
+        let mut ids = [0; INLINE_CUBES];
+        ids[..cubes.len()].copy_from_slice(cubes);
+        CubeList(Ids::Inline {
+            len: cubes.len() as u8,
+            ids,
+        })
+    }
+}
+
+impl FromIterator<CubeId> for CubeList {
+    fn from_iter<I: IntoIterator<Item = CubeId>>(cubes: I) -> CubeList {
+        let mut cubes = cubes.into_iter();
+        let (mut ids, mut len) = ([0; INLINE_CUBES], 0);
+        while let Some(c) = cubes.next() {
+            if len == INLINE_CUBES {
+                let mut all = Vec::with_capacity(len + 1 + cubes.size_hint().0);
+                all.extend_from_slice(&ids);
+                all.push(c);
+                all.extend(cubes);
+                return CubeList(Ids::Boxed(all.into_boxed_slice()));
+            }
+            ids[len] = c;
+            len += 1;
+        }
+        CubeList(Ids::Inline {
+            len: len as u8,
+            ids,
+        })
+    }
+}
+
+impl std::ops::Deref for CubeList {
+    type Target = [CubeId];
+
+    fn deref(&self) -> &[CubeId] {
+        match &self.0 {
+            Ids::Inline { len, ids } => &ids[..*len as usize],
+            Ids::Boxed(ids) => ids,
+        }
+    }
+}
+
+impl AsRef<[CubeId]> for CubeList {
+    fn as_ref(&self) -> &[CubeId] {
+        self
+    }
+}
+
+impl<'a> IntoIterator for &'a CubeList {
+    type Item = &'a CubeId;
+    type IntoIter = std::slice::Iter<'a, CubeId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for CubeList {
+    fn eq(&self, other: &CubeList) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl Eq for CubeList {}
+
+impl std::fmt::Debug for CubeList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for CubeList {
+    fn to_content(&self) -> Content {
+        self[..].to_content()
+    }
+}
+
+impl<'de> Deserialize<'de> for CubeList {
+    fn from_content(content: &Content) -> Result<CubeList, DeError> {
+        Vec::<CubeId>::from_content(content).map(|cubes| CubeList::from(&cubes[..]))
+    }
+}
+
 /// A slice: a shape plus the physical cubes filling its logical grid.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Slice {
@@ -138,7 +252,7 @@ pub struct Slice {
     pub shape: SliceShape,
     /// Physical cube at each logical grid position, row-major with the
     /// first dimension fastest.
-    pub cubes: Vec<CubeId>,
+    pub cubes: CubeList,
 }
 
 /// Slice construction failures.
@@ -176,8 +290,11 @@ impl std::error::Error for SliceError {}
 
 impl Slice {
     /// Builds a slice from a shape and cube assignment.
-    pub fn new(shape: SliceShape, cubes: Vec<CubeId>) -> Result<Slice, SliceError> {
-        let slice = Slice { shape, cubes };
+    pub fn new(shape: SliceShape, cubes: impl AsRef<[CubeId]>) -> Result<Slice, SliceError> {
+        let slice = Slice {
+            shape,
+            cubes: CubeList::from(cubes.as_ref()),
+        };
         slice.check()?;
         Ok(slice)
     }
@@ -364,9 +481,40 @@ mod tests {
     #[test]
     fn hop_count_scales_with_cubes() {
         let shape = SliceShape::new(16, 16, 16).unwrap();
-        let slice = Slice::new(shape, (0..64).collect()).unwrap();
+        let slice = Slice::new(shape, (0..64).collect::<CubeList>()).unwrap();
         // 64 cubes × 3 dims.
         assert_eq!(slice.required_hops().len(), 192);
+    }
+
+    #[test]
+    fn a_cube_list_is_its_live_ids_inline_or_boxed() {
+        let list = |n: CubeId| (0..n).collect::<CubeList>();
+        for n in [0, 1, 21, 22, 23, 64] {
+            let ids: Vec<CubeId> = (0..n).collect();
+            assert_eq!(&list(n)[..], &ids[..], "{n} ids");
+            assert_eq!(list(n), CubeList::from(&ids[..]), "{n}: collected = copied");
+            assert_eq!(format!("{:?}", list(n)), format!("{ids:?}"));
+        }
+        assert!(matches!(list(22).0, Ids::Inline { len: 22, .. }));
+        assert!(matches!(list(23).0, Ids::Boxed(_)));
+        // Equal means equal live ids: a list is not its zero-padded
+        // extension (cube 0 is a cube), nor a longer or shorter one.
+        let ids = |ids: &[CubeId]| CubeList::from(ids);
+        assert_ne!(ids(&[5]), ids(&[5, 0]));
+        assert_ne!(ids(&[]), ids(&[0]));
+        assert_ne!(list(22), list(23));
+        assert_ne!(ids(&[1, 2]), ids(&[2, 1]));
+    }
+
+    #[test]
+    fn a_cube_list_serializes_as_the_array_it_replaced() {
+        for n in [0, 3, 22, 23, 64] {
+            let ids: Vec<CubeId> = (0..n).rev().collect();
+            let list = CubeList::from(&ids[..]);
+            let content = list.to_content();
+            assert_eq!(content, ids.to_content());
+            assert_eq!(CubeList::from_content(&content).unwrap(), list);
+        }
     }
 
     #[test]

@@ -102,7 +102,7 @@ use lightwave_dcn::{flowsim, te, Mesh, TrafficMatrix};
 use lightwave_fabric::CommitReport;
 use lightwave_mlperf::{LlmConfig, OptimalShape, SliceOptimizer};
 use lightwave_superpod::pod::{PodError, SliceHandle};
-use lightwave_superpod::slice::Slice;
+use lightwave_superpod::slice::{CubeList, Slice};
 use lightwave_superpod::Superpod;
 use lightwave_trace::Tracer;
 use lightwave_transceiver::bidilink::{BidiLink, LaneReport};
@@ -197,7 +197,7 @@ impl MlPod {
                 idle: idle.len(),
             });
         }
-        let slice = Slice::new(plan.shape, idle.iter().take(need).collect())
+        let slice = Slice::new(plan.shape, idle.iter().take(need).collect::<CubeList>())
             .expect("idle cubes are distinct and in range");
         let (handle, report) = self.pod.compose(slice)?;
         Ok(ModelPlacement {

@@ -1,10 +1,15 @@
-//! `ClusterSim` against its oracle (DESIGN §6.8).
+//! `ClusterSim` and its `Contiguous` allocator against their oracles
+//! (DESIGN §6.8).
 //!
 //! The production simulator remembers, per backfill pass, which specs
 //! already failed to place and skips their `allocate` / `repack`;
 //! `oracle::OracleSim` is the simulator it replaced, which asks again for
-//! every queued job on every event. Two guards, both `==` on all six
-//! `SimReport` fields, floats included:
+//! every queued job on every event. Both call the library's `Contiguous`,
+//! which tests each origin's box in one mask; `contiguous::first_fit` is
+//! the per-cube scan it replaced, and a third guard holds the two to the
+//! same answer on every legal shape of the grid over random idle sets.
+//! The first two guards are `==` on all six `SimReport` fields, floats
+//! included:
 //!
 //! 1. **Golden** — `tests/vectors/cluster_sim.json`, reports captured at
 //!    the parent of PR 15 (floats as `f64::to_bits`) for the three
@@ -17,6 +22,9 @@
 
 #[path = "oracle/cluster_sim.rs"]
 mod oracle;
+
+#[path = "oracle/contiguous.rs"]
+mod contiguous;
 
 use lightwave::scheduler::alloc::Allocation;
 use lightwave::scheduler::sim::default_mix;
@@ -205,5 +213,45 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         assert_agree(&mix, interarrival, horizon, migration, seed);
+    }
+}
+
+/// Idle sets from half empty to full: one random word, or the union of
+/// two or three (75 % and 87.5 % idle on average, where the large boxes
+/// fit), the full pod less one cube, or the full pod.
+fn any_idle() -> impl Strategy<Value = CubeSet> {
+    (any::<u64>(), any::<u64>(), any::<u64>(), 0u8..5).prop_map(|(a, b, c, density)| {
+        CubeSet::from_bits(match density {
+            0 => a,
+            1 => a | b,
+            2 => a | b | c,
+            3 => !(1 << (a % 64)),
+            _ => u64::MAX,
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The box-mask first fit returns exactly what the per-cube scan does
+    /// — the same box, the same order, or the same `None` — for every
+    /// `p×q×r` cube grid up to 4×4×4.
+    #[test]
+    fn contiguous_first_fit_matches_the_per_cube_scan(idle in any_idle()) {
+        for p in 1..=4 {
+            for q in 1..=4 {
+                for r in 1..=4 {
+                    let shape = SliceShape::new(4 * p, 4 * q, 4 * r).expect("legal shape");
+                    prop_assert_eq!(
+                        Contiguous.allocate(shape, idle),
+                        contiguous::first_fit(shape, idle),
+                        "{:?} on idle {:#018x}",
+                        shape,
+                        idle.bits()
+                    );
+                }
+            }
+        }
     }
 }

@@ -195,7 +195,7 @@ fn assert_compose_refused(slice: Slice, expect: SliceError) {
 fn unchecked(chips: [usize; 3], cubes: Vec<CubeId>) -> Slice {
     Slice {
         shape: SliceShape { chips },
-        cubes,
+        cubes: cubes.iter().copied().collect(),
     }
 }
 

@@ -13,7 +13,8 @@ use rand::{RngExt, SeedableRng};
 use rand_distr::{Distribution, Exp};
 use std::collections::VecDeque;
 
-/// The parent commit's `ClusterSim`. Only the type's name changed.
+/// The parent commit's `ClusterSim`. Only the type's name changed, and
+/// each allocation is copied into the `Vec` the simulator kept.
 #[derive(Debug)]
 pub struct OracleSim {
     mix: Vec<JobSpec>,
@@ -127,7 +128,7 @@ impl OracleSim {
                         busy_cubes += cubes.len();
                         total_wait += now - job.arrived;
                         waits += 1;
-                        releases.push((now + job.duration, cubes));
+                        releases.push((now + job.duration, cubes.to_vec()));
                     }
                     None => {
                         if idle.len() >= job_shape.cube_count() {
@@ -275,7 +276,7 @@ impl OracleSim {
                         busy_cubes += cubes.len();
                         total_wait += now - job.arrived;
                         waits += 1;
-                        running.push((now + job.duration, cubes, job.shape));
+                        running.push((now + job.duration, cubes.to_vec(), job.shape));
                     }
                     None => i += 1,
                 }
@@ -314,7 +315,7 @@ fn repack(
         for &c in &cubes {
             idle.remove(c);
         }
-        new_assignments[slot] = cubes;
+        new_assignments[slot] = cubes.to_vec();
     }
     // The repack must actually make room for the stalled job.
     Contiguous.allocate(incoming, idle)?;

@@ -31,7 +31,7 @@ fn many_models_share_one_pod_without_interference() {
     // Each placement got distinct cubes.
     let mut all_cubes: Vec<u8> = placements
         .iter()
-        .flat_map(|p| pod.pod.slice(p.handle).expect("live").cubes.clone())
+        .flat_map(|p| pod.pod.slice(p.handle).expect("live").cubes.to_vec())
         .collect();
     let n = all_cubes.len();
     all_cubes.sort_unstable();

@@ -8,10 +8,16 @@
 //!   word, and `Pooled` says no before building anything.
 //! - A single-cube admission plus the completion that frees it allocates
 //!   exactly [`ADMIT_COMPLETE_ALLOCS`] blocks of at most
-//!   [`ADMIT_COMPLETE_BYTES`] bytes between them.
+//!   [`ADMIT_COMPLETE_BYTES`] bytes between them: nothing.
 //! - A multi-cube admission plus its completion — two fabric transactions
 //!   over 16, 32 or 48 switches — allocates [`MULTI_CUBE_ALLOCS`] blocks,
 //!   and `Superpod::settled()` none.
+//! - A slice's cube list is a value (DESIGN §6.6, "Cube lists are
+//!   values"): cloning a slice of 22 cubes allocates nothing, one of 23
+//!   exactly the one block its boxed ids take.
+//! - `ClusterSim::run` allocates as many blocks over 800 h as over 200 h:
+//!   its tables reach their length early, and a placed job allocates
+//!   nothing.
 //! - `Superpod::advance` allocates **nothing**: not on an idle pod (one
 //!   compare), not with all 48 switches mid-alignment, not on the advance
 //!   that completes them (the fleet's list of switches in motion is built
@@ -34,35 +40,39 @@
 
 use lightwave::fec::ConcatenatedCode;
 use lightwave::ocs::loss::OpticalCore;
+use lightwave::scheduler::sim::default_mix;
+use lightwave::scheduler::{ClusterSim, Contiguous, Pooled};
 use lightwave::service::{PolicyConfig, Priority, ServiceCore, ServiceEvent, SliceIntent};
-use lightwave::superpod::{Slice, SliceShape, Superpod};
+use lightwave::superpod::{CubeList, Slice, SliceShape, Superpod};
 use lightwave::units::{Ber, Nanos};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Blocks allocated by one single-cube admit + completion, measured when
-/// the per-class-queue core merged (PR 13): the allocator's cube list and
-/// the copy of the slice geometry the `Admitted` event carries. The pod's
-/// live-slice table and the core's running table are slot tables that
-/// reuse their slots (DESIGN §6.6, "Sized to the pod").
-const ADMIT_COMPLETE_ALLOCS: u64 = 2;
+/// Blocks allocated by one single-cube admit + completion: none. The
+/// allocator's pick, the pod's slice and the copy the `Admitted` event
+/// carries each hold the cube inline (DESIGN §6.6, "Cube lists are
+/// values"), and the pod's live-slice table and the core's running table
+/// are slot tables that reuse their slots ("Sized to the pod"). While the
+/// cube list was a `Vec` it was 2: the allocator's list and the event's
+/// copy.
+const ADMIT_COMPLETE_ALLOCS: u64 = 0;
 
-/// Bytes those blocks ask for, together: the allocator's cube list (a
-/// collected byte `Vec` starts at 8) and the event's one-byte copy.
-/// While the pod kept its live slices in a `BTreeMap`, slices completing
-/// out of handle order made its ≈ 1.4 KB nodes come and go: 216 blocks
-/// for the test's 100 steps instead of 200, and lwbench's `single_loss`
-/// read 210.7 bytes a request (9.0 since).
-const ADMIT_COMPLETE_BYTES: u64 = 9;
+/// Bytes those blocks ask for, together: none. A collected byte `Vec` of
+/// 8 and the event's one-byte copy made 9; while the pod kept its live
+/// slices in a `BTreeMap`, slices completing out of handle order made its
+/// ≈ 1.4 KB nodes come and go, and lwbench's `single_loss` read 210.7
+/// bytes a request.
+const ADMIT_COMPLETE_BYTES: u64 = 0;
 
 /// Blocks allocated by one admit + completion of an `[8,4,4]`, `[8,8,4]`
-/// and `[8,8,8]` request (2, 4 and 8 cubes; 1, 2 and 3 torus dimensions),
-/// measured when transactions became borrowed views (PR 16): the two of
-/// the single-cube path, one pair list per spanned dimension, and one
-/// per-switch table per commit report (compose, release). The owned
-/// `FabricDelta` / `BTreeMap`-report path before it averaged 82.5 / 154.3
-/// / 239.2 on this same test (81 / 157 / 242 as ISSUE 16 counted them).
-const MULTI_CUBE_ALLOCS: [([usize; 3], u64); 3] = [([8, 4, 4], 5), ([8, 8, 4], 6), ([8, 8, 8], 7)];
+/// and `[8,8,8]` request (2, 4 and 8 cubes; 1, 2 and 3 torus dimensions):
+/// the one per-switch table each commit report holds (compose, release).
+/// The pod's pair and north-port lists are scratch it reuses. With `Vec`
+/// cube lists and a pair list per spanned dimension kept per slice it was
+/// 5 / 6 / 7, and the owned `FabricDelta` / `BTreeMap`-report path before
+/// transactions became borrowed views averaged 82.5 / 154.3 / 239.2 on
+/// this same test.
+const MULTI_CUBE_ALLOCS: [([usize; 3], u64); 3] = [([8, 4, 4], 2), ([8, 8, 4], 2), ([8, 8, 8], 2)];
 
 /// Blocks allocated by `Superpod::new`, measured when the optical core
 /// became lazy (PR 21). Eagerly fabricated cores were 22 blocks a switch on
@@ -214,10 +224,10 @@ fn admission_path_allocation_counts() {
         ADMIT_COMPLETE_ALLOCS * STEPS,
         "allocations over {STEPS} admit+complete steps; {ADMIT_COMPLETE_ALLOCS} per step"
     );
-    assert!(
-        bytes <= ADMIT_COMPLETE_BYTES * STEPS,
-        "{bytes} bytes over {STEPS} admit+complete steps; at most \
-         {ADMIT_COMPLETE_BYTES} per step"
+    assert_eq!(
+        bytes,
+        ADMIT_COMPLETE_BYTES * STEPS,
+        "bytes over {STEPS} admit+complete steps; {ADMIT_COMPLETE_BYTES} per step"
     );
 }
 
@@ -292,7 +302,7 @@ fn pod_advance_allocates_nothing() {
     let idle = ticks(&mut pod);
     // All 48 switches start aligning; 10 ms on, none has finished.
     let shape = SliceShape::new(8, 8, 8).expect("legal shape");
-    pod.compose(Slice::new(shape, (0..8).collect()).expect("eight distinct cubes"))
+    pod.compose(Slice::new(shape, (0..8).collect::<CubeList>()).expect("eight distinct cubes"))
         .expect("an empty pod has room");
     let in_flight = ticks(&mut pod);
     assert!(!pod.settled());
@@ -300,6 +310,52 @@ fn pod_advance_allocates_nothing() {
     let completing = allocations(|| pod.advance(Nanos::from_millis(200)));
     assert!(pod.settled());
     assert_eq!([idle, in_flight, completing], [0, 0, 0]);
+}
+
+#[test]
+fn a_slice_of_up_to_22_cubes_clones_without_a_block() {
+    // 22 = 2 × 11 and 23 are cube grids [2, 11, 1] and [1, 23, 1].
+    for (chips, blocks) in [([4, 4, 4], 0), ([8, 44, 4], 0), ([4, 92, 4], 1)] {
+        let shape = SliceShape::new(chips[0], chips[1], chips[2]).expect("legal shape");
+        let cubes = (0..shape.cube_count() as u8).collect::<CubeList>();
+        let slice = Slice::new(shape, cubes).expect("distinct cubes");
+        let mut copy = None;
+        assert_eq!(
+            allocations(|| copy = Some(slice.clone())),
+            blocks,
+            "{} cubes",
+            shape.cube_count()
+        );
+        assert_eq!(copy.as_ref(), Some(&slice));
+    }
+}
+
+#[test]
+fn cluster_sim_allocates_nothing_per_placed_job() {
+    // A loaded cluster: hundreds of placements between 200 h and 800 h,
+    // while at this seed its release list and queue reach, by 200 h, the
+    // longest they will be. What a run allocates is their growth, nothing
+    // per job: a handful of blocks either way.
+    let sim = ClusterSim::new(default_mix(), 1.0);
+    let (short, long, seed) = (200.0, 800.0, 1);
+    let pooled = [short, long].map(|h| {
+        allocations(|| {
+            sim.run(&Pooled, h, seed);
+        })
+    });
+    let contiguous = [short, long].map(|h| {
+        allocations(|| {
+            sim.run(&Contiguous, h, seed);
+        })
+    });
+    let placed = sim.run(&Pooled, long, seed).completed - sim.run(&Pooled, short, seed).completed;
+    assert!(placed > 300, "{placed} jobs placed in between");
+    assert_eq!(pooled[0], pooled[1], "pooled: {pooled:?}");
+    assert_eq!(contiguous[0], contiguous[1], "contiguous: {contiguous:?}");
+    assert!(
+        pooled[1].max(contiguous[1]) <= 6,
+        "{pooled:?} {contiguous:?}"
+    );
 }
 
 #[test]
@@ -320,9 +376,9 @@ fn construction_and_health_fabricate_no_core() {
     // Every switch carries circuits, drops some, and time passes.
     let shape = SliceShape::new(8, 8, 8).expect("legal shape");
     let (handle, _) = pod
-        .compose(Slice::new(shape, (0..8).collect()).expect("eight distinct cubes"))
+        .compose(Slice::new(shape, (0..8).collect::<CubeList>()).expect("eight distinct cubes"))
         .expect("an empty pod has room");
-    pod.compose(Slice::new(shape, (8..16).collect()).expect("eight distinct cubes"))
+    pod.compose(Slice::new(shape, (8..16).collect::<CubeList>()).expect("eight distinct cubes"))
         .expect("room for a second");
     pod.advance(Nanos::from_millis(200));
     pod.release(handle).expect("live slice");

@@ -25,7 +25,7 @@ use lightwave::service::{
 };
 use lightwave::superpod::slice::SliceError;
 use lightwave::superpod::wiring::SUPERPOD_OCS_COUNT;
-use lightwave::superpod::{CubeId, CubeSet, Slice, SliceShape, Superpod};
+use lightwave::superpod::{CubeId, CubeList, CubeSet, Slice, SliceShape, Superpod};
 use lightwave::units::Nanos;
 use oracle::OracleCore;
 use proptest::prelude::*;
@@ -281,7 +281,7 @@ proptest! {
             let pooled = Pooled.allocate(shape, set);
             prop_assert_eq!(&pooled, &Pooled.allocate(shape, &model));
             // Pooling is a count, not a search: the lowest idle ids.
-            let lowest = model.iter().copied().take(shape.cube_count()).collect::<Vec<_>>();
+            let lowest = model.iter().copied().take(shape.cube_count()).collect::<CubeList>();
             prop_assert_eq!(pooled, (lowest.len() == shape.cube_count()).then_some(lowest));
             let boxed = Contiguous.allocate(shape, set);
             prop_assert_eq!(&boxed, &Contiguous.allocate(shape, &model));
