@@ -13,16 +13,62 @@
 //! `campus_health.json` from a [`run_sharded`](crate::run_sharded) under
 //! this observer is byte-identical at any `LIGHTWAVE_THREADS`
 //! (DESIGN §6.9).
+//!
+//! A cell's events name one pod and, at most, its 48 switches, so the
+//! observer resolves each of those leaves once ([`RollupTree::leaf`]) and
+//! ingests into the resolved leaf after that. It resolves a leaf on its
+//! first sample, exactly where a by-path ingest would have created it, so
+//! leaf order and every document are the same as a by-path observer's.
 
 use crate::engine::{Observer, ShardObserver, Step};
 use crate::queue::{RejectReason, ServiceEvent};
-use lightwave_telemetry::rollup::{CampusHealthDoc, PortPath, RollupMetric, RollupTree};
+use lightwave_superpod::wiring::SUPERPOD_OCS_COUNT;
+use lightwave_telemetry::rollup::{CampusHealthDoc, LeafId, PortPath, RollupMetric, RollupTree};
 use lightwave_telemetry::slo::BurnRateLedger;
+use lightwave_telemetry::timeseries::quantize;
 use lightwave_units::Nanos;
 
 /// Pseudo-switch id for pod-scoped (not per-OCS) service metrics —
 /// admission waits and rejects attribute to the pod, not a switch.
 pub const POD_SCOPE_SWITCH: u32 = u32::MAX;
+
+/// The rollup leaves of one pod, each resolved on its first sample.
+#[derive(Debug, Clone)]
+struct PodLeaves {
+    pod: u32,
+    /// The pod-scope leaf ([`POD_SCOPE_SWITCH`]).
+    scope: Option<LeafId>,
+    /// One leaf per switch, by OCS id.
+    switches: [Option<LeafId>; SUPERPOD_OCS_COUNT],
+}
+
+impl PodLeaves {
+    /// None resolved yet.
+    fn new(pod: u32) -> PodLeaves {
+        PodLeaves {
+            pod,
+            scope: None,
+            switches: [None; SUPERPOD_OCS_COUNT],
+        }
+    }
+
+    /// The pod-scope leaf.
+    fn scope(&mut self, rollup: &mut RollupTree) -> LeafId {
+        *self
+            .scope
+            .get_or_insert_with(|| rollup.leaf(PortPath::new(self.pod, POD_SCOPE_SWITCH, 0)))
+    }
+
+    /// Switch `ocs`'s leaf (an id past the pod's switches is resolved by
+    /// path every time).
+    fn switch(&mut self, rollup: &mut RollupTree, ocs: u32) -> LeafId {
+        let path = PortPath::new(self.pod, ocs, 0);
+        match self.switches.get_mut(ocs as usize) {
+            Some(leaf) => *leaf.get_or_insert_with(|| rollup.leaf(path)),
+            None => rollup.leaf(path),
+        }
+    }
+}
 
 /// Campus observability state for one service cell (or the shard-order
 /// merge of many): the rollup tree plus the burn-rate ledger, with the
@@ -35,6 +81,9 @@ pub struct CampusObserver {
     pub burn: BurnRateLedger,
     /// Latest sim time observed (the snapshot stamp).
     pub end: Nanos,
+    /// The leaves of the pod observed last; replaced when the pod
+    /// changes, and on [`CampusObserver::merge`].
+    leaves: PodLeaves,
     m_compose: RollupMetric,
     m_release: RollupMetric,
     m_wait: RollupMetric,
@@ -61,6 +110,7 @@ impl CampusObserver {
             rollup,
             burn: BurnRateLedger::default(),
             end: Nanos(0),
+            leaves: PodLeaves::new(0),
             m_compose,
             m_release,
             m_wait,
@@ -72,17 +122,17 @@ impl CampusObserver {
     /// burn ledger. O(events · touched switches); no propagation (that
     /// is [`RollupTree::scrape`]'s job, paid at snapshot time).
     pub fn observe(&mut self, pod: u32, events: &[ServiceEvent]) {
+        if self.leaves.pod != pod {
+            self.leaves = PodLeaves::new(pod);
+        }
+        let (rollup, leaves) = (&mut self.rollup, &mut self.leaves);
         for ev in events {
             match ev {
                 ServiceEvent::Enqueued { .. } => {}
                 ServiceEvent::Rejected { why, at, .. } => {
                     self.end = self.end.max(*at);
-                    self.rollup.ingest(
-                        self.m_rejected,
-                        PortPath::new(pod, POD_SCOPE_SWITCH, 0),
-                        *at,
-                        1.0,
-                    );
+                    let leaf = leaves.scope(rollup);
+                    rollup.ingest_leaf(self.m_rejected, leaf, *at, quantize(1.0));
                     if *why == RejectReason::QueueFull {
                         self.burn.observe(*at, pod, false);
                     }
@@ -93,25 +143,21 @@ impl CampusObserver {
                     self.end = self.end.max(*at);
                     self.burn.observe(*at, pod, true);
                     // Nanos folded as micro-units render as exact ms.
-                    self.rollup.ingest_micros(
-                        self.m_wait,
-                        PortPath::new(pod, POD_SCOPE_SWITCH, 0),
-                        *at,
-                        waited.0 as i64,
-                    );
+                    let leaf = leaves.scope(rollup);
+                    rollup.ingest_leaf(self.m_wait, leaf, *at, waited.0 as i64);
                     for (&ocs, r) in &report.per_switch {
-                        let moves = (r.added + r.removed) as f64;
-                        self.rollup
-                            .ingest(self.m_compose, PortPath::new(pod, ocs, 0), *at, moves);
+                        let moves = quantize((r.added + r.removed) as f64);
+                        let leaf = leaves.switch(rollup, ocs);
+                        rollup.ingest_leaf(self.m_compose, leaf, *at, moves);
                     }
                 }
                 ServiceEvent::Preempted { at, report, .. }
                 | ServiceEvent::Completed { at, report, .. } => {
                     self.end = self.end.max(*at);
                     for (&ocs, r) in &report.per_switch {
-                        let moves = (r.added + r.removed) as f64;
-                        self.rollup
-                            .ingest(self.m_release, PortPath::new(pod, ocs, 0), *at, moves);
+                        let moves = quantize((r.added + r.removed) as f64);
+                        let leaf = leaves.switch(rollup, ocs);
+                        rollup.ingest_leaf(self.m_release, leaf, *at, moves);
                     }
                 }
             }
@@ -125,6 +171,7 @@ impl CampusObserver {
         self.rollup.merge(other.rollup);
         self.burn.merge(other.burn);
         self.end = self.end.max(other.end);
+        self.leaves = PodLeaves::new(self.leaves.pod);
     }
 
     /// Scrapes pending deltas and builds the versioned

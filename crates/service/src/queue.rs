@@ -41,9 +41,9 @@
 //! Every serving request holds a live pod slice, and a pod holds at most
 //! 64 (DESIGN §6.6, "Sized to the pod"), so the running set is a slot
 //! table whose slot numbers fit a `u64` mask. Completion order is a list
-//! of 24-byte `(ends_at, index, slot)` keys; the masks say which slots
-//! serve each class, so a head with no lower class serving finds no
-//! victim without looking at any request.
+//! of 24-byte entries searched by one integer, `ends_at << 64 | index`;
+//! the masks say which slots serve each class, so a head with no lower
+//! class serving finds no victim without looking at any request.
 
 use crate::intent::{Priority, SliceIntent};
 use crate::metrics::ServiceReport;
@@ -183,14 +183,33 @@ struct Running {
     hold: Nanos,
 }
 
-/// A serving request's place in completion order.
-type Due = (Nanos, u64, usize);
+/// A serving request's place in completion order: the two halves of its
+/// [`Due::key`] and its slot. The halves are kept apart so that an entry
+/// is 24 bytes; a `u128` field would pad it to 32.
+#[derive(Debug, Clone, Copy)]
+struct Due {
+    ends_at: u64,
+    index: u64,
+    slot: usize,
+}
+
+impl Due {
+    /// The completion key `ends_at << 64 | index`: one integer compare is
+    /// the `(ends_at, index)` order. Live request indices are unique, so
+    /// no two keys are equal and the slot never decides.
+    fn key(self) -> u128 {
+        (self.ends_at as u128) << 64 | self.index as u128
+    }
+}
 
 impl Running {
-    /// Its completion key in slot `slot`: `(ends_at, index, slot)`. Live
-    /// request indices are unique, so the slot never decides a comparison.
+    /// Its place in completion order, serving in slot `slot`.
     fn due(&self, slot: usize) -> Due {
-        (self.ends_at, self.index, slot)
+        Due {
+            ends_at: self.ends_at.0,
+            index: self.index,
+            slot,
+        }
     }
 }
 
@@ -219,8 +238,8 @@ pub struct ServiceCore {
     running: Vec<Running>,
     /// The slots serving each class rank, as bit masks.
     class_slots: [u64; 3],
-    /// Every serving request's [`Running::due`] key, descending: the next
-    /// completion is the last entry.
+    /// Every serving request's [`Running::due`] entry, descending by
+    /// [`Due::key`]: the next completion is the last entry.
     due: Vec<Due>,
     /// WFQ virtual service per class: cube-nanos charged at admission.
     served_cube_nanos: [u128; 3],
@@ -257,8 +276,8 @@ impl ServiceCore {
     /// completion first. Invariant checkers compare this, as a set,
     /// against the pod's live slices.
     pub fn running(&self) -> impl Iterator<Item = (u64, SliceHandle, u32)> + '_ {
-        self.due.iter().map(|&(_, _, slot)| {
-            let r = &self.running[slot];
+        self.due.iter().map(|d| {
+            let r = &self.running[d.slot];
             (r.index, r.handle, r.cubes)
         })
     }
@@ -292,8 +311,8 @@ impl ServiceCore {
     /// order) and re-running admission after each release — so admission
     /// waits are exact, not quantized to arrival times.
     pub fn advance_to(&mut self, pod: &mut Superpod, now: Nanos, out: &mut Vec<ServiceEvent>) {
-        while let Some((_, _, slot)) = self.due.pop_if(|&mut (ends_at, _, _)| ends_at <= now) {
-            let done = self.vacate(slot);
+        while let Some(due) = self.due.pop_if(|d| d.ends_at <= now.0) {
+            let done = self.vacate(due.slot);
             pod.advance_to(done.ends_at);
             let at = pod.fabric().now();
             let report = self.release(pod, done.handle, at);
@@ -390,10 +409,10 @@ impl ServiceCore {
     pub fn drain(&mut self, pod: &mut Superpod, out: &mut Vec<ServiceEvent>) -> Nanos {
         loop {
             self.pump(pod, out);
-            let Some(&(ends_at, _, _)) = self.due.last() else {
+            let Some(next) = self.due.last() else {
                 break;
             };
-            self.advance_to(pod, ends_at, out);
+            self.advance_to(pod, Nanos(next.ends_at), out);
         }
         pod.fabric().now()
     }
@@ -401,10 +420,10 @@ impl ServiceCore {
     /// Whether `index` names a request still queued or running.
     fn is_live(&self, index: u64) -> bool {
         let queued = |class: &VecDeque<Queued>| class.iter().any(|q| q.index == index);
-        self.queue.iter().any(queued) || self.due.iter().any(|&(_, i, _)| i == index)
+        self.queue.iter().any(queued) || self.due.iter().any(|d| d.index == index)
     }
 
-    /// Frees a serving request's slot (its [`Running::due`] key is the
+    /// Frees a serving request's slot (its [`Running::due`] entry is the
     /// caller's to drop) and returns what it held.
     fn vacate(&mut self, slot: usize) -> Running {
         let r = self.running[slot];
@@ -487,8 +506,8 @@ impl ServiceCore {
                     });
                     let Some(slot) = youngest else { break };
                     let victim = self.vacate(slot);
-                    let key = victim.due(slot);
-                    self.due.remove(self.due.partition_point(|&d| d > key));
+                    let key = victim.due(slot).key();
+                    self.due.remove(self.due.partition_point(|d| d.key() > key));
                     let report = self.release(pod, victim.handle, now);
                     let wasted = now.saturating_sub(victim.serving_from);
                     self.report.busy_cube_nanos += victim.cubes as u128 * wasted.0 as u128;
@@ -560,9 +579,11 @@ impl ServiceCore {
                         self.running[slot] = serving;
                     }
                     self.class_slots[rank] |= 1 << slot;
-                    let key = serving.due(slot);
+                    let due = serving.due(slot);
+                    let key = due.key();
                     self.due.reserve_exact(1);
-                    self.due.insert(self.due.partition_point(|&d| d > key), key);
+                    self.due
+                        .insert(self.due.partition_point(|d| d.key() > key), due);
                     out.push(ServiceEvent::Admitted {
                         request: cand.index,
                         class: cand.class,

@@ -13,8 +13,9 @@
 //! costs no switch work at all. The live slices sit in a slot table sized
 //! by use: every live slice holds at least one cube and no two share one,
 //! so there are never more than [`POD_CUBES`] of them (DESIGN §6.6, "Sized
-//! to the pod"), and a slot is the [`Slice`] itself, its cubes inline
-//! ("Cube lists are values").
+//! to the pod"), a compose takes its slot from a free-slot mask, and a
+//! slot is the [`Slice`] itself, its cubes inline ("Cube lists are
+//! values").
 //! Running slices never blink (§4.2.4: "slices for new model placements
 //! ... can be dynamically scheduled without interfering with existing
 //! models running on a different slice"), and compose/release cost is
@@ -89,6 +90,10 @@ const _: () = assert!(
     SUPERPOD_OCS_COUNT <= u64::BITS as usize,
     "a switch mask is a u64 with bit `ocs` for switch `ocs`"
 );
+const _: () = assert!(
+    POD_CUBES <= u64::BITS as usize,
+    "a free-slot mask is a u64 with bit `slot` for slot `slot`"
+);
 
 /// Takes the lowest switch out of a switch mask.
 fn pop_switch(mask: &mut u64) -> Option<OcsId> {
@@ -132,6 +137,9 @@ pub struct Superpod {
     held: Vec<SliceHandle>,
     /// The live slice in each slot; `None` exactly where `held` is free.
     live: Vec<Option<Slice>>,
+    /// The slots of `held` that exist and are free, as a bit mask: a
+    /// compose takes the lowest set bit, a release sets its slot's.
+    free_slots: u64,
     /// The aggregate desired mapping per dimension (all 16 switches of a
     /// dimension carry the same mapping), maintained by delta — the
     /// persistent state that makes compose/release O(slice) and resync a
@@ -168,6 +176,7 @@ impl Superpod {
             fabric: FabricController::new(OcsFleet::build(SUPERPOD_OCS_COUNT, seed)),
             held: Vec::new(),
             live: Vec::new(),
+            free_slots: 0,
             desired: [[FREE; POD_CUBES]; 3],
             pairs: Default::default(),
             norths: Default::default(),
@@ -439,18 +448,21 @@ impl Superpod {
             }
         }
         let live = Some(slice);
-        match self.held.iter().position(|&h| h == FREE_SLOT) {
-            Some(slot) => {
-                self.held[slot] = handle;
-                self.live[slot] = live;
-            }
-            None => {
+        match self.free_slots {
+            0 => {
                 // One slot more, never doubled: the table is exactly as
                 // long as the most slices ever live at once.
+                debug_assert!(self.held.len() < POD_CUBES, "a live slice holds a cube");
                 self.held.reserve_exact(1);
                 self.held.push(handle);
                 self.live.reserve_exact(1);
                 self.live.push(live);
+            }
+            free => {
+                let slot = free.trailing_zeros() as usize;
+                self.free_slots &= free - 1;
+                self.held[slot] = handle;
+                self.live[slot] = live;
             }
         }
         self.mark_desynced(skipped);
@@ -482,6 +494,7 @@ impl Superpod {
         })?;
         self.live[slot] = None;
         self.held[slot] = FREE_SLOT;
+        self.free_slots |= 1 << slot;
         self.busy = self.busy.difference(cubes);
         for (table, norths) in self.desired.iter_mut().zip(&self.norths) {
             for &n in norths {

@@ -183,21 +183,6 @@ impl LogHistogram {
         self.max.map(bucket_exponent)
     }
 
-    /// Geometric-midpoint estimate of the mean of bucketed samples.
-    pub fn mean_estimate(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let mut acc = 0.0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c > 0 {
-                let exp = MIN_EXP + i as i32;
-                acc += c as f64 * (exp as f64 + 0.5).exp2();
-            }
-        }
-        Some(acc / self.count as f64)
-    }
-
     /// Sparse export snapshot: only non-empty buckets, keyed by the
     /// bucket's lower-bound binary exponent.
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -368,13 +353,28 @@ mod tests {
         assert_eq!(h.snapshot().restore(), Some(h));
     }
 
+    /// Geometric-midpoint estimate of the mean of bucketed samples.
+    fn mean_estimate(h: &LogHistogram) -> Option<f64> {
+        if h.count == 0 {
+            return None;
+        }
+        let mut acc = 0.0;
+        for (i, &c) in h.buckets.iter().enumerate() {
+            if c > 0 {
+                let exp = MIN_EXP + i as i32;
+                acc += c as f64 * (exp as f64 + 0.5).exp2();
+            }
+        }
+        Some(acc / h.count as f64)
+    }
+
     #[test]
     fn mean_estimate_is_order_of_magnitude_right() {
         let mut h = LogHistogram::new();
         for _ in 0..100 {
             h.record(8.0);
         }
-        let m = h.mean_estimate().unwrap();
+        let m = mean_estimate(&h).unwrap();
         assert!(
             (8.0..16.0).contains(&m),
             "mean estimate {m} in bucket [8,16)"

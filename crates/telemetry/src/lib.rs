@@ -110,8 +110,8 @@ pub use metrics::{
     CounterId, GaugeId, HistogramId, MetricKey, MetricSample, MetricsRegistry, RateWindow,
 };
 pub use rollup::{
-    Aggregate, CampusHealthDoc, MetricCell, NodeHealth, PodRow, PortPath, RollupMetric, RollupTree,
-    SwitchRow, CAMPUS_HEALTH_SCHEMA,
+    Aggregate, CampusHealthDoc, LeafId, MetricCell, NodeHealth, PodRow, PortPath, RollupMetric,
+    RollupTree, SwitchRow, CAMPUS_HEALTH_SCHEMA,
 };
 pub use severity::Severity;
 pub use slo::{

@@ -13,7 +13,9 @@
 //! quantized by [`crate::timeseries::quantize`]):
 //!
 //! - **Ingest** is O(1): the sample folds into its port leaf's *pending
-//!   delta* and the leaf joins a dirty set.
+//!   delta* and the leaf joins a dirty set. A producer that writes the
+//!   same ports again and again resolves each once ([`RollupTree::leaf`])
+//!   and ingests into the [`LeafId`], skipping the path lookup.
 //! - **Scrape** is O(changed · depth): each dirty leaf's pending delta
 //!   merges into the leaf total and then into exactly one switch, one
 //!   pod, and the campus node. Untouched ports cost nothing.
@@ -146,6 +148,12 @@ impl RollupMetric {
     }
 }
 
+/// A resolved port leaf of a [`RollupTree`] ([`RollupTree::leaf`]). It
+/// stays valid for the tree that issued it: leaves are only ever added,
+/// by ingest and by [`RollupTree::merge`], never moved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LeafId(u32);
+
 /// One node's per-metric aggregates, indexed by [`RollupMetric`].
 #[derive(Debug, Clone, Default)]
 struct NodeAggs {
@@ -183,7 +191,8 @@ struct Leaf {
 ///
 /// Node storage is slot-indexed `Vec`s; the `BTreeMap` side tables map
 /// ids to slots and exist for queries and ordered iteration only —
-/// ingest pays one leaf lookup, and [`RollupTree::scrape`] pays none.
+/// ingest by path pays one leaf lookup, ingest into a [`LeafId`] and
+/// [`RollupTree::scrape`] pay none.
 #[derive(Debug, Clone, Default)]
 pub struct RollupTree {
     /// Interned metric names, in registration order.
@@ -224,11 +233,11 @@ impl RollupTree {
         &self.metrics
     }
 
-    /// Resolves (or creates) the leaf slot for `path`, wiring its
+    /// Resolves (or creates) the leaf for `path`, wiring its
     /// interior-node slots on first sight.
-    fn leaf_slot(&mut self, path: PortPath) -> u32 {
+    pub fn leaf(&mut self, path: PortPath) -> LeafId {
         if let Some(&slot) = self.leaf_slots.get(&path) {
-            return slot;
+            return LeafId(slot);
         }
         let switch_slot = match self.switch_slots.get(&(path.pod, path.switch)) {
             Some(&s) => s,
@@ -257,24 +266,30 @@ impl RollupTree {
             pod_slot,
         });
         self.leaf_slots.insert(path, slot);
-        slot
+        LeafId(slot)
     }
 
-    /// Ingests one pre-quantized sample into `path`'s leaf: O(1), no
+    /// Ingests one pre-quantized sample into a resolved leaf: O(1), no
     /// propagation (that happens at the next [`RollupTree::scrape`]).
-    pub fn ingest_micros(&mut self, m: RollupMetric, path: PortPath, at: Nanos, micros: i64) {
+    pub fn ingest_leaf(&mut self, m: RollupMetric, leaf: LeafId, at: Nanos, micros: i64) {
         let delta = Aggregate::from_sample(Sample {
             at,
             value_micros: micros,
         });
-        let slot = self.leaf_slot(path);
-        let leaf = &mut self.leaves[slot as usize];
-        leaf.pending.fold(m.0, delta);
-        if !leaf.dirty {
-            leaf.dirty = true;
-            self.dirty.push(slot);
+        let node = &mut self.leaves[leaf.0 as usize];
+        node.pending.fold(m.0, delta);
+        if !node.dirty {
+            node.dirty = true;
+            self.dirty.push(leaf.0);
         }
         self.ingested += 1;
+    }
+
+    /// Ingests one pre-quantized sample into `path`'s leaf: the leaf's
+    /// [`RollupTree::leaf`], then [`RollupTree::ingest_leaf`].
+    pub fn ingest_micros(&mut self, m: RollupMetric, path: PortPath, at: Nanos, micros: i64) {
+        let leaf = self.leaf(path);
+        self.ingest_leaf(m, leaf, at, micros);
     }
 
     /// Ingests one native-unit sample (quantized here, exactly once —
@@ -340,7 +355,7 @@ impl RollupTree {
         // remap, so interior nodes stay exactly the leaf sums.
         let mut other_leaves = std::mem::take(&mut other.leaves);
         for (&path, &slot) in &other.leaf_slots {
-            let mine = self.leaf_slot(path);
+            let LeafId(mine) = self.leaf(path);
             let src = std::mem::take(&mut other_leaves[slot as usize].total);
             let dst = &mut self.leaves[mine as usize];
             let (sw, pod) = (dst.switch_slot as usize, dst.pod_slot as usize);
@@ -373,15 +388,6 @@ impl RollupTree {
             .unwrap_or(Aggregate::EMPTY)
     }
 
-    /// The port-leaf aggregate of `m` (scraped total, excluding any
-    /// pending delta).
-    pub fn port_agg(&self, path: PortPath, m: RollupMetric) -> Aggregate {
-        self.leaf_slots
-            .get(&path)
-            .map(|&s| self.leaves[s as usize].total.get(m.0))
-            .unwrap_or(Aggregate::EMPTY)
-    }
-
     /// Pod ids present, ascending.
     pub fn pod_ids(&self) -> Vec<u32> {
         self.pod_slots.keys().copied().collect()
@@ -403,11 +409,6 @@ impl RollupTree {
     /// Samples ever ingested.
     pub fn ingested(&self) -> u64 {
         self.ingested
-    }
-
-    /// Leaves currently awaiting propagation.
-    pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
     }
 
     /// The flat ground truth: campus totals re-folded from every leaf
@@ -688,11 +689,12 @@ mod tests {
         t.ingest(m, p(0, 1, 1), Nanos(200), 1.0);
         t.ingest(m, p(0, 1, 1), Nanos(201), 1.0);
         t.ingest(m, p(0, 2, 2), Nanos(202), 1.0);
-        assert_eq!(t.dirty_len(), 2, "dirty set dedups per leaf");
+        assert_eq!(t.dirty.len(), 2, "dirty set dedups per leaf");
         assert_eq!(t.scrape(), 2);
         assert_eq!(t.campus_agg(m).count, 103);
         assert_eq!(t.switch_agg(0, 1, m).count, 27);
-        assert_eq!(t.port_agg(p(0, 1, 1), m).count, 3);
+        let LeafId(port) = t.leaf(p(0, 1, 1));
+        assert_eq!(t.leaves[port as usize].total.get(m.0).count, 3);
         assert_eq!(t.scrape(), 0, "clean tree scrapes nothing");
         t.check_consistency()
             .expect("nodes equal flat ground truth");

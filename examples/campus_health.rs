@@ -107,6 +107,13 @@ fn main() {
         "  drill: pod 0 dominant {:?}; switch {} dominant {:?}",
         pod0.node.dominant_cause, sw.switch, sw.node.dominant_cause
     );
+    // The pod spending the most error budget.
+    if let Some(b) = doc.top_burners(1).first() {
+        println!(
+            "  top burner: {} spent {} of {} ns",
+            b.object, b.spent_nanos, b.budget_nanos
+        );
+    }
     let te_pod = doc.pod(DCN_POD).expect("TE pseudo-pod present");
     let eng = te_pod
         .node

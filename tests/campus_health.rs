@@ -2,10 +2,20 @@
 //! the hierarchical rollup tree is exactly the flat sum under any
 //! partition and ingest order, `campus_health.json` is byte-identical
 //! at any thread count, burn-rate pages coalesce without escalating,
-//! and the burn counter tracks pass the in-repo trace validator.
+//! and the burn counter tracks pass the in-repo trace validator. The
+//! observer's resolved leaves are held to `tests/oracle/campus_by_path.rs`,
+//! which resolves none, and the ledger's last observation to a merge that
+//! moves it.
 
-use lightwave::par::Pool;
-use lightwave::service::{run_sharded, CampusObserver, ServiceConfig, POD_SCOPE_SWITCH};
+#[path = "oracle/campus_by_path.rs"]
+mod oracle;
+
+use lightwave::par::{splitmix, Pool};
+use lightwave::service::{
+    arrival, run_sharded, CampusObserver, Mix, PolicyConfig, ServiceConfig, ServiceCore,
+    ServiceEvent, CELL_STREAM, POD_SCOPE_SWITCH,
+};
+use lightwave::superpod::Superpod;
 use lightwave::telemetry::rollup::{Aggregate, CampusHealthDoc, PortPath, RollupTree};
 use lightwave::telemetry::timeseries::SeriesStore;
 use lightwave::telemetry::{
@@ -112,6 +122,103 @@ fn campus_health_json_is_thread_count_invariant() {
         "pod-scoped service metrics present"
     );
     o1.rollup.check_consistency().expect("rollup consistent");
+}
+
+/// Cell `cell`'s event batches, one per arrival and one for the drain.
+fn cell_batches(cfg: &ServiceConfig, cell: u64, requests: u64) -> Vec<Vec<ServiceEvent>> {
+    let mut pod = Superpod::new(splitmix(cfg.seed ^ CELL_STREAM, cell));
+    let mut core = ServiceCore::new(cfg.policy);
+    let mut batches = Vec::new();
+    let mut now = Nanos(0);
+    for i in cell * requests..(cell + 1) * requests {
+        let a = arrival(cfg.seed, i, cfg.mix);
+        now += cfg.scaled_gap(a.gap_unit_micros);
+        let mut events = Vec::new();
+        core.advance_to(&mut pod, now, &mut events);
+        core.submit(&mut pod, &a.intent, &mut events);
+        batches.push(events);
+    }
+    let mut events = Vec::new();
+    core.drain(&mut pod, &mut events);
+    batches.push(events);
+    batches
+}
+
+/// One observer fed pods 0, 1, 0, 2 in turn, with a second observer
+/// (pod 3, and some of pod 1) merged in mid-run, writes the document the
+/// by-path reference writes: no resolved leaf outlives its pod or a merge.
+#[test]
+fn resolved_leaves_follow_the_pod_and_the_merge() {
+    let cfg = ServiceConfig {
+        seed: 29,
+        // Loaded, with a short queue: compose and release moves on many
+        // switches, and queue-full rejections that take a pod down.
+        mean_gap: Nanos::from_millis(4),
+        mix: Mix::Production,
+        policy: PolicyConfig {
+            queue_limit: 2,
+            preemption: true,
+        },
+        ..ServiceConfig::default()
+    };
+    let mut cells: Vec<std::collections::VecDeque<Vec<ServiceEvent>>> =
+        (0..4).map(|c| cell_batches(&cfg, c, 150).into()).collect();
+    let (mut obs, mut reference) = (CampusObserver::new(), oracle::PathObserver::new());
+    for turn in 0.. {
+        if cells[..3].iter().all(|c| c.is_empty()) {
+            break;
+        }
+        let pod = [0, 1, 0, 2][turn % 4];
+        for _ in 0..9 {
+            let Some(batch) = cells[pod].pop_front() else {
+                break;
+            };
+            obs.observe(pod as u32, &batch);
+            reference.observe(pod as u32, &batch);
+        }
+        if turn == 6 {
+            let (mut other, mut other_ref) = (CampusObserver::new(), oracle::PathObserver::new());
+            let mut batches: Vec<_> = cells[3].drain(..).map(|b| (3, b)).collect();
+            batches.extend(cells[1].drain(..20).map(|b| (1, b)));
+            for (pod, batch) in batches {
+                other.observe(pod, &batch);
+                other_ref.observe(pod, &batch);
+            }
+            obs.merge(other);
+            reference.merge(other_ref);
+        }
+    }
+    let doc = obs.health_doc();
+    assert_eq!(doc.pods.len(), 4);
+    assert!(
+        doc.slo.pods.iter().any(|p| p.spent_nanos > 0),
+        "a pod went down"
+    );
+    assert!(
+        doc.pods.iter().all(|p| p.switches.len() > 1),
+        "switch leaves"
+    );
+    assert!(
+        doc.to_json() == reference.health_doc().to_json(),
+        "campus_health.json differs from the by-path reference"
+    );
+}
+
+/// A repeat of the last `(pod, up)` returns before the lookup, but a
+/// merge can move that pod's state: the next observation must register.
+#[test]
+fn a_merge_forgets_the_ledgers_last_observation() {
+    let s = Nanos::from_secs_f64;
+    let mut ledger = BurnRateLedger::default();
+    ledger.observe(s(0.0), 0, true);
+    let mut later = BurnRateLedger::default();
+    later.observe(s(0.0), 0, true);
+    later.observe(s(10.0), 0, false);
+    ledger.merge(later);
+    // Pod 0 is down since 10 s; coming back up at 25 s closes 15 s.
+    ledger.observe(s(25.0), 0, true);
+    ledger.observe(s(26.0), 0, true);
+    assert_eq!(ledger.assess(s(30.0)).pods[0].spent_nanos, s(15.0).0);
 }
 
 #[test]

@@ -495,3 +495,47 @@ fn a_head_with_no_lower_class_serving_preempts_nobody() {
     assert_eq!(core.report().completed(), 3);
     assert_eq!(core.conservation(), Ok(()));
 }
+
+/// Completion order is `(ends_at, index)`: two slices that end at the same
+/// instant complete in index order, whichever slots they hold, and a later
+/// end waits however small its index.
+#[test]
+fn a_shared_end_completes_in_index_order() {
+    let ms = Nanos::from_millis;
+    let single = |request, hold| SliceIntent {
+        request,
+        class: Priority::Training,
+        chips: [4, 4, 4],
+        hold: ms(hold),
+    };
+    let cfg = PolicyConfig::default();
+    let (mut core, mut model) = (ServiceCore::new(cfg), OracleCore::new(cfg));
+    let (mut pod, mut model_pod) = (Superpod::new(0x5EED), Superpod::new(0x5EED));
+    let (mut events, mut model_events) = (Vec::new(), Vec::new());
+    // 9 serves in slot 0 and 4 in slot 1, both until 10 ms; 2 until 20 ms.
+    for intent in [single(9, 10), single(4, 10), single(2, 20)] {
+        core.submit(&mut pod, &intent, &mut events);
+        model.submit(&mut model_pod, &intent, &mut model_events);
+    }
+    assert_eq!(
+        core.running()
+            .map(|(request, _, _)| request)
+            .collect::<Vec<_>>(),
+        [2, 9, 4],
+        "latest completion first"
+    );
+    assert_eq!(core.running().collect::<Vec<_>>(), model.running());
+    events.clear();
+    model_events.clear();
+    core.drain(&mut pod, &mut events);
+    model.drain(&mut model_pod, &mut model_events);
+    assert_eq!(events, model_events);
+    let completed: Vec<(u64, Nanos)> = events
+        .iter()
+        .filter_map(|e| match e {
+            ServiceEvent::Completed { request, at, .. } => Some((*request, *at)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(completed, [(4, ms(10)), (9, ms(10)), (2, ms(20))]);
+}
