@@ -16,13 +16,10 @@ use lightwave_ocs::instrument::{trace_reconfig, OcsInstruments};
 use lightwave_ocs::PortId;
 use lightwave_scheduler::alloc::{Allocator, Pooled};
 use lightwave_service::{arrival, Mix, PolicyConfig, ServiceCore, ServiceEvent};
-use lightwave_superpod::instrument::{
-    record_resync, roll_topology_change, trace_compose, trace_release,
-};
+use lightwave_superpod::instrument::{record_resync, trace_compose, trace_release};
 use lightwave_superpod::pod::{SliceHandle, Superpod};
 use lightwave_superpod::slice::{Slice, SliceShape};
 use lightwave_superpod::wiring::SUPERPOD_OCS_COUNT;
-use lightwave_telemetry::rollup::{PortPath, RollupTree};
 use lightwave_telemetry::{AlarmCause, AlarmRecord, FleetHealth, FleetTelemetry, Severity};
 use lightwave_trace::{FlightRecorder, Tracer};
 use lightwave_units::Nanos;
@@ -157,8 +154,6 @@ pub struct World {
     pub health: FleetHealth,
     /// Live slices with admission state.
     pub slices: Vec<LiveSlice>,
-    /// Up switches whose mapping is reconciled with the slice union.
-    pub synced: BTreeSet<OcsId>,
     /// Per-switch fault-timeline shadows for invariant (d).
     pub models: BTreeMap<OcsId, SwitchModel>,
     /// Set when the event itself did something illegal (release of a
@@ -172,12 +167,6 @@ pub struct World {
     /// Per-fault recovery attribution, in injection order (one entry per
     /// FRU fail/replace/maintenance event).
     pub recoveries: Vec<FaultRecovery>,
-    /// The campus-health rollup tree, fed alongside the flat telemetry
-    /// by every producer the world drives (slice churn, FRU events,
-    /// link relocks). The [`RollupDivergence`](crate::invariant::InvariantKind)
-    /// invariant re-checks its internal consistency — interior node
-    /// totals vs leaf sums — after every event.
-    pub rollup: RollupTree,
     insts: BTreeMap<OcsId, OcsInstruments>,
     cfg: ChaosConfig,
     event_cursor: u32,
@@ -257,7 +246,6 @@ impl World {
             recorder: FlightRecorder::new(256),
             health: FleetHealth::default(),
             slices: Vec::new(),
-            synced: (0..SUPERPOD_OCS_COUNT as OcsId).collect(),
             models,
             action_violation: None,
             // A deliberately tight queue bound: with a dozen-odd
@@ -268,7 +256,6 @@ impl World {
                 preemption: true,
             }),
             recoveries: Vec::new(),
-            rollup: RollupTree::new(),
             insts,
             cfg: ChaosConfig::default(),
             event_cursor: 0,
@@ -322,7 +309,6 @@ impl World {
         match self.pod.compose(slice) {
             Ok((handle, report)) => {
                 trace_compose(&mut self.tracer, None, 0, now, cubes as u32, &report);
-                roll_topology_change(&mut self.rollup, 0, now, &report);
                 self.slices.push(LiveSlice {
                     handle,
                     slice: geometry,
@@ -343,7 +329,6 @@ impl World {
         match self.pod.release(ls.handle) {
             Ok(report) => {
                 trace_release(&mut self.tracer, None, 0, now, cubes, &report);
-                roll_topology_change(&mut self.rollup, 0, now, &report);
                 self.slices.remove(i);
                 self.releases += 1;
             }
@@ -387,12 +372,6 @@ impl World {
                 .expect("modeled switch")
                 .apply(now, slot, heal);
         }
-        self.rollup.record(
-            "chaos_fru_events",
-            PortPath::new(0, ocs, slot as u32),
-            now,
-            1.0,
-        );
         // Anti-entropy: a revived switch reconciles its stale mapping.
         let reports = self.pod.resync();
         record_resync(&mut self.telemetry, 0, now, &reports);
@@ -434,7 +413,6 @@ impl World {
                 } => {
                     let cubes = slice.cubes.len() as u32;
                     trace_compose(&mut self.tracer, None, 0, at, cubes, &report);
-                    roll_topology_change(&mut self.rollup, 0, at, &report);
                     self.slices.push(LiveSlice {
                         handle,
                         slice,
@@ -452,7 +430,6 @@ impl World {
                     ..
                 } => {
                     trace_release(&mut self.tracer, None, 0, at, cubes, &report);
-                    roll_topology_change(&mut self.rollup, 0, at, &report);
                     self.slices.retain(|ls| ls.handle != handle);
                     self.releases += 1;
                 }
@@ -466,7 +443,6 @@ impl World {
                         .map(|ls| ls.slice.cubes.len() as u32)
                         .unwrap_or(0);
                     trace_release(&mut self.tracer, None, 0, at, cubes, &report);
-                    roll_topology_change(&mut self.rollup, 0, at, &report);
                     self.slices.retain(|ls| ls.handle != handle);
                     self.releases += 1;
                 }
@@ -507,8 +483,6 @@ impl World {
             switch: ocs,
             cause: AlarmCause::RateFallback { port },
         });
-        self.rollup
-            .record("chaos_relocks", PortPath::new(0, ocs, port), now, 1.0);
         // Every relock also feeds the per-switch rate-spike detector; a
         // sustained elevated rate (not one storm instant) trips a trend
         // warning before occurrence-count escalation goes Critical.
@@ -640,31 +614,27 @@ impl World {
             self.recorder
                 .poll_with_series(&self.tracer, &self.telemetry, self.health.store(), 16);
         }
-        self.synced = self
-            .pod
-            .fabric()
-            .fleet
-            .iter()
-            .filter(|(id, sw)| sw.is_up() && !self.pod.desynced().contains(id))
-            .map(|(&id, _)| id)
-            .collect();
-        // Fold pending rollup samples up the tree so the invariant
-        // library sees a fully-propagated hierarchy after every event.
-        self.rollup.scrape();
+    }
+
+    /// Whether switch `id` is up and reconciled with the slice union.
+    /// Admission and invariants (a) and (b) hold only such a switch to
+    /// the live slices: a down or desynced one runs them degraded
+    /// (§4.2.2).
+    pub fn synced(&self, id: OcsId) -> bool {
+        let fleet = &self.pod.fabric().fleet;
+        fleet.get(id).is_some_and(|sw| sw.is_up()) && !self.pod.desynced().contains(&id)
     }
 
     fn update_admission(&mut self) {
         let now = self.now();
-        let fleet = &self.pod.fabric().fleet;
-        let synced_up = |id: OcsId| {
-            fleet.get(id).map(|s| s.is_up()).unwrap_or(false) && !self.pod.desynced().contains(&id)
-        };
-        for ls in &mut self.slices {
-            let verified = ls.slice.required_hops().iter().all(|hop| {
+        for i in 0..self.slices.len() {
+            let fleet = &self.pod.fabric().fleet;
+            let verified = self.slices[i].slice.required_hops().iter().all(|hop| {
                 hop.circuits().all(|c| {
-                    !synced_up(c.ocs) || fleet.get(c.ocs).expect("present").circuit_ready(c.north)
+                    !self.synced(c.ocs) || fleet.get(c.ocs).expect("present").circuit_ready(c.north)
                 })
             });
+            let ls = &mut self.slices[i];
             if verified && now >= ls.traffic_ready_at {
                 ls.admitted = true;
             } else if !verified && self.cfg.inject != Some(InjectedBug::SkipAdmissionRevoke) {

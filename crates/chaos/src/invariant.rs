@@ -42,11 +42,6 @@ pub enum InvariantKind {
     /// in the pod (or in the harness model) — admitted-implies-composed
     /// was broken without a preemption or completion.
     AdmittedWithoutSlice,
-    /// The incremental campus rollup diverged from the flat ground
-    /// truth: some switch/pod/campus node no longer equals the fold of
-    /// its leaves (dirty-set propagation lost or double-counted a
-    /// delta).
-    RollupDivergence,
 }
 
 impl std::fmt::Display for InvariantKind {
@@ -60,7 +55,6 @@ impl std::fmt::Display for InvariantKind {
             InvariantKind::ReleaseRejected => "release-rejected",
             InvariantKind::ServiceConservation => "service-conservation",
             InvariantKind::AdmittedWithoutSlice => "admitted-without-slice",
-            InvariantKind::RollupDivergence => "rollup-divergence",
         };
         f.write_str(s)
     }
@@ -121,12 +115,6 @@ pub fn check_all(w: &World, event_index: u32, event: FaultKind) -> Option<Violat
     if let Some(d) = service_running_backed(w) {
         return Some(mk(InvariantKind::AdmittedWithoutSlice, d));
     }
-    // Invariant (h): after every event the scraped rollup nodes must
-    // equal a flat re-fold of their leaves — check_consistency
-    // re-derives the expectation from the leaf totals alone.
-    if let Some(d) = w.rollup.check_consistency().err() {
-        return Some(mk(InvariantKind::RollupDivergence, d));
-    }
     None
 }
 
@@ -169,7 +157,7 @@ fn no_traffic_on_unverified(w: &World) -> Option<String> {
                 let Some(ocs) = w.pod.fabric().fleet.get(c.ocs) else {
                     continue;
                 };
-                if w.synced.contains(&c.ocs) && !ocs.circuit_ready(c.north) {
+                if w.synced(c.ocs) && !ocs.circuit_ready(c.north) {
                     return Some(format!(
                         "slice {} admitted but circuit ocs={} {}->{} is not camera-verified",
                         ls.handle.0, c.ocs, c.north, c.south
@@ -217,7 +205,7 @@ fn radix_and_mapping(w: &World) -> Option<String> {
                 ocs.ports()
             ));
         }
-        if !ocs.is_up() || !w.synced.contains(&id) {
+        if !w.synced(id) {
             continue;
         }
         let have: BTreeMap<u16, u16> = ocs.mapping().pairs().collect();

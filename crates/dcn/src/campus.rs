@@ -294,8 +294,6 @@ mod tests {
         let report = CampusSim::default_campus().run(10, 3).unwrap();
         let mut tree = RollupTree::new();
         report.fold_into_rollup(&mut tree, 2, Nanos::from_secs_f64(60.0));
-        tree.scrape();
-        tree.check_consistency().expect("rollup consistent");
         let moved = tree.metric("te_circuits_moved");
         assert_eq!(tree.pod_agg(2, moved).count, 10, "one sample per epoch");
         let total: usize = report.epochs.iter().map(|e| e.circuits_moved).sum();

@@ -6,9 +6,8 @@
 //! The cell model maps onto the campus hierarchy directly: each shard
 //! is one *pod* (its own fresh `Superpod`; as an [`Observer`] the pod id
 //! is the step's cell index), each pod's OCS switches are the switch
-//! level, and admission outcomes drive the pod's error-budget ledger the
-//! same way [`Lifecycle`](crate::Lifecycle) drives the flat
-//! [`SloTracker`](lightwave_telemetry::SloTracker). Everything folded
+//! level, and admission outcomes drive the pod's error-budget ledger: an
+//! admission is up, a queue-full rejection down. Everything folded
 //! here is integer-exact (`Aggregate` merges / nanosecond ledgers), so
 //! `campus_health.json` from a [`run_sharded`](crate::run_sharded) under
 //! this observer is byte-identical at any `LIGHTWAVE_THREADS`
@@ -118,9 +117,8 @@ impl CampusObserver {
         }
     }
 
-    /// Folds one event batch from `pod`'s cell into the rollup and the
-    /// burn ledger. O(events · touched switches); no propagation (that
-    /// is [`RollupTree::scrape`]'s job, paid at snapshot time).
+    /// Folds one event batch from `pod`'s cell into the rollup's leaves
+    /// and the burn ledger: O(events · touched switches).
     pub fn observe(&mut self, pod: u32, events: &[ServiceEvent]) {
         if self.leaves.pod != pod {
             self.leaves = PodLeaves::new(pod);
@@ -164,7 +162,7 @@ impl CampusObserver {
         }
     }
 
-    /// Merges another observer (consuming it): rollups merge node-wise,
+    /// Merges another observer (consuming it): rollups merge leaf-wise,
     /// ledgers union by pod, and the stamp takes the max. Exact in
     /// shard order.
     pub fn merge(&mut self, other: CampusObserver) {
@@ -173,10 +171,10 @@ impl CampusObserver {
         self.end = self.end.max(other.end);
     }
 
-    /// Scrapes pending deltas and builds the versioned
-    /// `campus_health.json` snapshot as of the latest observed time.
+    /// Builds the versioned `campus_health.json` snapshot as of the
+    /// latest observed time. It reads the observer only; the `&mut` is
+    /// the signature lwbench pins.
     pub fn health_doc(&mut self) -> CampusHealthDoc {
-        self.rollup.scrape();
         let slo = self.burn.assess(self.end);
         CampusHealthDoc::build(&self.rollup, slo, self.end)
     }

@@ -28,9 +28,8 @@
 //!   sharded form (a year of arrivals across the pool as independent
 //!   cells), watched through the [`Observer`] seam: `()`,
 //!   [`ScopeCollector`], [`CampusObserver`], the single-cell
-//!   [`Lifecycle`] (counters, [`RateWindow`](lightwave_telemetry::RateWindow)
-//!   rates, queue-depth counter track, SLO hooks, lifecycle spans), or
-//!   any pair of them. Observation never changes the report.
+//!   [`Lifecycle`] (lifecycle spans and the queue-depth counter track),
+//!   or any pair of them. Observation never changes the report.
 //!
 //! ```
 //! use lightwave_par::Pool;
@@ -64,7 +63,7 @@ pub use engine::{
     run_cell, run_cell_with, run_sharded, Observer, ServiceConfig, ShardObserver, Step, CELL_STREAM,
 };
 pub use intent::{IntentError, Priority, SliceIntent};
-pub use lifecycle::{Lifecycle, ADMISSION_SLO_OBJECT};
+pub use lifecycle::Lifecycle;
 pub use metrics::{
     erlang_b, ClassSnapshot, ClassStats, ServiceReport, ServiceSnapshot, SERVICE_REPORT_SCHEMA,
 };

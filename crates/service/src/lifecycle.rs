@@ -1,52 +1,32 @@
-//! The fully instrumented single-cell observer: per-class counters and
-//! [`RateWindow`] rates, wait histograms, queue depth as a Perfetto
-//! counter track, the admission SLO, and request-lifecycle spans
+//! The traced single-cell observer: request-lifecycle spans
 //! (`Enqueue → Admit → Compose → Run → Release`, with `Reject`/`Preempt`
-//! off the happy path) chained by follows-links.
+//! off the happy path) chained by follows-links, and queue depth as a
+//! Perfetto counter track. Per-class counts are the cell's
+//! [`ServiceReport`](crate::ServiceReport); admission burn is
+//! [`CampusObserver`](crate::CampusObserver)'s ledger.
 //!
-//! Every instrument is stamped with the event's own `at`, never with
-//! when the batch was handed over; only the queue-depth sample, which is
-//! a property of the step and not of an event, takes the step's time.
+//! Every span is stamped with the event's own `at`, never with when the
+//! batch was handed over; only the queue-depth sample, which is a
+//! property of the step and not of an event, takes the step's time.
 
 use crate::engine::{Observer, Step};
-use crate::intent::Priority;
-use crate::queue::{RejectReason, ServiceEvent};
+use crate::queue::ServiceEvent;
 use crate::scope::{scope_sampled, scope_span_id};
 use lightwave_superpod::instrument::{trace_compose, trace_release};
-use lightwave_telemetry::{
-    CounterId, FleetTelemetry, HistogramId, RateWindow, SeriesId, SeriesStore,
-};
+use lightwave_telemetry::{SeriesId, SeriesStore};
 use lightwave_trace::{Lane, RequestStage, SpanId, SpanKind, Tracer};
 use lightwave_units::Nanos;
 use std::collections::BTreeMap;
 
-/// SLO object name for admission availability.
-pub const ADMISSION_SLO_OBJECT: &str = "svc-admission";
-
-struct ClassInstruments {
-    offered: CounterId,
-    admitted: CounterId,
-    rejected: CounterId,
-    preempted: CounterId,
-    completed: CounterId,
-    wait: HistogramId,
-    admit_rate: RateWindow,
-    reject_rate: RateWindow,
-    preempt_rate: RateWindow,
-}
-
 /// One cell's lifecycle instruments (see module docs), run with
 /// [`run_cell_with`](crate::run_cell_with); finishing hands the observer
-/// itself back. All stores are public: scrape `telemetry`, export
-/// `tracer` + `series` with
+/// itself back. Both stores are public: export `tracer` + `series` with
 /// [`to_chrome_trace_with_counters`](lightwave_trace::to_chrome_trace_with_counters).
 ///
 /// Span ids below the root come from the tracer's own counter stream,
 /// which two cells of one seed would share, so there is no shard merge:
 /// this observer is not a [`ShardObserver`](crate::ShardObserver).
 pub struct Lifecycle {
-    /// Metrics + events + alarms + SLO.
-    pub telemetry: FleetTelemetry,
     /// Request-lifecycle spans.
     pub tracer: Tracer,
     /// Queue-depth time series (a Perfetto counter track).
@@ -54,7 +34,6 @@ pub struct Lifecycle {
     seed: u64,
     trace_requests: u64,
     scope_every: u64,
-    instruments: Vec<ClassInstruments>,
     depth: SeriesId,
     /// Last lifecycle span of each traced request still in flight.
     open: BTreeMap<u64, SpanId>,
@@ -70,38 +49,14 @@ impl Lifecycle {
     /// that [`scope_sampled`]`(seed, request, scope_every)` picks get a
     /// root lifecycle span.
     pub fn new(seed: u64, trace_requests: u64, scope_every: u64) -> Lifecycle {
-        let mut telemetry = FleetTelemetry::new();
         let mut series = SeriesStore::default();
-        let instruments = Priority::ALL
-            .iter()
-            .map(|&p| {
-                let labels: &[(&str, &str)] = &[("class", p.name())];
-                let m = &mut telemetry.metrics;
-                let admitted = m.counter("svc_admitted_total", labels);
-                let rejected = m.counter("svc_rejected_total", labels);
-                let preempted = m.counter("svc_preempted_total", labels);
-                ClassInstruments {
-                    offered: m.counter("svc_offered_total", labels),
-                    admitted,
-                    rejected,
-                    preempted,
-                    completed: m.counter("svc_completed_total", labels),
-                    wait: m.histogram("svc_wait_micros", labels),
-                    admit_rate: m.rate_window(admitted, "svc_admit_rate_per_sec", labels),
-                    reject_rate: m.rate_window(rejected, "svc_reject_rate_per_sec", labels),
-                    preempt_rate: m.rate_window(preempted, "svc_preempt_rate_per_sec", labels),
-                }
-            })
-            .collect();
         let depth = series.series("svc_queue_depth", &[]);
         Lifecycle {
-            telemetry,
             tracer: Tracer::new(seed),
             series,
             seed,
             trace_requests,
             scope_every,
-            instruments,
             depth,
             open: BTreeMap::new(),
             scope_roots: BTreeMap::new(),
@@ -137,10 +92,8 @@ impl Lifecycle {
 
     fn apply(&mut self, ev: &ServiceEvent) {
         match ev {
-            ServiceEvent::Enqueued { request, class, at } => {
+            ServiceEvent::Enqueued { request, at, .. } => {
                 let at = *at;
-                let inst = &self.instruments[class.rank()];
-                self.telemetry.metrics.inc(inst.offered, at, 1);
                 if scope_sampled(self.seed, *request, self.scope_every)
                     && !self.scope_roots.contains_key(request)
                 {
@@ -175,19 +128,8 @@ impl Lifecycle {
                     self.open.insert(*request, span);
                 }
             }
-            ServiceEvent::Rejected {
-                request,
-                class,
-                why,
-                at,
-            } => {
+            ServiceEvent::Rejected { request, at, .. } => {
                 let at = *at;
-                let inst = &mut self.instruments[class.rank()];
-                self.telemetry.metrics.inc(inst.rejected, at, 1);
-                inst.reject_rate.observe(&mut self.telemetry.metrics, at);
-                if *why == RejectReason::QueueFull {
-                    self.telemetry.slo.observe(at, ADMISSION_SLO_OBJECT, false);
-                }
                 if self.traced(*request) {
                     let prev = self.open.remove(request);
                     if let Some(span) = prev {
@@ -201,26 +143,12 @@ impl Lifecycle {
             }
             ServiceEvent::Admitted {
                 request,
-                class,
                 at,
                 cubes,
-                waited,
                 report,
                 ..
             } => {
                 let at = *at;
-                let inst = &mut self.instruments[class.rank()];
-                self.telemetry.metrics.inc(inst.admitted, at, 1);
-                // Zero waits can't land in a log histogram; the
-                // admitted counter still counts them, so the
-                // histogram is the positive-wait tail only.
-                if waited.0 > 0 {
-                    self.telemetry
-                        .metrics
-                        .observe(inst.wait, at, waited.0 as f64 / 1_000.0);
-                }
-                inst.admit_rate.observe(&mut self.telemetry.metrics, at);
-                self.telemetry.slo.observe(at, ADMISSION_SLO_OBJECT, true);
                 if self.traced(*request) {
                     let enqueue = self.open.remove(request);
                     if let Some(span) = enqueue {
@@ -256,15 +184,11 @@ impl Lifecycle {
             }
             ServiceEvent::Preempted {
                 request,
-                class,
                 at,
                 report,
                 ..
             } => {
                 let at = *at;
-                let inst = &mut self.instruments[class.rank()];
-                self.telemetry.metrics.inc(inst.preempted, at, 1);
-                inst.preempt_rate.observe(&mut self.telemetry.metrics, at);
                 if self.traced(*request) {
                     let run = self.open.remove(request);
                     if let Some(span) = run {
@@ -290,15 +214,12 @@ impl Lifecycle {
             }
             ServiceEvent::Completed {
                 request,
-                class,
                 at,
                 cubes,
                 report,
                 ..
             } => {
                 let at = *at;
-                let inst = &self.instruments[class.rank()];
-                self.telemetry.metrics.inc(inst.completed, at, 1);
                 if self.traced(*request) {
                     let run = self.open.remove(request);
                     if let Some(span) = run {
@@ -341,14 +262,15 @@ impl Observer for Lifecycle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::{PolicyConfig, ServiceCore};
+    use crate::intent::Priority;
+    use crate::queue::{PolicyConfig, RejectReason, ServiceCore};
 
     #[test]
     fn every_arm_is_stamped_with_the_events_own_time() {
         // A batch handed over at t = 9 s whose events happened at 2 s and
         // 3 s — the shape of a drain batch, where the step's time is the
-        // drain end. Counters, the SLO and the spans must carry the event
-        // times; only the depth sample carries the step's.
+        // drain end. The spans must carry the event times; only the depth
+        // sample carries the step's.
         let core = ServiceCore::new(PolicyConfig::default());
         let step = Step {
             cell: 0,
@@ -389,12 +311,6 @@ mod tests {
         assert_eq!((reject.start, reject.end), (t_rej, t_rej));
         let root = span(RequestStage::Lifecycle);
         assert_eq!((root.start, root.end), (t_enq, t_rej));
-
-        // The admission-SLO miss opened at the rejection instant: six
-        // seconds of downtime by the step's time, not zero.
-        let slo = obs.telemetry.slo.report(step.now);
-        assert_eq!(slo.objects[0].object, ADMISSION_SLO_OBJECT);
-        assert_eq!(slo.objects[0].downtime, step.now.saturating_sub(t_rej));
 
         let tracks = obs.series.tracks();
         let depth: Vec<Nanos> = tracks[0].points.iter().map(|p| p.at).collect();

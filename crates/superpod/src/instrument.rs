@@ -12,7 +12,6 @@ use crate::collective_sim::SimOutcome;
 use lightwave_fabric::{CommitError, CommitReport, OcsId};
 use lightwave_ocs::instrument::trace_reconfig;
 use lightwave_ocs::ReconfigSummary;
-use lightwave_telemetry::rollup::{PortPath, RollupTree};
 use lightwave_telemetry::{
     AlarmCause, AlarmRecord, CounterId, EventKind, FleetTelemetry, HistogramId, Severity,
 };
@@ -200,28 +199,6 @@ fn trace_topology_change(
     }
     tracer.end(span, report.traffic_ready_at.max(at));
     span
-}
-
-/// Folds a slice composition or release into the campus rollup tree:
-/// one `pod_slice_moves` sample per touched switch (at that switch's
-/// leaf under `pod`), plus a pod-scoped `pod_slice_settle_ms` sample on
-/// pseudo-switch `u32::MAX` when circuits were added — the one renderer
-/// of a [`CommitReport`] into the rollup tree.
-pub fn roll_topology_change(tree: &mut RollupTree, pod: u32, at: Nanos, report: &CommitReport) {
-    let moves = tree.metric("pod_slice_moves");
-    for (&switch, sw) in &report.per_switch {
-        let delta = (sw.added + sw.removed) as f64;
-        tree.ingest(moves, PortPath::new(pod, switch, 0), at, delta);
-    }
-    if report.added > 0 {
-        let settle = report.traffic_ready_at.saturating_sub(at);
-        tree.record(
-            "pod_slice_settle_ms",
-            PortPath::new(pod, u32::MAX, 0),
-            at,
-            settle.as_millis_f64(),
-        );
-    }
 }
 
 /// Records one [`Superpod::resync`](crate::Superpod::resync) pass into

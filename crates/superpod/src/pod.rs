@@ -158,9 +158,6 @@ pub struct Superpod {
     busy: CubeSet,
     /// Cubes marked failed (busy or not).
     failed: CubeSet,
-    /// The slice owning each cube; meaningful only where `busy` has the
-    /// cube's bit.
-    cube_owner: [SliceHandle; POD_CUBES],
     /// Switches that missed a committed transaction (down at the time)
     /// and still carry a stale mapping. Excluded from new transactions
     /// until [`Superpod::resync`] reconciles them — a down switch must
@@ -182,7 +179,6 @@ impl Superpod {
             norths: Default::default(),
             busy: CubeSet::EMPTY,
             failed: CubeSet::EMPTY,
-            cube_owner: [SliceHandle(0); POD_CUBES],
             desynced: BTreeSet::new(),
             next_handle: 1,
         }
@@ -254,13 +250,6 @@ impl Superpod {
     /// Whether a cube is failed (`false` for an id outside the pod).
     pub fn is_cube_failed(&self, cube: CubeId) -> bool {
         self.failed.contains(cube)
-    }
-
-    /// The slice (if any) containing a cube (`None` outside the pod).
-    pub fn slice_of_cube(&self, cube: CubeId) -> Option<SliceHandle> {
-        self.busy
-            .contains(cube)
-            .then(|| self.cube_owner[cube as usize])
     }
 
     /// Writes the circuit pairs a slice pins per dimension into `pairs`,
@@ -439,7 +428,6 @@ impl Superpod {
         self.next_handle += 1;
         for &c in &slice.cubes {
             self.busy.insert(c);
-            self.cube_owner[c as usize] = handle;
         }
         for (table, list) in self.desired.iter_mut().zip(pairs) {
             for &(n, s) in list {
@@ -588,6 +576,13 @@ mod tests {
         Slice::new(SliceShape::new(a, b, c).unwrap(), cubes).unwrap()
     }
 
+    /// The live slice holding `cube`, found through [`Superpod::slices`].
+    fn holder(pod: &Superpod, cube: CubeId) -> Option<SliceHandle> {
+        pod.slices()
+            .find(|(_, s)| s.cubes.contains(&cube))
+            .map(|(h, _)| h)
+    }
+
     #[test]
     fn compose_full_pod() {
         let mut pod = Superpod::new(1);
@@ -683,7 +678,7 @@ mod tests {
         for bad in [64, 200, 255] {
             pod.mark_cube_failed(bad);
             assert!(!pod.is_cube_failed(bad), "cube {bad} names nothing");
-            assert_eq!(pod.slice_of_cube(bad), None);
+            assert_eq!(holder(&pod, bad), None);
             pod.mark_cube_repaired(bad);
         }
         assert_eq!(pod.idle_set().len(), POD_CUBES);
@@ -693,16 +688,16 @@ mod tests {
         assert_eq!(pod.idle_cubes(), (0..63).collect::<Vec<CubeId>>());
         pod.mark_cube_repaired(63);
         let (h, _) = pod.compose(slice_of(vec![63], 4, 4, 4)).unwrap();
-        assert_eq!(pod.slice_of_cube(63), Some(h));
+        assert_eq!(holder(&pod, 63), Some(h));
         assert!(!pod.idle_set().contains(63));
     }
 
     #[test]
-    fn slice_of_cube_lookup() {
+    fn a_cube_is_found_in_the_slice_holding_it() {
         let mut pod = Superpod::new(6);
         let (h, _) = pod.compose(slice_of(vec![11, 13], 8, 4, 4)).unwrap();
-        assert_eq!(pod.slice_of_cube(11), Some(h));
-        assert_eq!(pod.slice_of_cube(12), None);
+        assert_eq!(holder(&pod, 11), Some(h));
+        assert_eq!(holder(&pod, 12), None);
     }
 
     #[test]
@@ -814,7 +809,7 @@ mod tests {
         assert_eq!(pod.slices().count(), 1);
         assert_eq!(pod.fabric().fleet.health().circuits, circuits_before);
         assert!(pod.desynced().is_empty());
-        assert_eq!(pod.slice_of_cube(2), None);
+        assert_eq!(holder(&pod, 2), None);
         // Slice 1 still fully alive.
         assert!(pod.slice(h1).is_some());
         pod.release(h1).unwrap();

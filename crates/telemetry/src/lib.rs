@@ -24,10 +24,10 @@
 //! - [`export`] — a text dashboard and a JSON-lines serializer.
 //! - [`timeseries`] — bounded metric history: one raw ring of
 //!   integer-quantized samples per series.
-//! - [`rollup`] — the campus observability plane: a dirty-set
-//!   incremental port → switch → pod → campus aggregation tree over
-//!   [`Aggregate`]s that merge *exactly* in any order, and the versioned
-//!   queryable `campus_health.json` snapshot.
+//! - [`rollup`] — the campus observability plane: port leaves of
+//!   [`Aggregate`]s that merge *exactly* in any order, folded into
+//!   switch, pod and campus rows when the versioned queryable
+//!   `campus_health.json` snapshot asks.
 //! - [`detect`] — O(1)-per-sample streaming detectors (EWMA drift,
 //!   CUSUM change-point, windowed rate-spike), pure integer state.
 //! - [`health`] — the analytics tier: detector banks over port drift

@@ -1,40 +1,30 @@
 //! Campus-scale hierarchical telemetry rollups.
 //!
 //! ROADMAP item 1 grows the stack from one pod to dozens of pods and
-//! ~100k OCS ports. At that cardinality a flat scrape — walk every
-//! port-level series, re-fold everything — is O(ports) per poll and
-//! cannot keep up. Mission Apollo's fleet monitoring works at
-//! datacenter scale precisely because per-port optics roll up into
-//! chassis- and fleet-level views; this module is that rollup plane.
+//! ~100k OCS ports. Mission Apollo's fleet monitoring works at
+//! datacenter scale because per-port optics roll up into chassis- and
+//! fleet-level views; this module is that rollup plane.
 //!
-//! [`RollupTree`] maintains a four-level aggregation hierarchy —
+//! [`RollupTree`] keeps the leaves of a four-level hierarchy —
 //! **port → switch → pod → campus** — over the exact integer
 //! [`Aggregate`] lattice (integer sums plus min/max joins of samples
 //! quantized by [`crate::timeseries::quantize`]):
 //!
-//! - **Ingest** is O(1): the sample folds into its port leaf's *pending
-//!   delta* and the leaf joins a dirty set. A producer that writes the
-//!   same ports again and again resolves each once ([`RollupTree::leaf`])
-//!   and ingests into the [`LeafId`], skipping the path lookup.
-//! - **Scrape** is O(changed · depth): each dirty leaf's pending delta
-//!   merges into the leaf total and then into exactly one switch, one
-//!   pod, and the campus node. Untouched ports cost nothing.
+//! - **Ingest** is one fold into the sample's port leaf. A producer
+//!   that writes the same ports again and again resolves each once
+//!   ([`RollupTree::leaf`]) and ingests into the [`LeafId`], skipping
+//!   the path lookup.
+//! - **A row is its leaves.** A switch, pod or campus aggregate is the
+//!   fold of the leaves under it, computed when a query or
+//!   [`CampusHealthDoc::build`] asks. Leaves sit in path order, so a
+//!   switch's or a pod's leaves are one range. Nothing interior is
+//!   stored, so nothing interior can drift from its leaves.
 //! - **Merge** is exact: [`Aggregate::merge`] is associative and
 //!   commutative by construction, so the per-cell trees of a sharded
 //!   service run (one `CampusObserver` per cell under
-//!   `lightwave_service::run_sharded`) combine in shard order and the
-//!   exported snapshot is byte-identical at any `LIGHTWAVE_THREADS`
-//!   (DESIGN.md §6.9).
-//!
-//! The flat re-aggregation (`fold every leaf from EMPTY`) is kept in two
-//! forms. [`RollupTree::check_consistency`] re-folds the scraped leaf
-//! totals into every switch, pod and campus node: it is the ground truth
-//! the chaos invariant compares the incremental totals against after
-//! every injected event, and what `tests/campus_health.rs` and the
-//! `campus_health` example assert. [`RollupTree::flat_campus`] re-folds
-//! the campus row with pending deltas included: it is the reference this
-//! module's merge test and proptest compare against. lwbench reads
-//! neither (its `telemetry.*` metrics time the observer and the document).
+//!   `lightwave_service::run_sharded`) combine leaf by leaf in shard
+//!   order and the exported snapshot is byte-identical at any
+//!   `LIGHTWAVE_THREADS` (DESIGN.md §6.9).
 //!
 //! [`CampusHealthDoc`] is the versioned queryable snapshot
 //! ([`CAMPUS_HEALTH_SCHEMA`]): per-level rollups with a
@@ -46,6 +36,7 @@ use crate::timeseries::{quantize, Sample};
 use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 /// The `schema` member the exported campus snapshot opens with.
 pub const CAMPUS_HEALTH_SCHEMA: &str = "lightwave/campus-health/v2";
@@ -140,27 +131,19 @@ impl PortPath {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RollupMetric(usize);
 
-impl RollupMetric {
-    /// The metric's intern index — the position of its slot in
-    /// [`RollupTree::flat_campus`]'s output.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// A resolved port leaf of a [`RollupTree`] ([`RollupTree::leaf`]). It
 /// stays valid for the tree that issued it: leaves are only ever added,
 /// by ingest and by [`RollupTree::merge`], never moved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeafId(u32);
 
-/// One node's per-metric aggregates, indexed by [`RollupMetric`].
+/// One port leaf's per-metric aggregates, indexed by [`RollupMetric`].
 #[derive(Debug, Clone, Default)]
-struct NodeAggs {
+struct Leaf {
     aggs: Vec<Aggregate>,
 }
 
-impl NodeAggs {
+impl Leaf {
     fn fold(&mut self, metric: usize, delta: Aggregate) {
         if self.aggs.len() <= metric {
             self.aggs.resize(metric + 1, Aggregate::EMPTY);
@@ -173,41 +156,18 @@ impl NodeAggs {
     }
 }
 
-/// One port leaf: the scraped total plus the not-yet-propagated delta,
-/// with its interior-node slots resolved once at creation so the scrape
-/// hot path is pure array arithmetic (no tree lookups).
-#[derive(Debug, Clone)]
-struct Leaf {
-    total: NodeAggs,
-    pending: NodeAggs,
-    dirty: bool,
-    /// Index into [`RollupTree::switches`].
-    switch_slot: u32,
-    /// Index into [`RollupTree::pods`].
-    pod_slot: u32,
-}
-
-/// The campus aggregation tree (see module docs).
-///
-/// Node storage is slot-indexed `Vec`s; the `BTreeMap` side tables map
-/// ids to slots and exist for queries and ordered iteration only —
-/// ingest by path pays one leaf lookup, ingest into a [`LeafId`] and
-/// [`RollupTree::scrape`] pay none.
+/// The campus aggregation tree (see module docs): port leaves only. A
+/// switch, pod or campus row is the fold of the leaves under it,
+/// computed when asked.
 #[derive(Debug, Clone, Default)]
 pub struct RollupTree {
     /// Interned metric names, in registration order.
     metrics: Vec<String>,
     metric_ids: BTreeMap<String, usize>,
     leaves: Vec<Leaf>,
+    /// Leaf slots in path order: a switch's or a pod's leaves are one
+    /// range of it.
     leaf_slots: BTreeMap<PortPath, u32>,
-    switches: Vec<NodeAggs>,
-    switch_slots: BTreeMap<(u32, u32), u32>,
-    pods: Vec<NodeAggs>,
-    pod_slots: BTreeMap<u32, u32>,
-    campus: NodeAggs,
-    /// Dirty leaf slots awaiting propagation (each at most once — the
-    /// leaf's `dirty` flag dedups).
-    dirty: Vec<u32>,
     ingested: u64,
 }
 
@@ -233,55 +193,24 @@ impl RollupTree {
         &self.metrics
     }
 
-    /// Resolves (or creates) the leaf for `path`, wiring its
-    /// interior-node slots on first sight.
+    /// Resolves (or creates) the leaf for `path`.
     pub fn leaf(&mut self, path: PortPath) -> LeafId {
         if let Some(&slot) = self.leaf_slots.get(&path) {
             return LeafId(slot);
         }
-        let switch_slot = match self.switch_slots.get(&(path.pod, path.switch)) {
-            Some(&s) => s,
-            None => {
-                let s = self.switches.len() as u32;
-                self.switches.push(NodeAggs::default());
-                self.switch_slots.insert((path.pod, path.switch), s);
-                s
-            }
-        };
-        let pod_slot = match self.pod_slots.get(&path.pod) {
-            Some(&s) => s,
-            None => {
-                let s = self.pods.len() as u32;
-                self.pods.push(NodeAggs::default());
-                self.pod_slots.insert(path.pod, s);
-                s
-            }
-        };
         let slot = self.leaves.len() as u32;
-        self.leaves.push(Leaf {
-            total: NodeAggs::default(),
-            pending: NodeAggs::default(),
-            dirty: false,
-            switch_slot,
-            pod_slot,
-        });
+        self.leaves.push(Leaf::default());
         self.leaf_slots.insert(path, slot);
         LeafId(slot)
     }
 
-    /// Ingests one pre-quantized sample into a resolved leaf: O(1), no
-    /// propagation (that happens at the next [`RollupTree::scrape`]).
+    /// Ingests one pre-quantized sample into a resolved leaf: one fold.
     pub fn ingest_leaf(&mut self, m: RollupMetric, leaf: LeafId, at: Nanos, micros: i64) {
-        let delta = Aggregate::from_sample(Sample {
+        let sample = Aggregate::from_sample(Sample {
             at,
             value_micros: micros,
         });
-        let node = &mut self.leaves[leaf.0 as usize];
-        node.pending.fold(m.0, delta);
-        if !node.dirty {
-            node.dirty = true;
-            self.dirty.push(leaf.0);
-        }
+        self.leaves[leaf.0 as usize].fold(m.0, sample);
         self.ingested += 1;
     }
 
@@ -304,101 +233,70 @@ impl RollupTree {
         self.ingest(m, path, at, value);
     }
 
-    /// Propagates every dirty leaf's pending delta up the tree —
-    /// leaf total, switch, pod, campus — and returns how many leaves
-    /// were propagated. Cost is O(dirty · depth), independent of the
-    /// total port count; with nothing dirty it is O(1).
-    pub fn scrape(&mut self) -> usize {
-        let dirty = std::mem::take(&mut self.dirty);
-        let n = dirty.len();
-        for slot in dirty {
-            let leaf = &mut self.leaves[slot as usize];
-            let pending = std::mem::take(&mut leaf.pending);
-            leaf.dirty = false;
-            let (sw, pod) = (leaf.switch_slot as usize, leaf.pod_slot as usize);
-            for (metric, &delta) in pending.aggs.iter().enumerate() {
-                if delta.count == 0 {
-                    continue;
-                }
-                leaf.total.fold(metric, delta);
-            }
-            for (metric, &delta) in pending.aggs.iter().enumerate() {
-                if delta.count == 0 {
-                    continue;
-                }
-                self.switches[sw].fold(metric, delta);
-                self.pods[pod].fold(metric, delta);
-                self.campus.fold(metric, delta);
-            }
-        }
-        n
-    }
-
-    /// Merges another tree into this one (consuming it). Both sides are
-    /// scraped first, then every level merges node-wise with metric
-    /// names remapped through this tree's intern table — exact in any
-    /// association because [`Aggregate::merge`] is, though callers merge
-    /// in shard order for byte-identical intern ordering.
-    pub fn merge(&mut self, mut other: RollupTree) {
-        self.scrape();
-        other.scrape();
+    /// Merges another tree into this one (consuming it), leaf by leaf,
+    /// with metric names remapped through this tree's intern table —
+    /// exact in any association because [`Aggregate::merge`] is, though
+    /// callers merge in shard order for byte-identical intern ordering.
+    pub fn merge(&mut self, other: RollupTree) {
         // other metric index -> self metric index.
         let remap: Vec<usize> = other.metrics.iter().map(|n| self.metric(n).0).collect();
-        let fold_remapped = |dst: &mut NodeAggs, src: &NodeAggs| {
-            for (m, &agg) in src.aggs.iter().enumerate() {
+        for (&path, &slot) in &other.leaf_slots {
+            let LeafId(mine) = self.leaf(path);
+            let dst = &mut self.leaves[mine as usize];
+            for (m, &agg) in other.leaves[slot as usize].aggs.iter().enumerate() {
                 if agg.count > 0 {
                     dst.fold(remap[m], agg);
                 }
             }
-        };
-        // The leaf fold reaches switch/pod/campus through the same
-        // remap, so interior nodes stay exactly the leaf sums.
-        let mut other_leaves = std::mem::take(&mut other.leaves);
-        for (&path, &slot) in &other.leaf_slots {
-            let LeafId(mine) = self.leaf(path);
-            let src = std::mem::take(&mut other_leaves[slot as usize].total);
-            let dst = &mut self.leaves[mine as usize];
-            let (sw, pod) = (dst.switch_slot as usize, dst.pod_slot as usize);
-            fold_remapped(&mut dst.total, &src);
-            fold_remapped(&mut self.switches[sw], &src);
-            fold_remapped(&mut self.pods[pod], &src);
-            fold_remapped(&mut self.campus, &src);
         }
         self.ingested += other.ingested;
     }
 
-    /// The campus-level aggregate of `m` (scraped state only).
+    /// The fold of `m` over the leaves whose paths lie in `under`.
+    fn fold_under(&self, under: RangeInclusive<PortPath>, m: RollupMetric) -> Aggregate {
+        self.leaf_slots
+            .range(under)
+            .fold(Aggregate::EMPTY, |row, (_, &slot)| {
+                row.merge(self.leaves[slot as usize].get(m.0))
+            })
+    }
+
+    /// The campus-level aggregate of `m`: the fold of every leaf.
     pub fn campus_agg(&self, m: RollupMetric) -> Aggregate {
-        self.campus.get(m.0)
+        self.leaves
+            .iter()
+            .fold(Aggregate::EMPTY, |row, leaf| row.merge(leaf.get(m.0)))
     }
 
-    /// The pod-level aggregate of `m`.
+    /// The pod-level aggregate of `m`: the fold of the pod's leaves.
     pub fn pod_agg(&self, pod: u32, m: RollupMetric) -> Aggregate {
-        self.pod_slots
-            .get(&pod)
-            .map(|&s| self.pods[s as usize].get(m.0))
-            .unwrap_or(Aggregate::EMPTY)
+        self.fold_under(pod_paths(pod), m)
     }
 
-    /// The switch-level aggregate of `m`.
+    /// The switch-level aggregate of `m`: the fold of the switch's leaves.
     pub fn switch_agg(&self, pod: u32, switch: u32, m: RollupMetric) -> Aggregate {
-        self.switch_slots
-            .get(&(pod, switch))
-            .map(|&s| self.switches[s as usize].get(m.0))
-            .unwrap_or(Aggregate::EMPTY)
+        self.fold_under(
+            PortPath::new(pod, switch, 0)..=PortPath::new(pod, switch, u32::MAX),
+            m,
+        )
     }
 
     /// Pod ids present, ascending.
     pub fn pod_ids(&self) -> Vec<u32> {
-        self.pod_slots.keys().copied().collect()
+        let mut ids: Vec<u32> = self.leaf_slots.keys().map(|p| p.pod).collect();
+        ids.dedup();
+        ids
     }
 
     /// Switch ids present under `pod`, ascending.
     pub fn switch_ids(&self, pod: u32) -> Vec<u32> {
-        self.switch_slots
-            .range((pod, 0)..=(pod, u32::MAX))
-            .map(|(&(_, s), _)| s)
-            .collect()
+        let mut ids: Vec<u32> = self
+            .leaf_slots
+            .range(pod_paths(pod))
+            .map(|(p, _)| p.switch)
+            .collect();
+        ids.dedup();
+        ids
     }
 
     /// Leaf count (distinct ports ever ingested).
@@ -410,80 +308,11 @@ impl RollupTree {
     pub fn ingested(&self) -> u64 {
         self.ingested
     }
+}
 
-    /// The flat ground truth: campus totals re-folded from every leaf
-    /// (scraped total ⊕ pending delta), one [`Aggregate`] per interned
-    /// metric. O(ports) — the cost the incremental scrape avoids, kept
-    /// as the reference for invariants and proptests.
-    pub fn flat_campus(&self) -> Vec<Aggregate> {
-        let mut out = vec![Aggregate::EMPTY; self.metrics.len()];
-        for leaf in &self.leaves {
-            for (m, slot) in out.iter_mut().enumerate() {
-                *slot = slot.merge(leaf.total.get(m)).merge(leaf.pending.get(m));
-            }
-        }
-        out
-    }
-
-    /// Checks every interior node against a fresh flat re-aggregation
-    /// of the scraped leaf totals: switch, pod, and campus rollups must
-    /// all equal the fold of their leaves. Call after
-    /// [`RollupTree::scrape`]; returns the first divergence found.
-    pub fn check_consistency(&self) -> Result<(), String> {
-        let nm = self.metrics.len();
-        let mut switches: BTreeMap<(u32, u32), Vec<Aggregate>> = BTreeMap::new();
-        let mut pods: BTreeMap<u32, Vec<Aggregate>> = BTreeMap::new();
-        let mut campus = vec![Aggregate::EMPTY; nm];
-        for (path, &slot) in &self.leaf_slots {
-            let leaf = &self.leaves[slot as usize];
-            let sw = switches
-                .entry((path.pod, path.switch))
-                .or_insert_with(|| vec![Aggregate::EMPTY; nm]);
-            for (m, slot) in sw.iter_mut().enumerate() {
-                *slot = slot.merge(leaf.total.get(m));
-            }
-            let pd = pods
-                .entry(path.pod)
-                .or_insert_with(|| vec![Aggregate::EMPTY; nm]);
-            for (m, slot) in pd.iter_mut().enumerate() {
-                let a = leaf.total.get(m);
-                *slot = slot.merge(a);
-                campus[m] = campus[m].merge(a);
-            }
-        }
-        for (&(pod, sw), want) in &switches {
-            for (m, want) in want.iter().enumerate() {
-                let have = self.switch_agg(pod, sw, RollupMetric(m));
-                if have != *want {
-                    return Err(format!(
-                        "switch ({pod},{sw}) metric {}: rollup {:?} != flat {:?}",
-                        self.metrics[m], have, want
-                    ));
-                }
-            }
-        }
-        for (&pod, want) in &pods {
-            for (m, want) in want.iter().enumerate() {
-                let have = self.pod_agg(pod, RollupMetric(m));
-                if have != *want {
-                    return Err(format!(
-                        "pod {pod} metric {}: rollup {:?} != flat {:?}",
-                        self.metrics[m], have, want
-                    ));
-                }
-            }
-        }
-        for (m, want) in campus.iter().enumerate() {
-            let have = self.campus_agg(RollupMetric(m));
-            if have != *want {
-                return Err(format!(
-                    "campus metric {}: rollup {:?} != flat {:?}",
-                    self.metrics[m], have, want
-                ));
-            }
-        }
-        Ok(())
-    }
+/// Every leaf path under `pod`.
+fn pod_paths(pod: u32) -> RangeInclusive<PortPath> {
+    PortPath::new(pod, 0, 0)..=PortPath::new(pod, u32::MAX, u32::MAX)
 }
 
 /// One metric's aggregate at a node, named for export.
@@ -582,9 +411,8 @@ pub struct CampusHealthDoc {
 }
 
 impl CampusHealthDoc {
-    /// Builds the snapshot from a **scraped** tree and a burn-rate
-    /// assessment. Call [`RollupTree::scrape`] first so pending deltas
-    /// are included.
+    /// Builds the snapshot from a tree's leaves and a burn-rate
+    /// assessment: every row is folded here, from the leaves under it.
     pub fn build(tree: &RollupTree, slo: BurnReport, generated_at: Nanos) -> CampusHealthDoc {
         let names = tree.metric_names();
         let pods = tree
@@ -677,55 +505,82 @@ mod tests {
     }
 
     #[test]
-    fn scrape_propagates_only_dirty_leaves() {
+    fn every_row_is_the_fold_of_the_leaves_under_it() {
+        // Each row's leaves sit beside a neighbour's: switch 1 next to
+        // switch 2's first port, pod 0's last port next to pod 1's first.
+        let samples = [
+            (p(0, 1, 0), 4),
+            (p(0, 1, 7), -2),
+            (p(0, 2, 0), 30),
+            (p(0, u32::MAX, u32::MAX), 9),
+            (p(1, 0, 0), 500),
+            (p(1, 1, 3), -70),
+        ];
         let mut t = RollupTree::new();
-        let m = t.metric("relocks");
-        for port in 0..100 {
-            t.ingest(m, p(0, port % 4, port), Nanos(port as u64), 1.0);
+        let m = t.metric("x");
+        for (i, &(path, v)) in samples.iter().enumerate() {
+            t.ingest_micros(m, path, Nanos(i as u64), v);
         }
-        assert_eq!(t.scrape(), 100);
-        assert_eq!(t.campus_agg(m).count, 100);
-        // Touch two ports: the next scrape propagates exactly two.
-        t.ingest(m, p(0, 1, 1), Nanos(200), 1.0);
-        t.ingest(m, p(0, 1, 1), Nanos(201), 1.0);
-        t.ingest(m, p(0, 2, 2), Nanos(202), 1.0);
-        assert_eq!(t.dirty.len(), 2, "dirty set dedups per leaf");
-        assert_eq!(t.scrape(), 2);
-        assert_eq!(t.campus_agg(m).count, 103);
-        assert_eq!(t.switch_agg(0, 1, m).count, 27);
-        let LeafId(port) = t.leaf(p(0, 1, 1));
-        assert_eq!(t.leaves[port as usize].total.get(m.0).count, 3);
-        assert_eq!(t.scrape(), 0, "clean tree scrapes nothing");
-        t.check_consistency()
-            .expect("nodes equal flat ground truth");
+        let fold_where = |keep: &dyn Fn(PortPath) -> bool| {
+            samples
+                .iter()
+                .enumerate()
+                .filter(|(_, (path, _))| keep(*path))
+                .fold(Aggregate::EMPTY, |a, (i, &(_, v))| {
+                    a.merge(Aggregate::from_sample(Sample {
+                        at: Nanos(i as u64),
+                        value_micros: v,
+                    }))
+                })
+        };
+        assert_eq!(t.campus_agg(m), fold_where(&|_| true));
+        assert_eq!(t.pod_ids(), [0, 1]);
+        for pod in t.pod_ids() {
+            assert_eq!(t.pod_agg(pod, m), fold_where(&|q| q.pod == pod));
+            for sw in t.switch_ids(pod) {
+                let want = fold_where(&|q| (q.pod, q.switch) == (pod, sw));
+                assert_eq!(t.switch_agg(pod, sw, m), want, "switch ({pod},{sw})");
+            }
+        }
+        assert_eq!(t.switch_ids(0), [1, 2, u32::MAX]);
+        assert_eq!(t.switch_agg(0, 1, m).count, 2);
+        assert_eq!(t.pod_agg(2, m), Aggregate::EMPTY, "no leaves, no row");
+        assert_eq!(t.ingested(), samples.len() as u64);
     }
 
     #[test]
-    fn merge_equals_single_tree_and_flat_sum() {
+    fn merge_equals_single_tree_whatever_the_intern_order() {
         let mut whole = RollupTree::new();
         let mut a = RollupTree::new();
         let mut b = RollupTree::new();
+        // `a` meets "relocks" first (sample 0), `b` "drift_db": their
+        // indices differ, so the merge must remap them by name.
+        b.metric("drift_db");
         for i in 0..60u32 {
             let path = p(i % 3, i % 5, i);
             let at = Nanos(i as u64 * 7);
             let v = (i as f64) * 0.5 - 3.0;
-            whole.record("drift_db", path, at, v);
+            let name = if i % 3 == 0 { "relocks" } else { "drift_db" };
+            whole.record(name, path, at, v);
             if i % 2 == 0 {
-                a.record("drift_db", path, at, v);
+                a.record(name, path, at, v);
             } else {
-                b.record("drift_db", path, at, v);
+                b.record(name, path, at, v);
             }
         }
-        whole.scrape();
         a.merge(b);
-        let m = whole.metric("drift_db");
-        let ma = a.metric("drift_db");
-        assert_eq!(whole.campus_agg(m), a.campus_agg(ma));
-        assert_eq!(whole.flat_campus(), a.flat_campus());
-        for pod in whole.pod_ids() {
-            assert_eq!(whole.pod_agg(pod, m), a.pod_agg(pod, ma));
+        assert_eq!(a.ports(), whole.ports());
+        assert_eq!(a.ingested(), whole.ingested());
+        for name in ["drift_db", "relocks"] {
+            let (m, ma) = (whole.metric(name), a.metric(name));
+            assert_eq!(whole.campus_agg(m), a.campus_agg(ma));
+            for pod in whole.pod_ids() {
+                assert_eq!(whole.pod_agg(pod, m), a.pod_agg(pod, ma));
+                for sw in whole.switch_ids(pod) {
+                    assert_eq!(whole.switch_agg(pod, sw, m), a.switch_agg(pod, sw, ma));
+                }
+            }
         }
-        a.check_consistency().expect("merged tree consistent");
     }
 
     #[test]
@@ -734,7 +589,6 @@ mod tests {
         t.record("relocks", p(0, 1, 4), Nanos(5), 1.0);
         t.record("relocks", p(0, 1, 5), Nanos(6), 1.0);
         t.record("drift_db", p(1, 0, 0), Nanos(7), 0.25);
-        t.scrape();
         let mut burn = BurnRateLedger::default();
         burn.observe(Nanos(0), 0, true);
         burn.observe(Nanos(0), 1, true);
@@ -792,32 +646,27 @@ mod tests {
             prop_assert_eq!(agg_of(&shuffled), reference);
         }
 
-        /// Hierarchical totals equal the flat fold whatever the ingest
-        /// order, and scraping at arbitrary points never changes them.
+        /// Every pod row and the campus row equal the flat fold of
+        /// their samples, whatever the ingest order.
         #[test]
         fn rollup_equals_flat_under_any_order(
             samples in proptest::collection::vec(
                 (0u32..4, 0u32..6, 0u32..8, 0u64..1000, -500i64..500), 1..80),
-            scrape_every in 1usize..10,
         ) {
             let mut t = RollupTree::new();
             let m = t.metric("x");
-            let mut reference = Aggregate::EMPTY;
-            for (i, &(pod, sw, port, at, v)) in samples.iter().enumerate() {
+            let mut campus = Aggregate::EMPTY;
+            let mut pods = [Aggregate::EMPTY; 4];
+            for &(pod, sw, port, at, v) in &samples {
                 t.ingest_micros(m, p(pod, sw, port), Nanos(at), v);
-                reference = reference.merge(Aggregate::from_sample(Sample {
-                    at: Nanos(at), value_micros: v,
-                }));
-                if i % scrape_every == 0 {
-                    t.scrape();
-                }
+                let one = Aggregate::from_sample(Sample { at: Nanos(at), value_micros: v });
+                campus = campus.merge(one);
+                pods[pod as usize] = pods[pod as usize].merge(one);
             }
-            prop_assert_eq!(t.flat_campus()[0], reference);
-            t.scrape();
-            prop_assert_eq!(t.campus_agg(m), reference);
-            t.check_consistency().map_err(|e| {
-                TestCaseError::fail(format!("inconsistent: {e}"))
-            })?;
+            prop_assert_eq!(t.campus_agg(m), campus);
+            for (pod, &want) in pods.iter().enumerate() {
+                prop_assert_eq!(t.pod_agg(pod as u32, m), want);
+            }
         }
     }
 }

@@ -92,7 +92,6 @@ fn main() {
     );
 
     let doc = obs.health_doc();
-    obs.rollup.check_consistency().expect("rollup consistent");
     println!(
         "  campus: {} pods / {} leaf ports / {} metrics, dominant metric {:?}",
         doc.pods.len(),

@@ -14,10 +14,16 @@
 # mutant whose command passes is a *survivor*: the rule is not held by the
 # test the ledger says holds it. A patch that no longer applies, or whose
 # command fails without a test having failed (it did not build), is
-# *stale*: the code moved and the ledger did not. Either exits non-zero
-# after every patch has run; DESIGN §6.8 has the table. Run from the
+# *stale*: the code moved and the ledger did not. A command still running
+# after $LIMIT seconds is stopped and the mutant reported *hung*: a seeded
+# fault that livelocks its test must not hang the run. A survivor, a stale
+# patch or a hung mutant makes the script exit non-zero after every patch
+# has run; DESIGN §6.8 has the table. Run from the
 # repository root on a tree that builds; one incremental build a mutant.
 set -u
+
+# Seconds one kill command may run, its incremental build included.
+LIMIT=900
 
 [ $# -gt 0 ] || set -- tests/mutants/*.patch
 killed=0
@@ -33,8 +39,13 @@ for patch in "$@"; do
     git apply "$patch"
     trap 'git apply -R "$patch"' EXIT
     trap 'exit 130' INT TERM
-    if out=$(sh -c "$kill" 2>&1); then
+    out=$(timeout -k 10 "$LIMIT" sh -c "$kill" 2>&1)
+    status=$?
+    if [ "$status" -eq 0 ]; then
         echo "SURVIVED  $patch — $rule — passes: $kill"
+        bad=$((bad + 1))
+    elif [ "$status" -eq 124 ] || [ "$status" -eq 137 ]; then
+        echo "HUNG      $patch — $rule — still running after ${LIMIT} s: $kill"
         bad=$((bad + 1))
     elif echo "$out" | grep -q 'test result: FAILED'; then
         echo "killed    $patch — $rule"

@@ -628,10 +628,8 @@ mod tests {
         let before = pod.link_census();
         // Burn through spares on one port until the serving mirror is a
         // bottom-of-barrel spare (worse intrinsic loss).
-        let cube = pod
-            .pod
-            .slice_of_cube(pod.pod.slices().next().unwrap().1.cubes[0]);
-        assert!(cube.is_some());
+        let cube = pod.pod.slices().next().unwrap().1.cubes[0];
+        assert!(pod.pod.slices().any(|(_, s)| s.cubes.contains(&cube)));
         let ocs = pod.pod.fabric_mut().fleet.get_mut(0).unwrap();
         let victim = ocs.mapping().pairs().next().unwrap().0;
         for _ in 0..10 {

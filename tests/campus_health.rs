@@ -16,7 +16,7 @@ use lightwave::service::{
 };
 use lightwave::superpod::Superpod;
 use lightwave::telemetry::rollup::{Aggregate, CampusHealthDoc, PortPath, RollupTree};
-use lightwave::telemetry::timeseries::SeriesStore;
+use lightwave::telemetry::timeseries::{quantize, Sample, SeriesStore};
 use lightwave::telemetry::{
     AlarmCause, BurnRateLedger, FleetTelemetry, IngestOutcome, Severity, TrendSignal,
 };
@@ -40,27 +40,39 @@ fn ingest_rows(tree: &mut RollupTree, rows: &[Row]) {
     }
 }
 
+/// The fold of the rows `keep` picks, metric `m`, sample by sample:
+/// the flat reference, built without a tree.
+fn fold_rows(rows: &[Row], m: u8, keep: impl Fn((u8, u8, u8)) -> bool) -> Aggregate {
+    rows.iter()
+        .filter(|&&(rm, path, _)| rm % 3 == m && keep(path))
+        .fold(Aggregate::EMPTY, |a, &(_, _, v)| {
+            a.merge(Aggregate::from_sample(Sample {
+                at: Nanos(1 + v.unsigned_abs() as u64),
+                value_micros: quantize(v as f64),
+            }))
+        })
+}
+
 proptest! {
-    /// Hierarchical totals == the flat sum over leaves, for every
-    /// metric, under an arbitrary ingest order.
+    /// Every switch, pod and campus row == the flat fold of the
+    /// samples under it, for every metric, under an arbitrary ingest
+    /// order.
     #[test]
     fn rollup_totals_equal_flat_sum(rows in proptest::collection::vec(
         ((0u8..3), ((0u8..4), (0u8..4), (0u8..6)), -500i32..500), 1..120)) {
         let mut tree = RollupTree::new();
         ingest_rows(&mut tree, &rows);
-        tree.scrape();
-        tree.check_consistency().expect("hierarchy consistent");
         for m in 0..3u8 {
-            let name = format!("m{m}");
-            let metric = tree.metric(&name);
-            let campus = tree.campus_agg(metric);
-            let mut flat = Aggregate::EMPTY;
+            let metric = tree.metric(&format!("m{m}"));
+            prop_assert_eq!(tree.campus_agg(metric), fold_rows(&rows, m, |_| true));
             for pod in tree.pod_ids() {
+                let want = fold_rows(&rows, m, |(p, _, _)| p as u32 == pod);
+                prop_assert_eq!(tree.pod_agg(pod, metric), want);
                 for sw in tree.switch_ids(pod) {
-                    flat = flat.merge(tree.switch_agg(pod, sw, metric));
+                    let want = fold_rows(&rows, m, |(p, s, _)| (p as u32, s as u32) == (pod, sw));
+                    prop_assert_eq!(tree.switch_agg(pod, sw, metric), want);
                 }
             }
-            prop_assert_eq!(campus, flat);
         }
     }
 
@@ -74,7 +86,6 @@ proptest! {
         mask in proptest::collection::vec(any::<bool>(), 120)) {
         let mut whole = RollupTree::new();
         ingest_rows(&mut whole, &rows);
-        whole.scrape();
 
         let (mut left, mut right) = (RollupTree::new(), RollupTree::new());
         let a: Vec<Row> = rows.iter().zip(&mask).filter(|(_, &m)| m).map(|(r, _)| *r).collect();
@@ -82,8 +93,6 @@ proptest! {
         ingest_rows(&mut left, &a);
         ingest_rows(&mut right, &b);
         left.merge(right);
-        left.scrape();
-        left.check_consistency().expect("merged hierarchy consistent");
 
         for m in 0..3u8 {
             let name = format!("m{m}");
@@ -120,7 +129,6 @@ fn campus_health_json_is_thread_count_invariant() {
         doc.switch(0, POD_SCOPE_SWITCH).is_some(),
         "pod-scoped service metrics present"
     );
-    o1.rollup.check_consistency().expect("rollup consistent");
 }
 
 /// Cell `cell`'s event batches, one per arrival and one for the drain.

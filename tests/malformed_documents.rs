@@ -166,7 +166,6 @@ fn campus_doc() -> String {
     let mut tree = RollupTree::new();
     tree.record("relocks", PortPath::new(0, 1, 4), Nanos(5), 1.0);
     tree.record("drift_db", PortPath::new(1, 0, 0), Nanos(7), -0.25);
-    tree.scrape();
     let mut burn = BurnRateLedger::default();
     burn.observe(Nanos(0), 0, true);
     burn.observe(Nanos(40), 1, false);

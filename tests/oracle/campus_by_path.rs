@@ -94,8 +94,7 @@ impl PathObserver {
     }
 
     /// The `campus_health.json` document as of the latest observed time.
-    pub fn health_doc(&mut self) -> CampusHealthDoc {
-        self.rollup.scrape();
+    pub fn health_doc(&self) -> CampusHealthDoc {
         let slo = self.burn.assess(self.end);
         CampusHealthDoc::build(&self.rollup, slo, self.end)
     }
