@@ -1,10 +1,11 @@
 //! The OCS fleet: a set of Palomar switches under one simulation clock.
 
-use crate::controller::{CommitError, SwitchOps};
-use lightwave_ocs::{OcsHealth, PalomarOcs, ReconfigSummary};
+use crate::controller::{CommitError, SwitchOps, SwitchReports, Table};
+use lightwave_ocs::{OcsHealth, PalomarOcs};
 use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Identifier of a switch within the fleet.
 pub type OcsId = u32;
@@ -48,6 +49,11 @@ pub struct OcsFleet {
     /// last seen with none. Allocated with the fleet (one entry per member
     /// at most), never on the request path.
     moving: Vec<usize>,
+    /// The transaction tables: each one is either held by reports or
+    /// free for the next transaction to refill. A new one is built only
+    /// when every table is held, so there are only ever as many as were
+    /// once held at the same time.
+    tables: Vec<Arc<Table>>,
 }
 
 /// One switch of a fleet.
@@ -172,6 +178,28 @@ impl OcsFleet {
         &mut member.ocs
     }
 
+    /// The first table no report holds any more, taken out of the pool
+    /// and cleared — or, when every table is held, a new one sized to the
+    /// fleet. Either way the caller holds the only reference; it goes
+    /// back with [`OcsFleet::keep`].
+    pub(crate) fn take_table(&mut self) -> Arc<Table> {
+        let free = self
+            .tables
+            .iter_mut()
+            .position(|t| Arc::get_mut(t).map(Table::clear).is_some());
+        match free {
+            Some(slot) => self.tables.swap_remove(slot),
+            None => Arc::new(Table::sized(self.switches.len())),
+        }
+    }
+
+    /// Puts a filled table back in the pool and returns the report that
+    /// holds it until the last copy of that report is dropped.
+    pub(crate) fn keep(&mut self, table: Arc<Table>) -> SwitchReports {
+        self.tables.push(Arc::clone(&table));
+        SwitchReports::on(table)
+    }
+
     /// Runs one incremental transaction — the fleet half of
     /// [`FabricController::commit_view`](crate::FabricController::commit_view):
     /// every switch `view` names is brought to fleet time and validates
@@ -179,16 +207,15 @@ impl OcsFleet {
     /// leaves with alignments in flight is listed, and `due` comes down to
     /// its own next due time, not to `now`: a transaction that starts no
     /// alignment — a release — leaves the next advance one compare. Returns
-    /// each switch's summary, ascending by id; on error nothing has been
-    /// applied.
+    /// each switch's summary, ascending by id, in a recycled table; on
+    /// error nothing has been applied.
     ///
     /// # Panics
     /// Panics if the view's ids are not strictly ascending.
     pub(crate) fn transact<'a>(
         &mut self,
         view: impl Iterator<Item = SwitchOps<'a>> + Clone,
-    ) -> Result<Vec<(OcsId, ReconfigSummary)>, CommitError> {
-        let mut touched = 0;
+    ) -> Result<SwitchReports, CommitError> {
         let mut last = None;
         for (id, add, remove) in view.clone() {
             assert!(last < Some(id), "switch {id} out of order in the view");
@@ -198,9 +225,9 @@ impl OcsFleet {
             ocs.advance_to(self.now);
             ocs.validate_delta(add, remove)
                 .map_err(|error| CommitError::Invalid { ocs: id, error })?;
-            touched += 1;
         }
-        let mut per_switch = Vec::with_capacity(touched);
+        let mut table = self.take_table();
+        let rows = Arc::get_mut(&mut table).expect("a taken table is unheld");
         for (id, add, remove) in view {
             let slot = self.slot(id).expect("validated");
             let member = &mut self.switches[slot];
@@ -215,9 +242,9 @@ impl OcsFleet {
                 }
                 self.due = self.due.min(member.ocs.next_due());
             }
-            per_switch.push((id, done));
+            rows.push(id, done);
         }
-        Ok(per_switch)
+        Ok(self.keep(table))
     }
 
     /// Iterates switches in id order; each as [`OcsFleet::get`] shows it.
@@ -303,6 +330,7 @@ impl OcsFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lightwave_ocs::{PortId, ReconfigSummary};
 
     #[test]
     fn build_creates_distinct_switches() {
@@ -440,6 +468,49 @@ mod tests {
         let spoiled = fleet.transact(ops(&add[..], &remove[..]));
         assert!(matches!(spoiled, Err(CommitError::Invalid { ocs: 0, .. })));
         assert!(fleet.moving.is_empty() && fleet.health().circuits == 0);
+    }
+
+    #[test]
+    fn a_held_report_keeps_its_rows_while_later_transactions_refill_the_free_tables() {
+        let mut fleet = OcsFleet::build(4, 5);
+        let (pairs, circuit, north) = ([(0, 1), (1, 0)], [(2, 3)], [2]);
+        let none: (&[(PortId, PortId)], &[PortId]) = (&[], &[]);
+        let held = fleet
+            .transact([0, 2, 3].map(|id| (id, &pairs[..], none.1)).into_iter())
+            .unwrap();
+        let rows: Vec<(OcsId, ReconfigSummary)> = held.iter().map(|(&id, &r)| (id, r)).collect();
+        let copy = held.clone();
+        assert_eq!(fleet.tables.len(), 1, "a copy is a count on the same table");
+        // Establish and tear down one circuit on switch 1, over and over:
+        // each report is dropped at once, so every round refills the one
+        // table no report holds.
+        for round in 0..4 {
+            let (add, remove) = match round % 2 {
+                0 => (&circuit[..], none.1),
+                _ => (none.0, &north[..]),
+            };
+            let report = fleet.transact([(1, add, remove)].into_iter()).unwrap();
+            assert!(report.keys().eq(&[1]));
+            assert_eq!(fleet.tables.len(), 2, "the held table and one recycled");
+        }
+        // Two more held at once: a third table, and nothing refilled under
+        // a report.
+        let [second, third] = [(&circuit[..], none.1), (none.0, &north[..])]
+            .map(|(add, remove)| fleet.transact([(1, add, remove)].into_iter()).unwrap());
+        assert_eq!(fleet.tables.len(), 3);
+        assert_ne!(second, third);
+        assert_eq!((second.len(), third.len()), (1, 1));
+        assert!(held
+            .iter()
+            .map(|(&id, &r)| (id, r))
+            .eq(rows.iter().copied()));
+        assert_eq!(held, copy);
+        // With every report gone, the next transaction takes a free table.
+        drop((held, copy, second, third));
+        fleet
+            .transact([(1, &circuit[..], none.1)].into_iter())
+            .unwrap();
+        assert_eq!(fleet.tables.len(), 3);
     }
 
     #[test]

@@ -162,6 +162,11 @@ pub enum ServiceEvent {
     },
 }
 
+const _: () = assert!(
+    std::mem::size_of::<ServiceEvent>() <= 144,
+    "an event stays within 144 bytes: a drain's batch of events is a cell's peak heap"
+);
+
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     index: u64,

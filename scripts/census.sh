@@ -13,8 +13,10 @@
 # benchmark/src or crates/bench/benches other than as a definition
 # (`fn NAME`). By name, so an accessor that shares its name with a called
 # one, or that a doc comment mentions, counts as called: a lower bound.
-# Then the same four numbers for the workspace, the uncalled names, and the
-# line counts of what sits beside it (benchmark/, tests/, examples/).
+# Then the same four numbers for the workspace, the uncalled names, the
+# line counts of what sits beside it (benchmark/, tests/, examples/), and
+# the byte counts of the three documents a reader is pointed at (DESIGN,
+# README, EXPERIMENTS) with their sum.
 # Informational: exits 0. Run from the repository root.
 set -eu
 
@@ -92,3 +94,12 @@ echo
 for dir in benchmark/src benchmark/tests tests examples; do
     printf '%-14s %7d lines\n' "$dir" "$(find "$dir" -name '*.rs' -exec cat {} + | wc -l)"
 done
+
+echo
+total=0
+for doc in DESIGN.md README.md EXPERIMENTS.md; do
+    bytes=$(wc -c < "$doc")
+    total=$((total + bytes))
+    printf '%-14s %7d bytes\n' "$doc" "$bytes"
+done
+printf '%-14s %7d bytes\n' documents "$total"

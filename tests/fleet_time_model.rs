@@ -372,6 +372,36 @@ impl Pair {
     }
 }
 
+/// The same 64 circuits on every switch in one transaction: the rows
+/// agree on every count, and a switch whose draws include a retried
+/// alignment settles later than its neighbours — rarely, so the fleets
+/// are built on one seed after another until a transaction parts. Each
+/// row carries its own switch's ready time, as the eager fleet reports it,
+/// read through `iter` and through `get`.
+#[test]
+fn switches_that_settle_apart_report_their_own_ready_times() {
+    let mut delta = FabricDelta::new();
+    for id in 0..SWITCHES {
+        delta.entry(id).add.extend((0..64).map(|p| (p, p)));
+    }
+    let parted = (0..64).find_map(|seed| {
+        let mut pair = Pair::new(seed);
+        let got = pair.fabric.commit_delta(&delta).expect("valid");
+        let want = model_commit(&mut pair.model, &delta).expect("valid");
+        let apart = want
+            .rows
+            .windows(2)
+            .any(|w| w[0].1.ready_at != w[1].1.ready_at);
+        apart.then_some((got, want))
+    });
+    let (got, want) = parted.expect("some seed retries an alignment");
+    assert!(want.rows.iter().all(|(_, r)| r.added == 64));
+    assert_eq!(Report::of(&got), want);
+    for (id, row) in &want.rows {
+        assert_eq!(got.per_switch.get(id), Some(row));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 

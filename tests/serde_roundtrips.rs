@@ -169,3 +169,37 @@ fn slo_and_jsonl_records_roundtrip() {
     roundtrip(&report);
     roundtrip(&JsonlRecord::Slo { report });
 }
+
+/// The commit report below as serde wrote it while its rows were a
+/// `Vec<(OcsId, ReconfigSummary)>` (captured on c0bfe79): three switches,
+/// three runs.
+const ROW_LIST_REPORT: &str = concat!(
+    r#"{"per_switch":[[0,{"added":2,"removed":0,"untouched":0,"ready_at":15000000}],"#,
+    r#"[1,{"added":1,"removed":0,"untouched":0,"ready_at":15000000}],"#,
+    r#"[3,{"added":2,"removed":0,"untouched":0,"ready_at":15000000}]],"#,
+    r#""untouched":0,"added":5,"removed":0,"traffic_ready_at":20300000}"#
+);
+
+#[test]
+fn commit_reports_roundtrip_as_their_row_list() {
+    use lightwave::fabric::{CommitReport, FabricController, OcsFleet};
+    let mut c = FabricController::new(OcsFleet::build(4, 17));
+    let (two, one) = ([(0, 1), (2, 3)], [(5, 6)]);
+    let report = c
+        .commit_view(
+            [(0, &two[..]), (1, &one[..]), (3, &two[..])]
+                .map(|(id, add)| (id, add, &[][..]))
+                .into_iter(),
+        )
+        .unwrap();
+    roundtrip(&report);
+    assert_eq!(serde_json::to_string(&report).unwrap(), ROW_LIST_REPORT);
+    let back: CommitReport =
+        serde_json::from_str(ROW_LIST_REPORT).expect("the row list reads back");
+    assert_eq!(back, report);
+    assert_eq!(back.per_switch.get(&1), report.per_switch.get(&1));
+    roundtrip(&c.commit_view(std::iter::empty()).unwrap());
+    // Rows out of id order are refused: `get` searches them.
+    let swapped = ROW_LIST_REPORT.replacen("[0,", "[9,", 1);
+    assert!(serde_json::from_str::<CommitReport>(&swapped).is_err());
+}
