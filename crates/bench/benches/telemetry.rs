@@ -1,68 +1,16 @@
-//! Metric hot-path microbenchmarks.
+//! Telemetry microbenchmarks.
 //!
-//! Instrumented crates record through pre-registered handles on every
-//! reconfiguration, lane sample, and scheduler step, so the record path
-//! must stay O(ns) and allocation-free: a counter increment is an index
-//! plus an add, a histogram observe an exponent-field bucket bump. The
-//! registration path (string keys, BTreeMap) runs once per instrument
-//! and is benchmarked separately to keep the two regimes honest.
-//!
-//! `health_plane` prices the two per-sample paths of the fleet-health
-//! layer no lwbench workload drives: a `SeriesStore` ring push and a
+//! `metrics_rollup` prices a `LogHistogram` merge, the step that folds
+//! one service cell's wait histogram into another's. `health_plane`
+//! prices the two per-sample paths of the fleet-health layer no lwbench
+//! workload drives: a `SeriesStore` ring push and a
 //! `FleetHealth::ingest_drift` (ring push + CUSUM + EWMA) over a pod's
 //! worth of registered ports.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use lightwave::telemetry::{
-    FleetHealth, FleetTelemetry, LogHistogram, MetricsRegistry, SeriesStore,
-};
+use lightwave::telemetry::{FleetHealth, FleetTelemetry, LogHistogram, SeriesStore};
 use lightwave_units::Nanos;
 use std::hint::black_box;
-
-fn record_hot_path(c: &mut Criterion) {
-    let mut reg = MetricsRegistry::new();
-    let counter = reg.counter("bench_events_total", &[("switch", "3")]);
-    let gauge = reg.gauge("bench_power_w", &[("switch", "3")]);
-    let hist = reg.histogram("bench_duration_ms", &[("switch", "3")]);
-
-    let mut g = c.benchmark_group("metrics_record");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("counter_inc", |b| {
-        let mut at = Nanos(0);
-        b.iter(|| {
-            at.0 += 1;
-            reg.inc(black_box(counter), at, 1);
-        })
-    });
-    g.bench_function("gauge_set", |b| {
-        let mut at = Nanos(0);
-        b.iter(|| {
-            at.0 += 1;
-            reg.set(black_box(gauge), at, 42.5);
-        })
-    });
-    g.bench_function("histogram_observe", |b| {
-        let mut at = Nanos(0);
-        let mut v = 1.0f64;
-        b.iter(|| {
-            at.0 += 1;
-            v = v * 1.5 % 1e6 + 1e-3; // walk the buckets, stay finite
-            reg.observe(black_box(hist), at, v);
-        })
-    });
-    g.finish();
-}
-
-fn registration_path(c: &mut Criterion) {
-    let mut g = c.benchmark_group("metrics_register");
-    g.bench_function("lookup_existing", |b| {
-        let mut reg = MetricsRegistry::new();
-        reg.counter("bench_events_total", &[("switch", "3")]);
-        // Re-registration resolves to the same handle through the index.
-        b.iter(|| black_box(reg.counter("bench_events_total", &[("switch", "3")])))
-    });
-    g.finish();
-}
 
 fn histogram_merge(c: &mut Criterion) {
     let mut a = LogHistogram::new();
@@ -125,11 +73,5 @@ fn health_plane(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    record_hot_path,
-    registration_path,
-    histogram_merge,
-    health_plane
-);
+criterion_group!(benches, histogram_merge, health_plane);
 criterion_main!(benches);

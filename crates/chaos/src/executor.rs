@@ -225,11 +225,11 @@ impl World {
     /// needs nothing beyond `(seed, index, events)`.
     pub fn new(seed: u64, index: u64) -> World {
         let world_seed = lightwave_par::splitmix(seed, index);
-        let mut telemetry = FleetTelemetry::new();
+        let telemetry = FleetTelemetry::new();
         let mut insts = BTreeMap::new();
         let mut models = BTreeMap::new();
         for id in 0..SUPERPOD_OCS_COUNT as OcsId {
-            insts.insert(id, OcsInstruments::register(&mut telemetry, id));
+            insts.insert(id, OcsInstruments::new(id));
             models.insert(id, SwitchModel::new());
         }
         World {
@@ -598,7 +598,7 @@ impl World {
         let now = self.now();
         for (&id, sw) in self.pod.fabric().fleet.iter() {
             let inst = self.insts.get_mut(&id).expect("registered switch");
-            inst.record_health(&mut self.telemetry, now, &sw.health());
+            inst.record_health(&mut self.telemetry, now, sw.is_up());
             // Deliberately no drift census here: it is O(ports) per
             // switch per event and irrelevant to the invariants. The
             // health layer's drift feed is cursor-scraped instead —

@@ -3,93 +3,51 @@
 //!
 //! The split mirrors the paper's architecture: each Palomar exposes raw
 //! counters and alarms (§3.2.2, [`crate::telemetry`]), and a fleet
-//! control plane scrapes them into aggregated metrics, correlated
-//! incidents, and availability SLOs. [`OcsInstruments`] is the per-switch
-//! scraper: registered once, then recorded through copy handles on the
-//! hot path.
+//! control plane scrapes them into correlated incidents, availability
+//! SLOs and the health detectors. [`OcsInstruments`] is the per-switch
+//! scraper: a switch id and one cursor into each of the switch's two
+//! append-only logs (alarms, drift), so a scrape costs `O(changed)`.
 
-use crate::palomar::{OcsHealth, PalomarOcs, ReconfigSummary};
+use crate::palomar::{PalomarOcs, ReconfigSummary};
 use crate::telemetry::{Alarm, AlarmCode};
-use lightwave_telemetry::{
-    AlarmCause, AlarmRecord, CounterId, EventKind, FleetHealth, FleetTelemetry, GaugeId,
-    HistogramId, RateWindow,
-};
+use lightwave_telemetry::{AlarmCause, AlarmRecord, EventKind, FleetHealth, FleetTelemetry};
 use lightwave_trace::{reconfig_phase_spans, Lane, SpanId, SpanKind, Tracer};
-use lightwave_units::{Db, Nanos};
+use lightwave_units::Nanos;
 
-/// Fleet-metric handles for one switch, labeled `{switch=<id>}`.
+/// One switch's scrape state: its id and the cursors into its two
+/// append-only logs.
 #[derive(Debug, Clone)]
 pub struct OcsInstruments {
     switch: u32,
-    reconfigs: CounterId,
-    circuits_preserved: CounterId,
-    alarms_forwarded: CounterId,
-    relocks: CounterId,
-    switch_duration_ms: HistogramId,
-    loss_drift_db: HistogramId,
-    circuits: GaugeId,
-    spares_north: GaugeId,
-    spares_south: GaugeId,
-    power_w: GaugeId,
-    reconfig_rate: RateWindow,
-    relock_rate: RateWindow,
     /// How many per-switch alarms have already been forwarded (the
     /// switch's alarm log is append-only, so this is a scrape cursor).
     cursor: usize,
-    /// Alignment events already mirrored into the fleet relock counter.
-    relocks_seen: u64,
     /// Drift-log entries already forwarded to the health layer.
     drift_cursor: usize,
 }
 
 impl OcsInstruments {
-    /// Registers the per-switch instruments in `sink`'s metrics registry.
-    pub fn register(sink: &mut FleetTelemetry, switch: u32) -> OcsInstruments {
-        let id = switch.to_string();
-        let labels: &[(&str, &str)] = &[("switch", &id)];
-        let m = &mut sink.metrics;
-        let reconfigs = m.counter("ocs_reconfigs_total", labels);
-        let relocks = m.counter("ocs_relocks_total", labels);
+    /// A scraper for `switch` that has forwarded nothing yet.
+    pub fn new(switch: u32) -> OcsInstruments {
         OcsInstruments {
             switch,
-            reconfigs,
-            circuits_preserved: m.counter("ocs_circuits_preserved_total", labels),
-            alarms_forwarded: m.counter("ocs_alarms_forwarded_total", labels),
-            relocks,
-            switch_duration_ms: m.histogram("ocs_switch_duration_ms", labels),
-            loss_drift_db: m.histogram("ocs_loss_drift_db", labels),
-            circuits: m.gauge("ocs_circuits", labels),
-            spares_north: m.gauge("ocs_mirror_spares_north", labels),
-            spares_south: m.gauge("ocs_mirror_spares_south", labels),
-            power_w: m.gauge("ocs_power_w", labels),
-            reconfig_rate: m.rate_window(reconfigs, "ocs_reconfigs_per_sec", labels),
-            relock_rate: m.rate_window(relocks, "ocs_relocks_per_sec", labels),
             cursor: 0,
-            relocks_seen: 0,
             drift_cursor: 0,
         }
     }
 
-    /// Records a completed bulk reconfiguration: switch duration
-    /// histogram, delta counters, and a [`EventKind::Reconfig`] event.
+    /// Records a completed bulk reconfiguration as a
+    /// [`EventKind::Reconfig`] event.
     ///
     /// `started` is the simulation time the reconfiguration was issued;
     /// the duration is `report.ready_at - started` (zero when the delta
     /// added nothing).
     pub fn record_reconfig(
-        &mut self,
+        &self,
         sink: &mut FleetTelemetry,
         started: Nanos,
         report: &ReconfigSummary,
     ) {
-        let duration = report.ready_at.saturating_sub(started);
-        sink.metrics.inc(self.reconfigs, started, 1);
-        sink.metrics
-            .inc(self.circuits_preserved, started, report.untouched as u64);
-        if report.added > 0 {
-            sink.metrics
-                .observe(self.switch_duration_ms, started, duration.as_millis_f64());
-        }
         sink.events.emit(
             started,
             "ocs",
@@ -98,47 +56,15 @@ impl OcsInstruments {
                 added: report.added as u32,
                 removed: report.removed as u32,
                 untouched: report.untouched as u32,
-                duration,
+                duration: report.ready_at.saturating_sub(started),
             },
         );
     }
 
-    /// Records a health snapshot: circuit/spare/power gauges plus the
-    /// up/down observation feeding the availability SLO for `ocs-<id>`.
-    pub fn record_health(&mut self, sink: &mut FleetTelemetry, at: Nanos, health: &OcsHealth) {
-        sink.metrics.set(self.circuits, at, health.circuits as f64);
-        sink.metrics
-            .set(self.spares_north, at, health.mirror_spares.0 as f64);
-        sink.metrics
-            .set(self.spares_south, at, health.mirror_spares.1 as f64);
-        sink.metrics.set(self.power_w, at, health.power_w);
-        sink.slo
-            .observe(at, &format!("ocs-{}", self.switch), health.operational);
-    }
-
-    /// Records the proactive-maintenance drift census: every port whose
-    /// serving mirror drifted past `threshold` feeds the loss-drift
-    /// histogram.
-    pub fn record_drift(&mut self, sink: &mut FleetTelemetry, at: Nanos, ocs: &PalomarOcs) {
-        for (_, _, drift) in ocs.drift_report(Db(0.0)) {
-            sink.metrics.observe(self.loss_drift_db, at, drift.db());
-        }
-    }
-
-    /// Mirrors the switch's alignment (relock) tally into the fleet
-    /// `ocs_relocks_total` counter as an exact integer delta, then rolls
-    /// the per-second rate windows. The published rates are a pure
-    /// function of the counter history and the scrape stamps, so they
-    /// replay bit-identically (DESIGN.md §6.4).
-    pub fn record_rates(&mut self, sink: &mut FleetTelemetry, at: Nanos, ocs: &PalomarOcs) {
-        let total = ocs.telemetry().counters.alignments;
-        let delta = total.saturating_sub(self.relocks_seen);
-        if delta > 0 {
-            sink.metrics.inc(self.relocks, at, delta);
-        }
-        self.relocks_seen = total;
-        self.relock_rate.observe(&mut sink.metrics, at);
-        self.reconfig_rate.observe(&mut sink.metrics, at);
+    /// Records the up/down observation feeding the availability SLO for
+    /// `ocs-<id>`.
+    pub fn record_health(&self, sink: &mut FleetTelemetry, at: Nanos, up: bool) {
+        sink.slo.observe(at, &format!("ocs-{}", self.switch), up);
     }
 
     /// Forwards drift-log entries appended since the last scrape into the
@@ -176,21 +102,15 @@ impl OcsInstruments {
         let fresh = &alarms[self.cursor.min(alarms.len())..];
         let n = fresh.len();
         for alarm in fresh {
-            let rec = alarm_record(self.switch, alarm);
-            sink.metrics.inc(self.alarms_forwarded, alarm.at, 1);
-            sink.ingest_alarm(rec);
+            sink.ingest_alarm(alarm_record(self.switch, alarm));
         }
         self.cursor = alarms.len();
         n
     }
 
-    /// One full scrape: health gauges, drift census, relock/reconfig
-    /// rates, alarm forwarding.
+    /// One full scrape: the SLO observation, then alarm forwarding.
     pub fn scrape(&mut self, sink: &mut FleetTelemetry, at: Nanos, ocs: &PalomarOcs) {
-        let health = ocs.health();
-        self.record_health(sink, at, &health);
-        self.record_drift(sink, at, ocs);
-        self.record_rates(sink, at, ocs);
+        self.record_health(sink, at, ocs.is_up());
         self.forward_alarms(sink, ocs);
     }
 }
@@ -202,7 +122,7 @@ impl OcsInstruments {
 /// the delta actually moved mirrors. Returns the commit span so callers
 /// can hang further causality off it.
 ///
-/// The metrics side of the same report is
+/// The event side of the same report is
 /// [`OcsInstruments::record_reconfig`]; callers that want both call both.
 pub fn trace_reconfig(
     tracer: &mut Tracer,
@@ -272,37 +192,31 @@ mod tests {
     use crate::telemetry::Severity;
 
     #[test]
-    fn reconfig_feeds_metrics_and_events() {
+    fn reconfig_emits_an_event() {
         let mut sink = FleetTelemetry::new();
         let mut ocs = PalomarOcs::new(3, 42);
-        let mut inst = OcsInstruments::register(&mut sink, 3);
+        let inst = OcsInstruments::new(3);
         let target = PortMapping::from_pairs([(0, 10), (1, 11)]).unwrap();
         let started = ocs.now();
         let report = ocs.apply_mapping(&target).unwrap();
         inst.record_reconfig(&mut sink, started, &report.summary());
-        assert_eq!(
-            sink.metrics.counter_value(inst.reconfigs),
-            1,
-            "one reconfig recorded"
-        );
-        let h = sink.metrics.histogram_value(inst.switch_duration_ms);
-        assert_eq!(h.count(), 1);
-        assert!(h.max().unwrap() > 1.0, "ms-class switch duration");
-        assert!(matches!(
-            sink.events.recent().last().unwrap().kind,
-            EventKind::Reconfig {
-                switch: 3,
-                added: 2,
-                ..
-            }
-        ));
+        let EventKind::Reconfig {
+            switch: 3,
+            added: 2,
+            duration,
+            ..
+        } = sink.events.recent().last().unwrap().kind
+        else {
+            panic!("expected a Reconfig event");
+        };
+        assert!(duration > Nanos::from_millis(1), "ms-class switch duration");
     }
 
     #[test]
     fn alarm_forwarding_is_incremental() {
         let mut sink = FleetTelemetry::new();
         let mut ocs = PalomarOcs::new(0, 4);
-        let mut inst = OcsInstruments::register(&mut sink, 0);
+        let mut inst = OcsInstruments::new(0);
         ocs.fail_mirror(true, 9);
         assert_eq!(inst.forward_alarms(&mut sink, &ocs), 1);
         assert_eq!(inst.forward_alarms(&mut sink, &ocs), 0, "cursor advanced");
@@ -335,29 +249,11 @@ mod tests {
     }
 
     #[test]
-    fn rates_mirror_alignments_and_publish_per_second() {
-        let mut sink = FleetTelemetry::new();
-        let mut ocs = PalomarOcs::new(1, 11);
-        let mut inst = OcsInstruments::register(&mut sink, 1);
-        for i in 0..4u16 {
-            ocs.connect(i, i + 64).unwrap();
-        }
-        inst.record_rates(&mut sink, Nanos(0), &ocs);
-        assert_eq!(sink.metrics.counter_value(inst.relocks), 4);
-        // Second scrape with no new alignments adds nothing.
-        inst.record_rates(&mut sink, Nanos(1), &ocs);
-        assert_eq!(sink.metrics.counter_value(inst.relocks), 4);
-        // After the 1 s window rolls over, the rate gauge publishes.
-        inst.record_rates(&mut sink, Nanos::from_secs_f64(1.5), &ocs);
-        assert_eq!(sink.metrics.gauge_value(inst.relock_rate.gauge()), 4.0);
-    }
-
-    #[test]
     fn drift_forwarding_is_incremental_and_feeds_health() {
         let mut sink = FleetTelemetry::new();
         let mut health = FleetHealth::default();
         let mut ocs = PalomarOcs::new(5, 21);
-        let mut inst = OcsInstruments::register(&mut sink, 5);
+        let mut inst = OcsInstruments::new(5);
         ocs.degrade_mirror(true, 3, 0.03);
         ocs.degrade_mirror(true, 3, 0.03);
         assert_eq!(inst.forward_drift(&mut sink, &mut health, &ocs), 2);
@@ -372,7 +268,7 @@ mod tests {
     fn health_scrape_drives_slo() {
         let mut sink = FleetTelemetry::new();
         let mut ocs = PalomarOcs::new(2, 8);
-        let mut inst = OcsInstruments::register(&mut sink, 2);
+        let mut inst = OcsInstruments::new(2);
         inst.scrape(&mut sink, Nanos(0), &ocs);
         ocs.fail_fru(0);
         ocs.fail_fru(1); // both PSUs: chassis down

@@ -170,11 +170,6 @@ impl MemsDie {
             .count()
     }
 
-    /// Number of ports this die serves.
-    pub fn service_ports(&self) -> usize {
-        self.port_to_mirror.len()
-    }
-
     /// Marks the mirror serving `port` failed and swaps in the best spare.
     ///
     /// Returns `true` if a spare was available (port restored), `false` if
@@ -325,7 +320,7 @@ mod tests {
         // §6: the 300×300 part needs ~380 fabricated mirrors at 95% yield
         // to field 300 with spares left over.
         let die = MemsDie::fabricate_sized(21, 0.95, 380, 300).expect("yields");
-        assert_eq!(die.service_ports(), 300);
+        assert_eq!(die.port_to_mirror.len(), 300);
         assert!(die.spares_remaining() > 20);
     }
 

@@ -60,8 +60,6 @@
 
 pub mod instrument;
 
-use lightwave_telemetry::MetricsRegistry;
-use lightwave_units::Nanos;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -146,12 +144,11 @@ pub fn parse_threads(raw: Option<&str>, default: usize) -> usize {
     }
 }
 
-/// Wall-clock observations from one engine run — fuel for telemetry.
+/// Wall-clock observations from one engine run.
 ///
 /// The *results* of a run are deterministic; these timings are not (they
 /// measure this machine, this run). Keep them out of golden exports and
-/// byte-identical comparisons; [`RunStats::record_into`] is for live
-/// dashboards.
+/// byte-identical comparisons.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunStats {
     /// Shards executed (= planned: the pool never drops work).
@@ -175,18 +172,6 @@ impl RunStats {
             return 0.0;
         }
         (busy as f64 / capacity as f64).min(1.0)
-    }
-
-    /// Records the run into a [`MetricsRegistry`]: the
-    /// `par_shards_completed` counter and the `par_workers` /
-    /// `par_worker_utilization` gauges, stamped at sim-time `at`.
-    pub fn record_into(&self, metrics: &mut MetricsRegistry, at: Nanos) {
-        let shards = metrics.counter("par_shards_completed", &[]);
-        metrics.inc(shards, at, self.shards);
-        let workers = metrics.gauge("par_workers", &[]);
-        metrics.set(workers, at, self.workers as f64);
-        let util = metrics.gauge("par_worker_utilization", &[]);
-        metrics.set(util, at, self.utilization());
     }
 }
 
@@ -542,21 +527,5 @@ mod tests {
         let (_, stats) = Pool::new(16).run_trials(10, 10, 100, |_rng, _| 1u64, |a, b| a + b);
         assert_eq!(stats.shards, 1);
         assert_eq!(stats.workers, 1);
-    }
-
-    #[test]
-    fn stats_record_into_metrics() {
-        let stats = RunStats {
-            shards: 12,
-            workers: 4,
-            wall_nanos: 1_000,
-            busy_nanos: vec![900, 800, 850, 950],
-        };
-        let mut m = MetricsRegistry::new();
-        stats.record_into(&mut m, Nanos::from_millis(5));
-        let shards = m.counter("par_shards_completed", &[]);
-        assert_eq!(m.counter_value(shards), 12);
-        let util = m.gauge("par_worker_utilization", &[]);
-        assert!((m.gauge_value(util) - 0.875).abs() < 1e-12);
     }
 }

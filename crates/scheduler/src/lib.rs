@@ -15,15 +15,12 @@
 //!   job durations, queueing; reports utilization, wait times, and
 //!   fragmentation stalls.
 //! - [`deployment`] — incremental-vs-monolithic turn-up capacity model.
-//! - [`instrument`] — feeds per-discipline utilization, stall, and
-//!   defrag-migration metrics into the fleet observability subsystem.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alloc;
 pub mod deployment;
-pub mod instrument;
 pub mod sim;
 
 pub use alloc::{Allocator, Contiguous, Pooled};

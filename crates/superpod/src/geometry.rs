@@ -168,49 +168,50 @@ impl Dim {
     }
 }
 
-/// Position of a chip inside its cube, each coordinate in 0..4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ChipInCube {
-    /// x within cube.
-    pub x: u8,
-    /// y within cube.
-    pub y: u8,
-    /// z within cube.
-    pub z: u8,
-}
-
-impl ChipInCube {
-    /// From a linear index 0..64 (x fastest).
-    pub fn from_index(i: usize) -> ChipInCube {
-        assert!(i < CHIPS_PER_CUBE, "chip index {i} out of range");
-        ChipInCube {
-            x: (i % CUBE_EDGE) as u8,
-            y: ((i / CUBE_EDGE) % CUBE_EDGE) as u8,
-            z: (i / (CUBE_EDGE * CUBE_EDGE)) as u8,
-        }
-    }
-
-    /// Linear index 0..64.
-    pub fn index(self) -> usize {
-        self.x as usize + CUBE_EDGE * (self.y as usize + CUBE_EDGE * self.z as usize)
-    }
-
-    /// The face-link index (0..16) this chip uses when its `dim`
-    /// coordinate is at a cube boundary: the position within the 4×4 face,
-    /// ordered by the two non-`dim` coordinates.
-    pub fn face_link_index(self, dim: Dim) -> usize {
-        let (a, b) = match dim {
-            Dim::X => (self.y, self.z),
-            Dim::Y => (self.x, self.z),
-            Dim::Z => (self.x, self.y),
-        };
-        a as usize + CUBE_EDGE * b as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Position of a chip inside its cube, each coordinate in 0..4: the
+    /// model the face-link rule of `wiring` is stated over.
+    #[derive(Debug, Clone, Copy)]
+    struct ChipInCube {
+        /// x within cube.
+        x: u8,
+        /// y within cube.
+        y: u8,
+        /// z within cube.
+        z: u8,
+    }
+
+    impl ChipInCube {
+        /// From a linear index 0..64 (x fastest).
+        fn from_index(i: usize) -> ChipInCube {
+            assert!(i < CHIPS_PER_CUBE, "chip index {i} out of range");
+            ChipInCube {
+                x: (i % CUBE_EDGE) as u8,
+                y: ((i / CUBE_EDGE) % CUBE_EDGE) as u8,
+                z: (i / (CUBE_EDGE * CUBE_EDGE)) as u8,
+            }
+        }
+
+        /// Linear index 0..64.
+        fn index(self) -> usize {
+            self.x as usize + CUBE_EDGE * (self.y as usize + CUBE_EDGE * self.z as usize)
+        }
+
+        /// The face-link index (0..16) this chip uses when its `dim`
+        /// coordinate is at a cube boundary: the position within the 4×4 face,
+        /// ordered by the two non-`dim` coordinates.
+        fn face_link_index(self, dim: Dim) -> usize {
+            let (a, b) = match dim {
+                Dim::X => (self.y, self.z),
+                Dim::Y => (self.x, self.z),
+                Dim::Z => (self.x, self.y),
+            };
+            a as usize + CUBE_EDGE * b as usize
+        }
+    }
 
     #[test]
     fn constants_match_paper() {

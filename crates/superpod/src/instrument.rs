@@ -1,6 +1,6 @@
-//! Bridges collective-simulation results into the fleet observability
-//! subsystem (`lightwave-telemetry`) — in particular straggler
-//! detection.
+//! Bridges the pod into the fleet observability subsystem
+//! (`lightwave-telemetry`): straggler detection, resync events, and the
+//! compose/release span trees.
 //!
 //! Ring collectives are synchronous, so one derated link stalls every
 //! chip in its dimension at every step ([`crate::collective_sim`]). The
@@ -12,9 +12,7 @@ use crate::collective_sim::SimOutcome;
 use lightwave_fabric::{CommitError, CommitReport, OcsId};
 use lightwave_ocs::instrument::trace_reconfig;
 use lightwave_ocs::ReconfigSummary;
-use lightwave_telemetry::{
-    AlarmCause, AlarmRecord, CounterId, EventKind, FleetTelemetry, HistogramId, Severity,
-};
+use lightwave_telemetry::{AlarmCause, AlarmRecord, EventKind, FleetTelemetry, Severity};
 use lightwave_trace::{Lane, SpanId, SpanKind, Tracer};
 use lightwave_units::Nanos;
 
@@ -30,119 +28,81 @@ pub struct Straggler {
     pub slowdown_pct: u32,
 }
 
-/// Fleet-metric handles for one pod's collectives, labeled `{pod=<id>}`.
-#[derive(Debug, Clone)]
-pub struct CollectiveInstruments {
+/// Compares an observed collective on `pod` against its healthy
+/// baseline phase-by-phase and alarms every dimension whose worst phase
+/// ran more than [`STRAGGLER_THRESHOLD`]× slower.
+///
+/// `dims` must be the dimension order both runs were simulated with
+/// (phases are `dims` forward for reduce-scatter, then reversed for
+/// all-gather). Slowdowns past 2× alarm Critical — the job is losing
+/// more time than a slice reconfiguration costs.
+pub fn detect_stragglers(
+    sink: &mut FleetTelemetry,
     pod: u32,
-    collective_s: HistogramId,
-    phase_s: HistogramId,
-    steps: CounterId,
-    stragglers: CounterId,
-}
-
-impl CollectiveInstruments {
-    /// Registers the per-pod instruments in `sink`'s metrics registry.
-    pub fn register(sink: &mut FleetTelemetry, pod: u32) -> CollectiveInstruments {
-        let id = pod.to_string();
-        let labels: &[(&str, &str)] = &[("pod", &id)];
-        let m = &mut sink.metrics;
-        CollectiveInstruments {
-            pod,
-            collective_s: m.histogram("pod_collective_s", labels),
-            phase_s: m.histogram("pod_collective_phase_s", labels),
-            steps: m.counter("pod_collective_steps_total", labels),
-            stragglers: m.counter("pod_stragglers_detected_total", labels),
+    at: Nanos,
+    dims: &[usize],
+    healthy: &SimOutcome,
+    observed: &SimOutcome,
+) -> Vec<Straggler> {
+    assert_eq!(
+        healthy.phase_times.len(),
+        observed.phase_times.len(),
+        "baseline and observation must have the same phase structure"
+    );
+    assert_eq!(healthy.phase_times.len(), 2 * dims.len());
+    // Phase i covers dims[i] on the way out, dims[2d-1-i] on the way
+    // back; fold both into a per-dimension worst slowdown.
+    let mut worst_pct = vec![0u32; dims.len()];
+    for (i, (&h, &o)) in healthy
+        .phase_times
+        .iter()
+        .zip(&observed.phase_times)
+        .enumerate()
+    {
+        if h <= 0.0 {
+            continue;
+        }
+        let ratio = o / h;
+        if ratio > STRAGGLER_THRESHOLD {
+            let di = if i < dims.len() {
+                i
+            } else {
+                2 * dims.len() - 1 - i
+            };
+            let pct = ((ratio - 1.0) * 100.0).round() as u32;
+            worst_pct[di] = worst_pct[di].max(pct);
         }
     }
-
-    /// Records one simulated collective's timings.
-    pub fn record_collective(&mut self, sink: &mut FleetTelemetry, at: Nanos, run: &SimOutcome) {
-        sink.metrics.observe(self.collective_s, at, run.total);
-        for &p in &run.phase_times {
-            if p > 0.0 {
-                sink.metrics.observe(self.phase_s, at, p);
-            }
+    let mut found = Vec::new();
+    for (di, &pct) in worst_pct.iter().enumerate() {
+        if pct == 0 {
+            continue;
         }
-        sink.metrics.inc(self.steps, at, run.steps as u64);
-    }
-
-    /// Compares an observed collective against its healthy baseline
-    /// phase-by-phase and alarms every dimension whose worst phase ran
-    /// more than [`STRAGGLER_THRESHOLD`]× slower.
-    ///
-    /// `dims` must be the dimension order both runs were simulated with
-    /// (phases are `dims` forward for reduce-scatter, then reversed for
-    /// all-gather). Slowdowns past 2× alarm Critical — the job is losing
-    /// more time than a slice reconfiguration costs.
-    pub fn detect_stragglers(
-        &mut self,
-        sink: &mut FleetTelemetry,
-        at: Nanos,
-        dims: &[usize],
-        healthy: &SimOutcome,
-        observed: &SimOutcome,
-    ) -> Vec<Straggler> {
-        assert_eq!(
-            healthy.phase_times.len(),
-            observed.phase_times.len(),
-            "baseline and observation must have the same phase structure"
-        );
-        assert_eq!(healthy.phase_times.len(), 2 * dims.len());
-        // Phase i covers dims[i] on the way out, dims[2d-1-i] on the way
-        // back; fold both into a per-dimension worst slowdown.
-        let mut worst_pct = vec![0u32; dims.len()];
-        for (i, (&h, &o)) in healthy
-            .phase_times
-            .iter()
-            .zip(&observed.phase_times)
-            .enumerate()
-        {
-            if h <= 0.0 {
-                continue;
-            }
-            let ratio = o / h;
-            if ratio > STRAGGLER_THRESHOLD {
-                let di = if i < dims.len() {
-                    i
-                } else {
-                    2 * dims.len() - 1 - i
-                };
-                let pct = ((ratio - 1.0) * 100.0).round() as u32;
-                worst_pct[di] = worst_pct[di].max(pct);
-            }
-        }
-        let mut found = Vec::new();
-        for (di, &pct) in worst_pct.iter().enumerate() {
-            if pct == 0 {
-                continue;
-            }
-            let dim = dims[di] as u8;
-            found.push(Straggler {
+        let dim = dims[di] as u8;
+        found.push(Straggler {
+            dim,
+            slowdown_pct: pct,
+        });
+        sink.events.emit(
+            at,
+            "superpod",
+            EventKind::StragglerDetected {
                 dim,
                 slowdown_pct: pct,
-            });
-            sink.metrics.inc(self.stragglers, at, 1);
-            sink.events.emit(
-                at,
-                "superpod",
-                EventKind::StragglerDetected {
-                    dim,
-                    slowdown_pct: pct,
-                },
-            );
-            sink.ingest_alarm(AlarmRecord {
-                at,
-                severity: if pct >= 100 {
-                    Severity::Critical
-                } else {
-                    Severity::Warning
-                },
-                switch: self.pod,
-                cause: AlarmCause::Straggler { dim },
-            });
-        }
-        found
+            },
+        );
+        sink.ingest_alarm(AlarmRecord {
+            at,
+            severity: if pct >= 100 {
+                Severity::Critical
+            } else {
+                Severity::Warning
+            },
+            switch: pod,
+            cause: AlarmCause::Straggler { dim },
+        });
     }
+    found
 }
 
 /// Renders a slice composition as a span tree: a
@@ -202,40 +162,30 @@ fn trace_topology_change(
 }
 
 /// Records one [`Superpod::resync`](crate::Superpod::resync) pass into
-/// the fleet sink. Anti-entropy used to be invisible in telemetry — a
-/// revived switch silently rejoined the fabric between composes. Each
-/// reconciled switch now bumps `pod_resyncs_total{pod=..}` and publishes
-/// an informational [`EventKind::Resync`] event; each switch that stayed
-/// desynced bumps `pod_resync_failures_total{pod=..}`. Returns the
-/// number of switches reconciled.
+/// the fleet sink: each reconciled switch publishes an informational
+/// [`EventKind::Resync`] event, so a revived switch does not rejoin the
+/// fabric unseen between composes. Returns the number of switches
+/// reconciled.
 pub fn record_resync(
     sink: &mut FleetTelemetry,
     pod: u32,
     at: Nanos,
     results: &[(OcsId, Result<ReconfigSummary, CommitError>)],
 ) -> usize {
-    let id = pod.to_string();
-    let labels: &[(&str, &str)] = &[("pod", &id)];
-    let ok = sink.metrics.counter("pod_resyncs_total", labels);
-    let failed = sink.metrics.counter("pod_resync_failures_total", labels);
     let mut reconciled = 0;
-    for (ocs, result) in results {
-        match result {
-            Ok(report) => {
-                reconciled += 1;
-                sink.metrics.inc(ok, at, 1);
-                sink.events.emit(
-                    at,
-                    &format!("pod-{pod}"),
-                    EventKind::Resync {
-                        switch: *ocs,
-                        added: report.added as u32,
-                        removed: report.removed as u32,
-                        untouched: report.untouched as u32,
-                    },
-                );
-            }
-            Err(_) => sink.metrics.inc(failed, at, 1),
+    for (ocs, report) in results {
+        if let Ok(report) = report {
+            reconciled += 1;
+            sink.events.emit(
+                at,
+                &format!("pod-{pod}"),
+                EventKind::Resync {
+                    switch: *ocs,
+                    added: report.added as u32,
+                    removed: report.removed as u32,
+                    untouched: report.untouched as u32,
+                },
+            );
         }
     }
     reconciled
@@ -255,20 +205,16 @@ mod tests {
     #[test]
     fn healthy_run_detects_nothing() {
         let mut sink = FleetTelemetry::new();
-        let mut inst = CollectiveInstruments::register(&mut sink, 0);
         let run = simulate_torus_all_reduce(shape(), 256e6, &[0, 1, 2], &Uniform(100e9), 300e-9);
-        inst.record_collective(&mut sink, Nanos(0), &run);
-        let found = inst.detect_stragglers(&mut sink, Nanos(0), &[0, 1, 2], &run, &run);
+        let found = detect_stragglers(&mut sink, 0, Nanos(0), &[0, 1, 2], &run, &run);
         assert!(found.is_empty());
         assert_eq!(sink.alarms.pages(), 0);
-        let h = sink.metrics.histogram_value(inst.collective_s);
-        assert_eq!(h.count(), 1);
+        assert_eq!(sink.events.published(), 0);
     }
 
     #[test]
     fn derated_link_is_pinned_to_its_dimension() {
         let mut sink = FleetTelemetry::new();
-        let mut inst = CollectiveInstruments::register(&mut sink, 7);
         let base = 100e9;
         let healthy = simulate_torus_all_reduce(shape(), 256e6, &[0, 1, 2], &Uniform(base), 300e-9);
         let bad = WithStraggler {
@@ -278,7 +224,7 @@ mod tests {
             derated: base / 4.0,
         };
         let observed = simulate_torus_all_reduce(shape(), 256e6, &[0, 1, 2], &bad, 300e-9);
-        let found = inst.detect_stragglers(&mut sink, Nanos(5), &[0, 1, 2], &healthy, &observed);
+        let found = detect_stragglers(&mut sink, 7, Nanos(5), &[0, 1, 2], &healthy, &observed);
         assert_eq!(found.len(), 1, "exactly the derated dimension flags");
         assert_eq!(found[0].dim, 1);
         assert!(found[0].slowdown_pct > 100, "4× derate ⇒ ≈300% slower");

@@ -247,11 +247,6 @@ impl Superpod {
         self.failed.remove(cube);
     }
 
-    /// Whether a cube is failed (`false` for an id outside the pod).
-    pub fn is_cube_failed(&self, cube: CubeId) -> bool {
-        self.failed.contains(cube)
-    }
-
     /// Writes the circuit pairs a slice pins per dimension into `pairs`,
     /// sorted by north port for deterministic delta ordering: every cube
     /// of a ring longer than one hops to the next cube of its ring,
@@ -677,14 +672,14 @@ mod tests {
         let mut pod = Superpod::new(13);
         for bad in [64, 200, 255] {
             pod.mark_cube_failed(bad);
-            assert!(!pod.is_cube_failed(bad), "cube {bad} names nothing");
+            assert!(!pod.failed.contains(bad), "cube {bad} names nothing");
             assert_eq!(holder(&pod, bad), None);
             pod.mark_cube_repaired(bad);
         }
         assert_eq!(pod.idle_set().len(), POD_CUBES);
         // The last real cube still behaves.
         pod.mark_cube_failed(63);
-        assert!(pod.is_cube_failed(63));
+        assert!(pod.failed.contains(63));
         assert_eq!(pod.idle_cubes(), (0..63).collect::<Vec<CubeId>>());
         pod.mark_cube_repaired(63);
         let (h, _) = pod.compose(slice_of(vec![63], 4, 4, 4)).unwrap();

@@ -1,8 +1,8 @@
 //! Exporters: a human-readable text dashboard and machine-readable
 //! JSON-lines.
 //!
-//! Both walk the underlying stores in deterministic order (name-sorted
-//! instruments, id-ordered incidents, publication-ordered events) and
+//! Both walk the underlying stores in deterministic order (id-ordered
+//! incidents, publication-ordered events, name-sorted SLO objects) and
 //! stamp nothing but simulation time, so a seeded simulation exports
 //! byte-identical output on every run — asserted by an integration test
 //! at the workspace root.
@@ -10,7 +10,6 @@
 use crate::alarms::Incident;
 use crate::events::Event;
 use crate::fleet::FleetTelemetry;
-use crate::metrics::{MetricKey, MetricSample, MetricValue};
 use crate::slo::SloReport;
 use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
@@ -23,21 +22,10 @@ pub enum JsonlRecord {
     Meta {
         /// Simulation time of the export.
         exported_at: Nanos,
-        /// Instrument count.
-        metrics: u64,
         /// Retained event count.
         events: u64,
         /// Incident count (open + cleared).
         incidents: u64,
-    },
-    /// One instrument sample.
-    Metric {
-        /// Instrument identity.
-        key: MetricKey,
-        /// Last update stamp.
-        at: Nanos,
-        /// Current value.
-        sample: MetricSample,
     },
     /// One retained event.
     Event {
@@ -57,8 +45,7 @@ pub enum JsonlRecord {
 }
 
 /// Serializes the full telemetry state as JSON-lines, one record per
-/// line: a `Meta` header, then metrics, events, incidents, and the SLO
-/// report.
+/// line: a `Meta` header, then events, incidents, and the SLO report.
 pub fn to_jsonl(t: &FleetTelemetry, now: Nanos) -> String {
     let mut out = String::new();
     let mut push = |rec: &JsonlRecord| {
@@ -67,13 +54,9 @@ pub fn to_jsonl(t: &FleetTelemetry, now: Nanos) -> String {
     };
     push(&JsonlRecord::Meta {
         exported_at: now,
-        metrics: t.metrics.len() as u64,
         events: t.events.recent().count() as u64,
         incidents: t.alarms.incidents().len() as u64,
     });
-    for (key, sample, at) in t.metrics.samples() {
-        push(&JsonlRecord::Metric { key, at, sample });
-    }
     for event in t.events.recent() {
         push(&JsonlRecord::Event {
             event: event.clone(),
@@ -90,47 +73,11 @@ pub fn to_jsonl(t: &FleetTelemetry, now: Nanos) -> String {
     out
 }
 
-fn fmt_value(v: f64) -> String {
-    if v == 0.0 {
-        "0".to_string()
-    } else if v.abs() >= 0.01 && v.abs() < 1e6 {
-        format!("{v:.3}")
-    } else {
-        format!("{v:.2e}")
-    }
-}
-
-/// Renders the fleet dashboard as plain text: metrics, open incidents,
-/// SLO standing, and the recent-event tail.
+/// Renders the fleet dashboard as plain text: incidents, SLO standing,
+/// and the recent-event tail.
 pub fn text_dashboard(t: &FleetTelemetry, now: Nanos) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "── fleet telemetry @ {now} ──");
-
-    let _ = writeln!(s, "\nMETRICS ({} instruments)", t.metrics.len());
-    for (key, value, at) in t.metrics.iter() {
-        match value {
-            MetricValue::Counter(c) => {
-                let _ = writeln!(s, "  {key:<52} {c:>12}  (at {at})");
-            }
-            MetricValue::Gauge(g) => {
-                let _ = writeln!(s, "  {key:<52} {:>12}  (at {at})", fmt_value(*g));
-            }
-            MetricValue::Histogram(h) => {
-                let (p50, p99) = (
-                    h.quantile(0.5).map_or("-".into(), fmt_value),
-                    h.quantile(0.99).map_or("-".into(), fmt_value),
-                );
-                let _ = writeln!(
-                    s,
-                    "  {key:<52} n={} p50={} p99={} max={}",
-                    h.count(),
-                    p50,
-                    p99,
-                    h.max().map_or("-".into(), fmt_value),
-                );
-            }
-        }
-    }
 
     let open: Vec<&Incident> = t.alarms.open_incidents().collect();
     let _ = writeln!(

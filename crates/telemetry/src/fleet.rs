@@ -1,22 +1,19 @@
-//! The fleet observability facade: one struct wiring the four stores
+//! The fleet observability facade: one struct wiring the three stores
 //! together, with alarm→event plumbing.
 
 use crate::alarms::{AlarmAggregator, AlarmRecord, IngestOutcome};
 use crate::events::{EventBus, EventKind};
 use crate::export;
-use crate::metrics::MetricsRegistry;
 use crate::slo::SloTracker;
 use lightwave_units::Nanos;
 
-/// Fleet-wide telemetry: metrics + events + alarm incidents + SLO.
+/// Fleet-wide telemetry: events + alarm incidents + SLO.
 ///
 /// Instrumentation modules in the device and control-plane crates
 /// (`ocs::instrument`, `fabric::instrument`, …) record into this through
 /// `&mut` — plain ownership, no interior mutability, fully deterministic.
 #[derive(Debug, Default)]
 pub struct FleetTelemetry {
-    /// Labeled counters, gauges, log-scale histograms.
-    pub metrics: MetricsRegistry,
     /// Structured event stream with bounded retention.
     pub events: EventBus,
     /// Alarm ingestion, debounce, blast-radius correlation.
@@ -128,7 +125,7 @@ mod tests {
     fn exports_do_not_panic_on_empty_state() {
         let t = FleetTelemetry::new();
         let dash = t.dashboard(Nanos(0));
-        assert!(dash.contains("METRICS"));
+        assert!(dash.contains("INCIDENTS"));
         let jsonl = t.to_jsonl(Nanos(0));
         assert!(jsonl.lines().count() >= 2, "meta + slo lines");
     }

@@ -11,18 +11,17 @@
 //! the fleet target is ≥ 99.98% availability per OCS (§4.1.1). This
 //! crate provides the corresponding machinery:
 //!
-//! - [`MetricsRegistry`] — labeled counters, gauges, and log-scale
-//!   histograms, stamped with **simulation time** ([`Nanos`]) passed by
-//!   callers. No wall clock exists anywhere in this crate, so seeded runs
-//!   export byte-identical state (DESIGN.md §6 determinism rule).
-//! - [`EventBus`] — structured events with bounded ring retention.
+//! - [`EventBus`] — structured events with bounded ring retention,
+//!   stamped with **simulation time** ([`Nanos`]) passed by callers. No
+//!   wall clock exists anywhere in this crate, so seeded runs export
+//!   byte-identical state (DESIGN.md §6 determinism rule).
 //! - [`AlarmAggregator`] — fleet alarm ingestion with debounce,
 //!   hysteresis, severity escalation, and blast-radius correlation: one
 //!   FRU failure pages once, not 48 times.
 //! - [`SloTracker`] — per-object availability and error budget against
 //!   the paper's 99.98% OCS target.
 //! - [`export`] — a text dashboard and a JSON-lines serializer.
-//! - [`timeseries`] — bounded metric history: one raw ring of
+//! - [`timeseries`] — bounded series history: one raw ring of
 //!   integer-quantized samples per series.
 //! - [`rollup`] — the campus observability plane: port leaves of
 //!   [`Aggregate`]s that merge *exactly* in any order, folded into
@@ -39,24 +38,20 @@
 //! capacity the workspace has only ever run one value of is a documented
 //! `const` next to the code that reads it (DESIGN.md §6.4 lists them).
 //!
-//! [`FleetTelemetry`] bundles the four stores for the common case. The
-//! [`Severity`] scale defined here is re-exported by `lightwave-ocs` as
-//! `ocs::telemetry::Severity`, so per-switch alarms and fleet incidents
-//! share one ordering.
+//! [`FleetTelemetry`] bundles events, alarms and SLOs for the common
+//! case. The [`Severity`] scale defined here is re-exported by
+//! `lightwave-ocs` as `ocs::telemetry::Severity`, so per-switch alarms
+//! and fleet incidents share one ordering.
 //!
 //! In the workspace DAG this crate sits directly above `lightwave-units`;
-//! every crate that emits telemetry (`ocs`, `transceiver`, `fabric`,
-//! `scheduler`, `superpod`) depends on it, each through its own
-//! `instrument` module.
+//! `ocs`, `transceiver`, `fabric` and `superpod` emit events and alarms
+//! into it, each through its own `instrument` module.
 //!
 //! ```
 //! use lightwave_telemetry::{FleetTelemetry, AlarmRecord, AlarmCause, Severity};
 //! use lightwave_units::Nanos;
 //!
 //! let mut t = FleetTelemetry::new();
-//! let settle = t.metrics.histogram("commit_settle_ms", &[]);
-//! t.metrics.observe(settle, Nanos::from_millis(12), 11.7);
-//!
 //! // A FRU fails; its 48 disturbed circuits alarm. One page.
 //! t.ingest_alarm(AlarmRecord {
 //!     at: Nanos::from_millis(20),
@@ -87,7 +82,6 @@ pub mod export;
 pub mod fleet;
 pub mod health;
 pub mod histogram;
-pub mod metrics;
 pub mod rollup;
 pub mod severity;
 pub mod slo;
@@ -106,9 +100,6 @@ pub use health::{
     HEALTH_SCHEMA,
 };
 pub use histogram::{HistogramSnapshot, LogHistogram};
-pub use metrics::{
-    CounterId, GaugeId, HistogramId, MetricKey, MetricSample, MetricsRegistry, RateWindow,
-};
 pub use rollup::{
     Aggregate, CampusHealthDoc, LeafId, MetricCell, NodeHealth, PodRow, PortPath, RollupMetric,
     RollupTree, SwitchRow, CAMPUS_HEALTH_SCHEMA,
@@ -118,7 +109,9 @@ pub use slo::{
     BurnRateLedger, BurnReport, BurnStatus, ObjectSlo, SloReport, SloTracker, CAMPUS_ALARM_SWITCH,
     OCS_AVAILABILITY_TARGET, OCS_ERROR_BUDGET_PPM,
 };
-pub use timeseries::{CounterSample, CounterTrack, Sample, SeriesId, SeriesStore, TimeSeries};
+pub use timeseries::{
+    CounterSample, CounterTrack, MetricKey, Sample, SeriesId, SeriesStore, TimeSeries,
+};
 
 // Re-exported for the doc example above.
 #[doc(hidden)]

@@ -1,8 +1,7 @@
 //! Deterministic fixed-capacity time-series retention.
 //!
-//! The metrics registry ([`crate::metrics`]) keeps only *current* values;
-//! this module retains bounded **history** so dashboards, Perfetto counter
-//! tracks and flight-recorder postmortems can see trends. The design
+//! This module retains bounded **history** so dashboards, Perfetto
+//! counter tracks and flight-recorder postmortems can see trends. The design
 //! follows the log-histogram discipline of DESIGN.md §6: samples are
 //! quantized to integer micro-units exactly once at ingest, so no
 //! retained value ever depends on arrival order or worker count.
@@ -12,10 +11,54 @@
 //! [`SeriesStore::tracks`]) consumes. Ingest is a ring push, with no
 //! allocation on the steady state (the ring is at capacity).
 
-use crate::metrics::MetricKey;
 use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
+
+/// Fully-qualified series identity: a name plus label pairs.
+///
+/// Labels are sorted by key at registration, so two call sites that list
+/// the same labels in different orders resolve to the same series.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct MetricKey {
+    /// Series name, `snake_case` with unit suffix by convention
+    /// (e.g. `health_port_drift_db`).
+    pub name: String,
+    /// Sorted `(key, value)` label pairs (e.g. `[("switch", "3")]`).
+    pub labels: Vec<(String, String)>,
+}
+
+impl MetricKey {
+    /// Builds a key, sorting labels by key name.
+    pub fn new(name: &str, labels: &[(&str, &str)]) -> MetricKey {
+        let mut labels: Vec<(String, String)> = labels
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        labels.sort();
+        MetricKey {
+            name: name.to_string(),
+            labels,
+        }
+    }
+}
+
+impl std::fmt::Display for MetricKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.name)?;
+        if !self.labels.is_empty() {
+            f.write_str("{")?;
+            for (i, (k, v)) in self.labels.iter().enumerate() {
+                if i > 0 {
+                    f.write_str(",")?;
+                }
+                write!(f, "{k}={v}")?;
+            }
+            f.write_str("}")?;
+        }
+        Ok(())
+    }
+}
 
 /// Micro-units per 1.0 of a sample's native unit (quantization scale).
 pub const SERIES_SCALE: f64 = 1e6;
@@ -120,8 +163,7 @@ pub struct CounterTrack {
 
 /// A keyed collection of series.
 ///
-/// Mirrors the [`crate::metrics::MetricsRegistry`] access pattern:
-/// get-or-create by name + labels (allocates), then record through the
+/// Get-or-create by name + labels (allocates), then record through the
 /// copy handle [`SeriesId`] (a `Vec` index).
 #[derive(Debug, Clone, Default)]
 pub struct SeriesStore {
@@ -245,6 +287,13 @@ mod tests {
         assert_eq!(vals[0], quantize(2.0), "the two oldest were evicted");
         assert_eq!(vals[RAW_CAPACITY - 1], quantize((n - 1) as f64));
         assert_eq!(ts.total(), n);
+    }
+
+    #[test]
+    fn key_display_renders_prometheus_style() {
+        let key = MetricKey::new("ber", &[("port", "7"), ("lane", "2")]);
+        assert_eq!(key.to_string(), "ber{lane=2,port=7}");
+        assert_eq!(MetricKey::new("ber", &[]).to_string(), "ber");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Causal tracing for the lightwave-fabric workspace: the *timeline*
 //! pillar of observability, complementing `lightwave-telemetry`'s
-//! aggregate pillar (metrics, alarms, SLO).
+//! aggregate pillar (events, alarms, SLO).
 //!
 //! The paper's operational story (§3.2.2, §4.1.1) is timeline-shaped: an
 //! OCS reconfiguration is a causal chain — drain → mirror command →

@@ -186,11 +186,6 @@ impl Tracer {
         &self.instants
     }
 
-    /// Spans begun but not yet ended.
-    pub fn open_count(&self) -> usize {
-        self.open.len()
-    }
-
     /// Every lane any span or instant has rendered on, deduplicated and
     /// in lane order.
     pub fn lanes(&self) -> Vec<Lane> {
@@ -279,9 +274,9 @@ mod tests {
         let mut t = Tracer::new(1);
         let outer = t.begin(Lane::Control, None, Nanos(0), kind());
         let inner = t.span(Lane::Control, Some(outer), Nanos(1), Nanos(2), kind());
-        assert_eq!(t.open_count(), 1);
+        assert_eq!(t.open.len(), 1);
         t.end(outer, Nanos(5));
-        assert_eq!(t.open_count(), 0);
+        assert!(t.open.is_empty());
         assert_eq!(t.spans()[0].id, inner, "children complete first");
         assert_eq!(t.spans()[1].id, outer);
         assert_eq!(t.spans()[0].parent, Some(outer));

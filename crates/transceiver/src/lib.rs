@@ -17,8 +17,8 @@
 //! - [`bidilink`] — an end-to-end evaluated bidirectional link: budget +
 //!   MPI + receiver → per-lane BER and margin.
 //! - [`fleet`] — pod-scale per-lane BER sampling, the Fig. 13 census.
-//! - [`instrument`] — feeds census distributions and rate-fallback
-//!   alarms into the fleet observability subsystem.
+//! - [`instrument`] — feeds rate-fallback events and alarms into the
+//!   fleet observability subsystem.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,7 +14,7 @@
 
 use lightwave_optics::modulation::LaneRate;
 use lightwave_optics::wdm::WdmGrid;
-use lightwave_units::{Dbm, Gbps};
+use lightwave_units::Dbm;
 use rand::rngs::StdRng;
 use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
@@ -76,24 +76,6 @@ impl ModuleFamily {
             ModuleFamily::Cwdm4Bidi => 2,   // 2 engines × 1 bidi strand
             ModuleFamily::Cwdm8Bidi => 1,
         }
-    }
-
-    /// One-way bandwidth carried per fiber strand. Each engine is a full
-    /// WDM group on its own strand(s): a duplex engine needs two strands
-    /// for this bandwidth, a bidi engine carries it *both ways* on one.
-    pub fn bandwidth_per_fiber(self) -> Gbps {
-        self.lane_rate().bit_rate() * self.grid().lane_count() as f64
-    }
-
-    /// Total module bandwidth (sum over engines, one direction).
-    pub fn module_bandwidth(self) -> Gbps {
-        self.bandwidth_per_fiber() * self.engines() as f64
-    }
-
-    /// Total optical lanes in the module (8 for every family — the OSFP
-    /// electrical interface is 8 lanes wide).
-    pub fn total_lanes(self) -> usize {
-        self.engines() * self.grid().lane_count()
     }
 
     /// OCS ports consumed per module — the number that drives fabric cost
@@ -192,6 +174,14 @@ impl Transceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lightwave_units::Gbps;
+
+    /// One-way bandwidth carried per fiber strand. Each engine is a full
+    /// WDM group on its own strand(s): a duplex engine needs two strands
+    /// for this bandwidth, a bidi engine carries it *both ways* on one.
+    fn bandwidth_per_fiber(f: ModuleFamily) -> Gbps {
+        f.lane_rate().bit_rate() * f.grid().lane_count() as f64
+    }
     use rand::SeedableRng;
 
     #[test]
@@ -215,9 +205,9 @@ mod tests {
         // CWDM4 engines: 4 λ × 53.125 G ≈ 212.5 G one-way per strand; the
         // bidi variant carries that both ways on ONE strand where duplex
         // needs two. CWDM8: 8 λ × 106.25 G ≈ 850 G on one strand.
-        let d = ModuleFamily::Cwdm4Duplex.bandwidth_per_fiber().gbps();
-        let b4 = ModuleFamily::Cwdm4Bidi.bandwidth_per_fiber().gbps();
-        let b8 = ModuleFamily::Cwdm8Bidi.bandwidth_per_fiber().gbps();
+        let d = bandwidth_per_fiber(ModuleFamily::Cwdm4Duplex).gbps();
+        let b4 = bandwidth_per_fiber(ModuleFamily::Cwdm4Bidi).gbps();
+        let b8 = bandwidth_per_fiber(ModuleFamily::Cwdm8Bidi).gbps();
         assert!((d - 212.5).abs() < 0.5);
         assert!((b4 - d).abs() < 0.5, "same one-way rate per strand");
         assert!((b8 / b4 - 4.0).abs() < 0.01, "2× lanes × 2× rate");
@@ -227,11 +217,12 @@ mod tests {
     fn module_bandwidths_and_lanes() {
         // Every OSFP family is 8 electrical lanes wide.
         for f in ModuleFamily::ALL {
-            assert_eq!(f.total_lanes(), 8, "{f:?}");
+            assert_eq!(f.engines() * f.grid().lane_count(), 8, "{f:?}");
         }
         // 2 × 200G CWDM4 engines ≈ 425 G gross; 800G CWDM8 ≈ 850 G gross.
-        assert!((ModuleFamily::Cwdm4Bidi.module_bandwidth().gbps() - 425.0).abs() < 1.0);
-        assert!((ModuleFamily::Cwdm8Bidi.module_bandwidth().gbps() - 850.0).abs() < 1.0);
+        let module = |f: ModuleFamily| (bandwidth_per_fiber(f) * f.engines() as f64).gbps();
+        assert!((module(ModuleFamily::Cwdm4Bidi) - 425.0).abs() < 1.0);
+        assert!((module(ModuleFamily::Cwdm8Bidi) - 850.0).abs() < 1.0);
     }
 
     #[test]

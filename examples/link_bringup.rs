@@ -84,6 +84,11 @@ fn main() {
         kp4_only.is_healthy(),
         concat.is_healthy()
     );
+    println!(
+        "the inner code's price: {} of receive latency against {} for KP4 alone (200 Gb/s)",
+        concat.dsp.fec_latency(200.0),
+        kp4_only.dsp.fec_latency(200.0)
+    );
     // ... and what backward compatibility buys the link the DSP cannot
     // save at full rate (§3.3.1): half the baud, half the noise bandwidth.
     println!(

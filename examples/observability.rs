@@ -1,14 +1,14 @@
-//! Fleet-wide observability: metrics, incidents, SLOs (§3.2.2, §4.1.1).
+//! Fleet-wide observability: events, incidents, SLOs (§3.2.2, §4.1.1).
 //!
 //! ```text
 //! cargo run --release --example observability
 //! ```
 //!
 //! A four-switch pod fabric goes through its operational life — initial
-//! provisioning, a transceiver census, scheduler runs, a collective with
-//! a straggling link, an HV-driver failure with its blast radius, and
-//! the maintenance that repairs it — while every layer records into one
-//! `FleetTelemetry` sink. The punchline is the paper's operational
+//! provisioning, a link negotiating below its top rate, a collective
+//! with a straggling link, an HV-driver failure with its blast radius,
+//! and the maintenance that repairs it — while every layer reports into
+//! one `FleetTelemetry` sink. The punchline is the paper's operational
 //! argument: one FRU failure becomes *one* page with its symptom alarms
 //! correlated underneath, and the dashboard shows exactly where the
 //! 99.98% availability budget went.
@@ -16,17 +16,13 @@
 use lightwave::fabric::instrument::FabricInstruments;
 use lightwave::fabric::{FabricController, FabricTarget, OcsFleet};
 use lightwave::ocs::PortMapping;
-use lightwave::par::Pool;
-use lightwave::scheduler::instrument::SchedulerInstruments;
-use lightwave::scheduler::sim::{default_mix, ClusterSim};
-use lightwave::scheduler::Pooled;
 use lightwave::superpod::collective_sim::{simulate_torus_all_reduce, Uniform, WithStraggler};
-use lightwave::superpod::instrument::CollectiveInstruments;
+use lightwave::superpod::instrument::detect_stragglers;
 use lightwave::superpod::torus::Chip;
 use lightwave::superpod::SliceShape;
 use lightwave::telemetry::FleetTelemetry;
-use lightwave::transceiver::instrument::XcvrInstruments;
-use lightwave::transceiver::{fleet::fleet_census, DspConfig, ModuleFamily};
+use lightwave::transceiver::instrument::record_negotiation;
+use lightwave::transceiver::DspConfig;
 use lightwave::units::Nanos;
 
 fn main() {
@@ -34,7 +30,7 @@ fn main() {
 
     // ── 1. Provision the fabric ────────────────────────────────────────
     let mut controller = FabricController::new(OcsFleet::build(4, 17));
-    let mut fabric = FabricInstruments::register(&mut sink);
+    let mut fabric = FabricInstruments::new();
     let mut target = FabricTarget::new();
     for ocs in 0..4u32 {
         let pairs: Vec<(u16, u16)> = (0..32u16).map(|n| (n, n + 64)).collect();
@@ -52,28 +48,13 @@ fn main() {
     controller.advance(Nanos::from_millis(300));
     fabric.scrape_fleet(&mut sink, &controller.fleet);
 
-    // ── 2. Transceiver BER census + one marginal link ──────────────────
-    let mut xcvr = XcvrInstruments::register(&mut sink, "cwdm4");
-    let census = fleet_census(&Pool::from_env(), 400, ModuleFamily::Cwdm4Bidi, 42);
-    xcvr.record_census(&mut sink, controller.now(), &census);
+    // ── 2. One marginal link ───────────────────────────────────────────
     // A legacy peer forces one link below its top lane rate (§3.3.1).
     let new = DspConfig::ml_production();
     let old = DspConfig::standards_based();
-    xcvr.record_negotiation(&mut sink, controller.now(), 129, &new, &old);
+    record_negotiation(&mut sink, controller.now(), 129, &new, &old);
 
-    // ── 3. Scheduler utilization (§4.2.4) ──────────────────────────────
-    let sim = ClusterSim::new(default_mix(), 0.25);
-    let mut pooled = SchedulerInstruments::register(&mut sink, "pooled");
-    let mut defrag = SchedulerInstruments::register(&mut sink, "contiguous+defrag");
-    pooled.record_run(&mut sink, controller.now(), &sim.run(&Pooled, 400.0, 42));
-    defrag.record_run(
-        &mut sink,
-        controller.now(),
-        &sim.run_contiguous_with_defrag(400.0, 0.05, 42),
-    );
-
-    // ── 4. A collective with a straggling link ─────────────────────────
-    let mut pod = CollectiveInstruments::register(&mut sink, 0);
+    // ── 3. A collective with a straggling link ─────────────────────────
     let shape = SliceShape::new(8, 8, 8).expect("valid");
     let base = 100e9;
     let healthy = simulate_torus_all_reduce(shape, 256e6, &[0, 1, 2], &Uniform(base), 300e-9);
@@ -84,8 +65,14 @@ fn main() {
         derated: base / 4.0,
     };
     let observed = simulate_torus_all_reduce(shape, 256e6, &[0, 1, 2], &straggler, 300e-9);
-    pod.record_collective(&mut sink, controller.now(), &observed);
-    let found = pod.detect_stragglers(&mut sink, controller.now(), &[0, 1, 2], &healthy, &observed);
+    let found = detect_stragglers(
+        &mut sink,
+        0,
+        controller.now(),
+        &[0, 1, 2],
+        &healthy,
+        &observed,
+    );
     for s in &found {
         println!(
             "straggler: torus dim {} running {}% slow",
@@ -93,7 +80,7 @@ fn main() {
         );
     }
 
-    // ── 5. Failure: an HV driver dies on switch 1 ──────────────────────
+    // ── 4. Failure: an HV driver dies on switch 1 ──────────────────────
     // The FRU failure is the root cause; the mirror churn that follows is
     // its blast radius, and the aggregator files it all as ONE incident.
     {
@@ -111,7 +98,7 @@ fn main() {
         sink.alarms.suppressed()
     );
 
-    // ── 6. Maintenance: replace the FRU, let incidents clear ───────────
+    // ── 5. Maintenance: replace the FRU, let incidents clear ───────────
     controller
         .fleet
         .get_mut(1)
@@ -120,7 +107,7 @@ fn main() {
     controller.advance(Nanos::from_secs_f64(30.0));
     fabric.scrape_fleet(&mut sink, &controller.fleet);
 
-    // ── 7. The fleet dashboard ─────────────────────────────────────────
+    // ── 6. The fleet dashboard ─────────────────────────────────────────
     let now = controller.now();
     println!("\n{}", sink.dashboard(now));
     let jsonl = sink.to_jsonl(now);

@@ -13,10 +13,13 @@
 # benchmark/src or crates/bench/benches other than as a definition
 # (`fn NAME`). By name, so an accessor that shares its name with a called
 # one, or that a doc comment mentions, counts as called: a lower bound.
-# Then the same four numbers for the workspace, the uncalled names, the
-# line counts of what sits beside it (benchmark/, tests/, examples/), and
-# the byte counts of the three documents a reader is pointed at (DESIGN,
-# README, EXPERIMENTS) with their sum.
+# Last, `deps`: the workspace crates its manifest's [dependencies] names
+# (dev-dependencies are not edges of the build graph).
+# Then the same five numbers for the workspace (`deps` is the edge count
+# of the crate graph), the uncalled names, the line counts of what sits
+# beside it (benchmark/, tests/, examples/), and the byte counts of the
+# three documents a reader is pointed at (DESIGN, README, EXPERIMENTS)
+# with their sum.
 # Informational: exits 0. Run from the repository root.
 set -eu
 
@@ -63,26 +66,33 @@ uncalled=$(find crates/*/src src examples benchmark/src crates/bench/benches -na
         END { for (d in def) { split(d, part, " "); if (!(part[2] in used)) print d } }' |
     sort)
 
+# workspace-internal [dependencies] entries of the given manifests
+deps() {
+    awk '/^\[/ { on = ($0 == "[dependencies]") } on && /^lightwave(-[a-z]+)? *=/ { n++ } END { print n + 0 }' "$@"
+}
+
 # how many of them the named crate defines; all of them for `workspace`
 uncalled_of() {
     echo "$uncalled" | awk -v crate="$1" 'NF && (crate == "workspace" || $1 == crate) { n++ } END { print n + 0 }'
 }
 
+# NAME MANIFESTS DIR...: the row of crate NAME (or `workspace`)
 row() {
     name=$1
-    shift
-    # four integers: splitting them is the point
-    # shellcheck disable=SC2046
-    set -- $(census "$@") $(uncalled_of "$name")
-    printf '%-14s %7d %7d %7d %8d %8d\n' "$name" "$1" "$2" $(($1 + $2)) "$3" "$4"
+    manifests=$2
+    shift 2
+    # five integers: splitting them (and the manifest list) is the point
+    # shellcheck disable=SC2046,SC2086
+    set -- $(census "$@") $(uncalled_of "$name") $(deps $manifests)
+    printf '%-14s %7d %7d %7d %8d %8d %5d\n' "$name" "$1" "$2" $(($1 + $2)) "$3" "$4" "$5"
 }
 
-printf '%-14s %7s %7s %7s %8s %8s\n' crate code tests total options uncalled
+printf '%-14s %7s %7s %7s %8s %8s %5s\n' crate code tests total options uncalled deps
 for dir in crates/*/; do
-    row "$(basename "$dir")" "$dir"
+    row "$(basename "$dir")" "${dir}Cargo.toml" "$dir"
 done
-row lightwave src
-row workspace crates src
+row lightwave Cargo.toml src
+row workspace "crates/*/Cargo.toml Cargo.toml" crates src
 
 echo
 echo "$uncalled" | awk '

@@ -11,7 +11,7 @@
 //! |---|---|
 //! | units & numerics | [`units`] |
 //! | deterministic parallel execution | [`par`] |
-//! | fleet observability (metrics, alarms, SLOs) | [`telemetry`] |
+//! | fleet observability (events, alarms, SLOs) | [`telemetry`] |
 //! | photonic link physics | [`optics`] |
 //! | RS(544,514) + soft inner FEC | [`fec`] |
 //! | the Palomar 136×136 MEMS OCS | [`ocs`] |
@@ -302,7 +302,7 @@ impl MlPod {
 pub struct TracedRecovery {
     /// The span timeline (export with [`lightwave_trace::to_chrome_trace`]).
     pub tracer: Tracer,
-    /// Metrics, events, alarms, SLOs from the run.
+    /// Events, alarms, SLOs from the run.
     pub telemetry: lightwave_telemetry::FleetTelemetry,
     /// The flight recorder; [`FlightRecorder::dumps`](lightwave_trace::FlightRecorder::dumps)
     /// holds the postmortem bundles.
@@ -332,7 +332,7 @@ pub fn run_traced_fault_recovery(seed: u64, pool: &lightwave_par::Pool) -> Trace
     let mut telemetry = FleetTelemetry::new();
     let mut tracer = Tracer::new(seed);
     let mut recorder = FlightRecorder::new(512);
-    let mut fabric_inst = FabricInstruments::register(&mut telemetry);
+    let mut fabric_inst = FabricInstruments::new();
     let mut pod = MlPod::new(seed);
 
     // 1. Place a 1024-chip job (16 cubes) — traced fabric transaction.

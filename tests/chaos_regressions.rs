@@ -158,7 +158,9 @@ fn zero_switch_transaction_reconfigures_no_switch() {
 /// opened with since PR 23, which is all that capture lacks. Service schedule `(1, 19)` is the only one of
 /// the first 400 generated schedules that emits such a span (a
 /// removal-only resync); the hand-built schedule — bug A's — resyncs
-/// switch 5 onto the second slice's ring, which adds circuits.
+/// switch 5 onto the second slice's ring, which adds circuits. Both
+/// telemetry pins are that capture with its `Metric` lines and the
+/// header's `metrics` member deleted (the metrics registry is gone).
 #[test]
 fn traced_resync_matches_the_parent_capture() {
     use lightwave::trace::{to_chrome_trace, Lane, ReconfigPhase, SpanKind, TRACE_SCHEMA};
@@ -202,7 +204,7 @@ fn traced_resync_matches_the_parent_capture() {
             removal_only,
         )],
         (572_581, 0xc340_10b6_d962_0849),
-        (86_462, 0x85b3_009d_cf4e_2f68),
+        (16_345, 0xae7e_c954_4ceb_7a29),
     );
 
     let phase = |phase| SpanKind::Phase { switch: 5, phase };
@@ -247,6 +249,6 @@ fn traced_resync_matches_the_parent_capture() {
             ),
         ],
         (59_779, 0x45dc_65b4_bec6_2d9f),
-        (77_216, 0xbfb0_6b0c_112c_8ea9),
+        (7_411, 0x1d39_8cb4_9609_d18b),
     );
 }

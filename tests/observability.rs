@@ -7,26 +7,24 @@ use lightwave::fabric::instrument::FabricInstruments;
 use lightwave::fabric::{FabricController, FabricTarget, OcsFleet};
 use lightwave::ocs::instrument::OcsInstruments;
 use lightwave::ocs::PortMapping;
-use lightwave::par::Pool;
-use lightwave::scheduler::instrument::SchedulerInstruments;
-use lightwave::scheduler::sim::{default_mix, ClusterSim};
-use lightwave::scheduler::Pooled;
 use lightwave::superpod::collective_sim::{simulate_torus_all_reduce, Uniform, WithStraggler};
-use lightwave::superpod::instrument::CollectiveInstruments;
+use lightwave::superpod::instrument::detect_stragglers;
 use lightwave::superpod::torus::Chip;
 use lightwave::superpod::SliceShape;
-use lightwave::telemetry::{AlarmCause, AlarmRecord, FleetTelemetry, Severity};
-use lightwave::transceiver::instrument::XcvrInstruments;
-use lightwave::transceiver::{fleet::fleet_census, DspConfig, ModuleFamily};
+use lightwave::telemetry::{
+    AlarmCause, AlarmRecord, CauseClass, EventKind, FleetTelemetry, Severity,
+};
+use lightwave::transceiver::instrument::record_negotiation;
+use lightwave::transceiver::DspConfig;
 use lightwave::units::Nanos;
 
 /// Drives every instrumented crate into one sink, deterministically.
 fn full_stack_scenario(seed: u64) -> FleetTelemetry {
     let mut sink = FleetTelemetry::new();
 
-    // fabric + ocs: provision, fail, repair, scrape.
+    // fabric + ocs: provision, fail a mirror and a FRU, repair, scrape.
     let mut controller = FabricController::new(OcsFleet::build(2, seed));
-    let mut fabric = FabricInstruments::register(&mut sink);
+    let mut fabric = FabricInstruments::new();
     let mut target = FabricTarget::new();
     for ocs in 0..2u32 {
         let pairs: Vec<(u16, u16)> = (0..16u16).map(|n| (n, n + 64)).collect();
@@ -36,6 +34,11 @@ fn full_stack_scenario(seed: u64) -> FleetTelemetry {
     let report = controller.commit(&target).unwrap();
     fabric.record_commit(&mut sink, at, &report);
     controller.advance(Nanos::from_millis(300));
+    // The mirror under a live circuit on switch 0 fails. The spare swapped
+    // in drifts past the HighLoss threshold, and the loss it reads is the
+    // switch as manufactured from `seed`: the seed reaches the export
+    // through the Loss incident's root.
+    controller.fleet.get_mut(0).unwrap().fail_mirror(true, 5);
     controller.fleet.get_mut(1).unwrap().fail_fru(6);
     controller.advance(Nanos::from_millis(50));
     fabric.scrape_fleet(&mut sink, &controller.fleet);
@@ -44,11 +47,8 @@ fn full_stack_scenario(seed: u64) -> FleetTelemetry {
     fabric.scrape_fleet(&mut sink, &controller.fleet);
     let now = Nanos::from_secs_f64(20.35);
 
-    // transceiver: census + a rate fallback.
-    let mut xcvr = XcvrInstruments::register(&mut sink, "cwdm4");
-    let census = fleet_census(&Pool::new(2), 60, ModuleFamily::Cwdm4Bidi, seed);
-    xcvr.record_census(&mut sink, now, &census);
-    xcvr.record_negotiation(
+    // transceiver: a rate fallback.
+    record_negotiation(
         &mut sink,
         now,
         200,
@@ -56,13 +56,7 @@ fn full_stack_scenario(seed: u64) -> FleetTelemetry {
         &DspConfig::standards_based(),
     );
 
-    // scheduler: one pooled run.
-    let sim = ClusterSim::new(default_mix(), 0.25);
-    let mut sched = SchedulerInstruments::register(&mut sink, "pooled");
-    sched.record_run(&mut sink, now, &sim.run(&Pooled, 100.0, seed));
-
     // superpod: straggler detection.
-    let mut pod = CollectiveInstruments::register(&mut sink, 0);
     let shape = SliceShape::new(4, 4, 4).unwrap();
     let healthy = simulate_torus_all_reduce(shape, 64e6, &[0, 1, 2], &Uniform(100e9), 300e-9);
     let bad = WithStraggler {
@@ -72,29 +66,57 @@ fn full_stack_scenario(seed: u64) -> FleetTelemetry {
         derated: 25e9,
     };
     let observed = simulate_torus_all_reduce(shape, 64e6, &[0, 1, 2], &bad, 300e-9);
-    pod.record_collective(&mut sink, now, &observed);
-    pod.detect_stragglers(&mut sink, now, &[0, 1, 2], &healthy, &observed);
+    detect_stragglers(&mut sink, 0, now, &[0, 1, 2], &healthy, &observed);
 
     sink
 }
 
 #[test]
-fn all_five_crates_emit_into_one_sink() {
+fn every_instrumented_crate_emits_into_one_sink() {
     let sink = full_stack_scenario(17);
-    // Each instrumented crate registers metrics under its own prefix.
-    for prefix in ["ocs_", "xcvr_", "fabric_", "sched_", "pod_"] {
-        assert!(
-            sink.metrics
-                .iter()
-                .any(|(key, _, _)| key.name.starts_with(prefix)),
-            "no metrics with prefix {prefix}"
-        );
-    }
-    // And every store saw traffic.
-    assert!(sink.metrics.len() > 20);
-    assert!(sink.events.published() > 0);
-    assert!(sink.alarms.ingested() > 0);
-    assert!(!sink.slo.is_empty());
+    let incidents = |class: CauseClass| {
+        let all = sink.alarms.incidents().iter();
+        all.filter(|i| i.class == class).count()
+    };
+    // ocs: one reconfig event per provisioned switch, an availability SLO
+    // object per switch, and the failed mirror's loss incident.
+    let reconfigs = sink
+        .events
+        .recent()
+        .filter(|e| e.source == "ocs" && matches!(e.kind, EventKind::Reconfig { added: 16, .. }))
+        .count();
+    assert_eq!(reconfigs, 2);
+    let objects: Vec<String> = sink
+        .slo
+        .report(Nanos::from_secs_f64(25.0))
+        .objects
+        .into_iter()
+        .map(|o| o.object)
+        .collect();
+    assert_eq!(objects, ["ocs-0", "ocs-1"]);
+    assert_eq!(incidents(CauseClass::Loss), 1);
+    // fabric: the provisioning commit.
+    assert!(sink.events.recent().any(|e| e.source == "fabric"
+        && matches!(
+            e.kind,
+            EventKind::Commit {
+                switches: 2,
+                added: 32,
+                ..
+            }
+        )));
+    // transceiver: the fallback's event and link incident.
+    assert!(sink
+        .events
+        .recent()
+        .any(|e| matches!(e.kind, EventKind::RateFallback { port: 200, .. })));
+    assert_eq!(incidents(CauseClass::Link), 1);
+    // superpod: the straggler's event and collective incident.
+    assert!(sink
+        .events
+        .recent()
+        .any(|e| matches!(e.kind, EventKind::StragglerDetected { dim: 2, .. })));
+    assert_eq!(incidents(CauseClass::Collective), 1);
 }
 
 #[test]
@@ -104,7 +126,7 @@ fn fru_blast_radius_collapses_to_one_page() {
     // fires once.
     let mut sink = FleetTelemetry::new();
     let mut ocs = lightwave::ocs::PalomarOcs::new(3, 99);
-    let mut inst = OcsInstruments::register(&mut sink, 3);
+    let mut inst = OcsInstruments::new(3);
     ocs.fail_fru(6); // real FRU failure raises the root alarm
     inst.forward_alarms(&mut sink, &ocs);
     assert_eq!(sink.alarms.pages(), 1, "the root cause pages");
@@ -164,6 +186,6 @@ fn jsonl_lines_parse_back_as_records() {
     assert_eq!(metas, 1, "exactly one header line");
     assert_eq!(
         jsonl.lines().count(),
-        sink.metrics.len() + sink.events.recent().count() + sink.alarms.incidents().len() + 2
+        sink.events.recent().count() + sink.alarms.incidents().len() + 2
     );
 }

@@ -1,9 +1,9 @@
 //! Cross-crate determinism contract of the `lightwave-par` engine.
 //!
 //! The same seed must produce **byte-identical** results at any worker
-//! count — for the Monte-Carlo BER path, the pool-availability estimate,
-//! the fleet census, and a JSONL telemetry export built from those
-//! results. Thread count is a throughput knob, never a results knob.
+//! count — for the Monte-Carlo BER path, the pool-availability estimate
+//! and the fleet census. Thread count is a throughput knob, never a
+//! results knob.
 //!
 //! Tests use explicit `Pool::new(n)` handles rather than mutating
 //! `LIGHTWAVE_THREADS` so they stay race-free under the parallel test
@@ -15,10 +15,9 @@ use lightwave::availability::{
 use lightwave::optics::ber::{mpi_db, Pam4Receiver};
 use lightwave::optics::montecarlo::{simulate_ber_par, McBerResult, DEFAULT_SHARD_SYMBOLS};
 use lightwave::par::{plan_shards, Pool};
-use lightwave::telemetry::FleetTelemetry;
 use lightwave::transceiver::fleet::fleet_census;
 use lightwave::transceiver::ModuleFamily;
-use lightwave::units::{Availability, Dbm, Nanos};
+use lightwave::units::{Availability, Dbm};
 use proptest::prelude::*;
 
 const SEED: u64 = 0xC0FF_EE00;
@@ -62,32 +61,6 @@ fn fleet_census_is_identical_across_thread_counts() {
     let four = fleet_census(&Pool::new(4), 130, family, SEED);
     assert_eq!(one.samples, four.samples);
     assert_eq!(one.violations, four.violations);
-}
-
-/// A JSONL telemetry export built from engine *results* is byte-identical
-/// at any thread count. Only deterministic outputs go into the registry —
-/// `RunStats` wall-clock timings are throughput telemetry and must never
-/// enter golden exports.
-#[test]
-fn jsonl_telemetry_export_is_byte_identical_across_thread_counts() {
-    let export_at = |threads: usize| -> String {
-        let ber = mc_ber_at(threads);
-        let avail = availability_at(threads);
-
-        let mut sink = FleetTelemetry::new();
-        let at = Nanos::from_millis(5);
-        let errs = sink.metrics.counter("mc_bit_errors", &[("path", "pam4")]);
-        sink.metrics.inc(errs, at, ber.errors);
-        let ber_g = sink.metrics.gauge("mc_ber", &[("path", "pam4")]);
-        sink.metrics.set(ber_g, at, ber.ber.0);
-        let avail_g = sink.metrics.gauge("pool_availability", &[("need", "48")]);
-        sink.metrics.set(avail_g, at, avail);
-        sink.to_jsonl(Nanos::from_millis(10))
-    };
-    let one = export_at(1);
-    let four = export_at(4);
-    assert!(!one.is_empty());
-    assert_eq!(one.as_bytes(), four.as_bytes());
 }
 
 /// The batched MC kernel's noise block (PR 9) must be invisible to

@@ -95,7 +95,7 @@ fn telemetry_and_reports_roundtrip() {
 fn fleet_telemetry_types_roundtrip() {
     use lightwave::telemetry::{
         AlarmCause, AlarmRecord, Event, EventKind, HistogramSnapshot, Incident, LogHistogram,
-        MetricKey, MetricSample, Severity,
+        Severity,
     };
 
     for sev in [Severity::Info, Severity::Warning, Severity::Critical] {
@@ -139,11 +139,6 @@ fn fleet_telemetry_types_roundtrip() {
             duration: Nanos::from_millis(15),
         },
     });
-    roundtrip(&MetricKey::new(
-        "ocs_switch_duration_ms",
-        &[("switch", "3"), ("pod", "a")],
-    ));
-    roundtrip(&MetricSample::Gauge(-3.25));
     let mut h = LogHistogram::new();
     for v in [1e-12, 0.5, 3.0, 1e9, f64::NAN, -2.0] {
         h.record(v);

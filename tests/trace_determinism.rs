@@ -55,7 +55,9 @@ fn exported_artifacts_validate() {
 /// the file `trace_postmortem` writes — and the flight bundle and the
 /// telemetry export by length and hash. Re-captured once since (PR 23):
 /// the trace opens with a `schema` member and the bundle's header line
-/// with `schema` and `switch`; every other byte is that capture's.
+/// with `schema` and `switch`; every other byte is that capture's. The
+/// telemetry export is that capture with its `Metric` lines and the
+/// header's `metrics` member deleted (the metrics registry is gone).
 #[test]
 fn artifacts_match_the_parent_capture() {
     let pinned = include_str!("vectors/lower_seam/trace.json");
@@ -75,7 +77,7 @@ fn artifacts_match_the_parent_capture() {
         let telemetry = out.telemetry.to_jsonl(Nanos::from_millis(600));
         assert_eq!(
             (telemetry.len(), fnv1a64(telemetry.as_bytes())),
-            (78_182, 0xc3e63e2ad9026e25),
+            (7_159, 0x7ebd2d898e0a687e),
             "telemetry JSONL moved at {threads} workers"
         );
     }
