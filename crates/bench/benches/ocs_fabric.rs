@@ -53,13 +53,14 @@ fn crossbar_delta(c: &mut Criterion) {
     });
 }
 
-fn ocs_apply_mapping(c: &mut Criterion) {
+fn ocs_target_as_delta(c: &mut Criterion) {
     let target = PortMapping::from_pairs((0..64u16).map(|i| (i, i + 64))).unwrap();
-    c.bench_function("ocs_apply_mapping_64", |b| {
+    c.bench_function("ocs_target_as_delta_64", |b| {
         b.iter_batched(
             || PalomarOcs::new(0, 42),
             |mut ocs| {
-                ocs.apply_mapping(&target).expect("valid");
+                let delta = ocs.delta_to(&target).expect("valid");
+                ocs.apply_delta(&delta.add, &delta.remove).expect("valid");
                 black_box(ocs)
             },
             BatchSize::SmallInput,
@@ -315,7 +316,7 @@ fn pod_compose_release_single_cube_63_live(c: &mut Criterion) {
 criterion_group!(
     benches,
     crossbar_delta,
-    ocs_apply_mapping,
+    ocs_target_as_delta,
     ocs_apply_delta,
     fabric_commit_delta,
     fleet_advance_idle,

@@ -410,33 +410,27 @@ impl FabricController {
         self.fleet.now()
     }
 
-    /// Validates `target` against every named switch without applying:
-    /// a dry run of the checks each switch will make.
-    pub fn validate(&self, target: &FabricTarget) -> Result<(), CommitError> {
+    /// Commits full per-switch targets as one incremental transaction:
+    /// each named switch's mapping is diffed against its circuits
+    /// ([`PalomarOcs::delta_to`](lightwave_ocs::PalomarOcs::delta_to)), and
+    /// the diffs run through [`FabricController::commit_delta`] — every
+    /// named switch among them, an unchanged one with an empty delta, so a
+    /// down switch still refuses. A target is refused for the first switch
+    /// that is unknown, down or given a port out of range before any is
+    /// checked for usable ports. On error nothing has been applied.
+    pub fn commit(&mut self, target: &FabricTarget) -> Result<CommitReport, CommitError> {
+        let mut delta = FabricDelta::new();
         for (&id, mapping) in &target.targets {
             let ocs = self.fleet.get(id).ok_or(CommitError::UnknownSwitch(id))?;
-            ocs.validate_mapping(mapping)
+            let diff = ocs
+                .delta_to(mapping)
                 .map_err(|error| CommitError::Invalid { ocs: id, error })?;
+            *delta.entry(id) = SwitchDelta {
+                add: diff.add,
+                remove: diff.remove,
+            };
         }
-        Ok(())
-    }
-
-    /// Validates then applies the whole transaction. On error nothing has
-    /// been applied. The report's rows go into a table of the fleet's, as
-    /// a [`FabricController::commit_view`]'s do.
-    pub fn commit(&mut self, target: &FabricTarget) -> Result<CommitReport, CommitError> {
-        self.validate(target)?;
-        let mut table = self.fleet.take_table();
-        let rows = Arc::get_mut(&mut table).expect("a taken table is unheld");
-        for (&id, mapping) in &target.targets {
-            let ocs = self.fleet.get_mut(id).expect("validated");
-            let report = ocs
-                .apply_mapping(mapping)
-                .map_err(|error| CommitError::Invalid { ocs: id, error })?;
-            rows.push(id, report.summary());
-        }
-        let per_switch = self.fleet.keep(table);
-        Ok(self.report(per_switch))
+        self.commit_delta(&delta)
     }
 
     /// Totals a transaction's rows, a run at a time.
@@ -468,9 +462,8 @@ impl FabricController {
     }
 
     /// Validates then applies an incremental transaction. On error nothing
-    /// has been applied. The O(delta) counterpart of
-    /// [`FabricController::commit`]: no switch's full mapping is collected,
-    /// rebuilt, or diffed anywhere on this path, and each switch checks its
+    /// has been applied. No switch's full mapping is collected, rebuilt,
+    /// or diffed anywhere on this path, and each switch checks its
     /// delta once — in the validation pass; the apply pass finds it
     /// remembered (see [`PalomarOcs::apply_delta`](lightwave_ocs::PalomarOcs::apply_delta)).
     pub fn commit_delta(&mut self, delta: &FabricDelta) -> Result<CommitReport, CommitError> {
@@ -484,10 +477,11 @@ impl FabricController {
     /// applies it, and only a switch left aligning is listed for the next
     /// advance. Nothing is copied out of the lists, and the rows go into a
     /// table the fleet recycles: once the fleet is warm, nothing is
-    /// allocated. Only the circuits the view establishes are
-    /// vetted against degraded ports — untouched
-    /// circuits are never re-checked (the same wedge-avoidance contract
-    /// as [`FabricController::validate`]). A view that names no switch — a
+    /// allocated. Only the circuits the view establishes are vetted
+    /// against degraded ports — untouched circuits are never re-checked
+    /// (the wedge-avoidance contract of
+    /// [`PalomarOcs::validate_delta`](lightwave_ocs::PalomarOcs::validate_delta)).
+    /// A view that names no switch — a
     /// single-cube slice's — skips both passes and the totalling for the
     /// report they would have built: no rows, zero counts, ready at fabric
     /// now. That check is all that is inlined into a caller; the
@@ -599,6 +593,33 @@ mod tests {
         assert_eq!(
             c.commit(&t).unwrap_err(),
             CommitError::Invalid { ocs: 1, error }
+        );
+        assert_eq!(c.fleet.health().circuits, 0, "atomic: nothing applied");
+    }
+
+    #[test]
+    fn a_target_is_refused_for_its_structure_before_its_ports() {
+        // Switch 0's new circuit lands on a degraded port, switch 1's on a
+        // port out of range. Every named switch is diffed — known, up, in
+        // range — before any delta is checked for usable ports, so the
+        // refusal names switch 1 although switch 0 comes first.
+        let mut c = controller(2);
+        c.fleet.get_mut(0).unwrap().fail_fru(6); // HV driver 0: ports 0..34
+        let mut t = FabricTarget::new();
+        t.set(0, PortMapping::from_pairs([(1, 11)]).unwrap());
+        t.set(1, PortMapping::from_pairs([(2, 9999)]).unwrap());
+        let error = OcsError::Crossbar(lightwave_ocs::CrossbarError::PortOutOfRange(9999));
+        assert_eq!(
+            c.commit(&t).unwrap_err(),
+            CommitError::Invalid { ocs: 1, error }
+        );
+        t.set(1, PortMapping::new());
+        assert_eq!(
+            c.commit(&t).unwrap_err(),
+            CommitError::Invalid {
+                ocs: 0,
+                error: OcsError::PortDegraded(1)
+            }
         );
         assert_eq!(c.fleet.health().circuits, 0, "atomic: nothing applied");
     }

@@ -330,7 +330,7 @@ impl OcsFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lightwave_ocs::{PortId, ReconfigSummary};
+    use lightwave_ocs::{PortId, PortMapping, ReconfigSummary};
 
     #[test]
     fn build_creates_distinct_switches() {
@@ -468,6 +468,30 @@ mod tests {
         let spoiled = fleet.transact(ops(&add[..], &remove[..]));
         assert!(matches!(spoiled, Err(CommitError::Invalid { ocs: 0, .. })));
         assert!(fleet.moving.is_empty() && fleet.health().circuits == 0);
+    }
+
+    #[test]
+    fn a_full_target_commit_that_starts_no_alignment_lists_no_switch() {
+        let mut c = crate::FabricController::new(OcsFleet::build(3, 5));
+        let mut target = crate::FabricTarget::new();
+        for id in [0, 2] {
+            target.set(id, PortMapping::from_pairs([(1, 2), (3, 4)]).unwrap());
+        }
+        c.commit(&target).unwrap();
+        assert_eq!(c.fleet.moving, [0, 2], "both switches aligning");
+        c.advance(Nanos::from_millis(300));
+        assert!(c.fleet.moving.is_empty(), "settled");
+        // The same target again, and a resync's single-switch target of
+        // what the switch already carries: empty deltas, nothing listed,
+        // and the next advance is one compare.
+        let report = c.commit(&target).unwrap();
+        assert_eq!((report.added, report.untouched), (0, 4));
+        let mut resync = crate::FabricTarget::new();
+        resync.set(2, c.fleet.get(2).unwrap().mapping());
+        let report = c.commit(&resync).unwrap();
+        assert!(report.per_switch.contains_key(&2));
+        assert!(c.fleet.moving.is_empty());
+        assert_eq!(c.fleet.due, Nanos(u64::MAX));
     }
 
     #[test]

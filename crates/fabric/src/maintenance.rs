@@ -62,21 +62,19 @@ pub fn plan_replacement(
     let ocs = fleet
         .get(ocs_id)
         .ok_or(MaintenanceError::UnknownSwitch(ocs_id))?;
-    let slots = ocs_chassis_slots(ocs);
-    let kind = slots
+    let chassis = ocs.chassis();
+    let kind = chassis
+        .slots()
         .get(slot)
-        .copied()
-        .ok_or(MaintenanceError::BadSlot(slot))?;
-    let disturbed_circuits: Vec<PortId> = if kind.swap_drops_mirror_state() {
-        let group = hv_port_group(ocs, slot);
-        ocs.mapping()
-            .pairs()
-            .filter(|&(n, _)| group.contains(&n))
-            .map(|(n, _)| n)
-            .collect()
-    } else {
-        Vec::new()
-    };
+        .ok_or(MaintenanceError::BadSlot(slot))?
+        .kind;
+    let group = chassis.ports_dropped_by(slot);
+    let disturbed_circuits: Vec<PortId> = ocs
+        .mapping()
+        .pairs()
+        .filter(|&(n, _)| group.contains(&n))
+        .map(|(n, _)| n)
+        .collect();
     // Outage = camera re-alignment (nominal) + transceiver bring-up.
     let expected_outage = if disturbed_circuits.is_empty() {
         Nanos(0)
@@ -105,46 +103,18 @@ pub fn execute(fleet: &mut OcsFleet, plan: &MaintenancePlan) -> Result<(), Maint
     Ok(())
 }
 
-/// The FRU kind in each chassis slot (mirrors `Chassis::new`'s layout:
-/// 2 PSUs, 4 fans, 8 HV drivers, CPU, FPGA).
-fn ocs_chassis_slots(_ocs: &lightwave_ocs::PalomarOcs) -> Vec<FruKind> {
-    let mut v = vec![FruKind::PowerSupply; 2];
-    v.extend(vec![FruKind::Fan; 4]);
-    v.extend(vec![FruKind::HvDriver; 8]);
-    v.push(FruKind::Cpu);
-    v.push(FruKind::Fpga);
-    v
-}
-
-/// Ports driven by the HV driver in `slot` (or all ports for the FPGA).
-fn hv_port_group(ocs: &lightwave_ocs::PalomarOcs, slot: usize) -> Vec<PortId> {
-    use lightwave_ocs::chassis::PORTS_PER_HV_DRIVER;
-    let slots = ocs_chassis_slots(ocs);
-    match slots[slot] {
-        FruKind::Fpga => (0..ocs.ports() as PortId).collect(),
-        FruKind::HvDriver => {
-            let hv_index = slots[..slot]
-                .iter()
-                .filter(|k| **k == FruKind::HvDriver)
-                .count();
-            let base = (hv_index % 4) * PORTS_PER_HV_DRIVER;
-            (base..base + PORTS_PER_HV_DRIVER)
-                .map(|p| p as PortId)
-                .collect()
-        }
-        _ => Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lightwave_ocs::PortMapping;
 
     fn fleet_with_circuits() -> OcsFleet {
         let mut fleet = OcsFleet::build(2, 31);
-        let mapping = PortMapping::from_pairs((0..40u16).map(|i| (i, i + 64))).expect("valid");
-        fleet.get_mut(0).unwrap().apply_mapping(&mapping).unwrap();
+        let circuits: Vec<_> = (0..40u16).map(|i| (i, i + 64)).collect();
+        fleet
+            .get_mut(0)
+            .unwrap()
+            .apply_delta(&circuits, &[])
+            .unwrap();
         fleet.advance(Nanos::from_millis(400));
         fleet
     }

@@ -91,32 +91,32 @@ pub fn paper_equivalent_inner_threshold() -> Ber {
     Ber::from_q_factor(q)
 }
 
-/// Net electrical coding gain of the concatenated scheme at a target output
-/// BER, in dB: the SNR difference between uncoded and coded operation,
-/// accounting for the rate penalty.
-pub fn net_coding_gain_db(inner_threshold: Ber, target: Ber, rate: f64) -> f64 {
-    let q_uncoded = target.q_factor();
-    let q_coded = inner_threshold.q_factor();
-    20.0 * (q_uncoded / q_coded).log10() + 10.0 * rate.log10()
-}
-
-/// Hard-decision inner decoding analytic output-BER estimate (union bound
-/// style): the SEC-DED block fails on ≥ 2 errors; on a detected double the
-/// 2 errors remain, and on ≥ 3 a miscorrection may add one.
-pub fn hamming_hard_output_ber(input_ber: Ber) -> Ber {
-    let n = 128.0;
-    let p = input_ber.prob();
-    // P(exactly 2) leaves 2 bad bits; P(≥3) leaves ≈ 4 (3 + 1 miscorrect).
-    let p2 = math::ln_binomial(128, 2).exp() * p.powi(2) * (1.0 - p).powi(126);
-    let p3 = math::binomial_tail_gt(128, 2, p);
-    Ber::new((p2 * 2.0 + p3 * 4.0) / n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::concat::{ConcatenatedCode, InnerDecoding};
     use lightwave_optics::ber::mpi_db;
+
+    /// Net electrical coding gain of the concatenated scheme at a target output
+    /// BER, in dB: the SNR difference between uncoded and coded operation,
+    /// accounting for the rate penalty.
+    fn net_coding_gain_db(inner_threshold: Ber, target: Ber, rate: f64) -> f64 {
+        let q_uncoded = target.q_factor();
+        let q_coded = inner_threshold.q_factor();
+        20.0 * (q_uncoded / q_coded).log10() + 10.0 * rate.log10()
+    }
+
+    /// Hard-decision inner decoding analytic output-BER estimate (union bound
+    /// style): the SEC-DED block fails on ≥ 2 errors; on a detected double the
+    /// 2 errors remain, and on ≥ 3 a miscorrection may add one.
+    fn hamming_hard_output_ber(input_ber: Ber) -> Ber {
+        let n = 128.0;
+        let p = input_ber.prob();
+        // P(exactly 2) leaves 2 bad bits; P(≥3) leaves ≈ 4 (3 + 1 miscorrect).
+        let p2 = math::ln_binomial(128, 2).exp() * p.powi(2) * (1.0 - p).powi(126);
+        let p3 = math::binomial_tail_gt(128, 2, p);
+        Ber::new((p2 * 2.0 + p3 * 4.0) / n)
+    }
 
     #[test]
     fn kp4_threshold_is_effectively_error_free() {

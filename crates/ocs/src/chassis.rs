@@ -8,8 +8,10 @@
 //! reliability challenges for the switch"). §4.1.1: maximum system power is
 //! 108 W; field availability typically exceeds 99.98%.
 
+use crate::PortId;
 use lightwave_units::Availability;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Maximum chassis power draw, watts (§4.1.1).
 pub const MAX_POWER_W: f64 = 108.0;
@@ -38,11 +40,6 @@ impl FruKind {
     pub fn hot_swappable(self) -> bool {
         matches!(self, FruKind::PowerSupply | FruKind::Fan)
     }
-
-    /// Whether a swap of this FRU drops mirror (circuit) state.
-    pub fn swap_drops_mirror_state(self) -> bool {
-        matches!(self, FruKind::HvDriver | FruKind::Fpga)
-    }
 }
 
 /// Health of one FRU slot.
@@ -63,13 +60,16 @@ pub struct FruSlot {
     pub health: FruHealth,
 }
 
-/// Number of ports driven per HV driver board.
-pub const PORTS_PER_HV_DRIVER: usize = 34; // 136 / 4 boards per die side
+/// HV driver boards per die: each drives a quarter of the ports.
+const HV_GROUPS: PortId = 4;
 
 /// The chassis model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Chassis {
     slots: Vec<FruSlot>,
+    /// Ports per side of the switch it drives (a `PortId`, so the chassis
+    /// is no larger than a 136-port one always was).
+    ports: PortId,
     /// [`Chassis::is_operational`], kept current by every slot change.
     operational: bool,
     /// Bit `g` set: an HV driver of port group `g` has failed.
@@ -92,9 +92,20 @@ impl Default for Chassis {
 }
 
 impl Chassis {
-    /// A fully-populated healthy chassis: 2 PSUs, 4 fans, 8 HV drivers
-    /// (4 per die), 1 CPU, 1 FPGA.
+    /// A fully-populated healthy chassis of the 136-port Palomar.
     pub fn new() -> Chassis {
+        Chassis::with_ports(crate::TOTAL_PORTS)
+    }
+
+    /// A fully-populated healthy chassis for a switch of `ports` ports per
+    /// side: 2 PSUs, 4 fans, 8 HV drivers (4 per die, each driving a
+    /// quarter of the ports, rounded up), 1 CPU, 1 FPGA (driving them
+    /// all).
+    ///
+    /// # Panics
+    /// Panics if `ports` does not fit a [`PortId`].
+    pub fn with_ports(ports: usize) -> Chassis {
+        let ports = PortId::try_from(ports).expect("port count fits a PortId");
         let mut slots = Vec::new();
         for _ in 0..2 {
             slots.push(FruSlot {
@@ -124,6 +135,7 @@ impl Chassis {
         });
         Chassis {
             slots,
+            ports,
             operational: true,
             degraded_groups: 0,
         }
@@ -141,17 +153,39 @@ impl Chassis {
         self.operational
     }
 
+    /// Ports each HV driver drives.
+    fn group_size(&self) -> PortId {
+        self.ports.div_ceil(HV_GROUPS)
+    }
+
     /// Whether port `p` is degraded by a failed HV driver.
-    pub fn port_degraded(&self, p: u16) -> bool {
-        let group = p as usize / PORTS_PER_HV_DRIVER;
-        group < 4 && (self.degraded_groups >> group) & 1 == 1
+    pub fn port_degraded(&self, p: PortId) -> bool {
+        p < self.ports && (self.degraded_groups >> (p / self.group_size())) & 1 == 1
     }
 
     /// Ports currently degraded by failed HV drivers.
-    pub fn degraded_ports(&self) -> Vec<u16> {
-        (0..4 * PORTS_PER_HV_DRIVER as u16)
-            .filter(|&p| self.port_degraded(p))
-            .collect()
+    pub fn degraded_ports(&self) -> Vec<PortId> {
+        (0..self.ports).filter(|&p| self.port_degraded(p)).collect()
+    }
+
+    /// The ports whose mirror state a swap of slot `idx` drops: its HV
+    /// driver's group, every port for the FPGA, none for the rest.
+    ///
+    /// # Panics
+    /// Panics on an out-of-range slot index.
+    pub fn ports_dropped_by(&self, idx: usize) -> Range<PortId> {
+        match self.slots[idx].kind {
+            FruKind::Fpga => 0..self.ports,
+            FruKind::HvDriver => {
+                let hv_index = self.slots[..idx]
+                    .iter()
+                    .filter(|s| s.kind == FruKind::HvDriver)
+                    .count() as PortId;
+                let base = (hv_index % HV_GROUPS * self.group_size()).min(self.ports);
+                base..base.saturating_add(self.group_size()).min(self.ports)
+            }
+            _ => 0..0,
+        }
     }
 
     /// Recomputes the cached answers after a slot changed health.
@@ -190,26 +224,8 @@ impl Chassis {
         let kind = self.slots[idx].kind;
         self.slots[idx].health = FruHealth::Healthy;
         self.refresh();
-        let disturbed_ports = if kind.swap_drops_mirror_state() {
-            match kind {
-                FruKind::Fpga => (0..136u16).collect(),
-                FruKind::HvDriver => {
-                    let hv_index = self.slots[..idx]
-                        .iter()
-                        .filter(|s| s.kind == FruKind::HvDriver)
-                        .count();
-                    let base = (hv_index % 4) * PORTS_PER_HV_DRIVER;
-                    (base..base + PORTS_PER_HV_DRIVER)
-                        .map(|p| p as u16)
-                        .collect()
-                }
-                _ => Vec::new(),
-            }
-        } else {
-            Vec::new()
-        };
         SwapEffect {
-            disturbed_ports,
+            disturbed_ports: self.ports_dropped_by(idx).collect(),
             full_outage: !kind.hot_swappable() && kind == FruKind::Cpu,
         }
     }
@@ -274,8 +290,7 @@ mod tests {
         c.fail_slot(6);
         assert!(c.is_operational(), "switch stays up");
         let degraded = c.degraded_ports();
-        assert_eq!(degraded.len(), PORTS_PER_HV_DRIVER);
-        assert_eq!(degraded[0], 0);
+        assert_eq!(degraded, (0..34).collect::<Vec<_>>());
     }
 
     #[test]
@@ -283,8 +298,7 @@ mod tests {
         let mut c = Chassis::new();
         c.fail_slot(7); // second HV driver
         let effect = c.replace_slot(7);
-        assert_eq!(effect.disturbed_ports.len(), PORTS_PER_HV_DRIVER);
-        assert_eq!(effect.disturbed_ports[0], PORTS_PER_HV_DRIVER as u16);
+        assert_eq!(effect.disturbed_ports, (34..68).collect::<Vec<_>>());
         assert!(!effect.full_outage);
         assert!(c.degraded_ports().is_empty(), "repair clears degradation");
     }
@@ -306,6 +320,23 @@ mod tests {
         assert!(!c.is_operational());
         c.replace_slot(14);
         assert!(c.is_operational());
+    }
+
+    #[test]
+    fn the_drivers_follow_the_radix() {
+        // The §6 300-port part: each HV driver drives 75 ports, the FPGA
+        // all 300; a radix that does not divide by four rounds the groups
+        // up and the last one ends at the last port.
+        let mut c = Chassis::with_ports(300);
+        c.fail_slot(9); // the first die's fourth driver
+        assert_eq!(c.degraded_ports(), (225..300).collect::<Vec<_>>());
+        assert!(!c.port_degraded(300) && !c.port_degraded(u16::MAX));
+        assert_eq!(c.replace_slot(9).disturbed_ports.len(), 75);
+        assert_eq!(c.ports_dropped_by(15), 0..300);
+        assert_eq!(c.ports_dropped_by(0), 0..0);
+        let odd = Chassis::with_ports(10);
+        assert_eq!(odd.ports_dropped_by(6), 0..3);
+        assert_eq!(odd.ports_dropped_by(9), 9..10);
     }
 
     #[test]
@@ -341,7 +372,15 @@ mod tests {
     fn fru_semantics() {
         assert!(FruKind::PowerSupply.hot_swappable());
         assert!(!FruKind::HvDriver.hot_swappable());
-        assert!(FruKind::HvDriver.swap_drops_mirror_state());
-        assert!(!FruKind::Fan.swap_drops_mirror_state());
+        // A swap drops mirror state under an HV driver or the FPGA only.
+        let c = Chassis::new();
+        let drops: Vec<FruKind> = (0..16)
+            .filter(|&slot| !c.ports_dropped_by(slot).is_empty())
+            .map(|slot| c.slots()[slot].kind)
+            .collect();
+        assert_eq!(
+            drops,
+            [[FruKind::HvDriver; 8].as_slice(), &[FruKind::Fpga]].concat()
+        );
     }
 }

@@ -188,7 +188,6 @@ pub fn alarm_record(switch: u32, alarm: &Alarm) -> AlarmRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crossbar::PortMapping;
     use crate::telemetry::Severity;
 
     #[test]
@@ -196,9 +195,8 @@ mod tests {
         let mut sink = FleetTelemetry::new();
         let mut ocs = PalomarOcs::new(3, 42);
         let inst = OcsInstruments::new(3);
-        let target = PortMapping::from_pairs([(0, 10), (1, 11)]).unwrap();
         let started = ocs.now();
-        let report = ocs.apply_mapping(&target).unwrap();
+        let report = ocs.apply_delta(&[(0, 10), (1, 11)], &[]).unwrap();
         inst.record_reconfig(&mut sink, started, &report.summary());
         let EventKind::Reconfig {
             switch: 3,

@@ -3,7 +3,9 @@
 
 use crate::camera::{AlignmentKernel, AlignmentLoop, ALIGNMENT_TOLERANCE};
 use crate::chassis::Chassis;
-use crate::crossbar::{ConnectionState, Crossbar, CrossbarError, PortId, PortMapping};
+use crate::crossbar::{
+    ConnectionState, Crossbar, CrossbarError, MappingDelta, PortId, PortMapping,
+};
 use crate::loss::OpticalCore;
 use crate::mems::MemsDie;
 use crate::telemetry::{AlarmCode, Severity, Telemetry};
@@ -218,7 +220,7 @@ impl PalomarOcs {
             core: OnceLock::new(),
             spares_as_built: OpticalCore::spares_as_built(ports, seed),
             crossbar: Crossbar::new(ports),
-            chassis: Chassis::new(),
+            chassis: Chassis::with_ports(ports),
             telemetry: Telemetry::new(),
             align: AlignmentLoop::default().prepare(ALIGNMENT_TOLERANCE),
             rng: StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_0F0F_F0F0),
@@ -289,6 +291,11 @@ impl PalomarOcs {
     /// Current port mapping.
     pub fn mapping(&self) -> PortMapping {
         self.crossbar.mapping()
+    }
+
+    /// The chassis: its FRU slots and the ports each one drives.
+    pub fn chassis(&self) -> &Chassis {
+        &self.chassis
     }
 
     /// Whether the data plane is up at all.
@@ -378,54 +385,29 @@ impl PalomarOcs {
         Ok(())
     }
 
-    /// Vets a full target the way [`PalomarOcs::apply_mapping`] will,
-    /// without applying it. Port-usability applies to the delta, not the
-    /// whole target: circuits already carrying on a since-degraded port
-    /// stay as they are (tearing them down would turn the degradation
-    /// into an outage, and rejecting the target would wedge the switch) —
-    /// only circuits the target must (re)establish need healthy drive on
-    /// both ports.
-    pub fn validate_mapping(&self, target: &PortMapping) -> Result<(), OcsError> {
+    /// The minimal delta from this switch's circuits to the full
+    /// `target`: the circuits to tear down and to establish, and every
+    /// circuit both share left untouched — what
+    /// [`PalomarOcs::apply_delta`] takes for a target. Refuses a down
+    /// chassis, then a port out of range; whether the circuits to
+    /// establish land on usable ports is the delta's own check.
+    pub fn delta_to(&self, target: &PortMapping) -> Result<MappingDelta, OcsError> {
         if !self.chassis.is_operational() {
             return Err(OcsError::ChassisDown);
         }
         self.crossbar.validate(target)?;
-        for (n, s) in target.pairs() {
-            if !matches!(self.crossbar.circuit(n), Some((cur, _)) if cur == s) {
-                self.check_usable(n)?;
-                self.check_usable(s)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies a target mapping as a minimal delta: circuits present in
-    /// both old and new configurations are never touched.
-    pub fn apply_mapping(&mut self, target: &PortMapping) -> Result<ReconfigReport, OcsError> {
-        self.validate_mapping(target)?;
-        let delta = self.crossbar.delta_to(target);
-        for &n in &delta.remove {
-            self.disconnect(n)?;
-        }
-        let mut ready_at = self.now;
-        for &(n, s) in &delta.add {
-            ready_at = ready_at.max(self.establish(n, s)?);
-        }
-        self.telemetry.counters.reconfigs += 1;
-        self.telemetry.counters.circuits_preserved += delta.unchanged.len() as u64;
-        Ok(ReconfigReport {
-            removed: delta.remove,
-            added: delta.add,
-            untouched: delta.unchanged.len(),
-            ready_at,
-        })
+        Ok(self.crossbar.delta_to(target))
     }
 
     /// Validates an incremental reconfiguration without applying it:
     /// `remove` circuits (by north port) must exist, `add` pairs must land
     /// on usable, structurally free ports once the removes are accounted
     /// for. Port-usability covers exactly the delta — untouched circuits
-    /// are never re-vetted (the same contract as [`PalomarOcs::apply_mapping`]).
+    /// are never re-vetted: circuits already carrying on a since-degraded
+    /// port stay as they are (tearing them down would turn the
+    /// degradation into an outage, and refusing the delta would wedge the
+    /// switch), and only the circuits the delta establishes need healthy
+    /// drive on both ports.
     ///
     /// Takes `&mut self` only for scratch space and to remember the delta
     /// it accepted (so that applying it next need not validate again); no
@@ -493,9 +475,9 @@ impl PalomarOcs {
     }
 
     /// Applies an incremental reconfiguration: tears down the `remove`
-    /// circuits, establishes the `add` pairs, touches nothing else. The
-    /// O(delta) counterpart of [`PalomarOcs::apply_mapping`] — no full
-    /// mapping is collected or diffed. The delta is validated first, unless
+    /// circuits, establishes the `add` pairs, touches nothing else — no
+    /// full mapping is collected or diffed (a full target is one
+    /// [`PalomarOcs::delta_to`] away). The delta is validated first, unless
     /// it is the one [`PalomarOcs::validate_delta`] just accepted and the
     /// switch has not changed since. On error nothing has been applied.
     ///
@@ -773,6 +755,13 @@ mod tests {
         ocs.advance(Nanos::from_millis(200));
     }
 
+    /// A full target the way the fabric commits one: the switch's diff,
+    /// applied as a delta.
+    fn commit(ocs: &mut PalomarOcs, target: &PortMapping) -> Result<ReconfigReport, OcsError> {
+        let delta = ocs.delta_to(target)?;
+        ocs.apply_delta(&delta.add, &delta.remove)
+    }
+
     #[test]
     fn connect_aligns_then_carries() {
         let mut ocs = PalomarOcs::new(0, 42);
@@ -794,7 +783,7 @@ mod tests {
         assert!(ocs.circuit_ready(0) && ocs.circuit_ready(1));
         // New mapping keeps 0→10, moves 1→20, adds 2→12.
         let target = PortMapping::from_pairs([(0, 10), (1, 20), (2, 12)]).unwrap();
-        let report = ocs.apply_mapping(&target).unwrap();
+        let report = commit(&mut ocs, &target).unwrap();
         assert_eq!(report.untouched, 1);
         assert_eq!(report.removed, vec![1]);
         assert_eq!(report.added, vec![(1, 20), (2, 12)]);
@@ -898,10 +887,10 @@ mod tests {
     fn telemetry_counts_reconfigs_and_preservation() {
         let mut ocs = PalomarOcs::new(0, 7);
         let m1 = PortMapping::from_pairs([(0, 1), (2, 3)]).unwrap();
-        ocs.apply_mapping(&m1).unwrap();
+        commit(&mut ocs, &m1).unwrap();
         settled(&mut ocs);
         let m2 = PortMapping::from_pairs([(0, 1), (2, 4)]).unwrap();
-        ocs.apply_mapping(&m2).unwrap();
+        commit(&mut ocs, &m2).unwrap();
         let c = &ocs.telemetry().counters;
         assert_eq!(c.reconfigs, 2);
         assert_eq!(c.circuits_preserved, 1); // (0,1) survived
@@ -924,7 +913,7 @@ mod tests {
         assert!(!ocs.circuit_ready(1), "moved circuit re-aligns");
         settled(&mut ocs);
         assert!(ocs.circuit_ready(1) && ocs.circuit_ready(2));
-        // Matches what apply_mapping on the equivalent target would say.
+        // Matches what committing the equivalent target would say.
         let c = &ocs.telemetry().counters;
         assert_eq!(c.reconfigs, 2);
         assert_eq!(c.circuits_preserved, 1);
@@ -1010,6 +999,24 @@ mod tests {
     }
 
     #[test]
+    fn the_300_port_chassis_drives_every_port() {
+        let mut ocs = PalomarOcs::with_ports(1, 77, 300);
+        ocs.connect(200, 10).unwrap();
+        settled(&mut ocs);
+        // An FPGA swap drops the mirror state of all 300 ports: the
+        // circuit on port 200 re-aligns.
+        ocs.fail_fru(15);
+        ocs.replace_fru(15);
+        assert!(!ocs.circuit_ready(200), "port 200 must re-align");
+        settled(&mut ocs);
+        assert!(ocs.circuit_ready(200));
+        // A failed HV driver degrades its quarter: ports 225..300.
+        ocs.fail_fru(9);
+        assert_eq!(ocs.health().degraded_ports, (225..300).collect::<Vec<_>>());
+        assert_eq!(ocs.connect(299, 0), Err(OcsError::PortDegraded(299)));
+    }
+
+    #[test]
     fn drift_anomalies_surface_after_spare_churn() {
         let mut ocs = PalomarOcs::new(0, 12);
         ocs.connect(5, 50).unwrap();
@@ -1091,7 +1098,7 @@ mod tests {
                 assert!(!ocs.circuit_ready(p));
                 assert_eq!(ocs.insertion_loss(p), None);
                 let target = PortMapping::from_pairs([(1, p)]).unwrap();
-                assert_eq!(ocs.apply_mapping(&target).map(drop), out_of_range);
+                assert_eq!(ocs.delta_to(&target).map(drop), out_of_range);
             }
             assert_eq!(ocs.mapping().pairs().collect::<Vec<_>>(), [(0, ports - 1)]);
             assert_eq!(ocs.health().pending, 1);

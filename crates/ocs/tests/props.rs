@@ -83,12 +83,14 @@ proptest! {
             let _ = tgt.insert(n, s);
         }
         let mut ocs = PalomarOcs::new(0, seed);
-        ocs.apply_mapping(&tgt).expect("valid mapping");
+        let delta = ocs.delta_to(&tgt).expect("valid mapping");
+        ocs.apply_delta(&delta.add, &delta.remove).expect("valid delta");
         ocs.advance(Nanos::from_millis(500));
         for (n, _) in tgt.pairs() {
             prop_assert!(ocs.circuit_ready(n), "port {n} should be carrying");
         }
-        let report = ocs.apply_mapping(&tgt).expect("same mapping");
+        let delta = ocs.delta_to(&tgt).expect("same mapping");
+        let report = ocs.apply_delta(&delta.add, &delta.remove).expect("empty delta");
         prop_assert_eq!(report.added.len(), 0);
         prop_assert_eq!(report.removed.len(), 0);
         prop_assert_eq!(report.untouched, tgt.len());

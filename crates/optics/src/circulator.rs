@@ -202,7 +202,7 @@ impl Circulator {
         if leaked <= 0.0 {
             Db(-100.0)
         } else {
-            Db(10.0 * leaked.log10())
+            Db::from_linear(leaked)
         }
     }
 

@@ -6,7 +6,7 @@
 //! fragmentation stalls (a job that waits even though enough cubes are
 //! idle — impossible under pooling, routine under contiguity).
 
-use crate::alloc::Allocator;
+use crate::alloc::{Allocator, Contiguous};
 use lightwave_superpod::geometry::CubeSet;
 use lightwave_superpod::slice::SliceShape;
 use rand::rngs::StdRng;
@@ -184,14 +184,65 @@ impl ClusterSim {
     /// `alloc.allocate` must be a pure function of its arguments.
     pub fn run<A: Allocator>(&self, alloc: &A, horizon_hours: f64, seed: u64) -> SimReport {
         assert!(horizon_hours > 0.0);
+        self.simulate(alloc, horizon_hours, seed, |_| (), |_, _, _| None)
+    }
+
+    /// Runs the contiguous (static-fabric) discipline with *migration
+    /// defragmentation*: on a fragmentation stall the scheduler repacks
+    /// every running job first-fit-decreasing into fresh boxes, charging
+    /// each moved job `migration_hours` of lost progress (checkpoint,
+    /// drain, restart). §4.2.4 credits the OCS pod's scheduler with
+    /// defragmenting "more effectively" — this quantifies what the static
+    /// alternative must pay for the same effect.
+    pub fn run_contiguous_with_defrag(
+        &self,
+        horizon_hours: f64,
+        migration_hours: f64,
+        seed: u64,
+    ) -> SimReport {
+        assert!(horizon_hours > 0.0 && migration_hours >= 0.0);
+        let defragment = |running: &mut Running<SliceShape>, shape, moved: &mut Migrations| {
+            let (new_assignments, changed) = repack(running, shape)?;
+            let mut idle = CubeSet::ALL;
+            for slot in running.order() {
+                let cubes = new_assignments[slot];
+                idle = idle.difference(cubes);
+                let job = &mut running.jobs[slot];
+                job.1 = cubes;
+                if changed.contains(&slot) {
+                    job.0 += migration_hours;
+                    moved.cube_hours += cubes.len() as f64 * migration_hours;
+                    moved.jobs += 1;
+                }
+            }
+            Some(idle)
+        };
+        self.simulate(&Contiguous, horizon_hours, seed, |shape| shape, defragment)
+    }
+
+    /// The one event loop. A placement that stalls — fails although
+    /// enough cubes are idle — may ask `make_room` to move running jobs
+    /// (it answers the idle set it left, or `None` when it cannot make
+    /// room for the shape); `keep` is what that rule needs to remember of
+    /// each running job (`run`'s needs nothing: 16 bytes a job).
+    fn simulate<A: Allocator, K>(
+        &self,
+        alloc: &A,
+        horizon_hours: f64,
+        seed: u64,
+        keep: impl Fn(SliceShape) -> K,
+        mut make_room: impl FnMut(&mut Running<K>, SliceShape, &mut Migrations) -> Option<CubeSet>,
+    ) -> SimReport {
         let mut rng = StdRng::seed_from_u64(seed);
         let arrival = Exp::new(1.0 / self.mean_interarrival_hours).expect("positive rate");
         let total_weight: f64 = self.mix.iter().map(|s| s.weight).sum();
 
         let mut idle = CubeSet::ALL;
-        // (completion time, cubes to release) for every running job,
-        // latest first: the next release is the last entry.
-        let mut releases: Vec<(f64, CubeSet)> = Vec::new();
+        let mut running = Running {
+            jobs: Vec::new(),
+            sorted: 0,
+            reordered: false,
+        };
         let mut queue: VecDeque<PendingJob> = VecDeque::new();
         let mut now = 0.0f64;
         let mut next_arrival = arrival.sample(&mut rng);
@@ -203,27 +254,27 @@ impl ClusterSim {
         let mut frag_stalls = 0u64;
         let mut unsupported = 0u64;
         let mut busy_cubes = 0usize;
-
-        let advance_to = |now: &mut f64, t: f64, busy: usize, acc: &mut f64| {
-            *acc += busy as f64 * (t - *now);
-            *now = t;
-        };
+        // Migration cube-hours are occupied but not useful work, so they
+        // are excluded from utilization.
+        let mut migrations = Migrations::default();
 
         while now < horizon_hours {
             // Next event: arrival or earliest release.
-            let next_release = releases.last().map(|r| r.0);
+            let next_release = running.jobs.last().map(|job| job.0);
             let t_event = match next_release {
                 Some(r) if r <= next_arrival => r,
                 _ => next_arrival,
             };
             if t_event >= horizon_hours {
-                advance_to(&mut now, horizon_hours, busy_cubes, &mut busy_cube_hours);
+                busy_cube_hours += busy_cubes as f64 * (horizon_hours - now);
                 break;
             }
-            advance_to(&mut now, t_event, busy_cubes, &mut busy_cube_hours);
+            busy_cube_hours += busy_cubes as f64 * (t_event - now);
+            now = t_event;
 
             if Some(t_event) == next_release {
-                let (_, cubes) = releases.pop().expect("a release is due");
+                let (_, cubes, _) = running.jobs.pop().expect("a release is due");
+                running.sorted -= 1;
                 busy_cubes -= cubes.len();
                 idle = idle.union(cubes);
                 completed += 1;
@@ -245,149 +296,18 @@ impl ClusterSim {
             let mut i = 0;
             while i < queue.len() {
                 let PendingJob { spec, need, .. } = queue[i];
-                let placed = if failed.contains(spec) {
-                    None
-                } else {
-                    alloc.allocate(self.mix[spec].shape, idle)
-                };
-                match placed {
-                    Some(cubes) => {
-                        let job = queue.remove(i).expect("index in range");
-                        let cubes: CubeSet = cubes.iter().copied().collect();
-                        idle = idle.difference(cubes);
-                        failed = FailedSpecs::default();
-                        busy_cubes += cubes.len();
-                        total_wait += now - job.arrived;
-                        waits += 1;
-                        // Of equal completion times the earlier placement
-                        // is released first.
-                        let ends = now + job.duration;
-                        let at = releases.partition_point(|r| r.0 > ends);
-                        releases.insert(at, (ends, cubes));
-                    }
-                    None => {
-                        failed.insert(spec);
-                        if idle.len() >= need {
-                            frag_stalls += 1;
-                        }
-                        i += 1;
-                    }
-                }
-            }
-        }
-
-        SimReport {
-            utilization: busy_cube_hours / (64.0 * horizon_hours),
-            completed,
-            mean_wait_hours: if waits > 0 {
-                total_wait / waits as f64
-            } else {
-                0.0
-            },
-            fragmentation_stalls: frag_stalls,
-            unsupported,
-            migrations: 0,
-        }
-    }
-
-    /// Runs the contiguous (static-fabric) discipline with *migration
-    /// defragmentation*: on a fragmentation stall the scheduler repacks
-    /// every running job first-fit-decreasing into fresh boxes, charging
-    /// each moved job `migration_hours` of lost progress (checkpoint,
-    /// drain, restart). §4.2.4 credits the OCS pod's scheduler with
-    /// defragmenting "more effectively" — this quantifies what the static
-    /// alternative must pay for the same effect.
-    pub fn run_contiguous_with_defrag(
-        &self,
-        horizon_hours: f64,
-        migration_hours: f64,
-        seed: u64,
-    ) -> SimReport {
-        assert!(horizon_hours > 0.0 && migration_hours >= 0.0);
-        let alloc = crate::alloc::Contiguous;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let arrival = Exp::new(1.0 / self.mean_interarrival_hours).expect("positive rate");
-        let total_weight: f64 = self.mix.iter().map(|s| s.weight).sum();
-
-        let mut idle = CubeSet::ALL;
-        // Running jobs: (completion time, cubes, shape). The order is part
-        // of the model — `repack` breaks first-fit-decreasing ties by it:
-        // sorted by completion time at the top of each event, this
-        // event's placements appended.
-        let mut running: Vec<(f64, CubeSet, SliceShape)> = Vec::new();
-        let mut queue: VecDeque<PendingJob> = VecDeque::new();
-        let mut now = 0.0f64;
-        let mut next_arrival = arrival.sample(&mut rng);
-
-        let mut busy_cube_hours = 0.0f64;
-        let mut completed = 0u64;
-        let mut total_wait = 0.0f64;
-        let mut waits = 0u64;
-        let mut frag_stalls = 0u64;
-        let mut unsupported = 0u64;
-        let mut busy_cubes = 0usize;
-        // Cube-hours burned on checkpoint/drain/restart — occupied but not
-        // doing useful work, so excluded from utilization.
-        let mut migration_waste = 0.0f64;
-        let mut migrations = 0u64;
-
-        while now < horizon_hours {
-            running.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-            let next_release = running.first().map(|r| r.0);
-            let t_event = match next_release {
-                Some(r) if r <= next_arrival => r,
-                _ => next_arrival,
-            };
-            if t_event >= horizon_hours {
-                busy_cube_hours += busy_cubes as f64 * (horizon_hours - now);
-                break;
-            }
-            busy_cube_hours += busy_cubes as f64 * (t_event - now);
-            now = t_event;
-
-            if Some(t_event) == next_release {
-                let (_, cubes, _) = running.remove(0);
-                busy_cubes -= cubes.len();
-                idle = idle.union(cubes);
-                completed += 1;
-            } else {
-                let job = self.draw_job(&mut rng, total_weight, now);
-                if !alloc.supports(self.mix[job.spec].shape) {
-                    unsupported += 1;
-                } else {
-                    queue.push_back(job);
-                }
-                next_arrival = now + arrival.sample(&mut rng);
-            }
-
-            // Backfill, defragmenting on stalls.
-            let mut failed = FailedSpecs::default();
-            let mut i = 0;
-            while i < queue.len() {
-                let PendingJob { spec, need, .. } = queue[i];
-                let job_shape = self.mix[spec].shape;
+                let shape = self.mix[spec].shape;
                 let known = failed.contains(spec);
                 let place = |idle| -> Option<CubeSet> {
-                    Some(alloc.allocate(job_shape, idle)?.iter().copied().collect())
+                    Some(alloc.allocate(shape, idle)?.iter().copied().collect())
                 };
                 let mut placed = if known { None } else { place(idle) };
                 if placed.is_none() && idle.len() >= need {
                     frag_stalls += 1;
                     if !known {
-                        // Defragment: repack all running jobs FFD.
-                        if let Some((new_assignments, moved)) = repack(&running, job_shape) {
-                            idle = CubeSet::ALL;
-                            for (slot, &cubes) in new_assignments.iter().enumerate() {
-                                idle = idle.difference(cubes);
-                                let was_moved = moved.contains(&slot);
-                                let entry = &mut running[slot];
-                                entry.1 = cubes;
-                                if was_moved {
-                                    entry.0 += migration_hours;
-                                    migration_waste += cubes.len() as f64 * migration_hours;
-                                    migrations += 1;
-                                }
-                            }
+                        if let Some(room) = make_room(&mut running, shape, &mut migrations) {
+                            idle = room;
+                            running.reordered = true;
                             failed = FailedSpecs::default();
                             placed = place(idle);
                         }
@@ -401,7 +321,7 @@ impl ClusterSim {
                         busy_cubes += cubes.len();
                         total_wait += now - job.arrived;
                         waits += 1;
-                        running.push((now + job.duration, cubes, job_shape));
+                        running.jobs.push((now + job.duration, cubes, keep(shape)));
                     }
                     None => {
                         failed.insert(spec);
@@ -409,10 +329,12 @@ impl ClusterSim {
                     }
                 }
             }
+            running.settle();
         }
 
+        let useful = (busy_cube_hours - migrations.cube_hours).max(0.0);
         SimReport {
-            utilization: (busy_cube_hours - migration_waste).max(0.0) / (64.0 * horizon_hours),
+            utilization: useful / (64.0 * horizon_hours),
             completed,
             mean_wait_hours: if waits > 0 {
                 total_wait / waits as f64
@@ -421,27 +343,76 @@ impl ClusterSim {
             },
             fragmentation_stalls: frag_stalls,
             unsupported,
-            migrations,
+            migrations: migrations.jobs,
         }
     }
 }
 
+/// The running jobs, each `(completion time, cubes, what the stall rule
+/// keeps of it)`. The model orders them by completion time at the top of
+/// each event, stably, and appends the event's placements as they are
+/// made; `repack` breaks its size ties by that order. `jobs[..sorted]` is
+/// the sorted part reversed — the next release is the last entry —
+/// and `jobs[sorted..]` the event's placements.
+struct Running<K> {
+    jobs: Vec<(f64, CubeSet, K)>,
+    sorted: usize,
+    /// A repack moved completion times this event.
+    reordered: bool,
+}
+
+impl<K> Running<K> {
+    /// The slots of `jobs` in the model's order.
+    fn order(&self) -> impl Iterator<Item = usize> {
+        let (sorted, len) = (self.sorted, self.jobs.len());
+        (0..sorted).rev().chain(sorted..len)
+    }
+
+    /// Ends an event: the stable sort of the model's order. Each of the
+    /// event's placements goes after its equals, in turn — unless a repack
+    /// moved completion times, when the whole list is sorted again.
+    fn settle(&mut self) {
+        if std::mem::take(&mut self.reordered) {
+            self.jobs[..self.sorted].reverse();
+            self.jobs
+                .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+            self.jobs.reverse();
+        } else {
+            for i in self.sorted..self.jobs.len() {
+                let ends = self.jobs[i].0;
+                let at = self.jobs[..i].partition_point(|job| job.0 > ends);
+                self.jobs[at..=i].rotate_right(1);
+            }
+        }
+        self.sorted = self.jobs.len();
+    }
+}
+
+/// What defragmentation has cost so far.
+#[derive(Debug, Default)]
+struct Migrations {
+    /// Running jobs moved.
+    jobs: u64,
+    /// Cube-hours they spent checkpointing, draining and restarting.
+    cube_hours: f64,
+}
+
 /// First-fit-decreasing repack of the running jobs into boxes, leaving
-/// room for `incoming`. Returns per-job new cube sets and the indices of
-/// jobs whose assignment changed, or `None` if even a full repack cannot
-/// fit everything.
+/// room for `incoming`. Returns per-slot new cube sets and the slots whose
+/// assignment changed, or `None` if even a full repack cannot fit
+/// everything.
 fn repack(
-    running: &[(f64, CubeSet, SliceShape)],
+    running: &Running<SliceShape>,
     incoming: SliceShape,
 ) -> Option<(Vec<CubeSet>, Vec<usize>)> {
-    use crate::alloc::{Allocator, Contiguous};
-    let mut order: Vec<usize> = (0..running.len()).collect();
-    order.sort_by(|&a, &b| running[b].1.len().cmp(&running[a].1.len()));
+    let jobs = &running.jobs;
+    let mut order: Vec<usize> = running.order().collect();
+    order.sort_by(|&a, &b| jobs[b].1.len().cmp(&jobs[a].1.len()));
     let mut idle = CubeSet::ALL;
-    let mut new_assignments = vec![CubeSet::EMPTY; running.len()];
+    let mut new_assignments = vec![CubeSet::EMPTY; jobs.len()];
     for &slot in &order {
         let cubes: CubeSet = Contiguous
-            .allocate(running[slot].2, idle)?
+            .allocate(jobs[slot].2, idle)?
             .iter()
             .copied()
             .collect();
@@ -450,8 +421,9 @@ fn repack(
     }
     // The repack must actually make room for the stalled job.
     Contiguous.allocate(incoming, idle)?;
-    let moved = (0..running.len())
-        .filter(|&s| new_assignments[s] != running[s].1)
+    let moved = running
+        .order()
+        .filter(|&s| new_assignments[s] != jobs[s].1)
         .collect();
     Some((new_assignments, moved))
 }
@@ -459,7 +431,7 @@ fn repack(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alloc::{Contiguous, Pooled};
+    use crate::alloc::Pooled;
 
     fn busy_cluster() -> ClusterSim {
         // Heavy offered load so utilization is allocator-limited, not

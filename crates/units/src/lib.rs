@@ -137,19 +137,6 @@ impl fmt::Display for Db {
 pub struct Dbm(pub f64);
 
 impl Dbm {
-    /// Creates an absolute power from linear milliwatts.
-    ///
-    /// # Panics
-    /// Panics if `mw` is not finite and positive.
-    pub fn from_milliwatts(mw: Milliwatts) -> Dbm {
-        assert!(
-            mw.0.is_finite() && mw.0 > 0.0,
-            "power must be finite and > 0 mW, got {} mW",
-            mw.0
-        );
-        Dbm(10.0 * mw.0.log10())
-    }
-
     /// Converts to linear milliwatts.
     pub fn milliwatts(self) -> Milliwatts {
         Milliwatts(10f64.powf(self.0 / 10.0))
@@ -264,20 +251,6 @@ impl Gbps {
     /// The raw Gb/s value.
     pub fn gbps(self) -> f64 {
         self.0
-    }
-
-    /// Bytes per second at this rate.
-    pub fn bytes_per_sec(self) -> f64 {
-        self.0 * 1e9 / 8.0
-    }
-
-    /// Time to move `bytes` at this rate, in seconds.
-    ///
-    /// # Panics
-    /// Panics if the rate is not positive.
-    pub fn transfer_secs(self, bytes: f64) -> f64 {
-        assert!(self.0 > 0.0, "cannot transfer over a {} Gb/s link", self.0);
-        bytes / self.bytes_per_sec()
     }
 }
 
@@ -427,11 +400,6 @@ impl Availability {
     pub fn parallel(self, other: Availability) -> Availability {
         Availability(1.0 - (1.0 - self.0) * (1.0 - other.0))
     }
-
-    /// Expected downtime per year, in minutes.
-    pub fn downtime_minutes_per_year(self) -> f64 {
-        self.unavailability() * 365.25 * 24.0 * 60.0
-    }
 }
 
 impl fmt::Display for Availability {
@@ -558,7 +526,7 @@ mod tests {
     #[test]
     fn dbm_mw_roundtrip() {
         let p = Dbm(-7.3);
-        let back = Dbm::from_milliwatts(p.milliwatts());
+        let back = Dbm(10.0 * p.milliwatts().mw().log10());
         assert!(close(back.dbm(), -7.3, 1e-12));
         assert!(close(Dbm(0.0).milliwatts().mw(), 1.0, 1e-12));
         assert!(close(Dbm(10.0).milliwatts().mw(), 10.0, 1e-12));
@@ -580,7 +548,7 @@ mod tests {
     #[test]
     fn gbps_transfer_time() {
         // 1 GiB at 100 Gb/s ≈ 85.9 ms.
-        let t = Gbps(100.0).transfer_secs(1024.0 * 1024.0 * 1024.0);
+        let t = 1024.0 * 1024.0 * 1024.0 * 8.0 / (Gbps(100.0).gbps() * 1e9);
         assert!(close(t, 0.0859, 1e-3), "got {t}");
     }
 
@@ -624,7 +592,8 @@ mod tests {
     #[test]
     fn availability_nines() {
         assert!(close(Availability::from_nines(3.0).prob(), 0.999, 1e-12));
-        let dt = Availability::from_nines(4.0).downtime_minutes_per_year();
+        // Expected downtime per year, in minutes.
+        let dt = Availability::from_nines(4.0).unavailability() * 365.25 * 24.0 * 60.0;
         assert!(close(dt, 52.6, 0.5), "got {dt}");
     }
 

@@ -17,7 +17,7 @@
 mod oracle;
 
 use lightwave::fabric::{CommitError, CommitReport, OcsId};
-use lightwave::ocs::{OcsError, PalomarOcs, PortMapping, ReconfigReport, ReconfigSummary};
+use lightwave::ocs::{OcsError, PalomarOcs, PortId, ReconfigReport, ReconfigSummary};
 use lightwave::superpod::wiring::SUPERPOD_OCS_COUNT;
 use lightwave::superpod::{CubeId, PodError, Slice, SliceHandle, SliceShape, Superpod};
 use lightwave::units::Nanos;
@@ -131,8 +131,10 @@ fn fault(ocs: &mut PalomarOcs, op: Op) {
         Op::FailFru { slot, .. } => ocs.fail_fru(slot),
         Op::ReplaceFru { slot, .. } => ocs.replace_fru(slot),
         Op::WipeSwitch { .. } => {
-            // Refused on a down chassis; then it is not a fault either.
-            let _ = ocs.apply_mapping(&PortMapping::new());
+            // A delta that tears every circuit down. Refused on a down
+            // chassis; then it is not a fault either.
+            let every: Vec<PortId> = ocs.mapping().pairs().map(|(n, _)| n).collect();
+            let _ = ocs.apply_delta(&[], &every);
         }
         _ => unreachable!("switch faults only"),
     }
@@ -290,6 +292,43 @@ proptest! {
             step(&mut pod, &mut model, op)?;
         }
     }
+}
+
+/// A revived switch's resync is a full-target commit, and the circuits it
+/// kept through its outage are left untouched, on the pod as on the
+/// reference. The interleavings above reach this rarely: a switch must go
+/// down, miss a transaction, come back and be resynced.
+#[test]
+fn a_resync_leaves_what_the_revived_switch_kept_untouched() {
+    let (mut pod, mut model) = (Superpod::new(11), OraclePod::new(11));
+    let pair_of_cubes = |start| Op::Compose {
+        shape: 1,
+        start,
+        stride: 1,
+        idle_only: true,
+    };
+    // Cubes 0–1 ring on every X switch; switch 0's CPU fails, so the ring
+    // of cubes 2–3 misses it; the CPU is replaced.
+    for op in [
+        pair_of_cubes(0),
+        Op::FailFru { ocs: 0, slot: 14 },
+        pair_of_cubes(2),
+        Op::ReplaceFru { ocs: 0, slot: 14 },
+    ] {
+        step(&mut pod, &mut model, op).unwrap();
+    }
+    let want: Vec<_> = model
+        .resync()
+        .into_iter()
+        .map(|(id, r)| (id, r.map(|r| r.summary())))
+        .collect();
+    let got = pod.resync();
+    assert_eq!(got, want);
+    let [(0, Ok(row))] = got[..] else {
+        panic!("switch 0 alone resyncs: {got:?}");
+    };
+    assert_eq!((row.untouched, row.added, row.removed), (2, 2, 0));
+    same_state(&pod, &model).unwrap();
 }
 
 fn slice_of(cubes: Vec<CubeId>, shape_index: usize) -> Slice {

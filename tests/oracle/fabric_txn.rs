@@ -175,18 +175,27 @@ impl OraclePod {
         }
     }
 
-    /// The parent's `FabricController::commit` (full targets; resync).
+    /// `FabricController::commit` (full targets; resync) over the
+    /// switch's public delta API: each switch's diff against its target,
+    /// validated, then applied.
     fn commit(&mut self, target: &FabricTarget) -> Result<OracleReport, CommitError> {
+        let mut deltas = BTreeMap::new();
         for id in target.switches() {
-            let ocs = self.fleet.get(id).ok_or(CommitError::UnknownSwitch(id))?;
-            ocs.validate_mapping(target.get(id).expect("declared"))
+            let ocs = self
+                .fleet
+                .get_mut(id)
+                .ok_or(CommitError::UnknownSwitch(id))?;
+            let delta = ocs
+                .delta_to(target.get(id).expect("declared"))
+                .and_then(|d| ocs.validate_delta(&d.add, &d.remove).map(|()| d))
                 .map_err(|error| CommitError::Invalid { ocs: id, error })?;
+            deltas.insert(id, delta);
         }
         let mut per_switch = BTreeMap::new();
-        for id in target.switches() {
+        for (id, delta) in deltas {
             let ocs = self.fleet.get_mut(id).expect("validated");
             let report = ocs
-                .apply_mapping(target.get(id).expect("declared"))
+                .apply_delta(&delta.add, &delta.remove)
                 .map_err(|error| CommitError::Invalid { ocs: id, error })?;
             per_switch.insert(id, report);
         }

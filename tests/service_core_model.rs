@@ -18,7 +18,7 @@
 mod oracle;
 
 use lightwave::fabric::OcsId;
-use lightwave::ocs::{PalomarOcs, PortMapping};
+use lightwave::ocs::{PalomarOcs, PortId};
 use lightwave::scheduler::{Allocator, Contiguous, Pooled};
 use lightwave::service::{
     arrival, chips_for_cubes, Mix, PolicyConfig, Priority, ServiceCore, ServiceEvent, SliceIntent,
@@ -149,8 +149,11 @@ fn fault(pod: &mut Superpod, op: Op) {
         Op::FailFru { ocs, slot } => switch(pod, ocs).fail_fru(slot),
         Op::ReplaceFru { ocs, slot } => switch(pod, ocs).replace_fru(slot),
         Op::WipeSwitch { ocs } => {
-            // Refused on a down chassis; then it is not a fault either.
-            let _ = switch(pod, ocs).apply_mapping(&PortMapping::new());
+            // A delta that tears every circuit down. Refused on a down
+            // chassis; then it is not a fault either.
+            let ocs = switch(pod, ocs);
+            let every: Vec<PortId> = ocs.mapping().pairs().map(|(n, _)| n).collect();
+            let _ = ocs.apply_delta(&[], &every);
         }
         Op::Resync => {
             let _ = pod.resync();
