@@ -200,61 +200,27 @@ impl McChannel {
         assert!(symbols > 0, "must simulate at least one symbol");
         let phase: f64 = rng.random_range(0.0..std::f64::consts::TAU);
         if self.has_mpi {
-            self.run_mpi(symbols, rng, phase)
+            self.run_blocks::<true>(symbols, rng, phase)
         } else {
-            self.run_clean(symbols, rng)
+            self.run_blocks::<false>(symbols, rng, phase)
         }
     }
 
-    /// Clean-channel batched loop: 4 raw u64s per symbol (two for the
-    /// level, two for the noise), one multiply + compare for the gate.
+    /// The batched loop, one instantiation per channel kind. Clean: 4 raw
+    /// u64s per symbol (two for the level, two for the noise), one
+    /// multiply + compare for the gate. `MPI`: the beat-phase random walk
+    /// is inherently serial (every symbol's phase feeds the next), so its
+    /// Box–Muller step always runs — two more raw u64s per symbol; the
+    /// gate, with the worst-case beat amplitude pre-subtracted, still
+    /// skips the noise Box–Muller, the cos(φ) beat evaluation and the
+    /// slicing for the overwhelming majority of symbols.
     // The gate compares as `!(bound < q)` on purpose: a NaN bound must
     // fall through to the exact path, which `bound >= q` would not
     // guarantee.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    fn run_clean(&self, symbols: u64, rng: &mut StdRng) -> u64 {
+    fn run_blocks<const MPI: bool>(&self, symbols: u64, rng: &mut StdRng, mut phase: f64) -> u64 {
         let [t0, t1, t2] = self.thresholds;
-        let mut errors = 0u64;
-        let mut pending: Vec<(usize, u64, u64)> =
-            Vec::with_capacity(NOISE_BLOCK_SYMBOLS.min(symbols) as usize);
-        let mut remaining = symbols;
-        while remaining > 0 {
-            let block = remaining.min(NOISE_BLOCK_SYMBOLS);
-            pending.clear();
-            for _ in 0..block {
-                let level = rng.random_range(0usize..4);
-                let b1 = rng.next_u64();
-                let b2 = rng.next_u64();
-                let bound = self.envelope.bound(b1, b2);
-                // `!(bound < q)` keeps NaN bounds on the exact path.
-                if !(bound < self.qeff[level]) {
-                    pending.push((level, b1, b2));
-                }
-            }
-            for &(level, b1, b2) in &pending {
-                let z = standard_normal_from_bits(b1, b2);
-                // Exactly `currents[l] + noise[l].sample(rng)`:
-                // Normal::sample computes mean + std_dev·z with mean 0.
-                let current = self.currents[level] + (0.0 + self.sigma[level] * z);
-                let decided = usize::from(current > t0)
-                    + usize::from(current > t1)
-                    + usize::from(current > t2);
-                errors += BIT_ERRORS[level][decided];
-            }
-            remaining -= block;
-        }
-        errors
-    }
-
-    /// MPI batched loop: the beat-phase random walk is inherently serial
-    /// (every symbol's phase feeds the next), so its Box–Muller step always
-    /// runs; the gate — with the worst-case beat amplitude pre-subtracted —
-    /// still skips the noise Box–Muller, the cos(φ) beat evaluation and the
-    /// slicing for the overwhelming majority of symbols.
-    // `!(bound < q)` rather than `>=`: NaN bounds must take the exact path.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    fn run_mpi(&self, symbols: u64, rng: &mut StdRng, mut phase: f64) -> u64 {
-        let [t0, t1, t2] = self.thresholds;
+        let qeff = if MPI { &self.qeff_mpi } else { &self.qeff };
         let mut errors = 0u64;
         let mut pending: Vec<(usize, u64, u64, f64)> =
             Vec::with_capacity(NOISE_BLOCK_SYMBOLS.min(symbols) as usize);
@@ -266,20 +232,25 @@ impl McChannel {
                 let level = rng.random_range(0usize..4);
                 let b1 = rng.next_u64();
                 let b2 = rng.next_u64();
-                // Exactly `phase_step.sample(rng)`: mean + std_dev·z.
-                phase += self.phase_step.mean()
-                    + self.phase_step.std_dev()
-                        * standard_normal_from_bits(rng.next_u64(), rng.next_u64());
+                if MPI {
+                    // Exactly `phase_step.sample(rng)`: mean + std_dev·z.
+                    phase += self.phase_step.mean()
+                        + self.phase_step.std_dev()
+                            * standard_normal_from_bits(rng.next_u64(), rng.next_u64());
+                }
                 let bound = self.envelope.bound(b1, b2);
-                if !(bound < self.qeff_mpi[level]) {
+                if !(bound < qeff[level]) {
                     pending.push((level, b1, b2, phase));
                 }
             }
             for &(level, b1, b2, sym_phase) in &pending {
                 let z = standard_normal_from_bits(b1, b2);
-                let current = self.currents[level]
-                    + (0.0 + self.sigma[level] * z)
-                    + self.beat_scale[level] * sym_phase.cos();
+                // Exactly `currents[l] + noise[l].sample(rng)`:
+                // Normal::sample computes mean + std_dev·z with mean 0.
+                let mut current = self.currents[level] + (0.0 + self.sigma[level] * z);
+                if MPI {
+                    current += self.beat_scale[level] * sym_phase.cos();
+                }
                 let decided = usize::from(current > t0)
                     + usize::from(current > t1)
                     + usize::from(current > t2);

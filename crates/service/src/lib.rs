@@ -29,7 +29,9 @@
 //!   cells), watched through the [`Observer`] seam: `()`,
 //!   [`ScopeCollector`], [`CampusObserver`], the single-cell
 //!   [`Lifecycle`] (lifecycle spans and the queue-depth counter track),
-//!   or any pair of them. Observation never changes the report.
+//!   or any pair of them. Observation never changes the report. The
+//!   scope collector and `Lifecycle` read each request's lifecycle
+//!   through one decoder, the crate-private request fold.
 //!
 //! ```
 //! use lightwave_par::Pool;
@@ -51,6 +53,7 @@
 pub mod arrivals;
 pub mod campus;
 pub mod engine;
+mod fold;
 pub mod intent;
 pub mod lifecycle;
 pub mod metrics;

@@ -5,18 +5,20 @@
 //! [`ServiceReport`](crate::ServiceReport); admission burn is
 //! [`CampusObserver`](crate::CampusObserver)'s ledger.
 //!
-//! Every span is stamped with the event's own `at`, never with when the
-//! batch was handed over; only the queue-depth sample, which is a
-//! property of the step and not of an event, takes the step's time.
+//! The crate's request fold decodes the events; this module only opens
+//! and closes spans, each stamped with the event's own `at`, never with
+//! when the batch was handed over. Only the queue-depth sample, a property
+//! of the step and not of an event, takes the step's time.
 
 use crate::engine::{Observer, Step};
+use crate::fold::{RequestFold, RequestSink, Transition};
+use crate::intent::Priority;
 use crate::queue::ServiceEvent;
-use crate::scope::{scope_sampled, scope_span_id};
+use crate::scope::{scope_sampled, scope_span_id, ScopePhase};
 use lightwave_superpod::instrument::{trace_compose, trace_release};
 use lightwave_telemetry::{SeriesId, SeriesStore};
 use lightwave_trace::{Lane, RequestStage, SpanId, SpanKind, Tracer};
 use lightwave_units::Nanos;
-use std::collections::BTreeMap;
 
 /// One cell's lifecycle instruments (see module docs), run with
 /// [`run_cell_with`](crate::run_cell_with); finishing hands the observer
@@ -35,12 +37,18 @@ pub struct Lifecycle {
     trace_requests: u64,
     scope_every: u64,
     depth: SeriesId,
-    /// Last lifecycle span of each traced request still in flight.
-    open: BTreeMap<u64, SpanId>,
-    /// Open root lifecycle span of each scope-sampled request, with id
-    /// pre-derived by [`scope_span_id`] so a [`ScopeReport`](crate::ScopeReport)
-    /// of the same seed resolves into this trace.
-    scope_roots: BTreeMap<u64, SpanId>,
+    fold: RequestFold<Open>,
+}
+
+/// The spans of one watched request.
+#[derive(Debug, Default)]
+pub(crate) struct Open {
+    /// Its open root lifecycle span, when scope-sampled: the id is
+    /// [`scope_span_id`], so a [`ScopeReport`](crate::ScopeReport) of
+    /// the same seed resolves into this trace.
+    root: Option<SpanId>,
+    /// Its latest stage span, when traced: the next one follows it.
+    last: Option<SpanId>,
 }
 
 impl Lifecycle {
@@ -58,180 +66,93 @@ impl Lifecycle {
             trace_requests,
             scope_every,
             depth,
-            open: BTreeMap::new(),
-            scope_roots: BTreeMap::new(),
+            fold: RequestFold::default(),
         }
     }
 
-    fn traced(&self, request: u64) -> bool {
-        request < self.trace_requests
-    }
-
-    /// A zero-width lifecycle stage span chained after `prev`, parented
-    /// under the request's root scope span when one is open.
-    fn stage_mark(
-        &mut self,
-        request: u64,
-        stage: RequestStage,
-        at: Nanos,
-        prev: Option<SpanId>,
-    ) -> SpanId {
-        let parent = self.scope_roots.get(&request).copied();
-        let span = self.tracer.span(
-            Lane::Scheduler,
-            parent,
-            at,
-            at,
-            SpanKind::ServiceRequest { request, stage },
-        );
-        if let Some(prev) = prev {
+    /// Records a stage span over `[at, end]` (left open without `end`),
+    /// chained after the request's last.
+    fn stage(&mut self, open: &mut Open, kind: SpanKind, at: Nanos, end: Option<Nanos>) -> SpanId {
+        let span = self.tracer.begin(Lane::Scheduler, open.root, at, kind);
+        if let Some(end) = end {
+            self.tracer.end(span, end);
+        }
+        if let Some(prev) = open.last.replace(span) {
             self.tracer.link_follows(span, prev);
         }
         span
     }
 
-    fn apply(&mut self, ev: &ServiceEvent) {
-        match ev {
-            ServiceEvent::Enqueued { request, at, .. } => {
-                let at = *at;
-                if scope_sampled(self.seed, *request, self.scope_every)
-                    && !self.scope_roots.contains_key(request)
-                {
-                    let id = scope_span_id(self.seed, *request);
-                    self.tracer.begin_with_id(
-                        id,
-                        Lane::Scheduler,
-                        None,
-                        at,
-                        SpanKind::ServiceRequest {
-                            request: *request,
-                            stage: RequestStage::Lifecycle,
-                        },
-                    );
-                    self.scope_roots.insert(*request, id);
+    /// A traced request's stage spans for one transition.
+    fn stages(&mut self, request: u64, open: &mut Open, t: Transition<'_>) {
+        let kind = |stage| SpanKind::ServiceRequest { request, stage };
+        match t {
+            Transition::Queued(at) => {
+                self.stage(open, kind(RequestStage::Enqueue), at, None);
+            }
+            Transition::Rejected(at) => {
+                self.stage(open, kind(RequestStage::Reject), at, Some(at));
+            }
+            Transition::Phase(ScopePhase::Admit, at, _, _) => {
+                self.stage(open, kind(RequestStage::Admit), at, Some(at));
+            }
+            Transition::Phase(ScopePhase::Compose, at, ready, commit) => {
+                let compose = self.stage(open, kind(RequestStage::Compose), at, Some(ready));
+                if let Some((report, cubes)) = commit {
+                    trace_compose(&mut self.tracer, Some(compose), 0, at, cubes, report);
                 }
-                if self.traced(*request) {
-                    let prev = self.open.remove(request);
-                    let parent = self.scope_roots.get(request).copied();
-                    let span = self.tracer.begin(
-                        Lane::Scheduler,
-                        parent,
-                        at,
-                        SpanKind::ServiceRequest {
-                            request: *request,
-                            stage: RequestStage::Enqueue,
-                        },
-                    );
-                    if let Some(prev) = prev {
-                        self.tracer.link_follows(span, prev);
-                    }
-                    self.open.insert(*request, span);
+                self.stage(open, kind(RequestStage::Run), ready, None);
+            }
+            Transition::Phase(ScopePhase::Release, at, _, commit) => {
+                let release = self.stage(open, kind(RequestStage::Release), at, Some(at));
+                if let Some((report, cubes)) = commit {
+                    trace_release(&mut self.tracer, Some(release), 0, at, cubes, report);
                 }
             }
-            ServiceEvent::Rejected { request, at, .. } => {
-                let at = *at;
-                if self.traced(*request) {
-                    let prev = self.open.remove(request);
-                    if let Some(span) = prev {
-                        self.tracer.end(span, at);
-                    }
-                    self.stage_mark(*request, RequestStage::Reject, at, prev);
+            // The rest end the request's open enqueue or run span.
+            Transition::Phase(phase, _, at, commit) => {
+                if let Some(open_span) = open.last {
+                    self.tracer.end(open_span, at);
                 }
-                if let Some(root) = self.scope_roots.remove(request) {
-                    self.tracer.end(root, at);
+                if phase == ScopePhase::Preempt {
+                    let preempt = self.stage(open, kind(RequestStage::Preempt), at, Some(at));
+                    if let Some((report, cubes)) = commit {
+                        trace_release(&mut self.tracer, Some(preempt), 0, at, cubes, report);
+                    }
                 }
             }
-            ServiceEvent::Admitted {
-                request,
-                at,
-                cubes,
-                report,
-                ..
-            } => {
-                let at = *at;
-                if self.traced(*request) {
-                    let enqueue = self.open.remove(request);
-                    if let Some(span) = enqueue {
-                        self.tracer.end(span, at);
-                    }
-                    let admit = self.stage_mark(*request, RequestStage::Admit, at, enqueue);
-                    let ready = report.traffic_ready_at.max(at);
-                    let parent = self.scope_roots.get(request).copied();
-                    let compose = self.tracer.span(
-                        Lane::Scheduler,
-                        parent,
-                        at,
-                        ready,
-                        SpanKind::ServiceRequest {
-                            request: *request,
-                            stage: RequestStage::Compose,
-                        },
-                    );
-                    self.tracer.link_follows(compose, admit);
-                    trace_compose(&mut self.tracer, Some(compose), 0, at, *cubes, report);
-                    let run = self.tracer.begin(
-                        Lane::Scheduler,
-                        parent,
-                        ready,
-                        SpanKind::ServiceRequest {
-                            request: *request,
-                            stage: RequestStage::Run,
-                        },
-                    );
-                    self.tracer.link_follows(run, compose);
-                    self.open.insert(*request, run);
-                }
+        }
+    }
+}
+
+impl RequestSink for Lifecycle {
+    type State = Open;
+
+    fn start(&mut self, request: u64, _class: Priority) -> Option<Open> {
+        let sampled = scope_sampled(self.seed, request, self.scope_every);
+        (request < self.trace_requests || sampled).then(Open::default)
+    }
+
+    fn step(&mut self, request: u64, open: &mut Open, t: Transition<'_>) {
+        // The root opens first: it is every stage span's parent.
+        if let (Transition::Queued(at), None) = (t, open.root) {
+            if scope_sampled(self.seed, request, self.scope_every) {
+                let id = scope_span_id(self.seed, request);
+                let stage = RequestStage::Lifecycle;
+                let kind = SpanKind::ServiceRequest { request, stage };
+                let root = self
+                    .tracer
+                    .begin_with_id(id, Lane::Scheduler, None, at, kind);
+                open.root = Some(root);
             }
-            ServiceEvent::Preempted {
-                request,
-                at,
-                report,
-                ..
-            } => {
-                let at = *at;
-                if self.traced(*request) {
-                    let run = self.open.remove(request);
-                    if let Some(span) = run {
-                        self.tracer.end(span, at);
-                    }
-                    let preempt = self.stage_mark(*request, RequestStage::Preempt, at, run);
-                    trace_release(&mut self.tracer, Some(preempt), 0, at, 0, report);
-                    // The request re-queued: a fresh enqueue span
-                    // chains after the eviction.
-                    let parent = self.scope_roots.get(request).copied();
-                    let enqueue = self.tracer.begin(
-                        Lane::Scheduler,
-                        parent,
-                        at,
-                        SpanKind::ServiceRequest {
-                            request: *request,
-                            stage: RequestStage::Enqueue,
-                        },
-                    );
-                    self.tracer.link_follows(enqueue, preempt);
-                    self.open.insert(*request, enqueue);
-                }
-            }
-            ServiceEvent::Completed {
-                request,
-                at,
-                cubes,
-                report,
-                ..
-            } => {
-                let at = *at;
-                if self.traced(*request) {
-                    let run = self.open.remove(request);
-                    if let Some(span) = run {
-                        self.tracer.end(span, at);
-                    }
-                    let release = self.stage_mark(*request, RequestStage::Release, at, run);
-                    trace_release(&mut self.tracer, Some(release), 0, at, *cubes, report);
-                }
-                if let Some(root) = self.scope_roots.remove(request) {
-                    // The lifecycle ends when the release settles.
-                    self.tracer.end(root, report.traffic_ready_at.max(at));
-                }
+        }
+        if request < self.trace_requests {
+            self.stages(request, open, t);
+        }
+        // The lifecycle ends at a rejection, or when the release settles.
+        if let Transition::Rejected(end) | Transition::Phase(ScopePhase::Release, _, end, _) = t {
+            if let Some(root) = open.root.take() {
+                self.tracer.end(root, end);
             }
         }
     }
@@ -241,19 +162,25 @@ impl Observer for Lifecycle {
     type Output = Lifecycle;
 
     fn batch(&mut self, step: &Step<'_>, events: &[ServiceEvent]) {
-        for ev in events {
-            self.apply(ev);
-        }
+        let mut fold = std::mem::take(&mut self.fold);
+        fold.observe(self, events);
+        self.fold = fold;
         self.series
             .push(self.depth, step.now, step.core.queue_depth() as f64);
     }
 
     /// Closes any root lifecycle span whose request never terminated
-    /// (possible only under injected faults): open spans would otherwise
-    /// be dropped from the export.
+    /// (possible only under injected faults), in request order: open
+    /// spans would otherwise be dropped from the export.
     fn finish(mut self, end: Nanos) -> Lifecycle {
-        for (_, span) in std::mem::take(&mut self.scope_roots) {
-            self.tracer.end(span, end);
+        let mut roots: Vec<(u64, SpanId)> = self
+            .fold
+            .states()
+            .filter_map(|(request, open)| Some((request, open.root?)))
+            .collect();
+        roots.sort_unstable();
+        for (_, root) in roots {
+            self.tracer.end(root, end);
         }
         self
     }

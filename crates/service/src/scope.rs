@@ -1,23 +1,11 @@
 //! `lightwave-scope`: request-level critical-path attribution.
 //!
 //! An aggregate wait histogram says *that* the tail is slow; this module
-//! says *why*. A deterministic sampler picks requests purely from
-//! `(seed, request_index)`, and for each sampled request the
-//! [`ScopeCollector`] folds the [`ServiceEvent`] stream into an
-//! integer sim-time phase breakdown of the whole lifecycle:
-//!
-//! - **queue_wait** — enqueue (or re-queue after preemption) to
-//!   admission, summed over admissions;
-//! - **admit** — the admission decision itself. The policy decides at
-//!   one sim instant, so this phase is structurally zero today; it is
-//!   kept as a phase so any future decision cost shows up attributed,
-//!   not silently folded into a neighbour;
-//! - **compose** — admission to `traffic_ready_at` of the compose
-//!   transaction (fabric reconfiguration + link bring-up);
-//! - **hold** — time actually serving;
-//! - **release** — the release transaction's settle window;
-//! - **preempt** — serving time wasted to evictions (the re-queue wait
-//!   lands back in queue_wait).
+//! says *why*. A deterministic sampler ([`scope_sampled`]) picks requests
+//! purely from `(seed, request_index)`, and for each sampled request the
+//! [`ScopeCollector`] sums the crate's request fold's phases — the six
+//! [`ScopePhase`]s, which partition the lifecycle — into integer sim-time
+//! nanoseconds.
 //!
 //! Phases aggregate into per-class × per-phase [`ScopeDist`]s whose
 //! histograms carry per-bucket
@@ -28,12 +16,6 @@
 //! span a [`Lifecycle`](crate::Lifecycle) of the same seed opens for
 //! that request (see
 //! [`Tracer::begin_with_id`](lightwave_trace::Tracer::begin_with_id)).
-//! A report resolves in a trace only where both watched the request:
-//! the `request_scope` example writes `scope_report.json` and
-//! `request_scope_trace.json` from one fully sampled cell under a
-//! `(ScopeCollector, Lifecycle)` pair, so every exemplar of that report
-//! is a flagged span of that trace — the artifact reader in
-//! `lightwave-bench` checks the pair both ways.
 //!
 //! Everything here obeys the DESIGN §6.7 determinism contract: event-time
 //! stamping, integer arithmetic, lattice-join exemplars, shard-order
@@ -43,6 +25,7 @@
 //! [`ScopeReport`].
 
 use crate::engine::{Observer, ShardObserver, Step};
+use crate::fold::{RequestFold, RequestSink, Transition};
 use crate::intent::Priority;
 use crate::queue::ServiceEvent;
 use lightwave_par::splitmix;
@@ -50,8 +33,7 @@ use lightwave_telemetry::{ExemplarHistogram, ExemplarSnapshot};
 use lightwave_trace::{derive_span_id, SpanId};
 use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Stream offset separating the scope sampler / span-id stream from the
 /// arrival stream and every tracer's counter stream. Root lifecycle span
@@ -73,29 +55,6 @@ pub fn scope_sampled(seed: u64, request: u64, every: u64) -> bool {
     }
 }
 
-/// The hasher of [`ScopeCollector`]'s in-flight table: one multiply by
-/// the 64-bit golden ratio. Its keys are request indices, which are near
-/// consecutive, and nothing iterates the table, so its order never
-/// reaches a report.
-#[derive(Debug, Default)]
-struct IndexHasher(u64);
-
-impl Hasher for IndexHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// The root lifecycle span id of a sampled request: pure in
 /// `(seed, request)` — a sharded run that never builds a tracer reports
 /// the same span id a traced run assigns via
@@ -104,22 +63,25 @@ pub fn scope_span_id(seed: u64, request: u64) -> SpanId {
     derive_span_id(seed ^ SCOPE_STREAM, request)
 }
 
-/// One phase of a request's critical path (see module docs).
+/// One phase of a request's critical path. The six partition its
+/// lifecycle, so they sum to its end-to-end time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ScopePhase {
-    /// Waiting in the admission queue (including post-preemption
-    /// re-queue waits).
+    /// Enqueue (or re-queue after an eviction) to admission.
     QueueWait,
-    /// The admission decision (structurally zero today — see module
-    /// docs).
+    /// The admission decision. The policy decides at one sim instant, so
+    /// this is structurally zero; it is a phase so that a future decision
+    /// cost shows up attributed, not folded into a neighbour.
     Admit,
-    /// Compose transaction: fabric reconfiguration + link bring-up.
+    /// Admission to `traffic_ready_at` of the compose transaction:
+    /// fabric reconfiguration + link bring-up.
     Compose,
     /// Serving the hold.
     Hold,
-    /// Release transaction settle.
+    /// Completion to `traffic_ready_at` of the release transaction.
     Release,
-    /// Serving time wasted to preemption evictions.
+    /// Serving time wasted to evictions (the re-queue wait lands back in
+    /// `QueueWait`).
     Preempt,
 }
 
@@ -147,16 +109,9 @@ impl ScopePhase {
         }
     }
 
-    /// Position in [`ScopePhase::ALL`].
+    /// Position in [`ScopePhase::ALL`] (the declaration order).
     pub fn index(self) -> usize {
-        match self {
-            ScopePhase::QueueWait => 0,
-            ScopePhase::Admit => 1,
-            ScopePhase::Compose => 2,
-            ScopePhase::Hold => 3,
-            ScopePhase::Release => 4,
-            ScopePhase::Preempt => 5,
-        }
+        self as usize
     }
 }
 
@@ -252,9 +207,9 @@ impl ClassScope {
     }
 }
 
-/// The retained full timeline of one sampled request — kept only while
-/// the request is an exemplar of its class's total-latency histogram, so
-/// memory stays O(buckets) however many requests are sampled.
+/// The full timeline of one sampled request: summed while it is in
+/// flight, then kept only while it is an exemplar of its class's
+/// total-latency histogram, so memory stays O(buckets).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScopeTimeline {
     /// Request index.
@@ -494,10 +449,13 @@ impl ScopeReport {
     /// A deterministic human-readable critical-path summary — the
     /// "p99 of training is 73% compose, 22% queue wait" view.
     pub fn render(&self) -> String {
+        let sampling = match self.every {
+            0 => "sampling off".to_string(),
+            n => format!("1-in-{n} sampling"),
+        };
         let mut out = String::new();
         out.push_str(&format!(
-            "scope: 1-in-{} sampling — {} sampled, {} rejected, {} in flight, {} exemplar timeline(s)\n",
-            self.every.max(1),
+            "scope: {sampling} — {} sampled, {} rejected, {} in flight, {} exemplar timeline(s)\n",
             self.sampled,
             self.rejected,
             self.inflight,
@@ -640,185 +598,116 @@ pub struct TimelineSnapshot {
     pub delta_pairs: u64,
 }
 
-/// In-flight state of one sampled request.
-#[derive(Debug, Clone, Copy)]
-struct LiveScope {
-    class: Priority,
-    span: u64,
-    serving_from: Nanos,
-    phase_nanos: [u64; 6],
-    admissions: u32,
-    preemptions: u32,
-    touched_switches: u64,
-    delta_pairs: u64,
-}
-
-/// Folds a cell's [`ServiceEvent`] stream into a [`ScopeReport`].
-///
-/// Attribution is event-time stamped: every duration derives from the
-/// `at` fields the core emitted, never from when the collector ran —
-/// the rule that makes the report thread-count invariant (DESIGN §6.7).
+/// Folds a cell's [`ServiceEvent`] stream into a [`ScopeReport`]: the
+/// crate's request fold decodes the stream, and the collector sums the
+/// phases it hands over into each sampled request's [`ScopeTimeline`].
 #[derive(Debug, Clone)]
 pub struct ScopeCollector {
+    fold: RequestFold<ScopeTimeline>,
+    sums: PhaseSums,
+}
+
+/// The collector's half the fold hands transitions to.
+#[derive(Debug, Clone)]
+struct PhaseSums {
     seed: u64,
-    every: u64,
-    /// Sampled requests in flight, by request index.
-    live: HashMap<u64, LiveScope, BuildHasherDefault<IndexHasher>>,
     report: ScopeReport,
-    since_gc: u64,
 }
 
 impl ScopeCollector {
     /// A collector sampling 1-in-`every` of `seed`'s arrival stream.
     pub fn new(seed: u64, every: u64) -> ScopeCollector {
-        ScopeCollector {
-            seed,
+        let report = ScopeReport {
             every,
-            live: HashMap::default(),
-            report: ScopeReport {
-                every,
-                ..ScopeReport::default()
-            },
-            since_gc: 0,
+            ..ScopeReport::default()
+        };
+        ScopeCollector {
+            fold: RequestFold::default(),
+            sums: PhaseSums { seed, report },
         }
-    }
-
-    /// Whether this collector samples `request` (see [`scope_sampled`]).
-    pub fn sampled(&self, request: u64) -> bool {
-        scope_sampled(self.seed, request, self.every)
     }
 
     /// Folds one batch of events in. Call with every batch the core
     /// emits, before the caller clears it.
     pub fn observe(&mut self, events: &[ServiceEvent]) {
-        if self.every == 0 {
-            return;
-        }
-        for ev in events {
-            match ev {
-                ServiceEvent::Enqueued { request, class, .. } => {
-                    if !self.sampled(*request) || self.live.contains_key(request) {
-                        continue;
-                    }
-                    self.report.sampled += 1;
-                    self.live.insert(
-                        *request,
-                        LiveScope {
-                            class: *class,
-                            span: scope_span_id(self.seed, *request).0,
-                            serving_from: Nanos(0),
-                            phase_nanos: [0; 6],
-                            admissions: 0,
-                            preemptions: 0,
-                            touched_switches: 0,
-                            delta_pairs: 0,
-                        },
-                    );
-                }
-                ServiceEvent::Rejected { request, .. } => {
-                    if !self.sampled(*request) {
-                        continue;
-                    }
-                    if self.live.remove(request).is_none() {
-                        // Invalid intents reject before enqueueing:
-                        // still a sampled observation.
-                        self.report.sampled += 1;
-                    }
-                    self.report.rejected += 1;
-                }
-                ServiceEvent::Admitted {
-                    request,
-                    at,
-                    waited,
-                    report,
-                    ..
-                } => {
-                    let Some(l) = self.live.get_mut(request) else {
-                        continue;
-                    };
-                    l.admissions += 1;
-                    l.phase_nanos[ScopePhase::QueueWait.index()] += waited.0;
-                    // The admission decision happens at one sim instant
-                    // — Admit stays 0 (recorded as an exact zero at
-                    // completion, not dropped).
-                    let serving = report.traffic_ready_at.max(*at);
-                    l.phase_nanos[ScopePhase::Compose.index()] += serving.saturating_sub(*at).0;
-                    l.serving_from = serving;
-                    let touched = report.per_switch.len() as u64;
-                    l.touched_switches += touched;
-                    l.delta_pairs += (report.added + report.removed) as u64;
-                    let (req, span) = (*request, l.span);
-                    self.report.touched_switches.record(touched, req, span);
-                    self.report
-                        .pairs_added
-                        .record(report.added as u64, req, span);
-                    self.report
-                        .pairs_removed
-                        .record(report.removed as u64, req, span);
-                }
-                ServiceEvent::Preempted { request, at, .. } => {
-                    let Some(l) = self.live.get_mut(request) else {
-                        continue;
-                    };
-                    l.preemptions += 1;
-                    l.phase_nanos[ScopePhase::Preempt.index()] +=
-                        at.saturating_sub(l.serving_from).0;
-                }
-                ServiceEvent::Completed {
-                    request,
-                    at,
-                    report,
-                    ..
-                } => {
-                    let Some(mut l) = self.live.remove(request) else {
-                        continue;
-                    };
-                    l.phase_nanos[ScopePhase::Hold.index()] += at.saturating_sub(l.serving_from).0;
-                    l.phase_nanos[ScopePhase::Release.index()] +=
-                        report.traffic_ready_at.saturating_sub(*at).0;
-                    self.complete(*request, l);
-                }
-            }
-        }
-    }
-
-    fn complete(&mut self, request: u64, l: LiveScope) {
-        let total: u64 = l.phase_nanos.iter().sum();
-        let c = &mut self.report.classes[l.class.rank()];
-        c.sampled_completed += 1;
-        for (i, &p) in l.phase_nanos.iter().enumerate() {
-            c.phases[i].record(p, request, l.span);
-        }
-        let keep = c.total.record(total, request, l.span);
-        if keep {
-            self.report.timelines.insert(
-                request,
-                ScopeTimeline {
-                    request,
-                    class: l.class,
-                    span: l.span,
-                    phase_nanos: l.phase_nanos,
-                    total_nanos: total,
-                    admissions: l.admissions,
-                    preemptions: l.preemptions,
-                    touched_switches: l.touched_switches,
-                    delta_pairs: l.delta_pairs,
-                },
-            );
-        }
-        self.since_gc += 1;
-        if self.since_gc >= GC_PERIOD {
-            self.report.gc();
-            self.since_gc = 0;
+        if self.sums.report.every != 0 {
+            self.fold.observe(&mut self.sums, events);
         }
     }
 
     /// Finishes the cell: in-flight sampled requests become `inflight`,
     /// displaced timelines are dropped, and the report is returned.
     pub fn finish(mut self) -> ScopeReport {
-        self.report.inflight += self.live.len() as u64;
-        self.report.gc();
-        self.report
+        self.sums.report.inflight += self.fold.states().count() as u64;
+        self.sums.report.gc();
+        self.sums.report
+    }
+}
+
+impl PhaseSums {
+    /// Records a sampled request's finished timeline.
+    fn complete(&mut self, tl: &mut ScopeTimeline) {
+        tl.total_nanos = tl.phase_nanos.iter().sum();
+        let c = &mut self.report.classes[tl.class.rank()];
+        c.sampled_completed += 1;
+        for (dist, &p) in c.phases.iter_mut().zip(&tl.phase_nanos) {
+            dist.record(p, tl.request, tl.span);
+        }
+        if c.total.record(tl.total_nanos, tl.request, tl.span) {
+            self.report.timelines.insert(tl.request, *tl);
+        }
+        let completed = self.report.classes.iter().map(|c| c.sampled_completed);
+        if completed.sum::<u64>().is_multiple_of(GC_PERIOD) {
+            self.report.gc();
+        }
+    }
+}
+
+impl RequestSink for PhaseSums {
+    type State = ScopeTimeline;
+
+    fn start(&mut self, request: u64, class: Priority) -> Option<ScopeTimeline> {
+        if !scope_sampled(self.seed, request, self.report.every) {
+            return None;
+        }
+        self.report.sampled += 1;
+        Some(ScopeTimeline {
+            request,
+            class,
+            span: scope_span_id(self.seed, request).0,
+            phase_nanos: [0; 6],
+            total_nanos: 0,
+            admissions: 0,
+            preemptions: 0,
+            touched_switches: 0,
+            delta_pairs: 0,
+        })
+    }
+
+    fn step(&mut self, request: u64, tl: &mut ScopeTimeline, t: Transition<'_>) {
+        let Transition::Phase(phase, from, to, commit) = t else {
+            if let Transition::Rejected(_) = t {
+                self.report.rejected += 1;
+            }
+            return;
+        };
+        tl.phase_nanos[phase.index()] += to.saturating_sub(from).0;
+        match (phase, commit) {
+            (ScopePhase::Admit, _) => tl.admissions += 1,
+            (ScopePhase::Compose, Some((commit, _))) => {
+                let touched = commit.per_switch.len() as u64;
+                let (added, removed) = (commit.added as u64, commit.removed as u64);
+                tl.touched_switches += touched;
+                tl.delta_pairs += added + removed;
+                let shape = &mut self.report;
+                shape.touched_switches.record(touched, request, tl.span);
+                shape.pairs_added.record(added, request, tl.span);
+                shape.pairs_removed.record(removed, request, tl.span);
+            }
+            (ScopePhase::Preempt, _) => tl.preemptions += 1,
+            (ScopePhase::Release, _) => self.complete(tl),
+            _ => {}
+        }
     }
 }
 
@@ -950,6 +839,14 @@ mod tests {
         let text = report.render();
         assert!(text.contains("compose"), "render names the phase: {text}");
         assert!(text.contains("p99.9"), "render names the quantile");
+        for (every, sampling) in [(1, "1-in-1 sampling"), (0, "sampling off")] {
+            let text = ScopeReport {
+                every,
+                ..report.clone()
+            }
+            .render();
+            assert!(text.starts_with(&format!("scope: {sampling} — ")), "{text}");
+        }
     }
 
     #[test]
@@ -963,23 +860,15 @@ mod tests {
                 ScopeCollector::new(3, 1),
             ];
             for r in 0..40u64 {
-                let phases = [r * 1000, 0, (r % 7) * 50_000, 1_000_000 + r * r * 999, 0, 0];
-                let l = LiveScope {
-                    class: Priority::Inference,
-                    span: scope_span_id(3, r).0,
-                    serving_from: Nanos(0),
-                    phase_nanos: phases,
-                    admissions: 1,
-                    preemptions: 0,
-                    touched_switches: 2,
-                    delta_pairs: 8,
-                };
                 let target = match which {
                     0 => 0,
                     _ => 1 + (r % 2) as usize,
                 };
-                col[target].report.sampled += 1;
-                col[target].complete(r, l);
+                let sums = &mut col[target].sums;
+                let mut tl = sums.start(r, Priority::Inference).expect("1-in-1");
+                tl.phase_nanos = [r * 1000, 0, (r % 7) * 50_000, 1_000_000 + r * r * 999, 0, 0];
+                (tl.admissions, tl.touched_switches, tl.delta_pairs) = (1, 2, 8);
+                sums.complete(&mut tl);
             }
             col
         };

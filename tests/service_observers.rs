@@ -29,11 +29,11 @@ use lightwave::service::{
 use lightwave::superpod::Superpod;
 use lightwave::trace::validate::validate_chrome_trace;
 use lightwave::trace::{
-    to_chrome_trace_annotated, to_chrome_trace_with_counters, RequestStage, SpanKind,
+    to_chrome_trace_annotated, to_chrome_trace_with_counters, RequestStage, SpanKind, SpanRecord,
 };
 use lightwave::units::Nanos;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// The whole run as one cell (cell 0).
 fn whole(cfg: &ServiceConfig) -> Shard {
@@ -284,6 +284,60 @@ fn scope_exemplars_resolve_into_the_lifecycle_trace() {
     let json = to_chrome_trace_annotated(&watched.tracer, &[], &spans);
     assert!(json.contains("\"exemplar\":true"));
     validate_chrome_trace(&json).expect("valid trace");
+}
+
+/// A traced preemption's `SliceRelease` span carries the cubes the
+/// eviction freed: its victim's admitted count, which the victim's
+/// `SliceCompose` span carries too.
+#[test]
+fn a_traced_preemption_frees_its_victims_cubes() {
+    let cfg = ServiceConfig {
+        requests: 600,
+        ..ServiceConfig::default()
+    };
+    let traced = Lifecycle::new(cfg.seed, cfg.requests, 0);
+    let (report, watched) = run_cell_with(&cfg, whole(&cfg), traced);
+    let spans = watched.tracer.spans();
+    let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id.0, s)).collect();
+    // The cube count of each pod span, by the stage span it hangs under.
+    let cubes_under: HashMap<u64, u32> = spans
+        .iter()
+        .filter_map(|s| match s.kind {
+            SpanKind::SliceCompose { cubes, .. } | SpanKind::SliceRelease { cubes, .. } => {
+                Some((s.parent?.0, cubes))
+            }
+            _ => None,
+        })
+        .collect();
+    let mut preempts = 0;
+    for s in spans {
+        let SpanKind::ServiceRequest {
+            request,
+            stage: RequestStage::Preempt,
+        } = s.kind
+        else {
+            continue;
+        };
+        preempts += 1;
+        let run = by_id[&s.follows.expect("a preemption follows its run").0];
+        let compose = by_id[&run.follows.expect("a run follows its compose").0];
+        assert_eq!(
+            compose.kind,
+            SpanKind::ServiceRequest {
+                request,
+                stage: RequestStage::Compose
+            }
+        );
+        let admitted = cubes_under[&compose.id.0];
+        assert!(admitted > 0, "request {request} composed no cubes");
+        assert_eq!(
+            cubes_under.get(&s.id.0),
+            Some(&admitted),
+            "request {request}: the eviction frees what it was admitted with"
+        );
+    }
+    assert_eq!(preempts, report.preempted(), "every preemption is traced");
+    assert!(preempts > 0, "the cell preempts");
 }
 
 fn campus_cfg() -> ServiceConfig {
