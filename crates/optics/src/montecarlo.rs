@@ -19,7 +19,7 @@ use lightwave_par::{Pool, RunStats};
 use lightwave_units::{Ber, Dbm};
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
-use rand_distr::{standard_normal_from_bits, Distribution, Normal, NormalEnvelope};
+use rand_distr::{standard_normal_from_bits, Distribution, Normal, NormalApprox, NormalEnvelope};
 use serde::{Deserialize, Serialize};
 
 /// Result of a Monte-Carlo BER run.
@@ -78,6 +78,17 @@ pub const DEFAULT_SHARD_SYMBOLS: u64 = 1 << 16;
 /// tally are position-independent — it only bounds the pending-buffer
 /// working set.
 pub const NOISE_BLOCK_SYMBOLS: u64 = 4096;
+
+/// Survivors a noise block's buffer starts with room for: about 3 % of
+/// symbols survive the gate at fig11's point, so a sixteenth of a block
+/// (≈ 2.2× the mean) holds a block's survivors without growing, and a
+/// channel with more grows its buffer once or twice a call.
+const SURVIVOR_RESERVE: u64 = NOISE_BLOCK_SYMBOLS / 16;
+
+/// What the gated walk's survivor check allows for each side's `cos`: the
+/// libm result within one ulp of 1, its product with the beat amplitude
+/// rounded by another; four ulps of 1 leaves room.
+const COS_ERR: f64 = 4.0 * f64::EPSILON;
 
 /// The precomputed PAM4 channel for the symbol loop: per-level signal
 /// currents, per-level additive-noise samplers, slicing thresholds, and
@@ -193,25 +204,114 @@ impl McChannel {
     /// consumed in [`NOISE_BLOCK_SYMBOLS`]-sized blocks, every symbol's
     /// draws are gate-tested against the threshold-distance LUT bound, and
     /// only near-threshold survivors get the Box–Muller transcendentals
-    /// and PAM4 slicing. The RNG stream discipline is identical to
+    /// and PAM4 slicing. With MPI the phase walk is gated too: it advances
+    /// by an approximate normal under a carried error bound, and a call
+    /// whose survivors cannot all be decided under that bound restarts on
+    /// the exact walk. The RNG stream discipline is identical to
     /// [`reference::run`] — same draws in the same order — so the error
     /// count is bit-identical at any block size or thread count.
     pub fn run(&self, symbols: u64, rng: &mut StdRng) -> u64 {
+        self.run_bounded(symbols, rng, NormalApprox::MAX_ERROR)
+    }
+
+    /// [`McChannel::run`] with the per-draw error the gated phase walk
+    /// assumes of [`NormalApprox`] as an argument: tests force the exact
+    /// fallback with a large one.
+    pub(crate) fn run_bounded(&self, symbols: u64, rng: &mut StdRng, z_err: f64) -> u64 {
         assert!(symbols > 0, "must simulate at least one symbol");
         let phase: f64 = rng.random_range(0.0..std::f64::consts::TAU);
-        if self.has_mpi {
-            self.run_blocks::<true>(symbols, rng, phase)
-        } else {
-            self.run_blocks::<false>(symbols, rng, phase)
+        if !self.has_mpi {
+            return self.run_blocks::<false>(symbols, rng, phase);
         }
+        let start = rng.clone();
+        match self.walk_gated(symbols, rng, phase, z_err) {
+            Some((errors, _)) => errors,
+            None => {
+                *rng = start;
+                self.run_blocks::<true>(symbols, rng, phase)
+            }
+        }
+    }
+
+    /// The MPI walk, gated. Draws exactly what the exact walk draws, but
+    /// advances the phase by [`NormalApprox::sample`] and carries `bound`
+    /// ≥ |φ̂ − φ| (the approximate phase against the exact one): per
+    /// symbol `sd·z_err`, plus both walks' rounding of the step and of the
+    /// phase sum. A survivor keeps the exact noise normal and `cos φ̂`; its
+    /// decision counts only when every threshold lies farther from the
+    /// current than the beat could move under the bound (β·(bound +
+    /// 2·[`COS_ERR`]), β the level's beat amplitude) plus the rounding of
+    /// the last add. Any other survivor — or a NaN — returns `None`, and
+    /// the caller replays the call exactly. Otherwise returns the error
+    /// count and the bound carried at the end.
+    // `!(a > b)` on purpose, as in `run_blocks`: a NaN must fall through.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    pub(crate) fn walk_gated(
+        &self,
+        symbols: u64,
+        rng: &mut StdRng,
+        mut phase: f64,
+        z_err: f64,
+    ) -> Option<(u64, f64)> {
+        let approx = NormalApprox::get();
+        let [t0, t1, t2] = self.thresholds;
+        let (mean, sd) = (self.phase_step.mean(), self.phase_step.std_dev());
+        // No step of either walk is longer: |z| and |ẑ| stay under the
+        // envelope's largest bound plus z_err.
+        let step = mean.abs() + sd * (self.envelope.max_bound() + z_err);
+        let mut bound = 0.0f64;
+        let mut errors = 0u64;
+        let mut pending: Vec<(usize, u64, u64, f64)> =
+            Vec::with_capacity(SURVIVOR_RESERVE.min(symbols) as usize);
+        let mut remaining = symbols;
+        while remaining > 0 {
+            let block = remaining.min(NOISE_BLOCK_SYMBOLS);
+            // Both walks stay within `reach` of zero over the block, so
+            // each sum a symbol takes rounds by at most ε/2 of `reach` or
+            // of `step`; the bound's own few-ulp rounding sits far inside
+            // the hundredfold slack `MAX_ERROR` carries. Survivors are
+            // checked against the bound at the block's end.
+            let reach = phase.abs() + bound + block as f64 * step;
+            bound += block as f64 * (sd * z_err + 2.0 * f64::EPSILON * (step + reach));
+            pending.clear();
+            for _ in 0..block {
+                let level = rng.random_range(0usize..4);
+                let b1 = rng.next_u64();
+                let b2 = rng.next_u64();
+                phase += mean + sd * approx.sample(rng.next_u64(), rng.next_u64());
+                if !(self.envelope.bound(b1, b2) < self.qeff_mpi[level]) {
+                    pending.push((level, b1, b2, phase));
+                }
+            }
+            for &(level, b1, b2, sym_phase) in &pending {
+                let z = standard_normal_from_bits(b1, b2);
+                let beat = self.beat_scale[level];
+                let current =
+                    self.currents[level] + (0.0 + self.sigma[level] * z) + beat * sym_phase.cos();
+                let margin = beat * (bound + 2.0 * COS_ERR) + current.abs() * (2.0 * f64::EPSILON);
+                if !((current - t0).abs() > margin
+                    && (current - t1).abs() > margin
+                    && (current - t2).abs() > margin)
+                {
+                    return None;
+                }
+                let decided = usize::from(current > t0)
+                    + usize::from(current > t1)
+                    + usize::from(current > t2);
+                errors += BIT_ERRORS[level][decided];
+            }
+            remaining -= block;
+        }
+        Some((errors, bound))
     }
 
     /// The batched loop, one instantiation per channel kind. Clean: 4 raw
     /// u64s per symbol (two for the level, two for the noise), one
-    /// multiply + compare for the gate. `MPI`: the beat-phase random walk
+    /// multiply + compare for the gate. `MPI` is the exact walk, which
+    /// [`McChannel::walk_gated`] falls back to: the beat-phase random walk
     /// is inherently serial (every symbol's phase feeds the next), so its
-    /// Box–Muller step always runs — two more raw u64s per symbol; the
-    /// gate, with the worst-case beat amplitude pre-subtracted, still
+    /// exact Box–Muller step runs for every symbol — two more raw u64s;
+    /// the gate, with the worst-case beat amplitude pre-subtracted, still
     /// skips the noise Box–Muller, the cos(φ) beat evaluation and the
     /// slicing for the overwhelming majority of symbols.
     // The gate compares as `!(bound < q)` on purpose: a NaN bound must
@@ -223,7 +323,7 @@ impl McChannel {
         let qeff = if MPI { &self.qeff_mpi } else { &self.qeff };
         let mut errors = 0u64;
         let mut pending: Vec<(usize, u64, u64, f64)> =
-            Vec::with_capacity(NOISE_BLOCK_SYMBOLS.min(symbols) as usize);
+            Vec::with_capacity(SURVIVOR_RESERVE.min(symbols) as usize);
         let mut remaining = symbols;
         while remaining > 0 {
             let block = remaining.min(NOISE_BLOCK_SYMBOLS);
@@ -646,53 +746,102 @@ mod tests {
         let _ = simulate_ber_seeded(&rx, Dbm(-10.0), 0.0, None, 0, 1);
     }
 
+    /// Runs `chan` from `seed` through the kernel (at `z_err`) and the
+    /// reference: equal error counts, and the generators at one position.
+    fn assert_matches_reference(chan: &McChannel, symbols: u64, seed: u64, z_err: f64) {
+        let mut rng_fast = StdRng::seed_from_u64(seed);
+        let mut rng_ref = StdRng::seed_from_u64(seed);
+        let fast = chan.run_bounded(symbols, &mut rng_fast, z_err);
+        let slow = reference::run(chan, symbols, &mut rng_ref);
+        assert_eq!(
+            fast, slow,
+            "fast/reference divergence at n={symbols}: {chan:?}"
+        );
+        assert_eq!(
+            rng_fast.next_u64(),
+            rng_ref.next_u64(),
+            "RNG stream position diverged at n={symbols}: {chan:?}"
+        );
+    }
+
     #[test]
     fn batched_kernel_matches_reference_bit_for_bit() {
         let rx = Pam4Receiver::cwdm4_50g();
         // Clean, weak-MPI and strong-MPI channels across the fig11 power
-        // range, including symbol counts straddling the noise block size.
-        for &(p, mpi) in &[
-            (-14.0, 0.0),
-            (-13.0, 0.0),
-            (-12.5, mpi_db(-32.0)),
-            (-12.0, mpi_db(-26.0)),
-            (-10.0, 0.0),
+        // range, the strongest MPI at the weakest power, and OIM; symbol
+        // counts straddling the noise block and the shard.
+        let oim = Some(OimConfig::default());
+        for &(p, mpi, oim) in &[
+            (-14.0, 0.0, None),
+            (-13.0, 0.0, None),
+            (-12.5, mpi_db(-32.0), None),
+            (-12.0, mpi_db(-26.0), None),
+            (-16.0, mpi_db(-26.0), None),
+            (-12.5, mpi_db(-28.0), oim),
+            (-10.0, 0.0, None),
         ] {
-            let chan = McChannel::new(&rx, Dbm(p), mpi, None);
+            let chan = McChannel::new(&rx, Dbm(p), mpi, oim);
             for &symbols in &[
                 1u64,
                 NOISE_BLOCK_SYMBOLS - 1,
                 NOISE_BLOCK_SYMBOLS + 17,
+                DEFAULT_SHARD_SYMBOLS - 1,
+                DEFAULT_SHARD_SYMBOLS + 1,
                 200_000,
             ] {
-                let mut rng_fast = StdRng::seed_from_u64(99);
-                let mut rng_ref = StdRng::seed_from_u64(99);
-                let fast = chan.run(symbols, &mut rng_fast);
-                let slow = reference::run(&chan, symbols, &mut rng_ref);
-                assert_eq!(
-                    fast, slow,
-                    "fast/reference divergence at p={p} mpi={mpi} n={symbols}"
-                );
-                // The RNG stream discipline must match exactly too.
-                assert_eq!(
-                    rng_fast.next_u64(),
-                    rng_ref.next_u64(),
-                    "RNG stream position diverged at p={p} mpi={mpi} n={symbols}"
-                );
+                assert_matches_reference(&chan, symbols, 99, NormalApprox::MAX_ERROR);
             }
         }
+        // One walk of 2 M symbols: the bound carried across 489 blocks.
+        let chan = McChannel::new(&rx, Dbm(-12.5), mpi_db(-32.0), None);
+        assert_matches_reference(&chan, 2_000_000, 7, NormalApprox::MAX_ERROR);
     }
 
     #[test]
-    fn batched_kernel_matches_reference_with_oim() {
+    fn a_forced_fallback_replays_the_call_exactly() {
         let rx = Pam4Receiver::cwdm4_50g();
-        let chan = McChannel::new(&rx, Dbm(-12.5), mpi_db(-28.0), Some(OimConfig::default()));
-        let mut rng_fast = StdRng::seed_from_u64(7);
-        let mut rng_ref = StdRng::seed_from_u64(7);
-        assert_eq!(
-            chan.run(150_000, &mut rng_fast),
-            reference::run(&chan, 150_000, &mut rng_ref)
+        let chan = McChannel::new(&rx, Dbm(-12.5), mpi_db(-32.0), None);
+        let symbols = 3 * NOISE_BLOCK_SYMBOLS + 5;
+        // A per-draw error this large leaves no survivor decidable, so the
+        // gated walk gives up part-way through the stream.
+        let z_err = 1e-3;
+        let mut rng = StdRng::seed_from_u64(5);
+        let phase = rng.random_range(0.0..std::f64::consts::TAU);
+        assert!(chan.walk_gated(symbols, &mut rng, phase, z_err).is_none());
+        assert_matches_reference(&chan, symbols, 5, z_err);
+    }
+
+    #[test]
+    fn fig11s_shards_all_stay_on_the_gated_walk() {
+        // fig11's Monte-Carlo call at seed 42: 45 shards (the last carries
+        // the remainder), every one decided
+        // without the exact fallback, each under a bound that covers every
+        // step of its walk. A bound inflated until everything falls back
+        // to libm fails here, and so does one that forgets earlier blocks.
+        let rx = Pam4Receiver::cwdm4_50g();
+        let chan = McChannel::new(&rx, Dbm(-12.5), mpi_db(-32.0), None);
+        let per_step = chan.phase_step.std_dev() * NormalApprox::MAX_ERROR;
+        let (gated, _) = Pool::new(1).run_shards(
+            42,
+            3_000_000,
+            DEFAULT_SHARD_SYMBOLS,
+            |rng, shard| {
+                let phase = rng.random_range(0.0..std::f64::consts::TAU);
+                let walk = chan.walk_gated(shard.len, rng, phase, NormalApprox::MAX_ERROR);
+                let Some((_, bound)) = walk else {
+                    return 0u64;
+                };
+                assert!(
+                    bound >= shard.len as f64 * per_step,
+                    "shard {}: bound {bound:e} short of {} steps",
+                    shard.index,
+                    shard.len
+                );
+                1
+            },
+            |a, b| a + b,
         );
+        assert_eq!(gated, 45);
     }
 
     #[test]

@@ -153,6 +153,107 @@ impl fmt::Debug for NormalEnvelope {
     }
 }
 
+/// A cheap, division-free approximation of [`standard_normal_from_bits`]:
+/// `ln` from a 64-bin reciprocal/log table and a degree-5 polynomial,
+/// `cos(TAU·u2)` from a 256-entry turn table (exact at the quarter turns)
+/// rotated by short sin/cos polynomials, and one `sqrt`. It is not the
+/// exact transform: a kernel that advances state with it must carry
+/// [`NormalApprox::MAX_ERROR`] per draw as an error bound, and take the
+/// exact path wherever a decision could depend on the difference.
+pub struct NormalApprox {
+    /// Per bin of `z`'s bit pattern: `(1/c, −ln(1/c))` with `c` the bin's
+    /// centre, except that the bin around 1 has `c = 1`, so near `u1 = 1`
+    /// the reduced argument is exact and `ln` keeps its relative accuracy
+    /// however small it gets (and is 0 at 1).
+    ln: [(f64, f64); 64],
+    /// `(cos, sin)` of `TAU·j/256`: the first quarter from libm, the rest
+    /// by exact quarter-turn rotations.
+    turn: [(f64, f64); 256],
+}
+
+/// The bit pattern of 0.68359375 = 1 − 2⁻⁸ − 40·2⁻⁷: [`NormalApprox`]'s
+/// `ln` reduces its argument to `z ∈ [0.68359375, 1.3671875)` in 64 bins
+/// of equal bit-pattern width, 2⁻⁷ below 1 and 2⁻⁶ above it, and bin 40
+/// is `[1 − 2⁻⁸, 1 + 2⁻⁷)`, centred on 1 in bit patterns.
+const LN_OFF: u64 = 0x3fe5_e000_0000_0000;
+
+impl NormalApprox {
+    /// The bound a caller carries per draw on `|approx − exact|`, where
+    /// `exact` is [`standard_normal_from_bits`] through this platform's
+    /// libm. The tables reach ≈ 3e-14; the unit test holds them to a
+    /// hundredth of this, so a libm worse than assumed fails there.
+    pub const MAX_ERROR: f64 = 1e-10;
+
+    /// The process-wide tables, built on first use.
+    pub fn get() -> &'static NormalApprox {
+        static TABLES: OnceLock<NormalApprox> = OnceLock::new();
+        TABLES.get_or_init(|| NormalApprox {
+            ln: std::array::from_fn(|i| {
+                let c = match i {
+                    0..=39 => f64::from_bits(LN_OFF) + (i as f64 + 0.5) / 128.0,
+                    40 => 1.0,
+                    _ => 1.0 + 1.0 / 128.0 + (i as f64 - 40.5) / 64.0,
+                };
+                let inv_c: f64 = 1.0 / c;
+                (inv_c, -inv_c.ln())
+            }),
+            turn: std::array::from_fn(|j| {
+                let a = TAU * ((j % 64) as f64 / 256.0);
+                let (c, s) = (a.cos(), a.sin());
+                match j / 64 {
+                    0 => (c, s),
+                    1 => (-s, c),
+                    2 => (-c, -s),
+                    _ => (s, -c),
+                }
+            }),
+        })
+    }
+
+    /// Approximately `standard_normal_from_bits(b1, b2)`, within
+    /// [`NormalApprox::MAX_ERROR`].
+    #[inline]
+    pub fn sample(&self, b1: u64, b2: u64) -> f64 {
+        (-2.0 * self.ln_u1(b1)).sqrt() * self.cos_turn(b2)
+    }
+
+    /// `ln u1` for `u1 = 1 − unit(bits) = n·2⁻⁵³`, with `n ∈ [1, 2⁵³]`
+    /// exact as an `f64`: `n = 2ᵏ·z` with `z` in the table's range,
+    /// `z·(1/c) = 1 + r` with `|r| ≤ 2⁻⁷`, and `ln u1 = (k − 53)·ln 2 +
+    /// ln c + ln(1 + r)`, the polynomial in Estrin's form.
+    #[inline]
+    fn ln_u1(&self, bits: u64) -> f64 {
+        let n = ((1u64 << 53) - (bits >> 11)) as f64;
+        let tmp = n.to_bits().wrapping_sub(LN_OFF);
+        let (inv_c, ln_c) = self.ln[((tmp >> 46) % 64) as usize];
+        let k = ((tmp as i64 >> 52) - 53) as f64;
+        let z = f64::from_bits(n.to_bits().wrapping_sub(tmp & (0xfff << 52)));
+        let r = z * inv_c - 1.0;
+        let r2 = r * r;
+        let poly = r2 * ((-0.5 + r * (1.0 / 3.0)) + r2 * (-0.25 + r * 0.2));
+        k * std::f64::consts::LN_2 + ln_c + (r + poly)
+    }
+
+    /// `cos(TAU·u2)` for `u2 = unit(bits)`: the turn table at the top 8
+    /// bits, rotated by the angle of the remaining 45 (`θ < TAU/256`).
+    #[inline]
+    fn cos_turn(&self, bits: u64) -> f64 {
+        let m = bits >> 11;
+        let (c, s) = self.turn[(m >> 45) as usize];
+        let theta = (m & ((1 << 45) - 1)) as f64 * (TAU / (1u64 << 53) as f64);
+        let t = theta * theta;
+        let cos = 1.0 + t * (-0.5 + t * (1.0 / 24.0 + t * (-1.0 / 720.0)));
+        let sin = theta * (1.0 + t * (-1.0 / 6.0 + t * (1.0 / 120.0)));
+        c * cos - s * sin
+    }
+}
+
+impl fmt::Debug for NormalApprox {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NormalApprox").finish_non_exhaustive()
+    }
+}
+
 /// The log-normal distribution: `exp(N(mu, sigma²))`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormal {
@@ -226,5 +327,49 @@ mod tests {
         }
         assert_eq!(env.max_bound(), env.bound(u64::MAX, 0));
         assert!(env.max_bound().is_finite());
+    }
+
+    #[test]
+    fn the_approximation_is_a_hundredth_of_its_bound_from_libm() {
+        let approx = NormalApprox::get();
+        let tol = NormalApprox::MAX_ERROR / 100.0;
+        let holds = |b1: u64, b2: u64| {
+            let err = (approx.sample(b1, b2) - standard_normal_from_bits(b1, b2)).abs();
+            assert!(err <= tol, "{b1:#x} {b2:#x}: off by {err:e}");
+        };
+        // u1 = 1 − unit(b1): b1 < 2¹¹ gives exactly 1, u64::MAX gives 2⁻⁵³.
+        let mut b1s = vec![0, (1 << 11) - 1, 1 << 11, u64::MAX];
+        // Every ln bin edge at every binade u1 reaches on the 2⁻⁵³ grid,
+        // with the word on either side of it.
+        for k in 0..=47u64 {
+            for i in 0..64u64 {
+                let edge = f64::from_bits((LN_OFF + (i << 46)).wrapping_sub(k << 52));
+                if edge >= 1.0 {
+                    continue;
+                }
+                let word = ((1.0 - edge) * (1u64 << 53) as f64) as u64;
+                for w in [word.saturating_sub(1), word, word + 1] {
+                    b1s.push(w << 11);
+                }
+            }
+        }
+        // Every turn-table bin at both ends; the quarter turns among them.
+        let b2s: Vec<u64> = (0..256u64)
+            .flat_map(|j| [j << 56, j << 56 | ((1 << 56) - 1)])
+            .collect();
+        for &b1 in &b1s {
+            for &b2 in &[0, 64 << 56, 128 << 56, 192 << 56, 0x1234_5678_9abc_def0] {
+                holds(b1, b2);
+            }
+        }
+        for &b2 in &b2s {
+            for &b1 in &[0, u64::MAX, 1 << 63, 0x0123_4567_89ab_cdef] {
+                holds(b1, b2);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0xA99_0C5);
+        for _ in 0..10_000_000 {
+            holds(rng.next_u64(), rng.next_u64());
+        }
     }
 }
