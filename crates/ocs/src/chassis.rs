@@ -158,9 +158,13 @@ impl Chassis {
         self.ports.div_ceil(HV_GROUPS)
     }
 
-    /// Whether port `p` is degraded by a failed HV driver.
+    /// Whether port `p` is degraded by a failed HV driver. A healthy set
+    /// of drivers answers before the division by the group size: every
+    /// circuit a transaction adds asks twice.
     pub fn port_degraded(&self, p: PortId) -> bool {
-        p < self.ports && (self.degraded_groups >> (p / self.group_size())) & 1 == 1
+        self.degraded_groups != 0
+            && p < self.ports
+            && (self.degraded_groups >> (p / self.group_size())) & 1 == 1
     }
 
     /// Ports currently degraded by failed HV drivers.
@@ -337,6 +341,27 @@ mod tests {
         let odd = Chassis::with_ports(10);
         assert_eq!(odd.ports_dropped_by(6), 0..3);
         assert_eq!(odd.ports_dropped_by(9), 9..10);
+    }
+
+    #[test]
+    fn a_port_is_degraded_by_its_own_drivers_group_only() {
+        for ports in [136, 300] {
+            let mut c = Chassis::with_ports(ports);
+            let ports = ports as PortId;
+            let out_of_range = [ports, ports + 1, u16::MAX];
+            assert!((0..ports).chain(out_of_range).all(|p| !c.port_degraded(p)));
+            for slot in 6..14 {
+                c.fail_slot(slot);
+                let group = c.ports_dropped_by(slot);
+                assert!(!group.is_empty(), "{ports} ports, slot {slot}");
+                for p in 0..ports {
+                    assert_eq!(c.port_degraded(p), group.contains(&p), "{ports}: port {p}");
+                }
+                assert!(out_of_range.iter().all(|&p| !c.port_degraded(p)));
+                c.replace_slot(slot);
+                assert!((0..ports).all(|p| !c.port_degraded(p)), "repaired");
+            }
+        }
     }
 
     #[test]

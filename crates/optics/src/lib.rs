@@ -48,5 +48,5 @@ pub use circulator::Circulator;
 pub use components::{Component, ComponentKind};
 pub use link::{LinkBudget, LinkBudgetError};
 pub use modulation::{LaneRate, LineCode};
-pub use mpi::{MpiBudget, MpiContribution};
+pub use mpi::{MpiBudget, MpiContribution, MpiScratch};
 pub use wdm::{WdmGrid, WdmLane};

@@ -17,7 +17,9 @@
 //! from a [`LinkBudget`]: each component reflects `r_i`, attenuated by the
 //! round trip to and from that component (`T_i²`), compared against the
 //! remote signal which arrives through the full link (`T`). The circulator's
-//! finite Tx→Rx isolation adds a direct leakage term.
+//! finite Tx→Rx isolation adds a direct leakage term. [`MpiScratch`] reads
+//! the same total, to the bit, without listing the terms: what a census
+//! evaluating thousands of links needs.
 
 use crate::components::ComponentKind;
 use crate::link::LinkBudget;
@@ -76,64 +78,12 @@ impl MpiBudget {
 
     /// As [`MpiBudget::from_bidi_link`], with explicit circulator isolation.
     pub fn from_bidi_link_with_isolation(link: &LinkBudget, isolation: Db) -> MpiBudget {
-        let signal_transmission = link.transmission();
-        assert!(
-            signal_transmission > 0.0,
-            "link transmission must be positive"
-        );
-        // Per component, once: `(T_i, r_i)`, T_i the transmission up to but
-        // not including component i, as the same left fold
-        // `LinkBudget::transmission_to` multiplies — so every ratio below
-        // keeps its bits.
-        let mut prefix = 1.0;
-        let reach: Vec<(f64, f64)> = link
-            .components
-            .iter()
-            .map(|c| {
-                let t_i = prefix;
-                prefix *= c.transmission();
-                (t_i, c.reflectance())
-            })
-            .collect();
-        let n = reach.len();
-        let mut contributions = Vec::with_capacity(n + 1 + n * n.saturating_sub(1) / 2);
-
-        // Single reflections of local Tx light. The round trip to component
-        // i and back is T_i²; the reflected light then re-enters the local
-        // receiver. Compared to the remote signal (attenuated by the full
-        // link, T), the ratio is r_i · T_i² / T.
-        for (i, (c, &(t_i, r_i))) in link.components.iter().zip(&reach).enumerate() {
-            let ratio = r_i * t_i * t_i / signal_transmission;
-            contributions.push(MpiContribution {
-                source: MpiSource::Reflection(i, c.kind),
-                ratio,
-            });
-        }
-
-        // Circulator direct leakage: local Tx couples into local Rx at the
-        // isolation figure, independent of the link.
-        contributions.push(MpiContribution {
-            source: MpiSource::CirculatorLeakage,
-            ratio: isolation.linear() / signal_transmission,
+        let n = link.components.len();
+        let mut reach = Vec::with_capacity(n);
+        let mut contributions = Vec::with_capacity(term_capacity(n));
+        for_each_term(link, isolation, &mut reach, |source, ratio| {
+            contributions.push(MpiContribution { source, ratio });
         });
-
-        // Double bounces of the remote signal (the classic duplex MPI term):
-        // remote light passes j, reflects backward at j, reflects forward
-        // again at i (< j), and arrives delayed. Ratio r_i · r_j · T_ij²
-        // where T_ij is the extra double-pass between the two reflectors.
-        for (i, &(t_i, r_i)) in reach.iter().enumerate() {
-            for (j, &(t_j, r_j)) in reach.iter().enumerate().skip(i + 1) {
-                let t_between = t_j / t_i;
-                let ratio = r_i * r_j * t_between * t_between;
-                if ratio > 1e-12 {
-                    contributions.push(MpiContribution {
-                        source: MpiSource::DoubleBounce(i, j),
-                        ratio,
-                    });
-                }
-            }
-        }
-
         contributions.sort_by(|a, b| b.ratio.partial_cmp(&a.ratio).expect("ratios are finite"));
         let total_ratio = contributions.iter().map(|c| c.ratio).sum();
         MpiBudget {
@@ -152,6 +102,103 @@ impl MpiBudget {
         self.contributions
             .first()
             .expect("budget has contributions")
+    }
+}
+
+/// The most terms a chain of `n` components generates: `n` single
+/// reflections, the leakage, and every pair's double bounce.
+fn term_capacity(n: usize) -> usize {
+    n + 1 + n * n.saturating_sub(1) / 2
+}
+
+/// Every term of one direction's budget, in generation order: the single
+/// reflections by component, the circulator leakage, then the double
+/// bounces above the cutoff by `(i, j)`. The one place the formulas live;
+/// [`MpiBudget::from_bidi_link_with_isolation`] lists the terms and
+/// [`MpiScratch::total_ratio`] only sums them. `reach` is the caller's
+/// buffer for the `(T_i, r_i)` fold.
+fn for_each_term(
+    link: &LinkBudget,
+    isolation: Db,
+    reach: &mut Vec<(f64, f64)>,
+    mut emit: impl FnMut(MpiSource, f64),
+) {
+    let signal_transmission = link.transmission();
+    assert!(
+        signal_transmission > 0.0,
+        "link transmission must be positive"
+    );
+    // Per component, once: `(T_i, r_i)`, T_i the transmission up to but
+    // not including component i, as the same left fold
+    // `LinkBudget::transmission_to` multiplies — so every ratio below
+    // keeps its bits.
+    let mut prefix = 1.0;
+    reach.clear();
+    reach.extend(link.components.iter().map(|c| {
+        let t_i = prefix;
+        prefix *= c.transmission();
+        (t_i, c.reflectance())
+    }));
+
+    // Single reflections of local Tx light. The round trip to component
+    // i and back is T_i²; the reflected light then re-enters the local
+    // receiver. Compared to the remote signal (attenuated by the full
+    // link, T), the ratio is r_i · T_i² / T.
+    for (i, (c, &(t_i, r_i))) in link.components.iter().zip(reach.iter()).enumerate() {
+        emit(
+            MpiSource::Reflection(i, c.kind),
+            r_i * t_i * t_i / signal_transmission,
+        );
+    }
+
+    // Circulator direct leakage: local Tx couples into local Rx at the
+    // isolation figure, independent of the link.
+    emit(
+        MpiSource::CirculatorLeakage,
+        isolation.linear() / signal_transmission,
+    );
+
+    // Double bounces of the remote signal (the classic duplex MPI term):
+    // remote light passes j, reflects backward at j, reflects forward
+    // again at i (< j), and arrives delayed. Ratio r_i · r_j · T_ij²
+    // where T_ij is the extra double-pass between the two reflectors.
+    for (i, &(t_i, r_i)) in reach.iter().enumerate() {
+        for (j, &(t_j, r_j)) in reach.iter().enumerate().skip(i + 1) {
+            let t_between = t_j / t_i;
+            let ratio = r_i * r_j * t_between * t_between;
+            if ratio > 1e-12 {
+                emit(MpiSource::DoubleBounce(i, j), ratio);
+            }
+        }
+    }
+}
+
+/// Buffers for reading a budget's total without listing its terms — what
+/// a census reuses across its ports, so a link's MPI costs no allocation
+/// once the buffers have grown to the chain.
+#[derive(Debug, Default)]
+pub struct MpiScratch {
+    reach: Vec<(f64, f64)>,
+    ratios: Vec<f64>,
+}
+
+impl MpiScratch {
+    /// `MpiBudget::from_bidi_link(link).total_ratio`, to the bit. The
+    /// ratios are positive and finite, so equal ratios are equal bits and
+    /// any descending order of them is the sorted list's order: sorting
+    /// the bare ratios, unstably, sums the same sequence.
+    pub fn total_ratio(&mut self, link: &LinkBudget) -> f64 {
+        let ratios = &mut self.ratios;
+        ratios.clear();
+        ratios.reserve_exact(term_capacity(link.components.len()));
+        for_each_term(
+            link,
+            Db(CIRCULATOR_ISOLATION_DB),
+            &mut self.reach,
+            |_, ratio| ratios.push(ratio),
+        );
+        ratios.sort_unstable_by(|a, b| b.partial_cmp(a).expect("ratios are finite"));
+        ratios.iter().sum()
     }
 }
 
@@ -256,6 +303,22 @@ mod tests {
         assert!((sum - b.total_ratio).abs() < 1e-15);
         for w in b.contributions.windows(2) {
             assert!(w[0].ratio >= w[1].ratio, "contributions must be sorted");
+        }
+    }
+
+    #[test]
+    fn the_scratch_total_is_the_listed_total_and_reuses_its_buffers() {
+        let mut scratch = MpiScratch::default();
+        for km in [0.02, 0.2, 4.0] {
+            let link = LinkBudget::superpod_nominal(Dbm(1.0), km);
+            let listed = MpiBudget::from_bidi_link(&link);
+            assert_eq!(
+                scratch.total_ratio(&link).to_bits(),
+                listed.total_ratio.to_bits()
+            );
+            assert_eq!(scratch.ratios.len(), listed.contributions.len());
+            assert_eq!(scratch.ratios.capacity(), term_capacity(9));
+            assert_eq!(scratch.reach.capacity(), 9);
         }
     }
 }

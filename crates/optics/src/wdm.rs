@@ -53,31 +53,37 @@ impl WdmGrid {
         Nanometers(1271.0)
     }
 
+    /// The lanes of the grid, shortest wavelength first, built as they are
+    /// read: nothing is allocated.
+    pub fn iter_lanes(self) -> impl ExactSizeIterator<Item = WdmLane> + Clone {
+        let spacing = self.spacing();
+        (0..self.lane_count()).map(move |i| WdmLane {
+            index: i as u8,
+            center: Nanometers(self.first_center().nm() + i as f64 * spacing.nm()),
+            spacing,
+        })
+    }
+
     /// All lanes of the grid.
     pub fn lanes(self) -> Vec<WdmLane> {
-        let spacing = self.spacing();
-        (0..self.lane_count())
-            .map(|i| WdmLane {
-                index: i as u8,
-                center: Nanometers(self.first_center().nm() + i as f64 * spacing.nm()),
-                spacing,
-            })
-            .collect()
+        self.iter_lanes().collect()
     }
 
     /// The lane at `index`, if it exists.
     pub fn lane(self, index: usize) -> Option<WdmLane> {
-        (index < self.lane_count()).then(|| self.lanes()[index])
+        self.iter_lanes().nth(index)
     }
 
     /// The wavelength range `[min_edge, max_edge]` covered by the grid,
     /// taking each channel as ±spacing/2 around its center.
     pub fn band(self) -> (Nanometers, Nanometers) {
         let half = self.spacing().nm() / 2.0;
-        let lanes = self.lanes();
+        let mut lanes = self.iter_lanes();
+        let first = lanes.next().expect("grid has lanes");
+        let last = lanes.last().unwrap_or(first);
         (
-            Nanometers(lanes.first().expect("grid has lanes").center.nm() - half),
-            Nanometers(lanes.last().expect("grid has lanes").center.nm() + half),
+            Nanometers(first.center.nm() - half),
+            Nanometers(last.center.nm() + half),
         )
     }
 
@@ -135,6 +141,11 @@ mod tests {
         assert!(WdmGrid::Cwdm4.lane(3).is_some());
         assert!(WdmGrid::Cwdm4.lane(4).is_none());
         assert_eq!(WdmGrid::Cwdm8.lane(2).unwrap().center.nm(), 1291.0);
+        for grid in [WdmGrid::Cwdm4, WdmGrid::Cwdm8] {
+            for (i, lane) in grid.lanes().into_iter().enumerate() {
+                assert_eq!(grid.lane(i), Some(lane), "{grid:?} lane {i}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use lightwave_optics::components::{Component, ComponentKind};
 use lightwave_optics::dispersion::{dispersion_penalty, Equalizer, FiberDispersion};
 use lightwave_optics::link::LinkBudget;
 use lightwave_optics::modulation::LaneRate;
-use lightwave_optics::mpi::MpiBudget;
+use lightwave_optics::mpi::{MpiBudget, MpiScratch};
 use lightwave_optics::wdm::WdmGrid;
 use lightwave_units::{Db, Dbm};
 use proptest::prelude::*;
@@ -52,6 +52,38 @@ proptest! {
         let sum: f64 = b.contributions.iter().map(|c| c.ratio).sum();
         prop_assert!((sum - b.total_ratio).abs() < 1e-12);
         prop_assert!(b.total_ratio > 0.0);
+    }
+
+    #[test]
+    fn mpi_total_without_the_list_is_the_listed_total_to_the_bit(
+        parts in collection::vec(
+            prop_oneof![
+                (0.0f64..3.0, -70.0f64..-20.0),
+                // Lossless −60 dB reflectors: a pair of them bounces
+                // exactly 1e-12, on the cutoff.
+                Just((0.0, -60.0)),
+                (0.0f64..0.5, -61.0f64..-59.0),
+            ],
+            1..=12usize,
+        ),
+        launch in -3.0f64..3.0,
+    ) {
+        let components = parts
+            .into_iter()
+            .map(|(il, rl)| Component {
+                kind: ComponentKind::Connector,
+                insertion_loss: Db(il),
+                return_loss: Db(rl),
+            })
+            .collect();
+        let link = LinkBudget::new(Dbm(launch), components).expect("1..=12 components");
+        let listed = MpiBudget::from_bidi_link(&link).total_ratio;
+        // One scratch across two chains: what the first left behind must
+        // not reach the second's total.
+        let mut scratch = MpiScratch::default();
+        scratch.total_ratio(&LinkBudget::superpod_nominal(Dbm(1.0), 0.1));
+        prop_assert_eq!(scratch.total_ratio(&link).to_bits(), listed.to_bits());
+        prop_assert_eq!(scratch.total_ratio(&link).to_bits(), listed.to_bits());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use lightwave_optics::ber::Pam4Receiver;
 use lightwave_optics::dispersion::{dispersion_penalty, FiberDispersion};
 use lightwave_optics::link::LinkBudget;
 use lightwave_optics::modulation::LaneRate;
-use lightwave_optics::mpi::MpiBudget;
+use lightwave_optics::mpi::{MpiBudget, MpiScratch};
 use lightwave_units::{Ber, Db, Dbm};
 use serde::{Deserialize, Serialize};
 
@@ -59,12 +59,23 @@ impl BidiLink {
 
     /// The MPI operating point of this link (bidi reflections).
     pub fn mpi_ratio(&self) -> f64 {
+        self.scale_mpi(MpiBudget::from_bidi_link(&self.budget).total_ratio)
+    }
+
+    /// [`BidiLink::mpi_ratio`], to the bit, read through `scratch`: the
+    /// budget's total without its list of terms.
+    pub(crate) fn mpi_ratio_in(&self, scratch: &mut MpiScratch) -> f64 {
+        self.scale_mpi(scratch.total_ratio(&self.budget))
+    }
+
+    /// The MPI operating point of a link whose bidi budget totals `total`.
+    fn scale_mpi(&self, total: f64) -> f64 {
         if self.tx_unit.family.is_bidi() {
-            MpiBudget::from_bidi_link(&self.budget).total_ratio
+            total
         } else {
             // Duplex links only see (much weaker) double-bounce MPI; fold
             // it in at a fixed low level.
-            1e-5 * MpiBudget::from_bidi_link(&self.budget).total_ratio / 1e-3
+            1e-5 * total / 1e-3
         }
     }
 
@@ -106,31 +117,36 @@ impl BidiLink {
     /// bandwidth and shrink dispersion penalties — the physical reason
     /// rate fallback rescues marginal links.
     pub fn evaluate_at_rate(&self, rate: LaneRate) -> Vec<LaneReport> {
+        self.lane_reports(rate, self.mpi_ratio()).collect()
+    }
+
+    /// Every wavelength lane's report at `rate` under the interference
+    /// ratio `mpi`, built as they are read: nothing is allocated.
+    pub(crate) fn lane_reports(
+        &self,
+        rate: LaneRate,
+        mpi: f64,
+    ) -> impl Iterator<Item = LaneReport> + '_ {
         let mut rx = self.receiver();
         rx.rate = rate;
-        let grid = self.rx_unit.family.grid();
         let fiber = FiberDispersion::default();
-        let mpi = self.mpi_ratio();
         let threshold = self.dsp.fec.raw_ber_threshold();
-        grid.lanes()
-            .iter()
-            .map(|lane| {
-                let disp =
-                    dispersion_penalty(&fiber, lane, rate, self.fiber_km, self.dsp.equalizer);
-                let received = self.budget.received_power() - disp;
-                let gaussian = rx.ber(received, mpi, self.dsp.oim);
-                // The unit's residual floor adds on top of Gaussian noise.
-                let raw = Ber::new(gaussian.prob() + self.rx_unit.residual_floor);
-                LaneReport {
-                    lane: lane.index,
-                    received,
-                    dispersion_penalty: disp,
-                    raw_ber: raw,
-                    healthy: raw.meets(threshold),
-                    margin_orders: raw.margin_orders(threshold),
-                }
-            })
-            .collect()
+        let arriving = self.budget.received_power();
+        self.rx_unit.family.grid().iter_lanes().map(move |lane| {
+            let disp = dispersion_penalty(&fiber, &lane, rate, self.fiber_km, self.dsp.equalizer);
+            let received = arriving - disp;
+            let gaussian = rx.ber(received, mpi, self.dsp.oim);
+            // The unit's residual floor adds on top of Gaussian noise.
+            let raw = Ber::new(gaussian.prob() + self.rx_unit.residual_floor);
+            LaneReport {
+                lane: lane.index,
+                received,
+                dispersion_penalty: disp,
+                raw_ber: raw,
+                healthy: raw.meets(threshold),
+                margin_orders: raw.margin_orders(threshold),
+            }
+        })
     }
 
     /// Rate fallback (§3.3.1 backward compatibility as resilience): finds

@@ -14,7 +14,7 @@ use crate::bidilink::BidiLink;
 use crate::dsp::DspConfig;
 use crate::module::{ModuleFamily, Transceiver};
 use lightwave_optics::components::{Component, ComponentKind};
-use lightwave_optics::link::LinkBudget;
+use lightwave_optics::mpi::MpiScratch;
 use lightwave_par::Pool;
 use lightwave_units::Ber;
 use rand::rngs::StdRng;
@@ -52,12 +52,16 @@ pub struct FleetCensus {
     pub median_margin_orders: f64,
 }
 
-/// Samples and evaluates one receiving port's link, appending its lanes.
+/// Samples and evaluates one receiving port's link, appending its lanes;
+/// true if a lane violates the KP4 threshold. `link` and `mpi` are the
+/// shard's: the port refills the link's components and sums its MPI in
+/// `mpi`, so it allocates nothing.
 fn census_port(
     port: u32,
     family: ModuleFamily,
-    dsp: DspConfig,
     rng: &mut StdRng,
+    link: &mut BidiLink,
+    mpi: &mut MpiScratch,
     samples: &mut Vec<LaneSample>,
 ) -> bool {
     let tx = Transceiver::sample(family, rng);
@@ -65,7 +69,7 @@ fn census_port(
     // Sample the fiber plant: intra-building runs of 20..150 m plus
     // component manufacturing variation.
     let fiber_km = rng.random_range(0.02..0.15);
-    let components = vec![
+    let components = [
         Component::sampled(ComponentKind::WdmMux, rng),
         Component::sampled(ComponentKind::CirculatorPass, rng),
         Component::sampled(ComponentKind::Connector, rng),
@@ -76,21 +80,22 @@ fn census_port(
         Component::sampled(ComponentKind::CirculatorPass, rng),
         Component::sampled(ComponentKind::WdmDemux, rng),
     ];
-    let budget = LinkBudget::new(tx.launch, components).expect("non-empty chain");
-    let link = BidiLink {
-        tx_unit: tx,
-        rx_unit: rx,
-        budget,
-        dsp,
-        fiber_km,
-    };
-    let lanes = link.evaluate();
-    let violated = lanes.iter().any(|l| !l.raw_ber.meets(Ber::KP4_THRESHOLD));
-    samples.extend(lanes.into_iter().map(|l| LaneSample {
-        port,
-        lane: l.lane,
-        ber: l.raw_ber,
-    }));
+    link.tx_unit = tx;
+    link.rx_unit = rx;
+    link.fiber_km = fiber_km;
+    link.budget.launch_power = tx.launch;
+    link.budget.components.clear();
+    link.budget.components.extend_from_slice(&components);
+    let mpi = link.mpi_ratio_in(mpi);
+    let mut violated = false;
+    for l in link.lane_reports(family.lane_rate(), mpi) {
+        violated |= !l.raw_ber.meets(Ber::KP4_THRESHOLD);
+        samples.push(LaneSample {
+            port,
+            lane: l.lane,
+            ber: l.raw_ber,
+        });
+    }
     violated
 }
 
@@ -103,26 +108,37 @@ fn census_port(
 /// Ports shard in [`CENSUS_SHARD_PORTS`]-sized groups, each group sampling
 /// its transceivers and fiber plant from a `(seed, shard_index)`-derived
 /// stream; shard results concatenate in shard order, so the census —
-/// sample order included — is identical at any thread count.
+/// sample order included — is identical at any thread count. A shard
+/// allocates a constant number of blocks — the link and MPI buffers its
+/// ports reuse, and its sample `Vec`, sized to its lanes — and a port
+/// none.
 pub fn fleet_census(pool: &Pool, ports: usize, family: ModuleFamily, seed: u64) -> FleetCensus {
     assert!(ports > 0, "census needs at least one port");
     let dsp = DspConfig::ml_production();
+    let lanes = family.grid().lane_count();
 
     let ((samples, violations), _stats) = pool.run_shards(
         seed,
         ports as u64,
         CENSUS_SHARD_PORTS,
         |rng, shard| {
-            let mut samples = Vec::new();
+            // What the shard's ports reuse; each port overwrites all of it.
+            let unit = Transceiver::nominal(family);
+            let mut link = BidiLink::superpod(unit, unit, dsp, 0.0);
+            let mut mpi = MpiScratch::default();
+            let mut samples = Vec::with_capacity(shard.len as usize * lanes);
             let mut violations = 0usize;
             for port in shard.start..shard.start + shard.len {
-                if census_port(port as u32, family, dsp, rng, &mut samples) {
+                if census_port(port as u32, family, rng, &mut link, &mut mpi, &mut samples) {
                     violations += 1;
                 }
             }
             (samples, violations)
         },
         |(mut samples, violations), (mut more, extra)| {
+            // The first merge grows shard 0's samples to the whole census;
+            // every later one appends in place.
+            samples.reserve_exact(ports * lanes - samples.len());
             samples.append(&mut more);
             (samples, violations + extra)
         },
@@ -132,8 +148,12 @@ pub fn fleet_census(pool: &Pool, ports: usize, family: ModuleFamily, seed: u64) 
         .iter()
         .map(|s| s.ber.margin_orders(Ber::KP4_THRESHOLD))
         .collect();
-    margins.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let median_margin_orders = margins[margins.len() / 2];
+    // The element a full sort would put at the middle: margins are
+    // finite and never −0.0, so equal ones are equal bits, and selecting
+    // it needs no sort scratch.
+    let mid = margins.len() / 2;
+    let (_, &mut median_margin_orders, _) =
+        margins.select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("finite"));
     FleetCensus {
         samples,
         violations,

@@ -37,6 +37,11 @@
 //! - The first `insertion_loss` on a switch allocates exactly one core's
 //!   blocks, the second nothing, and no other switch's core is built.
 //!
+//! The Fig. 13 census (DESIGN §6.8, "The census allocates per shard")
+//! allocates [`CENSUS_SHARD_ALLOCS`] blocks a shard and nothing a port,
+//! at any port count and in every module family, and a WDM lane is read
+//! without a block.
+//!
 //! And the inner-code Monte-Carlo loop (`inner_waterfall_point`, Chase
 //! decoding included) allocates **nothing**, however many blocks it runs.
 //!
@@ -45,12 +50,16 @@
 
 use lightwave::fec::ConcatenatedCode;
 use lightwave::ocs::loss::OpticalCore;
+use lightwave::optics::wdm::WdmGrid;
+use lightwave::par::Pool;
 use lightwave::scheduler::sim::default_mix;
 use lightwave::scheduler::{ClusterSim, Contiguous, Pooled};
 use lightwave::service::{
     arrival, PolicyConfig, Priority, ServiceConfig, ServiceCore, ServiceEvent, SliceIntent,
 };
 use lightwave::superpod::{CubeList, Slice, SliceShape, Superpod};
+use lightwave::transceiver::fleet::fleet_census;
+use lightwave::transceiver::module::ModuleFamily;
 use lightwave::units::{Ber, Nanos};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -106,6 +115,30 @@ const WARM_CELL_REQUESTS: u64 = 20_000;
 /// top: 338 + 48 × 22 = 1 394. All 338 are the fleet's: the live-slice
 /// table starts empty and grows at the first compose.
 const POD_NEW_ALLOCS: u64 = 338;
+
+/// Blocks a census shard allocates, on a pool of one worker: its link's
+/// component buffer, the MPI scratch's `(T_i, r_i)` and ratio buffers, and
+/// its sample `Vec`, each at its exact size once. A port allocates
+/// nothing. While every port built its own component `Vec`, `MpiBudget`
+/// (the fold and the sorted list) and lane and report `Vec`s it was 5 a
+/// port, and a full shard's samples grew by doubling: 85 a shard.
+const CENSUS_SHARD_ALLOCS: u64 = 4;
+
+/// Blocks a census allocates besides its shards': the pool's shard plan,
+/// result slots and busy counters, and the margin list the median is
+/// selected from.
+const CENSUS_FIXED_ALLOCS: u64 = 4;
+
+/// What a census of `shards` shards allocates. Past one shard the merge
+/// reserves the whole census once. The pool collects its result slots
+/// into the results in place, and shrinks the block when the slots' bytes
+/// are not a whole number of results: 40 bytes a slot against 32 a
+/// result, one block more unless the shard count divides by four.
+fn census_allocs(shards: usize) -> u64 {
+    let merge = u64::from(shards > 1);
+    let shrink = u64::from(!shards.is_multiple_of(4));
+    CENSUS_FIXED_ALLOCS + merge + shrink + CENSUS_SHARD_ALLOCS * shards as u64
+}
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -470,4 +503,33 @@ fn inner_waterfall_point_allocates_nothing() {
     });
     assert!(errors > 0, "5e-3 is dirty enough that Chase has work to do");
     assert_eq!(allocs, 0, "200 blocks of encode, channel, Chase decode");
+}
+
+#[test]
+fn a_census_allocates_per_shard_not_per_port() {
+    // Shard counts 1 to 12, fig13's quick depth (37) and the full pod
+    // (384); each at a whole number of shards and with the last shard
+    // taking 15 more ports, which must cost nothing.
+    for family in ModuleFamily::ALL {
+        for shards in (1..=12).chain([37, 384]) {
+            let want = census_allocs(shards);
+            for ports in [16 * shards, 16 * shards + 15] {
+                let pool = Pool::new(1);
+                let blocks = allocations(|| drop(fleet_census(&pool, ports, family, 42)));
+                assert_eq!(blocks, want, "{family:?}: {ports} ports in {shards} shards");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_wdm_lane_is_read_without_a_block() {
+    for grid in [WdmGrid::Cwdm4, WdmGrid::Cwdm8] {
+        let blocks = allocations(|| {
+            for i in 0..=grid.lane_count() {
+                std::hint::black_box(grid.lane(i));
+            }
+        });
+        assert_eq!(blocks, 0, "{grid:?}");
+    }
 }
