@@ -13,7 +13,7 @@ use crate::schedule::{FaultKind, FaultSchedule};
 use lightwave_fabric::maintenance::{execute, plan_replacement};
 use lightwave_fabric::OcsId;
 use lightwave_ocs::instrument::{trace_reconfig, OcsInstruments};
-use lightwave_ocs::PortId;
+use lightwave_ocs::{OcsError, PalomarOcs, PortId};
 use lightwave_scheduler::alloc::{Allocator, Pooled};
 use lightwave_service::{arrival, Mix, PolicyConfig, ServiceCore, ServiceEvent};
 use lightwave_superpod::instrument::{record_resync, trace_compose, trace_release};
@@ -62,8 +62,8 @@ pub struct LiveSlice {
 }
 
 /// The executor's shadow of one switch's chassis, fed *only* by the
-/// schedule's FRU events — the independent timeline invariant (d)
-/// reconciles the SLO tracker against.
+/// schedule's FRU events its switch accepted — the independent timeline
+/// invariant (d) reconciles the SLO tracker against.
 #[derive(Debug, Clone)]
 pub struct SwitchModel {
     slots: [bool; 16],
@@ -165,7 +165,7 @@ pub struct World {
     /// invariants cover them like any harness-composed slice.
     pub svc: ServiceCore,
     /// Per-fault recovery attribution, in injection order (one entry per
-    /// FRU fail/replace/maintenance event).
+    /// FRU fail/replace/maintenance event a switch accepted).
     pub recoveries: Vec<FaultRecovery>,
     insts: BTreeMap<OcsId, OcsInstruments>,
     cfg: ChaosConfig,
@@ -342,35 +342,46 @@ impl World {
         }
     }
 
+    /// The one rule for a fault on a switch: applied when the fleet has the
+    /// switch and the switch accepts the fault, else rejected like a
+    /// compose with no idle cubes — counted, and nothing changed.
+    fn accepted(&mut self, done: bool) -> bool {
+        self.rejected += u32::from(!done);
+        done
+    }
+
+    /// Applies `fault` to switch `ocs` under [`World::accepted`]'s rule.
+    fn on_switch(
+        &mut self,
+        ocs: OcsId,
+        fault: impl FnOnce(&mut PalomarOcs) -> Result<(), OcsError>,
+    ) -> bool {
+        let fleet = &mut self.pod.fabric_mut().fleet;
+        let done = fleet.get_mut(ocs).is_some_and(|sw| fault(sw).is_ok());
+        self.accepted(done)
+    }
+
     fn fru_event(&mut self, ocs: OcsId, slot: usize, heal: bool, maintenance: bool) {
         let now = self.now();
-        if maintenance {
-            let plan = match plan_replacement(&self.pod.fabric().fleet, ocs, slot) {
-                Ok(p) => p,
-                Err(_) => return,
-            };
-            execute(&mut self.pod.fabric_mut().fleet, &plan).expect("planned switch exists");
-            // Fail + replace at one timestamp: the shadow nets zero
-            // downtime, exactly what the SLO must account.
-            let model = self.models.get_mut(&ocs).expect("modeled switch");
-            model.apply(now, slot, false);
-            model.apply(now, slot, true);
+        let done = if maintenance {
+            let fleet = &mut self.pod.fabric_mut().fleet;
+            let done = plan_replacement(fleet, ocs, slot).and_then(|plan| execute(fleet, &plan));
+            self.accepted(done.is_ok())
+        } else if heal {
+            self.on_switch(ocs, |sw| sw.replace_fru(slot))
         } else {
-            let sw = self
-                .pod
-                .fabric_mut()
-                .fleet
-                .get_mut(ocs)
-                .expect("the world has this switch");
-            if heal {
-                sw.replace_fru(slot);
-            } else {
-                sw.fail_fru(slot);
-            }
-            self.models
-                .get_mut(&ocs)
-                .expect("modeled switch")
-                .apply(now, slot, heal);
+            self.on_switch(ocs, |sw| sw.fail_fru(slot))
+        };
+        if !done {
+            return;
+        }
+        // The switch took the fault, so the shadow follows. A maintenance
+        // swap fails and replaces at one timestamp: the shadow nets zero
+        // downtime, exactly what the SLO must account.
+        let model = self.models.entry(ocs).or_insert_with(SwitchModel::new);
+        model.apply(now, slot, heal);
+        if maintenance {
+            model.apply(now, slot, true);
         }
         // Anti-entropy: a revived switch reconciles its stale mapping.
         let reports = self.pod.resync();
@@ -490,27 +501,16 @@ impl World {
             .ingest_relock(&mut self.telemetry, now, ocs, port as u16);
     }
 
-    /// Whether `ev` names only what this world has: for a FRU or mirror
-    /// fault the switch in the fleet (the chassis shadows are keyed by its
-    /// ids), the slot within the chassis, the port within the switch's
-    /// radix; for an arrival, a request index the service core has not
-    /// been given before (`ServiceCore::submit` requires it of its
-    /// caller); for an advance, a time on this side of [`HORIZON`]. A
-    /// generated schedule always does; a repro document is input from
-    /// outside the program and may name anything its integer types hold.
+    /// Whether `ev` names only what this world has, where that is not a
+    /// switch's to answer (a switch refuses a fault on a port, slot or
+    /// switch it lacks itself, see [`World::accepted`]): for an arrival, a
+    /// request index the service core has not been given before
+    /// (`ServiceCore::submit` requires it of its caller); for an advance, a
+    /// time on this side of [`HORIZON`]. A generated schedule always does;
+    /// a repro document is input from outside the program and may name
+    /// anything its integer types hold.
     fn has_what_it_names(&self, ev: FaultKind) -> bool {
         match ev {
-            FaultKind::FailFru { ocs, slot } | FaultKind::ReplaceFru { ocs, slot } => self
-                .models
-                .get(&(ocs as OcsId))
-                .is_some_and(|chassis| (slot as usize) < chassis.slots.len()),
-            FaultKind::FailMirror { ocs, port, .. }
-            | FaultKind::DegradeMirror { ocs, port, .. } => self
-                .pod
-                .fabric()
-                .fleet
-                .get(ocs as OcsId)
-                .is_some_and(|sw| (port as usize) < sw.ports()),
             FaultKind::Arrival { nth } => !self.arrived.contains(&nth),
             FaultKind::Advance { millis } => {
                 Nanos::from_millis(millis as u64) <= HORIZON.saturating_sub(self.now())
@@ -557,9 +557,7 @@ impl World {
                 self.fru_event(ocs as OcsId, slot as usize, false, true)
             }
             FaultKind::FailMirror { ocs, north, port } => {
-                if let Some(sw) = self.pod.fabric_mut().fleet.get_mut(ocs as OcsId) {
-                    sw.fail_mirror(north, port as PortId);
-                }
+                self.on_switch(ocs as OcsId, |sw| sw.fail_mirror(north, port as PortId));
             }
             FaultKind::VerifyReject { ocs } => self.verify_reject(ocs as OcsId),
             FaultKind::Arrival { nth } => {
@@ -583,9 +581,9 @@ impl World {
                 port,
                 mdb,
             } => {
-                if let Some(sw) = self.pod.fabric_mut().fleet.get_mut(ocs as OcsId) {
-                    sw.degrade_mirror(north, port as PortId, mdb as f64 / 1000.0);
-                }
+                self.on_switch(ocs as OcsId, |sw| {
+                    sw.degrade_mirror(north, port as PortId, mdb as f64 / 1000.0)
+                });
             }
         }
         self.observe();

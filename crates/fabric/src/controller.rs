@@ -134,12 +134,13 @@ impl FabricDelta {
     }
 }
 
-/// Why a commit was rejected (nothing was applied).
+/// Why a commit or a maintenance plan was refused (nothing was applied).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommitError {
-    /// The target names a switch the fleet does not have.
+    /// The target or plan names a switch the fleet does not have.
     UnknownSwitch(OcsId),
-    /// A switch rejected its mapping during validation.
+    /// A switch refused its part: its mapping during validation, or a
+    /// maintenance plan's slot.
     Invalid {
         /// The offending switch.
         ocs: OcsId,
@@ -568,8 +569,8 @@ mod tests {
         let mut c = controller(2);
         {
             let ocs = c.fleet.get_mut(1).unwrap();
-            ocs.fail_fru(0);
-            ocs.fail_fru(1);
+            ocs.fail_fru(0).unwrap();
+            ocs.fail_fru(1).unwrap();
         }
         let mut t = FabricTarget::new();
         t.set(0, PortMapping::from_pairs([(0, 1)]).unwrap());
@@ -604,7 +605,7 @@ mod tests {
         // range — before any delta is checked for usable ports, so the
         // refusal names switch 1 although switch 0 comes first.
         let mut c = controller(2);
-        c.fleet.get_mut(0).unwrap().fail_fru(6); // HV driver 0: ports 0..34
+        c.fleet.get_mut(0).unwrap().fail_fru(6).unwrap(); // HV driver 0: ports 0..34
         let mut t = FabricTarget::new();
         t.set(0, PortMapping::from_pairs([(1, 11)]).unwrap());
         t.set(1, PortMapping::from_pairs([(2, 9999)]).unwrap());
@@ -658,7 +659,7 @@ mod tests {
         c.commit(&t1).unwrap();
         c.advance(Nanos::from_millis(300));
         // HV driver 0 (ports 0..34) fails under the live (0, 10) circuit.
-        c.fleet.get_mut(0).unwrap().fail_fru(6);
+        c.fleet.get_mut(0).unwrap().fail_fru(6).unwrap();
         // Removing the *other* circuit must still commit: (0, 10) is
         // untouched, so its degraded ports are not re-checked (pre-fix,
         // every transaction on this switch was rejected forever).
@@ -728,8 +729,8 @@ mod tests {
         // Same with a down switch late in the iteration order.
         {
             let ocs = c.fleet.get_mut(1).unwrap();
-            ocs.fail_fru(0);
-            ocs.fail_fru(1);
+            ocs.fail_fru(0).unwrap();
+            ocs.fail_fru(1).unwrap();
         }
         let mut d = FabricDelta::new();
         d.entry(0).add.push((0, 1));
@@ -822,7 +823,7 @@ mod tests {
         c.commit(&t).unwrap();
         c.advance(Nanos::from_millis(300));
         // HV driver 0 (ports 0..34) fails under the live (0, 10) circuit.
-        c.fleet.get_mut(0).unwrap().fail_fru(6);
+        c.fleet.get_mut(0).unwrap().fail_fru(6).unwrap();
         // Removing the other circuit still commits: (0, 10) is untouched.
         let mut d = FabricDelta::new();
         d.entry(0).remove.push(40);

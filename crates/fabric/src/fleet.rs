@@ -398,7 +398,7 @@ mod tests {
         assert_eq!(fleet.get(1).unwrap().now(), ready, "a member may lag");
         assert_eq!(fleet.get(0).unwrap().now(), Nanos(0));
         // A hand-out brings the member to fleet time: its alarm says so.
-        fleet.get_mut(0).unwrap().fail_fru(2);
+        fleet.get_mut(0).unwrap().fail_fru(2).unwrap();
         let switch = fleet.get(0).unwrap();
         assert_eq!(switch.now(), fleet.now());
         assert_eq!(switch.telemetry().alarms()[0].at, fleet.now());
@@ -541,8 +541,8 @@ mod tests {
     fn failed_switch_counts_against_operational() {
         let mut fleet = OcsFleet::build(2, 5);
         let ocs = fleet.get_mut(1).unwrap();
-        ocs.fail_fru(0);
-        ocs.fail_fru(1);
+        ocs.fail_fru(0).unwrap();
+        ocs.fail_fru(1).unwrap();
         assert_eq!(fleet.health().operational, 1);
     }
 
@@ -552,10 +552,10 @@ mod tests {
         let mut fleet = OcsFleet::build(3, 6);
         {
             let ocs = fleet.get_mut(2).unwrap();
-            ocs.fail_fru(0);
-            ocs.fail_fru(1); // second PSU: ChassisDown (critical)
+            ocs.fail_fru(0).unwrap();
+            ocs.fail_fru(1).unwrap(); // second PSU: ChassisDown (critical)
         }
-        fleet.get_mut(0).unwrap().fail_fru(2); // one fan: warning only
+        fleet.get_mut(0).unwrap().fail_fru(2).unwrap(); // one fan: warning only
         let critical = fleet.alarms_at_least(Severity::Critical);
         assert_eq!(critical.len(), 1);
         assert_eq!(critical[0].0, 2, "the alarm names the down switch");

@@ -132,7 +132,7 @@ mod tests {
         let mut sink = FleetTelemetry::new();
         let mut inst = FabricInstruments::new();
         let mut fleet = OcsFleet::build(2, 5);
-        fleet.get_mut(1).unwrap().fail_mirror(true, 4);
+        fleet.get_mut(1).unwrap().fail_mirror(true, 4).unwrap();
         inst.scrape_fleet(&mut sink, &fleet);
         assert_eq!(sink.alarms.ingested(), 1);
         inst.scrape_fleet(&mut sink, &fleet);

@@ -8,6 +8,7 @@
 //! *plan* a swap: know which circuits will blink, for how long, and
 //! verify everything re-aligns afterwards.
 
+use crate::controller::CommitError;
 use crate::fleet::{OcsFleet, OcsId};
 use lightwave_ocs::camera::{AlignmentLoop, ALIGNMENT_TOLERANCE};
 use lightwave_ocs::chassis::FruKind;
@@ -32,43 +33,22 @@ pub struct MaintenancePlan {
     pub expected_outage: Nanos,
 }
 
-/// Errors planning maintenance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MaintenanceError {
-    /// No such switch.
-    UnknownSwitch(OcsId),
-    /// Slot index out of range.
-    BadSlot(usize),
-}
-
-impl std::fmt::Display for MaintenanceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MaintenanceError::UnknownSwitch(id) => write!(f, "unknown switch {id}"),
-            MaintenanceError::BadSlot(s) => write!(f, "no chassis slot {s}"),
-        }
-    }
-}
-
-impl std::error::Error for MaintenanceError {}
-
 /// Plans the replacement of `slot` on `ocs`: computes which live circuits
-/// will blink and the expected per-circuit outage.
+/// will blink and the expected per-circuit outage. A switch the fleet
+/// does not have is [`CommitError::UnknownSwitch`]; a slot the switch's
+/// chassis does not have is the switch's own refusal.
 pub fn plan_replacement(
     fleet: &OcsFleet,
     ocs_id: OcsId,
     slot: usize,
-) -> Result<MaintenancePlan, MaintenanceError> {
+) -> Result<MaintenancePlan, CommitError> {
     let ocs = fleet
         .get(ocs_id)
-        .ok_or(MaintenanceError::UnknownSwitch(ocs_id))?;
+        .ok_or(CommitError::UnknownSwitch(ocs_id))?;
+    let refused = |error| CommitError::Invalid { ocs: ocs_id, error };
     let chassis = ocs.chassis();
-    let kind = chassis
-        .slots()
-        .get(slot)
-        .ok_or(MaintenanceError::BadSlot(slot))?
-        .kind;
-    let group = chassis.ports_dropped_by(slot);
+    let kind = chassis.slot(slot).map_err(refused)?.kind;
+    let group = chassis.ports_dropped_by(slot).map_err(refused)?;
     let disturbed_circuits: Vec<PortId> = ocs
         .mapping()
         .pairs()
@@ -92,20 +72,24 @@ pub fn plan_replacement(
 }
 
 /// Executes a plan: fails and replaces the FRU, leaving the switch to
-/// re-align whatever the swap dropped. Returns the plan's disturbed set
-/// for auditing against what actually blinked.
-pub fn execute(fleet: &mut OcsFleet, plan: &MaintenancePlan) -> Result<(), MaintenanceError> {
+/// re-align whatever the swap dropped. Refuses as
+/// [`plan_replacement`] does, with nothing changed.
+pub fn execute(fleet: &mut OcsFleet, plan: &MaintenancePlan) -> Result<(), CommitError> {
     let ocs = fleet
         .get_mut(plan.ocs)
-        .ok_or(MaintenanceError::UnknownSwitch(plan.ocs))?;
-    ocs.fail_fru(plan.slot);
-    ocs.replace_fru(plan.slot);
-    Ok(())
+        .ok_or(CommitError::UnknownSwitch(plan.ocs))?;
+    ocs.fail_fru(plan.slot)
+        .and_then(|()| ocs.replace_fru(plan.slot))
+        .map_err(|error| CommitError::Invalid {
+            ocs: plan.ocs,
+            error,
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lightwave_ocs::OcsError;
 
     fn fleet_with_circuits() -> OcsFleet {
         let mut fleet = OcsFleet::build(2, 31);
@@ -161,16 +145,28 @@ mod tests {
     }
 
     #[test]
-    fn planning_errors() {
-        let fleet = fleet_with_circuits();
+    fn planning_and_executing_refuse_what_the_fleet_lacks() {
+        let mut fleet = fleet_with_circuits();
         assert_eq!(
             plan_replacement(&fleet, 9, 0).unwrap_err(),
-            MaintenanceError::UnknownSwitch(9)
+            CommitError::UnknownSwitch(9)
         );
+        let no_slot = CommitError::Invalid {
+            ocs: 0,
+            error: OcsError::SlotOutOfRange(99),
+        };
+        assert_eq!(plan_replacement(&fleet, 0, 99).unwrap_err(), no_slot);
+        // A plan made for another fleet, or edited: the switch refuses it.
+        let mut plan = plan_replacement(&fleet, 0, 6).unwrap();
+        plan.slot = 99;
+        let health = fleet.health();
+        assert_eq!(execute(&mut fleet, &plan).unwrap_err(), no_slot);
+        plan.ocs = 9;
         assert_eq!(
-            plan_replacement(&fleet, 0, 99).unwrap_err(),
-            MaintenanceError::BadSlot(99)
+            execute(&mut fleet, &plan).unwrap_err(),
+            CommitError::UnknownSwitch(9)
         );
+        assert_eq!(fleet.health(), health, "a refused plan changed the fleet");
     }
 
     #[test]

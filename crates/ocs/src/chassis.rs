@@ -8,7 +8,7 @@
 //! reliability challenges for the switch"). §4.1.1: maximum system power is
 //! 108 W; field availability typically exceeds 99.98%.
 
-use crate::PortId;
+use crate::{OcsError, PortId};
 use lightwave_units::Availability;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -146,6 +146,11 @@ impl Chassis {
         &self.slots
     }
 
+    /// Slot `idx`, or the refusal of a slot this chassis does not have.
+    pub fn slot(&self, idx: usize) -> Result<&FruSlot, OcsError> {
+        self.slots.get(idx).ok_or(OcsError::SlotOutOfRange(idx))
+    }
+
     /// Whether the switch is operational: at least one healthy PSU, at
     /// least 3 healthy fans, CPU and FPGA healthy. (Individual HV-driver
     /// failures degrade only their port group.)
@@ -174,11 +179,8 @@ impl Chassis {
 
     /// The ports whose mirror state a swap of slot `idx` drops: its HV
     /// driver's group, every port for the FPGA, none for the rest.
-    ///
-    /// # Panics
-    /// Panics on an out-of-range slot index.
-    pub fn ports_dropped_by(&self, idx: usize) -> Range<PortId> {
-        match self.slots[idx].kind {
+    pub fn ports_dropped_by(&self, idx: usize) -> Result<Range<PortId>, OcsError> {
+        Ok(match self.slot(idx)?.kind {
             FruKind::Fpga => 0..self.ports,
             FruKind::HvDriver => {
                 let hv_index = self.slots[..idx]
@@ -189,7 +191,7 @@ impl Chassis {
                 base..base.saturating_add(self.group_size()).min(self.ports)
             }
             _ => 0..0,
-        }
+        })
     }
 
     /// Recomputes the cached answers after a slot changed health.
@@ -213,25 +215,32 @@ impl Chassis {
             .fold(0, |groups, (hv_index, _)| groups | 1 << (hv_index % 4));
     }
 
-    /// Fails the `idx`-th slot.
-    ///
-    /// # Panics
-    /// Panics on an out-of-range slot index.
-    pub fn fail_slot(&mut self, idx: usize) {
-        self.slots[idx].health = FruHealth::Failed;
+    /// Sets the health of slot `idx`, refusing a slot this chassis does
+    /// not have before anything changes; returns its FRU kind.
+    fn set_health(&mut self, idx: usize, health: FruHealth) -> Result<FruKind, OcsError> {
+        let slot = self
+            .slots
+            .get_mut(idx)
+            .ok_or(OcsError::SlotOutOfRange(idx))?;
+        slot.health = health;
+        let kind = slot.kind;
         self.refresh();
+        Ok(kind)
+    }
+
+    /// Fails the `idx`-th slot.
+    pub fn fail_slot(&mut self, idx: usize) -> Result<(), OcsError> {
+        self.set_health(idx, FruHealth::Failed).map(drop)
     }
 
     /// Replaces the FRU in `idx` (field service), returning what the swap
     /// disturbed.
-    pub fn replace_slot(&mut self, idx: usize) -> SwapEffect {
-        let kind = self.slots[idx].kind;
-        self.slots[idx].health = FruHealth::Healthy;
-        self.refresh();
-        SwapEffect {
-            disturbed_ports: self.ports_dropped_by(idx).collect(),
+    pub fn replace_slot(&mut self, idx: usize) -> Result<SwapEffect, OcsError> {
+        let kind = self.set_health(idx, FruHealth::Healthy)?;
+        Ok(SwapEffect {
+            disturbed_ports: self.ports_dropped_by(idx)?.collect(),
             full_outage: !kind.hot_swappable() && kind == FruKind::Cpu,
-        }
+        })
     }
 
     /// Power draw estimate: base electronics plus per-active-circuit HV
@@ -273,17 +282,17 @@ mod tests {
     #[test]
     fn single_psu_or_fan_failure_is_survivable() {
         let mut c = Chassis::new();
-        c.fail_slot(0); // a PSU
+        c.fail_slot(0).unwrap(); // a PSU
         assert!(c.is_operational(), "redundant PSU covers");
-        c.fail_slot(2); // a fan
+        c.fail_slot(2).unwrap(); // a fan
         assert!(c.is_operational(), "N+1 fans cover");
     }
 
     #[test]
     fn double_psu_failure_downs_the_switch() {
         let mut c = Chassis::new();
-        c.fail_slot(0);
-        c.fail_slot(1);
+        c.fail_slot(0).unwrap();
+        c.fail_slot(1).unwrap();
         assert!(!c.is_operational());
     }
 
@@ -291,7 +300,7 @@ mod tests {
     fn hv_driver_failure_degrades_only_its_ports() {
         let mut c = Chassis::new();
         // Slots: 0-1 PSU, 2-5 fans, 6-13 HV drivers.
-        c.fail_slot(6);
+        c.fail_slot(6).unwrap();
         assert!(c.is_operational(), "switch stays up");
         let degraded = c.degraded_ports();
         assert_eq!(degraded, (0..34).collect::<Vec<_>>());
@@ -300,8 +309,8 @@ mod tests {
     #[test]
     fn hv_swap_disturbs_its_port_group_only() {
         let mut c = Chassis::new();
-        c.fail_slot(7); // second HV driver
-        let effect = c.replace_slot(7);
+        c.fail_slot(7).unwrap(); // second HV driver
+        let effect = c.replace_slot(7).unwrap();
         assert_eq!(effect.disturbed_ports, (34..68).collect::<Vec<_>>());
         assert!(!effect.full_outage);
         assert!(c.degraded_ports().is_empty(), "repair clears degradation");
@@ -311,18 +320,18 @@ mod tests {
     fn cached_answers_follow_every_slot_change() {
         let mut c = Chassis::new();
         // Slots 7 and 11 are the two dies' drivers of ports 34..68.
-        c.fail_slot(7);
-        c.fail_slot(11);
+        c.fail_slot(7).unwrap();
+        c.fail_slot(11).unwrap();
         assert!(c.port_degraded(34) && c.port_degraded(67));
         assert!(!c.port_degraded(33) && !c.port_degraded(68));
         assert!(!c.port_degraded(136) && !c.port_degraded(u16::MAX));
-        c.replace_slot(7);
+        c.replace_slot(7).unwrap();
         assert!(c.port_degraded(34), "the other die's driver is still out");
-        c.replace_slot(11);
+        c.replace_slot(11).unwrap();
         assert!(c.degraded_ports().is_empty());
-        c.fail_slot(14); // CPU
+        c.fail_slot(14).unwrap(); // CPU
         assert!(!c.is_operational());
-        c.replace_slot(14);
+        c.replace_slot(14).unwrap();
         assert!(c.is_operational());
     }
 
@@ -332,15 +341,16 @@ mod tests {
         // all 300; a radix that does not divide by four rounds the groups
         // up and the last one ends at the last port.
         let mut c = Chassis::with_ports(300);
-        c.fail_slot(9); // the first die's fourth driver
+        c.fail_slot(9).unwrap(); // the first die's fourth driver
         assert_eq!(c.degraded_ports(), (225..300).collect::<Vec<_>>());
         assert!(!c.port_degraded(300) && !c.port_degraded(u16::MAX));
-        assert_eq!(c.replace_slot(9).disturbed_ports.len(), 75);
-        assert_eq!(c.ports_dropped_by(15), 0..300);
-        assert_eq!(c.ports_dropped_by(0), 0..0);
+        assert_eq!(c.replace_slot(9).unwrap().disturbed_ports.len(), 75);
+        assert_eq!(c.ports_dropped_by(15), Ok(0..300));
+        assert_eq!(c.ports_dropped_by(0), Ok(0..0));
+        assert_eq!(c.ports_dropped_by(16), Err(OcsError::SlotOutOfRange(16)));
         let odd = Chassis::with_ports(10);
-        assert_eq!(odd.ports_dropped_by(6), 0..3);
-        assert_eq!(odd.ports_dropped_by(9), 9..10);
+        assert_eq!(odd.ports_dropped_by(6), Ok(0..3));
+        assert_eq!(odd.ports_dropped_by(9), Ok(9..10));
     }
 
     #[test]
@@ -351,15 +361,32 @@ mod tests {
             let out_of_range = [ports, ports + 1, u16::MAX];
             assert!((0..ports).chain(out_of_range).all(|p| !c.port_degraded(p)));
             for slot in 6..14 {
-                c.fail_slot(slot);
-                let group = c.ports_dropped_by(slot);
+                c.fail_slot(slot).unwrap();
+                let group = c.ports_dropped_by(slot).unwrap();
                 assert!(!group.is_empty(), "{ports} ports, slot {slot}");
                 for p in 0..ports {
                     assert_eq!(c.port_degraded(p), group.contains(&p), "{ports}: port {p}");
                 }
                 assert!(out_of_range.iter().all(|&p| !c.port_degraded(p)));
-                c.replace_slot(slot);
+                c.replace_slot(slot).unwrap();
                 assert!((0..ports).all(|p| !c.port_degraded(p)), "repaired");
+            }
+        }
+    }
+
+    #[test]
+    fn a_slot_the_chassis_lacks_is_refused_and_changes_nothing() {
+        for ports in [136, 300] {
+            let mut c = Chassis::with_ports(ports);
+            c.fail_slot(6).unwrap();
+            let before = c.clone();
+            for idx in [16, usize::MAX] {
+                let refused = OcsError::SlotOutOfRange(idx);
+                assert_eq!(c.slot(idx), Err(refused));
+                assert_eq!(c.ports_dropped_by(idx), Err(refused));
+                assert_eq!(c.fail_slot(idx), Err(refused));
+                assert_eq!(c.replace_slot(idx), Err(refused));
+                assert_eq!(c, before, "{ports} ports, slot {idx}");
             }
         }
     }
@@ -367,8 +394,8 @@ mod tests {
     #[test]
     fn psu_swap_disturbs_nothing() {
         let mut c = Chassis::new();
-        c.fail_slot(1);
-        let effect = c.replace_slot(1);
+        c.fail_slot(1).unwrap();
+        let effect = c.replace_slot(1).unwrap();
         assert!(effect.disturbed_ports.is_empty());
         assert!(!effect.full_outage);
     }
@@ -400,7 +427,7 @@ mod tests {
         // A swap drops mirror state under an HV driver or the FPGA only.
         let c = Chassis::new();
         let drops: Vec<FruKind> = (0..16)
-            .filter(|&slot| !c.ports_dropped_by(slot).is_empty())
+            .filter(|&slot| !c.ports_dropped_by(slot).unwrap().is_empty())
             .map(|slot| c.slots()[slot].kind)
             .collect();
         assert_eq!(

@@ -215,10 +215,10 @@ mod tests {
         let mut sink = FleetTelemetry::new();
         let mut ocs = PalomarOcs::new(0, 4);
         let mut inst = OcsInstruments::new(0);
-        ocs.fail_mirror(true, 9);
+        ocs.fail_mirror(true, 9).unwrap();
         assert_eq!(inst.forward_alarms(&mut sink, &ocs), 1);
         assert_eq!(inst.forward_alarms(&mut sink, &ocs), 0, "cursor advanced");
-        ocs.fail_mirror(true, 9);
+        ocs.fail_mirror(true, 9).unwrap();
         assert_eq!(inst.forward_alarms(&mut sink, &ocs), 1);
         assert_eq!(sink.alarms.ingested(), 2);
     }
@@ -252,11 +252,11 @@ mod tests {
         let mut health = FleetHealth::default();
         let mut ocs = PalomarOcs::new(5, 21);
         let mut inst = OcsInstruments::new(5);
-        ocs.degrade_mirror(true, 3, 0.03);
-        ocs.degrade_mirror(true, 3, 0.03);
+        ocs.degrade_mirror(true, 3, 0.03).unwrap();
+        ocs.degrade_mirror(true, 3, 0.03).unwrap();
         assert_eq!(inst.forward_drift(&mut sink, &mut health, &ocs), 2);
         assert_eq!(inst.forward_drift(&mut sink, &mut health, &ocs), 0);
-        ocs.degrade_mirror(true, 3, 0.03);
+        ocs.degrade_mirror(true, 3, 0.03).unwrap();
         assert_eq!(inst.forward_drift(&mut sink, &mut health, &ocs), 1);
         // The health layer retained the samples under this switch's label.
         assert_eq!(health.store().recent_for_switch(5, 8).len(), 3);
@@ -268,8 +268,8 @@ mod tests {
         let mut ocs = PalomarOcs::new(2, 8);
         let mut inst = OcsInstruments::new(2);
         inst.scrape(&mut sink, Nanos(0), &ocs);
-        ocs.fail_fru(0);
-        ocs.fail_fru(1); // both PSUs: chassis down
+        ocs.fail_fru(0).unwrap();
+        ocs.fail_fru(1).unwrap(); // both PSUs: chassis down
         ocs.advance(Nanos::from_secs_f64(10.0));
         inst.scrape(&mut sink, ocs.now(), &ocs);
         let report = sink.slo.report(Nanos::from_secs_f64(20.0));

@@ -25,6 +25,8 @@ pub enum OcsError {
     ChassisDown,
     /// The port is degraded (failed HV driver, exhausted mirror spares).
     PortDegraded(PortId),
+    /// The chassis has no FRU slot of this index.
+    SlotOutOfRange(usize),
 }
 
 impl From<CrossbarError> for OcsError {
@@ -39,6 +41,7 @@ impl std::fmt::Display for OcsError {
             OcsError::Crossbar(e) => write!(f, "crossbar: {e}"),
             OcsError::ChassisDown => write!(f, "chassis not operational"),
             OcsError::PortDegraded(p) => write!(f, "port {p} degraded"),
+            OcsError::SlotOutOfRange(s) => write!(f, "no chassis slot {s}"),
         }
     }
 }
@@ -268,24 +271,19 @@ impl PalomarOcs {
 
     /// The die serving `port` on the chosen side, for a mirror fault: the
     /// one way to the core through `&mut self`, and it builds the core
-    /// first.
-    ///
-    /// # Panics
-    /// Panics if the switch has no such port, before building anything.
-    fn die_mut(&mut self, north_die: bool, port: PortId) -> &mut MemsDie {
-        assert!(
-            (port as usize) < self.ports(),
-            "OCS {}: mirror fault on port {port} of a {}-port switch",
-            self.id,
-            self.ports()
-        );
+    /// first. A port the switch does not have is refused before anything
+    /// is built.
+    fn die_mut(&mut self, north_die: bool, port: PortId) -> Result<&mut MemsDie, OcsError> {
+        if port as usize >= self.ports() {
+            return Err(CrossbarError::PortOutOfRange(port).into());
+        }
         self.optical_core();
         let core = self.core.get_mut().expect("just built");
-        if north_die {
+        Ok(if north_die {
             &mut core.die_north
         } else {
             &mut core.die_south
-        }
+        })
     }
 
     /// Current port mapping.
@@ -577,12 +575,10 @@ impl PalomarOcs {
     }
 
     /// Fails the mirror serving `port` on the chosen die, swapping in a
-    /// spare if one remains. Live circuits on the port are re-aligned.
-    ///
-    /// # Panics
-    /// Panics if `port` is not a port of this switch.
-    pub fn fail_mirror(&mut self, north_die: bool, port: PortId) {
-        let spare_used = self.die_mut(north_die, port).fail_and_swap(port as usize);
+    /// spare if one remains. Live circuits on the port are re-aligned. A
+    /// port the switch does not have is refused, and nothing changes.
+    pub fn fail_mirror(&mut self, north_die: bool, port: PortId) -> Result<(), OcsError> {
+        let spare_used = self.die_mut(north_die, port)?.fail_and_swap(port as usize);
         self.telemetry.counters.mirror_failures += 1;
         if spare_used {
             self.telemetry.counters.spares_consumed += 1;
@@ -609,13 +605,12 @@ impl PalomarOcs {
         );
         // Any circuit using the port must re-align onto the new mirror.
         if spare_used {
-            let affected: Option<PortId> = if north_die {
-                self.crossbar.circuit(port).map(|_| port)
+            let affected = if north_die {
+                self.crossbar.circuit(port).map(|(s, _)| (port, s))
             } else {
-                self.crossbar.south_owner(port)
+                self.crossbar.south_owner(port).map(|n| (n, port))
             };
-            if let Some(n) = affected {
-                let (s, _) = self.crossbar.circuit(n).expect("affected circuit exists");
+            if let Some((n, s)) = affected {
                 self.realign(n, s);
                 // Anomaly detection: a drifted path eats link budget even
                 // though the circuit "works" — surface it before the
@@ -635,6 +630,7 @@ impl PalomarOcs {
                 }
             }
         }
+        Ok(())
     }
 
     /// Degrades the mirror serving `port` on the chosen die by `loss_db`
@@ -644,14 +640,18 @@ impl PalomarOcs {
     /// **no** chassis, circuit, or spare state: the only observable
     /// effects are higher insertion loss on the served path and an entry
     /// in the [`PalomarOcs::drift_log`] for the fleet-health detectors to
-    /// catch before the port fails hard.
-    ///
-    /// # Panics
-    /// Panics if `port` is not a port of this switch.
-    pub fn degrade_mirror(&mut self, north_die: bool, port: PortId, loss_db: f64) {
-        self.die_mut(north_die, port)
+    /// catch before the port fails hard. A port the switch does not have
+    /// is refused, and nothing changes.
+    pub fn degrade_mirror(
+        &mut self,
+        north_die: bool,
+        port: PortId,
+        loss_db: f64,
+    ) -> Result<(), OcsError> {
+        self.die_mut(north_die, port)?
             .degrade(port as usize, loss_db);
         self.log_drift(north_die, port);
+        Ok(())
     }
 
     fn log_drift(&mut self, north: bool, port: PortId) {
@@ -686,9 +686,10 @@ impl PalomarOcs {
         out
     }
 
-    /// Fails a chassis FRU slot.
-    pub fn fail_fru(&mut self, slot: usize) {
-        self.chassis.fail_slot(slot);
+    /// Fails a chassis FRU slot. A slot the chassis does not have is
+    /// refused, and nothing changes.
+    pub fn fail_fru(&mut self, slot: usize) -> Result<(), OcsError> {
+        self.chassis.fail_slot(slot)?;
         self.epoch += 1;
         self.telemetry
             .raise(self.now, Severity::Warning, AlarmCode::FruFailed { slot });
@@ -696,18 +697,21 @@ impl PalomarOcs {
             self.telemetry
                 .raise(self.now, Severity::Critical, AlarmCode::ChassisDown);
         }
+        Ok(())
     }
 
     /// Field-replaces a FRU slot; circuits whose mirror state was dropped
-    /// by the swap re-align automatically.
-    pub fn replace_fru(&mut self, slot: usize) {
-        let effect = self.chassis.replace_slot(slot);
+    /// by the swap re-align automatically. A slot the chassis does not
+    /// have is refused, and nothing changes.
+    pub fn replace_fru(&mut self, slot: usize) -> Result<(), OcsError> {
+        let effect = self.chassis.replace_slot(slot)?;
         self.epoch += 1;
         for port in effect.disturbed_ports {
             if let Some((s, _)) = self.crossbar.circuit(port) {
                 self.realign(port, s);
             }
         }
+        Ok(())
     }
 
     /// Circuits still aligning — [`OcsHealth::pending`] without the
@@ -749,7 +753,6 @@ impl PalomarOcs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::tests::panic_message;
 
     fn settled(ocs: &mut PalomarOcs) {
         ocs.advance(Nanos::from_millis(200));
@@ -805,8 +808,8 @@ mod tests {
     #[test]
     fn chassis_failure_blocks_new_circuits() {
         let mut ocs = PalomarOcs::new(0, 2);
-        ocs.fail_fru(0);
-        ocs.fail_fru(1); // both PSUs
+        ocs.fail_fru(0).unwrap();
+        ocs.fail_fru(1).unwrap(); // both PSUs
         assert!(!ocs.is_up());
         assert_eq!(ocs.connect(0, 1), Err(OcsError::ChassisDown));
         let crit = ocs
@@ -823,7 +826,7 @@ mod tests {
         settled(&mut ocs);
         assert!(ocs.circuit_ready(5));
         let spares_before = ocs.health().mirror_spares.0;
-        ocs.fail_mirror(true, 5);
+        ocs.fail_mirror(true, 5).unwrap();
         assert_eq!(ocs.health().mirror_spares.0, spares_before - 1);
         assert!(!ocs.circuit_ready(5), "circuit re-aligning on spare mirror");
         settled(&mut ocs);
@@ -835,7 +838,7 @@ mod tests {
         let mut ocs = PalomarOcs::new(0, 8);
         ocs.connect(7, 70).unwrap();
         settled(&mut ocs);
-        ocs.fail_mirror(false, 70);
+        ocs.fail_mirror(false, 70).unwrap();
         assert!(!ocs.circuit_ready(7));
         settled(&mut ocs);
         assert!(ocs.circuit_ready(7));
@@ -846,9 +849,9 @@ mod tests {
         let mut ocs = PalomarOcs::new(0, 4);
         // Burn all north-die spares on port 9.
         while ocs.health().mirror_spares.0 > 0 {
-            ocs.fail_mirror(true, 9);
+            ocs.fail_mirror(true, 9).unwrap();
         }
-        ocs.fail_mirror(true, 9); // one more: no spare left
+        ocs.fail_mirror(true, 9).unwrap(); // one more: no spare left
         assert_eq!(ocs.connect(9, 1), Err(OcsError::PortDegraded(9)));
         assert!(ocs.health().degraded_ports.contains(&9));
     }
@@ -860,9 +863,9 @@ mod tests {
         ocs.connect(100, 101).unwrap(); // port 100 in a different group
         settled(&mut ocs);
         // Fail + replace HV driver slot 6 (first driver, ports 0..34).
-        ocs.fail_fru(6);
+        ocs.fail_fru(6).unwrap();
         assert_eq!(ocs.connect(3, 41), Err(OcsError::PortDegraded(3)));
-        ocs.replace_fru(6);
+        ocs.replace_fru(6).unwrap();
         assert!(
             !ocs.circuit_ready(2),
             "swap drops mirror state for its group"
@@ -971,7 +974,7 @@ mod tests {
         ocs.apply_delta(&[(2, 40), (100, 101)], &[]).unwrap();
         settled(&mut ocs);
         // HV driver slot 6 fails: ports 0..34 degrade under circuit (2, 40).
-        ocs.fail_fru(6);
+        ocs.fail_fru(6).unwrap();
         // A delta leaving the degraded circuit alone still commits.
         let report = ocs.apply_delta(&[(120, 121)], &[100]).unwrap();
         assert_eq!(report.untouched, 1);
@@ -1005,13 +1008,13 @@ mod tests {
         settled(&mut ocs);
         // An FPGA swap drops the mirror state of all 300 ports: the
         // circuit on port 200 re-aligns.
-        ocs.fail_fru(15);
-        ocs.replace_fru(15);
+        ocs.fail_fru(15).unwrap();
+        ocs.replace_fru(15).unwrap();
         assert!(!ocs.circuit_ready(200), "port 200 must re-align");
         settled(&mut ocs);
         assert!(ocs.circuit_ready(200));
         // A failed HV driver degrades its quarter: ports 225..300.
-        ocs.fail_fru(9);
+        ocs.fail_fru(9).unwrap();
         assert_eq!(ocs.health().degraded_ports, (225..300).collect::<Vec<_>>());
         assert_eq!(ocs.connect(299, 0), Err(OcsError::PortDegraded(299)));
     }
@@ -1025,7 +1028,7 @@ mod tests {
         // quality-ordered, so repeated failures walk down the barrel).
         let mut fired = false;
         for _ in 0..ocs.health().mirror_spares.0 {
-            ocs.fail_mirror(true, 5);
+            ocs.fail_mirror(true, 5).unwrap();
             settled(&mut ocs);
             let high_loss = ocs
                 .telemetry()
@@ -1054,8 +1057,8 @@ mod tests {
         settled(&mut ocs);
         let alarms_before = ocs.telemetry().alarms().len();
         let loss_before = ocs.insertion_loss(6).unwrap();
-        ocs.degrade_mirror(true, 6, 0.03);
-        ocs.degrade_mirror(true, 6, 0.03);
+        ocs.degrade_mirror(true, 6, 0.03).unwrap();
+        ocs.degrade_mirror(true, 6, 0.03).unwrap();
         // Silent: no alarm, chassis up, circuit still carrying.
         assert_eq!(ocs.telemetry().alarms().len(), alarms_before);
         assert!(ocs.is_up());
@@ -1068,7 +1071,7 @@ mod tests {
         assert!(log.iter().all(|d| d.north && d.port == 6));
         assert!(log[1].drift_db > log[0].drift_db);
         // Spare swaps land in the same log (abrupt drift changes).
-        ocs.fail_mirror(true, 6);
+        ocs.fail_mirror(true, 6).unwrap();
         assert_eq!(ocs.drift_log().len(), 3);
     }
 
@@ -1123,7 +1126,7 @@ mod tests {
             assert_eq!(as_built, dies(&ocs), "the field is the dies' count");
             assert_eq!(ocs.health().mirror_spares, as_built);
             // Once a mirror has failed the dies answer, not the field.
-            ocs.fail_mirror(false, 50);
+            ocs.fail_mirror(false, 50).unwrap();
             assert_eq!(ocs.health().mirror_spares, (as_built.0, as_built.1 - 1));
             assert_eq!(ocs.health().mirror_spares, dies(&ocs));
         }
@@ -1134,30 +1137,42 @@ mod tests {
         // The first thing to touch the core is a fault, through `&mut`.
         let mut ocs = PalomarOcs::new(0, 32);
         let as_built = ocs.health().mirror_spares;
-        ocs.fail_mirror(true, 9);
+        ocs.fail_mirror(true, 9).unwrap();
         assert_eq!(ocs.health().mirror_spares, (as_built.0 - 1, as_built.1));
         let mut ocs = PalomarOcs::new(0, 32);
-        ocs.degrade_mirror(false, 9, 0.04);
+        ocs.degrade_mirror(false, 9, 0.04).unwrap();
         assert!(ocs.core.get().is_some(), "degrade_mirror built the core");
         assert!((ocs.drift_log()[0].drift_db - 0.04).abs() < 1e-12);
         assert_eq!(ocs.drift_report(Db(0.03)).len(), 1);
     }
 
+    type Fault = fn(&mut PalomarOcs, PortId, usize) -> Result<(), OcsError>;
+
     #[test]
-    fn a_mirror_fault_on_a_port_the_switch_lacks_says_so_and_builds_nothing() {
-        for (ports, port) in [(136usize, 136u16), (136, u16::MAX), (300, 300)] {
-            let faults: [fn(&mut PalomarOcs, PortId); 2] = [
-                |ocs, port| ocs.fail_mirror(true, port),
-                |ocs, port| ocs.degrade_mirror(false, port, 0.01),
+    fn a_fault_on_what_the_switch_lacks_is_refused_and_changes_nothing() {
+        // The first port and slot past the switch's own, and the largest
+        // its argument types hold.
+        for (ports, port, slot) in [(136, 136, 16), (136, u16::MAX, usize::MAX), (300, 300, 16)] {
+            let no_port = Err(CrossbarError::PortOutOfRange(port).into());
+            let no_slot = Err(OcsError::SlotOutOfRange(slot));
+            let faults: [(Fault, Result<(), OcsError>); 4] = [
+                (|ocs, port, _| ocs.fail_mirror(true, port), no_port),
+                (
+                    |ocs, port, _| ocs.degrade_mirror(false, port, 0.01),
+                    no_port,
+                ),
+                (|ocs, _, slot| ocs.fail_fru(slot), no_slot),
+                (|ocs, _, slot| ocs.replace_fru(slot), no_slot),
             ];
-            for fault in faults {
+            for (fault, refusal) in faults {
                 let mut ocs = PalomarOcs::with_ports(7, 33, ports);
-                let message = panic_message(std::panic::AssertUnwindSafe(|| fault(&mut ocs, port)));
-                assert_eq!(
-                    message,
-                    format!("OCS 7: mirror fault on port {port} of a {ports}-port switch")
-                );
+                ocs.connect(0, 1).unwrap();
+                let health = ocs.health();
+                assert_eq!(fault(&mut ocs, port, slot), refusal, "{ports} ports");
                 assert!(ocs.core.get().is_none(), "fabricated a core for nothing");
+                assert_eq!(ocs.epoch, 1, "a refusal bumped the epoch");
+                assert_eq!(ocs.health(), health);
+                assert!(ocs.telemetry().alarms().is_empty());
                 assert_eq!(ocs.telemetry().counters.mirror_failures, 0);
                 assert!(ocs.drift_log().is_empty());
             }
@@ -1169,9 +1184,9 @@ mod tests {
         // A mirror swap (north or south die) and an HV-driver swap, each
         // hitting a circuit that is still aligning.
         let faults: [fn(&mut PalomarOcs); 3] = [
-            |ocs| ocs.fail_mirror(true, 2),
-            |ocs| ocs.fail_mirror(false, 40),
-            |ocs| ocs.replace_fru(6),
+            |ocs| ocs.fail_mirror(true, 2).unwrap(),
+            |ocs| ocs.fail_mirror(false, 40).unwrap(),
+            |ocs| ocs.replace_fru(6).unwrap(),
         ];
         for ports in [136, 300] {
             for fault in faults {

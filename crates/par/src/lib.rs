@@ -223,7 +223,7 @@ impl Pool {
         n: u64,
         shard_size: u64,
         run_shard: F,
-        mut merge: M,
+        merge: M,
     ) -> (T, RunStats)
     where
         T: Send,
@@ -231,13 +231,9 @@ impl Pool {
         M: FnMut(T, T) -> T,
     {
         let shards = plan_shards(n, shard_size);
-        let (slots, stats) = self.execute(seed, &shards, &run_shard);
-        let mut results = slots.into_iter().map(|r| r.expect("every shard ran"));
-        let mut acc = results.next().expect("at least one shard");
-        for r in results {
-            acc = merge(acc, r);
-        }
-        (acc, stats)
+        let (mut results, stats) = self.execute(seed, &shards, &run_shard);
+        let first = results.next().expect("at least one shard");
+        (results.fold(first, merge), stats)
     }
 
     /// Runs `n` trials with one closure call **per trial**:
@@ -277,12 +273,7 @@ impl Pool {
     /// the results **strictly in item order** — the reduction grouping is
     /// identical to a serial left fold regardless of thread count or
     /// internal chunking. Returns `None` for an empty slice.
-    pub fn map_reduce<I, T, F, M>(
-        &self,
-        items: &[I],
-        map: F,
-        mut reduce: M,
-    ) -> (Option<T>, RunStats)
+    pub fn map_reduce<I, T, F, M>(&self, items: &[I], map: F, reduce: M) -> (Option<T>, RunStats)
     where
         I: Sync,
         T: Send,
@@ -309,20 +300,23 @@ impl Pool {
                 .map(|i| map(&items[i as usize], i as usize))
                 .collect::<Vec<T>>()
         };
-        let (slots, stats) = self.execute(0, &shards, &run);
-        let mut per_item = slots.into_iter().flat_map(|r| r.expect("every chunk ran"));
-        let mut acc = per_item.next().expect("non-empty input");
-        for r in per_item {
-            acc = reduce(acc, r);
-        }
-        (Some(acc), stats)
+        let (chunks, stats) = self.execute(0, &shards, &run);
+        let mut per_item = chunks.flatten();
+        let first = per_item.next().expect("non-empty input");
+        (Some(per_item.fold(first, reduce)), stats)
     }
 
     /// Executes planned shards on the pool: workers pull shard indices from
     /// a shared atomic counter; each shard gets its derived generator (RNG-
-    /// free map work simply never draws). Returns one slot per shard, in
-    /// shard-index order, plus timing stats.
-    fn execute<T, F>(&self, seed: u64, shards: &[Shard], run: &F) -> (Vec<Option<T>>, RunStats)
+    /// free map work simply never draws). Returns each shard's result, in
+    /// shard-index order, read straight out of its slot as the caller
+    /// folds it, plus timing stats.
+    fn execute<T, F>(
+        &self,
+        seed: u64,
+        shards: &[Shard],
+        run: &F,
+    ) -> (impl Iterator<Item = T>, RunStats)
     where
         T: Send,
         F: Fn(&mut StdRng, Shard) -> T + Sync,
@@ -359,10 +353,11 @@ impl Pool {
             wall_nanos: started.elapsed().as_nanos() as u64,
             busy_nanos: busy.into_iter().map(AtomicU64::into_inner).collect(),
         };
+        // A worker that panicked has failed the scope above (or, working
+        // alone, this thread) already: every slot is filled, none poisoned.
         let results = slots
             .into_iter()
-            .map(|m| m.into_inner().expect("slot lock never poisoned"))
-            .collect();
+            .map(|slot| slot.into_inner().ok().flatten().expect("every shard ran"));
         (results, stats)
     }
 }

@@ -708,8 +708,8 @@ mod tests {
         // Kill OCS 0 (dimension X, link 0).
         {
             let ocs = pod.fabric_mut().fleet.get_mut(0).unwrap();
-            ocs.fail_fru(0);
-            ocs.fail_fru(1);
+            ocs.fail_fru(0).unwrap();
+            ocs.fail_fru(1).unwrap();
         }
         let report = pod.degradation_report();
         let multi = report.iter().find(|d| d.handle == h_multi).unwrap();
@@ -721,8 +721,8 @@ mod tests {
         // A second X-dimension OCS failure compounds.
         {
             let ocs = pod.fabric_mut().fleet.get_mut(1).unwrap();
-            ocs.fail_fru(0);
-            ocs.fail_fru(1);
+            ocs.fail_fru(0).unwrap();
+            ocs.fail_fru(1).unwrap();
         }
         let report = pod.degradation_report();
         let multi = report.iter().find(|d| d.handle == h_multi).unwrap();
@@ -735,7 +735,12 @@ mod tests {
         let (h1, _) = pod.compose(slice_of(vec![0, 1], 8, 4, 4)).unwrap();
         pod.advance(Nanos::from_millis(300));
         // OCS 5 loses its control CPU: chassis down.
-        pod.fabric_mut().fleet.get_mut(5).unwrap().fail_fru(14);
+        pod.fabric_mut()
+            .fleet
+            .get_mut(5)
+            .unwrap()
+            .fail_fru(14)
+            .unwrap();
         // Transactions proceed around the dark switch: compose a second
         // slice and release the first (the pre-fix control plane rejected
         // both with ChassisDown, leaking the released slice's capacity).
@@ -744,7 +749,12 @@ mod tests {
         pod.release(h1).unwrap();
         assert!(pod.desynced().contains(&5), "missed transactions recorded");
         // Repair + anti-entropy: switch 5 converges on the live state.
-        pod.fabric_mut().fleet.get_mut(5).unwrap().replace_fru(14);
+        pod.fabric_mut()
+            .fleet
+            .get_mut(5)
+            .unwrap()
+            .replace_fru(14)
+            .unwrap();
         let reports = pod.resync();
         assert_eq!(reports.len(), 1);
         assert!(reports[0].1.is_ok());
@@ -791,7 +801,12 @@ mod tests {
         // HV driver 0 on X-switch 3 degrades ports 0..34 — the new slice's
         // pairs (2,3)/(3,2) land on degraded ports there, so validation
         // rejects the whole transaction.
-        pod.fabric_mut().fleet.get_mut(3).unwrap().fail_fru(6);
+        pod.fabric_mut()
+            .fleet
+            .get_mut(3)
+            .unwrap()
+            .fail_fru(6)
+            .unwrap();
         let err = pod.compose(slice_of(vec![2, 3], 8, 4, 4)).unwrap_err();
         assert!(
             matches!(err, PodError::Fabric(_)),

@@ -91,13 +91,22 @@ impl BidiLink {
     /// Evaluates every wavelength lane of one engine, at the receiving
     /// module family's lane rate (the rate its receiver preset carries).
     pub fn evaluate(&self) -> Vec<LaneReport> {
-        self.evaluate_at_rate(self.rx_unit.family.lane_rate())
+        self.evaluate_at_rate(self.lane_rate())
     }
 
-    /// The worst lane of the link.
+    /// The rate a link is judged at: its receiving family's lane rate.
+    fn lane_rate(&self) -> LaneRate {
+        self.rx_unit.family.lane_rate()
+    }
+
+    /// [`BidiLink::evaluate`]'s reports, built as they are read.
+    fn lanes(&self) -> impl Iterator<Item = LaneReport> + '_ {
+        self.lane_reports(self.lane_rate(), self.mpi_ratio())
+    }
+
+    /// The worst lane of the link (the last of equally bad ones).
     pub fn worst_lane(&self) -> LaneReport {
-        self.evaluate()
-            .into_iter()
+        self.lanes()
             .max_by(|a, b| {
                 a.raw_ber
                     .prob()
@@ -109,7 +118,7 @@ impl BidiLink {
 
     /// Whether every lane is healthy.
     pub fn is_healthy(&self) -> bool {
-        self.evaluate().iter().all(|l| l.healthy)
+        self.lanes().all(|l| l.healthy)
     }
 
     /// Evaluates the link at an explicit lane rate (overriding the module
@@ -153,12 +162,14 @@ impl BidiLink {
     /// the *fastest* rate both DSPs support at which every lane is
     /// healthy. A link too marginal for 100G PAM4 may be perfectly solid
     /// at 50G PAM4 (half the noise bandwidth) or 25G NRZ (half again,
-    /// plus full-swing eyes) — degraded beats down.
+    /// plus full-swing eyes) — degraded beats down. The interference
+    /// ratio does not depend on the rate: it is worked out once.
     pub fn best_rate(&self, local: &DspConfig, remote: &DspConfig) -> Option<LaneRate> {
+        let mpi = self.mpi_ratio();
         LaneRate::ALL.into_iter().find(|&rate| {
             local.supports(rate)
                 && remote.supports(rate)
-                && self.evaluate_at_rate(rate).iter().all(|l| l.healthy)
+                && self.lane_reports(rate, mpi).all(|l| l.healthy)
         })
     }
 }
@@ -307,6 +318,44 @@ mod tests {
             m50 >= m100,
             "half the baud cannot have less margin: {m50:.2} vs {m100:.2}"
         );
+    }
+
+    #[test]
+    fn best_rate_is_the_fastest_rate_every_evaluated_lane_clears() {
+        // The rule `best_rate` replaced, one budget per candidate rate.
+        let by_evaluation = |link: &BidiLink, local: &DspConfig, remote: &DspConfig| {
+            LaneRate::ALL.into_iter().find(|&rate| {
+                local.supports(rate)
+                    && remote.supports(rate)
+                    && link.evaluate_at_rate(rate).iter().all(|l| l.healthy)
+            })
+        };
+        let dsps = [DspConfig::ml_production(), DspConfig::standards_based()];
+        for family in ModuleFamily::ALL {
+            let mut weak = Transceiver::nominal(family);
+            weak.launch = Dbm(weak.launch.dbm() - 9.5);
+            let marginal = BidiLink::superpod(
+                weak,
+                Transceiver::nominal(family),
+                DspConfig::ml_production(),
+                0.2,
+            );
+            for link in [nominal_link(family, 0.2), marginal] {
+                for (local, remote) in dsps.iter().flat_map(|l| dsps.iter().map(move |r| (l, r))) {
+                    assert_eq!(
+                        link.best_rate(local, remote),
+                        by_evaluation(&link, local, remote),
+                        "{family:?}"
+                    );
+                }
+                assert_eq!(link.is_healthy(), link.evaluate().iter().all(|l| l.healthy));
+                let worst = link
+                    .evaluate()
+                    .into_iter()
+                    .max_by(|a, b| a.raw_ber.prob().partial_cmp(&b.raw_ber.prob()).unwrap());
+                assert_eq!(Some(link.worst_lane()), worst, "{family:?}");
+            }
+        }
     }
 
     #[test]

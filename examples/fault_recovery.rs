@@ -69,7 +69,8 @@ fn main() {
     let h_before = {
         let ocs = pod.pod.fabric_mut().fleet.get_mut(5).expect("exists");
         let spares_before = ocs.health().mirror_spares.0;
-        ocs.fail_mirror(true, spare as u16);
+        ocs.fail_mirror(true, spare as u16)
+            .expect("a port of the switch");
         spares_before
     };
     pod.advance(Nanos::from_millis(300));

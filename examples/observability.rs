@@ -85,9 +85,9 @@ fn main() {
     // its blast radius, and the aggregator files it all as ONE incident.
     {
         let ocs = controller.fleet.get_mut(1).expect("switch 1 exists");
-        ocs.fail_fru(6); // HV driver for ports 0..34
+        ocs.fail_fru(6).expect("slot 6 exists"); // HV driver for ports 0..34
         for port in [2u16, 7, 11, 23] {
-            ocs.fail_mirror(true, port);
+            ocs.fail_mirror(true, port).expect("a port of the switch");
         }
     }
     controller.advance(Nanos::from_millis(100));
@@ -103,7 +103,8 @@ fn main() {
         .fleet
         .get_mut(1)
         .expect("switch 1 exists")
-        .replace_fru(6);
+        .replace_fru(6)
+        .expect("slot 6 exists");
     controller.advance(Nanos::from_secs_f64(30.0));
     fabric.scrape_fleet(&mut sink, &controller.fleet);
 

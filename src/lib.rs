@@ -408,8 +408,9 @@ pub fn run_traced_fault_recovery(seed: u64, pool: &lightwave_par::Pool) -> Trace
     //    swapped circuits settle — chassis down, Critical.
     {
         let ocs = pod.pod.fabric_mut().fleet.get_mut(5).expect("exists");
-        ocs.fail_fru(0);
-        ocs.fail_fru(1);
+        for psu in [0, 1] {
+            ocs.fail_fru(psu).expect("slots 0 and 1 are the PSUs");
+        }
     }
     tracer.instant(Lane::Switch(5), pod.now(), "both PSUs down mid-reconfig");
     tracer.end(recovery, report.traffic_ready_at.max(pod.now()));
@@ -633,7 +634,7 @@ mod tests {
         let ocs = pod.pod.fabric_mut().fleet.get_mut(0).unwrap();
         let victim = ocs.mapping().pairs().next().unwrap().0;
         for _ in 0..10 {
-            ocs.fail_mirror(true, victim);
+            ocs.fail_mirror(true, victim).unwrap();
         }
         pod.advance(Nanos::from_millis(400));
         let after = pod.link_census();

@@ -128,8 +128,8 @@ fn pick_cubes(pod: &Superpod, op: Op) -> Option<Slice> {
 /// A switch-side fault, applied identically to both fleets.
 fn fault(ocs: &mut PalomarOcs, op: Op) {
     match op {
-        Op::FailFru { slot, .. } => ocs.fail_fru(slot),
-        Op::ReplaceFru { slot, .. } => ocs.replace_fru(slot),
+        Op::FailFru { slot, .. } => ocs.fail_fru(slot).expect("16 slots"),
+        Op::ReplaceFru { slot, .. } => ocs.replace_fru(slot).expect("16 slots"),
         Op::WipeSwitch { .. } => {
             // A delta that tears every circuit down. Refused on a down
             // chassis; then it is not a fault either.

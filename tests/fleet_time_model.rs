@@ -35,6 +35,10 @@ const SWITCHES: u32 = 6;
 /// (134, 135) is the RNG probe's and no operation names it.
 const PORTS: [PortId; 12] = [0, 1, 2, 3, 33, 34, 35, 67, 68, 101, 102, 129];
 
+/// Every fault an operation injects names a port and a slot the switch
+/// has: a refusal here is a failure.
+const IN_RANGE: &str = "a port and a slot the switch has";
+
 #[derive(Debug, Clone, Copy)]
 enum Dt {
     Zero,
@@ -291,7 +295,9 @@ impl Pair {
                 }
             }
             Op::Disconnect(id, n) => self.on_switch(id, |ocs| ocs.disconnect(n)).map(drop)?,
-            Op::FailMirror(id, north, p) => self.on_switch(id, |ocs| ocs.fail_mirror(north, p))?,
+            Op::FailMirror(id, north, p) => {
+                self.on_switch(id, |ocs| ocs.fail_mirror(north, p).expect(IN_RANGE))?
+            }
             Op::BurnSpares(id, north, p) => self.on_switch(id, |ocs| {
                 let spares = |ocs: &PalomarOcs| {
                     let (n, s) = ocs.health().mirror_spares;
@@ -302,14 +308,18 @@ impl Pair {
                     }
                 };
                 while spares(ocs) > 0 {
-                    ocs.fail_mirror(north, p);
+                    ocs.fail_mirror(north, p).expect(IN_RANGE);
                 }
             })?,
-            Op::DegradeMirror(id, north, p) => {
-                self.on_switch(id, |ocs| ocs.degrade_mirror(north, p, 0.02))?
+            Op::DegradeMirror(id, north, p) => self.on_switch(id, |ocs| {
+                ocs.degrade_mirror(north, p, 0.02).expect(IN_RANGE)
+            })?,
+            Op::FailFru(id, slot) => {
+                self.on_switch(id, |ocs| ocs.fail_fru(slot).expect(IN_RANGE))?
             }
-            Op::FailFru(id, slot) => self.on_switch(id, |ocs| ocs.fail_fru(slot))?,
-            Op::ReplaceFru(id, slot) => self.on_switch(id, |ocs| ocs.replace_fru(slot))?,
+            Op::ReplaceFru(id, slot) => {
+                self.on_switch(id, |ocs| ocs.replace_fru(slot).expect(IN_RANGE))?
+            }
         }
         self.same_state()
     }
@@ -358,7 +368,9 @@ impl Pair {
     /// (`rng_probe` in `tests/ocs_dataplane.rs`).
     fn same_streams(&mut self) -> Result<(), TestCaseError> {
         for id in 0..SWITCHES {
-            self.on_switch(id, |ocs| (0..16).for_each(|slot| ocs.replace_fru(slot)))?;
+            self.on_switch(id, |ocs| {
+                (0..16).for_each(|slot| ocs.replace_fru(slot).expect(IN_RANGE))
+            })?;
             self.on_switch(id, |ocs| {
                 let round = |_| {
                     let ready = ocs.connect(134, 135).expect("the spare pair is free");

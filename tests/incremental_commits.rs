@@ -126,14 +126,16 @@ fn apply(pod: &mut Superpod, op: Op) {
                 .fleet
                 .get_mut(ocs)
                 .expect("valid")
-                .fail_fru(slot);
+                .fail_fru(slot)
+                .expect("16 slots");
         }
         Op::ReplaceFru { ocs, slot } => {
             pod.fabric_mut()
                 .fleet
                 .get_mut(ocs)
                 .expect("valid")
-                .replace_fru(slot);
+                .replace_fru(slot)
+                .expect("16 slots");
         }
         Op::Advance { millis } => pod.advance(Nanos::from_millis(millis)),
         Op::Resync => {
@@ -161,7 +163,7 @@ proptest! {
         // Repair everything, resync, and the whole fleet must converge.
         for ocs in 0..SUPERPOD_OCS_COUNT as OcsId {
             for slot in 0..16 {
-                pod.fabric_mut().fleet.get_mut(ocs).unwrap().replace_fru(slot);
+                pod.fabric_mut().fleet.get_mut(ocs).unwrap().replace_fru(slot).unwrap();
             }
         }
         pod.resync();

@@ -41,6 +41,10 @@ use std::collections::BTreeMap;
 /// it at either radix.
 const PORTS: [usize; 12] = [0, 1, 2, 3, 33, 34, 35, 67, 68, 101, 102, 129];
 
+/// Every fault an operation injects names a port and a slot the switch
+/// has: a refusal here is a failure.
+const IN_RANGE: &str = "a port and a slot the switch has";
+
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Connect(usize, usize),
@@ -189,7 +193,7 @@ impl Twins {
             Op::AdvanceMicros(us) => self.both(|ocs| ocs.advance(Nanos::from_micros(us)))?,
             Op::FailMirror(north, p) => {
                 let p = self.port(p);
-                self.both(|ocs| ocs.fail_mirror(north, p))?;
+                self.both(|ocs| ocs.fail_mirror(north, p).expect(IN_RANGE))?;
                 let spares = self.spares_of(north);
                 *spares = spares.saturating_sub(1);
                 self.built = true;
@@ -197,16 +201,18 @@ impl Twins {
             Op::BurnSpares(north, p) => {
                 let p = self.port(p);
                 let spares = std::mem::take(self.spares_of(north));
-                self.both(|ocs| (0..spares).for_each(|_| ocs.fail_mirror(north, p)))?;
+                self.both(|ocs| {
+                    (0..spares).for_each(|_| ocs.fail_mirror(north, p).expect(IN_RANGE))
+                })?;
                 self.built = true;
             }
             Op::DegradeMirror(north, p) => {
                 let p = self.port(p);
-                self.both(|ocs| ocs.degrade_mirror(north, p, 0.02))?;
+                self.both(|ocs| ocs.degrade_mirror(north, p, 0.02).expect(IN_RANGE))?;
                 self.built = true;
             }
-            Op::FailFru(slot) => self.both(|ocs| ocs.fail_fru(slot))?,
-            Op::ReplaceFru(slot) => self.both(|ocs| ocs.replace_fru(slot))?,
+            Op::FailFru(slot) => self.both(|ocs| ocs.fail_fru(slot).expect(IN_RANGE))?,
+            Op::ReplaceFru(slot) => self.both(|ocs| ocs.replace_fru(slot).expect(IN_RANGE))?,
             Op::Health => {
                 self.both(|ocs| (ocs.health(), ocs.health()))?;
             }
@@ -266,7 +272,7 @@ impl Twins {
     fn same_matter_and_streams(&mut self) -> Result<(), TestCaseError> {
         prop_assert_eq!(self.lazy.optical_core(), self.eager.optical_core());
         self.built = true;
-        self.both(|ocs| (0..16).for_each(|slot| ocs.replace_fru(slot)))?;
+        self.both(|ocs| (0..16).for_each(|slot| ocs.replace_fru(slot).expect(IN_RANGE)))?;
         self.both(|ocs| {
             let round = |_| {
                 let ready = ocs.connect(134, 135).expect("the spare pair is free");

@@ -396,10 +396,11 @@ fn a_repro_header_that_lies_is_refused() {
     assert!(with(&count, &count).is_ok());
 }
 
-/// The six documents that panicked the parent's reader or its replay
-/// (ISSUE 21), each named by where it panicked there. On hardware the
-/// world does not have an event is rejected: counted, and otherwise the
-/// outcome is the outcome of the schedule without it.
+/// The six documents that once panicked the reader or its replay, each
+/// named by where it panicked, and two maintenance events a replay once
+/// dropped without counting them. On hardware the world does not have an
+/// event is rejected: counted, and otherwise the outcome is the outcome
+/// of the schedule without it.
 #[test]
 fn the_six_repro_documents_that_panicked_now_return() {
     // `Vec::with_capacity(header.events)`, repro.rs: capacity overflow.
@@ -438,6 +439,16 @@ fn the_six_repro_documents_that_panicked_now_return() {
                 port: 136,
                 mdb: 30,
             },
+        ),
+        // `plan_replacement` refused these, and the replay returned
+        // without counting the refusal.
+        (
+            "Maintenance slot 16",
+            FaultKind::Maintenance { ocs: 3, slot: 16 },
+        ),
+        (
+            "Maintenance ocs 48",
+            FaultKind::Maintenance { ocs: 48, slot: 0 },
         ),
     ];
     let without = replay(repro_events());

@@ -8,12 +8,19 @@
 //! A `Slice` has public fields too. `Superpod::compose` refuses every
 //! slice `Slice::new` would, naming the first offender; before it did,
 //! two of the four below panicked and two were accepted.
+//!
+//! A fault names a port or a chassis slot, and the switch is the one that
+//! knows which it has: each of its four fault calls refuses what the
+//! switch lacks before it changes anything. Before they did, the two
+//! mirror faults panicked on a port past the radix and the two FRU calls
+//! indexed the chassis out of bounds.
 
 use lightwave::availability::timeline::{simulate, simulate_preempt, PreemptParams};
 use lightwave::dcn::campus::CampusSim;
 use lightwave::dcn::te::{engineer, TeError};
 use lightwave::dcn::TrafficMatrix;
 use lightwave::fec::{ConcatenatedCode, InnerDecoding};
+use lightwave::ocs::{CrossbarError, OcsError, PalomarOcs, PortId};
 use lightwave::superpod::slice::{ShapeError, SliceError};
 use lightwave::superpod::{CubeId, CubeSet, PodError, Slice, SliceHandle, SliceShape, Superpod};
 use lightwave::units::Ber;
@@ -230,5 +237,94 @@ fn a_zero_cube_slice_is_refused_by_compose() {
     assert_compose_refused(
         unchecked([0, 4, 4], vec![]),
         SliceError::Shape(ShapeError::BadDimension(0)),
+    );
+}
+
+/// A switch of `ports` ports with something to lose: two circuits, one of
+/// them still aligning, a failed fan and a drifted mirror.
+fn switch_with_history(ports: usize) -> PalomarOcs {
+    let mut ocs = PalomarOcs::with_ports(3, 0x5EED, ports);
+    ocs.connect(0, 1).expect("free ports");
+    ocs.advance(lightwave::units::Nanos::from_millis(200));
+    ocs.connect(2, 3).expect("free ports");
+    ocs.fail_fru(2).expect("slot 2 is a fan");
+    ocs.degrade_mirror(true, 0, 0.05).expect("port 0");
+    ocs
+}
+
+/// `fault` with each argument `past` names — the first past what the
+/// switch has, and the largest the argument's type holds — is
+/// `refusal(arg)` at 136 and at 300 ports, and leaves health, circuits,
+/// alarms and the drift log as they were.
+fn assert_switch_refuses<A: Copy + std::fmt::Debug>(
+    past: impl Fn(&PalomarOcs) -> [A; 2],
+    fault: impl Fn(&mut PalomarOcs, A) -> Result<(), OcsError>,
+    refusal: impl Fn(A) -> OcsError,
+) {
+    for ports in [136, 300] {
+        for arg in past(&switch_with_history(ports)) {
+            let mut ocs = switch_with_history(ports);
+            let before = (ocs.health(), ocs.mapping(), ocs.drift_log().to_vec());
+            let alarms = ocs.telemetry().alarms().len();
+            assert_eq!(
+                fault(&mut ocs, arg),
+                Err(refusal(arg)),
+                "{ports} ports, {arg:?}"
+            );
+            assert_eq!(
+                (ocs.health(), ocs.mapping(), ocs.drift_log().to_vec()),
+                before,
+                "{ports} ports, {arg:?}"
+            );
+            assert_eq!(ocs.telemetry().alarms().len(), alarms);
+        }
+    }
+}
+
+fn ports_past(ocs: &PalomarOcs) -> [PortId; 2] {
+    [ocs.ports() as PortId, PortId::MAX]
+}
+
+fn slots_past(ocs: &PalomarOcs) -> [usize; 2] {
+    [ocs.chassis().slots().len(), usize::MAX]
+}
+
+fn no_port(port: PortId) -> OcsError {
+    CrossbarError::PortOutOfRange(port).into()
+}
+
+#[test]
+fn a_mirror_failure_on_a_port_the_switch_lacks_is_refused() {
+    // Panicked in `die_mut`, before anything was built.
+    for north in [true, false] {
+        assert_switch_refuses(ports_past, |ocs, p| ocs.fail_mirror(north, p), no_port);
+    }
+}
+
+#[test]
+fn a_mirror_degradation_on_a_port_the_switch_lacks_is_refused() {
+    // Panicked in `die_mut`, before anything was built.
+    for north in [true, false] {
+        assert_switch_refuses(
+            ports_past,
+            |ocs, p| ocs.degrade_mirror(north, p, 0.05),
+            no_port,
+        );
+    }
+}
+
+#[test]
+fn a_fru_failure_in_a_slot_the_chassis_lacks_is_refused() {
+    // Indexed the chassis slots out of bounds.
+    assert_switch_refuses(slots_past, PalomarOcs::fail_fru, OcsError::SlotOutOfRange);
+}
+
+#[test]
+fn a_fru_replacement_in_a_slot_the_chassis_lacks_is_refused() {
+    // Indexed the chassis slots out of bounds.
+    assert_switch_refuses(
+        slots_past,
+        PalomarOcs::replace_fru,
+        OcsError::SlotOutOfRange,
     );
 }

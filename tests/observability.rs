@@ -38,11 +38,16 @@ fn full_stack_scenario(seed: u64) -> FleetTelemetry {
     // in drifts past the HighLoss threshold, and the loss it reads is the
     // switch as manufactured from `seed`: the seed reaches the export
     // through the Loss incident's root.
-    controller.fleet.get_mut(0).unwrap().fail_mirror(true, 5);
-    controller.fleet.get_mut(1).unwrap().fail_fru(6);
+    controller
+        .fleet
+        .get_mut(0)
+        .unwrap()
+        .fail_mirror(true, 5)
+        .unwrap();
+    controller.fleet.get_mut(1).unwrap().fail_fru(6).unwrap();
     controller.advance(Nanos::from_millis(50));
     fabric.scrape_fleet(&mut sink, &controller.fleet);
-    controller.fleet.get_mut(1).unwrap().replace_fru(6);
+    controller.fleet.get_mut(1).unwrap().replace_fru(6).unwrap();
     controller.advance(Nanos::from_secs_f64(20.0));
     fabric.scrape_fleet(&mut sink, &controller.fleet);
     let now = Nanos::from_secs_f64(20.35);
@@ -127,7 +132,7 @@ fn fru_blast_radius_collapses_to_one_page() {
     let mut sink = FleetTelemetry::new();
     let mut ocs = lightwave::ocs::PalomarOcs::new(3, 99);
     let mut inst = OcsInstruments::new(3);
-    ocs.fail_fru(6); // real FRU failure raises the root alarm
+    ocs.fail_fru(6).unwrap(); // real FRU failure raises the root alarm
     inst.forward_alarms(&mut sink, &ocs);
     assert_eq!(sink.alarms.pages(), 1, "the root cause pages");
     for port in 0..48u16 {

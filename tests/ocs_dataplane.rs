@@ -263,7 +263,10 @@ impl Model {
         }
     }
 
-    fn fail_mirror(&mut self, north_die: bool, port: PortId) {
+    fn fail_mirror(&mut self, north_die: bool, port: PortId) -> Result<(), OcsError> {
+        if port as usize >= self.ports {
+            return Err(CrossbarError::PortOutOfRange(port).into());
+        }
         self.counters.mirror_failures += 1;
         let spares = if north_die {
             &mut self.spares.0
@@ -272,7 +275,7 @@ impl Model {
         };
         if *spares == 0 {
             self.dead.insert(port);
-            return;
+            return Ok(());
         }
         *spares -= 1;
         self.counters.spares_consumed += 1;
@@ -284,6 +287,7 @@ impl Model {
         if let Some(n) = affected.filter(|n| self.circuits.contains_key(n)) {
             self.realign(n);
         }
+        Ok(())
     }
 
     fn realign(&mut self, n: PortId) {
@@ -291,8 +295,19 @@ impl Model {
         self.align(n);
     }
 
-    fn replace_fru(&mut self, slot: usize) {
-        self.failed_slots[slot] = false;
+    fn fail_fru(&mut self, slot: usize) -> Result<(), OcsError> {
+        *self
+            .failed_slots
+            .get_mut(slot)
+            .ok_or(OcsError::SlotOutOfRange(slot))? = true;
+        Ok(())
+    }
+
+    fn replace_fru(&mut self, slot: usize) -> Result<(), OcsError> {
+        *self
+            .failed_slots
+            .get_mut(slot)
+            .ok_or(OcsError::SlotOutOfRange(slot))? = false;
         let disturbed: Vec<PortId> = match slot {
             6..=13 => (0..self.ports as PortId)
                 .filter(|&p| self.group(p) == (slot - 6) % 4)
@@ -305,6 +320,7 @@ impl Model {
                 self.realign(n);
             }
         }
+        Ok(())
     }
 
     fn health(&self) -> OcsHealth {
@@ -371,10 +387,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         delta(),
         pairs().prop_map(Op::ApplyMapping),
         (0u64..30).prop_map(|ms| Op::Advance(ms * 1_000_000)),
-        // Only ports the dies have: `fail_mirror` indexes the die.
-        (any::<bool>(), 0usize..15).prop_map(|(north, i)| Op::FailMirror(north, PORTS[i])),
-        (0usize..16).prop_map(Op::FailFru),
-        (0usize..16).prop_map(Op::ReplaceFru),
+        // Ports and slots past the switch's own too: refused, as the
+        // model refuses them.
+        (any::<bool>(), port()).prop_map(|(north, p)| Op::FailMirror(north, p)),
+        (0usize..18).prop_map(Op::FailFru),
+        (0usize..18).prop_map(Op::ReplaceFru),
     ]
 }
 
@@ -417,16 +434,11 @@ fn run_against_model(seed: u64, ports: usize, ops: Vec<Op>) -> Result<(), TestCa
                 model.advance(Nanos(ns));
             }
             Op::FailMirror(north, p) => {
-                ocs.fail_mirror(north, p);
-                model.fail_mirror(north, p);
+                prop_assert_eq!(ocs.fail_mirror(north, p), model.fail_mirror(north, p));
             }
-            Op::FailFru(slot) => {
-                ocs.fail_fru(slot);
-                model.failed_slots[slot] = true;
-            }
+            Op::FailFru(slot) => prop_assert_eq!(ocs.fail_fru(slot), model.fail_fru(slot)),
             Op::ReplaceFru(slot) => {
-                ocs.replace_fru(slot);
-                model.replace_fru(slot);
+                prop_assert_eq!(ocs.replace_fru(slot), model.replace_fru(slot))
             }
         }
         let mapping: Vec<_> = ocs.mapping().pairs().collect();
@@ -612,12 +624,16 @@ fn golden_script() -> Golden {
         if txn % 10 == 3 {
             if let Some((&n, &s)) = live[first as usize].iter().next() {
                 let north = r >> 16 & 1 == 0;
-                victim.fail_mirror(north, if north { n } else { s });
+                victim
+                    .fail_mirror(north, if north { n } else { s })
+                    .expect("a live circuit's port");
             }
         }
         if txn % 25 == 7 {
             hv_failed = Some((first, 6 + (r >> 20) as usize % 8));
-            victim.fail_fru(6 + (r >> 20) as usize % 8);
+            victim
+                .fail_fru(6 + (r >> 20) as usize % 8)
+                .expect("an HV driver");
         }
         if txn % 25 == 19 {
             let (id, slot) = hv_failed.take().expect("failed twelve transactions ago");
@@ -625,7 +641,8 @@ fn golden_script() -> Golden {
                 .fleet
                 .get_mut(id)
                 .expect("48 switches")
-                .replace_fru(slot);
+                .replace_fru(slot)
+                .expect("an HV driver");
         }
         let mut delta = FabricDelta::new();
         let mut after = Vec::new();
@@ -836,7 +853,7 @@ fn assert_rejected_without_a_trace(
     // The chassis-down switch cannot be probed; heal it on both first.
     for f in [&mut fabric, &mut twin] {
         let ocs = f.fleet.get_mut(3).expect("five switches");
-        (0..16).for_each(|slot| ocs.replace_fru(slot));
+        (0..16).for_each(|slot| ocs.replace_fru(slot).expect("16 slots"));
     }
     let streams = probe_fleet(&mut fabric);
     assert_eq!(streams, probe_fleet(&mut twin));
@@ -850,7 +867,7 @@ fn assert_rejected_without_a_trace(
 fn a_late_degraded_port_rejects_the_commit_without_a_trace() {
     // HV driver slot 6 drives ports 0..34.
     assert_rejected_without_a_trace(
-        |ocs| ocs.fail_fru(6),
+        |ocs| ocs.fail_fru(6).expect("an HV driver"),
         (&[(50, 51), (12, 60)], &[42]),
         OcsError::PortDegraded(12),
     );
@@ -860,8 +877,8 @@ fn a_late_degraded_port_rejects_the_commit_without_a_trace() {
 fn a_late_down_chassis_rejects_the_commit_without_a_trace() {
     assert_rejected_without_a_trace(
         |ocs| {
-            ocs.fail_fru(0);
-            ocs.fail_fru(1);
+            ocs.fail_fru(0).expect("a PSU");
+            ocs.fail_fru(1).expect("a PSU");
         },
         (&[(50, 51)], &[42]),
         OcsError::ChassisDown,
@@ -927,7 +944,7 @@ fn a_stale_validation_is_repeated_never_trusted() {
     assert_eq!(before, state(&ocs));
     // A fault is a change too.
     ocs.validate_delta(&[(1, 2)], &[]).expect("valid");
-    ocs.fail_fru(6);
+    ocs.fail_fru(6).expect("an HV driver");
     assert_eq!(
         ocs.apply_delta(&[(1, 2)], &[]),
         Err(OcsError::PortDegraded(1))

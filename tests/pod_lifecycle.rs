@@ -77,8 +77,8 @@ fn ocs_chassis_failure_degrades_new_slices_but_wedges_nothing() {
     // Kill OCS 7 (both PSUs).
     {
         let ocs = pod.pod.fabric_mut().fleet.get_mut(7).expect("exists");
-        ocs.fail_fru(0);
-        ocs.fail_fru(1);
+        ocs.fail_fru(0).unwrap();
+        ocs.fail_fru(1).unwrap();
     }
     // New slices still compose: the down switch carries 1 of the 16
     // parallel links per face, so skipping it degrades bandwidth rather
@@ -95,8 +95,8 @@ fn ocs_chassis_failure_degrades_new_slices_but_wedges_nothing() {
     // Repair the chassis; anti-entropy converges the straggler.
     {
         let ocs = pod.pod.fabric_mut().fleet.get_mut(7).expect("exists");
-        ocs.replace_fru(0);
-        ocs.replace_fru(1);
+        ocs.replace_fru(0).unwrap();
+        ocs.replace_fru(1).unwrap();
     }
     for (id, r) in pod.pod.resync() {
         r.unwrap_or_else(|e| panic!("OCS {id} resync: {e}"));

@@ -130,14 +130,14 @@ const CENSUS_SHARD_ALLOCS: u64 = 4;
 const CENSUS_FIXED_ALLOCS: u64 = 4;
 
 /// What a census of `shards` shards allocates. Past one shard the merge
-/// reserves the whole census once. The pool collects its result slots
-/// into the results in place, and shrinks the block when the slots' bytes
-/// are not a whole number of results: 40 bytes a slot against 32 a
-/// result, one block more unless the shard count divides by four.
+/// reserves the whole census once. The pool's caller folds the results
+/// straight out of their slots; while the pool collected the slots into
+/// the results in place, it shrank the block whenever the slots' bytes
+/// were not a whole number of results (40 bytes a slot against 32 a
+/// result): one block more unless the shard count divided by four.
 fn census_allocs(shards: usize) -> u64 {
     let merge = u64::from(shards > 1);
-    let shrink = u64::from(!shards.is_multiple_of(4));
-    CENSUS_FIXED_ALLOCS + merge + shrink + CENSUS_SHARD_ALLOCS * shards as u64
+    CENSUS_FIXED_ALLOCS + merge + CENSUS_SHARD_ALLOCS * shards as u64
 }
 
 thread_local! {

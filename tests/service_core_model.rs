@@ -146,8 +146,8 @@ fn fault(pod: &mut Superpod, op: Op) {
     match op {
         Op::FailCube(c) => pod.mark_cube_failed(c),
         Op::RepairCube(c) => pod.mark_cube_repaired(c),
-        Op::FailFru { ocs, slot } => switch(pod, ocs).fail_fru(slot),
-        Op::ReplaceFru { ocs, slot } => switch(pod, ocs).replace_fru(slot),
+        Op::FailFru { ocs, slot } => switch(pod, ocs).fail_fru(slot).expect("16 slots"),
+        Op::ReplaceFru { ocs, slot } => switch(pod, ocs).replace_fru(slot).expect("16 slots"),
         Op::WipeSwitch { ocs } => {
             // A delta that tears every circuit down. Refused on a down
             // chassis; then it is not a fault either.

@@ -46,7 +46,7 @@ fn optical_degradation_slows_collectives_and_reconfiguration_recovers() {
             .get_mut(victim_ocs)
             .expect("exists");
         while ocs.health().mirror_spares.0 > 0 {
-            ocs.fail_mirror(true, victim_port);
+            ocs.fail_mirror(true, victim_port).unwrap();
         }
     }
     pod.advance(Nanos::from_millis(400));
