@@ -834,36 +834,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "search harness: run with --ignored --nocapture to scout pin candidates"]
-    fn svc_search() {
-        for seed in [2026u64, 7, 99, 1, 3, 5, 11, 13, 17, 23, 42, 54, 77] {
-            for index in 0..200u64 {
-                let s = FaultSchedule::generate_service(seed, index);
-                let faults = s
-                    .events
-                    .iter()
-                    .filter(|e| {
-                        matches!(
-                            e,
-                            FaultKind::FailFru { .. }
-                                | FaultKind::FailMirror { .. }
-                                | FaultKind::Maintenance { .. }
-                        )
-                    })
-                    .count();
-                let out = run_schedule(&s, &ChaosConfig::default());
-                if out.svc_preempted >= 1 {
-                    println!(
-                        "seed={seed} index={index} preempted={} admitted={} blocked={} completed={} composes={} faults={faults} violation={:?}",
-                        out.svc_preempted, out.svc_admitted, out.svc_blocked,
-                        out.svc_completed, out.composes, out.violation
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn fru_faults_record_recovery_attribution() {
         // Fault → heal → later admission: both FRU events get a recovery
         // entry; the post-fault compose resolves their first-admit time.
