@@ -2,7 +2,7 @@
 
 use crate::{Check, ExperimentResult};
 use lightwave::availability as avail;
-use lightwave::dcn::cost::{spine_free_savings, table1, CostBook, SuperpodFabric};
+use lightwave::dcn::cost::{spine_free_savings, table1, SuperpodFabric};
 use lightwave::dcn::TrafficMatrix;
 use lightwave::fec::analysis::{concatenation_gain, paper_equivalent_inner_threshold};
 use lightwave::fec::ConcatenatedCode;
@@ -303,7 +303,7 @@ pub fn fig13(quick: bool) -> ExperimentResult {
 
 /// Table 1 — superpod interconnect cost/power, normalized to static.
 pub fn tab1() -> ExperimentResult {
-    let rows = table1(&CostBook::default());
+    let rows = table1();
     let name = |k| match k {
         SuperpodFabric::EpsDcn => "DCN (EPS)",
         SuperpodFabric::Lightwave => "Lightwave",
@@ -476,7 +476,7 @@ pub fn fig15b() -> ExperimentResult {
 
 /// §2.1 / Fig. 1 — spine-free capex and power savings.
 pub fn dcn1() -> ExperimentResult {
-    let (capex, power) = spine_free_savings(&CostBook::default());
+    let (capex, power) = spine_free_savings();
     let lines = vec![format!(
         "spine-free vs spine-full per-uplink bill: capex saving {:.1}%, power saving {:.1}%",
         capex * 100.0,

@@ -10,7 +10,7 @@
 
 use crate::flowsim;
 use crate::realize::MeshPlacement;
-use crate::te::{engineer, TeError};
+use crate::te::{engineer, require, TeError};
 use crate::topology::Mesh;
 use crate::traffic::TrafficMatrix;
 use lightwave_telemetry::rollup::{PortPath, RollupTree};
@@ -21,18 +21,18 @@ use rand_distr::{Distribution, Exp};
 use serde::{Deserialize, Serialize};
 
 /// A service: a long-lived cluster-to-cluster flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Service {
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Service {
     /// Source cluster.
-    pub src: usize,
+    src: usize,
     /// Destination cluster.
-    pub dst: usize,
+    dst: usize,
     /// Demand, Gb/s (bidirectional).
-    pub gbps: f64,
+    gbps: f64,
     /// First epoch the service is live.
-    pub start: usize,
+    start: usize,
     /// First epoch the service is gone.
-    pub end: usize,
+    end: usize,
 }
 
 /// Per-epoch outcome.
@@ -134,9 +134,12 @@ impl CampusSim {
     }
 
     /// Generates a service schedule: Poisson arrivals, exponential
-    /// lifetimes, random cluster pairs, heavy demands.
-    pub fn generate_services(&self, epochs: usize, seed: u64) -> Vec<Service> {
+    /// lifetimes, random cluster pairs, heavy demands. Needs two clusters
+    /// to pick a pair from.
+    fn generate_services(&self, epochs: usize, seed: u64) -> Vec<Service> {
         let mut rng = StdRng::seed_from_u64(seed);
+        // Constant parameter: a rate of 1/6 is finite and positive.
+        #[allow(clippy::expect_used)]
         let lifetime = Exp::<f64>::new(1.0 / 6.0).expect("positive rate"); // mean 6 epochs
         let mut services = Vec::new();
         for epoch in 0..epochs {
@@ -162,7 +165,7 @@ impl CampusSim {
     }
 
     /// The demand matrix of one epoch.
-    pub fn matrix_at(&self, services: &[Service], epoch: usize) -> TrafficMatrix {
+    fn matrix_at(&self, services: &[Service], epoch: usize) -> TrafficMatrix {
         let mut demand = vec![vec![self.background_gbps; self.clusters]; self.clusters];
         for (i, row) in demand.iter_mut().enumerate() {
             row[i] = 0.0;
@@ -176,10 +179,17 @@ impl CampusSim {
         TrafficMatrix::new(demand)
     }
 
-    /// Runs `epochs` epochs of the campus lifecycle. Refused if
-    /// [`uplinks`](CampusSim::uplinks) cannot reach every other cluster.
+    /// Runs `epochs` epochs of the campus lifecycle. Refused, before any
+    /// service is drawn, unless there is at least one epoch, at least two
+    /// clusters and a finite, non-negative background demand; and if
+    /// [`uplinks`](CampusSim::uplinks) cannot reach every other cluster or
+    /// [`trunk_gbps`](CampusSim::trunk_gbps) is not finite and positive.
     pub fn run(&self, epochs: usize, seed: u64) -> Result<CampusReport, TeError> {
-        assert!(epochs > 0, "need at least one epoch");
+        let background = self.background_gbps;
+        require(epochs >= 1, "epochs", epochs as f64)?;
+        require(self.clusters >= 2, "clusters", self.clusters as f64)?;
+        let demand = background.is_finite() && background >= 0.0;
+        require(demand, "background_gbps", background)?;
         let services = self.generate_services(epochs, seed);
         let static_mesh = Mesh::uniform(self.clusters, self.uplinks);
         let mut prev_placement: Option<MeshPlacement> = None;
@@ -191,9 +201,8 @@ impl CampusSim {
                 .filter(|s| s.start <= epoch && epoch < s.end)
                 .count();
             let mesh = engineer(&tm, self.uplinks)?;
-            let placement =
-                MeshPlacement::place_with_hint(&mesh, self.uplinks, prev_placement.as_ref())
-                    .expect("degree fits the uplink budget");
+            let placement = MeshPlacement::place(&mesh, self.uplinks, prev_placement.as_ref())
+                .map_err(TeError::Unplaceable)?;
             // Circuit-level churn accounting against the previous epoch.
             let (mut preserved, mut moved) = (0usize, 0usize);
             if let Some(prev) = &prev_placement {
@@ -210,8 +219,8 @@ impl CampusSim {
             } else {
                 moved = placement.circuit_count();
             }
-            let engineered = flowsim::allocate(&mesh, &tm, self.trunk_gbps);
-            let static_run = flowsim::allocate(&static_mesh, &tm, self.trunk_gbps);
+            let engineered = flowsim::allocate(&mesh, &tm, self.trunk_gbps)?;
+            let static_run = flowsim::allocate(&static_mesh, &tm, self.trunk_gbps)?;
             rows.push(EpochReport {
                 epoch,
                 services: live,

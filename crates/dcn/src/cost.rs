@@ -13,45 +13,27 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Relative unit costs/powers of fabric components.
-///
-/// Costs are in "engine units" (one WDM transceiver engine = 1.0);
-/// powers in watts. Values are calibrated to the published ratios.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CostBook {
-    /// One WDM engine (one module end of one circuit), cost units.
-    pub eng_cost: f64,
-    /// One WDM engine, watts.
-    pub eng_power: f64,
-    /// Installed fiber per circuit, cost units.
-    pub fiber_cost: f64,
-    /// One OCS duplex port-pair (chassis amortized over 128 usable), cost.
-    pub ocs_port_cost: f64,
-    /// One OCS chassis, watts (§4.1.1: ≤ 108 W; ~43 W typical draw).
-    pub ocs_chassis_power: f64,
-    /// One EPS fabric port including switch-silicon share and the
-    /// switch-side optics, cost units.
-    pub eps_port_cost: f64,
-    /// One EPS fabric port, watts (silicon + switch-side optics).
-    pub eps_port_power: f64,
-    /// Intra-cube electrical ICI power per cube (rack), watts.
-    pub ici_power_per_cube: f64,
-}
+// Unit costs and powers of fabric components, calibrated to the
+// published ratios (DESIGN.md §5). Costs are in "engine units" (one WDM
+// transceiver engine = 1.0), powers in watts.
 
-impl Default for CostBook {
-    fn default() -> Self {
-        CostBook {
-            eng_cost: 1.0,
-            eng_power: 6.0,
-            fiber_cost: 0.2,
-            ocs_port_cost: 0.132,
-            ocs_chassis_power: 43.0,
-            eps_port_cost: 0.53,
-            eps_port_power: 6.6,
-            ici_power_per_cube: 2600.0,
-        }
-    }
-}
+/// One WDM engine (one module end of one circuit), cost units.
+const ENGINE_COST: f64 = 1.0;
+/// One WDM engine, watts.
+const ENGINE_POWER: f64 = 6.0;
+/// Installed fiber per circuit, cost units.
+const FIBER_COST: f64 = 0.2;
+/// One OCS duplex port-pair (chassis amortized over 128 usable), cost.
+const OCS_PORT_COST: f64 = 0.132;
+/// One OCS chassis, watts (§4.1.1: ≤ 108 W; ~43 W typical draw).
+const OCS_CHASSIS_POWER: f64 = 43.0;
+/// One EPS fabric port including switch-silicon share and the
+/// switch-side optics, cost units.
+const EPS_PORT_COST: f64 = 0.53;
+/// One EPS fabric port, watts (silicon + switch-side optics).
+const EPS_PORT_POWER: f64 = 6.6;
+/// Intra-cube electrical ICI power per cube (rack), watts.
+const ICI_POWER_PER_CUBE: f64 = 2600.0;
 
 /// The three superpod interconnect options of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -79,35 +61,35 @@ pub const POD_CIRCUITS: usize = 64 * 48;
 pub const POD_OCS: usize = 48;
 
 /// Bill of materials for a superpod interconnect.
-pub fn superpod_fabric(kind: SuperpodFabric, book: &CostBook) -> FabricBill {
+pub fn superpod_fabric(kind: SuperpodFabric) -> FabricBill {
     let circuits = POD_CIRCUITS as f64;
     let engines = 2.0 * circuits; // one engine at each end of each circuit
-    let base_cost = engines * book.eng_cost + circuits * book.fiber_cost;
-    let base_power = engines * book.eng_power + 64.0 * book.ici_power_per_cube;
+    let base_cost = engines * ENGINE_COST + circuits * FIBER_COST;
+    let base_power = engines * ENGINE_POWER + 64.0 * ICI_POWER_PER_CUBE;
     match kind {
         SuperpodFabric::Static => FabricBill {
             cost: base_cost,
             power: base_power,
         },
         SuperpodFabric::Lightwave => FabricBill {
-            cost: base_cost + circuits * book.ocs_port_cost,
-            power: base_power + POD_OCS as f64 * book.ocs_chassis_power,
+            cost: base_cost + circuits * OCS_PORT_COST,
+            power: base_power + POD_OCS as f64 * OCS_CHASSIS_POWER,
         },
         SuperpodFabric::EpsDcn => FabricBill {
             // Every circuit terminates on an EPS fabric port instead of
             // being patched through; the port bundles switch silicon and
             // switch-side optics.
-            cost: base_cost + circuits * book.eps_port_cost,
-            power: base_power + circuits * book.eps_port_power,
+            cost: base_cost + circuits * EPS_PORT_COST,
+            power: base_power + circuits * EPS_PORT_POWER,
         },
     }
 }
 
 /// Table 1: cost and power of each option normalized to the static fabric.
-pub fn table1(book: &CostBook) -> [(SuperpodFabric, f64, f64); 3] {
-    let s = superpod_fabric(SuperpodFabric::Static, book);
+pub fn table1() -> [(SuperpodFabric, f64, f64); 3] {
+    let s = superpod_fabric(SuperpodFabric::Static);
     let mk = |k| {
-        let b = superpod_fabric(k, book);
+        let b = superpod_fabric(k);
         (k, b.cost / s.cost, b.power / s.power)
     };
     [
@@ -129,30 +111,30 @@ pub enum DcnStyle {
 /// Per-AB-uplink bill for a DCN fabric (aggregation-block internals are a
 /// common cost `ab_base` so savings are expressed against a whole fabric,
 /// as in \[47\]).
-pub fn dcn_per_uplink(style: DcnStyle, book: &CostBook) -> FabricBill {
+pub fn dcn_per_uplink(style: DcnStyle) -> FabricBill {
     // Common: the AB's own switching/serving share per uplink.
     let ab_base_cost = 1.15;
     let ab_base_power = 12.5;
     match style {
         DcnStyle::SpineFull => FabricBill {
             // AB-side engine + spine-side engine + spine switch port.
-            cost: ab_base_cost + 2.0 * book.eng_cost + book.fiber_cost + 0.1,
-            power: ab_base_power + 2.0 * book.eng_power + 8.0,
+            cost: ab_base_cost + 2.0 * ENGINE_COST + FIBER_COST + 0.1,
+            power: ab_base_power + 2.0 * ENGINE_POWER + 8.0,
         },
         DcnStyle::SpineFree => FabricBill {
             // AB-side engine only; the uplink patches through an OCS port
             // to a peer AB (whose engine is accounted on its own uplink).
-            cost: ab_base_cost + book.eng_cost + book.fiber_cost + book.ocs_port_cost / 2.0,
-            power: ab_base_power + book.eng_power + book.ocs_chassis_power / 128.0,
+            cost: ab_base_cost + ENGINE_COST + FIBER_COST + OCS_PORT_COST / 2.0,
+            power: ab_base_power + ENGINE_POWER + OCS_CHASSIS_POWER / 128.0,
         },
     }
 }
 
 /// Fig. 1 savings: (capex saving, power saving) of spine-free vs
 /// spine-full, as fractions.
-pub fn spine_free_savings(book: &CostBook) -> (f64, f64) {
-    let full = dcn_per_uplink(DcnStyle::SpineFull, book);
-    let free = dcn_per_uplink(DcnStyle::SpineFree, book);
+pub fn spine_free_savings() -> (f64, f64) {
+    let full = dcn_per_uplink(DcnStyle::SpineFull);
+    let free = dcn_per_uplink(DcnStyle::SpineFree);
     (1.0 - free.cost / full.cost, 1.0 - free.power / full.power)
 }
 
@@ -163,7 +145,7 @@ mod tests {
     #[test]
     fn table1_ratios_match_paper() {
         // Table 1: DCN 1.24×/1.10×, Lightwave 1.06×/1.01×, Static 1×/1×.
-        let rows = table1(&CostBook::default());
+        let rows = table1();
         let find = |k: SuperpodFabric| rows.iter().find(|r| r.0 == k).copied().unwrap();
         let (_, c_eps, p_eps) = find(SuperpodFabric::EpsDcn);
         let (_, c_lw, p_lw) = find(SuperpodFabric::Lightwave);
@@ -179,32 +161,36 @@ mod tests {
     fn lightwave_premium_is_small_absolute() {
         // The abstract's framing: the reconfigurable fabric costs < 6%
         // over static while unlocking the §4.2 gains.
-        let book = CostBook::default();
-        let s = superpod_fabric(SuperpodFabric::Static, &book);
-        let l = superpod_fabric(SuperpodFabric::Lightwave, &book);
+        let s = superpod_fabric(SuperpodFabric::Static);
+        let l = superpod_fabric(SuperpodFabric::Lightwave);
         assert!((l.cost - s.cost) / s.cost <= 0.06 + 1e-9);
     }
 
     #[test]
     fn spine_free_savings_match_poutievski() {
         // §4.2: "30% reduction in CapEx and 41% reduction in OpEx".
-        let (capex, power) = spine_free_savings(&CostBook::default());
+        let (capex, power) = spine_free_savings();
         assert!((capex - 0.30).abs() < 0.03, "capex saving {capex:.3}");
         assert!((power - 0.41).abs() < 0.03, "power saving {power:.3}");
     }
 
     #[test]
     fn ocs_chassis_power_stays_within_rating() {
-        let book = CostBook::default();
-        assert!(book.ocs_chassis_power < 108.0, "under the Palomar max");
+        // The lightwave bill's power over the static one is its chassis.
+        let s = superpod_fabric(SuperpodFabric::Static);
+        let l = superpod_fabric(SuperpodFabric::Lightwave);
+        let per_chassis = (l.power - s.power) / POD_OCS as f64;
+        assert!(
+            per_chassis < 108.0,
+            "under the Palomar max: {per_chassis} W"
+        );
     }
 
     #[test]
     fn eps_always_most_expensive() {
-        let book = CostBook::default();
-        let e = superpod_fabric(SuperpodFabric::EpsDcn, &book);
-        let l = superpod_fabric(SuperpodFabric::Lightwave, &book);
-        let s = superpod_fabric(SuperpodFabric::Static, &book);
+        let e = superpod_fabric(SuperpodFabric::EpsDcn);
+        let l = superpod_fabric(SuperpodFabric::Lightwave);
+        let s = superpod_fabric(SuperpodFabric::Static);
         assert!(e.cost > l.cost && l.cost > s.cost);
         assert!(e.power > l.power && l.power > s.power);
     }

@@ -12,6 +12,7 @@
 // across several parallel matrices); iterator forms obscure that.
 #![allow(clippy::needless_range_loop)]
 
+use crate::te::{require, TeError};
 use crate::topology::Mesh;
 use crate::traffic::TrafficMatrix;
 use serde::{Deserialize, Serialize};
@@ -34,10 +35,15 @@ pub struct FlowReport {
 /// Cap applied to the per-pair FCT proxy when a pair gets (almost) no rate.
 pub const FCT_CAP: f64 = 100.0;
 
-/// Allocates demand over `mesh` with `trunk_gbps` per trunk.
-pub fn allocate(mesh: &Mesh, tm: &TrafficMatrix, trunk_gbps: f64) -> FlowReport {
+/// Allocates demand over `mesh` with `trunk_gbps` per trunk. Refused
+/// unless `trunk_gbps` is finite and positive.
+///
+/// # Panics
+/// Panics if the mesh and the matrix differ in AB count.
+pub fn allocate(mesh: &Mesh, tm: &TrafficMatrix, trunk_gbps: f64) -> Result<FlowReport, TeError> {
     assert_eq!(mesh.n(), tm.n(), "mesh and matrix must agree on AB count");
-    assert!(trunk_gbps > 0.0);
+    let positive = trunk_gbps.is_finite() && trunk_gbps > 0.0;
+    require(positive, "trunk_gbps", trunk_gbps)?;
     let n = mesh.n();
     // Residual capacity per unordered pair link.
     let mut cap = vec![vec![0.0f64; n]; n];
@@ -134,12 +140,12 @@ pub fn allocate(mesh: &Mesh, tm: &TrafficMatrix, trunk_gbps: f64) -> FlowReport 
             fct_den += d;
         }
     }
-    FlowReport {
+    Ok(FlowReport {
         rate,
         throughput,
         offered,
         mean_fct: fct_num / fct_den.max(1e-12),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -151,7 +157,7 @@ mod tests {
     fn underloaded_uniform_mesh_satisfies_everything() {
         let mesh = Mesh::uniform(8, 21); // 3 trunks per pair
         let tm = TrafficMatrix::uniform(8, 10.0); // well under 3×100G
-        let r = allocate(&mesh, &tm, 100.0);
+        let r = allocate(&mesh, &tm, 100.0).unwrap();
         assert!((r.throughput - r.offered).abs() < 1e-6);
         assert!(
             (r.mean_fct - 1.0).abs() < 1e-6,
@@ -168,7 +174,7 @@ mod tests {
         let mut demand = vec![vec![0.0; 3]; 3];
         demand[0][1] = 50.0;
         let tm = TrafficMatrix::new(demand);
-        let r = allocate(&mesh, &tm, 100.0);
+        let r = allocate(&mesh, &tm, 100.0).unwrap();
         assert!(
             (r.rate[0][1] - 50.0).abs() < 1e-6,
             "two-hop transit carries it: {}",
@@ -186,8 +192,8 @@ mod tests {
         let n = 16;
         let uplinks = 30;
         let tm = TrafficMatrix::hotspot(n, 40.0, 8, 30.0, 3);
-        let uniform = allocate(&Mesh::uniform(n, uplinks), &tm, 100.0);
-        let engineered = allocate(&engineer(&tm, uplinks).unwrap(), &tm, 100.0);
+        let uniform = allocate(&Mesh::uniform(n, uplinks), &tm, 100.0).unwrap();
+        let engineered = allocate(&engineer(&tm, uplinks).unwrap(), &tm, 100.0).unwrap();
         let tput_gain = engineered.throughput / uniform.throughput;
         let fct_gain = (uniform.mean_fct - engineered.mean_fct) / uniform.mean_fct;
         assert!(
@@ -204,8 +210,8 @@ mod tests {
     fn te_is_neutral_on_uniform_traffic() {
         let n = 12;
         let tm = TrafficMatrix::uniform(n, 12.0);
-        let uniform = allocate(&Mesh::uniform(n, 22), &tm, 100.0);
-        let engineered = allocate(&engineer(&tm, 22).unwrap(), &tm, 100.0);
+        let uniform = allocate(&Mesh::uniform(n, 22), &tm, 100.0).unwrap();
+        let engineered = allocate(&engineer(&tm, 22).unwrap(), &tm, 100.0).unwrap();
         let ratio = engineered.throughput / uniform.throughput;
         assert!((0.95..1.05).contains(&ratio), "ratio {ratio}");
     }
@@ -215,7 +221,7 @@ mod tests {
         for seed in 0..4 {
             let tm = TrafficMatrix::gravity(10, 20.0, seed);
             let mesh = Mesh::uniform(10, 18);
-            let r = allocate(&mesh, &tm, 100.0);
+            let r = allocate(&mesh, &tm, 100.0).unwrap();
             assert!(r.throughput <= r.offered + 1e-6);
             assert!(r.rate.iter().flatten().all(|&x| x >= 0.0));
         }
@@ -225,7 +231,7 @@ mod tests {
     fn overload_degrades_gracefully() {
         let tm = TrafficMatrix::uniform(6, 1000.0); // hopeless overload
         let mesh = Mesh::uniform(6, 10);
-        let r = allocate(&mesh, &tm, 100.0);
+        let r = allocate(&mesh, &tm, 100.0).unwrap();
         assert!(r.throughput < r.offered);
         assert!(r.throughput > 0.0);
         assert!(r.mean_fct > 1.0);

@@ -18,13 +18,13 @@ use crate::topology::Mesh;
 use lightwave_fabric::{
     CommitError, CommitReport, FabricController, FabricTarget, OcsFleet, OcsId,
 };
-use lightwave_ocs::{PortId, PortMapping};
+use lightwave_ocs::{CrossbarError, PortId, PortMapping};
 use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Why a mesh could not be mapped onto the OCS layer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RealizeError {
     /// An AB's degree exceeds the number of switches (it has one port pair
     /// per switch).
@@ -42,6 +42,14 @@ pub enum RealizeError {
         /// The unplaceable trunk.
         pair: (usize, usize),
     },
+    /// Two legs of a placement (its fields are public, and it can be read
+    /// from a document) share a port on one switch.
+    PortClash {
+        /// The switch.
+        ocs: OcsId,
+        /// What its crossbar refused.
+        error: CrossbarError,
+    },
 }
 
 impl std::fmt::Display for RealizeError {
@@ -57,6 +65,9 @@ impl std::fmt::Display for RealizeError {
             ),
             RealizeError::AssignmentFailed { pair } => {
                 write!(f, "could not place trunk {pair:?}")
+            }
+            RealizeError::PortClash { ocs, error } => {
+                write!(f, "two legs share a port on switch {ocs}: {error:?}")
             }
         }
     }
@@ -109,16 +120,11 @@ mod trunk_map_serde {
 
 impl MeshPlacement {
     /// Computes a placement for `mesh` on an OCS layer of `switches`
-    /// switches.
-    pub fn place(mesh: &Mesh, switches: usize) -> Result<MeshPlacement, RealizeError> {
-        Self::place_with_hint(mesh, switches, None)
-    }
-
-    /// As [`MeshPlacement::place`], but keeps each trunk on the switches a
-    /// previous placement used whenever possible — what turns topology
+    /// switches. With a previous placement, each trunk stays on the
+    /// switches it used whenever possible — what turns topology
     /// re-engineering into a minimal fabric delta (§2.1: changing the
     /// logical mesh must not blink the trunks that both meshes share).
-    pub fn place_with_hint(
+    pub fn place(
         mesh: &Mesh,
         switches: usize,
         prev: Option<&MeshPlacement>,
@@ -210,8 +216,9 @@ impl MeshPlacement {
         Ok(MeshPlacement { trunks, switches })
     }
 
-    /// The fabric target realizing this placement.
-    pub fn fabric_target(&self) -> FabricTarget {
+    /// The fabric target realizing this placement. Refused if two legs
+    /// share a port on one switch.
+    pub fn fabric_target(&self) -> Result<FabricTarget, RealizeError> {
         let mut per_switch: BTreeMap<OcsId, Vec<(PortId, PortId)>> = BTreeMap::new();
         for (&(i, j), legs) in &self.trunks {
             for leg in legs {
@@ -223,14 +230,13 @@ impl MeshPlacement {
             }
         }
         let mut target = FabricTarget::new();
-        for s in 0..self.switches as OcsId {
-            let pairs = per_switch.remove(&s).unwrap_or_default();
-            target.set(
-                s,
-                PortMapping::from_pairs(pairs).expect("placement is port-disjoint"),
-            );
+        for ocs in 0..self.switches as OcsId {
+            let pairs = per_switch.remove(&ocs).unwrap_or_default();
+            let mapping = PortMapping::from_pairs(pairs)
+                .map_err(|error| RealizeError::PortClash { ocs, error })?;
+            target.set(ocs, mapping);
         }
-        target
+        Ok(target)
     }
 
     /// Total circuits.
@@ -265,29 +271,28 @@ impl DcnFabric {
         }
     }
 
-    /// Aggregation blocks served.
-    pub fn abs(&self) -> usize {
-        self.abs
-    }
-
     /// The fabric controller (health, telemetry).
     pub fn controller(&self) -> &FabricController {
         &self.controller
     }
 
     /// Installs (or re-engineers to) `mesh`, committing the minimal delta
-    /// against whatever is currently running.
+    /// against whatever is currently running. Refused unless the mesh
+    /// covers exactly the ABs the fabric serves.
     pub fn install(&mut self, mesh: &Mesh) -> Result<CommitReport, DcnFabricError> {
-        assert_eq!(mesh.n(), self.abs, "mesh must cover every AB");
-        let placement = MeshPlacement::place_with_hint(
-            mesh,
-            self.controller.fleet.len(),
-            self.current.as_ref(),
-        )
-        .map_err(DcnFabricError::Realize)?;
+        if mesh.n() != self.abs {
+            return Err(DcnFabricError::AbCount {
+                mesh: mesh.n(),
+                fabric: self.abs,
+            });
+        }
+        let switches = self.controller.fleet.len();
+        let placement = MeshPlacement::place(mesh, switches, self.current.as_ref())
+            .map_err(DcnFabricError::Realize)?;
+        let target = placement.fabric_target().map_err(DcnFabricError::Realize)?;
         let report = self
             .controller
-            .commit(&placement.fabric_target())
+            .commit(&target)
             .map_err(DcnFabricError::Fabric)?;
         self.current = Some(placement);
         Ok(report)
@@ -302,16 +307,18 @@ impl DcnFabric {
     pub fn settled(&self) -> bool {
         self.controller.settled()
     }
-
-    /// The current placement, if any.
-    pub fn placement(&self) -> Option<&MeshPlacement> {
-        self.current.as_ref()
-    }
 }
 
 /// Errors from [`DcnFabric::install`].
 #[derive(Debug)]
 pub enum DcnFabricError {
+    /// The mesh covers another number of ABs than the fabric serves.
+    AbCount {
+        /// ABs in the mesh.
+        mesh: usize,
+        /// ABs the fabric serves.
+        fabric: usize,
+    },
     /// The mesh cannot be placed.
     Realize(RealizeError),
     /// The fabric rejected the transaction.
@@ -321,6 +328,9 @@ pub enum DcnFabricError {
 impl std::fmt::Display for DcnFabricError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            DcnFabricError::AbCount { mesh, fabric } => {
+                write!(f, "a mesh over {mesh} ABs on a fabric serving {fabric}")
+            }
             DcnFabricError::Realize(e) => write!(f, "placement: {e}"),
             DcnFabricError::Fabric(e) => write!(f, "fabric: {e}"),
         }
@@ -338,7 +348,7 @@ mod tests {
     #[test]
     fn uniform_mesh_places_and_installs() {
         let mesh = Mesh::uniform(16, 30);
-        let placement = MeshPlacement::place(&mesh, 32).unwrap();
+        let placement = MeshPlacement::place(&mesh, 32, None).unwrap();
         assert_eq!(placement.circuit_count(), 16 * 30 / 2);
         let mut fabric = DcnFabric::new(16, 32, 1);
         let report = fabric.install(&mesh).unwrap();
@@ -351,7 +361,7 @@ mod tests {
     fn placement_is_port_disjoint_per_switch() {
         let tm = TrafficMatrix::hotspot(12, 10.0, 5, 20.0, 7);
         let mesh = engineer(&tm, 22).unwrap();
-        let placement = MeshPlacement::place(&mesh, 24).unwrap();
+        let placement = MeshPlacement::place(&mesh, 24, None).unwrap();
         let mut seen = std::collections::BTreeSet::new();
         for (&(i, j), legs) in &placement.trunks {
             for leg in legs {
@@ -373,7 +383,7 @@ mod tests {
     #[test]
     fn degree_beyond_switch_count_rejected() {
         let mesh = Mesh::uniform(8, 40);
-        match MeshPlacement::place(&mesh, 16) {
+        match MeshPlacement::place(&mesh, 16, None) {
             Err(RealizeError::DegreeExceedsSwitches {
                 degree, switches, ..
             }) => {

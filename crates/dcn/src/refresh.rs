@@ -47,38 +47,24 @@ impl HeterogeneousFabric {
         self.generations.len()
     }
 
-    /// Trunk rate between two ABs on the OCS fabric: both ends negotiate
-    /// to the older generation (§3.3.1's multi-rate modules), and the OCS
-    /// passes whatever the light carries.
-    pub fn pair_gbps_spine_free(&self, i: usize, j: usize) -> f64 {
+    /// Trunk rate between two ABs: both ends negotiate to the older
+    /// generation (§3.3.1's multi-rate modules). On the OCS fabric
+    /// (`spine` is `None`) that is the rate, since the OCS passes whatever
+    /// the light carries; on a spine-full fabric the path is
+    /// AB→spine→AB and runs at the slowest hop.
+    pub fn pair_gbps(&self, i: usize, j: usize, spine: Option<LaneRate>) -> f64 {
         let rate = self.generations[i].negotiate(self.generations[j]);
+        let rate = spine.map_or(rate, |spine| rate.negotiate(spine));
         generation_gbps(rate) * self.trunks_per_pair as f64
     }
 
-    /// Trunk rate between two ABs on a spine-full fabric whose spine runs
-    /// at `spine`: the path is AB→spine→AB and runs at the slowest hop.
-    pub fn pair_gbps_spine_full(&self, i: usize, j: usize, spine: LaneRate) -> f64 {
-        let rate = self.generations[i]
-            .negotiate(self.generations[j])
-            .negotiate(spine);
-        generation_gbps(rate) * self.trunks_per_pair as f64
-    }
-
-    /// Aggregate fabric capacity (sum over unordered pairs).
-    pub fn capacity_spine_free(&self) -> f64 {
+    /// Aggregate fabric capacity (sum over unordered pairs), on the OCS
+    /// fabric or through a spine of the given generation.
+    pub fn capacity(&self, spine: Option<LaneRate>) -> f64 {
         let n = self.n();
         (0..n)
             .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
-            .map(|(i, j)| self.pair_gbps_spine_free(i, j))
-            .sum()
-    }
-
-    /// Aggregate capacity through a spine of the given generation.
-    pub fn capacity_spine_full(&self, spine: LaneRate) -> f64 {
-        let n = self.n();
-        (0..n)
-            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
-            .map(|(i, j)| self.pair_gbps_spine_full(i, j, spine))
+            .map(|(i, j)| self.pair_gbps(i, j, spine))
             .sum()
     }
 
@@ -109,8 +95,8 @@ pub fn rolling_upgrade(n: usize, old: LaneRate, new: LaneRate, trunks: usize) ->
     for upgraded in 0..=n {
         out.push(RefreshEpoch {
             upgraded,
-            spine_free_gbps: fabric.capacity_spine_free(),
-            spine_full_old_spine_gbps: fabric.capacity_spine_full(old),
+            spine_free_gbps: fabric.capacity(None),
+            spine_full_old_spine_gbps: fabric.capacity(Some(old)),
         });
         if upgraded < n {
             fabric.upgrade_ab(upgraded, new);
@@ -129,9 +115,9 @@ mod tests {
         f.upgrade_ab(0, LaneRate::Pam4_100);
         f.upgrade_ab(1, LaneRate::Pam4_100);
         // New↔new at the new rate, mixed and old↔old at the old rate.
-        assert!((f.pair_gbps_spine_free(0, 1) - 4.0 * 4.0 * 106.25).abs() < 1.0);
-        assert!((f.pair_gbps_spine_free(0, 2) - 4.0 * 4.0 * 53.125).abs() < 1.0);
-        assert!((f.pair_gbps_spine_free(2, 3) - 4.0 * 4.0 * 53.125).abs() < 1.0);
+        assert!((f.pair_gbps(0, 1, None) - 4.0 * 4.0 * 106.25).abs() < 1.0);
+        assert!((f.pair_gbps(0, 2, None) - 4.0 * 4.0 * 53.125).abs() < 1.0);
+        assert!((f.pair_gbps(2, 3, None) - 4.0 * 4.0 * 53.125).abs() < 1.0);
     }
 
     #[test]
@@ -140,7 +126,7 @@ mod tests {
         f.upgrade_ab(0, LaneRate::Pam4_100);
         f.upgrade_ab(1, LaneRate::Pam4_100);
         // Even the new↔new pair is stuck at the spine's rate.
-        assert!((f.pair_gbps_spine_full(0, 1, LaneRate::Pam4_50) - 4.0 * 4.0 * 53.125).abs() < 1.0);
+        assert!((f.pair_gbps(0, 1, Some(LaneRate::Pam4_50)) - 4.0 * 4.0 * 53.125).abs() < 1.0);
     }
 
     #[test]
@@ -179,7 +165,7 @@ mod tests {
             generations: vec![LaneRate::Nrz25, LaneRate::Pam4_100],
             trunks_per_pair: 1,
         };
-        let gbps = f.pair_gbps_spine_free(0, 1);
+        let gbps = f.pair_gbps(0, 1, None);
         assert!(
             (gbps - 4.0 * 25.781_25).abs() < 0.1,
             "runs at the older rate: {gbps}"

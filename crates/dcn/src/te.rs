@@ -11,11 +11,14 @@
 // across several parallel matrices); iterator forms obscure that.
 #![allow(clippy::needless_range_loop)]
 
+use crate::realize::RealizeError;
 use crate::topology::Mesh;
 use crate::traffic::TrafficMatrix;
 
-/// Why no mesh can be engineered for a matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Why a topology-engineering run is refused: no mesh reaches every
+/// peer, a parameter is out of range, or the OCS layer cannot carry the
+/// engineered mesh.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TeError {
     /// The per-AB budget is below the connectivity floor of one trunk to
     /// every peer, which transit routing relies on.
@@ -25,6 +28,17 @@ pub enum TeError {
         /// The other ABs each AB must reach.
         peers: usize,
     },
+    /// A parameter out of its range, by name: `trunk_gbps` (finite and
+    /// positive), `clusters` (at least two), `epochs` (at least one) or
+    /// `background_gbps` (finite, not negative).
+    OutOfRange {
+        /// The parameter.
+        field: &'static str,
+        /// What it held (a count as `f64`).
+        value: f64,
+    },
+    /// The engineered mesh could not be placed on the switches.
+    Unplaceable(RealizeError),
 }
 
 impl std::fmt::Display for TeError {
@@ -38,11 +52,20 @@ impl std::fmt::Display for TeError {
                 "{uplinks_per_ab} uplinks per AB cannot reach {peers} peers: \
                  the connectivity floor is one trunk each"
             ),
+            TeError::OutOfRange { field, value } => {
+                write!(f, "`{field}` is out of range: {value}")
+            }
+            TeError::Unplaceable(e) => write!(f, "placement: {e}"),
         }
     }
 }
 
 impl std::error::Error for TeError {}
+
+/// [`TeError::OutOfRange`] naming `field` and its `value`, unless `ok`.
+pub(crate) fn require(ok: bool, field: &'static str, value: f64) -> Result<(), TeError> {
+    ok.then_some(()).ok_or(TeError::OutOfRange { field, value })
+}
 
 /// Builds a demand-proportional mesh.
 ///
@@ -71,7 +94,7 @@ pub fn engineer(tm: &TrafficMatrix, uplinks_per_ab: usize) -> Result<Mesh, TeErr
         let total: f64 = (0..n).filter(|&j| j != i).map(|j| pair_demand(i, j)).sum();
         let spare = uplinks_per_ab - (n - 1);
         // Largest-remainder apportionment of the spare trunks.
-        let mut shares: Vec<(usize, f64)> = (0..n)
+        let mut alloc: Vec<(usize, usize, f64)> = (0..n)
             .filter(|&j| j != i)
             .map(|j| {
                 let frac = if total > 0.0 {
@@ -79,20 +102,13 @@ pub fn engineer(tm: &TrafficMatrix, uplinks_per_ab: usize) -> Result<Mesh, TeErr
                 } else {
                     spare as f64 / (n - 1) as f64
                 };
-                (j, frac)
+                (j, frac.floor() as usize, frac - frac.floor())
             })
             .collect();
-        let mut alloc: Vec<(usize, usize, f64)> = shares
-            .drain(..)
-            .map(|(j, f)| (j, f.floor() as usize, f - f.floor()))
-            .collect();
-        let mut used: usize = alloc.iter().map(|a| a.1).sum();
-        alloc.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite remainders"));
-        let mut k = 0;
-        while used < spare && k < alloc.len() {
-            alloc[k].1 += 1;
-            used += 1;
-            k += 1;
+        let used: usize = alloc.iter().map(|a| a.1).sum();
+        alloc.sort_by(|a, b| b.2.total_cmp(&a.2));
+        for a in alloc.iter_mut().take(spare.saturating_sub(used)) {
+            a.1 += 1; // the largest remainders take what is left
         }
         for (j, extra, _) in alloc {
             wish[i][j] = 1 + extra; // the floor plus the demand share
@@ -106,33 +122,9 @@ pub fn engineer(tm: &TrafficMatrix, uplinks_per_ab: usize) -> Result<Mesh, TeErr
     }
     debug_assert!(mesh.within_budget(), "reconciliation must respect budgets");
 
-    // Reclaim budget stranded by min-reconciliation: greedily add trunks to
-    // the highest-demand pair whose both endpoints have spare budget.
-    loop {
-        let mut best: Option<(usize, usize, f64)> = None;
-        for i in 0..n {
-            if mesh.degree(i) >= uplinks_per_ab {
-                continue;
-            }
-            for j in (i + 1)..n {
-                if mesh.degree(j) >= uplinks_per_ab {
-                    continue;
-                }
-                let d = pair_demand(i, j);
-                match best {
-                    Some((_, _, bd)) if bd >= d => {}
-                    _ => best = Some((i, j, d)),
-                }
-            }
-        }
-        match best {
-            Some((i, j, _)) => {
-                let t = mesh.trunks(i, j);
-                mesh.set_trunks(i, j, t + 1);
-            }
-            None => break,
-        }
-    }
+    // Reclaim budget stranded by min-reconciliation: the highest-demand
+    // pair whose both endpoints have spare budget gets the next trunk.
+    mesh.top_up(|_, i, j| pair_demand(i, j));
     Ok(mesh)
 }
 

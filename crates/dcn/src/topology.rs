@@ -20,9 +20,50 @@ pub type AbId = usize;
 /// AB j (symmetric).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Mesh {
-    n: usize,
     uplinks_per_ab: usize,
+    /// Square, at least 2×2, symmetric, with a zero diagonal; a document
+    /// that is not is refused when it is read.
+    #[serde(with = "trunk_rows")]
     trunks: Vec<Vec<usize>>,
+}
+
+/// Why `rows` is no matrix over AB pairs: fewer than two rows, a row of
+/// another length, or a nonzero diagonal entry (the first found).
+pub(crate) fn not_pairwise<T: Default + PartialEq>(rows: &[Vec<T>]) -> Option<&'static str> {
+    let n = rows.len();
+    if n < 2 {
+        return Some("need at least two ABs");
+    }
+    for (i, row) in rows.iter().enumerate() {
+        if row.len() != n {
+            return Some("matrix must be square");
+        }
+        if row[i] != T::default() {
+            return Some("diagonal must be zero");
+        }
+    }
+    None
+}
+
+/// The trunk matrix read from a document only if it is one
+/// [`Mesh::empty`] and [`Mesh::set_trunks`] could have built.
+mod trunk_rows {
+    use serde::de::Error;
+    use serde::{Deserialize, Deserializer, Serialize, Serializer};
+
+    pub fn serialize<S: Serializer>(rows: &[Vec<usize>], ser: S) -> Result<S::Ok, S::Error> {
+        rows.serialize(ser)
+    }
+
+    pub fn deserialize<'de, D: Deserializer<'de>>(de: D) -> Result<Vec<Vec<usize>>, D::Error> {
+        let rows: Vec<Vec<usize>> = Vec::deserialize(de)?;
+        let asymmetric = || (0..rows.len()).any(|i| (0..i).any(|j| rows[i][j] != rows[j][i]));
+        match super::not_pairwise(&rows) {
+            Some(why) => Err(D::Error::custom(why)),
+            None if asymmetric() => Err(D::Error::custom("trunk counts must be symmetric")),
+            None => Ok(rows),
+        }
+    }
 }
 
 impl Mesh {
@@ -30,7 +71,6 @@ impl Mesh {
     pub fn empty(n: usize, uplinks_per_ab: usize) -> Mesh {
         assert!(n >= 2, "a mesh needs at least two ABs");
         Mesh {
-            n,
             uplinks_per_ab,
             trunks: vec![vec![0; n]; n],
         }
@@ -48,37 +88,42 @@ impl Mesh {
                 mesh.set_trunks(i, j, base);
             }
         }
+        mesh.top_up(|mesh, i, j| (2 * uplinks_per_ab - mesh.degree(i) - mesh.degree(j)) as f64);
+        mesh
+    }
+
+    /// Adds trunks one at a time until no pair has budget left at both
+    /// ends, each to the pair with the highest `score` — on a tie the
+    /// first in `(i, j)` order. [`Mesh::uniform`] scores a pair by its
+    /// endpoints' headroom, topology engineering by its demand.
+    pub(crate) fn top_up(&mut self, score: impl Fn(&Mesh, AbId, AbId) -> f64) {
+        let n = self.n();
         loop {
-            let mut best: Option<(usize, usize, usize)> = None;
+            let mut best: Option<(AbId, AbId, f64)> = None;
             for i in 0..n {
-                if mesh.degree(i) >= uplinks_per_ab {
+                if self.degree(i) >= self.uplinks_per_ab {
                     continue;
                 }
                 for j in (i + 1)..n {
-                    if mesh.degree(j) >= uplinks_per_ab {
+                    if self.degree(j) >= self.uplinks_per_ab {
                         continue;
                     }
-                    let head = 2 * uplinks_per_ab - mesh.degree(i) - mesh.degree(j);
+                    let s = score(self, i, j);
                     match best {
-                        Some((_, _, bh)) if bh >= head => {}
-                        _ => best = Some((i, j, head)),
+                        Some((_, _, bs)) if bs >= s => {}
+                        _ => best = Some((i, j, s)),
                     }
                 }
             }
-            match best {
-                Some((i, j, _)) => {
-                    let t = mesh.trunks(i, j);
-                    mesh.set_trunks(i, j, t + 1);
-                }
-                None => break,
-            }
+            let Some((i, j, _)) = best else { return };
+            let t = self.trunks(i, j);
+            self.set_trunks(i, j, t + 1);
         }
-        mesh
     }
 
     /// Number of ABs.
     pub fn n(&self) -> usize {
-        self.n
+        self.trunks.len()
     }
 
     /// Radix budget per AB.
@@ -108,17 +153,18 @@ impl Mesh {
 
     /// Whether every AB respects its radix budget.
     pub fn within_budget(&self) -> bool {
-        (0..self.n).all(|i| self.degree(i) <= self.uplinks_per_ab)
+        (0..self.n()).all(|i| self.degree(i) <= self.uplinks_per_ab)
     }
 
     /// Whether the mesh is connected (every AB reaches every other over
     /// trunks ≥ 1), required for transit routing.
     pub fn connected(&self) -> bool {
-        let mut seen = vec![false; self.n];
+        let n = self.n();
+        let mut seen = vec![false; n];
         let mut stack = vec![0usize];
         seen[0] = true;
         while let Some(i) = stack.pop() {
-            for j in 0..self.n {
+            for j in 0..n {
                 if !seen[j] && self.trunks[i][j] > 0 {
                     seen[j] = true;
                     stack.push(j);
@@ -156,6 +202,21 @@ mod tests {
             assert!(mesh.degree(i) >= 8, "degree {} at AB {i}", mesh.degree(i));
         }
         assert!(mesh.connected());
+    }
+
+    #[test]
+    fn uniform_leftovers_go_to_the_first_pairs() {
+        // 5 uplinks over 4 peers: one trunk each and one left over per AB.
+        // Every pair ties on headroom, so (0, 1) takes the first leftover,
+        // (2, 3) the next, and AB 4 has no partner left.
+        let mesh = Mesh::uniform(5, 5);
+        for i in 0..5 {
+            for j in (i + 1)..5 {
+                let doubled = [(0, 1), (2, 3)].contains(&(i, j));
+                assert_eq!(mesh.trunks(i, j), 1 + usize::from(doubled), "({i}, {j})");
+            }
+        }
+        assert_eq!(mesh.degree(4), 4);
     }
 
     #[test]

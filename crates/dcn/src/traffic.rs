@@ -6,6 +6,7 @@
 //! generators produce the regimes the evaluation sweeps: uniform
 //! (TE-neutral), gravity (mildly skewed), and hotspot (strongly skewed).
 
+use crate::topology::not_pairwise;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rand_distr::{Distribution, LogNormal};
@@ -14,8 +15,40 @@ use serde::{Deserialize, Serialize};
 /// A demand matrix in Gb/s between AB pairs (diagonal is zero).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrafficMatrix {
-    n: usize,
+    /// Square, at least 2×2, with a zero diagonal and finite non-negative
+    /// entries; a document that is not is refused when it is read.
+    #[serde(with = "demand_rows")]
     demand: Vec<Vec<f64>>,
+}
+
+/// Why `demand` is no demand matrix (the first reason found).
+fn malformed(demand: &[Vec<f64>]) -> Option<&'static str> {
+    not_pairwise(demand).or_else(|| {
+        demand
+            .iter()
+            .flatten()
+            .any(|d| !(d.is_finite() && *d >= 0.0))
+            .then_some("demand must be finite and non-negative")
+    })
+}
+
+/// The demand matrix read from a document only if [`TrafficMatrix::new`]
+/// would take it.
+mod demand_rows {
+    use serde::de::Error;
+    use serde::{Deserialize, Deserializer, Serialize, Serializer};
+
+    pub fn serialize<S: Serializer>(rows: &[Vec<f64>], ser: S) -> Result<S::Ok, S::Error> {
+        rows.serialize(ser)
+    }
+
+    pub fn deserialize<'de, D: Deserializer<'de>>(de: D) -> Result<Vec<Vec<f64>>, D::Error> {
+        let rows: Vec<Vec<f64>> = Vec::deserialize(de)?;
+        match super::malformed(&rows) {
+            Some(why) => Err(D::Error::custom(why)),
+            None => Ok(rows),
+        }
+    }
 }
 
 impl TrafficMatrix {
@@ -25,14 +58,9 @@ impl TrafficMatrix {
     /// Panics if the matrix is not square with a zero diagonal and
     /// non-negative entries.
     pub fn new(demand: Vec<Vec<f64>>) -> TrafficMatrix {
-        let n = demand.len();
-        assert!(n >= 2, "need at least two ABs");
-        for (i, row) in demand.iter().enumerate() {
-            assert_eq!(row.len(), n, "matrix must be square");
-            assert!(row[i] == 0.0, "diagonal must be zero");
-            assert!(row.iter().all(|&d| d >= 0.0 && d.is_finite()));
-        }
-        TrafficMatrix { n, demand }
+        let why = malformed(&demand);
+        assert!(why.is_none(), "{}", why.unwrap_or_default());
+        TrafficMatrix { demand }
     }
 
     /// Uniform all-to-all demand.
@@ -48,7 +76,9 @@ impl TrafficMatrix {
     /// mass_i · mass_j, scaled so the mean pair demand is `mean_gbps`.
     pub fn gravity(n: usize, mean_gbps: f64, seed: u64) -> TrafficMatrix {
         let mut rng = StdRng::seed_from_u64(seed);
-        let dist = LogNormal::new(0.0, 0.8).expect("valid params");
+        // Constant parameters: σ = 0.8 is finite and positive.
+        #[allow(clippy::expect_used)]
+        let dist = LogNormal::new(0.0, 0.8).expect("σ is finite and positive");
         let mass: Vec<f64> = (0..n).map(|_| dist.sample(&mut rng)).collect();
         let mut demand = vec![vec![0.0; n]; n];
         let mut total = 0.0;
@@ -99,7 +129,7 @@ impl TrafficMatrix {
 
     /// AB count.
     pub fn n(&self) -> usize {
-        self.n
+        self.demand.len()
     }
 
     /// Demand i → j.
@@ -114,7 +144,8 @@ impl TrafficMatrix {
 
     /// Skew metric: max pair demand / mean pair demand.
     pub fn skew(&self) -> f64 {
-        let n_pairs = (self.n * (self.n - 1)) as f64;
+        let n = self.n();
+        let n_pairs = (n * (n - 1)) as f64;
         let mean = self.total() / n_pairs;
         let max = self.demand.iter().flatten().fold(0.0f64, |a, &b| a.max(b));
         max / mean

@@ -13,7 +13,7 @@ proptest! {
         let uplinks = 2 * (n - 1);
         let tm = TrafficMatrix::gravity(n, 15.0, seed);
         let mesh = engineer(&tm, uplinks).unwrap();
-        let placement = MeshPlacement::place(&mesh, uplinks).expect("degree ≤ switches");
+        let placement = MeshPlacement::place(&mesh, uplinks, None).expect("degree ≤ switches");
         // Circuit count equals total trunks.
         let trunk_total: usize = (0..n)
             .map(|i| ((i + 1)..n).map(|j| mesh.trunks(i, j)).sum::<usize>())
@@ -36,8 +36,8 @@ proptest! {
         // on its switch.
         let tm = TrafficMatrix::gravity(10, 12.0, seed);
         let mesh = engineer(&tm, 18).unwrap();
-        let first = MeshPlacement::place(&mesh, 18).expect("places");
-        let second = MeshPlacement::place_with_hint(&mesh, 18, Some(&first)).expect("places");
+        let first = MeshPlacement::place(&mesh, 18, None).expect("places");
+        let second = MeshPlacement::place(&mesh, 18, Some(&first)).expect("places");
         prop_assert_eq!(first, second);
     }
 
@@ -57,8 +57,8 @@ proptest! {
         // badly — the connectivity floor guarantees transit still works.
         let tm = TrafficMatrix::gravity(10, 40.0, seed);
         let uplinks = 18;
-        let uni = flowsim::allocate(&Mesh::uniform(10, uplinks), &tm, 100.0);
-        let eng = flowsim::allocate(&engineer(&tm, uplinks).unwrap(), &tm, 100.0);
+        let uni = flowsim::allocate(&Mesh::uniform(10, uplinks), &tm, 100.0).unwrap();
+        let eng = flowsim::allocate(&engineer(&tm, uplinks).unwrap(), &tm, 100.0).unwrap();
         prop_assert!(
             eng.throughput >= 0.9 * uni.throughput,
             "TE {} vs uniform {}",
@@ -71,7 +71,7 @@ proptest! {
     fn flow_rates_respect_demand(seed in 0u64..60, trunk in 50.0f64..200.0) {
         let tm = TrafficMatrix::hotspot(8, 30.0, 4, 10.0, seed);
         let mesh = Mesh::uniform(8, 14);
-        let r = flowsim::allocate(&mesh, &tm, trunk);
+        let r = flowsim::allocate(&mesh, &tm, trunk).unwrap();
         for i in 0..8 {
             for j in 0..8 {
                 prop_assert!(r.rate[i][j] <= tm.demand(i, j) + 1e-9);

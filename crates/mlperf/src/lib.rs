@@ -220,17 +220,16 @@ pub fn step_time(
     chip: &ChipParams,
 ) -> Result<StepTime, Infeasible> {
     let unpipelined = step_time_mapped(model, shape, chip, false);
-    let pipelined = if model.pp > 1 {
-        step_time_mapped(model, shape, chip, true)
-    } else {
-        Err(Infeasible::InsufficientModelWays)
-    };
-    match (unpipelined, pipelined) {
-        (Ok(u), Ok(p)) => Ok(if u.total() <= p.total() { u } else { p }),
-        (Ok(u), Err(_)) => Ok(u),
-        (Err(_), Ok(p)) => Ok(p),
-        (Err(e), Err(_)) => Err(e),
+    if model.pp <= 1 {
+        return unpipelined;
     }
+    let Ok(pipelined) = step_time_mapped(model, shape, chip, true) else {
+        return unpipelined;
+    };
+    Ok(match unpipelined {
+        Ok(u) if u.total() <= pipelined.total() => u,
+        _ => pipelined,
+    })
 }
 
 fn step_time_mapped(
@@ -239,11 +238,11 @@ fn step_time_mapped(
     chip: &ChipParams,
     pipeline: bool,
 ) -> Result<StepTime, Infeasible> {
-    let [a, b, c] = shape.chips;
-    let (tp_ways, pp_ways, dp_dims): (usize, usize, Vec<usize>) = if pipeline {
-        (a, b, vec![c])
+    let [tp_ways, b, _] = shape.chips;
+    let (pp_ways, dp_dims) = if pipeline {
+        (b, &shape.chips[2..])
     } else {
-        (a, 1, vec![b, c])
+        (1, &shape.chips[1..])
     };
     let dp_ways: usize = dp_dims.iter().product::<usize>();
 
@@ -306,7 +305,7 @@ fn step_time_mapped(
     let mut dp_comm = 0.0;
     if dp_ways > 1 {
         let mut payload = grad_bytes;
-        for &len in &dp_dims {
+        for &len in dp_dims {
             dp_comm += ring_reduce_scatter(payload, len, &chip.ici);
             payload /= len.max(1) as f64;
         }
@@ -360,9 +359,10 @@ impl SliceOptimizer {
     /// Finds the fastest feasible shape for `model` using `chips` chips.
     /// Ties break toward the lexicographically-smallest shape.
     pub fn optimize(&self, model: &LlmConfig, chips: usize) -> Option<OptimalShape> {
-        let baseline = self.baseline_step(model, chips);
+        let shapes = SliceShape::enumerate_with_chips(chips);
+        let baseline = self.baseline_among(model, &shapes);
         let mut best: Option<(f64, SliceShape, StepTime)> = None;
-        for shape in SliceShape::enumerate_with_chips(chips) {
+        for &shape in &shapes {
             if let Ok(step) = step_time(model, shape, &self.chip) {
                 let t = step.total();
                 match &best {
@@ -372,7 +372,7 @@ impl SliceOptimizer {
             }
         }
         let (t, shape, step) = best?;
-        let speedup = baseline.map(|b| b.total() / t).unwrap_or(f64::INFINITY);
+        let speedup = baseline.map_or(f64::INFINITY, |b| b.total() / t);
         Some(OptimalShape {
             shape,
             step,
@@ -383,10 +383,14 @@ impl SliceOptimizer {
     /// Step time on the static symmetric baseline (16×16×16 for a full
     /// pod; the most-balanced shape otherwise).
     pub fn baseline_step(&self, model: &LlmConfig, chips: usize) -> Option<StepTime> {
-        let shape = SliceShape::enumerate_with_chips(chips)
-            .into_iter()
-            .max_by_key(|s| s.bisection_links())?;
-        step_time(model, shape, &self.chip).ok()
+        self.baseline_among(model, &SliceShape::enumerate_with_chips(chips))
+    }
+
+    /// [`SliceOptimizer::baseline_step`] among `shapes`: the one with the
+    /// most bisection links (the last of them on a tie).
+    fn baseline_among(&self, model: &LlmConfig, shapes: &[SliceShape]) -> Option<StepTime> {
+        let shape = shapes.iter().max_by_key(|s| s.bisection_links())?;
+        step_time(model, *shape, &self.chip).ok()
     }
 }
 

@@ -174,7 +174,7 @@ mod tests {
         // §6: nanosecond/microsecond switching motivates other techs.
         let fast: Vec<_> = table_c1()
             .into_iter()
-            .filter(|t| t.switching_time < Nanos::from_micros(1))
+            .filter(|t| t.switching_time < Nanos(1_000))
             .map(|t| t.name)
             .collect();
         assert_eq!(fast, vec!["Guided Wave", "Wavelength"]);

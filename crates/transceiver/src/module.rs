@@ -180,7 +180,7 @@ mod tests {
     /// WDM group on its own strand(s): a duplex engine needs two strands
     /// for this bandwidth, a bidi engine carries it *both ways* on one.
     fn bandwidth_per_fiber(f: ModuleFamily) -> Gbps {
-        f.lane_rate().bit_rate() * f.grid().lane_count() as f64
+        Gbps(f.lane_rate().bit_rate().gbps() * f.grid().lane_count() as f64)
     }
     use rand::SeedableRng;
 
@@ -220,7 +220,7 @@ mod tests {
             assert_eq!(f.engines() * f.grid().lane_count(), 8, "{f:?}");
         }
         // 2 × 200G CWDM4 engines ≈ 425 G gross; 800G CWDM8 ≈ 850 G gross.
-        let module = |f: ModuleFamily| (bandwidth_per_fiber(f) * f.engines() as f64).gbps();
+        let module = |f: ModuleFamily| bandwidth_per_fiber(f).gbps() * f.engines() as f64;
         assert!((module(ModuleFamily::Cwdm4Bidi) - 425.0).abs() < 1.0);
         assert!((module(ModuleFamily::Cwdm8Bidi) - 850.0).abs() < 1.0);
     }

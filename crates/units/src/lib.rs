@@ -16,9 +16,9 @@
 //! - [`Availability`] — a probability of being up, with series/parallel
 //!   composition.
 //!
-//! Arithmetic follows link-budget conventions: `Dbm + Db = Dbm` (apply a
-//! gain), `Dbm - Db = Dbm` (apply a loss), `Dbm - Dbm = Db` (a margin), and
-//! `Db` values add among themselves. There is deliberately no `Dbm + Dbm`.
+//! Arithmetic follows link-budget conventions: `Dbm - Db = Dbm` (apply a
+//! loss), `Dbm - Dbm = Db` (a margin), and `Db` values accumulate (`+=`,
+//! `Sum`). There is deliberately no `Dbm + Dbm`.
 //!
 //! The [`math`] module provides the special functions (erfc, Q-function and
 //! its inverse) used by the BER models in `lightwave-optics`.
@@ -31,7 +31,7 @@ pub mod math;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
 /// A dimensionless power ratio expressed in decibels.
 ///
@@ -66,36 +66,11 @@ impl Db {
     pub fn db(self) -> f64 {
         self.0
     }
-
-    /// Absolute value of the ratio in dB.
-    pub fn abs(self) -> Db {
-        Db(self.0.abs())
-    }
-}
-
-impl Add for Db {
-    type Output = Db;
-    fn add(self, rhs: Db) -> Db {
-        Db(self.0 + rhs.0)
-    }
 }
 
 impl AddAssign for Db {
     fn add_assign(&mut self, rhs: Db) {
         self.0 += rhs.0;
-    }
-}
-
-impl Sub for Db {
-    type Output = Db;
-    fn sub(self, rhs: Db) -> Db {
-        Db(self.0 - rhs.0)
-    }
-}
-
-impl SubAssign for Db {
-    fn sub_assign(&mut self, rhs: Db) {
-        self.0 -= rhs.0;
     }
 }
 
@@ -106,23 +81,9 @@ impl Neg for Db {
     }
 }
 
-impl Mul<f64> for Db {
-    type Output = Db;
-    fn mul(self, rhs: f64) -> Db {
-        Db(self.0 * rhs)
-    }
-}
-
-impl Div<f64> for Db {
-    type Output = Db;
-    fn div(self, rhs: f64) -> Db {
-        Db(self.0 / rhs)
-    }
-}
-
 impl Sum for Db {
     fn sum<I: Iterator<Item = Db>>(iter: I) -> Db {
-        iter.fold(Db::ZERO, |a, b| a + b)
+        iter.fold(Db::ZERO, |a, b| Db(a.0 + b.0))
     }
 }
 
@@ -145,13 +106,6 @@ impl Dbm {
     /// The raw dBm value.
     pub fn dbm(self) -> f64 {
         self.0
-    }
-}
-
-impl Add<Db> for Dbm {
-    type Output = Dbm;
-    fn add(self, rhs: Db) -> Dbm {
-        Dbm(self.0 + rhs.0)
     }
 }
 
@@ -186,20 +140,6 @@ impl Milliwatts {
     }
 }
 
-impl Add for Milliwatts {
-    type Output = Milliwatts;
-    fn add(self, rhs: Milliwatts) -> Milliwatts {
-        Milliwatts(self.0 + rhs.0)
-    }
-}
-
-impl Mul<f64> for Milliwatts {
-    type Output = Milliwatts;
-    fn mul(self, rhs: f64) -> Milliwatts {
-        Milliwatts(self.0 * rhs)
-    }
-}
-
 /// An optical wavelength in nanometers.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
 pub struct Nanometers(pub f64);
@@ -211,24 +151,6 @@ impl Nanometers {
     /// The raw nm value.
     pub fn nm(self) -> f64 {
         self.0
-    }
-
-    /// The optical carrier frequency corresponding to this vacuum wavelength.
-    pub fn frequency(self) -> Gigahertz {
-        Gigahertz(Self::C / self.0) // c[m/s] / λ[nm] = (c/λ)·1e9 Hz = GHz
-    }
-}
-
-impl Sub for Nanometers {
-    type Output = Nanometers;
-    fn sub(self, rhs: Nanometers) -> Nanometers {
-        Nanometers(self.0 - rhs.0)
-    }
-}
-
-impl fmt::Display for Nanometers {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.1} nm", self.0)
     }
 }
 
@@ -251,39 +173,6 @@ impl Gbps {
     /// The raw Gb/s value.
     pub fn gbps(self) -> f64 {
         self.0
-    }
-}
-
-impl Add for Gbps {
-    type Output = Gbps;
-    fn add(self, rhs: Gbps) -> Gbps {
-        Gbps(self.0 + rhs.0)
-    }
-}
-
-impl Mul<f64> for Gbps {
-    type Output = Gbps;
-    fn mul(self, rhs: f64) -> Gbps {
-        Gbps(self.0 * rhs)
-    }
-}
-
-impl Div<f64> for Gbps {
-    type Output = Gbps;
-    fn div(self, rhs: f64) -> Gbps {
-        Gbps(self.0 / rhs)
-    }
-}
-
-impl Sum for Gbps {
-    fn sum<I: Iterator<Item = Gbps>>(iter: I) -> Gbps {
-        iter.fold(Gbps(0.0), |a, b| a + b)
-    }
-}
-
-impl fmt::Display for Gbps {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.1} Gb/s", self.0)
     }
 }
 
@@ -356,9 +245,6 @@ impl fmt::Display for Ber {
 pub struct Availability(f64);
 
 impl Availability {
-    /// Always up.
-    pub const ONE: Availability = Availability(1.0);
-
     /// Creates an availability.
     ///
     /// # Panics
@@ -415,11 +301,6 @@ impl fmt::Display for Availability {
 pub struct Nanos(pub u64);
 
 impl Nanos {
-    /// From microseconds.
-    pub fn from_micros(us: u64) -> Nanos {
-        Nanos(us * 1_000)
-    }
-
     /// From milliseconds.
     pub fn from_millis(ms: u64) -> Nanos {
         Nanos(ms * 1_000_000)
@@ -460,12 +341,6 @@ impl Add for Nanos {
 impl AddAssign for Nanos {
     fn add_assign(&mut self, rhs: Nanos) {
         self.0 += rhs.0;
-    }
-}
-
-impl Sum for Nanos {
-    fn sum<I: Iterator<Item = Nanos>>(iter: I) -> Nanos {
-        iter.fold(Nanos(0), |a, b| a + b)
     }
 }
 
@@ -519,8 +394,6 @@ mod tests {
         assert!(close(after_loss.dbm(), -1.5, 1e-12));
         let margin = launch - after_loss;
         assert!(close(margin.db(), 2.5, 1e-12));
-        let amplified = after_loss + Db(4.0);
-        assert!(close(amplified.dbm(), 2.5, 1e-12));
     }
 
     #[test]
@@ -536,13 +409,6 @@ mod tests {
     #[should_panic(expected = "must be finite and > 0")]
     fn db_from_linear_rejects_zero() {
         let _ = Db::from_linear(0.0);
-    }
-
-    #[test]
-    fn wavelength_frequency_1310nm() {
-        // 1310 nm is ~228.8 THz.
-        let f = Nanometers(1310.0).frequency();
-        assert!(close(f.ghz(), 228_849.0, 100.0), "got {} GHz", f.ghz());
     }
 
     #[test]
@@ -606,7 +472,7 @@ mod tests {
     #[test]
     fn nanos_display_scales() {
         assert_eq!(Nanos(12).to_string(), "12 ns");
-        assert_eq!(Nanos::from_micros(3).to_string(), "3.000 µs");
+        assert_eq!(Nanos(3_000).to_string(), "3.000 µs");
         assert_eq!(Nanos::from_millis(25).to_string(), "25.000 ms");
         assert_eq!(Nanos::from_secs_f64(1.5).to_string(), "1.500 s");
     }

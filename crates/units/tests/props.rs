@@ -12,7 +12,7 @@ proptest! {
 
     #[test]
     fn db_addition_is_linear_multiplication(a in -40.0f64..40.0, b in -40.0f64..40.0) {
-        let lhs = (Db(a) + Db(b)).linear();
+        let lhs = [Db(a), Db(b)].into_iter().sum::<Db>().linear();
         let rhs = Db(a).linear() * Db(b).linear();
         prop_assert!((lhs / rhs - 1.0).abs() < 1e-12);
     }

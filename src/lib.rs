@@ -225,18 +225,20 @@ impl MlPod {
     /// Cross-layer optical health census: walks every live circuit in the
     /// fabric, takes its *measured* insertion loss from the OCS optical
     /// core (mirrors, collimators, splices — including any degradation
-    /// from spare-mirror swaps), rebuilds the link budget around that
-    /// loss, and evaluates per-lane BER through the production DSP.
+    /// from spare-mirror swaps), puts that loss in the superpod link
+    /// budget's OCS pass, and evaluates per-lane BER through the
+    /// production DSP.
     ///
     /// This is the §3.2.2 "in-situ evaluation of the state of the OCS"
     /// surface a control plane scrapes to find marginal links before the
     /// workload does.
     pub fn link_census(&self) -> PodLinkCensus {
-        use lightwave_optics::components::{Component, ComponentKind};
-        use lightwave_optics::link::LinkBudget;
+        use lightwave_optics::components::ComponentKind;
 
-        let dsp = DspConfig::ml_production();
         let unit = Transceiver::nominal(ModuleFamily::Cwdm4Bidi);
+        // The standard superpod path; each circuit puts its measured loss
+        // in the OCS pass.
+        let mut link = BidiLink::superpod(unit, unit, DspConfig::ml_production(), 0.1);
         let mut circuits = Vec::new();
         let mut violations = 0usize;
         let mut worst_margin = f64::INFINITY;
@@ -245,31 +247,11 @@ impl MlPod {
                 let measured = ocs
                     .optical_core()
                     .insertion_loss(north as usize, south as usize);
-                // The standard superpod path with the OCS pass replaced by
-                // this circuit's measured loss.
-                let mut components = vec![
-                    Component::nominal(ComponentKind::WdmMux),
-                    Component::nominal(ComponentKind::CirculatorPass),
-                    Component::nominal(ComponentKind::Connector),
-                    Component::fiber_span(0.05),
-                ];
-                let mut ocs_pass = Component::nominal(ComponentKind::OcsPass);
-                ocs_pass.insertion_loss = measured;
-                components.push(ocs_pass);
-                components.extend([
-                    Component::fiber_span(0.05),
-                    Component::nominal(ComponentKind::Connector),
-                    Component::nominal(ComponentKind::CirculatorPass),
-                    Component::nominal(ComponentKind::WdmDemux),
-                ]);
-                let budget = LinkBudget::new(unit.launch, components).expect("non-empty chain");
-                let link = BidiLink {
-                    tx_unit: unit,
-                    rx_unit: unit,
-                    budget,
-                    dsp,
-                    fiber_km: 0.1,
-                };
+                for pass in link.budget.components.iter_mut() {
+                    if pass.kind == ComponentKind::OcsPass {
+                        pass.insertion_loss = measured;
+                    }
+                }
                 let worst = link.worst_lane();
                 if !worst.healthy {
                     violations += 1;
@@ -489,12 +471,13 @@ impl DcnPlan {
 
 impl DcnPlanner {
     /// Engineers a mesh for `tm` and evaluates it against the baseline.
-    /// Refused if `uplinks_per_ab` cannot reach every other block.
+    /// Refused if `uplinks_per_ab` cannot reach every other block or
+    /// `trunk_gbps` is not finite and positive.
     pub fn plan(&self, tm: &TrafficMatrix) -> Result<DcnPlan, te::TeError> {
         let mesh = te::engineer(tm, self.uplinks_per_ab)?;
-        let engineered = flowsim::allocate(&mesh, tm, self.trunk_gbps);
+        let engineered = flowsim::allocate(&mesh, tm, self.trunk_gbps)?;
         let uniform = Mesh::uniform(tm.n(), self.uplinks_per_ab);
-        let uniform_baseline = flowsim::allocate(&uniform, tm, self.trunk_gbps);
+        let uniform_baseline = flowsim::allocate(&uniform, tm, self.trunk_gbps)?;
         Ok(DcnPlan {
             mesh,
             engineered,

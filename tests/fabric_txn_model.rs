@@ -270,8 +270,8 @@ fn step(pod: &mut Superpod, model: &mut OraclePod, op: Op) -> Result<(), TestCas
             prop_assert_eq!(pod.resync(), want);
         }
         Op::Advance { micros } => {
-            pod.advance(Nanos::from_micros(micros));
-            model.advance(Nanos::from_micros(micros));
+            pod.advance(Nanos(micros * 1_000));
+            model.advance(Nanos(micros * 1_000));
         }
     }
     same_state(pod, model)

@@ -257,7 +257,7 @@ impl Pair {
                 Some(ready) => Nanos(ready.0 - now.0 - short as u64),
                 None => Nanos(0),
             },
-            Dt::Micros(us) => Nanos::from_micros(us),
+            Dt::Micros(us) => Nanos(us * 1_000),
             Dt::Seconds(s) => Nanos::from_millis(1_000 * s),
         }
     }

@@ -190,7 +190,7 @@ impl Twins {
                 let (add, remove) = self.delta(salt);
                 self.both(|ocs| ocs.apply_delta(&add, &remove)).map(drop)?;
             }
-            Op::AdvanceMicros(us) => self.both(|ocs| ocs.advance(Nanos::from_micros(us)))?,
+            Op::AdvanceMicros(us) => self.both(|ocs| ocs.advance(Nanos(us * 1_000)))?,
             Op::FailMirror(north, p) => {
                 let p = self.port(p);
                 self.both(|ocs| ocs.fail_mirror(north, p).expect(IN_RANGE))?;

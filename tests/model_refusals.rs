@@ -9,6 +9,12 @@
 //! slice `Slice::new` would, naming the first offender; before it did,
 //! two of the four below panicked and two were accepted.
 //!
+//! The spine-free DCN model takes its inputs the same way: a campus, a
+//! planner, a placement and a mesh are public fields, and a mesh or a
+//! demand matrix can be read from a document. Each bad one below is an
+//! `Err`. Before, the one-cluster campus never returned and the others
+//! panicked, the documents on first use.
+//!
 //! A fault names a port or a chassis slot, and the switch is the one that
 //! knows which it has: each of its four fault calls refuses what the
 //! switch lacks before it changes anything. Before they did, the two
@@ -17,14 +23,16 @@
 
 use lightwave::availability::timeline::{simulate, simulate_preempt, PreemptParams};
 use lightwave::dcn::campus::CampusSim;
+use lightwave::dcn::realize::{DcnFabricError, MeshPlacement, RealizeError, TrunkLeg};
 use lightwave::dcn::te::{engineer, TeError};
-use lightwave::dcn::TrafficMatrix;
+use lightwave::dcn::{DcnFabric, Mesh, TrafficMatrix};
 use lightwave::fec::{ConcatenatedCode, InnerDecoding};
 use lightwave::ocs::{CrossbarError, OcsError, PalomarOcs, PortId};
 use lightwave::superpod::slice::{ShapeError, SliceError};
 use lightwave::superpod::{CubeId, CubeSet, PodError, Slice, SliceHandle, SliceShape, Superpod};
 use lightwave::units::Ber;
 use lightwave::DcnPlanner;
+use serde::de::DeserializeOwned;
 
 fn year_with(edit: impl FnOnce(&mut PreemptParams)) -> PreemptParams {
     let mut params = PreemptParams::production_year();
@@ -177,6 +185,129 @@ fn a_te_budget_below_the_connectivity_floor_is_refused_everywhere_it_enters() {
         ..CampusSim::default_campus()
     };
     assert_eq!(campus.run(3, 42).map(drop), Err(refused(11)));
+}
+
+fn out_of_range(field: &'static str, value: f64) -> TeError {
+    TeError::OutOfRange { field, value }
+}
+
+#[test]
+fn a_campus_of_fewer_than_two_clusters_is_refused_before_any_draw() {
+    // One cluster drew a destination until it differed from the source,
+    // forever; none panicked in `random_range(0..0)`. That this test
+    // returns is the first assertion.
+    for clusters in [1, 0] {
+        let campus = CampusSim {
+            clusters,
+            ..CampusSim::default_campus()
+        };
+        assert_eq!(
+            campus.run(3, 1).map(drop),
+            Err(out_of_range("clusters", clusters as f64))
+        );
+    }
+}
+
+#[test]
+fn a_campus_run_of_no_epochs_or_a_bad_background_is_refused_by_name() {
+    // The first asserted; the second panicked building the demand matrix.
+    let campus = CampusSim::default_campus();
+    assert_eq!(
+        campus.run(0, 42).map(drop),
+        Err(out_of_range("epochs", 0.0))
+    );
+    for background_gbps in [-1.0, f64::INFINITY] {
+        let campus = CampusSim {
+            background_gbps,
+            ..CampusSim::default_campus()
+        };
+        assert_eq!(
+            campus.run(3, 42).map(drop),
+            Err(out_of_range("background_gbps", background_gbps))
+        );
+    }
+}
+
+#[test]
+fn a_trunk_without_capacity_is_refused_everywhere_it_enters() {
+    // Asserted in the flow allocator, under the planner and the campus.
+    let tm = TrafficMatrix::uniform(10, 1.0);
+    for trunk_gbps in [0.0, -100.0, f64::INFINITY] {
+        let planner = DcnPlanner {
+            uplinks_per_ab: 18,
+            trunk_gbps,
+        };
+        let refused = Err(out_of_range("trunk_gbps", trunk_gbps));
+        assert_eq!(planner.plan(&tm).map(drop), refused);
+        let campus = CampusSim {
+            trunk_gbps,
+            ..CampusSim::default_campus()
+        };
+        assert_eq!(campus.run(3, 42).map(drop), refused);
+    }
+}
+
+#[test]
+fn a_placement_with_two_legs_on_one_port_is_refused_as_a_target() {
+    // Panicked building the switch's mapping: North 0 → South 2 and
+    // North 1 → South 2 on switch 0.
+    let leg = TrunkLeg {
+        ocs: 0,
+        flipped: false,
+    };
+    let placement = MeshPlacement {
+        trunks: [((0, 2), vec![leg]), ((1, 2), vec![leg])].into(),
+        switches: 1,
+    };
+    assert_eq!(
+        placement.fabric_target().map(drop),
+        Err(RealizeError::PortClash {
+            ocs: 0,
+            error: CrossbarError::NotBijective { south: 2 },
+        })
+    );
+}
+
+#[test]
+fn a_mesh_over_the_wrong_number_of_abs_is_refused_by_the_fabric() {
+    // Asserted; the fabric is left as it was.
+    let mut fabric = DcnFabric::new(8, 16, 9);
+    for abs in [7, 9] {
+        match fabric.install(&Mesh::uniform(abs, 14)) {
+            Err(DcnFabricError::AbCount { mesh, fabric: 8 }) => assert_eq!(mesh, abs),
+            other => panic!("{abs} ABs on an 8-AB fabric: {other:?}"),
+        }
+    }
+    assert_eq!(fabric.controller().fleet.health().circuits, 0);
+    let report = fabric.install(&Mesh::uniform(8, 14)).expect("8 ABs fit");
+    assert_eq!(report.added, 8 * 14 / 2);
+}
+
+/// Reading `doc` as a `T` is refused, saying `why`.
+fn assert_read_refused<T: DeserializeOwned + std::fmt::Debug>(doc: &str, why: &str) {
+    let err = serde_json::from_str::<T>(doc).expect_err(doc).to_string();
+    assert!(err.contains(why), "{doc}: {err}");
+}
+
+#[test]
+fn a_malformed_mesh_or_demand_document_is_refused_when_read() {
+    // Each was read as it stood, `n` included: the one-row matrix under
+    // `n: 3` then panicked in `te::engineer`, and the others handed the
+    // model what `TrafficMatrix::new` and `Mesh::set_trunks` never build.
+    let demand = assert_read_refused::<TrafficMatrix>;
+    demand(r#"{"n":3,"demand":[[0.0]]}"#, "at least two ABs");
+    demand(r#"{"n":2,"demand":[[0.0,1.0],[1.0]]}"#, "square");
+    demand(r#"{"n":2,"demand":[[1.0,1.0],[1.0,0.0]]}"#, "diagonal");
+    demand(r#"{"n":2,"demand":[[0.0,-1.0],[1.0,0.0]]}"#, "non-negative");
+    let mesh = assert_read_refused::<Mesh>;
+    mesh(
+        r#"{"n":3,"uplinks_per_ab":4,"trunks":[[0]]}"#,
+        "at least two ABs",
+    );
+    mesh(
+        r#"{"n":2,"uplinks_per_ab":4,"trunks":[[0,1],[2,0]]}"#,
+        "symmetric",
+    );
 }
 
 /// A pod refuses `slice` with `expect` and touches nothing: no cube is

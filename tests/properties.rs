@@ -134,7 +134,7 @@ proptest! {
     fn flow_allocation_is_conservative(seed in 0u64..200) {
         let tm = TrafficMatrix::gravity(8, 60.0, seed);
         let mesh = Mesh::uniform(8, 14);
-        let r = flowsim::allocate(&mesh, &tm, 100.0);
+        let r = flowsim::allocate(&mesh, &tm, 100.0).unwrap();
         prop_assert!(r.throughput <= r.offered + 1e-6);
         for i in 0..8 {
             for j in 0..8 {

@@ -66,7 +66,7 @@ fn planning_artifacts_roundtrip() {
     roundtrip(&tm);
     let mesh = engineer(&tm, 14).unwrap();
     roundtrip(&mesh);
-    roundtrip(&MeshPlacement::place(&mesh, 14).unwrap());
+    roundtrip(&MeshPlacement::place(&mesh, 14, None).unwrap());
 }
 
 #[test]

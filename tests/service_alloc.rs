@@ -385,7 +385,7 @@ fn a_warm_production_cell_allocates_nothing_per_request() {
 
 #[test]
 fn pod_advance_allocates_nothing() {
-    let tick = Nanos::from_micros(100);
+    let tick = Nanos(100_000);
     let ticks = |pod: &mut Superpod| allocations(|| (0..100).for_each(|_| pod.advance(tick)));
     let mut pod = Superpod::new(7);
     let idle = ticks(&mut pod);

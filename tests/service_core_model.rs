@@ -220,7 +220,7 @@ proptest! {
                     model.submit(&mut model_pod, &intent, &mut model_out);
                 }
                 Op::Advance { micros } => {
-                    let to = pod.fabric().now() + Nanos::from_micros(micros);
+                    let to = pod.fabric().now() + Nanos(micros * 1_000);
                     core.advance_to(&mut pod, to, &mut out);
                     model.advance_to(&mut model_pod, to, &mut model_out);
                 }

@@ -144,7 +144,7 @@ fn the_seam_equals_the_hand_loops_it_replaced() {
     let backlog = ServiceConfig {
         seed: 91,
         requests: 900,
-        mean_gap: Nanos::from_micros(1_500),
+        mean_gap: Nanos(1_500_000),
         mix: Mix::SingleCube,
         shard_size: 300,
         ..ServiceConfig::default()
