@@ -30,10 +30,10 @@ use lightwave::chaos::{parse_repro, REPRO_SCHEMA};
 use lightwave::service::{ScopeSnapshot, ServiceSnapshot, SCOPE_SCHEMA, SERVICE_REPORT_SCHEMA};
 use lightwave::telemetry::health::HealthJsonl;
 use lightwave::telemetry::{
-    CampusHealthDoc, CounterSample, ExemplarSnapshot, CAMPUS_HEALTH_SCHEMA, HEALTH_SCHEMA,
+    series_switch, CampusHealthDoc, ExemplarSnapshot, CAMPUS_HEALTH_SCHEMA, HEALTH_SCHEMA,
 };
 use lightwave::trace::validate::validate_chrome_trace;
-use lightwave::trace::{FlightEntry, FLIGHT_SCHEMA, TRACE_SCHEMA};
+use lightwave::trace::{FlightDump, FlightEntry, FLIGHT_SCHEMA, TRACE_SCHEMA};
 use serde::{Content, DeError, Deserialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -164,14 +164,6 @@ struct TraceFacts {
     switches: BTreeSet<u32>,
 }
 
-/// The `switch=N` label of a `name{k=v,...}` series identity.
-fn series_switch(series: &str) -> Option<u32> {
-    let labels = series.split_once('{')?.1.strip_suffix('}')?;
-    labels
-        .split(',')
-        .find_map(|label| label.strip_prefix("switch=")?.parse().ok())
-}
-
 fn read_trace(name: &str, text: &str) -> Result<TraceFacts, String> {
     validate_chrome_trace(text).map_err(|e| format!("{name}: {e}"))?;
     let doc = parse(name, text)?;
@@ -219,60 +211,19 @@ fn read_trace(name: &str, text: &str) -> Result<TraceFacts, String> {
     Ok(facts)
 }
 
-/// A flight bundle's header switch and the spans it retained.
-struct FlightFacts {
-    switch: u32,
-    spans: Vec<u64>,
-}
-
-fn read_flight(name: &str, text: &str) -> Result<FlightFacts, String> {
-    let mut lines = text.lines();
-    let header = parse(name, lines.next().unwrap_or(""))?;
-    let count = |key: &str| {
-        uint(header.field(key)).ok_or_else(|| format!("{name}: header without a count {key:?}"))
-    };
-    let switch = count("switch")?
-        .try_into()
-        .map_err(|_| format!("{name}: header switch out of range"))?;
-    let mut spans = Vec::new();
-    for i in 0..count("entries")? {
-        let line = lines
-            .next()
-            .ok_or_else(|| format!("{name}: header declares more than {i} entries"))?;
-        match serde_json::from_str::<FlightEntry>(line) {
-            Ok(FlightEntry::Span(span)) => spans.push(span.id.0),
-            Ok(FlightEntry::Event(_)) => {}
-            Err(e) => return Err(format!("{name}: entry {i}: {e}")),
-        }
-    }
-    for i in 0..count("counters")? {
-        let line = lines
-            .next()
-            .ok_or_else(|| format!("{name}: header declares more than {i} counters"))?;
-        let sample: CounterSample =
-            serde_json::from_str(line).map_err(|e| format!("{name}: counter {i}: {e}"))?;
-        if series_switch(&sample.series) != Some(switch) {
-            return Err(format!(
-                "{name}: counter {i} ({}) is not on the header's switch {switch}",
-                sample.series
-            ));
-        }
-    }
-    if lines.next().is_some() {
-        return Err(format!("{name}: lines past what the header declares"));
-    }
-    Ok(FlightFacts { switch, spans })
-}
-
 /// A bundle beside the trace of its run: its spans are spans of the trace
 /// and its switch is one the trace shows.
 fn join_flight(
     flight_name: &str,
-    flight: &FlightFacts,
+    flight: &FlightDump,
     trace_name: &str,
     trace: &TraceFacts,
 ) -> Result<(), String> {
-    if let Some(id) = flight.spans.iter().find(|id| !trace.spans.contains(id)) {
+    let mut spans = flight.entries.iter().filter_map(|entry| match entry {
+        FlightEntry::Span(span) => Some(span.id.0),
+        FlightEntry::Event(_) => None,
+    });
+    if let Some(id) = spans.find(|id| !trace.spans.contains(id)) {
         return Err(format!(
             "{flight_name}: span {id:016x} is not in {trace_name}"
         ));
@@ -290,8 +241,8 @@ fn join_flight(
 fn read_health(name: &str, text: &str) -> Result<(BTreeSet<u32>, BTreeSet<u32>), String> {
     let mut rows = BTreeSet::new();
     let mut named = BTreeSet::new();
-    for (i, line) in text.lines().enumerate() {
-        match serde_json::from_str(line).map_err(|e| format!("{name}: line {}: {e}", i + 1))? {
+    for record in HealthJsonl::from_jsonl(text).map_err(|e| format!("{name}: {e}"))? {
+        match record {
             HealthJsonl::Meta { .. } => {}
             HealthJsonl::Switch(s) => {
                 rows.insert(s.switch);
@@ -399,7 +350,8 @@ pub fn read_run_dir(dir: &Path) -> Result<Vec<ManifestRow>, String> {
     let text = |name: &str| texts[name];
 
     let trace_of = |name: &str| read_trace(name, text(name));
-    let flight_of = |name: &str| read_flight(name, text(name));
+    let flight_of =
+        |name: &str| FlightDump::from_jsonl(text(name)).map_err(|e| format!("{name}: {e}"));
     join_flight(
         "flight.jsonl",
         &flight_of("flight.jsonl")?,

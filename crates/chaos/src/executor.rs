@@ -39,13 +39,6 @@ pub enum InjectedBug {
     SkipFlightPoll,
 }
 
-/// Executor configuration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChaosConfig {
-    /// Test-only planted defect (`None` = honest control plane).
-    pub inject: Option<InjectedBug>,
-}
-
 /// One slice the executor is tracking, with its admission state — the
 /// harness's model of "is traffic allowed on these links right now".
 #[derive(Debug)]
@@ -168,7 +161,7 @@ pub struct World {
     /// FRU fail/replace/maintenance event a switch accepted).
     pub recoveries: Vec<FaultRecovery>,
     insts: BTreeMap<OcsId, OcsInstruments>,
-    cfg: ChaosConfig,
+    inject: Option<InjectedBug>,
     event_cursor: u32,
     world_seed: u64,
     svc_release_failed_seen: u64,
@@ -257,7 +250,7 @@ impl World {
             }),
             recoveries: Vec::new(),
             insts,
-            cfg: ChaosConfig::default(),
+            inject: None,
             event_cursor: 0,
             world_seed,
             svc_release_failed_seen: 0,
@@ -594,7 +587,7 @@ impl World {
     /// aging, admission control, flight-recorder polling.
     fn observe(&mut self) {
         let now = self.now();
-        for (&id, sw) in self.pod.fabric().fleet.iter() {
+        for (id, sw) in self.pod.fabric().fleet.iter() {
             let inst = self.insts.get_mut(&id).expect("registered switch");
             inst.record_health(&mut self.telemetry, now, sw.is_up());
             // Deliberately no drift census here: it is O(ports) per
@@ -606,11 +599,11 @@ impl World {
         }
         self.telemetry.advance(now);
         self.update_admission();
-        if self.cfg.inject != Some(InjectedBug::SkipFlightPoll) {
+        if self.inject != Some(InjectedBug::SkipFlightPoll) {
             // Postmortem bundles embed the incident switch's recent
             // health counter samples (blast-radius context).
             self.recorder
-                .poll_with_series(&self.tracer, &self.telemetry, self.health.store(), 16);
+                .poll(&self.tracer, &self.telemetry, self.health.store());
         }
     }
 
@@ -635,23 +628,27 @@ impl World {
             let ls = &mut self.slices[i];
             if verified && now >= ls.traffic_ready_at {
                 ls.admitted = true;
-            } else if !verified && self.cfg.inject != Some(InjectedBug::SkipAdmissionRevoke) {
+            } else if !verified && self.inject != Some(InjectedBug::SkipAdmissionRevoke) {
                 ls.admitted = false;
             }
         }
     }
 }
 
-/// Runs one schedule to completion or first violation.
-pub fn run_schedule(schedule: &FaultSchedule, cfg: &ChaosConfig) -> ScheduleOutcome {
-    run_schedule_world(schedule, cfg).0
+/// Runs one schedule to completion or first violation, with the defect
+/// `inject` planted (`None` = honest control plane).
+pub fn run_schedule(schedule: &FaultSchedule, inject: Option<InjectedBug>) -> ScheduleOutcome {
+    run_schedule_world(schedule, inject).0
 }
 
 /// [`run_schedule`], also returning the final world so callers can
 /// export its trace, telemetry, and flight dumps.
-pub fn run_schedule_world(schedule: &FaultSchedule, cfg: &ChaosConfig) -> (ScheduleOutcome, World) {
+pub fn run_schedule_world(
+    schedule: &FaultSchedule,
+    inject: Option<InjectedBug>,
+) -> (ScheduleOutcome, World) {
     let mut w = World::new(schedule.seed, schedule.index);
-    w.cfg = *cfg;
+    w.inject = inject;
     let mut violation = None;
     let mut applied = 0u32;
     for (i, &ev) in schedule.events.iter().enumerate() {
@@ -690,7 +687,7 @@ mod tests {
     #[test]
     fn clean_schedule_runs_violation_free() {
         let s = FaultSchedule::generate(11, 0);
-        let out = run_schedule(&s, &ChaosConfig::default());
+        let out = run_schedule(&s, None);
         assert_eq!(out.events_applied as usize, s.events.len());
         assert!(out.violation.is_none(), "violation: {:?}", out.violation);
         assert!(out.composes >= 1, "schedules always open with a compose");
@@ -699,8 +696,8 @@ mod tests {
     #[test]
     fn execution_is_a_pure_function_of_the_schedule() {
         let s = FaultSchedule::generate(11, 3);
-        let a = run_schedule(&s, &ChaosConfig::default());
-        let b = run_schedule(&s, &ChaosConfig::default());
+        let a = run_schedule(&s, None);
+        let b = run_schedule(&s, None);
         assert_eq!(a, b);
     }
 
@@ -716,19 +713,14 @@ mod tests {
                 FaultKind::RelockStorm { ocs: 3, ports: 12 },
             ],
         };
-        let cfg = ChaosConfig {
-            inject: Some(InjectedBug::SkipFlightPoll),
-        };
-        let out = run_schedule(&s, &cfg);
+        let out = run_schedule(&s, Some(InjectedBug::SkipFlightPoll));
         let v = out.violation.expect("planted bug must be caught");
         assert_eq!(
             v.invariant,
             crate::invariant::InvariantKind::CriticalWithoutDump
         );
         // The honest control plane passes the same schedule.
-        assert!(run_schedule(&s, &ChaosConfig::default())
-            .violation
-            .is_none());
+        assert!(run_schedule(&s, None).violation.is_none());
     }
 
     #[test]
@@ -738,7 +730,7 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e, FaultKind::DegradeMirror { .. })));
-        let (out, w) = run_schedule_world(&s, &ChaosConfig::default());
+        let (out, w) = run_schedule_world(&s, None);
         assert!(out.violation.is_none(), "violation: {:?}", out.violation);
         assert!(out.trend_trips >= 1, "creep must trip a detector");
         let trip = w.health.first_trip_at().expect("tripped");
@@ -765,7 +757,7 @@ mod tests {
     #[test]
     fn relock_creep_trips_rate_spike_before_escalation() {
         let s = FaultSchedule::generate_degradation(2024, 1);
-        let (out, w) = run_schedule_world(&s, &ChaosConfig::default());
+        let (out, w) = run_schedule_world(&s, None);
         assert!(out.violation.is_none(), "violation: {:?}", out.violation);
         assert!(out.trend_trips >= 1, "sustained flapping must trip");
         let trip = w.health.first_trip_at().expect("tripped");
@@ -806,7 +798,7 @@ mod tests {
                 FaultKind::Advance { millis: 400 },
             ],
         };
-        let out = run_schedule(&s, &ChaosConfig::default());
+        let out = run_schedule(&s, None);
         assert!(out.violation.is_none());
         assert_eq!(out.trend_trips, 0, "storms are not trends");
     }
@@ -818,7 +810,7 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e, FaultKind::Arrival { .. })));
-        let (out, w) = run_schedule_world(&s, &ChaosConfig::default());
+        let (out, w) = run_schedule_world(&s, None);
         assert!(out.violation.is_none(), "violation: {:?}", out.violation);
         assert_eq!(out.events_applied as usize, s.events.len());
         assert!(out.svc_admitted >= 1, "arrivals must admit: {out:?}");
@@ -828,8 +820,8 @@ mod tests {
     #[test]
     fn service_execution_is_a_pure_function_of_the_schedule() {
         let s = FaultSchedule::generate_service(11, 2);
-        let a = run_schedule(&s, &ChaosConfig::default());
-        let b = run_schedule(&s, &ChaosConfig::default());
+        let a = run_schedule(&s, None);
+        let b = run_schedule(&s, None);
         assert_eq!(a, b);
     }
 
@@ -849,7 +841,7 @@ mod tests {
                 FaultKind::Compose { cubes: 1 },
             ],
         };
-        let out = run_schedule(&s, &ChaosConfig::default());
+        let out = run_schedule(&s, None);
         assert!(out.violation.is_none(), "violation: {:?}", out.violation);
         assert_eq!(out.recoveries.len(), 2, "one entry per FRU event");
         let fail = &out.recoveries[0];
@@ -870,7 +862,7 @@ mod tests {
             );
         }
         // Pure function of the schedule, like every other outcome field.
-        assert_eq!(out, run_schedule(&s, &ChaosConfig::default()));
+        assert_eq!(out, run_schedule(&s, None));
     }
 
     #[test]
@@ -892,17 +884,12 @@ mod tests {
                 },
             ],
         };
-        let cfg = ChaosConfig {
-            inject: Some(InjectedBug::SkipAdmissionRevoke),
-        };
-        let out = run_schedule(&s, &cfg);
+        let out = run_schedule(&s, Some(InjectedBug::SkipAdmissionRevoke));
         let v = out.violation.expect("planted bug must be caught");
         assert_eq!(
             v.invariant,
             crate::invariant::InvariantKind::TrafficOnUnverifiedLink
         );
-        assert!(run_schedule(&s, &ChaosConfig::default())
-            .violation
-            .is_none());
+        assert!(run_schedule(&s, None).violation.is_none());
     }
 }

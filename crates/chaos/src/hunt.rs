@@ -5,7 +5,7 @@
 //! stream and the executor is pure, so the report is byte-identical at
 //! any thread count — the pool's ordered reduction does the rest.
 
-use crate::executor::{run_schedule, ChaosConfig, ScheduleOutcome};
+use crate::executor::{run_schedule, InjectedBug, ScheduleOutcome};
 use crate::invariant::InvariantKind;
 use crate::schedule::FaultSchedule;
 use lightwave_par::Pool;
@@ -15,12 +15,13 @@ use std::collections::BTreeMap;
 /// Hunt parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HuntConfig {
-    /// Hunt seed: schedule `i` is `FaultSchedule::generate(seed, i)`.
+    /// Hunt seed: schedule `i` is the generator's schedule `(seed, i)`.
     pub seed: u64,
     /// How many schedules to run.
     pub schedules: u64,
-    /// Executor configuration shared by every schedule.
-    pub chaos: ChaosConfig,
+    /// The bug planted in every schedule's run (`None` = honest control
+    /// plane).
+    pub inject: Option<InjectedBug>,
 }
 
 /// The deterministic result of one hunt.
@@ -93,27 +94,18 @@ impl HuntReport {
     }
 }
 
-/// Runs the hunt on `pool`. Deterministic in everything but wall time:
-/// the same `cfg` yields the same report at any thread count.
-pub fn hunt(pool: &Pool, cfg: &HuntConfig) -> HuntReport {
-    hunt_with(pool, cfg, FaultSchedule::generate)
-}
-
-/// Runs a **service** hunt: schedules come from
-/// [`FaultSchedule::generate_service`], so fabric-as-a-service arrivals
-/// admit, preempt, and complete while hardware faults inject. Same
-/// ordered reduction, same thread-count invariance.
-pub fn hunt_service(pool: &Pool, cfg: &HuntConfig) -> HuntReport {
-    hunt_with(pool, cfg, FaultSchedule::generate_service)
-}
-
-fn hunt_with(pool: &Pool, cfg: &HuntConfig, gen: fn(u64, u64) -> FaultSchedule) -> HuntReport {
+/// Runs the hunt on `pool`: schedule `i` is `generate(cfg.seed, i)` —
+/// [`FaultSchedule::generate`] for hardware faults alone,
+/// [`FaultSchedule::generate_service`] for fabric-as-a-service arrivals
+/// that admit, preempt, and complete while hardware faults inject.
+/// Deterministic in everything but wall time: the same `cfg` and
+/// generator yield the same report at any thread count.
+pub fn hunt(pool: &Pool, cfg: &HuntConfig, generate: fn(u64, u64) -> FaultSchedule) -> HuntReport {
     let indices: Vec<u64> = (0..cfg.schedules).collect();
-    let chaos = cfg.chaos;
-    let seed = cfg.seed;
+    let (seed, inject) = (cfg.seed, cfg.inject);
     let (outcomes, _stats) = pool.map_reduce(
         &indices,
-        |&index, _| vec![run_schedule(&gen(seed, index), &chaos)],
+        |&index, _| vec![run_schedule(&generate(seed, index), inject)],
         |mut a, b| {
             a.extend(b);
             a
@@ -134,10 +126,10 @@ mod tests {
         let cfg = HuntConfig {
             seed: 33,
             schedules: 12,
-            chaos: ChaosConfig::default(),
+            inject: None,
         };
-        let serial = hunt(&Pool::new(1), &cfg);
-        let parallel = hunt(&Pool::new(4), &cfg);
+        let serial = hunt(&Pool::new(1), &cfg, FaultSchedule::generate);
+        let parallel = hunt(&Pool::new(4), &cfg, FaultSchedule::generate);
         assert_eq!(serial, parallel);
         assert_eq!(serial.outcomes.len(), 12);
         // Outcomes arrive in schedule order regardless of which worker
@@ -152,10 +144,10 @@ mod tests {
         let cfg = HuntConfig {
             seed: 5,
             schedules: 8,
-            chaos: ChaosConfig::default(),
+            inject: None,
         };
-        let serial = hunt_service(&Pool::new(1), &cfg);
-        let parallel = hunt_service(&Pool::new(4), &cfg);
+        let serial = hunt(&Pool::new(1), &cfg, FaultSchedule::generate_service);
+        let parallel = hunt(&Pool::new(4), &cfg, FaultSchedule::generate_service);
         assert_eq!(serial, parallel);
         assert!(
             serial.outcomes.iter().all(|o| o.violation.is_none()),
@@ -175,9 +167,9 @@ mod tests {
         let cfg = HuntConfig {
             seed: 33,
             schedules: 4,
-            chaos: ChaosConfig::default(),
+            inject: None,
         };
-        let report = hunt(&Pool::new(2), &cfg);
+        let report = hunt(&Pool::new(2), &cfg, FaultSchedule::generate);
         assert!(report.table().contains("4 schedules"));
     }
 }

@@ -195,7 +195,7 @@ fn radix_and_mapping(w: &World) -> Option<String> {
             }
         }
     }
-    for (&id, ocs) in w.pod.fabric().fleet.iter() {
+    for (id, ocs) in w.pod.fabric().fleet.iter() {
         let want = expected.remove(&id).unwrap_or_default();
         if want.len() > ocs.ports() {
             return Some(format!(

@@ -16,8 +16,8 @@
 //!    library after every event.
 //! 3. [`mod@hunt`] fans schedules across a `lightwave-par` pool with
 //!    ordered reduction, so reports are byte-identical at any thread
-//!    count. [`hunt_service`] runs the fabric-as-a-service variant:
-//!    [`FaultSchedule::generate_service`] schedules interleave slice
+//!    count. Handed [`FaultSchedule::generate_service`] it runs the
+//!    fabric-as-a-service variant: those schedules interleave slice
 //!    arrivals (driving the executor's embedded
 //!    [`lightwave_service::ServiceCore`]) with hardware faults, and the
 //!    invariant library additionally checks request conservation and
@@ -36,10 +36,9 @@ pub mod schedule;
 pub mod shrink;
 
 pub use executor::{
-    run_schedule, run_schedule_world, ChaosConfig, FaultRecovery, InjectedBug, ScheduleOutcome,
-    World,
+    run_schedule, run_schedule_world, FaultRecovery, InjectedBug, ScheduleOutcome, World,
 };
-pub use hunt::{hunt, hunt_service, HuntConfig, HuntReport};
+pub use hunt::{hunt, HuntConfig, HuntReport};
 pub use invariant::{check_all, InvariantKind, Violation};
 pub use repro::{parse_repro, write_repro, Repro, REPRO_SCHEMA};
 pub use schedule::{FaultKind, FaultSchedule, GEN_OCS_COUNT};

@@ -7,7 +7,7 @@
 //! line-oriented so a repro can be read, diffed, and truncated with
 //! ordinary text tooling.
 
-use crate::executor::{run_schedule, ChaosConfig, InjectedBug, ScheduleOutcome};
+use crate::executor::{run_schedule, InjectedBug, ScheduleOutcome};
 use crate::invariant::InvariantKind;
 use crate::schedule::{FaultKind, FaultSchedule};
 use serde::{Deserialize, Serialize};
@@ -31,8 +31,8 @@ struct ReproHeader {
 pub struct Repro {
     /// The schedule (seed/index reconstruct the world; events drive it).
     pub schedule: FaultSchedule,
-    /// Executor configuration (the planted bug, if the repro needs one).
-    pub config: ChaosConfig,
+    /// The planted bug, if the repro needs one.
+    pub inject: Option<InjectedBug>,
     /// The invariant the repro claims to violate (`None` for clean runs).
     pub invariant: Option<InvariantKind>,
 }
@@ -40,15 +40,15 @@ pub struct Repro {
 impl Repro {
     /// Replays the repro through the real control plane.
     pub fn replay(&self) -> ScheduleOutcome {
-        run_schedule(&self.schedule, &self.config)
+        run_schedule(&self.schedule, self.inject)
     }
 }
 
-/// Serializes a schedule (plus the config it ran under and the
+/// Serializes a schedule (plus the bug planted when it ran and the
 /// invariant it violates) to repro JSONL.
 pub fn write_repro(
     schedule: &FaultSchedule,
-    config: &ChaosConfig,
+    inject: Option<InjectedBug>,
     invariant: Option<InvariantKind>,
 ) -> String {
     let header = ReproHeader {
@@ -56,7 +56,7 @@ pub fn write_repro(
         seed: schedule.seed,
         index: schedule.index,
         events: schedule.events.len(),
-        inject: config.inject,
+        inject,
         invariant,
     };
     let mut out = serde_json::to_string(&header).expect("header serializes");
@@ -101,9 +101,7 @@ pub fn parse_repro(text: &str) -> Result<Repro, String> {
             index: header.index,
             events,
         },
-        config: ChaosConfig {
-            inject: header.inject,
-        },
+        inject: header.inject,
         invariant: header.invariant,
     })
 }
@@ -115,16 +113,14 @@ mod tests {
     #[test]
     fn roundtrip_preserves_everything() {
         let s = FaultSchedule::generate(21, 7);
-        let cfg = ChaosConfig {
-            inject: Some(InjectedBug::SkipFlightPoll),
-        };
-        let text = write_repro(&s, &cfg, Some(InvariantKind::CriticalWithoutDump));
+        let inject = Some(InjectedBug::SkipFlightPoll);
+        let text = write_repro(&s, inject, Some(InvariantKind::CriticalWithoutDump));
         let r = parse_repro(&text).unwrap();
         assert_eq!(r.schedule, s);
-        assert_eq!(r.config, cfg);
+        assert_eq!(r.inject, inject);
         assert_eq!(r.invariant, Some(InvariantKind::CriticalWithoutDump));
         // Writing the parsed repro back is byte-identical.
-        assert_eq!(write_repro(&r.schedule, &r.config, r.invariant), text);
+        assert_eq!(write_repro(&r.schedule, r.inject, r.invariant), text);
     }
 
     #[test]
@@ -134,10 +130,8 @@ mod tests {
             index: 0,
             events: vec![FaultKind::RelockStorm { ocs: 3, ports: 12 }],
         };
-        let cfg = ChaosConfig {
-            inject: Some(InjectedBug::SkipFlightPoll),
-        };
-        let text = write_repro(&s, &cfg, Some(InvariantKind::CriticalWithoutDump));
+        let inject = Some(InjectedBug::SkipFlightPoll);
+        let text = write_repro(&s, inject, Some(InvariantKind::CriticalWithoutDump));
         let out = parse_repro(&text).unwrap().replay();
         let v = out.violation.expect("repro replays to its violation");
         assert_eq!(v.invariant, InvariantKind::CriticalWithoutDump);

@@ -11,7 +11,7 @@
 //! followed by a one-at-a-time sweep to a fixpoint, so the result is
 //! 1-minimal: removing any single remaining event loses the violation.
 
-use crate::executor::{run_schedule, ChaosConfig};
+use crate::executor::{run_schedule, InjectedBug};
 use crate::invariant::Violation;
 use crate::schedule::{FaultKind, FaultSchedule};
 
@@ -29,11 +29,11 @@ pub struct ShrinkResult {
 }
 
 /// Shrinks `schedule` to a 1-minimal event list that still violates the
-/// same [`crate::invariant::InvariantKind`] as the full schedule under
-/// `cfg`. Returns
+/// same [`crate::invariant::InvariantKind`] as the full schedule with
+/// `inject` planted. Returns
 /// `None` if the full schedule does not violate anything.
-pub fn shrink(schedule: &FaultSchedule, cfg: &ChaosConfig) -> Option<ShrinkResult> {
-    let full = run_schedule(schedule, cfg);
+pub fn shrink(schedule: &FaultSchedule, inject: Option<InjectedBug>) -> Option<ShrinkResult> {
+    let full = run_schedule(schedule, inject);
     let target = full.violation?.invariant;
     let mut runs = 0u32;
     let mut test = |events: &[FaultKind]| -> Option<Violation> {
@@ -43,7 +43,7 @@ pub fn shrink(schedule: &FaultSchedule, cfg: &ChaosConfig) -> Option<ShrinkResul
             index: schedule.index,
             events: events.to_vec(),
         };
-        run_schedule(&candidate, cfg)
+        run_schedule(&candidate, inject)
             .violation
             .filter(|v| v.invariant == target)
     };
@@ -93,7 +93,7 @@ pub fn shrink(schedule: &FaultSchedule, cfg: &ChaosConfig) -> Option<ShrinkResul
         index: schedule.index,
         events: cur,
     };
-    let violation = run_schedule(&minimal, cfg)
+    let violation = run_schedule(&minimal, inject)
         .violation
         .expect("minimal schedule still violates by construction");
     Some(ShrinkResult {
@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn clean_schedule_does_not_shrink() {
         let s = FaultSchedule::generate(11, 0);
-        assert!(shrink(&s, &ChaosConfig::default()).is_none());
+        assert!(shrink(&s, None).is_none());
     }
 
     #[test]
@@ -158,10 +158,8 @@ mod tests {
                 FaultKind::Preempt,
             ],
         };
-        let cfg = ChaosConfig {
-            inject: Some(InjectedBug::SkipFlightPoll),
-        };
-        let r = shrink(&s, &cfg).expect("full schedule violates");
+        let inject = Some(InjectedBug::SkipFlightPoll);
+        let r = shrink(&s, inject).expect("full schedule violates");
         assert_eq!(r.violation.invariant, InvariantKind::CriticalWithoutDump);
         // The storm alone escalates to Critical: a 1-event repro.
         assert_eq!(
@@ -170,7 +168,7 @@ mod tests {
         );
         assert_eq!(r.original_events, 7);
         // The minimal schedule is independently runnable.
-        let replay = run_schedule(&r.schedule, &cfg);
+        let replay = run_schedule(&r.schedule, inject);
         assert_eq!(replay.violation, Some(r.violation));
     }
 }

@@ -50,6 +50,14 @@ pub enum RealizeError {
         /// What its crossbar refused.
         error: CrossbarError,
     },
+    /// A leg of a placement is on a switch the placement's OCS layer does
+    /// not have.
+    NoSuchSwitch {
+        /// The switch the leg names.
+        ocs: OcsId,
+        /// Switches the placement has.
+        switches: usize,
+    },
 }
 
 impl std::fmt::Display for RealizeError {
@@ -68,6 +76,9 @@ impl std::fmt::Display for RealizeError {
             }
             RealizeError::PortClash { ocs, error } => {
                 write!(f, "two legs share a port on switch {ocs}: {error:?}")
+            }
+            RealizeError::NoSuchSwitch { ocs, switches } => {
+                write!(f, "a leg is on switch {ocs} of a {switches}-switch layer")
             }
         }
     }
@@ -216,12 +227,19 @@ impl MeshPlacement {
         Ok(MeshPlacement { trunks, switches })
     }
 
-    /// The fabric target realizing this placement. Refused if two legs
-    /// share a port on one switch.
+    /// The fabric target realizing this placement. Refused if a leg is on
+    /// a switch past the placement's `switches`, or if two legs share a
+    /// port on one switch.
     pub fn fabric_target(&self) -> Result<FabricTarget, RealizeError> {
         let mut per_switch: BTreeMap<OcsId, Vec<(PortId, PortId)>> = BTreeMap::new();
         for (&(i, j), legs) in &self.trunks {
             for leg in legs {
+                if leg.ocs as usize >= self.switches {
+                    return Err(RealizeError::NoSuchSwitch {
+                        ocs: leg.ocs,
+                        switches: self.switches,
+                    });
+                }
                 let (n, s) = if leg.flipped { (j, i) } else { (i, j) };
                 per_switch
                     .entry(leg.ocs)

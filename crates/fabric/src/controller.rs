@@ -394,7 +394,7 @@ const _: () = assert!(
 );
 
 /// The fabric controller: owns the fleet and serializes reconfiguration.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FabricController {
     /// The switch fleet, which also keeps fabric time.
     pub fleet: OcsFleet,

@@ -27,14 +27,15 @@ pub struct FleetHealth {
     pub per_switch: BTreeMap<OcsId, OcsHealth>,
 }
 
-/// A fleet of Palomar OCSes, kept in id order, and the one owner of fabric
-/// time: the fleet keeps the clock, and a member's own clock is brought up
-/// to it only when the member is handed out mutably, a transaction touches
-/// it, or it may have an alignment falling due. Advancing a fleet with
-/// nothing mid-alignment is one compare, whatever its size.
-#[derive(Debug, Default)]
+/// A fleet of Palomar OCSes, switch `i` in slot `i`, and the one owner of
+/// fabric time: the fleet keeps the clock, and a member's own clock is
+/// brought up to it only when the member is handed out mutably, a
+/// transaction touches it, or it may have an alignment falling due.
+/// Advancing a fleet with nothing mid-alignment is one compare, whatever
+/// its size.
+#[derive(Debug)]
 pub struct OcsFleet {
-    /// Each switch under its id, ascending.
+    /// Switch `i` at index `i`.
     switches: Vec<Member>,
     /// Fabric time.
     now: Nanos,
@@ -59,78 +60,32 @@ pub struct OcsFleet {
 /// One switch of a fleet.
 #[derive(Debug)]
 struct Member {
-    id: OcsId,
     /// Whether [`OcsFleet::moving`] lists this slot.
     listed: bool,
     ocs: PalomarOcs,
 }
 
 impl OcsFleet {
-    /// An empty fleet at time zero.
-    pub fn new() -> OcsFleet {
-        OcsFleet::default()
-    }
-
-    /// Builds a fleet of `n` switches with deterministic per-switch seeds.
+    /// Builds a fleet of `n` switches numbered `0..n`, with deterministic
+    /// per-switch seeds, at time zero.
     pub fn build(n: usize, seed: u64) -> OcsFleet {
-        let mut fleet = OcsFleet {
-            switches: Vec::with_capacity(n),
+        let member = |i: usize| Member {
+            listed: false,
+            ocs: PalomarOcs::new(i as OcsId, seed.wrapping_add(i as u64 * 7919)),
+        };
+        OcsFleet {
+            switches: (0..n).map(member).collect(),
+            now: Nanos(0),
+            due: Nanos(0),
             moving: Vec::with_capacity(n),
-            ..OcsFleet::default()
-        };
-        for i in 0..n {
-            fleet.add(PalomarOcs::new(
-                i as OcsId,
-                seed.wrapping_add(i as u64 * 7919),
-            ));
-        }
-        fleet
-    }
-
-    /// Adds a switch. A late joiner takes the fleet's clock: it is brought
-    /// up to fleet time as if it had idled in the fleet since its own time
-    /// zero, completing whatever alignments of its own fell due on the way.
-    ///
-    /// # Panics
-    /// Panics if the id is already present, or if the switch's clock is
-    /// ahead of the fleet's (the fleet cannot run a member backwards).
-    pub fn add(&mut self, mut ocs: PalomarOcs) {
-        let id = ocs.id();
-        let Err(slot) = self.switches.binary_search_by_key(&id, |m| m.id) else {
-            panic!("duplicate OCS id {id}");
-        };
-        assert!(
-            ocs.now() <= self.now,
-            "OCS {id} is at {}, ahead of the fleet's {}",
-            ocs.now(),
-            self.now
-        );
-        ocs.advance_to(self.now);
-        let aligning = ocs.pending_circuits() > 0;
-        self.switches.insert(
-            slot,
-            Member {
-                id,
-                listed: false,
-                ocs,
-            },
-        );
-        for later in self.moving.iter_mut().filter(|s| **s >= slot) {
-            *later += 1;
-        }
-        self.moving.reserve(self.switches.len() - self.moving.len());
-        if aligning {
-            self.hand_out(slot);
+            tables: Vec::new(),
         }
     }
 
-    /// Where switch `id` sits: its own id when the fleet is numbered
-    /// `0..n` (as [`OcsFleet::build`] numbers it), else by search.
+    /// Where switch `id` sits: its own id.
     fn slot(&self, id: OcsId) -> Option<usize> {
-        if matches!(self.switches.get(id as usize), Some(m) if m.id == id) {
-            return Some(id as usize);
-        }
-        self.switches.binary_search_by_key(&id, |m| m.id).ok()
+        let slot = id as usize;
+        (slot < self.switches.len()).then_some(slot)
     }
 
     /// Fabric time: the one clock every member is brought up to.
@@ -248,8 +203,8 @@ impl OcsFleet {
     }
 
     /// Iterates switches in id order; each as [`OcsFleet::get`] shows it.
-    pub fn iter(&self) -> impl Iterator<Item = (&OcsId, &PalomarOcs)> {
-        self.switches.iter().map(|m| (&m.id, &m.ocs))
+    pub fn iter(&self) -> impl Iterator<Item = (OcsId, &PalomarOcs)> {
+        (0..).zip(self.switches.iter().map(|m| &m.ocs))
     }
 
     /// Advances fabric time, completing the alignments that finish. Until
@@ -304,7 +259,7 @@ impl OcsFleet {
         severity: lightwave_ocs::telemetry::Severity,
     ) -> Vec<(OcsId, lightwave_ocs::telemetry::Alarm)> {
         let mut out = Vec::new();
-        for (&id, ocs) in self.iter() {
+        for (id, ocs) in self.iter() {
             for alarm in ocs.telemetry().alarms_at_least(severity) {
                 out.push((id, alarm.clone()));
             }
@@ -315,7 +270,7 @@ impl OcsFleet {
     /// Fleet health roll-up.
     pub fn health(&self) -> FleetHealth {
         let per_switch: BTreeMap<OcsId, OcsHealth> =
-            self.iter().map(|(&id, ocs)| (id, ocs.health())).collect();
+            self.iter().map(|(id, ocs)| (id, ocs.health())).collect();
         FleetHealth {
             switches: per_switch.len(),
             operational: per_switch.values().filter(|h| h.operational).count(),
@@ -340,29 +295,6 @@ mod tests {
         let a = fleet.get(0).unwrap().optical_core().insertion_loss(0, 0);
         let b = fleet.get(1).unwrap().optical_core().insertion_loss(0, 0);
         assert_ne!(a.db(), b.db());
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate OCS id")]
-    fn duplicate_id_rejected() {
-        let mut fleet = OcsFleet::new();
-        fleet.add(PalomarOcs::new(0, 1));
-        fleet.add(PalomarOcs::new(0, 2));
-    }
-
-    #[test]
-    fn arbitrary_ids_are_kept_in_order_and_found() {
-        let mut fleet = OcsFleet::new();
-        for id in [40, 3, 0, 17] {
-            fleet.add(PalomarOcs::new(id, id as u64));
-        }
-        let ids: Vec<OcsId> = fleet.iter().map(|(&id, _)| id).collect();
-        assert_eq!(ids, [0, 3, 17, 40]);
-        for id in ids {
-            assert_eq!(fleet.get(id).unwrap().id(), id);
-            assert_eq!(fleet.get_mut(id).unwrap().id(), id);
-        }
-        assert!(fleet.get(1).is_none() && fleet.get(41).is_none());
     }
 
     #[test]
@@ -402,44 +334,6 @@ mod tests {
         let switch = fleet.get(0).unwrap();
         assert_eq!(switch.now(), fleet.now());
         assert_eq!(switch.telemetry().alarms()[0].at, fleet.now());
-    }
-
-    #[test]
-    fn a_late_joiner_takes_the_fleet_clock() {
-        let mut fleet = OcsFleet::new();
-        fleet.add(PalomarOcs::new(3, 3));
-        fleet.add(PalomarOcs::new(40, 40));
-        fleet.advance(Nanos::from_millis(5));
-        let ready = fleet.get_mut(40).unwrap().connect(1, 2).unwrap();
-        fleet.advance(Nanos::from_millis(1));
-        // Joins between the two (switch 40 moves up a slot mid-alignment),
-        // its clock four milliseconds behind the fleet's and an alignment
-        // of its own in flight.
-        let mut joiner = PalomarOcs::new(17, 17);
-        let joiner_ready = joiner.connect(5, 6).unwrap();
-        joiner.advance(Nanos::from_millis(2));
-        assert!(joiner_ready < ready);
-        fleet.add(joiner);
-        assert_eq!(fleet.get(17).unwrap().now(), fleet.now());
-        assert_eq!(fleet.pending(), 2);
-        fleet.advance_to(joiner_ready);
-        assert!(
-            fleet.get(17).unwrap().circuit_ready(5),
-            "due by its own time"
-        );
-        assert!(!fleet.get(40).unwrap().circuit_ready(1));
-        fleet.advance_to(ready);
-        assert!(fleet.get(40).unwrap().circuit_ready(1), "still tracked");
-        assert_eq!(fleet.pending(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "ahead of the fleet")]
-    fn a_joiner_from_the_future_is_rejected() {
-        let mut fleet = OcsFleet::build(1, 5);
-        let mut joiner = PalomarOcs::new(9, 9);
-        joiner.advance(Nanos(1));
-        fleet.add(joiner);
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl FabricInstruments {
     /// forwarding into the aggregator, then incident aging.
     pub fn scrape_fleet(&mut self, sink: &mut FleetTelemetry, fleet: &OcsFleet) {
         let at = fleet.now();
-        for (&id, ocs) in fleet.iter() {
+        for (id, ocs) in fleet.iter() {
             self.switch(id).scrape(sink, at, ocs);
         }
         sink.advance(at);

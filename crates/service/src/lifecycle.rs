@@ -23,7 +23,7 @@ use lightwave_units::Nanos;
 /// One cell's lifecycle instruments (see module docs), run with
 /// [`run_cell_with`](crate::run_cell_with); finishing hands the observer
 /// itself back. Both stores are public: export `tracer` + `series` with
-/// [`to_chrome_trace_with_counters`](lightwave_trace::to_chrome_trace_with_counters).
+/// [`to_chrome_trace`](lightwave_trace::to_chrome_trace).
 ///
 /// Span ids below the root come from the tracer's own counter stream,
 /// which two cells of one seed would share, so there is no shard merge:

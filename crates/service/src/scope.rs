@@ -329,7 +329,7 @@ impl ScopeReport {
 
     /// Every retained exemplar span id across all distributions — the
     /// set to pass to
-    /// [`to_chrome_trace_annotated`](lightwave_trace::to_chrome_trace_annotated)
+    /// [`to_chrome_trace`](lightwave_trace::to_chrome_trace)
     /// so exemplar spans are flagged in the export.
     pub fn exemplar_spans(&self) -> BTreeSet<u64> {
         let mut spans = BTreeSet::new();

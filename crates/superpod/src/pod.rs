@@ -212,8 +212,8 @@ impl Superpod {
         self.held.iter().position(|&held| held == h)
     }
 
-    /// Live slices with their handles, in handle order.
-    fn by_handle(&self) -> Vec<(SliceHandle, &Slice)> {
+    /// Active slices, in handle order.
+    pub fn slices(&self) -> impl Iterator<Item = (SliceHandle, &Slice)> {
         let mut live: Vec<_> = self
             .held
             .iter()
@@ -221,12 +221,7 @@ impl Superpod {
             .filter_map(|(&h, live)| Some((h, live.as_ref()?)))
             .collect();
         live.sort_unstable_by_key(|&(h, _)| h);
-        live
-    }
-
-    /// Active slices, in handle order.
-    pub fn slices(&self) -> impl Iterator<Item = (SliceHandle, &Slice)> {
-        self.by_handle().into_iter()
+        live.into_iter()
     }
 
     /// Looks up a slice.
@@ -504,62 +499,6 @@ impl Superpod {
     pub fn settled(&self) -> bool {
         self.fabric.settled()
     }
-
-    /// Per-slice impact of OCS outages (§4.2.2: "a single failure in the
-    /// set of OCSes that provide full connectivity between the elemental
-    /// cubes will degrade the performance of any slice composed of more
-    /// than one elemental cube").
-    ///
-    /// Each inter-cube hop is 16 parallel circuits, one per OCS of its
-    /// dimension; a down switch removes 1/16 of the optical bandwidth of
-    /// every hop in its dimension. Single-cube-dimension rings are
-    /// electrical and immune.
-    pub fn degradation_report(&self) -> Vec<SliceDegradation> {
-        use crate::geometry::LINKS_PER_FACE;
-        let down: Vec<OcsId> = self
-            .fabric
-            .fleet
-            .iter()
-            .filter(|(_, ocs)| !ocs.is_up())
-            .map(|(&id, _)| id)
-            .collect();
-        self.by_handle()
-            .into_iter()
-            .map(|(handle, slice)| {
-                let [p, q, r] = slice.shape.cube_grid();
-                let grid = [p, q, r];
-                // Fraction of each dimension's inter-cube circuits lost.
-                let mut lost_per_dim = [0.0f64; 3];
-                for &ocs in &down {
-                    let (dim, _) = crate::wiring::ocs_role(ocs);
-                    if grid[dim.index()] > 1 {
-                        lost_per_dim[dim.index()] += 1.0 / LINKS_PER_FACE as f64;
-                    }
-                }
-                let worst = lost_per_dim.iter().fold(0.0f64, |a, &b| a.max(b));
-                SliceDegradation {
-                    handle,
-                    optical_loss_per_dim: lost_per_dim,
-                    worst_dim_loss: worst,
-                    affected: worst > 0.0,
-                }
-            })
-            .collect()
-    }
-}
-
-/// Impact of OCS outages on one slice.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SliceDegradation {
-    /// The slice.
-    pub handle: SliceHandle,
-    /// Fraction of inter-cube optical bandwidth lost per torus dimension.
-    pub optical_loss_per_dim: [f64; 3],
-    /// The worst dimension's loss — the collective slowdown bound, since
-    /// synchronous rings run at the speed of their thinnest hop.
-    pub worst_dim_loss: f64,
-    /// Whether the slice is affected at all.
-    pub affected: bool,
 }
 
 #[cfg(test)]
@@ -693,40 +632,6 @@ mod tests {
         let (h, _) = pod.compose(slice_of(vec![11, 13], 8, 4, 4)).unwrap();
         assert_eq!(holder(&pod, 11), Some(h));
         assert_eq!(holder(&pod, 12), None);
-    }
-
-    #[test]
-    fn ocs_failure_degrades_multi_cube_slices_only() {
-        // §4.2.2 verbatim: single-cube slices are immune; everything else
-        // loses 1/16 of the failed dimension's optical bandwidth.
-        let mut pod = Superpod::new(8);
-        let (h_multi, _) = pod.compose(slice_of(vec![0, 1, 2, 3], 16, 4, 4)).unwrap();
-        let (h_single, _) = pod.compose(slice_of(vec![9], 4, 4, 4)).unwrap();
-        pod.advance(Nanos::from_millis(400));
-        // Healthy fabric: nobody degraded.
-        assert!(pod.degradation_report().iter().all(|d| !d.affected));
-        // Kill OCS 0 (dimension X, link 0).
-        {
-            let ocs = pod.fabric_mut().fleet.get_mut(0).unwrap();
-            ocs.fail_fru(0).unwrap();
-            ocs.fail_fru(1).unwrap();
-        }
-        let report = pod.degradation_report();
-        let multi = report.iter().find(|d| d.handle == h_multi).unwrap();
-        let single = report.iter().find(|d| d.handle == h_single).unwrap();
-        assert!(multi.affected);
-        assert!((multi.worst_dim_loss - 1.0 / 16.0).abs() < 1e-12);
-        assert_eq!(multi.optical_loss_per_dim[1], 0.0, "Y dimension untouched");
-        assert!(!single.affected, "single-cube slices ride electrical rings");
-        // A second X-dimension OCS failure compounds.
-        {
-            let ocs = pod.fabric_mut().fleet.get_mut(1).unwrap();
-            ocs.fail_fru(0).unwrap();
-            ocs.fail_fru(1).unwrap();
-        }
-        let report = pod.degradation_report();
-        let multi = report.iter().find(|d| d.handle == h_multi).unwrap();
-        assert!((multi.worst_dim_loss - 2.0 / 16.0).abs() < 1e-12);
     }
 
     #[test]

@@ -420,6 +420,68 @@ pub enum HealthJsonl {
     Trip(TrendTrip),
 }
 
+impl HealthJsonl {
+    /// Reads back what [`FleetHealth::to_jsonl`] wrote: a `Meta` line
+    /// with [`HEALTH_SCHEMA`], then exactly the `switches` `Switch`,
+    /// `actions` `Action` and `trips` `Trip` lines it declares, in that
+    /// order, and nothing after them. Returns every record, `Meta` first;
+    /// the error names the line that breaks a rule.
+    pub fn from_jsonl(text: &str) -> Result<Vec<HealthJsonl>, String> {
+        let mut lines = text.lines().zip(1..).map(|(line, n)| {
+            serde_json::from_str::<HealthJsonl>(line)
+                .map(|record| (n, record))
+                .map_err(|e| format!("line {n}: {e}"))
+        });
+        let (_, meta) = lines.next().ok_or("no Meta line")??;
+        let HealthJsonl::Meta {
+            schema,
+            switches,
+            actions,
+            trips,
+            ..
+        } = &meta
+        else {
+            return Err("line 1: not a Meta record".to_string());
+        };
+        if schema != HEALTH_SCHEMA {
+            return Err(format!("schema {schema:?}, want {HEALTH_SCHEMA:?}"));
+        }
+        let declared = [
+            (1, "Switch", *switches),
+            (2, "Action", *actions),
+            (3, "Trip", *trips),
+        ];
+        let mut records = vec![meta];
+        for (rank, kind, count) in declared {
+            for i in 0..count {
+                let (n, record) = lines
+                    .next()
+                    .ok_or_else(|| format!("Meta declares more than {i} {kind} lines"))??;
+                if record.rank() != rank {
+                    return Err(format!("line {n}: not the {kind} line the Meta declares"));
+                }
+                records.push(record);
+            }
+        }
+        if lines.next().is_some() {
+            let n = records.len() + 1;
+            return Err(format!("line {n}: past what the Meta declares"));
+        }
+        Ok(records)
+    }
+
+    /// Where the writer puts a record: the `Meta` line, then the
+    /// `Switch`, `Action` and `Trip` lines.
+    fn rank(&self) -> usize {
+        match self {
+            HealthJsonl::Meta { .. } => 0,
+            HealthJsonl::Switch(_) => 1,
+            HealthJsonl::Action(_) => 2,
+            HealthJsonl::Trip(_) => 3,
+        }
+    }
+}
+
 /// Health rollup for one switch.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SwitchHealth {
@@ -564,15 +626,62 @@ mod tests {
         assert_eq!(a.dashboard(now), b.dashboard(now));
         assert_eq!(a.to_jsonl(now), b.to_jsonl(now));
         let jsonl = a.to_jsonl(now);
-        let mut metas = 0;
-        for line in jsonl.lines() {
-            let rec: HealthJsonl = serde_json::from_str(line).expect("every line parses");
-            if matches!(rec, HealthJsonl::Meta { .. }) {
-                metas += 1;
-            }
-        }
+        let records = HealthJsonl::from_jsonl(&jsonl).expect("the writer's log reads back");
+        let metas = records
+            .iter()
+            .filter(|rec| matches!(rec, HealthJsonl::Meta { .. }))
+            .count();
         assert_eq!(metas, 1);
+        // Written again, record by record, the log is the same bytes.
+        let rewritten: String = records
+            .iter()
+            .map(|rec| serde_json::to_string(rec).expect("serializes") + "\n")
+            .collect();
+        assert_eq!(rewritten, jsonl);
         assert!(!a.counter_tracks().is_empty());
         assert!(!a.store().recent_for_switch(3, 4).is_empty());
+    }
+
+    #[test]
+    fn a_health_log_reads_back_only_as_its_meta_declares_it() {
+        let mut h = FleetHealth::default();
+        let mut sink = FleetTelemetry::new();
+        creep(&mut h, &mut sink, 3, 17, 10);
+        let jsonl = h.to_jsonl(Nanos::from_secs_f64(3.0));
+        let lines: Vec<&str> = jsonl.lines().collect();
+        let [meta, switch, action, trip, ..] = lines[..] else {
+            panic!("Meta, Switch, Action and trips: {jsonl}");
+        };
+        assert!(meta.contains("\"switches\":1,\"actions\":1,"), "{meta}");
+        let read = |lines: &[&str]| HealthJsonl::from_jsonl(&(lines.join("\n") + "\n"));
+        assert_eq!(read(&lines).map(|r| r.len()), Ok(lines.len()));
+        let refused = |lines: &[&str], why: &str| {
+            let err = read(lines).unwrap_err();
+            assert!(err.contains(why), "{lines:?}: {err}");
+        };
+        let trips = &lines[3..];
+        refused(
+            &[&[meta, switch, action], &trips[1..]].concat(),
+            "more than",
+        );
+        refused(
+            &[&lines[..], &[trip]].concat(),
+            "past what the Meta declares",
+        );
+        refused(
+            &[&[meta, action, switch], trips].concat(),
+            "line 2: not the Switch",
+        );
+        refused(
+            &[&[switch, meta, action], trips].concat(),
+            "line 1: not a Meta",
+        );
+        let renamed = meta.replace("fleet-health/v2", "fleet-health/v1");
+        refused(&[&[&renamed, switch, action], trips].concat(), "schema");
+        refused(
+            &[&[meta, switch, action, "{}"], &trips[1..]].concat(),
+            "line 4",
+        );
+        refused(&[], "line 1");
     }
 }

@@ -110,7 +110,8 @@ pub use slo::{
     OCS_AVAILABILITY_TARGET, OCS_ERROR_BUDGET_PPM,
 };
 pub use timeseries::{
-    CounterSample, CounterTrack, MetricKey, Sample, SeriesId, SeriesStore, TimeSeries,
+    series_switch, CounterSample, CounterTrack, MetricKey, Sample, SeriesId, SeriesStore,
+    TimeSeries,
 };
 
 // Re-exported for the doc example above.

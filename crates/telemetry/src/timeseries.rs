@@ -60,6 +60,16 @@ impl std::fmt::Display for MetricKey {
     }
 }
 
+/// The switch a series is on: the numeric `switch` label of its identity
+/// as [`MetricKey`] renders it (`name{k=v,...}`), or `None` when it has
+/// none. A counter sample and a counter track name their series this way.
+pub fn series_switch(series: &str) -> Option<u32> {
+    let labels = series.split_once('{')?.1.strip_suffix('}')?;
+    labels
+        .split(',')
+        .find_map(|label| label.strip_prefix("switch=")?.parse().ok())
+}
+
 /// Micro-units per 1.0 of a sample's native unit (quantization scale).
 pub const SERIES_SCALE: f64 = 1e6;
 

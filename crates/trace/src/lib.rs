@@ -24,9 +24,10 @@
 //!   [`AlarmAggregator`](lightwave_telemetry::AlarmAggregator) incident
 //!   reaches `Critical` severity. A Critical is never dropped, even if
 //!   it was absorbed into an open incident and cleared before the next
-//!   poll.
-//! - [`validate`] — minimal in-repo validators for both export formats,
-//!   used by CI (no network, no external schema tooling).
+//!   poll. [`FlightDump::from_jsonl`] reads a bundle back, beside the
+//!   [`FlightDump::to_jsonl`] that writes it.
+//! - [`validate`] — the in-repo validator of the trace export, used by
+//!   CI (no network, no external schema tooling).
 //!
 //! In the workspace DAG this crate sits directly above `lightwave-units`
 //! beside `lightwave-telemetry`; the operational crates' `instrument`
@@ -50,7 +51,7 @@
 //! );
 //! lightwave_trace::reconfig_phase_spans(
 //!     &mut tracer, commit, 0, Nanos::from_millis(1), Nanos::from_millis(25));
-//! let json = to_chrome_trace(&tracer);
+//! let json = to_chrome_trace(&tracer, &[], &Default::default());
 //! assert!(lightwave_trace::validate::validate_chrome_trace(&json).is_ok());
 //! ```
 
@@ -63,9 +64,9 @@ pub mod span;
 pub mod tracer;
 pub mod validate;
 
-pub use perfetto::{
-    to_chrome_trace, to_chrome_trace_annotated, to_chrome_trace_with_counters, TRACE_SCHEMA,
+pub use perfetto::{to_chrome_trace, TRACE_SCHEMA};
+pub use recorder::{
+    FlightDump, FlightEntry, FlightRecorder, COUNTER_SAMPLES_PER_SERIES, FLIGHT_SCHEMA,
 };
-pub use recorder::{FlightDump, FlightEntry, FlightRecorder, FLIGHT_SCHEMA};
 pub use span::{InstantRecord, Lane, ReconfigPhase, RequestStage, SpanId, SpanKind, SpanRecord};
 pub use tracer::{derive_span_id, reconfig_phase_spans, Tracer};

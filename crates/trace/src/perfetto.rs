@@ -169,29 +169,21 @@ fn counter_events(tracks: &[CounterTrack], out: &mut Vec<Content>) {
 /// Renders the tracer's completed spans and instants as a Chrome
 /// trace-event JSON document (open it at <https://ui.perfetto.dev>).
 ///
-/// Open spans are *not* exported — end them first; the flight recorder
-/// is the tool for mid-flight state.
-pub fn to_chrome_trace(tracer: &Tracer) -> String {
-    to_chrome_trace_with_counters(tracer, &[])
-}
-
-/// [`to_chrome_trace`] plus counter tracks (`"C"` events) — pass
+/// `counters` become counter tracks (`"C"` events) — pass
 /// [`SeriesStore::tracks`](lightwave_telemetry::SeriesStore::tracks) or
 /// [`FleetHealth::counter_tracks`](lightwave_telemetry::FleetHealth::counter_tracks)
 /// to see the health time-series alongside the causal span timeline.
-pub fn to_chrome_trace_with_counters(tracer: &Tracer, counters: &[CounterTrack]) -> String {
-    to_chrome_trace_annotated(tracer, counters, &BTreeSet::new())
-}
-
-/// [`to_chrome_trace_with_counters`] plus exemplar annotation: spans
-/// whose ids are in `exemplars` (the span ids a scope report's histogram
-/// buckets retained) gain an `"exemplar": true` arg. `request_scope`
-/// writes `scope_report.json` and `request_scope_trace.json` from one
-/// fully sampled cell, so every tail bucket of that report names a span
-/// of that trace, findable by searching `exemplar` in the Perfetto UI
-/// (the artifact reader in `lightwave-bench` checks the pair both ways).
-/// With an empty set this is byte-identical to the plain export.
-pub fn to_chrome_trace_annotated(
+/// Spans whose ids are in `exemplars` (the span ids a scope report's
+/// histogram buckets retained) gain an `"exemplar": true` arg.
+/// `request_scope` writes `scope_report.json` and
+/// `request_scope_trace.json` from one fully sampled cell, so every tail
+/// bucket of that report names a span of that trace, findable by
+/// searching `exemplar` in the Perfetto UI (the artifact reader in
+/// `lightwave-bench` checks the pair both ways). Empty sets add nothing.
+///
+/// Open spans are *not* exported — end them first; the flight recorder
+/// is the tool for mid-flight state.
+pub fn to_chrome_trace(
     tracer: &Tracer,
     counters: &[CounterTrack],
     exemplars: &BTreeSet<u64>,
@@ -270,14 +262,14 @@ mod tests {
     #[test]
     fn export_is_deterministic() {
         assert_eq!(
-            to_chrome_trace(&sample_tracer()),
-            to_chrome_trace(&sample_tracer())
+            to_chrome_trace(&sample_tracer(), &[], &BTreeSet::new()),
+            to_chrome_trace(&sample_tracer(), &[], &BTreeSet::new())
         );
     }
 
     #[test]
     fn export_contains_expected_shapes() {
-        let json = to_chrome_trace(&sample_tracer());
+        let json = to_chrome_trace(&sample_tracer(), &[], &BTreeSet::new());
         assert!(json.contains("\"displayTimeUnit\":\"ms\""));
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"ph\":\"X\""));
@@ -296,7 +288,7 @@ mod tests {
 
     #[test]
     fn export_validates_against_schema() {
-        let json = to_chrome_trace(&sample_tracer());
+        let json = to_chrome_trace(&sample_tracer(), &[], &BTreeSet::new());
         let stats = crate::validate::validate_chrome_trace(&json).expect("valid");
         assert_eq!(stats.complete, 3);
         assert!(stats.metadata >= 3, "process + thread names");
@@ -321,16 +313,11 @@ mod tests {
                 value_micros: 30_000
             }
         );
-        let json = to_chrome_trace_with_counters(&sample_tracer(), &tracks);
+        let json = to_chrome_trace(&sample_tracer(), &tracks, &BTreeSet::new());
         let stats = crate::validate::validate_chrome_trace(&json).expect("valid");
         assert_eq!(stats.counters, 2);
         assert!(json.contains("\"ph\":\"C\""));
         assert!(json.contains("health_port_drift_db"));
         assert!(json.contains("\"value\":0.03"), "dequantized micro-units");
-        // Plain export is the zero-counter case of the same path.
-        assert_eq!(
-            to_chrome_trace(&sample_tracer()),
-            to_chrome_trace_with_counters(&sample_tracer(), &[])
-        );
     }
 }

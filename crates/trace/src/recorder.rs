@@ -15,7 +15,7 @@
 use crate::span::SpanRecord;
 use crate::tracer::Tracer;
 use lightwave_telemetry::{
-    CounterSample, Event, EventBus, FleetTelemetry, Incident, SeriesStore, Severity,
+    series_switch, CounterSample, Event, EventBus, FleetTelemetry, Incident, SeriesStore, Severity,
 };
 use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
@@ -33,6 +33,10 @@ pub enum FlightEntry {
 /// The `schema` member a flight bundle's header line opens with.
 pub const FLIGHT_SCHEMA: &str = "lightwave/flight/v1";
 
+/// How many of its most recent retained samples each health series on an
+/// incident's switch contributes to that incident's bundle.
+pub const COUNTER_SAMPLES_PER_SERIES: usize = 16;
+
 /// A snapshot taken when an incident went Critical.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FlightDump {
@@ -47,22 +51,21 @@ pub struct FlightDump {
     pub at: Nanos,
     /// The ring contents, oldest first.
     pub entries: Vec<FlightEntry>,
-    /// Recent health counter samples for the incident's blast radius
-    /// (empty unless the dump was taken via
-    /// [`FlightRecorder::poll_with_series`]).
+    /// Recent health counter samples for the incident's blast radius:
+    /// the last [`COUNTER_SAMPLES_PER_SERIES`] of every series on its
+    /// switch in the store [`FlightRecorder::poll`] was handed.
     pub counters: Vec<CounterSample>,
 }
 
 impl FlightDump {
     /// Serializes the bundle as JSON-lines: one header object, then one
-    /// object per entry, oldest first — the format
-    /// [`crate::validate::validate_flight_jsonl`] checks in CI. When the
-    /// dump embeds counter samples, they follow the entries, one line
-    /// each.
+    /// object per entry, oldest first. When the dump embeds counter
+    /// samples, they follow the entries, one line each.
+    /// [`FlightDump::from_jsonl`] reads it back.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         let header = serde_json::to_string(&FlightHeader {
-            schema: FLIGHT_SCHEMA,
+            schema: FLIGHT_SCHEMA.to_string(),
             incident: self.incident,
             switch: self.switch,
             severity: self.severity,
@@ -83,11 +86,70 @@ impl FlightDump {
         }
         out
     }
+
+    /// Reads back what [`FlightDump::to_jsonl`] wrote: a header line with
+    /// [`FLIGHT_SCHEMA`], exactly the `entries` [`FlightEntry`] lines and
+    /// then the `counters` [`CounterSample`] lines it declares, each
+    /// sample on the header's switch, and nothing after them. The error
+    /// names the line that breaks a rule.
+    pub fn from_jsonl(text: &str) -> Result<FlightDump, String> {
+        let mut lines = text.lines();
+        let first = lines.next().unwrap_or("");
+        let header: FlightHeader =
+            serde_json::from_str(first).map_err(|e| format!("header: {e}"))?;
+        if header.schema != FLIGHT_SCHEMA {
+            return Err(format!(
+                "schema {:?}, want {FLIGHT_SCHEMA:?}",
+                header.schema
+            ));
+        }
+        // The parser also reads `3.0` and `"3"` as integers; the writer
+        // writes neither, so a header is refused unless it is exactly the
+        // line its own values write.
+        if serde_json::to_string(&header).expect("header serializes") != first {
+            return Err("header is not in the form the writer writes".to_string());
+        }
+        // Grown from the lines read: the header's counts are numbers from
+        // the document and size nothing.
+        let mut entries = Vec::new();
+        for i in 0..header.entries {
+            let line = lines
+                .next()
+                .ok_or_else(|| format!("header declares more than {i} entries"))?;
+            entries.push(serde_json::from_str(line).map_err(|e| format!("entry {i}: {e}"))?);
+        }
+        let mut counters = Vec::new();
+        for i in 0..header.counters {
+            let line = lines
+                .next()
+                .ok_or_else(|| format!("header declares more than {i} counters"))?;
+            let sample: CounterSample =
+                serde_json::from_str(line).map_err(|e| format!("counter {i}: {e}"))?;
+            if series_switch(&sample.series) != Some(header.switch) {
+                return Err(format!(
+                    "counter {i} ({}) is not on the header's switch {}",
+                    sample.series, header.switch
+                ));
+            }
+            counters.push(sample);
+        }
+        if lines.next().is_some() {
+            return Err("lines past what the header declares".to_string());
+        }
+        Ok(FlightDump {
+            incident: header.incident,
+            switch: header.switch,
+            severity: header.severity,
+            at: header.at,
+            entries,
+            counters,
+        })
+    }
 }
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct FlightHeader {
-    schema: &'static str,
+    schema: String,
     incident: u64,
     switch: u32,
     severity: Severity,
@@ -211,39 +273,23 @@ impl FlightRecorder {
     /// Critical one exactly once. Because incident severity never
     /// decreases and the incident log is append-only, this catches a
     /// Critical that was raised *and cleared* between polls — the
-    /// never-drop-Critical contract. Returns the incidents dumped now.
-    pub fn poll(&mut self, tracer: &Tracer, telemetry: &FleetTelemetry) -> Vec<u64> {
-        self.poll_impl(tracer, telemetry, None)
-    }
-
-    /// [`Self::poll`], but each new dump also embeds the last
-    /// `per_series` retained samples of every health series labeled with
-    /// the incident's switch — the postmortem bundle answers "what were
-    /// the drift/relock counters doing just before this went Critical?"
-    /// without a second tool.
-    pub fn poll_with_series(
+    /// never-drop-Critical contract. Each new dump also embeds the last
+    /// [`COUNTER_SAMPLES_PER_SERIES`] retained samples of every series in
+    /// `store` labeled with the incident's switch — the postmortem bundle
+    /// answers "what were the drift/relock counters doing just before
+    /// this went Critical?" without a second tool; an empty store embeds
+    /// none. Returns the incidents dumped now.
+    pub fn poll(
         &mut self,
         tracer: &Tracer,
         telemetry: &FleetTelemetry,
         store: &SeriesStore,
-        per_series: usize,
-    ) -> Vec<u64> {
-        self.poll_impl(tracer, telemetry, Some((store, per_series)))
-    }
-
-    fn poll_impl(
-        &mut self,
-        tracer: &Tracer,
-        telemetry: &FleetTelemetry,
-        series: Option<(&SeriesStore, usize)>,
     ) -> Vec<u64> {
         self.sync(tracer, &telemetry.events);
         let mut dumped_now = Vec::new();
         for inc in telemetry.alarms.incidents() {
             if inc.severity == Severity::Critical && !self.dumped.contains(&inc.id) {
-                let counters = series
-                    .map(|(store, n)| store.recent_for_switch(inc.switch, n))
-                    .unwrap_or_default();
+                let counters = store.recent_for_switch(inc.switch, COUNTER_SAMPLES_PER_SERIES);
                 self.dump_incident(inc, counters);
                 dumped_now.push(inc.id);
             }
@@ -307,7 +353,11 @@ mod tests {
             switch: 2,
             cause: AlarmCause::FruFailed { slot: 0 },
         });
-        assert!(rec.poll(&tracer, &telemetry).is_empty(), "warning: no dump");
+        assert!(
+            rec.poll(&tracer, &telemetry, &SeriesStore::default())
+                .is_empty(),
+            "warning: no dump"
+        );
         // ...a Critical repeat is absorbed into it (same debounce window)...
         telemetry.ingest_alarm(AlarmRecord {
             at: Nanos::from_millis(2),
@@ -318,7 +368,7 @@ mod tests {
         // ...and the incident clears before anyone polls.
         telemetry.advance(Nanos::from_secs_f64(60.0));
         assert!(!telemetry.alarms.incidents()[0].is_open());
-        let dumped = rec.poll(&tracer, &telemetry);
+        let dumped = rec.poll(&tracer, &telemetry, &SeriesStore::default());
         assert_eq!(dumped, vec![0], "cleared Critical still dumps");
         let dump = rec.latest_dump().expect("dumped");
         assert_eq!(dump.severity, Severity::Critical);
@@ -331,7 +381,9 @@ mod tests {
             .iter()
             .any(|e| matches!(e, FlightEntry::Event(_))));
         // Exactly once: a later poll does not re-dump.
-        assert!(rec.poll(&tracer, &telemetry).is_empty());
+        assert!(rec
+            .poll(&tracer, &telemetry, &SeriesStore::default())
+            .is_empty());
     }
 
     #[test]
@@ -358,12 +410,17 @@ mod tests {
             switch: 1,
             cause: AlarmCause::ChassisDown,
         });
-        let dumped = rec.poll(&tracer, &telemetry);
+        let dumped = rec.poll(&tracer, &telemetry, &SeriesStore::default());
         assert_eq!(dumped.len(), 1);
-        let jsonl = rec.latest_dump().expect("dump").to_jsonl();
-        let lines = crate::validate::validate_flight_jsonl(&jsonl).expect("parseable");
-        assert_eq!(lines, 1 + 5 + 1, "header + 5 spans + 1 event");
+        let dump = rec.latest_dump().expect("dump");
+        let jsonl = dump.to_jsonl();
+        assert_eq!(
+            jsonl.lines().count(),
+            1 + 5 + 1,
+            "header + 5 spans + 1 event"
+        );
         assert!(jsonl.contains("MirrorSettle"), "phase chain in the bundle");
+        assert_eq!(FlightDump::from_jsonl(&jsonl).as_ref(), Ok(dump));
     }
 
     #[test]
@@ -372,29 +429,85 @@ mod tests {
         let tracer = Tracer::new(6);
         let mut rec = FlightRecorder::new(16);
         // Health series for two switches; only the incident's switch
-        // lands in the bundle.
+        // lands in the bundle, and only its most recent samples.
         let mut store = SeriesStore::default();
         let hot = store.series("health_port_drift_db", &[("port", "3"), ("switch", "7")]);
         let cold = store.series("health_port_drift_db", &[("port", "3"), ("switch", "8")]);
-        for i in 0..6i64 {
+        let n = COUNTER_SAMPLES_PER_SERIES as i64 + 2;
+        for i in 0..n {
             store.push_micros(hot, Nanos(i as u64 * 100), 30_000 * (i + 1));
             store.push_micros(cold, Nanos(i as u64 * 100), 10_000);
         }
         telemetry.ingest_alarm(AlarmRecord {
-            at: Nanos(700),
+            at: Nanos(100 * n as u64),
             severity: Severity::Critical,
             switch: 7,
             cause: AlarmCause::ChassisDown,
         });
-        let dumped = rec.poll_with_series(&tracer, &telemetry, &store, 4);
+        let dumped = rec.poll(&tracer, &telemetry, &store);
         assert_eq!(dumped.len(), 1);
         let dump = rec.latest_dump().expect("dump");
-        assert_eq!(dump.counters.len(), 4, "last 4 samples of the hot switch");
+        assert_eq!(dump.counters.len(), COUNTER_SAMPLES_PER_SERIES);
         assert!(dump.counters.iter().all(|c| c.series.contains("switch=7")));
-        assert_eq!(dump.counters.last().unwrap().value_micros, 180_000);
+        assert_eq!(
+            dump.counters[0].value_micros,
+            30_000 * 3,
+            "the oldest two left out"
+        );
+        assert_eq!(dump.counters.last().unwrap().value_micros, 30_000 * n);
         let jsonl = dump.to_jsonl();
-        let lines = crate::validate::validate_flight_jsonl(&jsonl).expect("parseable");
-        assert_eq!(lines, 1 + 1 + 4, "header + 1 event + 4 counter samples");
-        assert!(jsonl.contains("\"counters\":4"));
+        assert_eq!(
+            jsonl.lines().count(),
+            1 + 1 + COUNTER_SAMPLES_PER_SERIES,
+            "header + 1 event + the counter samples"
+        );
+        assert!(jsonl.contains(&format!("\"counters\":{COUNTER_SAMPLES_PER_SERIES}")));
+        assert_eq!(FlightDump::from_jsonl(&jsonl).as_ref(), Ok(dump));
+    }
+
+    #[test]
+    fn a_bundle_reads_back_only_as_its_header_declares_it() {
+        let mut telemetry = FleetTelemetry::new();
+        let mut tracer = Tracer::new(6);
+        tracer.span(Lane::Switch(7), None, Nanos(0), Nanos(10), span_kind());
+        let mut store = SeriesStore::default();
+        let drift = store.series("health_port_drift_db", &[("port", "3"), ("switch", "7")]);
+        store.push_micros(drift, Nanos(5), 30_000);
+        telemetry.ingest_alarm(AlarmRecord {
+            at: Nanos(20),
+            severity: Severity::Critical,
+            switch: 7,
+            cause: AlarmCause::ChassisDown,
+        });
+        let mut rec = FlightRecorder::new(16);
+        rec.poll(&tracer, &telemetry, &store);
+        let jsonl = rec.latest_dump().expect("dump").to_jsonl();
+        let [header, span, event, counter] = jsonl.lines().collect::<Vec<_>>()[..] else {
+            panic!("header, span, event, counter: {jsonl}");
+        };
+        assert!(header.contains("\"entries\":2,\"counters\":1"), "{header}");
+        let read = |lines: &[&str]| FlightDump::from_jsonl(&(lines.join("\n") + "\n"));
+        assert!(read(&[header, span, event, counter]).is_ok());
+        let refused = |lines: &[&str], why: &str| {
+            let err = read(lines).unwrap_err();
+            assert!(err.contains(why), "{lines:?}: {err}");
+        };
+        refused(&[header, span, event], "more than 0 counters");
+        refused(&[header, span], "more than 1 entries");
+        refused(&[header, span, event, counter, counter], "lines past");
+        refused(&[header, span, counter, event], "entry 1");
+        refused(&[header, counter, span, event], "entry 0");
+        let moved = counter.replace("switch=7", "switch=8");
+        refused(
+            &[header, span, event, &moved],
+            "not on the header's switch 7",
+        );
+        let loose = header.replace("\"switch\":7", "\"switch\":7.0");
+        refused(&[&loose, span, event, counter], "not in the form");
+        let quoted = header.replace("\"counters\":1", "\"counters\":\"1\"");
+        refused(&[&quoted, span, event, counter], "not in the form");
+        let renamed = header.replace("flight/v1", "flight/v2");
+        refused(&[&renamed, span, event, counter], "schema");
+        refused(&[], "header");
     }
 }

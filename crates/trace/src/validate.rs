@@ -1,6 +1,7 @@
-//! Minimal in-repo validators for the two export formats, used by CI (no
-//! network, no external schema tooling): the Chrome trace-event JSON
-//! document and the flight-recorder JSONL bundle.
+//! The in-repo validator of the Chrome trace-event JSON document, used by
+//! CI (no network, no external schema tooling). A flight bundle is read
+//! back by [`FlightDump::from_jsonl`](crate::FlightDump::from_jsonl),
+//! beside the writer that produces it.
 
 use crate::perfetto::TRACE_SCHEMA;
 use serde::de::{DeError, Deserialize};
@@ -176,26 +177,6 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceStats, String> {
     Ok(stats)
 }
 
-/// Validates a flight-recorder JSONL bundle: non-empty, and every
-/// non-blank line parses as a JSON object. Returns the line count.
-pub fn validate_flight_jsonl(jsonl: &str) -> Result<usize, String> {
-    let mut lines = 0usize;
-    for (i, line) in jsonl.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Json(doc) =
-            serde_json::from_str::<Json>(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        doc.as_map("flight record")
-            .map_err(|e| format!("line {}: {e}", i + 1))?;
-        lines += 1;
-    }
-    if lines == 0 {
-        return Err("flight bundle is empty".to_string());
-    }
-    Ok(lines)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,16 +252,5 @@ mod tests {
         assert!(validate_chrome_trace(stringly)
             .unwrap_err()
             .contains("must be a number"));
-    }
-
-    #[test]
-    fn flight_jsonl_checks_each_line() {
-        assert_eq!(validate_flight_jsonl("{\"a\":1}\n{\"b\":2}\n").unwrap(), 2);
-        assert!(validate_flight_jsonl("").is_err(), "empty bundle rejected");
-        assert!(validate_flight_jsonl("{\"a\":1}\nnope\n").is_err());
-        assert!(
-            validate_flight_jsonl("[1,2]\n").is_err(),
-            "records must be objects"
-        );
     }
 }

@@ -184,7 +184,7 @@ fn main() {
     assert!(!cleared.pods[3].alerting, "the alert clears after recovery");
 
     // The burn/budget series are ordinary counter tracks, ready for
-    // `to_chrome_trace_with_counters` beside a tracer of the same run.
+    // `to_chrome_trace` beside a tracer of the same run.
     let tracks = store.tracks();
     println!(
         "  {} counter samples on {} burn/budget tracks",

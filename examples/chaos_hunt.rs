@@ -24,7 +24,7 @@
 //!    reports success: same violation, from the bytes on disk.
 
 use lightwave::chaos::{
-    hunt, parse_repro, shrink, write_repro, ChaosConfig, FaultSchedule, HuntConfig, InjectedBug,
+    hunt, parse_repro, shrink, write_repro, FaultSchedule, HuntConfig, InjectedBug,
 };
 use lightwave::par::Pool;
 use std::path::PathBuf;
@@ -57,17 +57,17 @@ fn main() {
     let clean_cfg = HuntConfig {
         seed: SEED,
         schedules,
-        chaos: ChaosConfig::default(),
+        inject: None,
     };
-    let clean = hunt(&pool, &clean_cfg);
+    let clean = hunt(&pool, &clean_cfg, FaultSchedule::generate);
     print!("{}", clean.table());
     assert!(
         clean.violations().next().is_none(),
         "the honest control plane must be violation-free"
     );
     // Thread-count invariance, checked every run (the smoke gate).
-    let serial = hunt(&Pool::new(1), &clean_cfg);
-    let quad = hunt(&Pool::new(4), &clean_cfg);
+    let serial = hunt(&Pool::new(1), &clean_cfg, FaultSchedule::generate);
+    let quad = hunt(&Pool::new(4), &clean_cfg, FaultSchedule::generate);
     assert!(
         serial == clean && quad == clean,
         "report depends on thread count"
@@ -75,16 +75,15 @@ fn main() {
     println!("thread-count invariance: 1 == 4 == {} ✓\n", pool.threads());
 
     // Act 2: plant a defect, catch it, shrink the catch.
-    let bad_chaos = ChaosConfig {
-        inject: Some(InjectedBug::SkipFlightPoll),
-    };
+    let planted = Some(InjectedBug::SkipFlightPoll);
     let bad = hunt(
         &pool,
         &HuntConfig {
             seed: SEED,
             schedules,
-            chaos: bad_chaos,
+            inject: planted,
         },
+        FaultSchedule::generate,
     );
     print!("{}", bad.table());
     let first = bad
@@ -93,7 +92,7 @@ fn main() {
         .expect("the planted defect must be caught");
     let violation = first.violation.as_ref().expect("filtered");
     let full = FaultSchedule::generate(SEED, first.index);
-    let shrunk = shrink(&full, &bad_chaos).expect("a violating schedule shrinks");
+    let shrunk = shrink(&full, planted).expect("a violating schedule shrinks");
     println!(
         "first catch: schedule #{} ({} events) -> {} events after {} executor runs",
         first.index,
@@ -111,11 +110,7 @@ fn main() {
     let dir = out_dir();
     std::fs::create_dir_all(&dir).expect("create out dir");
     let repro_path = dir.join("chaos_repro.jsonl");
-    let repro = write_repro(
-        &shrunk.schedule,
-        &bad_chaos,
-        Some(shrunk.violation.invariant),
-    );
+    let repro = write_repro(&shrunk.schedule, planted, Some(shrunk.violation.invariant));
     std::fs::write(&repro_path, &repro).expect("write repro");
     println!("wrote {}", repro_path.display());
 

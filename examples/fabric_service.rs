@@ -24,7 +24,7 @@
 //! The traced cell lives in `request_scope`, which writes one cell's
 //! lifecycle trace beside the scope report of the same run.
 
-use lightwave::chaos::{hunt_service, ChaosConfig, HuntConfig};
+use lightwave::chaos::{hunt, FaultSchedule, HuntConfig};
 use lightwave::par::Pool;
 use lightwave::service::{erlang_b, run_sharded, Mix, PolicyConfig, ServiceConfig};
 use lightwave::units::Nanos;
@@ -130,9 +130,9 @@ fn main() {
     let hunt_cfg = HuntConfig {
         seed: 5,
         schedules: if smoke { 6 } else { 24 },
-        chaos: ChaosConfig::default(),
+        inject: None,
     };
-    let hunt = hunt_service(&pool, &hunt_cfg);
+    let hunt = hunt(&pool, &hunt_cfg, FaultSchedule::generate_service);
     print!(
         "act 3: service hunt under hardware faults\n{}",
         hunt.table()

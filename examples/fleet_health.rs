@@ -34,11 +34,12 @@
 //!    emergency swaps into 5 s planned drains.
 
 use lightwave::availability::timeline::{simulate_preempt, PreemptParams};
-use lightwave::chaos::{run_schedule, run_schedule_world, ChaosConfig, FaultSchedule};
+use lightwave::chaos::{run_schedule, run_schedule_world, FaultSchedule};
 use lightwave::par::Pool;
+use lightwave::telemetry::health::HealthJsonl;
 use lightwave::telemetry::Severity;
-use lightwave::trace::to_chrome_trace_with_counters;
-use lightwave::trace::validate::{validate_chrome_trace, validate_flight_jsonl};
+use lightwave::trace::validate::validate_chrome_trace;
+use lightwave::trace::{to_chrome_trace, FlightDump};
 use lightwave::units::Nanos;
 use std::path::PathBuf;
 
@@ -73,7 +74,6 @@ fn main() {
     let smoke = flag("--smoke");
     let degradations: u64 = if smoke { 8 } else { 24 };
     let clean: u64 = if smoke { 50 } else { 200 };
-    let cfg = ChaosConfig::default();
     let pool = Pool::from_env();
     println!(
         "== fleet health: seed {SEED}, {degradations} degradation + {clean} clean schedules, {} worker(s) ==",
@@ -85,7 +85,7 @@ fn main() {
     let mut lead_ms = Vec::new();
     for index in 0..degradations {
         let schedule = FaultSchedule::generate_degradation(SEED, index);
-        let (outcome, world) = run_schedule_world(&schedule, &cfg);
+        let (outcome, world) = run_schedule_world(&schedule, None);
         assert!(
             outcome.violation.is_none(),
             "degradation schedule #{index} violated an invariant: {:?}",
@@ -115,7 +115,7 @@ fn main() {
     let trips_on = |p: &Pool| {
         p.map_reduce(
             &indices,
-            |i, _| run_schedule(&FaultSchedule::generate(SEED, *i), &cfg).trend_trips as u64,
+            |i, _| run_schedule(&FaultSchedule::generate(SEED, *i), None).trend_trips as u64,
             |a, b| a + b,
         )
         .0
@@ -133,7 +133,7 @@ fn main() {
             &deg,
             |i, _| {
                 let (_, w) =
-                    run_schedule_world(&FaultSchedule::generate_degradation(SEED, *i), &cfg);
+                    run_schedule_world(&FaultSchedule::generate_degradation(SEED, *i), None);
                 let now = w.now();
                 format!("{}{}", w.health.dashboard(now), w.health.to_jsonl(now))
             },
@@ -154,15 +154,21 @@ fn main() {
     // from the bytes on disk.
     let dir = out_dir();
     std::fs::create_dir_all(&dir).expect("create out dir");
-    let (_, world) = run_schedule_world(&FaultSchedule::generate_degradation(SEED, 0), &cfg);
+    let (_, world) = run_schedule_world(&FaultSchedule::generate_degradation(SEED, 0), None);
     let now = world.now();
 
     print!("{}", world.health.dashboard(now));
     let jsonl = world.health.to_jsonl(now);
-    let lines = validate_flight_jsonl(&jsonl).expect("health JSONL validates");
+    let lines = HealthJsonl::from_jsonl(&jsonl)
+        .expect("the health log reads back")
+        .len();
     std::fs::write(dir.join("fleet_health.jsonl"), &jsonl).expect("write jsonl");
 
-    let trace = to_chrome_trace_with_counters(&world.tracer, &world.health.counter_tracks());
+    let trace = to_chrome_trace(
+        &world.tracer,
+        &world.health.counter_tracks(),
+        &Default::default(),
+    );
     let stats = validate_chrome_trace(&trace).expect("trace validates");
     assert!(stats.counters > 0, "counter tracks made it into the trace");
     std::fs::write(dir.join("fleet_health_trace.json"), &trace).expect("write trace");
@@ -176,7 +182,8 @@ fn main() {
         "postmortem embeds the blast-radius counter history"
     );
     let postmortem = dump.to_jsonl();
-    validate_flight_jsonl(&postmortem).expect("postmortem validates");
+    let read = FlightDump::from_jsonl(&postmortem).expect("the postmortem reads back");
+    assert_eq!(&read, dump, "the postmortem reads back as the dump it was");
     std::fs::write(dir.join("fleet_postmortem.jsonl"), &postmortem).expect("write postmortem");
     println!(
         "act 4: wrote {} ({} JSONL lines, {} counter events, {} postmortem samples)",

@@ -27,7 +27,7 @@
 
 use lightwave::par::{Pool, Shard};
 use lightwave::service::{run_cell_with, run_sharded, Lifecycle, ScopeCollector, ServiceConfig};
-use lightwave::trace::to_chrome_trace_annotated;
+use lightwave::trace::to_chrome_trace;
 use lightwave::trace::validate::validate_chrome_trace;
 use std::path::PathBuf;
 
@@ -116,7 +116,7 @@ fn main() {
     let report_path = dir.join("scope_report.json");
     std::fs::write(&report_path, snapshot + "\n").expect("write scope_report.json");
     let exemplars = cell_scope.exemplar_spans();
-    let trace = to_chrome_trace_annotated(&watched.tracer, &watched.series.tracks(), &exemplars);
+    let trace = to_chrome_trace(&watched.tracer, &watched.series.tracks(), &exemplars);
     let tstats = validate_chrome_trace(&trace).expect("exported trace validates");
     println!(
         "act 3: fully sampled cell served {} requests; {} exemplar spans \

@@ -21,8 +21,8 @@
 
 use lightwave::prelude::*;
 use lightwave::run_traced_fault_recovery;
-use lightwave::trace::to_chrome_trace;
-use lightwave::trace::validate::{validate_chrome_trace, validate_flight_jsonl};
+use lightwave::trace::validate::validate_chrome_trace;
+use lightwave::trace::{to_chrome_trace, FlightDump};
 use std::path::PathBuf;
 
 fn out_dir() -> PathBuf {
@@ -64,7 +64,7 @@ fn main() {
     );
 
     // The Perfetto timeline.
-    let trace = to_chrome_trace(&out.tracer);
+    let trace = to_chrome_trace(&out.tracer, &[], &Default::default());
     let stats = validate_chrome_trace(&trace).expect("export validates");
     let trace_path = dir.join("trace.json");
     std::fs::write(&trace_path, &trace).expect("write trace.json");
@@ -80,7 +80,9 @@ fn main() {
     // The flight-recorder postmortem bundle.
     let dump = out.recorder.latest_dump().expect("dump taken");
     let jsonl = dump.to_jsonl();
-    let lines = validate_flight_jsonl(&jsonl).expect("bundle parses");
+    let read = FlightDump::from_jsonl(&jsonl).expect("the bundle reads back");
+    assert_eq!(&read, dump, "the bundle reads back as the dump it was");
+    let lines = jsonl.lines().count();
     let flight_path = dir.join("flight.jsonl");
     std::fs::write(&flight_path, &jsonl).expect("write flight.jsonl");
     println!(

@@ -5,8 +5,9 @@
 #
 # For every crate — each directory under crates/, and the root package
 # `lightwave` in src/ — the lines of its *.rs files split at each file's
-# first `#[cfg(test)]` into code (above) and tests (from that line down; a
-# file under the crate's tests/ is all tests), the number of `pub struct
+# first `#[cfg(test)]` in column 0 into code (above) and tests (from that
+# line down; a file under the crate's tests/ is all tests; an indented one
+# gates an item inside an impl, not the test module), the number of `pub struct
 # *Config` / `*Params` it declares — each one a set of options somebody has
 # to test — and the number of its `pub fn`s nothing calls: whose name is on
 # no line above `#[cfg(test)]` in crates/*/src, src/, examples/,
@@ -28,7 +29,7 @@ set -eu
 census() {
     find "$@" -name '*.rs' -exec awk '
         FNR == 1 { in_tests = FILENAME ~ /\/tests\// }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
         /pub struct [A-Za-z]*(Config|Params)([^A-Za-z0-9_]|$)/ { options++ }
         { if (in_tests) tests++; else code++ }
         END { print code + 0, tests + 0, options + 0 }' {} + |
@@ -46,7 +47,7 @@ uncalled=$(find crates/*/src src examples benchmark/src crates/bench/benches -na
         if (FILENAME ~ /^src\//) crate = "lightwave"
         else if (FILENAME ~ /^crates\/[^\/]+\/src\//) { crate = FILENAME; sub(/^crates\//, "", crate); sub(/\/.*/, "", crate) }
     }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests { next }
     {
         is_pub = $0 ~ /(^|[^A-Za-z0-9_])pub (const )?fn /

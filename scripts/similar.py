@@ -5,7 +5,8 @@ round reads first.
     scripts/similar.py [--min-statements 12] [--ratio 0.55] [crate ...]
 
 For every `fn` on a non-test line of crates/*/src and src/ (a file is cut at
-its first `#[cfg(test)]`), the body is split into statements — its lines,
+its first `#[cfg(test)]` in column 0; an indented one gates an item inside an
+impl, not the test module), the body is split into statements — its lines,
 less comments and lines that are only closing punctuation — and every two
 bodies of one crate with at least `--min-statements` statements each are
 compared with difflib's SequenceMatcher over those statement lists. Prints
@@ -28,7 +29,7 @@ def bodies(path):
     """(name, line, statements) for every fn above the file's test module."""
     lines = path.read_text().splitlines()
     for cut, line in enumerate(lines):
-        if line.strip().startswith("#[cfg(test)]"):
+        if line.startswith("#[cfg(test)]"):
             lines = lines[:cut]
             break
     i = 0

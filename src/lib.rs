@@ -242,7 +242,7 @@ impl MlPod {
         let mut circuits = Vec::new();
         let mut violations = 0usize;
         let mut worst_margin = f64::INFINITY;
-        for (&ocs_id, ocs) in self.pod.fabric().fleet.iter() {
+        for (ocs_id, ocs) in self.pod.fabric().fleet.iter() {
             for (north, south) in ocs.mapping().pairs() {
                 let measured = ocs
                     .optical_core()
@@ -307,7 +307,7 @@ pub fn run_traced_fault_recovery(seed: u64, pool: &lightwave_par::Pool) -> Trace
     use lightwave_fabric::instrument::FabricInstruments;
     use lightwave_par::instrument::trace_shards;
     use lightwave_superpod::instrument::{trace_compose, trace_release};
-    use lightwave_telemetry::FleetTelemetry;
+    use lightwave_telemetry::{FleetTelemetry, SeriesStore};
     use lightwave_trace::{FlightRecorder, Lane, SpanKind};
     use rand::RngExt;
 
@@ -399,9 +399,10 @@ pub fn run_traced_fault_recovery(seed: u64, pool: &lightwave_par::Pool) -> Trace
     pod.advance(Nanos::from_millis(300));
 
     // 5. The fleet scrape forwards the chassis-down alarm; the poll sees
-    //    the Critical incident and snapshots the postmortem bundle.
+    //    the Critical incident and snapshots the postmortem bundle (the
+    //    scenario keeps no health series, so the bundle embeds none).
     fabric_inst.scrape_fleet(&mut telemetry, &pod.pod.fabric().fleet);
-    let dumped = recorder.poll(&tracer, &telemetry);
+    let dumped = recorder.poll(&tracer, &telemetry, &SeriesStore::default());
 
     TracedRecovery {
         tracer,
@@ -696,7 +697,9 @@ mod tests {
             .any(|s| matches!(s.kind, SpanKind::FaultRecovery { .. })));
         // The bundle round-trips as JSONL.
         let jsonl = dump.to_jsonl();
-        lightwave_trace::validate::validate_flight_jsonl(&jsonl).expect("parseable");
+        let read = lightwave_trace::FlightDump::from_jsonl(&jsonl).expect("reads back");
+        assert_eq!(&read, dump);
+        assert_eq!(read.to_jsonl(), jsonl);
     }
 
     #[test]

@@ -9,15 +9,14 @@
 //! broken by one edit, and the refusal must name the file and the id.
 
 use lightwave::chaos::{
-    run_schedule_world, write_repro, ChaosConfig, FaultKind, FaultSchedule, InjectedBug,
-    InvariantKind,
+    run_schedule_world, write_repro, FaultKind, FaultSchedule, InjectedBug, InvariantKind,
 };
 use lightwave::par::{Pool, Shard};
 use lightwave::run_traced_fault_recovery;
 use lightwave::service::{
     run_cell_with, run_sharded, CampusObserver, Lifecycle, ScopeCollector, ServiceConfig,
 };
-use lightwave::trace::{to_chrome_trace, to_chrome_trace_annotated, to_chrome_trace_with_counters};
+use lightwave::trace::to_chrome_trace;
 use lightwave_bench::artifacts::{read_run_dir, render_manifest, ARTIFACTS};
 use std::path::{Path, PathBuf};
 
@@ -42,16 +41,22 @@ fn write_run(dir: &Path) {
     let write = |name: &str, text: String| std::fs::write(dir.join(name), text).expect("write");
 
     let recovery = run_traced_fault_recovery(11, &Pool::new(2));
-    write("trace.json", to_chrome_trace(&recovery.tracer));
+    write(
+        "trace.json",
+        to_chrome_trace(&recovery.tracer, &[], &Default::default()),
+    );
     let dump = recovery.recorder.latest_dump().expect("the Critical dumps");
     write("flight.jsonl", dump.to_jsonl());
 
-    let cfg = ChaosConfig::default();
-    let (_, world) = run_schedule_world(&FaultSchedule::generate_degradation(2024, 0), &cfg);
+    let (_, world) = run_schedule_world(&FaultSchedule::generate_degradation(2024, 0), None);
     write("fleet_health.jsonl", world.health.to_jsonl(world.now()));
     write(
         "fleet_health_trace.json",
-        to_chrome_trace_with_counters(&world.tracer, &world.health.counter_tracks()),
+        to_chrome_trace(
+            &world.tracer,
+            &world.health.counter_tracks(),
+            &Default::default(),
+        ),
     );
     let dump = world
         .recorder
@@ -76,7 +81,7 @@ fn write_run(dir: &Path) {
     write("scope_report.json", pretty(&scope.snapshot()));
     write(
         "request_scope_trace.json",
-        to_chrome_trace_annotated(
+        to_chrome_trace(
             &watched.tracer,
             &watched.series.tracks(),
             &scope.exemplar_spans(),
@@ -92,19 +97,14 @@ fn write_run(dir: &Path) {
     write("service_report.json", pretty(&report.snapshot()));
     write("campus_health.json", obs.health_doc().to_json());
 
-    let planted = ChaosConfig {
-        inject: Some(InjectedBug::SkipFlightPoll),
-    };
+    let planted = Some(InjectedBug::SkipFlightPoll);
     let storm = FaultSchedule {
         seed: 1,
         index: 0,
         events: vec![FaultKind::RelockStorm { ocs: 3, ports: 12 }],
     };
     let invariant = Some(InvariantKind::CriticalWithoutDump);
-    write(
-        "chaos_repro.jsonl",
-        write_repro(&storm, &planted, invariant),
-    );
+    write("chaos_repro.jsonl", write_repro(&storm, planted, invariant));
 }
 
 /// A run directory under the target dir, removed on drop.

@@ -21,7 +21,7 @@ use lightwave::telemetry::{
     AlarmCause, BurnRateLedger, FleetTelemetry, IngestOutcome, Severity, TrendSignal,
 };
 use lightwave::trace::validate::validate_chrome_trace;
-use lightwave::trace::{to_chrome_trace_with_counters, Tracer};
+use lightwave::trace::{to_chrome_trace, Tracer};
 use lightwave::units::Nanos;
 use proptest::prelude::*;
 
@@ -309,7 +309,7 @@ fn burn_counter_tracks_pass_the_trace_validator() {
         );
     }
 
-    let trace = to_chrome_trace_with_counters(&Tracer::new(3), &store.tracks());
+    let trace = to_chrome_trace(&Tracer::new(3), &store.tracks(), &Default::default());
     let stats = validate_chrome_trace(&trace).expect("validator accepts burn counter tracks");
     assert!(stats.counters > 0, "counter samples exported");
 }

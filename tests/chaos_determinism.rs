@@ -10,8 +10,8 @@
 //!   violation from its emitted JSONL repro.
 
 use lightwave::chaos::{
-    hunt, parse_repro, run_schedule, shrink, write_repro, ChaosConfig, FaultKind, FaultSchedule,
-    HuntConfig, InjectedBug, InvariantKind,
+    hunt, parse_repro, run_schedule, shrink, write_repro, FaultKind, FaultSchedule, HuntConfig,
+    InjectedBug, InvariantKind,
 };
 use lightwave::par::Pool;
 
@@ -24,8 +24,9 @@ fn run_hunt(threads: usize, schedules: u64, inject: Option<InjectedBug>) -> Stri
         &HuntConfig {
             seed: SEED,
             schedules,
-            chaos: ChaosConfig { inject },
+            inject,
         },
+        FaultSchedule::generate,
     );
     serde_json::to_string(&report).expect("report serializes")
 }
@@ -48,9 +49,7 @@ fn violation_reports_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn shrunk_repros_are_byte_identical_across_thread_counts() {
-    let cfg = ChaosConfig {
-        inject: Some(InjectedBug::SkipFlightPoll),
-    };
+    let inject = Some(InjectedBug::SkipFlightPoll);
     let mut repros = Vec::new();
     for threads in [1usize, 4] {
         let report = hunt(
@@ -58,15 +57,16 @@ fn shrunk_repros_are_byte_identical_across_thread_counts() {
             &HuntConfig {
                 seed: SEED,
                 schedules: 40,
-                chaos: cfg,
+                inject,
             },
+            FaultSchedule::generate,
         );
         let first = report.violations().next().expect("planted defect caught");
-        let shrunk = shrink(&FaultSchedule::generate(SEED, first.index), &cfg)
+        let shrunk = shrink(&FaultSchedule::generate(SEED, first.index), inject)
             .expect("a violating schedule shrinks");
         repros.push(write_repro(
             &shrunk.schedule,
-            &cfg,
+            inject,
             Some(shrunk.violation.invariant),
         ));
     }
@@ -83,8 +83,9 @@ fn two_hundred_schedule_corpus_is_violation_free() {
         &HuntConfig {
             seed: SEED,
             schedules: 200,
-            chaos: ChaosConfig::default(),
+            inject: None,
         },
+        FaultSchedule::generate,
     );
     assert_eq!(report.outcomes.len(), 200);
     if let Some(bad) = report.violations().next() {
@@ -112,9 +113,7 @@ fn known_bad_schedule_is_caught_shrunk_and_replayed() {
     // harness's flight-recorder poll planted off (a test-only hook,
     // not product code), invariant (c) — every Critical incident has
     // exactly one flight dump — fires on that event.
-    let cfg = ChaosConfig {
-        inject: Some(InjectedBug::SkipFlightPoll),
-    };
+    let inject = Some(InjectedBug::SkipFlightPoll);
     let bad_event = FaultKind::FailFru { ocs: 29, slot: 15 };
     let s = FaultSchedule::generate(SEED, 8);
     assert!(
@@ -122,18 +121,16 @@ fn known_bad_schedule_is_caught_shrunk_and_replayed() {
         "the documented trigger is in the generated schedule: {:?}",
         s.events
     );
-    let out = run_schedule(&s, &cfg);
+    let out = run_schedule(&s, inject);
     let v = out.violation.expect("the planted defect is caught");
     assert_eq!(v.invariant, InvariantKind::CriticalWithoutDump);
     // The honest control plane passes the identical schedule.
     assert!(
-        run_schedule(&s, &ChaosConfig::default())
-            .violation
-            .is_none(),
+        run_schedule(&s, None).violation.is_none(),
         "only the planted defect violates"
     );
     // Delta-debugging strips the schedule to the single essential event.
-    let shrunk = shrink(&s, &cfg).expect("violating schedule shrinks");
+    let shrunk = shrink(&s, inject).expect("violating schedule shrinks");
     assert!(
         shrunk.schedule.events.len() <= 5,
         "minimal repro has {} events",
@@ -141,7 +138,7 @@ fn known_bad_schedule_is_caught_shrunk_and_replayed() {
     );
     assert_eq!(shrunk.schedule.events, vec![bad_event]);
     // And the emitted JSONL replays to the same violation.
-    let text = write_repro(&shrunk.schedule, &cfg, Some(shrunk.violation.invariant));
+    let text = write_repro(&shrunk.schedule, inject, Some(shrunk.violation.invariant));
     let repro = parse_repro(&text).expect("emitted repro parses");
     assert_eq!(repro.invariant, Some(InvariantKind::CriticalWithoutDump));
     let replayed = repro.replay();

@@ -5,7 +5,7 @@
 //! refused to free a live slice, which is a capacity leak — once a
 //! release fails there is no path that returns those cubes to the pool.
 
-use lightwave::chaos::{run_schedule, run_schedule_world, ChaosConfig, FaultKind, FaultSchedule};
+use lightwave::chaos::{run_schedule, run_schedule_world, FaultKind, FaultSchedule};
 use lightwave_bench::artifacts::fnv1a64;
 
 /// Bug A's schedule. Two-cube slices: their X rings are optical, so every
@@ -43,7 +43,7 @@ fn down_switch_schedule() -> FaultSchedule {
 #[test]
 fn down_switch_does_not_wedge_compose_or_release() {
     let s = down_switch_schedule();
-    let out = run_schedule(&s, &ChaosConfig::default());
+    let out = run_schedule(&s, None);
     assert!(out.violation.is_none(), "violation: {:?}", out.violation);
     assert_eq!(out.events_applied as usize, s.events.len());
     assert_eq!(out.composes, 2, "composing around a down switch works");
@@ -78,7 +78,7 @@ fn degraded_port_under_live_circuit_does_not_block_release() {
             FaultKind::Release { nth: 0 },
         ],
     };
-    let out = run_schedule(&s, &ChaosConfig::default());
+    let out = run_schedule(&s, None);
     assert!(out.violation.is_none(), "violation: {:?}", out.violation);
     assert_eq!(out.events_applied as usize, s.events.len());
     assert_eq!(out.composes, 2);
@@ -115,7 +115,7 @@ fn preemption_under_fault_stays_invariant_clean() {
         faults >= 10,
         "a genuinely hostile schedule: {faults} faults"
     );
-    let (out, w) = run_schedule_world(&s, &ChaosConfig::default());
+    let (out, w) = run_schedule_world(&s, None);
     assert!(out.violation.is_none(), "violation: {:?}", out.violation);
     assert_eq!(out.events_applied as usize, s.events.len());
     assert_eq!(out.svc_preempted, 2, "both evictions happen, every run");
@@ -123,7 +123,7 @@ fn preemption_under_fault_stays_invariant_clean() {
     assert_eq!(out.svc_completed, 40);
     w.svc.conservation().expect("requests conserved at the end");
     // Replay is byte-identical (the repro contract for service hunts).
-    assert_eq!(out, run_schedule(&s, &ChaosConfig::default()));
+    assert_eq!(out, run_schedule(&s, None));
 }
 
 /// A chaos world runs no full-target commit: a single-cube compose is a
@@ -139,7 +139,7 @@ fn zero_switch_transaction_reconfigures_no_switch() {
         index: 2,
         events: vec![FaultKind::Compose { cubes: 1 }],
     };
-    let (out, w) = run_schedule_world(&s, &ChaosConfig::default());
+    let (out, w) = run_schedule_world(&s, None);
     assert!(out.violation.is_none(), "violation: {:?}", out.violation);
     assert_eq!(out.composes, 1);
     for (id, sw) in w.pod.fabric().fleet.iter() {
@@ -167,7 +167,7 @@ fn traced_resync_matches_the_parent_capture() {
     type Row = (u64, Lane, u64, u64, SpanKind);
     let check =
         |s: &FaultSchedule, want: &[Row], trace_pin: (usize, u64), jsonl_pin: (usize, u64)| {
-            let (out, w) = run_schedule_world(s, &ChaosConfig::default());
+            let (out, w) = run_schedule_world(s, None);
             assert!(out.violation.is_none(), "violation: {:?}", out.violation);
             let spans = w.tracer.spans();
             let roots: Vec<_> = spans
@@ -182,7 +182,8 @@ fn traced_resync_matches_the_parent_capture() {
                 .collect();
             assert_eq!(got, want);
             let schema = format!("\"schema\":\"{TRACE_SCHEMA}\",");
-            let trace = to_chrome_trace(&w.tracer).replacen(&schema, "", 1);
+            let trace =
+                to_chrome_trace(&w.tracer, &[], &Default::default()).replacen(&schema, "", 1);
             assert_eq!((trace.len(), fnv1a64(trace.as_bytes())), trace_pin);
             let jsonl = w.telemetry.to_jsonl(w.now());
             assert_eq!((jsonl.len(), fnv1a64(jsonl.as_bytes())), jsonl_pin);

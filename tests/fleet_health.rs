@@ -10,11 +10,12 @@
 //! - the postmortem bundle for a degradation-driven Critical embeds the
 //!   blast-radius counter history.
 
-use lightwave::chaos::{run_schedule, run_schedule_world, ChaosConfig, FaultSchedule, World};
+use lightwave::chaos::{run_schedule, run_schedule_world, FaultSchedule, World};
 use lightwave::par::Pool;
+use lightwave::telemetry::health::HealthJsonl;
 use lightwave::telemetry::Severity;
-use lightwave::trace::to_chrome_trace_with_counters;
-use lightwave::trace::validate::{validate_chrome_trace, validate_flight_jsonl};
+use lightwave::trace::validate::validate_chrome_trace;
+use lightwave::trace::{to_chrome_trace, FlightDump};
 use lightwave::units::Nanos;
 
 /// The pinned oracle seed, shared with `tests/chaos_determinism.rs`.
@@ -33,10 +34,9 @@ fn first_critical(world: &World) -> Option<Nanos> {
 
 #[test]
 fn every_degradation_schedule_is_caught_before_the_hard_failure() {
-    let cfg = ChaosConfig::default();
     for index in 0..16u64 {
         let schedule = FaultSchedule::generate_degradation(SEED, index);
-        let (outcome, world) = run_schedule_world(&schedule, &cfg);
+        let (outcome, world) = run_schedule_world(&schedule, None);
         assert!(
             outcome.violation.is_none(),
             "schedule #{index}: {:?}",
@@ -58,12 +58,11 @@ fn clean_corpus_produces_zero_detector_trips() {
     // The uniform generator's fault menu includes spare-consuming mirror
     // failures (a legitimate single-step loss jump), FRU deaths and
     // relock storms — incidents, not trends. 200 schedules, no trips.
-    let cfg = ChaosConfig::default();
     let indices: Vec<u64> = (0..200).collect();
     let (total, _) = Pool::from_env().map_reduce(
         &indices,
         |i, _| {
-            let out = run_schedule(&FaultSchedule::generate(SEED, *i), &cfg);
+            let out = run_schedule(&FaultSchedule::generate(SEED, *i), None);
             assert!(
                 out.violation.is_none(),
                 "schedule #{i}: {:?}",
@@ -78,7 +77,6 @@ fn clean_corpus_produces_zero_detector_trips() {
 
 #[test]
 fn health_exports_are_byte_identical_across_thread_counts() {
-    let cfg = ChaosConfig::default();
     let render_on = |threads: usize| {
         let indices: Vec<u64> = (0..8).collect();
         Pool::new(threads)
@@ -86,7 +84,7 @@ fn health_exports_are_byte_identical_across_thread_counts() {
                 &indices,
                 |i, _| {
                     let (_, w) =
-                        run_schedule_world(&FaultSchedule::generate_degradation(SEED, *i), &cfg);
+                        run_schedule_world(&FaultSchedule::generate_degradation(SEED, *i), None);
                     let now = w.now();
                     let report = serde_json::to_string(&w.health.report(now)).expect("serializes");
                     format!(
@@ -108,18 +106,34 @@ fn health_exports_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn degradation_postmortem_embeds_counter_history_and_trace_validates() {
-    let cfg = ChaosConfig::default();
     // Index 0 is the pinned loss-creep family (even parity): CUSUM trip,
     // then the FPGA dies and the recorder dumps.
-    let (_, world) = run_schedule_world(&FaultSchedule::generate_degradation(SEED, 0), &cfg);
+    let (_, world) = run_schedule_world(&FaultSchedule::generate_degradation(SEED, 0), None);
     let dump = world.recorder.latest_dump().expect("Critical dumped");
     assert!(!dump.counters.is_empty(), "counter history embedded");
-    validate_flight_jsonl(&dump.to_jsonl()).expect("postmortem validates");
+    let bundle = dump.to_jsonl();
+    let read = FlightDump::from_jsonl(&bundle).expect("the postmortem reads back");
+    assert_eq!(&read, dump);
+    assert_eq!(
+        read.to_jsonl(),
+        bundle,
+        "read and written again, the same bytes"
+    );
 
-    let trace = to_chrome_trace_with_counters(&world.tracer, &world.health.counter_tracks());
+    let trace = to_chrome_trace(
+        &world.tracer,
+        &world.health.counter_tracks(),
+        &Default::default(),
+    );
     let stats = validate_chrome_trace(&trace).expect("trace validates");
     assert!(stats.counters > 0, "counter tracks exported");
 
     let jsonl = world.health.to_jsonl(world.now());
-    assert!(validate_flight_jsonl(&jsonl).expect("health JSONL validates") >= 2);
+    let records = HealthJsonl::from_jsonl(&jsonl).expect("the health log reads back");
+    assert!(records.len() >= 2);
+    let rewritten: String = records
+        .iter()
+        .map(|record| serde_json::to_string(record).expect("serializes") + "\n")
+        .collect();
+    assert_eq!(rewritten, jsonl, "read and written again, the same bytes");
 }

@@ -1,8 +1,8 @@
 //! Versioned documents are input from outside the program (ROADMAP 2b):
 //! a parser may refuse one, it may never panic on one.
 //!
-//! Five readers so far (lwbench's golden and snapshot readers are the
-//! sixth, and sit on the same JSON parser), all but the intent fed
+//! Six readers so far (lwbench's golden and snapshot readers are the
+//! seventh, and sit on the same JSON parser), all but the intent fed
 //! arbitrary strings and valid documents with one scalar replaced:
 //!
 //! - [`CampusHealthDoc::from_json`] (`lightwave/campus-health/v2`);
@@ -16,8 +16,12 @@
 //!   document the parser accepts replays to an outcome whatever switch,
 //!   slot, port or count its events name — the executor rejects an event
 //!   on hardware its world does not have, and counts it;
-//! - [`validate_chrome_trace`] and [`validate_flight_jsonl`], the two
-//!   validators under every trace and bundle the artifact reader opens;
+//! - [`validate_chrome_trace`], the validator under every trace the
+//!   artifact reader opens;
+//! - [`FlightDump::from_jsonl`] (`lightwave/flight/v1`) and
+//!   [`HealthJsonl::from_jsonl`] (`lightwave/fleet-health/v2`), the
+//!   readers beside the two JSONL writers: a bundle or a health log is
+//!   read only as its header declares it, line for line;
 //! - [`SliceIntent::validate`], the service's only ingress type, and
 //!   [`ServiceCore::submit`] behind it: every field at its edges is refused
 //!   or served on a live pod, in both build profiles alike.
@@ -27,20 +31,21 @@
 //! the process from any of these entry points.
 
 use lightwave::chaos::{
-    parse_repro, write_repro, ChaosConfig, FaultKind, FaultSchedule, Repro, ScheduleOutcome,
+    parse_repro, write_repro, FaultKind, FaultSchedule, Repro, ScheduleOutcome,
 };
 use lightwave::service::{
     IntentError, PolicyConfig, Priority, RejectReason, ServiceCore, ServiceEvent, SliceIntent,
 };
 use lightwave::superpod::slice::ShapeError;
 use lightwave::superpod::Superpod;
+use lightwave::telemetry::health::HealthJsonl;
 use lightwave::telemetry::rollup::{CampusHealthDoc, PortPath, RollupTree};
 use lightwave::telemetry::{
-    AlarmCause, AlarmRecord, BurnRateLedger, ExemplarHistogram, ExemplarSnapshot, FleetTelemetry,
-    HistogramSnapshot, SeriesStore, Severity,
+    AlarmCause, AlarmRecord, BurnRateLedger, ExemplarHistogram, ExemplarSnapshot, FleetHealth,
+    FleetTelemetry, HistogramSnapshot, SeriesStore, Severity,
 };
-use lightwave::trace::validate::{validate_chrome_trace, validate_flight_jsonl};
-use lightwave::trace::{to_chrome_trace_annotated, FlightRecorder, Lane, SpanKind, Tracer};
+use lightwave::trace::validate::validate_chrome_trace;
+use lightwave::trace::{to_chrome_trace, FlightDump, FlightRecorder, Lane, SpanKind, Tracer};
 use lightwave::units::Nanos;
 use proptest::prelude::*;
 
@@ -69,7 +74,14 @@ fn read_everything(text: &str) {
     if let Ok(stats) = validate_chrome_trace(text) {
         let _ = stats.total();
     }
-    let _ = validate_flight_jsonl(text);
+    if let Ok(dump) = FlightDump::from_jsonl(text) {
+        let _ = (dump.to_jsonl(), dump.entries.len(), dump.counters.len());
+    }
+    if let Ok(records) = HealthJsonl::from_jsonl(text) {
+        for record in &records {
+            let _ = serde_json::to_string(record).expect("a record read serializes");
+        }
+    }
 }
 
 /// A trace export with every event phase in it (metadata, spans, a flow
@@ -109,11 +121,23 @@ fn trace_and_flight() -> (String, String) {
         cause: AlarmCause::ChassisDown,
     });
     let mut recorder = FlightRecorder::new(16);
-    recorder.poll_with_series(&tracer, &telemetry, &store, 4);
+    recorder.poll(&tracer, &telemetry, &store);
     let flight = recorder.latest_dump().expect("dumped").to_jsonl();
     let exemplars = [a.0].into_iter().collect();
-    let trace = to_chrome_trace_annotated(&tracer, &store.tracks(), &exemplars);
+    let trace = to_chrome_trace(&tracer, &store.tracks(), &exemplars);
     (trace, flight)
+}
+
+/// A health log with every record kind in it: the `Meta` line, a
+/// `Switch` row, its `Action` and the detector trips of a creeping port.
+fn health_log() -> String {
+    let mut health = FleetHealth::default();
+    let mut sink = FleetTelemetry::new();
+    for i in 1..=8u64 {
+        let drift_db = i as f64 * 0.03;
+        health.ingest_drift(&mut sink, Nanos::from_millis(i * 100), 4, true, 3, drift_db);
+    }
+    health.to_jsonl(Nanos::from_secs_f64(2.0))
 }
 
 /// A short schedule with every [`FaultKind`] in it, on a pod that has
@@ -153,7 +177,7 @@ fn repro_text(events: Vec<FaultKind>) -> String {
         index: 4,
         events,
     };
-    write_repro(&schedule, &ChaosConfig::default(), None)
+    write_repro(&schedule, None, None)
 }
 
 /// Through the document, the way a repro reaches the executor.
@@ -283,7 +307,11 @@ fn every_single_scalar_mutation_of_a_valid_document_returns() {
     let (trace, flight) = trace_and_flight();
     let stats = validate_chrome_trace(&trace).expect("the export validates");
     assert_eq!((stats.complete, stats.flows, stats.counters), (3, 2, 2));
-    assert_eq!(validate_flight_jsonl(&flight), Ok(1 + 3 + 1 + 2));
+    let dump = FlightDump::from_jsonl(&flight).expect("the bundle reads back");
+    assert_eq!((dump.entries.len(), dump.counters.len()), (3 + 1, 2));
+    let health = health_log();
+    let records = HealthJsonl::from_jsonl(&health).expect("the health log reads back");
+    assert!(records.len() > 3, "{health}");
     let documents = [
         campus_doc(),
         serde_json::to_string(&hist.hist().snapshot()).expect("serializes"),
@@ -291,6 +319,7 @@ fn every_single_scalar_mutation_of_a_valid_document_returns() {
         repro_text(repro_events()),
         trace,
         flight,
+        health,
     ];
     let mut mutants = 0;
     for text in &documents {
@@ -309,21 +338,50 @@ fn every_single_scalar_mutation_of_a_valid_document_returns() {
     );
 }
 
-/// A truncated JSON document is never a document; a truncated bundle is
-/// one only where the cut falls between lines.
+/// A truncated JSON document is never a document, and a truncated bundle
+/// or health log is never one either, even where the cut falls between
+/// lines: its header declares the lines it has.
 #[test]
 fn a_trace_or_a_bundle_cut_short_anywhere_is_refused() {
     let (trace, flight) = trace_and_flight();
     for cut in 0..trace.len() {
         assert!(validate_chrome_trace(&trace[..cut]).is_err(), "byte {cut}");
     }
+    // Only the last newline may go: a line cut just before its newline
+    // is still that line.
     for cut in 0..flight.len() {
-        let whole_lines = cut > 0 && flight.as_bytes()[cut - 1] == b'\n';
-        // A line cut just before its newline is still that line.
-        let whole_lines = whole_lines || flight.as_bytes()[cut] == b'\n';
-        let read = validate_flight_jsonl(&flight[..cut]);
-        assert_eq!(read.is_ok(), whole_lines, "byte {cut}: {read:?}");
+        let read = FlightDump::from_jsonl(&flight[..cut]);
+        assert_eq!(
+            read.is_ok(),
+            cut == flight.len() - 1,
+            "byte {cut}: {read:?}"
+        );
     }
+    let health = health_log();
+    for cut in (0..health.len()).filter(|&cut| health.is_char_boundary(cut)) {
+        let read = HealthJsonl::from_jsonl(&health[..cut]);
+        assert_eq!(
+            read.is_ok(),
+            cut == health.len() - 1,
+            "byte {cut}: {read:?}"
+        );
+    }
+}
+
+/// Read back and written again, a bundle and a health log are the bytes
+/// their writers wrote (the parser reads floats exactly).
+#[test]
+fn a_bundle_and_a_health_log_read_back_write_the_same_bytes() {
+    let (_, flight) = trace_and_flight();
+    let dump = FlightDump::from_jsonl(&flight).expect("the bundle reads back");
+    assert_eq!(dump.to_jsonl(), flight);
+    let health = health_log();
+    let records = HealthJsonl::from_jsonl(&health).expect("the health log reads back");
+    let rewritten: String = records
+        .iter()
+        .map(|record| serde_json::to_string(record).expect("serializes") + "\n")
+        .collect();
+    assert_eq!(rewritten, health);
 }
 
 /// `"[".repeat(100_000)` and its object twin aborted the process with a
@@ -334,7 +392,9 @@ fn nesting_past_the_bound_is_refused_by_every_reader_not_a_stack_overflow() {
     for deep in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
         let refused = validate_chrome_trace(&deep).unwrap_err();
         assert!(refused.contains("recursion limit exceeded"), "{refused}");
-        let refused = validate_flight_jsonl(&deep).unwrap_err();
+        let refused = FlightDump::from_jsonl(&deep).unwrap_err();
+        assert!(refused.contains("recursion limit exceeded"), "{refused}");
+        let refused = HealthJsonl::from_jsonl(&deep).unwrap_err();
         assert!(refused.contains("recursion limit exceeded"), "{refused}");
         assert!(parse_repro(&deep).is_err());
         assert!(CampusHealthDoc::from_json(&deep).is_err());
@@ -347,7 +407,8 @@ fn nesting_past_the_bound_is_refused_by_every_reader_not_a_stack_overflow() {
     // What the bound leaves alone: nothing this repository writes nests
     // past ten levels.
     let (trace, flight) = trace_and_flight();
-    assert!(validate_chrome_trace(&trace).is_ok() && validate_flight_jsonl(&flight).is_ok());
+    assert!(validate_chrome_trace(&trace).is_ok() && FlightDump::from_jsonl(&flight).is_ok());
+    assert!(HealthJsonl::from_jsonl(&health_log()).is_ok());
 }
 
 #[test]
@@ -722,7 +783,7 @@ proptest! {
         byte in any::<u8>(),
     ) {
         let (trace, flight) = trace_and_flight();
-        for text in [campus_doc(), repro_text(repro_events()), trace, flight] {
+        for text in [campus_doc(), repro_text(repro_events()), trace, flight, health_log()] {
             let mut cut = cut % (text.len() + 1);
             while !text.is_char_boundary(cut) {
                 cut -= 1;

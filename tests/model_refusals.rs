@@ -269,6 +269,30 @@ fn a_placement_with_two_legs_on_one_port_is_refused_as_a_target() {
 }
 
 #[test]
+fn a_placement_with_a_leg_past_its_switches_is_refused_as_a_target() {
+    // Dropped: the target covered switches `0..switches` only, so the
+    // trunk's one leg on switch 2 of a 2-switch layer vanished from it.
+    let placement = MeshPlacement {
+        trunks: [(
+            (0, 1),
+            vec![TrunkLeg {
+                ocs: 2,
+                flipped: false,
+            }],
+        )]
+        .into(),
+        switches: 2,
+    };
+    assert_eq!(
+        placement.fabric_target().map(drop),
+        Err(RealizeError::NoSuchSwitch {
+            ocs: 2,
+            switches: 2
+        })
+    );
+}
+
+#[test]
 fn a_mesh_over_the_wrong_number_of_abs_is_refused_by_the_fabric() {
     // Asserted; the fabric is left as it was.
     let mut fabric = DcnFabric::new(8, 16, 9);

@@ -28,9 +28,7 @@ use lightwave::service::{
 };
 use lightwave::superpod::Superpod;
 use lightwave::trace::validate::validate_chrome_trace;
-use lightwave::trace::{
-    to_chrome_trace_annotated, to_chrome_trace_with_counters, RequestStage, SpanKind, SpanRecord,
-};
+use lightwave::trace::{to_chrome_trace, RequestStage, SpanKind, SpanRecord};
 use lightwave::units::Nanos;
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
@@ -190,7 +188,11 @@ fn lifecycle_trace_and_depth_track_validate() {
         "requests conserved"
     );
     // The queue-depth counter track and the spans export together.
-    let json = to_chrome_trace_with_counters(&watched.tracer, &watched.series.tracks());
+    let json = to_chrome_trace(
+        &watched.tracer,
+        &watched.series.tracks(),
+        &Default::default(),
+    );
     let stats = validate_chrome_trace(&json).expect("valid trace");
     assert!(stats.complete > 0, "lifecycle spans present");
     assert!(stats.counters > 0, "queue depth present");
@@ -281,7 +283,7 @@ fn scope_exemplars_resolve_into_the_lifecycle_trace() {
         assert!(root_ids.contains(span), "exemplar span {span:x} resolves");
     }
     // The annotated export flags exactly those spans.
-    let json = to_chrome_trace_annotated(&watched.tracer, &[], &spans);
+    let json = to_chrome_trace(&watched.tracer, &[], &spans);
     assert!(json.contains("\"exemplar\":true"));
     validate_chrome_trace(&json).expect("valid trace");
 }
@@ -411,7 +413,7 @@ fn pinned_artifacts_do_not_move() {
         Lifecycle::new(cfg.seed, 25, 4),
     );
     let (_, (scope, watched)) = run_cell_with(&cfg, whole(&cfg), pair);
-    let trace = to_chrome_trace_annotated(
+    let trace = to_chrome_trace(
         &watched.tracer,
         &watched.series.tracks(),
         &scope.exemplar_spans(),

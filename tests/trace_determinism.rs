@@ -11,7 +11,7 @@ use lightwave_bench::artifacts::fnv1a64;
 
 fn artifacts(threads: usize) -> (String, String) {
     let out = run_traced_fault_recovery(11, &Pool::new(threads));
-    let trace = to_chrome_trace(&out.tracer);
+    let trace = to_chrome_trace(&out.tracer, &[], &Default::default());
     let flight = out
         .recorder
         .latest_dump()
@@ -39,14 +39,20 @@ fn trace_json_is_byte_identical_at_1_and_4_workers() {
 
 #[test]
 fn exported_artifacts_validate() {
-    use lightwave::trace::validate::{validate_chrome_trace, validate_flight_jsonl};
+    use lightwave::trace::validate::validate_chrome_trace;
+    use lightwave::trace::FlightDump;
     let (trace, flight) = artifacts(2);
     let stats = validate_chrome_trace(&trace).expect("trace validates");
     assert!(stats.complete > 50, "a real timeline, not a stub");
     assert!(stats.flows > 0, "phase chains render as flow arrows");
     assert!(stats.instants > 0, "the PSU fault mark is present");
-    let lines = validate_flight_jsonl(&flight).expect("bundle parses");
-    assert!(lines > 10, "a real postmortem bundle");
+    let dump = FlightDump::from_jsonl(&flight).expect("the bundle reads back");
+    assert!(dump.entries.len() > 10, "a real postmortem bundle");
+    assert_eq!(
+        dump.to_jsonl(),
+        flight,
+        "read and written again, the same bytes"
+    );
 }
 
 /// The scenario's three artifacts, captured at `5863c20` (before the
@@ -64,7 +70,7 @@ fn artifacts_match_the_parent_capture() {
     for threads in [1, 4] {
         let out = run_traced_fault_recovery(11, &Pool::new(threads));
         assert!(
-            to_chrome_trace(&out.tracer) == pinned,
+            to_chrome_trace(&out.tracer, &[], &Default::default()) == pinned,
             "trace.json moved at {threads} workers"
         );
         let flight = out.recorder.latest_dump().expect("dumped").to_jsonl();
