@@ -24,7 +24,7 @@ use lightwave_telemetry::{AlarmCause, AlarmRecord, FleetHealth, FleetTelemetry, 
 use lightwave_trace::{FlightRecorder, Tracer};
 use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Test-only defects the harness can plant in its own control-plane
 /// driver, so the invariant library and the shrinker can be validated
@@ -147,8 +147,9 @@ pub struct World {
     pub health: FleetHealth,
     /// Live slices with admission state.
     pub slices: Vec<LiveSlice>,
-    /// Per-switch fault-timeline shadows for invariant (d).
-    pub models: BTreeMap<OcsId, SwitchModel>,
+    /// Per-switch fault-timeline shadows for invariant (d), indexed by
+    /// switch id (a fleet's ids are its slots).
+    pub models: Vec<SwitchModel>,
     /// Set when the event itself did something illegal (release of a
     /// live slice rejected).
     pub action_violation: Option<String>,
@@ -160,7 +161,8 @@ pub struct World {
     /// Per-fault recovery attribution, in injection order (one entry per
     /// FRU fail/replace/maintenance event a switch accepted).
     pub recoveries: Vec<FaultRecovery>,
-    insts: BTreeMap<OcsId, OcsInstruments>,
+    /// Per-switch scrapers, indexed by switch id.
+    insts: Vec<OcsInstruments>,
     inject: Option<InjectedBug>,
     event_cursor: u32,
     world_seed: u64,
@@ -219,12 +221,10 @@ impl World {
     pub fn new(seed: u64, index: u64) -> World {
         let world_seed = lightwave_par::splitmix(seed, index);
         let telemetry = FleetTelemetry::new();
-        let mut insts = BTreeMap::new();
-        let mut models = BTreeMap::new();
-        for id in 0..SUPERPOD_OCS_COUNT as OcsId {
-            insts.insert(id, OcsInstruments::new(id));
-            models.insert(id, SwitchModel::new());
-        }
+        let insts = (0..SUPERPOD_OCS_COUNT as OcsId)
+            .map(OcsInstruments::new)
+            .collect();
+        let models = vec![SwitchModel::new(); SUPERPOD_OCS_COUNT];
         World {
             // Invariant (b) (`invariant::radix_and_mapping`) makes every
             // schedule a behavioral-equivalence proof of the pod's
@@ -371,7 +371,7 @@ impl World {
         // The switch took the fault, so the shadow follows. A maintenance
         // swap fails and replaces at one timestamp: the shadow nets zero
         // downtime, exactly what the SLO must account.
-        let model = self.models.entry(ocs).or_insert_with(SwitchModel::new);
+        let model = &mut self.models[ocs as usize];
         model.apply(now, slot, heal);
         if maintenance {
             model.apply(now, slot, true);
@@ -393,7 +393,7 @@ impl World {
         });
         for (id, result) in reports {
             if let Ok(report) = result {
-                let inst = self.insts.get_mut(&id).expect("registered switch");
+                let inst = &mut self.insts[id as usize];
                 inst.record_reconfig(&mut self.telemetry, now, &report);
                 trace_reconfig(&mut self.tracer, None, id, now, &report);
             }
@@ -588,7 +588,7 @@ impl World {
     fn observe(&mut self) {
         let now = self.now();
         for (id, sw) in self.pod.fabric().fleet.iter() {
-            let inst = self.insts.get_mut(&id).expect("registered switch");
+            let inst = &mut self.insts[id as usize];
             inst.record_health(&mut self.telemetry, now, sw.is_up());
             // Deliberately no drift census here: it is O(ports) per
             // switch per event and irrelevant to the invariants. The

@@ -252,7 +252,7 @@ fn critical_dumped_exactly_once(w: &World) -> Option<String> {
 fn slo_matches_timeline(w: &World) -> Option<String> {
     let now = w.now();
     let report = w.telemetry.slo.report(now);
-    for (&id, model) in &w.models {
+    for (id, model) in w.models.iter().enumerate() {
         let injected = model.downtime_at(now);
         let name = format!("ocs-{id}");
         let observed = report

@@ -251,22 +251,6 @@ impl OcsFleet {
         self.iter().map(|(_, ocs)| ocs.pending_circuits()).sum()
     }
 
-    /// Fleet-wide alarm roll-up: every alarm at or above `severity`,
-    /// tagged with its switch — the page-generating view of §3.2.2's
-    /// "telemetry and anomaly reporting".
-    pub fn alarms_at_least(
-        &self,
-        severity: lightwave_ocs::telemetry::Severity,
-    ) -> Vec<(OcsId, lightwave_ocs::telemetry::Alarm)> {
-        let mut out = Vec::new();
-        for (id, ocs) in self.iter() {
-            for alarm in ocs.telemetry().alarms_at_least(severity) {
-                out.push((id, alarm.clone()));
-            }
-        }
-        out
-    }
-
     /// Fleet health roll-up.
     pub fn health(&self) -> FleetHealth {
         let per_switch: BTreeMap<OcsId, OcsHealth> =
@@ -442,7 +426,7 @@ mod tests {
 
     #[test]
     fn alarm_rollup_tags_the_switch() {
-        use lightwave_ocs::telemetry::{AlarmCode, Severity};
+        use lightwave_ocs::telemetry::{AlarmCause, Severity};
         let mut fleet = OcsFleet::build(3, 6);
         {
             let ocs = fleet.get_mut(2).unwrap();
@@ -450,15 +434,22 @@ mod tests {
             ocs.fail_fru(1).unwrap(); // second PSU: ChassisDown (critical)
         }
         fleet.get_mut(0).unwrap().fail_fru(2).unwrap(); // one fan: warning only
-        let critical = fleet.alarms_at_least(Severity::Critical);
+        let alarms: Vec<_> = fleet
+            .iter()
+            .flat_map(|(id, ocs)| ocs.telemetry().alarms().iter().map(move |a| (id, a)))
+            .collect();
+        assert!(
+            alarms.iter().all(|(id, a)| a.switch == *id),
+            "each switch logs its own id on its alarms"
+        );
+        let critical: Vec<_> = alarms
+            .iter()
+            .filter(|(_, a)| a.severity == Severity::Critical)
+            .collect();
         assert_eq!(critical.len(), 1);
         assert_eq!(critical[0].0, 2, "the alarm names the down switch");
-        assert!(matches!(critical[0].1.code, AlarmCode::ChassisDown));
-        let warnings = fleet.alarms_at_least(Severity::Warning);
-        assert!(
-            warnings.len() >= 3,
-            "FRU warnings from both switches roll up"
-        );
-        assert!(warnings.iter().any(|(id, _)| *id == 0));
+        assert_eq!(critical[0].1.cause, AlarmCause::ChassisDown);
+        assert!(alarms.len() >= 3, "FRU warnings from both switches roll up");
+        assert!(alarms.iter().any(|(id, _)| *id == 0));
     }
 }

@@ -9,8 +9,7 @@
 //! append-only logs (alarms, drift), so a scrape costs `O(changed)`.
 
 use crate::palomar::{PalomarOcs, ReconfigSummary};
-use crate::telemetry::{Alarm, AlarmCode};
-use lightwave_telemetry::{AlarmCause, AlarmRecord, EventKind, FleetHealth, FleetTelemetry};
+use lightwave_telemetry::{EventKind, FleetHealth, FleetTelemetry};
 use lightwave_trace::{reconfig_phase_spans, Lane, SpanId, SpanKind, Tracer};
 use lightwave_units::Nanos;
 
@@ -102,7 +101,7 @@ impl OcsInstruments {
         let fresh = &alarms[self.cursor.min(alarms.len())..];
         let n = fresh.len();
         for alarm in fresh {
-            sink.ingest_alarm(alarm_record(self.switch, alarm));
+            sink.ingest_alarm(alarm.clone());
         }
         self.cursor = alarms.len();
         n
@@ -149,46 +148,9 @@ pub fn trace_reconfig(
     span
 }
 
-/// Converts a per-switch [`Alarm`] into the fleet aggregator's record.
-///
-/// The only lossy step is [`AlarmCode::HighLoss`]'s `f64` reading, which
-/// is quantized to milli-dB so the fleet cause is hashable/orderable.
-pub fn alarm_record(switch: u32, alarm: &Alarm) -> AlarmRecord {
-    let cause = match alarm.code {
-        AlarmCode::MirrorFailed {
-            north_die,
-            port,
-            spare_used,
-        } => AlarmCause::MirrorFailed {
-            north_die,
-            port,
-            spare_used,
-        },
-        AlarmCode::AlignmentTimeout { north } => AlarmCause::AlignmentTimeout { north },
-        AlarmCode::FruFailed { slot } => AlarmCause::FruFailed { slot: slot as u32 },
-        AlarmCode::ChassisDown => AlarmCause::ChassisDown,
-        AlarmCode::HighLoss {
-            north,
-            south,
-            loss_db,
-        } => AlarmCause::HighLoss {
-            north,
-            south,
-            loss_mdb: (loss_db * 1000.0).round() as i32,
-        },
-    };
-    AlarmRecord {
-        at: alarm.at,
-        severity: alarm.severity,
-        switch,
-        cause,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::Severity;
 
     #[test]
     fn reconfig_emits_an_event() {
@@ -221,29 +183,6 @@ mod tests {
         ocs.fail_mirror(true, 9).unwrap();
         assert_eq!(inst.forward_alarms(&mut sink, &ocs), 1);
         assert_eq!(sink.alarms.ingested(), 2);
-    }
-
-    #[test]
-    fn high_loss_quantizes_to_milli_db() {
-        let alarm = Alarm {
-            at: Nanos(5),
-            severity: Severity::Warning,
-            code: AlarmCode::HighLoss {
-                north: 1,
-                south: 2,
-                loss_db: 2.1234,
-            },
-        };
-        let rec = alarm_record(7, &alarm);
-        assert_eq!(
-            rec.cause,
-            AlarmCause::HighLoss {
-                north: 1,
-                south: 2,
-                loss_mdb: 2123
-            }
-        );
-        assert_eq!(rec.switch, 7);
     }
 
     #[test]

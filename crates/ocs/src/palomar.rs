@@ -8,7 +8,7 @@ use crate::crossbar::{
 };
 use crate::loss::OpticalCore;
 use crate::mems::MemsDie;
-use crate::telemetry::{AlarmCode, Severity, Telemetry};
+use crate::telemetry::{AlarmCause, AlarmRecord, Severity, Telemetry};
 use lightwave_units::{Db, Nanos};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -327,6 +327,16 @@ impl PalomarOcs {
         Ok(self.run_alignment(n))
     }
 
+    /// Logs an alarm on this switch at the current time.
+    fn raise(&mut self, severity: Severity, cause: AlarmCause) {
+        self.telemetry.raise(AlarmRecord {
+            at: self.now,
+            severity,
+            switch: self.id,
+            cause,
+        });
+    }
+
     /// Runs the camera loop for the circuit on north port `n`, which must
     /// not be pending already, and registers it as pending; returns the
     /// ready time.
@@ -342,11 +352,7 @@ impl PalomarOcs {
                 break;
             }
             self.telemetry.counters.alignment_failures += 1;
-            self.telemetry.raise(
-                self.now,
-                Severity::Warning,
-                AlarmCode::AlignmentTimeout { north: n },
-            );
+            self.raise(Severity::Warning, AlarmCause::AlignmentTimeout { north: n });
             if attempts >= 3 {
                 // Given up on, not stuck: the circuit is registered pending
                 // for the three attempts' summed time like any other and
@@ -590,14 +596,13 @@ impl PalomarOcs {
             self.dead_ports.insert(port);
             self.epoch += 1;
         }
-        self.telemetry.raise(
-            self.now,
+        self.raise(
             if spare_used {
                 Severity::Warning
             } else {
                 Severity::Critical
             },
-            AlarmCode::MirrorFailed {
+            AlarmCause::MirrorFailed {
                 north_die,
                 port,
                 spare_used,
@@ -618,13 +623,13 @@ impl PalomarOcs {
                 let core = self.optical_core();
                 if core.port_drift(north_die, port as usize).db() > DRIFT_ALARM_DB {
                     let loss = core.insertion_loss(n as usize, s as usize);
-                    self.telemetry.raise(
-                        self.now,
+                    self.raise(
                         Severity::Warning,
-                        AlarmCode::HighLoss {
+                        AlarmCause::HighLoss {
                             north: n,
                             south: s,
-                            loss_db: loss.db(),
+                            // milli-dB, so the cause is exact and orderable
+                            loss_mdb: (loss.db() * 1000.0).round() as i32,
                         },
                     );
                 }
@@ -691,11 +696,12 @@ impl PalomarOcs {
     pub fn fail_fru(&mut self, slot: usize) -> Result<(), OcsError> {
         self.chassis.fail_slot(slot)?;
         self.epoch += 1;
-        self.telemetry
-            .raise(self.now, Severity::Warning, AlarmCode::FruFailed { slot });
+        self.raise(
+            Severity::Warning,
+            AlarmCause::FruFailed { slot: slot as u32 },
+        );
         if !self.chassis.is_operational() {
-            self.telemetry
-                .raise(self.now, Severity::Critical, AlarmCode::ChassisDown);
+            self.raise(Severity::Critical, AlarmCause::ChassisDown);
         }
         Ok(())
     }
@@ -812,11 +818,14 @@ mod tests {
         ocs.fail_fru(1).unwrap(); // both PSUs
         assert!(!ocs.is_up());
         assert_eq!(ocs.connect(0, 1), Err(OcsError::ChassisDown));
-        let crit = ocs
+        let crit: Vec<_> = ocs
             .telemetry()
-            .alarms_at_least(crate::telemetry::Severity::Critical)
-            .count();
-        assert_eq!(crit, 1, "ChassisDown alarm raised");
+            .alarms()
+            .iter()
+            .filter(|a| a.severity == Severity::Critical)
+            .map(|a| &a.cause)
+            .collect();
+        assert_eq!(crit, [&AlarmCause::ChassisDown], "ChassisDown alarm raised");
     }
 
     #[test]
@@ -1030,12 +1039,19 @@ mod tests {
         for _ in 0..ocs.health().mirror_spares.0 {
             ocs.fail_mirror(true, 5).unwrap();
             settled(&mut ocs);
-            let high_loss = ocs
-                .telemetry()
-                .alarms()
-                .iter()
-                .any(|a| matches!(a.code, crate::telemetry::AlarmCode::HighLoss { .. }));
-            if high_loss {
+            let high_loss = ocs.telemetry().alarms().iter().find_map(|a| match a.cause {
+                AlarmCause::HighLoss {
+                    north,
+                    south,
+                    loss_mdb,
+                } => Some((north, south, loss_mdb)),
+                _ => None,
+            });
+            if let Some((north, south, loss_mdb)) = high_loss {
+                // The reading is the path's loss, quantized to milli-dB.
+                let loss = ocs.optical_core().insertion_loss(5, 50);
+                assert_eq!((north, south), (5, 50));
+                assert_eq!(loss_mdb, (loss.db() * 1000.0).round() as i32);
                 fired = true;
                 break;
             }

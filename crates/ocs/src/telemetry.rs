@@ -8,7 +8,6 @@
 //! radius'." This module is the per-switch counter/alarm surface a fleet
 //! control plane scrapes.
 
-use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
 
 /// Severity of an alarm.
@@ -18,55 +17,9 @@ use serde::{Deserialize, Serialize};
 /// ordering (`Info < Warning < Critical`, see [`Severity::is_worse_than`]).
 pub use lightwave_telemetry::Severity;
 
-/// A timestamped alarm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Alarm {
-    /// When it fired (simulation time).
-    pub at: Nanos,
-    /// How bad.
-    pub severity: Severity,
-    /// Machine-parseable alarm code.
-    pub code: AlarmCode,
-}
-
-/// Alarm codes raised by the simulated Palomar.
-///
-/// Not `Eq`: [`AlarmCode::HighLoss`] carries the measured loss as `f64`
-/// (the raw telemetry reading). The fleet aggregator's `AlarmCause`
-/// quantizes that to milli-dB so incidents can be hashed and map-keyed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum AlarmCode {
-    /// A mirror failed in the field; spare swapped if available.
-    MirrorFailed {
-        /// North (true) or South (false) die.
-        north_die: bool,
-        /// Port whose mirror failed.
-        port: u16,
-        /// Whether a spare restored the port.
-        spare_used: bool,
-    },
-    /// Alignment loop failed to converge on a circuit.
-    AlignmentTimeout {
-        /// North port of the circuit.
-        north: u16,
-    },
-    /// A FRU failed.
-    FruFailed {
-        /// Slot index in the chassis.
-        slot: usize,
-    },
-    /// The chassis dropped below operational redundancy.
-    ChassisDown,
-    /// A path's measured insertion loss exceeded its alarm threshold.
-    HighLoss {
-        /// North port.
-        north: u16,
-        /// South port.
-        south: u16,
-        /// Measured loss, dB.
-        loss_db: f64,
-    },
-}
+/// A switch raises the fleet's alarm record itself: the aggregator reads
+/// the switch's log as it stands, with no per-switch code to convert.
+pub use lightwave_telemetry::{AlarmCause, AlarmRecord};
 
 /// Monotonic counters (Prometheus-style) for one switch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -95,7 +48,7 @@ pub struct Counters {
 pub struct Telemetry {
     /// Counter block.
     pub counters: Counters,
-    alarms: Vec<Alarm>,
+    alarms: Vec<AlarmRecord>,
 }
 
 impl Telemetry {
@@ -105,39 +58,19 @@ impl Telemetry {
     }
 
     /// Raises an alarm.
-    pub fn raise(&mut self, at: Nanos, severity: Severity, code: AlarmCode) {
-        self.alarms.push(Alarm { at, severity, code });
+    pub fn raise(&mut self, alarm: AlarmRecord) {
+        self.alarms.push(alarm);
     }
 
     /// All alarms since boot, oldest first.
-    pub fn alarms(&self) -> &[Alarm] {
+    pub fn alarms(&self) -> &[AlarmRecord] {
         &self.alarms
-    }
-
-    /// Alarms at or above a severity.
-    pub fn alarms_at_least(&self, severity: Severity) -> impl Iterator<Item = &Alarm> {
-        self.alarms.iter().filter(move |a| a.severity >= severity)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn alarm_filtering_by_severity() {
-        let mut t = Telemetry::new();
-        t.raise(Nanos(1), Severity::Info, AlarmCode::ChassisDown);
-        t.raise(Nanos(2), Severity::Critical, AlarmCode::ChassisDown);
-        t.raise(
-            Nanos(3),
-            Severity::Warning,
-            AlarmCode::AlignmentTimeout { north: 4 },
-        );
-        assert_eq!(t.alarms().len(), 3);
-        assert_eq!(t.alarms_at_least(Severity::Warning).count(), 2);
-        assert_eq!(t.alarms_at_least(Severity::Critical).count(), 1);
-    }
 
     #[test]
     fn severity_orders() {

@@ -18,7 +18,7 @@ use crate::ber::{OimConfig, Pam4Receiver};
 use lightwave_par::{Pool, RunStats};
 use lightwave_units::{Ber, Dbm};
 use rand::rngs::StdRng;
-use rand::{RngCore, RngExt, SeedableRng};
+use rand::{RngCore, RngExt};
 use rand_distr::{standard_normal_from_bits, Distribution, Normal, NormalApprox, NormalEnvelope};
 use serde::{Deserialize, Serialize};
 
@@ -538,23 +538,15 @@ pub fn simulate_ber_digital_oim(
     McBerResult::from_counts(symbols, errors)
 }
 
-/// Convenience wrapper with a fixed seed, for the repro harness.
-pub fn simulate_ber_seeded(
-    rx: &Pam4Receiver,
-    received: Dbm,
-    mpi_ratio: f64,
-    oim: Option<OimConfig>,
-    symbols: u64,
-    seed: u64,
-) -> McBerResult {
-    let mut rng = StdRng::seed_from_u64(seed);
-    simulate_ber(rx, received, mpi_ratio, oim, symbols, &mut rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ber::mpi_db;
+    use rand::SeedableRng;
+
+    fn seeded(seed: u64) -> StdRng {
+        StdRng::seed_from_u64(seed)
+    }
 
     #[test]
     fn monte_carlo_matches_analytic_without_mpi() {
@@ -566,7 +558,7 @@ mod tests {
             analytic > 1e-4,
             "test needs a measurable BER, got {analytic:e}"
         );
-        let mc = simulate_ber_seeded(&rx, p, 0.0, None, 2_000_000, 42);
+        let mc = simulate_ber(&rx, p, 0.0, None, 2_000_000, &mut seeded(42));
         let ratio = mc.ber.prob() / analytic;
         assert!(
             (0.8..1.25).contains(&ratio),
@@ -579,8 +571,8 @@ mod tests {
     fn monte_carlo_shows_mpi_penalty() {
         let rx = Pam4Receiver::cwdm4_50g();
         let p = Dbm(-12.0);
-        let clean = simulate_ber_seeded(&rx, p, 0.0, None, 1_000_000, 7);
-        let dirty = simulate_ber_seeded(&rx, p, mpi_db(-28.0), None, 1_000_000, 7);
+        let clean = simulate_ber(&rx, p, 0.0, None, 1_000_000, &mut seeded(7));
+        let dirty = simulate_ber(&rx, p, mpi_db(-28.0), None, 1_000_000, &mut seeded(7));
         assert!(
             dirty.ber.prob() > 2.0 * clean.ber.prob().max(1e-7),
             "strong MPI must visibly degrade MC BER: clean={} dirty={}",
@@ -593,14 +585,14 @@ mod tests {
     fn monte_carlo_shows_oim_recovery() {
         let rx = Pam4Receiver::cwdm4_50g();
         let p = Dbm(-12.0);
-        let no_oim = simulate_ber_seeded(&rx, p, mpi_db(-28.0), None, 1_000_000, 11);
-        let with_oim = simulate_ber_seeded(
+        let no_oim = simulate_ber(&rx, p, mpi_db(-28.0), None, 1_000_000, &mut seeded(11));
+        let with_oim = simulate_ber(
             &rx,
             p,
             mpi_db(-28.0),
             Some(OimConfig::default()),
             1_000_000,
-            11,
+            &mut seeded(11),
         );
         assert!(
             with_oim.ber.prob() < no_oim.ber.prob() / 2.0,
@@ -613,8 +605,22 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let rx = Pam4Receiver::cwdm4_50g();
-        let a = simulate_ber_seeded(&rx, Dbm(-13.0), mpi_db(-32.0), None, 100_000, 3);
-        let b = simulate_ber_seeded(&rx, Dbm(-13.0), mpi_db(-32.0), None, 100_000, 3);
+        let a = simulate_ber(
+            &rx,
+            Dbm(-13.0),
+            mpi_db(-32.0),
+            None,
+            100_000,
+            &mut seeded(3),
+        );
+        let b = simulate_ber(
+            &rx,
+            Dbm(-13.0),
+            mpi_db(-32.0),
+            None,
+            100_000,
+            &mut seeded(3),
+        );
         assert_eq!(a.errors, b.errors);
     }
 
@@ -700,13 +706,13 @@ mod tests {
         // magnitude of it (the model is a deliberate simplification).
         let rx = Pam4Receiver::cwdm4_50g();
         let p = Dbm(-12.0);
-        let modeled = simulate_ber_seeded(
+        let modeled = simulate_ber(
             &rx,
             p,
             mpi_db(-28.0),
             Some(OimConfig::default()),
             400_000,
-            33,
+            &mut seeded(33),
         );
         let mut rng = StdRng::seed_from_u64(33);
         let digital = simulate_ber_digital_oim(&rx, p, mpi_db(-28.0), 400_000, &mut rng);
@@ -743,7 +749,7 @@ mod tests {
     #[should_panic(expected = "at least one symbol")]
     fn zero_symbols_rejected() {
         let rx = Pam4Receiver::cwdm4_50g();
-        let _ = simulate_ber_seeded(&rx, Dbm(-10.0), 0.0, None, 0, 1);
+        let _ = simulate_ber(&rx, Dbm(-10.0), 0.0, None, 0, &mut seeded(1));
     }
 
     /// Runs `chan` from `seed` through the kernel (at `z_err`) and the

@@ -58,8 +58,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod instrument;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -85,7 +83,8 @@ fn splitmix64(mut z: u64) -> u64 {
 /// the generator's state space. The shard generator is then
 /// `StdRng::seed_from_u64(splitmix(seed, shard_index))`, which itself runs
 /// SplitMix64 expansion — three avalanche layers between `seed + 1` shards
-/// and `seed` shards.
+/// and `seed` shards. `lightwave-trace` derives span ids with it too.
+#[inline]
 pub fn splitmix(seed: u64, shard_index: u64) -> u64 {
     splitmix64(seed ^ splitmix64(shard_index))
 }

@@ -24,12 +24,10 @@ use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Machine-parseable cause of a fleet alarm.
-///
-/// Mirrors the per-switch `ocs::telemetry::AlarmCode` plus causes raised
-/// by other subsystems. Measured losses are quantized to milli-dB so the
-/// type is fully `Eq`/`Ord` (and hence usable as a map key and exactly
-/// comparable across runs).
+/// Machine-parseable cause of a fleet alarm: what a switch raises, plus
+/// causes raised by other subsystems. Measured losses are quantized to
+/// milli-dB so the type is fully `Eq`/`Ord` (and hence usable as a map
+/// key and exactly comparable across runs).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum AlarmCause {
     /// A MEMS mirror failed; spare swapped if available.

@@ -9,8 +9,9 @@
 //! `LIGHTWAVE_THREADS=1` and at `=4` therefore exports byte-identical
 //! timelines (DESIGN.md §6.2).
 
-use crate::Shard;
-use lightwave_trace::{Lane, SpanId, SpanKind, Tracer};
+use crate::span::{Lane, SpanId, SpanKind};
+use crate::Tracer;
+use lightwave_par::Shard;
 use lightwave_units::Nanos;
 
 /// Number of virtual worker lanes shards render across. Fixed — never the
@@ -64,24 +65,7 @@ pub fn trace_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{plan_shards, splitmix, Pool};
-    use lightwave_trace::derive_span_id;
-
-    #[test]
-    fn span_id_derivation_matches_the_engine_shard_derivation() {
-        // `lightwave-trace` duplicates the SplitMix64 derivation because
-        // it sits below this crate in the workspace DAG; pin the two
-        // implementations equal so they can never drift apart.
-        for seed in [0u64, 1, 42, u64::MAX] {
-            for idx in [0u64, 1, 7, 63, 1 << 40] {
-                assert_eq!(
-                    derive_span_id(seed, idx).0,
-                    splitmix(seed, idx),
-                    "seed={seed} idx={idx}"
-                );
-            }
-        }
-    }
+    use lightwave_par::{plan_shards, Pool};
 
     #[test]
     fn shards_render_on_virtual_lanes_independent_of_thread_count() {

@@ -11,7 +11,7 @@
 //! provides:
 //!
 //! - [`Tracer`] — span collection with **deterministic ids**
-//!   (`splitmix64` off a seeded counter, no wall clock), explicit
+//!   (`lightwave_par::splitmix` off a seeded counter, no wall clock), explicit
 //!   parent/child and follows-from links, sim-time
 //!   [`Nanos`](lightwave_units::Nanos) stamps, and
 //!   typed payloads ([`SpanKind`]) for the domain operations. Same seed
@@ -28,14 +28,16 @@
 //!   [`FlightDump::to_jsonl`] that writes it.
 //! - [`validate`] — the in-repo validator of the trace export, used by
 //!   CI (no network, no external schema tooling).
+//! - [`instrument::trace_shards`] — renders a `lightwave-par` shard plan
+//!   on virtual worker lanes, a pure function of the plan.
 //!
-//! In the workspace DAG this crate sits directly above `lightwave-units`
-//! beside `lightwave-telemetry`; the operational crates' `instrument`
+//! In the workspace DAG this crate sits directly above `lightwave-telemetry`
+//! and `lightwave-par`; the operational crates' `instrument`
 //! modules render their reports into a `&mut Tracer` with `trace_*`
 //! functions (`ocs::instrument::trace_reconfig`,
-//! `superpod::instrument::{trace_compose, trace_release}`,
-//! `par::instrument::trace_shards`), separate from the `record_*`
-//! functions that feed `&mut FleetTelemetry` — callers compose the two.
+//! `superpod::instrument::{trace_compose, trace_release}`), separate from
+//! the `record_*` functions that feed `&mut FleetTelemetry` — callers
+//! compose the two.
 //!
 //! ```
 //! use lightwave_trace::{Lane, SpanKind, Tracer, to_chrome_trace};
@@ -58,6 +60,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod instrument;
 pub mod perfetto;
 pub mod recorder;
 pub mod span;

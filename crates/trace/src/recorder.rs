@@ -103,12 +103,6 @@ impl FlightDump {
                 header.schema
             ));
         }
-        // The parser also reads `3.0` and `"3"` as integers; the writer
-        // writes neither, so a header is refused unless it is exactly the
-        // line its own values write.
-        if serde_json::to_string(&header).expect("header serializes") != first {
-            return Err("header is not in the form the writer writes".to_string());
-        }
         // Grown from the lines read: the header's counts are numbers from
         // the document and size nothing.
         let mut entries = Vec::new();
@@ -503,9 +497,15 @@ mod tests {
             "not on the header's switch 7",
         );
         let loose = header.replace("\"switch\":7", "\"switch\":7.0");
-        refused(&[&loose, span, event, counter], "not in the form");
+        refused(
+            &[&loose, span, event, counter],
+            "expected integer, found float",
+        );
         let quoted = header.replace("\"counters\":1", "\"counters\":\"1\"");
-        refused(&[&quoted, span, event, counter], "not in the form");
+        refused(
+            &[&quoted, span, event, counter],
+            "expected integer, found string",
+        );
         let renamed = header.replace("flight/v1", "flight/v2");
         refused(&[&renamed, span, event, counter], "schema");
         refused(&[], "header");

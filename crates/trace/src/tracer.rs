@@ -4,23 +4,12 @@
 use crate::span::{InstantRecord, Lane, ReconfigPhase, SpanId, SpanKind, SpanRecord};
 use lightwave_units::Nanos;
 
-/// SplitMix64 finalizer — the same bijective avalanche mix the parallel
-/// engine uses for shard-stream derivation (`lightwave-par::splitmix`),
-/// duplicated here because `lightwave-trace` sits *below* `lightwave-par`
-/// in the workspace DAG. A unit test in `lightwave-par` pins the two
-/// derivations equal.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Derives the id for allocation `counter` of a tracer seeded with `seed`:
-/// `splitmix64(seed ^ splitmix64(counter))`. Pure — same seed, same id
+/// the parallel engine's shard-seed mix [`lightwave_par::splitmix`], that
+/// is `splitmix64(seed ^ splitmix64(counter))`. Pure — same seed, same id
 /// sequence, no wall clock, no addresses.
 pub fn derive_span_id(seed: u64, counter: u64) -> SpanId {
-    SpanId(splitmix64(seed ^ splitmix64(counter)))
+    SpanId(lightwave_par::splitmix(seed, counter))
 }
 
 struct OpenSpan {

@@ -82,7 +82,10 @@ fn main() {
         ocs.circuit_ready(spare as u16)
     );
     for alarm in ocs.telemetry().alarms() {
-        println!("  telemetry alarm: {:?} [{:?}]", alarm.code, alarm.severity);
+        println!(
+            "  telemetry alarm: {:?} [{:?}]",
+            alarm.cause, alarm.severity
+        );
     }
 
     println!("\ndone: both failures healed without touching other slices");

@@ -10,8 +10,8 @@
 # gates an item inside an impl, not the test module), the number of `pub struct
 # *Config` / `*Params` it declares — each one a set of options somebody has
 # to test — and the number of its `pub fn`s nothing calls: whose name is on
-# no line above `#[cfg(test)]` in crates/*/src, src/, examples/,
-# benchmark/src or crates/bench/benches other than as a definition
+# no line above `#[cfg(test)]` in crates/*/src, src/, examples/ or
+# benchmark/src other than as a definition
 # (`fn NAME`). By name, so an accessor that shares its name with a called
 # one, or that a doc comment mentions, counts as called: a lower bound.
 # Last, `deps`: the workspace crates its manifest's [dependencies] names
@@ -40,7 +40,7 @@ census() {
 # `D crate name` for each `pub fn` defined on a non-test line of a crate and
 # `U name` for every other identifier on a non-test line of the corpus; the
 # second keeps the definitions no use names.
-uncalled=$(find crates/*/src src examples benchmark/src crates/bench/benches -name '*.rs' -exec awk '
+uncalled=$(find crates/*/src src examples benchmark/src -name '*.rs' -exec awk '
     FNR == 1 {
         in_tests = 0
         crate = ""

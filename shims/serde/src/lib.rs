@@ -234,13 +234,6 @@ impl Content {
             Content::U128(n) => Ok(n),
             Content::I64(n) if n >= 0 => Ok(n as u128),
             Content::I128(n) if n >= 0 => Ok(n as u128),
-            Content::F64(f) if f >= 0.0 && f.fract() == 0.0 && f <= u128::MAX as f64 => {
-                Ok(f as u128)
-            }
-            // JSON object keys arrive as strings; integer map keys parse back.
-            Content::Str(ref s) => s
-                .parse::<u128>()
-                .map_err(|_| DeError::unexpected(what, "integer", self)),
             _ => Err(DeError::unexpected(what, "integer", self)),
         }
     }
@@ -253,10 +246,6 @@ impl Content {
             Content::U128(n) => {
                 i128::try_from(n).map_err(|_| DeError::unexpected(what, "integer", self))
             }
-            Content::F64(f) if f.fract() == 0.0 && f.abs() <= i128::MAX as f64 => Ok(f as i128),
-            Content::Str(ref s) => s
-                .parse::<i128>()
-                .map_err(|_| DeError::unexpected(what, "integer", self)),
             _ => Err(DeError::unexpected(what, "integer", self)),
         }
     }
@@ -491,12 +480,29 @@ impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
     }
 }
 
+/// A map key: JSON object keys arrive as strings, so a key that is not a
+/// `K` as it stands is read once more as the integer its text spells. This
+/// is the one place a quoted integer reads as an integer.
+fn map_key<'de, K: Deserialize<'de>>(key: &Content) -> Result<K, DeError> {
+    K::from_content(key).or_else(|err| {
+        let integer = match key {
+            Content::Str(s) => s
+                .parse::<u128>()
+                .map(Content::U128)
+                .or_else(|_| s.parse::<i128>().map(Content::I128))
+                .map_err(|_| err)?,
+            _ => return Err(err),
+        };
+        K::from_content(&integer)
+    })
+}
+
 impl<'de, K: Deserialize<'de> + Ord, V: Deserialize<'de>> Deserialize<'de> for BTreeMap<K, V> {
     fn from_content(content: &Content) -> Result<Self, DeError> {
         content
             .as_map("BTreeMap")?
             .iter()
-            .map(|(k, v)| Ok((K::from_content(k)?, V::from_content(v)?)))
+            .map(|(k, v)| Ok((map_key(k)?, V::from_content(v)?)))
             .collect()
     }
 }
@@ -518,7 +524,7 @@ impl<'de, K: Deserialize<'de> + Eq + Hash, V: Deserialize<'de>> Deserialize<'de>
         content
             .as_map("HashMap")?
             .iter()
-            .map(|(k, v)| Ok((K::from_content(k)?, V::from_content(v)?)))
+            .map(|(k, v)| Ok((map_key(k)?, V::from_content(v)?)))
             .collect()
     }
 }

@@ -5,7 +5,10 @@
 //! to this workspace: floats always render with a decimal point or exponent
 //! (so they re-parse as floats), integer map keys are quoted, `None` is
 //! `null`, and `to_string` is deterministic for deterministic inputs — which
-//! is what the telemetry determinism tests assert byte-for-byte.
+//! is what the telemetry determinism tests assert byte-for-byte. Reading
+//! is as strict as serde_json's: an integer field takes a JSON integer
+//! only, never `"7"` or `7.0`; a quoted integer reads back only as a map
+//! key.
 //!
 //! Float round-tripping relies on Rust's `{}` formatting of `f64`, which
 //! prints the shortest string that parses back to the same bits (the same
@@ -478,5 +481,22 @@ mod tests {
             // Unclosed, and far past any stack: refused at the same level.
             assert_eq!(parse(&open.concat().repeat(100_000)).unwrap_err(), refused);
         }
+    }
+
+    #[test]
+    fn an_integer_is_read_from_a_json_integer_and_a_map_key_only() {
+        use std::collections::BTreeMap;
+        let map: BTreeMap<i32, u8> = [(-3, 1), (7, 2)].into_iter().collect();
+        let text = to_string(&map).unwrap();
+        assert_eq!(text, r#"{"-3":1,"7":2}"#);
+        assert_eq!(from_str::<BTreeMap<i32, u8>>(&text).unwrap(), map);
+        let named: BTreeMap<String, u8> = from_str(r#"{"12":1}"#).unwrap();
+        assert_eq!(named.keys().next().map(String::as_str), Some("12"));
+        for refused in [r#""7""#, "7.0", "7e0"] {
+            assert!(from_str::<u64>(refused).is_err(), "{refused}");
+            assert!(from_str::<i32>(refused).is_err(), "{refused}");
+        }
+        assert!(from_str::<BTreeMap<u32, u32>>(r#"{"1":"2"}"#).is_err());
+        assert!(from_str::<BTreeMap<u32, u32>>(r#"{"x":2}"#).is_err());
     }
 }

@@ -305,9 +305,9 @@ pub struct TracedRecovery {
 /// count** (the determinism round-trip test pins this).
 pub fn run_traced_fault_recovery(seed: u64, pool: &lightwave_par::Pool) -> TracedRecovery {
     use lightwave_fabric::instrument::FabricInstruments;
-    use lightwave_par::instrument::trace_shards;
     use lightwave_superpod::instrument::{trace_compose, trace_release};
     use lightwave_telemetry::{FleetTelemetry, SeriesStore};
+    use lightwave_trace::instrument::trace_shards;
     use lightwave_trace::{FlightRecorder, Lane, SpanKind};
     use rand::RngExt;
 

@@ -457,6 +457,54 @@ fn a_repro_header_that_lies_is_refused() {
     assert!(with(&count, &count).is_ok());
 }
 
+/// `text` with the integer after the first `"key":` re-spelled by
+/// `respell` (quoted, or written as a float).
+fn respelled(text: &str, key: &str, respell: impl Fn(&str) -> String) -> String {
+    let field = format!("\"{key}\":");
+    let at = text
+        .find(&field)
+        .unwrap_or_else(|| panic!("{key} in {text}"))
+        + field.len();
+    let at = at + text[at..].bytes().take_while(|&b| b == b' ').count();
+    let digits = text[at..].bytes().take_while(u8::is_ascii_digit).count();
+    assert!(digits > 0, "{key} is an integer in {text}");
+    format!(
+        "{}{}{}",
+        &text[..at],
+        respell(&text[at..at + digits]),
+        &text[at + digits..]
+    )
+}
+
+/// A JSON integer is read as an integer, and a quoted one or a float is
+/// not, in every reader: the parser once read `"7"` and `0.0` as integers
+/// for any integer field, so a repro with `"seed":"7"` replayed.
+#[test]
+fn a_quoted_or_float_integer_is_refused_by_every_reader() {
+    let quoted = |n: &str| format!("\"{n}\"");
+    let float = |n: &str| format!("{n}.0");
+    let repro = repro_text(repro_events());
+    let health = health_log();
+    let campus = campus_doc();
+    assert!(parse_repro(&repro).is_ok() && HealthJsonl::from_jsonl(&health).is_ok());
+    assert!(CampusHealthDoc::from_json(&campus).is_ok());
+    for key in ["seed", "index", "events"] {
+        for respell in [&quoted as &dyn Fn(&str) -> String, &float] {
+            let err = parse_repro(&respelled(&repro, key, respell)).unwrap_err();
+            assert!(err.contains("expected integer"), "{key}: {err}");
+        }
+    }
+    for key in ["fleet_score", "switches", "generated_at"] {
+        let err = HealthJsonl::from_jsonl(&respelled(&health, key, quoted)).unwrap_err();
+        assert!(err.contains("expected integer"), "{key}: {err}");
+        assert!(HealthJsonl::from_jsonl(&respelled(&health, key, float)).is_err());
+    }
+    for key in ["ports", "generated_at"] {
+        assert!(CampusHealthDoc::from_json(&respelled(&campus, key, quoted)).is_err());
+        assert!(CampusHealthDoc::from_json(&respelled(&campus, key, float)).is_err());
+    }
+}
+
 /// The six documents that once panicked the reader or its replay, each
 /// named by where it panicked, and two maintenance events a replay once
 /// dropped without counting them. On hardware the world does not have an
