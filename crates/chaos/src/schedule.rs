@@ -8,7 +8,6 @@
 //! from `n` decorrelated streams and any single schedule can be
 //! regenerated — and replayed — without running the other `n - 1`.
 
-use lightwave_units::Nanos;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -348,19 +347,6 @@ impl FaultSchedule {
             index,
             events,
         }
-    }
-
-    /// The schedule's duration in injected [`FaultKind::Advance`] time.
-    pub fn advanced(&self) -> Nanos {
-        let ms: u64 = self
-            .events
-            .iter()
-            .map(|e| match e {
-                FaultKind::Advance { millis } => *millis as u64,
-                _ => 0,
-            })
-            .sum();
-        Nanos::from_millis(ms)
     }
 }
 

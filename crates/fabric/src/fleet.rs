@@ -182,8 +182,12 @@ impl OcsFleet {
                 .map_err(|error| CommitError::Invalid { ocs: id, error })?;
         }
         let mut table = self.take_table();
+        // `take_table` returns a table no report holds.
+        #[allow(clippy::expect_used)]
         let rows = Arc::get_mut(&mut table).expect("a taken table is unheld");
         for (id, add, remove) in view {
+            // The first pass refused every id without a slot.
+            #[allow(clippy::expect_used)]
             let slot = self.slot(id).expect("validated");
             let member = &mut self.switches[slot];
             let done = member

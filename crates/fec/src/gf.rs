@@ -127,85 +127,6 @@ pub fn poly_eval(coeffs: &[Gf], x: Gf) -> Gf {
     acc
 }
 
-/// In-place batched multiply of a slice by a constant: `xs[i] ·= c`.
-///
-/// One log lookup for the constant is hoisted; each element is then a
-/// branch-free load/add/load, which the compiler unrolls cleanly.
-pub fn mul_slice(c: Gf, xs: &mut [Gf]) {
-    let lc = LOG[c as usize];
-    for x in xs.iter_mut() {
-        *x = EXP_MUL[(lc + LOG[*x as usize]) as usize];
-    }
-}
-
-/// Batched multiply-accumulate: `dst[i] ^= c·src[i]` over the common prefix.
-pub fn mul_add_slice(c: Gf, src: &[Gf], dst: &mut [Gf]) {
-    let lc = LOG[c as usize];
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d ^= EXP_MUL[(lc + LOG[s as usize]) as usize];
-    }
-}
-
-/// A precomputed multiply-by-constant table: `table[x] = c·x` for every
-/// field element.
-///
-/// This is the workhorse of the fast RS kernels: a Chien/syndrome "alpha
-/// stride" is a `MulTable` for `α^j`, turning each Horner step into a
-/// single indexed load with no log/antilog arithmetic at all.
-#[derive(Clone)]
-pub struct MulTable {
-    table: [Gf; FIELD_SIZE],
-}
-
-impl MulTable {
-    /// Builds the table for multiplication by `c`.
-    pub fn new(c: Gf) -> MulTable {
-        let mut table = [0 as Gf; FIELD_SIZE];
-        let lc = LOG[c as usize];
-        for (x, slot) in table.iter_mut().enumerate() {
-            *slot = EXP_MUL[(lc + LOG[x]) as usize];
-        }
-        MulTable { table }
-    }
-
-    /// Builds the stride table for multiplication by `α^j`.
-    pub fn alpha_stride(j: i64) -> MulTable {
-        MulTable::new(alpha_pow(j))
-    }
-
-    /// `c·x` as one load.
-    #[inline]
-    pub fn mul(&self, x: Gf) -> Gf {
-        self.table[x as usize]
-    }
-
-    /// In-place batched multiply of a slice through the table.
-    pub fn mul_slice(&self, xs: &mut [Gf]) {
-        for x in xs.iter_mut() {
-            *x = self.table[*x as usize];
-        }
-    }
-
-    /// Evaluates a polynomial (coefficients lowest-degree first) at this
-    /// table's constant via Horner — `poly_eval` with the multiply folded
-    /// into the precomputed stride.
-    pub fn poly_eval(&self, coeffs: &[Gf]) -> Gf {
-        let mut acc: Gf = 0;
-        for &c in coeffs.iter().rev() {
-            acc = self.table[acc as usize] ^ c;
-        }
-        acc
-    }
-}
-
-impl std::fmt::Debug for MulTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MulTable")
-            .field("c", &self.table[1])
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,43 +201,6 @@ mod tests {
         assert_eq!(alpha_pow(-1), inv(alpha_pow(1)));
         assert_eq!(alpha_pow(GROUP_ORDER as i64), 1);
         assert_eq!(alpha_pow(0), 1);
-    }
-
-    #[test]
-    fn mul_slice_matches_scalar_mul() {
-        for c in [0 as Gf, 1, 2, 513, 1023] {
-            let mut xs: Vec<Gf> = (0..FIELD_SIZE as Gf).collect();
-            mul_slice(c, &mut xs);
-            for (x, &got) in xs.iter().enumerate() {
-                assert_eq!(got, mul(c, x as Gf));
-            }
-        }
-    }
-
-    #[test]
-    fn mul_add_slice_matches_scalar() {
-        let src: Vec<Gf> = (0..64).map(|i| (i * 37 % 1024) as Gf).collect();
-        let mut dst: Vec<Gf> = (0..64).map(|i| (i * 11 % 1024) as Gf).collect();
-        let expect: Vec<Gf> = src
-            .iter()
-            .zip(&dst)
-            .map(|(&s, &d)| d ^ mul(77, s))
-            .collect();
-        mul_add_slice(77, &src, &mut dst);
-        assert_eq!(dst, expect);
-    }
-
-    #[test]
-    fn mul_table_matches_scalar_and_poly_eval() {
-        for c in [0 as Gf, 1, 7, 1023] {
-            let t = MulTable::new(c);
-            for x in 0..FIELD_SIZE as Gf {
-                assert_eq!(t.mul(x), mul(c, x));
-            }
-        }
-        let stride = MulTable::alpha_stride(5);
-        let coeffs: Vec<Gf> = vec![3, 0, 911, 1, 1023];
-        assert_eq!(stride.poly_eval(&coeffs), poly_eval(&coeffs, alpha_pow(5)));
     }
 
     /// Regression for the former lazy-`tables()` sharp edge: two threads

@@ -11,8 +11,9 @@
 //! adjustments on a formula:
 //!
 //! - [`gf`] — arithmetic over GF(2¹⁰), the symbol field of KP4.
-//! - [`rs`] — a generic Reed-Solomon encoder/decoder (Berlekamp-Massey +
-//!   Chien + Forney) instantiated as RS(544,514), t = 15.
+//! - [`rs`] — the textbook Reed-Solomon encoder/decoder
+//!   (Berlekamp-Massey + Chien + Forney, plus errata decoding)
+//!   instantiated as RS(544,514), t = 15.
 //! - [`hamming`] — an extended Hamming (128,120) inner code with
 //!   hard-decision decoding and soft-decision Chase decoding, the same
 //!   construction class as the 802.3dj inner code.
@@ -40,10 +41,8 @@ pub mod gf;
 pub mod hamming;
 pub mod interleave;
 pub mod rs;
-pub mod scratch;
 
 pub use concat::{ConcatenatedCode, InnerDecoding, WaterfallError};
 pub use hamming::ExtHamming;
 pub use interleave::Interleaver;
 pub use rs::ReedSolomon;
-pub use scratch::RsScratch;

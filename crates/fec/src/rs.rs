@@ -6,16 +6,13 @@
 //! *threshold* — pre-FEC BER of 2×10⁻⁴ yielding effectively error-free
 //! output — is the horizontal line drawn across Figs. 11–13.
 //!
-//! The hot paths are table-driven kernels (DESIGN §6.8): encode is an LFSR
-//! whose feedback taps are one precomputed row XOR per message symbol,
-//! syndromes/Chien run on precomputed ×α^j stride tables, and decode works
-//! entirely out of a caller-owned [`RsScratch`] so the steady state
-//! allocates nothing. Every kernel is bit-identical to the frozen textbook
-//! implementation in `tests/oracle/reed_solomon.rs` — enforced by golden
-//! vectors and differential proptests.
+//! The codec is the textbook one: synthetic-division encode, one Horner
+//! sweep per syndrome, Berlekamp–Massey, a Chien search over every
+//! position, Forney, and a full syndrome re-check. The experiments read
+//! only the code's `n`, `k` and `t`; `tests/fec_vectors.rs` pins encode and
+//! decode byte for byte, including the buffer a failed decode leaves.
 
-use crate::gf::{self, Gf, MulTable};
-use crate::scratch::RsScratch;
+use crate::gf::{self, Gf};
 use serde::de::DeError;
 use serde::{Content, Deserialize, Serialize};
 
@@ -31,97 +28,40 @@ impl std::fmt::Display for TooManyErrors {
 
 impl std::error::Error for TooManyErrors {}
 
-/// Precomputed multiply tables for the fast encode/decode kernels.
-///
-/// Rebuilt from `(n, k, generator)` on construction and deserialization;
-/// never serialized or compared.
-#[derive(Clone)]
-struct Kernel {
-    /// `FIELD_SIZE` rows of `2t` symbols: row `fb` holds
-    /// `fb·g_{2t−1−j}` at offset `j` — the reversed generator scaled by
-    /// every possible LFSR feedback value, so one encode step is a shift
-    /// plus one contiguous row XOR.
-    feedback: Vec<Gf>,
-    /// `strides[j]` multiplies by α^j: the Horner step for syndrome `j`
-    /// and the per-coefficient step of the Chien search.
-    strides: Vec<MulTable>,
-}
-
-impl Kernel {
-    fn build(generator: &[Gf], two_t: usize) -> Kernel {
-        let mut grev = vec![0 as Gf; two_t];
-        for (j, slot) in grev.iter_mut().enumerate() {
-            *slot = generator[two_t - 1 - j];
-        }
-        let mut feedback = vec![0 as Gf; gf::FIELD_SIZE * two_t];
-        for (fb, row) in feedback.chunks_exact_mut(two_t).enumerate() {
-            row.copy_from_slice(&grev);
-            gf::mul_slice(fb as Gf, row);
-        }
-        let strides = (0..two_t)
-            .map(|j| MulTable::alpha_stride(j as i64))
-            .collect();
-        Kernel { feedback, strides }
-    }
-}
-
 /// A systematic Reed-Solomon code RS(n, k) over GF(2¹⁰).
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ReedSolomon {
     n: usize,
     k: usize,
     /// Generator polynomial, lowest-degree coefficient first; degree = n−k.
     generator: Vec<Gf>,
-    kernel: Kernel,
 }
 
-impl std::fmt::Debug for ReedSolomon {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReedSolomon")
-            .field("n", &self.n)
-            .field("k", &self.k)
-            .field("generator", &self.generator)
-            .finish()
-    }
-}
-
-/// Identity is the code, not the derived tables.
-impl PartialEq for ReedSolomon {
-    fn eq(&self, other: &ReedSolomon) -> bool {
-        self.n == other.n && self.k == other.k && self.generator == other.generator
-    }
-}
-
-/// The serialized shape (same field names the old derived impl produced,
-/// so on-disk artifacts and cross-type comparisons are unchanged).
-#[derive(Serialize, Deserialize)]
+/// The serialized shape, read back before it is checked.
+#[derive(Deserialize)]
 struct Wire {
     n: usize,
     k: usize,
     generator: Vec<Gf>,
 }
 
-impl Serialize for ReedSolomon {
-    fn to_content(&self) -> Content {
-        Wire {
-            n: self.n,
-            k: self.k,
-            generator: self.generator.clone(),
-        }
-        .to_content()
-    }
-}
-
+/// A document is refused unless it is exactly what [`ReedSolomon::new`]
+/// builds for its own `(n, k)`: the decoder assumes the generator's roots
+/// are α⁰…α^{2t−1}, so a codec with any other one can refuse its own
+/// codewords.
 impl<'de> Deserialize<'de> for ReedSolomon {
     fn from_content(content: &Content) -> Result<ReedSolomon, DeError> {
-        let wire = Wire::from_content(content)?;
-        if wire.n > gf::GROUP_ORDER
-            || wire.k >= wire.n
-            || wire.generator.len() != wire.n - wire.k + 1
-        {
-            return Err(DeError::custom("inconsistent ReedSolomon parameters"));
+        let Wire { n, k, generator } = Wire::from_content(content)?;
+        if n > gf::GROUP_ORDER || k >= n || !(n - k).is_multiple_of(2) {
+            return Err(DeError::custom(format!(
+                "RS({n}, {k}) needs k < n ≤ 1023 and an even n − k"
+            )));
         }
-        Ok(ReedSolomon::from_parts(wire.n, wire.k, wire.generator))
+        let code = ReedSolomon::new(n, k);
+        if generator != code.generator {
+            return Err(DeError::custom(format!("generator is not RS({n}, {k})'s")));
+        }
+        Ok(code)
     }
 }
 
@@ -150,17 +90,7 @@ impl ReedSolomon {
             }
             g = next;
         }
-        ReedSolomon::from_parts(n, k, g)
-    }
-
-    fn from_parts(n: usize, k: usize, generator: Vec<Gf>) -> ReedSolomon {
-        let kernel = Kernel::build(&generator, n - k);
-        ReedSolomon {
-            n,
-            k,
-            generator,
-            kernel,
-        }
+        ReedSolomon { n, k, generator: g }
     }
 
     /// The KP4 code: RS(544, 514), t = 15, 10-bit symbols.
@@ -194,158 +124,74 @@ impl ReedSolomon {
     /// # Panics
     /// Panics if `data.len() != k` or any symbol exceeds 10 bits.
     pub fn encode(&self, data: &[Gf]) -> Vec<Gf> {
-        let mut cw = Vec::new();
-        self.encode_into(data, &mut cw);
-        cw
-    }
-
-    /// [`encode`](Self::encode) into a reusable buffer (cleared first), so
-    /// steady-state encoding allocates nothing.
-    pub fn encode_into(&self, data: &[Gf], cw: &mut Vec<Gf>) {
         assert_eq!(data.len(), self.k, "data must be exactly k symbols");
         assert!(
             data.iter().all(|&s| (s as usize) < gf::FIELD_SIZE),
             "symbols must fit in 10 bits"
         );
         let two_t = self.n - self.k;
-        cw.clear();
-        cw.reserve(self.n);
-        cw.extend_from_slice(data);
-        cw.resize(self.n, 0);
-        // Remainder of d(x)·x^{2t} divided by g(x) via synthetic division:
-        // per symbol, shift the remainder register and XOR the precomputed
-        // feedback row for fb = d ⊕ rem[0] (row j = fb·g_{2t−1−j}).
-        let rem = &mut cw[self.k..];
+        // Remainder of d(x)·x^{2t} divided by g(x) via synthetic division.
+        // `rem` holds coefficients highest-degree-first.
+        let mut rem = vec![0 as Gf; two_t];
         for &d in data {
-            let fb = (d ^ rem[0]) as usize;
-            let row = &self.kernel.feedback[fb * two_t..(fb + 1) * two_t];
-            rem.copy_within(1.., 0);
-            rem[two_t - 1] = 0;
-            for (r, &f) in rem.iter_mut().zip(row) {
-                *r ^= f;
+            let feedback = gf::add(d, rem[0]);
+            // Shift left and subtract feedback·g.
+            for j in 0..two_t - 1 {
+                rem[j] = gf::add(rem[j + 1], gf::mul(feedback, self.generator[two_t - 1 - j]));
             }
+            rem[two_t - 1] = gf::mul(feedback, self.generator[0]);
         }
+        let mut cw = Vec::with_capacity(self.n);
+        cw.extend_from_slice(data);
+        cw.extend_from_slice(&rem);
+        cw
     }
 
-    /// Computes the 2t syndromes of `received`; all-zero means a valid
-    /// codeword (or an undetectable error pattern).
+    /// Computes the 2t syndromes of `received`, one Horner sweep each;
+    /// all-zero means a valid codeword (or an undetectable error pattern).
+    ///
+    /// # Panics
+    /// Panics unless `received` is n symbols long.
     pub fn syndromes(&self, received: &[Gf]) -> Vec<Gf> {
-        let mut synd = Vec::new();
-        self.syndromes_into(received, &mut synd);
-        synd
-    }
-
-    /// Transposed-Horner syndromes: one pass over the word updating all 2t
-    /// accumulators through the ×α^j stride tables — 2t independent
-    /// dependency chains instead of 2t serial Horner sweeps.
-    fn syndromes_into(&self, received: &[Gf], synd: &mut Vec<Gf>) {
         assert_eq!(received.len(), self.n, "received word must be n symbols");
-        let two_t = self.n - self.k;
-        synd.clear();
-        synd.resize(two_t, 0);
-        let strides = &self.kernel.strides;
-        for &v in received {
-            for (s, stride) in synd.iter_mut().zip(strides) {
-                *s = stride.mul(*s) ^ v;
-            }
-        }
+        (0..self.n - self.k)
+            .map(|j| {
+                // S_j = r(α^j) with r(x) = Σ_i v_i x^{n-1-i}.
+                let alpha_j = gf::alpha_pow(j as i64);
+                received
+                    .iter()
+                    .fold(0, |acc, &v| gf::add(gf::mul(acc, alpha_j), v))
+            })
+            .collect()
     }
 
     /// Decodes in place, returning the number of symbol errors corrected.
     ///
     /// Returns `Err(TooManyErrors)` when the error weight exceeds t (the
     /// usual detected-uncorrectable case). As with any bounded-distance
-    /// decoder, patterns far beyond t can occasionally miscorrect.
+    /// decoder, patterns far beyond t can occasionally miscorrect. A
+    /// failure found while applying corrections leaves the ones already
+    /// applied in `received`.
+    ///
+    /// # Panics
+    /// Panics unless `received` is n symbols long.
     pub fn decode(&self, received: &mut [Gf]) -> Result<usize, TooManyErrors> {
-        let mut scratch = RsScratch::new();
-        self.decode_with(received, &mut scratch)
-    }
-
-    /// [`decode`](Self::decode) using caller-owned scratch buffers, so a
-    /// steady-state decode loop allocates nothing.
-    pub fn decode_with(
-        &self,
-        received: &mut [Gf],
-        scratch: &mut RsScratch,
-    ) -> Result<usize, TooManyErrors> {
-        let two_t = self.n - self.k;
-        self.syndromes_into(received, &mut scratch.synd);
-        if scratch.synd.iter().all(|&s| s == 0) {
+        let synd = self.syndromes(received);
+        if synd.iter().all(|&s| s == 0) {
             return Ok(0);
         }
-        berlekamp_massey_into(
-            &scratch.synd,
-            &mut scratch.sigma,
-            &mut scratch.prev,
-            &mut scratch.tmp,
-        );
-        let nu = scratch.sigma.len() - 1;
+        let sigma = berlekamp_massey(&synd);
+        let nu = sigma.len() - 1;
         if nu > self.t() {
             return Err(TooManyErrors);
         }
-        // Chien search restricted to valid (possibly shortened) positions,
-        // as stepping registers: term_k holds σ_k·(α^{−p})^k for the
-        // current position's locator degree p = n−1−pos, advanced one ×α^k
-        // table load per coefficient per position. σ (degree ν) has at most
-        // ν roots, so the scan can stop as soon as ν are found.
-        let sigma = &scratch.sigma;
-        scratch.term.clear();
-        scratch.term.resize(nu + 1, 0);
-        let p0 = (self.n - 1) as i64;
-        for (k, (term, &s)) in scratch.term.iter_mut().zip(sigma).enumerate().skip(1) {
-            *term = gf::mul(s, gf::alpha_pow(-(k as i64) * p0));
-        }
-        scratch.positions.clear();
-        let strides = &self.kernel.strides[1..=nu];
-        for pos in 0..self.n {
-            // σ(0) = 1 by construction, so the constant term is 1.
-            let mut eval: Gf = 1;
-            for (term, stride) in scratch.term[1..=nu].iter_mut().zip(strides) {
-                eval ^= *term;
-                *term = stride.mul(*term);
-            }
-            if eval == 0 {
-                scratch.positions.push(pos);
-                if scratch.positions.len() == nu {
-                    break;
-                }
-            }
-        }
-        if scratch.positions.len() != nu {
+        let error_positions = self.chien(&sigma);
+        if error_positions.len() != nu {
             return Err(TooManyErrors);
         }
         // Forney: Ω(x) = S(x)·σ(x) mod x^{2t};  e = X·Ω(X⁻¹)/σ'(X⁻¹).
-        poly_mul_mod_into(&scratch.synd, &scratch.sigma, two_t, &mut scratch.omega);
-        formal_derivative_into(&scratch.sigma, &mut scratch.deriv);
-        scratch.magnitudes.clear();
-        for &pos in &scratch.positions {
-            let p = (self.n - 1 - pos) as i64;
-            let x = gf::alpha_pow(p);
-            let x_inv = gf::alpha_pow(-p);
-            let num = gf::poly_eval(&scratch.omega, x_inv);
-            let den = gf::poly_eval(&scratch.deriv, x_inv);
-            if den == 0 {
-                return Err(TooManyErrors);
-            }
-            let magnitude = gf::mul(x, gf::div(num, den));
-            received[pos] ^= magnitude;
-            scratch.magnitudes.push(magnitude);
-        }
-        // Re-check: a miscorrection beyond t can leave bad syndromes. The
-        // corrected word's syndromes are exactly S_j ⊕ Σ_i e_i·α^{j·p_i}
-        // (GF arithmetic is exact), so fold the corrections into the
-        // already-computed syndromes instead of rescanning all n symbols.
-        for (&pos, &e) in scratch.positions.iter().zip(&scratch.magnitudes) {
-            let x = gf::alpha_pow((self.n - 1 - pos) as i64);
-            let mut y = e;
-            for s in scratch.synd.iter_mut() {
-                *s ^= y;
-                y = gf::mul(y, x);
-            }
-        }
-        if scratch.synd.iter().any(|&s| s != 0) {
-            return Err(TooManyErrors);
-        }
+        let omega = poly_mul_mod(&synd, &sigma, self.n - self.k);
+        self.apply_forney(received, &error_positions, &omega, &sigma)?;
         Ok(nu)
     }
 
@@ -356,6 +202,10 @@ impl ReedSolomon {
     /// as long as blind decoding could handle.
     ///
     /// Returns `(errors_corrected, erasures_filled)`.
+    ///
+    /// # Panics
+    /// Panics if at most 2t erasures are given and one of them is not
+    /// below n or appears twice.
     pub fn decode_errata(
         &self,
         received: &mut [Gf],
@@ -385,12 +235,7 @@ impl ReedSolomon {
         let mut lambda: Vec<Gf> = vec![1];
         for &pos in erasures {
             let x_j = gf::alpha_pow((self.n - 1 - pos) as i64);
-            let mut next = vec![0 as Gf; lambda.len() + 1];
-            for (i, &c) in lambda.iter().enumerate() {
-                next[i] = gf::add(next[i], c);
-                next[i + 1] = gf::add(next[i + 1], gf::mul(c, x_j));
-            }
-            lambda = next;
+            lambda = poly_mul_full(&lambda, &[1, x_j]);
         }
 
         // Modified syndromes Ξ = S·Λ mod x^{2t}; BM on the tail Ξ[μ..]
@@ -406,162 +251,133 @@ impl ReedSolomon {
             return Err(TooManyErrors);
         }
 
-        // Chien search for the error positions (erasures excluded).
-        let mut error_positions = Vec::with_capacity(nu);
-        if nu > 0 {
-            for pos in 0..self.n {
-                let p = (self.n - 1 - pos) as i64;
-                if gf::poly_eval(&sigma, gf::alpha_pow(-p)) == 0 {
-                    error_positions.push(pos);
-                }
-            }
-            if error_positions.len() != nu {
-                return Err(TooManyErrors);
-            }
+        // The error positions (erasures excluded).
+        let mut error_positions = self.chien(&sigma);
+        if error_positions.len() != nu {
+            return Err(TooManyErrors);
         }
 
         // Errata locator Ψ = σ·Λ; evaluator Ω = S·Ψ mod x^{2t}.
         let psi = poly_mul_full(&sigma, &lambda);
         let omega = poly_mul_mod(&synd, &psi, two_t);
-        let psi_deriv = formal_derivative(&psi);
-        for &pos in error_positions.iter().chain(erasures.iter()) {
+        error_positions.extend_from_slice(erasures);
+        self.apply_forney(received, &error_positions, &omega, &psi)?;
+        Ok((nu, mu))
+    }
+
+    /// Chien search over every valid (possibly shortened) position: an
+    /// error at index i has degree p = n−1−i and locator X = α^p, and the
+    /// locator `sigma` has its roots at X⁻¹.
+    fn chien(&self, sigma: &[Gf]) -> Vec<usize> {
+        (0..self.n)
+            .filter(|&pos| {
+                let p = (self.n - 1 - pos) as i64;
+                gf::poly_eval(sigma, gf::alpha_pow(-p)) == 0
+            })
+            .collect()
+    }
+
+    /// Forney: adds `X·Ω(X⁻¹)/Λ'(X⁻¹)` at each of `positions` in order,
+    /// where `locator` is the errata locator Λ and `omega` its evaluator,
+    /// then re-checks the syndromes — a miscorrection beyond t can leave
+    /// bad ones.
+    fn apply_forney(
+        &self,
+        received: &mut [Gf],
+        positions: &[usize],
+        omega: &[Gf],
+        locator: &[Gf],
+    ) -> Result<(), TooManyErrors> {
+        let deriv = formal_derivative(locator);
+        for &pos in positions {
             let p = (self.n - 1 - pos) as i64;
-            let x = gf::alpha_pow(p);
             let x_inv = gf::alpha_pow(-p);
-            let num = gf::poly_eval(&omega, x_inv);
-            let den = gf::poly_eval(&psi_deriv, x_inv);
+            let den = gf::poly_eval(&deriv, x_inv);
             if den == 0 {
                 return Err(TooManyErrors);
             }
-            let magnitude = gf::mul(x, gf::div(num, den));
-            received[pos] = gf::add(received[pos], magnitude);
+            let num = gf::poly_eval(omega, x_inv);
+            received[pos] = gf::add(received[pos], gf::mul(gf::alpha_pow(p), gf::div(num, den)));
         }
         if self.syndromes(received).iter().any(|&s| s != 0) {
             return Err(TooManyErrors);
         }
-        Ok((nu, mu))
+        Ok(())
     }
 }
 
 /// Full polynomial product (no truncation), lowest-degree first.
 fn poly_mul_full(a: &[Gf], b: &[Gf]) -> Vec<Gf> {
-    let mut out = vec![0 as Gf; a.len() + b.len() - 1];
-    for (i, &ai) in a.iter().enumerate() {
-        if ai == 0 {
+    poly_mul_mod(a, b, a.len() + b.len() - 1)
+}
+
+/// Berlekamp-Massey: finds the minimal σ(x) (lowest-degree-first,
+/// σ(0) = 1) with the syndrome recurrence.
+fn berlekamp_massey(synd: &[Gf]) -> Vec<Gf> {
+    let mut sigma: Vec<Gf> = vec![1];
+    let mut b: Vec<Gf> = vec![1];
+    let mut l = 0usize;
+    let mut m = 1usize;
+    let mut bb: Gf = 1;
+    for n in 0..synd.len() {
+        let mut d: Gf = synd[n];
+        for i in 1..=l.min(sigma.len() - 1) {
+            d = gf::add(d, gf::mul(sigma[i], synd[n - i]));
+        }
+        if d == 0 {
+            m += 1;
             continue;
         }
-        for (j, &bj) in b.iter().enumerate() {
+        // σ = σ − (d/b)·x^m·B
+        let before = (2 * l <= n).then(|| sigma.clone());
+        let coef = gf::div(d, bb);
+        if sigma.len() < b.len() + m {
+            sigma.resize(b.len() + m, 0);
+        }
+        for (i, &bi) in b.iter().enumerate() {
+            sigma[i + m] = gf::add(sigma[i + m], gf::mul(coef, bi));
+        }
+        match before {
+            Some(t) => {
+                l = n + 1 - l;
+                b = t;
+                bb = d;
+                m = 1;
+            }
+            None => m += 1,
+        }
+    }
+    // Trim trailing zeros so deg(σ) is meaningful.
+    while sigma.len() > 1 && sigma.last() == Some(&0) {
+        sigma.pop();
+    }
+    sigma
+}
+
+/// (a·b) mod x^cap, coefficients lowest-degree-first.
+fn poly_mul_mod(a: &[Gf], b: &[Gf], cap: usize) -> Vec<Gf> {
+    let mut out = vec![0 as Gf; cap.min(a.len() + b.len())];
+    for (i, &ai) in a.iter().enumerate() {
+        if ai == 0 || i >= cap {
+            continue;
+        }
+        for (j, &bj) in b.iter().enumerate().take(cap - i) {
             out[i + j] = gf::add(out[i + j], gf::mul(ai, bj));
         }
     }
     out
 }
 
-/// Berlekamp-Massey: finds the minimal σ(x) (lowest-degree-first,
-/// σ(0) = 1) with the syndrome recurrence.
-fn berlekamp_massey(synd: &[Gf]) -> Vec<Gf> {
-    let mut sigma = Vec::new();
-    let mut prev = Vec::new();
-    let mut tmp = Vec::new();
-    berlekamp_massey_into(synd, &mut sigma, &mut prev, &mut tmp);
-    sigma
-}
-
-/// [`berlekamp_massey`] over caller-owned buffers: `sigma` receives σ,
-/// `prev`/`tmp` are working storage for B(x). Step-for-step the same
-/// update schedule as the textbook version, so σ is bit-identical.
-fn berlekamp_massey_into(synd: &[Gf], sigma: &mut Vec<Gf>, prev: &mut Vec<Gf>, tmp: &mut Vec<Gf>) {
-    sigma.clear();
-    sigma.push(1);
-    let b = prev;
-    b.clear();
-    b.push(1);
-    let mut l = 0usize;
-    let mut m = 1usize;
-    let mut bb: Gf = 1;
-    for n in 0..synd.len() {
-        let mut d: Gf = synd[n];
-        for i in 1..=l {
-            if i < sigma.len() {
-                d = gf::add(d, gf::mul(sigma[i], synd[n - i]));
-            }
-        }
-        if d == 0 {
-            m += 1;
-        } else if 2 * l <= n {
-            tmp.clear();
-            tmp.extend_from_slice(sigma);
-            let coef = gf::div(d, bb);
-            // σ = σ − (d/b)·x^m·B
-            let needed = b.len() + m;
-            if sigma.len() < needed {
-                sigma.resize(needed, 0);
-            }
-            for (i, &bi) in b.iter().enumerate() {
-                sigma[i + m] = gf::add(sigma[i + m], gf::mul(coef, bi));
-            }
-            l = n + 1 - l;
-            std::mem::swap(b, tmp);
-            bb = d;
-            m = 1;
-        } else {
-            let coef = gf::div(d, bb);
-            let needed = b.len() + m;
-            if sigma.len() < needed {
-                sigma.resize(needed, 0);
-            }
-            for (i, &bi) in b.iter().enumerate() {
-                sigma[i + m] = gf::add(sigma[i + m], gf::mul(coef, bi));
-            }
-            m += 1;
-        }
-    }
-    // Trim trailing zeros so deg(σ) is meaningful.
-    while sigma.len() > 1 && *sigma.last().expect("non-empty") == 0 {
-        sigma.pop();
-    }
-}
-
-/// (a·b) mod x^cap, coefficients lowest-degree-first.
-fn poly_mul_mod(a: &[Gf], b: &[Gf], cap: usize) -> Vec<Gf> {
-    let mut out = Vec::new();
-    poly_mul_mod_into(a, b, cap, &mut out);
-    out
-}
-
-/// [`poly_mul_mod`] into a caller-owned buffer.
-fn poly_mul_mod_into(a: &[Gf], b: &[Gf], cap: usize, out: &mut Vec<Gf>) {
-    out.clear();
-    out.resize(cap.min(a.len() + b.len()), 0);
-    for (i, &ai) in a.iter().enumerate() {
-        if ai == 0 || i >= cap {
-            continue;
-        }
-        let take = b.len().min(cap - i);
-        gf::mul_add_slice(ai, &b[..take], &mut out[i..i + take]);
-    }
-}
-
 /// Formal derivative in characteristic 2: odd-degree terms survive.
 fn formal_derivative(p: &[Gf]) -> Vec<Gf> {
-    let mut d = Vec::new();
-    formal_derivative_into(p, &mut d);
-    d
-}
-
-/// [`formal_derivative`] into a caller-owned buffer.
-fn formal_derivative_into(p: &[Gf], d: &mut Vec<Gf>) {
-    d.clear();
     if p.len() <= 1 {
-        d.push(0);
-        return;
+        return vec![0];
     }
-    d.resize(p.len() - 1, 0);
-    for (i, &c) in p.iter().enumerate().skip(1) {
-        if i % 2 == 1 {
-            d[i - 1] = c;
-        }
+    let mut d = vec![0 as Gf; p.len() - 1];
+    for (i, &c) in p.iter().enumerate().skip(1).step_by(2) {
+        d[i - 1] = c;
     }
+    d
 }
 
 #[cfg(test)]
@@ -693,39 +509,17 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_and_decode_with_reuse_buffers() {
-        let rs = ReedSolomon::kp4();
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut cw = Vec::new();
-        let mut scratch = RsScratch::new();
-        for _ in 0..5 {
-            let data = random_data(&rs, &mut rng);
-            rs.encode_into(&data, &mut cw);
-            assert_eq!(cw, rs.encode(&data));
-            let mut rx = cw.clone();
-            for i in 0..12 {
-                rx[i * 41] ^= 0x155;
-            }
-            assert_eq!(rs.decode_with(&mut rx, &mut scratch), Ok(12));
-            assert_eq!(rx, cw);
-        }
-    }
-
-    #[test]
     fn serde_wire_format_is_plain_n_k_generator() {
         let rs = ReedSolomon::new(15, 11);
         let content = rs.to_content();
         assert_eq!(
             content.field("n"),
             Some(&Content::U64(15)),
-            "wire format must keep the pre-kernel field layout"
+            "the wire form is `n`, `k`, `generator`"
         );
         assert!(content.field("generator").is_some());
         let back = ReedSolomon::from_content(&content).expect("roundtrip");
         assert_eq!(back, rs);
-        // And a rebuilt kernel behaves identically.
-        let data: Vec<Gf> = (1..=11).collect();
-        assert_eq!(back.encode(&data), rs.encode(&data));
     }
 
     #[test]

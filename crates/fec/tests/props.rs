@@ -1,10 +1,34 @@
 //! Property tests for the FEC codecs.
 
+use lightwave_fec::gf::Gf;
 use lightwave_fec::hamming::HardDecode;
 use lightwave_fec::{ExtHamming, Interleaver, ReedSolomon};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+/// The `(n, k)` shapes the RS properties draw from: three short codes
+/// whose lengths shake out index edge cases the long one hides, and KP4.
+const RS_SHAPES: [(usize, usize); 4] = [(15, 11), (31, 17), (31, 21), (544, 514)];
+
+/// A codeword of shape `RS_SHAPES[shape]` with a message drawn from `rng`.
+fn rs_codeword(shape: usize, rng: &mut StdRng) -> (ReedSolomon, Vec<Gf>) {
+    let (n, k) = RS_SHAPES[shape];
+    let rs = ReedSolomon::new(n, k);
+    let data: Vec<Gf> = (0..k).map(|_| rng.random_range(0..1024u16)).collect();
+    let cw = rs.encode(&data);
+    (rs, cw)
+}
+
+/// Corrupts `nerr` distinct positions of `word` with non-zero magnitudes.
+fn inject(word: &mut [Gf], nerr: usize, rng: &mut StdRng) {
+    let mut positions: Vec<usize> = (0..word.len()).collect();
+    for i in 0..nerr {
+        let j = rng.random_range(i..positions.len());
+        positions.swap(i, j);
+        word[positions[i]] ^= rng.random_range(1..1024u16);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -46,24 +70,6 @@ proptest! {
     }
 
     #[test]
-    fn rs_corrects_any_pattern_within_t(seed in 0u64..300, nerr in 0usize..=5) {
-        let rs = ReedSolomon::new(31, 21); // t = 5
-        let mut rng = StdRng::seed_from_u64(seed);
-        let data: Vec<u16> = (0..rs.k()).map(|_| rng.random_range(0..1024u16)).collect();
-        let cw = rs.encode(&data);
-        let mut rx = cw.clone();
-        let mut positions: Vec<usize> = (0..rs.n()).collect();
-        for i in 0..nerr {
-            let j = rng.random_range(i..positions.len());
-            positions.swap(i, j);
-            rx[positions[i]] ^= rng.random_range(1..1024u16);
-        }
-        let fixed = rs.decode(&mut rx);
-        prop_assert!(fixed.is_ok());
-        prop_assert_eq!(rx, cw);
-    }
-
-    #[test]
     fn rs_errata_capacity_boundary(seed in 0u64..200, mu in 0usize..=10) {
         // ν errors + μ erasures with 2ν + μ = 2t exactly: always decodes.
         let rs = ReedSolomon::new(31, 21); // 2t = 10
@@ -84,26 +90,6 @@ proptest! {
     }
 
     #[test]
-    fn interleaver_roundtrip_any_burst_within_tolerance(
-        seed in 0u64..200,
-        depth in 1usize..=4,
-        burst_start in 0usize..40,
-        burst_frac in 0.0f64..=1.0,
-    ) {
-        let il = Interleaver::new(ReedSolomon::new(15, 11), depth);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let payload: Vec<u16> = (0..il.frame_payload()).map(|_| rng.random_range(0..1024u16)).collect();
-        let mut frame = il.encode(&payload);
-        let burst = (burst_frac * il.burst_tolerance() as f64) as usize;
-        let start = burst_start.min(frame.len().saturating_sub(burst));
-        for slot in frame.iter_mut().skip(start).take(burst) {
-            *slot ^= 0x2AB;
-        }
-        let (out, _) = il.decode(&frame).expect("burst within tolerance");
-        prop_assert_eq!(out, payload);
-    }
-
-    #[test]
     fn chase_output_is_always_a_codeword_or_input(
         data in 0u128..(1u128 << 100),
         e1 in 0usize..128,
@@ -117,5 +103,85 @@ proptest! {
         let rel = vec![1.0; 128];
         let out = code.chase_decode(corrupted, &rel, 5);
         prop_assert!(code.is_codeword(out) || out == corrupted);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Any ≤ t symbol errors, at any shape, decode to the codeword sent,
+    /// and the decoder counts exactly the errors injected.
+    #[test]
+    fn rs_corrects_any_pattern_within_t(
+        seed in 0u64..1_000_000,
+        shape in 0usize..RS_SHAPES.len(),
+        nerr_sel in 0usize..=100,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (rs, cw) = rs_codeword(shape, &mut rng);
+        let nerr = nerr_sel % (rs.t() + 1);
+        let mut rx = cw.clone();
+        inject(&mut rx, nerr, &mut rng);
+        prop_assert_eq!(rs.decode(&mut rx), Ok(nerr));
+        prop_assert_eq!(rx, cw);
+    }
+
+    /// Beyond t errors a decode is refused, or it lands on a codeword
+    /// (all-zero syndromes) within t of what arrived — never the one sent,
+    /// which is farther away than that.
+    #[test]
+    fn rs_beyond_t_is_refused_or_lands_on_a_codeword(
+        seed in 0u64..1_000_000,
+        shape in 0usize..RS_SHAPES.len(),
+        extra in 1usize..=10,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (rs, cw) = rs_codeword(shape, &mut rng);
+        let mut rx = cw.clone();
+        inject(&mut rx, rs.t() + extra, &mut rng);
+        if let Ok(corrected) = rs.decode(&mut rx) {
+            prop_assert!(corrected <= rs.t());
+            prop_assert!(rs.syndromes(&rx).iter().all(|&s| s == 0));
+            prop_assert_ne!(rx, cw);
+        }
+    }
+
+    /// A contiguous burst up to the interleaver's tolerance, every symbol
+    /// corrupted and no location hint given, is corrected: by the
+    /// interleaver, and by a plain decode of each de-interleaved lane, both
+    /// counting exactly the burst.
+    #[test]
+    fn interleaver_roundtrip_any_burst_within_tolerance(
+        seed in 0u64..1_000_000,
+        depth in 1usize..=4,
+        burst_sel in 1usize..=100,
+        start_sel in 0usize..=10_000,
+    ) {
+        let il = Interleaver::new(ReedSolomon::new(15, 11), depth);
+        let burst = 1 + burst_sel % il.burst_tolerance();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let payload: Vec<Gf> =
+            (0..il.frame_payload()).map(|_| rng.random_range(0..1024u16)).collect();
+        let frame = il.encode(&payload);
+        let mut hit = frame.clone();
+        let start = start_sel % (frame.len() - burst + 1);
+        for s in &mut hit[start..start + burst] {
+            *s ^= rng.random_range(1..1024u16);
+        }
+
+        let (decoded, corrected) = il.decode(&hit).expect("burst within tolerance");
+        prop_assert_eq!(&decoded, &payload);
+        prop_assert_eq!(corrected, burst);
+
+        // Lane w is line positions i·depth + w.
+        let n = il.code.n();
+        let mut lane_corrected = 0usize;
+        for w in 0..depth {
+            let mut lane: Vec<Gf> = (0..n).map(|i| hit[i * depth + w]).collect();
+            lane_corrected += il.code.decode(&mut lane).expect("lane within t");
+            let clean: Vec<Gf> = (0..n).map(|i| frame[i * depth + w]).collect();
+            prop_assert_eq!(lane, clean);
+        }
+        prop_assert_eq!(lane_corrected, burst);
     }
 }

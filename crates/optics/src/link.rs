@@ -93,18 +93,6 @@ impl LinkBudget {
     pub fn transmission(&self) -> f64 {
         (-self.total_loss()).linear()
     }
-
-    /// Cumulative transmission from the Tx flange up to (but not including)
-    /// component `idx` — i.e. the fraction of launch power arriving at that
-    /// component's input. The MPI budget weights its reflections by this
-    /// product, folded once along the chain rather than once per call.
-    pub fn transmission_to(&self, idx: usize) -> f64 {
-        assert!(idx <= self.components.len(), "component index out of range");
-        self.components[..idx]
-            .iter()
-            .map(|c| c.transmission())
-            .product()
-    }
 }
 
 #[cfg(test)]
@@ -134,22 +122,6 @@ mod tests {
         let link = LinkBudget::superpod_nominal(Dbm(1.0), 0.2);
         assert!(link.margin(Dbm(-12.0)).db() > 0.0);
         assert!(link.margin(Dbm(-2.0)).db() < 0.0);
-    }
-
-    #[test]
-    fn transmission_to_is_cumulative() {
-        let link = LinkBudget::superpod_nominal(Dbm(0.0), 1.0);
-        assert!((link.transmission_to(0) - 1.0).abs() < 1e-12);
-        let full: f64 = link.transmission();
-        let upto_last = link.transmission_to(link.components.len());
-        assert!((full - upto_last).abs() < 1e-12);
-        // Monotone non-increasing along the chain.
-        let mut prev = 1.0;
-        for i in 0..=link.components.len() {
-            let t = link.transmission_to(i);
-            assert!(t <= prev + 1e-15);
-            prev = t;
-        }
     }
 
     #[test]

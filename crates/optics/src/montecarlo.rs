@@ -431,26 +431,6 @@ fn run_sharded(
     (McBerResult::from_counts(symbols, errors), stats)
 }
 
-/// Runs a Monte-Carlo BER estimate on a caller-supplied generator (one
-/// contiguous symbol stream — the single-shard primitive).
-///
-/// * `symbols` — number of PAM4 symbols to simulate (2 bits each).
-/// * `mpi_ratio` — linear interferer-to-signal power ratio.
-/// * `oim` — optional OIM DSP config (applied as beat-amplitude
-///   suppression, mirroring the notch filter).
-pub fn simulate_ber(
-    rx: &Pam4Receiver,
-    received: Dbm,
-    mpi_ratio: f64,
-    oim: Option<OimConfig>,
-    symbols: u64,
-    rng: &mut StdRng,
-) -> McBerResult {
-    assert!(symbols > 0, "must simulate at least one symbol");
-    let errors = McChannel::new(rx, received, mpi_ratio, oim).run(symbols, rng);
-    McBerResult::from_counts(symbols, errors)
-}
-
 /// Runs the Monte-Carlo BER estimate on `pool`, also returning the
 /// engine's [`RunStats`] (shards completed, worker utilization) for
 /// telemetry.
@@ -493,7 +473,7 @@ pub fn simulate_ber_digital_oim(
     rng: &mut StdRng,
 ) -> McBerResult {
     assert!(symbols > 0, "must simulate at least one symbol");
-    // The physical channel, beat included, is `simulate_ber`'s without OIM.
+    // The physical channel, beat included, is `McChannel`'s without OIM.
     let McChannel {
         currents,
         noise,
@@ -546,6 +526,25 @@ mod tests {
 
     fn seeded(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    /// A Monte-Carlo BER estimate on a caller-supplied generator (one
+    /// contiguous symbol stream — one shard of `simulate_ber_par`).
+    ///
+    /// * `symbols` — number of PAM4 symbols to simulate (2 bits each).
+    /// * `mpi_ratio` — linear interferer-to-signal power ratio.
+    /// * `oim` — optional OIM DSP config (applied as beat-amplitude
+    ///   suppression, mirroring the notch filter).
+    fn simulate_ber(
+        rx: &Pam4Receiver,
+        received: Dbm,
+        mpi_ratio: f64,
+        oim: Option<OimConfig>,
+        symbols: u64,
+        rng: &mut StdRng,
+    ) -> McBerResult {
+        let errors = McChannel::new(rx, received, mpi_ratio, oim).run(symbols, rng);
+        McBerResult::from_counts(symbols, errors)
     }
 
     #[test]

@@ -129,9 +129,8 @@ fn for_each_term(
         "link transmission must be positive"
     );
     // Per component, once: `(T_i, r_i)`, T_i the transmission up to but
-    // not including component i, as the same left fold
-    // `LinkBudget::transmission_to` multiplies — so every ratio below
-    // keeps its bits.
+    // not including component i, folded left from the Tx flange in chain
+    // order: the order `tests/vectors/model_seam/mpi_budget.json` pins.
     let mut prefix = 1.0;
     reach.clear();
     reach.extend(link.components.iter().map(|c| {

@@ -541,6 +541,10 @@ impl ServiceCore {
                 return; // head-of-line blocks: no bypass (see module docs)
             };
             let cube_count = cubes.len() as u32;
+            // `submit` queued only a validated shape, and `Pooled` takes
+            // exactly its cube count of distinct idle cubes: `Slice::new`
+            // accepts that.
+            #[allow(clippy::expect_used)]
             let slice = Slice::new(cand.shape, cubes).expect("allocator picks valid cubes");
             // Admitted or refused, the head — `cand` — leaves the queue.
             self.queue[rank].pop_front();

@@ -366,10 +366,13 @@ impl ScopeReport {
                 for (s, &p) in shares.iter_mut().zip(&tl.phase_nanos) {
                     *s = p.saturating_mul(1000) / total;
                 }
+                // The longest phase; the earliest of equals.
+                let key = |p: &ScopePhase| (tl.phase_nanos[p.index()], usize::MAX - p.index());
                 let dominant = ScopePhase::ALL
                     .into_iter()
-                    .max_by_key(|p| (tl.phase_nanos[p.index()], usize::MAX - p.index()))
-                    .expect("six phases");
+                    .fold(ScopePhase::ALL[0], |best, p| {
+                        std::cmp::max_by_key(best, p, key)
+                    });
                 rows.push(CriticalPath {
                     class,
                     quantile_permille: q,

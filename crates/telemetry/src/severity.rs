@@ -39,14 +39,6 @@ impl Severity {
         self.rank() > other.rank()
     }
 
-    /// The next-worse severity (`Critical` saturates).
-    pub const fn escalated(self) -> Severity {
-        match self {
-            Severity::Info => Severity::Warning,
-            Severity::Warning | Severity::Critical => Severity::Critical,
-        }
-    }
-
     /// Short uppercase label for dashboards.
     pub const fn label(self) -> &'static str {
         match self {
@@ -88,14 +80,5 @@ mod tests {
                 assert_eq!(a.cmp(&b), a.rank().cmp(&b.rank()), "{a:?} vs {b:?}");
             }
         }
-    }
-
-    #[test]
-    fn escalation_is_monotone_and_saturating() {
-        for s in ALL {
-            assert!(!s.is_worse_than(s.escalated()));
-        }
-        assert_eq!(Severity::Critical.escalated(), Severity::Critical);
-        assert_eq!(Severity::Info.escalated(), Severity::Warning);
     }
 }

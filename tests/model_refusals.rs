@@ -20,13 +20,17 @@
 //! switch lacks before it changes anything. Before they did, the two
 //! mirror faults panicked on a port past the radix and the two FRU calls
 //! indexed the chassis out of bounds.
+//!
+//! A Reed–Solomon code read from a document is the one `ReedSolomon::new`
+//! builds for its `(n, k)`, or it is refused. Before, an odd `n − k` and a
+//! generator that is not the code's were both accepted.
 
 use lightwave::availability::timeline::{simulate, simulate_preempt, PreemptParams};
 use lightwave::dcn::campus::CampusSim;
 use lightwave::dcn::realize::{DcnFabricError, MeshPlacement, RealizeError, TrunkLeg};
 use lightwave::dcn::te::{engineer, TeError};
 use lightwave::dcn::{DcnFabric, Mesh, TrafficMatrix};
-use lightwave::fec::{ConcatenatedCode, InnerDecoding};
+use lightwave::fec::{ConcatenatedCode, InnerDecoding, ReedSolomon};
 use lightwave::ocs::{CrossbarError, OcsError, PalomarOcs, PortId};
 use lightwave::superpod::slice::{ShapeError, SliceError};
 use lightwave::superpod::{CubeId, CubeSet, PodError, Slice, SliceHandle, SliceShape, Superpod};
@@ -163,6 +167,37 @@ fn a_chase_decoder_past_eight_test_bits_is_refused_by_name_before_any_draw() {
         .inner_waterfall_point(Ber::new(5e-3), 10, 1)
         .unwrap_err();
     assert_eq!(refused.value, 9.0);
+}
+
+#[test]
+fn a_reed_solomon_document_that_is_not_its_own_n_k_is_refused_when_read() {
+    // Both were read as they stood: the all-zero generator's own `encode`
+    // gave words with non-zero syndromes that its `decode` refused, and
+    // the odd `n − k` gave t = 15 on 31 parity symbols. A concatenated
+    // code carried either one.
+    let kp4 = serde_json::to_string(&ReedSolomon::kp4()).expect("a code serializes");
+    let generator = &kp4[kp4.find('[').expect("a list")..=kp4.find(']').expect("a list")];
+    let zeros = format!("[{}]", ["0"; 31].join(","));
+    let code = assert_read_refused::<ReedSolomon>;
+    code(
+        &kp4.replace(generator, &zeros),
+        "generator is not RS(544, 514)'s",
+    );
+    code(
+        &kp4.replace("\"k\":514", "\"k\":513")
+            .replace(generator, &generator.replace(']', ",1]")),
+        "an even n − k",
+    );
+    let concat = serde_json::to_string(&ConcatenatedCode::default()).expect("a code serializes");
+    assert!(concat.contains(generator));
+    assert_read_refused::<ConcatenatedCode>(
+        &concat.replace(generator, &zeros),
+        "generator is not RS(544, 514)'s",
+    );
+    assert_eq!(
+        serde_json::from_str::<ReedSolomon>(&kp4).ok(),
+        Some(ReedSolomon::kp4())
+    );
 }
 
 #[test]
