@@ -1,7 +1,7 @@
 //! Property-based tests on cross-crate invariants.
 
 use lightwave::dcn::{flowsim, te, Mesh, TrafficMatrix};
-use lightwave::fec::ExtHamming;
+use lightwave::fec::{ExtHamming, ReedSolomon};
 use lightwave::ocs::{Crossbar, PortMapping};
 use lightwave::superpod::slice::{Slice, SliceShape};
 use lightwave::superpod::Torus;
@@ -10,6 +10,31 @@ use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// RS(31,17), read back from its own document, corrects any ≤ t random
+    /// symbol corruption and counts exactly the errors injected.
+    #[test]
+    fn rs_roundtrip_any_correctable_pattern(
+        seed in 0u64..1000,
+        nerr in 0usize..=7,
+    ) {
+        use rand::{RngExt, SeedableRng};
+        let doc = serde_json::to_string(&ReedSolomon::new(31, 17)).expect("a code serializes");
+        let rs: ReedSolomon = serde_json::from_str(&doc).expect("its own document reads back");
+        prop_assert_eq!(rs.t(), 7);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let data: Vec<u16> = (0..rs.k()).map(|_| rng.random_range(0..1024u16)).collect();
+        let cw = rs.encode(&data);
+        let mut rx = cw.clone();
+        let mut pos: Vec<usize> = (0..rs.n()).collect();
+        for i in 0..nerr {
+            let j = rng.random_range(i..pos.len());
+            pos.swap(i, j);
+            rx[pos[i]] ^= rng.random_range(1..1024u16);
+        }
+        prop_assert_eq!(rs.decode(&mut rx), Ok(nerr));
+        prop_assert_eq!(rx, cw);
+    }
 
     /// Extended Hamming: encode/extract is the identity; every single-bit
     /// error corrects; weight parity always even.
