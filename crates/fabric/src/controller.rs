@@ -464,21 +464,23 @@ impl FabricController {
 
     /// Validates then applies an incremental transaction. On error nothing
     /// has been applied. No switch's full mapping is collected, rebuilt,
-    /// or diffed anywhere on this path, and each switch checks its
-    /// delta once — in the validation pass; the apply pass finds it
-    /// remembered (see [`PalomarOcs::apply_delta`](lightwave_ocs::PalomarOcs::apply_delta)).
+    /// or diffed anywhere on this path, and a run of consecutive switches
+    /// with equal lists checks them once — in the validation pass; the
+    /// apply pass finds the verdict stamped on each switch (see
+    /// [`SharedDelta`](lightwave_ocs::SharedDelta)).
     pub fn commit_delta(&mut self, delta: &FabricDelta) -> Result<CommitReport, CommitError> {
         self.commit_view(delta.view())
     }
 
     /// [`FabricController::commit_delta`] for a caller that owns the
     /// circuit lists already: `view` yields each touched switch once,
-    /// ascending by id, and the fleet walks it twice — every switch is
-    /// brought to fleet time and validates its share, then every switch
-    /// applies it, and only a switch left aligning is listed for the next
-    /// advance. Nothing is copied out of the lists, and the rows go into a
-    /// table the fleet recycles: once the fleet is warm, nothing is
-    /// allocated. Only the circuits the view establishes are vetted
+    /// ascending by id, and the fleet walks it once — every switch is
+    /// brought to fleet time and validates its share, a run of switches
+    /// sharing one list checking it once — then every switch applies it,
+    /// and only a switch left aligning is listed for the next advance.
+    /// A run's lists are copied once into a buffer the fleet recycles, and
+    /// the rows go into a table it recycles too: once the fleet is warm,
+    /// nothing is allocated. Only the circuits the view establishes are vetted
     /// against degraded ports — untouched circuits are never re-checked
     /// (the wedge-avoidance contract of
     /// [`PalomarOcs::validate_delta`](lightwave_ocs::PalomarOcs::validate_delta)).

@@ -1,7 +1,7 @@
 //! The OCS fleet: a set of Palomar switches under one simulation clock.
 
 use crate::controller::{CommitError, SwitchOps, SwitchReports, Table};
-use lightwave_ocs::{OcsHealth, PalomarOcs};
+use lightwave_ocs::{OcsHealth, PalomarOcs, PortId, SharedDelta};
 use lightwave_units::Nanos;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -55,6 +55,14 @@ pub struct OcsFleet {
     /// when every table is held, so there are only ever as many as were
     /// once held at the same time.
     tables: Vec<Arc<Table>>,
+    /// The delta each run of the transaction in hand shares, first run
+    /// first: copied in by the first pass, read by the second. Recycled,
+    /// so there are only ever as many as the most runs one transaction
+    /// had.
+    runs: Vec<SharedDelta>,
+    /// `(slot, run)` of each switch of the transaction in hand, in view
+    /// order, recorded by the first pass for the second.
+    members: Vec<(usize, usize)>,
 }
 
 /// One switch of a fleet.
@@ -79,6 +87,8 @@ impl OcsFleet {
             due: Nanos(0),
             moving: Vec::with_capacity(n),
             tables: Vec::new(),
+            runs: Vec::new(),
+            members: Vec::new(),
         }
     }
 
@@ -165,35 +175,61 @@ impl OcsFleet {
     /// each switch's summary, ascending by id, in a recycled table; on
     /// error nothing has been applied.
     ///
+    /// Consecutive switches whose lists are the same slices, or equal
+    /// ones, form a run: the run's lists are copied once into a
+    /// [`SharedDelta`], checked in full by its first switch and by any
+    /// switch that cannot show it holds the same circuits as the last one
+    /// checked, and applied by each without being checked again
+    /// ([`PalomarOcs::vet_shared`]). The first pass walks the view once
+    /// and records each switch's run; the second walks that record.
+    ///
     /// # Panics
     /// Panics if the view's ids are not strictly ascending.
     pub(crate) fn transact<'a>(
         &mut self,
-        view: impl Iterator<Item = SwitchOps<'a>> + Clone,
+        view: impl Iterator<Item = SwitchOps<'a>>,
     ) -> Result<SwitchReports, CommitError> {
+        self.members.clear();
+        // Room for the whole fleet at the first transaction: one block.
+        self.members.reserve(self.switches.len());
         let mut last = None;
-        for (id, add, remove) in view.clone() {
+        // The lists the current run was last handed, and the runs so far.
+        let mut shared: (&[(PortId, PortId)], &[PortId]) = (&[], &[]);
+        let mut runs = 0;
+        for (id, add, remove) in view {
             assert!(last < Some(id), "switch {id} out of order in the view");
             last = Some(id);
             let slot = self.slot(id).ok_or(CommitError::UnknownSwitch(id))?;
+            let same = runs > 0
+                && ((std::ptr::eq(add, shared.0) && std::ptr::eq(remove, shared.1))
+                    || self.runs[runs - 1].holds(add, remove));
+            if !same {
+                if runs == self.runs.len() {
+                    self.runs.push(SharedDelta::default());
+                }
+                self.runs[runs].refill(add, remove);
+                runs += 1;
+            }
+            shared = (add, remove);
             let ocs = &mut self.switches[slot].ocs;
             ocs.advance_to(self.now);
-            ocs.validate_delta(add, remove)
+            ocs.vet_shared(&mut self.runs[runs - 1])
                 .map_err(|error| CommitError::Invalid { ocs: id, error })?;
+            self.members.push((slot, runs - 1));
         }
         let mut table = self.take_table();
         // `take_table` returns a table no report holds.
         #[allow(clippy::expect_used)]
         let rows = Arc::get_mut(&mut table).expect("a taken table is unheld");
-        for (id, add, remove) in view {
-            // The first pass refused every id without a slot.
-            #[allow(clippy::expect_used)]
-            let slot = self.slot(id).expect("validated");
+        for &(slot, run) in &self.members {
             let member = &mut self.switches[slot];
             let done = member
                 .ocs
-                .apply_delta_summary(add, remove)
-                .map_err(|error| CommitError::Invalid { ocs: id, error })?;
+                .apply_shared(&mut self.runs[run])
+                .map_err(|error| CommitError::Invalid {
+                    ocs: slot as OcsId,
+                    error,
+                })?;
             if member.ocs.pending_circuits() > 0 {
                 if !member.listed {
                     member.listed = true;
@@ -201,7 +237,7 @@ impl OcsFleet {
                 }
                 self.due = self.due.min(member.ocs.next_due());
             }
-            rows.push(id, done);
+            rows.push(slot as OcsId, done);
         }
         Ok(self.keep(table))
     }

@@ -143,6 +143,11 @@ impl AlignmentLoop {
             self.gain > 0.0 && self.gain < 1.0,
             "loop gain must be in (0,1)"
         );
+        // A precondition on the loop's parameters, like the two asserts
+        // above: `noise_floor` is a finite, non-negative sigma
+        // (`AlignmentLoop::default`'s, the one every switch prepares, is
+        // 2e-3).
+        #[allow(clippy::expect_used)]
         Normal::new(0.0, self.noise_floor).expect("valid sigma")
     }
 

@@ -105,6 +105,9 @@ impl Chassis {
     /// # Panics
     /// Panics if `ports` does not fit a [`PortId`].
     pub fn with_ports(ports: usize) -> Chassis {
+        // A documented precondition (`# Panics`); the chassis of a switch
+        // is built after its crossbar, which refuses such a radix first.
+        #[allow(clippy::expect_used)]
         let ports = PortId::try_from(ports).expect("port count fits a PortId");
         let mut slots = Vec::new();
         for _ in 0..2 {
@@ -170,6 +173,12 @@ impl Chassis {
         self.degraded_groups != 0
             && p < self.ports
             && (self.degraded_groups >> (p / self.group_size())) & 1 == 1
+    }
+
+    /// Whether a failed HV driver degrades any port: while it does not,
+    /// no [`Chassis::port_degraded`] is true.
+    pub fn any_port_degraded(&self) -> bool {
+        self.degraded_groups != 0
     }
 
     /// Ports currently degraded by failed HV drivers.

@@ -83,12 +83,13 @@ impl PortMapping {
             }
             map.insert(n, s);
         }
-        if map.len() != used_south.len() {
-            // A north inserted twice overwrote an entry, leaving a stale
-            // south in `used_south`; treat as non-bijective.
-            return Err(CrossbarError::NotBijective {
-                south: *used_south.iter().next().expect("non-empty"),
-            });
+        // A north inserted twice overwrote an entry, leaving a stale
+        // south in `used_south`; treat as non-bijective.
+        match used_south.first() {
+            Some(&south) if map.len() != used_south.len() => {
+                return Err(CrossbarError::NotBijective { south })
+            }
+            _ => {}
         }
         Ok(PortMapping { map })
     }

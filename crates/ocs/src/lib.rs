@@ -36,6 +36,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod camera;
 pub mod chassis;
@@ -49,7 +55,9 @@ pub mod telemetry;
 mod palomar;
 
 pub use crossbar::{ConnectionState, Crossbar, CrossbarError, PortId, PortMapping};
-pub use palomar::{DriftChange, OcsError, OcsHealth, PalomarOcs, ReconfigReport, ReconfigSummary};
+pub use palomar::{
+    DriftChange, OcsError, OcsHealth, PalomarOcs, ReconfigReport, ReconfigSummary, SharedDelta,
+};
 
 /// Total duplex ports per Palomar OCS (including the 8 spares used for
 /// link testing and repairs — Appendix A).

@@ -120,8 +120,7 @@ impl MemsDie {
         qualified.sort_by(|&a, &b| {
             mirrors[a]
                 .intrinsic_loss_db
-                .partial_cmp(&mirrors[b].intrinsic_loss_db)
-                .expect("losses are finite")
+                .total_cmp(&mirrors[b].intrinsic_loss_db)
         });
         let port_to_mirror: Vec<usize> = qualified[..service].to_vec();
         for &m in &port_to_mirror {
@@ -183,8 +182,7 @@ impl MemsDie {
             .min_by(|&a, &b| {
                 self.mirrors[a]
                     .intrinsic_loss_db
-                    .partial_cmp(&self.mirrors[b].intrinsic_loss_db)
-                    .expect("losses are finite")
+                    .total_cmp(&self.mirrors[b].intrinsic_loss_db)
             });
         match best_spare {
             Some(s) => {

@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Errors from OCS operations.
@@ -129,17 +130,108 @@ pub struct DriftChange {
     pub drift_db: f64,
 }
 
-/// The delta [`PalomarOcs::validate_delta`] last accepted, and the
-/// mutation epoch it was accepted at. While the switch has not changed
-/// since, [`PalomarOcs::apply_delta`] of exactly that delta skips its own
-/// validation: a transaction validates every switch, then applies to
-/// every switch, and each switch checks its part once.
-#[derive(Debug, Default)]
-struct ValidatedDelta {
-    epoch: Option<u64>,
+/// The lineage of a switch no other switch is known to share circuits
+/// with: it matches nothing, itself included.
+const UNKNOWN: u64 = u64::MAX;
+
+/// Fresh values a [`SharedDelta`] hands out before it takes another
+/// block from [`BLOCKS`].
+const BLOCK: u64 = 1 << 32;
+
+/// The next block of fresh values, process-wide. Block 0 is never handed
+/// out: its values are the lineages of empty crossbars (their radix), so
+/// a fresh value is never a radix, nor [`UNKNOWN`], and no two buffers
+/// ever hand out the same one — which is what lets a switch trust a stamp
+/// or a lineage whoever made it.
+static BLOCKS: AtomicU64 = AtomicU64::new(1);
+
+/// A delta that a run of switches checks and applies in turn: the fabric
+/// copies the lists a run of consecutive switches shares into one of
+/// these and hands it to each switch of the run.
+///
+/// The first switch of a run checks the delta in full
+/// ([`PalomarOcs::vet_shared`]); a later one takes the verdict of the
+/// last switch that checked it when it provably holds the same circuits
+/// (the same *lineage*), its chassis is up and none of its ports is
+/// degraded or dead, and checks in full otherwise. Either way the switch
+/// keeps a stamp — the delta's serial and its own epoch — and
+/// [`PalomarOcs::apply_shared`] of a delta whose stamp still holds checks
+/// nothing again. The lists change only through [`SharedDelta::refill`],
+/// which gives them a fresh serial (and, on a switch's own copy, when
+/// [`PalomarOcs::apply_delta`]'s report takes them, which leaves none and
+/// no serial), so a stamp never vouches for lists other than the ones it
+/// was made for.
+#[derive(Debug)]
+pub struct SharedDelta {
+    /// The next fresh value of this buffer's block, and the block's end.
+    next: u64,
+    end: u64,
+    /// Names the lists as they are now.
+    serial: u64,
     add: Vec<(PortId, PortId)>,
     remove: Vec<PortId>,
+    /// Lineage of the last switch that checked these lists in full and
+    /// accepted them; [`UNKNOWN`] until one has.
+    vetted: u64,
+    /// The lineage the last switch to apply these lists had before, and
+    /// the fresh one every switch applying them from it is given.
+    from: u64,
+    to: u64,
 }
+
+impl Default for SharedDelta {
+    fn default() -> Self {
+        SharedDelta {
+            next: 0,
+            end: 0,
+            serial: UNKNOWN,
+            add: Vec::new(),
+            remove: Vec::new(),
+            vetted: UNKNOWN,
+            from: UNKNOWN,
+            to: UNKNOWN,
+        }
+    }
+}
+
+impl SharedDelta {
+    /// A fresh value no buffer has handed out before.
+    fn fresh(&mut self) -> u64 {
+        if self.next == self.end {
+            self.next = BLOCKS.fetch_add(1, Ordering::Relaxed).wrapping_mul(BLOCK);
+            self.end = self.next.saturating_add(BLOCK - 1);
+        }
+        self.next += 1;
+        self.next - 1
+    }
+
+    /// Copies in the lists of a new run, under a fresh serial.
+    pub fn refill(&mut self, add: &[(PortId, PortId)], remove: &[PortId]) {
+        self.serial = self.fresh();
+        self.add.clear();
+        self.add.extend_from_slice(add);
+        self.remove.clear();
+        self.remove.extend_from_slice(remove);
+        (self.vetted, self.from, self.to) = (UNKNOWN, UNKNOWN, UNKNOWN);
+    }
+
+    /// Whether the lists are `add` and `remove`. An element loop: the
+    /// slices' own `==` on lists this short ran several times slower.
+    #[inline]
+    pub fn holds(&self, add: &[(PortId, PortId)], remove: &[PortId]) -> bool {
+        self.add.len() == add.len()
+            && self.remove.len() == remove.len()
+            && self.add.iter().zip(add).all(|(a, b)| a == b)
+            && self.remove.iter().zip(remove).all(|(a, b)| a == b)
+    }
+}
+
+/// A delta's two lists, owned.
+type OwnedLists = (Vec<(PortId, PortId)>, Vec<PortId>);
+
+/// The stamp of a switch that has accepted no delta: no epoch reaches
+/// [`UNKNOWN`], so it matches no delta.
+const NO_STAMP: (u64, u64) = (UNKNOWN, UNKNOWN);
 
 /// Per-port flags of one delta validation: which of the delta's three
 /// lists name the port, so membership and duplicates are one test each.
@@ -191,7 +283,18 @@ pub struct PalomarOcs {
     /// Bumped by every change to circuits, chassis or port health:
     /// anything a delta's validity depends on.
     epoch: u64,
-    validated: ValidatedDelta,
+    /// Names the circuits the switch holds: its radix while it holds
+    /// none, the value every switch that applied one [`SharedDelta`] from
+    /// one lineage was given, and [`UNKNOWN`] after any other change.
+    lineage: u64,
+    /// `(serial, epoch)` of the last delta accepted: while both still
+    /// hold, that delta is applied without being checked again.
+    stamp: (u64, u64),
+    /// The copy of the delta [`PalomarOcs::validate_delta`] last
+    /// accepted, made by the first call (a switch the fabric drives never
+    /// makes one): a caller's lists are matched against it before the
+    /// stamp is trusted.
+    own: Option<Box<SharedDelta>>,
     /// Ports unusable due to exhausted spares.
     dead_ports: BTreeSet<PortId>,
     /// Append-only record of per-port drift changes (see [`DriftChange`]).
@@ -230,7 +333,9 @@ impl PalomarOcs {
             pending: Vec::new(),
             next_due: Nanos(u64::MAX),
             epoch: 0,
-            validated: ValidatedDelta::default(),
+            lineage: ports as u64,
+            stamp: NO_STAMP,
+            own: None,
             dead_ports: BTreeSet::new(),
             drift_log: Vec::new(),
             marks: vec![0; ports],
@@ -278,6 +383,8 @@ impl PalomarOcs {
             return Err(CrossbarError::PortOutOfRange(port).into());
         }
         self.optical_core();
+        // `optical_core` just filled the cell.
+        #[allow(clippy::expect_used)]
         let core = self.core.get_mut().expect("just built");
         Ok(if north_die {
             &mut core.die_north
@@ -316,7 +423,9 @@ impl PalomarOcs {
         }
         self.check_usable(n)?;
         self.check_usable(s)?;
-        Ok(self.establish(n, s)?)
+        let ready = self.establish(n, s)?;
+        self.relineage(UNKNOWN);
+        Ok(ready)
     }
 
     /// Connects `n` → `s` on the crossbar and starts its alignment.
@@ -372,14 +481,32 @@ impl PalomarOcs {
     /// still have been waiting for is replaced, not added to.
     fn realign(&mut self, n: PortId, s: PortId) {
         self.pending.retain(|&(p, _)| p != n);
+        // Every caller read `n` → `s` off the crossbar just before.
+        #[allow(clippy::expect_used)]
         self.crossbar.disconnect(n).expect("circuit exists");
+        // The disconnect above freed both ports.
+        #[allow(clippy::expect_used)]
         self.crossbar.connect(n, s).expect("ports were just freed");
-        self.epoch += 1;
+        self.changed();
         self.run_alignment(n);
+    }
+
+    /// Bumps the epoch after a change other than a shared apply: no
+    /// other switch is known to hold the same circuits any more.
+    fn changed(&mut self) {
+        self.epoch += 1;
+        self.relineage(UNKNOWN);
     }
 
     /// Tears down the circuit on North port `n`.
     pub fn disconnect(&mut self, n: PortId) -> Result<(), OcsError> {
+        self.drop_circuit(n)?;
+        self.relineage(UNKNOWN);
+        Ok(())
+    }
+
+    /// [`PalomarOcs::disconnect`], the lineage left to the caller.
+    fn drop_circuit(&mut self, n: PortId) -> Result<(), OcsError> {
         let (_, state) = self.crossbar.take(n)?;
         if state == ConnectionState::Connecting {
             self.pending.retain(|&(p, _)| p != n);
@@ -413,30 +540,69 @@ impl PalomarOcs {
     /// switch), and only the circuits the delta establishes need healthy
     /// drive on both ports.
     ///
-    /// Takes `&mut self` only for scratch space and to remember the delta
-    /// it accepted (so that applying it next need not validate again); no
-    /// observable state changes.
+    /// Takes `&mut self` only for scratch space and to remember a copy of
+    /// the delta it accepted (so that applying it next need not validate
+    /// again); no observable state changes.
     pub fn validate_delta(
         &mut self,
         add: &[(PortId, PortId)],
         remove: &[PortId],
     ) -> Result<(), OcsError> {
-        self.validated.epoch = None;
-        self.check_delta(add, remove)?;
-        self.validated.add.clear();
-        self.validated.add.extend_from_slice(add);
-        self.validated.remove.clear();
-        self.validated.remove.extend_from_slice(remove);
-        self.validated.epoch = Some(self.epoch);
+        let mut own = self.own.take().unwrap_or_default();
+        own.refill(add, remove);
+        let verdict = self.vet_shared(&mut own);
+        self.own = Some(own);
+        verdict
+    }
+
+    /// Whether nothing but the circuits it holds can make this switch
+    /// refuse a delta another switch accepted: its chassis is up and no
+    /// port of it is degraded or dead.
+    #[inline]
+    fn whole(&self) -> bool {
+        self.chassis.is_operational()
+            && !self.chassis.any_port_degraded()
+            && self.dead_ports.is_empty()
+    }
+
+    /// [`PalomarOcs::validate_delta`] for one switch of a run sharing
+    /// `delta` (see [`SharedDelta`]): a switch holding the same circuits
+    /// as the last one that checked the delta in full and accepted it,
+    /// up and with every port usable, takes that verdict; any other
+    /// checks in full, so the refusal is the one
+    /// [`PalomarOcs::validate_delta`] gives. Either way an accepted
+    /// delta is stamped for [`PalomarOcs::apply_shared`].
+    #[inline]
+    pub fn vet_shared(&mut self, delta: &mut SharedDelta) -> Result<(), OcsError> {
+        self.stamp = NO_STAMP;
+        if self.lineage == UNKNOWN || self.lineage != delta.vetted || !self.whole() {
+            self.check_delta(&delta.add, &delta.remove)?;
+            delta.vetted = self.lineage;
+        }
+        self.stamp = (delta.serial, self.epoch);
         Ok(())
     }
 
+    /// Checks a delta against this switch. Sets flags in `marks` for the
+    /// ports it lists and clears them again on every exit, refusals
+    /// included, so `marks` is all zero between calls and no call pays
+    /// for the whole radix.
     fn check_delta(&mut self, add: &[(PortId, PortId)], remove: &[PortId]) -> Result<(), OcsError> {
+        let verdict = self.mark_delta(add, remove);
+        let marks = &mut self.marks;
+        for &p in remove.iter().chain(add.iter().flat_map(|(n, s)| [n, s])) {
+            if let Some(m) = marks.get_mut(p as usize) {
+                *m = 0;
+            }
+        }
+        verdict
+    }
+
+    fn mark_delta(&mut self, add: &[(PortId, PortId)], remove: &[PortId]) -> Result<(), OcsError> {
         if !self.chassis.is_operational() {
             return Err(OcsError::ChassisDown);
         }
         let ports = self.crossbar.ports();
-        self.marks.fill(0);
         // Intra-delta duplicates are structural errors too, but reported
         // only once every port has passed the checks above them.
         let (mut twice_removed, mut twice_north, mut twice_south) = (None, None, None);
@@ -485,17 +651,20 @@ impl PalomarOcs {
     /// it is the one [`PalomarOcs::validate_delta`] just accepted and the
     /// switch has not changed since. On error nothing has been applied.
     ///
-    /// The lists the report carries are copies of `add` and `remove`; a
-    /// caller that keeps its own takes [`PalomarOcs::apply_delta_summary`].
+    /// The lists the report carries are copies of `add` and `remove` —
+    /// the copy [`PalomarOcs::validate_delta`] made, when it holds them,
+    /// rather than a second one; a caller that keeps its own takes
+    /// [`PalomarOcs::apply_delta_summary`].
     pub fn apply_delta(
         &mut self,
         add: &[(PortId, PortId)],
         remove: &[PortId],
     ) -> Result<ReconfigReport, OcsError> {
-        let done = self.apply_delta_summary(add, remove)?;
+        let (done, copy) = self.apply_alone(add, remove, true)?;
+        let (added, removed) = copy.unwrap_or_else(|| (add.to_vec(), remove.to_vec()));
         Ok(ReconfigReport {
-            removed: remove.to_vec(),
-            added: add.to_vec(),
+            removed,
+            added,
             untouched: done.untouched,
             ready_at: done.ready_at,
         })
@@ -508,26 +677,111 @@ impl PalomarOcs {
         add: &[(PortId, PortId)],
         remove: &[PortId],
     ) -> Result<ReconfigSummary, OcsError> {
-        let vetted = &self.validated;
-        if vetted.epoch != Some(self.epoch) || vetted.add != add || vetted.remove != remove {
-            self.check_delta(add, remove)?;
+        self.apply_alone(add, remove, false).map(|(done, _)| done)
+    }
+
+    /// Applies a delta outside any run: through the copy
+    /// [`PalomarOcs::validate_delta`] made when it holds `add` and
+    /// `remove` — handing its lists out when `take` asks for them — and
+    /// checked in full otherwise.
+    fn apply_alone(
+        &mut self,
+        add: &[(PortId, PortId)],
+        remove: &[PortId],
+        take: bool,
+    ) -> Result<(ReconfigSummary, Option<OwnedLists>), OcsError> {
+        let mut own = self.own.take();
+        let applied = match own.as_deref_mut() {
+            Some(copy) if copy.holds(add, remove) => self.apply_stamped(copy).map(|done| {
+                let lists = take.then(|| {
+                    // Emptied, it names no lists a stamp was made for.
+                    copy.serial = UNKNOWN;
+                    (
+                        std::mem::take(&mut copy.add),
+                        std::mem::take(&mut copy.remove),
+                    )
+                });
+                (done, lists)
+            }),
+            _ => self
+                .check_delta(add, remove)
+                .map(|()| (self.apply_checked(add, remove), None)),
+        };
+        self.own = own;
+        if applied.is_ok() {
+            self.relineage(UNKNOWN);
         }
+        applied
+    }
+
+    /// Applies a delta [`PalomarOcs::vet_shared`] accepted, without
+    /// checking it again while the stamp it left holds (and checking it
+    /// first otherwise). The switch is given the lineage every switch
+    /// that applies `delta` from the circuits this one held is given, so
+    /// a later run can share one verdict across them.
+    #[inline]
+    pub fn apply_shared(&mut self, delta: &mut SharedDelta) -> Result<ReconfigSummary, OcsError> {
+        let done = self.apply_stamped(delta)?;
+        let lineage = match self.lineage {
+            UNKNOWN => UNKNOWN,
+            from => {
+                if from != delta.from {
+                    (delta.from, delta.to) = (from, delta.fresh());
+                }
+                delta.to
+            }
+        };
+        self.relineage(lineage);
+        Ok(done)
+    }
+
+    /// Applies `delta`, checking it first unless it carries this switch's
+    /// current stamp. The lineage is the caller's to set.
+    #[inline]
+    fn apply_stamped(&mut self, delta: &SharedDelta) -> Result<ReconfigSummary, OcsError> {
+        if self.stamp != (delta.serial, self.epoch) {
+            self.check_delta(&delta.add, &delta.remove)?;
+        }
+        Ok(self.apply_checked(&delta.add, &delta.remove))
+    }
+
+    /// Applies a delta that passed [`PalomarOcs::check_delta`] on the
+    /// switch as it is now.
+    fn apply_checked(&mut self, add: &[(PortId, PortId)], remove: &[PortId]) -> ReconfigSummary {
         let untouched = self.crossbar.circuit_count() - remove.len();
         for &n in remove {
-            self.disconnect(n).expect("delta validated");
+            // The check this delta passed on this epoch found every
+            // removed circuit live, and listed none twice.
+            #[allow(clippy::expect_used)]
+            self.drop_circuit(n).expect("delta validated");
         }
         let mut ready_at = self.now;
         for &(n, s) in add {
-            ready_at = ready_at.max(self.establish(n, s).expect("delta validated"));
+            // The same check found both ports of every added circuit in
+            // range and free once the removes are done, and none twice.
+            #[allow(clippy::expect_used)]
+            let ready = self.establish(n, s).expect("delta validated");
+            ready_at = ready_at.max(ready);
         }
         self.telemetry.counters.reconfigs += 1;
         self.telemetry.counters.circuits_preserved += untouched as u64;
-        Ok(ReconfigSummary {
+        ReconfigSummary {
             added: add.len(),
             removed: remove.len(),
             untouched,
             ready_at,
-        })
+        }
+    }
+
+    /// Sets the lineage after a change: the radix when no circuit is
+    /// left, `lineage` otherwise.
+    #[inline]
+    fn relineage(&mut self, lineage: u64) {
+        self.lineage = if self.crossbar.circuit_count() == 0 {
+            self.ports() as u64
+        } else {
+            lineage
+        };
     }
 
     /// Advances simulation time, completing any alignments that finish.
@@ -553,6 +807,9 @@ impl PalomarOcs {
         self.next_due = Nanos(u64::MAX);
         self.pending.retain(|&(n, ready)| {
             if ready <= now {
+                // Whatever tears a circuit down or re-aligns it drops
+                // its pending entry first.
+                #[allow(clippy::expect_used)]
                 crossbar.mark_connected(n).expect("pending circuit exists");
             } else {
                 self.next_due = self.next_due.min(ready);
@@ -594,7 +851,7 @@ impl PalomarOcs {
             self.log_drift(north_die, port);
         } else {
             self.dead_ports.insert(port);
-            self.epoch += 1;
+            self.changed();
         }
         self.raise(
             if spare_used {
@@ -695,7 +952,7 @@ impl PalomarOcs {
     /// refused, and nothing changes.
     pub fn fail_fru(&mut self, slot: usize) -> Result<(), OcsError> {
         self.chassis.fail_slot(slot)?;
-        self.epoch += 1;
+        self.changed();
         self.raise(
             Severity::Warning,
             AlarmCause::FruFailed { slot: slot as u32 },
@@ -711,7 +968,7 @@ impl PalomarOcs {
     /// have is refused, and nothing changes.
     pub fn replace_fru(&mut self, slot: usize) -> Result<(), OcsError> {
         let effect = self.chassis.replace_slot(slot)?;
-        self.epoch += 1;
+        self.changed();
         for port in effect.disturbed_ports {
             if let Some((s, _)) = self.crossbar.circuit(port) {
                 self.realign(port, s);
@@ -992,6 +1249,71 @@ mod tests {
             ocs.apply_delta(&[(3, 50)], &[]).unwrap_err(),
             OcsError::PortDegraded(3)
         );
+    }
+
+    #[test]
+    fn a_refused_delta_leaves_no_flag_behind() {
+        // Each refusal comes after flags were set: a south named twice, a
+        // north removed twice, a degraded port after a removal and an
+        // addition. The valid delta after it names the same ports.
+        type Refusal<'a> = (&'a [(PortId, PortId)], &'a [PortId], OcsError);
+        let refusals: [Refusal; 3] = [
+            (
+                &[(50, 51), (52, 51)],
+                &[],
+                CrossbarError::NotBijective { south: 51 }.into(),
+            ),
+            (
+                &[(50, 51)],
+                &[40, 40],
+                CrossbarError::NotConnected(40).into(),
+            ),
+            (&[(50, 51), (3, 52)], &[40], OcsError::PortDegraded(3)),
+        ];
+        for (add, remove, refusal) in refusals {
+            let mut ocs = PalomarOcs::new(0, 27);
+            ocs.connect(40, 41).unwrap();
+            ocs.fail_fru(6).unwrap(); // ports 0..34
+            assert_eq!(ocs.validate_delta(add, remove), Err(refusal));
+            assert_eq!(ocs.apply_delta_summary(add, remove), Err(refusal));
+            assert!(ocs.marks.iter().all(|&m| m == 0), "{refusal:?}");
+            ocs.apply_delta(&[(50, 51), (52, 40)], &[40]).unwrap();
+            assert_eq!(
+                ocs.mapping().pairs().collect::<Vec<_>>(),
+                [(50, 51), (52, 40)]
+            );
+        }
+    }
+
+    #[test]
+    fn a_lineage_names_the_circuits_a_switch_holds() {
+        let fresh = || PalomarOcs::with_ports(0, 28, 136);
+        let (mut a, mut b, mut c) = (fresh(), fresh(), PalomarOcs::with_ports(1, 29, 300));
+        assert_eq!((a.lineage, b.lineage, c.lineage), (136, 136, 300));
+        // One shared apply from one lineage: one fresh value, never a
+        // radix; a third switch from another lineage gets another.
+        let mut delta = SharedDelta::default();
+        delta.refill(&[(1, 2), (3, 4)], &[]);
+        for ocs in [&mut a, &mut b, &mut c] {
+            ocs.vet_shared(&mut delta).unwrap();
+            ocs.apply_shared(&mut delta).unwrap();
+        }
+        assert_eq!(a.lineage, b.lineage);
+        assert!(a.lineage > u64::from(u16::MAX) && a.lineage != UNKNOWN);
+        assert_ne!(c.lineage, a.lineage);
+        // Any other change is unknown, until the crossbar is empty again.
+        b.connect(5, 6).unwrap();
+        assert_eq!(b.lineage, UNKNOWN);
+        for n in [1, 3, 5] {
+            b.disconnect(n).unwrap();
+        }
+        assert_eq!(b.lineage, 136);
+        a.fail_fru(0).unwrap();
+        assert_eq!(a.lineage, UNKNOWN, "a fault is a change");
+        // A refill is a new run: nothing vetted, a new serial.
+        let serial = delta.serial;
+        delta.refill(&[(1, 2), (3, 4)], &[]);
+        assert!(delta.serial != serial && delta.vetted == UNKNOWN);
     }
 
     #[test]

@@ -813,17 +813,21 @@ fn probe_fleet(fabric: &mut FabricController) -> Vec<Vec<(u32, u64)>> {
 /// A commit over all five switches whose fourth (`bad`) is invalid must
 /// fail with `expect` and leave the fleet indistinguishable from a twin
 /// that never saw it: same state, same next commit, same RNG streams.
+/// With `shared`, all five carry the `bad` lists, so the view is one run
+/// and the fourth is a follower that must not take the first three's
+/// verdict.
 fn assert_rejected_without_a_trace(
     fault: impl Fn(&mut PalomarOcs),
     bad: (&[(PortId, PortId)], &[PortId]),
     expect: OcsError,
+    shared: bool,
 ) {
     let mut fabric = atomicity_fleet(&fault);
     let mut twin = atomicity_fleet(&fault);
     let mut delta = FabricDelta::new();
     for id in 0..ATOMIC_SWITCHES {
         let d = delta.entry(id);
-        if id == 3 {
+        if id == 3 || shared {
             d.add.extend_from_slice(bad.0);
             d.remove.extend_from_slice(bad.1);
         } else {
@@ -870,6 +874,7 @@ fn a_late_degraded_port_rejects_the_commit_without_a_trace() {
         |ocs| ocs.fail_fru(6).expect("an HV driver"),
         (&[(50, 51), (12, 60)], &[42]),
         OcsError::PortDegraded(12),
+        false,
     );
 }
 
@@ -882,6 +887,7 @@ fn a_late_down_chassis_rejects_the_commit_without_a_trace() {
         },
         (&[(50, 51)], &[42]),
         OcsError::ChassisDown,
+        false,
     );
 }
 
@@ -891,11 +897,45 @@ fn a_late_intra_delta_duplicate_rejects_the_commit_without_a_trace() {
         |_| {},
         (&[(50, 51), (52, 51)], &[42]),
         CrossbarError::NotBijective { south: 51 }.into(),
+        false,
     );
     assert_rejected_without_a_trace(
         |_| {},
         (&[(50, 51)], &[42, 70, 42]),
         CrossbarError::NotConnected(42).into(),
+        false,
+    );
+}
+
+#[test]
+fn a_follower_that_cannot_share_the_verdict_is_refused_without_a_trace() {
+    // All five switches carry one delta, valid on the first three, so the
+    // fourth follows a verdict it must not take: a failed HV driver (slot
+    // 6 drives ports 0..34), a down chassis, or a circuit only it holds —
+    // the same circuits as the others apart from that one.
+    let bad: (&[(PortId, PortId)], &[PortId]) = (&[(50, 51), (12, 60)], &[42]);
+    assert_rejected_without_a_trace(
+        |ocs| ocs.fail_fru(6).expect("an HV driver"),
+        bad,
+        OcsError::PortDegraded(12),
+        true,
+    );
+    assert_rejected_without_a_trace(
+        |ocs| {
+            ocs.fail_fru(0).expect("a PSU");
+            ocs.fail_fru(1).expect("a PSU");
+        },
+        bad,
+        OcsError::ChassisDown,
+        true,
+    );
+    assert_rejected_without_a_trace(
+        |ocs| {
+            ocs.connect(50, 99).expect("free");
+        },
+        bad,
+        CrossbarError::NorthBusy(50).into(),
+        true,
     );
 }
 

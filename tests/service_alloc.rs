@@ -94,11 +94,14 @@ const MULTI_CUBE_ALLOCS: [([usize; 3], u64); 3] = [([8, 4, 4], 0), ([8, 8, 4], 0
 
 /// Blocks the first such pair allocates on a fresh pod and core, by
 /// shape: the touched switches' own lists at their first circuits, and
-/// the pod's, the core's and the caller's tables at their first use —
-/// 58 / 108 / 209 while each report owned a row `Vec` — plus 5 for the
-/// fleet's two transaction tables (three blocks each: the `Arc`, its ids,
-/// its runs) and the list that pools them, less those two `Vec`s.
-const MULTI_CUBE_COLD_ALLOCS: [u64; 3] = [63, 113, 214];
+/// the pod's, the core's and the caller's tables at their first use,
+/// with the fleet's two transaction tables (three blocks each: the
+/// `Arc`, its ids, its runs), the list that pools them, and the fleet's
+/// run buffers and member list. 63 / 113 / 214 while every touched
+/// switch copied its delta into two `Vec`s of its own; a run of switches
+/// now shares one copy (DESIGN §6.6, "A run of switches checks its
+/// shared delta once").
+const MULTI_CUBE_COLD_ALLOCS: [u64; 3] = [35, 54, 124];
 
 /// Production-mix requests a cell serves before its allocations are
 /// counted: two fifths of a `prod_steady` rep. What a warm cell still
