@@ -75,8 +75,8 @@ pub const DEFAULT_SHARD_SYMBOLS: u64 = 1 << 16;
 /// generated (and gate-tested) a block at a time, and only the rare
 /// near-threshold survivors get the full Box–Muller + slicing treatment.
 /// The block size never affects results — the RNG stream and the error
-/// tally are position-independent — it only bounds the pending-buffer
-/// working set.
+/// tally are position-independent — it only bounds the exact loop's
+/// pending buffer and sets how often the gated walk prices its bound.
 pub const NOISE_BLOCK_SYMBOLS: u64 = 4096;
 
 /// Survivors a noise block's buffer starts with room for: about 3 % of
@@ -234,16 +234,21 @@ impl McChannel {
     }
 
     /// The MPI walk, gated. Draws exactly what the exact walk draws, but
-    /// advances the phase by [`NormalApprox::sample`] and carries `bound`
-    /// ≥ |φ̂ − φ| (the approximate phase against the exact one): per
-    /// symbol `sd·z_err`, plus both walks' rounding of the step and of the
-    /// phase sum. A survivor keeps the exact noise normal and `cos φ̂`; its
-    /// decision counts only when every threshold lies farther from the
-    /// current than the beat could move under the bound (β·(bound +
-    /// 2·[`COS_ERR`]), β the level's beat amplitude) plus the rounding of
-    /// the last add. Any other survivor — or a NaN — returns `None`, and
-    /// the caller replays the call exactly. Otherwise returns the error
-    /// count and the bound carried at the end.
+    /// advances the phase by [`NormalApprox`] and carries `bound` ≥ |φ̂ −
+    /// φ| (the approximate phase against the exact one): per symbol
+    /// `sd·z_err`, plus both walks' rounding of the step and of the phase
+    /// sum. A noise block adds its whole share to the bound up front and
+    /// then runs in chunks of [`NormalApprox::CHUNK`] symbols: draw every
+    /// symbol's words in stream order, turn the phase words into normals
+    /// in one [`NormalApprox::sample_slice`], then advance the phase and
+    /// gate each symbol. A survivor keeps the exact noise normal and `cos
+    /// φ̂`, and is judged at once against the block's bound: its decision
+    /// counts only when every threshold lies farther from the current than
+    /// the beat could move under the bound (β·(bound + 2·[`COS_ERR`]), β
+    /// the level's beat amplitude) plus the rounding of the last add. Any
+    /// other survivor — or a NaN — returns `None`, and the caller replays
+    /// the call exactly. Otherwise returns the error count and the bound
+    /// carried at the end.
     // `!(a > b)` on purpose, as in `run_blocks`: a NaN must fall through.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub(crate) fn walk_gated(
@@ -253,6 +258,7 @@ impl McChannel {
         mut phase: f64,
         z_err: f64,
     ) -> Option<(u64, f64)> {
+        const CHUNK: usize = NormalApprox::CHUNK;
         let approx = NormalApprox::get();
         let [t0, t1, t2] = self.thresholds;
         let (mean, sd) = (self.phase_step.mean(), self.phase_step.std_dev());
@@ -261,44 +267,55 @@ impl McChannel {
         let step = mean.abs() + sd * (self.envelope.max_bound() + z_err);
         let mut bound = 0.0f64;
         let mut errors = 0u64;
-        let mut pending: Vec<(usize, u64, u64, f64)> =
-            Vec::with_capacity(SURVIVOR_RESERVE.min(symbols) as usize);
+        let mut levels = [0usize; CHUNK];
+        let (mut n1, mut n2) = ([0u64; CHUNK], [0u64; CHUNK]);
+        let (mut p1, mut p2) = ([0u64; CHUNK], [0u64; CHUNK]);
+        let mut z_phase = [0.0f64; CHUNK];
         let mut remaining = symbols;
         while remaining > 0 {
             let block = remaining.min(NOISE_BLOCK_SYMBOLS);
             // Both walks stay within `reach` of zero over the block, so
             // each sum a symbol takes rounds by at most ε/2 of `reach` or
             // of `step`; the bound's own few-ulp rounding sits far inside
-            // the hundredfold slack `MAX_ERROR` carries. Survivors are
-            // checked against the bound at the block's end.
+            // the hundredfold slack `MAX_ERROR` carries. Each survivor is
+            // judged at once against the bound the block ends with.
             let reach = phase.abs() + bound + block as f64 * step;
             bound += block as f64 * (sd * z_err + 2.0 * f64::EPSILON * (step + reach));
-            pending.clear();
-            for _ in 0..block {
-                let level = rng.random_range(0usize..4);
-                let b1 = rng.next_u64();
-                let b2 = rng.next_u64();
-                phase += mean + sd * approx.sample(rng.next_u64(), rng.next_u64());
-                if !(self.envelope.bound(b1, b2) < self.qeff_mpi[level]) {
-                    pending.push((level, b1, b2, phase));
+            let mut left = block as usize;
+            while left > 0 {
+                let n = left.min(CHUNK);
+                for i in 0..n {
+                    levels[i] = rng.random_range(0usize..4);
+                    n1[i] = rng.next_u64();
+                    n2[i] = rng.next_u64();
+                    p1[i] = rng.next_u64();
+                    p2[i] = rng.next_u64();
                 }
-            }
-            for &(level, b1, b2, sym_phase) in &pending {
-                let z = standard_normal_from_bits(b1, b2);
-                let beat = self.beat_scale[level];
-                let current =
-                    self.currents[level] + (0.0 + self.sigma[level] * z) + beat * sym_phase.cos();
-                let margin = beat * (bound + 2.0 * COS_ERR) + current.abs() * (2.0 * f64::EPSILON);
-                if !((current - t0).abs() > margin
-                    && (current - t1).abs() > margin
-                    && (current - t2).abs() > margin)
-                {
-                    return None;
+                approx.sample_slice(&p1[..n], &p2[..n], &mut z_phase[..n]);
+                for i in 0..n {
+                    phase += mean + sd * z_phase[i];
+                    let (level, b1, b2) = (levels[i], n1[i], n2[i]);
+                    if self.envelope.bound(b1, b2) < self.qeff_mpi[level] {
+                        continue;
+                    }
+                    let z = standard_normal_from_bits(b1, b2);
+                    let beat = self.beat_scale[level];
+                    let current =
+                        self.currents[level] + (0.0 + self.sigma[level] * z) + beat * phase.cos();
+                    let margin =
+                        beat * (bound + 2.0 * COS_ERR) + current.abs() * (2.0 * f64::EPSILON);
+                    if !((current - t0).abs() > margin
+                        && (current - t1).abs() > margin
+                        && (current - t2).abs() > margin)
+                    {
+                        return None;
+                    }
+                    let decided = usize::from(current > t0)
+                        + usize::from(current > t1)
+                        + usize::from(current > t2);
+                    errors += BIT_ERRORS[level][decided];
                 }
-                let decided = usize::from(current > t0)
-                    + usize::from(current > t1)
-                    + usize::from(current > t2);
-                errors += BIT_ERRORS[level][decided];
+                left -= n;
             }
             remaining -= block;
         }

@@ -210,41 +210,86 @@ impl NormalApprox {
         })
     }
 
+    /// Pairs [`NormalApprox::sample_slice`] turns into normals per pass
+    /// over its staging arrays.
+    pub const CHUNK: usize = 64;
+
     /// Approximately `standard_normal_from_bits(b1, b2)`, within
     /// [`NormalApprox::MAX_ERROR`].
     #[inline]
     pub fn sample(&self, b1: u64, b2: u64) -> f64 {
-        (-2.0 * self.ln_u1(b1)).sqrt() * self.cos_turn(b2)
+        self.lookup(b1, b2).finish()
     }
 
-    /// `ln u1` for `u1 = 1 − unit(bits) = n·2⁻⁵³`, with `n ∈ [1, 2⁵³]`
-    /// exact as an `f64`: `n = 2ᵏ·z` with `z` in the table's range,
-    /// `z·(1/c) = 1 + r` with `|r| ≤ 2⁻⁷`, and `ln u1 = (k − 53)·ln 2 +
-    /// ln c + ln(1 + r)`, the polynomial in Estrin's form.
+    /// `out[i] = self.sample(b1[i], b2[i])`, bit for bit, in two loops
+    /// per [`NormalApprox::CHUNK`] pairs: the integer work and table
+    /// loads, then the float polynomials and `sqrt`, which vectorize.
+    ///
+    /// # Panics
+    /// Panics unless the three slices have one length.
+    pub fn sample_slice(&self, b1: &[u64], b2: &[u64], out: &mut [f64]) {
+        assert!(
+            b1.len() == out.len() && b2.len() == out.len(),
+            "slice lengths differ"
+        );
+        let mut staged = [[0.0; Staged::FIELDS]; Self::CHUNK];
+        for ((b1, b2), out) in b1
+            .chunks(Self::CHUNK)
+            .zip(b2.chunks(Self::CHUNK))
+            .zip(out.chunks_mut(Self::CHUNK))
+        {
+            for ((s, &w1), &w2) in staged.iter_mut().zip(b1).zip(b2) {
+                *s = self.lookup(w1, w2).0;
+            }
+            for (o, s) in out.iter_mut().zip(&staged) {
+                *o = Staged(*s).finish();
+            }
+        }
+    }
+
+    /// The table loads and integer-to-float conversions of one sample.
+    ///
+    /// `ln u1` for `u1 = 1 − unit(b1) = n·2⁻⁵³`, with `n ∈ [1, 2⁵³]`
+    /// exact as an `f64`: `n = 2ᵏ·z` with `z` in the table's range and
+    /// `c` the centre of `z`'s bin. `cos(TAU·u2)` for `u2 = unit(b2)`: the
+    /// turn table at the top 8 bits and the angle `θ < TAU/256` of the
+    /// remaining 45.
     #[inline]
-    fn ln_u1(&self, bits: u64) -> f64 {
-        let n = ((1u64 << 53) - (bits >> 11)) as f64;
+    fn lookup(&self, b1: u64, b2: u64) -> Staged {
+        let n = ((1u64 << 53) - (b1 >> 11)) as f64;
         let tmp = n.to_bits().wrapping_sub(LN_OFF);
         let (inv_c, ln_c) = self.ln[((tmp >> 46) % 64) as usize];
         let k = ((tmp as i64 >> 52) - 53) as f64;
         let z = f64::from_bits(n.to_bits().wrapping_sub(tmp & (0xfff << 52)));
+        let m = b2 >> 11;
+        let (c, s) = self.turn[(m >> 45) as usize];
+        let theta = (m & ((1 << 45) - 1)) as f64 * (TAU / (1u64 << 53) as f64);
+        Staged([z, inv_c, ln_c, k, c, s, theta])
+    }
+}
+
+/// One sample of [`NormalApprox`] between its two halves, `[z, 1/c, ln c,
+/// k − 53, cos and sin of the turn, θ]`, with all its float arithmetic
+/// still to do.
+struct Staged([f64; Staged::FIELDS]);
+
+impl Staged {
+    const FIELDS: usize = 7;
+
+    /// `√(−2·ln u1)·cos(TAU·u2)`: `z·(1/c) = 1 + r` with `|r| ≤ 2⁻⁷` and
+    /// `ln u1 = (k − 53)·ln 2 + ln c + ln(1 + r)`, the polynomial in
+    /// Estrin's form; the turn rotated by short sin/cos polynomials in θ.
+    #[inline]
+    fn finish(self) -> f64 {
+        let [z, inv_c, ln_c, k, c, s, theta] = self.0;
         let r = z * inv_c - 1.0;
         let r2 = r * r;
         let poly = r2 * ((-0.5 + r * (1.0 / 3.0)) + r2 * (-0.25 + r * 0.2));
-        k * std::f64::consts::LN_2 + ln_c + (r + poly)
-    }
-
-    /// `cos(TAU·u2)` for `u2 = unit(bits)`: the turn table at the top 8
-    /// bits, rotated by the angle of the remaining 45 (`θ < TAU/256`).
-    #[inline]
-    fn cos_turn(&self, bits: u64) -> f64 {
-        let m = bits >> 11;
-        let (c, s) = self.turn[(m >> 45) as usize];
-        let theta = (m & ((1 << 45) - 1)) as f64 * (TAU / (1u64 << 53) as f64);
+        let ln = k * std::f64::consts::LN_2 + ln_c + (r + poly);
         let t = theta * theta;
         let cos = 1.0 + t * (-0.5 + t * (1.0 / 24.0 + t * (-1.0 / 720.0)));
         let sin = theta * (1.0 + t * (-1.0 / 6.0 + t * (1.0 / 120.0)));
-        c * cos - s * sin
+        (-2.0 * ln).sqrt() * (c * cos - s * sin)
     }
 }
 
@@ -329,18 +374,13 @@ mod tests {
         assert!(env.max_bound().is_finite());
     }
 
-    #[test]
-    fn the_approximation_is_a_hundredth_of_its_bound_from_libm() {
-        let approx = NormalApprox::get();
-        let tol = NormalApprox::MAX_ERROR / 100.0;
-        let holds = |b1: u64, b2: u64| {
-            let err = (approx.sample(b1, b2) - standard_normal_from_bits(b1, b2)).abs();
-            assert!(err <= tol, "{b1:#x} {b2:#x}: off by {err:e}");
-        };
-        // u1 = 1 − unit(b1): b1 < 2¹¹ gives exactly 1, u64::MAX gives 2⁻⁵³.
+    /// The words at [`NormalApprox`]'s table edges: every `ln` bin edge at
+    /// every binade `u1` reaches on the 2⁻⁵³ grid, with the word on either
+    /// side of it, and both extremes of `u1` (`b1 < 2¹¹` gives exactly 1,
+    /// `u64::MAX` gives 2⁻⁵³); every turn-table bin at both ends, the
+    /// quarter turns among them.
+    fn edge_words() -> (Vec<u64>, Vec<u64>) {
         let mut b1s = vec![0, (1 << 11) - 1, 1 << 11, u64::MAX];
-        // Every ln bin edge at every binade u1 reaches on the 2⁻⁵³ grid,
-        // with the word on either side of it.
         for k in 0..=47u64 {
             for i in 0..64u64 {
                 let edge = f64::from_bits((LN_OFF + (i << 46)).wrapping_sub(k << 52));
@@ -353,10 +393,21 @@ mod tests {
                 }
             }
         }
-        // Every turn-table bin at both ends; the quarter turns among them.
-        let b2s: Vec<u64> = (0..256u64)
+        let b2s = (0..256u64)
             .flat_map(|j| [j << 56, j << 56 | ((1 << 56) - 1)])
             .collect();
+        (b1s, b2s)
+    }
+
+    #[test]
+    fn the_approximation_is_a_hundredth_of_its_bound_from_libm() {
+        let approx = NormalApprox::get();
+        let tol = NormalApprox::MAX_ERROR / 100.0;
+        let holds = |b1: u64, b2: u64| {
+            let err = (approx.sample(b1, b2) - standard_normal_from_bits(b1, b2)).abs();
+            assert!(err <= tol, "{b1:#x} {b2:#x}: off by {err:e}");
+        };
+        let (b1s, b2s) = edge_words();
         for &b1 in &b1s {
             for &b2 in &[0, 64 << 56, 128 << 56, 192 << 56, 0x1234_5678_9abc_def0] {
                 holds(b1, b2);
@@ -371,5 +422,42 @@ mod tests {
         for _ in 0..10_000_000 {
             holds(rng.next_u64(), rng.next_u64());
         }
+    }
+
+    #[test]
+    fn the_slice_form_is_sample_bit_for_bit() {
+        let approx = NormalApprox::get();
+        const C: usize = NormalApprox::CHUNK;
+        // Each length a whole pass, a short one, or both.
+        let holds = |b1: &[u64], b2: &[u64]| {
+            for len in [1, C - 1, C, C + 1, 3 * C + 17] {
+                for (w1, w2) in b1.chunks(len).zip(b2.chunks(len)) {
+                    let mut out = vec![f64::NAN; w1.len()];
+                    approx.sample_slice(w1, w2, &mut out);
+                    for ((&x, &y), z) in w1.iter().zip(w2).zip(&out) {
+                        let want = approx.sample(x, y);
+                        assert_eq!(z.to_bits(), want.to_bits(), "{x:#x} {y:#x}: {z} vs {want}");
+                    }
+                }
+            }
+        };
+        // Every b1 edge against every b2 edge, and the reverse pairing
+        // cycled so that each b2 edge meets many b1 edges.
+        let (b1s, b2s) = edge_words();
+        let (p1, p2): (Vec<u64>, Vec<u64>) = b1s
+            .iter()
+            .flat_map(|&x| [0, 64 << 56, 128 << 56, 192 << 56].map(|y| (x, y)))
+            .chain(
+                b2s.iter()
+                    .enumerate()
+                    .map(|(i, &y)| (b1s[i * 7 % b1s.len()], y)),
+            )
+            .unzip();
+        holds(&p1, &p2);
+        let mut rng = StdRng::seed_from_u64(0x51_1CE);
+        let (r1, r2): (Vec<u64>, Vec<u64>) = (0..1_000_000)
+            .map(|_| (rng.next_u64(), rng.next_u64()))
+            .unzip();
+        holds(&r1, &r2);
     }
 }

@@ -22,6 +22,12 @@ impl DeError {
         ))
     }
 
+    /// An integer outside the range of the type `what` (serde's
+    /// `invalid_value`): "invalid value: integer `-1`, expected u32".
+    pub fn invalid_integer(n: impl fmt::Display, what: &str) -> DeError {
+        DeError(format!("invalid value: integer `{n}`, expected {what}"))
+    }
+
     /// A struct field was absent.
     pub fn missing_field(ty: &str, field: &str) -> DeError {
         DeError(format!("missing field `{field}` while deserializing {ty}"))

@@ -178,8 +178,7 @@ macro_rules! impl_unsigned {
         impl<'de> Deserialize<'de> for $t {
             fn from_content(content: &Content) -> Result<Self, DeError> {
                 let n = content.to_u128(stringify!($t))?;
-                <$t>::try_from(n).map_err(|_| DeError::custom(format!(
-                    "integer {n} out of range for {}", stringify!($t))))
+                <$t>::try_from(n).map_err(|_| DeError::invalid_integer(n, stringify!($t)))
             }
         }
     )*};
@@ -193,8 +192,7 @@ macro_rules! impl_signed {
         impl<'de> Deserialize<'de> for $t {
             fn from_content(content: &Content) -> Result<Self, DeError> {
                 let n = content.to_i128(stringify!($t))?;
-                <$t>::try_from(n).map_err(|_| DeError::custom(format!(
-                    "integer {n} out of range for {}", stringify!($t))))
+                <$t>::try_from(n).map_err(|_| DeError::invalid_integer(n, stringify!($t)))
             }
         }
     )*};
@@ -234,6 +232,8 @@ impl Content {
             Content::U128(n) => Ok(n),
             Content::I64(n) if n >= 0 => Ok(n as u128),
             Content::I128(n) if n >= 0 => Ok(n as u128),
+            Content::I64(n) => Err(DeError::invalid_integer(n, what)),
+            Content::I128(n) => Err(DeError::invalid_integer(n, what)),
             _ => Err(DeError::unexpected(what, "integer", self)),
         }
     }
@@ -243,9 +243,7 @@ impl Content {
             Content::U64(n) => Ok(n as i128),
             Content::I64(n) => Ok(n as i128),
             Content::I128(n) => Ok(n),
-            Content::U128(n) => {
-                i128::try_from(n).map_err(|_| DeError::unexpected(what, "integer", self))
-            }
+            Content::U128(n) => i128::try_from(n).map_err(|_| DeError::invalid_integer(n, what)),
             _ => Err(DeError::unexpected(what, "integer", self)),
         }
     }

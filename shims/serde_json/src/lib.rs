@@ -8,7 +8,12 @@
 //! is what the telemetry determinism tests assert byte-for-byte. Reading
 //! is as strict as serde_json's: an integer field takes a JSON integer
 //! only, never `"7"` or `7.0`; a quoted integer reads back only as a map
-//! key.
+//! key. The parser takes RFC 8259's grammar and no more: a number with a
+//! leading zero (`01`), a number outside `f64`'s range (`1e400`) and a raw
+//! control character inside a string are refused, as upstream refuses
+//! them. An object that names a key twice is refused too — upstream's
+//! rule for a struct's fields, applied to every object, so no reader ever
+//! sees one of two values chosen for it.
 //!
 //! Float round-tripping relies on Rust's `{}` formatting of `f64`, which
 //! prints the shortest string that parses back to the same bits (the same
@@ -345,6 +350,12 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
+                    if let Some(key) = duplicate_key(&entries) {
+                        return Err(Error::new(format!(
+                            "duplicate field `{key}` in the object ending at offset {}",
+                            self.pos
+                        )));
+                    }
                     self.pos += 1;
                     return Ok(Content::Map(entries));
                 }
@@ -359,7 +370,7 @@ impl<'a> Parser<'a> {
         loop {
             let start = self.pos;
             while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
+                if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
@@ -385,10 +396,13 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
+                            // Four hex digits: `from_str_radix` alone
+                            // would also take a sign (`\u+041`).
                             let hex = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                                .ok_or_else(|| Error::new("bad \\u escape"))?;
                             let code = u32::from_str_radix(
                                 std::str::from_utf8(hex)
                                     .map_err(|_| Error::new("bad \\u escape"))?,
@@ -407,33 +421,41 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                _ => return Err(Error::new("unterminated string")),
+                Some(_) => {
+                    return Err(Error::new(format!(
+                        "control character in a string at offset {}",
+                        self.pos
+                    )))
+                }
+                None => return Err(Error::new("unterminated string")),
             }
         }
     }
 
+    /// One number: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
     fn number(&mut self) -> Result<Content> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        self.eat(b"-");
+        let lead = self.peek();
+        let int_digits = self.digits();
+        let frac = self.eat(b".");
+        let frac_ok = !frac || self.digits() > 0;
+        let exp = self.eat(b"eE");
+        let exp_ok = !exp || {
+            self.eat(b"+-");
+            self.digits() > 0
+        };
+        if int_digits == 0 || (int_digits > 1 && lead == Some(b'0')) || !frac_ok || !exp_ok {
+            return Err(Error::new(format!("invalid number at offset {start}")));
         }
-        let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
+        let is_float = frac || exp;
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| Error::new("bad number"))?;
         if is_float {
-            text.parse::<f64>()
-                .map(Content::F64)
-                .map_err(|e| Error::new(format!("bad float {text:?}: {e}")))
+            match text.parse::<f64>() {
+                Ok(f) if f.is_finite() => Ok(Content::F64(f)),
+                _ => Err(Error::new(format!("number out of range at offset {start}"))),
+            }
         } else if text.starts_with('-') {
             if let Ok(n) = text.parse::<i64>() {
                 Ok(Content::I64(n))
@@ -450,6 +472,39 @@ impl<'a> Parser<'a> {
                 .map_err(|e| Error::new(format!("bad integer {text:?}: {e}")))
         }
     }
+
+    /// Steps over one byte if it is one of `set`.
+    fn eat(&mut self, set: &[u8]) -> bool {
+        let hit = self.peek().is_some_and(|b| set.contains(&b));
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Steps over a run of ASCII digits, returning its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+}
+
+/// A key an object names twice, found through a sorted copy of its keys,
+/// so that a crafted document cannot make the check quadratic.
+fn duplicate_key(entries: &[(Content, Content)]) -> Option<&str> {
+    if entries.len() < 2 {
+        return None;
+    }
+    let mut keys: Vec<&str> = entries
+        .iter()
+        .filter_map(|(k, _)| match k {
+            Content::Str(s) => Some(s.as_str()),
+            _ => None,
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
 
 #[cfg(test)]

@@ -236,8 +236,10 @@ fn scalar_spans(text: &str) -> Vec<std::ops::Range<usize>> {
 }
 
 /// What a scalar is replaced with: out-of-range and wrong-sign numbers,
-/// wrong types, the two exponents of the `restore` bug report.
-const REPLACEMENTS: [&str; 14] = [
+/// wrong types, the two exponents of the `restore` bug report, a number
+/// past `f64`'s range, a leading zero, and a key named twice (in a key's
+/// place; in a value's it is malformed).
+const REPLACEMENTS: [&str; 16] = [
     "200",
     "-300",
     "-1",
@@ -245,6 +247,8 @@ const REPLACEMENTS: [&str; 14] = [
     "40000",
     "18446744073709551616",
     "1e400",
+    "01",
+    r#""k":0,"k""#,
     "-0.5",
     "null",
     "true",
@@ -502,6 +506,33 @@ fn a_quoted_or_float_integer_is_refused_by_every_reader() {
     for key in ["ports", "generated_at"] {
         assert!(CampusHealthDoc::from_json(&respelled(&campus, key, quoted)).is_err());
         assert!(CampusHealthDoc::from_json(&respelled(&campus, key, float)).is_err());
+    }
+}
+
+/// The parser once read `1e400` as ∞, `01` as 1 and kept the first of two
+/// values for one key; every reader now refuses all three.
+#[test]
+fn an_overflowing_number_a_leading_zero_or_a_repeated_key_is_refused_by_every_reader() {
+    let huge = |_: &str| "1e400".to_string();
+    let zero = |n: &str| format!("0{n}");
+    let refused = |text: &str, key: &str, read: &dyn Fn(&str) -> bool| {
+        let twice = |n: &str| format!("{n},\"{key}\":{n}");
+        for respell in [&huge as &dyn Fn(&str) -> String, &zero, &twice] {
+            let mutant = respelled(text, key, respell);
+            assert!(!read(&mutant), "{key}: {mutant}");
+        }
+    };
+    let repro = repro_text(repro_events());
+    let health = health_log();
+    let campus = campus_doc();
+    for key in ["seed", "index", "events"] {
+        refused(&repro, key, &|t| parse_repro(t).is_ok());
+    }
+    for key in ["fleet_score", "switches", "generated_at"] {
+        refused(&health, key, &|t| HealthJsonl::from_jsonl(t).is_ok());
+    }
+    for key in ["ports", "generated_at"] {
+        refused(&campus, key, &|t| CampusHealthDoc::from_json(t).is_ok());
     }
 }
 
