@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 /// Server-equivalent failure units per cube (rack): 16 CPU hosts plus the
 /// TPU trays and rack electronics they carry. Calibrated so the goodput
 /// anchors of Fig. 15b reproduce (see DESIGN.md §5, substitution 5).
-pub const SERVER_UNITS_PER_CUBE: f64 = 24.0;
+pub(crate) const SERVER_UNITS_PER_CUBE: f64 = 24.0;
 
 /// The paper's overall system availability target for Fig. 15b.
 pub const SYSTEM_TARGET: f64 = 0.97;

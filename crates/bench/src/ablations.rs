@@ -23,7 +23,7 @@ use lightwave::transceiver::ModuleFamily;
 use lightwave::units::{Availability, Nanos};
 
 /// Ablation 1 — what bidirectional optics buy (§4.2.2, §4.2.3).
-pub fn ablate_bidi() -> ExperimentResult {
+pub(crate) fn ablate_bidi() -> ExperimentResult {
     let mut lines =
         vec!["family        | OCS ports/module | pod OCSes | fabric avail @99.9%".into()];
     let mut rows = Vec::new();
@@ -64,7 +64,7 @@ pub fn ablate_bidi() -> ExperimentResult {
 }
 
 /// Ablation 2 — minimal-delta reconfiguration vs full rewire (§2.3).
-pub fn ablate_reconfig() -> ExperimentResult {
+pub(crate) fn ablate_reconfig() -> ExperimentResult {
     let slice_a = || {
         Slice::new(
             SliceShape::new(8, 8, 8).unwrap(),
@@ -124,7 +124,7 @@ pub fn ablate_reconfig() -> ExperimentResult {
 }
 
 /// Ablation 3 — the opposing-faces wiring plan (Appendix A).
-pub fn ablate_wiring() -> ExperimentResult {
+pub(crate) fn ablate_wiring() -> ExperimentResult {
     // OCS count for full any-to-any hop support, per (wiring, optics):
     // a hop needs its two fibers on the SAME switch. Pairing +d and −d
     // faces fills every 128-port switch completely; keeping faces on

@@ -14,7 +14,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablations;
+mod ablations;
 pub mod artifacts;
 pub mod experiments;
 

@@ -611,7 +611,7 @@ impl World {
     /// Admission and invariants (a) and (b) hold only such a switch to
     /// the live slices: a down or desynced one runs them degraded
     /// (§4.2.2).
-    pub fn synced(&self, id: OcsId) -> bool {
+    pub(crate) fn synced(&self, id: OcsId) -> bool {
         let fleet = &self.pod.fabric().fleet;
         fleet.get(id).is_some_and(|sw| sw.is_up()) && !self.pod.desynced().contains(&id)
     }

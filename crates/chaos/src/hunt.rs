@@ -40,7 +40,7 @@ impl HuntReport {
     }
 
     /// Violation counts per invariant.
-    pub fn tally(&self) -> BTreeMap<InvariantKind, usize> {
+    pub(crate) fn tally(&self) -> BTreeMap<InvariantKind, usize> {
         let mut tally = BTreeMap::new();
         for o in self.violations() {
             *tally

@@ -84,7 +84,7 @@ impl std::fmt::Display for Violation {
 }
 
 /// Runs every invariant; returns the first violation in library order.
-pub fn check_all(w: &World, event_index: u32, event: FaultKind) -> Option<Violation> {
+pub(crate) fn check_all(w: &World, event_index: u32, event: FaultKind) -> Option<Violation> {
     let mk = |invariant, detail| Violation {
         invariant,
         event_index,

@@ -39,7 +39,7 @@ pub use executor::{
     run_schedule, run_schedule_world, FaultRecovery, InjectedBug, ScheduleOutcome, World,
 };
 pub use hunt::{hunt, HuntConfig, HuntReport};
-pub use invariant::{check_all, InvariantKind, Violation};
+pub use invariant::{InvariantKind, Violation};
 pub use repro::{parse_repro, write_repro, Repro, REPRO_SCHEMA};
-pub use schedule::{FaultKind, FaultSchedule, GEN_OCS_COUNT};
+pub use schedule::{FaultKind, FaultSchedule};
 pub use shrink::{shrink, ShrinkResult};

@@ -141,7 +141,7 @@ pub struct FaultSchedule {
 }
 
 /// Switch count the generator draws targets from (the 48-OCS superpod).
-pub const GEN_OCS_COUNT: u8 = 48;
+pub(crate) const GEN_OCS_COUNT: u8 = 48;
 
 /// Advance menu, milliseconds. Deliberately includes steps shorter than
 /// a camera alignment (~10–40 ms) so faults land mid-reconfiguration.

@@ -48,7 +48,7 @@ pub enum SuperpodFabric {
 
 /// Cost and power of one superpod interconnect option.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FabricBill {
+pub(crate) struct FabricBill {
     /// Total cost, engine units.
     pub cost: f64,
     /// Total power, watts.
@@ -56,12 +56,12 @@ pub struct FabricBill {
 }
 
 /// Inter-cube bidi circuits in a full pod: 64 cubes × 48 face-link pairs.
-pub const POD_CIRCUITS: usize = 64 * 48;
+pub(crate) const POD_CIRCUITS: usize = 64 * 48;
 /// OCSes in the lightwave option (CWDM4 bidi modules).
-pub const POD_OCS: usize = 48;
+pub(crate) const POD_OCS: usize = 48;
 
 /// Bill of materials for a superpod interconnect.
-pub fn superpod_fabric(kind: SuperpodFabric) -> FabricBill {
+pub(crate) fn superpod_fabric(kind: SuperpodFabric) -> FabricBill {
     let circuits = POD_CIRCUITS as f64;
     let engines = 2.0 * circuits; // one engine at each end of each circuit
     let base_cost = engines * ENGINE_COST + circuits * FIBER_COST;
@@ -101,7 +101,7 @@ pub fn table1() -> [(SuperpodFabric, f64, f64); 3] {
 
 /// DCN fabric style for the Fig. 1 comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DcnStyle {
+pub(crate) enum DcnStyle {
     /// Traditional Clos with spine blocks.
     SpineFull,
     /// Spine layer replaced by OCSes (Fig. 1b).
@@ -111,7 +111,7 @@ pub enum DcnStyle {
 /// Per-AB-uplink bill for a DCN fabric (aggregation-block internals are a
 /// common cost `ab_base` so savings are expressed against a whole fabric,
 /// as in \[47\]).
-pub fn dcn_per_uplink(style: DcnStyle) -> FabricBill {
+pub(crate) fn dcn_per_uplink(style: DcnStyle) -> FabricBill {
     // Common: the AB's own switching/serving share per uplink.
     let ab_base_cost = 1.15;
     let ab_base_power = 12.5;

@@ -33,7 +33,7 @@ pub struct FlowReport {
 }
 
 /// Cap applied to the per-pair FCT proxy when a pair gets (almost) no rate.
-pub const FCT_CAP: f64 = 100.0;
+pub(crate) const FCT_CAP: f64 = 100.0;
 
 /// Allocates demand over `mesh` with `trunk_gbps` per trunk. Refused
 /// unless `trunk_gbps` is finite and positive.

@@ -46,5 +46,5 @@ pub mod topology;
 pub mod traffic;
 
 pub use realize::DcnFabric;
-pub use topology::{AbId, Mesh};
+pub use topology::Mesh;
 pub use traffic::TrafficMatrix;

@@ -118,12 +118,12 @@ mod trunk_map_serde {
 
     type Map = BTreeMap<(usize, usize), Vec<TrunkLeg>>;
 
-    pub fn serialize<S: Serializer>(map: &Map, ser: S) -> Result<S::Ok, S::Error> {
+    pub(crate) fn serialize<S: Serializer>(map: &Map, ser: S) -> Result<S::Ok, S::Error> {
         let entries: Vec<(&(usize, usize), &Vec<TrunkLeg>)> = map.iter().collect();
         entries.serialize(ser)
     }
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(de: D) -> Result<Map, D::Error> {
+    pub(crate) fn deserialize<'de, D: Deserializer<'de>>(de: D) -> Result<Map, D::Error> {
         let entries: Vec<((usize, usize), Vec<TrunkLeg>)> = Vec::deserialize(de)?;
         Ok(entries.into_iter().collect())
     }

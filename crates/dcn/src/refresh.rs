@@ -18,14 +18,14 @@ use lightwave_optics::modulation::LaneRate;
 use serde::{Deserialize, Serialize};
 
 /// A transceiver generation and its per-trunk rate.
-pub fn generation_gbps(rate: LaneRate) -> f64 {
+pub(crate) fn generation_gbps(rate: LaneRate) -> f64 {
     // 4-lane trunks.
     4.0 * rate.bit_rate().gbps()
 }
 
 /// A fleet of ABs with per-AB generations.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HeterogeneousFabric {
+pub(crate) struct HeterogeneousFabric {
     /// Per-AB transceiver generation.
     pub generations: Vec<LaneRate>,
     /// Trunks per AB pair (uniform for this study).
@@ -52,7 +52,7 @@ impl HeterogeneousFabric {
     /// (`spine` is `None`) that is the rate, since the OCS passes whatever
     /// the light carries; on a spine-full fabric the path is
     /// AB→spine→AB and runs at the slowest hop.
-    pub fn pair_gbps(&self, i: usize, j: usize, spine: Option<LaneRate>) -> f64 {
+    pub(crate) fn pair_gbps(&self, i: usize, j: usize, spine: Option<LaneRate>) -> f64 {
         let rate = self.generations[i].negotiate(self.generations[j]);
         let rate = spine.map_or(rate, |spine| rate.negotiate(spine));
         generation_gbps(rate) * self.trunks_per_pair as f64
@@ -69,7 +69,7 @@ impl HeterogeneousFabric {
     }
 
     /// Upgrades AB `i` to `rate`.
-    pub fn upgrade_ab(&mut self, i: usize, rate: LaneRate) {
+    pub(crate) fn upgrade_ab(&mut self, i: usize, rate: LaneRate) {
         self.generations[i] = rate;
     }
 }

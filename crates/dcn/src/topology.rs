@@ -14,7 +14,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Aggregation-block index.
-pub type AbId = usize;
+pub(crate) type AbId = usize;
 
 /// A logical inter-AB mesh: `trunks[i][j]` = number of trunks from AB i to
 /// AB j (symmetric).
@@ -51,11 +51,13 @@ mod trunk_rows {
     use serde::de::Error;
     use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
-    pub fn serialize<S: Serializer>(rows: &[Vec<usize>], ser: S) -> Result<S::Ok, S::Error> {
+    pub(crate) fn serialize<S: Serializer>(rows: &[Vec<usize>], ser: S) -> Result<S::Ok, S::Error> {
         rows.serialize(ser)
     }
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(de: D) -> Result<Vec<Vec<usize>>, D::Error> {
+    pub(crate) fn deserialize<'de, D: Deserializer<'de>>(
+        de: D,
+    ) -> Result<Vec<Vec<usize>>, D::Error> {
         let rows: Vec<Vec<usize>> = Vec::deserialize(de)?;
         let asymmetric = || (0..rows.len()).any(|i| (0..i).any(|j| rows[i][j] != rows[j][i]));
         match super::not_pairwise(&rows) {
@@ -140,7 +142,7 @@ impl Mesh {
     ///
     /// # Panics
     /// Panics on `i == j`.
-    pub fn set_trunks(&mut self, i: AbId, j: AbId, t: usize) {
+    pub(crate) fn set_trunks(&mut self, i: AbId, j: AbId, t: usize) {
         assert!(i != j, "no self-trunks");
         self.trunks[i][j] = t;
         self.trunks[j][i] = t;

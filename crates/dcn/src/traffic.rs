@@ -38,11 +38,11 @@ mod demand_rows {
     use serde::de::Error;
     use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
-    pub fn serialize<S: Serializer>(rows: &[Vec<f64>], ser: S) -> Result<S::Ok, S::Error> {
+    pub(crate) fn serialize<S: Serializer>(rows: &[Vec<f64>], ser: S) -> Result<S::Ok, S::Error> {
         rows.serialize(ser)
     }
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(de: D) -> Result<Vec<Vec<f64>>, D::Error> {
+    pub(crate) fn deserialize<'de, D: Deserializer<'de>>(de: D) -> Result<Vec<Vec<f64>>, D::Error> {
         let rows: Vec<Vec<f64>> = Vec::deserialize(de)?;
         match super::malformed(&rows) {
             Some(why) => Err(D::Error::custom(why)),

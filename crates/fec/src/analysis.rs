@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 /// Probability that a 10-bit RS symbol is corrupted at bit-error rate `p`,
 /// assuming independent bit errors.
-pub fn symbol_error_prob(bit_ber: Ber) -> f64 {
+pub(crate) fn symbol_error_prob(bit_ber: Ber) -> f64 {
     1.0 - (1.0 - bit_ber.prob()).powi(10)
 }
 
@@ -25,7 +25,7 @@ pub fn kp4_frame_error_rate(input_ber: Ber) -> f64 {
 
 /// Approximate post-KP4 output BER: when the decoder fails it typically
 /// leaves ~t+1 symbol errors in an n-symbol block.
-pub fn kp4_output_ber(input_ber: Ber) -> Ber {
+pub(crate) fn kp4_output_ber(input_ber: Ber) -> Ber {
     let rs = ReedSolomon::kp4();
     let fer = kp4_frame_error_rate(input_ber);
     Ber::new(fer * (rs.t() + 1) as f64 / rs.n() as f64)
@@ -79,7 +79,7 @@ pub fn concatenation_gain(
 /// Our open Chase-decoded inner code lands somewhat below this; system
 /// models that need the production figure use this constant, clearly
 /// attributed (see DESIGN.md §5 substitution 3).
-pub const PAPER_SFEC_GAIN_DB: f64 = 1.6;
+pub(crate) const PAPER_SFEC_GAIN_DB: f64 = 1.6;
 
 /// Effective raw-BER threshold for a production link using the paper's
 /// concatenated code, derived by walking 1.6 dB of optical gain back

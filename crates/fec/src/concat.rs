@@ -35,7 +35,7 @@ pub enum InnerDecoding {
 
 impl InnerDecoding {
     /// The production configuration used by the repro harness.
-    pub const SOFT: InnerDecoding = InnerDecoding::Chase { test_bits: 6 };
+    pub(crate) const SOFT: InnerDecoding = InnerDecoding::Chase { test_bits: 6 };
 }
 
 /// The concatenated code: extended Hamming (128,120) inside RS(544,514).

@@ -11,9 +11,9 @@
 //! zero-padded so any product involving the sentinel lands on 0.
 
 /// Field order.
-pub const FIELD_SIZE: usize = 1024;
+pub(crate) const FIELD_SIZE: usize = 1024;
 /// Multiplicative-group order (= FIELD_SIZE − 1).
-pub const GROUP_ORDER: usize = FIELD_SIZE - 1;
+pub(crate) const GROUP_ORDER: usize = FIELD_SIZE - 1;
 /// Primitive polynomial x¹⁰ + x³ + 1.
 const PRIMITIVE_POLY: u32 = 0x409;
 
@@ -24,9 +24,9 @@ pub type Gf = u16;
 /// region of [`EXP_MUL`].
 const LOG_ZERO: u16 = 2 * GROUP_ORDER as u16;
 
-/// exp[i] = α^i for i in 0..2·GROUP_ORDER (doubled to skip mod in mul).
+/// exp\[i\] = α^i for i in 0..2·GROUP_ORDER (doubled to skip mod in mul).
 static EXP: [Gf; 2 * GROUP_ORDER] = build_exp();
-/// log[x] = i such that α^i = x for x ≥ 1; log[0] = the [`LOG_ZERO`] sentinel.
+/// log\[x\] = i such that α^i = x for x ≥ 1; log\[0\] = the [`LOG_ZERO`] sentinel.
 static LOG: [u16; FIELD_SIZE] = build_log();
 /// Antilog extended with zeros so `EXP_MUL[log a + log b]` is correct even
 /// when either log is the zero sentinel (max index 2·LOG_ZERO = 4092).
@@ -87,7 +87,7 @@ pub fn mul(a: Gf, b: Gf) -> Gf {
 /// # Panics
 /// Panics on zero (zero has no inverse).
 #[inline]
-pub fn inv(a: Gf) -> Gf {
+pub(crate) fn inv(a: Gf) -> Gf {
     assert!(a != 0, "zero has no multiplicative inverse in GF(2^10)");
     EXP[GROUP_ORDER - LOG[a as usize] as usize]
 }
@@ -97,13 +97,13 @@ pub fn inv(a: Gf) -> Gf {
 /// # Panics
 /// Panics if `b` is zero.
 #[inline]
-pub fn div(a: Gf, b: Gf) -> Gf {
+pub(crate) fn div(a: Gf, b: Gf) -> Gf {
     mul(a, inv(b))
 }
 
 /// `α^i` for any integer exponent (reduced mod the group order).
 #[inline]
-pub fn alpha_pow(i: i64) -> Gf {
+pub(crate) fn alpha_pow(i: i64) -> Gf {
     let e = i.rem_euclid(GROUP_ORDER as i64) as usize;
     EXP[e]
 }
@@ -119,7 +119,7 @@ pub fn log(a: Gf) -> u16 {
 }
 
 /// Evaluates a polynomial (coefficients lowest-degree first) at `x`.
-pub fn poly_eval(coeffs: &[Gf], x: Gf) -> Gf {
+pub(crate) fn poly_eval(coeffs: &[Gf], x: Gf) -> Gf {
     let mut acc: Gf = 0;
     for &c in coeffs.iter().rev() {
         acc = add(mul(acc, x), c);

@@ -92,8 +92,6 @@ impl ExtHamming {
     pub const N: usize = 128;
     /// Data bits per block.
     pub const K: usize = 120;
-    /// Minimum distance (SEC-DED).
-    pub const D_MIN: usize = 4;
 
     /// Encodes 120 data bits (low bits of `data`) into a 128-bit codeword.
     ///

@@ -31,7 +31,7 @@ impl Interleaver {
     }
 
     /// Symbols per interleaved frame on the line.
-    pub fn frame_symbols(&self) -> usize {
+    pub(crate) fn frame_symbols(&self) -> usize {
         self.code.n() * self.depth
     }
 

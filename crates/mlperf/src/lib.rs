@@ -55,7 +55,7 @@ impl ChipParams {
     }
 
     /// Effective sustained FLOP/s.
-    pub fn effective_flops(&self) -> f64 {
+    pub(crate) fn effective_flops(&self) -> f64 {
         self.peak_flops * self.mfu
     }
 }
@@ -136,7 +136,7 @@ impl LlmConfig {
 
     /// Minimum model-parallel ways (memory floor): the model's own
     /// inherent partitioning tp×pp.
-    pub fn min_model_ways(&self) -> usize {
+    pub(crate) fn min_model_ways(&self) -> usize {
         self.tp * self.pp
     }
 }
@@ -191,7 +191,7 @@ pub enum Infeasible {
 /// Fraction of tensor-parallel communication hidden under layer compute
 /// (XLA aggressively overlaps the per-layer all-reduces with the next
 /// matmul; only the tail is exposed).
-pub const TP_OVERLAP: f64 = 0.9;
+pub(crate) const TP_OVERLAP: f64 = 0.9;
 
 /// Compute-waste factor for running `ways` tensor-parallel ways on a model
 /// whose matmuls split efficiently only `inherent` ways. Superlinear:

@@ -94,7 +94,7 @@ pub struct AlignmentKernel {
 
 impl AlignmentKernel {
     /// The loop this kernel was prepared from.
-    pub fn servo(&self) -> &AlignmentLoop {
+    pub(crate) fn servo(&self) -> &AlignmentLoop {
         &self.servo
     }
 

@@ -14,10 +14,7 @@ use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Maximum chassis power draw, watts (§4.1.1).
-pub const MAX_POWER_W: f64 = 108.0;
-
-/// Field availability the design typically achieves (§4.1.1).
-pub const TYPICAL_AVAILABILITY: f64 = 0.9998;
+pub(crate) const MAX_POWER_W: f64 = 108.0;
 
 /// Kinds of field-replaceable units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -37,7 +34,7 @@ pub enum FruKind {
 
 impl FruKind {
     /// Whether this FRU can be swapped with the data plane staying up.
-    pub fn hot_swappable(self) -> bool {
+    pub(crate) fn hot_swappable(self) -> bool {
         matches!(self, FruKind::PowerSupply | FruKind::Fan)
     }
 }
@@ -78,7 +75,7 @@ pub struct Chassis {
 
 /// What a FRU swap did to the switch.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SwapEffect {
+pub(crate) struct SwapEffect {
     /// Ports whose circuits must be re-established (mirror state lost).
     pub disturbed_ports: Vec<u16>,
     /// Whether the whole data plane blinked (non-hot-swappable FRU).
@@ -157,7 +154,7 @@ impl Chassis {
     /// Whether the switch is operational: at least one healthy PSU, at
     /// least 3 healthy fans, CPU and FPGA healthy. (Individual HV-driver
     /// failures degrade only their port group.)
-    pub fn is_operational(&self) -> bool {
+    pub(crate) fn is_operational(&self) -> bool {
         self.operational
     }
 
@@ -169,7 +166,7 @@ impl Chassis {
     /// Whether port `p` is degraded by a failed HV driver. A healthy set
     /// of drivers answers before the division by the group size: every
     /// circuit a transaction adds asks twice.
-    pub fn port_degraded(&self, p: PortId) -> bool {
+    pub(crate) fn port_degraded(&self, p: PortId) -> bool {
         self.degraded_groups != 0
             && p < self.ports
             && (self.degraded_groups >> (p / self.group_size())) & 1 == 1
@@ -177,7 +174,7 @@ impl Chassis {
 
     /// Whether a failed HV driver degrades any port: while it does not,
     /// no [`Chassis::port_degraded`] is true.
-    pub fn any_port_degraded(&self) -> bool {
+    pub(crate) fn any_port_degraded(&self) -> bool {
         self.degraded_groups != 0
     }
 
@@ -238,13 +235,13 @@ impl Chassis {
     }
 
     /// Fails the `idx`-th slot.
-    pub fn fail_slot(&mut self, idx: usize) -> Result<(), OcsError> {
+    pub(crate) fn fail_slot(&mut self, idx: usize) -> Result<(), OcsError> {
         self.set_health(idx, FruHealth::Failed).map(drop)
     }
 
     /// Replaces the FRU in `idx` (field service), returning what the swap
     /// disturbed.
-    pub fn replace_slot(&mut self, idx: usize) -> Result<SwapEffect, OcsError> {
+    pub(crate) fn replace_slot(&mut self, idx: usize) -> Result<SwapEffect, OcsError> {
         let kind = self.set_health(idx, FruHealth::Healthy)?;
         Ok(SwapEffect {
             disturbed_ports: self.ports_dropped_by(idx)?.collect(),
@@ -253,7 +250,7 @@ impl Chassis {
     }
 
     /// Power draw estimate: base electronics plus per-active-circuit HV
-    /// bias, capped at [`MAX_POWER_W`].
+    /// bias, capped at `MAX_POWER_W`.
     pub fn power_draw_w(&self, active_circuits: usize) -> f64 {
         let base = 62.0;
         let per_circuit = 0.33;
@@ -282,6 +279,9 @@ impl Chassis {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Field availability the design typically achieves (§4.1.1).
+    const TYPICAL_AVAILABILITY: f64 = 0.9998;
 
     #[test]
     fn healthy_chassis_is_operational() {

@@ -225,7 +225,7 @@ impl Crossbar {
     }
 
     /// Marks a connecting circuit as aligned and carrying light.
-    pub fn mark_connected(&mut self, north: PortId) -> Result<(), CrossbarError> {
+    pub(crate) fn mark_connected(&mut self, north: PortId) -> Result<(), CrossbarError> {
         match self.circuit(north) {
             Some(_) => {
                 self.aligned[north as usize / 64] |= 1 << (north % 64);

@@ -11,13 +11,13 @@
 //! This crate simulates that machine faithfully enough to reproduce the
 //! paper's hardware evaluation (§4.1.1):
 //!
-//! - [`mems`] — mirror dies: 176 mirrors fabricated per die, the best 136
+//! - `mems` — mirror dies: 176 mirrors fabricated per die, the best 136
 //!   qualified for service, the rest manufacturing spares; per-mirror
 //!   failure and spare-swap semantics.
 //! - [`camera`] — the closed-loop image-based alignment: iterative
 //!   convergence of pointing error, which sets both switching time and the
 //!   residual (pointing-dependent) excess loss.
-//! - [`crossbar`] — the non-blocking bijective N→S connection state
+//! - `crossbar` — the non-blocking bijective N→S connection state
 //!   machine, with *non-disruptive delta reconfiguration*: applying a new
 //!   mapping only touches ports whose assignment changed (§2.3's
 //!   "keep certain connections undisturbed while making changes
@@ -45,10 +45,10 @@
 
 pub mod camera;
 pub mod chassis;
-pub mod crossbar;
+mod crossbar;
 pub mod instrument;
 pub mod loss;
-pub mod mems;
+mod mems;
 pub mod tech;
 pub mod telemetry;
 
@@ -62,9 +62,3 @@ pub use palomar::{
 /// Total duplex ports per Palomar OCS (including the 8 spares used for
 /// link testing and repairs — Appendix A).
 pub const TOTAL_PORTS: usize = 136;
-
-/// Ports available to the fabric after reserving spares.
-pub const USABLE_PORTS: usize = 128;
-
-/// Spare ports reserved for testing and repair.
-pub const SPARE_PORTS: usize = TOTAL_PORTS - USABLE_PORTS;

@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 /// Per-port fixed optical characteristics, sampled at manufacturing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PortOptics {
+pub(crate) struct PortOptics {
     /// Collimator coupling loss, dB.
     pub collimator_loss_db: f64,
     /// Port return loss, dB (negative).
@@ -145,7 +145,7 @@ impl OpticalCore {
     /// Loss drift of a port's serving mirror versus the as-built baseline
     /// (positive = worse). Spare swaps rotate in progressively worse
     /// mirrors; this is the §3.2.2 anomaly-detection signal.
-    pub fn port_drift(&self, north_die: bool, port: usize) -> Db {
+    pub(crate) fn port_drift(&self, north_die: bool, port: usize) -> Db {
         let (die, baseline) = if north_die {
             (&self.die_north, &self.as_built_north)
         } else {

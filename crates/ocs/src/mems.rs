@@ -12,9 +12,9 @@ use rand_distr::standard_normal_from_bits;
 use serde::{Deserialize, Serialize};
 
 /// Mirrors fabricated per die.
-pub const FABRICATED_MIRRORS: usize = 176;
+pub(crate) const FABRICATED_MIRRORS: usize = 176;
 /// Mirrors placed in service per die.
-pub const SERVICE_MIRRORS: usize = 136;
+pub(crate) const SERVICE_MIRRORS: usize = 136;
 
 /// Intrinsic mirror loss as fabricated: N(mean, sigma²) dB, floored.
 const LOSS_MEAN_DB: f64 = 0.25;
@@ -42,7 +42,7 @@ fn mirror_draws(
 
 /// Operational state of one micro-mirror.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MirrorState {
+pub(crate) enum MirrorState {
     /// In service, steering a port.
     Active,
     /// Qualified at manufacturing but held as a spare.
@@ -84,7 +84,7 @@ impl MemsDie {
     ///
     /// `yield_prob` is the probability a fabricated mirror qualifies at
     /// all; fabrication fails if fewer than `service` mirrors qualify.
-    pub fn fabricate_sized(
+    pub(crate) fn fabricate_sized(
         seed: u64,
         yield_prob: f64,
         fabricated: usize,
@@ -157,7 +157,7 @@ impl MemsDie {
     ///
     /// # Panics
     /// Panics if `port ≥ 136`.
-    pub fn mirror_for_port(&self, port: usize) -> &Mirror {
+    pub(crate) fn mirror_for_port(&self, port: usize) -> &Mirror {
         &self.mirrors[self.port_to_mirror[port]]
     }
 
@@ -174,7 +174,7 @@ impl MemsDie {
     /// Returns `true` if a spare was available (port restored), `false` if
     /// the die is out of spares (port permanently degraded — a field
     /// replacement of the whole core is needed).
-    pub fn fail_and_swap(&mut self, port: usize) -> bool {
+    pub(crate) fn fail_and_swap(&mut self, port: usize) -> bool {
         let old = self.port_to_mirror[port];
         self.mirrors[old].state = MirrorState::Failed;
         let best_spare = (0..self.mirrors.len())

@@ -111,7 +111,7 @@ pub struct OcsHealth {
 /// the bottom of the spare barrel is only ~0.2 dB worse than as-built —
 /// small, but the bidi link budget is counted in tenths (§3.2.1's "optical
 /// link budget is a precious commodity"), hence the tight threshold.
-pub const DRIFT_ALARM_DB: f64 = 0.12;
+pub(crate) const DRIFT_ALARM_DB: f64 = 0.12;
 
 /// One change to a port's cumulative loss drift, recorded whenever the
 /// mirror serving the port changes character — a silent degradation step
@@ -225,9 +225,6 @@ impl SharedDelta {
             && self.remove.iter().zip(remove).all(|(a, b)| a == b)
     }
 }
-
-/// A delta's two lists, owned.
-type OwnedLists = (Vec<(PortId, PortId)>, Vec<PortId>);
 
 /// The stamp of a switch that has accepted no delta: no epoch reaches
 /// [`UNKNOWN`], so it matches no delta.
@@ -653,14 +650,30 @@ impl PalomarOcs {
     ///
     /// The lists the report carries are copies of `add` and `remove` —
     /// the copy [`PalomarOcs::validate_delta`] made, when it holds them,
-    /// rather than a second one; a caller that keeps its own takes
-    /// [`PalomarOcs::apply_delta_summary`].
+    /// rather than a second one.
     pub fn apply_delta(
         &mut self,
         add: &[(PortId, PortId)],
         remove: &[PortId],
     ) -> Result<ReconfigReport, OcsError> {
-        let (done, copy) = self.apply_alone(add, remove, true)?;
+        let mut own = self.own.take();
+        let applied = match own.as_deref_mut() {
+            Some(copy) if copy.holds(add, remove) => self.apply_stamped(copy).map(|done| {
+                // Emptied, it names no lists a stamp was made for.
+                copy.serial = UNKNOWN;
+                let lists = (
+                    std::mem::take(&mut copy.add),
+                    std::mem::take(&mut copy.remove),
+                );
+                (done, Some(lists))
+            }),
+            _ => self
+                .check_delta(add, remove)
+                .map(|()| (self.apply_checked(add, remove), None)),
+        };
+        self.own = own;
+        let (done, copy) = applied?;
+        self.relineage(UNKNOWN);
         let (added, removed) = copy.unwrap_or_else(|| (add.to_vec(), remove.to_vec()));
         Ok(ReconfigReport {
             removed,
@@ -668,50 +681,6 @@ impl PalomarOcs {
             untouched: done.untouched,
             ready_at: done.ready_at,
         })
-    }
-
-    /// [`PalomarOcs::apply_delta`] reporting counts only: nothing is
-    /// copied and nothing is allocated for the report.
-    pub fn apply_delta_summary(
-        &mut self,
-        add: &[(PortId, PortId)],
-        remove: &[PortId],
-    ) -> Result<ReconfigSummary, OcsError> {
-        self.apply_alone(add, remove, false).map(|(done, _)| done)
-    }
-
-    /// Applies a delta outside any run: through the copy
-    /// [`PalomarOcs::validate_delta`] made when it holds `add` and
-    /// `remove` — handing its lists out when `take` asks for them — and
-    /// checked in full otherwise.
-    fn apply_alone(
-        &mut self,
-        add: &[(PortId, PortId)],
-        remove: &[PortId],
-        take: bool,
-    ) -> Result<(ReconfigSummary, Option<OwnedLists>), OcsError> {
-        let mut own = self.own.take();
-        let applied = match own.as_deref_mut() {
-            Some(copy) if copy.holds(add, remove) => self.apply_stamped(copy).map(|done| {
-                let lists = take.then(|| {
-                    // Emptied, it names no lists a stamp was made for.
-                    copy.serial = UNKNOWN;
-                    (
-                        std::mem::take(&mut copy.add),
-                        std::mem::take(&mut copy.remove),
-                    )
-                });
-                (done, lists)
-            }),
-            _ => self
-                .check_delta(add, remove)
-                .map(|()| (self.apply_checked(add, remove), None)),
-        };
-        self.own = own;
-        if applied.is_ok() {
-            self.relineage(UNKNOWN);
-        }
-        applied
     }
 
     /// Applies a delta [`PalomarOcs::vet_shared`] accepted, without
@@ -1190,6 +1159,9 @@ mod tests {
 
     #[test]
     fn apply_delta_is_its_summary_plus_the_callers_lists() {
+        // `listed` checks each delta inside `apply_delta`; `counted` has
+        // `validate_delta` remember it first, so its report's lists are
+        // the copy that check made.
         let (mut listed, mut counted) = (PalomarOcs::new(0, 26), PalomarOcs::new(0, 26));
         let adds: [&[(PortId, PortId)]; 3] = [
             &[(0, 10), (1, 11), (2, 12)],
@@ -1199,13 +1171,17 @@ mod tests {
         let removes: [&[PortId]; 3] = [&[], &[1, 2], &[]];
         for (add, remove) in adds.into_iter().zip(removes) {
             let report = listed.apply_delta(add, remove);
-            let summary = counted.apply_delta_summary(add, remove);
+            let checked = counted.validate_delta(add, remove);
+            let stamped = counted.apply_delta(add, remove);
+            assert_eq!(checked.is_ok(), stamped.is_ok());
             assert_eq!(
                 report.as_ref().map(|r| r.summary()),
-                summary.as_ref().copied()
+                stamped.as_ref().map(|r| r.summary())
             );
-            if let Ok(report) = report {
+            for report in report.iter().chain(stamped.iter()) {
                 assert_eq!((&report.added[..], &report.removed[..]), (add, remove));
+                assert_eq!(report.summary().added, add.len());
+                assert_eq!(report.summary().removed, remove.len());
             }
             assert_eq!(listed.mapping(), counted.mapping());
             assert_eq!(listed.pending_circuits(), listed.health().pending);
@@ -1275,7 +1251,10 @@ mod tests {
             ocs.connect(40, 41).unwrap();
             ocs.fail_fru(6).unwrap(); // ports 0..34
             assert_eq!(ocs.validate_delta(add, remove), Err(refusal));
-            assert_eq!(ocs.apply_delta_summary(add, remove), Err(refusal));
+            assert_eq!(
+                ocs.apply_delta(add, remove).map(|r| r.summary()),
+                Err(refusal)
+            );
             assert!(ocs.marks.iter().all(|&m| m == 0), "{refusal:?}");
             ocs.apply_delta(&[(50, 51), (52, 40)], &[40]).unwrap();
             assert_eq!(

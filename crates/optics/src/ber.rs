@@ -48,7 +48,7 @@ impl Default for OimConfig {
 
 impl OimConfig {
     /// Effective multiplicative factor applied to the MPI power ratio.
-    pub fn mpi_power_factor(&self) -> f64 {
+    pub(crate) fn mpi_power_factor(&self) -> f64 {
         let suppressed = (1.0 - self.wideband_residual) * (-self.suppression).linear();
         suppressed + self.wideband_residual
     }
@@ -105,7 +105,7 @@ impl Pam4Receiver {
     }
 
     /// Receiver electrical bandwidth in Hz.
-    pub fn bandwidth_hz(&self) -> f64 {
+    pub(crate) fn bandwidth_hz(&self) -> f64 {
         self.rate.rx_bandwidth().ghz() * 1e9
     }
 

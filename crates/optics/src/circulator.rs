@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! The optical circulator, modeled at the polarization level (Appendix B).
 //!
 //! The circulator is *the* enabling component of bidirectional links: a
@@ -13,30 +14,29 @@
 //! PBS steers the light to port 3 instead of back into the laser.
 //!
 //! This module implements that arithmetic with real 2×2 polarization
-//! matrices, and derives the *isolation* and *crosstalk* figures that the
-//! MPI budget consumes from physical imperfections (Faraday angle error,
-//! PBS extinction) — closing the loop between Appendix B and §3.3.1's
-//! "reducing return loss and crosstalk between the ports".
+//! matrices, and derives the *isolation* figure from physical
+//! imperfections (Faraday angle error, PBS extinction) — closing the loop
+//! between Appendix B and §3.3.1's "reducing return loss and crosstalk
+//! between the ports". No production path runs it: the MPI budget reads
+//! the constant [`crate::mpi::CIRCULATOR_ISOLATION_DB`], and this model is
+//! the reference the tests below hold that constant to, so it is built
+//! under test only.
 
 use lightwave_units::Db;
-use serde::{Deserialize, Serialize};
 
 /// A real 2×2 polarization transfer matrix acting on (s, p) amplitudes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PolMatrix(pub [[f64; 2]; 2]);
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PolMatrix([[f64; 2]; 2]);
 
 impl PolMatrix {
-    /// Identity.
-    pub const IDENTITY: PolMatrix = PolMatrix([[1.0, 0.0], [0.0, 1.0]]);
-
     /// Rotation of the polarization plane by `theta` radians.
-    pub fn rotation(theta: f64) -> PolMatrix {
+    fn rotation(theta: f64) -> PolMatrix {
         let (s, c) = theta.sin_cos();
         PolMatrix([[c, -s], [s, c]])
     }
 
     /// Matrix product `self · rhs` (apply `rhs` first).
-    pub fn then(self, rhs: PolMatrix) -> PolMatrix {
+    fn then(self, rhs: PolMatrix) -> PolMatrix {
         let a = self.0;
         let b = rhs.0;
         let mut out = [[0.0; 2]; 2];
@@ -49,7 +49,7 @@ impl PolMatrix {
     }
 
     /// Applies to an (s, p) amplitude vector.
-    pub fn apply(self, v: [f64; 2]) -> [f64; 2] {
+    fn apply(self, v: [f64; 2]) -> [f64; 2] {
         [
             self.0[0][0] * v[0] + self.0[0][1] * v[1],
             self.0[1][0] * v[0] + self.0[1][1] * v[1],
@@ -57,27 +57,22 @@ impl PolMatrix {
     }
 }
 
-/// Power (squared amplitude) of an (s, p) vector.
-pub fn power(v: [f64; 2]) -> f64 {
-    v[0] * v[0] + v[1] * v[1]
-}
-
 /// Physical imperfections of a manufactured circulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CirculatorImperfections {
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CirculatorImperfections {
     /// Faraday rotation error from the ideal 45°, radians (temperature,
     /// magnet aging, wavelength dependence across the CWDM band).
-    pub faraday_error: f64,
+    faraday_error: f64,
     /// PBS extinction: amplitude fraction of the wrong polarization that
     /// leaks through (power extinction = this squared).
-    pub pbs_leak: f64,
+    pbs_leak: f64,
     /// Excess insertion loss per pass, dB.
-    pub pass_loss: Db,
+    pass_loss: Db,
 }
 
 impl CirculatorImperfections {
     /// An ideal device.
-    pub fn ideal() -> CirculatorImperfections {
+    fn ideal() -> CirculatorImperfections {
         CirculatorImperfections {
             faraday_error: 0.0,
             pbs_leak: 0.0,
@@ -90,7 +85,7 @@ impl CirculatorImperfections {
     /// extinction, 0.8 dB per pass. These are the re-engineering targets
     /// §3.3.1 alludes to ("reducing return loss and crosstalk between the
     /// ports").
-    pub fn production() -> CirculatorImperfections {
+    fn production() -> CirculatorImperfections {
         CirculatorImperfections {
             faraday_error: 0.1f64.to_radians(),
             pbs_leak: 10f64.powf(-55.0 / 20.0),
@@ -100,31 +95,31 @@ impl CirculatorImperfections {
 }
 
 /// The polarization-level circulator model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Circulator {
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Circulator {
     /// Device imperfections.
-    pub imperfections: CirculatorImperfections,
+    imperfections: CirculatorImperfections,
 }
 
 /// Where the power of one pass ends up.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PassResult {
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PassResult {
     /// Power delivered to the intended output port (linear, input = 1).
-    pub through: f64,
+    through: f64,
     /// Power leaked to the unintended port (isolation leakage).
-    pub leaked: f64,
+    leaked: f64,
 }
 
 impl Circulator {
     /// An ideal circulator.
-    pub fn ideal() -> Circulator {
+    fn ideal() -> Circulator {
         Circulator {
             imperfections: CirculatorImperfections::ideal(),
         }
     }
 
     /// A production device.
-    pub fn production() -> Circulator {
+    fn production() -> Circulator {
         Circulator {
             imperfections: CirculatorImperfections::production(),
         }
@@ -151,7 +146,7 @@ impl Circulator {
 
     /// Forward pass, port 1 → port 2. The laser input is p-polarized; the
     /// output PBS passes p to the fiber and reflects s (leak) elsewhere.
-    pub fn forward(&self) -> PassResult {
+    fn forward(&self) -> PassResult {
         let input = [0.0, 1.0]; // pure p
         let out = self.forward_matrix().apply(input);
         let t = self.transmission();
@@ -167,7 +162,7 @@ impl Circulator {
     /// Backward pass, port 2 → port 3, for one incoming polarization
     /// component (standard fiber scrambles polarization, so average the
     /// two). Ideal behaviour: 90° rotation steers everything to port 3.
-    pub fn backward(&self) -> PassResult {
+    fn backward(&self) -> PassResult {
         let t = self.transmission();
         let m = self.backward_matrix();
         let mut through = 0.0;
@@ -197,7 +192,7 @@ impl Circulator {
     /// (negative; more negative = better). This is the "crosstalk between
     /// the ports" §3.3.1 calls "particularly important" because it lands
     /// in-band on the local receiver.
-    pub fn isolation(&self) -> Db {
+    fn isolation(&self) -> Db {
         let leaked = self.backward().leaked;
         if leaked <= 0.0 {
             Db(-100.0)
@@ -207,7 +202,7 @@ impl Circulator {
     }
 
     /// Insertion loss of a pass, dB (positive).
-    pub fn insertion_loss(&self) -> Db {
+    fn insertion_loss(&self) -> Db {
         Db(-10.0 * self.backward().through.log10())
     }
 }

@@ -32,14 +32,14 @@ impl Default for FiberDispersion {
 impl FiberDispersion {
     /// Dispersion coefficient D(λ) in ps/(nm·km), from the standard
     /// Sellmeier-derived G.652 formula `D = S₀/4 · (λ − λ₀⁴/λ³)`.
-    pub fn coefficient(&self, wavelength: Nanometers) -> f64 {
+    pub(crate) fn coefficient(&self, wavelength: Nanometers) -> f64 {
         let l = wavelength.nm();
         let l0 = self.lambda0.nm();
         self.slope / 4.0 * (l - l0.powi(4) / l.powi(3))
     }
 
     /// Accumulated dispersion over a span, ps/nm.
-    pub fn accumulated(&self, wavelength: Nanometers, km: f64) -> f64 {
+    pub(crate) fn accumulated(&self, wavelength: Nanometers, km: f64) -> f64 {
         assert!(km >= 0.0, "span length must be >= 0");
         self.coefficient(wavelength) * km
     }
@@ -56,7 +56,7 @@ pub enum Equalizer {
 }
 
 /// Maximum penalty reported; beyond this the link is dispersion-limited.
-pub const PENALTY_CAP_DB: f64 = 6.0;
+pub(crate) const PENALTY_CAP_DB: f64 = 6.0;
 
 /// Dispersion power penalty for one lane over one span.
 ///
@@ -65,7 +65,7 @@ pub const PENALTY_CAP_DB: f64 = 6.0;
 /// the eye, whose unimpaired width for an M-level format is `T/(M−1)` — a
 /// PAM4 eye is a third of the symbol period, which is why dispersion bites
 /// at 100G PAM4 but not 25G NRZ (§3.3.1). The power penalty is
-/// `−10·log₁₀(1 − 2·(Δτ/T_eye)²)`, capped at [`PENALTY_CAP_DB`] once the
+/// `−10·log₁₀(1 − 2·(Δτ/T_eye)²)`, capped at `PENALTY_CAP_DB` once the
 /// eye is effectively shut. MLSE halves the effective spread.
 pub fn dispersion_penalty(
     fiber: &FiberDispersion,

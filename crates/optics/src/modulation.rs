@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 /// Modulation format of one electrical/optical lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum LineCode {
+pub(crate) enum LineCode {
     /// Non-return-to-zero on-off keying: 1 bit/symbol, 2 levels.
     Nrz,
     /// 4-level pulse-amplitude modulation: 2 bits/symbol, 4 levels.
@@ -21,7 +21,7 @@ pub enum LineCode {
 
 impl LineCode {
     /// Bits carried per symbol.
-    pub fn bits_per_symbol(self) -> u32 {
+    pub(crate) fn bits_per_symbol(self) -> u32 {
         match self {
             LineCode::Nrz => 1,
             LineCode::Pam4 => 2,
@@ -29,7 +29,7 @@ impl LineCode {
     }
 
     /// Number of amplitude levels.
-    pub fn levels(self) -> usize {
+    pub(crate) fn levels(self) -> usize {
         match self {
             LineCode::Nrz => 2,
             LineCode::Pam4 => 4,
@@ -57,7 +57,7 @@ impl LaneRate {
     pub const ALL: [LaneRate; 3] = [LaneRate::Pam4_100, LaneRate::Pam4_50, LaneRate::Nrz25];
 
     /// The line code used at this rate.
-    pub fn line_code(self) -> LineCode {
+    pub(crate) fn line_code(self) -> LineCode {
         match self {
             LaneRate::Nrz25 => LineCode::Nrz,
             LaneRate::Pam4_50 | LaneRate::Pam4_100 => LineCode::Pam4,
@@ -80,7 +80,7 @@ impl LaneRate {
 
     /// Nominal receiver electrical bandwidth (~0.65 × baud for the DSP-based
     /// receivers modeled here).
-    pub fn rx_bandwidth(self) -> Gigahertz {
+    pub(crate) fn rx_bandwidth(self) -> Gigahertz {
         Gigahertz(0.65 * self.baud() / 1e9)
     }
 

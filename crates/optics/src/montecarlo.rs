@@ -35,7 +35,7 @@ pub struct McBerResult {
 
 impl McBerResult {
     /// Builds the result from raw symbol/error tallies (2 bits per symbol).
-    pub fn from_counts(symbols: u64, errors: u64) -> McBerResult {
+    pub(crate) fn from_counts(symbols: u64, errors: u64) -> McBerResult {
         let bits = symbols * 2;
         McBerResult {
             bits,

@@ -65,7 +65,7 @@ pub struct MpiBudget {
 /// Default circulator Tx→Rx isolation (port 1 → port 3 leakage), in dB.
 /// The paper's circulators were re-engineered specifically to reduce this
 /// crosstalk (§3.3.1); −50 dB is the nominal achieved figure used here.
-pub const CIRCULATOR_ISOLATION_DB: f64 = -50.0;
+pub(crate) const CIRCULATOR_ISOLATION_DB: f64 = -50.0;
 
 impl MpiBudget {
     /// Computes the bidi interference budget for one direction of a link.
@@ -77,7 +77,7 @@ impl MpiBudget {
     }
 
     /// As [`MpiBudget::from_bidi_link`], with explicit circulator isolation.
-    pub fn from_bidi_link_with_isolation(link: &LinkBudget, isolation: Db) -> MpiBudget {
+    pub(crate) fn from_bidi_link_with_isolation(link: &LinkBudget, isolation: Db) -> MpiBudget {
         let n = link.components.len();
         let mut reach = Vec::with_capacity(n);
         let mut contributions = Vec::with_capacity(term_capacity(n));

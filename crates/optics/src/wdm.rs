@@ -40,7 +40,7 @@ impl WdmGrid {
     }
 
     /// Channel spacing.
-    pub fn spacing(self) -> Nanometers {
+    pub(crate) fn spacing(self) -> Nanometers {
         match self {
             WdmGrid::Cwdm4 => Nanometers(20.0),
             WdmGrid::Cwdm8 => Nanometers(10.0),
@@ -49,7 +49,7 @@ impl WdmGrid {
 
     /// First (shortest) center wavelength. Both grids anchor at 1271 nm so
     /// they share the O-band window the fabric optics are designed for.
-    pub fn first_center(self) -> Nanometers {
+    pub(crate) fn first_center(self) -> Nanometers {
         Nanometers(1271.0)
     }
 
@@ -94,14 +94,14 @@ impl WdmGrid {
     }
 }
 
-/// The out-of-band monitor wavelength used by the Palomar OCS cameras
-/// (850 nm, §3.2.2) — deliberately far from the ~1300 nm data band so
-/// dichroic splitters can separate monitor light from signal light.
-pub const MONITOR_WAVELENGTH: Nanometers = Nanometers(850.0);
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The out-of-band monitor wavelength used by the Palomar OCS cameras
+    /// (850 nm, §3.2.2) — deliberately far from the ~1300 nm data band so
+    /// dichroic splitters can separate monitor light from signal light.
+    const MONITOR_WAVELENGTH: Nanometers = Nanometers(850.0);
 
     #[test]
     fn cwdm4_matches_msa_grid() {

@@ -133,7 +133,7 @@ pub fn plan_shards(n: u64, shard_size: u64) -> Vec<Shard> {
 /// Parses a thread-count override (the `LIGHTWAVE_THREADS` value): a
 /// positive integer wins; absent, empty, zero, or unparsable falls back to
 /// `default`.
-pub fn parse_threads(raw: Option<&str>, default: usize) -> usize {
+pub(crate) fn parse_threads(raw: Option<&str>, default: usize) -> usize {
     match raw.map(str::trim) {
         Some(s) if !s.is_empty() => match s.parse::<usize>() {
             Ok(n) if n > 0 => n,

@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 
 /// Stream offset separating service arrivals from every other consumer
 /// of the same seed (see module docs).
-pub const SERVICE_STREAM: u64 = 0x5EB1_1CE0_0A5C_11E5;
+pub(crate) const SERVICE_STREAM: u64 = 0x5EB1_1CE0_0A5C_11E5;
 
 /// Workload mix the stream draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

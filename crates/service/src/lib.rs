@@ -68,7 +68,7 @@ pub mod metrics;
 pub mod queue;
 pub mod scope;
 
-pub use arrivals::{arrival, chips_for_cubes, Arrival, Mix, SERVICE_STREAM};
+pub use arrivals::{arrival, chips_for_cubes, Arrival, Mix};
 pub use campus::{CampusObserver, POD_SCOPE_SWITCH};
 pub use engine::{
     run_cell, run_cell_with, run_sharded, Observer, ServiceConfig, ShardObserver, Step, CELL_STREAM,
@@ -81,5 +81,5 @@ pub use metrics::{
 pub use queue::{PolicyConfig, RejectReason, ServiceCore, ServiceEvent};
 pub use scope::{
     scope_sampled, scope_span_id, ClassScope, CriticalPath, ScopeCollector, ScopeDist, ScopePhase,
-    ScopeReport, ScopeSnapshot, ScopeTimeline, SCOPE_SCHEMA, SCOPE_STREAM,
+    ScopeReport, ScopeSnapshot, ScopeTimeline, SCOPE_SCHEMA,
 };

@@ -39,7 +39,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// arrival stream and every tracer's counter stream. Root lifecycle span
 /// ids derive from `seed ^ SCOPE_STREAM`, so they cannot collide with a
 /// tracer's counter-derived ids for the same seed (DESIGN §6.7).
-pub const SCOPE_STREAM: u64 = 0x5C09_ED15_C0FE_0001;
+pub(crate) const SCOPE_STREAM: u64 = 0x5C09_ED15_C0FE_0001;
 
 /// Whether request `request` is scope-sampled: pure in
 /// `(seed, request)`, so every cell, thread and rerun agrees. `every`
@@ -255,7 +255,7 @@ pub struct CriticalPath {
 }
 
 /// The quantiles [`ScopeReport::critical_paths`] reports, in per-mille.
-pub const CRITICAL_QUANTILES_PERMILLE: [u32; 3] = [500, 990, 999];
+pub(crate) const CRITICAL_QUANTILES_PERMILLE: [u32; 3] = [500, 990, 999];
 
 /// Completions between collector garbage-collection sweeps of displaced
 /// exemplar timelines.
@@ -319,7 +319,7 @@ impl ScopeReport {
     /// return (joins only replace), so the retained set is a pure
     /// function of the merged histograms — GC timing cannot change the
     /// final report.
-    pub fn gc(&mut self) {
+    pub(crate) fn gc(&mut self) {
         let mut keep = BTreeSet::new();
         for c in &self.classes {
             c.total.hist.exemplar_requests(&mut keep);
@@ -346,7 +346,7 @@ impl ScopeReport {
     }
 
     /// The critical-path rows: for each class and each quantile in
-    /// [`CRITICAL_QUANTILES_PERMILLE`], the exemplar request of that
+    /// `CRITICAL_QUANTILES_PERMILLE`, the exemplar request of that
     /// quantile's total-latency bucket, broken down by phase share.
     pub fn critical_paths(&self) -> Vec<CriticalPath> {
         let mut rows = Vec::new();

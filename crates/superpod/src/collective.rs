@@ -55,7 +55,7 @@ pub fn ring_reduce_scatter(bytes: f64, len: usize, p: &IciParams) -> f64 {
 }
 
 /// Time for a ring all-gather (same step structure as reduce-scatter).
-pub fn ring_all_gather(bytes: f64, len: usize, p: &IciParams) -> f64 {
+pub(crate) fn ring_all_gather(bytes: f64, len: usize, p: &IciParams) -> f64 {
     ring_reduce_scatter(bytes, len, p)
 }
 

@@ -4,13 +4,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Chips along one edge of an elemental cube.
-pub const CUBE_EDGE: usize = 4;
-/// Chips per elemental cube (4×4×4 = 64, one rack).
-pub const CHIPS_PER_CUBE: usize = CUBE_EDGE * CUBE_EDGE * CUBE_EDGE;
+pub(crate) const CUBE_EDGE: usize = 4;
 /// Cubes in a full superpod.
 pub const POD_CUBES: usize = 64;
-/// Chips in a full superpod (64² = 4096).
-pub const POD_CHIPS: usize = POD_CUBES * CHIPS_PER_CUBE;
 /// Optical links per cube face (4×4 chip positions).
 pub const LINKS_PER_FACE: usize = CUBE_EDGE * CUBE_EDGE;
 
@@ -171,6 +167,11 @@ impl Dim {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Chips per elemental cube (4×4×4 = 64, one rack).
+    const CHIPS_PER_CUBE: usize = CUBE_EDGE * CUBE_EDGE * CUBE_EDGE;
+    /// Chips in a full superpod (64² = 4096).
+    const POD_CHIPS: usize = POD_CUBES * CHIPS_PER_CUBE;
 
     /// Position of a chip inside its cube, each coordinate in 0..4: the
     /// model the face-link rule of `wiring` is stated over.

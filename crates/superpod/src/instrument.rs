@@ -17,7 +17,7 @@ use lightwave_trace::{Lane, SpanId, SpanKind, Tracer};
 use lightwave_units::Nanos;
 
 /// A phase-time slowdown past this ratio over baseline flags a straggler.
-pub const STRAGGLER_THRESHOLD: f64 = 1.2;
+pub(crate) const STRAGGLER_THRESHOLD: f64 = 1.2;
 
 /// One detected straggler dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +30,7 @@ pub struct Straggler {
 
 /// Compares an observed collective on `pod` against its healthy
 /// baseline phase-by-phase and alarms every dimension whose worst phase
-/// ran more than [`STRAGGLER_THRESHOLD`]× slower.
+/// ran more than `STRAGGLER_THRESHOLD`× slower.
 ///
 /// `dims` must be the dimension order both runs were simulated with
 /// (phases are `dims` forward for reduce-scatter, then reversed for

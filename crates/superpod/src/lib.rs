@@ -38,7 +38,7 @@ pub mod torus;
 pub mod torus_nd;
 pub mod wiring;
 
-pub use geometry::{CubeId, CubeSet, Dim, CHIPS_PER_CUBE, CUBE_EDGE, POD_CHIPS, POD_CUBES};
+pub use geometry::{CubeId, CubeSet, Dim, POD_CUBES};
 pub use pod::{PodError, SliceHandle, Superpod};
 pub use slice::{CubeList, Slice, SliceShape};
 pub use torus::Torus;

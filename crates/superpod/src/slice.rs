@@ -132,10 +132,10 @@ impl SliceShape {
 }
 
 /// Cube ids a [`CubeList`] holds without a heap block.
-pub const INLINE_CUBES: usize = 22;
+pub(crate) const INLINE_CUBES: usize = 22;
 
 /// An ordered list of cubes — a slice's grid positions, an allocator's
-/// pick — held as a value: up to [`INLINE_CUBES`] ids sit inside the 24
+/// pick — held as a value: up to `INLINE_CUBES` ids sit inside the 24
 /// bytes a `Vec` header would take, and only a longer list boxes its ids
 /// (DESIGN §6.6, "Cube lists are values"). It reads as a `[CubeId]`,
 /// compares by its live ids, and serializes as the same JSON array.

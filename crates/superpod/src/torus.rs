@@ -47,7 +47,7 @@ impl Torus {
 
     /// The neighbor of `chip` in direction `+1`/`-1` along `dim`, with
     /// torus wraparound.
-    pub fn neighbor(&self, chip: Chip, dim: usize, forward: bool) -> Chip {
+    pub(crate) fn neighbor(&self, chip: Chip, dim: usize, forward: bool) -> Chip {
         assert!(dim < 3, "dimension out of range");
         assert!(self.contains(chip), "chip outside torus");
         let len = self.shape.chips[dim];

@@ -90,7 +90,7 @@ pub enum TrendSignal {
     /// Multi-window SLO error-budget burn (fast **and** slow window
     /// both over the paging threshold — see
     /// [`crate::slo::BurnRateLedger`]). The alarm's `switch` field
-    /// carries the pod id, or [`crate::slo::CAMPUS_ALARM_SWITCH`] for
+    /// carries the pod id, or `crate::slo::CAMPUS_ALARM_SWITCH` for
     /// the campus-wide ledger.
     ErrorBudgetBurn,
 }
@@ -135,7 +135,7 @@ impl AlarmCause {
 
     /// Whether this cause is a port-scoped symptom that a root-cause
     /// incident on the same switch can absorb.
-    pub fn is_correlatable_symptom(&self) -> bool {
+    pub(crate) fn is_correlatable_symptom(&self) -> bool {
         matches!(
             self.class(),
             CauseClass::Mirror | CauseClass::Alignment | CauseClass::Loss
@@ -159,14 +159,14 @@ pub struct AlarmRecord {
 
 /// Reopening a cleared incident within this window (500 ms) of its
 /// clearing revives it instead of paging again (flap suppression).
-pub const DEBOUNCE: Nanos = Nanos(500_000_000);
+pub(crate) const DEBOUNCE: Nanos = Nanos(500_000_000);
 /// An incident clears after this long (5 s) without new occurrences.
-pub const CLEAR_AFTER: Nanos = Nanos(5_000_000_000);
+pub(crate) const CLEAR_AFTER: Nanos = Nanos(5_000_000_000);
 /// Occurrence count at which an open incident escalates to Critical.
-pub const ESCALATE_AFTER: u64 = 10;
+pub(crate) const ESCALATE_AFTER: u64 = 10;
 /// Symptoms within this window (2 s) of a root incident's last activity
 /// are absorbed into it.
-pub const CORRELATION_WINDOW: Nanos = Nanos(2_000_000_000);
+pub(crate) const CORRELATION_WINDOW: Nanos = Nanos(2_000_000_000);
 
 /// A correlated, debounced alarm group — the unit that pages.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -353,7 +353,7 @@ impl AlarmAggregator {
     }
 
     /// Advances aggregator time, clearing incidents quiet for longer than
-    /// [`CLEAR_AFTER`]. Returns ids of incidents cleared now.
+    /// `CLEAR_AFTER`. Returns ids of incidents cleared now.
     pub fn advance(&mut self, now: Nanos) -> Vec<u64> {
         let mut cleared = Vec::new();
         for inc in &mut self.incidents {

@@ -21,15 +21,15 @@ use lightwave_units::Nanos;
 
 /// CUSUM per-step allowance subtracted before accumulating (the noise
 /// floor): 10 mdB per sample.
-pub const CUSUM_SLACK_MICROS: i64 = 10_000;
+pub(crate) const CUSUM_SLACK_MICROS: i64 = 10_000;
 /// CUSUM cumulative-sum decision threshold: 100 mdB.
-pub const CUSUM_DECISION_MICROS: i64 = 100_000;
+pub(crate) const CUSUM_DECISION_MICROS: i64 = 100_000;
 /// Minimum distinct positive increments before a CUSUM trip is allowed.
 ///
 /// This gate separates *creep* (many small rises) from a single
 /// legitimate step — e.g. a spare-mirror swap can move a port's drift by
 /// hundreds of milli-dB in one jump, which must not trip.
-pub const CUSUM_MIN_RISES: u32 = 4;
+pub(crate) const CUSUM_MIN_RISES: u32 = 4;
 
 /// One-sided (upward) CUSUM change-point detector over a level signal.
 ///
@@ -39,7 +39,7 @@ pub const CUSUM_MIN_RISES: u32 = 4;
 /// baseline starts at zero because the signals it watches (port drift)
 /// are deviations from as-built by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Cusum {
+pub(crate) struct Cusum {
     s_micros: i64,
     rises: u32,
     last_micros: i64,
@@ -67,22 +67,17 @@ impl Cusum {
     pub fn tripped(&self) -> bool {
         self.tripped
     }
-
-    /// Distinct positive increments seen.
-    pub fn rises(&self) -> u32 {
-        self.rises
-    }
 }
 
 /// EWMA smoothing as an arithmetic shift: `α = 2^-shift` = 1/8 (integer
 /// EWMA).
-pub const EWMA_SHIFT: u32 = 3;
+pub(crate) const EWMA_SHIFT: u32 = 3;
 /// Deviation (sample − EWMA) that counts as "over": 60 mdB.
-pub const EWMA_THRESHOLD_MICROS: i64 = 60_000;
+pub(crate) const EWMA_THRESHOLD_MICROS: i64 = 60_000;
 /// Samples required before deviations are evaluated at all.
-pub const EWMA_MIN_SAMPLES: u32 = 4;
+pub(crate) const EWMA_MIN_SAMPLES: u32 = 4;
 /// Consecutive over-threshold samples required to trip.
-pub const EWMA_MIN_OVER: u32 = 3;
+pub(crate) const EWMA_MIN_OVER: u32 = 3;
 
 /// Integer EWMA drift detector: trips when a signal runs persistently
 /// above its own smoothed history.
@@ -93,7 +88,7 @@ pub const EWMA_MIN_OVER: u32 = 3;
 /// within [`EWMA_MIN_OVER`] samples and never trips on its own. The
 /// baseline starts at zero, like [`Cusum`]'s: the signals are deviations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EwmaDrift {
+pub(crate) struct EwmaDrift {
     ewma_micros: i64,
     samples: u32,
     over: u32,
@@ -125,15 +120,15 @@ impl EwmaDrift {
 }
 
 /// Rate-spike counting-window width (sim time): 250 ms.
-pub const RATE_SPIKE_WINDOW: Nanos = Nanos(250_000_000);
+pub(crate) const RATE_SPIKE_WINDOW: Nanos = Nanos(250_000_000);
 /// Events per window for the window to qualify.
-pub const RATE_SPIKE_PER_WINDOW: u32 = 2;
+pub(crate) const RATE_SPIKE_PER_WINDOW: u32 = 2;
 /// Contiguous qualifying windows required to trip.
 ///
 /// Requiring *contiguous* windows is what separates a sustained relock
 /// spike from a single-instant storm (one window, however many events)
 /// and from scattered background flaps.
-pub const RATE_SPIKE_MIN_WINDOWS: u32 = 3;
+pub(crate) const RATE_SPIKE_MIN_WINDOWS: u32 = 3;
 
 /// Event-rate spike detector over fixed sim-time windows.
 ///
@@ -142,7 +137,7 @@ pub const RATE_SPIKE_MIN_WINDOWS: u32 = 3;
 /// [`RATE_SPIKE_MIN_WINDOWS`]` − 1` contiguous qualifying windows
 /// immediately before it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RateSpike {
+pub(crate) struct RateSpike {
     cur_idx: u64,
     cur_count: u32,
     streak: u32,
@@ -206,7 +201,7 @@ mod tests {
         let mut d = Cusum::default();
         assert!(!d.ingest(300_000));
         assert!(!d.tripped());
-        assert_eq!(d.rises(), 1);
+        assert_eq!(d.rises, 1);
     }
 
     #[test]

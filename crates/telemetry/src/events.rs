@@ -103,9 +103,9 @@ pub struct Event {
 
 /// Events the bus retains: the most recent 1024 (the dashboard shows the
 /// last 12; a JSONL export carries the whole ring).
-pub const EVENT_RETENTION: usize = 1024;
+pub(crate) const EVENT_RETENTION: usize = 1024;
 
-/// Bounded-retention event bus ([`EVENT_RETENTION`] events).
+/// Bounded-retention event bus (`EVENT_RETENTION` events).
 #[derive(Debug)]
 pub struct EventBus {
     ring: VecDeque<Event>,
@@ -125,7 +125,7 @@ impl Default for EventBus {
 
 impl EventBus {
     /// Publishes an event into the ring, evicting the oldest when full.
-    pub fn publish(&mut self, event: Event) {
+    pub(crate) fn publish(&mut self, event: Event) {
         if self.ring.len() == EVENT_RETENTION {
             self.ring.pop_front();
             self.dropped += 1;
@@ -154,7 +154,7 @@ impl EventBus {
     }
 
     /// Events evicted from retention.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 }

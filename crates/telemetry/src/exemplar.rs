@@ -49,7 +49,7 @@ impl Exemplar {
 
 /// The two exemplars one bucket retains.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BucketExemplars {
+pub(crate) struct BucketExemplars {
     /// The bucket's smallest sample.
     pub min: Exemplar,
     /// The bucket's largest sample.
@@ -202,9 +202,9 @@ impl ExemplarHistogram {
 pub struct ExemplarBucket {
     /// The bucket's lower-bound binary exponent.
     pub exp: i16,
-    /// See [`BucketExemplars::min`].
+    /// See `BucketExemplars::min`.
     pub min: Exemplar,
-    /// See [`BucketExemplars::max`].
+    /// See `BucketExemplars::max`.
     pub max: Exemplar,
 }
 

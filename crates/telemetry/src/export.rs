@@ -75,7 +75,7 @@ pub fn to_jsonl(t: &FleetTelemetry, now: Nanos) -> String {
 
 /// Renders the fleet dashboard as plain text: incidents, SLO standing,
 /// and the recent-event tail.
-pub fn text_dashboard(t: &FleetTelemetry, now: Nanos) -> String {
+pub(crate) fn text_dashboard(t: &FleetTelemetry, now: Nanos) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "── fleet telemetry @ {now} ──");
 

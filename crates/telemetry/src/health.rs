@@ -10,8 +10,8 @@
 //! - every drift/relock observation lands in a bounded
 //!   [`crate::timeseries::SeriesStore`] (history for dashboards,
 //!   Perfetto counter tracks, and flight-recorder postmortems);
-//! - per-port [`Cusum`] + [`EwmaDrift`] banks and per-switch
-//!   [`RateSpike`] detectors run on ingest in O(1) per sample;
+//! - per-port `Cusum` + `EwmaDrift` banks and per-switch
+//!   `RateSpike` detectors run on ingest in O(1) per sample;
 //! - a detector trip raises a `Warning` [`AlarmCause::TrendAnomaly`]
 //!   through the ordinary alarm path (debounce, paging, events);
 //! - [`FleetHealth::report`] rolls detector state into a
@@ -34,13 +34,13 @@ use std::collections::BTreeMap;
 /// Drift (micro-dB) treated as the repair budget — 0.25 dB of creep
 /// headroom: at or above half of this a port is *watched* even without a
 /// detector trip.
-pub const REPAIR_BUDGET_MICROS: i64 = 250_000;
+pub(crate) const REPAIR_BUDGET_MICROS: i64 = 250_000;
 /// Score penalty per port with a tripped drift detector (capped at 2×).
-pub const DRIFT_TRIP_PENALTY: u32 = 30;
+pub(crate) const DRIFT_TRIP_PENALTY: u32 = 30;
 /// Score penalty when the relock rate detector tripped.
-pub const RELOCK_TRIP_PENALTY: u32 = 25;
+pub(crate) const RELOCK_TRIP_PENALTY: u32 = 25;
 /// Score penalty when drift is past half the repair budget with no trip.
-pub const WATCH_PENALTY: u32 = 10;
+pub(crate) const WATCH_PENALTY: u32 = 10;
 
 /// One detector trip, recorded in ingest order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

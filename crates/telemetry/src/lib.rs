@@ -27,7 +27,7 @@
 //!   [`Aggregate`]s that merge *exactly* in any order, folded into
 //!   switch, pod and campus rows when the versioned queryable
 //!   `campus_health.json` snapshot asks.
-//! - [`detect`] — O(1)-per-sample streaming detectors (EWMA drift,
+//! - `detect` — O(1)-per-sample streaming detectors (EWMA drift,
 //!   CUSUM change-point, windowed rate-spike), pure integer state.
 //! - [`health`] — the analytics tier: detector banks over port drift
 //!   and relock rates, a per-switch score rollup, and the
@@ -75,7 +75,7 @@
 #![warn(missing_docs)]
 
 pub mod alarms;
-pub mod detect;
+mod detect;
 pub mod events;
 pub mod exemplar;
 pub mod export;
@@ -90,7 +90,6 @@ pub mod timeseries;
 pub use alarms::{
     AlarmAggregator, AlarmCause, AlarmRecord, CauseClass, Incident, IngestOutcome, TrendSignal,
 };
-pub use detect::{Cusum, EwmaDrift, RateSpike};
 pub use events::{Event, EventBus, EventKind};
 pub use exemplar::{Exemplar, ExemplarBucket, ExemplarHistogram, ExemplarSnapshot};
 pub use export::JsonlRecord;
@@ -105,10 +104,7 @@ pub use rollup::{
     RollupTree, SwitchRow, CAMPUS_HEALTH_SCHEMA,
 };
 pub use severity::Severity;
-pub use slo::{
-    BurnRateLedger, BurnReport, BurnStatus, ObjectSlo, SloReport, SloTracker, CAMPUS_ALARM_SWITCH,
-    OCS_AVAILABILITY_TARGET, OCS_ERROR_BUDGET_PPM,
-};
+pub use slo::{BurnRateLedger, BurnReport, BurnStatus, ObjectSlo, SloReport, SloTracker};
 pub use timeseries::{
     series_switch, CounterSample, CounterTrack, MetricKey, Sample, SeriesId, SeriesStore,
     TimeSeries,

@@ -17,22 +17,22 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 /// The paper's OCS availability target (§4.1.1).
-pub const OCS_AVAILABILITY_TARGET: f64 = 0.9998;
+pub(crate) const OCS_AVAILABILITY_TARGET: f64 = 0.9998;
 
 /// The 99.98% target as an error budget in parts-per-million of time —
 /// the integer form every burn-rate quantity is derived from.
-pub const OCS_ERROR_BUDGET_PPM: u64 = 200;
+pub(crate) const OCS_ERROR_BUDGET_PPM: u64 = 200;
 
 /// Fast burn-rate alert window (300 s): makes the page responsive.
-pub const BURN_FAST_WINDOW: Nanos = Nanos(300_000_000_000);
+pub(crate) const BURN_FAST_WINDOW: Nanos = Nanos(300_000_000_000);
 
 /// Slow burn-rate alert window (3 600 s): keeps one transient blip from
 /// paging.
-pub const BURN_SLOW_WINDOW: Nanos = Nanos(3_600_000_000_000);
+pub(crate) const BURN_SLOW_WINDOW: Nanos = Nanos(3_600_000_000_000);
 
 /// Paging threshold: burn rate ×1000 that **both** windows must reach
 /// (10× the budget's pace) — the Google-SRE multi-window shape.
-pub const PAGE_BURN_MILLI: u64 = 10_000;
+pub(crate) const PAGE_BURN_MILLI: u64 = 10_000;
 
 const _: () = assert!(
     OCS_ERROR_BUDGET_PPM > 0,
@@ -42,7 +42,7 @@ const _: () = assert!(BURN_FAST_WINDOW.0 > 0 && BURN_SLOW_WINDOW.0 >= BURN_FAST_
 
 /// Switch id burn-rate alarms carry for the campus-wide object (per-pod
 /// alarms carry the pod id).
-pub const CAMPUS_ALARM_SWITCH: u32 = u32::MAX;
+pub(crate) const CAMPUS_ALARM_SWITCH: u32 = u32::MAX;
 
 /// One object's up/down history, as far as downtime needs it — the state
 /// machine under both [`SloTracker`] and [`BurnRateLedger`].
@@ -139,7 +139,7 @@ pub struct ObjectSlo {
 /// Fleet SLO assessment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SloReport {
-    /// The availability target ([`OCS_AVAILABILITY_TARGET`]).
+    /// The availability target (`OCS_AVAILABILITY_TARGET`).
     pub target: f64,
     /// Per-object assessments, object-name-sorted.
     pub objects: Vec<ObjectSlo>,
@@ -150,7 +150,7 @@ pub struct SloReport {
 }
 
 /// Tracks availability of a set of named objects against the paper's
-/// 99.98% OCS target ([`OCS_AVAILABILITY_TARGET`]).
+/// 99.98% OCS target (`OCS_AVAILABILITY_TARGET`).
 #[derive(Debug, Clone, Default)]
 pub struct SloTracker {
     objects: BTreeMap<String, ObjectState>,
@@ -274,13 +274,13 @@ pub struct BurnStatus {
 /// The campus burn-rate / error-budget assessment.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BurnReport {
-    /// Error budget in ppm of time ([`OCS_ERROR_BUDGET_PPM`]).
+    /// Error budget in ppm of time (`OCS_ERROR_BUDGET_PPM`).
     pub budget_ppm: u64,
-    /// Fast alert window ([`BURN_FAST_WINDOW`]).
+    /// Fast alert window (`BURN_FAST_WINDOW`).
     pub fast_window: Nanos,
-    /// Slow alert window ([`BURN_SLOW_WINDOW`]).
+    /// Slow alert window (`BURN_SLOW_WINDOW`).
     pub slow_window: Nanos,
-    /// Paging threshold, burn ×1000 ([`PAGE_BURN_MILLI`]).
+    /// Paging threshold, burn ×1000 (`PAGE_BURN_MILLI`).
     pub page_burn_milli: u64,
     /// Per-pod rows, pod-sorted.
     pub pods: Vec<BurnStatus>,
@@ -296,8 +296,8 @@ pub struct BurnReport {
 /// Feeds on the same up/down transitions as [`SloTracker`], but keeps
 /// enough (bounded) interval history to answer *windowed* downtime —
 /// the quantity burn rates are defined over. A page fires only when
-/// **both** [`BURN_FAST_WINDOW`] and [`BURN_SLOW_WINDOW`] burn the error
-/// budget at [`PAGE_BURN_MILLI`] or faster. Every derived number is
+/// **both** `BURN_FAST_WINDOW` and `BURN_SLOW_WINDOW` burn the error
+/// budget at `PAGE_BURN_MILLI` or faster. Every derived number is
 /// integer arithmetic on [`Nanos`], so reports and the alarms raised
 /// through [`BurnRateLedger::poll`] are byte-identical at any worker
 /// count, and ledgers for disjoint pod sets merge exactly.
@@ -434,7 +434,7 @@ impl BurnRateLedger {
     /// Trend-class incidents never auto-escalate ([`crate::alarms`]).
     /// Also trims interval history outside the slow window. Returns the
     /// pods that newly entered the paging condition
-    /// ([`CAMPUS_ALARM_SWITCH`] stands for the campus object).
+    /// (`CAMPUS_ALARM_SWITCH` stands for the campus object).
     pub fn poll(&mut self, sink: &mut FleetTelemetry, now: Nanos) -> Vec<u32> {
         let lo = now.saturating_sub(BURN_SLOW_WINDOW);
         for s in self.pods.values_mut() {

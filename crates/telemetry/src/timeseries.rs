@@ -6,7 +6,7 @@
 //! quantized to integer micro-units exactly once at ingest, so no
 //! retained value ever depends on arrival order or worker count.
 //!
-//! Retention is one **raw ring** of the last [`RAW_CAPACITY`] samples per
+//! Retention is one **raw ring** of the last `RAW_CAPACITY` samples per
 //! series — what every reader ([`SeriesStore::recent_for_switch`],
 //! [`SeriesStore::tracks`]) consumes. Ingest is a ring push, with no
 //! allocation on the steady state (the ring is at capacity).
@@ -71,7 +71,7 @@ pub fn series_switch(series: &str) -> Option<u32> {
 }
 
 /// Micro-units per 1.0 of a sample's native unit (quantization scale).
-pub const SERIES_SCALE: f64 = 1e6;
+pub(crate) const SERIES_SCALE: f64 = 1e6;
 
 /// Quantizes a native-unit value to integer micro-units.
 ///
@@ -91,14 +91,14 @@ pub fn dequantize(micros: i64) -> f64 {
 pub struct Sample {
     /// Simulation time of the observation.
     pub at: Nanos,
-    /// Value in integer micro-units (see [`SERIES_SCALE`]).
+    /// Value in integer micro-units (see `SERIES_SCALE`).
     pub value_micros: i64,
 }
 
 /// Raw samples retained per series (ring, oldest evicted first). One
 /// 4 KiB ring of 16-byte samples: a flight-recorder postmortem embeds
 /// the last few of them per series, a Perfetto counter track all of them.
-pub const RAW_CAPACITY: usize = 256;
+pub(crate) const RAW_CAPACITY: usize = 256;
 
 /// A single bounded series: the raw ring plus a lifetime count.
 #[derive(Debug, Clone)]

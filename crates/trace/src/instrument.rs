@@ -16,10 +16,10 @@ use lightwave_units::Nanos;
 
 /// Number of virtual worker lanes shards render across. Fixed — never the
 /// runtime thread count, which would break trace byte-identity.
-pub const TRACE_LANES: u32 = 8;
+pub(crate) const TRACE_LANES: u32 = 8;
 
 /// The virtual lane for a shard: a pure function of its index.
-pub fn shard_lane(shard_index: u64) -> Lane {
+pub(crate) fn shard_lane(shard_index: u64) -> Lane {
     Lane::Worker((shard_index % TRACE_LANES as u64) as u32)
 }
 

@@ -68,8 +68,6 @@ pub mod tracer;
 pub mod validate;
 
 pub use perfetto::{to_chrome_trace, TRACE_SCHEMA};
-pub use recorder::{
-    FlightDump, FlightEntry, FlightRecorder, COUNTER_SAMPLES_PER_SERIES, FLIGHT_SCHEMA,
-};
+pub use recorder::{FlightDump, FlightEntry, FlightRecorder, FLIGHT_SCHEMA};
 pub use span::{InstantRecord, Lane, ReconfigPhase, RequestStage, SpanId, SpanKind, SpanRecord};
 pub use tracer::{derive_span_id, reconfig_phase_spans, Tracer};

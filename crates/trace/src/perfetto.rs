@@ -4,7 +4,7 @@
 //! <https://ui.perfetto.dev> both open: a `traceEvents` array of complete
 //! (`"X"`), metadata (`"M"`), instant (`"i"`) and flow (`"s"`/`"f"`)
 //! events, timestamps in **microseconds**. Lanes map to `(pid, tid)`
-//! pairs via [`Lane::pid_tid`] — switches group under one process,
+//! pairs via `Lane::pid_tid` — switches group under one process,
 //! virtual workers under another — and metadata events name them.
 //!
 //! Everything is emitted in a deterministic order (metadata by lane

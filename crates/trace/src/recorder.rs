@@ -35,7 +35,7 @@ pub const FLIGHT_SCHEMA: &str = "lightwave/flight/v1";
 
 /// How many of its most recent retained samples each health series on an
 /// incident's switch contributes to that incident's bundle.
-pub const COUNTER_SAMPLES_PER_SERIES: usize = 16;
+pub(crate) const COUNTER_SAMPLES_PER_SERIES: usize = 16;
 
 /// A snapshot taken when an incident went Critical.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -52,7 +52,7 @@ pub struct FlightDump {
     /// The ring contents, oldest first.
     pub entries: Vec<FlightEntry>,
     /// Recent health counter samples for the incident's blast radius:
-    /// the last [`COUNTER_SAMPLES_PER_SERIES`] of every series on its
+    /// the last `COUNTER_SAMPLES_PER_SERIES` of every series on its
     /// switch in the store [`FlightRecorder::poll`] was handed.
     pub counters: Vec<CounterSample>,
 }
@@ -160,7 +160,6 @@ pub struct FlightRecorder {
     evicted: u64,
     span_cursor: usize,
     event_cursor: u64,
-    missed_events: u64,
     dumped: BTreeSet<u64>,
     dumps: Vec<FlightDump>,
 }
@@ -175,7 +174,6 @@ impl FlightRecorder {
             evicted: 0,
             span_cursor: 0,
             event_cursor: 0,
-            missed_events: 0,
             dumped: BTreeSet::new(),
             dumps: Vec::new(),
         }
@@ -202,12 +200,6 @@ impl FlightRecorder {
         self.evicted
     }
 
-    /// Bus events that fell out of the bus's own retention between syncs
-    /// (sync more often, or retain more, if this is non-zero).
-    pub fn missed_events(&self) -> u64 {
-        self.missed_events
-    }
-
     fn push(&mut self, entry: FlightEntry) {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
@@ -217,12 +209,12 @@ impl FlightRecorder {
     }
 
     /// Records one completed span directly.
-    pub fn record_span(&mut self, span: SpanRecord) {
+    pub(crate) fn record_span(&mut self, span: SpanRecord) {
         self.push(FlightEntry::Span(span));
     }
 
     /// Records one telemetry event directly.
-    pub fn record_event(&mut self, event: Event) {
+    pub(crate) fn record_event(&mut self, event: Event) {
         self.push(FlightEntry::Event(event));
     }
 
@@ -239,9 +231,6 @@ impl FlightRecorder {
 
         let retained: Vec<&Event> = bus.recent().collect();
         let first = bus.published() - retained.len() as u64;
-        if first > self.event_cursor {
-            self.missed_events += first - self.event_cursor;
-        }
         for (idx, event) in (first..bus.published()).zip(retained) {
             if idx >= self.event_cursor {
                 self.record_event(event.clone());
@@ -268,7 +257,7 @@ impl FlightRecorder {
     /// decreases and the incident log is append-only, this catches a
     /// Critical that was raised *and cleared* between polls — the
     /// never-drop-Critical contract. Each new dump also embeds the last
-    /// [`COUNTER_SAMPLES_PER_SERIES`] retained samples of every series in
+    /// `COUNTER_SAMPLES_PER_SERIES` retained samples of every series in
     /// `store` labeled with the incident's switch — the postmortem bundle
     /// answers "what were the drift/relock counters doing just before
     /// this went Critical?" without a second tool; an empty store embeds

@@ -52,7 +52,7 @@ impl ReconfigPhase {
     /// The phase's share of the reconfiguration window, in per-mille.
     /// Drain and undrain are fast control-plane actions; the bulk of the
     /// window is mirror settling, then camera verification (§3.2.2).
-    pub fn share_permille(self) -> u64 {
+    pub(crate) fn share_permille(self) -> u64 {
         match self {
             ReconfigPhase::Drain => 150,
             ReconfigPhase::MirrorSettle => 500,
@@ -185,7 +185,7 @@ impl SpanKind {
     }
 
     /// The span's category, for Perfetto filtering.
-    pub fn category(&self) -> &'static str {
+    pub(crate) fn category(&self) -> &'static str {
         match self {
             SpanKind::ReconfigCommit { .. } | SpanKind::Phase { .. } => "ocs",
             SpanKind::SliceCompose { .. } | SpanKind::SliceRelease { .. } => "superpod",
@@ -217,7 +217,7 @@ pub enum Lane {
 
 impl Lane {
     /// The Perfetto `(pid, tid)` pair for this lane.
-    pub fn pid_tid(self) -> (u32, u32) {
+    pub(crate) fn pid_tid(self) -> (u32, u32) {
         match self {
             Lane::Control => (1, 1),
             Lane::Scheduler => (1, 2),

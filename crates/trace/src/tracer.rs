@@ -193,7 +193,7 @@ impl Tracer {
 
 /// Synthesizes the four per-phase child spans of one switch
 /// reconfiguration, partitioning `[started, ready]` by each phase's
-/// [`ReconfigPhase::share_permille`] (integer arithmetic, last phase
+/// `ReconfigPhase::share_permille` (integer arithmetic, last phase
 /// absorbing the rounding remainder). Consecutive phases are linked
 /// follows-from, so the drain → settle → verify → undrain causal chain
 /// renders as flow arrows. Returns the phase span ids in causal order.

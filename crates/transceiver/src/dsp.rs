@@ -32,7 +32,7 @@ pub enum FecMode {
 
 impl FecMode {
     /// Concatenated mode at the paper's production operating point.
-    pub fn concat_paper_calibrated() -> FecMode {
+    pub(crate) fn concat_paper_calibrated() -> FecMode {
         FecMode::ConcatSfec {
             inner_threshold: lightwave_fec::analysis::paper_equivalent_inner_threshold(),
         }

@@ -49,7 +49,7 @@ impl ModuleFamily {
     }
 
     /// Whether the module carries both directions on one strand.
-    pub fn is_bidi(self) -> bool {
+    pub(crate) fn is_bidi(self) -> bool {
         !matches!(self, ModuleFamily::Cwdm4Duplex)
     }
 
@@ -65,15 +65,6 @@ impl ModuleFamily {
     pub fn engines(self) -> usize {
         match self {
             ModuleFamily::Cwdm4Duplex | ModuleFamily::Cwdm4Bidi => 2,
-            ModuleFamily::Cwdm8Bidi => 1,
-        }
-    }
-
-    /// Fiber strands leaving the module.
-    pub fn fibers(self) -> usize {
-        match self {
-            ModuleFamily::Cwdm4Duplex => 4, // 2 engines × (Tx + Rx)
-            ModuleFamily::Cwdm4Bidi => 2,   // 2 engines × 1 bidi strand
             ModuleFamily::Cwdm8Bidi => 1,
         }
     }
@@ -101,7 +92,7 @@ impl ModuleFamily {
     }
 
     /// Typical per-lane launch power.
-    pub fn nominal_launch(self) -> Dbm {
+    pub(crate) fn nominal_launch(self) -> Dbm {
         match self {
             ModuleFamily::Cwdm4Duplex => Dbm(0.5),
             ModuleFamily::Cwdm4Bidi => Dbm(1.0),

@@ -43,7 +43,7 @@ pub struct Db(pub f64);
 
 impl Db {
     /// Zero dB — unity gain.
-    pub const ZERO: Db = Db(0.0);
+    pub(crate) const ZERO: Db = Db(0.0);
 
     /// Creates a ratio from a linear power factor (e.g. `0.5` → `-3.01 dB`).
     ///
@@ -205,7 +205,7 @@ impl Ber {
     /// `-log10(BER)`, the "orders of magnitude" scale used in BER plots.
     ///
     /// Returns `f64::INFINITY` for a zero BER.
-    pub fn neg_log10(self) -> f64 {
+    pub(crate) fn neg_log10(self) -> f64 {
         if self.0 == 0.0 {
             f64::INFINITY
         } else {

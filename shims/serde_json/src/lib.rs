@@ -364,6 +364,21 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The four hex digits after the `u` at `pos`, leaving `pos` on the
+    /// last of them: exactly four, with no sign (`\u+041` is refused).
+    fn hex4(&mut self) -> Result<u32> {
+        let hex = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+            .ok_or_else(|| Error::new("bad \\u escape"))?;
+        let code = hex.iter().fold(0, |code, &d| {
+            code << 4 | (d as char).to_digit(16).unwrap_or(0)
+        });
+        self.pos += 4;
+        Ok(code)
+    }
+
     fn string(&mut self) -> Result<String> {
         self.expect(b'"')?;
         let mut out = String::new();
@@ -396,24 +411,25 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            // Four hex digits: `from_str_radix` alone
-                            // would also take a sign (`\u+041`).
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-                                .ok_or_else(|| Error::new("bad \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::new("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::new("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("bad \\u code point"))?,
-                            );
-                            self.pos += 4;
+                            let mut code = self.hex4()?;
+                            // A character past U+FFFF is a UTF-16 pair: a
+                            // leading surrogate escape, then a trailing one.
+                            if (0xD800..0xDC00).contains(&code) {
+                                let low = match self.bytes.get(self.pos + 1..self.pos + 3) {
+                                    Some(b"\\u") => {
+                                        self.pos += 2;
+                                        self.hex4()?
+                                    }
+                                    _ => 0,
+                                };
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return Err(Error::new("lone leading surrogate in \\u escape"));
+                                }
+                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                            }
+                            out.push(char::from_u32(code).ok_or_else(|| {
+                                Error::new("lone trailing surrogate in \\u escape")
+                            })?);
                         }
                         other => {
                             return Err(Error::new(format!("bad escape {other:?}")));

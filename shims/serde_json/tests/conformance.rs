@@ -103,6 +103,30 @@ fn a_unicode_escape_is_four_hex_digits() {
 }
 
 #[test]
+fn a_surrogate_pair_escape_is_one_character() {
+    let s: String = serde_json::from_str(r#""\ud83d\ude00!""#).unwrap();
+    assert_eq!(s, "\u{1f600}!");
+    let s: String = serde_json::from_str(r#""\uD800\uDC00\uDBFF\uDFFF""#).unwrap();
+    assert_eq!(s, "\u{10000}\u{10ffff}");
+}
+
+#[test]
+fn a_lone_surrogate_escape_is_refused() {
+    for text in [
+        r#""\ud83d""#,
+        r#""\ud83dx""#,
+        r#""\ud83d\n""#,
+        r#""\ud83d\u0041""#,
+        r#""\ud83d\ud83d""#,
+        r#""\ude00""#,
+        r#""\ude00\ud83d""#,
+    ] {
+        let err = serde_json::from_str::<String>(text).expect_err(text);
+        assert!(err.to_string().contains("surrogate"), "{text}: {err}");
+    }
+}
+
+#[test]
 fn a_negative_or_too_large_integer_says_what_was_expected() {
     refused(
         r#"{"a":-1,"b":0.5}"#,
